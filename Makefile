@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-planner metrics crash chaos cover \
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-layered bench-planner metrics crash chaos cover \
 	fuzz-smoke serve smoke-server replica failover bench-replica bench-regression docs-lint \
 	staticcheck vulncheck ci
 
@@ -37,6 +37,13 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 	$(GO) run ./cmd/ivmbench -scale smoke
+
+# The layered benchmark (benchmark/, a module of its own that tier-1
+# `go test ./...` does not reach): its tests, then a smoke run of all four
+# workloads with their oracles. `bash benchmark/run.sh` is the full run.
+bench-layered:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 # Regenerate the join-planner benchmark report (the committed baseline).
 # Fails if the planner misses its 1.5x speedup or 99% cache hit floors.
@@ -144,5 +151,5 @@ vulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build vet fmt-check test race bench-smoke metrics crash chaos cover fuzz-smoke \
+ci: build vet fmt-check test race bench-smoke bench-layered metrics crash chaos cover fuzz-smoke \
 	smoke-server replica failover bench-regression docs-lint staticcheck vulncheck

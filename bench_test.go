@@ -51,6 +51,7 @@ func applyRounds(b *testing.B, apply func(d *relation.Relation) error, link *rel
 // BenchmarkE1HopMaintenance — Example 1.1 at scale: single-edge
 // maintenance of the hop view under counting.
 func BenchmarkE1HopMaintenance(b *testing.B) {
+	b.ReportAllocs()
 	link := benchLink()
 	e := experiments.CountingEngine(experiments.HopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
 	applyRounds(b, func(d *relation.Relation) error {
@@ -61,6 +62,7 @@ func BenchmarkE1HopMaintenance(b *testing.B) {
 
 // BenchmarkE2TriHop — Example 4.2 at scale: two-stratum maintenance.
 func BenchmarkE2TriHop(b *testing.B) {
+	b.ReportAllocs()
 	link := benchLink()
 	e := experiments.CountingEngine(experiments.TriHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
 	applyRounds(b, func(d *relation.Relation) error {
@@ -72,12 +74,14 @@ func BenchmarkE2TriHop(b *testing.B) {
 // BenchmarkE3SetOptimization — statement (2) ablation: the same batch
 // with and without the set-semantics cascade cut.
 func BenchmarkE3SetOptimization(b *testing.B) {
+	b.ReportAllocs()
 	for _, disable := range []bool{false, true} {
 		name := "with-stmt2"
 		if disable {
 			name = "without-stmt2"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			link := workload.RandomGraph(experiments.Rng(3), benchNodes/3, benchEdges/2)
 			db := ivm.NewDatabase()
 			for _, row := range link.SortedRows() {
@@ -102,6 +106,7 @@ func BenchmarkE3SetOptimization(b *testing.B) {
 
 // BenchmarkE4Negation — only_tri_hop maintenance (Definition 6.1).
 func BenchmarkE4Negation(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.RandomGraph(experiments.Rng(4), benchNodes/2, benchEdges/2)
 	e := experiments.CountingEngine(experiments.OnlyTriHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
 	applyRounds(b, func(d *relation.Relation) error {
@@ -112,6 +117,7 @@ func BenchmarkE4Negation(b *testing.B) {
 
 // BenchmarkE5Aggregation — min_cost_hop maintenance (Algorithm 6.1).
 func BenchmarkE5Aggregation(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.RandomWeightedGraph(experiments.Rng(5), benchNodes/2, benchEdges/2, 100)
 	e := experiments.CountingEngine(experiments.MinCostHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
 	applyRounds(b, func(d *relation.Relation) error {
@@ -123,6 +129,7 @@ func BenchmarkE5Aggregation(b *testing.B) {
 // BenchmarkE6CountingVsRecompute — the heuristic-of-inertia sweep: one
 // sub-bench per Δ-fraction per engine.
 func BenchmarkE6CountingVsRecompute(b *testing.B) {
+	b.ReportAllocs()
 	link := benchLink()
 	for _, frac := range []float64{0.001, 0.01, 0.1, 0.5} {
 		k := int(float64(link.Len()) * frac)
@@ -131,6 +138,7 @@ func BenchmarkE6CountingVsRecompute(b *testing.B) {
 		}
 		for _, engine := range []string{"counting", "recompute"} {
 			b.Run(fmt.Sprintf("%s/delta=%.1f%%", engine, frac*100), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					d := workload.SampleDeletes(experiments.Rng(int64(60+i)), link, k)
@@ -155,6 +163,7 @@ func BenchmarkE6CountingVsRecompute(b *testing.B) {
 // BenchmarkE7CountOverhead — view evaluation with and without count
 // tracking (Section 5's "little or no cost").
 func BenchmarkE7CountOverhead(b *testing.B) {
+	b.ReportAllocs()
 	link := benchLink()
 	db := experiments.LinkDB(link)
 	for _, track := range []bool{true, false} {
@@ -163,6 +172,7 @@ func BenchmarkE7CountOverhead(b *testing.B) {
 			name = "without-counts"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				experiments.Evaluate(experiments.TriHopProgram, db, eval.Set, track)
 			}
@@ -172,9 +182,11 @@ func BenchmarkE7CountOverhead(b *testing.B) {
 
 // BenchmarkE8DRedTC — DRed vs recompute on recursive transitive closure.
 func BenchmarkE8DRedTC(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.LayeredDAG(experiments.Rng(81), 14, 8, 3)
 	for _, engine := range []string{"dred", "recompute"} {
 		b.Run(engine, func(b *testing.B) {
+			b.ReportAllocs()
 			var apply func(d *relation.Relation) error
 			if engine == "dred" {
 				e := experiments.DRedEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()))
@@ -191,10 +203,12 @@ func BenchmarkE8DRedTC(b *testing.B) {
 // BenchmarkE9DRedVsPF — the fragmentation gap (Section 2's
 // order-of-magnitude claim).
 func BenchmarkE9DRedVsPF(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.LayeredDAG(experiments.Rng(91), 12, 8, 3)
 	k := 8
 	for _, engine := range []string{"dred", "pf-per-tuple"} {
 		b.Run(engine, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				d := workload.ClusteredDeletes(link, k)
@@ -217,6 +231,7 @@ func BenchmarkE9DRedVsPF(b *testing.B) {
 
 // BenchmarkE10RuleChange — incremental rule insertion (Section 7).
 func BenchmarkE10RuleChange(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.RandomGraph(experiments.Rng(10), benchNodes/2, benchEdges/3)
 	hyper := workload.RandomGraph(experiments.Rng(11), benchNodes/2, 8)
 	rule := experiments.MustRules(`tc(X,Y) :- hyperlink(X,Y).`).Rules[0]
@@ -236,6 +251,7 @@ func BenchmarkE10RuleChange(b *testing.B) {
 // closure (semi-naive, no deletion machinery). A layered DAG keeps the
 // untimed undo pass cheap so the timer isolates the insert.
 func BenchmarkE12InsertOnly(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.LayeredDAG(experiments.Rng(12), 12, 8, 3)
 	e := experiments.DRedEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()))
 	ins := workload.ClusteredDeletes(link, 4).Negate() // 4 forward edges...
@@ -262,6 +278,7 @@ func BenchmarkE12InsertOnly(b *testing.B) {
 // BenchmarkE13RecursiveCounting — counted delta fixpoints on DAG
 // transitive closure ([GKM92], Section 8's future work).
 func BenchmarkE13RecursiveCounting(b *testing.B) {
+	b.ReportAllocs()
 	link := workload.LayeredDAG(experiments.Rng(130), 10, 6, 2)
 	db := ivm.NewDatabase()
 	for _, row := range link.SortedRows() {
@@ -307,6 +324,7 @@ func BenchmarkE13RecursiveCounting(b *testing.B) {
 // greedy order enumerates hot's 1000 rows per delta only to discard
 // every one at the wide probe.
 func BenchmarkPlannerSkew(b *testing.B) {
+	b.ReportAllocs()
 	const (
 		hotKeys, fanout = 8, 1000
 		wideRows        = 20000
@@ -319,6 +337,7 @@ func BenchmarkPlannerSkew(b *testing.B) {
 			name = "planner-off"
 		}
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			db := ivm.NewDatabase()
 			for _, row := range hot.SortedRows() {
 				db.InsertTuple("hot", row.Tuple, 1)
@@ -352,6 +371,7 @@ func BenchmarkPlannerSkew(b *testing.B) {
 }
 
 func BenchmarkParallelSpeedup(b *testing.B) {
+	b.ReportAllocs()
 	for _, size := range []struct {
 		name         string
 		nodes, edges int
@@ -365,6 +385,7 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				name := fmt.Sprintf("%s/batch%d/w%d", size.name, batch, workers)
 				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
 					db := ivm.NewDatabase()
 					for _, row := range link.SortedRows() {
 						db.InsertTuple("link", row.Tuple, 1)

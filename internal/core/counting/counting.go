@@ -296,13 +296,13 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 				has := stored.Has(row.Tuple)
 				switch {
 				case row.Count > 0 && !has:
-					cd.Add(row.Tuple, 1)
+					cd.AddRow(row.WithCount(1))
 				case row.Count < 0:
 					if !has {
 						verr = fmt.Errorf("counting: deletion of absent tuple %s%s", pred, row.Tuple)
 						return
 					}
-					cd.Add(row.Tuple, -1)
+					cd.AddRow(row.WithCount(-1))
 				}
 			})
 		} else {
@@ -648,9 +648,9 @@ func deltaNegation(qOld relation.Reader, dq *relation.Relation) *relation.Relati
 		newHas := qOld.Count(row.Tuple)+row.Count > 0
 		switch {
 		case oldHas && !newHas:
-			out.Add(row.Tuple, 1)
+			out.AddRow(row.WithCount(1))
 		case !oldHas && newHas:
-			out.Add(row.Tuple, -1)
+			out.AddRow(row.WithCount(-1))
 		}
 	})
 	return out
@@ -665,9 +665,9 @@ func setTransitions(stored *relation.Relation, d *relation.Relation) *relation.R
 		newC := oldC + row.Count
 		switch {
 		case oldC <= 0 && newC > 0:
-			out.Add(row.Tuple, 1)
+			out.AddRow(row.WithCount(1))
 		case oldC > 0 && newC <= 0:
-			out.Add(row.Tuple, -1)
+			out.AddRow(row.WithCount(-1))
 		}
 	})
 	return out

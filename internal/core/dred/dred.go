@@ -224,13 +224,13 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*Changes, error
 			has := stored.Has(row.Tuple)
 			switch {
 			case row.Count > 0 && !has:
-				trans.Add(row.Tuple, 1)
+				trans.AddRow(row.WithCount(1))
 			case row.Count < 0:
 				if !has {
 					verr = fmt.Errorf("dred: deletion of absent tuple %s%s", pred, row.Tuple)
 					return
 				}
-				trans.Add(row.Tuple, -1)
+				trans.AddRow(row.WithCount(-1))
 			}
 		})
 		if verr != nil {
@@ -289,7 +289,7 @@ func (e *Engine) AddRule(r datalog.Rule) (*Changes, error) {
 	seed := relation.New(len(r.Head.Args))
 	tmp.Each(func(row relation.Row) {
 		if row.Count > 0 && !stored.Has(row.Tuple) {
-			seed.Add(row.Tuple, 1)
+			seed.AddRow(row.WithCount(1))
 		}
 	})
 	seedAdd := map[string]*relation.Relation{r.Head.Pred: seed}
@@ -323,7 +323,7 @@ func (e *Engine) RemoveRule(ri int) (*Changes, error) {
 	seed := relation.New(len(removed.Head.Args))
 	tmp.Each(func(row relation.Row) {
 		if row.Count > 0 && stored.Has(row.Tuple) {
-			seed.Add(row.Tuple, 1)
+			seed.AddRow(row.WithCount(1))
 		}
 	})
 
@@ -374,7 +374,7 @@ func negPart(r *relation.Relation) *relation.Relation {
 	out := relation.New(r.Arity())
 	r.Each(func(row relation.Row) {
 		if row.Count < 0 {
-			out.Add(row.Tuple, 1)
+			out.AddRow(row.WithCount(1))
 		}
 	})
 	return out
@@ -384,7 +384,7 @@ func posPart(r *relation.Relation) *relation.Relation {
 	out := relation.New(r.Arity())
 	r.Each(func(row relation.Row) {
 		if row.Count > 0 {
-			out.Add(row.Tuple, 1)
+			out.AddRow(row.WithCount(1))
 		}
 	})
 	return out

@@ -211,9 +211,9 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			stored := e.db.Ensure(pred, -1)
 			derived.Each(func(row relation.Row) {
 				if row.Count > 0 && stored.Has(row.Tuple) && !delS[pred].Has(row.Tuple) {
-					delS[pred].Add(row.Tuple, 1)
-					netOf(pred).Add(row.Tuple, -1)
-					roundDel[pred].Add(row.Tuple, 1)
+					delS[pred].AddRow(row.WithCount(1))
+					netOf(pred).AddRow(row.WithCount(-1))
+					roundDel[pred].AddRow(row.WithCount(1))
 				}
 			})
 		}
@@ -349,9 +349,9 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		foldReadd := func(pred string, derived *relation.Relation, cand *relation.Relation) {
 			derived.Each(func(row relation.Row) {
 				if row.Count > 0 && cand.Has(row.Tuple) && !readd[pred].Has(row.Tuple) {
-					readd[pred].Add(row.Tuple, 1)
-					netOf(pred).Add(row.Tuple, 1)
-					roundReadd[pred].Add(row.Tuple, 1)
+					readd[pred].AddRow(row.WithCount(1))
+					netOf(pred).AddRow(row.WithCount(1))
+					roundReadd[pred].AddRow(row.WithCount(1))
 				}
 			})
 		}
@@ -359,7 +359,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			cand := relation.New(delS[pred].Arity())
 			delS[pred].Each(func(row relation.Row) {
 				if !readd[pred].Has(row.Tuple) {
-					cand.Add(row.Tuple, 1)
+					cand.AddRow(row.WithCount(1))
 				}
 			})
 			return cand
@@ -437,9 +437,9 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			nr := newR(pred)
 			derived.Each(func(row relation.Row) {
 				if row.Count > 0 && !nr.Has(row.Tuple) {
-					addS[pred].Add(row.Tuple, 1)
-					netOf(pred).Add(row.Tuple, 1)
-					roundAdd[pred].Add(row.Tuple, 1)
+					addS[pred].AddRow(row.WithCount(1))
+					netOf(pred).AddRow(row.WithCount(1))
+					roundAdd[pred].AddRow(row.WithCount(1))
 				}
 			})
 		}
@@ -632,7 +632,7 @@ func (e *Engine) deleteImage(lit datalog.Literal, key eval.RuleLit, inStratum ma
 		q := oldR(lit.Atom.Pred)
 		a.Each(func(row relation.Row) {
 			if !q.Has(row.Tuple) {
-				img.Add(row.Tuple, 1)
+				img.AddRow(row.WithCount(1))
 			}
 		})
 		return img, nil
@@ -669,7 +669,7 @@ func (e *Engine) insertImage(lit datalog.Literal, key eval.RuleLit, inStratum ma
 		q := newR(lit.Atom.Pred)
 		d.Each(func(row relation.Row) {
 			if !q.Has(row.Tuple) {
-				img.Add(row.Tuple, 1)
+				img.AddRow(row.WithCount(1))
 			}
 		})
 		return img, nil

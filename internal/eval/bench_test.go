@@ -14,6 +14,7 @@ func benchGraph(n, m int) *relation.Relation {
 }
 
 func BenchmarkEvalRuleJoin(b *testing.B) {
+	b.ReportAllocs()
 	prog, st := parseProgram(b, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
 	_ = st
 	link := benchGraph(200, 1200)
@@ -33,6 +34,7 @@ func BenchmarkEvalRuleJoin(b *testing.B) {
 }
 
 func BenchmarkEvalRuleDeltaJoin(b *testing.B) {
+	b.ReportAllocs()
 	prog, _ := parseProgram(b, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
 	link := benchGraph(200, 1200)
 	delta := relation.New(2)
@@ -56,6 +58,7 @@ func BenchmarkEvalRuleDeltaJoin(b *testing.B) {
 }
 
 func BenchmarkSemiNaiveTC(b *testing.B) {
+	b.ReportAllocs()
 	prog, st := parseProgram(b, `
 		tc(X,Y) :- link(X,Y).
 		tc(X,Y) :- tc(X,Z), link(Z,Y).
@@ -73,6 +76,7 @@ func BenchmarkSemiNaiveTC(b *testing.B) {
 }
 
 func BenchmarkGroupTableBuild(b *testing.B) {
+	b.ReportAllocs()
 	prog, _ := parseProgram(b, `m(S,M) :- groupby(u(S,C), [S], M = min(C)).`)
 	g := prog.Rules[0].Body[0].Agg
 	u := relation.New(2)
@@ -89,6 +93,7 @@ func BenchmarkGroupTableBuild(b *testing.B) {
 }
 
 func BenchmarkGroupTableDelta(b *testing.B) {
+	b.ReportAllocs()
 	prog, _ := parseProgram(b, `m(S,M) :- groupby(u(S,C), [S], M = sum(C)).`)
 	g := prog.Rules[0].Body[0].Agg
 	u := relation.New(2)

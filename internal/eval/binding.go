@@ -60,38 +60,45 @@ func evalTerm(t datalog.Term, b *binding) (value.Value, error) {
 	}
 }
 
-// groundAtom instantiates an atom's arguments under b into a tuple.
-// Every argument must be a constant or a bound variable.
-func groundAtom(args []datalog.Term, b *binding) (value.Tuple, error) {
-	t := make(value.Tuple, len(args))
-	for i, a := range args {
+// groundAtom instantiates an atom's arguments under b into a tuple built
+// in dst's storage (dst[:0] is overwritten; nil allocates a tuple the
+// caller owns). Every argument must be a constant or a bound variable.
+func groundAtom(dst value.Tuple, args []datalog.Term, b *binding) (value.Tuple, error) {
+	t := dst[:0]
+	if dst == nil {
+		t = make(value.Tuple, 0, len(args))
+	}
+	for _, a := range args {
 		v, err := evalTerm(a, b)
 		if err != nil {
 			return nil, err
 		}
-		t[i] = v
+		t = append(t, v)
 	}
 	return t, nil
 }
 
 // matchPattern attempts to match tuple against args under b, extending b
 // for previously unbound variables. It returns ok and the list of
-// variables newly bound (for undo). Constants and bound variables must
-// match exactly; repeated variables within args must agree.
-func matchPattern(args []datalog.Term, tuple value.Tuple, b *binding) (ok bool, boundVars []string) {
+// variables newly bound (for undo), built in buf's storage (buf[:0] is
+// overwritten; nil allocates). Constants and bound variables must match
+// exactly; repeated variables within args must agree. On a failed match
+// the binding is restored and the list is empty.
+func matchPattern(args []datalog.Term, tuple value.Tuple, b *binding, buf []string) (ok bool, boundVars []string) {
+	boundVars = buf[:0]
 	for i, a := range args {
 		switch x := a.(type) {
 		case datalog.Const:
 			if !x.Value.Equal(tuple[i]) {
 				undoBind(b, boundVars)
-				return false, nil
+				return false, boundVars[:0]
 			}
 		case datalog.Var:
 			name := string(x)
 			if cur, bound := b.lookup(name); bound {
 				if !cur.Equal(tuple[i]) {
 					undoBind(b, boundVars)
-					return false, nil
+					return false, boundVars[:0]
 				}
 			} else {
 				b.set(name, tuple[i])
@@ -100,7 +107,7 @@ func matchPattern(args []datalog.Term, tuple value.Tuple, b *binding) (ok bool, 
 		default:
 			// Expressions never appear in body atoms (validated).
 			undoBind(b, boundVars)
-			return false, nil
+			return false, boundVars[:0]
 		}
 	}
 	return true, boundVars

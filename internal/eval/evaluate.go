@@ -249,8 +249,8 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 		full := db.rel(pred)
 		tmp.Each(func(row relation.Row) {
 			if row.Count > 0 && !full.Has(row.Tuple) {
-				full.Add(row.Tuple, 1)
-				delta.Add(row.Tuple, 1)
+				full.AddRow(row.WithCount(1))
+				delta.AddRow(row.WithCount(1))
 			}
 		})
 	}
@@ -373,7 +373,7 @@ func NaiveEvaluate(prog *datalog.Program, st *strata.Stratification, db *DB) err
 				var cerr error
 				tmp.Each(func(row relation.Row) {
 					if cerr == nil && row.Count > 0 && !full.Has(row.Tuple) {
-						full.Add(row.Tuple, 1)
+						full.AddRow(row.WithCount(1))
 						changed = true
 					}
 				})

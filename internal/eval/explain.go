@@ -37,7 +37,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 	}
 	var undo []string
 	if simple {
-		ok, bound := matchPattern(rule.Head.Args, head, b)
+		ok, bound := matchPattern(rule.Head.Args, head, b, nil)
 		if !ok {
 			return nil, nil
 		}
@@ -57,7 +57,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 		if step == len(order) {
 			if !simple {
 				// Expression heads: compute and compare.
-				got, err := groundAtom(rule.Head.Args, b)
+				got, err := groundAtom(nil, rule.Head.Args, b)
 				if err != nil {
 					return err
 				}
@@ -88,7 +88,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 			return nil
 
 		case lit.Kind == datalog.LitNegated && !src.JoinDelta:
-			t, err := groundAtom(lit.Atom.Args, b)
+			t, err := groundAtom(nil, lit.Atom.Args, b)
 			if err != nil {
 				return err
 			}
@@ -103,7 +103,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 		default:
 			args := joinArgs(lit)
 			return joinLiteral(args, src.Rel, b, func(count int64) error {
-				t, err := groundAtom(args, b)
+				t, err := groundAtom(nil, args, b)
 				if err != nil {
 					return err
 				}
@@ -116,7 +116,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 				err = walk(step + 1)
 				trail = trail[:len(trail)-1]
 				return err
-			}, nil)
+			})
 		}
 	}
 	if err := walk(0); err != nil {

@@ -24,9 +24,17 @@ type GroupTable struct {
 	// undo holds pre-ApplyDelta snapshots of touched groups until Commit
 	// or Rollback resolves the pending delta.
 	undo map[string]undoEntry
+
+	// Scratch reused by match from row to row (a table is built and
+	// maintained by one goroutine at a time): the binding, the variables
+	// the last row bound, and the grouping values match returns.
+	b     *binding
+	newly []string
+	gv    value.Tuple
 }
 
 type groupEntry struct {
+	key       string // groupVals' canonical key, built once with the entry
 	groupVals value.Tuple
 	state     agg.State
 	cur       value.Tuple // current T tuple (nil if group empty)
@@ -52,13 +60,20 @@ func BuildGroupTable(g *datalog.Aggregate, u relation.Reader) (*GroupTable, erro
 		groupCols: cols,
 		groups:    make(map[string]*groupEntry),
 		rel:       relation.New(len(g.GroupBy) + 1),
+		b:         newBinding(),
 	}
 	var ferr error
 	u.Each(func(row relation.Row) {
 		if ferr != nil {
 			return
 		}
-		ferr = t.fold(row)
+		gv, av, ok, err := t.match(row.Tuple)
+		if err != nil || !ok {
+			ferr = err
+			return
+		}
+		e, _ := t.entry(gv)
+		ferr = fold(e, av, row.Count)
 	})
 	if ferr != nil {
 		return nil, ferr
@@ -81,24 +96,20 @@ func (t *GroupTable) Rel() *relation.Relation { return t.rel }
 // Agg returns the subgoal this table materializes.
 func (t *GroupTable) Agg() *datalog.Aggregate { return t.g }
 
-// fold routes one grouped-relation row into its group's state: positive
-// counts Add, negative counts Remove. A group whose state can no longer
-// answer exactly is marked for rescan (state == nil) and further rows for
-// it are ignored until the rescan rebuilds it.
-func (t *GroupTable) fold(row relation.Row) error {
-	gv, av, ok, err := t.match(row.Tuple)
-	if err != nil || !ok {
-		return err
-	}
-	e := t.entry(gv)
+// fold routes one grouped-relation row (aggregated value av, signed
+// count) into its group's state: positive counts Add, negative counts
+// Remove. A group whose state can no longer answer exactly is marked for
+// rescan (state == nil) and further rows for it are ignored until the
+// rescan rebuilds it.
+func fold(e *groupEntry, av value.Value, count int64) error {
 	if e.state == nil {
 		return nil // pending rescan; the rescan sees the full new relation
 	}
-	if row.Count > 0 {
-		return e.state.Add(av, row.Count)
+	if count > 0 {
+		return e.state.Add(av, count)
 	}
-	if row.Count < 0 {
-		rescan, err := e.state.Remove(av, -row.Count)
+	if count < 0 {
+		rescan, err := e.state.Remove(av, -count)
 		if err != nil {
 			return err
 		}
@@ -110,41 +121,46 @@ func (t *GroupTable) fold(row relation.Row) error {
 }
 
 // match checks row against the inner atom pattern; on success it returns
-// the grouping values and the aggregated expression's value.
+// the grouping values and the aggregated expression's value. gv lives in
+// the table's scratch and is valid until the next match.
 func (t *GroupTable) match(tuple value.Tuple) (gv value.Tuple, av value.Value, ok bool, err error) {
-	b := newBinding()
-	ok, bound := matchPattern(t.g.Inner.Args, tuple, b)
+	ok, t.newly = matchPattern(t.g.Inner.Args, tuple, t.b, t.newly)
 	if !ok {
 		return nil, value.Value{}, false, nil
 	}
-	defer undoBind(b, bound)
-	gv = make(value.Tuple, len(t.g.GroupBy))
-	for i, v := range t.g.GroupBy {
-		val, found := b.lookup(string(v))
+	defer undoBind(t.b, t.newly)
+	gv = t.gv[:0]
+	for _, v := range t.g.GroupBy {
+		val, found := t.b.lookup(string(v))
 		if !found {
 			return nil, value.Value{}, false, fmt.Errorf("eval: grouping variable %s unbound by %s", v, t.g.Inner)
 		}
-		gv[i] = val
+		gv = append(gv, val)
 	}
-	av, err = evalTerm(t.g.Arg, b)
+	t.gv = gv
+	av, err = evalTerm(t.g.Arg, t.b)
 	if err != nil {
 		return nil, value.Value{}, false, err
 	}
 	return gv, av, true, nil
 }
 
-func (t *GroupTable) entry(gv value.Tuple) *groupEntry {
-	k := gv.Key()
-	e, ok := t.groups[k]
-	if !ok {
-		st, err := agg.New(t.g.Func)
-		if err != nil {
-			panic(err) // function validated at program validation time
-		}
-		e = &groupEntry{groupVals: gv.Clone(), state: st}
-		t.groups[k] = e
+// entry returns gv's group, creating it (with a copy of gv) when absent;
+// existed tells the two apart. The probe encodes gv in a stack buffer, so
+// only a new group pays for a key string.
+func (t *GroupTable) entry(gv value.Tuple) (e *groupEntry, existed bool) {
+	var buf [value.KeyScratch]byte
+	kb := gv.AppendKey(buf[:0])
+	if e, ok := t.groups[string(kb)]; ok {
+		return e, true
 	}
-	return e
+	st, err := agg.New(t.g.Func)
+	if err != nil {
+		panic(err) // function validated at program validation time
+	}
+	e = &groupEntry{key: string(kb), groupVals: gv.Clone(), state: st}
+	t.groups[e.key] = e
+	return e, false
 }
 
 func (t *GroupTable) dropEmpty() {
@@ -176,7 +192,7 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*rela
 		if ferr != nil {
 			return
 		}
-		gv, _, ok, err := t.match(row.Tuple)
+		gv, av, ok, err := t.match(row.Tuple)
 		if err != nil {
 			ferr = err
 			return
@@ -184,20 +200,19 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*rela
 		if !ok {
 			return
 		}
-		k := gv.Key()
-		if _, snapped := t.undo[k]; !snapped {
-			ue := undoEntry{groupVals: gv.Clone()}
-			if e, exists := t.groups[k]; exists {
-				ue.existed = true
+		e, existed := t.entry(gv)
+		if _, snapped := t.undo[e.key]; !snapped {
+			ue := undoEntry{existed: existed, groupVals: e.groupVals}
+			if existed {
 				if e.state != nil {
 					ue.state = e.state.Clone()
 				}
 				ue.cur = e.cur
 			}
-			t.undo[k] = ue
+			t.undo[e.key] = ue
 		}
-		dirty[k] = true
-		ferr = t.fold(row)
+		dirty[e.key] = true
+		ferr = fold(e, av, row.Count)
 	})
 	if ferr != nil {
 		return nil, ferr
@@ -277,7 +292,7 @@ func (t *GroupTable) Rollback() {
 			delete(t.groups, k)
 			continue
 		}
-		t.groups[k] = &groupEntry{groupVals: ue.groupVals, state: ue.state, cur: ue.cur}
+		t.groups[k] = &groupEntry{key: k, groupVals: ue.groupVals, state: ue.state, cur: ue.cur}
 	}
 	t.undo = nil
 }

@@ -50,6 +50,10 @@ const (
 	AccessScan
 )
 
+// join reports whether the step enumerates rows of a relation (point,
+// index or scan) rather than filtering the current binding.
+func (k AccessKind) join() bool { return k != AccessFilter && k != AccessNegFilter }
+
 func (k AccessKind) String() string {
 	switch k {
 	case AccessFilter:
@@ -144,58 +148,9 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 		}
 		return true
 	}
-	// boundCols classifies a join literal's columns under the current
-	// bound set; this matches exactly what joinLiteral would compute at
-	// runtime, because at step k a variable is bound iff an earlier join
-	// step's literal mentioned it.
-	boundCols := func(i int) (cols []int, all bool) {
-		all = true
-		for ci, a := range joinArgs(rule.Body[i]) {
-			switch x := a.(type) {
-			case datalog.Const:
-				cols = append(cols, ci)
-			case datalog.Var:
-				if bound[string(x)] {
-					cols = append(cols, ci)
-				} else {
-					all = false
-				}
-			default:
-				all = false
-			}
-		}
-		return cols, all
-	}
 	take := func(i int) {
 		remaining[i] = false
-		step := PlanStep{Lit: i}
-		switch {
-		case rule.Body[i].Kind == datalog.LitCondition:
-			step.Kind = AccessFilter
-		case rule.Body[i].Kind == datalog.LitNegated && !srcs[i].JoinDelta:
-			step.Kind = AccessNegFilter
-		default:
-			args := joinArgs(rule.Body[i])
-			cols, all := boundCols(i)
-			switch {
-			case all && len(args) > 0:
-				step.Kind = AccessPoint
-			case len(cols) > 0:
-				step.Kind = AccessIndex
-				if reuse := relation.PreferredIndexFor(srcs[i].Rel, cols); reuse != nil {
-					cols = reuse
-				}
-				step.Cols = cols
-			default:
-				step.Kind = AccessScan
-			}
-			for _, t := range args {
-				for _, v := range t.Vars(nil) {
-					bound[v] = true
-				}
-			}
-		}
-		p.Steps = append(p.Steps, step)
+		p.Steps = append(p.Steps, accessPath(rule, srcs, i, bound, true))
 	}
 	flushFilters := func() {
 		for i := 0; i < n; i++ {
@@ -227,7 +182,7 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 			if !remaining[i] || isFilter(i) {
 				continue
 			}
-			bc, _ := boundCols(i)
+			bc, _ := boundColumns(joinArgs(rule.Body[i]), bound)
 			if c := fanoutEstimate(srcs[i].Rel, bc); best < 0 || c < bestCost {
 				best, bestCost = i, c
 			}
@@ -241,7 +196,7 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 
 	// Fingerprint the non-Δ join sources for drift detection.
 	for _, st := range p.Steps {
-		if st.Lit == p.pinned || st.Kind == AccessFilter || st.Kind == AccessNegFilter {
+		if st.Lit == p.pinned || !st.Kind.join() {
 			continue
 		}
 		if rel := srcs[st.Lit].Rel; rel != nil {
@@ -249,6 +204,67 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// boundColumns classifies a join pattern's columns under the bound set:
+// the columns holding a constant or a bound variable, and whether that
+// is all of them. This is exactly what a walk finds at runtime, because
+// at step k a variable is bound iff an earlier join step's literal
+// mentioned it.
+func boundColumns(args []datalog.Term, bound map[string]bool) (cols []int, all bool) {
+	all = true
+	for ci, a := range args {
+		switch x := a.(type) {
+		case datalog.Const:
+			cols = append(cols, ci)
+		case datalog.Var:
+			if bound[string(x)] {
+				cols = append(cols, ci)
+			} else {
+				all = false
+			}
+		default:
+			all = false
+		}
+	}
+	return cols, all
+}
+
+// accessPath freezes the access path of body literal i under the bound
+// set and, for a join literal, adds its variables to the set. With
+// reuseIndex an index step probes an existing index on a subset of its
+// bound columns rather than have the relation build a new one.
+func accessPath(rule datalog.Rule, srcs []Source, i int, bound map[string]bool, reuseIndex bool) PlanStep {
+	step := PlanStep{Lit: i}
+	switch {
+	case rule.Body[i].Kind == datalog.LitCondition:
+		step.Kind = AccessFilter
+	case rule.Body[i].Kind == datalog.LitNegated && !srcs[i].JoinDelta:
+		step.Kind = AccessNegFilter
+	default:
+		args := joinArgs(rule.Body[i])
+		cols, all := boundColumns(args, bound)
+		switch {
+		case all && len(args) > 0:
+			step.Kind = AccessPoint
+		case len(cols) > 0:
+			step.Kind = AccessIndex
+			if reuseIndex {
+				if reuse := relation.PreferredIndexFor(srcs[i].Rel, cols); reuse != nil {
+					cols = reuse
+				}
+			}
+			step.Cols = cols
+		default:
+			step.Kind = AccessScan
+		}
+		for _, t := range args {
+			for _, v := range t.Vars(nil) {
+				bound[v] = true
+			}
+		}
+	}
+	return step
 }
 
 // fanoutEstimate is the expected number of rows a join step emits per
@@ -412,120 +428,158 @@ func EvalRulePlanInstr(rule datalog.Rule, srcs []Source, firstLit int, plan *Pla
 	if len(srcs) != len(rule.Body) {
 		return fmt.Errorf("eval: rule has %d literals but %d sources given", len(rule.Body), len(srcs))
 	}
-	var ctr joinCounters
-	b := newBinding()
-	var walk func(step int, count int64) error
-	walk = func(step int, count int64) error {
-		if step == len(plan.Steps) {
-			head, err := groundAtom(rule.Head.Args, b)
-			if err != nil {
-				return err
-			}
-			out.Add(head, count)
-			return nil
-		}
-		st := plan.Steps[step]
-		lit := rule.Body[st.Lit]
-		src := srcs[st.Lit]
+	return walkSteps(rule, srcs, plan.Steps, out, in)
+}
 
-		switch st.Kind {
-		case AccessFilter:
-			l, err := evalTerm(lit.Cond.Left, b)
-			if err != nil {
-				return err
-			}
-			r, err := evalTerm(lit.Cond.Right, b)
-			if err != nil {
-				return err
-			}
-			if lit.Cond.Op.Eval(l, r) {
-				return walk(step+1, count)
-			}
-			return nil
+// ruleWalk is the state of one rule evaluation: the nested-loop join over
+// the steps, and the buffers it reuses from row to row. Nothing in it is
+// shared, so concurrent evaluations each own one.
+type ruleWalk struct {
+	rule  datalog.Rule
+	srcs  []Source
+	steps []PlanStep
+	out   *relation.Relation
+	b     *binding
+	// ctr counts access paths locally; walkSteps flushes it to the
+	// Instruments in one atomic add per counter.
+	ctr joinCounters
+	// frames[k] is step k's scratch.
+	frames []frame
+}
 
-		case AccessNegFilter:
-			t, err := groundAtom(lit.Atom.Args, b)
-			if err != nil {
-				return err
-			}
-			ctr.probes++
-			if !src.Rel.Has(t) {
-				return walk(step+1, count)
-			}
-			return nil
+// frame is what one step of a walk would otherwise allocate per row.
+type frame struct {
+	args  []datalog.Term // the step literal's join pattern
+	tuple value.Tuple    // probe tuple: a ground atom, or an index probe's key values
+	newly []string       // variables the current row bound, for undo
+}
 
-		default:
-			return joinPlanned(joinArgs(lit), src.Rel, st, b, func(rowCount int64) error {
-				return walk(step+1, count*rowCount)
-			}, &ctr)
+// walkSteps evaluates rule through steps' frozen order and access paths,
+// adding every derived head tuple (count = product of the joined rows'
+// counts) into out.
+func walkSteps(rule datalog.Rule, srcs []Source, steps []PlanStep, out *relation.Relation, in *Instruments) error {
+	w := &ruleWalk{
+		rule: rule, srcs: srcs, steps: steps, out: out,
+		b: newBinding(), frames: make([]frame, len(steps)),
+	}
+	for k, st := range steps {
+		if st.Kind.join() {
+			w.frames[k].args = joinArgs(rule.Body[st.Lit])
 		}
 	}
-	err := walk(0, 1)
+	err := w.walk(0, 1)
 	if in != nil {
-		in.JoinProbes.Add(ctr.probes)
-		in.JoinScans.Add(ctr.scans)
+		in.JoinProbes.Add(w.ctr.probes)
+		in.JoinScans.Add(w.ctr.scans)
 	}
 	return err
 }
 
-// joinPlanned enumerates rel's rows matching args through the plan step's
-// frozen access path. Bound/unbound classification was done at plan time;
-// matchPattern still verifies every column, so a reused subset index (or
-// a conservative plan) only costs extra candidates, never wrong rows.
-func joinPlanned(args []datalog.Term, rel relation.Reader, st PlanStep, b *binding, each func(count int64) error, ctr *joinCounters) error {
-	emit := func(row relation.Row) error {
-		ok, newly := matchPattern(args, row.Tuple, b)
-		if !ok {
-			return nil
-		}
-		err := each(row.Count)
-		undoBind(b, newly)
-		return err
-	}
-
-	switch st.Kind {
-	case AccessPoint:
-		t, err := groundAtom(args, b)
+func (w *ruleWalk) walk(step int, count int64) error {
+	if step == len(w.steps) {
+		// The head tuple is the one thing a derivation allocates: out
+		// keeps it when the row is new.
+		head, err := groundAtom(nil, w.rule.Head.Args, w.b)
 		if err != nil {
 			return err
 		}
-		ctr.probes++
-		if c := rel.Count(t); c != 0 {
-			return each(c)
+		w.out.Add(head, count)
+		return nil
+	}
+	fr := &w.frames[step]
+	st := &w.steps[step]
+	lit := &w.rule.Body[st.Lit]
+	rel := w.srcs[st.Lit].Rel
+
+	switch st.Kind {
+	case AccessFilter:
+		l, err := evalTerm(lit.Cond.Left, w.b)
+		if err != nil {
+			return err
+		}
+		r, err := evalTerm(lit.Cond.Right, w.b)
+		if err != nil {
+			return err
+		}
+		if lit.Cond.Op.Eval(l, r) {
+			return w.walk(step+1, count)
 		}
 		return nil
+
+	case AccessNegFilter:
+		t, err := groundAtom(fr.tuple, lit.Atom.Args, w.b)
+		if err != nil {
+			return err
+		}
+		fr.tuple = t
+		w.ctr.probes++
+		if !rel.Has(t) {
+			return w.walk(step+1, count)
+		}
+		return nil
+
+	case AccessPoint:
+		t, err := groundAtom(fr.tuple, fr.args, w.b)
+		if err != nil {
+			return err
+		}
+		fr.tuple = t
+		w.ctr.probes++
+		if c := rel.Count(t); c != 0 {
+			return w.walk(step+1, count*c)
+		}
+		return nil
+
 	case AccessIndex:
-		keyVals := make(value.Tuple, len(st.Cols))
-		for i, c := range st.Cols {
-			switch x := args[c].(type) {
+		// Bound/unbound classification was done at plan time; matchPattern
+		// still verifies every column, so a reused subset index (or a
+		// conservative plan) only costs extra candidates, never wrong rows.
+		key := fr.tuple[:0]
+		for _, c := range st.Cols {
+			switch x := fr.args[c].(type) {
 			case datalog.Const:
-				keyVals[i] = x.Value
+				key = append(key, x.Value)
 			case datalog.Var:
-				v, ok := b.lookup(string(x))
+				v, ok := w.b.lookup(string(x))
 				if !ok {
 					return fmt.Errorf("eval: internal error: plan probes unbound column %d", c)
 				}
-				keyVals[i] = v
+				key = append(key, v)
 			default:
-				return fmt.Errorf("eval: expression %s in join pattern", args[c])
+				return fmt.Errorf("eval: expression %s in join pattern", fr.args[c])
 			}
 		}
-		ctr.probes++
-		for _, row := range rel.Lookup(st.Cols, keyVals) {
-			if err := emit(row); err != nil {
+		fr.tuple = key
+		w.ctr.probes++
+		for _, row := range rel.Lookup(st.Cols, key) {
+			if err := w.emit(fr, step, row, count); err != nil {
 				return err
 			}
 		}
 		return nil
+
 	default: // AccessScan
-		ctr.scans++
+		w.ctr.scans++
 		var err error
 		rel.Each(func(row relation.Row) {
-			if err != nil {
-				return
+			if err == nil {
+				err = w.emit(fr, step, row, count)
 			}
-			err = emit(row)
 		})
 		return err
 	}
+}
+
+// emit matches one candidate row of step's literal against the binding
+// and, on success, walks the remaining steps with the row's variables
+// bound.
+func (w *ruleWalk) emit(fr *frame, step int, row relation.Row, count int64) error {
+	ok, newly := matchPattern(fr.args, row.Tuple, w.b, fr.newly)
+	fr.newly = newly
+	if !ok {
+		return nil
+	}
+	err := w.walk(step+1, count*row.Count)
+	undoBind(w.b, newly)
+	return err
 }

@@ -372,3 +372,47 @@ func TestPlanMatchesGreedyOutput(t *testing.T) {
 		wantCounts(t, planned, counts(greedy))
 	}
 }
+
+// A rule walk reuses one scratch frame per step: beyond the head tuple
+// each derivation hands to out, what it allocates must not grow with the
+// rows it joins. Both paths — planned and greedy — run the same walker
+// over a join whose probe count scales with n.
+func TestRuleWalkAllocatesOnlyHeadTuples(t *testing.T) {
+	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y), !blocked(X,Y).`)
+	rule := prog.Rules[0]
+	overhead := func(n int, planned bool) float64 {
+		link, blocked := relation.New(2), relation.New(2)
+		for i := 0; i < n; i++ {
+			link.Add(value.T(i, i+1), 1)
+			link.Add(value.T(i, i+2), 1)
+		}
+		blocked.Add(value.T(0, 2), 1)
+		srcs := []Source{{Rel: link}, {Rel: link}, {Rel: blocked}}
+		var plan *Plan
+		if planned {
+			var err error
+			if plan, err = PlanRule(rule, srcs, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := relation.New(2)
+		eval := func() {
+			if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval() // builds the index and stores every head tuple once
+		derivations := out.TotalCount()
+		if derivations < int64(n) {
+			t.Fatalf("join of %d links has %d derivations", n, derivations)
+		}
+		return testing.AllocsPerRun(10, eval) - float64(derivations)
+	}
+	for _, planned := range []bool{true, false} {
+		small, large := overhead(50, planned), overhead(2000, planned)
+		if large > small || large > 40 {
+			t.Errorf("planned=%v: beyond one head tuple per derivation, a walk over 2000 links allocates %v objects, over 50 links %v; want equal and small",
+				planned, large, small)
+		}
+	}
+}

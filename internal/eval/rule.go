@@ -53,6 +53,11 @@ type joinCounters struct {
 // a single atomic add per counter afterwards, so the instrumented hot
 // path differs from the bare one only by a local integer increment per
 // access.
+//
+// The greedy order is turned into the same frozen steps a Plan holds —
+// with every bound column probed, never a reused subset index — and
+// walked by the same walker, so the two paths differ only in the order
+// they choose and in the planner's index reuse.
 func EvalRuleInstr(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Relation, in *Instruments) error {
 	if len(srcs) != len(rule.Body) {
 		return fmt.Errorf("eval: rule has %d literals but %d sources given", len(rule.Body), len(srcs))
@@ -61,63 +66,12 @@ func EvalRuleInstr(rule datalog.Rule, srcs []Source, firstLit int, out *relation
 	if err != nil {
 		return err
 	}
-
-	var ctr joinCounters
-	b := newBinding()
-	var walk func(step int, count int64) error
-	walk = func(step int, count int64) error {
-		if step == len(order) {
-			head, err := groundAtom(rule.Head.Args, b)
-			if err != nil {
-				return err
-			}
-			out.Add(head, count)
-			return nil
-		}
-		idx := order[step]
-		lit := rule.Body[idx]
-		src := srcs[idx]
-
-		switch {
-		case lit.Kind == datalog.LitCondition:
-			l, err := evalTerm(lit.Cond.Left, b)
-			if err != nil {
-				return err
-			}
-			r, err := evalTerm(lit.Cond.Right, b)
-			if err != nil {
-				return err
-			}
-			if lit.Cond.Op.Eval(l, r) {
-				return walk(step+1, count)
-			}
-			return nil
-
-		case lit.Kind == datalog.LitNegated && !src.JoinDelta:
-			t, err := groundAtom(lit.Atom.Args, b)
-			if err != nil {
-				return err
-			}
-			ctr.probes++
-			if !src.Rel.Has(t) {
-				return walk(step+1, count)
-			}
-			return nil
-
-		default:
-			// Join: positive atoms, Δ-images of negations, aggregate images.
-			args := joinArgs(lit)
-			return joinLiteral(args, src.Rel, b, func(rowCount int64) error {
-				return walk(step+1, count*rowCount)
-			}, &ctr)
-		}
+	bound := make(map[string]bool)
+	steps := make([]PlanStep, len(order))
+	for k, i := range order {
+		steps[k] = accessPath(rule, srcs, i, bound, false)
 	}
-	err = walk(0, 1)
-	if in != nil {
-		in.JoinProbes.Add(ctr.probes)
-		in.JoinScans.Add(ctr.scans)
-	}
-	return err
+	return walkSteps(rule, srcs, steps, out, in)
 }
 
 // joinArgs returns the term pattern a join-mode literal exposes: the
@@ -140,9 +94,10 @@ func joinArgs(lit datalog.Literal) []datalog.Term {
 // joinLiteral enumerates the rows of rel matching args under the current
 // binding, using a hash index on the bound columns when one helps, and
 // invokes each with the row's count, extending/retracting the binding
-// around the call. ctr (which may be nil) records whether the access was
-// a keyed probe or a full scan.
-func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func(count int64) error, ctr *joinCounters) error {
+// around the call. It classifies the columns on every call, which lets
+// Explain start from a binding the head already filled; rule evaluation
+// goes through walkSteps instead.
+func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func(count int64) error) error {
 	// Classify columns under the current binding.
 	var boundCols []int
 	var keyVals value.Tuple
@@ -165,7 +120,7 @@ func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func
 	}
 
 	emit := func(row relation.Row) error {
-		ok, newly := matchPattern(args, row.Tuple, b)
+		ok, newly := matchPattern(args, row.Tuple, b, nil)
 		if !ok {
 			return nil
 		}
@@ -176,22 +131,12 @@ func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func
 
 	switch {
 	case allBound && len(args) > 0:
-		// Point lookup.
-		t, err := groundAtom(args, b)
-		if err != nil {
-			return err
-		}
-		if ctr != nil {
-			ctr.probes++
-		}
-		if c := rel.Count(t); c != 0 {
+		// Point lookup: every column is bound, so the key values are the tuple.
+		if c := rel.Count(keyVals); c != 0 {
 			return each(c)
 		}
 		return nil
 	case len(boundCols) > 0:
-		if ctr != nil {
-			ctr.probes++
-		}
 		for _, row := range rel.Lookup(boundCols, keyVals) {
 			if err := emit(row); err != nil {
 				return err
@@ -199,9 +144,6 @@ func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func
 		}
 		return nil
 	default:
-		if ctr != nil {
-			ctr.scans++
-		}
 		var err error
 		rel.Each(func(row relation.Row) {
 			if err != nil {

@@ -16,6 +16,7 @@ func buildRelation(n int) *Relation {
 }
 
 func BenchmarkAdd(b *testing.B) {
+	b.ReportAllocs()
 	r := New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -24,6 +25,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkCountLookup(b *testing.B) {
+	b.ReportAllocs()
 	r := buildRelation(10000)
 	t := value.T("s5", "d105")
 	b.ResetTimer()
@@ -35,6 +37,7 @@ func BenchmarkCountLookup(b *testing.B) {
 }
 
 func BenchmarkIndexedLookup(b *testing.B) {
+	b.ReportAllocs()
 	r := buildRelation(10000)
 	key := value.T("s7")
 	r.Lookup([]int{0}, key) // build the index outside the timer
@@ -47,6 +50,7 @@ func BenchmarkIndexedLookup(b *testing.B) {
 }
 
 func BenchmarkOverlayLookup(b *testing.B) {
+	b.ReportAllocs()
 	base := buildRelation(10000)
 	delta := New(2)
 	for i := 0; i < 100; i++ {
@@ -62,6 +66,7 @@ func BenchmarkOverlayLookup(b *testing.B) {
 }
 
 func BenchmarkMergeDelta(b *testing.B) {
+	b.ReportAllocs()
 	delta := New(2)
 	for i := 0; i < 100; i++ {
 		delta.Add(value.T(fmt.Sprintf("x%d", i), "y"), 1)
@@ -79,6 +84,7 @@ func BenchmarkMergeDelta(b *testing.B) {
 }
 
 func BenchmarkToSet(b *testing.B) {
+	b.ReportAllocs()
 	r := buildRelation(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,9 +93,24 @@ func BenchmarkToSet(b *testing.B) {
 }
 
 func BenchmarkTupleKey(b *testing.B) {
+	b.ReportAllocs()
 	t := value.T("some-node-name", int64(123456), 2.5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = t.Key()
+	}
+}
+
+// BenchmarkTupleAppendKey is BenchmarkTupleKey on the path probes take:
+// the same encoding into a stack buffer, with no string built.
+func BenchmarkTupleAppendKey(b *testing.B) {
+	b.ReportAllocs()
+	t := value.T("some-node-name", int64(123456), 2.5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf [value.KeyScratch]byte
+		if len(t.AppendKey(buf[:0])) == 0 {
+			b.Fatal("empty key")
+		}
 	}
 }

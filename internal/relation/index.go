@@ -8,32 +8,36 @@ import (
 
 // index is a hash index over a subset of columns. Buckets map the key of
 // the projected subtuple to the rows currently matching it. Indexes are
-// maintained incrementally once built (see idxAdd).
+// maintained incrementally once built (see idxAdd). A bucket is held by
+// pointer so that maintenance rewrites it in place: only a new bucket
+// needs its projection key as a string.
 type index struct {
 	cols    []int
-	buckets map[string][]Row
+	buckets map[string]*bucket
 }
 
-func colsSig(cols []int) string {
-	b := make([]byte, 0, 3*len(cols))
+type bucket struct {
+	rows []Row
+}
+
+// appendColsSig appends the signature that names the index on cols.
+func appendColsSig(b []byte, cols []int) []byte {
 	for _, c := range cols {
 		b = strconv.AppendInt(b, int64(c), 10)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
 }
 
-func projKey(t value.Tuple, cols []int) string {
-	sub := make(value.Tuple, len(cols))
-	for i, c := range cols {
-		sub[i] = t[c]
-	}
-	return sub.Key()
+func colsSig(cols []int) string {
+	return string(appendColsSig(make([]byte, 0, 3*len(cols)), cols))
 }
 
 // Lookup returns all rows whose projection on cols equals key's tuple
 // values. An index on cols is built on first use and kept up to date by
-// subsequent Add/Delete calls.
+// subsequent Add/Delete calls. Neither cols nor keyVals is retained, so
+// callers may pass buffers they reuse; a lookup on a built index
+// allocates nothing. The returned rows are read-only.
 //
 // Lookup is safe to call from concurrent readers (parallel rule
 // evaluation probes shared relations from many workers): the lazy index
@@ -41,64 +45,87 @@ func projKey(t value.Tuple, cols []int) string {
 // Lookups never race even when they trigger the first build. Mutations
 // (Add/Delete) must still be externally serialized against readers.
 func (r *Relation) Lookup(cols []int, keyVals value.Tuple) []Row {
-	sig := colsSig(cols)
+	var sigBuf [32]byte
+	sig := appendColsSig(sigBuf[:0], cols)
 	r.idxMu.RLock()
-	ix := r.idx[sig]
+	ix := r.idx[string(sig)]
 	r.idxMu.RUnlock()
 	if ix == nil {
-		r.idxMu.Lock()
-		if r.idx == nil {
-			r.idx = make(map[string]*index)
-		}
-		if ix = r.idx[sig]; ix == nil {
-			ix = &index{cols: cols, buckets: make(map[string][]Row)}
-			for _, row := range r.rows {
-				k := projKey(row.Tuple, cols)
-				ix.buckets[k] = append(ix.buckets[k], row)
-			}
-			r.idx[sig] = ix
-			r.hasIdx.Store(true)
-			indexesBuilt.Add(1)
-		}
-		r.idxMu.Unlock()
+		ix = r.buildIndex(cols)
 	}
-	return ix.buckets[keyVals.Key()]
+	var buf [value.KeyScratch]byte
+	if b := ix.buckets[string(keyVals.AppendKey(buf[:0]))]; b != nil {
+		return b.rows
+	}
+	return nil
 }
 
-// idxAdd keeps existing indexes in sync with a count change of delta on t.
-// Rows are stored denormalized in buckets, so we rewrite the bucket entry.
-// Writers are serialized by contract, but idxMu is still taken so the
-// race detector stays clean if a stray reader overlaps a mutation.
-func (r *Relation) idxAdd(t value.Tuple, delta int64) {
+// buildIndex returns the index on cols, building it unless a concurrent
+// reader got there first.
+func (r *Relation) buildIndex(cols []int) *index {
+	sig := colsSig(cols)
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	if ix := r.idx[sig]; ix != nil {
+		return ix
+	}
+	if r.idx == nil {
+		r.idx = make(map[string]*index)
+	}
+	// The index outlives the call: it must not alias the caller's slice.
+	ix := &index{cols: append([]int(nil), cols...), buckets: make(map[string]*bucket)}
+	var buf [value.KeyScratch]byte
+	for _, row := range r.rows {
+		pk := row.Tuple.AppendProjKey(buf[:0], ix.cols)
+		b := ix.buckets[string(pk)]
+		if b == nil {
+			b = &bucket{}
+			ix.buckets[string(pk)] = b
+		}
+		b.rows = append(b.rows, row)
+	}
+	r.idx[sig] = ix
+	r.hasIdx.Store(true)
+	indexesBuilt.Add(1)
+	return ix
+}
+
+// idxAdd keeps existing indexes in sync with a count change of delta on
+// row's tuple (row.Count itself is ignored). Rows are stored denormalized
+// in buckets, so the bucket entry is rewritten in place. Writers are
+// serialized by contract, but idxMu is still taken so the race detector
+// stays clean if a stray reader overlaps a mutation.
+func (r *Relation) idxAdd(row Row, delta int64) {
 	if !r.hasIdx.Load() {
 		return
 	}
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
+	var buf [value.KeyScratch]byte
 	for _, ix := range r.idx {
-		k := projKey(t, ix.cols)
-		bucket := ix.buckets[k]
-		found := false
-		tk := t.Key()
-		out := bucket[:0]
-		for _, row := range bucket {
-			if row.Key() == tk {
-				found = true
-				nc := row.Count + delta
-				if nc != 0 {
-					out = append(out, Row{Tuple: row.Tuple, Count: nc, key: tk})
-				}
-				continue
+		pk := row.Tuple.AppendProjKey(buf[:0], ix.cols)
+		b := ix.buckets[string(pk)]
+		if b == nil {
+			b = &bucket{}
+			ix.buckets[string(pk)] = b
+		}
+		at := -1
+		for i := range b.rows {
+			if b.rows[i].key == row.key {
+				at = i
+				break
 			}
-			out = append(out, row)
 		}
-		if !found && delta != 0 {
-			out = append(out, Row{Tuple: t, Count: delta, key: tk})
-		}
-		if len(out) == 0 {
-			delete(ix.buckets, k)
-		} else {
-			ix.buckets[k] = out
+		switch {
+		case at < 0:
+			b.rows = append(b.rows, row.WithCount(delta))
+		case b.rows[at].Count+delta != 0:
+			b.rows[at].Count += delta
+		default:
+			b.rows = append(b.rows[:at], b.rows[at+1:]...)
+			if len(b.rows) == 0 {
+				delete(ix.buckets, string(pk))
+			}
 		}
 	}
 }

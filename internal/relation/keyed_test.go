@@ -1,0 +1,307 @@
+package relation
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"ivm/internal/value"
+)
+
+// These tests hold the "key a tuple once" contract of the package: a
+// probe allocates nothing, a row that carries its key is never encoded
+// again, and the keyed paths leave exactly the state the encoding paths
+// leave.
+
+func noAllocs(t *testing.T, what string, f func()) {
+	t.Helper()
+	if n := testing.AllocsPerRun(200, f); n != 0 {
+		t.Errorf("%s: %v allocs per run, want 0", what, n)
+	}
+}
+
+func TestProbesDoNotAllocate(t *testing.T) {
+	r := buildRelation(2000)
+	hit, miss := value.T("s5", "d105"), value.T("s5", "nope")
+	key, noKey := value.T("s7"), value.T("s-none")
+	cols := []int{0}
+	r.Lookup(cols, key) // build the index and let Add maintain it below
+	part := PartitionView(r, 1, 3)
+	set := SetImage(r)
+
+	noAllocs(t, "Count hit", func() { _ = r.Count(hit) })
+	noAllocs(t, "Count miss", func() { _ = r.Count(miss) })
+	noAllocs(t, "Has hit", func() { _ = r.Has(hit) })
+	noAllocs(t, "Has miss", func() { _ = r.Has(miss) })
+	noAllocs(t, "Lookup hit on a built index", func() { _ = r.Lookup(cols, key) })
+	noAllocs(t, "Lookup miss on a built index", func() { _ = r.Lookup(cols, noKey) })
+	noAllocs(t, "Add of an existing tuple", func() { r.Add(hit, 1) })
+	noAllocs(t, "Set of an existing tuple", func() { r.Set(hit, 3); r.Set(hit, 4) })
+	noAllocs(t, "Delete miss", func() { r.Delete(miss) })
+	noAllocs(t, "partition Count", func() { _ = part.Count(hit); _ = part.Has(miss) })
+	noAllocs(t, "set-image Lookup of a set", func() { _ = set.Lookup(cols, noKey); _ = set.Count(hit) })
+}
+
+func TestLongKeysSpillTheScratchCorrectly(t *testing.T) {
+	long := strings.Repeat("x", 3*value.KeyScratch)
+	r := New(2)
+	r.Add(value.T(long, 1), 2)
+	r.Add(value.T(long+"y", 1), 1)
+	if r.Count(value.T(long, 1)) != 2 || r.Count(value.T(long+"y", 1)) != 1 || r.Has(value.T(long+"z", 1)) {
+		t.Fatal("probe of a key longer than the scratch buffer went wrong")
+	}
+	if got := r.Lookup([]int{0}, value.T(long)); len(got) != 1 || got[0].Count != 2 {
+		t.Fatalf("Lookup on a long key = %v", got)
+	}
+	r.Delete(value.T(long, 1))
+	if r.Len() != 1 || len(r.Lookup([]int{0}, value.T(long))) != 0 {
+		t.Fatal("Delete of a long key left the row or its index entry behind")
+	}
+}
+
+func TestKeyedMergesAllocateNoKeyStrings(t *testing.T) {
+	const n = 1024
+	delta := New(2)
+	for i := 0; i < n; i++ {
+		delta.Add(value.T(fmt.Sprintf("k%d", i), i), 1)
+	}
+	// Every row already present: nothing to allocate at all.
+	full := delta.Clone()
+	noAllocs(t, "MergeDelta onto present rows", func() { full.MergeDelta(delta) })
+
+	// Into an empty relation a key string per row would be n allocations;
+	// what remains is the relation itself and the growth of its map.
+	if got := testing.AllocsPerRun(20, func() { New(2).MergeDelta(delta) }); got > n/8 {
+		t.Errorf("MergeDelta of %d keyed rows into an empty relation: %v allocs, want map growth only", n, got)
+	}
+	if got := testing.AllocsPerRun(20, func() { Materialize(delta) }); got > n/8 {
+		t.Errorf("Materialize of %d keyed rows: %v allocs, want map growth only", n, got)
+	}
+	over := Overlay(SetImage(full), delta.Negate())
+	if got := testing.AllocsPerRun(20, func() { Materialize(over) }); got > n/8 {
+		t.Errorf("Materialize of an overlay of %d keyed rows: %v allocs, want map growth only", n, got)
+	}
+}
+
+// Lookup used to keep the caller's cols slice inside the index it built;
+// a caller that reuses the slice then silently re-pointed the index at
+// other columns.
+func TestLookupDoesNotRetainCols(t *testing.T) {
+	r := New(2)
+	r.Add(value.T("a", "b"), 1)
+	cols := []int{0}
+	if len(r.Lookup(cols, value.T("a"))) != 1 {
+		t.Fatal("first lookup")
+	}
+	cols[0] = 1 // the caller's buffer moves on
+	r.Add(value.T("a", "c"), 1)
+	r.Add(value.T("x", "a"), 1)
+	got := r.Lookup([]int{0}, value.T("a"))
+	if len(got) != 2 || !got[0].Tuple.Equal(value.T("a", "b")) || !got[1].Tuple.Equal(value.T("a", "c")) {
+		t.Fatalf("index on column 0 after the caller reused its slice: %v, want (a,b) and (a,c)", got)
+	}
+	if got := r.Lookup([]int{1}, value.T("a")); len(got) != 1 || !got[0].Tuple.Equal(value.T("x", "a")) {
+		t.Fatalf("index on column 1: %v, want (x,a)", got)
+	}
+	if p := r.PreferredIndex([]int{0}); len(p) != 1 || p[0] != 0 {
+		t.Fatalf("PreferredIndex reports cols %v for the index on column 0", p)
+	}
+}
+
+// keyed returns t as a row that carries its key, the way rows come out
+// of a relation.
+func keyed(t value.Tuple, count int64) Row {
+	h := New(len(t))
+	h.Add(t, 1)
+	return h.Rows()[0].WithCount(count)
+}
+
+// indexImage renders every index of r as sig → bucket key → sorted rows.
+func indexImage(r *Relation) map[string]map[string][]string {
+	out := make(map[string]map[string][]string)
+	for sig, ix := range r.idx {
+		m := make(map[string][]string)
+		for k, b := range ix.buckets {
+			for _, row := range b.rows {
+				if row.key != row.Tuple.Key() {
+					m[k] = append(m[k], "BAD KEY "+row.key)
+				}
+				m[k] = append(m[k], fmt.Sprintf("%s×%d", row.key, row.Count))
+			}
+			sort.Strings(m[k])
+		}
+		out[sig] = m
+	}
+	return out
+}
+
+func TestKeyedAddMatchesAddProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260925))
+	for trial := 0; trial < 60; trial++ {
+		a, b := New(2), New(2)
+		for _, r := range []*Relation{a, b} {
+			// Build the lazy structures first so every op maintains them.
+			r.Lookup([]int{0}, value.T(0))
+			r.Lookup([]int{1}, value.T(0))
+			r.Lookup([]int{0, 1}, value.T(0, 0))
+			r.DistinctEst(0)
+		}
+		for op := 0; op < 200; op++ {
+			tu := value.T(rng.Intn(6)-2, fmt.Sprintf("v%d", rng.Intn(5)))
+			switch c := int64(rng.Intn(7) - 3); rng.Intn(10) {
+			case 0:
+				a.Delete(tu)
+				b.Delete(tu)
+			case 1:
+				a.Set(tu, c)
+				b.Set(tu, c)
+			default:
+				a.Add(tu, c)
+				b.AddRow(keyed(tu, c))
+			}
+		}
+		if !Equal(a, b) {
+			t.Fatalf("trial %d: Add and AddRow diverged:\n  %v\n  %v", trial, a, b)
+		}
+		b.Each(func(row Row) {
+			if row.key != row.Tuple.Key() {
+				t.Fatalf("trial %d: stored row %v carries key %q", trial, row.Tuple, row.key)
+			}
+		})
+		if ia, ib := fmt.Sprint(indexImage(a)), fmt.Sprint(indexImage(b)); ia != ib {
+			t.Fatalf("trial %d: index buckets differ:\n  %s\n  %s", trial, ia, ib)
+		}
+		for col := range a.stats.cols {
+			if a.stats.cols[col] != b.stats.cols[col] {
+				t.Fatalf("trial %d: distinct sketch of column %d differs", trial, col)
+			}
+		}
+		// The indexes still answer like a scan.
+		for k := -2; k < 4; k++ {
+			var want int64
+			a.Each(func(row Row) {
+				if row.Tuple[0].Equal(value.NewInt(int64(k))) {
+					want += row.Count
+				}
+			})
+			var got int64
+			for _, row := range b.Lookup([]int{0}, value.T(k)) {
+				got += row.Count
+			}
+			if got != want {
+				t.Fatalf("trial %d: Lookup(col0=%d) sums to %d, scan to %d", trial, k, got, want)
+			}
+		}
+	}
+}
+
+func randomDelta(rng *rand.Rand, keys, rows int) *Relation {
+	d := New(2)
+	for i := 0; i < rows; i++ {
+		d.Add(value.T(rng.Intn(keys), fmt.Sprintf("p%d", rng.Intn(3))), int64(rng.Intn(5)-2))
+	}
+	return d
+}
+
+func TestVersionedChainFlattensLikeSequentialMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 8; trial++ {
+		keys := 20 + rng.Intn(150)
+		want := randomDelta(rng, keys, rng.Intn(3*keys))
+		v := NewVersioned(want.Clone())
+		for push := 0; push < 2*maxChainDepth+8; push++ {
+			d := randomDelta(rng, keys, 1+rng.Intn(40))
+			if rng.Intn(8) == 0 {
+				d = randomDelta(rng, keys, minFlattenRows+rng.Intn(keys)) // a bulk delta: flattens at once
+			}
+			prev, prevWant := v, want.Clone()
+			v = v.Push(d)
+			want.MergeDelta(d)
+			if v.Depth() >= maxChainDepth {
+				t.Fatalf("trial %d push %d: depth %d", trial, push, v.Depth())
+			}
+			if got := Materialize(v.Reader()); !Equal(got, want) {
+				t.Fatalf("trial %d push %d: chain reads\n  %v\nwant\n  %v", trial, push, got, want)
+			}
+			if rng.Intn(3) == 0 { // sometimes a reader materializes the version
+				if !Equal(v.Flat(), want) || !v.Flat().Frozen() {
+					t.Fatalf("trial %d push %d: Flat() differs from the sequential merge", trial, push)
+				}
+			}
+			if push%7 == 0 && !Equal(Materialize(prev.Reader()), prevWant) {
+				t.Fatalf("trial %d push %d: Push changed its predecessor", trial, push)
+			}
+		}
+		if !Equal(v.Flat(), want) {
+			t.Fatalf("trial %d: final flat form differs from the sequential merge", trial)
+		}
+	}
+}
+
+// liveBytes reports the heap held by what build returns.
+func liveBytes(build func() *Relation) (uint64, *Relation) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc < before.HeapAlloc {
+		return 0, r
+	}
+	return after.HeapAlloc - before.HeapAlloc, r
+}
+
+// A flattened version must not be built in a map sized from the chain's
+// Len, which counts a row once per delta that touches it: under a
+// delete/re-insert workload that is well above the true size, and a Go
+// map never shrinks.
+func TestFlattenedMapIsNoLargerThanAClone(t *testing.T) {
+	// 3000 rows fit a map of 4096 slots. Toggling the same 90 rows out
+	// and back in, the ninth link (pend 810 ≥ 3000/4) flattens a chain
+	// whose Len bound is 3810 — a map of 8192 slots — around 2910 rows.
+	const n, toggled, links = 3000, 90, 9
+	base := New(1)
+	for i := 0; i < n; i++ {
+		base.Add(value.T(i), 1)
+	}
+	del, ins := New(1), New(1)
+	for i := 0; i < toggled; i++ {
+		del.Add(value.T(i), -1)
+		ins.Add(value.T(i), 1)
+	}
+	v := NewVersioned(base)
+	flatBytes, flat := liveBytes(func() *Relation {
+		for i := 0; i < links; i++ {
+			if v.Depth() != i {
+				t.Fatalf("link %d: depth %d, the chain flattened early", i, v.Depth())
+			}
+			if i%2 == 0 {
+				v = v.Push(del)
+			} else {
+				v = v.Push(ins)
+			}
+		}
+		if v.Depth() != 0 {
+			t.Fatalf("link %d did not flatten the chain (depth %d)", links, v.Depth())
+		}
+		f := v.Flat()
+		v = nil // only the flattened relation stays live
+		return f
+	})
+	cloneBytes, clone := liveBytes(flat.Clone)
+	if !Equal(flat, clone) || flat.Len() != n-toggled {
+		t.Fatalf("flattened content: %d rows, want %d", flat.Len(), n-toggled)
+	}
+	// Both share tuples and key strings with base, so each costs its map
+	// alone. Allow measurement noise, not a map one size up.
+	if flatBytes > cloneBytes+cloneBytes/4 {
+		t.Errorf("flattened version holds %d bytes, a Clone of the same content %d", flatBytes, cloneBytes)
+	}
+	runtime.KeepAlive(base) // or the first measurement nets its collection against flat
+	runtime.KeepAlive(flat)
+	runtime.KeepAlive(clone)
+}

@@ -30,10 +30,11 @@ var (
 	_ Reader = (*setView)(nil)
 )
 
-// Materialize copies any Reader into a fresh *Relation.
+// Materialize copies any Reader into a fresh *Relation. Rows keep the
+// keys they were stored under; none is encoded again.
 func Materialize(r Reader) *Relation {
 	out := New(r.Arity())
-	r.Each(func(row Row) { out.Add(row.Tuple, row.Count) })
+	r.Each(out.AddRow)
 	return out
 }
 
@@ -76,16 +77,26 @@ func (o *overlay) Has(t value.Tuple) bool { return o.Count(t) > 0 }
 
 func (o *overlay) Each(f func(Row)) {
 	// Snapshot the delta once so base rows are patched with O(1) map
-	// probes on cached keys instead of per-row key re-encoding.
-	dm := make(map[string]int64)
+	// probes on cached keys instead of per-row key re-encoding. A delta
+	// row leaves the snapshot when its base row is met, so what remains
+	// afterwards is exactly the rows the base does not have.
+	dm := make(map[string]int64, o.delta.Len())
 	o.delta.Each(func(row Row) { dm[row.Key()] = row.Count })
 	o.base.Each(func(row Row) {
-		if c := row.Count + dm[row.Key()]; c != 0 {
-			f(Row{Tuple: row.Tuple, Count: c, key: row.key})
+		k := row.Key()
+		if d, ok := dm[k]; ok {
+			delete(dm, k)
+			row.Count += d
+		}
+		if row.Count != 0 {
+			f(row)
 		}
 	})
+	if len(dm) == 0 {
+		return
+	}
 	o.delta.Each(func(row Row) {
-		if o.base.Count(row.Tuple) == 0 && row.Count != 0 {
+		if _, ok := dm[row.Key()]; ok && row.Count != 0 {
 			f(row)
 		}
 	})
@@ -119,7 +130,7 @@ func (o *overlay) Lookup(cols []int, keyVals value.Tuple) []Row {
 		if d, ok := dm[k]; ok {
 			delete(dm, k) // mark as merged
 			if c := row.Count + d; c != 0 {
-				out = append(out, Row{Tuple: row.Tuple, Count: c, key: row.key})
+				out = append(out, row.WithCount(c))
 			}
 			continue
 		}
@@ -174,17 +185,27 @@ func (s *setView) PreferredIndex(bound []int) []int { return PreferredIndexFor(s
 func (s *setView) Each(f func(Row)) {
 	s.r.Each(func(row Row) {
 		if row.Count > 0 {
-			f(Row{Tuple: row.Tuple, Count: 1, key: row.key})
+			f(row.WithCount(1))
 		}
 	})
 }
 
 func (s *setView) Lookup(cols []int, keyVals value.Tuple) []Row {
 	rows := s.r.Lookup(cols, keyVals)
+	isSet := true
+	for i := range rows {
+		if rows[i].Count != 1 {
+			isSet = false
+			break
+		}
+	}
+	if isSet {
+		return rows // already its own set image: nothing to copy
+	}
 	out := make([]Row, 0, len(rows))
 	for _, row := range rows {
 		if row.Count > 0 {
-			out = append(out, Row{Tuple: row.Tuple, Count: 1, key: row.key})
+			out = append(out, row.WithCount(1))
 		}
 	}
 	return out

@@ -23,7 +23,10 @@ type Row struct {
 	Tuple value.Tuple
 	Count int64
 	// key caches the tuple's canonical encoding when the row came out of
-	// a relation; Key() falls back to computing it.
+	// a relation; Key() falls back to computing it. A tuple is keyed once,
+	// when its row is first stored: every later merge of the row
+	// (AddRow, MergeDelta, Materialize) reuses this string. Code that
+	// holds a keyed Row must therefore never reassign its Tuple.
 	key string
 }
 
@@ -34,6 +37,14 @@ func (r Row) Key() string {
 		return r.key
 	}
 	return r.Tuple.Key()
+}
+
+// WithCount returns the row with its count replaced, keeping the cached
+// key — how a consumer of delta rows re-adds a tuple with another count
+// (±1 set transitions) without encoding it again.
+func (r Row) WithCount(count int64) Row {
+	r.Count = count
+	return r
 }
 
 // Relation is a counted relation. The zero value is not usable; call New.
@@ -78,7 +89,7 @@ func New(arity int) *Relation {
 func FromRows(arity int, rows []Row) *Relation {
 	r := New(arity)
 	for _, row := range rows {
-		r.Add(row.Tuple, row.Count)
+		r.AddRow(row)
 	}
 	return r
 }
@@ -111,15 +122,18 @@ func (r *Relation) TotalCount() int64 {
 // Empty reports whether the relation has no tuples.
 func (r *Relation) Empty() bool { return len(r.rows) == 0 }
 
-// Count returns the stored count for t (0 if absent).
+// Count returns the stored count for t (0 if absent). Like every probe
+// it encodes t into a stack buffer and indexes the map with the bytes,
+// which allocates nothing.
 func (r *Relation) Count(t value.Tuple) int64 {
-	return r.rows[t.Key()].Count
+	var buf [value.KeyScratch]byte
+	return r.rows[string(t.AppendKey(buf[:0]))].Count
 }
 
 // Has reports whether t is present with a positive count. This is the
 // truth test used for negated subgoals: a tuple is "true" iff count > 0.
 func (r *Relation) Has(t value.Tuple) bool {
-	return r.rows[t.Key()].Count > 0
+	return r.Count(t) > 0
 }
 
 // Freeze marks the relation immutable: every subsequent Add, Set,
@@ -139,53 +153,76 @@ func (r *Relation) mutable() {
 }
 
 // Add merges (t, count) into the relation, removing the tuple if the
-// resulting count is zero. Adding with count 0 is a no-op.
+// resulting count is zero. Adding with count 0 is a no-op. The relation
+// keeps t when it stores a new row; a key string is built only then.
 func (r *Relation) Add(t value.Tuple, count int64) {
 	if count == 0 {
 		return
 	}
 	r.mutable()
-	if r.arity < 0 {
-		r.arity = len(t)
-	} else if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", t, r.arity))
-	}
-	k := t.Key()
-	row, ok := r.rows[k]
-	if !ok {
-		r.rows[k] = Row{Tuple: t, Count: count, key: k}
-		r.idxAdd(t, count)
-		r.statsAdd(t, 1)
+	var buf [value.KeyScratch]byte
+	kb := t.AppendKey(buf[:0])
+	if row, ok := r.rows[string(kb)]; ok {
+		r.bump(row, count)
 		return
 	}
-	nc := row.Count + count
-	if nc == 0 {
-		delete(r.rows, k)
-		r.statsAdd(t, -1)
-	} else {
-		row.Count = nc
-		r.rows[k] = row
+	r.insert(Row{Tuple: t, Count: count, key: string(kb)})
+}
+
+// AddRow is Add for a row that came out of a relation: it reuses the
+// row's cached key instead of encoding the tuple again. Rows built by
+// hand (no cached key) take the Add path.
+func (r *Relation) AddRow(in Row) {
+	if in.key == "" {
+		r.Add(in.Tuple, in.Count)
+		return
 	}
-	r.idxAdd(t, count)
+	if in.Count == 0 {
+		return
+	}
+	r.mutable()
+	if row, ok := r.rows[in.key]; ok {
+		r.bump(row, in.Count)
+		return
+	}
+	r.insert(in)
+}
+
+// insert stores a keyed row whose tuple is not yet present.
+func (r *Relation) insert(row Row) {
+	if r.arity < 0 {
+		r.arity = len(row.Tuple)
+	} else if len(row.Tuple) != r.arity {
+		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", row.Tuple, r.arity))
+	}
+	r.rows[row.key] = row
+	r.idxAdd(row, row.Count)
+	r.statsAdd(row.Tuple, 1)
+}
+
+// bump adds delta to a stored row, removing it when the count cancels.
+func (r *Relation) bump(row Row, delta int64) {
+	if row.Count += delta; row.Count == 0 {
+		delete(r.rows, row.key)
+		r.statsAdd(row.Tuple, -1)
+	} else {
+		r.rows[row.key] = row
+	}
+	r.idxAdd(row, delta)
 }
 
 // Set forces the count of t to exactly count (removing it when 0).
 func (r *Relation) Set(t value.Tuple, count int64) {
-	cur := r.rows[t.Key()].Count
-	r.Add(t, count-cur)
+	r.Add(t, count-r.Count(t))
 }
 
 // Delete removes the tuple entirely regardless of count.
 func (r *Relation) Delete(t value.Tuple) {
 	r.mutable()
-	k := t.Key()
-	row, ok := r.rows[k]
-	if !ok {
-		return
+	var buf [value.KeyScratch]byte
+	if row, ok := r.rows[string(t.AppendKey(buf[:0]))]; ok {
+		r.bump(row, -row.Count)
 	}
-	delete(r.rows, k)
-	r.idxAdd(t, -row.Count)
-	r.statsAdd(t, -1)
 }
 
 // Each calls f for every row. Iteration order is unspecified. f must not
@@ -216,18 +253,26 @@ func (r *Relation) SortedRows() []Row {
 // Clone returns a deep-enough copy (tuples are immutable and shared).
 // Indexes are not copied.
 func (r *Relation) Clone() *Relation {
-	c := New(r.arity)
+	c := newSized(r.arity, len(r.rows))
 	for k, row := range r.rows {
 		c.rows[k] = row
 	}
 	return c
 }
 
+// newSized is New with the row map sized for n rows. n must be an exact
+// count: a map sized from an upper bound stays that large for the life
+// of the relation.
+func newSized(arity, n int) *Relation {
+	return &Relation{arity: arity, rows: make(map[string]Row, n)}
+}
+
 // MergeDelta folds delta into r using the ⊎ operator of Section 3:
-// counts add, zero-count tuples vanish. r is modified in place.
+// counts add, zero-count tuples vanish. r is modified in place. Stored
+// rows carry their keys, so no tuple is encoded.
 func (r *Relation) MergeDelta(delta *Relation) {
 	for _, row := range delta.rows {
-		r.Add(row.Tuple, row.Count)
+		r.AddRow(row)
 	}
 }
 
@@ -241,7 +286,7 @@ func UnionPlus(a, b *Relation) *Relation {
 // Negate returns a copy of r with all counts sign-flipped (the deletion
 // image of a relation).
 func (r *Relation) Negate() *Relation {
-	out := New(r.arity)
+	out := newSized(r.arity, len(r.rows))
 	for k, row := range r.rows {
 		out.rows[k] = Row{Tuple: row.Tuple, Count: -row.Count, key: k}
 	}
@@ -252,7 +297,7 @@ func (r *Relation) Negate() *Relation {
 // to count 1 (tuples with non-positive counts are dropped). This is the
 // set(·) function of Algorithm 4.1 statement (2).
 func (r *Relation) ToSet() *Relation {
-	out := New(r.arity)
+	out := newSized(r.arity, len(r.rows))
 	for k, row := range r.rows {
 		if row.Count > 0 {
 			out.rows[k] = Row{Tuple: row.Tuple, Count: 1, key: k}

@@ -63,7 +63,7 @@ func (s *Shards) MergeInto(dst *Relation) {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key() < rows[j].Key() })
 	for _, row := range rows {
-		dst.Add(row.Tuple, row.Count)
+		dst.AddRow(row)
 	}
 }
 
@@ -76,7 +76,7 @@ func (s *Shards) Merge() *Relation {
 
 // keyHash is FNV-1a over a tuple's canonical key — deterministic across
 // runs and Go versions, which keeps partition assignment reproducible.
-func keyHash(k string) uint64 {
+func keyHash[K string | []byte](k K) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -107,6 +107,13 @@ func PartitionView(r Reader, part, parts int) Reader {
 
 func (p *partitionView) owns(key string) bool { return keyHash(key)%p.parts == p.part }
 
+// ownsTuple is owns for a tuple not yet keyed: it hashes the encoding in
+// a stack buffer.
+func (p *partitionView) ownsTuple(t value.Tuple) bool {
+	var buf [value.KeyScratch]byte
+	return keyHash(t.AppendKey(buf[:0]))%p.parts == p.part
+}
+
 func (p *partitionView) Arity() int { return p.r.Arity() }
 
 // Len estimates the partition's share of the underlying relation (join
@@ -114,14 +121,14 @@ func (p *partitionView) Arity() int { return p.r.Arity() }
 func (p *partitionView) Len() int { return p.r.Len()/int(p.parts) + 1 }
 
 func (p *partitionView) Count(t value.Tuple) int64 {
-	if !p.owns(t.Key()) {
+	if !p.ownsTuple(t) {
 		return 0
 	}
 	return p.r.Count(t)
 }
 
 func (p *partitionView) Has(t value.Tuple) bool {
-	if !p.owns(t.Key()) {
+	if !p.ownsTuple(t) {
 		return false
 	}
 	return p.r.Has(t)

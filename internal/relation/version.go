@@ -17,10 +17,10 @@ import "sync/atomic"
 // amortized O(|delta|) per update while probes stay O(maxChainDepth)
 // worst case.
 type Versioned struct {
-	rd    Reader // frozen *Relation, or an overlay chain over one
-	depth int    // overlay links above the flat base
-	pend  int    // delta rows accumulated above the flat base
-	flen  int    // Len of the flat base at the bottom of the chain
+	rd     Reader      // base itself, or the overlay chain base ⊎ deltas...
+	base   *Relation   // the frozen flat relation at the bottom of the chain
+	deltas []*Relation // frozen links above base, oldest first (never written after Push)
+	pend   int         // delta rows accumulated above base
 
 	// flat caches the fully materialized (frozen) form, built lazily by
 	// Flat or eagerly by flattening. Concurrent builders may race to
@@ -46,7 +46,7 @@ const (
 // not mutate it afterwards.
 func NewVersioned(r *Relation) *Versioned {
 	r.Freeze()
-	v := &Versioned{rd: r, flen: r.Len()}
+	v := &Versioned{rd: r, base: r}
 	v.flat.Store(r)
 	return v
 }
@@ -61,26 +61,39 @@ func (v *Versioned) Push(delta *Relation) *Versioned {
 	}
 	d := delta.Clone()
 	d.Freeze()
-	base, depth, pend, flen := v.rd, v.depth, v.pend, v.flen
-	if f := v.flat.Load(); f != nil && depth > 0 {
+	rd, base, deltas, pend := v.rd, v.base, v.deltas, v.pend
+	if f := v.flat.Load(); f != nil && len(deltas) > 0 {
 		// A reader already materialized this version: chain from the
 		// flat form and the depth resets for free.
-		base, depth, pend, flen = f, 0, 0, f.Len()
+		rd, base, deltas, pend = f, f, nil, 0
 	}
-	nv := &Versioned{rd: Overlay(base, d), depth: depth + 1, pend: pend + d.Len(), flen: flen}
-	if nv.depth >= maxChainDepth || (nv.pend >= minFlattenRows && nv.pend*4 >= nv.flen) {
-		nv.flatten()
+	nv := &Versioned{
+		rd:   Overlay(rd, d),
+		base: base,
+		// The full slice expression forces a copy: versions pushed from
+		// one parent must not share the slot after its last link.
+		deltas: append(deltas[:len(deltas):len(deltas)], d),
+		pend:   pend + d.Len(),
+	}
+	if len(nv.deltas) >= maxChainDepth || (nv.pend >= minFlattenRows && nv.pend*4 >= base.Len()) {
+		return NewVersioned(nv.materialize())
 	}
 	return nv
 }
 
-// flatten collapses the chain into a single frozen relation. Called
-// only before the version is published (single goroutine).
-func (v *Versioned) flatten() {
-	f := Materialize(v.rd)
+// materialize collapses the chain into a single frozen relation: one
+// copy of the flat base at its exact size, then the pending deltas
+// folded in by their cached keys. No tuple is encoded, and the map is
+// never sized from the chain's Len, which only bounds the row count from
+// above (a delete/re-insert workload would keep paying for the slack).
+// The copy is still O(|base|).
+func (v *Versioned) materialize() *Relation {
+	f := v.base.Clone()
+	for _, d := range v.deltas {
+		f.MergeDelta(d)
+	}
 	f.Freeze()
-	v.rd, v.depth, v.pend, v.flen = f, 0, 0, f.Len()
-	v.flat.Store(f)
+	return f
 }
 
 // Reader returns the version's read view: the cached flat relation if
@@ -100,12 +113,11 @@ func (v *Versioned) Flat() *Relation {
 	if f := v.flat.Load(); f != nil {
 		return f
 	}
-	f := Materialize(v.rd)
-	f.Freeze()
+	f := v.materialize()
 	v.flat.Store(f)
 	return f
 }
 
 // Depth reports the current overlay-chain depth (0 when flat) — an
 // observability hook for tests and metrics.
-func (v *Versioned) Depth() int { return v.depth }
+func (v *Versioned) Depth() int { return len(v.deltas) }

@@ -267,22 +267,36 @@ func Div(a, b Value) (Value, error) {
 type Tuple []Value
 
 // Key returns a canonical injective string encoding of t, usable as a map
-// key. Distinct tuples always produce distinct keys.
+// key. Distinct tuples always produce distinct keys. Every call builds a
+// fresh string: hot paths encode into a scratch buffer with AppendKey and
+// keep Key for cold ones (explanations, generators, a row's first insert).
 func (t Tuple) Key() string {
-	b := make([]byte, 0, 16*len(t))
+	var buf [KeyScratch]byte
+	return string(t.AppendKey(buf[:0]))
+}
+
+// KeyScratch is the size of the stack buffer a probe encodes a key into:
+// var buf [KeyScratch]byte; m[string(t.AppendKey(buf[:0]))]. Longer keys
+// spill to the heap inside append; nothing else changes.
+const KeyScratch = 128
+
+// AppendKey appends t's canonical encoding to b and returns the extended
+// slice, avoiding the string allocation of Key when a scratch buffer is
+// available: string(t.AppendKey(nil)) == t.Key().
+func (t Tuple) AppendKey(b []byte) []byte {
 	for _, v := range t {
 		b = v.appendKey(b)
 		b = append(b, '|')
 	}
-	return string(b)
+	return b
 }
 
-// AppendKey appends t's canonical encoding to b and returns the extended
-// slice, avoiding the string allocation of Key when a scratch buffer is
-// available.
-func (t Tuple) AppendKey(b []byte) []byte {
-	for _, v := range t {
-		b = v.appendKey(b)
+// AppendProjKey appends the canonical encoding of t's projection on cols
+// — the bytes t.Project(cols).AppendKey would produce — without building
+// the subtuple.
+func (t Tuple) AppendProjKey(b []byte, cols []int) []byte {
+	for _, c := range cols {
+		b = t[c].appendKey(b)
 		b = append(b, '|')
 	}
 	return b

@@ -2,7 +2,9 @@ package value
 
 import (
 	"math"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -246,4 +248,87 @@ func TestTConstructorPanics(t *testing.T) {
 		}
 	}()
 	T([]int{1})
+}
+
+// randomTuple draws the values that stress the key encoding: negative
+// and extreme ints, special floats, and strings that are empty, contain
+// the encoding's own separators, or outgrow a 128-byte scratch buffer.
+func randomTuple(rng *rand.Rand) Tuple {
+	t := make(Tuple, rng.Intn(5))
+	for i := range t {
+		switch rng.Intn(9) {
+		case 0:
+			t[i] = NewInt(-rng.Int63())
+		case 1:
+			t[i] = NewInt([]int64{0, -1, math.MinInt64, math.MaxInt64}[rng.Intn(4)])
+		case 2:
+			t[i] = NewInt(int64(rng.Intn(100)))
+		case 3:
+			t[i] = NewFloat(rng.NormFloat64() * 1e6)
+		case 4:
+			t[i] = NewFloat([]float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1}[rng.Intn(6)])
+		case 5:
+			t[i] = NewString("")
+		case 6:
+			t[i] = NewString(strings.Repeat("long|s3:", 17+rng.Intn(40))) // > 128 bytes
+		case 7:
+			t[i] = NewString([]string{"|", "s1:a|", "i1", "a|b", ":"}[rng.Intn(5)])
+		default:
+			t[i] = NewString(string(rune('a' + rng.Intn(26))))
+		}
+	}
+	return t
+}
+
+func TestAppendKeyMatchesKeyProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1993))
+	for i := 0; i < 5000; i++ {
+		tu := randomTuple(rng)
+		want := tu.Key()
+		if got := string(tu.AppendKey(nil)); got != want {
+			t.Fatalf("AppendKey(nil) of %v = %q, Key = %q", tu, got, want)
+		}
+		// Into a scratch buffer the way probes call it: small enough that
+		// long tuples spill, and with bytes already in front.
+		var buf [128]byte
+		if got := string(tu.AppendKey(buf[:0])); got != want {
+			t.Fatalf("AppendKey(scratch) of %v = %q, Key = %q", tu, got, want)
+		}
+		if got := string(tu.AppendKey([]byte("pre"))); got != "pre"+want {
+			t.Fatalf("AppendKey must append: %q", got)
+		}
+		// The projection key is the key of the projection.
+		cols := make([]int, 0, len(tu))
+		for c := range tu {
+			if rng.Intn(2) == 0 {
+				cols = append(cols, c)
+			}
+		}
+		rng.Shuffle(len(cols), func(a, b int) { cols[a], cols[b] = cols[b], cols[a] })
+		if got, want := string(tu.AppendProjKey(buf[:0], cols)), tu.Project(cols).Key(); got != want {
+			t.Fatalf("AppendProjKey(%v, %v) = %q, Project.Key = %q", tu, cols, got, want)
+		}
+		// Injective against a second draw.
+		if other := randomTuple(rng); (other.Key() == want) != keyEqual(tu, other) {
+			t.Fatalf("key injectivity broken for %v vs %v", tu, other)
+		}
+	}
+}
+
+// keyEqual is Tuple.Equal except that NaN equals NaN: keys encode the
+// float's bits.
+func keyEqual(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind() == Float && b[i].Kind() == Float {
+			if math.Float64bits(a[i].Float()) != math.Float64bits(b[i].Float()) {
+				return false
+			}
+		} else if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
