@@ -15,7 +15,10 @@ type Row struct {
 }
 
 // Delta is one predicate's changes within a committed batch (deleted
-// counts are reported positive, mirroring ivm.ChangeSet).
+// counts are reported positive, mirroring ivm.ChangeSet). It decodes
+// itself by hand (decode.go) — into the same values encoding/json would
+// produce, at a handful of allocations per delta instead of several per
+// row.
 type Delta struct {
 	Pred     string `json:"pred"`
 	Inserted []Row  `json:"inserted,omitempty"`
@@ -42,8 +45,11 @@ type Event struct {
 // which its effects became visible plus the per-view changes. For
 // store-bound servers the WAL record is fsynced before this result is
 // sent — an acked apply survives any crash or shutdown. Deduped reports
-// that the request's Idempotency-Key had already committed and this is
-// the original apply's result, not a fresh application.
+// that the request's Idempotency-Key had already committed: nothing was
+// applied again, Version is the version the original apply published,
+// and Deltas is empty — the server's window keeps the ack, not the
+// rows. To re-read the changes of an apply whose ack was lost, resume a
+// subscription from a version before it.
 type ApplyResult struct {
 	Version uint64  `json:"version"`
 	Deltas  []Delta `json:"deltas,omitempty"`

@@ -3,7 +3,11 @@ package ivm
 import "container/list"
 
 // The idempotency window behind ApplyIdempotent (DESIGN.md §13): a
-// bounded LRU of key → the ChangeSet the key's apply committed. The
+// bounded LRU of key → the version the key's apply committed — the ack,
+// not the rows: a window that pinned whole ChangeSets (Δ relations, their
+// lazily built indexes, head tuples) was most of a serving node's live
+// heap, and a retry only needs to learn that its write landed and where;
+// a subscriber resume (?from=) is how to re-read the deltas. The
 // counting and DRed algorithms are only correct if every delta is
 // applied exactly once — a duplicated ⊎ batch silently corrupts every
 // downstream count — so a client that cannot tell "never committed"
@@ -30,8 +34,8 @@ const DefaultIdempotencyWindow = 1024
 const MaxIdempotencyKeyLen = 256
 
 type idemEntry struct {
-	key string
-	cs  *ChangeSet
+	key     string
+	version uint64
 }
 
 // idemWindow is an LRU map of bounded capacity; the zero value is not
@@ -49,22 +53,23 @@ func newIdemWindow(capacity int) *idemWindow {
 	return &idemWindow{cap: capacity, m: make(map[string]*list.Element), lru: list.New()}
 }
 
-// lookup returns the change set committed under key, refreshing its LRU
+// lookup returns the version committed under key, refreshing its LRU
 // position.
-func (w *idemWindow) lookup(key string) (*ChangeSet, bool) {
+func (w *idemWindow) lookup(key string) (uint64, bool) {
 	el, ok := w.m[key]
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	w.lru.MoveToFront(el)
-	return el.Value.(*idemEntry).cs, true
+	return el.Value.(*idemEntry).version, true
 }
 
-// record remembers key → cs, evicting the least recently used entry
-// when the window is full. Re-recording an existing key refreshes it.
-func (w *idemWindow) record(key string, cs *ChangeSet) {
+// record remembers key → version, evicting the least recently used
+// entry when the window is full. Re-recording an existing key refreshes
+// it.
+func (w *idemWindow) record(key string, version uint64) {
 	if el, ok := w.m[key]; ok {
-		el.Value.(*idemEntry).cs = cs
+		el.Value.(*idemEntry).version = version
 		w.lru.MoveToFront(el)
 		return
 	}
@@ -73,7 +78,7 @@ func (w *idemWindow) record(key string, cs *ChangeSet) {
 		w.lru.Remove(oldest)
 		delete(w.m, oldest.Value.(*idemEntry).key)
 	}
-	w.m[key] = w.lru.PushFront(&idemEntry{key: key, cs: cs})
+	w.m[key] = w.lru.PushFront(&idemEntry{key: key, version: version})
 }
 
 func (w *idemWindow) len() int { return w.lru.Len() }

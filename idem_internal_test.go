@@ -9,21 +9,17 @@ import (
 
 func TestIdemWindowLRU(t *testing.T) {
 	w := newIdemWindow(3)
-	css := make([]*ChangeSet, 5)
-	for i := range css {
-		css[i] = &ChangeSet{version: uint64(i + 1)}
-	}
 	for i := 0; i < 3; i++ {
-		w.record(fmt.Sprintf("k%d", i), css[i])
+		w.record(fmt.Sprintf("k%d", i), uint64(i+1))
 	}
 	if w.len() != 3 {
 		t.Fatalf("len = %d, want 3", w.len())
 	}
 	// Touch k0 so k1 becomes the eviction victim.
-	if cs, ok := w.lookup("k0"); !ok || cs != css[0] {
-		t.Fatalf("lookup(k0) = %v, %v", cs, ok)
+	if ver, ok := w.lookup("k0"); !ok || ver != 1 {
+		t.Fatalf("lookup(k0) = %v, %v", ver, ok)
 	}
-	w.record("k3", css[3])
+	w.record("k3", 4)
 	if _, ok := w.lookup("k1"); ok {
 		t.Fatal("k1 should have been evicted as least recently used")
 	}
@@ -33,12 +29,12 @@ func TestIdemWindowLRU(t *testing.T) {
 		}
 	}
 	// Re-recording an existing key refreshes in place, no growth.
-	w.record("k2", css[4])
+	w.record("k2", 5)
 	if w.len() != 3 {
 		t.Fatalf("len after re-record = %d, want 3", w.len())
 	}
-	if cs, _ := w.lookup("k2"); cs != css[4] {
-		t.Fatalf("re-record did not replace the change set")
+	if ver, _ := w.lookup("k2"); ver != 5 {
+		t.Fatalf("re-record did not replace the version")
 	}
 }
 
@@ -50,8 +46,8 @@ func TestIdemWindowDefaultCapacity(t *testing.T) {
 		}
 	}
 	w := newIdemWindow(1)
-	w.record("a", &ChangeSet{version: 1})
-	w.record("b", &ChangeSet{version: 2})
+	w.record("a", 1)
+	w.record("b", 2)
 	if w.len() != 1 {
 		t.Fatalf("len = %d, want 1", w.len())
 	}

@@ -38,7 +38,8 @@ func TestApplyIdempotentDedups(t *testing.T) {
 	if deduped {
 		t.Fatal("first apply must not be deduped")
 	}
-	// Retry with the same key: the original ChangeSet comes back and the
+	// Retry with the same key: the answer is the original apply's version
+	// and nothing else — the window keeps the ack, not the rows — and the
 	// delta is not applied again.
 	cs2, deduped, err := v.ApplyScriptIdempotent("key-1", "+link(c,f).")
 	if err != nil {
@@ -47,8 +48,14 @@ func TestApplyIdempotentDedups(t *testing.T) {
 	if !deduped {
 		t.Fatal("retry of a committed key must dedup")
 	}
-	if cs2 != cs1 {
-		t.Fatalf("dedup must return the original ChangeSet: got version %d, want %d", cs2.Version(), cs1.Version())
+	if cs1.Empty() || len(cs1.Inserted("hop")) == 0 {
+		t.Fatalf("the first apply must carry its deltas, got %v", cs1)
+	}
+	if cs2.Version() != cs1.Version() {
+		t.Fatalf("dedup must answer with the original version: got %d, want %d", cs2.Version(), cs1.Version())
+	}
+	if !cs2.Empty() || len(cs2.Preds()) != 0 || cs2.Inserted("hop") != nil {
+		t.Fatalf("a deduped answer carries no deltas, got %v", cs2)
 	}
 	if got := v.Count("link", "c", "f"); got != 1 {
 		t.Fatalf("link(c,f) count = %d after retry, want 1 (double apply!)", got)
@@ -123,22 +130,24 @@ func TestApplyIdempotentConcurrentSameKey(t *testing.T) {
 	var wg sync.WaitGroup
 	versions := make([]uint64, callers)
 	dedups := make([]bool, callers)
+	empties := make([]bool, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cs, deduped, err := v.ApplyScriptIdempotent("race-key", "+link(q,r).")
+			cs, deduped, err := v.ApplyScriptIdempotent("race-key", "+link(c,q).")
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			versions[i] = cs.Version()
 			dedups[i] = deduped
+			empties[i] = cs.Empty()
 		}(i)
 	}
 	wg.Wait()
-	if got := v.Count("link", "q", "r"); got != 1 {
-		t.Fatalf("link(q,r) count = %d after %d concurrent same-key applies, want 1", got, callers)
+	if got := v.Count("link", "c", "q"); got != 1 {
+		t.Fatalf("link(c,q) count = %d after %d concurrent same-key applies, want 1", got, callers)
 	}
 	nondeduped := 0
 	for i := 1; i < callers; i++ {
@@ -146,9 +155,14 @@ func TestApplyIdempotentConcurrentSameKey(t *testing.T) {
 			t.Fatalf("caller %d saw version %d, caller 0 saw %d — all must share the one committed version", i, versions[i], versions[0])
 		}
 	}
-	for _, d := range dedups {
+	for i, d := range dedups {
 		if !d {
 			nondeduped++
+		}
+		// Whether it hit the window or raced its leader inside one batch,
+		// a deduped caller learns the version and nothing else.
+		if d != empties[i] {
+			t.Fatalf("caller %d: deduped=%v but Empty()=%v — exactly the deduped answers carry no deltas", i, d, empties[i])
 		}
 	}
 	if nondeduped != 1 {
@@ -219,12 +233,16 @@ func TestIdempotencyWindowSurvivesRecovery(t *testing.T) {
 	if !deduped {
 		t.Fatal("retry after recovery must dedup from the replayed window")
 	}
-	// Version ids restart at rematerialization, so the dedup answer is
-	// stamped with the replayed version, not the pre-crash one.
-	if cs2.Version() == 0 {
-		t.Fatal("dedup answer must carry the replayed committed version")
+	// Replay republishes each record under the version the WAL stamped it
+	// with and re-seeds the window with key → that version, so the answer
+	// after the crash is the ack the client never saw — and, like every
+	// dedup answer, only the ack.
+	if cs2.Version() != cs1.Version() {
+		t.Fatalf("dedup answer carries version %d, want the original commit's %d", cs2.Version(), cs1.Version())
 	}
-	_ = cs1
+	if !cs2.Empty() {
+		t.Fatalf("a deduped answer carries no deltas, got %v", cs2)
+	}
 	if got := v2.Count("link", "c", "f"); got != 1 {
 		t.Fatalf("link(c,f) count = %d after post-recovery retry, want 1 (double apply!)", got)
 	}

@@ -16,6 +16,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -287,21 +288,24 @@ func (l *lexer) lexString(mk func(tokenKind, string) token) (token, error) {
 			l.advance(1)
 			return mk(tokString, sb.String()), nil
 		case '\\':
-			if l.pos+1 >= len(l.src) {
-				return token{}, l.errf("unterminated escape in string")
+			// Every escape strconv.Quote can emit, since that is what
+			// Value.String renders a non-identifier string with and a
+			// rendered script must re-parse (WAL replay): \n \t \\ \" and
+			// also \a \b \f \r \v, \xHH for a byte of malformed UTF-8,
+			// \uHHHH and \UHHHHHHHH for unprintable runes.
+			r, multibyte, tail, err := strconv.UnquoteChar(l.src[l.pos:], '"')
+			if err != nil {
+				if l.pos+1 >= len(l.src) {
+					return token{}, l.errf("unterminated escape in string")
+				}
+				return token{}, l.errf("unknown escape \\%c", l.src[l.pos+1])
 			}
-			esc := l.src[l.pos+1]
-			switch esc {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case '\\', '"':
-				sb.WriteByte(esc)
-			default:
-				return token{}, l.errf("unknown escape \\%c", esc)
+			if multibyte {
+				sb.WriteRune(r)
+			} else {
+				sb.WriteByte(byte(r))
 			}
-			l.advance(2)
+			l.advance(len(l.src) - l.pos - len(tail))
 		case '\n':
 			return token{}, l.errf("unterminated string literal")
 		default:

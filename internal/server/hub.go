@@ -11,15 +11,17 @@ import (
 	"sync/atomic"
 
 	"ivm"
-	"ivm/client"
 	"ivm/internal/metrics"
 	"ivm/internal/sched"
 )
 
 // Hub fans committed change sets out to subscribers. It drains
 // ivm.Views.OnCommit — one event per committed maintenance batch, in
-// commit order — and delivers each event to every subscriber whose
-// predicate filter matches, over a per-subscriber bounded channel.
+// commit order — encodes the batch once (encode.go) and delivers that
+// one encoding to every subscriber whose predicate filter matches, over
+// a per-subscriber bounded channel. After publish a commit is its
+// version and its bytes: the ring, the buffers and the apply ack all
+// hold the same *commit and nothing renders it again.
 //
 // Backpressure policy: the commit path never blocks on a consumer. A
 // subscriber whose buffer is full when an event arrives is evicted —
@@ -32,10 +34,11 @@ type Hub struct {
 	mu     sync.Mutex
 	subs   map[*Subscriber]struct{}
 	closed bool
-	// ring retains recent published events (guarded by mu) so a consumer
-	// that reconnects with ?from=<last seen version> can be replayed the
-	// events it missed instead of forced to resync.
-	ring *sched.Window[client.Event]
+	// ring retains recent published commits so a consumer that reconnects
+	// with ?from=<last seen version> can be replayed the events it missed
+	// instead of forced to resync, and so an apply's ack is the event its
+	// commit already published.
+	ring *sched.Window[*commit]
 
 	gActive    *metrics.Gauge
 	cEvents    *metrics.Counter
@@ -55,7 +58,7 @@ type Hub struct {
 func NewHub(v *ivm.Views, reg *metrics.Registry, ringCap int) *Hub {
 	h := &Hub{
 		subs:       make(map[*Subscriber]struct{}),
-		ring:       sched.NewWindow[client.Event](ringCap),
+		ring:       sched.NewWindow[*commit](ringCap),
 		gActive:    reg.Gauge("server_subscribers_active"),
 		cEvents:    reg.Counter("server_sub_events_total"),
 		cDelivered: reg.Counter("server_sub_delivered_total"),
@@ -72,14 +75,16 @@ func NewHub(v *ivm.Views, reg *metrics.Registry, ringCap int) *Hub {
 }
 
 // Subscriber is one consumer of the hub's event stream. Events() yields
-// matching events in commit order until Close is called, the hub shuts
+// matching commits in commit order until Close is called, the hub shuts
 // down, or the subscriber falls behind and is evicted (Evicted then
-// reports true); in every case the channel is closed.
+// reports true); in every case the channel is closed. Line turns a
+// commit into the bytes this subscriber is owed.
 type Subscriber struct {
 	hub     *Hub
 	preds   map[string]bool // nil = every predicate
-	ch      chan client.Event
+	ch      chan *commit
 	evicted atomic.Bool
+	scratch []byte // Line's buffer for a filtered event
 }
 
 // Subscribe registers a consumer for the given predicates (none =
@@ -102,15 +107,15 @@ func (h *Hub) Subscribe(preds []string, buffer int) *Subscriber {
 // have aged out of the ring; the caller must tell the consumer to
 // re-read state and subscribe afresh. A nil subscriber with resync
 // false means the hub has shut down.
-func (h *Hub) SubscribeFrom(preds []string, buffer int, from uint64) (sub *Subscriber, backlog []client.Event, resync bool) {
+func (h *Hub) SubscribeFrom(preds []string, buffer int, from uint64) (sub *Subscriber, backlog []*commit, resync bool) {
 	return h.subscribe(preds, buffer, from, true)
 }
 
-func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*Subscriber, []client.Event, bool) {
+func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*Subscriber, []*commit, bool) {
 	if buffer < 1 {
 		buffer = 1
 	}
-	s := &Subscriber{hub: h, ch: make(chan client.Event, buffer)}
+	s := &Subscriber{hub: h, ch: make(chan *commit, buffer)}
 	if len(preds) > 0 {
 		s.preds = make(map[string]bool, len(preds))
 		for _, p := range preds {
@@ -122,7 +127,7 @@ func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*
 	if h.closed {
 		return nil, nil, false
 	}
-	var backlog []client.Event
+	var backlog []*commit
 	if resume {
 		ca, _, ok := h.ring.Bounds()
 		if !ok || from < ca {
@@ -138,8 +143,8 @@ func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*
 				break
 			}
 			after = e.Version
-			if ev, match := filterEvent(e.Item, s.preds); match {
-				backlog = append(backlog, ev)
+			if e.Item.kept(s.preds) > 0 {
+				backlog = append(backlog, e.Item)
 			}
 		}
 		h.cResumes.Inc()
@@ -149,27 +154,20 @@ func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*
 	return s, backlog, false
 }
 
-// filterEvent narrows an event to the subscriber's predicates; match is
-// false when nothing remains.
-func filterEvent(ev client.Event, preds map[string]bool) (client.Event, bool) {
-	if preds == nil {
-		return ev, true
-	}
-	var keep []client.Delta
-	for _, d := range ev.Deltas {
-		if preds[d.Pred] {
-			keep = append(keep, d)
-		}
-	}
-	if len(keep) == 0 {
-		return ev, false
-	}
-	ev.Deltas = keep
-	return ev, true
-}
-
 // Events returns the subscriber's delivery channel.
-func (s *Subscriber) Events() <-chan client.Event { return s.ch }
+func (s *Subscriber) Events() <-chan *commit { return s.ch }
+
+// Line returns c's NDJSON event line as this subscriber sees it: the
+// commit's shared bytes when its filter keeps every changed predicate,
+// otherwise the kept fragments assembled into the subscriber's own
+// buffer — valid until the next call, so one goroutine per subscriber.
+func (s *Subscriber) Line(c *commit) []byte {
+	if c.kept(s.preds) == len(c.frags) {
+		return c.line
+	}
+	s.scratch = c.appendEvent(s.scratch[:0], s.preds)
+	return s.scratch
+}
 
 // Evicted reports whether the hub dropped this subscriber for falling
 // behind its buffer (meaningful once Events() is closed).
@@ -207,80 +205,69 @@ func (h *Hub) CloseAll() {
 	}
 }
 
-// publish runs on the maintainer goroutine for every committed batch.
-// It holds the hub lock across the (non-blocking) deliveries so a
-// concurrent Close never closes a channel mid-send.
+// publish runs on the maintainer goroutine for every committed batch:
+// the one place a commit is encoded. It holds the hub lock across the
+// (non-blocking) deliveries so a concurrent Close never closes a channel
+// mid-send.
 func (h *Hub) publish(cs *ivm.ChangeSet) {
-	deltas := DeltasFromChangeSet(cs)
-	if len(deltas) == 0 {
+	c := encodeCommit(cs)
+	if c == nil {
 		return // nothing visible changed; subscribers see no event
 	}
-	ev := client.Event{Version: cs.Version(), Deltas: deltas}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
 	h.cEvents.Inc()
-	h.ring.Append(ev.Version, ev)
+	h.ring.Append(c.version, c)
 	for s := range h.subs {
-		sev, match := filterEvent(ev, s.preds)
-		if !match {
+		if c.kept(s.preds) == 0 {
 			continue
 		}
 		select {
-		case s.ch <- sev:
+		case s.ch <- c:
 			h.cDelivered.Inc()
 		default:
 			// Full buffer: the consumer is slower than the commit rate.
 			// Evict it — a closed stream it can detect beats a silent gap.
-			delete(h.subs, s)
-			h.gActive.Add(-1)
-			h.cEvicted.Inc()
-			s.evicted.Store(true)
-			close(s.ch)
+			h.evictLocked(s)
 		}
 	}
 }
 
-// DeltasFromChangeSet renders a change set's per-predicate deltas into
-// wire form (sorted by predicate; empty change sets yield nil).
-func DeltasFromChangeSet(cs *ivm.ChangeSet) []client.Delta {
-	if cs == nil {
+// evictLocked drops a registered subscriber for falling behind (hub
+// lock held): its channel closes with the evicted flag set.
+func (h *Hub) evictLocked(s *Subscriber) {
+	delete(h.subs, s)
+	h.gActive.Add(-1)
+	h.cEvicted.Inc()
+	s.evicted.Store(true)
+	close(s.ch)
+}
+
+// Ack returns the acknowledgment line of the apply that returned cs.
+// Commit handlers run before Apply returns, so a fresh apply's commit is
+// already in the ring and its ack is that commit's event line, byte for
+// byte; a deduped answer and an apply that changed nothing visible carry
+// the version alone.
+func (h *Hub) Ack(cs *ivm.ChangeSet, deduped bool) []byte {
+	if c := h.commitOf(cs); c != nil {
+		return c.line
+	}
+	return ackLine(cs.Version(), deduped)
+}
+
+// commitOf finds the published encoding of cs (nil if cs shows no
+// changes). Only a commit that has already aged out of the ring — more
+// versions than the ring holds published before this caller got to
+// write its ack — or one committed after CloseAll is encoded here.
+func (h *Hub) commitOf(cs *ivm.ChangeSet) *commit {
+	if cs.Empty() {
 		return nil
 	}
-	var out []client.Delta
-	for _, pred := range cs.Preds() {
-		d := client.Delta{
-			Pred:     pred,
-			Inserted: wireRows(cs.Inserted(pred)),
-			Deleted:  wireRows(cs.Deleted(pred)),
-		}
-		if len(d.Inserted) == 0 && len(d.Deleted) == 0 {
-			continue
-		}
-		out = append(out, d)
+	if e, ok := h.ring.Next(cs.Version() - 1); ok && e.Version == cs.Version() {
+		return e.Item
 	}
-	return out
-}
-
-// wireRows renders rows for the wire: one surface-syntax string per
-// value.
-func wireRows(rows []ivm.Row) []client.Row {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]client.Row, len(rows))
-	for i, r := range rows {
-		out[i] = client.Row{Tuple: wireTuple(r.Tuple), Count: r.Count}
-	}
-	return out
-}
-
-func wireTuple(t ivm.Tuple) []string {
-	vals := make([]string, len(t))
-	for i, v := range t {
-		vals[i] = v.String()
-	}
-	return vals
+	return encodeCommit(cs)
 }

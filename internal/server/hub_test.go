@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ivm"
-	"ivm/client"
 	"ivm/internal/metrics"
 )
 
@@ -33,7 +32,7 @@ func TestHubBackpressure(t *testing.T) {
 	slow := h.Subscribe(nil, 1)
 
 	var mu sync.Mutex
-	var fastSeen []client.Event
+	var fastSeen []*commit
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -91,10 +90,10 @@ func TestHubBackpressure(t *testing.T) {
 		t.Fatalf("fast subscriber saw %d events, want %d", len(fastSeen), len(want))
 	}
 	for i, ev := range fastSeen {
-		if ev.Version != want[i] {
-			t.Fatalf("event %d: version %d, want %d (order must match commit order)", i, ev.Version, want[i])
+		if ev.version != want[i] {
+			t.Fatalf("event %d: version %d, want %d (order must match commit order)", i, ev.version, want[i])
 		}
-		if len(ev.Deltas) == 0 {
+		if len(ev.frags) == 0 {
 			t.Fatalf("event %d: empty deltas", i)
 		}
 	}
@@ -137,12 +136,12 @@ func TestHubConcurrentAppliesDeliverInOrder(t *testing.T) {
 	var last uint64
 	n := 0
 	for ev := range sub.Events() {
-		if ev.Version < last {
-			t.Fatalf("version went backwards: %d after %d", ev.Version, last)
+		if ev.version < last {
+			t.Fatalf("version went backwards: %d after %d", ev.version, last)
 		}
-		last = ev.Version
-		if !acked[ev.Version] {
-			t.Fatalf("event version %d was never returned by an Apply", ev.Version)
+		last = ev.version
+		if !acked[ev.version] {
+			t.Fatalf("event version %d was never returned by an Apply", ev.version)
 		}
 		n++
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -49,13 +50,21 @@ func TestHTTPApplyIdempotencyKey(t *testing.T) {
 	srv, c := startTestServer(t, Options{})
 	ctx := context.Background()
 
-	resp, first, _ := postApply(t, srv.URL(), "req-1", "+link(a,z).")
+	resp, first, _ := postApply(t, srv.URL(), "req-1", "+link(a,z). +link(z,y).")
 	if resp.StatusCode != http.StatusOK || first.Deduped {
 		t.Fatalf("first keyed apply: status %d deduped=%v", resp.StatusCode, first.Deduped)
 	}
-	resp, second, _ := postApply(t, srv.URL(), "req-1", "+link(a,z).")
+	if len(first.Deltas) == 0 {
+		t.Fatal("the first apply's ack must carry its deltas")
+	}
+	resp, second, body := postApply(t, srv.URL(), "req-1", "+link(a,z). +link(z,y).")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry status = %d", resp.StatusCode)
+	}
+	// The window keeps the ack, not the rows: a deduped reply is the
+	// original version and the flag, nothing else.
+	if want := fmt.Sprintf("{\"version\":%d,\"deduped\":true}\n", first.Version); body != want {
+		t.Fatalf("deduped reply = %q, want %q", body, want)
 	}
 	if !second.Deduped {
 		t.Fatal("retry with the same Idempotency-Key must report deduped")
@@ -87,7 +96,7 @@ func TestHTTPApplyIdempotencyKey(t *testing.T) {
 	}
 
 	// Over-long keys are rejected up front, before touching the engine.
-	resp, _, body := postApply(t, srv.URL(), strings.Repeat("k", ivm.MaxIdempotencyKeyLen+1), "+link(q,q).")
+	resp, _, body = postApply(t, srv.URL(), strings.Repeat("k", ivm.MaxIdempotencyKeyLen+1), "+link(q,q).")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("over-long key: status %d (%s), want 400", resp.StatusCode, body)
 	}
@@ -192,15 +201,18 @@ func TestLineProtocolIdempotencyKey(t *testing.T) {
 		return strings.TrimSpace(resp)
 	}
 
-	resp := send("apply @line-key +link(a,w).")
+	resp := send("apply @line-key +link(a,w). +link(w,v).")
 	var first client.ApplyResult
 	if !strings.HasPrefix(resp, "ok ") || json.Unmarshal([]byte(resp[3:]), &first) != nil {
 		t.Fatalf("keyed apply -> %q", resp)
 	}
-	if first.Deduped {
-		t.Fatal("first keyed line apply must not dedup")
+	if first.Deduped || len(first.Deltas) == 0 {
+		t.Fatalf("first keyed line apply must not dedup and must carry its deltas, got %q", resp)
 	}
-	resp = send("apply @line-key +link(a,w).")
+	resp = send("apply @line-key +link(a,w). +link(w,v).")
+	if want := fmt.Sprintf("ok {\"version\":%d,\"deduped\":true}", first.Version); resp != want {
+		t.Fatalf("keyed retry -> %q, want %q", resp, want)
+	}
 	var second client.ApplyResult
 	if !strings.HasPrefix(resp, "ok ") || json.Unmarshal([]byte(resp[3:]), &second) != nil {
 		t.Fatalf("keyed retry -> %q", resp)

@@ -18,7 +18,7 @@ import (
 //	apply +link(a,b). -link(b,c).   -> ok {"version":7,...}
 //	apply @key1 +link(a,b).         -> ok {"version":7,...} — idempotent
 //	                                   under key1; a retry answers
-//	                                   {"deduped":true,...}
+//	                                   {"version":7,"deduped":true}
 //	query hop(a,X)                  -> ok {"version":7,"results":[...]}
 //	rows hop                        -> ok {"version":7,"pred":"hop","rows":[...]}
 //	count hop(a,c)                  -> ok {"version":7,"count":2,"has":true}
@@ -76,6 +76,14 @@ func (s *Server) serveLineConn(conn net.Conn) {
 		out.WriteByte('\n')
 		return out.Flush() == nil
 	}
+	// replyEncoded answers with a document the wire encoder (or the
+	// leader) already rendered, newline included.
+	replyEncoded := func(status string, doc []byte) bool {
+		out.WriteString(status)
+		out.WriteByte(' ')
+		out.Write(doc)
+		return out.Flush() == nil
+	}
 	fail := func(format string, args ...any) bool {
 		out.WriteString("err ")
 		fmt.Fprintf(out, format, args...)
@@ -121,16 +129,13 @@ func (s *Server) serveLineConn(conn net.Conn) {
 					ok = fail("server is shutting down")
 					break
 				}
-				res, err := s.forwardApplyLine(leader, key, rest)
+				ack, err := s.forwardApplyLine(leader, key, rest)
 				s.applyWG.Done()
 				if err != nil {
 					ok = fail("%v", err)
 					break
 				}
-				if res.Deduped {
-					s.cDedups.Inc()
-				}
-				ok = reply("ok", res)
+				ok = replyEncoded("ok", ack)
 				break
 			}
 			cs, deduped, err := s.v.ApplyScriptIdempotent(key, rest)
@@ -141,7 +146,7 @@ func (s *Server) serveLineConn(conn net.Conn) {
 			if deduped {
 				s.cDedups.Inc()
 			}
-			ok = reply("ok", client.ApplyResult{Version: cs.Version(), Deltas: DeltasFromChangeSet(cs), Deduped: deduped})
+			ok = replyEncoded("ok", s.hub.Ack(cs, deduped))
 		case "query":
 			if rest == "" {
 				ok = fail("query needs a goal")
@@ -171,7 +176,7 @@ func (s *Server) serveLineConn(conn net.Conn) {
 				break
 			}
 			snap := s.v.Snapshot()
-			ok = reply("ok", client.RowsResponse{Version: snap.Version(), Pred: rest, Rows: wireRows(snap.Rows(rest))})
+			ok = replyEncoded("ok", encodeRows(snap.Version(), rest, snap.Rows(rest)))
 		case "count", "has":
 			pred, vals, err := groundGoal(rest)
 			if err != nil {
@@ -225,7 +230,7 @@ func (s *Server) serveLineSub(conn net.Conn, sc *bufio.Scanner, out *bufio.Write
 		select {
 		case <-done:
 			return
-		case ev, ok := <-sub.Events():
+		case c, ok := <-sub.Events():
 			if !ok {
 				if sub.Evicted() {
 					out.WriteString("bye evicted\n")
@@ -235,13 +240,8 @@ func (s *Server) serveLineSub(conn net.Conn, sc *bufio.Scanner, out *bufio.Write
 				out.Flush()
 				return
 			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
 			out.WriteString("event ")
-			out.Write(data)
-			out.WriteByte('\n')
+			out.Write(sub.Line(c))
 			if out.Flush() != nil {
 				return
 			}

@@ -433,6 +433,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// writeEncoded answers 200 with a JSON document the wire encoder
+// already rendered (newline-terminated, like json.Encoder's output).
+func writeEncoded(w http.ResponseWriter, doc []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(doc)
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, client.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -518,8 +526,11 @@ func (s *Server) readerFor(w http.ResponseWriter, r *http.Request) (reader, bool
 //
 // An Idempotency-Key header makes the apply exactly-once under retries:
 // the first commit under a key is the only one applied, and duplicate
-// requests are answered with the original result (Deduped: true)
-// instead of re-applying — see DESIGN.md §13.
+// requests are answered {"version":V,"deduped":true} — the original
+// apply's version, no deltas — instead of re-applying (DESIGN.md §13).
+//
+// A fresh apply's ack is the event its commit already published to
+// subscribers, byte for byte (Hub.Ack): nothing is rendered here.
 //
 // On a follower the apply is transparently forwarded to the leader
 // (Idempotency-Key preserved, the leader's version-stamped ack returned
@@ -591,11 +602,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if deduped {
 		s.cDedups.Inc()
 	}
-	writeJSON(w, http.StatusOK, client.ApplyResult{
-		Version: cs.Version(),
-		Deltas:  DeltasFromChangeSet(cs),
-		Deduped: deduped,
-	})
+	writeEncoded(w, s.hub.Ack(cs, deduped))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -637,11 +644,7 @@ func (s *Server) handleRows(w http.ResponseWriter, r *http.Request) {
 	if done {
 		return
 	}
-	writeJSON(w, http.StatusOK, client.RowsResponse{
-		Version: rd.Version(),
-		Pred:    pred,
-		Rows:    wireRows(rd.Rows(pred)),
-	})
+	writeEncoded(w, encodeRows(rd.Version(), pred, rd.Rows(pred)))
 }
 
 // handleCount serves /v1/count and /v1/has: the goal must be ground
@@ -782,9 +785,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // handleSubscribe streams committed change sets as NDJSON, one
 // client.Event per line: a hello carrying the current version, then
 // every committed batch matching the ?pred= filters (repeatable; none =
-// all), until the client disconnects, the server shuts down, or the
-// subscriber falls behind its buffer and is evicted (final event has
-// "evicted": true).
+// all) — each a write of bytes the hub encoded once for everyone — until
+// the client disconnects, the server shuts down, or the subscriber falls
+// behind its buffer and is evicted (final event has "evicted": true).
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -807,7 +810,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// two lands both in the hello version and the event stream (benign
 	// overlap) rather than in neither (a gap).
 	var sub *Subscriber
-	var backlog []client.Event
+	var backlog []*commit
 	if fs := q.Get("from"); fs != "" {
 		from, err := strconv.ParseUint(fs, 10, 64)
 		if err != nil {
@@ -843,8 +846,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// Resume backlog first: these precede (by version) everything the
 	// live channel will deliver, so writing them up front keeps the
 	// resumed stream gapless and ordered.
-	for _, ev := range backlog {
-		if err := enc.Encode(ev); err != nil {
+	for _, c := range backlog {
+		if _, err := w.Write(sub.Line(c)); err != nil {
 			return
 		}
 	}
@@ -857,7 +860,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-ctx.Done():
 			return
-		case ev, ok := <-sub.Events():
+		case c, ok := <-sub.Events():
 			if !ok {
 				// Hub shutdown or eviction; tell the client which.
 				if sub.Evicted() {
@@ -866,12 +869,22 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
-			if err := enc.Encode(ev); err != nil {
+			if _, err := w.Write(sub.Line(c)); err != nil {
 				return
 			}
 			flusher.Flush()
 		}
 	}
+}
+
+// wireTuple renders a tuple for the reflectively encoded responses
+// (query, explain): one surface-syntax string per value.
+func wireTuple(t ivm.Tuple) []string {
+	vals := make([]string, len(t))
+	for i, v := range t {
+		vals[i] = v.String()
+	}
+	return vals
 }
 
 // groundGoal parses a goal and requires it ground, returning the

@@ -5,6 +5,7 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -135,23 +136,38 @@ func (v Value) Compare(o Value) int {
 // (never "5"), so reparsing the text yields a Float again, not an Int
 // with a different identity.
 func (v Value) String() string {
+	switch {
+	case v.kind == Int:
+		return strconv.FormatInt(v.i, 10) // small ints come out of strconv's static table
+	case v.kind == String && isIdent(v.s):
+		return v.s
+	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends exactly what String renders to dst and returns the
+// extended slice, allocating nothing when dst has room — the form the
+// serving layer's encoder writes values in.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.kind {
 	case Int:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case Float:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 		// NaN/±Inf have no literal syntax and render for display only;
 		// store-bound Views.Apply rejects them since a logged record
 		// holding one could never replay.
-		if strings.IndexAny(s, ".eE") < 0 && !math.IsInf(v.f, 0) && !math.IsNaN(v.f) {
-			s += ".0"
+		if bytes.IndexAny(dst[start:], ".eE") < 0 && !math.IsInf(v.f, 0) && !math.IsNaN(v.f) {
+			dst = append(dst, ".0"...)
 		}
-		return s
+		return dst
 	default:
 		if isIdent(v.s) {
-			return v.s
+			return append(dst, v.s...)
 		}
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	}
 }
 

@@ -171,6 +171,37 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestAppendTextMatchesString: AppendText is String without the string —
+// same bytes for every kind, appended after whatever dst already holds,
+// and no allocation when dst has room.
+func TestAppendTextMatchesString(t *testing.T) {
+	vals := []Value{
+		NewInt(0), NewInt(7), NewInt(-3), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(2.5), NewFloat(5), NewFloat(-2), NewFloat(1e21), NewFloat(1e-7), NewFloat(-0.0),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()), NewFloat(math.MaxFloat64),
+		NewString("abc"), NewString("a_b9"), NewString("Abc"), NewString("_x"), NewString("9lives"),
+		NewString(""), NewString("a b"), NewString(`q"uo\te`), NewString("tab\there\n\x00\x7f"),
+		NewString("héllo wörld ✓"), NewString("bad\xff\xfeutf8"), NewString("\u2028"),
+	}
+	for _, v := range vals {
+		want := v.String()
+		if got := string(v.AppendText(nil)); got != want {
+			t.Errorf("%#v: AppendText = %q, String = %q", v, got, want)
+		}
+		if got := string(v.AppendText([]byte("x="))); got != "x="+want {
+			t.Errorf("%#v: AppendText after a prefix = %q, want %q", v, got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			buf = v.AppendText(buf[:0])
+		}
+	}); n != 0 {
+		t.Errorf("AppendText into a roomy buffer allocated %.0f objects per run, want 0", n)
+	}
+}
+
 func TestTupleKeyInjective(t *testing.T) {
 	// Tricky near-collisions.
 	pairs := [][2]Tuple{

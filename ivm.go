@@ -690,9 +690,12 @@ func (v *Views) Apply(u *Update) (*ChangeSet, error) {
 
 // ApplyIdempotent is Apply with exactly-once semantics under retries:
 // the first apply committed under key is the only one ever applied, and
-// every later call with the same key returns the original ChangeSet
-// (deduped=true) — same Version, same deltas — instead of re-applying.
-// The dedup window is a bounded LRU (WithIdempotencyWindow); a retry
+// every later call with the same key returns deduped=true and a
+// ChangeSet that carries only the original apply's Version — no deltas
+// (it is Empty) — instead of re-applying: the window remembers where a
+// write landed, not its rows, so a retry that also needs the deltas
+// re-reads them from a subscription resumed before that version. The
+// dedup window is a bounded LRU (WithIdempotencyWindow); a retry
 // arriving after the key's eviction re-applies. For store-bound views
 // the key is logged inside the apply's WAL record and re-seeded on
 // recovery replay, so dedup survives a crash between commit and
@@ -746,16 +749,17 @@ func (v *Views) processBatch(batch []*applyReq) {
 	v.wmu.Lock()
 	admitted := make([]*applyReq, 0, len(batch))
 	// Keyed requests dedup before admission: a key already in the window
-	// is answered with its original ChangeSet; a key that repeats within
-	// this very batch (a retry racing its first attempt) elects the first
-	// request as leader and completes the rest with the leader's result.
+	// is answered with the version its apply committed; a key that repeats
+	// within this very batch (a retry racing its first attempt) elects the
+	// first request as leader and completes the rest with the leader's
+	// version.
 	var leaders map[string]*applyReq
 	var followers []*applyReq
 	for _, r := range batch {
 		if len(r.keys) == 1 {
 			key := r.keys[0]
-			if cs, ok := v.idem.lookup(key); ok {
-				r.cs, r.deduped = cs, true
+			if ver, ok := v.idem.lookup(key); ok {
+				r.cs, r.deduped = &ChangeSet{version: ver}, true
 				v.mDedups.Inc()
 				continue
 			}
@@ -863,7 +867,7 @@ func (v *Views) processBatch(batch []*applyReq) {
 		}
 		for _, r := range g.reqs {
 			for _, k := range r.keys {
-				v.idem.record(k, g.cs)
+				v.idem.record(k, g.version)
 			}
 		}
 	}
@@ -898,15 +902,15 @@ func (v *Views) processBatch(batch []*applyReq) {
 }
 
 // completeFollowers hands each in-batch duplicate its leader's outcome:
-// the leader's ChangeSet marks the follower deduped, the leader's error
+// the leader's version marks the follower deduped (like a window hit, it
+// learns where its write landed, not the rows), the leader's error
 // propagates as-is (the follower's own retry would have failed the same
 // way).
 func (v *Views) completeFollowers(leaders map[string]*applyReq, followers []*applyReq) {
 	for _, f := range followers {
 		leader := leaders[f.keys[0]]
-		f.cs, f.err = leader.cs, leader.err
-		if f.err == nil {
-			f.deduped = true
+		if f.err = leader.err; f.err == nil {
+			f.cs, f.deduped = &ChangeSet{version: leader.cs.version}, true
 			v.mDedups.Inc()
 		}
 	}
@@ -1059,7 +1063,10 @@ func (v *Views) logLocked(version uint64, script string, keys []string) (func() 
 // 1: "a rule may fire when a particular tuple is inserted into a view").
 // fn runs on the maintainer goroutine after each successful
 // Apply/AddRule/RemoveRule batch that changed pred, with the inserted
-// and deleted rows (deleted counts reported positive). Handlers fire
+// and deleted rows (deleted counts reported positive), each in tuple
+// order. The two slices are the ChangeSet's own — sorted once and shared
+// with every other handler, the batch's callers and the serving layer —
+// so a handler must not modify them (copy first to reorder). Handlers fire
 // after the new version is published and outside every Views lock, so a
 // slow handler never delays readers or snapshots — but before the
 // batch's Apply calls return, so an Apply still observes its own
@@ -1155,14 +1162,17 @@ func (v *Views) notify(cs *ChangeSet) {
 		fns      []func(string, []Row, []Row)
 	}
 	var firings []firing
-	for _, pred := range cs.Preds() {
+	idx := cs.index()
+	for i := range idx {
+		p := &idx[i]
 		var fns []func(string, []Row, []Row)
-		fns = append(fns, v.handlers[pred]...)
+		fns = append(fns, v.handlers[p.pred]...)
 		fns = append(fns, v.handlers[""]...)
 		if len(fns) == 0 {
-			continue
+			continue // an unobserved predicate is never sorted
 		}
-		firings = append(firings, firing{pred, cs.Inserted(pred), cs.Deleted(pred), fns})
+		ins, del := p.split()
+		firings = append(firings, firing{p.pred, ins, del, fns})
 	}
 	v.handlersMu.Unlock()
 	for _, f := range firings {
@@ -1664,103 +1674,4 @@ func (v *Views) Close() error {
 		return nil
 	}
 	return v.store.Close()
-}
-
-// ChangeSet maps derived predicates to the signed count deltas an update
-// produced (positive counts inserted derivations, negative deleted).
-type ChangeSet struct {
-	perPred map[string]*relation.Relation
-	// version is the snapshot version in which these changes became
-	// visible (stamped at publish time).
-	version uint64
-}
-
-// Version returns the snapshot version in which this change set's
-// effects became visible: Snapshot handles with Snapshot.Version() >=
-// this value observe the update (0 for change sets not produced by a
-// published maintenance pass).
-func (c *ChangeSet) Version() uint64 { return c.version }
-
-func changeSetFromDeltas(m map[string]*relation.Relation) *ChangeSet {
-	return &ChangeSet{perPred: m}
-}
-
-func changeSetFromChanges(del, add map[string]*relation.Relation) *ChangeSet {
-	per := make(map[string]*relation.Relation)
-	for pred, d := range del {
-		n, ok := per[pred]
-		if !ok {
-			n = relation.New(d.Arity())
-			per[pred] = n
-		}
-		n.MergeDelta(d.Negate())
-	}
-	for pred, a := range add {
-		n, ok := per[pred]
-		if !ok {
-			n = relation.New(a.Arity())
-			per[pred] = n
-		}
-		n.MergeDelta(a)
-	}
-	for pred, n := range per {
-		if n.Empty() {
-			delete(per, pred)
-		}
-	}
-	return &ChangeSet{perPred: per}
-}
-
-// Preds returns the predicates with changes, sorted.
-func (c *ChangeSet) Preds() []string {
-	out := make([]string, 0, len(c.perPred))
-	for p := range c.perPred {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Delta returns the signed rows for pred, sorted (nil if unchanged).
-func (c *ChangeSet) Delta(pred string) []Row {
-	r := c.perPred[pred]
-	if r == nil {
-		return nil
-	}
-	return r.SortedRows()
-}
-
-// Inserted returns the tuples whose counts increased for pred.
-func (c *ChangeSet) Inserted(pred string) []Row {
-	var out []Row
-	for _, row := range c.Delta(pred) {
-		if row.Count > 0 {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// Deleted returns the tuples whose counts decreased for pred (counts are
-// reported positive).
-func (c *ChangeSet) Deleted(pred string) []Row {
-	var out []Row
-	for _, row := range c.Delta(pred) {
-		if row.Count < 0 {
-			out = append(out, Row{Tuple: row.Tuple, Count: -row.Count})
-		}
-	}
-	return out
-}
-
-// Empty reports whether no view changed.
-func (c *ChangeSet) Empty() bool { return len(c.perPred) == 0 }
-
-// String renders the change set in the paper's Δ notation.
-func (c *ChangeSet) String() string {
-	s := ""
-	for _, pred := range c.Preds() {
-		s += fmt.Sprintf("Δ(%s) = %s\n", pred, c.perPred[pred])
-	}
-	return s
 }

@@ -38,12 +38,15 @@ func randomScalar(rng *rand.Rand) value.Value {
 		default:
 			return value.NewFloat(math.Copysign(0, -1)) // -0.0
 		}
-	default: // string: identifiers, quoted forms, escapes, unicode
-		alphabet := []rune(`abcXYZ019 _"\\,().:-+*π% # //`)
-		n := rng.Intn(8)
-		s := make([]rune, n)
-		for i := range s {
-			s[i] = alphabet[rng.Intn(len(alphabet))]
+	default: // string: identifiers, quoted forms, unicode, and every kind of
+		// escape strconv.Quote renders — control bytes, unprintable runes,
+		// bytes of malformed UTF-8 (a fuzz-smoke finding: "\xe8" did not
+		// re-parse)
+		alphabet := []string{"a", "b", "c", "X", "Y", "Z", "0", "1", "9", " ", "_", `"`, `\`, ",", "(", ")", ".", ":", "-", "+", "*",
+			"π", "%", "#", "/", "\n", "\t", "\r", "\a", "\b", "\f", "\v", "\x00", "\x7f", "\xe8", "\xff\xfe", "\u2028", "\u00ad", "\U0001F600"}
+		var s []byte
+		for n := rng.Intn(8); n > 0; n-- {
+			s = append(s, alphabet[rng.Intn(len(alphabet))]...)
 		}
 		return value.NewString(string(s))
 	}
