@@ -80,7 +80,7 @@ cover:
 # 30s of native fuzzing per target (the same five as CI).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 30s -run '^$$' .
-	$(GO) test -fuzz FuzzScanLog -fuzztime 30s -run '^$$' ./internal/storage
+	$(GO) test -fuzz FuzzScanWAL -fuzztime 30s -run '^$$' ./internal/storage
 	$(GO) test -fuzz FuzzReplRecord -fuzztime 30s -run '^$$' ./internal/storage
 	$(GO) test -fuzz FuzzSQLParse -fuzztime 30s -run '^$$' ./internal/sqlview
 	$(GO) test -fuzz FuzzDecodeDelta -fuzztime 30s -run '^$$' ./client

@@ -14,10 +14,9 @@
 // Persistence: -store names a managed directory of checkpoints plus a
 // checksummed write-ahead log; every applied delta is durably logged
 // before it is acknowledged, and on restart the newest valid checkpoint
-// is loaded and the log replayed. -snapshot alone keeps the legacy
-// single-file save/load flow. The legacy -log flag maps onto a store at
-// <log>.store, migrating any existing snapshot and log contents on
-// first use.
+// is loaded and the log replayed. -snapshot alone is the single-file
+// flow: load the file if it exists, save it on exit. With both, an
+// existing -snapshot seeds an empty store.
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"strings"
 
 	"ivm"
-	"ivm/internal/storage"
 )
 
 func main() {
@@ -48,7 +46,6 @@ func run() error {
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
 	snapshotPath := flag.String("snapshot", "", "snapshot file to load (if present) and save on exit")
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + write-ahead log) for crash-safe persistence")
-	logPath := flag.String("log", "", "legacy delta log; now backed by a store at <log>.store")
 	groupCommit := flag.Bool("group-commit", false, "batch WAL fsyncs across concurrent appenders (requires -store)")
 	repl := flag.Bool("repl", false, "interactive session after loading")
 	show := flag.String("show", "", "comma-separated predicates to print after loading and after each delta")
@@ -82,19 +79,10 @@ func run() error {
 		opts = append(opts, ivm.WithGroupCommit())
 	}
 
-	// The legacy -log flag maps onto a managed store next to the log
-	// file: the epoch protocol makes the old checkpoint-then-truncate
-	// crash window (which double-applied deltas on restart) impossible.
-	dir := *storeDir
-	if dir == "" && *logPath != "" {
-		dir = *logPath + ".store"
-		fmt.Printf("note: -log is now backed by the managed store %s\n", dir)
-	}
-
 	var views *ivm.Views
 	var err error
-	if dir != "" {
-		views, err = openStore(dir, *programPath, *dataPath, *snapshotPath, *logPath, opts)
+	if *storeDir != "" {
+		views, err = openStore(*storeDir, *programPath, *dataPath, *snapshotPath, opts)
 	} else {
 		views, err = loadViews(*programPath, *dataPath, *snapshotPath, opts)
 	}
@@ -165,57 +153,17 @@ func run() error {
 }
 
 // openStore opens (or initializes) a managed store. An empty store is
-// seeded from -program/-data — or, for migration from the legacy
-// persistence flow, from an existing -snapshot file plus any deltas in
-// the legacy -log, which are folded into the first checkpoint and then
-// truncated. Once the store holds a checkpoint, the legacy files are
-// ignored: the store is the single source of truth.
-func openStore(dir, programPath, dataPath, snapshotPath, logPath string, opts []ivm.Option) (*ivm.Views, error) {
-	init := func() (*ivm.Views, error) {
-		v, err := loadViews(programPath, dataPath, snapshotPath, opts)
-		if err != nil {
-			return nil, err
-		}
-		if logPath != "" {
-			if _, err := os.Stat(logPath); err == nil {
-				l, err := storage.OpenLog(logPath)
-				if err != nil {
-					return nil, err
-				}
-				defer l.Close()
-				n := 0
-				if err := l.Replay(func(script string) error {
-					n++
-					_, err := v.ApplyScript(script)
-					return err
-				}); err != nil {
-					return nil, fmt.Errorf("migrating legacy log %s: %w", logPath, err)
-				}
-				if n > 0 {
-					fmt.Printf("migrated %d delta(s) from legacy log %s\n", n, logPath)
-				}
-			}
-		}
-		return v, nil
-	}
-	views, info, err := ivm.OpenStore(dir, init, opts...)
+// seeded from -program/-data, or from an existing -snapshot file. Once
+// the store holds a checkpoint those inputs are ignored: the store is
+// the single source of truth.
+func openStore(dir, programPath, dataPath, snapshotPath string, opts []ivm.Option) (*ivm.Views, error) {
+	views, info, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
+		return loadViews(programPath, dataPath, snapshotPath, opts)
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Printf("store %s: %s\n", dir, info)
-	if info.Initialized && logPath != "" {
-		// The legacy log's contents are inside checkpoint epoch 1 now;
-		// leaving them behind would double-apply them on a downgrade.
-		if _, err := os.Stat(logPath); err == nil {
-			l, err := storage.OpenLog(logPath)
-			if err == nil {
-				if terr := l.Truncate(); terr != nil {
-					fmt.Fprintf(os.Stderr, "ivm: truncating legacy log %s: %v\n", logPath, terr)
-				}
-				l.Close()
-			}
-		}
-	}
 	return views, nil
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,44 +116,37 @@ func TestREPLExplain(t *testing.T) {
 	}
 }
 
-func TestOpenStoreMigratesLegacyLogFile(t *testing.T) {
-	// End-to-end migration: a -log file written by the pre-checksum
-	// Append (bare `[len u32][payload]` records) plus -program/-data must
-	// seed the store with every logged delta applied.
+func TestOpenStoreSeedsFromProgramThenIgnoresIt(t *testing.T) {
 	dir := t.TempDir()
 	programPath := filepath.Join(dir, "views.dl")
 	dataPath := filepath.Join(dir, "facts.dl")
-	logPath := filepath.Join(dir, "delta.log")
 	if err := os.WriteFile(programPath, []byte("hop(X,Y) :- link(X,Z), link(Z,Y).\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(dataPath, []byte("link(a,b). link(b,c).\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var legacy []byte
-	for _, s := range []string{"+link(c,d).", "+link(d,e)."} {
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(s)))
-		legacy = append(legacy, hdr[:]...)
-		legacy = append(legacy, s...)
-	}
-	if err := os.WriteFile(logPath, legacy, 0o644); err != nil {
+	store := filepath.Join(dir, "state.store")
+	v, err := openStore(store, programPath, dataPath, "", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	v, err := openStore(filepath.Join(dir, "state.store"), programPath, dataPath, "", logPath, nil)
+	if _, err := v.ApplyScript("+link(c,d)."); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The store is now the source of truth: the second open replays its
+	// WAL and never reads -program/-data again.
+	v, err = openStore(store, filepath.Join(dir, "gone.dl"), "", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	for _, want := range [][2]string{{"a", "c"}, {"b", "d"}, {"c", "e"}} {
+	for _, want := range [][2]string{{"a", "c"}, {"b", "d"}} {
 		if !v.Has("hop", want[0], want[1]) {
-			t.Fatalf("hop(%s,%s) missing: legacy log deltas were not migrated", want[0], want[1])
+			t.Fatalf("hop(%s,%s) missing after reopen", want[0], want[1])
 		}
-	}
-	// The migrated contents live in the store's first checkpoint; the
-	// legacy log must be truncated so a downgrade cannot double-apply.
-	if st, err := os.Stat(logPath); err != nil || st.Size() != 0 {
-		t.Fatalf("legacy log must be truncated after migration (err=%v size=%d)", err, st.Size())
 	}
 }

@@ -46,10 +46,9 @@ func (f *fakePrimary) send(w http.ResponseWriter, rec storage.ReplRecord) {
 
 func (f *fakePrimary) delta(version uint64, script string) storage.ReplRecord {
 	return storage.ReplRecord{
-		Kind:     storage.ReplKindDelta,
-		Version:  version,
-		UnixNano: time.Now().UnixNano(),
-		Script:   script,
+		Kind:         storage.ReplKindDelta,
+		UnixNano:     time.Now().UnixNano(),
+		CommitRecord: storage.CommitRecord{Version: version, Script: script},
 	}
 }
 
@@ -70,7 +69,7 @@ func (f *fakePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.t.Error(err)
 			return
 		}
-		f.send(w, storage.ReplRecord{Kind: storage.ReplKindState, Version: f.base, UnixNano: time.Now().UnixNano(), State: payload})
+		f.send(w, storage.ReplRecord{Kind: storage.ReplKindState, UnixNano: time.Now().UnixNano(), CommitRecord: storage.CommitRecord{Version: f.base}, State: payload})
 		f.send(w, f.delta(f.base+1, "+link(c,d)."))
 		f.send(w, f.delta(f.base+3, "+link(e,f)."))
 		// Hold the connection open: the follower must cut it, not us.
@@ -87,7 +86,7 @@ func (f *fakePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			case <-r.Context().Done():
 				return
 			case <-time.After(20 * time.Millisecond):
-				f.send(w, storage.ReplRecord{Kind: storage.ReplKindHeartbeat, Version: f.base + 3, UnixNano: time.Now().UnixNano()})
+				f.send(w, storage.ReplRecord{Kind: storage.ReplKindHeartbeat, UnixNano: time.Now().UnixNano(), CommitRecord: storage.CommitRecord{Version: f.base + 3}})
 			}
 		}
 	}
@@ -106,15 +105,9 @@ func TestReplicaDivergenceGuard(t *testing.T) {
 	st := snap.ReplicaState()
 
 	fake := &fakePrimary{
-		t:    t,
-		base: snap.Version(),
-		state: storage.ReplState{
-			Program:   st.Program,
-			Hidden:    st.Hidden,
-			Facts:     st.Facts,
-			Strategy:  st.Strategy,
-			Semantics: st.Semantics,
-		},
+		t:     t,
+		base:  snap.Version(),
+		state: st,
 		froms: make(chan string, 8),
 	}
 	mux := http.NewServeMux()

@@ -59,11 +59,10 @@ func (f *fencePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	delta := func(version, epoch uint64, script string) storage.ReplRecord {
 		return storage.ReplRecord{
-			Kind:     storage.ReplKindDelta,
-			Epoch:    epoch,
-			Version:  version,
-			UnixNano: time.Now().UnixNano(),
-			Script:   script,
+			Kind:         storage.ReplKindDelta,
+			Epoch:        epoch,
+			UnixNano:     time.Now().UnixNano(),
+			CommitRecord: storage.CommitRecord{Version: version, Script: script},
 		}
 	}
 
@@ -74,7 +73,7 @@ func (f *fencePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.t.Error(err)
 			return
 		}
-		send(storage.ReplRecord{Kind: storage.ReplKindState, Epoch: 2, Version: f.base, UnixNano: time.Now().UnixNano(), State: payload})
+		send(storage.ReplRecord{Kind: storage.ReplKindState, Epoch: 2, UnixNano: time.Now().UnixNano(), CommitRecord: storage.CommitRecord{Version: f.base}, State: payload})
 		send(delta(f.base+1, 2, "+link(c,d)."))
 		// The stale record: one epoch behind what the follower has seen.
 		// It must be fenced, not applied, and the follower cuts the
@@ -91,7 +90,7 @@ func (f *fencePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			case <-r.Context().Done():
 				return
 			case <-time.After(20 * time.Millisecond):
-				send(storage.ReplRecord{Kind: storage.ReplKindHeartbeat, Epoch: 2, Version: f.base + 2, UnixNano: time.Now().UnixNano()})
+				send(storage.ReplRecord{Kind: storage.ReplKindHeartbeat, Epoch: 2, UnixNano: time.Now().UnixNano(), CommitRecord: storage.CommitRecord{Version: f.base + 2}})
 			}
 		}
 	}
@@ -108,15 +107,9 @@ func TestReplicaFencesStaleEpoch(t *testing.T) {
 	st := snap.ReplicaState()
 
 	fake := &fencePrimary{
-		t:    t,
-		base: snap.Version(),
-		state: storage.ReplState{
-			Program:   st.Program,
-			Hidden:    st.Hidden,
-			Facts:     st.Facts,
-			Strategy:  st.Strategy,
-			Semantics: st.Semantics,
-		},
+		t:      t,
+		base:   snap.Version(),
+		state:  st,
 		epochs: make(chan string, 8),
 	}
 	mux := http.NewServeMux()

@@ -26,6 +26,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -307,13 +308,7 @@ func (r *Replica) bootstrap(br *bufio.Reader) error {
 			if err != nil {
 				return err
 			}
-			v, err := ivm.ViewsFromReplicaState(ivm.ReplicaState{
-				Program:   st.Program,
-				Hidden:    st.Hidden,
-				Facts:     st.Facts,
-				Strategy:  st.Strategy,
-				Semantics: st.Semantics,
-			}, r.opts.ExtraOptions...)
+			v, err := ivm.ViewsFromReplicaState(st, r.opts.ExtraOptions...)
 			if err != nil {
 				return fmt.Errorf("replica: building views from state: %w", err)
 			}
@@ -455,13 +450,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 			if st.Program != r.v.ProgramSource() {
 				return fmt.Errorf("replica: primary's program changed; restart the follower to pick it up")
 			}
-			if err := r.v.ResetToReplicaState(ivm.ReplicaState{
-				Program:   st.Program,
-				Hidden:    st.Hidden,
-				Facts:     st.Facts,
-				Strategy:  st.Strategy,
-				Semantics: st.Semantics,
-			}, rec.Version); err != nil {
+			if err := r.v.ResetToReplicaState(st, rec.Version); err != nil {
 				return fmt.Errorf("replica: applying state reset: %w", err)
 			}
 			r.cResets.Inc()
@@ -474,16 +463,16 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 				// Overlap after a resume: already applied, skip — the
 				// version stamp is the idempotency key.
 			case rec.Version == applied+1:
-				// Replicated applies carry the primary's idempotency keys
-				// so the dedup window survives a failover: a client retry
-				// that lands here after promotion still dedups.
-				cs, err := r.v.ApplyScriptReplicated(rec.Script, rec.Keys)
-				if err != nil {
+				// The same replay step as crash recovery: the record lands
+				// at its stamped version (and re-seeds the dedup window with
+				// the primary's keys, so a client retry that lands here
+				// after promotion still dedups) or the follower halts.
+				if _, err := r.v.ApplyCommitRecord(rec.CommitRecord); err != nil {
+					var div *ivm.DivergenceError
+					if errors.As(err, &div) {
+						r.cDivergence.Inc()
+					}
 					return fmt.Errorf("replica: applying version %d: %w", rec.Version, err)
-				}
-				if cs.Version() != rec.Version {
-					r.cDivergence.Inc()
-					return fmt.Errorf("replica: applied record %d but published version %d — replica diverged", rec.Version, cs.Version())
 				}
 				r.advance(rec)
 			default:

@@ -13,8 +13,9 @@ import (
 // handleReplicate serves GET /v1/replicate: the resumable replication
 // stream a follower tails. The response is a raw sequence of framed
 // replication records (see internal/storage repl.go): 'D' records ship
-// committed delta scripts in version order, 'S' records ship a full
-// state snapshot, 'H' heartbeats keep idle streams demonstrably alive.
+// commit records in version order — byte for byte the payload the WAL
+// holds for that commit — 'S' records ship a full state snapshot, 'H'
+// heartbeats keep idle streams demonstrably alive.
 //
 // Resume protocol: ?from=<version> asks for every commit after that
 // version. The handler serves it from a ladder of sources —
@@ -100,43 +101,32 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	sendDelta := func(rec ivm.CommitRecord) bool {
-		return send(storage.ReplRecord{
-			Kind:     storage.ReplKindDelta,
-			Version:  rec.Version,
-			UnixNano: rec.UnixNano,
-			Script:   rec.Script,
-			Keys:     rec.Keys,
-		})
+	// sendDelta ships one commit record; publishedAt is 0 for a WAL
+	// backfill (the log does not keep publish times).
+	sendDelta := func(rec ivm.CommitRecord, publishedAt int64) bool {
+		return send(storage.ReplRecord{Kind: storage.ReplKindDelta, UnixNano: publishedAt, CommitRecord: rec})
 	}
 	// sendState ships the current published state as an 'S' record and
 	// returns its version — the follower's new resume point.
 	sendState := func() (uint64, bool) {
 		snap := s.v.Snapshot()
-		st := snap.ReplicaState()
-		payload, err := storage.EncodeReplState(storage.ReplState{
-			Program:   st.Program,
-			Hidden:    st.Hidden,
-			Facts:     st.Facts,
-			Strategy:  st.Strategy,
-			Semantics: st.Semantics,
-		})
+		payload, err := storage.EncodeReplState(snap.ReplicaState())
 		if err != nil {
 			s.opts.Logf("ivmd: replicate: encoding state: %v", err)
 			return 0, false
 		}
 		ok := send(storage.ReplRecord{
-			Kind:     storage.ReplKindState,
-			Version:  snap.Version(),
-			UnixNano: time.Now().UnixNano(),
-			State:    payload,
+			Kind:         storage.ReplKindState,
+			UnixNano:     time.Now().UnixNano(),
+			CommitRecord: ivm.CommitRecord{Version: snap.Version()},
+			State:        payload,
 		})
 		return snap.Version(), ok
 	}
 	// backfill bridges (cur, coversAfter] from the WAL; when the durable
-	// records cannot prove a contiguous bridge (legacy unstamped records,
-	// a checkpoint that truncated them, no store at all) it falls back to
-	// a full state transfer. Returns the new resume point.
+	// records cannot prove a contiguous bridge (a checkpoint truncated
+	// them, an append failed and left a hole, no store at all) it falls
+	// back to a full state transfer. Returns the new resume point.
 	backfill := func(coversAfter uint64) (uint64, bool) {
 		recs, ok, err := s.v.CommittedRecordsAfter(cur)
 		if ok && err == nil && len(recs) > 0 && recs[0].Version == cur+1 {
@@ -148,7 +138,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			}
 			if contiguous {
 				for _, rec := range recs {
-					if !sendDelta(rec) {
+					if !sendDelta(rec, 0) {
 						return 0, false
 					}
 				}
@@ -189,7 +179,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 				cur = v
 				continue
 			}
-			if !sendDelta(e.Item) {
+			if !sendDelta(e.Item.CommitRecord, e.Item.UnixNano) {
 				return
 			}
 			cur = e.Item.Version
@@ -213,9 +203,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		case <-ch:
 		case <-hb.C:
 			if !send(storage.ReplRecord{
-				Kind:     storage.ReplKindHeartbeat,
-				Version:  s.v.Snapshot().Version(),
-				UnixNano: time.Now().UnixNano(),
+				Kind:         storage.ReplKindHeartbeat,
+				UnixNano:     time.Now().UnixNano(),
+				CommitRecord: ivm.CommitRecord{Version: s.v.Snapshot().Version()},
 			}) {
 				return
 			}

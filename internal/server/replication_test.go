@@ -7,11 +7,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +203,101 @@ func TestReplicateBackfillFromWAL(t *testing.T) {
 		rec := nextDataRecord(t, br)
 		if rec.Kind != storage.ReplKindDelta || rec.Version != wv {
 			t.Fatalf("got kind %q version %d, want delta version %d (WAL backfill)", rec.Kind, rec.Version, wv)
+		}
+	}
+}
+
+// TestReplicateShipsWALPayloadVerbatim pins the sharing: a commit is
+// framed once, so the payload of the 'D' record shipped for it — from
+// the in-memory window and from WAL backfill alike — is byte for byte
+// the payload its WAL record holds. Both files are read raw here, with
+// the two header layouts spelled out, so the codecs cannot vouch for
+// each other.
+func TestReplicateShipsWALPayloadVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	v, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
+		db := ivm.NewDatabase()
+		db.MustLoad(`link(a,b). link(b,c).`)
+		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(v, Options{ReplWindow: 2, ReplHeartbeat: 25 * time.Millisecond, OwnViews: true})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	base := v.Snapshot().Version()
+	for i := 0; i < 5; i++ {
+		u := ivm.NewUpdate().Insert("link", fmt.Sprintf("p%d", i), "z")
+		if i%2 == 0 {
+			_, _, err = v.ApplyIdempotent(fmt.Sprintf("key-%d", i), u)
+		} else {
+			_, err = v.Apply(u)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// wal.log: [epoch u64][seq u64][len u32][crc u32][payload] ...
+	wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged [][]byte
+	for len(wal) > 0 {
+		n := binary.BigEndian.Uint32(wal[16:20])
+		logged = append(logged, wal[24:24+n])
+		wal = wal[24+n:]
+	}
+	if len(logged) != 5 {
+		t.Fatalf("WAL holds %d records, want 5", len(logged))
+	}
+
+	// stream: [kind u8][epoch u64][version u64][unixnano i64][len u32][crc u32][payload] ...
+	shipped := func(from uint64, n int) [][]byte {
+		t.Helper()
+		br, closeStream := openStream(t, fmt.Sprintf("%s/v1/replicate?from=%d", srv.URL(), from))
+		defer closeStream()
+		var out [][]byte
+		for len(out) < n {
+			var hdr [33]byte
+			if _, err := io.ReadFull(br, hdr[:]); err != nil {
+				t.Fatal(err)
+			}
+			payload := make([]byte, binary.BigEndian.Uint32(hdr[25:29]))
+			if _, err := io.ReadFull(br, payload); err != nil {
+				t.Fatal(err)
+			}
+			switch hdr[0] {
+			case storage.ReplKindDelta:
+				out = append(out, payload)
+			case storage.ReplKindHeartbeat:
+			default:
+				t.Fatalf("got a %q record, want deltas only", hdr[0])
+			}
+		}
+		return out
+	}
+	for name, c := range map[string]struct {
+		from uint64
+		want [][]byte
+	}{
+		"window":       {base + 3, logged[3:]},
+		"WAL backfill": {base, logged},
+	} {
+		got := shipped(c.from, len(c.want))
+		for i := range c.want {
+			if !bytes.Equal(got[i], c.want[i]) {
+				t.Errorf("%s: 'D' payload %d differs from the WAL payload:\n shipped %x\n logged  %x", name, i, got[i], c.want[i])
+			}
 		}
 	}
 }

@@ -126,7 +126,7 @@ type Server struct {
 	// replWin is the in-memory tail of committed records that
 	// /v1/replicate streams from; stop unblocks idle streams at
 	// shutdown.
-	replWin  *sched.Window[ivm.CommitRecord]
+	replWin  *sched.Window[ivm.CommitEvent]
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -187,8 +187,8 @@ func New(v *ivm.Views, opts Options) *Server {
 	// between appends (establishing tighter bounds) and the seed becomes
 	// a no-op, whereas the reverse order could lose that commit from the
 	// window's claimed coverage.
-	s.replWin = sched.NewWindow[ivm.CommitRecord](opts.ReplWindow)
-	v.OnCommitRecord(func(rec ivm.CommitRecord) { s.replWin.Append(rec.Version, rec) })
+	s.replWin = sched.NewWindow[ivm.CommitEvent](opts.ReplWindow)
+	v.OnCommitRecord(func(ev ivm.CommitEvent) { s.replWin.Append(ev.Version, ev) })
 	s.replWin.Seed(v.Snapshot().Version())
 	mux := http.NewServeMux()
 	timed := func(h http.HandlerFunc) http.Handler {

@@ -34,8 +34,13 @@ var scripts = []string{
 }
 
 // walHeader mirrors the store's WAL record header size
-// (epoch u64 | seq u64 | len u32 | crc u32).
-const walHeader = 24
+// (epoch u64 | seq u64 | len u32 | crc u32); recordFixed is the part of
+// a keyless commit record payload that precedes its script
+// (format u8 | version u64 | nkeys u16).
+const (
+	walHeader   = 24
+	recordFixed = 11
+)
 
 // Result is the outcome of one crash case.
 type Result struct {
@@ -204,9 +209,9 @@ var cases = []crashCase{
 				return nil, err
 			}
 			// Record 2 starts after record 1; flip a byte inside its
-			// payload. Records after the corrupt one must not be fed to
+			// script. Records after the corrupt one must not be fed to
 			// the engine, so only scripts[0] survives.
-			off := int64(walHeader + len(scripts[0]) + walHeader + 1)
+			off := int64(walHeader + recordFixed + len(scripts[0]) + walHeader + recordFixed + 1)
 			return scripts[:1], flipByte(walPath(dir), off)
 		},
 		reopen: func(dir string) (*ivm.Views, ivm.RecoveryInfo, error) {

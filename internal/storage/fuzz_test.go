@@ -1,71 +1,92 @@
 package storage
 
-// Fuzz target for the WAL record decoder. Recovery hands scanLog raw
-// file bytes that may have been torn by a crash or corrupted in place,
-// so the decoder must never panic, never over-allocate past the file
-// size, and must stay stable under re-encoding: whatever records it
-// extracts, re-encoding them in the checksummed format and scanning
-// again must yield the very same records.
+// Fuzz target for the log crash recovery actually reads: the one WAL
+// scan loop (recoverWAL and TailRecords both run it) plus the one commit
+// record decoder. Recovery hands scanWAL raw file bytes that may have
+// been torn by a crash, corrupted in place, or written by another build,
+// so the scan must never panic, must tell those three apart by typed
+// error, and must be canonical: the records it accepts re-encode to
+// exactly the bytes it accepted.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"testing"
 )
 
-// encodeRecords renders scripts in the current checksummed WAL layout,
-// exactly as Log.Append writes them.
-func encodeRecords(scripts []string) []byte {
-	var buf bytes.Buffer
-	var hdr [logHeaderSize]byte
-	for _, s := range scripts {
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(s)))
-		binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(s), castagnoli))
-		buf.Write(hdr[:])
-		buf.WriteString(s)
+// walFuzzSeeds is the seed corpus, mirrored under testdata/fuzz:
+// well-formed logs, torn tails, in-place damage, records an earlier
+// build wrote, and a malformed record of this one.
+func walFuzzSeeds(t testing.TB) [][]byte {
+	var valid []byte
+	for i, rec := range []CommitRecord{
+		{Version: 2, Script: "+link(a,b)."},
+		{Version: 3, Script: "-link(a,b) * 2.", Keys: []string{"k1", "k2"}},
+		{Version: 4, Keys: []string{"only-keys"}},
+	} {
+		frame, err := encodeWALRecord(1, uint64(i+1), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid = append(valid, frame...)
 	}
-	return buf.Bytes()
+	corrupt := append([]byte(nil), valid...)
+	corrupt[walHeaderSize+commitRecordFixed] ^= 0xff // flip a script byte of record 1
+	return [][]byte{
+		valid,
+		valid[:len(valid)-3], // torn final record
+		valid[:5],            // torn first header
+		corrupt,
+		append(append([]byte(nil), valid...), rawWALRecord(1, 9, retiredPayloads["bare script"])...),
+		append(append([]byte(nil), valid...), rawWALRecord(1, 9, retiredPayloads["V over K"])...),
+		rawWALRecord(1, 1, []byte{commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'}), // truncated key
+		{},
+		bytes.Repeat([]byte{0xff}, walHeaderSize+4), // absurd length header
+	}
 }
 
-func FuzzScanLog(f *testing.F) {
-	// Well-formed logs in both layouts, torn tails, and in-place damage.
-	valid := encodeRecords([]string{"+link(a,b).", "-link(a,b) * 2."})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn final record
-	f.Add(valid[:5])            // torn first header
-	corrupt := append([]byte(nil), valid...)
-	corrupt[logHeaderSize] ^= 0xff // flip a payload byte of record 1
-	f.Add(corrupt)
-	legacy := []byte{0, 0, 0, 5, '+', 'p', '(', 'a', ')'}
-	f.Add(legacy)
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // absurd length header
+func FuzzScanWAL(f *testing.F) {
+	for _, seed := range walFuzzSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		scripts, err := scanLog(data)
-		if err != nil {
-			// Mid-file corruption must be reported as the typed error so
-			// recovery can distinguish it from a torn tail.
-			var ce *CorruptRecordError
-			if !errors.As(err, &ce) {
-				t.Fatalf("scanLog error is not a *CorruptRecordError: %v", err)
+		var again []byte
+		end, err := scanWAL(data, func(_ int64, epoch, seq uint64, payload []byte) error {
+			rec, err := DecodeCommitRecord(payload)
+			if err != nil {
+				return err
 			}
-			return
-		}
-		// Decode/encode stability: the extracted records survive a
-		// round trip through the canonical encoding.
-		again, err := scanLog(encodeRecords(scripts))
-		if err != nil {
-			t.Fatalf("re-scan of re-encoded records failed: %v", err)
-		}
-		if len(again) != len(scripts) {
-			t.Fatalf("re-scan yields %d records, want %d", len(again), len(scripts))
-		}
-		for i := range again {
-			if again[i] != scripts[i] {
-				t.Fatalf("record %d changed across re-encode: %q vs %q", i, scripts[i], again[i])
+			frame, err := encodeWALRecord(epoch, seq, rec)
+			if err != nil {
+				t.Fatalf("accepted record %+v does not re-encode: %v", rec, err)
 			}
+			again = append(again, frame...)
+			return nil
+		})
+		if end < 0 || end > int64(len(data)) {
+			t.Fatalf("scan ended at %d of %d bytes", end, len(data))
+		}
+		if !bytes.Equal(again, data[:end]) {
+			t.Fatalf("accepted records re-encode to different bytes:\n got %x\nwant %x", again, data[:end])
+		}
+		var corruptErr *CorruptWALError
+		var unknown *UnknownFormatError
+		switch {
+		case err == nil:
+			if end != int64(len(data)) {
+				t.Fatalf("clean scan stopped at %d of %d bytes", end, len(data))
+			}
+		case errors.Is(err, ErrTornWAL):
+			// Nothing follows a torn tail, so trimming at end loses no
+			// acknowledged record.
+		case errors.As(err, &corruptErr):
+			if corruptErr.Offset != end || end+walHeaderSize >= int64(len(data)) {
+				t.Fatalf("corruption reported at %d, scan ended at %d of %d bytes", corruptErr.Offset, end, len(data))
+			}
+		case errors.As(err, &unknown), errors.Is(err, errMalformedRecord):
+			// A checksum-valid record this build cannot read.
+		default:
+			t.Fatalf("scan stopped with an untyped error: %v", err)
 		}
 	})
 }

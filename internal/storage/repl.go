@@ -12,9 +12,10 @@ package storage
 // stamped with an older epoch — a revived pre-failover primary cannot
 // feed it stale deltas. Three kinds exist:
 //
-//   - 'D' (delta): payload is a framing-v2 WAL body (keyed or bare
-//     delta script); version is the snapshot version the primary
-//     published when it applied the delta. Applying the stream of 'D'
+//   - 'D' (delta): payload is one commit record, byte for byte the
+//     payload the primary's WAL holds for that commit (record.go); the
+//     header version repeats the record's own, and a disagreement is
+//     rejected like a checksum failure. Applying the stream of 'D'
 //     records in version order reproduces the primary bit-for-bit.
 //   - 'S' (state): payload is a JSON ReplState — the full program,
 //     facts, and configuration at version. Sent when a follower's
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Replication record kinds.
@@ -56,17 +58,19 @@ type ReplRecord struct {
 	// Followers reject records older than the highest epoch they have
 	// seen, so a deposed primary cannot split-brain the cluster.
 	Epoch    uint64
-	Version  uint64
 	UnixNano int64
-	// Script and Keys are set for 'D' records (the framing-v2 payload).
-	Script string
-	Keys   []string
+	// CommitRecord's Version is the header version of every kind; Keys
+	// and Script are set for 'D' records, whose payload is the record.
+	CommitRecord
 	// State is the raw JSON ReplState payload of an 'S' record.
 	State []byte
 }
 
 // ReplState is the full-state payload of an 'S' record: everything a
-// follower needs to rebuild the primary's Views from scratch.
+// follower needs to reproduce a primary's Views at one version — the
+// program, the stored base facts, the hidden-predicate set, and the
+// engine configuration that must match for derived state to be
+// bit-identical.
 type ReplState struct {
 	// Program is the view-definition source text.
 	Program string `json:"program"`
@@ -82,30 +86,31 @@ type ReplState struct {
 	Semantics string `json:"semantics,omitempty"`
 }
 
-// AppendReplRecord encodes rec and appends it to dst. For 'D' records
-// the payload is built from Script/Keys with the WAL framing-v2
-// encoder; for 'S' records the State bytes are shipped as-is; 'H'
-// records carry no payload.
+// AppendReplRecord encodes rec and appends it to dst. A 'D' record's
+// payload is its commit record, rendered by the WAL's own encoder; for
+// 'S' records the State bytes are shipped as-is; 'H' records carry no
+// payload.
 func AppendReplRecord(dst []byte, rec ReplRecord) ([]byte, error) {
-	var payload []byte
+	start := len(dst)
+	dst = slices.Grow(dst, replHeaderSize+rec.encodedLen()+len(rec.State))
+	dst = append(dst, make([]byte, replHeaderSize)...)
 	switch rec.Kind {
 	case ReplKindDelta:
-		p, err := encodeKeyedPayload(rec.Script, rec.Keys)
-		if err != nil {
+		var err error
+		if dst, err = rec.CommitRecord.AppendTo(dst); err != nil {
 			return nil, err
 		}
-		payload = p
 	case ReplKindState:
-		payload = rec.State
+		dst = append(dst, rec.State...)
 	case ReplKindHeartbeat:
 		// empty
 	default:
 		return nil, fmt.Errorf("storage: unknown replication record kind %q", rec.Kind)
 	}
+	hdr, payload := dst[start:start+replHeaderSize], dst[start+replHeaderSize:]
 	if len(payload) > maxReplPayload {
 		return nil, fmt.Errorf("storage: replication payload of %d bytes exceeds the %d limit", len(payload), maxReplPayload)
 	}
-	var hdr [replHeaderSize]byte
 	hdr[0] = rec.Kind
 	binary.BigEndian.PutUint64(hdr[1:9], rec.Epoch)
 	binary.BigEndian.PutUint64(hdr[9:17], rec.Version)
@@ -114,8 +119,7 @@ func AppendReplRecord(dst []byte, rec ReplRecord) ([]byte, error) {
 	crc := crc32.Checksum(hdr[0:29], castagnoli)
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.BigEndian.PutUint32(hdr[29:33], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	return dst, nil
 }
 
 // ReadReplRecord reads and decodes one record from r. A clean EOF at a
@@ -158,18 +162,21 @@ func ReadReplRecord(r *bufio.Reader) (ReplRecord, error) {
 		return ReplRecord{}, fmt.Errorf("storage: replication record crc mismatch (stored %08x, computed %08x)", want, crc)
 	}
 	rec := ReplRecord{
-		Kind:     kind,
-		Epoch:    binary.BigEndian.Uint64(hdr[1:9]),
-		Version:  binary.BigEndian.Uint64(hdr[9:17]),
-		UnixNano: int64(binary.BigEndian.Uint64(hdr[17:25])),
+		Kind:         kind,
+		Epoch:        binary.BigEndian.Uint64(hdr[1:9]),
+		UnixNano:     int64(binary.BigEndian.Uint64(hdr[17:25])),
+		CommitRecord: CommitRecord{Version: binary.BigEndian.Uint64(hdr[9:17])},
 	}
 	switch kind {
 	case ReplKindDelta:
-		inner, err := decodeKeyedPayload(payload)
+		commit, err := DecodeCommitRecord(payload)
 		if err != nil {
 			return ReplRecord{}, err
 		}
-		rec.Script, rec.Keys = inner.Script, inner.Keys
+		if commit.Version != rec.Version {
+			return ReplRecord{}, fmt.Errorf("storage: replication record header names version %d but ships the commit record of version %d", rec.Version, commit.Version)
+		}
+		rec.CommitRecord = commit
 	case ReplKindState:
 		rec.State = payload
 	}

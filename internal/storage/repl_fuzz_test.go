@@ -4,12 +4,14 @@ package storage
 // ReadReplRecord raw network bytes, so the decoder must never panic,
 // never allocate past the payload bound, and must stay stable under
 // re-encoding: whatever records it extracts, re-encoding and decoding
-// again must yield the same records. The seed corpus reuses the WAL
-// framing-v2 payloads ('D' records wrap them verbatim) plus state and
-// heartbeat records, torn tails, and in-place damage.
+// again must yield the same records. The seed corpus covers 'D' records
+// (whose payload is the WAL's commit record, verbatim), state and
+// heartbeat records, torn tails, in-place damage, and a 'D' payload in a
+// retired framing.
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -26,24 +28,34 @@ func encodeReplRecords(t testing.TB, records []ReplRecord) []byte {
 	return buf
 }
 
-func FuzzReplRecord(f *testing.F) {
-	// Well-formed streams whose 'D' payloads exercise every WAL framing:
-	// bare scripts, keyed framing v2, and empty scripts.
-	valid := encodeReplRecords(f, []ReplRecord{
-		{Kind: ReplKindDelta, Epoch: 1, Version: 1, UnixNano: 111, Script: "+link(a,b)."},
-		{Kind: ReplKindDelta, Epoch: 1, Version: 2, UnixNano: 222, Script: "-link(a,b) * 2.", Keys: []string{"k1", "k2"}},
-		{Kind: ReplKindDelta, Epoch: 2, Version: 3, Script: "", Keys: []string{"only-keys"}},
-		{Kind: ReplKindState, Epoch: 2, Version: 4, State: []byte(`{"program":"p(X) :- q(X).","facts":"+q(1).\n"}`)},
-		{Kind: ReplKindHeartbeat, Epoch: 3, Version: 4, UnixNano: 333},
+// replFuzzSeeds is the seed corpus, mirrored under testdata/fuzz.
+func replFuzzSeeds(t testing.TB) [][]byte {
+	// A well-formed stream whose 'D' records are keyless, keyed, and
+	// script-less.
+	valid := encodeReplRecords(t, []ReplRecord{
+		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 111, CommitRecord: CommitRecord{Version: 1, Script: "+link(a,b)."}},
+		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 222, CommitRecord: CommitRecord{Version: 2, Script: "-link(a,b) * 2.", Keys: []string{"k1", "k2"}}},
+		{Kind: ReplKindDelta, Epoch: 2, CommitRecord: CommitRecord{Version: 3, Keys: []string{"only-keys"}}},
+		{Kind: ReplKindState, Epoch: 2, CommitRecord: CommitRecord{Version: 4}, State: []byte(`{"program":"p(X) :- q(X).","facts":"+q(1).\n"}`)},
+		{Kind: ReplKindHeartbeat, Epoch: 3, UnixNano: 333, CommitRecord: CommitRecord{Version: 4}},
 	})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn final record
-	f.Add(valid[:replHeaderSize-1])
 	corrupt := append([]byte(nil), valid...)
 	corrupt[replHeaderSize] ^= 0xff // flip a payload byte of record 1
-	f.Add(corrupt)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, replHeaderSize+4)) // absurd header
+	return [][]byte{
+		valid,
+		valid[:len(valid)-3], // torn final record
+		valid[:replHeaderSize-1],
+		corrupt,
+		rawReplRecord(ReplKindDelta, 2, retiredPayloads["V over K"]),
+		{},
+		bytes.Repeat([]byte{0xff}, replHeaderSize+4), // absurd header
+	}
+}
+
+func FuzzReplRecord(f *testing.F) {
+	for _, seed := range replFuzzSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, err := DecodeReplRecords(data)
 		if err != nil {
@@ -58,12 +70,8 @@ func FuzzReplRecord(f *testing.F) {
 		if len(again) != len(records) {
 			t.Fatalf("round trip changed record count: %d != %d", len(again), len(records))
 		}
-		for i := range records {
-			a, b := records[i], again[i]
-			if a.Kind != b.Kind || a.Epoch != b.Epoch || a.Version != b.Version || a.UnixNano != b.UnixNano ||
-				a.Script != b.Script || len(a.Keys) != len(b.Keys) || !bytes.Equal(a.State, b.State) {
-				t.Fatalf("record %d changed in round trip: %+v != %+v", i, a, b)
-			}
+		if !reflect.DeepEqual(records, again) {
+			t.Fatalf("records changed in round trip:\n got %+v\nwant %+v", again, records)
 		}
 	})
 }

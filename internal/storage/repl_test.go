@@ -3,10 +3,28 @@ package storage
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// rawReplRecord frames an arbitrary payload as a checksum-valid
+// replication record, spelling the header layout out independently of
+// the encoder.
+func rawReplRecord(kind byte, version uint64, payload []byte) []byte {
+	rec := make([]byte, replHeaderSize, replHeaderSize+len(payload))
+	rec[0] = kind
+	binary.BigEndian.PutUint64(rec[9:17], version)
+	binary.BigEndian.PutUint32(rec[25:29], uint32(len(payload)))
+	rec = append(rec, payload...)
+	crc := crc32.Checksum(rec[:29], castagnoli)
+	binary.BigEndian.PutUint32(rec[29:33], crc32.Update(crc, castagnoli, payload))
+	return rec
+}
 
 func TestReplRecordRoundTrip(t *testing.T) {
 	state, err := EncodeReplState(ReplState{
@@ -20,11 +38,11 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		t.Fatalf("EncodeReplState: %v", err)
 	}
 	records := []ReplRecord{
-		{Kind: ReplKindDelta, Epoch: 1, Version: 1, UnixNano: 123, Script: "+q(1)."},
-		{Kind: ReplKindDelta, Epoch: 1, Version: 2, UnixNano: 456, Script: "", Keys: []string{"k1", "k2"}},
-		{Kind: ReplKindDelta, Epoch: 2, Version: 3, Script: "+q(2). -q(1).", Keys: []string{"a"}},
-		{Kind: ReplKindState, Epoch: 3, Version: 4, UnixNano: 789, State: state},
-		{Kind: ReplKindHeartbeat, Epoch: 1<<63 + 7, Version: 4, UnixNano: 999},
+		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 123, CommitRecord: CommitRecord{Version: 1, Script: "+q(1)."}},
+		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 456, CommitRecord: CommitRecord{Version: 2, Keys: []string{"k1", "k2"}}},
+		{Kind: ReplKindDelta, Epoch: 2, CommitRecord: CommitRecord{Version: 3, Script: "+q(2). -q(1).", Keys: []string{"a"}}},
+		{Kind: ReplKindState, Epoch: 3, UnixNano: 789, CommitRecord: CommitRecord{Version: 4}, State: state},
+		{Kind: ReplKindHeartbeat, Epoch: 1<<63 + 7, UnixNano: 999, CommitRecord: CommitRecord{Version: 4}},
 	}
 	var buf []byte
 	for _, rec := range records {
@@ -39,14 +57,14 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if got.Kind != want.Kind || got.Epoch != want.Epoch || got.Version != want.Version || got.UnixNano != want.UnixNano {
-			t.Fatalf("record %d header: got %+v want %+v", i, got, want)
+		if want.State == nil {
+			want.State = []byte{} // an empty payload reads back empty, not nil
 		}
-		if got.Script != want.Script || strings.Join(got.Keys, ",") != strings.Join(want.Keys, ",") {
-			t.Fatalf("record %d body: got %+v want %+v", i, got, want)
+		if want.Kind != ReplKindState {
+			got.State = want.State
 		}
-		if !bytes.Equal(got.State, want.State) {
-			t.Fatalf("record %d state: got %q want %q", i, got.State, want.State)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
 	}
 	if _, err := ReadReplRecord(r); err != io.EOF {
@@ -64,7 +82,7 @@ func TestReplRecordRoundTrip(t *testing.T) {
 }
 
 func TestReplRecordRejectsDamage(t *testing.T) {
-	rec := ReplRecord{Kind: ReplKindDelta, Version: 7, UnixNano: 1, Script: "+p(1).", Keys: []string{"k"}}
+	rec := ReplRecord{Kind: ReplKindDelta, UnixNano: 1, CommitRecord: CommitRecord{Version: 7, Script: "+p(1).", Keys: []string{"k"}}}
 	buf, err := AppendReplRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +108,24 @@ func TestReplRecordRejectsDamage(t *testing.T) {
 			t.Fatalf("flip at %d: damage accepted", i)
 		}
 	}
+	// A 'D' record ships its commit record's own version in the header;
+	// a stream whose two copies disagree is damaged, checksum or not.
+	lying, err := AppendReplRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying[replHeaderSize+8]++ // last byte of the payload's version
+	crc := crc32.Checksum(lying[:29], castagnoli)
+	binary.BigEndian.PutUint32(lying[29:33], crc32.Update(crc, castagnoli, lying[replHeaderSize:]))
+	if err := read(lying); err == nil || !strings.Contains(err.Error(), "header names version 7") {
+		t.Fatalf("header/payload version disagreement: %v", err)
+	}
+	// A payload in a retired framing is another build's, not damage.
+	foreign := rawReplRecord(ReplKindDelta, 7, retiredPayloads["V over K"])
+	var unknown *UnknownFormatError
+	if err := read(foreign); !errors.As(err, &unknown) {
+		t.Fatalf("retired 'D' payload: %v, want *UnknownFormatError", err)
+	}
 	// An unknown kind byte is rejected outright.
 	if _, err := AppendReplRecord(nil, ReplRecord{Kind: 'Z'}); err == nil {
 		t.Fatal("AppendReplRecord accepted unknown kind")
@@ -99,7 +135,7 @@ func TestReplRecordRejectsDamage(t *testing.T) {
 func TestReplRecordPayloadBound(t *testing.T) {
 	// A header promising more than maxReplPayload is rejected before any
 	// allocation.
-	buf, err := AppendReplRecord(nil, ReplRecord{Kind: ReplKindState, Version: 1, State: []byte("x")})
+	buf, err := AppendReplRecord(nil, ReplRecord{Kind: ReplKindState, CommitRecord: CommitRecord{Version: 1}, State: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package storage persists databases (relations with derivation counts)
-// and view programs: gob snapshots for full state, and an append-only,
-// length-prefixed delta log that can be replayed on top of a snapshot —
-// the usual checkpoint + log pairing.
+// and view programs: checksummed gob snapshots for full state (this
+// file), the commit record and its WAL framing (record.go), the managed
+// checkpoint + write-ahead-log directory that pairs them (store.go), and
+// the replication stream that ships the same records (repl.go).
 package storage
 
 import (
@@ -14,15 +15,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"unicode/utf8"
 
 	"ivm/internal/eval"
 	"ivm/internal/relation"
 	"ivm/internal/value"
 )
-
-// castagnoli is the CRC32C table shared by the delta log and the WAL.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
 // Platforms whose directory handles reject Sync (some network
@@ -84,28 +81,49 @@ type snapshot struct {
 	Version   int
 	Program   string
 	Relations map[string][]row
-	// Hidden lists internal auxiliary predicates (version 2+) that the
-	// front end filters out of user-facing change sets — e.g. the helper
-	// predicates SQL GROUP BY translation generates. Version-1 snapshots
-	// decode with an empty list (gob leaves absent fields zero).
+	// Hidden lists internal auxiliary predicates that the front end
+	// filters out of user-facing change sets — e.g. the helper predicates
+	// SQL GROUP BY translation generates.
 	Hidden []string
-	// BaseVersion (version 3+) is the published snapshot version the
-	// saved state corresponds to, so a restarted process — or a replica
-	// bootstrapping from a checkpoint — resumes the version counter
-	// where the writer left it. Older snapshots decode as 0.
+	// BaseVersion is the published snapshot version the saved state
+	// corresponds to, so a restarted process — or a replica bootstrapping
+	// from a checkpoint — resumes the version counter where the writer
+	// left it.
 	BaseVersion uint64
 }
 
+// snapshotVersion is the one snapshot layout this build reads and
+// writes; any other Version is an *UnknownFormatError.
 const snapshotVersion = 3
 
-// Save is SaveAt without a base-version stamp.
-func Save(w io.Writer, db *eval.DB, program string, hidden []string) error {
-	return SaveAt(w, db, program, hidden, 0)
+// snapFooterMagic opens the whole-file CRC32C footer
+// (`magic | crc32c(body)`) that closes every snapshot. Gob decoding alone
+// misses in-place corruption that still happens to parse — a flipped bit
+// in a count, say — so a snapshot whose footer is missing, mangled or
+// mismatched is damaged, whatever its body decodes to.
+var snapFooterMagic = [4]byte{'I', 'V', 'S', '1'}
+
+const snapFooterSize = 8
+
+// crcWriter tees writes into a running CRC32C.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
 }
 
-// SaveAt writes a gob snapshot of db (every relation, with counts), the
-// program text, the hidden-predicate set, and the base version to w.
-func SaveAt(w io.Writer, db *eval.DB, program string, hidden []string, baseVersion uint64) error {
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// SaveFile writes a snapshot of db (every relation, with counts), the
+// program text, the hidden-predicate set and the base version to path,
+// atomically and durably: the temp file is fsynced before the rename and
+// the parent directory is fsynced after it, so a crash at any point
+// leaves either the old snapshot or the complete new one — never a
+// missing or empty file. The checksum footer covers the whole body.
+func SaveFile(path string, db *eval.DB, program string, hidden []string, baseVersion uint64) error {
 	snap := snapshot{
 		Version:     snapshotVersion,
 		Program:     program,
@@ -125,104 +143,6 @@ func SaveAt(w io.Writer, db *eval.DB, program string, hidden []string, baseVersi
 		}
 		snap.Relations[pred] = rows
 	}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// Load reads a snapshot, returning the database, the program text, and
-// the hidden-predicate set. Every snapshot version from 1 (no hidden
-// set) up is accepted.
-func Load(r io.Reader) (*eval.DB, string, []string, error) {
-	db, program, hidden, _, err := LoadAt(r)
-	return db, program, hidden, err
-}
-
-// LoadAt is Load plus the base version the snapshot was stamped with
-// (0 for snapshots written before version stamping).
-func LoadAt(r io.Reader) (*eval.DB, string, []string, uint64, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, "", nil, 0, fmt.Errorf("storage: decoding snapshot: %w", err)
-	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
-		return nil, "", nil, 0, fmt.Errorf("storage: unsupported snapshot version %d", snap.Version)
-	}
-	db := eval.NewDB()
-	for pred, rows := range snap.Relations {
-		var rel *relation.Relation
-		for _, rw := range rows {
-			t := make(value.Tuple, len(rw.Tuple))
-			for i, s := range rw.Tuple {
-				v, err := s.value()
-				if err != nil {
-					return nil, "", nil, 0, err
-				}
-				t[i] = v
-			}
-			if rel == nil {
-				rel = relation.New(len(t))
-			}
-			rel.Add(t, rw.Count)
-		}
-		if rel == nil {
-			rel = relation.New(-1)
-		}
-		db.Put(pred, rel)
-	}
-	return db, snap.Program, snap.Hidden, snap.BaseVersion, nil
-}
-
-// snapFooterMagic marks a snapshot file carrying a whole-file CRC32C
-// footer (`magic | crc32c(body)`). The footer sits after the gob value,
-// where decoders never look, so snapshots stay readable by older code
-// and older snapshots (no footer) stay readable by newer code.
-var snapFooterMagic = [4]byte{'I', 'V', 'S', '1'}
-
-const snapFooterSize = 8
-
-// crcWriter tees writes into a running CRC32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// VerifySnapshotFile checks the whole-file checksum footer written by
-// SaveFile. Gob decoding alone misses in-place corruption that still
-// happens to parse — a flipped bit in a count, say. Legacy snapshots
-// without a footer pass; decoding is their only integrity check.
-func VerifySnapshotFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) < snapFooterSize || !bytes.Equal(data[len(data)-snapFooterSize:len(data)-4], snapFooterMagic[:]) {
-		return nil
-	}
-	body := data[:len(data)-snapFooterSize]
-	want := binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return fmt.Errorf("storage: snapshot %s checksum mismatch (%08x != %08x)", path, got, want)
-	}
-	return nil
-}
-
-// SaveFile writes a snapshot to path, atomically and durably: the temp
-// file is fsynced before the rename and the parent directory is fsynced
-// after it, so a crash at any point leaves either the old snapshot or
-// the complete new one — never a missing or empty file. A checksum
-// footer covers the whole body so in-place corruption is detected at
-// load time.
-func SaveFile(path string, db *eval.DB, program string, hidden []string) error {
-	return SaveFileAt(path, db, program, hidden, 0)
-}
-
-// SaveFileAt is SaveFile with a base-version stamp (see SaveAt).
-func SaveFileAt(path string, db *eval.DB, program string, hidden []string, baseVersion uint64) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -235,7 +155,7 @@ func SaveFileAt(path string, db *eval.DB, program string, hidden []string, baseV
 	}
 	bw := bufio.NewWriter(f)
 	cw := &crcWriter{w: bw}
-	if err := SaveAt(cw, db, program, hidden, baseVersion); err != nil {
+	if err := gob.NewEncoder(cw).Encode(&snap); err != nil {
 		return fail(err)
 	}
 	var footer [snapFooterSize]byte
@@ -261,200 +181,51 @@ func SaveFileAt(path string, db *eval.DB, program string, hidden []string, baseV
 	return syncDir(filepath.Dir(path))
 }
 
-// LoadFile reads a snapshot from path.
-func LoadFile(path string) (*eval.DB, string, []string, error) {
-	db, program, hidden, _, err := LoadFileAt(path)
-	return db, program, hidden, err
-}
-
-// LoadFileAt is LoadFile plus the snapshot's base version (see LoadAt).
-func LoadFileAt(path string) (*eval.DB, string, []string, uint64, error) {
-	f, err := os.Open(path)
+// LoadFile reads the snapshot at path: the database, the program text,
+// the hidden-predicate set and the base version it was stamped with. The
+// file is read once and its checksum footer is always verified before
+// anything is decoded.
+func LoadFile(path string) (*eval.DB, string, []string, uint64, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, "", nil, 0, err
 	}
-	defer f.Close()
-	return LoadAt(bufio.NewReader(f))
-}
-
-// Log is an append-only log of delta scripts (the textual +fact/-fact
-// form). Each record is `[len u32][crc32c u32][payload]`; the length
-// lets replay detect partially written tails, the checksum lets it
-// reject corrupt records instead of feeding garbage to the parser.
-// Replay also recognizes the legacy pre-checksum record format
-// (`[len u32][payload]`) so logs written before the format change
-// still migrate — Append always writes the current format, so a legacy
-// log must be replayed and truncated (as the cmd/ivm migration does)
-// before new records are appended to it.
-type Log struct {
-	f *os.File
-}
-
-// logHeaderSize is the per-record header: big-endian length + CRC32C.
-// legacyLogHeaderSize is the pre-checksum header: length only.
-const (
-	logHeaderSize       = 8
-	legacyLogHeaderSize = 4
-)
-
-// OpenLog opens (creating if needed) a delta log for appending.
-func OpenLog(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
+	bodyLen := len(data) - snapFooterSize
+	if bodyLen < 0 || !bytes.Equal(data[bodyLen:bodyLen+4], snapFooterMagic[:]) {
+		return nil, "", nil, 0, fmt.Errorf("storage: snapshot %s has no checksum footer: truncated or damaged", path)
 	}
-	return &Log{f: f}, nil
-}
-
-// Append durably appends one delta script: a single write of
-// header+payload followed by fsync.
-func (l *Log) Append(script string) error {
-	rec := make([]byte, logHeaderSize+len(script))
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(script)))
-	binary.BigEndian.PutUint32(rec[4:8], crc32.Checksum([]byte(script), castagnoli))
-	copy(rec[logHeaderSize:], script)
-	if _, err := l.f.Write(rec); err != nil {
-		return err
+	body := data[:bodyLen]
+	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(data[bodyLen+4:]); got != want {
+		return nil, "", nil, 0, fmt.Errorf("storage: snapshot %s checksum mismatch (%08x != %08x)", path, got, want)
 	}
-	return l.f.Sync()
-}
-
-// CorruptRecordError reports a record that is damaged in place: its
-// checksum fails (or its length header is absurd) even though the log
-// continues past it, so the damage cannot be a crash-truncated tail.
-type CorruptRecordError struct {
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptRecordError) Error() string {
-	return fmt.Sprintf("storage: corrupt log record at offset %d: %s", e.Offset, e.Reason)
-}
-
-// Replay invokes fn for every complete record from the start of the log.
-// A truncated or checksum-failing final record terminates replay without
-// error (a crash mid-append; the record was never acknowledged). A bad
-// record with further data behind it is in-place corruption and fails
-// loudly with a *CorruptRecordError, delivering no records. Record
-// lengths are bounded by the bytes actually remaining in the file, so a
-// garbage header cannot force a multi-gigabyte allocation.
-//
-// The record format is detected: when the current checksummed layout
-// yields no valid record from a non-empty file (or fails mid-file), the
-// legacy pre-checksum `[len u32][payload]` layout is tried, so logs
-// written before the format change still replay for migration.
-func (l *Log) Replay(fn func(script string) error) error {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
+		return nil, "", nil, 0, fmt.Errorf("storage: decoding snapshot: %w", err)
 	}
-	data, err := io.ReadAll(bufio.NewReader(l.f))
-	if err != nil {
-		return err
+	if snap.Version != snapshotVersion {
+		return nil, "", nil, 0, &UnknownFormatError{What: "snapshot", Format: snap.Version}
 	}
-	scripts, err := scanLog(data)
-	if err != nil {
-		return err
-	}
-	for _, s := range scripts {
-		if err := fn(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanLog parses raw log bytes, detecting the record format. The
-// checksummed format is authoritative: one CRC-valid record proves it (a
-// legacy record passing the check by accident is a 2^-32 event). Only
-// when it yields nothing from a non-empty file — a single-record legacy
-// log reads as one overshooting header — or trips over mid-file
-// corruption — misaligned legacy records fail their CRCs — is the
-// legacy layout tried; it is accepted when records chain through the
-// file (modulo a torn tail) and every payload is text, which garbage
-// reinterpretations of checksummed records essentially never are (the
-// CRC bytes land inside the payload).
-func scanLog(data []byte) ([]string, error) {
-	scripts, err := scanChecksummedLog(data)
-	if len(scripts) > 0 {
-		return scripts, err
-	}
-	if len(data) > 0 {
-		if legacy, ok := scanLegacyLog(data); ok {
-			return legacy, nil
-		}
-	}
-	return scripts, err
-}
-
-func scanChecksummedLog(data []byte) ([]string, error) {
-	var scripts []string
-	size := int64(len(data))
-	offset := int64(0)
-	for offset < size {
-		if size-offset < logHeaderSize {
-			return scripts, nil // torn header: ignore tail
-		}
-		n := int64(binary.BigEndian.Uint32(data[offset:]))
-		want := binary.BigEndian.Uint32(data[offset+4:])
-		if n > size-offset-logHeaderSize {
-			// The header promises more bytes than the file holds. If the
-			// record would end exactly at a torn tail this is a crashed
-			// append; a length that overshoots the file with no way to
-			// resync is indistinguishable, so both end the scan here.
-			return scripts, nil
-		}
-		payload := data[offset+logHeaderSize : offset+logHeaderSize+n]
-		end := offset + logHeaderSize + n
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			if end == size {
-				return scripts, nil // torn or corrupted final record: never acknowledged
+	db := eval.NewDB()
+	for pred, rows := range snap.Relations {
+		var rel *relation.Relation
+		for _, rw := range rows {
+			t := make(value.Tuple, len(rw.Tuple))
+			for i, s := range rw.Tuple {
+				v, err := s.value()
+				if err != nil {
+					return nil, "", nil, 0, err
+				}
+				t[i] = v
 			}
-			return scripts, &CorruptRecordError{Offset: offset, Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, got)}
+			if rel == nil {
+				rel = relation.New(len(t))
+			}
+			rel.Add(t, rw.Count)
 		}
-		scripts = append(scripts, string(payload))
-		offset = end
+		if rel == nil {
+			rel = relation.New(-1)
+		}
+		db.Put(pred, rel)
 	}
-	return scripts, nil
+	return db, snap.Program, snap.Hidden, snap.BaseVersion, nil
 }
-
-// scanLegacyLog parses the pre-checksum `[len u32][payload]` layout,
-// accepting it only when at least one complete record chains cleanly
-// (a final record overshooting EOF is a torn tail and is dropped) and
-// every payload is valid UTF-8 — legacy delta scripts are text.
-func scanLegacyLog(data []byte) ([]string, bool) {
-	var scripts []string
-	size := int64(len(data))
-	offset := int64(0)
-	for offset < size {
-		if size-offset < legacyLogHeaderSize {
-			break // torn header
-		}
-		n := int64(binary.BigEndian.Uint32(data[offset:]))
-		if n > size-offset-legacyLogHeaderSize {
-			break // torn tail
-		}
-		payload := data[offset+legacyLogHeaderSize : offset+legacyLogHeaderSize+n]
-		if !utf8.Valid(payload) {
-			return nil, false
-		}
-		scripts = append(scripts, string(payload))
-		offset += legacyLogHeaderSize + n
-	}
-	return scripts, len(scripts) > 0
-}
-
-// Truncate discards all logged records — called after a snapshot is
-// taken, since the snapshot supersedes the log (checkpointing). The
-// truncation is fsynced so it cannot reorder after later writes.
-func (l *Log) Truncate() error {
-	if err := l.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *Log) Close() error { return l.f.Close() }

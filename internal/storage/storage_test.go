@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,18 +28,35 @@ func sampleDB() *eval.DB {
 	return db
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	db := sampleDB()
+// snapshotBytes renders snap as a snapshot file image: the gob body plus
+// the checksum footer SaveFile appends.
+func snapshotBytes(t testing.TB, snap snapshot) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(&buf, db, "hop(X,Y) :- link(X,Z), link(Z,Y).", []string{"aux_1", "aux_2"}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	got, prog, hidden, err := Load(&buf)
+	var footer [snapFooterSize]byte
+	copy(footer[:4], snapFooterMagic[:])
+	binary.BigEndian.PutUint32(footer[4:], crc32.Checksum(buf.Bytes(), castagnoli))
+	return append(buf.Bytes(), footer[:]...)
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	db := sampleDB()
+	path := filepath.Join(t.TempDir(), "snap.gob")
+	if err := SaveFile(path, db, "hop(X,Y) :- link(X,Z), link(Z,Y).", []string{"aux_1", "aux_2"}, 42); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("temp file must be renamed away")
+	}
+	got, prog, hidden, base, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog != "hop(X,Y) :- link(X,Z), link(Z,Y)." {
-		t.Fatalf("program: %q", prog)
+	if prog != "hop(X,Y) :- link(X,Z), link(Z,Y)." || base != 42 {
+		t.Fatalf("program: %q base: %d", prog, base)
 	}
 	if len(hidden) != 2 || hidden[0] != "aux_1" || hidden[1] != "aux_2" {
 		t.Fatalf("hidden: %v", hidden)
@@ -53,388 +71,60 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotFileAtomic(t *testing.T) {
+// Every way a snapshot file can be damaged is an error from LoadFile —
+// including damage to the footer itself, which must not switch the check
+// off — and none of them is mistaken for a foreign format.
+func TestLoadFileRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.gob")
-	if err := SaveFile(path, sampleDB(), "p.", nil); err != nil {
+	if err := SaveFile(path, sampleDB(), "p.", nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file must be renamed away")
-	}
-	db, prog, hidden, err := LoadFile(path)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog != "p." || db.Get("link").Count(value.T("b", "c")) != 3 {
-		t.Fatal("file round trip")
+	flip := func(off int) []byte {
+		data := append([]byte(nil), good...)
+		data[off] ^= 0x40
+		return data
 	}
-	if len(hidden) != 0 {
-		t.Fatalf("hidden: %v", hidden)
-	}
-}
-
-func TestSnapshotChecksumFooter(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.gob")
-	if err := SaveFile(path, sampleDB(), "p.", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshotFile(path); err != nil {
-		t.Fatalf("fresh snapshot must verify: %v", err)
-	}
-	// In-place corruption that gob decoding might survive must still be
-	// caught by the whole-file checksum.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshotFile(path); err == nil {
-		t.Fatal("bit-flipped snapshot must fail verification")
-	}
-	// A legacy snapshot (no footer) passes verification; decoding is its
-	// only integrity check.
-	var buf bytes.Buffer
-	if err := Save(&buf, sampleDB(), "p.", nil); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, "legacy.gob")
-	if err := os.WriteFile(legacy, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifySnapshotFile(legacy); err != nil {
-		t.Fatalf("legacy snapshot must pass: %v", err)
-	}
-	if _, _, _, err := LoadFile(legacy); err != nil {
-		t.Fatalf("legacy snapshot must load: %v", err)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, _, _, err := Load(bytes.NewBufferString("not a gob stream")); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-}
-
-func TestLoadAcceptsVersion1(t *testing.T) {
-	// Version-1 snapshots predate the hidden-predicate set; they must
-	// keep loading, with an empty hidden list.
-	var buf bytes.Buffer
-	snap := snapshot{Version: 1, Program: "p(X) :- q(X).", Relations: map[string][]row{
-		"q": {{Tuple: []scalar{{Kind: 0, I: 7}}, Count: 1}},
-	}}
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	db, prog, hidden, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog != "p(X) :- q(X)." || len(hidden) != 0 {
-		t.Fatalf("prog=%q hidden=%v", prog, hidden)
-	}
-	if db.Get("q").Count(value.T(int64(7))) != 1 {
-		t.Fatal("version-1 relations must load")
-	}
-}
-
-func TestLoadRejectsFutureVersion(t *testing.T) {
-	var buf bytes.Buffer
-	snap := snapshot{Version: snapshotVersion + 1, Program: "p."}
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := Load(&buf); err == nil {
-		t.Fatal("future snapshot version must be rejected")
-	}
-}
-
-func TestLogAppendReplay(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scripts := []string{"+link(a,b).", "-link(a,b).", "+link(x,y). +link(y,z)."}
-	for _, s := range scripts {
-		if err := l.Append(s); err != nil {
+	for name, data := range map[string][]byte{
+		// In-place corruption that gob decoding might survive.
+		"body bit flip":       flip(len(good) / 2),
+		"footer magic flip":   flip(len(good) - snapFooterSize),
+		"footer crc flip":     flip(len(good) - 1),
+		"footer cut off":      good[:len(good)-snapFooterSize],
+		"shorter than footer": good[:3],
+		"not a gob stream":    []byte("not a gob stream"),
+	} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error {
-		got = append(got, s)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != scripts[0] || got[2] != scripts[2] {
-		t.Fatalf("replay: %v", got)
+		_, _, _, _, err := LoadFile(path)
+		var unknown *UnknownFormatError
+		if err == nil || errors.As(err, &unknown) {
+			t.Errorf("%s: LoadFile = %v, want a damage error", name, err)
+		}
 	}
 }
 
-func TestLogIgnoresTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	// Simulate a crash mid-append: a header promising more bytes than
-	// exist.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0, 0, 0, 200, 'x', 'y'})
-	f.Close()
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "+p(a)." {
-		t.Fatalf("replay with torn tail: %v", got)
-	}
-}
-
-func TestReplayBoundsLengthHeader(t *testing.T) {
-	// A garbage header claiming ~4 GiB must not allocate 4 GiB: the
-	// length is bounded by the bytes actually present, and the tail is
-	// treated as torn.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0xff, 0xff, 0xff, 0xf0, 1, 2, 3, 4, 'j', 'u', 'n', 'k'})
-	f.Close()
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "+p(a)." {
-		t.Fatalf("replay: %v", got)
-	}
-}
-
-func TestReplayFailsLoudlyOnMidLogCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(b)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	// Flip a payload bit of the FIRST record: a later record exists, so
-	// this cannot be a torn tail and replay must fail loudly.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[logHeaderSize] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	err = l2.Replay(func(string) error { return nil })
-	var ce *CorruptRecordError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want CorruptRecordError, got %v", err)
-	}
-}
-
-func TestReplayDropsCorruptFinalRecord(t *testing.T) {
-	// A checksum failure on the very last record is indistinguishable
-	// from a torn append; it is dropped without error.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(a)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append("+p(b)."); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0x80
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	var got []string
-	if err := l2.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "+p(a)." {
-		t.Fatalf("replay: %v", got)
-	}
-}
-
-func TestReplayThenAppendContinues(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "delta.log")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append("+a(1)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Replay(func(string) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	// O_APPEND writes still go to the end after a replay seek.
-	if err := l.Append("+b(2)."); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	if err := l.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("replay: %v", got)
-	}
-}
-
-// legacyLogBytes renders records in the pre-checksum `[len u32][payload]`
-// format the old Append wrote, for migration tests.
-func legacyLogBytes(scripts ...string) []byte {
-	var buf []byte
-	for _, s := range scripts {
-		var hdr [legacyLogHeaderSize]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(s)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-func TestReplayMigratesLegacyFormat(t *testing.T) {
-	// Logs written before the checksummed record format must still
-	// replay in full — a single-record legacy log is the trap case: read
-	// as the new format its header overshoots the file, which looks like
-	// a torn tail and used to migrate zero deltas without any error.
-	for name, scripts := range map[string][]string{
-		"single record": {"+link(a,b)."},
-		"multi record":  {"+link(a,b).", "-link(a,b).", "+link(x,y). +link(y,z)."},
-	} {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "delta.log")
-			if err := os.WriteFile(path, legacyLogBytes(scripts...), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			l, err := OpenLog(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Close()
-			var got []string
-			if err := l.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(scripts) {
-				t.Fatalf("migrated %d of %d records: %v", len(got), len(scripts), got)
-			}
-			for i := range scripts {
-				if got[i] != scripts[i] {
-					t.Fatalf("record %d: %q, want %q", i, got[i], scripts[i])
-				}
-			}
-		})
-	}
-}
-
-func TestReplayLegacyFormatTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "delta.log")
-	data := legacyLogBytes("+p(a).", "+p(b).")
-	data = append(data, 0, 0, 0, 50, 'x') // crashed legacy append
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var got []string
-	if err := l.Replay(func(s string) error { got = append(got, s); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "+p(a)." || got[1] != "+p(b)." {
-		t.Fatalf("replay: %v", got)
-	}
-}
-
-func TestReplayEmptyLog(t *testing.T) {
-	l, err := OpenLog(filepath.Join(t.TempDir(), "delta.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Replay(func(string) error { t.Fatal("no records expected"); return nil }); err != nil {
-		t.Fatal(err)
+// An intact snapshot in any layout but the current one — the retired
+// versions 1 and 2 as much as a future one — is refused with the typed
+// error rather than read on a guess.
+func TestLoadFileRejectsOtherVersions(t *testing.T) {
+	for _, version := range []int{0, 1, 2, snapshotVersion + 1} {
+		path := filepath.Join(t.TempDir(), "snap.gob")
+		data := snapshotBytes(t, snapshot{Version: version, Program: "p(X) :- q(X).", Relations: map[string][]row{
+			"q": {{Tuple: []scalar{{Kind: 0, I: 7}}, Count: 1}},
+		}})
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, _, err := LoadFile(path)
+		var unknown *UnknownFormatError
+		if !errors.As(err, &unknown) || unknown.What != "snapshot" || unknown.Format != version {
+			t.Errorf("version %d: LoadFile = %v, want *UnknownFormatError", version, err)
+		}
 	}
 }

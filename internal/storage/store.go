@@ -4,10 +4,11 @@ package storage
 // snapshot-<epoch>.gob checkpoints plus one checksummed, epoch-stamped
 // write-ahead log (wal.log). The durability protocol:
 //
-//   - Append writes {epoch, seq, len, crc32c, payload} in a single
-//     buffered write followed by fsync (optionally batched across
-//     concurrent appenders — group commit).
-//   - Checkpoint writes the snapshot to a temp file, fsyncs it, renames
+//   - AppendVersionedAsync writes {epoch, seq, len, crc32c, payload} —
+//     the payload is one commit record (record.go) — in a single write
+//     followed by fsync (optionally batched across concurrent appenders
+//     — group commit).
+//   - CheckpointAt writes the snapshot to a temp file, fsyncs it, renames
 //     it into place, fsyncs the directory, bumps the epoch, and only
 //     then truncates (and fsyncs) the WAL. A crash anywhere in that
 //     sequence leaves either the old snapshot + a replayable WAL, or
@@ -15,16 +16,15 @@ package storage
 //     never a double apply.
 //   - OpenStore recovers: it loads the newest valid snapshot, then
 //     scans the WAL, replaying only records stamped with the snapshot's
-//     epoch; stale records are skipped, a torn tail is discarded, and a
+//     epoch; stale records are skipped, a torn tail is discarded, a
 //     checksum-failing record stops the scan instead of feeding garbage
-//     to the parser.
+//     to the parser, and an intact record or snapshot in a layout this
+//     build does not write is refused with an *UnknownFormatError, the
+//     directory left exactly as found.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,130 +42,15 @@ const (
 	walFileName = "wal.log"
 	snapPrefix  = "snapshot-"
 	snapSuffix  = ".gob"
-
-	// walHeaderSize is the fixed record header: epoch u64, seq u64,
-	// len u32, crc32c u32 (all big-endian). The checksum covers the
-	// first 20 header bytes plus the payload.
-	walHeaderSize = 24
 )
 
 // ErrStoreClosed is returned by operations on a closed Store.
 var ErrStoreClosed = errors.New("storage: store is closed")
 
-// WALRecord is one logical WAL entry: the delta script plus the
-// idempotency keys of the Apply calls it covers (a coalesced batch logs
-// one record carrying every caller's key). Keys ride in the record so
-// the dedup window survives crash recovery: replay hands them back and
-// the engine re-seeds key → result before serving any retry. Version,
-// when nonzero, is the snapshot version the record's apply published —
-// the durable commit order replication and recovery align on; legacy
-// records decode with Version 0.
-type WALRecord struct {
-	Script  string
-	Keys    []string
-	Version uint64
-}
-
-// walKeyedMagic opens a framed (non-legacy) WAL payload. Delta scripts
-// are UTF-8 text and never start with a NUL byte, so legacy payloads
-// (the bare script) and framed payloads are self-distinguishing. The
-// second byte selects the frame: 'K' carries idempotency keys
-// (framing v2), 'V' prefixes a u64 version stamp over a v2 remainder
-// (framing v3).
-const walKeyedMagic = 0x00
-
-// encodeWALPayload frames a record payload: an optional version stamp
-// (`0x00 'V' u64`) around the keyed-or-bare framing-v2 body. Records
-// without keys or a version keep the legacy bare-script form, so stores
-// that never use either stay byte-identical to what earlier versions
-// wrote.
-func encodeWALPayload(version uint64, script string, keys []string) ([]byte, error) {
-	inner, err := encodeKeyedPayload(script, keys)
-	if err != nil {
-		return nil, err
-	}
-	if version == 0 {
-		return inner, nil
-	}
-	out := make([]byte, 0, 10+len(inner))
-	out = append(out, walKeyedMagic, 'V')
-	out = binary.BigEndian.AppendUint64(out, version)
-	return append(out, inner...), nil
-}
-
-// encodeKeyedPayload renders the framing-v2 body: keyed or bare script.
-func encodeKeyedPayload(script string, keys []string) ([]byte, error) {
-	if len(keys) == 0 {
-		return []byte(script), nil
-	}
-	if len(keys) > 0xffff {
-		return nil, fmt.Errorf("storage: %d idempotency keys in one record (max %d)", len(keys), 0xffff)
-	}
-	n := 4 // magic + 'K' + u16 count
-	for _, k := range keys {
-		if len(k) > 0xffff {
-			return nil, fmt.Errorf("storage: idempotency key of %d bytes (max %d)", len(k), 0xffff)
-		}
-		n += 2 + len(k)
-	}
-	out := make([]byte, 0, n+len(script))
-	out = append(out, walKeyedMagic, 'K')
-	out = binary.BigEndian.AppendUint16(out, uint16(len(keys)))
-	for _, k := range keys {
-		out = binary.BigEndian.AppendUint16(out, uint16(len(k)))
-		out = append(out, k...)
-	}
-	return append(out, script...), nil
-}
-
-// decodeWALPayload parses a record payload in any framing (bare, keyed
-// v2, version-stamped v3). A framing error on a checksum-valid payload
-// means a writer bug, not disk damage, so it is surfaced loudly rather
-// than repaired around.
-func decodeWALPayload(payload []byte) (WALRecord, error) {
-	var version uint64
-	if len(payload) >= 10 && payload[0] == walKeyedMagic && payload[1] == 'V' {
-		version = binary.BigEndian.Uint64(payload[2:10])
-		payload = payload[10:]
-	}
-	rec, err := decodeKeyedPayload(payload)
-	if err != nil {
-		return WALRecord{}, err
-	}
-	rec.Version = version
-	return rec, nil
-}
-
-// decodeKeyedPayload parses a framing-v2 body (keyed or bare script).
-func decodeKeyedPayload(payload []byte) (WALRecord, error) {
-	if len(payload) == 0 || payload[0] != walKeyedMagic {
-		return WALRecord{Script: string(payload)}, nil
-	}
-	if len(payload) < 4 || payload[1] != 'K' {
-		return WALRecord{}, fmt.Errorf("storage: malformed keyed wal payload header")
-	}
-	nkeys := int(binary.BigEndian.Uint16(payload[2:4]))
-	off := 4
-	keys := make([]string, 0, nkeys)
-	for i := 0; i < nkeys; i++ {
-		if len(payload)-off < 2 {
-			return WALRecord{}, fmt.Errorf("storage: keyed wal payload truncated in key %d length", i)
-		}
-		kl := int(binary.BigEndian.Uint16(payload[off : off+2]))
-		off += 2
-		if len(payload)-off < kl {
-			return WALRecord{}, fmt.Errorf("storage: keyed wal payload truncated in key %d", i)
-		}
-		keys = append(keys, string(payload[off:off+kl]))
-		off += kl
-	}
-	return WALRecord{Script: string(payload[off:]), Keys: keys}, nil
-}
-
 // StoreOptions tunes a Store.
 type StoreOptions struct {
 	// GroupCommit batches WAL fsyncs across concurrent appenders: each
-	// Append still blocks until its record is durable, but one fsync can
+	// append still blocks until its record is durable, but one fsync can
 	// cover many records. Recommended under concurrent writers; with a
 	// single writer it adds one goroutine handoff per append.
 	GroupCommit bool
@@ -177,22 +62,6 @@ type StoreOptions struct {
 	// file untouched for inspection. Torn tails — records a crash cut
 	// short, never acknowledged — are always trimmed silently.
 	RepairCorruptWAL bool
-}
-
-// CorruptWALError reports a WAL record damaged in place: its checksum
-// fails even though further bytes follow, so the damage cannot be a
-// torn tail. Recovery refuses to proceed past it (the records behind it
-// were acknowledged) unless StoreOptions.RepairCorruptWAL opts in to
-// discarding the suffix.
-type CorruptWALError struct {
-	Path   string
-	Offset int64
-	Reason string
-}
-
-func (e *CorruptWALError) Error() string {
-	return fmt.Sprintf("storage: corrupt wal record in %s at offset %d: %s (acknowledged records follow the damage; re-open with RepairCorruptWAL to keep the valid prefix and discard the rest)",
-		e.Path, e.Offset, e.Reason)
 }
 
 // RecoveryInfo describes what OpenStore found on disk.
@@ -226,15 +95,10 @@ type RecoveryInfo struct {
 	DiscardedBytes int64
 }
 
-func (ri RecoveryInfo) String() string {
-	return fmt.Sprintf("epoch=%d snapshot=%v replayed=%d skipped_stale=%d torn_tail=%v corrupt=%d bad_snapshots=%d discarded_bytes=%d",
-		ri.Epoch, ri.HasSnapshot, ri.Replayed, ri.SkippedStale, ri.TornTail, ri.CorruptRecords, ri.BadSnapshots, ri.DiscardedBytes)
-}
-
-// Store owns a crash-recovery directory. Append and Checkpoint are safe
-// for concurrent appenders, but Checkpoint must not race Append for the
-// same logical state (callers serialize state mutation + Append under
-// their own lock, as ivm.Views does).
+// Store owns a crash-recovery directory. Appends and checkpoints are
+// safe for concurrent callers, but a checkpoint must not race an append
+// for the same logical state (callers serialize state mutation + append
+// under their own lock, as ivm.Views does).
 type Store struct {
 	dir  string
 	opts StoreOptions
@@ -252,7 +116,7 @@ type Store struct {
 	snapDB      *eval.DB
 	snapProgram string
 	snapHidden  []string
-	records     []WALRecord
+	records     []CommitRecord
 
 	// snapVersion is the BaseVersion of the newest snapshot: set by
 	// recovery from the snapshot file, advanced by CheckpointAt. Guarded
@@ -283,9 +147,9 @@ func snapEpoch(name string) (uint64, bool) {
 }
 
 // OpenStore opens (creating if needed) the store directory and runs
-// recovery. The recovered snapshot and the WAL scripts to replay on top
-// of it are available via Snapshot and Scripts; Recovery reports what
-// was found.
+// recovery. The recovered snapshot and the commit records to replay on
+// top of it are available via Snapshot and Records; Recovery reports
+// what was found.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -330,16 +194,15 @@ func (s *Store) recoverSnapshots() error {
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
 	for _, ep := range epochs {
 		path := filepath.Join(s.dir, snapName(ep))
-		err := VerifySnapshotFile(path)
-		var db *eval.DB
-		var program string
-		var hidden []string
-		var base uint64
-		if err == nil {
-			db, program, hidden, base, err = LoadFileAt(path)
+		db, program, hidden, base, err := LoadFile(path)
+		var unknown *UnknownFormatError
+		if errors.As(err, &unknown) {
+			// Intact, just not ours to read: falling back an epoch would
+			// silently drop what it holds.
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		if err != nil {
-			// Unreadable snapshot: set it aside (keep the evidence out of
+			// Damaged snapshot: set it aside (keep the evidence out of
 			// the next scan) and fall back to the previous epoch.
 			s.info.BadSnapshots++
 			os.Rename(path, path+".corrupt")
@@ -354,80 +217,27 @@ func (s *Store) recoverSnapshots() error {
 	return nil
 }
 
-// recoverWAL scans wal.log, collecting current-epoch scripts and
-// truncating any torn or corrupt tail so appends resume after the last
-// valid record.
+// recoverWAL scans wal.log, collecting current-epoch records and
+// truncating any torn or (under RepairCorruptWAL) corrupt tail so appends
+// resume after the last valid record. Every refusal returns before the
+// truncate, leaving the file untouched.
 func (s *Store) recoverWAL() error {
-	wal, err := os.OpenFile(filepath.Join(s.dir, walFileName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	path := filepath.Join(s.dir, walFileName)
+	wal, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	s.wal = wal
-	st, err := wal.Stat()
+	data, err := io.ReadAll(wal) // O_APPEND steers only the writes
 	if err != nil {
 		return err
 	}
-	size := st.Size()
-	if _, err := wal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	r := bufio.NewReader(wal)
-	var (
-		offset   int64
-		validEnd int64
-		hdr      [walHeaderSize]byte
-	)
-	for offset < size {
-		if size-offset < walHeaderSize {
-			s.info.TornTail = true
-			break
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			s.info.TornTail = true
-			break
-		}
-		epoch := binary.BigEndian.Uint64(hdr[0:8])
-		seq := binary.BigEndian.Uint64(hdr[8:16])
-		n := int64(binary.BigEndian.Uint32(hdr[16:20]))
-		want := binary.BigEndian.Uint32(hdr[20:24])
-		if n > size-offset-walHeaderSize {
-			// Record extends past EOF: a crashed append.
-			s.info.TornTail = true
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			s.info.TornTail = true
-			break
-		}
-		end := offset + walHeaderSize + n
-		crc := crc32.Checksum(hdr[0:20], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != want {
-			if end == size {
-				// Final record: indistinguishable from a torn append.
-				s.info.TornTail = true
-				break
-			}
-			if !s.opts.RepairCorruptWAL {
-				// Acknowledged records sit behind the damage; refuse to
-				// open (and leave the file untouched) rather than silently
-				// destroy them.
-				return &CorruptWALError{
-					Path:   filepath.Join(s.dir, walFileName),
-					Offset: offset,
-					Reason: fmt.Sprintf("crc mismatch (stored %08x, computed %08x)", want, crc),
-				}
-			}
-			s.info.CorruptRecords++
-			break
-		}
+	end, err := scanWAL(data, func(offset int64, epoch, seq uint64, payload []byte) error {
 		switch {
 		case epoch == s.epoch:
-			rec, err := decodeWALPayload(payload)
+			rec, err := DecodeCommitRecord(payload)
 			if err != nil {
-				wal.Close()
-				return fmt.Errorf("storage: wal record at offset %d: %w", offset, err)
+				return fmt.Errorf("%s record at offset %d: %w", path, offset, err)
 			}
 			s.records = append(s.records, rec)
 			s.info.Replayed++
@@ -439,25 +249,38 @@ func (s *Store) recoverWAL() error {
 			// A record newer than every readable snapshot: the snapshot
 			// covering the records truncated at that checkpoint is gone.
 			// Replaying onto older state would silently lose data.
-			wal.Close()
 			return fmt.Errorf("storage: wal record at offset %d has epoch %d but newest readable snapshot is epoch %d; state is not recoverable from this directory", offset, epoch, s.epoch)
 		}
 		if seq > s.seq {
 			s.seq = seq
 		}
-		offset = end
-		validEnd = end
+		return nil
+	})
+	var corrupt *CorruptWALError
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrTornWAL):
+		s.info.TornTail = true
+	case errors.As(err, &corrupt):
+		if !s.opts.RepairCorruptWAL {
+			// Acknowledged records sit behind the damage; refuse to open
+			// rather than silently destroy them.
+			corrupt.Path = path
+			return corrupt
+		}
+		s.info.CorruptRecords++
+	default:
+		return err
 	}
-	if validEnd < size {
-		s.info.DiscardedBytes = size - validEnd
-		if err := wal.Truncate(validEnd); err != nil {
+	if size := int64(len(data)); end < size {
+		s.info.DiscardedBytes = size - end
+		if err := wal.Truncate(end); err != nil {
 			return err
 		}
 		if err := wal.Sync(); err != nil {
 			return err
 		}
 	}
-	// O_APPEND writes go to EOF regardless of the read offset.
 	return nil
 }
 
@@ -471,24 +294,13 @@ func (s *Store) Snapshot() (db *eval.DB, program string, hidden []string, ok boo
 	return s.snapDB, s.snapProgram, s.snapHidden, s.info.HasSnapshot
 }
 
-// Scripts returns the WAL delta scripts to replay on top of the
-// snapshot, in append order.
-func (s *Store) Scripts() []string {
-	out := make([]string, len(s.records))
-	for i, r := range s.records {
-		out[i] = r.Script
-	}
-	return out
-}
-
-// Records returns the WAL records to replay on top of the snapshot, in
-// append order, including the idempotency keys each record carries.
-func (s *Store) Records() []WALRecord { return s.records }
+// Records returns the commit records to replay on top of the snapshot,
+// in append order.
+func (s *Store) Records() []CommitRecord { return s.records }
 
 // SnapshotBaseVersion returns the published snapshot version the newest
-// checkpoint was stamped with (0 for stores written before version
-// stamping). After recovery this is the version the in-memory state sat
-// at before any WAL replay.
+// checkpoint was stamped with. After recovery this is the version the
+// in-memory state sat at before any WAL replay.
 func (s *Store) SnapshotBaseVersion() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -501,64 +313,35 @@ func (s *Store) SnapshotBaseVersion() uint64 {
 // fallen out of the in-memory window but is still newer than the last
 // checkpoint. The scan runs under the store lock (appends are fully
 // written before the lock is released, so the file never holds a torn
-// record mid-stream); any decode or checksum error stops the scan and is
-// returned — the caller falls back to a full snapshot reset rather than
-// serve a gap.
-func (s *Store) TailRecords(fromExcl uint64) ([]WALRecord, error) {
+// record mid-stream); whatever stops the scan short — torn, corrupt or
+// undecodable — is returned, and the caller falls back to a full
+// snapshot reset rather than serve a gap.
+func (s *Store) TailRecords(fromExcl uint64) ([]CommitRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrStoreClosed
 	}
-	f, err := os.Open(filepath.Join(s.dir, walFileName))
+	data, err := os.ReadFile(filepath.Join(s.dir, walFileName))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
-	r := bufio.NewReader(f)
-	var (
-		out    []WALRecord
-		offset int64
-		hdr    [walHeaderSize]byte
-	)
-	for offset < size {
-		if size-offset < walHeaderSize {
-			return nil, fmt.Errorf("storage: wal tail scan: torn header at offset %d", offset)
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		epoch := binary.BigEndian.Uint64(hdr[0:8])
-		n := int64(binary.BigEndian.Uint32(hdr[16:20]))
-		want := binary.BigEndian.Uint32(hdr[20:24])
-		if n > size-offset-walHeaderSize {
-			return nil, fmt.Errorf("storage: wal tail scan: torn record at offset %d", offset)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, err
-		}
-		crc := crc32.Checksum(hdr[0:20], castagnoli)
-		crc = crc32.Update(crc, castagnoli, payload)
-		if crc != want {
-			return nil, fmt.Errorf("storage: wal tail scan: crc mismatch at offset %d", offset)
-		}
-		offset += walHeaderSize + n
+	var out []CommitRecord
+	_, err = scanWAL(data, func(_ int64, epoch, _ uint64, payload []byte) error {
 		if epoch != s.epoch {
-			continue
+			return nil
 		}
-		rec, err := decodeWALPayload(payload)
+		rec, err := DecodeCommitRecord(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if rec.Version > fromExcl {
 			out = append(out, rec)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("storage: wal tail scan: %w", err)
 	}
 	return out, nil
 }
@@ -567,7 +350,7 @@ func (s *Store) TailRecords(fromExcl uint64) ([]WALRecord, error) {
 // in-memory state before appending can pre-check so a closed store
 // rejects the whole operation instead of leaving memory ahead of the
 // log (a concurrent Close can still land between the check and the
-// append; AppendAsync then fails with ErrStoreClosed after the fact).
+// append; the append then fails with ErrStoreClosed after the fact).
 func (s *Store) Closed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -605,64 +388,28 @@ func (s *Store) AttachMetrics(reg *metrics.Registry) {
 	}
 }
 
-// encodeWALRecord renders one record; the CRC32C covers the header
-// (minus the crc field itself) and the payload.
-func encodeWALRecord(epoch, seq uint64, payload []byte) []byte {
-	rec := make([]byte, walHeaderSize+len(payload))
-	binary.BigEndian.PutUint64(rec[0:8], epoch)
-	binary.BigEndian.PutUint64(rec[8:16], seq)
-	binary.BigEndian.PutUint32(rec[16:20], uint32(len(payload)))
-	copy(rec[walHeaderSize:], payload)
-	crc := crc32.Checksum(rec[0:20], castagnoli)
-	crc = crc32.Update(crc, castagnoli, rec[walHeaderSize:])
-	binary.BigEndian.PutUint32(rec[20:24], crc)
-	return rec
-}
-
-// Append durably logs one delta script: it returns only after the
-// record is written and fsynced (possibly by a shared group commit).
-func (s *Store) Append(script string) error {
-	wait, err := s.AppendAsync(script)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// AppendAsync is AppendRecordAsync for a record without idempotency
-// keys.
-func (s *Store) AppendAsync(script string) (wait func() error, err error) {
-	return s.AppendRecordAsync(script, nil)
-}
-
-// AppendRecordAsync is AppendVersionedAsync for a record without a
-// version stamp (legacy framing).
-func (s *Store) AppendRecordAsync(script string, keys []string) (wait func() error, err error) {
-	return s.AppendVersionedAsync(0, script, keys)
-}
-
-// AppendVersionedAsync writes the record (establishing its position in
-// the log) and returns a wait function that blocks until the record is
-// durable. version, when nonzero, stamps the record with the snapshot
-// version its apply publishes, so recovery and replication backfill can
-// align on the durable commit order. keys are the idempotency keys the
-// record's applies carried; recovery hands them back via Records so
-// dedup survives replay. Callers that serialize appends under their own
-// lock can write inside the critical section and wait outside it,
-// letting group commit batch the fsyncs.
+// AppendVersionedAsync writes one commit record (establishing its
+// position in the log) and returns a wait function that blocks until the
+// record is durable. version is the snapshot version the record's apply
+// publishes — the durable commit order recovery and replication backfill
+// align on. keys are the idempotency keys the record's applies carried;
+// recovery hands them back via Records so dedup survives replay. Callers
+// that serialize appends under their own lock can write inside the
+// critical section and wait outside it, letting group commit batch the
+// fsyncs.
 func (s *Store) AppendVersionedAsync(version uint64, script string, keys []string) (wait func() error, err error) {
-	payload, err := encodeWALPayload(version, script, keys)
-	if err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrStoreClosed
 	}
+	rec, err := encodeWALRecord(s.epoch, s.seq+1, CommitRecord{Version: version, Keys: keys, Script: script})
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
 	s.seq++
 	seq := s.seq
-	rec := encodeWALRecord(s.epoch, seq, payload)
 	if _, err := s.wal.Write(rec); err != nil {
 		s.mu.Unlock()
 		return nil, err
@@ -691,18 +438,13 @@ func (s *Store) AppendVersionedAsync(version uint64, script string, keys []strin
 	return func() error { return s.gc.waitSynced(seq) }, nil
 }
 
-// Checkpoint is CheckpointAt without a base-version stamp.
-func (s *Store) Checkpoint(db *eval.DB, program string, hidden []string) error {
-	return s.CheckpointAt(db, program, hidden, 0)
-}
-
 // CheckpointAt writes a new snapshot epoch and truncates the WAL. The
 // sequence — fsync temp snapshot, rename, fsync directory, bump epoch,
 // truncate + fsync WAL — guarantees a crash at any point recovers to
-// exactly the checkpointed state plus later appends. baseVersion, when
-// nonzero, records the snapshot version the checkpointed state was
-// published as, so recovery restarts the version counter where the
-// previous process left it.
+// exactly the checkpointed state plus later appends. baseVersion records
+// the snapshot version the checkpointed state was published as, so
+// recovery restarts the version counter where the previous process left
+// it.
 func (s *Store) CheckpointAt(db *eval.DB, program string, hidden []string, baseVersion uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -711,7 +453,7 @@ func (s *Store) CheckpointAt(db *eval.DB, program string, hidden []string, baseV
 	}
 	start := time.Now()
 	next := s.epoch + 1
-	if err := SaveFileAt(filepath.Join(s.dir, snapName(next)), db, program, hidden, baseVersion); err != nil {
+	if err := SaveFile(filepath.Join(s.dir, snapName(next)), db, program, hidden, baseVersion); err != nil {
 		return err
 	}
 	s.epoch = next
@@ -776,7 +518,10 @@ type groupCommitter struct {
 	synced   uint64
 	err      error
 	closed   bool
-	done     chan struct{}
+	// drained is set once the final fsync after close has run: only
+	// then may a waiter conclude its record was not covered.
+	drained bool
+	done    chan struct{}
 
 	fsyncs *metrics.Counter
 	hFsync *metrics.Histogram
@@ -806,7 +551,7 @@ func (g *groupCommitter) noteAppended(seq uint64) {
 func (g *groupCommitter) waitSynced(seq uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for g.err == nil && g.synced < seq && !g.closed {
+	for g.err == nil && g.synced < seq && !g.drained {
 		g.cond.Wait()
 	}
 	if g.err != nil {
@@ -839,6 +584,7 @@ func (g *groupCommitter) run() {
 			} else if g.err == nil {
 				g.synced = target
 			}
+			g.drained = true
 			g.cond.Broadcast()
 			g.mu.Unlock()
 			close(g.done)

@@ -1,10 +1,15 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,6 +30,68 @@ func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
 
 func walPath(dir string) string { return filepath.Join(dir, walFileName) }
 
+// appendRec durably appends one commit record through the store's one
+// append call.
+func appendRec(t testing.TB, s *Store, version uint64, script string, keys ...string) {
+	t.Helper()
+	wait, err := s.AppendVersionedAsync(version, script, keys)
+	if err == nil {
+		err = wait()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkpoint writes the sample database as the store's next epoch.
+func checkpoint(t testing.TB, s *Store, program string, hidden ...string) {
+	t.Helper()
+	if err := s.CheckpointAt(sampleDB(), program, hidden, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scripts lists the delta scripts of the records recovery handed back.
+func scripts(s *Store) []string {
+	out := make([]string, len(s.Records()))
+	for i, r := range s.Records() {
+		out[i] = r.Script
+	}
+	return out
+}
+
+// rawWALRecord frames an arbitrary payload as a checksum-valid WAL
+// record, spelling the header layout out independently of the encoder.
+func rawWALRecord(epoch, seq uint64, payload []byte) []byte {
+	rec := make([]byte, walHeaderSize, walHeaderSize+len(payload))
+	binary.BigEndian.PutUint64(rec[0:8], epoch)
+	binary.BigEndian.PutUint64(rec[8:16], seq)
+	binary.BigEndian.PutUint32(rec[16:20], uint32(len(payload)))
+	rec = append(rec, payload...)
+	crc := crc32.Checksum(rec[0:20], castagnoli)
+	binary.BigEndian.PutUint32(rec[20:24], crc32.Update(crc, castagnoli, payload))
+	return rec
+}
+
+// dirImage reads every file in dir, so a test can require a refused open
+// to have left the directory byte-for-byte unchanged.
+func dirImage(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[e.Name()] = string(data)
+	}
+	return img
+}
+
 func TestStoreEmptyOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
@@ -32,8 +99,8 @@ func TestStoreEmptyOpen(t *testing.T) {
 	if _, _, _, ok := s.Snapshot(); ok {
 		t.Fatal("empty store must have no snapshot")
 	}
-	if len(s.Scripts()) != 0 || s.Epoch() != 0 {
-		t.Fatalf("scripts=%v epoch=%d", s.Scripts(), s.Epoch())
+	if len(scripts(s)) != 0 || s.Epoch() != 0 {
+		t.Fatalf("scripts=%v epoch=%d", scripts(s), s.Epoch())
 	}
 }
 
@@ -41,9 +108,7 @@ func TestStoreAppendReopenReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	for i := 0; i < 5; i++ {
-		if err := s.Append(fmt.Sprintf("+p(%d).", i)); err != nil {
-			t.Fatal(err)
-		}
+		appendRec(t, s, uint64(i+2), fmt.Sprintf("+p(%d).", i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -51,27 +116,21 @@ func TestStoreAppendReopenReplay(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := s2.Scripts(); len(got) != 5 || got[0] != "+p(0)." || got[4] != "+p(4)." {
+	if got := scripts(s2); len(got) != 5 || got[0] != "+p(0)." || got[4] != "+p(4)." {
 		t.Fatalf("scripts: %v", got)
 	}
 	info := s2.Recovery()
 	if info.SkippedStale != 0 || info.TornTail || info.CorruptRecords != 0 {
-		t.Fatalf("info: %v", info)
+		t.Fatalf("info: %+v", info)
 	}
 }
 
 func TestStoreCheckpointSupersedesWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Append("+p(1)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(sampleDB(), "prog.", []string{"aux"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("+p(2)."); err != nil {
-		t.Fatal(err)
-	}
+	appendRec(t, s, 2, "+p(1).")
+	checkpoint(t, s, "prog.", "aux")
+	appendRec(t, s, 3, "+p(2).")
 	s.Close()
 
 	s2 := openTestStore(t, dir, StoreOptions{})
@@ -83,7 +142,7 @@ func TestStoreCheckpointSupersedesWAL(t *testing.T) {
 	if db.Get("link").Count(value.T("b", "c")) != 3 {
 		t.Fatal("snapshot db contents")
 	}
-	if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(2)." {
+	if got := scripts(s2); len(got) != 1 || got[0] != "+p(2)." {
 		t.Fatalf("scripts: %v", got)
 	}
 	if s2.Epoch() != 1 {
@@ -97,17 +156,13 @@ func TestStoreSkipsStaleEpochRecords(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	for i := 0; i < 3; i++ {
-		if err := s.Append(fmt.Sprintf("+p(%d).", i)); err != nil {
-			t.Fatal(err)
-		}
+		appendRec(t, s, uint64(i+2), fmt.Sprintf("+p(%d).", i))
 	}
 	pre, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(t, s, "prog.")
 	s.Close()
 	if err := os.WriteFile(walPath(dir), pre, 0o644); err != nil {
 		t.Fatal(err)
@@ -117,24 +172,31 @@ func TestStoreSkipsStaleEpochRecords(t *testing.T) {
 	defer s2.Close()
 	info := s2.Recovery()
 	if info.SkippedStale != 3 || info.Replayed != 0 {
-		t.Fatalf("info: %v", info)
+		t.Fatalf("info: %+v", info)
 	}
-	if len(s2.Scripts()) != 0 {
-		t.Fatalf("stale records must not replay: %v", s2.Scripts())
+	if len(scripts(s2)) != 0 {
+		t.Fatalf("stale records must not replay: %v", scripts(s2))
 	}
 }
 
 func TestStoreTornTail(t *testing.T) {
+	whole := rawWALRecord(0, 99, []byte("\x01 a record the crash cut short"))
+	badCRC := append([]byte(nil), whole...)
+	badCRC[len(badCRC)-1] ^= 0x80
 	for name, tail := range map[string][]byte{
 		"torn header":  {1, 2, 3},
-		"torn payload": encodeWALRecord(0, 99, []byte("+p(x)."))[:walHeaderSize+3],
+		"torn payload": whole[:walHeaderSize+3],
+		// A checksum failure on the very last record is indistinguishable
+		// from a torn append; it is dropped without error.
+		"checksum-failing final record": badCRC,
+		// A garbage header claiming ~4 GiB must not allocate 4 GiB: the
+		// length is bounded by the bytes present and the tail is torn.
+		"absurd length header": append(bytes.Repeat([]byte{0xff}, walHeaderSize), "junk"...),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openTestStore(t, dir, StoreOptions{})
-			if err := s.Append("+p(1)."); err != nil {
-				t.Fatal(err)
-			}
+			appendRec(t, s, 2, "+p(1).")
 			s.Close()
 			f, err := os.OpenFile(walPath(dir), os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
@@ -147,19 +209,17 @@ func TestStoreTornTail(t *testing.T) {
 			defer s2.Close()
 			info := s2.Recovery()
 			if !info.TornTail || info.CorruptRecords != 0 {
-				t.Fatalf("%s: info: %v", name, info)
+				t.Fatalf("%s: info: %+v", name, info)
 			}
-			if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(1)." {
+			if got := scripts(s2); len(got) != 1 || got[0] != "+p(1)." {
 				t.Fatalf("%s: scripts: %v", name, got)
 			}
 			// The torn tail is truncated away, so appends resume cleanly.
-			if err := s2.Append("+p(2)."); err != nil {
-				t.Fatal(err)
-			}
+			appendRec(t, s2, 3, "+p(2).")
 			s2.Close()
 			s3 := openTestStore(t, dir, StoreOptions{})
 			defer s3.Close()
-			if got := s3.Scripts(); len(got) != 2 || got[1] != "+p(2)." {
+			if got := scripts(s3); len(got) != 2 || got[1] != "+p(2)." {
 				t.Fatalf("%s: after tail truncation: %v", name, got)
 			}
 		})
@@ -170,9 +230,7 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	for i := 0; i < 3; i++ {
-		if err := s.Append(fmt.Sprintf("+p(%d).", i)); err != nil {
-			t.Fatal(err)
-		}
+		appendRec(t, s, uint64(i+2), fmt.Sprintf("+p(%d).", i))
 	}
 	s.Close()
 	data, err := os.ReadFile(walPath(dir))
@@ -181,7 +239,7 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 	}
 	// Flip a payload bit in the middle record: acknowledged records sit
 	// behind the damage.
-	recLen := walHeaderSize + len("+p(0).")
+	recLen := walHeaderSize + commitRecordFixed + len("+p(0).")
 	data[recLen+walHeaderSize] ^= 0x01
 	if err := os.WriteFile(walPath(dir), data, 0o644); err != nil {
 		t.Fatal(err)
@@ -209,9 +267,9 @@ func TestStoreBitFlipRefusesWithoutRepairOptIn(t *testing.T) {
 	defer s2.Close()
 	info := s2.Recovery()
 	if info.CorruptRecords != 1 {
-		t.Fatalf("info: %v", info)
+		t.Fatalf("info: %+v", info)
 	}
-	if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(0)." {
+	if got := scripts(s2); len(got) != 1 || got[0] != "+p(0)." {
 		t.Fatalf("only the valid prefix may replay: %v", got)
 	}
 	if info.DiscardedBytes == 0 {
@@ -226,12 +284,8 @@ func TestStoreMissingSnapshotForNewerEpochFails(t *testing.T) {
 	// records truncated at that checkpoint.
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("+p(1)."); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(t, s, "prog.")
+	appendRec(t, s, 2, "+p(1).")
 	s.Close()
 	if err := os.Remove(filepath.Join(dir, snapName(1))); err != nil {
 		t.Fatal(err)
@@ -249,19 +303,13 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 	// recovery falls back to the previous snapshot and replays.
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Checkpoint(sampleDB(), "v1.", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("+p(1)."); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(t, s, "v1.")
+	appendRec(t, s, 2, "+p(1).")
 	pre, err := os.ReadFile(walPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(sampleDB(), "v2.", nil); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(t, s, "v2.")
 	s.Close()
 	// Corrupt snapshot-2 and restore the pre-checkpoint WAL (epoch-1
 	// records), as if the second checkpoint never became durable.
@@ -276,12 +324,12 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 	defer s2.Close()
 	info := s2.Recovery()
 	if info.Epoch != 1 || info.BadSnapshots != 1 {
-		t.Fatalf("info: %v", info)
+		t.Fatalf("info: %+v", info)
 	}
 	if _, prog, _, ok := s2.Snapshot(); !ok || prog != "v1." {
 		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", prog, ok)
 	}
-	if got := s2.Scripts(); len(got) != 1 || got[0] != "+p(1)." {
+	if got := scripts(s2); len(got) != 1 || got[0] != "+p(1)." {
 		t.Fatalf("scripts: %v", got)
 	}
 }
@@ -289,12 +337,8 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 func TestStorePartialRenameLeftoverIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("+p(1)."); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint(t, s, "prog.")
+	appendRec(t, s, 2, "+p(1).")
 	s.Close()
 	// A checkpoint that died before its rename leaves only a temp file.
 	tmp := filepath.Join(dir, snapName(2)+".tmp")
@@ -304,8 +348,8 @@ func TestStorePartialRenameLeftoverIgnored(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if s2.Epoch() != 1 || len(s2.Scripts()) != 1 {
-		t.Fatalf("epoch=%d scripts=%v", s2.Epoch(), s2.Scripts())
+	if s2.Epoch() != 1 || len(scripts(s2)) != 1 {
+		t.Fatalf("epoch=%d scripts=%v", s2.Epoch(), scripts(s2))
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("temp leftovers must be removed")
@@ -317,9 +361,7 @@ func TestStorePrunesOldSnapshots(t *testing.T) {
 	s := openTestStore(t, dir, StoreOptions{})
 	defer s.Close()
 	for i := 0; i < 4; i++ {
-		if err := s.Checkpoint(sampleDB(), "prog.", nil); err != nil {
-			t.Fatal(err)
-		}
+		checkpoint(t, s, "prog.")
 	}
 	for ep := uint64(1); ep <= 2; ep++ {
 		if _, err := os.Stat(filepath.Join(dir, snapName(ep))); !os.IsNotExist(err) {
@@ -345,7 +387,11 @@ func TestStoreGroupCommitConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := s.Append(fmt.Sprintf("+p(%d,%d).", w, i)); err != nil {
+				wait, err := s.AppendVersionedAsync(uint64(w*perWriter+i+2), fmt.Sprintf("+p(%d,%d).", w, i), nil)
+				if err == nil {
+					err = wait()
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -363,13 +409,13 @@ func TestStoreGroupCommitConcurrentAppends(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := len(s2.Scripts()); got != writers*perWriter {
+	if got := len(scripts(s2)); got != writers*perWriter {
 		t.Fatalf("recovered %d of %d records", got, writers*perWriter)
 	}
 }
 
 func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
-	// Race Close against concurrent AppendAsync callers: any append that
+	// Race Close against concurrent appenders: any append that
 	// passes the closed check has its record written, so its wait() must
 	// report success (the final drain's fsync covers it), and the record
 	// must be there on recovery. Before the fix, Close could capture the
@@ -387,7 +433,7 @@ func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				<-start
-				wait, err := s.AppendAsync(fmt.Sprintf("+p(%d).", w))
+				wait, err := s.AppendVersionedAsync(uint64(w+2), fmt.Sprintf("+p(%d).", w), nil)
 				if err != nil {
 					if err != ErrStoreClosed {
 						t.Errorf("append: %v", err)
@@ -408,7 +454,7 @@ func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
 		wg.Wait()
 
 		s2 := openTestStore(t, dir, StoreOptions{})
-		if got := int64(len(s2.Scripts())); got != acked.Load() {
+		if got := int64(len(scripts(s2))); got != acked.Load() {
 			t.Fatalf("round %d: recovered %d records, acknowledged %d", round, got, acked.Load())
 		}
 		s2.Close()
@@ -419,105 +465,242 @@ func TestStoreAppendAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	s.Close()
-	if err := s.Append("+p(1)."); err != ErrStoreClosed {
+	if _, err := s.AppendVersionedAsync(2, "+p(1).", nil); err != ErrStoreClosed {
 		t.Fatalf("err: %v", err)
 	}
-	if err := s.Checkpoint(sampleDB(), "p.", nil); err != ErrStoreClosed {
+	if err := s.CheckpointAt(sampleDB(), "p.", nil, 0); err != ErrStoreClosed {
+		t.Fatalf("err: %v", err)
+	}
+	if _, err := s.TailRecords(0); err != ErrStoreClosed {
 		t.Fatalf("err: %v", err)
 	}
 }
 
-func TestWALPayloadRoundTrip(t *testing.T) {
-	cases := []WALRecord{
-		{Script: "+p(1).", Keys: nil},
-		{Script: "+p(1).", Keys: []string{"k1"}},
-		{Script: "+p(1). -q(2).", Keys: []string{"a", "b", "c"}},
-		{Script: "", Keys: []string{"only-keys"}},
-		{Script: "+p(1).", Keys: []string{""}},
-		{Script: "+p(1).", Keys: []string{strings.Repeat("K", 300)}},
-		{Script: "+p(1).", Keys: nil, Version: 1},
-		{Script: "+p(1).", Keys: []string{"k1"}, Version: 42},
-		{Script: "", Keys: nil, Version: 1<<64 - 1},
-	}
-	for _, want := range cases {
-		payload, err := encodeWALPayload(want.Version, want.Script, want.Keys)
+func TestCommitRecordRoundTrip(t *testing.T) {
+	for _, want := range []CommitRecord{
+		{Version: 2, Script: "+p(1)."},
+		{Version: 42, Script: "+p(1).", Keys: []string{"k1"}},
+		{Version: 3, Script: "+p(1). -q(2).", Keys: []string{"a", "b", "c"}},
+		{Version: 4, Keys: []string{"only-keys"}},
+		{Version: 5, Script: "+p(1).", Keys: []string{""}},
+		{Version: 6, Script: "+p(1).", Keys: []string{strings.Repeat("K", 300)}},
+		{Version: 1<<64 - 1},
+		{},
+	} {
+		payload, err := want.AppendTo(nil)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
-		got, err := decodeWALPayload(payload)
+		if len(payload) != want.encodedLen() {
+			t.Fatalf("%+v: encodedLen %d, encoded %d bytes", want, want.encodedLen(), len(payload))
+		}
+		got, err := DecodeCommitRecord(payload)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
-		if got.Script != want.Script || len(got.Keys) != len(want.Keys) || got.Version != want.Version {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip %+v -> %+v", want, got)
 		}
-		for i := range want.Keys {
-			if got.Keys[i] != want.Keys[i] {
-				t.Fatalf("key %d: %q != %q", i, got.Keys[i], want.Keys[i])
-			}
-		}
 	}
-	// Keyless, unversioned records must keep the legacy bare-script
-	// framing so stores written without either are byte-identical to
-	// earlier versions.
-	payload, _ := encodeWALPayload(0, "+p(1).", nil)
-	if string(payload) != "+p(1)." {
-		t.Fatalf("keyless payload not legacy framed: %q", payload)
+	if _, err := (CommitRecord{Keys: []string{strings.Repeat("K", 0x10000)}}).AppendTo(nil); err == nil {
+		t.Fatal("an over-long key must be refused, not truncated")
 	}
 }
 
-func TestWALPayloadDecodeMalformed(t *testing.T) {
-	for name, payload := range map[string][]byte{
-		"bare magic":      {walKeyedMagic},
-		"wrong tag":       {walKeyedMagic, 'X', 0, 1},
-		"truncated count": {walKeyedMagic, 'K', 0},
-		"truncated klen":  {walKeyedMagic, 'K', 0, 2, 0, 1, 'a'},
-		"truncated key":   {walKeyedMagic, 'K', 0, 1, 0, 9, 'a'},
+// The layout is pinned byte for byte: a keyed and a keyless record, and
+// the WAL frame around one of them. Drift here breaks every store and
+// every follower in the field, so it must fail loudly.
+func TestCommitRecordGoldenBytes(t *testing.T) {
+	keyed := CommitRecord{Version: 0x0102030405060708, Keys: []string{"k1", "key-2"}, Script: "+p(1)."}
+	keyless := CommitRecord{Version: 7, Script: "-q(a,b)."}
+	for _, c := range []struct {
+		rec  CommitRecord
+		want string
+	}{
+		// format | version | nkeys | klen "k1" | klen "key-2" | script
+		{keyed, "01" + "0102030405060708" + "0002" + "0002" + "6b31" + "0005" + "6b65792d32" + "2b702831292e"},
+		{keyless, "01" + "0000000000000007" + "0000" + "2d7128612c62292e"},
 	} {
-		if _, err := decodeWALPayload(payload); err == nil {
-			t.Errorf("%s: decode accepted malformed payload %v", name, payload)
+		got, err := c.rec.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if hex.EncodeToString(got) != c.want {
+			t.Errorf("%+v payload:\n got %x\nwant %s", c.rec, got, c.want)
+		}
+	}
+	// epoch | seq | len | crc32c(header[:20] + payload) | payload
+	const wantFrame = "0000000000000003" + "0000000000000009" + "00000013" + "64e0d6b7" + "01" + "0000000000000007" + "0000" + "2d7128612c62292e"
+	frame, err := encodeWALRecord(3, 9, keyless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(frame) != wantFrame {
+		t.Errorf("WAL frame:\n got %x\nwant %s", frame, wantFrame)
+	}
+	if !bytes.Equal(frame, rawWALRecord(3, 9, frame[walHeaderSize:])) {
+		t.Error("encodeWALRecord and the spelled-out header layout disagree")
+	}
+}
+
+func TestDecodeCommitRecordRefusals(t *testing.T) {
+	// Truncations of the current format are a writer bug ...
+	for name, payload := range map[string][]byte{
+		"format byte only": {commitRecordFormat},
+		"truncated count":  {commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0},
+		"truncated klen":   {commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 1, 'a'},
+		"truncated key":    {commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'},
+	} {
+		if _, err := DecodeCommitRecord(payload); !errors.Is(err, errMalformedRecord) {
+			t.Errorf("%s: decode = %v, want errMalformedRecord", name, err)
+		}
+	}
+	// ... and anything that does not lead with the format byte is not
+	// ours to read.
+	for name, payload := range retiredPayloads {
+		_, err := DecodeCommitRecord(payload)
+		var unknown *UnknownFormatError
+		if !errors.As(err, &unknown) || unknown.What != "WAL" {
+			t.Errorf("%s: decode = %v, want *UnknownFormatError", name, err)
+		}
+	}
+}
+
+// retiredPayloads are the WAL payload framings earlier builds wrote.
+var retiredPayloads = map[string][]byte{
+	"bare script":       []byte("+p(1)."),
+	"bare empty script": {},
+	"K-only":            append([]byte{0, 'K', 0, 1, 0, 2, 'k', '1'}, "+p(1)."...),
+	"V over bare":       append([]byte{0, 'V', 0, 0, 0, 0, 0, 0, 0, 2}, "+p(1)."...),
+	"V over K":          append([]byte{0, 'V', 0, 0, 0, 0, 0, 0, 0, 2, 0, 'K', 0, 1, 0, 2, 'k', '1'}, "+p(1)."...),
+}
+
+// Every retired shape is refused with the typed error — by recovery and
+// by the backfill scan, which share one scanner — and a refused open
+// leaves the directory byte-for-byte as it found it: no truncate, no
+// rename, no "repair".
+func TestRetiredFormatsRefusedUntouched(t *testing.T) {
+	requireRefused := func(t *testing.T, dir string) {
+		t.Helper()
+		before := dirImage(t, dir)
+		_, err := OpenStore(dir, StoreOptions{RepairCorruptWAL: true})
+		var unknown *UnknownFormatError
+		if !errors.As(err, &unknown) {
+			t.Fatalf("OpenStore = %v, want *UnknownFormatError", err)
+		}
+		if after := dirImage(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("a refused open changed the directory:\nbefore %q\nafter  %q", before, after)
+		}
+	}
+	for name, payload := range retiredPayloads {
+		t.Run("wal/"+name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTestStore(t, dir, StoreOptions{})
+			checkpoint(t, s, "prog.")
+			appendRec(t, s, 2, "+p(0).")
+			if _, err := s.TailRecords(0); err != nil {
+				t.Fatal(err)
+			}
+			// An earlier build's record lands behind ours (same epoch, valid
+			// checksum): the live backfill scan refuses it ...
+			f, err := os.OpenFile(walPath(dir), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(rawWALRecord(1, 2, payload)); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			var unknown *UnknownFormatError
+			if _, err := s.TailRecords(0); !errors.As(err, &unknown) {
+				t.Fatalf("TailRecords = %v, want *UnknownFormatError", err)
+			}
+			s.Close()
+			// ... and so does recovery.
+			requireRefused(t, dir)
+		})
+	}
+	for _, version := range []int{1, 2} {
+		t.Run(fmt.Sprintf("snapshot/v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			s := openTestStore(t, dir, StoreOptions{})
+			checkpoint(t, s, "prog.")
+			s.Close()
+			// The newest checkpoint is an intact file in a retired layout;
+			// falling back to epoch 1 would silently drop what it holds.
+			old := snapshotBytes(t, snapshot{Version: version, Program: "old."})
+			if err := os.WriteFile(filepath.Join(dir, snapName(2)), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			requireRefused(t, dir)
+		})
+	}
+}
+
+// A snapshot whose footer is damaged is as corrupt as one whose body
+// is: flipping a bit of the magic must not turn the check off and let a
+// flipped count through. The store sets the file aside and falls back
+// one epoch.
+func TestStoreDamagedSnapshotFooterFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, StoreOptions{})
+	checkpoint(t, s, "v1.")
+	checkpoint(t, s, "v2.")
+	s.Close()
+	path := filepath.Join(dir, snapName(2))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One bit of the footer magic, plus a body byte gob decodes without
+	// complaint (a letter of the program text): with the check switched
+	// off, the file would load as a valid epoch-2 snapshot of "v0.".
+	data[len(data)-snapFooterSize] ^= 0x01
+	at := bytes.Index(data, []byte("v2."))
+	if at < 0 {
+		t.Fatal("program text not found in the snapshot body")
+	}
+	data[at+1] ^= 0x02
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTestStore(t, dir, StoreOptions{})
+	defer s2.Close()
+	if info := s2.Recovery(); info.Epoch != 1 || info.BadSnapshots != 1 {
+		t.Fatalf("info: %+v", info)
+	}
+	if _, prog, _, ok := s2.Snapshot(); !ok || prog != "v1." {
+		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", prog, ok)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Fatalf("the damaged snapshot must be set aside: %v", err)
 	}
 }
 
 func TestStoreKeyedRecordsSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
-	appendRec := func(script string, keys ...string) {
-		t.Helper()
-		wait, err := s.AppendRecordAsync(script, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wait(); err != nil {
-			t.Fatal(err)
-		}
+	want := []CommitRecord{
+		{Version: 2, Script: "+p(1).", Keys: []string{"key-1"}},
+		{Version: 3, Script: "+p(2)."}, // keyless, interleaved
+		{Version: 4, Script: "+p(3). +p(4).", Keys: []string{"key-3a", "key-3b"}},
 	}
-	appendRec("+p(1).", "key-1")
-	appendRec("+p(2).") // keyless, interleaved
-	appendRec("+p(3). +p(4).", "key-3a", "key-3b")
+	for _, r := range want {
+		appendRec(t, s, r.Version, r.Script, r.Keys...)
+	}
+	// The live backfill scan and recovery read the same records.
+	tail, err := s.TailRecords(2)
+	if err != nil || !reflect.DeepEqual(tail, want[1:]) {
+		t.Fatalf("TailRecords(2) = %+v, %v", tail, err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	recs := s2.Records()
-	if len(recs) != 3 {
-		t.Fatalf("records: %+v", recs)
-	}
-	if recs[0].Script != "+p(1)." || len(recs[0].Keys) != 1 || recs[0].Keys[0] != "key-1" {
-		t.Fatalf("record 0: %+v", recs[0])
-	}
-	if recs[1].Script != "+p(2)." || len(recs[1].Keys) != 0 {
-		t.Fatalf("record 1: %+v", recs[1])
-	}
-	if recs[2].Script != "+p(3). +p(4)." || len(recs[2].Keys) != 2 || recs[2].Keys[1] != "key-3b" {
-		t.Fatalf("record 2: %+v", recs[2])
-	}
-	// Scripts() must agree with the keyed view for replay call sites
-	// that only need the text.
-	if sc := s2.Scripts(); len(sc) != 3 || sc[2] != "+p(3). +p(4)." {
-		t.Fatalf("scripts: %v", sc)
+	if got := s2.Records(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("records: %+v", got)
 	}
 }

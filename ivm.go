@@ -226,7 +226,7 @@ type Views struct {
 	handlersMu           sync.Mutex
 	handlers             map[string][]func(pred string, inserted, deleted []Row)
 	commitHandlers       []func(cs *ChangeSet)
-	commitRecordHandlers []func(rec CommitRecord)
+	commitRecordHandlers []func(ev CommitEvent)
 
 	// verMu/verCh implement WaitForVersion: verCh, when non-nil, is
 	// closed at the next version publish. Lazily allocated so publishes
@@ -642,14 +642,12 @@ type applyReq struct {
 type applyGroup struct {
 	reqs []*applyReq
 	cs   *ChangeSet
-	// version is the snapshot version this group publishes; assigned
-	// when maintenance succeeds, stamped into the WAL record, and fed to
-	// replication so the durable order and the published order agree.
-	version uint64
-	// script and keys are the group's WAL record content (script is
-	// rendered only when a store or a commit-record subscriber needs it).
-	script string
-	keys   []string
+	// rec is the group's commit record, cut when maintenance succeeds:
+	// the version it publishes, every covered request's idempotency keys,
+	// and the delta script (rendered only when the WAL or a commit-record
+	// subscriber will consume it). The WAL logs it and replication ships
+	// it, so the durable order and the published order agree.
+	rec CommitRecord
 	// rels is the relation map as of this group's maintenance pass — the
 	// exact state its version publishes.
 	rels    map[string]*relation.Versioned
@@ -807,26 +805,15 @@ func (v *Views) processBatch(batch []*applyReq) {
 		for _, r := range admitted {
 			merged.Merge(r.u)
 		}
-		cs, err := v.maintainLocked(merged, next)
-		if err != nil {
+		if g := v.maintainGroupLocked(admitted, merged, next, base+1, needScript); g.cs != nil {
+			g.rels = next
+			groups = []*applyGroup{g}
+		} else {
 			// The merged net update did not validate as a whole; fall
 			// back to applying each caller's update individually so
 			// each gets exactly its own result or error.
 			v.mFallbacks.Inc()
 			groups = v.runSequentialLocked(admitted, next, base, needScript)
-		} else {
-			g := &applyGroup{reqs: admitted, cs: cs, version: base + 1, rels: next}
-			cs.version = g.version
-			// The coalesced batch is one WAL record, so it carries every
-			// caller's idempotency key; recovery re-seeds all of them.
-			for _, r := range admitted {
-				g.keys = append(g.keys, r.keys...)
-			}
-			if needScript {
-				g.script = merged.String()
-			}
-			g.wait, g.err = v.logLocked(g.version, g.script, g.keys)
-			groups = []*applyGroup{g}
 		}
 	}
 
@@ -852,7 +839,7 @@ func (v *Views) processBatch(batch []*applyReq) {
 		if g.cs == nil {
 			continue
 		}
-		pub := v.publishVersionLocked(g.rels, g.version)
+		pub := v.publishVersionLocked(g.rels, g.rec.Version)
 		g.pubUnix = pub.published
 	}
 	// Record idempotency keys only for fully committed groups (applied,
@@ -865,10 +852,8 @@ func (v *Views) processBatch(batch []*applyReq) {
 		if g.err != nil {
 			continue
 		}
-		for _, r := range g.reqs {
-			for _, k := range r.keys {
-				v.idem.record(k, g.version)
-			}
+		for _, k := range g.rec.Keys {
+			v.idem.record(k, g.rec.Version)
 		}
 	}
 	v.mIdemEntries.Set(int64(v.idem.len()))
@@ -885,7 +870,7 @@ func (v *Views) processBatch(batch []*applyReq) {
 		if g.err == nil {
 			v.notify(g.cs)
 			for _, fn := range recHandlers {
-				fn(CommitRecord{Version: g.version, UnixNano: g.pubUnix, Script: g.script, Keys: g.keys})
+				fn(CommitEvent{CommitRecord: g.rec, UnixNano: g.pubUnix})
 			}
 		}
 		for _, r := range g.reqs {
@@ -964,19 +949,9 @@ func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relat
 	groups := make([]*applyGroup, 0, len(admitted))
 	ver := base
 	for _, r := range admitted {
-		g := &applyGroup{reqs: []*applyReq{r}}
-		cs, err := v.maintainLocked(r.u, next)
-		if err != nil {
-			g.err = err
-		} else {
+		g := v.maintainGroupLocked([]*applyReq{r}, r.u, next, ver+1, needScript)
+		if g.cs != nil {
 			ver++
-			g.cs = cs
-			g.version = ver
-			cs.version = ver
-			g.keys = r.keys
-			if needScript {
-				g.script = r.u.String()
-			}
 			// Snapshot the relation map as of this group so its version
 			// publishes exactly this group's state; later groups keep
 			// evolving next.
@@ -984,11 +959,39 @@ func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relat
 			for p, vr := range next {
 				g.rels[p] = vr
 			}
-			g.wait, g.err = v.logLocked(ver, g.script, r.keys)
 		}
 		groups = append(groups, g)
 	}
 	return groups
+}
+
+// maintainGroupLocked runs one maintenance pass for u on behalf of reqs
+// and, when it succeeds, cuts the group's commit record at version and
+// appends it to the WAL — the one place a record is cut, whether the
+// group is a whole coalesced batch or a single request. A failed pass
+// returns a group with no change set (g.cs == nil) and the engine's
+// error; the caller owns g.rels.
+func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string]*relation.Versioned, version uint64, needScript bool) *applyGroup {
+	g := &applyGroup{reqs: reqs}
+	if g.cs, g.err = v.maintainLocked(u, next); g.err != nil {
+		return g
+	}
+	g.cs.version = version
+	g.rec.Version = version
+	// A coalesced batch is one record, so it carries every caller's
+	// idempotency key; recovery and followers re-seed all of them.
+	g.rec.Keys = reqs[0].keys
+	if len(reqs) > 1 {
+		g.rec.Keys = nil
+		for _, r := range reqs {
+			g.rec.Keys = append(g.rec.Keys, r.keys...)
+		}
+	}
+	if needScript {
+		g.rec.Script = u.String()
+	}
+	g.wait, g.err = v.logLocked(g.rec)
+	return g
 }
 
 // maintainLocked runs one engine maintenance pass for u and folds the
@@ -1039,19 +1042,18 @@ func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (
 	return cs, nil
 }
 
-// logLocked appends a group's delta script to the WAL (store-bound
-// views), version-stamped and with the requests' idempotency keys
-// framed into the record, and returns the group-commit wait. The append
+// logLocked appends a group's commit record to the WAL (store-bound
+// views) and returns the group-commit wait. The append
 // happens under wmu in application order, so the log order matches the
 // apply order. Empty net updates log too — every published version gets
 // exactly one record, keeping the version sequence in the WAL gapless
 // so recovery and replication backfill can align on it (replaying a
 // no-op is a no-op).
-func (v *Views) logLocked(version uint64, script string, keys []string) (func() error, error) {
+func (v *Views) logLocked(rec CommitRecord) (func() error, error) {
 	if v.store == nil {
 		return nil, nil
 	}
-	w, err := v.store.AppendVersionedAsync(version, script, keys)
+	w, err := v.store.AppendVersionedAsync(rec.Version, rec.Script, rec.Keys)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
 	}
@@ -1098,45 +1100,36 @@ func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 	v.commitHandlers = append(v.commitHandlers, fn)
 }
 
-// CommitRecord is the replication-facing image of one committed,
-// published maintenance pass: the version it published, the delta
-// script that reproduces it (the same text the WAL logs), the
-// idempotency keys it covered, and the publish timestamp. Reset marks a
-// commit whose effects a delta script cannot express (a rule edit):
-// subscribers must resynchronize from a full state snapshot instead of
-// applying deltas across it.
-type CommitRecord struct {
-	Version  uint64
+// CommitRecord is one committed maintenance pass — the version it
+// published, the idempotency keys it covered, and the delta script that
+// reproduces it. It is defined once, in internal/storage: the bytes the
+// WAL logs for a commit are the bytes a replication 'D' record ships.
+type CommitRecord = storage.CommitRecord
+
+// CommitEvent is one published version as OnCommitRecord reports it: the
+// commit's record plus when it was published. Reset marks a commit whose
+// effects a delta script cannot express (a rule edit — only Version is
+// set): subscribers must resynchronize from a full state snapshot
+// instead of applying deltas across it.
+type CommitEvent struct {
+	CommitRecord
 	UnixNano int64
-	Script   string
-	Keys     []string
 	Reset    bool
 }
 
 // OnCommitRecord subscribes fn to the commit-ordered record stream:
-// one record per published version, in version order, carrying the
-// delta script that reproduces the commit. This is the feed the
-// replication endpoint streams to followers. Like OnCommit handlers,
-// fn runs on the maintainer goroutine after publish with no Views lock
-// held, and must not Apply or edit rules from within the callback.
-// Subscribe before the first Apply you need to observe — commits that
-// ran before the subscription are not replayed (the serving layer
-// bridges the gap from the WAL instead).
-func (v *Views) OnCommitRecord(fn func(rec CommitRecord)) {
+// one event per published version, in version order, carrying the
+// record that reproduces the commit. This is the feed the replication
+// endpoint streams to followers. Like OnCommit handlers, fn runs on the
+// maintainer goroutine after publish with no Views lock held, and must
+// not Apply or edit rules from within the callback. Subscribe before the
+// first Apply you need to observe — commits that ran before the
+// subscription are not replayed (the serving layer bridges the gap from
+// the WAL instead).
+func (v *Views) OnCommitRecord(fn func(ev CommitEvent)) {
 	v.handlersMu.Lock()
 	defer v.handlersMu.Unlock()
 	v.commitRecordHandlers = append(v.commitRecordHandlers, fn)
-}
-
-// fireCommitRecord invokes the OnCommitRecord handlers (no Views lock
-// held).
-func (v *Views) fireCommitRecord(rec CommitRecord) {
-	v.handlersMu.Lock()
-	fns := v.commitRecordHandlers
-	v.handlersMu.Unlock()
-	for _, fn := range fns {
-		fn(rec)
-	}
 }
 
 // notify fires the OnChange and OnCommit handlers for a change set.
@@ -1265,9 +1258,14 @@ func (v *Views) ruleEditCommittedLocked(ch *dred.Changes) (*ChangeSet, error) {
 	v.wmu.Unlock()
 	v.notify(cs)
 	// A rule edit cannot be expressed as a delta script, so the commit
-	// record is a reset marker: replication subscribers resynchronize
+	// event is a reset marker: replication subscribers resynchronize
 	// from a full state snapshot.
-	v.fireCommitRecord(CommitRecord{Version: pub.id, UnixNano: pub.published, Reset: true})
+	v.handlersMu.Lock()
+	recHandlers := v.commitRecordHandlers
+	v.handlersMu.Unlock()
+	for _, fn := range recHandlers {
+		fn(CommitEvent{CommitRecord: CommitRecord{Version: pub.id}, UnixNano: pub.published, Reset: true})
+	}
 	return cs, nil
 }
 
@@ -1332,7 +1330,8 @@ func (v *Views) Save(path string) error {
 	}
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	return storage.SaveFile(path, v.db(), v.programSrc, v.hiddenLocked())
+	// No base version: LoadViews rematerializes from version 1.
+	return storage.SaveFile(path, v.db(), v.programSrc, v.hiddenLocked(), 0)
 }
 
 // LoadViews restores a snapshot saved by Views.Save, rematerializing the
@@ -1340,7 +1339,7 @@ func (v *Views) Save(path string) error {
 // auxiliary predicates of SQL-defined views) is restored with it, so
 // change sets stay filtered exactly as before the save.
 func LoadViews(path string, opts ...Option) (*Views, error) {
-	db, programSrc, hidden, err := storage.LoadFile(path)
+	db, programSrc, hidden, _, err := storage.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -1375,29 +1374,12 @@ func viewsFromSnapshot(db *eval.DB, programSrc string, hidden []string, opts []O
 	return v, nil
 }
 
-// RecoveryInfo describes what OpenStore found in the store directory.
+// RecoveryInfo describes what OpenStore found in the store directory:
+// the store's own recovery report (Epoch, Replayed, SkippedStale,
+// TornTail, CorruptRecords — nonzero only under WithWALRepair —
+// BadSnapshots, ...) plus whether the views had to be initialized.
 type RecoveryInfo struct {
-	// Epoch is the checkpoint epoch recovery started from.
-	Epoch uint64
-	// Replayed is the number of WAL delta scripts reapplied on top of
-	// the snapshot.
-	Replayed int
-	// SkippedStale counts WAL records from older epochs (a crash hit
-	// the window between checkpoint rename and WAL truncate; they are
-	// already in the snapshot and must not be double-applied).
-	SkippedStale int
-	// TornTail reports that an incomplete final record was discarded (a
-	// crash mid-append; the record was never acknowledged).
-	TornTail bool
-	// CorruptRecords counts checksum failures mid-log: in-place
-	// corruption. Nonzero only under WithWALRepair, where replay stops
-	// at the first one and keeps the valid prefix; without the opt-in,
-	// OpenStore fails on mid-log corruption instead of discarding
-	// acknowledged records.
-	CorruptRecords int
-	// BadSnapshots counts snapshot files that failed to decode and were
-	// set aside (recovery fell back to an older epoch).
-	BadSnapshots int
+	storage.RecoveryInfo
 	// Initialized reports that the store was empty and init() built the
 	// initial views (checkpointed as epoch 1).
 	Initialized bool
@@ -1439,15 +1421,7 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	si := st.Recovery()
-	info := RecoveryInfo{
-		Epoch:          si.Epoch,
-		Replayed:       si.Replayed,
-		SkippedStale:   si.SkippedStale,
-		TornTail:       si.TornTail,
-		CorruptRecords: si.CorruptRecords,
-		BadSnapshots:   si.BadSnapshots,
-	}
+	info := RecoveryInfo{RecoveryInfo: st.Recovery()}
 	fail := func(err error) (*Views, RecoveryInfo, error) {
 		st.Close()
 		return nil, info, err
@@ -1460,45 +1434,26 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 		}
 		// Version alignment: the checkpoint carries the version its state
 		// was published as, so the rematerialized views (which restart at
-		// version 1) are seeded up to it before replay. Each versioned
-		// WAL record then republishes its original version — the durable
-		// commit order survives the crash, which is what lets a follower
-		// resume replication across a primary restart without a gap.
+		// version 1) are seeded up to it before replay. Each WAL record
+		// then republishes its original version — the durable commit
+		// order survives the crash, which is what lets a follower resume
+		// replication across a primary restart without a gap.
 		if base := st.SnapshotBaseVersion(); base > v.cur.Load().id {
 			v.SeedVersion(base)
 		}
 		// Replay happens before the views are store-bound, so the
-		// records are not re-appended to the WAL they came from. Each
-		// record carries the idempotency keys of the applies it covered
-		// (several for a coalesced batch); replaying them through submit
-		// re-seeds the dedup window, so a client retrying across the
-		// crash still gets a dedup answer — stamped with the replayed
-		// version.
+		// records are not re-appended to the WAL they came from.
 		for i, rec := range st.Records() {
-			u, err := ParseUpdate(rec.Script)
-			if err != nil {
+			if rec.Version > v.cur.Load().id+1 {
+				// A version hole before this record: its predecessor's
+				// append failed (the caller was told) or was repaired
+				// away. The surviving record is still authoritative for
+				// its own version, so seed up to its predecessor rather
+				// than replay it under the wrong number.
+				v.SeedVersion(rec.Version - 1)
+			}
+			if _, err := v.ApplyCommitRecord(rec); err != nil {
 				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
-			}
-			if rec.Version > 0 {
-				switch cur := v.cur.Load().id; {
-				case cur < rec.Version-1:
-					// A version hole before this record: its predecessors
-					// were written but lost (e.g. a repaired-away corrupt
-					// stretch). The surviving record is still authoritative
-					// for its own version, so seed up to its predecessor
-					// rather than replay it under the wrong number.
-					v.SeedVersion(rec.Version - 1)
-				case cur > rec.Version-1:
-					return fail(fmt.Errorf("ivm: WAL record %d is stamped version %d but recovery is already at %d; the log does not match its checkpoint", i+1, rec.Version, cur))
-				}
-			}
-			if _, _, err := v.submit(u, rec.Keys); err != nil {
-				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
-			}
-			if rec.Version > 0 {
-				if got := v.cur.Load().id; got != rec.Version {
-					return fail(fmt.Errorf("ivm: replaying WAL record %d published version %d, want %d", i+1, got, rec.Version))
-				}
 			}
 		}
 	} else {
@@ -1613,15 +1568,51 @@ func (v *Views) SetFenceEpoch(e uint64) error {
 	}
 }
 
-// ApplyScriptReplicated applies a delta script shipped over the
-// replication stream, re-seeding the idempotency window with the keys
-// the record carried. This is the follower's apply path: by recording
-// the primary's keys, a client retry that lands on this node after a
-// failover still dedups — exactly-once survives the promotion. The
-// stream ships each key at most once (retries dedup on the primary
-// before a record is cut), so unlike ApplyIdempotent this path seeds
-// the window rather than answering from it — the same contract as WAL
-// replay on recovery.
+// DivergenceError reports a commit record that cannot be the next
+// commit of these views: replaying it would publish a version other
+// than the one it is stamped with, so the state it was cut against is
+// not the state it would land on. Both replay sites — crash recovery
+// and a follower's tail — stop on it rather than apply the record under
+// the wrong number.
+type DivergenceError struct {
+	// Version is the record's stamp; At is the version the views were at
+	// (before the apply when At != Version-1, after it otherwise).
+	Version, At uint64
+}
+
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("ivm: diverged: commit record is stamped version %d but the views are at version %d", e.Version, e.At)
+}
+
+// ApplyCommitRecord replays one commit record at its stamped version:
+// the views must sit at rec.Version-1 and the apply must publish exactly
+// rec.Version, or a *DivergenceError is returned (before anything is
+// applied, in the first case). It is the single replay step of WAL
+// recovery and of a follower's 'D' records — the fold x ⊕ Δ₁ ⊕ … ⊕ Δₙ —
+// and re-seeds the idempotency window with the record's keys, so a
+// client retrying across a crash or a failover still gets a dedup
+// answer stamped with the replayed version.
+func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
+	if at := v.cur.Load().id; at != rec.Version-1 {
+		return nil, &DivergenceError{Version: rec.Version, At: at}
+	}
+	cs, err := v.ApplyScriptReplicated(rec.Script, rec.Keys)
+	if err != nil {
+		return nil, err
+	}
+	if cs.Version() != rec.Version {
+		return nil, &DivergenceError{Version: rec.Version, At: cs.Version()}
+	}
+	return cs, nil
+}
+
+// ApplyScriptReplicated applies a replicated delta script, re-seeding
+// the idempotency window with the keys its record carried: a client
+// retry that lands on this node after a failover still dedups —
+// exactly-once survives the promotion. The stream ships each key at most
+// once (retries dedup on the primary before a record is cut), so unlike
+// ApplyIdempotent this path seeds the window rather than answering from
+// it. ApplyCommitRecord is this plus the version assert.
 func (v *Views) ApplyScriptReplicated(script string, keys []string) (*ChangeSet, error) {
 	u, err := ParseUpdate(script)
 	if err != nil {

@@ -11,20 +11,16 @@ import (
 	"fmt"
 
 	"ivm/internal/eval"
+	"ivm/internal/storage"
 )
 
 // ReplicaState is everything a follower needs to reproduce a primary's
 // Views at one version: the program, the stored base facts (as an
 // insert-only delta script, counts included), the hidden-predicate set,
 // and the engine configuration that must match for derived state to be
-// bit-identical.
-type ReplicaState struct {
-	Program   string
-	Hidden    []string
-	Facts     string
-	Strategy  string
-	Semantics string
-}
+// bit-identical. It is the payload of a replication 'S' record, defined
+// beside that record's codec.
+type ReplicaState = storage.ReplState
 
 // ReplicaState captures the snapshot's full state for replication
 // transfer. Facts covers exactly the non-derived stored relations; the
@@ -141,12 +137,11 @@ func (v *Views) ResetToReplicaState(st ReplicaState, version uint64) error {
 	return nil
 }
 
-// CommittedRecordsAfter returns the WAL-backed commit records stamped
-// with versions greater than fromExcl, in version order — the
-// replication backfill source when a follower's resume point has aged
-// out of the in-memory window. ok is false for views without a store
-// (nothing durable to read). Records written before version stamping
-// are skipped; the caller must check the returned sequence is
+// CommittedRecordsAfter returns the WAL's commit records stamped with
+// versions greater than fromExcl, in version order — the replication
+// backfill source when a follower's resume point has aged out of the
+// in-memory window. ok is false for views without a store (nothing
+// durable to read). The caller must check the returned sequence is
 // contiguous from its resume point and fall back to a full state
 // transfer when it is not.
 func (v *Views) CommittedRecordsAfter(fromExcl uint64) (recs []CommitRecord, ok bool, err error) {
@@ -156,15 +151,6 @@ func (v *Views) CommittedRecordsAfter(fromExcl uint64) (recs []CommitRecord, ok 
 	if st == nil {
 		return nil, false, nil
 	}
-	wrecs, err := st.TailRecords(fromExcl)
-	if err != nil {
-		return nil, true, err
-	}
-	for _, r := range wrecs {
-		if r.Version == 0 {
-			continue
-		}
-		recs = append(recs, CommitRecord{Version: r.Version, Script: r.Script, Keys: r.Keys})
-	}
-	return recs, true, nil
+	recs, err = st.TailRecords(fromExcl)
+	return recs, true, err
 }

@@ -83,8 +83,8 @@ func TestOnCommitRecordStream(t *testing.T) {
 	}
 	defer v.Shutdown()
 
-	var recs []CommitRecord
-	v.OnCommitRecord(func(rec CommitRecord) { recs = append(recs, rec) })
+	var recs []CommitEvent
+	v.OnCommitRecord(func(ev CommitEvent) { recs = append(recs, ev) })
 	base := v.Snapshot().Version()
 
 	if _, err := v.Apply(NewUpdate().Insert("link", "b", "c")); err != nil {
@@ -243,10 +243,10 @@ func TestRuleEditVersionAndReset(t *testing.T) {
 	}
 	defer v.Shutdown()
 
-	var resets []CommitRecord
-	v.OnCommitRecord(func(rec CommitRecord) {
-		if rec.Reset {
-			resets = append(resets, rec)
+	var resets []CommitEvent
+	v.OnCommitRecord(func(ev CommitEvent) {
+		if ev.Reset {
+			resets = append(resets, ev)
 		}
 	})
 	cs, err := v.AddRule("sym(X,Y) :- link(Y,X).")

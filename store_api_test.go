@@ -6,6 +6,7 @@ package ivm_test
 // a full recomputation over the same base facts and update sequence.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -427,15 +428,15 @@ func TestOpenStoreWALRepairOptIn(t *testing.T) {
 		}
 	}
 	v.Close()
-	// Flip a byte inside the second record's payload: mid-WAL corruption
+	// Flip a byte inside the second record's script: mid-WAL corruption
 	// with acknowledged records behind it.
 	wal := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const walHeader = 24
-	data[walHeader+len(storeTestScripts[0])+walHeader+1] ^= 0x20
+	const walHeader, recordFixed = 24, 11 // frame header; payload before the script
+	data[walHeader+recordFixed+len(storeTestScripts[0])+walHeader+recordFixed+1] ^= 0x20
 	if err := os.WriteFile(wal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -452,4 +453,62 @@ func TestOpenStoreWALRepairOptIn(t *testing.T) {
 		t.Fatalf("info: %+v", info)
 	}
 	requireSameState(t, v2, groundTruth(t, storeTestScripts[:1]))
+}
+
+// Regression: Views.Save writes a checksum footer, and every load path
+// must check it. A snapshot of a two-fact database with one body byte
+// changed still decodes as gob — link(cccc,b) just becomes link(dccc,b) —
+// so without the check LoadViews returned err == nil and the wrong row.
+func TestLoadPathsVerifySnapshotChecksum(t *testing.T) {
+	build := func() (*ivm.Views, error) {
+		db := ivm.NewDatabase()
+		if err := db.Load(`link(a,cccc). link(cccc,b).`); err != nil {
+			return nil, err
+		}
+		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	}
+	flip := func(path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte("cccc")) {
+			t.Fatalf("%s does not hold the fact text to corrupt", path)
+		}
+		if err := os.WriteFile(path, bytes.Replace(data, []byte("cccc"), []byte("dccc"), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	v, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "views.gob")
+	if err := v.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	flip(path)
+	if got, err := ivm.LoadViews(path); err == nil {
+		t.Fatalf("LoadViews accepted a corrupted snapshot: link = %v", got.Rows("link"))
+	}
+
+	dir := t.TempDir()
+	sv, _, err := ivm.OpenStore(dir, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flip(filepath.Join(dir, "snapshot-1.gob"))
+	// The only checkpoint is damaged: it is set aside, nothing older
+	// exists to fall back to, and with no init the open must fail rather
+	// than serve the corrupted rows.
+	if got, info, err := ivm.OpenStore(dir, nil); err == nil {
+		t.Fatalf("OpenStore accepted a corrupted checkpoint (%v): link = %v", info, got.Rows("link"))
+	} else if info.BadSnapshots != 1 {
+		t.Fatalf("info: %+v (err %v)", info, err)
+	}
 }
