@@ -39,10 +39,12 @@ bench-smoke:
 	$(GO) run ./cmd/ivmbench -scale smoke
 
 # The layered benchmark (benchmark/, a module of its own that tier-1
-# `go test ./...` does not reach): its tests, then a smoke run of all four
-# workloads with their oracles. `bash benchmark/run.sh` is the full run.
+# `go vet ./...` and `go test ./...` do not reach): vet it, so that a
+# signature it compiles against cannot be removed unnoticed, run its
+# tests, then a smoke run of all four workloads with their oracles.
+# `bash benchmark/run.sh` is the full run.
 bench-layered:
-	cd benchmark && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -smoke
 
 # Regenerate the join-planner benchmark report (the committed baseline).
@@ -50,9 +52,16 @@ bench-layered:
 bench-planner:
 	$(GO) run ./cmd/ivmbench -planner BENCH_planner.json
 
-# One experiment with metrics exposition — writes metrics.txt.
+# One experiment with metrics exposition, then the registry of a Views
+# (cmd/ivm; the experiments drive bare engines, which have no scheduler,
+# snapshot or replay series) — writes metrics.txt and checks the series
+# CI checks, so metric-name drift fails here first.
 metrics:
 	$(GO) run ./cmd/ivmbench -scale smoke -exp E1 -metrics metrics.txt
+	$(GO) run ./cmd/ivm -program testdata/server/views.dl -data testdata/server/facts.dl -metrics >> metrics.txt
+	@for m in counting_applies_total dred_ops_total commit_replay_rows_total commit_replay_seconds_count; do \
+		grep -q "^$$m " metrics.txt || { echo "metrics.txt lacks $$m" >&2; exit 1; }; \
+	done
 	@echo "wrote metrics.txt"
 
 # Fault-injection matrix: recovery after simulated crashes must match a

@@ -8,12 +8,14 @@ package ivm_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ivm"
 	"ivm/internal/eval"
 	"ivm/internal/experiments"
 	"ivm/internal/relation"
+	"ivm/internal/storage"
 	"ivm/internal/workload"
 )
 
@@ -409,5 +411,136 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// hopDegProgram is the layered benchmark's replica_follow program.
+const hopDegProgram = `hop(X,Y) :- link(X,Z), link(Z,Y).
+tri_hop(X,Y) :- hop(X,Z), link(Z,Y).
+deg(X,C) :- groupby(hop(X,Y), [X], C = count(Y)).
+`
+
+// slidingLinks is replica_follow's stream in small: 800 nodes, 1 600 live
+// links, and each update deletes the 8 oldest and inserts 8 new ones
+// (|Δ| = 16 base rows, ~350 committed delta rows).
+type slidingLinks struct {
+	rng  *rand.Rand
+	live []ivm.Tuple
+	has  map[string]bool
+}
+
+func newSlidingLinks() *slidingLinks {
+	g := &slidingLinks{rng: experiments.Rng(1), has: make(map[string]bool)}
+	for len(g.live) < 1600 {
+		g.insert(nil)
+	}
+	return g
+}
+
+func (g *slidingLinks) insert(u *ivm.Update) {
+	for {
+		t := ivm.T(fmt.Sprintf("n%d", g.rng.Intn(800)), fmt.Sprintf("n%d", g.rng.Intn(800)))
+		if k := t.Key(); !g.has[k] {
+			g.has[k] = true
+			g.live = append(g.live, t)
+			if u != nil {
+				u.InsertTuple("link", t, 1)
+			}
+			return
+		}
+	}
+}
+
+func (g *slidingLinks) next() *ivm.Update {
+	u := ivm.NewUpdate()
+	for _, t := range g.live[:8] {
+		delete(g.has, t.Key())
+		u.InsertTuple("link", t, -1)
+	}
+	g.live = g.live[8:]
+	for i := 0; i < 8; i++ {
+		g.insert(u)
+	}
+	return u
+}
+
+// BenchmarkApplyCommitRecord — one commit replayed on a follower: folded
+// from the deltas its record carries, or re-derived from its script (the
+// replay step before records carried deltas).
+func BenchmarkApplyCommitRecord(b *testing.B) {
+	for _, mode := range []string{"fold", "script"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			gen := newSlidingLinks()
+			db := ivm.NewDatabase()
+			for _, t := range gen.live {
+				db.InsertTuple("link", t, 1)
+			}
+			primary, err := db.Materialize(hopDegProgram)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var recs []ivm.CommitRecord
+			var scripts []string
+			primary.OnCommitRecord(func(ev ivm.CommitEvent) { recs = append(recs, ev.CommitRecord) })
+			snap := primary.Snapshot()
+			follower, err := ivm.ViewsFromReplicaState(snap.ReplicaState())
+			if err != nil {
+				b.Fatal(err)
+			}
+			follower.SeedVersion(snap.Version())
+			const chunk = 256
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%chunk == 0 {
+					b.StopTimer()
+					recs, scripts = recs[:0], scripts[:0]
+					for j := 0; j < chunk && i+j < b.N; j++ {
+						u := gen.next()
+						scripts = append(scripts, u.String())
+						if _, err := primary.Apply(u); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				if mode == "fold" {
+					_, err = follower.ApplyCommitRecord(recs[i%chunk])
+				} else {
+					_, err = follower.ApplyScriptReplicated(scripts[i%chunk], nil)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeCommitRecord — cutting one commit's record from the
+// deltas its engine committed.
+func BenchmarkEncodeCommitRecord(b *testing.B) {
+	b.ReportAllocs()
+	gen := newSlidingLinks()
+	link := relation.New(2)
+	for _, t := range gen.live {
+		link.Add(t, 1)
+	}
+	e := experiments.CountingEngine(hopDegProgram, experiments.LinkDB(link), eval.Set)
+	d := relation.New(2)
+	for _, t := range gen.live[:8] {
+		d.Add(t, -1)
+	}
+	if _, err := e.Apply(experiments.DeltaOf(d)); err != nil {
+		b.Fatal(err)
+	}
+	deltas, keys := e.CommittedDeltas(), []string{"op-1"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := storage.EncodeCommitRecord(uint64(i), keys, 0, deltas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(rec.Payload)))
 	}
 }

@@ -85,6 +85,12 @@ func (e *Engine) Stats() Stats { return e.last }
 // all fragmented passes.
 func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.lastDeltas }
 
+// Fold merges a commit's deltas into stored content (see dred.Engine.Fold).
+func (e *Engine) Fold(deltas map[string]*relation.Relation) {
+	e.d.Fold(deltas)
+	e.lastDeltas, e.last = deltas, Stats{}
+}
+
 // New materializes prog over base (set semantics).
 func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 	return NewWithConfig(prog, base, Config{})

@@ -54,6 +54,13 @@ type Engine struct {
 // the most recent Apply merged into its stored relation.
 func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.lastDeltas }
 
+// Fold merges deltas — the CommittedDeltas of the engine that ran the
+// commit — into stored content without re-evaluating anything.
+func (e *Engine) Fold(deltas map[string]*relation.Relation) {
+	e.db.MergeDeltas(deltas)
+	e.lastDeltas = deltas
+}
+
 // New validates prog and computes the initial materialization.
 func New(prog *datalog.Program, base *eval.DB, sem eval.Semantics) (*Engine, error) {
 	if err := datalog.Validate(prog); err != nil {

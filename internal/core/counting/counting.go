@@ -136,6 +136,17 @@ func (e *Engine) Stats() Stats { return e.last }
 // cascading). The relations are not mutated after Apply returns.
 func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.lastDeltas }
 
+// Fold merges deltas — the CommittedDeltas of the engine that ran the
+// commit — into stored content without evaluating a rule: Theorem 4.1
+// makes them exactly the changed derivations with their counts, so the
+// state after the commit is stored ⊎ deltas. The caller has checked that
+// no count falls below zero and leaves deltas alone afterwards. Group
+// tables cannot be carried by a fold: the next Apply rebuilds them.
+func (e *Engine) Fold(deltas map[string]*relation.Relation) {
+	e.db.MergeDeltas(deltas)
+	e.lastDeltas, e.last, e.gts = deltas, Stats{}, nil
+}
+
 // observing reports whether any per-stratum timing consumer is active,
 // so the unobserved hot path skips clock reads entirely.
 func (e *Engine) observing() bool { return e.tracer != nil || e.mStratumSecs != nil }
@@ -265,6 +276,16 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	}
 	if e.tracer != nil {
 		e.tracer.BatchStart("counting", len(baseDelta))
+	}
+	if e.gts == nil {
+		// A Fold dropped the group tables: rebuild them over stored
+		// content, as the initial evaluation built them.
+		e.gts = make(map[eval.RuleLit]*eval.GroupTable)
+		for ri, rule := range e.prog.Rules {
+			if _, err := eval.SourcesAt(rule, ri, e.db, e.sem, e.gts); err != nil {
+				return nil, err
+			}
+		}
 	}
 	derived := e.prog.DerivedPreds()
 	externalSet := e.sem == eval.Set || e.reportSet
@@ -677,7 +698,3 @@ func setTransitions(stored *relation.Relation, d *relation.Relation) *relation.R
 // per-stratum counts, Duplicate = full multiset counts) — what
 // explanation queries must use to resolve subgoal relations.
 func (e *Engine) InternalSemantics() eval.Semantics { return e.sem }
-
-// GroupTables exposes the engine's GROUPBY materializations (read-only
-// use; explanation queries resolve aggregate subgoals through them).
-func (e *Engine) GroupTables() map[eval.RuleLit]*eval.GroupTable { return e.gts }

@@ -119,6 +119,17 @@ func (e *Engine) Stats() Stats { return e.last }
 // relations are not mutated after the operation returns.
 func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.lastNet }
 
+// Fold merges deltas — the CommittedDeltas of the engine that ran the
+// commit — into stored content without evaluating a rule. The caller has
+// checked that they fit and leaves them alone afterwards. Group tables
+// cannot be carried by a fold: they are dropped, and the next operation
+// builds the ones it needs, as it does any missing table.
+func (e *Engine) Fold(deltas map[string]*relation.Relation) {
+	e.db.MergeDeltas(deltas)
+	e.lastNet, e.last = deltas, Stats{}
+	e.gts = make(map[eval.RuleLit]*eval.GroupTable)
+}
+
 // observing reports whether any timing consumer is active, so the
 // unobserved hot path skips clock reads entirely.
 func (e *Engine) observing() bool { return e.tracer != nil || e.mApplySeconds != nil }
@@ -389,7 +400,3 @@ func posPart(r *relation.Relation) *relation.Relation {
 	})
 	return out
 }
-
-// GroupTables exposes the engine's GROUPBY materializations (read-only
-// use; explanation queries resolve aggregate subgoals through them).
-func (e *Engine) GroupTables() map[eval.RuleLit]*eval.GroupTable { return e.gts }

@@ -57,6 +57,14 @@ func (db *DB) Ensure(pred string, arity int) *relation.Relation {
 	return r
 }
 
+// MergeDeltas folds per-predicate signed deltas into the stored
+// relations with ⊎, creating relations first seen here.
+func (db *DB) MergeDeltas(deltas map[string]*relation.Relation) {
+	for pred, d := range deltas {
+		db.Ensure(pred, d.Arity()).MergeDelta(d)
+	}
+}
+
 // Put installs (replacing) the relation for pred.
 func (db *DB) Put(pred string, r *relation.Relation) { db.rels[pred] = r }
 

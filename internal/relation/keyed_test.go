@@ -305,3 +305,63 @@ func TestFlattenedMapIsNoLargerThanAClone(t *testing.T) {
 	runtime.KeepAlive(flat)
 	runtime.KeepAlive(clone)
 }
+
+// A row arriving as its canonical key alone (a commit record's delta
+// row) resolves against stored content without allocating; only a tuple
+// not yet stored is built, from one copy of the key that its strings
+// alias — never from the buffer the key arrived in.
+func TestRowsResolveFromTheirKeys(t *testing.T) {
+	r := buildRelation(500)
+	stored := r.Rows()[7]
+	kb := stored.Tuple.AppendKey(nil)
+	noAllocs(t, "Stored hit", func() { _, _ = r.Stored(kb) })
+	got, ok := r.Stored(kb)
+	if !ok || !got.Tuple.Equal(stored.Tuple) || got.Count != stored.Count || got.Key() != string(kb) {
+		t.Fatalf("Stored(%q) = %v, %v", kb, got, ok)
+	}
+
+	fresh := value.T("brand", "new")
+	kb = fresh.AppendKey(nil)
+	if _, ok := r.Stored(kb); ok {
+		t.Fatal("Stored found a tuple that is not there")
+	}
+	row, err := RowFromKey(kb, 2)
+	if err != nil || !row.Tuple.Equal(fresh) || row.Count != 0 || row.Key() != string(kb) {
+		t.Fatalf("RowFromKey(%q) = %v, %v", kb, row, err)
+	}
+	for i := range kb {
+		kb[i] = '#' // the payload buffer moves on; the row must not care
+	}
+	if !row.Tuple.Equal(fresh) || row.Key() != fresh.Key() {
+		t.Fatalf("the row aliases the buffer its key came in: %v", row)
+	}
+	r.AddRow(row.WithCount(2))
+	if r.Count(fresh) != 2 {
+		t.Fatal("a row built from its key did not merge under that key")
+	}
+	if _, err := RowFromKey([]byte("s1:a|"), 2); err == nil {
+		t.Fatal("RowFromKey accepted a key of the wrong arity")
+	}
+}
+
+// Push clones its delta so the caller may keep mutating it; a frozen
+// delta nobody can mutate, so it becomes a link of the chain as it is.
+func TestPushSharesAFrozenDelta(t *testing.T) {
+	base := NewVersioned(buildRelation(100))
+	d := New(2)
+	d.Add(value.T("brand", "new"), 1)
+	mutable := base.Push(d)
+	d.Add(value.T("still", "mine"), 1) // legal: Push took a copy
+	if mutable.Reader().Has(value.T("still", "mine")) {
+		t.Fatal("Push did not copy a mutable delta")
+	}
+	thawed := d.Clone()
+	d.Freeze()
+	n := testing.AllocsPerRun(100, func() { base.Push(d) })
+	if c := testing.AllocsPerRun(100, func() { base.Push(thawed) }); n >= c {
+		t.Fatalf("pushing a frozen delta costs %v allocs, a mutable one %v: it was copied", n, c)
+	}
+	if v := base.Push(d); !v.Reader().Has(value.T("still", "mine")) || v.Flat().Len() != 102 {
+		t.Fatal("a frozen delta's rows are missing from the pushed version")
+	}
+}

@@ -39,6 +39,15 @@ func (r Row) Key() string {
 	return r.Tuple.Key()
 }
 
+// RowFromKey builds the zero-count keyed row of the arity-value tuple that
+// kb encodes (Tuple.AppendKey's rendering): one copy of kb becomes the
+// row's key, and the tuple's strings alias that copy, never kb.
+func RowFromKey(kb []byte, arity int) (Row, error) {
+	key := string(kb)
+	t, err := value.TupleFromKey(key, arity)
+	return Row{Tuple: t, key: key}, err
+}
+
 // WithCount returns the row with its count replaced, keeping the cached
 // key — how a consumer of delta rows re-adds a tuple with another count
 // (±1 set transitions) without encoding it again.
@@ -128,6 +137,13 @@ func (r *Relation) Empty() bool { return len(r.rows) == 0 }
 func (r *Relation) Count(t value.Tuple) int64 {
 	var buf [value.KeyScratch]byte
 	return r.rows[string(t.AppendKey(buf[:0]))].Count
+}
+
+// Stored returns the row stored under the canonical key kb, for callers
+// that hold a tuple's encoding rather than the tuple. Allocates nothing.
+func (r *Relation) Stored(kb []byte) (Row, bool) {
+	row, ok := r.rows[string(kb)]
+	return row, ok
 }
 
 // Has reports whether t is present with a positive count. This is the
@@ -253,17 +269,17 @@ func (r *Relation) SortedRows() []Row {
 // Clone returns a deep-enough copy (tuples are immutable and shared).
 // Indexes are not copied.
 func (r *Relation) Clone() *Relation {
-	c := newSized(r.arity, len(r.rows))
+	c := NewSized(r.arity, len(r.rows))
 	for k, row := range r.rows {
 		c.rows[k] = row
 	}
 	return c
 }
 
-// newSized is New with the row map sized for n rows. n must be an exact
+// NewSized is New with the row map sized for n rows. n must be an exact
 // count: a map sized from an upper bound stays that large for the life
 // of the relation.
-func newSized(arity, n int) *Relation {
+func NewSized(arity, n int) *Relation {
 	return &Relation{arity: arity, rows: make(map[string]Row, n)}
 }
 
@@ -286,7 +302,7 @@ func UnionPlus(a, b *Relation) *Relation {
 // Negate returns a copy of r with all counts sign-flipped (the deletion
 // image of a relation).
 func (r *Relation) Negate() *Relation {
-	out := newSized(r.arity, len(r.rows))
+	out := NewSized(r.arity, len(r.rows))
 	for k, row := range r.rows {
 		out.rows[k] = Row{Tuple: row.Tuple, Count: -row.Count, key: k}
 	}
@@ -297,7 +313,7 @@ func (r *Relation) Negate() *Relation {
 // to count 1 (tuples with non-positive counts are dropped). This is the
 // set(·) function of Algorithm 4.1 statement (2).
 func (r *Relation) ToSet() *Relation {
-	out := newSized(r.arity, len(r.rows))
+	out := NewSized(r.arity, len(r.rows))
 	for k, row := range r.rows {
 		if row.Count > 0 {
 			out.rows[k] = Row{Tuple: row.Tuple, Count: 1, key: k}

@@ -53,14 +53,18 @@ func NewVersioned(r *Relation) *Versioned {
 
 // Push returns a new version equal to v ⊎ delta, leaving v unchanged.
 // delta is copied and frozen, so the caller may keep mutating its
-// original. Cost is O(|delta|), amortized against occasional O(n)
-// flattening (see the type comment).
+// original — unless it is frozen already, when nobody can and it becomes
+// a link of the chain as it is. Cost is O(|delta|), amortized against
+// occasional O(n) flattening (see the type comment).
 func (v *Versioned) Push(delta *Relation) *Versioned {
 	if delta.Empty() {
 		return v
 	}
-	d := delta.Clone()
-	d.Freeze()
+	d := delta
+	if !d.Frozen() {
+		d = delta.Clone()
+		d.Freeze()
+	}
 	rd, base, deltas, pend := v.rd, v.base, v.deltas, v.pend
 	if f := v.flat.Load(); f != nil && len(deltas) > 0 {
 		// A reader already materialized this version: chain from the

@@ -9,6 +9,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -155,6 +156,58 @@ func TestReplicaDivergenceGuard(t *testing.T) {
 		}
 	}
 	assertConverged(t, authority.Snapshot(), rep)
+}
+
+// A record that does not fit the follower's state is a divergence too,
+// and counted as one: the follower here was corrupted by hand (a base row
+// removed behind replication's back, its version left alone), so the
+// primary's next record deletes a tuple it no longer stores. The fold
+// must refuse the record whole, name the row, halt the follower and move
+// replica_divergence_total — not fail with an untyped engine error while
+// the counter the runbook watches stays 0.
+func TestReplicaRecordThatDoesNotFitIsDivergence(t *testing.T) {
+	v := buildPrimaryViews(t)
+	defer v.Shutdown()
+	leader := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
+	rep, err := Start(leader.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+
+	at := rep.Applied()
+	if _, err := rep.Views().ApplyScript("-link(b,c)."); err != nil {
+		t.Fatal(err)
+	}
+	rep.Views().SeedVersion(at)
+	corrupted := rep.Views().Rows("hop")
+
+	if _, err := v.ApplyScript("-link(b,c)."); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-rep.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower kept running across a record that does not fit its state")
+	}
+	var div *ivm.DivergenceError
+	if err := rep.Err(); !errors.As(err, &div) || div.Pred == "" || div.Tuple == nil || div.Version != at+1 {
+		t.Fatalf("follower stopped with %v, want a *DivergenceError naming version %d and the row", err, at+1)
+	}
+	reg := rep.Registry().Snapshot()
+	if got := reg.Counter("replica_divergence_total"); got != 1 {
+		t.Fatalf("replica_divergence_total = %d, want 1", got)
+	}
+	if got := reg.Counter("replica_reconnects_total"); got != 0 {
+		t.Fatalf("replica_reconnects_total = %d: a state divergence is not healed by reconnecting", got)
+	}
+	// Nothing of the record was applied.
+	if got := rep.Views().Snapshot().Version(); got != at {
+		t.Fatalf("follower moved to version %d", got)
+	}
+	if got := rep.Views().Rows("hop"); len(got) != len(corrupted) || rep.Applied() != at {
+		t.Fatalf("the refused record changed the follower: hop %v -> %v, applied %d", corrupted, got, rep.Applied())
+	}
 }
 
 // TestReadPoolReadYourWrites wires the full read-fanout path: apply to

@@ -7,9 +7,11 @@ package replica
 // primary.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,6 +156,53 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 	}
 	if got := snap.Counter("replica_divergence_total"); got != 0 {
 		t.Fatalf("replica_divergence_total = %d, want 0", got)
+	}
+}
+
+// A follower hands on what it received: the record it folded goes to its
+// own commit-record subscribers — hence to its replication window and to
+// a follower tailing it — as the bytes the primary cut, not re-encoded,
+// and the second-hop follower converges on them.
+func TestFollowerReshipsTheBytesItReceived(t *testing.T) {
+	v := buildPrimaryViews(t)
+	defer v.Shutdown()
+	var mu sync.Mutex
+	cut, reshipped := make(map[uint64][]byte), make(map[uint64][]byte)
+	v.OnCommitRecord(func(ev ivm.CommitEvent) { mu.Lock(); cut[ev.Version] = ev.Payload; mu.Unlock() })
+	srv := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
+	first, err := Start(srv.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Stop()
+	first.Views().OnCommitRecord(func(ev ivm.CommitEvent) { mu.Lock(); reshipped[ev.Version] = ev.Payload; mu.Unlock() })
+	hop := startServer(t, first.Views(), server.Options{LeaderURL: srv.URL(), ReplHeartbeat: 20 * time.Millisecond})
+	second, err := Start(hop.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Stop()
+
+	var last uint64
+	for i := 0; i < 20; i++ {
+		cs, err := v.ApplyScript(fmt.Sprintf("+link(c,d%d). +link(d%d,e).", i, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = cs.Version()
+	}
+	waitApplied(t, second, last, 10*time.Second)
+	assertConverged(t, v.Snapshot(), first)
+	assertConverged(t, v.Snapshot(), second)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reshipped) != 20 {
+		t.Fatalf("the first follower handed on %d records, want 20", len(reshipped))
+	}
+	for version, payload := range reshipped {
+		if len(payload) == 0 || !bytes.Equal(payload, cut[version]) {
+			t.Fatalf("version %d: the follower hands on %x, the primary cut %x", version, payload, cut[version])
+		}
 	}
 }
 

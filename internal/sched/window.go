@@ -10,9 +10,10 @@ type WindowEntry[T any] struct {
 
 // Window is a bounded, version-ordered ring of committed items — the
 // in-memory tail the replication endpoint streams from. Appends carry
-// strictly increasing versions; once the ring is full the oldest entry
-// is evicted, and Bounds reports the exclusive low-water mark below
-// which readers must backfill from durable storage instead.
+// strictly increasing versions; once the ring is full or over its byte
+// budget the oldest entries are evicted, and Bounds reports the exclusive
+// low-water mark below which readers must backfill from durable storage
+// instead.
 //
 // A Window is safe for one appender and many concurrent readers.
 type Window[T any] struct {
@@ -32,17 +33,26 @@ type Window[T any] struct {
 	// waitCh is closed and replaced on every Append (and on Close), so
 	// readers can block on "anything new" without polling.
 	waitCh chan struct{}
+	// size and budget bound the retained items by bytes as well as by
+	// count; used is the retained items' total size.
+	size         func(T) int
+	budget, used int
 }
 
 // NewWindow returns a Window retaining at most capacity entries
-// (minimum 1).
-func NewWindow[T any](capacity int) *Window[T] {
+// (minimum 1) whose sizes, as size reports them, sum to at most budget —
+// except that the newest entry always stays, whatever its size, so a
+// caught-up reader is never sent to backfill for it. A size that is
+// always 0 leaves the count as the only bound.
+func NewWindow[T any](capacity, budget int, size func(T) int) *Window[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Window[T]{
 		entries: make([]WindowEntry[T], capacity),
 		waitCh:  make(chan struct{}),
+		size:    size,
+		budget:  budget,
 	}
 }
 
@@ -70,15 +80,19 @@ func (w *Window[T]) Append(version uint64, item T) {
 		return
 	}
 	if w.haveBounds && version <= w.hi {
-		w.start, w.count = 0, 0
+		w.start, w.count, w.used = 0, 0, 0
 		w.coversAfter = version - 1
 	} else if !w.haveBounds {
 		w.coversAfter = version - 1
 	}
 	w.haveBounds = true
-	if w.count == len(w.entries) {
+	w.used += w.size(item)
+	for w.count == len(w.entries) || (w.count > 0 && w.used > w.budget) {
 		// Evict the oldest entry; readers below it must backfill.
-		w.coversAfter = w.entries[w.start].Version
+		old := &w.entries[w.start]
+		w.coversAfter = old.Version
+		w.used -= w.size(old.Item)
+		*old = WindowEntry[T]{} // let the item go
 		w.start = (w.start + 1) % len(w.entries)
 		w.count--
 	}

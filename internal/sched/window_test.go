@@ -6,7 +6,7 @@ import (
 )
 
 func TestWindowAppendNextBounds(t *testing.T) {
-	w := NewWindow[string](4)
+	w := NewWindow(4, 0, func(string) int { return 0 })
 	if _, _, ok := w.Bounds(); ok {
 		t.Fatal("fresh window claims bounds")
 	}
@@ -47,7 +47,7 @@ func TestWindowAppendNextBounds(t *testing.T) {
 }
 
 func TestWindowSeed(t *testing.T) {
-	w := NewWindow[int](2)
+	w := NewWindow(2, 0, func(int) int { return 0 })
 	w.Seed(10)
 	ca, hi, ok := w.Bounds()
 	if !ok || ca != 10 || hi != 10 {
@@ -65,7 +65,7 @@ func TestWindowSeed(t *testing.T) {
 }
 
 func TestWindowRestartClears(t *testing.T) {
-	w := NewWindow[int](8)
+	w := NewWindow(8, 0, func(int) int { return 0 })
 	w.Append(5, 5)
 	w.Append(6, 6)
 	// A version at or below hi means the counter restarted: the window
@@ -84,7 +84,7 @@ func TestWindowRestartClears(t *testing.T) {
 }
 
 func TestWindowWaitCh(t *testing.T) {
-	w := NewWindow[int](2)
+	w := NewWindow(2, 0, func(int) int { return 0 })
 	ch := w.WaitCh()
 	select {
 	case <-ch:
@@ -114,7 +114,7 @@ func TestWindowWaitCh(t *testing.T) {
 }
 
 func TestWindowConcurrentReaders(t *testing.T) {
-	w := NewWindow[uint64](64)
+	w := NewWindow(64, 0, func(uint64) int { return 0 })
 	const last = 2000
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -151,4 +151,46 @@ func TestWindowConcurrentReaders(t *testing.T) {
 		w.Append(v, v)
 	}
 	wg.Wait()
+}
+
+// Given a size the window also evicts by the bytes it retains, always
+// keeps the newest entry whatever its size, and leaves the low-water mark
+// where a reader that fell off it must backfill from.
+func TestWindowByteBudget(t *testing.T) {
+	w := NewWindow(8, 100, func(b []byte) int { return len(b) })
+	w.Seed(0)
+	for v := uint64(1); v <= 4; v++ {
+		w.Append(v, make([]byte, 30))
+	}
+	// 4 × 30 > 100: version 1 went.
+	if ca, hi, _ := w.Bounds(); ca != 1 || hi != 4 {
+		t.Fatalf("bounds = (%d, %d], want (1, 4]", ca, hi)
+	}
+	if _, ok := w.Next(0); ok {
+		t.Fatal("a reader below the byte-evicted mark must be sent to backfill")
+	}
+	if e, ok := w.Next(1); !ok || e.Version != 2 {
+		t.Fatalf("Next(1) = %+v, %v", e, ok)
+	}
+	// One oversized entry evicts everything else but stays itself.
+	w.Append(5, make([]byte, 500))
+	if ca, hi, _ := w.Bounds(); ca != 4 || hi != 5 {
+		t.Fatalf("bounds after an oversized entry = (%d, %d], want (4, 5]", ca, hi)
+	}
+	if e, ok := w.Next(4); !ok || len(e.Item) != 500 {
+		t.Fatal("the newest entry must stay retrievable whatever its size")
+	}
+	// Small entries fit again once it ages out; the count bound still holds.
+	for v := uint64(6); v <= 20; v++ {
+		w.Append(v, make([]byte, 1))
+	}
+	if ca, hi, _ := w.Bounds(); ca != 12 || hi != 20 {
+		t.Fatalf("bounds after refilling = (%d, %d], want (12, 20]", ca, hi)
+	}
+	// A version restart clears the byte account with the entries.
+	w.Append(3, make([]byte, 90))
+	w.Append(4, make([]byte, 10))
+	if e, ok := w.Next(2); !ok || e.Version != 3 {
+		t.Fatalf("after a restart Next(2) = %+v, %v: the byte account was not reset", e, ok)
+	}
 }

@@ -58,7 +58,7 @@ type Hub struct {
 func NewHub(v *ivm.Views, reg *metrics.Registry, ringCap int) *Hub {
 	h := &Hub{
 		subs:       make(map[*Subscriber]struct{}),
-		ring:       sched.NewWindow[*commit](ringCap),
+		ring:       sched.NewWindow(ringCap, 0, func(*commit) int { return 0 }), // bounded by count
 		gActive:    reg.Gauge("server_subscribers_active"),
 		cEvents:    reg.Counter("server_sub_events_total"),
 		cDelivered: reg.Counter("server_sub_delivered_total"),

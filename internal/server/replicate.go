@@ -10,6 +10,12 @@ import (
 	"ivm/internal/storage"
 )
 
+// replWindowRecordBytes is the replication window's byte budget per
+// record of Options.ReplWindow: a commit record carries its committed
+// deltas (typically 0.1–6 KB), so a count alone would let the window
+// outgrow the views it serves. Raising -repl-window raises both bounds.
+const replWindowRecordBytes = 512
+
 // handleReplicate serves GET /v1/replicate: the resumable replication
 // stream a follower tails. The response is a raw sequence of framed
 // replication records (see internal/storage repl.go): 'D' records ship

@@ -58,8 +58,10 @@ type Options struct {
 	// the server clears its leader URL and serves applies locally.
 	Promote func() (uint64, error)
 	// ReplWindow is how many committed records the in-memory replication
-	// window retains (default 1024). Followers resuming further behind
-	// are backfilled from the WAL, or from a full state transfer.
+	// window retains (default 1024) — fewer when they are large: the
+	// window also holds at most ReplWindow × 512 bytes of encoded records
+	// (512 KiB by default), newest first. Followers resuming further
+	// behind are backfilled from the WAL, or from a full state transfer.
 	ReplWindow int
 	// ReplHeartbeat is the keepalive cadence of idle /v1/replicate
 	// streams (default 500ms). Heartbeats carry the current published
@@ -187,7 +189,8 @@ func New(v *ivm.Views, opts Options) *Server {
 	// between appends (establishing tighter bounds) and the seed becomes
 	// a no-op, whereas the reverse order could lose that commit from the
 	// window's claimed coverage.
-	s.replWin = sched.NewWindow[ivm.CommitEvent](opts.ReplWindow)
+	s.replWin = sched.NewWindow(opts.ReplWindow, opts.ReplWindow*replWindowRecordBytes,
+		func(ev ivm.CommitEvent) int { return len(ev.Payload) })
 	v.OnCommitRecord(func(ev ivm.CommitEvent) { s.replWin.Append(ev.Version, ev) })
 	s.replWin.Seed(v.Snapshot().Version())
 	mux := http.NewServeMux()

@@ -35,7 +35,7 @@ var scripts = []string{
 
 // walHeader mirrors the store's WAL record header size
 // (epoch u64 | seq u64 | len u32 | crc u32); recordFixed is the part of
-// a keyless commit record payload that precedes its script
+// a keyless commit record payload that precedes its deltas
 // (format u8 | version u64 | nkeys u16).
 const (
 	walHeader   = 24
@@ -205,13 +205,15 @@ var cases = []crashCase{
 		name:  "bit-flip",
 		fault: "storage corruption flipped a payload bit in the second WAL record",
 		prepare: func(dir string) ([]string, error) {
-			if _, err := seed(dir, len(scripts)); err != nil {
+			wal, err := seed(dir, len(scripts))
+			if err != nil {
 				return nil, err
 			}
-			// Record 2 starts after record 1; flip a byte inside its
-			// script. Records after the corrupt one must not be fed to
-			// the engine, so only scripts[0] survives.
-			off := int64(walHeader + recordFixed + len(scripts[0]) + walHeader + recordFixed + 1)
+			// Record 2 starts after record 1 (whose header says how long
+			// it is); flip a byte inside its deltas. Records after the
+			// corrupt one must not be fed to the engine, so only
+			// scripts[0] survives.
+			off := int64(walHeader) + int64(binary.BigEndian.Uint32(wal[16:])) + walHeader + recordFixed + 1
 			return scripts[:1], flipByte(walPath(dir), off)
 		},
 		reopen: func(dir string) (*ivm.Views, ivm.RecoveryInfo, error) {

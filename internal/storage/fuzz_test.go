@@ -6,17 +6,22 @@ package storage
 // been torn by a crash, corrupted in place, or written by another build,
 // so the scan must never panic, must tell those three apart by typed
 // error, and must be canonical: the records it accepts re-encode to
-// exactly the bytes it accepted.
+// exactly the bytes it accepted. A record that carries deltas is also
+// walked the way a fold walks it: every row it yields is one whole key of
+// the section's arity, and anything else is a malformed record.
 
 import (
 	"bytes"
 	"errors"
+	"sort"
 	"testing"
 )
 
 // walFuzzSeeds is the seed corpus, mirrored under testdata/fuzz:
-// well-formed logs, torn tails, in-place damage, records an earlier
-// build wrote, and a malformed record of this one.
+// well-formed logs of script and delta records, torn tails, in-place
+// damage, records an earlier build wrote, and malformed records of this
+// one (seed-10 on: a delta record, then its damaged delta sections in
+// name order).
 func walFuzzSeeds(t testing.TB) [][]byte {
 	var valid []byte
 	for i, rec := range []CommitRecord{
@@ -32,17 +37,31 @@ func walFuzzSeeds(t testing.TB) [][]byte {
 	}
 	corrupt := append([]byte(nil), valid...)
 	corrupt[walHeaderSize+commitRecordFixed] ^= 0xff // flip a script byte of record 1
-	return [][]byte{
+	seeds := [][]byte{
 		valid,
 		valid[:len(valid)-3], // torn final record
 		valid[:5],            // torn first header
 		corrupt,
 		append(append([]byte(nil), valid...), rawWALRecord(1, 9, retiredPayloads["bare script"])...),
 		append(append([]byte(nil), valid...), rawWALRecord(1, 9, retiredPayloads["V over K"])...),
-		rawWALRecord(1, 1, []byte{commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'}), // truncated key
+		rawWALRecord(1, 1, []byte{formatScript, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'}), // truncated key
 		{},
 		bytes.Repeat([]byte{0xff}, walHeaderSize+4), // absurd length header
+		append(append([]byte(nil), valid...), rawWALRecord(1, 4, deltaRecord(t).Payload)...),
 	}
+	for _, name := range sortedKeys(malformedDeltaPayloads(t)) {
+		seeds = append(seeds, rawWALRecord(1, 1, malformedDeltaPayloads(t)[name]))
+	}
+	return seeds
+}
+
+func sortedKeys(m map[string][]byte) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func FuzzScanWAL(f *testing.F) {
@@ -55,6 +74,11 @@ func FuzzScanWAL(f *testing.F) {
 			rec, err := DecodeCommitRecord(payload)
 			if err != nil {
 				return err
+			}
+			if rec.HasDeltas() {
+				if _, err := readDeltas(rec); err != nil {
+					return err
+				}
 			}
 			frame, err := encodeWALRecord(epoch, seq, rec)
 			if err != nil {

@@ -10,6 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
+	"sort"
+	"sync"
+
+	"ivm/internal/relation"
+	"ivm/internal/value"
 )
 
 // castagnoli is the CRC32C table shared by the WAL, the replication
@@ -18,25 +25,48 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CommitRecord is one committed maintenance pass: the snapshot version
 // it published, the idempotency keys of the Apply calls it covers (a
-// coalesced batch carries every caller's key), and the delta script that
-// reproduces it. The views after n commits are a fold of n records over
-// a starting state, so crash recovery, WAL backfill and a follower's
-// tail all replay this one type.
+// coalesced batch carries every caller's key), and what reproduces it —
+// the signed per-predicate deltas the engine committed (format 2) or, in
+// a record from before those were shipped, the delta script to re-derive
+// them from (format 1). The views after n commits are a fold of n records
+// over a starting state, x ⊎ Δ₁ ⊎ … ⊎ Δₙ, so crash recovery, WAL backfill
+// and a follower's tail all replay this one type.
 type CommitRecord struct {
 	Version uint64
 	Keys    []string
-	Script  string
+	// Script is a format-1 record's delta script; only
+	// Store.AppendVersionedAsync still writes one.
+	Script string
+	// Payload is the record as encoded — what the WAL stores and a 'D'
+	// frame ships — so appending and re-shipping it copy bytes instead of
+	// rendering again. EncodeCommitRecord and DecodeCommitRecord set it
+	// (the decoder aliases its argument); a record built by hand has none
+	// and renders as format 1.
+	Payload []byte
+	deltas  int // where Payload's delta section starts; 0 unless format 2
 }
 
-// commitRecordFormat leads every payload:
+// Every payload opens [format u8][version u64][nkeys u16]([klen u16][key])*
+// (numbers big-endian). Format 1 ends with the delta script as text;
+// format 2 with an engine byte and one section per changed predicate,
+// base and derived alike, in name order:
 //
-//	[format u8 = 1][version u64][nkeys u16]([klen u16][key])*[script]
+//	[engine u8]([nlen u16][name][arity u16][nrows u32]([count varint][tuple key])*)*
 //
-// (numbers big-endian). Delta scripts are text and the retired framings
-// opened with 0x00, so no payload an earlier build wrote starts with it.
-const commitRecordFormat = 1
+// engine names the configuration that cut the record — stored counts, and
+// so count changes, are particular to it (see Engine). count is the
+// signed change of the row's derivation count, never 0; the
+// key is Tuple.AppendKey's encoding — the string the row is stored under
+// on both ends, self-delimiting given the arity — so encoding copies it
+// and decoding looks it up without keying anything. Delta scripts are
+// text and the retired framings opened with 0x00, so no payload an
+// earlier build wrote starts with either byte.
+const (
+	formatScript = 1
+	formatDeltas = 2
+)
 
-// commitRecordFixed is the payload size before keys and script.
+// commitRecordFixed is the payload size before keys and body.
 const commitRecordFixed = 1 + 8 + 2
 
 // UnknownFormatError reports an intact WAL record, replication payload
@@ -53,31 +83,86 @@ func (e *UnknownFormatError) Error() string {
 		e.What, e.Format)
 }
 
-// errMalformedRecord marks a payload that names the current format but
+// errMalformedRecord marks a payload that names a current format but
 // does not parse: its checksum held, so this is a writer bug, not disk
 // damage, and it is surfaced loudly rather than repaired around.
 var errMalformedRecord = errors.New("storage: malformed commit record")
 
-// AppendTo appends the record's payload to dst.
-func (r CommitRecord) AppendTo(dst []byte) ([]byte, error) {
-	if len(r.Keys) > 0xffff {
-		return nil, fmt.Errorf("storage: %d idempotency keys in one record (max %d)", len(r.Keys), 0xffff)
+// appendHeader appends the part of a payload both formats share.
+func appendHeader(dst []byte, format byte, version uint64, keys []string) ([]byte, error) {
+	if len(keys) > 0xffff {
+		return nil, fmt.Errorf("storage: %d idempotency keys in one record (max %d)", len(keys), 0xffff)
 	}
-	dst = append(dst, commitRecordFormat)
-	dst = binary.BigEndian.AppendUint64(dst, r.Version)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Keys)))
-	for _, k := range r.Keys {
+	dst = append(dst, format)
+	dst = binary.BigEndian.AppendUint64(dst, version)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(keys)))
+	for _, k := range keys {
 		if len(k) > 0xffff {
 			return nil, fmt.Errorf("storage: idempotency key of %d bytes (max %d)", len(k), 0xffff)
 		}
 		dst = binary.BigEndian.AppendUint16(dst, uint16(len(k)))
 		dst = append(dst, k...)
 	}
-	return append(dst, r.Script...), nil
+	return dst, nil
+}
+
+// recordScratch holds the buffers records are rendered in before being
+// copied out at their exact size.
+var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// EncodeCommitRecord cuts the format-2 record of a commit from the deltas
+// its engine committed (CommittedDeltas), stamped with that engine's
+// configuration: one rendering, kept as the record's Payload at exactly
+// its size.
+func EncodeCommitRecord(version uint64, keys []string, engine byte, deltas map[string]*relation.Relation) (CommitRecord, error) {
+	preds := make([]string, 0, len(deltas))
+	for pred, d := range deltas {
+		if len(pred) > 0xffff || d.Arity() > 0xffff || uint64(d.Len()) > math.MaxUint32 {
+			return CommitRecord{}, fmt.Errorf("storage: delta of %s (arity %d, %d rows) exceeds the record's field widths", pred, d.Arity(), d.Len())
+		}
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+	scratch := recordScratch.Get().(*[]byte)
+	defer recordScratch.Put(scratch)
+	buf, err := appendHeader((*scratch)[:0], formatDeltas, version, keys)
+	if err != nil {
+		return CommitRecord{}, err
+	}
+	buf = append(buf, engine)
+	rec := CommitRecord{Version: version, Keys: keys, deltas: len(buf)}
+	for _, pred := range preds {
+		d := deltas[pred]
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(pred)))
+		buf = append(buf, pred...)
+		buf = binary.BigEndian.AppendUint16(buf, uint16(d.Arity()))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(d.Len()))
+		d.Each(func(row relation.Row) {
+			buf = binary.AppendVarint(buf, row.Count)
+			buf = append(buf, row.Key()...)
+		})
+	}
+	rec.Payload = make([]byte, len(buf))
+	copy(rec.Payload, buf)
+	*scratch = buf
+	return rec, nil
+}
+
+// AppendTo appends the record's payload to dst: the bytes it was cut or
+// decoded as when it has them, else a format-1 rendering of its script.
+func (r CommitRecord) AppendTo(dst []byte) ([]byte, error) {
+	if r.Payload != nil {
+		return append(dst, r.Payload...), nil
+	}
+	dst, err := appendHeader(dst, formatScript, r.Version, r.Keys)
+	return append(dst, r.Script...), err
 }
 
 // encodedLen is the exact size AppendTo adds.
 func (r CommitRecord) encodedLen() int {
+	if r.Payload != nil {
+		return len(r.Payload)
+	}
 	n := commitRecordFixed + len(r.Script)
 	for _, k := range r.Keys {
 		n += 2 + len(k)
@@ -85,11 +170,12 @@ func (r CommitRecord) encodedLen() int {
 	return n
 }
 
-// DecodeCommitRecord parses a payload AppendTo rendered. Any other
+// DecodeCommitRecord parses a payload of either format. The record keeps
+// payload; a delta section is read in place, later, by Deltas. Any other
 // leading byte — the retired bare-script and 0x00-framed payloads
 // included — is an *UnknownFormatError.
 func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
-	if len(payload) == 0 || payload[0] != commitRecordFormat {
+	if len(payload) == 0 || (payload[0] != formatScript && payload[0] != formatDeltas) {
 		format := -1 // empty payload: the retired bare framing of an empty script
 		if len(payload) > 0 {
 			format = int(payload[0])
@@ -99,7 +185,7 @@ func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
 	if len(payload) < commitRecordFixed {
 		return CommitRecord{}, fmt.Errorf("%w: %d-byte payload is shorter than the fixed header", errMalformedRecord, len(payload))
 	}
-	rec := CommitRecord{Version: binary.BigEndian.Uint64(payload[1:9])}
+	rec := CommitRecord{Version: binary.BigEndian.Uint64(payload[1:9]), Payload: payload}
 	nkeys := int(binary.BigEndian.Uint16(payload[9:11]))
 	off := commitRecordFixed
 	if nkeys > 0 {
@@ -117,8 +203,69 @@ func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
 		rec.Keys = append(rec.Keys, string(payload[off:off+kl]))
 		off += kl
 	}
-	rec.Script = string(payload[off:])
+	switch {
+	case payload[0] == formatScript:
+		rec.Script = string(payload[off:])
+	case off == len(payload):
+		return CommitRecord{}, fmt.Errorf("%w: truncated before the engine byte", errMalformedRecord)
+	default:
+		rec.deltas = off + 1
+	}
 	return rec, nil
+}
+
+// HasDeltas reports whether the record carries its committed deltas
+// (format 2) and so replays as a fold, without a script.
+func (r CommitRecord) HasDeltas() bool { return r.deltas > 0 }
+
+// Engine returns a format-2 record's engine byte: an opaque stamp of the
+// strategy and semantics whose stored counts the deltas are changes of.
+// Only views configured the same can fold the record.
+func (r CommitRecord) Engine() byte { return r.Payload[r.deltas-1] }
+
+// Deltas returns a reader over the record's delta section.
+func (r CommitRecord) Deltas() *DeltaReader { return &DeltaReader{b: r.Payload[r.deltas:]} }
+
+// DeltaReader walks a delta section in place: Next opens the next
+// predicate's section, Row then reads its rows one at a time. Every
+// length is checked against the bytes present before it is believed.
+type DeltaReader struct {
+	b     []byte
+	arity int
+}
+
+// Next opens the next predicate section; io.EOF ends the record. nrows
+// is at most the rows the remaining bytes could hold (a count byte and,
+// per value, a kind byte, a digit and '|'), so it may size an allocation.
+func (d *DeltaReader) Next() (pred string, arity, nrows int, err error) {
+	if len(d.b) == 0 {
+		return "", 0, 0, io.EOF
+	}
+	if len(d.b) < 2 || len(d.b)-2 < int(binary.BigEndian.Uint16(d.b))+6 {
+		return "", 0, 0, fmt.Errorf("%w: truncated delta section header", errMalformedRecord)
+	}
+	n := 2 + int(binary.BigEndian.Uint16(d.b))
+	pred, d.arity = string(d.b[2:n]), int(binary.BigEndian.Uint16(d.b[n:]))
+	nrows = int(binary.BigEndian.Uint32(d.b[n+2:]))
+	if d.b = d.b[n+6:]; nrows > len(d.b)/(1+3*d.arity) {
+		return "", 0, 0, fmt.Errorf("%w: delta of %s claims %d rows, more than its %d bytes hold", errMalformedRecord, pred, nrows, len(d.b))
+	}
+	return pred, d.arity, nrows, nil
+}
+
+// Row reads the open section's next row: its signed count change and
+// its tuple's canonical key (aliasing the payload).
+func (d *DeltaReader) Row() (count int64, key []byte, err error) {
+	count, n := binary.Varint(d.b)
+	if n <= 0 || count == 0 {
+		return 0, nil, fmt.Errorf("%w: bad delta row count", errMalformedRecord)
+	}
+	kl, err := value.KeyLen(d.b[n:], d.arity)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", errMalformedRecord, err)
+	}
+	key, d.b = d.b[n:n+kl], d.b[n+kl:]
+	return count, key, nil
 }
 
 // walHeaderSize is the fixed WAL record header: epoch u64, seq u64,

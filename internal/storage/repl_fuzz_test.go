@@ -11,6 +11,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -41,7 +42,7 @@ func replFuzzSeeds(t testing.TB) [][]byte {
 	})
 	corrupt := append([]byte(nil), valid...)
 	corrupt[replHeaderSize] ^= 0xff // flip a payload byte of record 1
-	return [][]byte{
+	seeds := [][]byte{
 		valid,
 		valid[:len(valid)-3], // torn final record
 		valid[:replHeaderSize-1],
@@ -49,7 +50,13 @@ func replFuzzSeeds(t testing.TB) [][]byte {
 		rawReplRecord(ReplKindDelta, 2, retiredPayloads["V over K"]),
 		{},
 		bytes.Repeat([]byte{0xff}, replHeaderSize+4), // absurd header
+		// A 'D' record carrying deltas, then its damaged delta sections.
+		rawReplRecord(ReplKindDelta, 7, deltaRecord(t).Payload),
 	}
+	for _, name := range sortedKeys(malformedDeltaPayloads(t)) {
+		seeds = append(seeds, rawReplRecord(ReplKindDelta, 7, malformedDeltaPayloads(t)[name]))
+	}
+	return seeds
 }
 
 func FuzzReplRecord(f *testing.F) {
@@ -60,6 +67,15 @@ func FuzzReplRecord(f *testing.F) {
 		records, err := DecodeReplRecords(data)
 		if err != nil {
 			return // damage detected; nothing else to assert
+		}
+		// A follower folds what it is sent: walking a shipped delta
+		// section must end in rows or in a malformed-record error.
+		for _, rec := range records {
+			if rec.HasDeltas() {
+				if _, err := readDeltas(rec.CommitRecord); err != nil && !errors.Is(err, errMalformedRecord) {
+					t.Fatalf("delta walk of %x stopped with an untyped error: %v", rec.Payload, err)
+				}
+			}
 		}
 		// Decode/encode stability: the extracted records survive a round
 		// trip through the canonical encoding.

@@ -63,6 +63,7 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		if want.Kind != ReplKindState {
 			got.State = want.State
 		}
+		got.Payload = nil // a decoded 'D' record keeps the bytes it came as
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}

@@ -111,7 +111,8 @@ type Store struct {
 
 	gc *groupCommitter
 
-	// recovery results; immutable after OpenStore.
+	// recovery results; immutable after OpenStore (records until handed
+	// over by Records).
 	info        RecoveryInfo
 	snapDB      *eval.DB
 	snapProgram string
@@ -294,9 +295,15 @@ func (s *Store) Snapshot() (db *eval.DB, program string, hidden []string, ok boo
 	return s.snapDB, s.snapProgram, s.snapHidden, s.info.HasSnapshot
 }
 
-// Records returns the commit records to replay on top of the snapshot,
-// in append order.
-func (s *Store) Records() []CommitRecord { return s.records }
+// Records hands over the commit records to replay on top of the
+// snapshot, in append order. The store does not keep them: their
+// payloads alias the WAL image recovery read, which would otherwise stay
+// pinned for the store's life.
+func (s *Store) Records() []CommitRecord {
+	recs := s.records
+	s.records = nil
+	return recs
+}
 
 // SnapshotBaseVersion returns the published snapshot version the newest
 // checkpoint was stamped with. After recovery this is the version the
@@ -388,22 +395,28 @@ func (s *Store) AttachMetrics(reg *metrics.Registry) {
 	}
 }
 
-// AppendVersionedAsync writes one commit record (establishing its
-// position in the log) and returns a wait function that blocks until the
-// record is durable. version is the snapshot version the record's apply
-// publishes — the durable commit order recovery and replication backfill
-// align on. keys are the idempotency keys the record's applies carried;
-// recovery hands them back via Records so dedup survives replay. Callers
-// that serialize appends under their own lock can write inside the
-// critical section and wait outside it, letting group commit batch the
-// fsyncs.
+// AppendVersionedAsync appends a format-1 (script) commit record; see
+// AppendRecordAsync. Kept for the layered benchmark's storage kernel,
+// which compiles against it; nothing else writes format 1.
 func (s *Store) AppendVersionedAsync(version uint64, script string, keys []string) (wait func() error, err error) {
+	return s.AppendRecordAsync(CommitRecord{Version: version, Keys: keys, Script: script})
+}
+
+// AppendRecordAsync writes one commit record (establishing its position
+// in the log) and returns a wait function that blocks until the record
+// is durable. Its version is the snapshot version the record's apply
+// publishes — the durable commit order recovery and replication backfill
+// align on — and recovery hands its idempotency keys back via Records so
+// dedup survives replay. Callers that serialize appends under their own
+// lock can write inside the critical section and wait outside it,
+// letting group commit batch the fsyncs.
+func (s *Store) AppendRecordAsync(cr CommitRecord) (wait func() error, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrStoreClosed
 	}
-	rec, err := encodeWALRecord(s.epoch, s.seq+1, CommitRecord{Version: version, Keys: keys, Script: script})
+	rec, err := encodeWALRecord(s.epoch, s.seq+1, cr)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, err

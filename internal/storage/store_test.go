@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"ivm/internal/metrics"
+	"ivm/internal/relation"
 	"ivm/internal/value"
 )
 
@@ -52,9 +54,11 @@ func checkpoint(t testing.TB, s *Store, program string, hidden ...string) {
 }
 
 // scripts lists the delta scripts of the records recovery handed back.
+// The store hands them over once, so call it once per store.
 func scripts(s *Store) []string {
-	out := make([]string, len(s.Records()))
-	for i, r := range s.Records() {
+	recs := s.Records()
+	out := make([]string, len(recs))
+	for i, r := range recs {
 		out[i] = r.Script
 	}
 	return out
@@ -99,8 +103,8 @@ func TestStoreEmptyOpen(t *testing.T) {
 	if _, _, _, ok := s.Snapshot(); ok {
 		t.Fatal("empty store must have no snapshot")
 	}
-	if len(scripts(s)) != 0 || s.Epoch() != 0 {
-		t.Fatalf("scripts=%v epoch=%d", scripts(s), s.Epoch())
+	if got := scripts(s); len(got) != 0 || s.Epoch() != 0 {
+		t.Fatalf("scripts=%v epoch=%d", got, s.Epoch())
 	}
 }
 
@@ -174,8 +178,8 @@ func TestStoreSkipsStaleEpochRecords(t *testing.T) {
 	if info.SkippedStale != 3 || info.Replayed != 0 {
 		t.Fatalf("info: %+v", info)
 	}
-	if len(scripts(s2)) != 0 {
-		t.Fatalf("stale records must not replay: %v", scripts(s2))
+	if got := scripts(s2); len(got) != 0 {
+		t.Fatalf("stale records must not replay: %v", got)
 	}
 }
 
@@ -348,8 +352,8 @@ func TestStorePartialRenameLeftoverIgnored(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if s2.Epoch() != 1 || len(scripts(s2)) != 1 {
-		t.Fatalf("epoch=%d scripts=%v", s2.Epoch(), scripts(s2))
+	if got := scripts(s2); s2.Epoch() != 1 || len(got) != 1 {
+		t.Fatalf("epoch=%d scripts=%v", s2.Epoch(), got)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("temp leftovers must be removed")
@@ -498,6 +502,10 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
+		if !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("%+v: the decoded record does not keep its payload", want)
+		}
+		got.Payload = nil
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip %+v -> %+v", want, got)
 		}
@@ -543,13 +551,129 @@ func TestCommitRecordGoldenBytes(t *testing.T) {
 	}
 }
 
+// deltaRecord cuts the format-2 record the delta tests share: one keyed
+// commit that adds a link row and takes a nullary flag out twice.
+func deltaRecord(t testing.TB) CommitRecord {
+	t.Helper()
+	link := relation.New(2)
+	link.Add(value.T("a", "b"), 1)
+	flag := relation.New(0)
+	flag.Add(value.T(), -2)
+	rec, err := EncodeCommitRecord(7, []string{"k1"}, 0x05, map[string]*relation.Relation{"link": link, "flag": flag})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// readDeltas walks a record's delta section into "pred/arity: count key"
+// lines, the way a fold reads it.
+func readDeltas(rec CommitRecord) ([]string, error) {
+	var out []string
+	for rd := rec.Deltas(); ; {
+		pred, arity, nrows, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		for i := 0; i < nrows; i++ {
+			count, key, err := rd.Row()
+			if err != nil {
+				return out, err
+			}
+			if n, err := value.KeyLen(key, arity); err != nil || n != len(key) {
+				return out, fmt.Errorf("row key %q is not one arity-%d key", key, arity)
+			}
+			out = append(out, fmt.Sprintf("%s/%d: %d %s", pred, arity, count, key))
+		}
+	}
+}
+
+// Format 2 is pinned byte for byte like format 1, round-trips through
+// the decoder with its payload kept verbatim, and reads back row by row.
+func TestCommitRecordDeltasGoldenBytes(t *testing.T) {
+	rec := deltaRecord(t)
+	// format | version | nkeys | klen "k1" | engine |
+	//   nlen "flag" | arity 0 | nrows 1 | count -2 (zigzag 3), empty key |
+	//   nlen "link" | arity 2 | nrows 1 | count +1 (zigzag 2) | key s1:a|s1:b|
+	const want = "02" + "0000000000000007" + "0001" + "0002" + "6b31" + "05" +
+		"0004" + "666c6167" + "0000" + "00000001" + "03" +
+		"0004" + "6c696e6b" + "0002" + "00000001" + "02" + "73313a617c73313a627c"
+	if got := hex.EncodeToString(rec.Payload); got != want {
+		t.Fatalf("payload:\n got %s\nwant %s", got, want)
+	}
+	if !rec.HasDeltas() || rec.encodedLen() != len(rec.Payload) || cap(rec.Payload) != len(rec.Payload) {
+		t.Fatalf("record %+v: not cut as an exact-size format-2 payload (cap %d)", rec, cap(rec.Payload))
+	}
+	again, err := DecodeCommitRecord(rec.Payload)
+	if err != nil || !reflect.DeepEqual(again, rec) {
+		t.Fatalf("decode = %+v, %v; want %+v", again, err, rec)
+	}
+	if again.Engine() != 0x05 {
+		t.Fatalf("engine byte = %#x, want 0x05", again.Engine())
+	}
+	if framed, _ := again.AppendTo(nil); !bytes.Equal(framed, rec.Payload) {
+		t.Fatal("a decoded record must re-ship the bytes it came as")
+	}
+	rows, err := readDeltas(again)
+	if want := []string{"flag/0: -2 ", "link/2: 1 s1:a|s1:b|"}; err != nil || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("deltas = %q, %v; want %q", rows, err, want)
+	}
+	// A format-1 record has no delta section; a commit with no net change
+	// has an empty one.
+	if script, _ := DecodeCommitRecord([]byte{formatScript, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, '+'}); script.HasDeltas() {
+		t.Fatal("a script record claims to carry deltas")
+	}
+	empty, err := EncodeCommitRecord(8, nil, 0, nil)
+	if rows, rerr := readDeltas(empty); err != nil || rerr != nil || len(rows) != 0 || !empty.HasDeltas() {
+		t.Fatalf("empty commit: %+v, %v, rows %q, %v", empty, err, rows, rerr)
+	}
+}
+
+// malformedDeltaPayloads are format-2 payloads damaged behind a valid
+// checksum: each must read as malformed — never panic, never size an
+// allocation from a length the bytes do not back.
+func malformedDeltaPayloads(t testing.TB) map[string][]byte {
+	rec := deltaRecord(t)
+	link := bytes.Index(rec.Payload, []byte("link")) // name | arity u16 | nrows u32 | count | key
+	patch := func(off int, b ...byte) []byte {
+		p := append([]byte(nil), rec.Payload...)
+		copy(p[off:], b)
+		return p
+	}
+	return map[string][]byte{
+		"truncated delta section":             rec.Payload[:len(rec.Payload)-4],
+		"truncated section header":            rec.Payload[:link+5],
+		"nrows larger than the bytes present": patch(link+6, 0xff, 0xff, 0xff, 0xff),
+		"arity larger than the key":           patch(link+4, 0, 3),
+		"arity smaller than the key":          patch(link+4, 0, 1),
+		"count 0":                             patch(link+10, 0),
+		"name longer than the record":         patch(link-2, 0xff, 0xff),
+	}
+}
+
+func TestDeltaReaderRefusals(t *testing.T) {
+	for name, payload := range malformedDeltaPayloads(t) {
+		rec, err := DecodeCommitRecord(payload)
+		if err != nil {
+			t.Fatalf("%s: the header must still decode: %v", name, err)
+		}
+		if rows, err := readDeltas(rec); !errors.Is(err, errMalformedRecord) {
+			t.Errorf("%s: read %q, %v; want errMalformedRecord", name, rows, err)
+		}
+	}
+}
+
 func TestDecodeCommitRecordRefusals(t *testing.T) {
 	// Truncations of the current format are a writer bug ...
 	for name, payload := range map[string][]byte{
-		"format byte only": {commitRecordFormat},
-		"truncated count":  {commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0},
-		"truncated klen":   {commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 1, 'a'},
-		"truncated key":    {commitRecordFormat, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'},
+		"format byte only": {formatScript},
+		"truncated count":  {formatScript, 0, 0, 0, 0, 0, 0, 0, 1, 0},
+		"truncated klen":   {formatScript, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 1, 'a'},
+		"truncated key":    {formatScript, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 9, 'a'},
+		"no engine byte":   {formatDeltas, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
 	} {
 		if _, err := DecodeCommitRecord(payload); !errors.Is(err, errMalformedRecord) {
 			t.Errorf("%s: decode = %v, want errMalformedRecord", name, err)
@@ -691,7 +815,7 @@ func TestStoreKeyedRecordsSurviveReopen(t *testing.T) {
 	}
 	// The live backfill scan and recovery read the same records.
 	tail, err := s.TailRecords(2)
-	if err != nil || !reflect.DeepEqual(tail, want[1:]) {
+	if err != nil || !reflect.DeepEqual(sansPayload(tail), want[1:]) {
 		t.Fatalf("TailRecords(2) = %+v, %v", tail, err)
 	}
 	if err := s.Close(); err != nil {
@@ -700,7 +824,17 @@ func TestStoreKeyedRecordsSurviveReopen(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	if got := s2.Records(); !reflect.DeepEqual(got, want) {
+	if got := sansPayload(s2.Records()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("records: %+v", got)
 	}
+}
+
+// sansPayload drops the encoded bytes decoded records keep, leaving the
+// fields a hand-built record has.
+func sansPayload(recs []CommitRecord) []CommitRecord {
+	out := append([]CommitRecord(nil), recs...)
+	for i := range out {
+		out[i].Payload = nil
+	}
+	return out
 }

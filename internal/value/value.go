@@ -6,6 +6,7 @@ package value
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -305,6 +306,81 @@ func (t Tuple) AppendKey(b []byte) []byte {
 		b = append(b, '|')
 	}
 	return b
+}
+
+var errBadKey = errors.New("value: malformed tuple key")
+
+// valueEnd returns the index of the '|' that ends the encoded value
+// starting b — the inverse of appendKey's framing and nothing more: only
+// a string's length, which has to be trusted, is vetted.
+func valueEnd[S string | []byte](b S) (int, error) {
+	i := 1
+	if len(b) > 0 && b[0] == 's' {
+		n := 0
+		for ; i < len(b) && b[i] != ':'; i++ {
+			if b[i] < '0' || b[i] > '9' || n > len(b) {
+				return 0, errBadKey
+			}
+			n = n*10 + int(b[i]-'0')
+		}
+		if n >= len(b)-i { // also a missing ':'
+			return 0, errBadKey
+		}
+		i += 1 + n
+	} else {
+		for i < len(b) && b[i] != '|' {
+			i++
+		}
+	}
+	if i >= len(b) || b[i] != '|' {
+		return 0, errBadKey
+	}
+	return i, nil
+}
+
+// KeyLen returns the length of the canonical key of arity values that
+// leads b, without decoding it: how a reader walks keys laid end to end.
+func KeyLen(b []byte, arity int) (int, error) {
+	n := 0
+	for ; arity > 0; arity-- {
+		end, err := valueEnd(b[n:])
+		if err != nil {
+			return 0, err
+		}
+		n += end + 1
+	}
+	return n, nil
+}
+
+// TupleFromKey decodes a canonical key (what AppendKey renders) of arity
+// values; string values alias key instead of copying out of it. Only the
+// canonical spelling is accepted — whatever a field parses to, the tuple
+// must encode back to key.
+func TupleFromKey(key string, arity int) (Tuple, error) {
+	t := make(Tuple, arity)
+	rest := key
+	for i := range t {
+		end, err := valueEnd(rest)
+		if err != nil {
+			return nil, err
+		}
+		switch body := rest[1:end]; rest[0] {
+		case 'i':
+			n, _ := strconv.ParseInt(body, 10, 64)
+			t[i] = NewInt(n)
+		case 'f':
+			bits, _ := strconv.ParseUint(body, 16, 64)
+			t[i] = NewFloat(math.Float64frombits(bits))
+		case 's':
+			t[i] = NewString(body[strings.IndexByte(body, ':')+1:])
+		}
+		rest = rest[end+1:]
+	}
+	var buf [KeyScratch]byte
+	if rest != "" || string(t.AppendKey(buf[:0])) != key {
+		return nil, errBadKey
+	}
+	return t, nil
 }
 
 // AppendProjKey appends the canonical encoding of t's projection on cols

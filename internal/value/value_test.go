@@ -363,3 +363,77 @@ func keyEqual(a, b Tuple) bool {
 	}
 	return true
 }
+
+// A key decodes back to the tuple it encodes (strings aliasing the key),
+// keys laid end to end are walked by their arity alone, and nothing but
+// the canonical spelling of a tuple is accepted.
+func TestTupleFromKeyRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var stream []byte
+	var tuples []Tuple
+	for i := 0; i < 3000; i++ {
+		tu := randomTuple(rng)
+		key := tu.Key()
+		got, err := TupleFromKey(key, len(tu))
+		if err != nil || !keyEqual(got, tu) {
+			t.Fatalf("TupleFromKey(%q, %d) = %v, %v; want %v", key, len(tu), got, err, tu)
+		}
+		if n, err := KeyLen([]byte(key+"i7|trailing"), len(tu)); err != nil || n != len(key) {
+			t.Fatalf("KeyLen(%q...) = %d, %v; want %d", key, n, err, len(key))
+		}
+		if _, err := TupleFromKey(key, len(tu)+1); err == nil {
+			t.Fatalf("TupleFromKey(%q) accepted arity %d", key, len(tu)+1)
+		}
+		if len(tu) > 0 {
+			if _, err := TupleFromKey(key, len(tu)-1); err == nil {
+				t.Fatalf("TupleFromKey(%q) accepted arity %d", key, len(tu)-1)
+			}
+			if _, err := KeyLen([]byte(key[:len(key)-1]), len(tu)); err == nil {
+				t.Fatalf("KeyLen accepted a key cut short: %q", key[:len(key)-1])
+			}
+		}
+		stream, tuples = append(stream, key...), append(tuples, tu)
+	}
+	for _, tu := range tuples {
+		n, err := KeyLen(stream, len(tu))
+		if err != nil || string(stream[:n]) != tu.Key() {
+			t.Fatalf("walking the stream: KeyLen = %d, %v at %q", n, err, stream[:min(len(stream), 40)])
+		}
+		stream = stream[n:]
+	}
+}
+
+func TestTupleFromKeyRefusesNonCanonicalKeys(t *testing.T) {
+	for _, key := range []string{
+		"i07|", "i+7|", "i-0|", "i|", "i9223372036854775808|", "i7", "i7|x",
+		"f03ff0000000000000|", "f3FF0000000000000|", "f|", "fg|", "f10000000000000000|",
+		"s01:a|", "s2:a|", "s1:ab|", "s:|", "s1a|", "s-1:a|", "s99999999999999999999:a|",
+		"x1|", "|", "",
+	} {
+		if tu, err := TupleFromKey(key, 1); err == nil {
+			t.Errorf("TupleFromKey(%q) = %v, want an error", key, tu)
+		}
+	}
+}
+
+func FuzzTupleFromKey(f *testing.F) {
+	f.Add("s1:a|i-7|f3ff0000000000000|", 3)
+	f.Add("s99999999999999999999:a|", 1)
+	f.Add("", 0)
+	f.Fuzz(func(t *testing.T, key string, arity int) {
+		if arity < 0 || arity > 64 {
+			return
+		}
+		n, lenErr := KeyLen([]byte(key), arity)
+		if lenErr == nil && (n < 0 || n > len(key)) {
+			t.Fatalf("KeyLen(%q, %d) = %d", key, arity, n)
+		}
+		tu, err := TupleFromKey(key, arity)
+		if err != nil {
+			return
+		}
+		if tu.Key() != key || len(tu) != arity || lenErr != nil || n != len(key) {
+			t.Fatalf("TupleFromKey(%q, %d) = %v (key %q), KeyLen = %d, %v", key, arity, tu, tu.Key(), n, lenErr)
+		}
+	})
+}

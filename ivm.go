@@ -25,6 +25,7 @@ package ivm
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -208,6 +209,9 @@ type Views struct {
 	// store: batch maintenance, rule edits, Save, Sync, Close, and the
 	// OpenStore binding. Readers never take it.
 	wmu sync.Mutex
+	// replaying is set while OpenStore replays the WAL (wmu): nobody can
+	// read yet, so commits leave the version map alone (pushDeltasLocked).
+	replaying bool
 
 	// cur is the atomically published current version. Never nil after
 	// MaterializeProgram returns.
@@ -255,6 +259,9 @@ type Views struct {
 	mSnapVersion  *metrics.Gauge
 	mSnapUnix     *metrics.Gauge
 	mIdemEntries  *metrics.Gauge
+	// One observation per folded commit record (foldRecordLocked).
+	mReplaySecs *metrics.Histogram
+	mReplayRows *metrics.Counter
 
 	// idem is the bounded LRU behind ApplyIdempotent: key → the
 	// ChangeSet the key's apply committed (idem.go). Accessed only on
@@ -541,12 +548,14 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 	v.mFallbacks = reg.Counter("sched_coalesce_fallbacks_total")
 	v.mDedups = reg.Counter("sched_idem_dedup_total")
 	v.mIdemEntries = reg.Gauge("idem_window_entries")
+	v.mReplaySecs = reg.Histogram("commit_replay_seconds")
+	v.mReplayRows = reg.Counter("commit_replay_rows_total")
 	v.mApplyWait = reg.Histogram("sched_apply_wait_seconds")
 	v.mSnapWait = reg.Histogram("snapshot_wait_seconds")
 	v.mSnapVersion = reg.Gauge("snapshot_version")
 	v.mSnapUnix = reg.Gauge("snapshot_published_unixnano")
 	v.wmu.Lock()
-	v.publishAllLocked()
+	v.publishAllLocked(1)
 	v.wmu.Unlock()
 	return v, nil
 }
@@ -624,9 +633,12 @@ func (v *Views) Has(pred string, vals ...any) bool {
 // applyReq is one enqueued Apply call, completed by the maintainer.
 type applyReq struct {
 	u *Update
+	// rec, instead of u, is a commit record to fold (ApplyCommitRecord):
+	// its deltas are merged as they stand and its keys seed the window.
+	rec *CommitRecord
 	// keys are the idempotency keys this request carries: one for a
-	// keyed client apply, several only when a merged WAL record is
-	// replayed at recovery.
+	// keyed client apply, several only when a format-1 WAL record merged
+	// from several applies is replayed.
 	keys    []string
 	cs      *ChangeSet
 	deduped bool
@@ -644,9 +656,10 @@ type applyGroup struct {
 	cs   *ChangeSet
 	// rec is the group's commit record, cut when maintenance succeeds:
 	// the version it publishes, every covered request's idempotency keys,
-	// and the delta script (rendered only when the WAL or a commit-record
-	// subscriber will consume it). The WAL logs it and replication ships
-	// it, so the durable order and the published order agree.
+	// and — encoded only when the WAL or a commit-record subscriber will
+	// consume it — the deltas the engine committed. A folded group's
+	// record is the one it was handed. The WAL logs it and replication
+	// ships it, so the durable order and the published order agree.
 	rec CommitRecord
 	// rels is the relation map as of this group's maintenance pass — the
 	// exact state its version publishes.
@@ -682,7 +695,7 @@ type applyGroup struct {
 // update — the caller should Sync (checkpoint) or treat the store as
 // lost.
 func (v *Views) Apply(u *Update) (*ChangeSet, error) {
-	cs, _, err := v.submit(u, nil)
+	cs, _, err := v.submit(&applyReq{u: u})
 	return cs, err
 }
 
@@ -710,7 +723,7 @@ func (v *Views) ApplyIdempotent(key string, u *Update) (cs *ChangeSet, deduped b
 	if len(key) > MaxIdempotencyKeyLen {
 		return nil, false, fmt.Errorf("ivm: idempotency key of %d bytes exceeds the %d-byte limit", len(key), MaxIdempotencyKeyLen)
 	}
-	return v.submit(u, []string{key})
+	return v.submit(&applyReq{u: u, keys: []string{key}})
 }
 
 // ApplyScriptIdempotent parses a delta script and applies it under key
@@ -723,14 +736,14 @@ func (v *Views) ApplyScriptIdempotent(key, src string) (cs *ChangeSet, deduped b
 	return v.ApplyIdempotent(key, u)
 }
 
-// submit enqueues one update on the scheduler and waits for the
+// submit enqueues one request on the scheduler and waits for the
 // maintainer to complete it.
-func (v *Views) submit(u *Update, keys []string) (*ChangeSet, bool, error) {
-	if u.err != nil {
-		return nil, false, u.err
+func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
+	if r.u != nil && r.u.err != nil {
+		return nil, false, r.u.err
 	}
 	start := time.Now()
-	r := &applyReq{u: u, keys: keys, done: make(chan struct{})}
+	r.done = make(chan struct{})
 	v.comb.Submit(r)
 	<-r.done
 	v.mApplyWait.Observe(time.Since(start))
@@ -781,12 +794,12 @@ func (v *Views) processBatch(batch []*applyReq) {
 
 	next := v.nextRelsLocked()
 	base := v.cur.Load().id
-	// A group's delta script is rendered only when something will consume
-	// it: the WAL, or a commit-record subscriber (replication).
+	// A group's record is encoded only when something will consume it:
+	// the WAL, or a commit-record subscriber (replication).
 	v.handlersMu.Lock()
 	recHandlers := v.commitRecordHandlers
 	v.handlersMu.Unlock()
-	needScript := v.store != nil || len(recHandlers) > 0
+	cut := v.store != nil || len(recHandlers) > 0
 	var groups []*applyGroup
 	switch {
 	case len(admitted) == 0:
@@ -799,13 +812,13 @@ func (v *Views) processBatch(batch []*applyReq) {
 		}
 		return
 	case len(admitted) == 1 || !mergeable(admitted):
-		groups = v.runSequentialLocked(admitted, next, base, needScript)
+		groups = v.runSequentialLocked(admitted, next, base, cut)
 	default:
 		merged := NewUpdate()
 		for _, r := range admitted {
 			merged.Merge(r.u)
 		}
-		if g := v.maintainGroupLocked(admitted, merged, next, base+1, needScript); g.cs != nil {
+		if g := v.maintainGroupLocked(admitted, merged, next, base+1, cut); g.cs != nil {
 			g.rels = next
 			groups = []*applyGroup{g}
 		} else {
@@ -813,7 +826,7 @@ func (v *Views) processBatch(batch []*applyReq) {
 			// back to applying each caller's update individually so
 			// each gets exactly its own result or error.
 			v.mFallbacks.Inc()
-			groups = v.runSequentialLocked(admitted, next, base, needScript)
+			groups = v.runSequentialLocked(admitted, next, base, cut)
 		}
 	}
 
@@ -910,9 +923,12 @@ func (v *Views) admitLocked(u *Update) error {
 	if v.store.Closed() {
 		return fmt.Errorf("ivm: %w", storage.ErrStoreClosed)
 	}
-	// NaN/±Inf have no parseable literal syntax, so a WAL record
-	// containing one could never replay on recovery. Reject before
-	// touching memory: the views and the log must not diverge.
+	// NaN/±Inf have no parseable literal syntax, so a state transfer
+	// containing one could never load. Reject before touching memory. (A
+	// record being folded was vetted by the node that cut it.)
+	if u == nil {
+		return nil
+	}
 	if fact, bad := u.nonFinite(); bad {
 		return fmt.Errorf("ivm: %s contains a non-finite float, which cannot be logged replayably; store-bound views reject NaN and ±Inf", fact)
 	}
@@ -926,6 +942,9 @@ func (v *Views) admitLocked(u *Update) error {
 func mergeable(reqs []*applyReq) bool {
 	arity := make(map[string]int)
 	for _, r := range reqs {
+		if r.rec != nil {
+			return false // a record folds alone, at its own version
+		}
 		for pred, rel := range r.u.per {
 			a := rel.Arity()
 			if a < 0 {
@@ -945,11 +964,16 @@ func mergeable(reqs []*applyReq) bool {
 // appended in the same order and versions are assigned in the same
 // order (base+1, base+2, ... for the successful groups), so log order
 // equals application order equals publish order.
-func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relation.Versioned, base uint64, needScript bool) []*applyGroup {
+func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relation.Versioned, base uint64, cut bool) []*applyGroup {
 	groups := make([]*applyGroup, 0, len(admitted))
 	ver := base
 	for _, r := range admitted {
-		g := v.maintainGroupLocked([]*applyReq{r}, r.u, next, ver+1, needScript)
+		var g *applyGroup
+		if r.rec != nil {
+			g = v.foldGroupLocked(r, next, ver+1)
+		} else {
+			g = v.maintainGroupLocked([]*applyReq{r}, r.u, next, ver+1, cut)
+		}
 		if g.cs != nil {
 			ver++
 			// Snapshot the relation map as of this group so its version
@@ -971,7 +995,7 @@ func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relat
 // group is a whole coalesced batch or a single request. A failed pass
 // returns a group with no change set (g.cs == nil) and the engine's
 // error; the caller owns g.rels.
-func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string]*relation.Versioned, version uint64, needScript bool) *applyGroup {
+func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string]*relation.Versioned, version uint64, cut bool) *applyGroup {
 	g := &applyGroup{reqs: reqs}
 	if g.cs, g.err = v.maintainLocked(u, next); g.err != nil {
 		return g
@@ -987,8 +1011,11 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 			g.rec.Keys = append(g.rec.Keys, r.keys...)
 		}
 	}
-	if needScript {
-		g.rec.Script = u.String()
+	if cut {
+		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, v.engineByte(), v.committedDeltasLocked()); g.err != nil {
+			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
+			return g
+		}
 	}
 	g.wait, g.err = v.logLocked(g.rec)
 	return g
@@ -1030,7 +1057,18 @@ func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (
 	for pred := range v.hidden {
 		delete(cs.perPred, pred)
 	}
-	for pred, d := range v.committedDeltasLocked() {
+	v.pushDeltasLocked(next, v.committedDeltasLocked())
+	return cs, nil
+}
+
+// pushDeltasLocked folds a commit's deltas — already merged into the
+// engine's storage — onto the in-progress version map. OpenStore's WAL
+// replay skips it and rebuilds the map once, at the end.
+func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map[string]*relation.Relation) {
+	if v.replaying {
+		return
+	}
+	for pred, d := range deltas {
 		if cv, ok := next[pred]; ok {
 			next[pred] = cv.Push(d)
 		} else if r := v.relation(pred); r != nil {
@@ -1039,7 +1077,120 @@ func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (
 			next[pred] = relation.NewVersioned(r.Clone())
 		}
 	}
-	return cs, nil
+}
+
+// foldGroupLocked replays a format-2 commit record as a group of its own:
+// fold it (foldRecordLocked), push its deltas onto the version map, and
+// hand the record on as it was received — to the WAL, to commit-record
+// subscribers — with the change set the primary's subscribers saw.
+func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned, version uint64) *applyGroup {
+	g := &applyGroup{reqs: []*applyReq{r}}
+	if r.rec.Version != version {
+		g.err = &DivergenceError{Version: r.rec.Version, At: version - 1}
+		return g
+	}
+	deltas, cs, err := v.foldRecordLocked(*r.rec)
+	if err != nil {
+		g.err = err
+		return g
+	}
+	v.pushDeltasLocked(next, deltas)
+	cs.version = version
+	g.cs, g.rec = cs, *r.rec
+	g.wait, g.err = v.logLocked(g.rec)
+	return g
+}
+
+// foldRecordLocked is the fold step of both replay sites. It reads the
+// record's deltas into frozen delta relations, resolving each row against
+// the stored relation by its key — a row already stored lends its tuple
+// and key (a delete or a count bump allocates nothing), a new one gets a
+// copy of its key with the tuple's strings inside that copy; the payload
+// is never retained — and vetting it: a count that would fall below zero
+// is a *DivergenceError, returned before anything has moved. Then it
+// merges them into the engine's storage. No script is parsed, no rule
+// evaluated: one keyed lookup and one merge per delta row. It also derives
+// the commit's visible change set, which the record does not carry: per
+// derived, non-hidden predicate the delta itself, or under set semantics
+// (where only the recompute baseline reports count moves) the rows whose
+// presence flips.
+func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relation, *ChangeSet, error) {
+	if by := rec.Engine(); by != v.engineByte() {
+		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.engineByte())}
+	}
+	start := time.Now()
+	db, derived := v.db(), v.progLocked().DerivedPreds()
+	flips := v.rc == nil && v.cfg.semantics == SetSemantics
+	deltas := make(map[string]*relation.Relation)
+	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
+	rows := 0
+	for rd := rec.Deltas(); ; {
+		pred, arity, nrows, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		stored := db.Get(pred)
+		if stored == nil {
+			stored = relation.New(arity)
+		}
+		if a := stored.Arity(); a >= 0 && a != arity {
+			return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred}
+		}
+		d := relation.NewSized(arity, nrows)
+		var visible *relation.Relation // nil: base or hidden, not reported
+		switch {
+		case !derived[pred] || v.hidden[pred]:
+		case flips:
+			visible = relation.New(arity)
+		default:
+			visible = d
+		}
+		for i := 0; i < nrows; i++ {
+			count, key, err := rd.Row()
+			if err != nil {
+				return nil, nil, err
+			}
+			row, ok := stored.Stored(key)
+			if !ok {
+				if row, err = relation.RowFromKey(key, arity); err != nil {
+					return nil, nil, fmt.Errorf("ivm: commit record %d: %s row: %w", rec.Version, pred, err)
+				}
+			}
+			was, now := row.Count, row.Count+count
+			if now < 0 {
+				return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred, Tuple: row.Tuple}
+			}
+			d.AddRow(row.WithCount(count))
+			if visible != nil && visible != d && (was > 0) != (now > 0) {
+				visible.AddRow(row.WithCount(min(1, max(-1, count))))
+			}
+		}
+		if _, dup := deltas[pred]; dup || d.Len() != nrows {
+			return nil, nil, fmt.Errorf("ivm: commit record %d lists %s or one of its rows twice", rec.Version, pred)
+		}
+		d.Freeze()
+		deltas[pred] = d
+		rows += nrows
+		if visible != nil && !visible.Empty() {
+			cs.perPred[pred] = visible
+		}
+	}
+	switch {
+	case v.c != nil:
+		v.c.Fold(deltas)
+	case v.dr != nil:
+		v.dr.Fold(deltas)
+	case v.rc != nil:
+		v.rc.Fold(deltas)
+	default:
+		v.pf.Fold(deltas)
+	}
+	v.mReplayRows.Add(int64(rows))
+	v.mReplaySecs.Observe(time.Since(start))
+	return deltas, cs, nil
 }
 
 // logLocked appends a group's commit record to the WAL (store-bound
@@ -1053,7 +1204,7 @@ func (v *Views) logLocked(rec CommitRecord) (func() error, error) {
 	if v.store == nil {
 		return nil, nil
 	}
-	w, err := v.store.AppendVersionedAsync(rec.Version, rec.Script, rec.Keys)
+	w, err := v.store.AppendRecordAsync(rec)
 	if err != nil {
 		return nil, fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
 	}
@@ -1253,7 +1404,7 @@ func (v *Views) ruleEditCommittedLocked(ch *dred.Changes) (*ChangeSet, error) {
 		}
 	}
 	cs := changeSetFromChanges(ch.Del, ch.Add)
-	pub := v.publishAllLocked()
+	pub := v.publishAllLocked(nextID)
 	cs.version = pub.id
 	v.wmu.Unlock()
 	v.notify(cs)
@@ -1406,15 +1557,18 @@ func (ri RecoveryInfo) String() string {
 }
 
 // OpenStore opens (creating if needed) the crash-recovery store in dir
-// and restores views from it: the newest valid snapshot is loaded,
-// rematerialized, and the WAL delta scripts from its epoch are
-// replayed. When the store is empty, init is called to build the
-// initial views (e.g. from program and fact files) and the result is
-// immediately checkpointed. The returned views are store-bound: every
-// Apply is durably WAL-logged before it returns, rule edits checkpoint
-// a new epoch, and Sync checkpoints on demand. Options apply to the
-// rematerialization of a recovered program (and WithGroupCommit to the
-// WAL); init builds its views with whatever options it chooses.
+// and restores views from it: the newest valid snapshot is loaded and
+// rematerialized, and the WAL's commit records from its epoch are folded
+// onto it (ApplyCommitRecord). When the store is empty, init is called to
+// build the initial views (e.g. from program and fact files) and the
+// result is immediately checkpointed. The returned views are store-bound:
+// every Apply is durably WAL-logged before it returns, rule edits
+// checkpoint a new epoch, and Sync checkpoints on demand. Options apply to
+// the rematerialization of a recovered program (and WithGroupCommit to the
+// WAL); init builds its views with whatever options it chooses. A snapshot
+// opens under any strategy and semantics, but a WAL record folds only
+// under the ones it was cut by: a store closed without a checkpoint and
+// opened under others is refused with a *DivergenceError naming both.
 func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views, RecoveryInfo, error) {
 	cfg := newConfig(opts)
 	st, err := storage.OpenStore(dir, storage.StoreOptions{GroupCommit: cfg.groupCommit, RepairCorruptWAL: cfg.walRepair})
@@ -1442,7 +1596,13 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 			v.SeedVersion(base)
 		}
 		// Replay happens before the views are store-bound, so the
-		// records are not re-appended to the WAL they came from.
+		// records are not re-appended to the WAL they came from — and
+		// before anyone can read, so the version map skips the records'
+		// deltas (replaying) and is rebuilt once, after the last of them:
+		// pushing 2 000 versions nobody could see was 3/4 of a reopen.
+		v.wmu.Lock()
+		v.replaying = true
+		v.wmu.Unlock()
 		for i, rec := range st.Records() {
 			if rec.Version > v.cur.Load().id+1 {
 				// A version hole before this record: its predecessor's
@@ -1456,6 +1616,10 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
 			}
 		}
+		v.wmu.Lock()
+		v.replaying = false
+		v.publishAllLocked(v.cur.Load().id)
+		v.wmu.Unlock()
 	} else {
 		if init == nil {
 			return fail(fmt.Errorf("ivm: store %s is empty and no init function was provided", dir))
@@ -1568,33 +1732,73 @@ func (v *Views) SetFenceEpoch(e uint64) error {
 	}
 }
 
-// DivergenceError reports a commit record that cannot be the next
-// commit of these views: replaying it would publish a version other
-// than the one it is stamped with, so the state it was cut against is
-// not the state it would land on. Both replay sites — crash recovery
-// and a follower's tail — stop on it rather than apply the record under
-// the wrong number.
+// DivergenceError reports a commit record that does not fit these views:
+// it is not their next commit — replaying it would publish a version
+// other than the one it is stamped with — or one of its delta rows would
+// take a stored count below zero, or it was cut under another strategy or
+// semantics, whose stored counts are not these views'. Either way the
+// state it was cut against is not the state it would land on. Both replay
+// sites — crash recovery and a follower's tail — stop on it with nothing
+// applied.
 type DivergenceError struct {
-	// Version is the record's stamp; At is the version the views were at
-	// (before the apply when At != Version-1, after it otherwise).
+	// Version is the record's stamp; At is the version the views were at.
 	Version, At uint64
+	// Pred and Tuple name the delta row that does not fit the stored
+	// relation (Tuple nil: the whole delta, by its arity); empty for a
+	// record that is merely not the next one.
+	Pred  string
+	Tuple Tuple
+	// Engine is the configuration the record was cut under and Have the
+	// views' own, when the two differ; empty otherwise.
+	Engine, Have string
 }
 
 func (e *DivergenceError) Error() string {
+	switch {
+	case e.Engine != "":
+		return fmt.Sprintf("ivm: diverged: commit record %d was cut by %s views and these are %s: count changes fit only the stored counts of the configuration that cut them (a store opens under that one; after a Sync or clean Shutdown, which leaves no record behind, under any)", e.Version, e.Engine, e.Have)
+	case e.Pred != "":
+		return fmt.Sprintf("ivm: diverged: commit record %d does not fit the stored state: its change to %s%s", e.Version, e.Pred, e.Tuple)
+	}
 	return fmt.Sprintf("ivm: diverged: commit record is stamped version %d but the views are at version %d", e.Version, e.At)
 }
 
-// ApplyCommitRecord replays one commit record at its stamped version:
-// the views must sit at rec.Version-1 and the apply must publish exactly
-// rec.Version, or a *DivergenceError is returned (before anything is
-// applied, in the first case). It is the single replay step of WAL
-// recovery and of a follower's 'D' records — the fold x ⊕ Δ₁ ⊕ … ⊕ Δₙ —
-// and re-seeds the idempotency window with the record's keys, so a
-// client retrying across a crash or a failover still gets a dedup
-// answer stamped with the replayed version.
+// engineByte is the stamp these views put on the commit records they cut
+// and demand of the ones they fold: strategy, semantics and the counting
+// regime inside the engine (WithoutSetOptimization). Stored derivation
+// counts — and so a record's count changes — differ between any two.
+func (v *Views) engineByte() byte {
+	return byte(v.strategy)<<2 | byte(v.cfg.semantics)<<1 | byte(v.explainSem)
+}
+
+func engineString(b byte) string {
+	s := fmt.Sprintf("%v/%v", Strategy(b>>2), Semantics(b>>1&1))
+	if b>>1&1 != b&1 {
+		s += fmt.Sprintf(" (%v counts inside)", Semantics(b&1))
+	}
+	return s
+}
+
+// ApplyCommitRecord replays one commit record at its stamped version: the
+// one replay step of a follower's 'D' records and of OpenStore's WAL
+// recovery. A record carrying its committed deltas is folded, not re-run — the state after n commits is
+// x ⊎ Δ₁ ⊎ … ⊎ Δₙ — so it costs O(|Δ|): vetted against stored content,
+// merged into the engine's relations and the version chain, published,
+// reported to subscribers as the primary reported it, and logged and
+// re-shipped by this node as the bytes it arrived as. The views must sit
+// at rec.Version-1, run the strategy and semantics the record was cut
+// under, and hold every row it takes away, or a *DivergenceError is
+// returned with nothing applied. A script record (format 1) is re-derived
+// by ApplyScriptReplicated instead. Either way the record's keys re-seed
+// the idempotency window, so a client retrying across a crash or a
+// failover still gets a dedup answer stamped with the replayed version.
 func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
 	if at := v.cur.Load().id; at != rec.Version-1 {
 		return nil, &DivergenceError{Version: rec.Version, At: at}
+	}
+	if rec.HasDeltas() {
+		cs, _, err := v.submit(&applyReq{rec: &rec})
+		return cs, err
 	}
 	cs, err := v.ApplyScriptReplicated(rec.Script, rec.Keys)
 	if err != nil {
@@ -1606,19 +1810,17 @@ func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
 	return cs, nil
 }
 
-// ApplyScriptReplicated applies a replicated delta script, re-seeding
-// the idempotency window with the keys its record carried: a client
-// retry that lands on this node after a failover still dedups —
-// exactly-once survives the promotion. The stream ships each key at most
-// once (retries dedup on the primary before a record is cut), so unlike
-// ApplyIdempotent this path seeds the window rather than answering from
-// it. ApplyCommitRecord is this plus the version assert.
+// ApplyScriptReplicated re-derives a format-1 record: its delta script
+// goes through full maintenance and its keys re-seed the idempotency
+// window. Kept for stores written before records carried their deltas and
+// for the layered benchmark's re-apply kernel, which compiles against it;
+// to be deleted with format 1.
 func (v *Views) ApplyScriptReplicated(script string, keys []string) (*ChangeSet, error) {
 	u, err := ParseUpdate(script)
 	if err != nil {
 		return nil, err
 	}
-	cs, _, err := v.submit(u, keys)
+	cs, _, err := v.submit(&applyReq{u: u, keys: keys})
 	return cs, err
 }
 

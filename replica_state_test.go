@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 	"time"
@@ -70,7 +71,8 @@ func TestVersionsSurviveReopen(t *testing.T) {
 }
 
 // The commit-record stream must be gapless and version-ordered, carry
-// scripts that reproduce each commit, and agree with the WAL tail.
+// the deltas that reproduce each commit, and agree with the WAL tail
+// byte for byte.
 func TestOnCommitRecordStream(t *testing.T) {
 	dir := t.TempDir()
 	v, _, err := OpenStore(dir, func() (*Views, error) {
@@ -113,8 +115,9 @@ func TestOnCommitRecordStream(t *testing.T) {
 			t.Fatalf("record %d has no timestamp", i)
 		}
 	}
-	if recs[0].Script == "" || recs[1].Script != "" || recs[2].Script == "" {
-		t.Fatalf("scripts: %q", []string{recs[0].Script, recs[1].Script, recs[2].Script})
+	const header = 12 // a keyless record's payload before its deltas
+	if len(recs[0].Payload) <= header || len(recs[1].Payload) != header || len(recs[2].Payload) <= header {
+		t.Fatalf("payloads: %x", [][]byte{recs[0].Payload, recs[1].Payload, recs[2].Payload})
 	}
 
 	// The WAL-backed backfill source returns the same records.
@@ -126,7 +129,7 @@ func TestOnCommitRecordStream(t *testing.T) {
 		t.Fatalf("WAL tail has %d records, want 3", len(tail))
 	}
 	for i := range tail {
-		if tail[i].Version != recs[i].Version || tail[i].Script != recs[i].Script {
+		if tail[i].Version != recs[i].Version || !tail[i].HasDeltas() || !bytes.Equal(tail[i].Payload, recs[i].Payload) {
 			t.Fatalf("tail record %d = %+v, commit record = %+v", i, tail[i], recs[i])
 		}
 	}

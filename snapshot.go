@@ -231,21 +231,12 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 	return out, nil
 }
 
-// publishLocked atomically publishes rels as the next version (wmu
-// held). Every successful maintenance batch publishes — even one with
-// no visible changes — so the version-carried statistics stay current.
-func (v *Views) publishLocked(rels map[string]*relation.Versioned) *version {
-	var id uint64 = 1
-	if old := v.cur.Load(); old != nil {
-		id = old.id + 1
-	}
-	return v.publishVersionLocked(rels, id)
-}
-
 // publishVersionLocked atomically publishes rels under an explicit
-// version id (wmu held). The maintainer assigns ids before the WAL
-// group-commit wait so the durable record and the published version
-// carry the same number; ids must advance in publish order.
+// version id (wmu held). Every successful maintenance batch publishes —
+// even one with no visible changes — so the version-carried statistics
+// stay current. The maintainer assigns ids before the WAL group-commit
+// wait so the durable record and the published version carry the same
+// number; ids must advance in publish order.
 func (v *Views) publishVersionLocked(rels map[string]*relation.Versioned, id uint64) *version {
 	nv := &version{
 		id:         id,
@@ -343,15 +334,16 @@ func (v *Views) WaitForVersion(min uint64, timeout time.Duration) bool {
 }
 
 // publishAllLocked rebuilds the whole version map from the engine's
-// storage (full clone) and publishes it. Used at materialization and
-// after rule edits, where the delta-replay fast path does not apply.
-func (v *Views) publishAllLocked() *version {
+// storage (full clone) and publishes it as version id. Used at
+// materialization, after rule edits and after WAL replay, where pushing
+// each commit's deltas does not apply or does not pay.
+func (v *Views) publishAllLocked(id uint64) *version {
 	db := v.db()
 	rels := make(map[string]*relation.Versioned)
 	for _, pred := range db.Preds() {
 		rels[pred] = relation.NewVersioned(db.Get(pred).Clone())
 	}
-	return v.publishLocked(rels)
+	return v.publishVersionLocked(rels, id)
 }
 
 // nextRelsLocked returns a mutable copy of the current version's

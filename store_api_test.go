@@ -7,6 +7,7 @@ package ivm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"testing"
 
 	"ivm"
+	"ivm/internal/storage"
 )
 
 const storeTestProgram = `
@@ -428,15 +430,16 @@ func TestOpenStoreWALRepairOptIn(t *testing.T) {
 		}
 	}
 	v.Close()
-	// Flip a byte inside the second record's script: mid-WAL corruption
+	// Flip a byte inside the second record's deltas: mid-WAL corruption
 	// with acknowledged records behind it.
 	wal := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const walHeader, recordFixed = 24, 11 // frame header; payload before the script
-	data[walHeader+recordFixed+len(storeTestScripts[0])+walHeader+recordFixed+1] ^= 0x20
+	const walHeader, recordFixed = 24, 11 // frame header; payload before the deltas
+	first := walHeader + int(binary.BigEndian.Uint32(data[16:]))
+	data[first+walHeader+recordFixed+1] ^= 0x20
 	if err := os.WriteFile(wal, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -510,5 +513,106 @@ func TestLoadPathsVerifySnapshotChecksum(t *testing.T) {
 		t.Fatalf("OpenStore accepted a corrupted checkpoint (%v): link = %v", info, got.Rows("link"))
 	} else if info.BadSnapshots != 1 {
 		t.Fatalf("info: %+v (err %v)", info, err)
+	}
+}
+
+// A store the previous build wrote — or a WAL that mixes its script
+// records (format 1) with this build's delta records (format 2) — still
+// opens: script records replay by re-derivation, delta records by
+// folding, each at its stamped version, keys re-seeded either way.
+func TestOpenStoreReplaysScriptRecordsBesideDeltaRecords(t *testing.T) {
+	dir := t.TempDir()
+	v, _, err := ivm.OpenStore(dir, storeInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, _, err := v.ApplyScriptIdempotent("k-delta", storeTestScripts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+
+	// The previous build's writer: the same store, a script record.
+	st, err := storage.OpenStore(dir, storage.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, script := range storeTestScripts[1:3] {
+		wait, err := st.AppendVersionedAsync(cs.Version()+1+uint64(i), script, []string{fmt.Sprintf("k-script-%d", i)})
+		if err == nil {
+			err = wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	v2, info, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	if info.Replayed != 3 || v2.Snapshot().Version() != cs.Version()+2 {
+		t.Fatalf("replayed %d records to version %d, want 3 to %d", info.Replayed, v2.Snapshot().Version(), cs.Version()+2)
+	}
+	requireSameState(t, v2, groundTruth(t, storeTestScripts[:3]))
+	if got := v2.Metrics().Histograms["commit_replay_seconds"].Count; got != 1 {
+		t.Fatalf("commit_replay_seconds observed %d records, want only the delta record", got)
+	}
+	for key, want := range map[string]uint64{"k-delta": cs.Version(), "k-script-0": cs.Version() + 1, "k-script-1": cs.Version() + 2} {
+		got, deduped, err := v2.ApplyScriptIdempotent(key, "+link(x,y).")
+		if err != nil || !deduped || got.Version() != want {
+			t.Fatalf("retry of %s: version %d deduped %v err %v, want a dedup at %d", key, got.Version(), deduped, err, want)
+		}
+	}
+}
+
+// A record's count changes are changes of the stored counts of the
+// strategy and semantics that cut it. A WAL left behind by one
+// configuration is refused under another — folding it would, here, take
+// hop(a,c) (two derivations under counting, stored once by DRed) away
+// while a-d-c still derives it — and opens again under its own; once that
+// has checkpointed, any configuration opens the store.
+func TestOpenStoreRefusesAWALCutUnderAnotherConfiguration(t *testing.T) {
+	dir := t.TempDir()
+	v, _, err := ivm.OpenStore(dir, storeInit(t)) // auto: counting, set semantics
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.ApplyScript("-link(a,b)."); err != nil {
+		t.Fatal(err)
+	}
+	v.Close() // no checkpoint: the record stays in the WAL
+
+	for name, opt := range map[string]ivm.Option{
+		"strategy":       ivm.WithStrategy(ivm.DRed),
+		"semantics":      ivm.WithSemantics(ivm.DuplicateSemantics),
+		"counts regime":  ivm.WithoutSetOptimization(),
+		"other baseline": ivm.WithStrategy(ivm.Recompute),
+	} {
+		_, _, err := ivm.OpenStore(dir, noInit(t), opt)
+		var div *ivm.DivergenceError
+		if !errors.As(err, &div) || div.Engine == "" || div.Engine == div.Have || !strings.Contains(err.Error(), "counting/set") {
+			t.Fatalf("%s changed: OpenStore = %v, want a *DivergenceError naming both configurations", name, err)
+		}
+	}
+
+	v2, info, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil || info.Replayed != 1 {
+		t.Fatalf("reopen under the cutting configuration: %+v, %v", info, err)
+	}
+	requireSameState(t, v2, groundTruth(t, []string{"-link(a,b)."}))
+	if err := v2.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	v3, info, err := ivm.OpenStore(dir, noInit(t), ivm.WithStrategy(ivm.DRed))
+	if err != nil || info.Replayed != 0 || v3.Strategy() != ivm.DRed {
+		t.Fatalf("reopen under DRed after a checkpoint: %+v, %v", info, err)
+	}
+	defer v3.Close()
+	if !v3.Has("hop", "a", "c") {
+		t.Fatal("hop(a,c) is still derivable via a-d-c")
 	}
 }
