@@ -414,3 +414,50 @@ func TestOnChangeWithRuleChanges(t *testing.T) {
 		t.Fatalf("RemoveRule fired %d", fired)
 	}
 }
+
+// The engines freeze the deltas they build so publication links them
+// uncopied, but an Update stays its caller's: under duplicate semantics
+// its relations pass through an engine as they are, and must still be
+// legal to extend and apply again — without the version already published
+// seeing what was added since.
+func TestUpdateStaysTheCallersAfterApply(t *testing.T) {
+	for name, opts := range map[string][]ivm.Option{
+		"counting/set":        {ivm.WithStrategy(ivm.Counting)},
+		"counting/duplicate":  {ivm.WithStrategy(ivm.Counting), ivm.WithSemantics(ivm.DuplicateSemantics)},
+		"recompute/set":       {ivm.WithStrategy(ivm.Recompute)},
+		"recompute/duplicate": {ivm.WithStrategy(ivm.Recompute), ivm.WithSemantics(ivm.DuplicateSemantics)},
+		"dred/set":            {ivm.WithStrategy(ivm.DRed)},
+		"pf/set":              {ivm.WithStrategy(ivm.PF)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := ivm.NewDatabase()
+			db.MustLoad(`link(a,b). link(b,c).`)
+			v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := ivm.NewUpdate().Insert("link", "c", "d")
+			if _, err := v.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+			published := v.Snapshot()
+			u.Insert("link", "d", "e") // panics if Apply froze the caller's relation
+			if published.Has("link", "d", "e") || v.Has("link", "d", "e") {
+				t.Fatal("a row added to the Update after Apply reached the published version")
+			}
+			if _, err := v.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+			if !v.Has("hop", "c", "e") || published.Has("hop", "c", "e") {
+				t.Fatal("re-applying the extended Update did not derive hop(c,e) in the new version only")
+			}
+			want := int64(1)
+			if strings.HasSuffix(name, "duplicate") {
+				want = 2 // link(c,d) went in twice
+			}
+			if got := v.Count("link", "c", "d"); got != want {
+				t.Fatalf("count(link(c,d)) = %d after applying it twice, want %d", got, want)
+			}
+		})
+	}
+}

@@ -216,6 +216,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*dred.Changes, 
 	e.lastDeltas = make(map[string]*relation.Relation, len(committed))
 	for pred, acc := range committed {
 		if !acc.Empty() {
+			acc.Freeze()
 			e.lastDeltas[pred] = acc
 		}
 	}

@@ -174,10 +174,14 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	e.lastDeltas = make(map[string]*relation.Relation, len(commit)+len(deltas))
 	for pred, cd := range commit {
 		if !cd.Empty() {
+			if e.sem == eval.Set {
+				cd.Freeze() // the set image built above; otherwise the caller's relation
+			}
 			e.lastDeltas[pred] = cd
 		}
 	}
 	for pred, d := range deltas {
+		d.Freeze()
 		e.lastDeltas[pred] = d
 	}
 	if r := e.Metrics; r != nil {

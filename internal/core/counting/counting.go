@@ -436,17 +436,25 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		}
 	}
 
-	// Commit: base deltas, view deltas, group tables.
+	// Commit: base deltas, view deltas, group tables. The deltas built
+	// here are frozen — nothing writes them again, and a frozen delta is
+	// linked into a published version as it is (relation.Versioned.Push).
+	// Under duplicate semantics a base delta is the caller's relation,
+	// which stays the caller's to reuse.
 	e.lastDeltas = make(map[string]*relation.Relation, len(commitBase)+len(fullDeltas))
 	for pred, d := range commitBase {
 		e.db.Ensure(pred, -1).MergeDelta(d)
 		if !d.Empty() {
+			if externalSet {
+				d.Freeze()
+			}
 			e.lastDeltas[pred] = d
 		}
 	}
 	for pred, dp := range fullDeltas {
 		e.db.Ensure(pred, -1).MergeDelta(dp)
 		if !dp.Empty() {
+			dp.Freeze()
 			e.lastDeltas[pred] = dp
 		}
 	}

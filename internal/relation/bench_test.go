@@ -114,3 +114,67 @@ func BenchmarkTupleAppendKey(b *testing.B) {
 		}
 	}
 }
+
+// versionedBase is an n-row relation of n/100 keys.
+func versionedBase(n int) *Relation {
+	r := New(2)
+	for i := 0; i < n; i++ {
+		r.Add(value.T(i%(n/100), i), 1)
+	}
+	return r
+}
+
+// BenchmarkVersionedPush publishes a stream of frozen deltas over a
+// 100 000-row base: 64 inserts of rows new rows each, then their 64
+// deletes, round and round, so the content stays within 64·rows of the
+// base. delta=2 is the small-update regime (compaction only: the pending
+// rows never reach ¼|base|), delta=1e3 the bulk one (a ratio-triggered
+// flatten every ~25 pushes), which must not get slower for it. The base
+// has no index: this is the chain alone, with no reader to build one.
+func BenchmarkVersionedPush(b *testing.B) {
+	const n, cycle = 100_000, 64
+	for _, rows := range []int{2, 1000} {
+		b.Run(fmt.Sprintf("base=1e5,delta=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			deltas := make([]*Relation, 2*cycle)
+			for i := 0; i < cycle; i++ {
+				ins := New(2)
+				for j := 0; j < rows; j++ {
+					ins.Add(value.T(j%(n/100), n+i*rows+j), 1)
+				}
+				deltas[i], deltas[cycle+i] = ins, ins.Negate()
+				deltas[i].Freeze()
+				deltas[cycle+i].Freeze()
+			}
+			v := NewVersioned(versionedBase(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v = v.Push(deltas[i%len(deltas)])
+			}
+		})
+	}
+}
+
+// BenchmarkVersionedLookupAcrossFlatten is what a reader and the writer
+// pay between them when a bulk delta flattens a base a reader has indexed:
+// the push, which maintains the index through the merge, then the first
+// indexed lookup on the version it returns, which used to rebuild it.
+func BenchmarkVersionedLookupAcrossFlatten(b *testing.B) {
+	b.ReportAllocs()
+	const n = 20_000
+	v := NewVersioned(versionedBase(n))
+	v.Reader().Lookup([]int{0}, value.T(7))
+	bulk := New(2)
+	for i := 0; i < n/4; i++ {
+		bulk.Add(value.T(i%(n/100), n+i), 1)
+	}
+	bulk.Freeze()
+	key := value.T(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nv := v.Push(bulk)
+		if nv.Depth() != 0 || len(nv.Reader().Lookup([]int{0}, key)) != 125 {
+			b.Fatal("the bulk push did not flatten, or the lookup missed rows")
+		}
+	}
+}

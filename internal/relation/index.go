@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"maps"
 	"strconv"
+	"sync/atomic"
 
 	"ivm/internal/value"
 )
@@ -16,8 +18,40 @@ type index struct {
 	buckets map[string]*bucket
 }
 
+// A bucket is written in place only by the relation whose gen it carries.
+// cloneIndexed shares buckets between a frozen relation and its copy under
+// a fresh gen, so the copy's first write to a bucket copies it (idxAdd)
+// and the rows slice a reader of the original holds is never touched. The
+// mark is a number, not a *Relation: a shared bucket outlives its first
+// owner and must not keep it reachable.
 type bucket struct {
 	rows []Row
+	gen  uint64
+}
+
+// lastGen hands out the gens of relations that share buckets; every other
+// relation has gen 0 and only ever sees buckets it made itself.
+var lastGen atomic.Uint64
+
+// cloneIndexed is Clone for the successor of a frozen relation: the copy
+// also takes every index r has built — each bucket map is copied, the
+// buckets themselves are shared until written — so merging a delta into it
+// maintains those indexes incrementally instead of leaving the next reader
+// to rebuild them over all of r.
+func (r *Relation) cloneIndexed() *Relation {
+	c := r.Clone()
+	r.idxMu.RLock()
+	defer r.idxMu.RUnlock()
+	if len(r.idx) == 0 {
+		return c
+	}
+	c.gen = lastGen.Add(1)
+	c.idx = make(map[string]*index, len(r.idx))
+	for sig, ix := range r.idx {
+		c.idx[sig] = &index{cols: ix.cols, buckets: maps.Clone(ix.buckets)}
+	}
+	c.hasIdx.Store(true)
+	return c
 }
 
 // appendColsSig appends the signature that names the index on cols.
@@ -79,7 +113,7 @@ func (r *Relation) buildIndex(cols []int) *index {
 		pk := row.Tuple.AppendProjKey(buf[:0], ix.cols)
 		b := ix.buckets[string(pk)]
 		if b == nil {
-			b = &bucket{}
+			b = &bucket{gen: r.gen}
 			ix.buckets[string(pk)] = b
 		}
 		b.rows = append(b.rows, row)
@@ -91,11 +125,14 @@ func (r *Relation) buildIndex(cols []int) *index {
 }
 
 // idxAdd keeps existing indexes in sync with a count change of delta on
-// row's tuple (row.Count itself is ignored). Rows are stored denormalized
-// in buckets, so the bucket entry is rewritten in place. Writers are
-// serialized by contract, but idxMu is still taken so the race detector
-// stays clean if a stray reader overlaps a mutation.
-func (r *Relation) idxAdd(row Row, delta int64) {
+// row's tuple (row.Count itself is ignored); stored says the tuple was in
+// the relation before the change, and only then is its bucket searched.
+// Rows are stored denormalized in buckets, so the bucket entry is
+// rewritten in place — in r's own copy of the bucket, made on the first
+// write if r shares it. Writers are serialized by contract, but idxMu is
+// still taken so the race detector stays clean if a stray reader overlaps
+// a mutation.
+func (r *Relation) idxAdd(row Row, delta int64, stored bool) {
 	if !r.hasIdx.Load() {
 		return
 	}
@@ -105,12 +142,16 @@ func (r *Relation) idxAdd(row Row, delta int64) {
 	for _, ix := range r.idx {
 		pk := row.Tuple.AppendProjKey(buf[:0], ix.cols)
 		b := ix.buckets[string(pk)]
-		if b == nil {
-			b = &bucket{}
+		if b == nil || b.gen != r.gen {
+			nb := &bucket{gen: r.gen}
+			if b != nil { // shared with the relation r was cloned from
+				nb.rows = append(make([]Row, 0, len(b.rows)+1), b.rows...)
+			}
+			b = nb
 			ix.buckets[string(pk)] = b
 		}
 		at := -1
-		for i := range b.rows {
+		for i := 0; stored && i < len(b.rows); i++ {
 			if b.rows[i].key == row.key {
 				at = i
 				break

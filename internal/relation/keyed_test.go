@@ -206,33 +206,120 @@ func randomDelta(rng *rand.Rand, keys, rows int) *Relation {
 	return d
 }
 
+// lookupAgrees checks rd.Lookup(cols, ·) against a scan of want, for the
+// projections of a few tuples of the key space: the same rows with the
+// same counts, none twice, none with count zero.
+func lookupAgrees(t *testing.T, rng *rand.Rand, keys int, rd Reader, want *Relation, cols []int, where string) {
+	t.Helper()
+	for probe := 0; probe < 3; probe++ {
+		tup := value.T(rng.Intn(keys), fmt.Sprintf("p%d", rng.Intn(3)))
+		kv := make(value.Tuple, len(cols))
+		for i, c := range cols {
+			kv[i] = tup[c]
+		}
+		got := map[string]int64{}
+		for _, row := range rd.Lookup(cols, kv) {
+			if _, dup := got[row.Key()]; dup || row.Count == 0 {
+				t.Fatalf("%s: Lookup(%v, %v) returned %v twice or with count zero", where, cols, kv, row.Tuple)
+			}
+			got[row.Key()] = row.Count
+		}
+		n := 0
+		want.Each(func(row Row) {
+			for i, c := range cols {
+				if !row.Tuple[c].Equal(kv[i]) {
+					return
+				}
+			}
+			n++
+			if got[row.Key()] != row.Count {
+				t.Fatalf("%s: Lookup(%v, %v) has %v with count %d, a scan %d", where, cols, kv, row.Tuple, got[row.Key()], row.Count)
+			}
+		})
+		if n != len(got) {
+			t.Fatalf("%s: Lookup(%v, %v) returned %d rows, a scan %d", where, cols, kv, len(got), n)
+		}
+	}
+}
+
+// The version store's one property test: seeded random push streams —
+// tiny, bulk, cancelling and count-bumping deltas, indexes demanded on
+// random column sets at random versions, some versions materialized by a
+// reader — must read, at every version and through every demanded index,
+// as the sequential ⊎-merge does; and a published version keeps reading
+// as it did however many compactions and flattens its successors go
+// through on buckets they share with it.
 func TestVersionedChainFlattensLikeSequentialMerge(t *testing.T) {
+	type published struct {
+		v    *Versioned
+		want *Relation
+	}
 	rng := rand.New(rand.NewSource(7))
+	colSets := [][]int{{0}, {1}, {0, 1}}
 	for trial := 0; trial < 8; trial++ {
 		keys := 20 + rng.Intn(150)
 		want := randomDelta(rng, keys, rng.Intn(3*keys))
 		v := NewVersioned(want.Clone())
-		for push := 0; push < 2*maxChainDepth+8; push++ {
-			d := randomDelta(rng, keys, 1+rng.Intn(40))
-			if rng.Intn(8) == 0 {
-				d = randomDelta(rng, keys, minFlattenRows+rng.Intn(keys)) // a bulk delta: flattens at once
+		var demanded [][]int
+		var recent []published
+		last := New(2)
+		for push := 0; push < 4*maxChainDepth+8; push++ {
+			var d *Relation
+			switch rng.Intn(8) {
+			case 0: // a bulk delta: flattens at once
+				d = randomDelta(rng, keys, minFlattenRows+rng.Intn(keys))
+			case 1: // takes the previous delta back
+				d = last.Negate()
+			case 2: // bumps the counts of stored rows
+				d = New(2)
+				for _, row := range want.Rows() {
+					if rng.Intn(10) == 0 {
+						d.AddRow(row.WithCount(1))
+					}
+				}
+			default:
+				d = randomDelta(rng, keys, 1+rng.Intn(40))
 			}
-			prev, prevWant := v, want.Clone()
+			last = d
+			where := fmt.Sprintf("trial %d push %d", trial, push)
+			recent = append(recent, published{v, want.Clone()})
 			v = v.Push(d)
 			want.MergeDelta(d)
 			if v.Depth() >= maxChainDepth {
-				t.Fatalf("trial %d push %d: depth %d", trial, push, v.Depth())
+				t.Fatalf("%s: depth %d", where, v.Depth())
 			}
 			if got := Materialize(v.Reader()); !Equal(got, want) {
-				t.Fatalf("trial %d push %d: chain reads\n  %v\nwant\n  %v", trial, push, got, want)
+				t.Fatalf("%s: chain reads\n  %v\nwant\n  %v", where, got, want)
+			}
+			for probe := 0; probe < 4; probe++ {
+				tup := value.T(rng.Intn(keys), fmt.Sprintf("p%d", rng.Intn(3)))
+				if got := v.Reader().Count(tup); got != want.Count(tup) {
+					t.Fatalf("%s: Count(%v) = %d, want %d", where, tup, got, want.Count(tup))
+				}
 			}
 			if rng.Intn(3) == 0 { // sometimes a reader materializes the version
 				if !Equal(v.Flat(), want) || !v.Flat().Frozen() {
-					t.Fatalf("trial %d push %d: Flat() differs from the sequential merge", trial, push)
+					t.Fatalf("%s: Flat() differs from the sequential merge", where)
 				}
 			}
-			if push%7 == 0 && !Equal(Materialize(prev.Reader()), prevWant) {
-				t.Fatalf("trial %d push %d: Push changed its predecessor", trial, push)
+			if len(demanded) < len(colSets) && rng.Intn(12) == 0 {
+				demanded = append(demanded, colSets[len(demanded)])
+			}
+			for _, cols := range demanded {
+				lookupAgrees(t, rng, keys, v.Reader(), want, cols, where)
+			}
+			if len(recent) > 12 {
+				recent = recent[1:]
+			}
+			if push%5 == 0 {
+				for _, old := range recent {
+					if !Equal(Materialize(old.v.Reader()), old.want) {
+						t.Fatalf("%s: Push changed a predecessor", where)
+					}
+					for _, cols := range demanded {
+						lookupAgrees(t, rng, keys, old.v.Reader(), old.want, cols, where+": a predecessor")
+					}
+				}
 			}
 		}
 		if !Equal(v.Flat(), want) {

@@ -80,6 +80,7 @@ type Relation struct {
 	idx    map[string]*index
 	idxMu  sync.RWMutex
 	hasIdx atomic.Bool
+	gen    uint64 // marks the index buckets r may write in place (index.go)
 
 	// stats holds the lazy per-column distinct sketches (see stats.go),
 	// with the same build-once-then-incremental discipline as idx.
@@ -212,7 +213,7 @@ func (r *Relation) insert(row Row) {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", row.Tuple, r.arity))
 	}
 	r.rows[row.key] = row
-	r.idxAdd(row, row.Count)
+	r.idxAdd(row, row.Count, false)
 	r.statsAdd(row.Tuple, 1)
 }
 
@@ -224,7 +225,7 @@ func (r *Relation) bump(row Row, delta int64) {
 	} else {
 		r.rows[row.key] = row
 	}
-	r.idxAdd(row, delta)
+	r.idxAdd(row, delta, true)
 }
 
 // Set forces the count of t to exactly count (removing it when 0).

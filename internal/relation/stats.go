@@ -257,3 +257,12 @@ var indexesBuilt atomic.Int64
 // IndexesBuilt returns the cumulative number of lazy hash-index builds
 // across all relations in the process.
 func IndexesBuilt() int64 { return indexesBuilt.Load() }
+
+// rowsLinked counts the delta rows Push has put on version chains,
+// rowsCopied the rows compaction and flattening have written into a new
+// map; copied ÷ linked is the publish amplification.
+var rowsLinked, rowsCopied atomic.Int64
+
+// VersionRows returns the cumulative rows linked by Push and rows copied
+// by compaction or flattening, across all versions in the process.
+func VersionRows() (linked, copied int64) { return rowsLinked.Load(), rowsCopied.Load() }

@@ -11,11 +11,19 @@ import "sync/atomic"
 //
 // Push derives the successor version in O(|delta|) by stacking one more
 // overlay link; probes (Count/Has/Lookup) then pay one map hit per
-// link. To bound that read cost, Push flattens the chain back into a
-// single relation when it grows too deep or when the accumulated delta
-// rows become a sizable fraction of the base — which keeps publication
-// amortized O(|delta|) per update while probes stay O(maxChainDepth)
-// worst case.
+// link. Two triggers keep both costs bounded, and only the second is
+// O(|base|):
+//
+//   - depth: a push that would reach maxChainDepth compacts — the links
+//     above the base are folded into one frozen run, O(pending rows), and
+//     the base is shared as it is. A pending row is therefore re-copied
+//     at most once per maxChainDepth-1 pushes, and delete/re-insert pairs
+//     cancel out of the run.
+//   - ratio: once the pending rows reach max(minFlattenRows, ¼|base|) the
+//     chain is flattened into a new base, which is what keeps publication
+//     amortized O(|delta|) per update: the copy is paid for by the rows
+//     that forced it. The new base inherits the old one's indexes
+//     (cloneIndexed), so readers do not rebuild them.
 type Versioned struct {
 	rd     Reader      // base itself, or the overlay chain base ⊎ deltas...
 	base   *Relation   // the frozen flat relation at the bottom of the chain
@@ -31,13 +39,11 @@ type Versioned struct {
 
 const (
 	// maxChainDepth bounds per-probe overhead: a reader pays at most
-	// this many map hits per Count/Has. When a chain would exceed it,
-	// Push flattens — so with pathological tiny deltas over a huge base,
-	// publication degrades to O(|base|/maxChainDepth) amortized rather
-	// than O(|base|) per update.
+	// this many map hits per Count/Has. A chain that would reach it is
+	// compacted to base ⊎ one run; the base is not copied.
 	maxChainDepth = 32
 	// minFlattenRows keeps small relations from flattening on every
-	// push; below this, chain depth alone triggers flattening.
+	// push; below this many pending rows a chain is only ever compacted.
 	minFlattenRows = 256
 )
 
@@ -55,7 +61,7 @@ func NewVersioned(r *Relation) *Versioned {
 // delta is copied and frozen, so the caller may keep mutating its
 // original — unless it is frozen already, when nobody can and it becomes
 // a link of the chain as it is. Cost is O(|delta|), amortized against
-// occasional O(n) flattening (see the type comment).
+// compaction and flattening (see the type comment).
 func (v *Versioned) Push(delta *Relation) *Versioned {
 	if delta.Empty() {
 		return v
@@ -79,23 +85,46 @@ func (v *Versioned) Push(delta *Relation) *Versioned {
 		deltas: append(deltas[:len(deltas):len(deltas)], d),
 		pend:   pend + d.Len(),
 	}
-	if len(nv.deltas) >= maxChainDepth || (nv.pend >= minFlattenRows && nv.pend*4 >= base.Len()) {
+	rowsLinked.Add(int64(d.Len()))
+	switch {
+	case nv.pend >= minFlattenRows && nv.pend*4 >= base.Len():
 		return NewVersioned(nv.materialize())
+	case len(nv.deltas) >= maxChainDepth:
+		return nv.compact()
 	}
 	return nv
 }
 
+// compact folds the links above the base into one frozen run and returns
+// base ⊎ run: the same content at depth 1 (depth 0 if everything pending
+// cancelled), for O(pending rows) and without touching the base.
+func (v *Versioned) compact() *Versioned {
+	run := fold(v.deltas[0].Clone(), v.deltas[1:])
+	if run.Empty() {
+		return NewVersioned(v.base)
+	}
+	return &Versioned{rd: Overlay(v.base, run), base: v.base, deltas: []*Relation{run}, pend: run.Len()}
+}
+
 // materialize collapses the chain into a single frozen relation: one
-// copy of the flat base at its exact size, then the pending deltas
-// folded in by their cached keys. No tuple is encoded, and the map is
+// copy of the flat base at its exact size and with its indexes, then the
+// pending deltas folded in by their cached keys, which keeps those indexes
+// in step (cloneIndexed). No tuple is encoded, and the map is
 // never sized from the chain's Len, which only bounds the row count from
 // above (a delete/re-insert workload would keep paying for the slack).
-// The copy is still O(|base|).
+// The copy is O(|base|).
 func (v *Versioned) materialize() *Relation {
-	f := v.base.Clone()
-	for _, d := range v.deltas {
+	return fold(v.base.cloneIndexed(), v.deltas)
+}
+
+// fold merges deltas into f, a copy nobody else holds yet, and freezes it.
+func fold(f *Relation, deltas []*Relation) *Relation {
+	copied := f.Len()
+	for _, d := range deltas {
 		f.MergeDelta(d)
+		copied += d.Len()
 	}
+	rowsCopied.Add(int64(copied))
 	f.Freeze()
 	return f
 }

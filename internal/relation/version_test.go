@@ -2,7 +2,12 @@ package relation
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ivm/internal/value"
 )
@@ -63,30 +68,57 @@ func TestVersionedEmptyPushIsIdentity(t *testing.T) {
 }
 
 func TestVersionedDepthBoundAndFlatEquivalence(t *testing.T) {
-	// Push far more deltas than maxChainDepth; depth must stay bounded
-	// and the chained reader must agree with the flat form throughout.
-	v := NewVersioned(New(2))
-	want := map[string]int64{}
+	// Far more two-row pushes than maxChainDepth over a base they stay
+	// small against: compaction alone keeps the depth bounded — the base
+	// is never copied — and the chain agrees with the flat form.
+	base := New(2)
+	for i := 0; i < 8*minFlattenRows; i++ {
+		base.Add(value.T(fmt.Sprintf("b%d", i), "v"), 1)
+	}
+	want := base.Clone()
+	v := NewVersioned(base)
 	for i := 0; i < 4*maxChainDepth; i++ {
 		d := New(2)
-		key := fmt.Sprintf("k%d", i%10)
-		d.Add(value.T(key, "v"), 1)
-		want[key]++
+		d.Add(value.T(fmt.Sprintf("k%d", i%10), "v"), 1)               // a new row, then count bumps
+		d.Add(value.T(fmt.Sprintf("b%d", i/2), "v"), int64(1-2*(i%2))) // bump a base row, then cancel it
+		want.MergeDelta(d)
 		v = v.Push(d)
+		if v.base != base {
+			t.Fatalf("push %d: the base was copied", i)
+		}
 		if v.Depth() >= maxChainDepth {
-			t.Fatalf("push %d: depth %d not collapsed below maxChainDepth", i, v.Depth())
+			t.Fatalf("push %d: depth %d not compacted below maxChainDepth", i, v.Depth())
 		}
 	}
-	for key, n := range want {
-		if got := v.Reader().Count(value.T(key, "v")); got != n {
-			t.Fatalf("reader count(%s) = %d, want %d", key, got, n)
-		}
-		if got := v.Flat().Count(value.T(key, "v")); got != n {
-			t.Fatalf("flat count(%s) = %d, want %d", key, got, n)
+	// Compaction recounts: 10 rows did not cancel, and at most one
+	// chain's worth of two-row links has been pushed since.
+	if v.pend > 10+2*maxChainDepth {
+		t.Fatalf("%d pending rows above the base after %d cancelling pushes", v.pend, 4*maxChainDepth)
+	}
+	if got := Materialize(v.Reader()); !Equal(got, want) {
+		t.Fatalf("chain reads %d rows, the sequential merge has %d", got.Len(), want.Len())
+	}
+	if !Equal(v.Flat(), want) || !v.Flat().Frozen() {
+		t.Fatal("flattened form must be frozen and equal to the sequential merge")
+	}
+}
+
+func TestVersionedCompactionOfCancellingLinksReturnsTheBase(t *testing.T) {
+	base := New(1)
+	base.Add(value.T("a"), 1)
+	ins, del := New(1), New(1)
+	ins.Add(value.T("x"), 1)
+	del.Add(value.T("x"), -1)
+	v := NewVersioned(base)
+	for i := 0; i < maxChainDepth; i++ {
+		if i%2 == 0 {
+			v = v.Push(ins)
+		} else {
+			v = v.Push(del)
 		}
 	}
-	if !v.Flat().Frozen() {
-		t.Fatal("flattened form must be frozen")
+	if v.Depth() != 0 || v.Flat() != base {
+		t.Fatalf("a chain whose links cancel must compact to the base itself (depth %d)", v.Depth())
 	}
 }
 
@@ -127,5 +159,186 @@ func TestVersionedFlatIsCachedAndReusedByPush(t *testing.T) {
 	v2 := v1.Push(d2)
 	if v2.Depth() != 1 {
 		t.Fatalf("push over a materialized version: depth = %d, want 1", v2.Depth())
+	}
+}
+
+// A flatten shares the old base's index buckets with the new one, and
+// readers of the old base hold their rows slices: the writer must copy a
+// bucket before its first write to it. Every version here has exactly
+// perKey count-1 rows under each key, so a reader that sees anything else
+// — or the race detector, under `make race` — has caught a write in place.
+func TestVersionedSharedBucketsUnderConcurrentReaders(t *testing.T) {
+	const keys, perKey, pushes, readers = 40, 15, 700, 3
+	base := New(2)
+	for k := 0; k < keys; k++ {
+		for j := 0; j < perKey; j++ {
+			base.Add(value.T(k, j), 1)
+		}
+	}
+	var recent [8]atomic.Pointer[Versioned]
+	v := NewVersioned(base)
+	for i := range recent {
+		recent[i].Store(v)
+	}
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				rd := recent[rng.Intn(len(recent))].Load().Reader()
+				k := rng.Intn(keys)
+				rows := rd.Lookup([]int{0}, value.T(k))
+				live := 0
+				for _, row := range rows {
+					if row.Count != 1 || rd.Count(row.Tuple) != 1 {
+						errs <- fmt.Sprintf("key %d: row %v has count %d in the bucket, %d stored", k, row.Tuple, row.Count, rd.Count(row.Tuple))
+						return
+					}
+					live++
+				}
+				if live != perKey {
+					errs <- fmt.Sprintf("key %d: %d rows, every version has %d", k, live, perKey)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	// Each push retires the oldest row of one key and adds its next one,
+	// so pending rows pile up past ¼|base| (flatten) by way of several
+	// compactions, over buckets the readers are probing.
+	flattens, compactions := 0, 0
+	for i := 0; i < pushes && len(errs) == 0; i++ {
+		k, gen := i%keys, i/keys
+		d := New(2)
+		d.Add(value.T(k, gen), -1)
+		d.Add(value.T(k, gen+perKey), 1)
+		prev := v
+		v = v.Push(d)
+		switch {
+		case v.base != prev.base:
+			flattens++
+		case v.Depth() < prev.Depth():
+			compactions++
+		}
+		recent[i%len(recent)].Store(v)
+	}
+	stop.Store(true)
+	wg.Wait()
+	select {
+	case msg := <-errs:
+		t.Fatal(msg)
+	default:
+	}
+	if flattens < 3 || compactions < 3 {
+		t.Fatalf("the stream went through %d flattens and %d compactions, want several of each", flattens, compactions)
+	}
+}
+
+// A bucket shared across flattens must not keep the base that built it
+// reachable: the ownership mark is a number. With one bucket no delta
+// ever touches, the first base would otherwise live as long as the chain.
+func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
+	collected := make(chan struct{})
+	v := func() *Versioned {
+		base := New(2)
+		base.Add(value.T("untouched", 0), 1)
+		for i := 0; i < 2*minFlattenRows; i++ {
+			base.Add(value.T(i%7, i), 1)
+		}
+		base.Lookup([]int{0}, value.T("untouched"))
+		runtime.SetFinalizer(base, func(*Relation) { close(collected) })
+		return NewVersioned(base)
+	}()
+	for flattens, i := 0, 0; flattens < 4; i++ {
+		d := New(2)
+		for j := 0; j < minFlattenRows; j++ {
+			d.Add(value.T(j%7, 1000*(i+1)+j), 1)
+		}
+		prev := v.base
+		if v = v.Push(d); v.base != prev {
+			flattens++
+		}
+	}
+	if got := v.Reader().Lookup([]int{0}, value.T("untouched")); len(got) != 1 {
+		t.Fatalf("the carried index lost its untouched bucket: %v", got)
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(v)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the first base is still reachable from a version four flattens later")
+}
+
+// Publishing a small delta must not cost O(|base|), however many times:
+// 1 024 two-row pushes over an indexed 100 000-row base allocate less than
+// one copy of it, and a flatten hands its indexes on instead of leaving
+// the next reader to rebuild them.
+func TestPushCostIndependentOfBase(t *testing.T) {
+	const n, pushes = 100_000, 1024
+	base := New(2)
+	for i := 0; i < n; i++ {
+		base.Add(value.T(i%1000, i), 1)
+	}
+	base.Lookup([]int{0}, value.T(7))
+	totalAlloc := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	deltas := make([]*Relation, pushes)
+	for i := range deltas {
+		d := New(2)
+		d.Add(value.T(i%1000, i), -1)
+		d.Add(value.T(i%1000, n+i), 1)
+		d.Freeze()
+		deltas[i] = d
+	}
+	v := NewVersioned(base)
+	pushed := totalAlloc(func() {
+		for _, d := range deltas {
+			v = v.Push(d)
+		}
+	})
+	if v.base != base {
+		t.Fatal("2 048 pending rows over 100 000 copied the base")
+	}
+	var clone *Relation
+	if cloned := totalAlloc(func() { clone = base.Clone() }); pushed >= cloned {
+		t.Fatalf("%d pushes allocated %d bytes, one clone of the base %d", pushes, pushed, cloned)
+	}
+	runtime.KeepAlive(clone)
+
+	bulk := New(2)
+	for i := 0; i < n/4; i++ {
+		bulk.Add(value.T(i%1000, 2*n+i), 1)
+	}
+	built := IndexesBuilt()
+	nv := v.Push(bulk)
+	if nv.Depth() != 0 || nv.base == base {
+		t.Fatal("a delta of ¼|base| rows did not flatten")
+	}
+	got := nv.Reader().Lookup([]int{0}, value.T(7))
+	if IndexesBuilt() != built {
+		t.Fatal("the flattened version rebuilt an index its base already had")
+	}
+	want := 0
+	nv.Flat().Each(func(row Row) {
+		if row.Tuple[0].Equal(value.NewInt(7)) {
+			want++
+		}
+	})
+	if len(got) != want || want != n/1000+n/4/1000 {
+		t.Fatalf("carried index returns %d rows for key 7, a scan %d", len(got), want)
 	}
 }

@@ -1466,9 +1466,13 @@ func (v *Views) PFStats() (pf.Stats, bool) {
 // per-operation *Stats accessors. The underlying instruments are
 // atomic, so the snapshot is race-free and lock-free.
 func (v *Views) Metrics() MetricsSnapshot {
-	// Refresh the process-wide index gauge so the snapshot reflects
-	// every hash index lazily built since the last call.
+	// Refresh the process-wide relation gauges so the snapshot reflects
+	// every hash index lazily built and every row published since the
+	// last call; rows copied ÷ rows linked is the publish amplification.
 	v.reg.Gauge("relation_indexes_built").Set(relation.IndexesBuilt())
+	linked, copied := relation.VersionRows()
+	v.reg.Gauge("relation_version_rows_linked").Set(linked)
+	v.reg.Gauge("relation_version_rows_copied").Set(copied)
 	return v.reg.Snapshot()
 }
 

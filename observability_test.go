@@ -74,6 +74,14 @@ func TestCountingMetricsAgreeWithStats(t *testing.T) {
 	if m.Gauge("relation_indexes_built") < 0 {
 		t.Fatal("relation_indexes_built gauge must be non-negative")
 	}
+	// Five applies each published at least their base delta; the gauges
+	// are process-wide, so other tests may have moved them further.
+	if got := m.Gauge("relation_version_rows_linked"); got < 5 {
+		t.Fatalf("relation_version_rows_linked = %d after 5 applies", got)
+	}
+	if m.Gauge("relation_version_rows_copied") < 0 {
+		t.Fatal("relation_version_rows_copied gauge must be non-negative")
+	}
 
 	// Text exposition includes the counting series.
 	var b strings.Builder
