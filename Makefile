@@ -2,8 +2,8 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-layered bench-planner metrics crash chaos cover \
-	fuzz-smoke serve smoke-server replica failover bench-replica bench-regression docs-lint \
+.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-layered metrics crash chaos cover \
+	fuzz-smoke serve smoke-server replica failover bench-regression docs-lint \
 	staticcheck vulncheck ci
 
 all: build
@@ -46,11 +46,6 @@ bench-smoke:
 bench-layered:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -smoke
-
-# Regenerate the join-planner benchmark report (the committed baseline).
-# Fails if the planner misses its 1.5x speedup or 99% cache hit floors.
-bench-planner:
-	$(GO) run ./cmd/ivmbench -planner BENCH_planner.json
 
 # One experiment with metrics exposition, then the registry of a Views
 # (cmd/ivm; the experiments drive bare engines, which have no scheduler,
@@ -122,21 +117,11 @@ replica:
 failover:
 	sh scripts/failover_smoke.sh
 
-# Regenerate the replication read-fanout report (the committed
-# BENCH_replica.json). The 1.8x speedup floor over 2 followers is
-# enforced on hosts with >= 4 CPUs (below that the daemons share cores
-# and the floor is advisory).
-bench-replica:
-	$(GO) build -o bin/ivmd ./cmd/ivmd
-	$(GO) run ./cmd/ivmbench -replica BENCH_replica.json -ivmd bin/ivmd
-
-# The CI bench-regression guard: fresh readers and planner runs vs the
-# committed baselines, then a served-load data point.
+# The CI bench-regression guard: a fresh readers run vs the committed
+# baseline, then a served-load data point.
 bench-regression:
 	$(GO) run ./cmd/ivmbench -scale smoke -readers BENCH_current.json \
 		-baseline BENCH_readers.json -tolerance 3
-	$(GO) run ./cmd/ivmbench -scale smoke -planner BENCH_planner_current.json \
-		-planner-baseline BENCH_planner.json -tolerance 3
 	$(GO) run ./cmd/ivmbench -scale smoke -server self -server-out BENCH_server.json
 
 # Docs lint: the README stays within its line budget (deep dives live

@@ -327,49 +327,61 @@ func BenchmarkE13RecursiveCounting(b *testing.B) {
 // every one at the wide probe.
 func BenchmarkPlannerSkew(b *testing.B) {
 	b.ReportAllocs()
-	const (
-		hotKeys, fanout = 8, 1000
-		wideRows        = 20000
-		overlap         = 4 // wide covers h0..h3; deltas request h4..h7
-	)
-	hot, wide := workload.SkewedJoin(hotKeys, fanout, wideRows, overlap)
 	for _, planner := range []bool{true, false} {
 		name := "planner-on"
+		opts := []ivm.Option{}
 		if !planner {
 			name = "planner-off"
+			opts = append(opts, ivm.WithoutPlanner())
 		}
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			db := ivm.NewDatabase()
-			for _, row := range hot.SortedRows() {
-				db.InsertTuple("hot", row.Tuple, 1)
-			}
-			for _, row := range wide.SortedRows() {
-				db.InsertTuple("wide", row.Tuple, 1)
-			}
-			opts := []ivm.Option{}
-			if !planner {
-				opts = append(opts, ivm.WithoutPlanner())
-			}
-			v, err := db.Materialize(`out(Y,Z) :- req(X), hot(X,Y), wide(X,Z).`, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
+			v := skewViews(b, opts...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				u := ivm.NewUpdate()
-				key := workload.SkewedReqKey(hotKeys, overlap+(i/2)%(hotKeys-overlap)).String()
-				if i%2 == 0 {
-					u.Insert("req", key)
-				} else {
-					u.Delete("req", key)
-				}
-				if _, err := v.Apply(u); err != nil {
+				if _, err := v.Apply(skewMissToggle(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// The skewed join of BenchmarkPlannerSkew and TestPlannerSkewProbeCount:
+// wide covers h0..h3 of hot's eight keys; skewMissToggle requests h4..h7.
+const (
+	skewHotKeys, skewFanout = 8, 1000
+	skewWideRows            = 20000
+	skewOverlap             = 4
+)
+
+func skewViews(tb testing.TB, opts ...ivm.Option) *ivm.Views {
+	hot, wide := workload.SkewedJoin(skewHotKeys, skewFanout, skewWideRows, skewOverlap)
+	db := ivm.NewDatabase()
+	for _, row := range hot.SortedRows() {
+		db.InsertTuple("hot", row.Tuple, 1)
+	}
+	for _, row := range wide.SortedRows() {
+		db.InsertTuple("wide", row.Tuple, 1)
+	}
+	v, err := db.Materialize(`out(Y,Z) :- req(X), hot(X,Y), wide(X,Z).`, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// skewMissToggle is the i-th Δreq of the stream: insert (even i) then
+// delete (odd i) a key that hits hot's fan-out and misses wide.
+func skewMissToggle(i int) *ivm.Update {
+	u := ivm.NewUpdate()
+	key := workload.SkewedReqKey(skewHotKeys, skewOverlap+(i/2)%(skewHotKeys-skewOverlap)).String()
+	if i%2 == 0 {
+		u.Insert("req", key)
+	} else {
+		u.Delete("req", key)
+	}
+	return u
 }
 
 func BenchmarkParallelSpeedup(b *testing.B) {

@@ -68,58 +68,6 @@ func TestCompareReadersBaselineNoCoalesceHeadroom(t *testing.T) {
 	}
 }
 
-func TestComparePlannerBaseline(t *testing.T) {
-	base := &plannerReport{
-		OnNanosPerApply:  20_000,
-		OffNanosPerApply: 600_000,
-		Speedup:          30.0,
-		HitRate:          0.999,
-	}
-	data, err := json.Marshal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "planner.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ok := &plannerReport{OnNanosPerApply: 30_000, OffNanosPerApply: 450_000, Speedup: 15.0, HitRate: 0.995}
-	if err := comparePlannerBaseline(ok, path, 3.0); err != nil {
-		t.Fatalf("within-tolerance report rejected: %v", err)
-	}
-
-	shrunk := &plannerReport{OnNanosPerApply: 20_000, OffNanosPerApply: 100_000, Speedup: 5.0, HitRate: 0.999}
-	err = comparePlannerBaseline(shrunk, path, 3.0)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("speedup collapse not flagged: %v", err)
-	}
-
-	// The speedup floor clamps at 8x: a 9x run against a 30x baseline is
-	// runner noise, not a structural regression.
-	noisy := &plannerReport{OnNanosPerApply: 20_000, OffNanosPerApply: 180_000, Speedup: 9.0, HitRate: 0.999}
-	if err := comparePlannerBaseline(noisy, path, 3.0); err != nil {
-		t.Fatalf("clamped floor flagged a noisy-but-healthy run: %v", err)
-	}
-
-	slow := &plannerReport{OnNanosPerApply: 70_000, OffNanosPerApply: 2_100_000, Speedup: 30.0, HitRate: 0.999}
-	if err := comparePlannerBaseline(slow, path, 3.0); err == nil {
-		t.Fatal("planner-on latency regression not flagged")
-	}
-
-	if err := comparePlannerBaseline(ok, path, 1.0); err == nil {
-		t.Fatal("tolerance <= 1 must be rejected")
-	}
-	if err := comparePlannerBaseline(ok, filepath.Join(t.TempDir(), "missing.json"), 3.0); err == nil {
-		t.Fatal("missing baseline must be an error")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte("{"), 0o644)
-	if err := comparePlannerBaseline(ok, bad, 3.0); err == nil {
-		t.Fatal("unparseable baseline must be an error")
-	}
-}
-
 func TestPctNanos(t *testing.T) {
 	if got := pctNanos(nil, 0.99); got != 0 {
 		t.Fatalf("pctNanos(nil) = %d", got)

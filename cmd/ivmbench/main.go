@@ -28,29 +28,9 @@ func main() {
 	tolerance := flag.Float64("tolerance", 3.0, "with -baseline: allowed regression multiplier (p99 may grow to tolerance x baseline; coalesce ratio may shrink to baseline / tolerance)")
 	serverTarget := flag.String("server", "", `run the served-load benchmark against an ivmd base URL, or "self" to boot an in-process server, then exit`)
 	serverOut := flag.String("server-out", "BENCH_server.json", "with -server: write the served-load JSON report to this path")
-	plannerPath := flag.String("planner", "", "run the join-planner benchmark and write its JSON report to this path (e.g. BENCH_planner.json), then exit")
-	plannerBaseline := flag.String("planner-baseline", "", "with -planner: compare the fresh report against this baseline JSON and exit nonzero on regression")
 	faultsFrac := flag.Float64("faults", 0, "run the fault-injection benchmark at this fault fraction in (0,1]: keyed applies retried through a faultnet proxy, then exit")
 	faultsOut := flag.String("faults-out", "BENCH_faults.json", "with -faults: write the fault-injection JSON report to this path")
-	replicaPath := flag.String("replica", "", "run the replication read-fanout benchmark (primary + 2 follower ivmd subprocesses) and write its JSON report to this path (e.g. BENCH_replica.json), then exit")
-	ivmdBin := flag.String("ivmd", "", "with -replica: path to the ivmd binary to launch (default: bin/ivmd, then $PATH)")
 	flag.Parse()
-
-	if *replicaPath != "" {
-		bin := *ivmdBin
-		if bin == "" {
-			if _, err := os.Stat("bin/ivmd"); err == nil {
-				bin = "bin/ivmd"
-			} else {
-				bin = "ivmd"
-			}
-		}
-		if err := writeReplicaReport(*replicaPath, bin, *scaleFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "ivmbench: replication benchmark: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *faultsFrac != 0 {
 		target := *serverTarget
@@ -68,21 +48,6 @@ func main() {
 		if err := writeServerLoadReport(*serverOut, *serverTarget, *scaleFlag); err != nil {
 			fmt.Fprintf(os.Stderr, "ivmbench: server benchmark: %v\n", err)
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *plannerPath != "" {
-		rep, err := writePlannerReport(*plannerPath, *scaleFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ivmbench: planner benchmark: %v\n", err)
-			os.Exit(1)
-		}
-		if *plannerBaseline != "" {
-			if err := comparePlannerBaseline(rep, *plannerBaseline, *tolerance); err != nil {
-				fmt.Fprintf(os.Stderr, "ivmbench: planner baseline guard: %v\n", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}

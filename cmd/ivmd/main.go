@@ -1,8 +1,7 @@
 // Command ivmd serves materialized views over the network: the
 // incremental-maintenance engine (counting / DRed) behind an HTTP/JSON
 // API with lock-free snapshot reads, snapshot-pinned repeatable-read
-// sessions, streaming change subscriptions, and (optionally) a text
-// line protocol.
+// sessions, and streaming change subscriptions.
 //
 // Usage:
 //
@@ -58,7 +57,6 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:7199", "HTTP listen address")
-	lineAddr := flag.String("line-addr", "", "optional line-protocol listen address (e.g. 127.0.0.1:7198)")
 	programPath := flag.String("program", "", "file with view rules (and optionally facts)")
 	dataPath := flag.String("data", "", "file with base facts")
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + WAL); empty = memory-only")
@@ -128,7 +126,6 @@ func run() error {
 		}
 		return runFollower(seeds, followerConfig{
 			addr:            *addr,
-			lineAddr:        *lineAddr,
 			requestTimeout:  *requestTimeout,
 			maxBody:         *maxBody,
 			subBuffer:       *subBuffer,
@@ -162,7 +159,6 @@ func run() error {
 
 	srv := server.New(views, server.Options{
 		Addr:             *addr,
-		LineAddr:         *lineAddr,
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
 		SubscriberBuffer: *subBuffer,
@@ -187,7 +183,6 @@ func run() error {
 // followerConfig carries the serving flags into the -follow path.
 type followerConfig struct {
 	addr            string
-	lineAddr        string
 	requestTimeout  time.Duration
 	maxBody         int64
 	subBuffer       int
@@ -226,7 +221,6 @@ func runFollower(seeds []string, cfg followerConfig) error {
 	var promoted atomic.Bool
 	srv := server.New(views, server.Options{
 		Addr:             cfg.addr,
-		LineAddr:         cfg.lineAddr,
 		RequestTimeout:   cfg.requestTimeout,
 		MaxBodyBytes:     cfg.maxBody,
 		SubscriberBuffer: cfg.subBuffer,

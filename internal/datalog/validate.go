@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"sort"
 )
 
 // ValidationError describes a structural problem with a rule.
@@ -161,15 +160,4 @@ func validateRule(r Rule) error {
 		return &ValidationError{r, "rule with head variables has no relational subgoal"}
 	}
 	return nil
-}
-
-// SortedPreds returns map keys in sorted order (deterministic iteration
-// helper shared by several packages).
-func SortedPreds(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -571,14 +571,6 @@ func weightedMixed(rng interface {
 	return d
 }
 
-func isqrt(n int) int {
-	i := 1
-	for (i+1)*(i+1) <= n {
-		i++
-	}
-	return i
-}
-
 // newCountingWithOpt builds a counting engine with or without statement
 // (2) of Algorithm 4.1 (E3's ablation).
 func newCountingWithOpt(prog *datalog.Program, db *eval.DB, disable bool) (*counting.Engine, error) {

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"time"
 )
@@ -332,33 +331,4 @@ func (p *Proxy) relaySwallowedResponse(client, server net.Conn) {
 	reset(client)
 	server.Close()
 	<-done
-}
-
-// Parse converts a comma-separated mode list ("drop,swallow-ack") into
-// Modes — the ivmbench -faults-modes flag format.
-func Parse(list string) ([]Mode, error) {
-	var out []Mode
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		var m Mode
-		switch name {
-		case "drop":
-			m = Drop
-		case "delay":
-			m = Delay
-		case "reset-mid-body":
-			m = ResetMidBody
-		case "swallow-ack":
-			m = SwallowAck
-		case "pass":
-			m = Pass
-		default:
-			return nil, fmt.Errorf("faultnet: unknown mode %q", name)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

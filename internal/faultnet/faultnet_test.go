@@ -197,13 +197,3 @@ func TestProxyDeterministicSeedAndLog(t *testing.T) {
 		t.Fatalf("fault log has %d decision lines, want 40", n)
 	}
 }
-
-func TestParseModes(t *testing.T) {
-	ms, err := Parse("drop, swallow-ack,delay")
-	if err != nil || len(ms) != 3 || ms[0] != Drop || ms[1] != SwallowAck || ms[2] != Delay {
-		t.Fatalf("Parse = %v, %v", ms, err)
-	}
-	if _, err := Parse("drop,bogus"); err == nil {
-		t.Fatal("unknown mode must error")
-	}
-}

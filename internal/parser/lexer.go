@@ -138,13 +138,6 @@ func (l *lexer) errf(format string, args ...any) error {
 	return &SyntaxError{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) advance(n int) {
 	for i := 0; i < n && l.pos < len(l.src); i++ {
 		if l.src[l.pos] == '\n' {

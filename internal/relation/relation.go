@@ -104,16 +104,6 @@ func FromRows(arity int, rows []Row) *Relation {
 	return r
 }
 
-// FromTuples builds a relation where each listed tuple has count 1
-// (repeats accumulate).
-func FromTuples(arity int, tuples ...value.Tuple) *Relation {
-	r := New(arity)
-	for _, t := range tuples {
-		r.Add(t, 1)
-	}
-	return r
-}
-
 // Arity returns the relation's arity (-1 if still unknown).
 func (r *Relation) Arity() int { return r.arity }
 

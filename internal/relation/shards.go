@@ -43,9 +43,6 @@ func NewShards(arity, n int) *Shards {
 // Shard returns worker i's private relation.
 func (s *Shards) Shard(i int) *Relation { return s.parts[i] }
 
-// Parts returns the number of shards.
-func (s *Shards) Parts() int { return len(s.parts) }
-
 // MergeInto folds every shard into dst with the ⊎ operator, visiting
 // rows in sorted key order so the merge (and any index maintenance it
 // triggers) is deterministic regardless of how work was scheduled.

@@ -13,14 +13,10 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-
-	"ivm/client"
 )
 
 // forwardApply proxies one HTTP apply to the leader. Transport-level
@@ -76,42 +72,4 @@ func (s *Server) proxyApply(ctx context.Context, leader, contentType, key string
 	}
 	req.Header.Set("X-Ivm-Epoch", strconv.FormatUint(s.v.FenceEpoch(), 10))
 	return s.fwd.Do(req)
-}
-
-// forwardApplyLine proxies a line-protocol apply through the same HTTP
-// path and returns the leader's ack as the leader encoded it (newline
-// included), so line clients get transparent forwarding too and the
-// deltas are never decoded and rendered a second time on the way
-// through. The error (if any) is the message to send the client.
-func (s *Server) forwardApplyLine(leader, key, script string) ([]byte, error) {
-	resp, err := s.proxyApply(context.Background(), leader, "text/plain", key, []byte(script))
-	if err != nil {
-		s.cFwdErrors.Inc()
-		return nil, fmt.Errorf("forwarding apply to leader %s: %v", leader, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		s.cFwdErrors.Inc()
-		return nil, fmt.Errorf("forwarding apply to leader %s: %v", leader, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var er client.ErrorResponse
-		if json.Unmarshal(data, &er) == nil && er.Error != "" {
-			return nil, fmt.Errorf("apply: %s", er.Error)
-		}
-		return nil, fmt.Errorf("apply: leader %s answered %d", leader, resp.StatusCode)
-	}
-	s.cForwarded.Inc()
-	// Only the dedup flag is read out of the ack, for this node's counter.
-	var ack struct {
-		Deduped bool `json:"deduped"`
-	}
-	if err := json.Unmarshal(data, &ack); err != nil {
-		return nil, fmt.Errorf("decoding leader ack: %v", err)
-	}
-	if ack.Deduped {
-		s.cDedups.Inc()
-	}
-	return append(bytes.TrimRight(data, "\n"), '\n'), nil
 }

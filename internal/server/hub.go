@@ -1,9 +1,9 @@
 // Package server is the network serving layer over ivm.Views: an
-// HTTP/JSON (and line-protocol) front end exposing apply, lock-free
-// reads, snapshot-pinned repeatable-read sessions, and a streaming
-// change-subscription endpoint that fans committed deltas out to N
-// subscribers with per-client bounded buffers and slow-consumer
-// eviction. See DESIGN.md §11.
+// HTTP/JSON front end exposing apply, lock-free reads, snapshot-pinned
+// repeatable-read sessions, and a streaming change-subscription
+// endpoint that fans committed deltas out to N subscribers with
+// per-client bounded buffers and slow-consumer eviction. See DESIGN.md
+// §11.
 package server
 
 import (

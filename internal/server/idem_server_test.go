@@ -1,12 +1,10 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -177,56 +175,5 @@ func TestStoreClosedRetryAfter(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("store-closed Content-Type = %q, want application/json", ct)
-	}
-}
-
-func TestLineProtocolIdempotencyKey(t *testing.T) {
-	srv, _ := startTestServer(t, Options{LineAddr: "127.0.0.1:0"})
-	conn, err := net.Dial("tcp", srv.LineAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	rd := bufio.NewReader(conn)
-	send := func(line string) string {
-		t.Helper()
-		if _, err := conn.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := rd.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(resp)
-	}
-
-	resp := send("apply @line-key +link(a,w). +link(w,v).")
-	var first client.ApplyResult
-	if !strings.HasPrefix(resp, "ok ") || json.Unmarshal([]byte(resp[3:]), &first) != nil {
-		t.Fatalf("keyed apply -> %q", resp)
-	}
-	if first.Deduped || len(first.Deltas) == 0 {
-		t.Fatalf("first keyed line apply must not dedup and must carry its deltas, got %q", resp)
-	}
-	resp = send("apply @line-key +link(a,w). +link(w,v).")
-	if want := fmt.Sprintf("ok {\"version\":%d,\"deduped\":true}", first.Version); resp != want {
-		t.Fatalf("keyed retry -> %q, want %q", resp, want)
-	}
-	var second client.ApplyResult
-	if !strings.HasPrefix(resp, "ok ") || json.Unmarshal([]byte(resp[3:]), &second) != nil {
-		t.Fatalf("keyed retry -> %q", resp)
-	}
-	if !second.Deduped || second.Version != first.Version {
-		t.Fatalf("keyed retry = %+v, want deduped at version %d", second, first.Version)
-	}
-	if resp := send("apply @"); !strings.HasPrefix(resp, "err ") {
-		t.Fatalf("apply @ without key -> %q, want err", resp)
-	}
-	if resp := send("apply @k"); !strings.HasPrefix(resp, "err ") {
-		t.Fatalf("apply @k without script -> %q, want err", resp)
-	}
-	if resp := send("apply @" + strings.Repeat("x", ivm.MaxIdempotencyKeyLen+1) + " +link(a,b)."); !strings.HasPrefix(resp, "err ") {
-		t.Fatalf("over-long line key -> %q, want err", resp)
 	}
 }

@@ -27,9 +27,6 @@ import (
 type Options struct {
 	// Addr is the HTTP listen address (default "127.0.0.1:0").
 	Addr string
-	// LineAddr, when non-empty, additionally serves the text line
-	// protocol on this TCP address (see lineproto.go).
-	LineAddr string
 	// RequestTimeout bounds every non-streaming request (default 15s).
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps apply request bodies (default 4 MiB).
@@ -110,10 +107,10 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Server serves a Views instance over HTTP/JSON (and optionally the
-// line protocol): apply, lock-free reads, snapshot-pinned sessions, a
-// streaming subscription endpoint, and a metrics exposition. See
-// DESIGN.md §11 for the shutdown and backpressure contracts.
+// Server serves a Views instance over HTTP/JSON: apply, lock-free
+// reads, snapshot-pinned sessions, a streaming subscription endpoint,
+// and a metrics exposition. See DESIGN.md §11 for the shutdown and
+// backpressure contracts.
 type Server struct {
 	v    *ivm.Views
 	opts Options
@@ -123,7 +120,6 @@ type Server struct {
 
 	http   *http.Server
 	httpLn net.Listener
-	lineLn net.Listener
 
 	// replWin is the in-memory tail of committed records that
 	// /v1/replicate streams from; stop unblocks idle streams at
@@ -147,8 +143,7 @@ type Server struct {
 	// flipped draining and started waiting, no new apply can slip in.
 	applyWG sync.WaitGroup
 
-	mu        sync.Mutex
-	lineConns map[net.Conn]struct{}
+	mu sync.Mutex
 	// replStreams tracks each live /v1/replicate stream's shipped
 	// version so Shutdown can wait for connected followers to receive
 	// the final commits before cutting them off.
@@ -173,7 +168,6 @@ func New(v *ivm.Views, opts Options) *Server {
 		hub:         NewHub(v, reg, opts.SubscriberBuffer),
 		sess:        newSessionTable(opts.SessionTTL, reg),
 		reg:         reg,
-		lineConns:   make(map[net.Conn]struct{}),
 		replStreams: make(map[*atomic.Uint64]struct{}),
 		fwd:         &http.Client{Timeout: opts.RequestTimeout},
 		cRequests:   reg.Counter("server_requests_total"),
@@ -228,24 +222,14 @@ func New(v *ivm.Views, opts Options) *Server {
 	return s
 }
 
-// Start binds the listeners and begins serving in the background. The
-// bound addresses are available from Addr/LineAddr once Start returns.
+// Start binds the listener and begins serving in the background. The
+// bound address is available from Addr once Start returns.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.opts.Addr)
 	if err != nil {
 		return fmt.Errorf("server: listen %s: %w", s.opts.Addr, err)
 	}
 	s.httpLn = ln
-	if s.opts.LineAddr != "" {
-		lln, err := net.Listen("tcp", s.opts.LineAddr)
-		if err != nil {
-			ln.Close()
-			return fmt.Errorf("server: listen %s: %w", s.opts.LineAddr, err)
-		}
-		s.lineLn = lln
-		go s.acceptLineConns(lln)
-		s.opts.Logf("ivmd: line protocol on %s", lln.Addr())
-	}
 	go func() {
 		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			s.opts.Logf("ivmd: http serve: %v", err)
@@ -264,20 +248,12 @@ func (s *Server) Addr() string {
 	return s.httpLn.Addr().String()
 }
 
-// LineAddr returns the bound line-protocol address ("" if disabled).
-func (s *Server) LineAddr() string {
-	if s.lineLn == nil {
-		return ""
-	}
-	return s.lineLn.Addr().String()
-}
-
 // URL returns the base HTTP URL (valid after Start).
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Shutdown stops the server gracefully:
 //
-//  1. new streams (subscribe, replicate, line) are refused, and
+//  1. new streams (subscribe, replicate) are refused, and
 //     in-flight applies — including applies this follower is forwarding
 //     to its leader — are drained: an Apply that was admitted completes,
 //     is durably logged, and its acknowledgment is delivered;
@@ -286,8 +262,8 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 //     commits, so an acked apply is never left unshipped by a graceful
 //     shutdown;
 //  3. subscription and replication streams are closed (so streaming
-//     handlers unblock), the HTTP server stops accepting and drains
-//     what remains, and line-protocol connections are closed;
+//     handlers unblock), and the HTTP server stops accepting and
+//     drains what remains;
 //  4. (with Options.OwnViews) the store is checkpointed and its WAL
 //     closed via Views.Shutdown.
 //
@@ -313,16 +289,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.hub.CloseAll()
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.replWin.Close()
-	if s.lineLn != nil {
-		s.lineLn.Close()
-	}
 	s.opts.Logf("ivmd: shutdown: draining http")
 	err := s.http.Shutdown(ctx)
-	s.mu.Lock()
-	for c := range s.lineConns {
-		c.Close()
-	}
-	s.mu.Unlock()
 	if s.opts.OwnViews {
 		s.opts.Logf("ivmd: shutdown: checkpointing store")
 		if serr := s.v.Shutdown(); serr != nil && err == nil {

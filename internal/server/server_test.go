@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -79,6 +76,9 @@ func TestHTTPApplyQueryRoundtrip(t *testing.T) {
 	}
 	if has {
 		t.Fatal("hop(z,z) should be absent")
+	}
+	if _, err := c.Count(ctx, `hop(a,X)`); err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("non-ground count: got %v, want http 400", err)
 	}
 
 	rows, err := c.Rows(ctx, "hop")
@@ -281,98 +281,6 @@ func TestSubscribeShutdownClosesStream(t *testing.T) {
 		case <-deadline:
 			t.Fatal("subscription did not close on shutdown")
 		}
-	}
-}
-
-func TestLineProtocol(t *testing.T) {
-	srv, _ := startTestServer(t, Options{LineAddr: "127.0.0.1:0"})
-	conn, err := net.Dial("tcp", srv.LineAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	rd := bufio.NewReader(conn)
-
-	send := func(line string) string {
-		t.Helper()
-		if _, err := conn.Write([]byte(line + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := rd.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return strings.TrimSpace(resp)
-	}
-
-	if resp := send("ping"); !strings.HasPrefix(resp, "ok") {
-		t.Fatalf("ping -> %q", resp)
-	}
-	resp := send("apply +link(a,f). +link(f,g).")
-	if !strings.HasPrefix(resp, "ok ") {
-		t.Fatalf("apply -> %q", resp)
-	}
-	var ar client.ApplyResult
-	if err := json.Unmarshal([]byte(resp[3:]), &ar); err != nil {
-		t.Fatalf("apply response not JSON: %v", err)
-	}
-	if ar.Version == 0 {
-		t.Fatal("line apply did not report a version")
-	}
-	resp = send("count hop(a,g)")
-	var cr client.CountResponse
-	if !strings.HasPrefix(resp, "ok ") || json.Unmarshal([]byte(resp[3:]), &cr) != nil {
-		t.Fatalf("count -> %q", resp)
-	}
-	if !cr.Has {
-		t.Fatal("count hop(a,g) should hold after the line apply")
-	}
-	if resp := send("query hop(a,X)"); !strings.HasPrefix(resp, "ok ") {
-		t.Fatalf("query -> %q", resp)
-	}
-	if resp := send("bogus"); !strings.HasPrefix(resp, "err ") {
-		t.Fatalf("bogus -> %q", resp)
-	}
-	if resp := send("count hop(a,X)"); !strings.HasPrefix(resp, "err ") {
-		t.Fatalf("non-ground count -> %q", resp)
-	}
-	if resp := send("quit"); resp != "bye" {
-		t.Fatalf("quit -> %q", resp)
-	}
-}
-
-func TestLineProtocolSubscribe(t *testing.T) {
-	srv, c := startTestServer(t, Options{LineAddr: "127.0.0.1:0"})
-	conn, err := net.Dial("tcp", srv.LineAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	rd := bufio.NewReader(conn)
-
-	if _, err := conn.Write([]byte("sub hop\n")); err != nil {
-		t.Fatal(err)
-	}
-	hello, err := rd.ReadString('\n')
-	if err != nil || !strings.HasPrefix(hello, "ok ") {
-		t.Fatalf("sub hello -> %q (%v)", hello, err)
-	}
-	res, err := c.Apply(context.Background(), `+link(a,m). +link(m,n).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := rd.ReadString('\n')
-	if err != nil || !strings.HasPrefix(line, "event ") {
-		t.Fatalf("sub event -> %q (%v)", line, err)
-	}
-	var ev client.Event
-	if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(line), "event ")), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Version != res.Version {
-		t.Fatalf("line event version %d, acked %d", ev.Version, res.Version)
 	}
 }
 

@@ -209,9 +209,6 @@ type Views struct {
 	// store: batch maintenance, rule edits, Save, Sync, Close, and the
 	// OpenStore binding. Readers never take it.
 	wmu sync.Mutex
-	// replaying is set while OpenStore replays the WAL (wmu): nobody can
-	// read yet, so commits leave the version map alone (pushDeltasLocked).
-	replaying bool
 
 	// cur is the atomically published current version. Never nil after
 	// MaterializeProgram returns.
@@ -281,10 +278,25 @@ type Views struct {
 	// deposed at.
 	fence atomic.Uint64
 
-	c  *counting.Engine
-	dr *dred.Engine
-	rc *recompute.Engine
-	pf *pf.Engine
+	// eng is the maintenance engine (touched only under wmu). Exactly
+	// one of the typed pointers below is set, to the same engine: Apply,
+	// Stats and the rule edits differ per strategy.
+	eng engine
+	c   *counting.Engine
+	dr  *dred.Engine
+	rc  *recompute.Engine
+	pf  *pf.Engine
+}
+
+// engine is what Views needs of a maintenance strategy besides its
+// Apply: the program and stored relations it maintains, the exact
+// per-predicate deltas its last operation merged into them, and the
+// fold of a commit record's deltas (no rule evaluated).
+type engine interface {
+	Program() *datalog.Program
+	DB() *eval.DB
+	CommittedDeltas() map[string]*relation.Relation
+	Fold(deltas map[string]*relation.Relation)
 }
 
 type config struct {
@@ -491,7 +503,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		if err != nil {
 			return nil, err
 		}
-		v.c = eng
+		v.c, v.eng = eng, eng
 	case DRed:
 		if cfg.semantics == DuplicateSemantics {
 			return nil, fmt.Errorf("ivm: DRed requires set semantics")
@@ -505,7 +517,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		if err != nil {
 			return nil, err
 		}
-		v.dr = eng
+		v.dr, v.eng = eng, eng
 	case Recompute:
 		eng, err := recompute.New(prog, d.base, cfg.semantics)
 		if err != nil {
@@ -515,7 +527,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		eng.Metrics = reg
 		eng.Tracer = cfg.tracer
 		eng.DisablePlanner = cfg.disablePlanner
-		v.rc = eng
+		v.rc, v.eng = eng, eng
 	case PF:
 		if cfg.semantics == DuplicateSemantics {
 			return nil, fmt.Errorf("ivm: the PF baseline requires set semantics")
@@ -529,7 +541,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			return nil, err
 		}
 		eng.FragmentTuples = cfg.fragmentTuples
-		v.pf = eng
+		v.pf, v.eng = eng, eng
 	default:
 		return nil, fmt.Errorf("ivm: unknown strategy %v", strategy)
 	}
@@ -576,32 +588,6 @@ func (v *Views) ProgramSource() string { return v.cur.Load().programSrc }
 // Program returns the parsed, possibly rule-edited view program (as of
 // the current published version).
 func (v *Views) Program() *datalog.Program { return v.cur.Load().prog }
-
-func (v *Views) relation(pred string) *relation.Relation {
-	switch {
-	case v.c != nil:
-		return v.c.Relation(pred)
-	case v.dr != nil:
-		return v.dr.Relation(pred)
-	case v.rc != nil:
-		return v.rc.Relation(pred)
-	default:
-		return v.pf.Relation(pred)
-	}
-}
-
-func (v *Views) db() *eval.DB {
-	switch {
-	case v.c != nil:
-		return v.c.DB()
-	case v.dr != nil:
-		return v.dr.DB()
-	case v.rc != nil:
-		return v.rc.DB()
-	default:
-		return v.pf.DB()
-	}
-}
 
 // Rows returns the stored rows of a (base or derived) relation at the
 // current published version, sorted lexicographically. Derived rows
@@ -803,8 +789,8 @@ func (v *Views) processBatch(batch []*applyReq) {
 	var groups []*applyGroup
 	switch {
 	case len(admitted) == 0:
-		// Nothing admitted; still publish so stats stay fresh? No —
-		// no maintenance ran, so there is nothing to publish.
+		// Nothing admitted: no maintenance ran, so there is nothing to
+		// publish.
 		v.completeFollowers(leaders, followers)
 		v.wmu.Unlock()
 		for _, r := range batch {
@@ -1012,7 +998,7 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 		}
 	}
 	if cut {
-		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, v.engineByte(), v.committedDeltasLocked()); g.err != nil {
+		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, v.engineByte(), v.eng.CommittedDeltas()); g.err != nil {
 			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
 			return g
 		}
@@ -1057,21 +1043,17 @@ func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (
 	for pred := range v.hidden {
 		delete(cs.perPred, pred)
 	}
-	v.pushDeltasLocked(next, v.committedDeltasLocked())
+	v.pushDeltasLocked(next, v.eng.CommittedDeltas())
 	return cs, nil
 }
 
 // pushDeltasLocked folds a commit's deltas — already merged into the
-// engine's storage — onto the in-progress version map. OpenStore's WAL
-// replay skips it and rebuilds the map once, at the end.
+// engine's storage — onto the in-progress version map.
 func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map[string]*relation.Relation) {
-	if v.replaying {
-		return
-	}
 	for pred, d := range deltas {
 		if cv, ok := next[pred]; ok {
 			next[pred] = cv.Push(d)
-		} else if r := v.relation(pred); r != nil {
+		} else if r := v.eng.DB().Get(pred); r != nil {
 			// First stored content for this predicate: version it from
 			// a clone of the engine's (small, just-created) relation.
 			next[pred] = relation.NewVersioned(r.Clone())
@@ -1119,7 +1101,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relatio
 		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.engineByte())}
 	}
 	start := time.Now()
-	db, derived := v.db(), v.progLocked().DerivedPreds()
+	db, derived := v.eng.DB(), v.eng.Program().DerivedPreds()
 	flips := v.rc == nil && v.cfg.semantics == SetSemantics
 	deltas := make(map[string]*relation.Relation)
 	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
@@ -1178,16 +1160,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relatio
 			cs.perPred[pred] = visible
 		}
 	}
-	switch {
-	case v.c != nil:
-		v.c.Fold(deltas)
-	case v.dr != nil:
-		v.dr.Fold(deltas)
-	case v.rc != nil:
-		v.rc.Fold(deltas)
-	default:
-		v.pf.Fold(deltas)
-	}
+	v.eng.Fold(deltas)
 	v.mReplayRows.Add(int64(rows))
 	v.mReplaySecs.Observe(time.Since(start))
 	return deltas, cs, nil
@@ -1252,9 +1225,10 @@ func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 }
 
 // CommitRecord is one committed maintenance pass — the version it
-// published, the idempotency keys it covered, and the delta script that
-// reproduces it. It is defined once, in internal/storage: the bytes the
-// WAL logs for a commit are the bytes a replication 'D' record ships.
+// published, the idempotency keys it covered, and the signed
+// per-predicate deltas it committed. It is defined once, in
+// internal/storage: the bytes the WAL logs for a commit are the bytes a
+// replication 'D' record ships.
 type CommitRecord = storage.CommitRecord
 
 // CommitEvent is one published version as OnCommitRecord reports it: the
@@ -1388,7 +1362,7 @@ func (v *Views) RemoveRule(ri int) (*ChangeSet, error) {
 // is rebuilt in full rather than delta-replayed, then published.
 func (v *Views) ruleEditCommittedLocked(ch *dred.Changes) (*ChangeSet, error) {
 	var sb strings.Builder
-	for _, r := range v.progLocked().Rules {
+	for _, r := range v.eng.Program().Rules {
 		sb.WriteString(r.String())
 		sb.WriteByte('\n')
 	}
@@ -1398,7 +1372,7 @@ func (v *Views) ruleEditCommittedLocked(ch *dred.Changes) (*ChangeSet, error) {
 	// of this edit saw it.
 	nextID := v.cur.Load().id + 1
 	if v.store != nil {
-		if err := v.store.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), nextID); err != nil {
+		if err := v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), nextID); err != nil {
 			v.wmu.Unlock()
 			return nil, fmt.Errorf("ivm: rule change applied in memory but checkpoint failed: %w", err)
 		}
@@ -1486,7 +1460,7 @@ func (v *Views) Save(path string) error {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
 	// No base version: LoadViews rematerializes from version 1.
-	return storage.SaveFile(path, v.db(), v.programSrc, v.hiddenLocked(), 0)
+	return storage.SaveFile(path, v.eng.DB(), v.programSrc, v.hiddenLocked(), 0)
 }
 
 // LoadViews restores a snapshot saved by Views.Save, rematerializing the
@@ -1600,13 +1574,9 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 			v.SeedVersion(base)
 		}
 		// Replay happens before the views are store-bound, so the
-		// records are not re-appended to the WAL they came from — and
-		// before anyone can read, so the version map skips the records'
-		// deltas (replaying) and is rebuilt once, after the last of them:
-		// pushing 2 000 versions nobody could see was 3/4 of a reopen.
-		v.wmu.Lock()
-		v.replaying = true
-		v.wmu.Unlock()
+		// records are not re-appended to the WAL they came from.
+		// Otherwise it is the path a follower runs: each record folds
+		// and publishes its version.
 		for i, rec := range st.Records() {
 			if rec.Version > v.cur.Load().id+1 {
 				// A version hole before this record: its predecessor's
@@ -1620,10 +1590,6 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
 			}
 		}
-		v.wmu.Lock()
-		v.replaying = false
-		v.publishAllLocked(v.cur.Load().id)
-		v.wmu.Unlock()
 	} else {
 		if init == nil {
 			return fail(fmt.Errorf("ivm: store %s is empty and no init function was provided", dir))
@@ -1645,7 +1611,7 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 	if info.Initialized {
 		// Checkpoint immediately so a snapshot always exists: from here
 		// on every WAL record has an epoch-stamped snapshot beneath it.
-		if err := st.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
+		if err := st.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
 			v.wmu.Unlock()
 			return fail(err)
 		}
@@ -1684,7 +1650,7 @@ func (v *Views) Sync() error {
 	}
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	return v.store.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), v.cur.Load().id)
+	return v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), v.cur.Load().id)
 }
 
 // Store reports whether the views are bound to a crash-recovery store
@@ -1848,7 +1814,7 @@ func (v *Views) Shutdown() error {
 	if v.store == nil || v.store.Closed() {
 		return nil
 	}
-	if err := v.store.CheckpointAt(v.db(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
+	if err := v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
 		// Close anyway: the WAL already holds every acked apply, so
 		// recovery replays to the same state; the checkpoint was only an
 		// optimization. Surface the checkpoint error over Close's.

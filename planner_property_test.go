@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 
 	"ivm"
+	"ivm/internal/workload"
 )
 
 // plannerCases reuses the parallel suite's program families and adds
@@ -183,6 +184,41 @@ func TestPlannerCacheSteadyState(t *testing.T) {
 	}
 	if m.Gauges["planner_plans"] == 0 {
 		t.Fatal("planner_plans gauge is zero after maintenance")
+	}
+}
+
+// TestPlannerSkewProbeCount is the planner's skew win as a count: on
+// BenchmarkPlannerSkew's data (hot fans out 1000-way per key, wide is
+// near-unique) the same Δreq stream must leave identical out rows with
+// and without the planner, and cost at least 10× fewer join probes with
+// it — probing wide first exits after ≤ 1 match, where the static order
+// enumerates hot's fan-out and probes wide once per row.
+func TestPlannerSkewProbeCount(t *testing.T) {
+	probes := func(opts ...ivm.Option) (int64, []ivm.Row) {
+		v := skewViews(t, opts...)
+		before := v.Metrics().Counter("eval_join_probes_total")
+		for i := 0; i < 40; i++ {
+			if _, err := v.Apply(skewMissToggle(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Then the keys wide does cover, so the compared view is not empty.
+		u := ivm.NewUpdate()
+		for k := 0; k < skewOverlap; k++ {
+			u.Insert("req", workload.SkewedReqKey(skewHotKeys, k).String())
+		}
+		if _, err := v.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+		return v.Metrics().Counter("eval_join_probes_total") - before, v.Rows("out")
+	}
+	planned, rowsP := probes()
+	greedy, rowsG := probes(ivm.WithoutPlanner())
+	if want := skewOverlap * skewFanout; len(rowsP) != want || !sameRows(rowsP, rowsG) {
+		t.Fatalf("out diverges under the planner: %d rows planned, %d greedy, want %d", len(rowsP), len(rowsG), want)
+	}
+	if planned == 0 || planned*10 > greedy {
+		t.Fatalf("eval_join_probes_total: %d with the planner, %d without — want at least 10x fewer", planned, greedy)
 	}
 }
 

@@ -2,7 +2,10 @@
 # Docs lint, runnable locally (`make docs-lint`) and in CI: the README
 # must stay within its line budget (the deep dives belong in docs/),
 # the docs/ pages the README points at must exist, and every relative
-# markdown link in README.md and docs/*.md must resolve to a real file.
+# markdown link in README.md and docs/*.md must resolve to a real file;
+# and README.md, DESIGN.md and docs/*.md may name only `ivmd -flag` /
+# `ivmbench -flag` flags the command's main.go defines and `make <target>`
+# targets the Makefile has.
 set -eu
 
 README_BUDGET="${README_BUDGET:-250}"
@@ -48,7 +51,32 @@ for f in README.md docs/*.md; do
         fi
     done
 done
+
+# A flag or make target the docs name must exist. A command line runs
+# from the command's name to the end of the line, a backtick or a pipe
+# (backslash continuations joined first); every -word on it is a flag.
+for cmd in ivmd ivmbench; do
+    defined="$(grep -o 'flag\.[A-Za-z0-9]*("[^"]*"' "cmd/$cmd/main.go" | sed 's/.*("//; s/"$//')"
+    for f in README.md DESIGN.md docs/*.md; do
+        for flag in $(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' "$f" |
+            grep -oE "(^|[^a-z])$cmd( +[^ \`|]+)+" | tr ' ' '\n' |
+            sed -n 's/^-\([a-z][a-z0-9-]*\).*/\1/p' | sort -u); do
+            if ! echo "$defined" | grep -qx -- "$flag"; then
+                echo "$f: names $cmd -$flag, which cmd/$cmd/main.go does not define" >&2
+                FAILED=1
+            fi
+        done
+    done
+done
+for f in README.md DESIGN.md docs/*.md; do
+    for target in $(grep -oE '(^|`|: )make +[a-z][a-z0-9-]*' "$f" | sed 's/.*make  *//' | sort -u); do
+        if ! grep -q "^$target:" Makefile; then
+            echo "$f: names make $target, which the Makefile does not have" >&2
+            FAILED=1
+        fi
+    done
+done
 if [ "$FAILED" -ne 0 ]; then
     exit 1
 fi
-echo "docs lint OK (README + docs/ links all resolve)"
+echo "docs lint OK (links resolve; flags and make targets exist)"

@@ -241,7 +241,7 @@ func (v *Views) publishVersionLocked(rels map[string]*relation.Versioned, id uin
 	nv := &version{
 		id:         id,
 		rels:       rels,
-		prog:       v.progLocked(),
+		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
 		published:  time.Now().UnixNano(),
 	}
@@ -338,7 +338,7 @@ func (v *Views) WaitForVersion(min uint64, timeout time.Duration) bool {
 // materialization, after rule edits and after WAL replay, where pushing
 // each commit's deltas does not apply or does not pay.
 func (v *Views) publishAllLocked(id uint64) *version {
-	db := v.db()
+	db := v.eng.DB()
 	rels := make(map[string]*relation.Versioned)
 	for _, pred := range db.Preds() {
 		rels[pred] = relation.NewVersioned(db.Get(pred).Clone())
@@ -356,35 +356,4 @@ func (v *Views) nextRelsLocked() map[string]*relation.Versioned {
 		next[p] = vr
 	}
 	return next
-}
-
-// committedDeltasLocked returns the exact per-predicate deltas the most
-// recent engine operation merged into stored content.
-func (v *Views) committedDeltasLocked() map[string]*relation.Relation {
-	switch {
-	case v.c != nil:
-		return v.c.CommittedDeltas()
-	case v.dr != nil:
-		return v.dr.CommittedDeltas()
-	case v.rc != nil:
-		return v.rc.CommittedDeltas()
-	default:
-		return v.pf.CommittedDeltas()
-	}
-}
-
-// progLocked returns the engine's current program (wmu held; the
-// race-free public accessor is Program, which reads the published
-// version).
-func (v *Views) progLocked() *datalog.Program {
-	switch {
-	case v.c != nil:
-		return v.c.Program()
-	case v.dr != nil:
-		return v.dr.Program()
-	case v.rc != nil:
-		return v.rc.Program()
-	default:
-		return v.pf.Program()
-	}
 }
