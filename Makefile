@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-layered metrics crash chaos cover \
-	fuzz-smoke serve smoke-server replica failover bench-regression docs-lint \
+	fuzz-smoke serve smoke-server replica failover bench-regression docs-lint loc \
 	staticcheck vulncheck ci
 
 all: build
@@ -130,6 +130,11 @@ bench-regression:
 docs-lint:
 	sh scripts/docs_lint.sh
 
+# Lines of non-test Go outside benchmark/ (ROADMAP aim 2's running
+# total); CI's build job writes the same line into its summary.
+loc:
+	@sh scripts/loc.sh
+
 # Lint/vuln scans run in CI unconditionally (installed there via
 # `go install`); locally they run only if already on PATH — this repo
 # adds no dependencies to the dev container.
@@ -147,5 +152,5 @@ vulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build vet fmt-check test race bench-smoke bench-layered metrics crash chaos cover fuzz-smoke \
+ci: build vet fmt-check loc test race bench-smoke bench-layered metrics crash chaos cover fuzz-smoke \
 	smoke-server replica failover bench-regression docs-lint staticcheck vulncheck

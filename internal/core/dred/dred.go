@@ -381,20 +381,21 @@ func (e *Engine) RemoveRule(ri int) (*Changes, error) {
 		make(map[string]*relation.Relation), seedDel, nil)
 }
 
-func negPart(r *relation.Relation) *relation.Relation {
-	out := relation.New(r.Arity())
+// negPart and posPart return the tuples r holds with a negative (resp.
+// positive) count, as a set sized exactly (see relation.NewSized).
+func negPart(r *relation.Relation) *relation.Relation { return signPart(r, true) }
+func posPart(r *relation.Relation) *relation.Relation { return signPart(r, false) }
+
+func signPart(r *relation.Relation, neg bool) *relation.Relation {
+	n := 0
 	r.Each(func(row relation.Row) {
-		if row.Count < 0 {
-			out.AddRow(row.WithCount(1))
+		if (row.Count < 0) == neg {
+			n++
 		}
 	})
-	return out
-}
-
-func posPart(r *relation.Relation) *relation.Relation {
-	out := relation.New(r.Arity())
+	out := relation.NewSized(r.Arity(), n)
 	r.Each(func(row relation.Row) {
-		if row.Count > 0 {
+		if (row.Count < 0) == neg {
 			out.AddRow(row.WithCount(1))
 		}
 	})

@@ -115,7 +115,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 	// or new (steps 2/3) version. Sources are resolved immediately (they
 	// touch shared group-table state); the join itself runs via
 	// eval.EvalRule — directly or as part of a parallel batch.
-	stepTask := func(ri, deltaLit int, img *relation.Relation, useNew bool) (eval.Task, error) {
+	stepTask := func(ri, deltaLit int, img relation.Reader, useNew bool) (eval.Task, error) {
 		rule := e.prog.Rules[ri]
 		srcs := make([]eval.Source, len(rule.Body))
 		for j, lit := range rule.Body {
@@ -137,19 +137,33 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		if err != nil {
 			return eval.Task{}, err
 		}
-		return eval.Task{
-			Rule: rule, Srcs: srcs, FirstLit: deltaLit, Plan: plan,
-			Out: relation.New(len(rule.Head.Args)),
-		}, nil
+		return eval.Task{Rule: rule, Srcs: srcs, FirstLit: deltaLit, Plan: plan}, nil
+	}
+
+	// scratchOut returns the operation's one output relation of the given
+	// arity, emptied: sequential evaluations write into it in turn, each
+	// fold consuming it before the next evaluation starts. It dies with
+	// the operation (see Relation.Reset), so a big one leaves nothing
+	// behind.
+	scratch := make(map[int]*relation.Relation)
+	scratchOut := func(arity int) *relation.Relation {
+		out := scratch[arity]
+		if out == nil {
+			out = relation.New(arity)
+			scratch[arity] = out
+		}
+		out.Reset()
+		return out
 	}
 
 	// evalStep evaluates one δ-rule sequentially, returning the derived
-	// tuples.
-	evalStep := func(ri, deltaLit int, img *relation.Relation, useNew bool) (*relation.Relation, error) {
+	// tuples in the scratch output.
+	evalStep := func(ri, deltaLit int, img relation.Reader, useNew bool) (*relation.Relation, error) {
 		t, err := stepTask(ri, deltaLit, img, useNew)
 		if err != nil {
 			return nil, err
 		}
+		t.Out = scratchOut(len(t.Rule.Head.Args))
 		if err := eval.EvalRulePlanInstr(t.Rule, t.Srcs, t.FirstLit, t.Plan, t.Out, e.instr); err != nil {
 			return nil, err
 		}
@@ -161,11 +175,15 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 	}
 
 	// runSteps evaluates a batch of prepared δ-rule tasks across the
-	// worker pool (the tasks of one pass are independent: folds are
-	// deferred until the whole batch finished, then run in task order —
-	// confluent, because deferred effects re-enter through the in-stratum
-	// Δ images of the following fixpoint rounds).
+	// worker pool, each into an output of its own (the tasks of one pass
+	// are independent: folds are deferred until the whole batch finished,
+	// then run in task order — confluent, because deferred effects
+	// re-enter through the in-stratum Δ images of the following fixpoint
+	// rounds).
 	runSteps := func(tasks []eval.Task, folds []func(*relation.Relation)) error {
+		for k := range tasks {
+			tasks[k].Out = relation.New(len(tasks[k].Rule.Head.Args))
+		}
 		if err := eval.RunBatchInstr(tasks, e.par, e.instr); err != nil {
 			return err
 		}
@@ -192,28 +210,28 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		for _, ri := range rules {
 			inStratum[e.prog.Rules[ri].Head.Pred] = true
 		}
+		// The stratum's working set stores a tuple once per step. delS is
+		// δ⁻(p): step 1 fills it with the overestimate, step 2 takes every
+		// rederived tuple back out, so from then on it holds exactly the
+		// true deletions. round is the Δ frontier of the running fixpoint,
+		// per predicate the rows the last round's folds let through (each
+		// fold admits a tuple once), empty again whenever a fixpoint ends.
 		delS := make(map[string]*relation.Relation)
-		readd := make(map[string]*relation.Relation)
-		addS := make(map[string]*relation.Relation)
 		for pred := range inStratum {
-			ar := e.db.Ensure(pred, -1).Arity()
-			delS[pred] = relation.New(ar)
-			readd[pred] = relation.New(ar)
-			addS[pred] = relation.New(ar)
+			delS[pred] = relation.New(e.db.Ensure(pred, -1).Arity())
 		}
+		round := make(map[string]relation.RowSlice)
 
 		// ---- Step 1: overestimate deletions. ----
-		roundDel := make(map[string]*relation.Relation)
-		for pred := range inStratum {
-			roundDel[pred] = relation.New(delS[pred].Arity())
-		}
+		// Every source of step 1 is old state and getDeltaT reads lower
+		// strata only, so nothing reads an in-stratum net before the
+		// fixpoint ends: it is written once, below, at its exact size.
 		foldDel := func(pred string, derived *relation.Relation) {
 			stored := e.db.Ensure(pred, -1)
 			derived.Each(func(row relation.Row) {
 				if row.Count > 0 && stored.Has(row.Tuple) && !delS[pred].Has(row.Tuple) {
 					delS[pred].AddRow(row.WithCount(1))
-					netOf(pred).AddRow(row.WithCount(-1))
-					roundDel[pred].AddRow(row.WithCount(1))
+					round[pred] = append(round[pred], row.WithCount(1))
 				}
 			})
 		}
@@ -268,12 +286,8 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 		for {
 			e.last.FixpointRounds++
-			moved := false
-			cur := roundDel
-			roundDel = make(map[string]*relation.Relation)
-			for pred := range inStratum {
-				roundDel[pred] = relation.New(delS[pred].Arity())
-			}
+			cur := round
+			round = make(map[string]relation.RowSlice, len(cur))
 			if e.par > 1 {
 				var tasks []eval.Task
 				var folds []func(*relation.Relation)
@@ -284,7 +298,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 							continue
 						}
 						d := cur[lit.Atom.Pred]
-						if d == nil || d.Empty() {
+						if len(d) == 0 {
 							continue
 						}
 						t, err := stepTask(ri, li, d, false)
@@ -307,7 +321,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 							continue
 						}
 						d := cur[lit.Atom.Pred]
-						if d == nil || d.Empty() {
+						if len(d) == 0 {
 							continue
 						}
 						out, err := evalStep(ri, li, d, false)
@@ -318,17 +332,15 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 					}
 				}
 			}
-			for pred := range inStratum {
-				if !roundDel[pred].Empty() {
-					moved = true
-				}
-			}
-			if !moved {
+			if len(round) == 0 {
 				break
 			}
 		}
 		for pred := range inStratum {
 			e.last.Overestimated += delS[pred].Len()
+			if !delS[pred].Empty() {
+				net[pred] = delS[pred].Negate()
+			}
 		}
 		var step2Start time.Time
 		if timing {
@@ -342,52 +354,39 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		// readdition can enable further rederivations (through in-stratum
 		// subgoals) drive more rounds — work stays proportional to the
 		// overestimate, not rounds × candidates.
-		roundReadd := make(map[string]*relation.Relation)
-		for pred := range inStratum {
-			roundReadd[pred] = relation.New(delS[pred].Arity())
-		}
-		foldReadd := func(pred string, derived *relation.Relation, cand *relation.Relation) {
+		// The candidates of δ⁺(p) :- δ⁻(p) & … are delS[p] itself: a
+		// rederived tuple leaves it (and cancels in net), so later rules
+		// and rounds see only what is still unexplained, and an index an
+		// evaluation built on it stays maintained.
+		foldReadd := func(pred string, derived *relation.Relation) {
 			derived.Each(func(row relation.Row) {
-				if row.Count > 0 && cand.Has(row.Tuple) && !readd[pred].Has(row.Tuple) {
-					readd[pred].AddRow(row.WithCount(1))
-					netOf(pred).AddRow(row.WithCount(1))
-					roundReadd[pred].AddRow(row.WithCount(1))
+				if row.Count > 0 && delS[pred].Has(row.Tuple) {
+					delS[pred].AddRow(row.WithCount(-1))
+					net[pred].AddRow(row.WithCount(1))
+					round[pred] = append(round[pred], row.WithCount(1))
+					e.last.Rederived++
 				}
 			})
-		}
-		remaining := func(pred string) *relation.Relation {
-			cand := relation.New(delS[pred].Arity())
-			delS[pred].Each(func(row relation.Row) {
-				if !readd[pred].Has(row.Tuple) {
-					cand.AddRow(row.WithCount(1))
-				}
-			})
-			return cand
 		}
 		// First pass: full candidate check over the new state.
 		for _, ri := range rules {
 			rule := e.prog.Rules[ri]
 			p := rule.Head.Pred
-			cand := remaining(p)
-			if cand.Empty() {
+			if delS[p].Empty() {
 				continue
 			}
-			derived, err := e.rederive(ri, cand, source)
-			if err != nil {
+			derived := scratchOut(len(rule.Head.Args))
+			if err := e.rederive(ri, delS[p], source, derived); err != nil {
 				return nil, err
 			}
-			foldReadd(p, derived, cand)
+			foldReadd(p, derived)
 		}
 		// Delta rounds: newly readded tuples re-enable candidates whose
 		// derivations pass through them.
 		for {
 			e.last.FixpointRounds++
-			moved := false
-			cur := roundReadd
-			roundReadd = make(map[string]*relation.Relation)
-			for pred := range inStratum {
-				roundReadd[pred] = relation.New(delS[pred].Arity())
-			}
+			cur := round
+			round = make(map[string]relation.RowSlice, len(cur))
 			for _, ri := range rules {
 				rule := e.prog.Rules[ri]
 				p := rule.Head.Pred
@@ -396,31 +395,22 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 						continue
 					}
 					d := cur[lit.Atom.Pred]
-					if d == nil || d.Empty() {
+					if len(d) == 0 {
 						continue
 					}
-					cand := remaining(p)
-					if cand.Empty() {
+					if delS[p].Empty() {
 						continue
 					}
-					derived, err := e.rederiveDelta(ri, li, d, cand, source)
-					if err != nil {
+					derived := scratchOut(len(rule.Head.Args))
+					if err := e.rederiveDelta(ri, li, d, delS[p], source, derived); err != nil {
 						return nil, err
 					}
-					foldReadd(p, derived, cand)
+					foldReadd(p, derived)
 				}
 			}
-			for pred := range inStratum {
-				if !roundReadd[pred].Empty() {
-					moved = true
-				}
-			}
-			if !moved {
+			if len(round) == 0 {
 				break
 			}
-		}
-		for pred := range inStratum {
-			e.last.Rederived += readd[pred].Len()
 		}
 		var step3Start time.Time
 		if timing {
@@ -429,17 +419,13 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 
 		// ---- Step 3: propagate insertions. ----
-		roundAdd := make(map[string]*relation.Relation)
-		for pred := range inStratum {
-			roundAdd[pred] = relation.New(addS[pred].Arity())
-		}
 		foldAdd := func(pred string, derived *relation.Relation) {
 			nr := newR(pred)
 			derived.Each(func(row relation.Row) {
 				if row.Count > 0 && !nr.Has(row.Tuple) {
-					addS[pred].AddRow(row.WithCount(1))
 					netOf(pred).AddRow(row.WithCount(1))
-					roundAdd[pred].AddRow(row.WithCount(1))
+					round[pred] = append(round[pred], row.WithCount(1))
+					e.last.Inserted++
 				}
 			})
 		}
@@ -494,12 +480,8 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 		for {
 			e.last.FixpointRounds++
-			moved := false
-			cur := roundAdd
-			roundAdd = make(map[string]*relation.Relation)
-			for pred := range inStratum {
-				roundAdd[pred] = relation.New(addS[pred].Arity())
-			}
+			cur := round
+			round = make(map[string]relation.RowSlice, len(cur))
 			if e.par > 1 {
 				var tasks []eval.Task
 				var folds []func(*relation.Relation)
@@ -510,7 +492,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 							continue
 						}
 						d := cur[lit.Atom.Pred]
-						if d == nil || d.Empty() {
+						if len(d) == 0 {
 							continue
 						}
 						t, err := stepTask(ri, li, d, true)
@@ -533,7 +515,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 							continue
 						}
 						d := cur[lit.Atom.Pred]
-						if d == nil || d.Empty() {
+						if len(d) == 0 {
 							continue
 						}
 						out, err := evalStep(ri, li, d, true)
@@ -544,17 +526,9 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 					}
 				}
 			}
-			for pred := range inStratum {
-				if !roundAdd[pred].Empty() {
-					moved = true
-				}
-			}
-			if !moved {
+			if len(round) == 0 {
 				break
 			}
-		}
-		for pred := range inStratum {
-			e.last.Inserted += addS[pred].Len()
 		}
 		if timing {
 			now := time.Now()
@@ -685,13 +659,14 @@ func (e *Engine) insertImage(lit datalog.Literal, key eval.RuleLit, inStratum ma
 }
 
 // rederive evaluates rule ri restricted to the deletion candidates cand
-// over the new state: the fast path prepends the candidate set as an
-// extra subgoal matching the head pattern; rules whose heads contain
-// expressions fall back to full evaluation intersected with cand.
+// over the new state, into out: the fast path prepends the candidate set
+// as an extra subgoal matching the head pattern; rules whose heads
+// contain expressions fall back to full evaluation intersected with cand.
 func (e *Engine) rederive(ri int, cand *relation.Relation,
-	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error)) (*relation.Relation, error) {
+	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error), out *relation.Relation) error {
 
 	rule := e.prog.Rules[ri]
+	e.last.RuleFirings++
 	if headSimple(rule) {
 		aux := datalog.Rule{
 			Head: rule.Head,
@@ -702,20 +677,15 @@ func (e *Engine) rederive(ri int, cand *relation.Relation,
 		for j, lit := range rule.Body {
 			s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, true)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			srcs[j+1] = s
 		}
 		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: 0}, aux, srcs, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := relation.New(len(rule.Head.Args))
-		if err := eval.EvalRulePlanInstr(aux, srcs, 0, plan, out, e.instr); err != nil {
-			return nil, err
-		}
-		e.last.RuleFirings++
-		return out, nil
+		return eval.EvalRulePlanInstr(aux, srcs, 0, plan, out, e.instr)
 	}
 
 	// Slow path: full evaluation over the new state.
@@ -723,27 +693,22 @@ func (e *Engine) rederive(ri int, cand *relation.Relation,
 	for j, lit := range rule.Body {
 		s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		srcs[j] = s
 	}
 	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanEval, Delta: -1}, rule, srcs, -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := relation.New(len(rule.Head.Args))
-	if err := eval.EvalRulePlanInstr(rule, srcs, -1, plan, out, e.instr); err != nil {
-		return nil, err
-	}
-	e.last.RuleFirings++
-	return out, nil
+	return eval.EvalRulePlanInstr(rule, srcs, -1, plan, out, e.instr)
 }
 
 // rederiveDelta is the semi-naive variant of rederive: only derivations
 // that pass through the newly readded tuples d at body position li are
 // explored, restricted to the remaining candidates.
-func (e *Engine) rederiveDelta(ri, li int, d, cand *relation.Relation,
-	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error)) (*relation.Relation, error) {
+func (e *Engine) rederiveDelta(ri, li int, d relation.Reader, cand *relation.Relation,
+	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error), out *relation.Relation) error {
 
 	rule := e.prog.Rules[ri]
 	srcs := make([]eval.Source, len(rule.Body))
@@ -754,7 +719,7 @@ func (e *Engine) rederiveDelta(ri, li int, d, cand *relation.Relation,
 		}
 		s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		srcs[j] = s
 	}
@@ -769,23 +734,15 @@ func (e *Engine) rederiveDelta(ri, li int, d, cand *relation.Relation,
 		auxSrcs := append([]eval.Source{{Rel: cand}}, srcs...)
 		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: li + 1}, aux, auxSrcs, li+1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out := relation.New(len(rule.Head.Args))
-		if err := eval.EvalRulePlanInstr(aux, auxSrcs, li+1, plan, out, e.instr); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return eval.EvalRulePlanInstr(aux, auxSrcs, li+1, plan, out, e.instr)
 	}
 	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs, li)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := relation.New(len(rule.Head.Args))
-	if err := eval.EvalRulePlanInstr(rule, srcs, li, plan, out, e.instr); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return eval.EvalRulePlanInstr(rule, srcs, li, plan, out, e.instr)
 }
 
 // headSimple reports whether every head argument is a variable or

@@ -1,0 +1,183 @@
+package dred
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ivm/internal/baseline/recompute"
+	"ivm/internal/eval"
+	"ivm/internal/parser"
+	"ivm/internal/relation"
+	"ivm/internal/value"
+	"ivm/internal/workload"
+)
+
+// flipBase builds the tc_dred_mem shape: a layered DAG plus cross edges
+// that skip a layer, so most deleted links leave alternative paths.
+func flipBase(rng *rand.Rand, layers, width, fanout, cross int) *relation.Relation {
+	rel := workload.LayeredDAG(rng, layers, width, fanout)
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	for added := 0; added < cross; {
+		l := rng.Intn(layers - 2)
+		t := value.T(name(l*width+rng.Intn(width)), name((l+2)*width+rng.Intn(width)))
+		if !rel.Has(t) {
+			rel.Add(t, 1)
+			added++
+		}
+	}
+	return rel
+}
+
+// workingSetPrograms are the shapes the per-stratum working set has to
+// get right; want is the sum of Stats over the seed-7 stream below, as
+// the commit before the working set was reworked reports it (RuleFirings
+// and FixpointRounds: of the sequential engine, whose folds interleave
+// with the evaluations).
+var workingSetPrograms = []struct {
+	name, src string
+	want      Stats
+}{
+	{name: "tc", src: tcProgram,
+		want: Stats{Overestimated: 2359, Rederived: 1452, Inserted: 907, RuleFirings: 836, FixpointRounds: 656}},
+	// alt shadows some links: the first rule rederives those heads, so
+	// the candidates of the second and third must no longer hold them.
+	{name: "two-rules-one-head", src: `
+		tc(X,Y) :- alt(X,Y).
+		tc(X,Y) :- link(X,Y).
+		tc(X,Y) :- tc(X,Z), link(Z,Y).`,
+		want: Stats{Overestimated: 2359, Rederived: 1654, Inserted: 705, RuleFirings: 880, FixpointRounds: 642}},
+	{name: "negation-above", src: tcProgram + `
+		unreach(X,Y) :- node(X), node(Y), !tc(X,Y).`,
+		want: Stats{Overestimated: 3266, Rederived: 1452, Inserted: 1814, RuleFirings: 1016, FixpointRounds: 1016}},
+	{name: "groupby-above", src: tcProgram + `
+		reach(X,N) :- groupby(tc(X,Y), [X], N = count(Y)).`,
+		want: Stats{Overestimated: 3249, Rederived: 1452, Inserted: 1797, RuleFirings: 1196, FixpointRounds: 1016}},
+}
+
+// TestWorkingSetRandomizedStream alternates deleting and re-inserting
+// links and checks after every apply that the views equal a
+// recomputation, and that the counters standing in for the deleted
+// readd/addS relations still count them: what step 2 leaves in δ⁻ is
+// what the apply reports deleted, what step 3 admits is what it reports
+// inserted.
+func TestWorkingSetRandomizedStream(t *testing.T) {
+	for _, p := range workingSetPrograms {
+		for _, par := range []int{1, 4} {
+			for _, noPlanner := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/par%d/noplanner=%v", p.name, par, noPlanner), func(t *testing.T) {
+					prog := rules(t, p.src)
+					rng := rand.New(rand.NewSource(7))
+					link := flipBase(rng, 5, 8, 2, 10)
+					base := eval.NewDB()
+					base.Put("link", link)
+					alt, node := relation.New(2), relation.New(1)
+					for i, row := range link.SortedRows() {
+						if i%3 == 0 {
+							alt.AddRow(row)
+						}
+						node.Set(row.Tuple[:1], 1)
+						node.Set(row.Tuple[1:], 1)
+					}
+					base.Put("alt", alt)
+					base.Put("node", node)
+
+					e, err := NewWithConfig(prog, base, Config{Parallelism: par, DisablePlanner: noPlanner})
+					if err != nil {
+						t.Fatal(err)
+					}
+					re, err := recompute.New(prog, base, eval.Set)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var sum Stats
+					var held *relation.Relation
+					for step := 0; step < 120; step++ {
+						deleting := held == nil
+						var d *relation.Relation
+						if deleting {
+							d = workload.SampleDeletes(rng, e.Relation("link"), 3)
+							held = d
+						} else {
+							d, held = held.Negate(), nil
+						}
+						dm := map[string]*relation.Relation{"link": d}
+						ch, err := e.Apply(dm)
+						if err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						if _, err := re.Apply(dm); err != nil {
+							t.Fatalf("step %d: %v", step, err)
+						}
+						for pred := range prog.DerivedPreds() {
+							if !relation.Equal(e.Relation(pred), re.Relation(pred).ToSet()) {
+								t.Fatalf("step %d: %s diverges\ndred:      %v\nrecompute: %v",
+									step, pred, e.Relation(pred), re.Relation(pred))
+							}
+						}
+						st := e.Stats()
+						dels, adds := 0, 0
+						for _, r := range ch.Del {
+							dels += r.Len()
+						}
+						for _, r := range ch.Add {
+							adds += r.Len()
+						}
+						if deleting && dels != st.Overestimated-st.Rederived {
+							t.Fatalf("step %d (delete): |Del| = %d, Overestimated-Rederived = %d-%d", step, dels, st.Overestimated, st.Rederived)
+						}
+						if !deleting && adds != st.Inserted {
+							t.Fatalf("step %d (insert): |Add| = %d, Inserted = %d", step, adds, st.Inserted)
+						}
+						sum.Overestimated += st.Overestimated
+						sum.Rederived += st.Rederived
+						sum.Inserted += st.Inserted
+						sum.RuleFirings += st.RuleFirings
+						sum.FixpointRounds += st.FixpointRounds
+					}
+					want := p.want
+					if par > 1 {
+						want.RuleFirings, want.FixpointRounds = sum.RuleFirings, sum.FixpointRounds
+					}
+					if sum != want {
+						t.Fatalf("stats over the stream = %+v, the parent commit reports %+v", sum, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkDRedDeleteReinsert is the layered benchmark's tc_dred_mem shape
+// as a go test benchmark: one op deletes 4 links of an 8×24 layered DAG
+// with 40 cross edges, the next puts them back.
+func BenchmarkDRedDeleteReinsert(b *testing.B) {
+	prog, err := parser.ParseRules(tcProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	base := eval.NewDB()
+	base.Put("link", flipBase(rng, 8, 24, 2, 40))
+	e, err := New(prog, base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var held *relation.Relation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var d *relation.Relation
+		if held == nil {
+			b.StopTimer()
+			d = workload.SampleDeletes(rng, e.Relation("link"), 4)
+			b.StartTimer()
+			held = d
+		} else {
+			d, held = held.Negate(), nil
+		}
+		if _, err := e.Apply(map[string]*relation.Relation{"link": d}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

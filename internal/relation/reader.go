@@ -1,6 +1,10 @@
 package relation
 
-import "ivm/internal/value"
+import (
+	"bytes"
+
+	"ivm/internal/value"
+)
 
 // Reader is the read-only access interface rule evaluation uses. Besides
 // *Relation itself, cheap composable views implement it: Overlay presents
@@ -28,6 +32,7 @@ var (
 	_ Reader = (*Relation)(nil)
 	_ Reader = (*overlay)(nil)
 	_ Reader = (*setView)(nil)
+	_ Reader = RowSlice(nil)
 )
 
 // Materialize copies any Reader into a fresh *Relation. Rows keep the
@@ -35,6 +40,52 @@ var (
 func Materialize(r Reader) *Relation {
 	out := New(r.Arity())
 	r.Each(out.AddRow)
+	return out
+}
+
+// RowSlice is a Reader over distinct rows held in a slice: the Δ image of
+// one semi-naive round, which its join pins first and only scans, so
+// Count, Has and Lookup answer by scanning too. The empty RowSlice has
+// arity -1.
+type RowSlice []Row
+
+func (s RowSlice) Arity() int {
+	if len(s) == 0 {
+		return -1
+	}
+	return len(s[0].Tuple)
+}
+
+func (s RowSlice) Len() int { return len(s) }
+
+func (s RowSlice) Each(f func(Row)) {
+	for _, row := range s {
+		f(row)
+	}
+}
+
+func (s RowSlice) Count(t value.Tuple) int64 {
+	var buf [value.KeyScratch]byte
+	kb := t.AppendKey(buf[:0])
+	for _, row := range s {
+		if row.Key() == string(kb) {
+			return row.Count
+		}
+	}
+	return 0
+}
+
+func (s RowSlice) Has(t value.Tuple) bool { return s.Count(t) > 0 }
+
+func (s RowSlice) Lookup(cols []int, keyVals value.Tuple) []Row {
+	var kbuf, pbuf [value.KeyScratch]byte
+	kb := keyVals.AppendKey(kbuf[:0])
+	var out []Row
+	for _, row := range s {
+		if bytes.Equal(row.Tuple.AppendProjKey(pbuf[:0], cols), kb) {
+			out = append(out, row)
+		}
+	}
 	return out
 }
 

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -147,5 +149,59 @@ func TestOverlayQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// readersAgree checks got against want on everything a Reader answers
+// exactly (a view's Len may estimate): arity, the rows Each visits, Count
+// and Has over the key space (present and absent tuples alike), and
+// Lookup on every column set.
+func readersAgree(t *testing.T, rng *rand.Rand, keys int, got Reader, want *Relation, where string) {
+	t.Helper()
+	if got.Arity() != want.Arity() {
+		t.Fatalf("%s: arity %d, want %d", where, got.Arity(), want.Arity())
+	}
+	if m := Materialize(got); !Equal(m, want) {
+		t.Fatalf("%s: Each visits %v, want %v", where, m, want)
+	}
+	for k := 0; k < keys; k++ {
+		for p := 0; p < 3; p++ {
+			tup := value.T(k, fmt.Sprintf("p%d", p))
+			if got.Count(tup) != want.Count(tup) || got.Has(tup) != want.Has(tup) {
+				t.Fatalf("%s: Count/Has(%v) = %d/%v, want %d/%v", where, tup,
+					got.Count(tup), got.Has(tup), want.Count(tup), want.Has(tup))
+			}
+		}
+	}
+	for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+		lookupAgrees(t, rng, keys, got, want, cols, where)
+	}
+}
+
+func TestRowSliceAgreesWithRelation(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 50; trial++ {
+		const keys = 12
+		want := randomDelta(rng, keys, 1+rng.Intn(40))
+		if want.Empty() {
+			continue
+		}
+		rows := RowSlice(want.Rows())
+		if rows.Len() != want.Len() {
+			t.Fatalf("Len %d, want %d", rows.Len(), want.Len())
+		}
+		readersAgree(t, rng, keys, rows, want, "whole")
+		for _, parts := range []int{1, 4} {
+			for part := 0; part < parts; part++ {
+				owned := New(2)
+				PartitionView(want, part, parts).Each(owned.AddRow)
+				readersAgree(t, rng, keys, PartitionView(rows, part, parts), owned,
+					fmt.Sprintf("part %d/%d", part, parts))
+			}
+		}
+	}
+	if empty := RowSlice(nil); empty.Arity() != -1 || empty.Len() != 0 || empty.Has(value.T(1, "p0")) ||
+		len(empty.Lookup([]int{0}, value.T(1))) != 0 {
+		t.Fatal("the empty RowSlice has unknown arity and no rows")
 	}
 }

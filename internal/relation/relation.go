@@ -269,9 +269,26 @@ func (r *Relation) Clone() *Relation {
 
 // NewSized is New with the row map sized for n rows. n must be an exact
 // count: a map sized from an upper bound stays that large for the life
-// of the relation.
+// of the relation (Negate, and DRed's negPart/posPart, count first).
 func NewSized(arity, n int) *Relation {
 	return &Relation{arity: arity, rows: make(map[string]Row, n)}
+}
+
+// Reset empties r for reuse as a scratch output, keeping its arity and
+// dropping its indexes and statistics. A cleared map keeps the tables of
+// the largest content it has held, so a relation that is Reset must not
+// outlive the operation that fills it.
+func (r *Relation) Reset() {
+	r.mutable()
+	clear(r.rows)
+	r.idxMu.Lock()
+	r.idx = nil
+	r.hasIdx.Store(false)
+	r.idxMu.Unlock()
+	r.statsMu.Lock()
+	r.stats = nil
+	r.hasStats.Store(false)
+	r.statsMu.Unlock()
 }
 
 // MergeDelta folds delta into r using the ⊎ operator of Section 3:

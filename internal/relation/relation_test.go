@@ -242,3 +242,45 @@ func TestMergeDeltaQuickMatchesUnionPlus(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestResetEmptiesForReuse(t *testing.T) {
+	r := New(2)
+	r.Add(value.T("a", "b"), 2)
+	r.Add(value.T("a", "c"), 1)
+	if len(r.Lookup([]int{0}, value.T("a"))) != 2 || r.DistinctEst(1) != 2 {
+		t.Fatal("setup: index and stats built over two rows")
+	}
+	built := IndexesBuilt()
+	r.Reset()
+	if r.Len() != 0 || !r.Empty() || r.Arity() != 2 || r.Has(value.T("a", "b")) {
+		t.Fatalf("after Reset: len %d arity %d", r.Len(), r.Arity())
+	}
+	if r.PreferredIndex([]int{0}) != nil || r.hasStats.Load() {
+		t.Fatal("Reset keeps an index or the stats")
+	}
+	r.Add(value.T("a", "d"), 1)
+	rows := r.Lookup([]int{0}, value.T("a"))
+	if len(rows) != 1 || !rows[0].Tuple.Equal(value.T("a", "d")) || IndexesBuilt() != built+1 {
+		t.Fatalf("Lookup after Reset must rebuild over the new rows only: %v", rows)
+	}
+	if r.DistinctEst(1) != 1 {
+		t.Fatalf("DistinctEst after Reset = %d, want 1", r.DistinctEst(1))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arity survives Reset: a 1-tuple must still be refused")
+		}
+	}()
+	r.Add(value.T("x"), 1)
+}
+
+func TestResetOfFrozenRelationPanics(t *testing.T) {
+	r := rel(row(1, "a"))
+	r.Freeze()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a frozen relation must panic")
+		}
+	}()
+	r.Reset()
+}

@@ -1026,7 +1026,19 @@ func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (
 		if err != nil {
 			return nil, err
 		}
-		cs = changeSetFromChanges(ch.Del, ch.Add)
+		// The changes of a DRed apply are its committed net on the
+		// derived predicates that moved (the net also holds the base
+		// transitions); the map is fresh, so dropping the hidden
+		// predicates below leaves the engine's own map alone.
+		net := v.dr.CommittedDeltas()
+		per := make(map[string]*relation.Relation, len(ch.Del)+len(ch.Add))
+		for pred := range ch.Del {
+			per[pred] = net[pred]
+		}
+		for pred := range ch.Add {
+			per[pred] = net[pred]
+		}
+		cs = changeSetFromDeltas(per)
 	case v.rc != nil:
 		full, err := v.rc.Apply(deltas)
 		if err != nil {
