@@ -13,6 +13,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	sh scripts/unsafe_allowlist.sh
 
 fmt:
 	gofmt -w .

@@ -309,22 +309,17 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		var verr error
 		var cd *relation.Relation
 		if externalSet {
-			cd = relation.New(d.Arity())
-			d.Each(func(row relation.Row) {
-				if verr != nil {
-					return
-				}
+			cd = pick(d, func(row relation.Row) int64 {
 				has := stored.Has(row.Tuple)
 				switch {
 				case row.Count > 0 && !has:
-					cd.AddRow(row.WithCount(1))
-				case row.Count < 0:
-					if !has {
-						verr = fmt.Errorf("counting: deletion of absent tuple %s%s", pred, row.Tuple)
-						return
-					}
-					cd.AddRow(row.WithCount(-1))
+					return 1
+				case row.Count < 0 && has:
+					return -1
+				case row.Count < 0 && verr == nil:
+					verr = fmt.Errorf("counting: deletion of absent tuple %s%s", pred, row.Tuple)
 				}
+				return 0
 			})
 		} else {
 			d.Each(func(row relation.Row) {
@@ -671,34 +666,50 @@ func (e *Engine) sideSource(lit datalog.Literal, key eval.RuleLit, cascade map[s
 // leaves the (positive) set image of Q enters ¬Q with count 1; one that
 // enters it leaves ¬Q with count −1.
 func deltaNegation(qOld relation.Reader, dq *relation.Relation) *relation.Relation {
-	out := relation.New(dq.Arity())
-	dq.Each(func(row relation.Row) {
+	return pick(dq, func(row relation.Row) int64 {
 		oldHas := qOld.Has(row.Tuple)
 		newHas := qOld.Count(row.Tuple)+row.Count > 0
 		switch {
 		case oldHas && !newHas:
-			out.AddRow(row.WithCount(1))
+			return 1
 		case !oldHas && newHas:
-			out.AddRow(row.WithCount(-1))
+			return -1
 		}
+		return 0
 	})
-	return out
 }
 
 // setTransitions returns set(stored ⊎ d) − set(stored) as a ±1 delta:
 // the tuples whose presence flips when d is applied to stored.
 func setTransitions(stored *relation.Relation, d *relation.Relation) *relation.Relation {
-	out := relation.New(d.Arity())
-	d.Each(func(row relation.Row) {
+	return pick(d, func(row relation.Row) int64 {
 		oldC := stored.Count(row.Tuple)
 		newC := oldC + row.Count
 		switch {
 		case oldC <= 0 && newC > 0:
-			out.AddRow(row.WithCount(1))
+			return 1
 		case oldC > 0 && newC <= 0:
-			out.AddRow(row.WithCount(-1))
+			return -1
+		}
+		return 0
+	})
+}
+
+// pick returns the rows of d that sign gives a nonzero count, with that
+// count. One pass counts them and a second fills the result, which is
+// therefore allocated once at its size (relation.NewSized, as DRed's
+// signPart is) instead of doubling its way there.
+func pick(d *relation.Relation, sign func(relation.Row) int64) *relation.Relation {
+	n := 0
+	d.Each(func(row relation.Row) {
+		if sign(row) != 0 {
+			n++
 		}
 	})
+	out := relation.NewSized(d.Arity(), n)
+	if n > 0 {
+		d.Each(func(row relation.Row) { out.AddRow(row.WithCount(sign(row))) })
+	}
 	return out
 }
 

@@ -16,7 +16,7 @@ import (
 // seedDel/seedAdd inject deletion candidates / insertions directly at a
 // derived predicate's own stratum (used by RemoveRule/AddRule).
 func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
-	seedDel, seedAdd map[string]*relation.Relation) (*Changes, error) {
+	seedDel, seedAdd map[string]*relation.Relation) (_ *Changes, err error) {
 
 	timing := e.observing()
 	var opStart time.Time
@@ -29,6 +29,14 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		Add: make(map[string]*relation.Relation),
 	}
 	pendingT := make(map[eval.RuleLit]*relation.Relation)
+	defer func() {
+		if err == nil {
+			return
+		}
+		for key := range pendingT { // nothing is committed: the tables folded so far go back too
+			e.gts[key].Rollback()
+		}
+	}()
 	byStratum := e.strat.RulesByStratum(e.prog)
 
 	oldR := func(pred string) relation.Reader { return e.db.Ensure(pred, -1) }

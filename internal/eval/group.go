@@ -180,13 +180,14 @@ func (t *GroupTable) dropEmpty() {
 //
 // The committed relation (Rel) is untouched until Commit(ΔT) is called, so
 // callers can read old T, ΔT, and new T (= Overlay(Rel, ΔT)) while
-// evaluating delta rules. ApplyDelta must be followed by exactly one
-// Commit before the next ApplyDelta.
+// evaluating delta rules. A successful ApplyDelta must be followed by
+// exactly one Commit or Rollback before the next ApplyDelta; a failed one
+// has rolled the table back itself. Either way undo is empty on entry,
+// so its keys are the groups this call touched.
 func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*relation.Relation, error) {
 	if t.undo == nil {
 		t.undo = make(map[string]undoEntry)
 	}
-	dirty := make(map[string]bool)
 	var ferr error
 	du.Each(func(row relation.Row) {
 		if ferr != nil {
@@ -211,18 +212,21 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*rela
 			}
 			t.undo[e.key] = ue
 		}
-		dirty[e.key] = true
 		ferr = fold(e, av, row.Count)
 	})
 	if ferr != nil {
+		t.Rollback()
 		return nil, ferr
 	}
 
-	deltaT := relation.New(len(t.g.GroupBy) + 1)
-	for k := range dirty {
+	// ΔT's rows are distinct tuples (a group's old and new tuple differ,
+	// and groups do not share tuples): collected first, they size ΔT.
+	changed := make([]relation.Row, 0, 2*len(t.undo))
+	for k := range t.undo {
 		e := t.groups[k]
 		if e.state == nil {
 			if err := t.rescan(e, uNew); err != nil {
+				t.Rollback()
 				return nil, err
 			}
 		}
@@ -237,16 +241,20 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*rela
 			// unchanged
 		default:
 			if e.cur != nil {
-				deltaT.Add(e.cur, -1)
+				changed = append(changed, relation.Row{Tuple: e.cur, Count: -1})
 			}
 			if next != nil {
-				deltaT.Add(next, 1)
+				changed = append(changed, relation.Row{Tuple: next, Count: 1})
 			}
 			e.cur = next
 			if next == nil {
 				delete(t.groups, k)
 			}
 		}
+	}
+	deltaT := relation.NewSized(len(t.g.GroupBy)+1, len(changed))
+	for _, row := range changed {
+		deltaT.AddRow(row)
 	}
 	return deltaT, nil
 }

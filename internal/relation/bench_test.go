@@ -132,26 +132,36 @@ func versionedBase(n int) *Relation {
 // flatten every ~25 pushes), which must not get slower for it. The base
 // has no index: this is the chain alone, with no reader to build one.
 func BenchmarkVersionedPush(b *testing.B) {
-	const n, cycle = 100_000, 64
 	for _, rows := range []int{2, 1000} {
-		b.Run(fmt.Sprintf("base=1e5,delta=%d", rows), func(b *testing.B) {
-			b.ReportAllocs()
-			deltas := make([]*Relation, 2*cycle)
-			for i := 0; i < cycle; i++ {
-				ins := New(2)
-				for j := 0; j < rows; j++ {
-					ins.Add(value.T(j%(n/100), n+i*rows+j), 1)
-				}
-				deltas[i], deltas[cycle+i] = ins, ins.Negate()
-				deltas[i].Freeze()
-				deltas[cycle+i].Freeze()
-			}
-			v := NewVersioned(versionedBase(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v = v.Push(deltas[i%len(deltas)])
-			}
-		})
+		b.Run(fmt.Sprintf("base=1e5,delta=%d", rows), func(b *testing.B) { benchVersionedPush(b, 100_000, 64, rows) })
+	}
+}
+
+// BenchmarkVersionedPushBulk is the regime where the base copy dominates:
+// 500-row deltas over a 40 000-row base (16 inserts, then their deletes),
+// so the ratio rule flattens every ~20 pushes and B/op is mostly what a
+// row costs in the copied map — the number to quote beside the layered
+// benchmark's alloc_kb_per_apply.
+func BenchmarkVersionedPushBulk(b *testing.B) { benchVersionedPush(b, 40_000, 16, 500) }
+
+// benchVersionedPush pushes, round and round, cycle frozen inserts of rows
+// new rows each and then their deletes onto an n-row base.
+func benchVersionedPush(b *testing.B, n, cycle, rows int) {
+	b.ReportAllocs()
+	deltas := make([]*Relation, 2*cycle)
+	for i := 0; i < cycle; i++ {
+		ins := New(2)
+		for j := 0; j < rows; j++ {
+			ins.Add(value.T(j%(n/100), n+i*rows+j), 1)
+		}
+		deltas[i], deltas[cycle+i] = ins, ins.Negate()
+		deltas[i].Freeze()
+		deltas[cycle+i].Freeze()
+	}
+	v := NewVersioned(versionedBase(n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v = v.Push(deltas[i%len(deltas)])
 	}
 }
 

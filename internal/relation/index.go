@@ -109,7 +109,8 @@ func (r *Relation) buildIndex(cols []int) *index {
 	// The index outlives the call: it must not alias the caller's slice.
 	ix := &index{cols: append([]int(nil), cols...), buckets: make(map[string]*bucket)}
 	var buf [value.KeyScratch]byte
-	for _, row := range r.rows {
+	for _, c := range r.rows {
+		row := r.row(c)
 		pk := row.Tuple.AppendProjKey(buf[:0], ix.cols)
 		b := ix.buckets[string(pk)]
 		if b == nil {

@@ -39,6 +39,17 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	noAllocs(t, "Lookup hit on a built index", func() { _ = r.Lookup(cols, key) })
 	noAllocs(t, "Lookup miss on a built index", func() { _ = r.Lookup(cols, noKey) })
 	noAllocs(t, "Add of an existing tuple", func() { r.Add(hit, 1) })
+	// The stored cell carries its key: neither the re-store of a bumped
+	// count nor the delete of a cancelled one builds a string, and Each
+	// rebuilds its rows on the stack.
+	keyedHit, n := keyed(hit, 1), 0
+	noAllocs(t, "AddRow of an existing tuple", func() { r.AddRow(keyedHit) })
+	noAllocs(t, "AddRow that cancels a tuple, and its re-insert by key", func() {
+		r.AddRow(keyedHit.WithCount(-r.Count(hit)))
+		r.AddRow(keyedHit)
+	})
+	noAllocs(t, "Delete hit, and its re-insert by key", func() { r.Delete(hit); r.AddRow(keyedHit) })
+	noAllocs(t, "Each", func() { r.Each(func(row Row) { n += len(row.Tuple) }) })
 	noAllocs(t, "Set of an existing tuple", func() { r.Set(hit, 3); r.Set(hit, 4) })
 	noAllocs(t, "Delete miss", func() { r.Delete(miss) })
 	noAllocs(t, "partition Count", func() { _ = part.Count(hit); _ = part.Has(miss) })

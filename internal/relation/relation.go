@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"ivm/internal/value"
 )
@@ -66,7 +67,7 @@ func (r Row) WithCount(count int64) Row {
 // parallel evaluation therefore writes into per-worker Shards and merges.
 type Relation struct {
 	arity int
-	rows  map[string]Row
+	rows  map[string]cell
 
 	// frozen marks an immutable relation (a published snapshot version):
 	// any mutation panics. Lazy index builds remain allowed — they are
@@ -89,10 +90,29 @@ type Relation struct {
 	hasStats atomic.Bool
 }
 
+// cell is a stored row without what the relation already knows: every
+// tuple in r.rows has exactly r.arity values (insert checks it, and arity
+// is fixed by the first insert), so a tuple is kept as the pointer to its
+// backing array — which keeps the array alive — and read back by row with
+// len == cap == arity: an append to a read-back tuple always copies. A
+// map slot is 48 bytes instead of the 64 a Row costs. The cell keeps the
+// key because m[string(b)] = v and delete(m, string(b)) both allocate:
+// with the string at hand, changing a present tuple's count does not.
+type cell struct {
+	key   string
+	vals  *value.Value
+	count int64
+}
+
+// row rebuilds the Row of a cell stored in r.
+func (r *Relation) row(c cell) Row {
+	return Row{Tuple: unsafe.Slice(c.vals, r.arity), Count: c.count, key: c.key}
+}
+
 // New returns an empty relation with the given arity. Arity -1 means
 // "unknown until the first insert" (useful for generic plumbing).
 func New(arity int) *Relation {
-	return &Relation{arity: arity, rows: make(map[string]Row)}
+	return &Relation{arity: arity, rows: make(map[string]cell)}
 }
 
 // FromRows builds a relation from rows, merging duplicate tuples' counts.
@@ -113,8 +133,8 @@ func (r *Relation) Len() int { return len(r.rows) }
 // TotalCount returns the sum of all counts (the multiset cardinality).
 func (r *Relation) TotalCount() int64 {
 	var n int64
-	for _, row := range r.rows {
-		n += row.Count
+	for _, c := range r.rows {
+		n += c.count
 	}
 	return n
 }
@@ -127,14 +147,17 @@ func (r *Relation) Empty() bool { return len(r.rows) == 0 }
 // which allocates nothing.
 func (r *Relation) Count(t value.Tuple) int64 {
 	var buf [value.KeyScratch]byte
-	return r.rows[string(t.AppendKey(buf[:0]))].Count
+	return r.rows[string(t.AppendKey(buf[:0]))].count
 }
 
 // Stored returns the row stored under the canonical key kb, for callers
 // that hold a tuple's encoding rather than the tuple. Allocates nothing.
 func (r *Relation) Stored(kb []byte) (Row, bool) {
-	row, ok := r.rows[string(kb)]
-	return row, ok
+	c, ok := r.rows[string(kb)]
+	if !ok {
+		return Row{}, false
+	}
+	return r.row(c), true
 }
 
 // Has reports whether t is present with a positive count. This is the
@@ -169,8 +192,8 @@ func (r *Relation) Add(t value.Tuple, count int64) {
 	r.mutable()
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
-	if row, ok := r.rows[string(kb)]; ok {
-		r.bump(row, count)
+	if c, ok := r.rows[string(kb)]; ok {
+		r.bump(c, count)
 		return
 	}
 	r.insert(Row{Tuple: t, Count: count, key: string(kb)})
@@ -188,8 +211,8 @@ func (r *Relation) AddRow(in Row) {
 		return
 	}
 	r.mutable()
-	if row, ok := r.rows[in.key]; ok {
-		r.bump(row, in.Count)
+	if c, ok := r.rows[in.key]; ok {
+		r.bump(c, in.Count)
 		return
 	}
 	r.insert(in)
@@ -202,20 +225,20 @@ func (r *Relation) insert(row Row) {
 	} else if len(row.Tuple) != r.arity {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", row.Tuple, r.arity))
 	}
-	r.rows[row.key] = row
+	r.rows[row.key] = cell{key: row.key, vals: unsafe.SliceData(row.Tuple), count: row.Count}
 	r.idxAdd(row, row.Count, false)
 	r.statsAdd(row.Tuple, 1)
 }
 
-// bump adds delta to a stored row, removing it when the count cancels.
-func (r *Relation) bump(row Row, delta int64) {
-	if row.Count += delta; row.Count == 0 {
-		delete(r.rows, row.key)
-		r.statsAdd(row.Tuple, -1)
+// bump adds delta to a stored cell, removing it when the count cancels.
+func (r *Relation) bump(c cell, delta int64) {
+	if c.count += delta; c.count == 0 {
+		delete(r.rows, c.key)
+		r.statsAdd(r.row(c).Tuple, -1)
 	} else {
-		r.rows[row.key] = row
+		r.rows[c.key] = c
 	}
-	r.idxAdd(row, delta, true)
+	r.idxAdd(r.row(c), delta, true)
 }
 
 // Set forces the count of t to exactly count (removing it when 0).
@@ -227,24 +250,24 @@ func (r *Relation) Set(t value.Tuple, count int64) {
 func (r *Relation) Delete(t value.Tuple) {
 	r.mutable()
 	var buf [value.KeyScratch]byte
-	if row, ok := r.rows[string(t.AppendKey(buf[:0]))]; ok {
-		r.bump(row, -row.Count)
+	if c, ok := r.rows[string(t.AppendKey(buf[:0]))]; ok {
+		r.bump(c, -c.count)
 	}
 }
 
 // Each calls f for every row. Iteration order is unspecified. f must not
 // mutate the relation.
 func (r *Relation) Each(f func(Row)) {
-	for _, row := range r.rows {
-		f(row)
+	for _, c := range r.rows {
+		f(r.row(c))
 	}
 }
 
 // Rows returns all rows in unspecified order.
 func (r *Relation) Rows() []Row {
 	out := make([]Row, 0, len(r.rows))
-	for _, row := range r.rows {
-		out = append(out, row)
+	for _, c := range r.rows {
+		out = append(out, r.row(c))
 	}
 	return out
 }
@@ -261,17 +284,18 @@ func (r *Relation) SortedRows() []Row {
 // Indexes are not copied.
 func (r *Relation) Clone() *Relation {
 	c := NewSized(r.arity, len(r.rows))
-	for k, row := range r.rows {
-		c.rows[k] = row
+	for k, cl := range r.rows {
+		c.rows[k] = cl
 	}
 	return c
 }
 
 // NewSized is New with the row map sized for n rows. n must be an exact
 // count: a map sized from an upper bound stays that large for the life
-// of the relation (Negate, and DRed's negPart/posPart, count first).
+// of the relation (Negate, counting's setTransitions and DRed's
+// negPart/posPart count first).
 func NewSized(arity, n int) *Relation {
-	return &Relation{arity: arity, rows: make(map[string]Row, n)}
+	return &Relation{arity: arity, rows: make(map[string]cell, n)}
 }
 
 // Reset empties r for reuse as a scratch output, keeping its arity and
@@ -295,8 +319,8 @@ func (r *Relation) Reset() {
 // counts add, zero-count tuples vanish. r is modified in place. Stored
 // rows carry their keys, so no tuple is encoded.
 func (r *Relation) MergeDelta(delta *Relation) {
-	for _, row := range delta.rows {
-		r.AddRow(row)
+	for _, c := range delta.rows {
+		r.AddRow(delta.row(c))
 	}
 }
 
@@ -311,8 +335,9 @@ func UnionPlus(a, b *Relation) *Relation {
 // image of a relation).
 func (r *Relation) Negate() *Relation {
 	out := NewSized(r.arity, len(r.rows))
-	for k, row := range r.rows {
-		out.rows[k] = Row{Tuple: row.Tuple, Count: -row.Count, key: k}
+	for k, c := range r.rows {
+		c.count = -c.count
+		out.rows[k] = c
 	}
 	return out
 }
@@ -322,9 +347,10 @@ func (r *Relation) Negate() *Relation {
 // set(·) function of Algorithm 4.1 statement (2).
 func (r *Relation) ToSet() *Relation {
 	out := NewSized(r.arity, len(r.rows))
-	for k, row := range r.rows {
-		if row.Count > 0 {
-			out.rows[k] = Row{Tuple: row.Tuple, Count: 1, key: k}
+	for k, c := range r.rows {
+		if c.count > 0 {
+			c.count = 1
+			out.rows[k] = c
 		}
 	}
 	return out
@@ -335,14 +361,19 @@ func (r *Relation) ToSet() *Relation {
 // Algorithm 4.1 (the cascade delta under set semantics).
 func SetDiff(a, b *Relation) *Relation {
 	out := New(pickArity(a, b))
-	for k, row := range a.rows {
-		if row.Count > 0 && b.rows[k].Count <= 0 {
-			out.rows[k] = Row{Tuple: row.Tuple, Count: 1, key: k}
+	if len(b.rows) > 0 && b.arity != out.arity { // out takes cells of both
+		panic(fmt.Sprintf("relation: SetDiff of arity-%d and arity-%d relations", a.arity, b.arity))
+	}
+	for k, c := range a.rows {
+		if c.count > 0 && b.rows[k].count <= 0 {
+			c.count = 1
+			out.rows[k] = c
 		}
 	}
-	for k, row := range b.rows {
-		if row.Count > 0 && a.rows[k].Count <= 0 {
-			out.rows[k] = Row{Tuple: row.Tuple, Count: -1, key: k}
+	for k, c := range b.rows {
+		if c.count > 0 && a.rows[k].count <= 0 {
+			c.count = -1
+			out.rows[k] = c
 		}
 	}
 	return out
@@ -354,8 +385,8 @@ func Equal(a, b *Relation) bool {
 	if len(a.rows) != len(b.rows) {
 		return false
 	}
-	for k, row := range a.rows {
-		if b.rows[k].Count != row.Count {
+	for k, c := range a.rows {
+		if b.rows[k].count != c.count {
 			return false
 		}
 	}
@@ -364,13 +395,13 @@ func Equal(a, b *Relation) bool {
 
 // EqualAsSets reports whether a and b have the same positive-count tuples.
 func EqualAsSets(a, b *Relation) bool {
-	for k, row := range a.rows {
-		if row.Count > 0 && b.rows[k].Count <= 0 {
+	for k, c := range a.rows {
+		if c.count > 0 && b.rows[k].count <= 0 {
 			return false
 		}
 	}
-	for k, row := range b.rows {
-		if row.Count > 0 && a.rows[k].Count <= 0 {
+	for k, c := range b.rows {
+		if c.count > 0 && a.rows[k].count <= 0 {
 			return false
 		}
 	}

@@ -131,8 +131,8 @@ func (r *Relation) DistinctEst(col int) int {
 				arity = 0
 			}
 			st = &tableStats{cols: make([]colSketch, arity)}
-			for _, row := range r.rows {
-				st.add(row.Tuple, 1)
+			for _, c := range r.rows {
+				st.add(r.row(c).Tuple, 1)
 			}
 			r.stats = st
 			r.hasStats.Store(true)

@@ -39,18 +39,19 @@ func (k Kind) String() string {
 }
 
 // Value is a scalar database value. The zero Value is the integer 0.
+// An Int and a Float are never both live, so they share n: the int64
+// itself, or the float64's IEEE-754 bits.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
 }
 
 // NewInt returns an integer Value.
-func NewInt(i int64) Value { return Value{kind: Int, i: i} }
+func NewInt(i int64) Value { return Value{kind: Int, n: uint64(i)} }
 
 // NewFloat returns a floating-point Value.
-func NewFloat(f float64) Value { return Value{kind: Float, f: f} }
+func NewFloat(f float64) Value { return Value{kind: Float, n: math.Float64bits(f)} }
 
 // NewString returns a string Value.
 func NewString(s string) Value { return Value{kind: String, s: s} }
@@ -63,7 +64,7 @@ func (v Value) Int() int64 {
 	if v.kind != Int {
 		panic("value: Int() on " + v.kind.String())
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // Float returns the float payload, converting an Int transparently.
@@ -71,9 +72,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case Float:
-		return v.f
+		return math.Float64frombits(v.n)
 	case Int:
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
 	panic("value: Float() on " + v.kind.String())
 }
@@ -97,9 +98,9 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.kind {
 	case Int:
-		return v.i == o.i
-	case Float:
-		return v.f == o.f
+		return v.n == o.n
+	case Float: // float ==, not bits: -0.0 equals 0.0 and NaN nothing
+		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
 	default:
 		return v.s == o.s
 	}
@@ -139,7 +140,7 @@ func (v Value) Compare(o Value) int {
 func (v Value) String() string {
 	switch {
 	case v.kind == Int:
-		return strconv.FormatInt(v.i, 10) // small ints come out of strconv's static table
+		return strconv.FormatInt(int64(v.n), 10) // small ints come out of strconv's static table
 	case v.kind == String && isIdent(v.s):
 		return v.s
 	}
@@ -153,14 +154,14 @@ func (v Value) String() string {
 func (v Value) AppendText(dst []byte) []byte {
 	switch v.kind {
 	case Int:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, int64(v.n), 10)
 	case Float:
-		start := len(dst)
-		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		start, f := len(dst), math.Float64frombits(v.n)
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
 		// NaN/±Inf have no literal syntax and render for display only;
 		// store-bound Views.Apply rejects them since a logged record
 		// holding one could never replay.
-		if bytes.IndexAny(dst[start:], ".eE") < 0 && !math.IsInf(v.f, 0) && !math.IsNaN(v.f) {
+		if bytes.IndexAny(dst[start:], ".eE") < 0 && !math.IsInf(f, 0) && !math.IsNaN(f) {
 			dst = append(dst, ".0"...)
 		}
 		return dst
@@ -203,10 +204,10 @@ func (v Value) appendKey(b []byte) []byte {
 	switch v.kind {
 	case Int:
 		b = append(b, 'i')
-		b = strconv.AppendInt(b, v.i, 10)
+		b = strconv.AppendInt(b, int64(v.n), 10)
 	case Float:
 		b = append(b, 'f')
-		b = strconv.AppendUint(b, math.Float64bits(v.f), 16)
+		b = strconv.AppendUint(b, v.n, 16)
 	default:
 		b = append(b, 's')
 		b = strconv.AppendInt(b, int64(len(v.s)), 10)
@@ -234,7 +235,7 @@ func Add(a, b Value) (Value, error) {
 		return Value{}, err
 	}
 	if a.kind == Int && b.kind == Int {
-		return NewInt(a.i + b.i), nil
+		return NewInt(a.Int() + b.Int()), nil
 	}
 	return NewFloat(a.Float() + b.Float()), nil
 }
@@ -245,7 +246,7 @@ func Sub(a, b Value) (Value, error) {
 		return Value{}, err
 	}
 	if a.kind == Int && b.kind == Int {
-		return NewInt(a.i - b.i), nil
+		return NewInt(a.Int() - b.Int()), nil
 	}
 	return NewFloat(a.Float() - b.Float()), nil
 }
@@ -256,7 +257,7 @@ func Mul(a, b Value) (Value, error) {
 		return Value{}, err
 	}
 	if a.kind == Int && b.kind == Int {
-		return NewInt(a.i * b.i), nil
+		return NewInt(a.Int() * b.Int()), nil
 	}
 	return NewFloat(a.Float() * b.Float()), nil
 }
@@ -267,10 +268,10 @@ func Div(a, b Value) (Value, error) {
 		return Value{}, err
 	}
 	if a.kind == Int && b.kind == Int {
-		if b.i == 0 {
+		if b.n == 0 {
 			return Value{}, &ArithError{"div", "integer division by zero"}
 		}
-		return NewInt(a.i / b.i), nil
+		return NewInt(a.Int() / b.Int()), nil
 	}
 	d := b.Float()
 	if d == 0 {
