@@ -132,7 +132,8 @@ docs-lint:
 	sh scripts/docs_lint.sh
 
 # Lines of non-test Go outside benchmark/ (ROADMAP aim 2's running
-# total); CI's build job writes the same line into its summary.
+# total), gated against .github/loc-ceiling.txt; CI's build job runs the
+# same script and writes its line into the summary.
 loc:
 	@sh scripts/loc.sh
 

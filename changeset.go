@@ -24,7 +24,7 @@ type ChangeSet struct {
 
 	// preds is the read side, one entry per changed predicate in name
 	// order, laid out on first use (perPred is final by then: the hidden
-	// predicates are dropped before a ChangeSet leaves maintainLocked).
+	// predicates are dropped as the ChangeSet is made, changeSetLocked).
 	once  sync.Once
 	preds []predChanges
 }
@@ -77,36 +77,6 @@ func (p *predChanges) split() (ins, del []Row) {
 // this value observe the update (0 for change sets not produced by a
 // published maintenance pass).
 func (c *ChangeSet) Version() uint64 { return c.version }
-
-func changeSetFromDeltas(m map[string]*relation.Relation) *ChangeSet {
-	return &ChangeSet{perPred: m}
-}
-
-func changeSetFromChanges(del, add map[string]*relation.Relation) *ChangeSet {
-	per := make(map[string]*relation.Relation)
-	for pred, d := range del {
-		n, ok := per[pred]
-		if !ok {
-			n = relation.New(d.Arity())
-			per[pred] = n
-		}
-		n.MergeDelta(d.Negate())
-	}
-	for pred, a := range add {
-		n, ok := per[pred]
-		if !ok {
-			n = relation.New(a.Arity())
-			per[pred] = n
-		}
-		n.MergeDelta(a)
-	}
-	for pred, n := range per {
-		if n.Empty() {
-			delete(per, pred)
-		}
-	}
-	return &ChangeSet{perPred: per}
-}
 
 // index returns the per-predicate read side in name order.
 func (c *ChangeSet) index() []predChanges {

@@ -52,35 +52,21 @@ func run() error {
 	metricsFlag := flag.Bool("metrics", false, "print a metrics exposition (name value lines) before exiting")
 	flag.Parse()
 
-	var opts []ivm.Option
-	switch *strategyFlag {
-	case "auto":
-	case "counting":
-		opts = append(opts, ivm.WithStrategy(ivm.Counting))
-	case "dred":
-		opts = append(opts, ivm.WithStrategy(ivm.DRed))
-	case "recompute":
-		opts = append(opts, ivm.WithStrategy(ivm.Recompute))
-	case "pf":
-		opts = append(opts, ivm.WithStrategy(ivm.PF))
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategyFlag)
+	strategy, err := ivm.ParseStrategy(*strategyFlag)
+	if err != nil {
+		return err
 	}
-	switch *semanticsFlag {
-	case "set":
-		opts = append(opts, ivm.WithSemantics(ivm.SetSemantics))
-	case "duplicate", "dup":
-		opts = append(opts, ivm.WithSemantics(ivm.DuplicateSemantics))
-	default:
-		return fmt.Errorf("unknown semantics %q", *semanticsFlag)
+	semantics, err := ivm.ParseSemantics(*semanticsFlag)
+	if err != nil {
+		return err
 	}
+	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
 
 	if *groupCommit {
 		opts = append(opts, ivm.WithGroupCommit())
 	}
 
 	var views *ivm.Views
-	var err error
 	if *storeDir != "" {
 		views, err = openStore(*storeDir, *programPath, *dataPath, *snapshotPath, opts)
 	} else {

@@ -90,25 +90,18 @@ func run() error {
 		}
 	}
 
-	var opts []ivm.Option
-	switch *strategyFlag {
-	case "auto":
-	case "counting":
-		opts = append(opts, ivm.WithStrategy(ivm.Counting))
-	case "dred":
-		opts = append(opts, ivm.WithStrategy(ivm.DRed))
-	case "recompute":
-		opts = append(opts, ivm.WithStrategy(ivm.Recompute))
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategyFlag)
+	strategy, err := ivm.ParseStrategy(*strategyFlag)
+	if err != nil {
+		return err
 	}
-	switch *semanticsFlag {
-	case "set":
-	case "duplicate", "dup":
-		opts = append(opts, ivm.WithSemantics(ivm.DuplicateSemantics))
-	default:
-		return fmt.Errorf("unknown semantics %q", *semanticsFlag)
+	if strategy == ivm.PF {
+		return fmt.Errorf("strategy %q cannot be served: the PF baseline cannot be store-bound", *strategyFlag)
 	}
+	semantics, err := ivm.ParseSemantics(*semanticsFlag)
+	if err != nil {
+		return err
+	}
+	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
 	if *groupCommit {
 		opts = append(opts, ivm.WithGroupCommit())
 	}

@@ -2,8 +2,10 @@ package ivm_test
 
 // Concurrency test: readers hammer Query/Rows/Count/Explain while a
 // writer applies update batches. Run with -race — the point is that the
-// Views lock discipline (reads under RLock, including index-building
-// Lookups; maintenance under the write lock) holds up under load.
+// Views read discipline holds up under load: a read pins the atomically
+// published version and takes no Views lock (a Lookup that builds an index
+// synchronizes on that relation's own index mutex), maintenance runs under
+// the write mutex and publishes the successor with one pointer store.
 
 import (
 	"fmt"

@@ -1,0 +1,22 @@
+package ivm
+
+// What the engine holds, as opposed to what the views have published: the
+// external test package asserts that the two never part.
+
+// EngineRules is the number of rules in the engine's program.
+func EngineRules(v *Views) int {
+	v.wmu.Lock()
+	defer v.wmu.Unlock()
+	return len(v.eng.Program().Rules)
+}
+
+// EngineRows is the engine's stored relation for pred, sorted.
+func EngineRows(v *Views, pred string) []Row {
+	v.wmu.Lock()
+	defer v.wmu.Unlock()
+	r := v.eng.DB().Get(pred)
+	if r == nil {
+		return nil
+	}
+	return r.SortedRows()
+}

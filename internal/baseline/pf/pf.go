@@ -58,7 +58,7 @@ type Engine struct {
 
 	// last holds the accumulated work counters of the most recent Apply,
 	// read via Stats(). Callers sharing the engine across goroutines must
-	// serialize Apply against Stats (ivm.Views does so under its RWMutex).
+	// serialize Apply against Stats (see dred.Engine).
 	last Stats
 
 	// lastDeltas accumulates, per predicate, the exact signed deltas the
@@ -77,8 +77,9 @@ type Engine struct {
 	mApplySeconds *metrics.Histogram
 }
 
-// Stats returns the accumulated work counters of the most recent Apply.
-func (e *Engine) Stats() Stats { return e.last }
+// Stats returns the accumulated work counters of the most recent Apply,
+// as a Stats.
+func (e *Engine) Stats() any { return e.last }
 
 // CommittedDeltas returns, per predicate, the exact signed count delta
 // the most recent Apply merged into its stored relation, summed across
@@ -125,8 +126,9 @@ func (e *Engine) Relation(pred string) *relation.Relation { return e.d.Relation(
 func (e *Engine) DB() *eval.DB { return e.d.DB() }
 
 // Apply propagates the batch fragmented into one pass per base predicate
-// (or per tuple with FragmentTuples), accumulating the net changes.
-func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*dred.Changes, error) {
+// (or per tuple with FragmentTuples) and returns the signed net change of
+// each derived relation across the passes.
+func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
 	timing := e.tracer != nil || e.mApplySeconds != nil
 	var applyStart time.Time
@@ -142,39 +144,19 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*dred.Changes, 
 	}
 	sort.Strings(preds)
 
-	net := make(map[string]*relation.Relation)
-	fold := func(ch *dred.Changes) {
-		for pred, d := range ch.Del {
-			n, ok := net[pred]
-			if !ok {
-				n = relation.New(d.Arity())
-				net[pred] = n
-			}
-			n.MergeDelta(d.Negate())
-		}
-		for pred, a := range ch.Add {
-			n, ok := net[pred]
-			if !ok {
-				n = relation.New(a.Arity())
-				net[pred] = n
-			}
-			n.MergeDelta(a)
-		}
-	}
 	committed := make(map[string]*relation.Relation)
 	pass := func(delta map[string]*relation.Relation) error {
-		ch, err := e.d.Apply(delta)
-		if err != nil {
+		if _, err := e.d.Apply(delta); err != nil {
 			return err
 		}
-		st := e.d.Stats()
+		st := e.d.Stats().(dred.Stats)
 		e.last.Passes++
 		e.last.Overestimated += st.Overestimated
 		e.last.Rederived += st.Rederived
 		e.last.Inserted += st.Inserted
 		e.last.RuleFirings += st.RuleFirings
-		// Base transitions are in the inner engine's committed net but
-		// not in its visible Changes, so fold the former for snapshots.
+		// The pass's committed net holds its base transitions and, for
+		// each derived predicate, exactly the change the pass reported.
 		for pred, n := range e.d.CommittedDeltas() {
 			acc, ok := committed[pred]
 			if !ok {
@@ -183,7 +165,6 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*dred.Changes, 
 			}
 			acc.MergeDelta(n)
 		}
-		fold(ch)
 		return nil
 	}
 
@@ -213,23 +194,19 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*dred.Changes, 
 		}
 	}
 
+	// A tuple one pass deleted and a later one rederived has cancelled in
+	// the sum: what is left of a derived predicate is its visible change.
 	e.lastDeltas = make(map[string]*relation.Relation, len(committed))
+	out := make(map[string]*relation.Relation)
+	derived := e.d.Program().DerivedPreds()
 	for pred, acc := range committed {
-		if !acc.Empty() {
-			acc.Freeze()
-			e.lastDeltas[pred] = acc
+		if acc.Empty() {
+			continue
 		}
-	}
-	out := &dred.Changes{
-		Del: make(map[string]*relation.Relation),
-		Add: make(map[string]*relation.Relation),
-	}
-	for pred, n := range net {
-		if d := negSide(n); !d.Empty() {
-			out.Del[pred] = d
-		}
-		if a := posSide(n); !a.Empty() {
-			out.Add[pred] = a
+		acc.Freeze()
+		e.lastDeltas[pred] = acc
+		if derived[pred] {
+			out[pred] = acc
 		}
 	}
 	e.mApplies.Inc()
@@ -242,28 +219,8 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*dred.Changes, 
 		d := time.Since(applyStart)
 		e.mApplySeconds.Observe(d)
 		if e.tracer != nil {
-			e.tracer.BatchDone(d, len(out.Del)+len(out.Add))
+			e.tracer.BatchDone(d, len(out))
 		}
 	}
 	return out, nil
-}
-
-func negSide(r *relation.Relation) *relation.Relation {
-	out := relation.New(r.Arity())
-	r.Each(func(row relation.Row) {
-		if row.Count < 0 {
-			out.Add(row.Tuple, 1)
-		}
-	})
-	return out
-}
-
-func posSide(r *relation.Relation) *relation.Relation {
-	out := relation.New(r.Arity())
-	r.Each(func(row relation.Row) {
-		if row.Count > 0 {
-			out.Add(row.Tuple, 1)
-		}
-	})
-	return out
 }

@@ -104,12 +104,13 @@ func TestPFFragmentsWork(t *testing.T) {
 	if _, err := d.Apply(dm); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stats().Passes != 5 {
-		t.Fatalf("passes = %d, want 5", p.Stats().Passes)
+	pst, dst := p.Stats().(Stats), d.Stats().(dred.Stats)
+	if pst.Passes != 5 {
+		t.Fatalf("passes = %d, want 5", pst.Passes)
 	}
-	if p.Stats().RuleFirings <= d.Stats().RuleFirings {
+	if pst.RuleFirings <= dst.RuleFirings {
 		t.Fatalf("PF should do more work: pf=%d dred=%d",
-			p.Stats().RuleFirings, d.Stats().RuleFirings)
+			pst.RuleFirings, dst.RuleFirings)
 	}
 }
 
@@ -132,7 +133,7 @@ func TestPFChangeSetsMergeAcrossPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.Del["tc"] != nil {
-		t.Fatalf("tc unchanged as a set, but Del=%v", ch.Del["tc"])
+	if ch["tc"] != nil {
+		t.Fatalf("tc unchanged as a set, but Δ(tc) = %v", ch["tc"])
 	}
 }

@@ -84,6 +84,9 @@ func New(prog *datalog.Program, base *eval.DB, sem eval.Semantics) (*Engine, err
 	return &Engine{prog: prog, strat: st, sem: sem, db: db}, nil
 }
 
+// Stats returns nil: a recomputation keeps no work counters.
+func (e *Engine) Stats() any { return nil }
+
 // Program returns the view program.
 func (e *Engine) Program() *datalog.Program { return e.prog }
 
@@ -214,6 +217,3 @@ func diff(old, new *relation.Relation) *relation.Relation {
 	})
 	return out
 }
-
-// Semantics returns the engine's semantics.
-func (e *Engine) Semantics() eval.Semantics { return e.sem }

@@ -127,8 +127,8 @@ type Engine struct {
 	mStratumSecs  *metrics.Histogram
 }
 
-// Stats returns the work counters of the most recent Apply.
-func (e *Engine) Stats() Stats { return e.last }
+// Stats returns the work counters of the most recent Apply, as a Stats.
+func (e *Engine) Stats() any { return e.last }
 
 // CommittedDeltas returns, per predicate, the exact signed count delta
 // the most recent Apply merged into its stored relation (base and

@@ -142,7 +142,7 @@ func TestEmptyDeltaNoChanges(t *testing.T) {
 	if len(ch) != 0 {
 		t.Fatalf("changes: %v", ch)
 	}
-	if e.Stats().DeltaRulesEvaluated != 0 {
+	if e.Stats().(Stats).DeltaRulesEvaluated != 0 {
 		t.Fatal("no delta rules should fire")
 	}
 }
@@ -166,8 +166,8 @@ func TestIrrelevantDeltaStopsEarly(t *testing.T) {
 	if ch["other"] == nil {
 		t.Fatal("other must change")
 	}
-	if e.Stats().DeltaRulesEvaluated != 1 {
-		t.Fatalf("delta rules evaluated = %d, want 1", e.Stats().DeltaRulesEvaluated)
+	if e.Stats().(Stats).DeltaRulesEvaluated != 1 {
+		t.Fatalf("delta rules evaluated = %d, want 1", e.Stats().(Stats).DeltaRulesEvaluated)
 	}
 }
 

@@ -28,13 +28,6 @@ import (
 	"ivm/internal/strata"
 )
 
-// Changes reports, per derived predicate, the tuples that left and
-// entered the view during one maintenance operation.
-type Changes struct {
-	Del map[string]*relation.Relation
-	Add map[string]*relation.Relation
-}
-
 // Stats describes the work of the most recent maintenance operation.
 type Stats struct {
 	// Overestimated counts tuples placed in δ⁻ overestimates (step 1).
@@ -84,7 +77,8 @@ type Engine struct {
 	// last holds the work counters of the most recent operation. It is
 	// written only by Apply/AddRule/RemoveRule and read via Stats();
 	// callers sharing the engine across goroutines must serialize
-	// maintenance against Stats (ivm.Views does so under its RWMutex).
+	// maintenance against Stats (ivm.Views copies it onto each version it
+	// publishes, under its write mutex; its readers never touch the engine).
 	last Stats
 
 	// lastNet holds, per predicate, the exact signed net delta the most
@@ -111,8 +105,8 @@ type Engine struct {
 }
 
 // Stats returns the work counters of the most recent maintenance
-// operation (Apply, AddRule, or RemoveRule).
-func (e *Engine) Stats() Stats { return e.last }
+// operation (Apply, AddRule, or RemoveRule), as a Stats.
+func (e *Engine) Stats() any { return e.last }
 
 // CommittedDeltas returns, per predicate, the exact signed count delta
 // the most recent operation merged into its stored relation. The
@@ -209,7 +203,9 @@ func (e *Engine) DB() *eval.DB { return e.db }
 // insert, negative delete; multiplicities collapse to set transitions).
 // Deletions of absent tuples are rejected. The new materialization
 // contains t iff t has a derivation in the updated database (Theorem 7.1).
-func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*Changes, error) {
+// It returns the signed change of each derived relation that moved: -1 for
+// a tuple that left the view, +1 for one that entered it.
+func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
 	if e.tracer != nil {
 		e.tracer.BatchStart("dred", len(baseDelta))
@@ -263,7 +259,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (*Changes, error
 // with stored facts into a derived predicate is rejected, since derived
 // relations are defined entirely by their rules (a rematerialization
 // would drop the facts).
-func (e *Engine) AddRule(r datalog.Rule) (*Changes, error) {
+func (e *Engine) AddRule(r datalog.Rule) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
 	if e.tracer != nil {
 		e.tracer.BatchStart("dred:add-rule", 1)
@@ -288,21 +284,10 @@ func (e *Engine) AddRule(r datalog.Rule) (*Changes, error) {
 	e.planner.Reset()
 
 	// Seed: the new rule's derivations not yet in the view.
-	tmp := relation.New(len(r.Head.Args))
-	srcs, err := e.ruleSources(ri, nil, nil)
+	seed, err := e.ruleSeed(ri, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := eval.EvalRuleInstr(r, srcs, -1, tmp, e.instr); err != nil {
-		return nil, err
-	}
-	stored := e.db.Ensure(r.Head.Pred, len(r.Head.Args))
-	seed := relation.New(len(r.Head.Args))
-	tmp.Each(func(row relation.Row) {
-		if row.Count > 0 && !stored.Has(row.Tuple) {
-			seed.AddRow(row.WithCount(1))
-		}
-	})
 	seedAdd := map[string]*relation.Relation{r.Head.Pred: seed}
 	return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
 		make(map[string]*relation.Relation), nil, seedAdd)
@@ -310,7 +295,7 @@ func (e *Engine) AddRule(r datalog.Rule) (*Changes, error) {
 
 // RemoveRule deletes rule index ri from the view definition and
 // incrementally removes the derivations only it supported.
-func (e *Engine) RemoveRule(ri int) (*Changes, error) {
+func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
 	if e.tracer != nil {
 		e.tracer.BatchStart("dred:remove-rule", 1)
@@ -322,21 +307,10 @@ func (e *Engine) RemoveRule(ri int) (*Changes, error) {
 
 	// Seed: every stored tuple the removed rule derives is a deletion
 	// candidate (step 2 rederives those the remaining rules support).
-	tmp := relation.New(len(removed.Head.Args))
-	srcs, err := e.ruleSources(ri, nil, nil)
+	seed, err := e.ruleSeed(ri, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := eval.EvalRuleInstr(removed, srcs, -1, tmp, e.instr); err != nil {
-		return nil, err
-	}
-	stored := e.db.Ensure(removed.Head.Pred, len(removed.Head.Args))
-	seed := relation.New(len(removed.Head.Args))
-	tmp.Each(func(row relation.Row) {
-		if row.Count > 0 && stored.Has(row.Tuple) {
-			seed.AddRow(row.WithCount(1))
-		}
-	})
 
 	newProg := e.prog.Clone()
 	newProg.Rules = append(newProg.Rules[:ri], newProg.Rules[ri+1:]...)
@@ -379,6 +353,29 @@ func (e *Engine) RemoveRule(ri int) (*Changes, error) {
 	}
 	return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
 		make(map[string]*relation.Relation), seedDel, nil)
+}
+
+// ruleSeed evaluates rule ri over the committed state and returns, as a
+// set, the tuples it derives that the head relation holds (stored) or
+// lacks (!stored): the seed of a rule removal, resp. insertion.
+func (e *Engine) ruleSeed(ri int, stored bool) (*relation.Relation, error) {
+	rule := e.prog.Rules[ri]
+	out := relation.New(len(rule.Head.Args))
+	srcs, err := e.ruleSources(ri, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := eval.EvalRuleInstr(rule, srcs, -1, out, e.instr); err != nil {
+		return nil, err
+	}
+	head := e.db.Ensure(rule.Head.Pred, len(rule.Head.Args))
+	seed := relation.New(len(rule.Head.Args))
+	out.Each(func(row relation.Row) {
+		if row.Count > 0 && head.Has(row.Tuple) == stored {
+			seed.AddRow(row.WithCount(1))
+		}
+	})
+	return seed, nil
 }
 
 // negPart and posPart return the tuples r holds with a negative (resp.

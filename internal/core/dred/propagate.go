@@ -16,7 +16,7 @@ import (
 // seedDel/seedAdd inject deletion candidates / insertions directly at a
 // derived predicate's own stratum (used by RemoveRule/AddRule).
 func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
-	seedDel, seedAdd map[string]*relation.Relation) (_ *Changes, err error) {
+	seedDel, seedAdd map[string]*relation.Relation) (_ map[string]*relation.Relation, err error) {
 
 	timing := e.observing()
 	var opStart time.Time
@@ -24,10 +24,9 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		opStart = time.Now()
 	}
 
-	changes := &Changes{
-		Del: make(map[string]*relation.Relation),
-		Add: make(map[string]*relation.Relation),
-	}
+	// changes is what the operation reports: per derived predicate that
+	// moved, its committed net — the one signed Δ(P) of the paper's §3.
+	changes := make(map[string]*relation.Relation)
 	pendingT := make(map[eval.RuleLit]*relation.Relation)
 	defer func() {
 		if err == nil {
@@ -552,14 +551,12 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			if n == nil || n.Empty() {
 				continue
 			}
-			dn, ap := negPart(n), posPart(n)
-			if !dn.Empty() {
+			changes[pred] = n
+			if dn := negPart(n); !dn.Empty() {
 				del[pred] = dn
-				changes.Del[pred] = dn
 			}
-			if !ap.Empty() {
+			if ap := posPart(n); !ap.Empty() {
 				add[pred] = ap
-				changes.Add[pred] = ap
 			}
 		}
 	}
@@ -585,7 +582,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		d := time.Since(opStart)
 		e.mApplySeconds.Observe(d)
 		if e.tracer != nil {
-			e.tracer.BatchDone(d, len(changes.Del)+len(changes.Add))
+			e.tracer.BatchDone(d, len(changes))
 		}
 	}
 	return changes, nil

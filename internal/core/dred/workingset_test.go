@@ -115,12 +115,13 @@ func TestWorkingSetRandomizedStream(t *testing.T) {
 									step, pred, e.Relation(pred), re.Relation(pred))
 							}
 						}
-						st := e.Stats()
+						st := e.Stats().(Stats)
 						dels, adds := 0, 0
-						for _, r := range ch.Del {
+						del, add := split(ch)
+						for _, r := range del {
 							dels += r.Len()
 						}
-						for _, r := range ch.Add {
+						for _, r := range add {
 							adds += r.Len()
 						}
 						if deleting && dels != st.Overestimated-st.Rederived {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ivm/internal/baseline/pf"
 	"ivm/internal/core/counting"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
@@ -141,9 +142,8 @@ func RunE3(s Scale) *Table {
 			}
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				fired = e.Stats().DeltaRulesEvaluated
-				tuples = e.Stats().DeltaTuples
-				stopped = e.Stats().CascadeStopped
+				st := e.Stats().(counting.Stats)
+				fired, tuples, stopped = st.DeltaRulesEvaluated, st.DeltaTuples, st.CascadeStopped
 				return err
 			}
 		})
@@ -321,7 +321,7 @@ func RunE8(s Scale) *Table {
 	link := workload.RandomGraph(Rng(81), n, m)
 	trials := s.Trials*2 + 1
 	for _, k := range []int{1, 4, 16, m / 2} {
-		var dred []e8Sample
+		var dredRuns []e8Sample
 		var reco []time.Duration
 		for trial := 0; trial < trials; trial++ {
 			d := workload.SampleDeletes(Rng(int64(800+trial)), link, k)
@@ -331,7 +331,7 @@ func RunE8(s Scale) *Table {
 			if err != nil {
 				panic(err)
 			}
-			dred = append(dred, e8Sample{el, e.Stats().Overestimated})
+			dredRuns = append(dredRuns, e8Sample{el, e.Stats().(dred.Stats).Overestimated})
 
 			r := RecomputeEngine(TCProgram, LinkDB(link.Clone()), eval.Set)
 			el, err = timeIt(func() error { _, err := r.Apply(DeltaOf(d)); return err })
@@ -340,12 +340,12 @@ func RunE8(s Scale) *Table {
 			}
 			reco = append(reco, el)
 		}
-		sortSamples(dred)
+		sortSamples(dredRuns)
 		sortDurations(reco)
-		p50, rp50 := dred[len(dred)/2], reco[len(reco)/2]
+		p50, rp50 := dredRuns[len(dredRuns)/2], reco[len(reco)/2]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(k), dur(p50.d),
-			fmt.Sprintf("%s…%s", dur(dred[0].d), dur(dred[len(dred)-1].d)),
+			fmt.Sprintf("%s…%s", dur(dredRuns[0].d), dur(dredRuns[len(dredRuns)-1].d)),
 			dur(rp50), fmt.Sprintf("%.2f", float64(p50.d)/float64(rp50)),
 			fmt.Sprint(p50.over),
 		})
@@ -413,7 +413,8 @@ func RunE9(s Scale) *Table {
 			warmDRed(e, d)
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				firings, reder = e.Stats().RuleFirings, e.Stats().Rederived
+				st := e.Stats().(dred.Stats)
+				firings, reder = st.RuleFirings, st.Rederived
 				return err
 			}
 		})
@@ -440,7 +441,8 @@ func RunE9(s Scale) *Table {
 			}
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				firings, reder = e.Stats().RuleFirings, e.Stats().Rederived
+				st := e.Stats().(pf.Stats)
+				firings, reder = st.RuleFirings, st.Rederived
 				return err
 			}
 		})
@@ -537,7 +539,7 @@ func RunE12(s Scale) *Table {
 			warmDRed(e, d) // apply + undo: warms the lazy indexes
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				over = e.Stats().Overestimated
+				over = e.Stats().(dred.Stats).Overestimated
 				return err
 			}
 		})

@@ -26,10 +26,10 @@ package ivm
 import (
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,21 +117,38 @@ const (
 	PF
 )
 
+var strategyNames = [...]string{Auto: "auto", Counting: "counting", DRed: "dred", Recompute: "recompute", PF: "pf"}
+
 func (s Strategy) String() string {
-	switch s {
-	case Auto:
-		return "auto"
-	case Counting:
-		return "counting"
-	case DRed:
-		return "dred"
-	case Recompute:
-		return "recompute"
-	case PF:
-		return "pf"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
+	if s >= 0 && int(s) < len(strategyNames) {
+		return strategyNames[s]
 	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// ParseStrategy reads a strategy by the name String prints ("" is Auto),
+// as flags and a ReplicaState spell it.
+func ParseStrategy(name string) (Strategy, error) {
+	for s, n := range strategyNames {
+		if name == n {
+			return Strategy(s), nil
+		}
+	}
+	if name == "" {
+		return Auto, nil
+	}
+	return Auto, fmt.Errorf("unknown strategy %q", name)
+}
+
+// ParseSemantics reads "set" (or "") and "duplicate" (or "dup").
+func ParseSemantics(name string) (Semantics, error) {
+	switch name {
+	case "", SetSemantics.String():
+		return SetSemantics, nil
+	case DuplicateSemantics.String(), "dup":
+		return DuplicateSemantics, nil
+	}
+	return SetSemantics, fmt.Errorf("unknown semantics %q", name)
 }
 
 // Database holds base (edb) relations. Materialize snapshots the current
@@ -239,7 +256,8 @@ type Views struct {
 	par int
 
 	// explainSem is the semantics derivation enumeration resolves
-	// sources under (the engine's internal semantics; constant).
+	// sources under: the view semantics, except that counting without
+	// statement (2) keeps duplicate counts inside a set view. Constant.
 	explainSem Semantics
 
 	// reg collects the engines' counters and timing histograms; always
@@ -278,26 +296,44 @@ type Views struct {
 	// deposed at.
 	fence atomic.Uint64
 
-	// eng is the maintenance engine (touched only under wmu). Exactly
-	// one of the typed pointers below is set, to the same engine: Apply,
-	// Stats and the rule edits differ per strategy.
+	// eng is the maintenance engine (touched only under wmu). Which one
+	// it is reads v.strategy; what only some engines can do is an optional
+	// interface asserted where it is needed (ruleEditor).
 	eng engine
-	c   *counting.Engine
-	dr  *dred.Engine
-	rc  *recompute.Engine
-	pf  *pf.Engine
 }
 
-// engine is what Views needs of a maintenance strategy besides its
-// Apply: the program and stored relations it maintains, the exact
-// per-predicate deltas its last operation merged into them, and the
-// fold of a commit record's deltas (no rule evaluated).
+// engine is the contract of a maintenance strategy (DESIGN.md §17): a
+// state — the program and the stored relations it maintains — one change
+// type, the signed per-predicate Δ of the paper's §3, and ⊎. Apply derives
+// the Δ of every view from a Δ of the base relations, merges both into the
+// state and returns the visible change of each derived relation that moved
+// (the map is the caller's); CommittedDeltas is the exact Δ the last
+// operation merged, base relations and count-only moves included; Fold
+// merges a commit record's Δ with no rule evaluated. Stats is the engine's
+// own work-counter struct for its last operation (nil if it keeps none).
 type engine interface {
 	Program() *datalog.Program
 	DB() *eval.DB
+	Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error)
 	CommittedDeltas() map[string]*relation.Relation
 	Fold(deltas map[string]*relation.Relation)
+	Stats() any
 }
+
+// ruleEditor is the engine that also maintains views across changes to
+// their definition (the paper's §7 rule insertion and deletion): DRed.
+type ruleEditor interface {
+	AddRule(r datalog.Rule) (map[string]*relation.Relation, error)
+	RemoveRule(ri int) (map[string]*relation.Relation, error)
+}
+
+var (
+	_ engine     = (*counting.Engine)(nil)
+	_ engine     = (*dred.Engine)(nil)
+	_ engine     = (*recompute.Engine)(nil)
+	_ engine     = (*pf.Engine)(nil)
+	_ ruleEditor = (*dred.Engine)(nil)
+)
 
 type config struct {
 	strategy        Strategy
@@ -487,7 +523,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		}
 	}
 	reg := metrics.NewRegistry()
-	v := &Views{cfg: cfg, strategy: strategy, programSrc: programSrc, par: par, reg: reg}
+	v := &Views{cfg: cfg, strategy: strategy, programSrc: programSrc, par: par, reg: reg, explainSem: cfg.semantics}
 	switch strategy {
 	case Counting:
 		eng, err := counting.NewWithConfig(prog, d.base, counting.Config{
@@ -503,7 +539,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		if err != nil {
 			return nil, err
 		}
-		v.c, v.eng = eng, eng
+		v.eng, v.explainSem = eng, eng.InternalSemantics()
 	case DRed:
 		if cfg.semantics == DuplicateSemantics {
 			return nil, fmt.Errorf("ivm: DRed requires set semantics")
@@ -517,7 +553,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		if err != nil {
 			return nil, err
 		}
-		v.dr, v.eng = eng, eng
+		v.eng = eng
 	case Recompute:
 		eng, err := recompute.New(prog, d.base, cfg.semantics)
 		if err != nil {
@@ -527,7 +563,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		eng.Metrics = reg
 		eng.Tracer = cfg.tracer
 		eng.DisablePlanner = cfg.disablePlanner
-		v.rc, v.eng = eng, eng
+		v.eng = eng
 	case PF:
 		if cfg.semantics == DuplicateSemantics {
 			return nil, fmt.Errorf("ivm: the PF baseline requires set semantics")
@@ -541,17 +577,9 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			return nil, err
 		}
 		eng.FragmentTuples = cfg.fragmentTuples
-		v.pf, v.eng = eng, eng
+		v.eng = eng
 	default:
 		return nil, fmt.Errorf("ivm: unknown strategy %v", strategy)
-	}
-	switch {
-	case v.c != nil:
-		v.explainSem = v.c.InternalSemantics()
-	case v.rc != nil:
-		v.explainSem = v.rc.Semantics()
-	default:
-		v.explainSem = SetSemantics
 	}
 	v.comb = sched.New(v.processBatch)
 	v.idem = newIdemWindow(cfg.idemWindow)
@@ -567,7 +595,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 	v.mSnapVersion = reg.Gauge("snapshot_version")
 	v.mSnapUnix = reg.Gauge("snapshot_published_unixnano")
 	v.wmu.Lock()
-	v.publishAllLocked(1)
+	v.publishVersionLocked(v.engineRelsLocked(), 1)
 	v.wmu.Unlock()
 	return v, nil
 }
@@ -649,7 +677,10 @@ type applyGroup struct {
 	rec CommitRecord
 	// rels is the relation map as of this group's maintenance pass — the
 	// exact state its version publishes.
-	rels    map[string]*relation.Versioned
+	rels map[string]*relation.Versioned
+	// reset marks a rule edit: logged as a checkpoint, reported as a
+	// CommitEvent.Reset.
+	reset   bool
 	pubUnix int64
 	wait    func() error
 	err     error
@@ -740,18 +771,37 @@ func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
 }
 
 // processBatch is the maintainer: it runs on the scheduler leader's
-// goroutine, one batch at a time, and drives each batch through
-// validate → maintain → WAL group-commit → publish → notify → release.
+// goroutine, one batch at a time, and drives it through the commit
+// pipeline (DESIGN.md §17): dedupe → admit → maintain → log → publish →
+// notify → release. A rule edit runs the same admit … notify stages
+// (editRules).
 func (v *Views) processBatch(batch []*applyReq) {
 	v.wmu.Lock()
-	admitted := make([]*applyReq, 0, len(batch))
-	// Keyed requests dedup before admission: a key already in the window
-	// is answered with the version its apply committed; a key that repeats
-	// within this very batch (a retry racing its first attempt) elects the
-	// first request as leader and completes the rest with the leader's
-	// version.
-	var leaders map[string]*applyReq
-	var followers []*applyReq
+	fresh, leaders, followers := v.dedupeLocked(batch)
+	admitted := fresh[:0]
+	for _, r := range fresh {
+		if r.err = v.admitLocked(r.u); r.err == nil {
+			admitted = append(admitted, r)
+		}
+	}
+	// A group's record is encoded only when something will consume it:
+	// the WAL, or a commit-record subscriber (replication).
+	recHandlers := v.recordHandlers()
+	groups := v.maintainBatchLocked(admitted, v.store != nil || len(recHandlers) > 0)
+	v.logLocked(groups)
+	v.publishLocked(groups)
+	v.wmu.Unlock()
+	v.notifyGroups(groups, recHandlers)
+	v.release(batch, groups, leaders, followers)
+}
+
+// dedupeLocked answers keyed requests before admission: a key already in
+// the window completes with the version its apply committed; a key that
+// repeats within this very batch (a retry racing its first attempt) elects
+// the first request as leader and parks the rest as its followers. What is
+// left goes on to admission.
+func (v *Views) dedupeLocked(batch []*applyReq) (fresh []*applyReq, leaders map[string]*applyReq, followers []*applyReq) {
+	fresh = make([]*applyReq, 0, len(batch))
 	for _, r := range batch {
 		if len(r.keys) == 1 {
 			key := r.keys[0]
@@ -769,134 +819,155 @@ func (v *Views) processBatch(batch []*applyReq) {
 			}
 			leaders[key] = r
 		}
-		if err := v.admitLocked(r.u); err != nil {
-			r.err = err
-			continue
-		}
-		admitted = append(admitted, r)
+		fresh = append(fresh, r)
 	}
+	return fresh, leaders, followers
+}
+
+// maintainBatchLocked runs the engine over the admitted requests: as one
+// group on their ⊎-merged net update when they merge and the merge
+// validates, otherwise one group per request in arrival order. Each
+// maintained group leaves with its change set, its commit record cut and
+// the relation map its version will publish.
+func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGroup {
 	v.mBatches.Inc()
 	v.mBatchUpdates.Add(int64(len(admitted)))
-
-	next := v.nextRelsLocked()
-	base := v.cur.Load().id
-	// A group's record is encoded only when something will consume it:
-	// the WAL, or a commit-record subscriber (replication).
-	v.handlersMu.Lock()
-	recHandlers := v.commitRecordHandlers
-	v.handlersMu.Unlock()
-	cut := v.store != nil || len(recHandlers) > 0
-	var groups []*applyGroup
-	switch {
-	case len(admitted) == 0:
-		// Nothing admitted: no maintenance ran, so there is nothing to
-		// publish.
-		v.completeFollowers(leaders, followers)
-		v.wmu.Unlock()
-		for _, r := range batch {
-			close(r.done)
-		}
-		return
-	case len(admitted) == 1 || !mergeable(admitted):
-		groups = v.runSequentialLocked(admitted, next, base, cut)
-	default:
+	if len(admitted) == 0 {
+		return nil
+	}
+	// next is the maintainer's copy of the current relation map: the
+	// entries a group's deltas are not pushed onto keep sharing the
+	// predecessor's versioned relations.
+	cur := v.cur.Load()
+	next, base := maps.Clone(cur.rels), cur.id
+	if len(admitted) > 1 && mergeable(admitted) {
 		merged := NewUpdate()
 		for _, r := range admitted {
 			merged.Merge(r.u)
 		}
 		if g := v.maintainGroupLocked(admitted, merged, next, base+1, cut); g.cs != nil {
 			g.rels = next
-			groups = []*applyGroup{g}
-		} else {
-			// The merged net update did not validate as a whole; fall
-			// back to applying each caller's update individually so
-			// each gets exactly its own result or error.
-			v.mFallbacks.Inc()
-			groups = v.runSequentialLocked(admitted, next, base, cut)
+			return []*applyGroup{g}
+		}
+		// The merged net update did not validate as a whole; fall back to
+		// applying each caller's update individually so each gets exactly
+		// its own result or error.
+		v.mFallbacks.Inc()
+	}
+	return v.runSequentialLocked(admitted, next, base, cut)
+}
+
+// logLocked is the durability stage: each maintained group's commit record
+// is appended to the WAL in commit order — so log order, apply order and
+// publish order agree, and every published version has exactly one record
+// (an empty net update logs too: replaying a no-op is a no-op, and a
+// gapless sequence is what recovery and replication backfill align on) —
+// and then the stage waits for the records to group-commit, so a published
+// version never shows state the log has not made durable. A rule edit's
+// record is a checkpoint: a WAL of deltas cannot express a program change,
+// so the epoch is advanced instead, stamped with the version about to
+// publish so a recovery resumes the counter where readers of the edit saw
+// it. A failure marks its group and does not stop the pipeline: the engine
+// state already advanced and later groups build on it.
+func (v *Views) logLocked(groups []*applyGroup) {
+	if v.store == nil {
+		return
+	}
+	notLogged := func(err error) error {
+		return fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
+	}
+	for _, g := range groups {
+		switch {
+		case g.err != nil: // not maintained, or its record could not be cut
+		case g.reset:
+			if err := v.checkpointLocked(g.rec.Version); err != nil {
+				g.err = fmt.Errorf("ivm: rule change applied in memory but checkpoint failed: %w", err)
+			}
+		default:
+			var err error
+			if g.wait, err = v.store.AppendRecordAsync(g.rec); err != nil {
+				g.err = notLogged(err)
+			}
 		}
 	}
-
-	// Wait for every group's WAL record to group-commit before
-	// publishing: a published version never shows state the log has not
-	// made durable. A failed fsync still publishes (the memory state
-	// already advanced and later batches build on it); the affected
-	// callers get the durability error.
 	for _, g := range groups {
-		if g.err != nil || g.wait == nil {
+		if g.wait == nil {
 			continue
 		}
 		if err := g.wait(); err != nil {
-			g.err = fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
+			g.err = notLogged(err)
 		}
 	}
-	// Publish each group's version in commit order. Every group whose
-	// maintenance pass succeeded publishes — including one whose fsync
-	// failed, because the engine state already advanced and later groups
-	// build on it — so published versions and WAL records correspond 1:1
-	// and replication can align on the version number alone.
+}
+
+// publishLocked publishes each maintained group's version, in commit
+// order. Every group whose maintenance succeeded publishes — including one
+// whose log stage failed, because the engine state already advanced and
+// later groups build on it — so published versions and WAL records
+// correspond 1:1 and replication can align on the version number alone.
+// Idempotency keys are recorded only for fully committed groups: a
+// durability error deliberately leaves its keys out, so the caller gets
+// the error rather than a dedup answer — a blind retry of an
+// applied-but-unlogged update is exactly the double apply the window
+// exists to prevent.
+func (v *Views) publishLocked(groups []*applyGroup) {
 	for _, g := range groups {
 		if g.cs == nil {
 			continue
 		}
-		pub := v.publishVersionLocked(g.rels, g.rec.Version)
-		g.pubUnix = pub.published
+		g.pubUnix = v.publishVersionLocked(g.rels, g.rec.Version).published
+		if g.err == nil {
+			for _, k := range g.rec.Keys {
+				v.idem.record(k, g.rec.Version)
+			}
+		}
 	}
-	// Record idempotency keys only for fully committed groups (applied,
-	// logged, published — version stamped above). A durability error
-	// deliberately does not record its keys: the caller gets the error
-	// rather than a dedup answer, because a blind retry of an
-	// applied-but-unlogged update is exactly the double apply the window
-	// exists to prevent.
+	v.mIdemEntries.Set(int64(v.idem.len()))
+}
+
+// notifyGroups runs the subscriptions of every fully committed group on
+// the maintainer goroutine — after its version is published (so handlers
+// and concurrent readers see the new state) and outside wmu (so a slow
+// handler never extends a rule edit, Sync, or Close stall; readers are
+// lock-free and were never stalled in the first place) — but before the
+// batch's requests complete, so each Apply still returns only after the
+// handlers for its batch have run. A rule edit's commit event is a reset
+// marker: its effects are not a delta, so replication subscribers
+// resynchronize from a full state snapshot.
+func (v *Views) notifyGroups(groups []*applyGroup, recHandlers []func(ev CommitEvent)) {
 	for _, g := range groups {
 		if g.err != nil {
 			continue
 		}
-		for _, k := range g.rec.Keys {
-			v.idem.record(k, g.rec.Version)
+		v.notify(g.cs)
+		for _, fn := range recHandlers {
+			fn(CommitEvent{CommitRecord: g.rec, UnixNano: g.pubUnix, Reset: g.reset})
 		}
-	}
-	v.mIdemEntries.Set(int64(v.idem.len()))
-	v.wmu.Unlock()
-
-	// OnChange handlers run here on the maintainer goroutine — after
-	// the version is published (so handlers and concurrent readers see
-	// the new state) and outside wmu (so a slow handler never extends a
-	// rule edit, Sync, or Close stall; readers are lock-free and were
-	// never stalled in the first place) — but before the batch's
-	// requests complete, so each Apply still returns only after the
-	// handlers for its batch have run.
-	for _, g := range groups {
-		if g.err == nil {
-			v.notify(g.cs)
-			for _, fn := range recHandlers {
-				fn(CommitEvent{CommitRecord: g.rec, UnixNano: g.pubUnix})
-			}
-		}
-		for _, r := range g.reqs {
-			r.cs, r.err = g.cs, g.err
-			if r.err != nil {
-				r.cs = nil
-			}
-		}
-	}
-	v.completeFollowers(leaders, followers)
-	for _, r := range batch {
-		close(r.done)
 	}
 }
 
-// completeFollowers hands each in-batch duplicate its leader's outcome:
-// the leader's version marks the follower deduped (like a window hit, it
-// learns where its write landed, not the rows), the leader's error
-// propagates as-is (the follower's own retry would have failed the same
-// way).
-func (v *Views) completeFollowers(leaders map[string]*applyReq, followers []*applyReq) {
+// release hands every request its outcome and wakes its caller. An
+// in-batch duplicate takes its leader's: the leader's version marks the
+// follower deduped (like a window hit, it learns where its write landed,
+// not the rows), the leader's error propagates as-is (the follower's own
+// retry would have failed the same way).
+func (v *Views) release(batch []*applyReq, groups []*applyGroup, leaders map[string]*applyReq, followers []*applyReq) {
+	for _, g := range groups {
+		for _, r := range g.reqs {
+			if r.err = g.err; r.err == nil {
+				r.cs = g.cs
+			}
+		}
+	}
 	for _, f := range followers {
 		leader := leaders[f.keys[0]]
 		if f.err = leader.err; f.err == nil {
 			f.cs, f.deduped = &ChangeSet{version: leader.cs.version}, true
 			v.mDedups.Inc()
 		}
+	}
+	for _, r := range batch {
+		close(r.done)
 	}
 }
 
@@ -911,7 +982,8 @@ func (v *Views) admitLocked(u *Update) error {
 	}
 	// NaN/±Inf have no parseable literal syntax, so a state transfer
 	// containing one could never load. Reject before touching memory. (A
-	// record being folded was vetted by the node that cut it.)
+	// record being folded was vetted by the node that cut it; a rule edit
+	// carries no update.)
 	if u == nil {
 		return nil
 	}
@@ -965,10 +1037,7 @@ func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relat
 			// Snapshot the relation map as of this group so its version
 			// publishes exactly this group's state; later groups keep
 			// evolving next.
-			g.rels = make(map[string]*relation.Versioned, len(next))
-			for p, vr := range next {
-				g.rels[p] = vr
-			}
+			g.rels = maps.Clone(next)
 		}
 		groups = append(groups, g)
 	}
@@ -976,11 +1045,10 @@ func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relat
 }
 
 // maintainGroupLocked runs one maintenance pass for u on behalf of reqs
-// and, when it succeeds, cuts the group's commit record at version and
-// appends it to the WAL — the one place a record is cut, whether the
-// group is a whole coalesced batch or a single request. A failed pass
-// returns a group with no change set (g.cs == nil) and the engine's
-// error; the caller owns g.rels.
+// and, when it succeeds, cuts the group's commit record at version — the
+// one place a record is cut, whether the group is a whole coalesced batch
+// or a single request. A failed pass returns a group with no change set
+// (g.cs == nil) and the engine's error; the caller owns g.rels.
 func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string]*relation.Versioned, version uint64, cut bool) *applyGroup {
 	g := &applyGroup{reqs: reqs}
 	if g.cs, g.err = v.maintainLocked(u, next); g.err != nil {
@@ -1000,10 +1068,8 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 	if cut {
 		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, v.engineByte(), v.eng.CommittedDeltas()); g.err != nil {
 			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
-			return g
 		}
 	}
-	g.wait, g.err = v.logLocked(g.rec)
 	return g
 }
 
@@ -1012,51 +1078,21 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 // engine state is unchanged (engines validate before committing) and
 // next is untouched.
 func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (*ChangeSet, error) {
-	deltas := u.deltas()
-	var cs *ChangeSet
-	switch {
-	case v.c != nil:
-		full, err := v.c.Apply(deltas)
-		if err != nil {
-			return nil, err
-		}
-		cs = changeSetFromDeltas(full)
-	case v.dr != nil:
-		ch, err := v.dr.Apply(deltas)
-		if err != nil {
-			return nil, err
-		}
-		// The changes of a DRed apply are its committed net on the
-		// derived predicates that moved (the net also holds the base
-		// transitions); the map is fresh, so dropping the hidden
-		// predicates below leaves the engine's own map alone.
-		net := v.dr.CommittedDeltas()
-		per := make(map[string]*relation.Relation, len(ch.Del)+len(ch.Add))
-		for pred := range ch.Del {
-			per[pred] = net[pred]
-		}
-		for pred := range ch.Add {
-			per[pred] = net[pred]
-		}
-		cs = changeSetFromDeltas(per)
-	case v.rc != nil:
-		full, err := v.rc.Apply(deltas)
-		if err != nil {
-			return nil, err
-		}
-		cs = changeSetFromDeltas(full)
-	default:
-		ch, err := v.pf.Apply(deltas)
-		if err != nil {
-			return nil, err
-		}
-		cs = changeSetFromChanges(ch.Del, ch.Add)
-	}
-	for pred := range v.hidden {
-		delete(cs.perPred, pred)
+	per, err := v.eng.Apply(u.deltas())
+	if err != nil {
+		return nil, err
 	}
 	v.pushDeltasLocked(next, v.eng.CommittedDeltas())
-	return cs, nil
+	return v.changeSetLocked(per), nil
+}
+
+// changeSetLocked wraps the visible deltas an engine operation returned,
+// less the hidden predicates, as the operation's ChangeSet.
+func (v *Views) changeSetLocked(per map[string]*relation.Relation) *ChangeSet {
+	for pred := range v.hidden {
+		delete(per, pred)
+	}
+	return &ChangeSet{perPred: per}
 }
 
 // pushDeltasLocked folds a commit's deltas — already merged into the
@@ -1075,8 +1111,9 @@ func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map
 
 // foldGroupLocked replays a format-2 commit record as a group of its own:
 // fold it (foldRecordLocked), push its deltas onto the version map, and
-// hand the record on as it was received — to the WAL, to commit-record
-// subscribers — with the change set the primary's subscribers saw.
+// hand the record on as it was received — to the log stage, to
+// commit-record subscribers — with the change set the primary's
+// subscribers saw.
 func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned, version uint64) *applyGroup {
 	g := &applyGroup{reqs: []*applyReq{r}}
 	if r.rec.Version != version {
@@ -1091,7 +1128,6 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 	v.pushDeltasLocked(next, deltas)
 	cs.version = version
 	g.cs, g.rec = cs, *r.rec
-	g.wait, g.err = v.logLocked(g.rec)
 	return g
 }
 
@@ -1114,7 +1150,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relatio
 	}
 	start := time.Now()
 	db, derived := v.eng.DB(), v.eng.Program().DerivedPreds()
-	flips := v.rc == nil && v.cfg.semantics == SetSemantics
+	flips := v.strategy != Recompute && v.cfg.semantics == SetSemantics
 	deltas := make(map[string]*relation.Relation)
 	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
 	rows := 0
@@ -1176,24 +1212,6 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relatio
 	v.mReplayRows.Add(int64(rows))
 	v.mReplaySecs.Observe(time.Since(start))
 	return deltas, cs, nil
-}
-
-// logLocked appends a group's commit record to the WAL (store-bound
-// views) and returns the group-commit wait. The append
-// happens under wmu in application order, so the log order matches the
-// apply order. Empty net updates log too — every published version gets
-// exactly one record, keeping the version sequence in the WAL gapless
-// so recovery and replication backfill can align on it (replaying a
-// no-op is a no-op).
-func (v *Views) logLocked(rec CommitRecord) (func() error, error) {
-	if v.store == nil {
-		return nil, nil
-	}
-	w, err := v.store.AppendRecordAsync(rec)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
-	}
-	return w, nil
 }
 
 // OnChange subscribes fn to changes of pred ("" subscribes to every
@@ -1269,40 +1287,39 @@ func (v *Views) OnCommitRecord(fn func(ev CommitEvent)) {
 	v.commitRecordHandlers = append(v.commitRecordHandlers, fn)
 }
 
+// recordHandlers snapshots the OnCommitRecord subscriptions.
+func (v *Views) recordHandlers() []func(ev CommitEvent) {
+	v.handlersMu.Lock()
+	defer v.handlersMu.Unlock()
+	return v.commitRecordHandlers
+}
+
 // notify fires the OnChange and OnCommit handlers for a change set.
 // Called on the maintainer goroutine after publish, with no Views lock
 // held; handler slices are snapshotted under handlersMu so
 // registrations are race-free.
 func (v *Views) notify(cs *ChangeSet) {
-	if cs == nil {
-		return
-	}
-	v.handlersMu.Lock()
-	commit := v.commitHandlers
-	if len(v.handlers) == 0 {
-		v.handlersMu.Unlock()
-		for _, fn := range commit {
-			fn(cs)
-		}
-		return
-	}
 	type firing struct {
 		pred     string
 		ins, del []Row
 		fns      []func(string, []Row, []Row)
 	}
 	var firings []firing
-	idx := cs.index()
-	for i := range idx {
-		p := &idx[i]
-		var fns []func(string, []Row, []Row)
-		fns = append(fns, v.handlers[p.pred]...)
-		fns = append(fns, v.handlers[""]...)
-		if len(fns) == 0 {
-			continue // an unobserved predicate is never sorted
+	v.handlersMu.Lock()
+	commit := v.commitHandlers
+	if len(v.handlers) > 0 {
+		idx := cs.index()
+		for i := range idx {
+			p := &idx[i]
+			var fns []func(string, []Row, []Row)
+			fns = append(fns, v.handlers[p.pred]...)
+			fns = append(fns, v.handlers[""]...)
+			if len(fns) == 0 {
+				continue // an unobserved predicate is never sorted
+			}
+			ins, del := p.split()
+			firings = append(firings, firing{p.pred, ins, del, fns})
 		}
-		ins, del := p.split()
-		firings = append(firings, firing{p.pred, ins, del, fns})
 	}
 	v.handlersMu.Unlock()
 	for _, f := range firings {
@@ -1318,20 +1335,19 @@ func (v *Views) notify(cs *ChangeSet) {
 // ApplyScript parses a delta script (`+link(a,b). -link(b,c).`) and
 // applies it.
 func (v *Views) ApplyScript(src string) (*ChangeSet, error) {
-	u, err := ParseUpdate(src)
-	if err != nil {
-		return nil, err
-	}
-	return v.Apply(u)
+	cs, _, err := v.ApplyScriptIdempotent("", src)
+	return cs, err
 }
 
 // AddRule extends the view definition (DRed strategy only; Section 7's
 // rule insertion maintenance). Rule edits serialize with Apply batches
 // under the write lock and publish a fresh version before returning.
+// Store-bound views checkpoint the edit as a new epoch; as with Apply, an
+// edit that was maintained but could not be made durable is still
+// published and reported as an error (Sync, or treat the store as lost),
+// and one refused up front — after Close the error wraps ErrStoreClosed —
+// changes nothing.
 func (v *Views) AddRule(ruleSrc string) (*ChangeSet, error) {
-	if v.dr == nil {
-		return nil, fmt.Errorf("ivm: AddRule requires the DRed strategy (have %v)", v.strategy)
-	}
 	prog, err := parser.ParseRules(ruleSrc)
 	if err != nil {
 		return nil, err
@@ -1339,71 +1355,75 @@ func (v *Views) AddRule(ruleSrc string) (*ChangeSet, error) {
 	if len(prog.Rules) != 1 {
 		return nil, fmt.Errorf("ivm: AddRule expects exactly one rule, got %d", len(prog.Rules))
 	}
-	v.wmu.Lock()
-	ch, err := v.dr.AddRule(prog.Rules[0])
-	if err != nil {
-		v.wmu.Unlock()
-		return nil, err
-	}
-	return v.ruleEditCommittedLocked(ch)
+	return v.editRules("AddRule", func(ed ruleEditor) (map[string]*relation.Relation, error) {
+		return ed.AddRule(prog.Rules[0])
+	})
 }
 
 // RemoveRule removes rule index ri (as listed by Program) from the view
-// definition (DRed strategy only).
+// definition (DRed strategy only; see AddRule).
 func (v *Views) RemoveRule(ri int) (*ChangeSet, error) {
-	if v.dr == nil {
-		return nil, fmt.Errorf("ivm: RemoveRule requires the DRed strategy (have %v)", v.strategy)
+	return v.editRules("RemoveRule", func(ed ruleEditor) (map[string]*relation.Relation, error) {
+		return ed.RemoveRule(ri)
+	})
+}
+
+// editRules runs one rule edit through the commit pipeline's admit …
+// notify stages (processBatch), as a group of its own: admitted against
+// the store before the engine is touched, maintained by the engine's rule
+// editor, logged as a checkpoint, published with the version map rebuilt
+// in full, and reported to commit-record subscribers as a reset.
+func (v *Views) editRules(op string, edit func(ruleEditor) (map[string]*relation.Relation, error)) (*ChangeSet, error) {
+	ed, ok := v.eng.(ruleEditor)
+	if !ok {
+		return nil, fmt.Errorf("ivm: %s requires the DRed strategy (have %v)", op, v.strategy)
 	}
 	v.wmu.Lock()
-	ch, err := v.dr.RemoveRule(ri)
+	err := v.admitLocked(nil)
+	var per map[string]*relation.Relation
+	if err == nil {
+		per, err = edit(ed)
+	}
 	if err != nil {
 		v.wmu.Unlock()
 		return nil, err
 	}
-	return v.ruleEditCommittedLocked(ch)
+	// The program text is regenerated from the edited rule set so Save and
+	// checkpoints persist the views as they now are (base facts already
+	// live in the database, so dropping fact clauses from the text loses
+	// nothing).
+	v.programSrc = v.eng.Program().String()
+	g := &applyGroup{cs: v.changeSetLocked(per), rels: v.engineRelsLocked(), reset: true}
+	g.rec.Version = v.cur.Load().id + 1
+	g.cs.version = g.rec.Version
+	groups := []*applyGroup{g}
+	v.logLocked(groups)
+	v.publishLocked(groups)
+	v.wmu.Unlock()
+	v.notifyGroups(groups, v.recordHandlers())
+	if g.err != nil {
+		return nil, g.err
+	}
+	return g.cs, nil
 }
 
-// ruleEditCommittedLocked runs after a successful AddRule/RemoveRule
-// (write lock held; releases it): the program text is regenerated from
-// the edited rule set so Save and checkpoints persist the views as they
-// now are (base facts already live in the database, so dropping fact
-// clauses from the text loses nothing). Store-bound views checkpoint
-// immediately — a WAL of delta scripts cannot express a rule change, so
-// the epoch is advanced instead of logging one. A rule edit changes the
-// program and (possibly) the derived-predicate set, so the version map
-// is rebuilt in full rather than delta-replayed, then published.
-func (v *Views) ruleEditCommittedLocked(ch *dred.Changes) (*ChangeSet, error) {
-	var sb strings.Builder
-	for _, r := range v.eng.Program().Rules {
-		sb.WriteString(r.String())
-		sb.WriteByte('\n')
+// checkpointLocked writes the engine's full state — base and derived
+// relations, program text, hidden set — as a new snapshot epoch of the
+// store, stamped with published version id (write lock held).
+func (v *Views) checkpointLocked(id uint64) error {
+	return v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), id)
+}
+
+// setHidden installs the hidden-predicate set of freshly built views,
+// before they are used concurrently.
+func (v *Views) setHidden(preds []string) {
+	if len(preds) == 0 {
+		return
 	}
-	v.programSrc = sb.String()
-	// The checkpoint is stamped with the version about to publish, so a
-	// recovery from it resumes the version counter exactly where readers
-	// of this edit saw it.
-	nextID := v.cur.Load().id + 1
-	if v.store != nil {
-		if err := v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), nextID); err != nil {
-			v.wmu.Unlock()
-			return nil, fmt.Errorf("ivm: rule change applied in memory but checkpoint failed: %w", err)
-		}
+	v.hidden = make(map[string]bool, len(preds))
+	for _, p := range preds {
+		v.hidden[p] = true
 	}
-	cs := changeSetFromChanges(ch.Del, ch.Add)
-	pub := v.publishAllLocked(nextID)
-	cs.version = pub.id
-	v.wmu.Unlock()
-	v.notify(cs)
-	// A rule edit cannot be expressed as a delta script, so the commit
-	// event is a reset marker: replication subscribers resynchronize
-	// from a full state snapshot.
-	v.handlersMu.Lock()
-	recHandlers := v.commitRecordHandlers
-	v.handlersMu.Unlock()
-	for _, fn := range recHandlers {
-		fn(CommitEvent{CommitRecord: CommitRecord{Version: pub.id}, UnixNano: pub.published, Reset: true})
-	}
-	return cs, nil
 }
 
 // hiddenLocked returns the sorted hidden-predicate list (lock held).
@@ -1421,28 +1441,22 @@ func (v *Views) hiddenLocked() []string {
 // stats are carried on the version itself, so the read is lock-free and
 // race-free against concurrent Apply.
 func (v *Views) CountingStats() (counting.Stats, bool) {
-	if v.c == nil {
-		return counting.Stats{}, false
-	}
-	return v.cur.Load().cstats, true
+	st, ok := v.cur.Load().stats.(counting.Stats)
+	return st, ok
 }
 
 // DRedStats returns the DRed-engine statistics of the maintenance pass
 // that produced the current published version. Lock-free.
 func (v *Views) DRedStats() (dred.Stats, bool) {
-	if v.dr == nil {
-		return dred.Stats{}, false
-	}
-	return v.cur.Load().dstats, true
+	st, ok := v.cur.Load().stats.(dred.Stats)
+	return st, ok
 }
 
 // PFStats returns the PF-baseline statistics of the maintenance pass
 // that produced the current published version. Lock-free.
 func (v *Views) PFStats() (pf.Stats, bool) {
-	if v.pf == nil {
-		return pf.Stats{}, false
-	}
-	return v.cur.Load().pstats, true
+	st, ok := v.cur.Load().stats.(pf.Stats)
+	return st, ok
 }
 
 // Metrics returns an immutable snapshot of every metric the views'
@@ -1466,7 +1480,7 @@ func (v *Views) Metrics() MetricsSnapshot {
 // counts), program text, and hidden-predicate set to path. The write is
 // atomic and durable (temp file fsync + rename + directory fsync).
 func (v *Views) Save(path string) error {
-	if v.pf != nil {
+	if v.strategy == PF {
 		return fmt.Errorf("ivm: Save is not supported for the PF baseline")
 	}
 	v.wmu.Lock()
@@ -1506,12 +1520,7 @@ func viewsFromSnapshot(db *eval.DB, programSrc string, hidden []string, opts []O
 	if err != nil {
 		return nil, err
 	}
-	if len(hidden) > 0 {
-		v.hidden = make(map[string]bool, len(hidden))
-		for _, p := range hidden {
-			v.hidden[p] = true
-		}
-	}
+	v.setHidden(hidden)
 	return v, nil
 }
 
@@ -1615,17 +1624,33 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 		}
 		info.Initialized = true
 	}
-	if v.pf != nil {
+	if v.strategy == PF {
 		return fail(fmt.Errorf("ivm: the PF baseline cannot be store-bound"))
 	}
 	v.wmu.Lock()
+	err = v.bindStoreLocked(st, info.Initialized)
+	v.wmu.Unlock()
+	if err != nil {
+		return fail(err)
+	}
+	return v, info, nil
+}
+
+// bindStoreLocked makes the views store-bound (write lock held); on error
+// they are left unbound.
+func (v *Views) bindStoreLocked(st *storage.Store, initialized bool) (err error) {
 	st.AttachMetrics(v.reg)
-	if info.Initialized {
+	v.store = st
+	defer func() {
+		if err != nil {
+			v.store = nil
+		}
+	}()
+	if initialized {
 		// Checkpoint immediately so a snapshot always exists: from here
 		// on every WAL record has an epoch-stamped snapshot beneath it.
-		if err := st.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
-			v.wmu.Unlock()
-			return fail(err)
+		if err := v.checkpointLocked(v.cur.Load().id); err != nil {
+			return err
 		}
 	}
 	// Restore the fencing epoch (DESIGN.md §15). A store from before the
@@ -1634,21 +1659,17 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 	// after the first boot.
 	fence, err := storage.LoadFenceEpoch(st.Dir())
 	if err != nil {
-		v.wmu.Unlock()
-		return fail(err)
+		return err
 	}
 	if fence == 0 {
 		fence = 1
 		if err := storage.SaveFenceEpoch(st.Dir(), fence); err != nil {
-			v.wmu.Unlock()
-			return fail(err)
+			return err
 		}
 	}
 	v.fence.Store(fence)
 	v.reg.Gauge("fence_epoch").Set(int64(fence))
-	v.store = st
-	v.wmu.Unlock()
-	return v, info, nil
+	return nil
 }
 
 // Sync checkpoints store-bound views: the full state (base + derived
@@ -1662,7 +1683,7 @@ func (v *Views) Sync() error {
 	}
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	return v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), v.cur.Load().id)
+	return v.checkpointLocked(v.cur.Load().id)
 }
 
 // Store reports whether the views are bound to a crash-recovery store
@@ -1826,7 +1847,7 @@ func (v *Views) Shutdown() error {
 	if v.store == nil || v.store.Closed() {
 		return nil
 	}
-	if err := v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), v.cur.Load().id); err != nil {
+	if err := v.checkpointLocked(v.cur.Load().id); err != nil {
 		// Close anyway: the WAL already holds every acked apply, so
 		// recovery replays to the same state; the checkpoint was only an
 		// optimization. Surface the checkpoint error over Close's.

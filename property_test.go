@@ -7,6 +7,7 @@ package ivm_test
 // Theorem 7.1 (the maintained view equals the view of the new database).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,30 +21,78 @@ var propertyPrograms = []struct {
 	src       string
 	recursive bool
 	weighted  bool
+	// extraRule is added to, then removed from, the DRed views at the end
+	// of each run: one more way to derive the lowest view.
+	extraRule string
 }{
 	{"join", `
 		hop(X,Y)     :- link(X,Z), link(Z,Y).
 		tri_hop(X,Y) :- hop(X,Z), link(Z,Y).
-	`, false, false},
+	`, false, false, `hop(X,Y) :- link(Y,X).`},
 	{"negation", `
 		hop(X,Y)     :- link(X,Z), link(Z,Y).
 		tri_hop(X,Y) :- hop(X,Z), link(Z,Y).
 		only(X,Y)    :- tri_hop(X,Y), !hop(X,Y).
-	`, false, false},
+	`, false, false, `hop(X,Y) :- link(Y,X).`},
 	{"aggregation", `
 		cost(S,D,C1+C2) :- link(S,I,C1), link(I,D,C2).
 		mch(S,D,M)      :- groupby(cost(S,D,C), [S,D], M = min(C)).
 		spend(S,N)      :- groupby(cost(S,D,C), [S], N = sum(C)).
-	`, false, true},
+	`, false, true, `cost(S,D,C) :- link(D,S,C).`},
 	{"recursion", `
 		tc(X,Y) :- link(X,Y).
 		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`, true, false},
+	`, true, false, `tc(X,Y) :- link(Y,X).`},
 	{"recursion-negation", `
 		tc(X,Y)      :- link(X,Y).
 		tc(X,Y)      :- tc(X,Z), link(Z,Y).
 		sink(X,Y)    :- tc(X,Y), !link(X,Y).
-	`, true, false},
+	`, true, false, `tc(X,Y) :- link(Y,X).`},
+}
+
+// derivedRows reads every derived relation of v.
+func derivedRows(v *ivm.Views) map[string][]ivm.Row {
+	out := make(map[string][]ivm.Row)
+	for pred := range v.Program().DerivedPreds() {
+		out[pred] = v.Rows(pred)
+	}
+	return out
+}
+
+// changeSetIsRowDiff reports how cs differs from the signed difference of
+// the derived relations around the operation that returned it ("" if it
+// does not): per tuple the change of its count under the recompute
+// baseline, which reports count moves, and of its presence (±1) under the
+// incremental strategies, whose change sets are set transitions.
+func changeSetIsRowDiff(cs *ivm.ChangeSet, s ivm.Strategy, before, after map[string][]ivm.Row) string {
+	want := make(map[string]int64) // "pred tuple-key" → signed change
+	weigh := func(rows map[string][]ivm.Row, sign int64) {
+		for pred, rs := range rows {
+			for _, r := range rs {
+				if s != ivm.Recompute {
+					r.Count = 1
+				}
+				want[pred+" "+r.Tuple.Key()] += sign * r.Count
+			}
+		}
+	}
+	weigh(after, 1)
+	weigh(before, -1)
+	for _, pred := range cs.Preds() {
+		for _, r := range cs.Delta(pred) {
+			k := pred + " " + r.Tuple.Key()
+			if want[k] != r.Count || r.Count == 0 {
+				return fmt.Sprintf("Δ(%s) reports %v × %d, the rows moved by %d", pred, r.Tuple, r.Count, want[k])
+			}
+			delete(want, k)
+		}
+	}
+	for k, c := range want {
+		if c != 0 {
+			return fmt.Sprintf("%s moved by %d and the change set does not say so", k, c)
+		}
+	}
+	return ""
 }
 
 // randomEdges renders n random edges (weighted or not) as fact text.
@@ -87,7 +136,7 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 
 				strategies := []ivm.Strategy{ivm.Recompute}
 				if tc.recursive {
-					strategies = append(strategies, ivm.DRed, ivm.PF)
+					strategies = append(strategies, ivm.PF, ivm.DRed)
 				} else {
 					strategies = append(strategies, ivm.Counting, ivm.DRed)
 				}
@@ -109,9 +158,17 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 						continue
 					}
 					for i, v := range views {
-						if _, err := v.Apply(d); err != nil {
+						before := derivedRows(v)
+						cs, err := v.Apply(d)
+						if err != nil {
 							t.Fatalf("seed %d round %d strategy %v: %v\ndelta:\n%s",
 								seed, round, strategies[i], err, d.String())
+						}
+						// The one Δ every engine returns is the change of
+						// what it stores.
+						if diff := changeSetIsRowDiff(cs, strategies[i], before, derivedRows(v)); diff != "" {
+							t.Fatalf("seed %d round %d strategy %v: %s\ndelta:\n%s",
+								seed, round, strategies[i], diff, d.String())
 						}
 					}
 					// All strategies agree with the recompute reference,
@@ -134,6 +191,24 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 								}
 							}
 						}
+					}
+				}
+				// So is the Δ of a rule edit (DRed, the last strategy).
+				dv := views[len(views)-1]
+				for _, edit := range []struct {
+					name string
+					run  func() (*ivm.ChangeSet, error)
+				}{
+					{"AddRule", func() (*ivm.ChangeSet, error) { return dv.AddRule(tc.extraRule) }},
+					{"RemoveRule", func() (*ivm.ChangeSet, error) { return dv.RemoveRule(len(dv.Program().Rules) - 1) }},
+				} {
+					before := derivedRows(dv)
+					cs, err := edit.run()
+					if err != nil {
+						t.Fatalf("seed %d %s: %v", seed, edit.name, err)
+					}
+					if diff := changeSetIsRowDiff(cs, ivm.DRed, before, derivedRows(dv)); diff != "" {
+						t.Fatalf("seed %d %s: %s", seed, edit.name, diff)
 					}
 				}
 				return true

@@ -10,7 +10,6 @@ package ivm
 import (
 	"fmt"
 
-	"ivm/internal/eval"
 	"ivm/internal/storage"
 )
 
@@ -26,51 +25,43 @@ type ReplicaState = storage.ReplState
 // transfer. Facts covers exactly the non-derived stored relations; the
 // derived relations are reproduced by materializing Program over them.
 func (s *Snapshot) ReplicaState() ReplicaState {
-	derived := s.v.prog.DerivedPreds()
-	u := NewUpdate()
-	for pred, vr := range s.v.rels {
-		if derived[pred] {
-			continue
-		}
-		for _, row := range vr.Flat().SortedRows() {
-			u.InsertTuple(pred, row.Tuple, row.Count)
-		}
-	}
 	return ReplicaState{
 		Program:   s.v.programSrc,
 		Hidden:    s.views.hiddenLocked(),
-		Facts:     u.String(),
+		Facts:     s.v.baseFacts(1).String(),
 		Strategy:  s.views.strategy.String(),
 		Semantics: s.views.cfg.semantics.String(),
 	}
 }
 
+// baseFacts is the version's non-derived stored rows as an update: each
+// row's count times sign, so -1 makes the update that deletes them all.
+func (vv *version) baseFacts(sign int64) *Update {
+	derived := vv.prog.DerivedPreds()
+	u := NewUpdate()
+	for pred, vr := range vv.rels {
+		if derived[pred] {
+			continue
+		}
+		for _, row := range vr.Flat().SortedRows() {
+			u.InsertTuple(pred, row.Tuple, sign*row.Count)
+		}
+	}
+	return u
+}
+
 // replicaConfigOptions maps a ReplicaState's engine configuration back
 // to materialization options.
 func replicaConfigOptions(st ReplicaState) ([]Option, error) {
-	opts := make([]Option, 0, 2)
-	switch st.Strategy {
-	case "", "auto":
-	case Counting.String():
-		opts = append(opts, WithStrategy(Counting))
-	case DRed.String():
-		opts = append(opts, WithStrategy(DRed))
-	case Recompute.String():
-		opts = append(opts, WithStrategy(Recompute))
-	case PF.String():
-		opts = append(opts, WithStrategy(PF))
-	default:
-		return nil, fmt.Errorf("ivm: replica state names unknown strategy %q", st.Strategy)
+	strategy, err := ParseStrategy(st.Strategy)
+	if err != nil {
+		return nil, fmt.Errorf("ivm: replica state: %w", err)
 	}
-	switch st.Semantics {
-	case "", eval.Set.String():
-		opts = append(opts, WithSemantics(SetSemantics))
-	case eval.Duplicate.String():
-		opts = append(opts, WithSemantics(DuplicateSemantics))
-	default:
-		return nil, fmt.Errorf("ivm: replica state names unknown semantics %q", st.Semantics)
+	sem, err := ParseSemantics(st.Semantics)
+	if err != nil {
+		return nil, fmt.Errorf("ivm: replica state: %w", err)
 	}
-	return opts, nil
+	return []Option{WithStrategy(strategy), WithSemantics(sem)}, nil
 }
 
 // ViewsFromReplicaState materializes fresh Views from a transferred
@@ -91,12 +82,7 @@ func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(st.Hidden) > 0 {
-		v.hidden = make(map[string]bool, len(st.Hidden))
-		for _, p := range st.Hidden {
-			v.hidden[p] = true
-		}
-	}
+	v.setHidden(st.Hidden)
 	return v, nil
 }
 
@@ -118,17 +104,7 @@ func (v *Views) ResetToReplicaState(st ReplicaState, version uint64) error {
 	if err != nil {
 		return fmt.Errorf("ivm: parsing replica state facts: %w", err)
 	}
-	snap := v.Snapshot()
-	derived := snap.v.prog.DerivedPreds()
-	u := NewUpdate()
-	for pred, vr := range snap.v.rels {
-		if derived[pred] {
-			continue
-		}
-		for _, row := range vr.Flat().SortedRows() {
-			u.InsertTuple(pred, row.Tuple, -row.Count)
-		}
-	}
+	u := v.cur.Load().baseFacts(-1)
 	u.Merge(incoming)
 	if _, err := v.Apply(u); err != nil {
 		return fmt.Errorf("ivm: applying replica state reset: %w", err)

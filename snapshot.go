@@ -5,9 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"ivm/internal/baseline/pf"
-	"ivm/internal/core/counting"
-	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/parser"
@@ -29,11 +26,10 @@ type version struct {
 	// published is the wall-clock UnixNano of the publish, feeding the
 	// snapshot-age gauge.
 	published int64
-	// per-engine statistics of the maintenance pass that produced this
-	// version, so the *Stats accessors are race-free against Apply.
-	cstats counting.Stats
-	dstats dred.Stats
-	pstats pf.Stats
+	// stats is the engine's statistics of the maintenance pass that
+	// produced this version (its own Stats struct; nil if it keeps none),
+	// so the *Stats accessors are race-free against Apply.
+	stats any
 }
 
 // reader returns the pinned read view of pred, or nil if the predicate
@@ -151,11 +147,7 @@ func (s *Snapshot) Explain(goal string) ([]Derivation, error) {
 		tuple[i] = c.Value
 	}
 
-	prog := s.v.prog
-	db := eval.NewDB()
-	for pred, vr := range s.v.rels {
-		db.Put(pred, vr.Flat())
-	}
+	prog, db := s.v.prog, s.flatDB()
 	var out []Derivation
 	for _, ri := range prog.RulesFor(a.Pred) {
 		rule := prog.Rules[ri]
@@ -189,6 +181,16 @@ func (s *Snapshot) Explain(goal string) ([]Derivation, error) {
 	return out, nil
 }
 
+// flatDB collects the snapshot's relations, each flattened to one plain
+// relation, as the database rule sources are resolved against.
+func (s *Snapshot) flatDB() *eval.DB {
+	db := eval.NewDB()
+	for pred, vr := range s.v.rels {
+		db.Put(pred, vr.Flat())
+	}
+	return db
+}
+
 // RulePlan is one rule's join plan as the cost-based planner would
 // order it against a snapshot's statistics.
 type RulePlan struct {
@@ -210,11 +212,7 @@ type RulePlan struct {
 // drift — but the order and access paths match a fresh full-evaluation
 // plan for the same statistics.
 func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
-	prog := s.v.prog
-	db := eval.NewDB()
-	for p, vr := range s.v.rels {
-		db.Put(p, vr.Flat())
-	}
+	prog, db := s.v.prog, s.flatDB()
 	var out []RulePlan
 	for _, ri := range prog.RulesFor(pred) {
 		rule := prog.Rules[ri]
@@ -238,27 +236,13 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 // wait so the durable record and the published version carry the same
 // number; ids must advance in publish order.
 func (v *Views) publishVersionLocked(rels map[string]*relation.Versioned, id uint64) *version {
-	nv := &version{
+	return v.installLocked(&version{
 		id:         id,
 		rels:       rels,
 		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
-		published:  time.Now().UnixNano(),
-	}
-	if v.c != nil {
-		nv.cstats = v.c.Stats()
-	}
-	if v.dr != nil {
-		nv.dstats = v.dr.Stats()
-	}
-	if v.pf != nil {
-		nv.pstats = v.pf.Stats()
-	}
-	v.cur.Store(nv)
-	v.mSnapVersion.Set(int64(nv.id))
-	v.mSnapUnix.Set(nv.published)
-	v.wakeVersionWaiters()
-	return nv
+		stats:      v.eng.Stats(),
+	})
 }
 
 // SeedVersion republishes the current state unchanged under version id
@@ -270,21 +254,20 @@ func (v *Views) publishVersionLocked(rels map[string]*relation.Versioned, id uin
 func (v *Views) SeedVersion(id uint64) {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	cur := v.cur.Load()
-	nv := &version{
-		id:         id,
-		rels:       cur.rels,
-		prog:       cur.prog,
-		programSrc: cur.programSrc,
-		published:  time.Now().UnixNano(),
-		cstats:     cur.cstats,
-		dstats:     cur.dstats,
-		pstats:     cur.pstats,
-	}
+	nv := *v.cur.Load()
+	nv.id = id
+	v.installLocked(&nv)
+}
+
+// installLocked stamps nv with the time and makes it the current version:
+// one atomic store, the snapshot gauges, and a wake-up for WaitForVersion.
+func (v *Views) installLocked(nv *version) *version {
+	nv.published = time.Now().UnixNano()
 	v.cur.Store(nv)
 	v.mSnapVersion.Set(int64(nv.id))
 	v.mSnapUnix.Set(nv.published)
 	v.wakeVersionWaiters()
+	return nv
 }
 
 // wakeVersionWaiters releases every WaitForVersion caller to re-check
@@ -333,27 +316,15 @@ func (v *Views) WaitForVersion(min uint64, timeout time.Duration) bool {
 	}
 }
 
-// publishAllLocked rebuilds the whole version map from the engine's
-// storage (full clone) and publishes it as version id. Used at
-// materialization, after rule edits and after WAL replay, where pushing
-// each commit's deltas does not apply or does not pay.
-func (v *Views) publishAllLocked(id uint64) *version {
+// engineRelsLocked rebuilds the whole version map from the engine's
+// storage (full clone). Used at materialization and after rule edits,
+// where there is no predecessor map to push a commit's deltas onto: a rule
+// edit changes the program and possibly the derived-predicate set.
+func (v *Views) engineRelsLocked() map[string]*relation.Versioned {
 	db := v.eng.DB()
 	rels := make(map[string]*relation.Versioned)
 	for _, pred := range db.Preds() {
 		rels[pred] = relation.NewVersioned(db.Get(pred).Clone())
 	}
-	return v.publishVersionLocked(rels, id)
-}
-
-// nextRelsLocked returns a mutable copy of the current version's
-// relation map for the maintainer to evolve; unchanged entries keep
-// sharing the predecessor's versioned relations.
-func (v *Views) nextRelsLocked() map[string]*relation.Versioned {
-	cur := v.cur.Load().rels
-	next := make(map[string]*relation.Versioned, len(cur)+1)
-	for p, vr := range cur {
-		next[p] = vr
-	}
-	return next
+	return rels
 }

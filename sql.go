@@ -41,11 +41,6 @@ func (d *Database) MaterializeSQL(sqlSrc string, opts ...Option) (*Views, error)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.AuxPreds) > 0 {
-		v.hidden = make(map[string]bool, len(res.AuxPreds))
-		for _, p := range res.AuxPreds {
-			v.hidden[p] = true
-		}
-	}
+	v.setHidden(res.AuxPreds)
 	return v, nil
 }

@@ -328,6 +328,35 @@ func TestOpenStoreRuleEditCheckpoints(t *testing.T) {
 			t.Fatalf("reach(%s,%s) missing after recovery", want[0], want[1])
 		}
 	}
+
+	// A rule edit whose checkpoint fails was still maintained: like an
+	// Apply whose fsync fails it publishes — readers and the engine must
+	// not part — and reports the durability error; subscribers hear
+	// nothing of it.
+	resets := 0
+	v2.OnCommitRecord(func(ev ivm.CommitEvent) {
+		if ev.Reset {
+			resets++
+		}
+	})
+	before := v2.Snapshot().Version()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v2.AddRule(`reach(X,Y) :- link(Y,X).`); err == nil || errors.Is(err, ivm.ErrStoreClosed) {
+		t.Fatalf("AddRule over a vanished store directory: %v, want a checkpoint error", err)
+	}
+	if got := v2.Snapshot().Version(); got != before+1 || resets != 0 {
+		t.Fatalf("failed-checkpoint edit: version %d (was %d), %d reset events; want it published and unannounced", got, before, resets)
+	}
+	if _, err := v2.ApplyScript(`+link(c,d).`); err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range v2.Snapshot().Preds() {
+		if got, want := fmt.Sprint(v2.Rows(pred)), fmt.Sprint(ivm.EngineRows(v2, pred)); got != want {
+			t.Fatalf("%s after an acked apply: published %s, engine holds %s", pred, got, want)
+		}
+	}
 }
 
 func TestOpenStoreMetricsExposition(t *testing.T) {
@@ -378,6 +407,48 @@ func TestOpenStoreApplyAfterCloseFailsLoudly(t *testing.T) {
 	}
 	if _, ok := v.Store(); !ok {
 		t.Fatal("Store() must still report the binding after Close")
+	}
+
+	// Rule edits pass the same admission: refused before the engine is
+	// touched, so neither the engine nor a later Save holds a rule the
+	// caller was told failed.
+	dv, _, err := ivm.OpenStore(t.TempDir(), func() (*ivm.Views, error) {
+		db := ivm.NewDatabase()
+		db.MustLoad(`link(a,b). tunnel(b,c).`)
+		return db.Materialize(`reach(X,Y) :- link(X,Y). reach(X,Y) :- tunnel(X,Y).`, ivm.WithStrategy(ivm.DRed))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name string
+		edit func() (*ivm.ChangeSet, error)
+	}{
+		{"AddRule", func() (*ivm.ChangeSet, error) { return dv.AddRule(`reach(X,Y) :- link(Y,X).`) }},
+		{"RemoveRule", func() (*ivm.ChangeSet, error) { return dv.RemoveRule(1) }},
+	} {
+		for i := 0; i < 2; i++ {
+			if _, err := row.edit(); !errors.Is(err, ivm.ErrStoreClosed) {
+				t.Fatalf("%s after Close: %v, want ErrStoreClosed", row.name, err)
+			}
+		}
+		if n := ivm.EngineRules(dv); n != 2 {
+			t.Fatalf("%s after Close left the engine with %d rules, want 2", row.name, n)
+		}
+		path := filepath.Join(t.TempDir(), "saved")
+		if err := dv.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		lv, err := ivm.LoadViews(path, ivm.WithStrategy(ivm.DRed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(lv.Program().Rules); n != 2 || !lv.Has("reach", "b", "c") || lv.Has("reach", "b", "a") {
+			t.Fatalf("%s after Close: Save persisted %d rules, reach = %v", row.name, n, lv.Rows("reach"))
+		}
 	}
 }
 
