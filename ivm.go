@@ -25,11 +25,8 @@ package ivm
 
 import (
 	"fmt"
-	"io"
 	"maps"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -334,155 +331,6 @@ var (
 	_ engine     = (*pf.Engine)(nil)
 	_ ruleEditor = (*dred.Engine)(nil)
 )
-
-type config struct {
-	strategy        Strategy
-	semantics       Semantics
-	disableSetOpt   bool
-	disablePlanner  bool
-	fragmentTuples  bool
-	recursiveCounts bool
-	maxIterations   int
-	// parallelism: parallelismUnset until WithParallelism or the
-	// IVM_PARALLELISM environment variable resolves it.
-	parallelism int
-	tracer      metrics.Tracer
-	// groupCommit batches WAL fsyncs for store-bound views (OpenStore).
-	groupCommit bool
-	// idemWindow is the idempotency-window capacity (0 = default).
-	idemWindow int
-	// walRepair lets OpenStore discard a corrupt WAL suffix instead of
-	// refusing to recover (WithWALRepair).
-	walRepair bool
-}
-
-// newConfig applies opts over the shared defaults. Every front end
-// (Datalog and SQL) must build its config here so defaults cannot drift.
-func newConfig(opts []Option) config {
-	cfg := config{strategy: Auto, semantics: SetSemantics, parallelism: parallelismUnset}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
-// parallelismUnset marks a config whose parallelism was not chosen
-// explicitly; resolution then falls back to IVM_PARALLELISM, and finally
-// to sequential evaluation.
-const parallelismUnset = -1
-
-// AutoParallelism selects one evaluation worker per available CPU
-// (runtime.GOMAXPROCS) when passed to WithParallelism.
-const AutoParallelism = 0
-
-// Option configures Materialize.
-type Option func(*config)
-
-// WithStrategy forces a maintenance strategy.
-func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s } }
-
-// WithSemantics selects set or duplicate semantics (default: set).
-func WithSemantics(s Semantics) Option { return func(c *config) { c.semantics = s } }
-
-// WithoutSetOptimization disables statement (2) of Algorithm 4.1 (the
-// set-semantics cascade cut) — exposed for the ablation experiments.
-func WithoutSetOptimization() Option { return func(c *config) { c.disableSetOpt = true } }
-
-// WithoutPlanner disables the cost-based join planner; delta rules then
-// use the static greedy literal order. Maintained views are bit-identical
-// either way — exposed for the planner ablation experiments.
-func WithoutPlanner() Option { return func(c *config) { c.disablePlanner = true } }
-
-// WithTupleFragmentation makes the PF baseline propagate one tuple per
-// pass (its most fragmented schedule).
-func WithTupleFragmentation() Option { return func(c *config) { c.fragmentTuples = true } }
-
-// WithParallelism sets the number of worker goroutines used to evaluate
-// the independent delta rules of a stratum (and to hash-partition large
-// single-rule joins). n = AutoParallelism (0) uses one worker per
-// available CPU; n = 1 evaluates sequentially (the default); negative n
-// is treated as AutoParallelism. Maintained views and reported change
-// sets are bit-identical at every setting — workers write private
-// buffers that are ⊎-merged deterministically.
-//
-// Without this option, the IVM_PARALLELISM environment variable is
-// consulted ("auto" or a number; unset means sequential).
-func WithParallelism(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = AutoParallelism
-		}
-		c.parallelism = n
-	}
-}
-
-// WithTracer subscribes t to maintenance trace events (batch start/end,
-// stratum completion, rule evaluations). A nil t leaves tracing off.
-func WithTracer(t Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithGroupCommit makes a store-bound Views (OpenStore) batch WAL
-// fsyncs across concurrent Apply callers: each Apply still returns only
-// after its delta is durable, but one fsync can cover many deltas.
-// Ignored for views without a store.
-func WithGroupCommit() Option { return func(c *config) { c.groupCommit = true } }
-
-// WithIdempotencyWindow sets how many distinct idempotency keys the
-// views remember for ApplyIdempotent dedup (default
-// DefaultIdempotencyWindow). The window is an LRU: once more than n
-// keyed applies land after a key's commit, a retry of that key is no
-// longer recognized and re-applies. Size it to comfortably exceed the
-// keyed applies that can land within a client's longest retry horizon.
-func WithIdempotencyWindow(n int) Option {
-	return func(c *config) { c.idemWindow = n }
-}
-
-// WithWALRepair lets OpenStore recover past mid-WAL corruption by
-// discarding the corrupt record and everything after it; the valid
-// prefix is kept and RecoveryInfo.CorruptRecords reports the damage.
-// Without this opt-in, OpenStore fails with the corruption error and
-// leaves the WAL untouched, because the records behind the damage were
-// acknowledged as durable and would otherwise be silently lost.
-func WithWALRepair() Option { return func(c *config) { c.walRepair = true } }
-
-// resolveParallelism turns the configured (or environment-supplied)
-// parallelism into a concrete worker count. A malformed IVM_PARALLELISM
-// value is an error, not a silent fallback to sequential evaluation.
-func resolveParallelism(c *config) (int, error) {
-	n := c.parallelism
-	if n == parallelismUnset {
-		env, ok := os.LookupEnv("IVM_PARALLELISM")
-		if !ok {
-			return 1, nil
-		}
-		if env == "auto" {
-			return eval.Workers(AutoParallelism), nil
-		}
-		v, err := strconv.Atoi(env)
-		if err != nil {
-			return 0, fmt.Errorf("ivm: invalid IVM_PARALLELISM value %q (want \"auto\" or an integer)", env)
-		}
-		n = v
-		if n < 0 {
-			n = AutoParallelism
-		}
-	}
-	return eval.Workers(n), nil
-}
-
-// WithRecursiveCounting lets the counting strategy maintain recursive
-// views ([GKM92]; the paper's Section 8). Requires duplicate semantics
-// and WithStrategy(Counting): count(t) becomes the number of derivation
-// trees, which is finite only on acyclic derivations — materialization
-// and updates fail with a divergence error (after maxIterations fixpoint
-// rounds; 0 = default) when a derivation cycle appears, leaving the views
-// unchanged. Auto keeps selecting DRed for recursive programs, the
-// paper's recommendation.
-func WithRecursiveCounting(maxIterations int) Option {
-	return func(c *config) {
-		c.recursiveCounts = true
-		c.maxIterations = maxIterations
-	}
-}
 
 // Materialize parses the program (rules; facts are loaded into the
 // database first), validates and stratifies it, materializes every view
@@ -1109,111 +957,6 @@ func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map
 	}
 }
 
-// foldGroupLocked replays a format-2 commit record as a group of its own:
-// fold it (foldRecordLocked), push its deltas onto the version map, and
-// hand the record on as it was received — to the log stage, to
-// commit-record subscribers — with the change set the primary's
-// subscribers saw.
-func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned, version uint64) *applyGroup {
-	g := &applyGroup{reqs: []*applyReq{r}}
-	if r.rec.Version != version {
-		g.err = &DivergenceError{Version: r.rec.Version, At: version - 1}
-		return g
-	}
-	deltas, cs, err := v.foldRecordLocked(*r.rec)
-	if err != nil {
-		g.err = err
-		return g
-	}
-	v.pushDeltasLocked(next, deltas)
-	cs.version = version
-	g.cs, g.rec = cs, *r.rec
-	return g
-}
-
-// foldRecordLocked is the fold step of both replay sites. It reads the
-// record's deltas into frozen delta relations, resolving each row against
-// the stored relation by its key — a row already stored lends its tuple
-// and key (a delete or a count bump allocates nothing), a new one gets a
-// copy of its key with the tuple's strings inside that copy; the payload
-// is never retained — and vetting it: a count that would fall below zero
-// is a *DivergenceError, returned before anything has moved. Then it
-// merges them into the engine's storage. No script is parsed, no rule
-// evaluated: one keyed lookup and one merge per delta row. It also derives
-// the commit's visible change set, which the record does not carry: per
-// derived, non-hidden predicate the delta itself, or under set semantics
-// (where only the recompute baseline reports count moves) the rows whose
-// presence flips.
-func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relation, *ChangeSet, error) {
-	if by := rec.Engine(); by != v.engineByte() {
-		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.engineByte())}
-	}
-	start := time.Now()
-	db, derived := v.eng.DB(), v.eng.Program().DerivedPreds()
-	flips := v.strategy != Recompute && v.cfg.semantics == SetSemantics
-	deltas := make(map[string]*relation.Relation)
-	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
-	rows := 0
-	for rd := rec.Deltas(); ; {
-		pred, arity, nrows, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		stored := db.Get(pred)
-		if stored == nil {
-			stored = relation.New(arity)
-		}
-		if a := stored.Arity(); a >= 0 && a != arity {
-			return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred}
-		}
-		d := relation.NewSized(arity, nrows)
-		var visible *relation.Relation // nil: base or hidden, not reported
-		switch {
-		case !derived[pred] || v.hidden[pred]:
-		case flips:
-			visible = relation.New(arity)
-		default:
-			visible = d
-		}
-		for i := 0; i < nrows; i++ {
-			count, key, err := rd.Row()
-			if err != nil {
-				return nil, nil, err
-			}
-			row, ok := stored.Stored(key)
-			if !ok {
-				if row, err = relation.RowFromKey(key, arity); err != nil {
-					return nil, nil, fmt.Errorf("ivm: commit record %d: %s row: %w", rec.Version, pred, err)
-				}
-			}
-			was, now := row.Count, row.Count+count
-			if now < 0 {
-				return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred, Tuple: row.Tuple}
-			}
-			d.AddRow(row.WithCount(count))
-			if visible != nil && visible != d && (was > 0) != (now > 0) {
-				visible.AddRow(row.WithCount(min(1, max(-1, count))))
-			}
-		}
-		if _, dup := deltas[pred]; dup || d.Len() != nrows {
-			return nil, nil, fmt.Errorf("ivm: commit record %d lists %s or one of its rows twice", rec.Version, pred)
-		}
-		d.Freeze()
-		deltas[pred] = d
-		rows += nrows
-		if visible != nil && !visible.Empty() {
-			cs.perPred[pred] = visible
-		}
-	}
-	v.eng.Fold(deltas)
-	v.mReplayRows.Add(int64(rows))
-	v.mReplaySecs.Observe(time.Since(start))
-	return deltas, cs, nil
-}
-
 // OnChange subscribes fn to changes of pred ("" subscribes to every
 // derived predicate) — the paper's active-database application (Section
 // 1: "a rule may fire when a particular tuple is inserted into a view").
@@ -1339,81 +1082,6 @@ func (v *Views) ApplyScript(src string) (*ChangeSet, error) {
 	return cs, err
 }
 
-// AddRule extends the view definition (DRed strategy only; Section 7's
-// rule insertion maintenance). Rule edits serialize with Apply batches
-// under the write lock and publish a fresh version before returning.
-// Store-bound views checkpoint the edit as a new epoch; as with Apply, an
-// edit that was maintained but could not be made durable is still
-// published and reported as an error (Sync, or treat the store as lost),
-// and one refused up front — after Close the error wraps ErrStoreClosed —
-// changes nothing.
-func (v *Views) AddRule(ruleSrc string) (*ChangeSet, error) {
-	prog, err := parser.ParseRules(ruleSrc)
-	if err != nil {
-		return nil, err
-	}
-	if len(prog.Rules) != 1 {
-		return nil, fmt.Errorf("ivm: AddRule expects exactly one rule, got %d", len(prog.Rules))
-	}
-	return v.editRules("AddRule", func(ed ruleEditor) (map[string]*relation.Relation, error) {
-		return ed.AddRule(prog.Rules[0])
-	})
-}
-
-// RemoveRule removes rule index ri (as listed by Program) from the view
-// definition (DRed strategy only; see AddRule).
-func (v *Views) RemoveRule(ri int) (*ChangeSet, error) {
-	return v.editRules("RemoveRule", func(ed ruleEditor) (map[string]*relation.Relation, error) {
-		return ed.RemoveRule(ri)
-	})
-}
-
-// editRules runs one rule edit through the commit pipeline's admit …
-// notify stages (processBatch), as a group of its own: admitted against
-// the store before the engine is touched, maintained by the engine's rule
-// editor, logged as a checkpoint, published with the version map rebuilt
-// in full, and reported to commit-record subscribers as a reset.
-func (v *Views) editRules(op string, edit func(ruleEditor) (map[string]*relation.Relation, error)) (*ChangeSet, error) {
-	ed, ok := v.eng.(ruleEditor)
-	if !ok {
-		return nil, fmt.Errorf("ivm: %s requires the DRed strategy (have %v)", op, v.strategy)
-	}
-	v.wmu.Lock()
-	err := v.admitLocked(nil)
-	var per map[string]*relation.Relation
-	if err == nil {
-		per, err = edit(ed)
-	}
-	if err != nil {
-		v.wmu.Unlock()
-		return nil, err
-	}
-	// The program text is regenerated from the edited rule set so Save and
-	// checkpoints persist the views as they now are (base facts already
-	// live in the database, so dropping fact clauses from the text loses
-	// nothing).
-	v.programSrc = v.eng.Program().String()
-	g := &applyGroup{cs: v.changeSetLocked(per), rels: v.engineRelsLocked(), reset: true}
-	g.rec.Version = v.cur.Load().id + 1
-	g.cs.version = g.rec.Version
-	groups := []*applyGroup{g}
-	v.logLocked(groups)
-	v.publishLocked(groups)
-	v.wmu.Unlock()
-	v.notifyGroups(groups, v.recordHandlers())
-	if g.err != nil {
-		return nil, g.err
-	}
-	return g.cs, nil
-}
-
-// checkpointLocked writes the engine's full state — base and derived
-// relations, program text, hidden set — as a new snapshot epoch of the
-// store, stamped with published version id (write lock held).
-func (v *Views) checkpointLocked(id uint64) error {
-	return v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), id)
-}
-
 // setHidden installs the hidden-predicate set of freshly built views,
 // before they are used concurrently.
 func (v *Views) setHidden(preds []string) {
@@ -1522,352 +1190,4 @@ func viewsFromSnapshot(db *eval.DB, programSrc string, hidden []string, opts []O
 	}
 	v.setHidden(hidden)
 	return v, nil
-}
-
-// RecoveryInfo describes what OpenStore found in the store directory:
-// the store's own recovery report (Epoch, Replayed, SkippedStale,
-// TornTail, CorruptRecords — nonzero only under WithWALRepair —
-// BadSnapshots, ...) plus whether the views had to be initialized.
-type RecoveryInfo struct {
-	storage.RecoveryInfo
-	// Initialized reports that the store was empty and init() built the
-	// initial views (checkpointed as epoch 1).
-	Initialized bool
-}
-
-func (ri RecoveryInfo) String() string {
-	if ri.Initialized {
-		return "initialized (epoch 1)"
-	}
-	s := fmt.Sprintf("epoch=%d replayed=%d", ri.Epoch, ri.Replayed)
-	if ri.SkippedStale > 0 {
-		s += fmt.Sprintf(" skipped_stale=%d", ri.SkippedStale)
-	}
-	if ri.TornTail {
-		s += " torn_tail"
-	}
-	if ri.CorruptRecords > 0 {
-		s += fmt.Sprintf(" corrupt_records=%d", ri.CorruptRecords)
-	}
-	if ri.BadSnapshots > 0 {
-		s += fmt.Sprintf(" bad_snapshots=%d", ri.BadSnapshots)
-	}
-	return s
-}
-
-// OpenStore opens (creating if needed) the crash-recovery store in dir
-// and restores views from it: the newest valid snapshot is loaded and
-// rematerialized, and the WAL's commit records from its epoch are folded
-// onto it (ApplyCommitRecord). When the store is empty, init is called to
-// build the initial views (e.g. from program and fact files) and the
-// result is immediately checkpointed. The returned views are store-bound:
-// every Apply is durably WAL-logged before it returns, rule edits
-// checkpoint a new epoch, and Sync checkpoints on demand. Options apply to
-// the rematerialization of a recovered program (and WithGroupCommit to the
-// WAL); init builds its views with whatever options it chooses. A snapshot
-// opens under any strategy and semantics, but a WAL record folds only
-// under the ones it was cut by: a store closed without a checkpoint and
-// opened under others is refused with a *DivergenceError naming both.
-func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views, RecoveryInfo, error) {
-	cfg := newConfig(opts)
-	st, err := storage.OpenStore(dir, storage.StoreOptions{GroupCommit: cfg.groupCommit, RepairCorruptWAL: cfg.walRepair})
-	if err != nil {
-		return nil, RecoveryInfo{}, err
-	}
-	info := RecoveryInfo{RecoveryInfo: st.Recovery()}
-	fail := func(err error) (*Views, RecoveryInfo, error) {
-		st.Close()
-		return nil, info, err
-	}
-	var v *Views
-	if db, programSrc, hidden, ok := st.Snapshot(); ok {
-		v, err = viewsFromSnapshot(db, programSrc, hidden, opts)
-		if err != nil {
-			return fail(err)
-		}
-		// Version alignment: the checkpoint carries the version its state
-		// was published as, so the rematerialized views (which restart at
-		// version 1) are seeded up to it before replay. Each WAL record
-		// then republishes its original version — the durable commit
-		// order survives the crash, which is what lets a follower resume
-		// replication across a primary restart without a gap.
-		if base := st.SnapshotBaseVersion(); base > v.cur.Load().id {
-			v.SeedVersion(base)
-		}
-		// Replay happens before the views are store-bound, so the
-		// records are not re-appended to the WAL they came from.
-		// Otherwise it is the path a follower runs: each record folds
-		// and publishes its version.
-		for i, rec := range st.Records() {
-			if rec.Version > v.cur.Load().id+1 {
-				// A version hole before this record: its predecessor's
-				// append failed (the caller was told) or was repaired
-				// away. The surviving record is still authoritative for
-				// its own version, so seed up to its predecessor rather
-				// than replay it under the wrong number.
-				v.SeedVersion(rec.Version - 1)
-			}
-			if _, err := v.ApplyCommitRecord(rec); err != nil {
-				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
-			}
-		}
-	} else {
-		if init == nil {
-			return fail(fmt.Errorf("ivm: store %s is empty and no init function was provided", dir))
-		}
-		v, err = init()
-		if err != nil {
-			return fail(err)
-		}
-		if v.store != nil {
-			return fail(fmt.Errorf("ivm: init returned views already bound to a store"))
-		}
-		info.Initialized = true
-	}
-	if v.strategy == PF {
-		return fail(fmt.Errorf("ivm: the PF baseline cannot be store-bound"))
-	}
-	v.wmu.Lock()
-	err = v.bindStoreLocked(st, info.Initialized)
-	v.wmu.Unlock()
-	if err != nil {
-		return fail(err)
-	}
-	return v, info, nil
-}
-
-// bindStoreLocked makes the views store-bound (write lock held); on error
-// they are left unbound.
-func (v *Views) bindStoreLocked(st *storage.Store, initialized bool) (err error) {
-	st.AttachMetrics(v.reg)
-	v.store = st
-	defer func() {
-		if err != nil {
-			v.store = nil
-		}
-	}()
-	if initialized {
-		// Checkpoint immediately so a snapshot always exists: from here
-		// on every WAL record has an epoch-stamped snapshot beneath it.
-		if err := v.checkpointLocked(v.cur.Load().id); err != nil {
-			return err
-		}
-	}
-	// Restore the fencing epoch (DESIGN.md §15). A store from before the
-	// epoch was introduced — or a fresh one — reads 0 and is stamped as
-	// epoch 1, the never-promoted primary, so the sidecar always exists
-	// after the first boot.
-	fence, err := storage.LoadFenceEpoch(st.Dir())
-	if err != nil {
-		return err
-	}
-	if fence == 0 {
-		fence = 1
-		if err := storage.SaveFenceEpoch(st.Dir(), fence); err != nil {
-			return err
-		}
-	}
-	v.fence.Store(fence)
-	v.reg.Gauge("fence_epoch").Set(int64(fence))
-	return nil
-}
-
-// Sync checkpoints store-bound views: the full state (base + derived
-// relations, program text, hidden set) is written as a new snapshot
-// epoch — temp file fsync, rename, directory fsync — and only then is
-// the WAL truncated, so a crash anywhere in the sequence never
-// double-applies a delta.
-func (v *Views) Sync() error {
-	if v.store == nil {
-		return fmt.Errorf("ivm: Sync requires store-bound views (use OpenStore)")
-	}
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	return v.checkpointLocked(v.cur.Load().id)
-}
-
-// Store reports whether the views are bound to a crash-recovery store
-// and, if so, its directory.
-func (v *Views) Store() (dir string, ok bool) {
-	if v.store == nil {
-		return "", false
-	}
-	return v.store.Dir(), true
-}
-
-// FenceEpoch returns the cluster leadership fencing epoch these views
-// operate under. A fresh primary is epoch 1; every follower promotion
-// raises it by one. Replication stamps the epoch on every shipped
-// record, and both ends reject traffic from an older epoch — the
-// split-brain guard (see DESIGN.md §15). Lock-free.
-func (v *Views) FenceEpoch() uint64 {
-	if e := v.fence.Load(); e != 0 {
-		return e
-	}
-	return 1
-}
-
-// SetFenceEpoch raises the fencing epoch to e. Lower-or-equal values
-// are ignored (the epoch is monotonic; returns nil), so mirroring a
-// leader's epoch and promotion can share this path. For store-bound
-// views the new epoch is persisted durably before it becomes visible:
-// a node that crashes right after a promotion still comes back fenced
-// correctly.
-func (v *Views) SetFenceEpoch(e uint64) error {
-	for {
-		cur := v.fence.Load()
-		if e <= cur || (cur == 0 && e <= 1) {
-			return nil
-		}
-		v.wmu.Lock()
-		if v.store != nil {
-			if err := storage.SaveFenceEpoch(v.store.Dir(), e); err != nil {
-				v.wmu.Unlock()
-				return err
-			}
-		}
-		swapped := v.fence.CompareAndSwap(cur, e)
-		v.wmu.Unlock()
-		if swapped {
-			v.reg.Gauge("fence_epoch").Set(int64(e))
-			return nil
-		}
-	}
-}
-
-// DivergenceError reports a commit record that does not fit these views:
-// it is not their next commit — replaying it would publish a version
-// other than the one it is stamped with — or one of its delta rows would
-// take a stored count below zero, or it was cut under another strategy or
-// semantics, whose stored counts are not these views'. Either way the
-// state it was cut against is not the state it would land on. Both replay
-// sites — crash recovery and a follower's tail — stop on it with nothing
-// applied.
-type DivergenceError struct {
-	// Version is the record's stamp; At is the version the views were at.
-	Version, At uint64
-	// Pred and Tuple name the delta row that does not fit the stored
-	// relation (Tuple nil: the whole delta, by its arity); empty for a
-	// record that is merely not the next one.
-	Pred  string
-	Tuple Tuple
-	// Engine is the configuration the record was cut under and Have the
-	// views' own, when the two differ; empty otherwise.
-	Engine, Have string
-}
-
-func (e *DivergenceError) Error() string {
-	switch {
-	case e.Engine != "":
-		return fmt.Sprintf("ivm: diverged: commit record %d was cut by %s views and these are %s: count changes fit only the stored counts of the configuration that cut them (a store opens under that one; after a Sync or clean Shutdown, which leaves no record behind, under any)", e.Version, e.Engine, e.Have)
-	case e.Pred != "":
-		return fmt.Sprintf("ivm: diverged: commit record %d does not fit the stored state: its change to %s%s", e.Version, e.Pred, e.Tuple)
-	}
-	return fmt.Sprintf("ivm: diverged: commit record is stamped version %d but the views are at version %d", e.Version, e.At)
-}
-
-// engineByte is the stamp these views put on the commit records they cut
-// and demand of the ones they fold: strategy, semantics and the counting
-// regime inside the engine (WithoutSetOptimization). Stored derivation
-// counts — and so a record's count changes — differ between any two.
-func (v *Views) engineByte() byte {
-	return byte(v.strategy)<<2 | byte(v.cfg.semantics)<<1 | byte(v.explainSem)
-}
-
-func engineString(b byte) string {
-	s := fmt.Sprintf("%v/%v", Strategy(b>>2), Semantics(b>>1&1))
-	if b>>1&1 != b&1 {
-		s += fmt.Sprintf(" (%v counts inside)", Semantics(b&1))
-	}
-	return s
-}
-
-// ApplyCommitRecord replays one commit record at its stamped version: the
-// one replay step of a follower's 'D' records and of OpenStore's WAL
-// recovery. A record carrying its committed deltas is folded, not re-run — the state after n commits is
-// x ⊎ Δ₁ ⊎ … ⊎ Δₙ — so it costs O(|Δ|): vetted against stored content,
-// merged into the engine's relations and the version chain, published,
-// reported to subscribers as the primary reported it, and logged and
-// re-shipped by this node as the bytes it arrived as. The views must sit
-// at rec.Version-1, run the strategy and semantics the record was cut
-// under, and hold every row it takes away, or a *DivergenceError is
-// returned with nothing applied. A script record (format 1) is re-derived
-// by ApplyScriptReplicated instead. Either way the record's keys re-seed
-// the idempotency window, so a client retrying across a crash or a
-// failover still gets a dedup answer stamped with the replayed version.
-func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
-	if at := v.cur.Load().id; at != rec.Version-1 {
-		return nil, &DivergenceError{Version: rec.Version, At: at}
-	}
-	if rec.HasDeltas() {
-		cs, _, err := v.submit(&applyReq{rec: &rec})
-		return cs, err
-	}
-	cs, err := v.ApplyScriptReplicated(rec.Script, rec.Keys)
-	if err != nil {
-		return nil, err
-	}
-	if cs.Version() != rec.Version {
-		return nil, &DivergenceError{Version: rec.Version, At: cs.Version()}
-	}
-	return cs, nil
-}
-
-// ApplyScriptReplicated re-derives a format-1 record: its delta script
-// goes through full maintenance and its keys re-seed the idempotency
-// window. Kept for stores written before records carried their deltas and
-// for the layered benchmark's re-apply kernel, which compiles against it;
-// to be deleted with format 1.
-func (v *Views) ApplyScriptReplicated(script string, keys []string) (*ChangeSet, error) {
-	u, err := ParseUpdate(script)
-	if err != nil {
-		return nil, err
-	}
-	cs, _, err := v.submit(&applyReq{u: u, keys: keys})
-	return cs, err
-}
-
-// Drain blocks until every Apply submitted before the call has
-// completed (maintained, logged, published, and its handlers run) and
-// the update scheduler is idle. Drain does not block new Apply calls —
-// the graceful-shutdown discipline is: stop producing updates, Drain,
-// then Sync/Close (or use Shutdown, which does all three store steps).
-func (v *Views) Drain() { v.comb.Quiesce() }
-
-// Shutdown is the clean-stop sequence for store-bound views: drain the
-// update scheduler (every in-flight Apply completes and is durably
-// logged), checkpoint the full state as a new snapshot epoch, and close
-// the WAL. After Shutdown, reads still serve the final published
-// version but Apply/Sync fail with ErrStoreClosed. Views without a
-// store just drain; shutting down twice is a no-op.
-func (v *Views) Shutdown() error {
-	v.Drain()
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	if v.store == nil || v.store.Closed() {
-		return nil
-	}
-	if err := v.checkpointLocked(v.cur.Load().id); err != nil {
-		// Close anyway: the WAL already holds every acked apply, so
-		// recovery replays to the same state; the checkpoint was only an
-		// optimization. Surface the checkpoint error over Close's.
-		v.store.Close()
-		return fmt.Errorf("ivm: shutdown checkpoint failed (WAL still authoritative): %w", err)
-	}
-	return v.store.Close()
-}
-
-// Close flushes and closes the store's WAL. It does not checkpoint —
-// call Sync first for a clean shutdown; skipping it is safe and simply
-// leaves recovery to replay the WAL. The views stay store-bound: a
-// later Apply or Sync fails with ErrStoreClosed rather than silently
-// continuing in memory without durability. Views without a store close
-// as a no-op, and closing twice is a no-op.
-func (v *Views) Close() error {
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	if v.store == nil {
-		return nil
-	}
-	return v.store.Close()
 }
