@@ -83,6 +83,28 @@ func BenchmarkMergeDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationChurn holds a relation at 10 000 rows while tuples pass
+// through it: each iteration deletes the oldest and inserts the next by
+// its cached key, so the table never grows and every delete shifts the
+// rest of its probe run back. Allocates nothing.
+func BenchmarkRelationChurn(b *testing.B) {
+	b.ReportAllocs()
+	const n = 10000
+	ring := make([]Row, 2*n)
+	for i := range ring {
+		ring[i] = keyed(value.T(fmt.Sprintf("s%d", i%100), fmt.Sprintf("d%d", i)), 1)
+	}
+	r := New(2)
+	for _, row := range ring[:n] {
+		r.AddRow(row)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Delete(ring[i%len(ring)].Tuple)
+		r.AddRow(ring[(i+n)%len(ring)])
+	}
+}
+
 func BenchmarkToSet(b *testing.B) {
 	b.ReportAllocs()
 	r := buildRelation(10000)

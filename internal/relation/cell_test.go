@@ -10,13 +10,15 @@ import (
 	"ivm/internal/value"
 )
 
-// A stored row is a cell: key, pointer to the tuple's backing array and
-// count — the tuple's length is the relation's arity and is not stored.
-// These tests hold that layout to its contract.
+// A stored row is a cell: the key (pointer, length and hash), pointer to
+// the tuple's backing array and count — the tuple's length is the
+// relation's arity and is not stored — and a relation is one flat
+// open-addressing array of them. These tests hold that layout and that
+// table to their contract.
 
 func TestCellIs32Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(cell{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(cell{}) = %d, want 32 (a map[string]cell slot of 48 bytes)", got)
+		t.Fatalf("unsafe.Sizeof(cell{}) = %d, want 32 (the table is an array of them)", got)
 	}
 }
 
@@ -199,17 +201,21 @@ func TestCellsAgainstPlainModel(t *testing.T) {
 					r.Lookup([]int{arity - 1}, tu[arity-1:])
 				}
 				old, oldM := r, m.clone()
-				r = r.cloneIndexed()
+				r = r.cloneIndexed(r.Len())
 				r.Add(tu, 2)
 				m.add(tu, 2)
 				sameAsModel(t, where("cloneIndexed's original", i), old, oldM, arity)
 			case 11:
 				op = "Negate"
+				old, oldM := r, m.clone()
 				r = r.Negate()
 				for k, mr := range m {
 					mr.count = -mr.count
 					m[k] = mr
 				}
+				r.Add(tu, 3)
+				m.add(tu, 3)
+				sameAsModel(t, where("Negate's original", i), old, oldM, arity)
 			case 12:
 				op = "ToSet"
 				r = r.ToSet()
@@ -251,6 +257,209 @@ func TestCellsAgainstPlainModel(t *testing.T) {
 			}
 			sameAsModel(t, where(op, i), r, m, arity)
 		}
+	}
+	t.Run("growths", func(t *testing.T) { tableGrowths(t, rng) })
+	t.Run("wrapped delete run", tableWrappedRun)
+	t.Run("sized", tableSized)
+	t.Run("materialize", tableMaterialize)
+	t.Run("rows in home order", tableHomeOrder)
+}
+
+// tableHomeOrder feeds a growing relation the rows of another in the order
+// they are read out, which is the source's home order. Were the homes of
+// the two tables the same, the rows would fill the target's first cells as
+// one run at every size it passes through, and building it would be
+// quadratic; with a multiplier per table no run is long. Checked when the
+// target is as full as it gets, just before a growth.
+func tableHomeOrder(t *testing.T) {
+	src := New(2)
+	for i := 0; i < 40000; i++ {
+		src.Add(intTuple(i), 1)
+	}
+	dst := New(2)
+	for _, row := range src.Rows() {
+		if dst.AddRow(row); dst.Len() == 26000 {
+			break
+		}
+	}
+	cells := dst.rows.cells
+	if len(cells) != 32768 {
+		t.Fatalf("26 000 rows sit in %d cells, want the 32 768 that are four fifths full at 26 214", len(cells))
+	}
+	longest, run := 0, 0
+	for _, c := range cells {
+		if run++; c.count == 0 {
+			run = 0
+		}
+		longest = max(longest, run)
+	}
+	if longest > len(cells)/8 {
+		t.Fatalf("the longest run of a table filled in another's home order is %d of %d cells", longest, len(cells))
+	}
+}
+
+// intTuple is the i-th tuple of a domain as large as a test needs.
+func intTuple(i int) value.Tuple { return value.T(int64(i%97), int64(i)) }
+
+// tableGrowths takes a relation made empty through every doubling up to a
+// few thousand rows with deletes mixed in, empties it, refills it with
+// other tuples, and then lets a Clone and a Negate of it and the relation
+// itself each go their own way: no copy sees a later write of another.
+func tableGrowths(t *testing.T, rng *rand.Rand) {
+	r, m := New(-1), model{}
+	grown, cells := 0, 0
+	for i := 0; i < 6000; i++ {
+		r.Add(intTuple(i), int64(1+i%3))
+		m.add(intTuple(i), int64(1+i%3))
+		if j := rng.Intn(i + 1); rng.Intn(3) == 0 {
+			r.Delete(intTuple(j))
+			m.add(intTuple(j), -m[intTuple(j).Key()].count)
+		}
+		if len(r.rows.cells) != cells {
+			grown, cells = grown+1, len(r.rows.cells)
+			sameAsModel(t, fmt.Sprintf("after growth %d to %d cells", grown, cells), r, m, 2)
+		}
+	}
+	if grown < 8 {
+		t.Fatalf("the table grew %d times, want a stream that crosses several growths", grown)
+	}
+	sameAsModel(t, "grown", r, m, 2)
+
+	for k, mr := range m {
+		r.Delete(mr.tuple)
+		delete(m, k)
+	}
+	for i, c := range r.rows.cells {
+		if c != (cell{}) {
+			t.Fatalf("cell %d of an emptied table is %+v, want the zero cell", i, c)
+		}
+	}
+	sameAsModel(t, "emptied", r, m, 2)
+	for i := 10000; i < 13000; i++ {
+		r.Add(intTuple(i), -2)
+		m.add(intTuple(i), -2)
+	}
+	if len(r.rows.cells) != cells {
+		t.Fatalf("refilling an emptied table of %d cells with fewer rows left it with %d", cells, len(r.rows.cells))
+	}
+	sameAsModel(t, "refilled", r, m, 2)
+
+	cl, clM := r.Clone(), m.clone()
+	ng, ngM := r.Negate(), model{}
+	for k, mr := range m {
+		ngM[k] = modelRow{mr.tuple, -mr.count}
+	}
+	for i := 10000; i < 13000; i++ {
+		switch tu := intTuple(i); i % 3 {
+		case 0:
+			r.Delete(tu)
+			m.add(tu, 2)
+		case 1:
+			cl.Add(tu, 2) // cancels
+			clM.add(tu, 2)
+			cl.Add(intTuple(i+5000), 1)
+			clM.add(intTuple(i+5000), 1)
+		default:
+			ng.Add(tu, 5)
+			ngM.add(tu, 5)
+		}
+	}
+	sameAsModel(t, "the original after its copies diverged", r, m, 2)
+	sameAsModel(t, "the diverged Clone", cl, clM, 2)
+	sameAsModel(t, "the diverged Negate", ng, ngM, 2)
+}
+
+// tableWrappedRun fills a sized table with tuples whose home is its last
+// cell, so that their probe run wraps the end of the array, and deletes
+// them in every rotation of their order: each delete shifts cells back
+// across the wrap, and every tuple left must still be found.
+func tableWrappedRun(t *testing.T) {
+	const n = 6
+	probe := NewSized(2, n)
+	last := len(probe.rows.cells) - 1
+	var run []value.Tuple
+	for i := 0; len(run) < n-1; i++ {
+		if tu := intTuple(i); probe.rows.home(hashString(tu.Key())) == last {
+			run = append(run, tu)
+		}
+	}
+	for rot := range run {
+		r, m := NewSized(2, n), model{}
+		r.rows.mul = probe.rows.mul // the homes the run was picked for
+		for _, tu := range run {
+			r.Add(tu, 1)
+			m.add(tu, 1)
+		}
+		if r.rows.cells[0].count == 0 || r.rows.home(r.rows.cells[0].h) != last {
+			t.Fatalf("cell 0 holds %+v: the run does not wrap the end of the array", r.rows.cells[0])
+		}
+		for i := range run {
+			tu := run[(rot+i)%len(run)]
+			r.Delete(tu)
+			m.add(tu, -1)
+			sameAsModel(t, fmt.Sprintf("rotation %d after delete %d", rot, i), r, m, 2)
+		}
+	}
+}
+
+// tableSized: NewSized(n) and n inserts allocate the relation and one cell
+// array, never a second; one more row than it was made for may grow it.
+func tableSized(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 100, 1000} {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = keyed(intTuple(i), 1)
+		}
+		var r *Relation
+		allocs := testing.AllocsPerRun(10, func() {
+			r = NewSized(2, n)
+			for _, row := range rows {
+				r.AddRow(row)
+			}
+		})
+		if allocs > 2 || len(r.rows.cells) != sizedCells(n) || r.Len() != n {
+			t.Errorf("NewSized(%d) and %d inserts: %v allocations, %d cells for %d rows; want 2 allocations and %d cells",
+				n, n, allocs, len(r.rows.cells), r.Len(), sizedCells(n))
+		}
+	}
+}
+
+// tableMaterialize flattens a chain whose links insert, cancel and
+// re-insert one tuple the base lacks, delete and re-insert one it holds,
+// remove a third, and between them insert as many new rows as the base
+// has before deleting them again: the flat form is the model's, and its
+// table is the one made for that row count — the inserts that came before
+// their deletes did not grow it.
+func tableMaterialize(t *testing.T) {
+	base, m := New(2), model{}
+	for i := 0; i < 1000; i++ {
+		base.Add(intTuple(i), 2)
+		m.add(intTuple(i), 2)
+	}
+	v := NewVersioned(base)
+	link := func(rows ...Row) {
+		d := New(2)
+		for _, row := range rows {
+			d.Add(row.Tuple, row.Count)
+			m.add(row.Tuple, row.Count)
+		}
+		d.Freeze()
+		// Not Push: its ratio rule would flatten at the first link.
+		v = &Versioned{rd: Overlay(v.rd, d), base: v.base, deltas: append(v.deltas[:len(v.deltas):len(v.deltas)], d), pend: v.pend + d.Len()}
+	}
+	fresh, held, gone := intTuple(5000), intTuple(1), intTuple(2)
+	var flood, ebb []Row
+	for i := 2000; i < 3000; i++ {
+		flood = append(flood, Row{Tuple: intTuple(i), Count: 1})
+		ebb = append(ebb, Row{Tuple: intTuple(i), Count: -1})
+	}
+	link(append(flood, Row{Tuple: fresh, Count: 1}, Row{Tuple: held, Count: -2})...)
+	link(Row{Tuple: fresh, Count: -1}, Row{Tuple: gone, Count: -1})
+	link(append(ebb, Row{Tuple: fresh, Count: 3}, Row{Tuple: held, Count: 1}, Row{Tuple: gone, Count: -1})...)
+	f := v.Flat()
+	sameAsModel(t, "flattened chain", f, m, 2)
+	if f.Len() != 1000 || len(f.rows.cells) != sizedCells(1000) {
+		t.Fatalf("flat form has %d rows in %d cells, want 1000 rows in the %d cells made for them", f.Len(), len(f.rows.cells), sizedCells(1000))
 	}
 }
 

@@ -1,0 +1,93 @@
+package relation
+
+import (
+	"maps"
+	"strings"
+	"testing"
+
+	"ivm/internal/value"
+)
+
+// churn is the stream that passes 256 tuples through a relation of six
+// rows: it deletes the oldest before it adds the next, so the table stays
+// the eight cells of its first growth, three quarters full. Homes follow
+// the per-process hash seed, so no fixed stream can name the cells it
+// touches; in a table that small and that full most deletes shift a run
+// back, and under any seed about a hundred of those runs wrap the end of
+// the array.
+func churn() []byte {
+	var ops []byte
+	for k := 0; k < 256; k++ {
+		if k >= 6 {
+			ops = append(ops, 0x02, byte(k-6)) // Delete
+		}
+		ops = append(ops, 0x80, byte(k)) // Add +1
+	}
+	return ops
+}
+
+// FuzzTableOps drives a relation with a stream of two-byte operations —
+// the low nibble of the first byte picks Add, AddRow, Delete, Set, Clone
+// or Reset, its high nibble the count, the second byte the tuple — beside
+// a plain map[string]int64, and checks the tuple touched after every
+// operation and the whole content at the end and at every Clone (the
+// relation a Clone leaves behind must keep what it had).
+func FuzzTableOps(f *testing.F) {
+	f.Add(churn())
+	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		r, m := New(-1), map[string]int64{}
+		tuples := map[string]value.Tuple{}
+		same := func(where string, r *Relation, m map[string]int64) {
+			seen := 0
+			r.Each(func(row Row) {
+				if seen++; m[row.Key()] != row.Count || row.Count == 0 {
+					t.Fatalf("%s: relation holds %v×%d, model %d", where, row.Tuple, row.Count, m[row.Key()])
+				}
+			})
+			if seen != len(m) || r.Len() != len(m) {
+				t.Fatalf("%s: Each visited %d rows, Len %d, model has %d", where, seen, r.Len(), len(m))
+			}
+			for k, c := range m {
+				if got := r.Count(tuples[k]); got != c {
+					t.Fatalf("%s: Count(%v) = %d, model %d", where, tuples[k], got, c)
+				}
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			tu := value.T(int64(ops[i+1]%16), strings.Repeat("k", int(ops[i+1]/16)))
+			k, c := tu.Key(), int64(ops[i]>>4)-7
+			tuples[k] = tu
+			switch ops[i] & 0xf % 6 {
+			case 0:
+				r.Add(tu, c)
+				m[k] += c
+			case 1:
+				r.AddRow(keyed(tu, c))
+				m[k] += c
+			case 2:
+				r.Delete(tu)
+				m[k] = 0
+			case 3:
+				r.Set(tu, c)
+				m[k] = c
+			case 4:
+				old, oldM := r, maps.Clone(m)
+				r = r.Clone()
+				r.Add(tu, 1)
+				m[k]++
+				same("the relation a Clone left behind", old, oldM)
+			default:
+				r.Reset()
+				m = map[string]int64{}
+			}
+			if m[k] == 0 {
+				delete(m, k)
+			}
+			if got := r.Count(tu); got != m[k] {
+				t.Fatalf("op %d (%#x %d): Count(%v) = %d, model %d", i/2, ops[i], ops[i+1], tu, got, m[k])
+			}
+		}
+		same("at the end", r, m)
+	})
+}

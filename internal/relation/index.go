@@ -33,13 +33,14 @@ type bucket struct {
 // relation has gen 0 and only ever sees buckets it made itself.
 var lastGen atomic.Uint64
 
-// cloneIndexed is Clone for the successor of a frozen relation: the copy
-// also takes every index r has built — each bucket map is copied, the
-// buckets themselves are shared until written — so merging a delta into it
-// maintains those indexes incrementally instead of leaving the next reader
-// to rebuild them over all of r.
-func (r *Relation) cloneIndexed() *Relation {
-	c := r.Clone()
+// cloneIndexed is Clone for the successor of a frozen relation, with the
+// table made for n ≥ r.Len() rows: the copy also takes every index r has
+// built — each bucket map is copied, the buckets themselves are shared
+// until written — so merging a delta into it maintains those indexes
+// incrementally instead of leaving the next reader to rebuild them over
+// all of r.
+func (r *Relation) cloneIndexed(n int) *Relation {
+	c := &Relation{arity: r.arity, rows: r.rows.clone(sizedCells(n))}
 	r.idxMu.RLock()
 	defer r.idxMu.RUnlock()
 	if len(r.idx) == 0 {
@@ -109,8 +110,7 @@ func (r *Relation) buildIndex(cols []int) *index {
 	// The index outlives the call: it must not alias the caller's slice.
 	ix := &index{cols: append([]int(nil), cols...), buckets: make(map[string]*bucket)}
 	var buf [value.KeyScratch]byte
-	for _, c := range r.rows {
-		row := r.row(c)
+	r.Each(func(row Row) {
 		pk := row.Tuple.AppendProjKey(buf[:0], ix.cols)
 		b := ix.buckets[string(pk)]
 		if b == nil {
@@ -118,7 +118,7 @@ func (r *Relation) buildIndex(cols []int) *index {
 			ix.buckets[string(pk)] = b
 		}
 		b.rows = append(b.rows, row)
-	}
+	})
 	r.idx[sig] = ix
 	r.hasIdx.Store(true)
 	indexesBuilt.Add(1)

@@ -10,6 +10,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -67,7 +68,7 @@ func (r Row) WithCount(count int64) Row {
 // parallel evaluation therefore writes into per-worker Shards and merges.
 type Relation struct {
 	arity int
-	rows  map[string]cell
+	rows  table
 
 	// frozen marks an immutable relation (a published snapshot version):
 	// any mutation panics. Lazy index builds remain allowed — they are
@@ -94,25 +95,40 @@ type Relation struct {
 // tuple in r.rows has exactly r.arity values (insert checks it, and arity
 // is fixed by the first insert), so a tuple is kept as the pointer to its
 // backing array — which keeps the array alive — and read back by row with
-// len == cap == arity: an append to a read-back tuple always copies. A
-// map slot is 48 bytes instead of the 64 a Row costs. The cell keeps the
-// key because m[string(b)] = v and delete(m, string(b)) both allocate:
-// with the string at hand, changing a present tuple's count does not.
+// len == cap == arity: an append to a read-back tuple always copies. The
+// key string is kept the same way, as the pointer to its bytes and a
+// 32-bit length, which leaves room for the key's hash (see table) in the
+// 32 bytes of a cell; a Row is 64. With the key at hand a row read back,
+// and every later merge of it, is never encoded again. A cell is occupied
+// iff count != 0.
 type cell struct {
-	key   string
+	kp    *byte
 	vals  *value.Value
 	count int64
+	kl, h uint32
+}
+
+// key is the string newCell packed; kp keeps its immutable bytes alive.
+func (c *cell) key() string { return unsafe.String(c.kp, c.kl) }
+
+// newCell packs a keyed row; h is the hash of row.key.
+func newCell(row Row, h uint32) cell {
+	if uint64(len(row.key)) > math.MaxUint32 {
+		panic("relation: tuple key longer than 4 GiB")
+	}
+	return cell{kp: unsafe.StringData(row.key), kl: uint32(len(row.key)), h: h, vals: unsafe.SliceData(row.Tuple), count: row.Count}
 }
 
 // row rebuilds the Row of a cell stored in r.
 func (r *Relation) row(c cell) Row {
-	return Row{Tuple: unsafe.Slice(c.vals, r.arity), Count: c.count, key: c.key}
+	return Row{Tuple: unsafe.Slice(c.vals, r.arity), Count: c.count, key: c.key()}
 }
 
 // New returns an empty relation with the given arity. Arity -1 means
-// "unknown until the first insert" (useful for generic plumbing).
+// "unknown until the first insert" (useful for generic plumbing). Its
+// cells are made by the first insert.
 func New(arity int) *Relation {
-	return &Relation{arity: arity, rows: make(map[string]cell)}
+	return &Relation{arity: arity, rows: newTable(0)}
 }
 
 // FromRows builds a relation from rows, merging duplicate tuples' counts.
@@ -128,36 +144,44 @@ func FromRows(arity int, rows []Row) *Relation {
 func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of distinct tuples (not the sum of counts).
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return r.rows.n }
 
 // TotalCount returns the sum of all counts (the multiset cardinality).
 func (r *Relation) TotalCount() int64 {
 	var n int64
-	for _, c := range r.rows {
+	for _, c := range r.rows.cells {
 		n += c.count
 	}
 	return n
 }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return len(r.rows) == 0 }
+func (r *Relation) Empty() bool { return r.rows.n == 0 }
 
 // Count returns the stored count for t (0 if absent). Like every probe
-// it encodes t into a stack buffer and indexes the map with the bytes,
+// it encodes t into a stack buffer and probes the table with the bytes,
 // which allocates nothing.
 func (r *Relation) Count(t value.Tuple) int64 {
 	var buf [value.KeyScratch]byte
-	return r.rows[string(t.AppendKey(buf[:0]))].count
+	kb := t.AppendKey(buf[:0])
+	return countAt(r, hashBytes(kb), kb)
+}
+
+// countAt is the count stored under key k, whose hash is h (0 if absent).
+func countAt[K string | []byte](r *Relation, h uint32, k K) int64 {
+	if i := find(&r.rows, h, k); i >= 0 {
+		return r.rows.cells[i].count
+	}
+	return 0
 }
 
 // Stored returns the row stored under the canonical key kb, for callers
 // that hold a tuple's encoding rather than the tuple. Allocates nothing.
 func (r *Relation) Stored(kb []byte) (Row, bool) {
-	c, ok := r.rows[string(kb)]
-	if !ok {
-		return Row{}, false
+	if i := find(&r.rows, hashBytes(kb), kb); i >= 0 {
+		return r.row(r.rows.cells[i]), true
 	}
-	return r.row(c), true
+	return Row{}, false
 }
 
 // Has reports whether t is present with a positive count. This is the
@@ -192,11 +216,12 @@ func (r *Relation) Add(t value.Tuple, count int64) {
 	r.mutable()
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
-	if c, ok := r.rows[string(kb)]; ok {
-		r.bump(c, count)
+	h := hashBytes(kb)
+	if i := find(&r.rows, h, kb); i >= 0 {
+		r.bump(i, count)
 		return
 	}
-	r.insert(Row{Tuple: t, Count: count, key: string(kb)})
+	r.insert(Row{Tuple: t, Count: count, key: string(kb)}, h)
 }
 
 // AddRow is Add for a row that came out of a relation: it reuses the
@@ -207,38 +232,43 @@ func (r *Relation) AddRow(in Row) {
 		r.Add(in.Tuple, in.Count)
 		return
 	}
+	r.addHashed(in, hashString(in.key))
+}
+
+// addHashed is AddRow for a keyed row whose key is known to hash to h.
+func (r *Relation) addHashed(in Row, h uint32) {
 	if in.Count == 0 {
 		return
 	}
 	r.mutable()
-	if c, ok := r.rows[in.key]; ok {
-		r.bump(c, in.Count)
+	if i := find(&r.rows, h, in.key); i >= 0 {
+		r.bump(i, in.Count)
 		return
 	}
-	r.insert(in)
+	r.insert(in, h)
 }
 
-// insert stores a keyed row whose tuple is not yet present.
-func (r *Relation) insert(row Row) {
+// insert stores a keyed row whose tuple is not yet present; h hashes its key.
+func (r *Relation) insert(row Row, h uint32) {
 	if r.arity < 0 {
 		r.arity = len(row.Tuple)
 	} else if len(row.Tuple) != r.arity {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", row.Tuple, r.arity))
 	}
-	r.rows[row.key] = cell{key: row.key, vals: unsafe.SliceData(row.Tuple), count: row.Count}
+	r.rows.insert(newCell(row, h))
 	r.idxAdd(row, row.Count, false)
 	r.statsAdd(row.Tuple, 1)
 }
 
-// bump adds delta to a stored cell, removing it when the count cancels.
-func (r *Relation) bump(c cell, delta int64) {
-	if c.count += delta; c.count == 0 {
-		delete(r.rows, c.key)
-		r.statsAdd(r.row(c).Tuple, -1)
-	} else {
-		r.rows[c.key] = c
+// bump adds delta to the stored cell i, removing it when the count cancels.
+func (r *Relation) bump(i int, delta int64) {
+	r.rows.cells[i].count += delta
+	row := r.row(r.rows.cells[i])
+	if row.Count == 0 {
+		r.rows.del(i)
+		r.statsAdd(row.Tuple, -1)
 	}
-	r.idxAdd(r.row(c), delta, true)
+	r.idxAdd(row, delta, true)
 }
 
 // Set forces the count of t to exactly count (removing it when 0).
@@ -250,25 +280,27 @@ func (r *Relation) Set(t value.Tuple, count int64) {
 func (r *Relation) Delete(t value.Tuple) {
 	r.mutable()
 	var buf [value.KeyScratch]byte
-	if c, ok := r.rows[string(t.AppendKey(buf[:0]))]; ok {
-		r.bump(c, -c.count)
+	kb := t.AppendKey(buf[:0])
+	if i := find(&r.rows, hashBytes(kb), kb); i >= 0 {
+		r.bump(i, -r.rows.cells[i].count)
 	}
 }
 
-// Each calls f for every row. Iteration order is unspecified. f must not
-// mutate the relation.
+// Each calls f for every row, in unspecified order. f must not mutate the
+// relation — a delete moves cells back under the cursor, an insert may move
+// the table — and no call site does (audited for EXPERIMENTS.md E24).
 func (r *Relation) Each(f func(Row)) {
-	for _, c := range r.rows {
-		f(r.row(c))
+	for _, c := range r.rows.cells {
+		if c.count != 0 {
+			f(r.row(c))
+		}
 	}
 }
 
 // Rows returns all rows in unspecified order.
 func (r *Relation) Rows() []Row {
-	out := make([]Row, 0, len(r.rows))
-	for _, c := range r.rows {
-		out = append(out, r.row(c))
-	}
+	out := make([]Row, 0, r.rows.n)
+	r.Each(func(row Row) { out = append(out, row) })
 	return out
 }
 
@@ -281,30 +313,27 @@ func (r *Relation) SortedRows() []Row {
 }
 
 // Clone returns a deep-enough copy (tuples are immutable and shared).
-// Indexes are not copied.
+// Indexes are not copied; the table is made to size (a memmove if r's is).
 func (r *Relation) Clone() *Relation {
-	c := NewSized(r.arity, len(r.rows))
-	for k, cl := range r.rows {
-		c.rows[k] = cl
-	}
-	return c
+	return &Relation{arity: r.arity, rows: r.rows.clone(sizedCells(r.rows.n))}
 }
 
-// NewSized is New with the row map sized for n rows. n must be an exact
-// count: a map sized from an upper bound stays that large for the life
-// of the relation (Negate, counting's setTransitions and DRed's
-// negPart/posPart count first).
+// NewSized is New with the table made for n rows, which then go in
+// without growing it. n must be an exact count: a table sized from an
+// upper bound stays that large for the life of the relation (counting's
+// setTransitions and DRed's negPart/posPart count first).
 func NewSized(arity, n int) *Relation {
-	return &Relation{arity: arity, rows: make(map[string]cell, n)}
+	return &Relation{arity: arity, rows: newTable(sizedCells(n))}
 }
 
 // Reset empties r for reuse as a scratch output, keeping its arity and
-// dropping its indexes and statistics. A cleared map keeps the tables of
+// dropping its indexes and statistics. A cleared table keeps the cells of
 // the largest content it has held, so a relation that is Reset must not
 // outlive the operation that fills it.
 func (r *Relation) Reset() {
 	r.mutable()
-	clear(r.rows)
+	clear(r.rows.cells)
+	r.rows.n = 0
 	r.idxMu.Lock()
 	r.idx = nil
 	r.hasIdx.Store(false)
@@ -317,10 +346,12 @@ func (r *Relation) Reset() {
 
 // MergeDelta folds delta into r using the ⊎ operator of Section 3:
 // counts add, zero-count tuples vanish. r is modified in place. Stored
-// rows carry their keys, so no tuple is encoded.
+// rows carry their keys and hashes: no tuple is encoded, no key hashed.
 func (r *Relation) MergeDelta(delta *Relation) {
-	for _, c := range delta.rows {
-		r.AddRow(delta.row(c))
+	for _, c := range delta.rows.cells {
+		if c.count != 0 {
+			r.addHashed(delta.row(c), c.h)
+		}
 	}
 }
 
@@ -334,10 +365,9 @@ func UnionPlus(a, b *Relation) *Relation {
 // Negate returns a copy of r with all counts sign-flipped (the deletion
 // image of a relation).
 func (r *Relation) Negate() *Relation {
-	out := NewSized(r.arity, len(r.rows))
-	for k, c := range r.rows {
-		c.count = -c.count
-		out.rows[k] = c
+	out := r.Clone()
+	for i := range out.rows.cells {
+		out.rows.cells[i].count = -out.rows.cells[i].count
 	}
 	return out
 }
@@ -346,11 +376,17 @@ func (r *Relation) Negate() *Relation {
 // to count 1 (tuples with non-positive counts are dropped). This is the
 // set(·) function of Algorithm 4.1 statement (2).
 func (r *Relation) ToSet() *Relation {
-	out := NewSized(r.arity, len(r.rows))
-	for k, c := range r.rows {
+	n := 0
+	for _, c := range r.rows.cells {
+		if c.count > 0 {
+			n++
+		}
+	}
+	out := NewSized(r.arity, n)
+	for _, c := range r.rows.cells {
 		if c.count > 0 {
 			c.count = 1
-			out.rows[k] = c
+			out.rows.place(c)
 		}
 	}
 	return out
@@ -361,19 +397,19 @@ func (r *Relation) ToSet() *Relation {
 // Algorithm 4.1 (the cascade delta under set semantics).
 func SetDiff(a, b *Relation) *Relation {
 	out := New(pickArity(a, b))
-	if len(b.rows) > 0 && b.arity != out.arity { // out takes cells of both
+	if b.rows.n > 0 && b.arity != out.arity { // out takes cells of both
 		panic(fmt.Sprintf("relation: SetDiff of arity-%d and arity-%d relations", a.arity, b.arity))
 	}
-	for k, c := range a.rows {
-		if c.count > 0 && b.rows[k].count <= 0 {
+	for _, c := range a.rows.cells {
+		if c.count > 0 && countAt(b, c.h, c.key()) <= 0 {
 			c.count = 1
-			out.rows[k] = c
+			out.rows.insert(c)
 		}
 	}
-	for k, c := range b.rows {
-		if c.count > 0 && a.rows[k].count <= 0 {
+	for _, c := range b.rows.cells {
+		if c.count > 0 && countAt(a, c.h, c.key()) <= 0 {
 			c.count = -1
-			out.rows[k] = c
+			out.rows.insert(c)
 		}
 	}
 	return out
@@ -382,11 +418,11 @@ func SetDiff(a, b *Relation) *Relation {
 // Equal reports whether two relations contain exactly the same tuples with
 // the same counts.
 func Equal(a, b *Relation) bool {
-	if len(a.rows) != len(b.rows) {
+	if a.rows.n != b.rows.n {
 		return false
 	}
-	for k, c := range a.rows {
-		if b.rows[k].count != c.count {
+	for _, c := range a.rows.cells {
+		if c.count != 0 && countAt(b, c.h, c.key()) != c.count {
 			return false
 		}
 	}
@@ -395,13 +431,13 @@ func Equal(a, b *Relation) bool {
 
 // EqualAsSets reports whether a and b have the same positive-count tuples.
 func EqualAsSets(a, b *Relation) bool {
-	for k, c := range a.rows {
-		if c.count > 0 && b.rows[k].count <= 0 {
+	for _, c := range a.rows.cells {
+		if c.count > 0 && countAt(b, c.h, c.key()) <= 0 {
 			return false
 		}
 	}
-	for k, c := range b.rows {
-		if c.count > 0 && a.rows[k].count <= 0 {
+	for _, c := range b.rows.cells {
+		if c.count > 0 && countAt(a, c.h, c.key()) <= 0 {
 			return false
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // insertions. Sketches follow the lazy-index discipline: nothing is
 // allocated until the first DistinctEst call, after which Add/Delete keep
 // the sketch in sync via the same transition points that maintain
-// indexes. Relations built by direct map writes (Clone, Negate, ToSet,
+// indexes. Relations built by direct table writes (Clone, Negate, ToSet,
 // SetDiff, ...) start with no stats, so they can never go stale.
 
 // statsBuckets is the number of refcount buckets per column sketch.
@@ -117,8 +117,9 @@ func DistinctEstimate(rd Reader, col int) int {
 // synchronized — legal on frozen relations, like lazy index builds) and
 // maintaining them incrementally afterwards.
 func (r *Relation) DistinctEst(col int) int {
-	if col < 0 || (r.arity >= 0 && col >= r.arity) {
-		return len(r.rows)
+	// Unknown arity (-1) means empty: sketches made now would never get columns.
+	if col < 0 || col >= r.arity {
+		return r.Len()
 	}
 	r.statsMu.RLock()
 	st := r.stats
@@ -126,20 +127,14 @@ func (r *Relation) DistinctEst(col int) int {
 	if st == nil {
 		r.statsMu.Lock()
 		if st = r.stats; st == nil {
-			arity := r.arity
-			if arity < 0 {
-				arity = 0
-			}
-			st = &tableStats{cols: make([]colSketch, arity)}
-			for _, c := range r.rows {
-				st.add(r.row(c).Tuple, 1)
-			}
+			st = &tableStats{cols: make([]colSketch, r.arity)}
+			r.Each(func(row Row) { st.add(row.Tuple, 1) })
 			r.stats = st
 			r.hasStats.Store(true)
 		}
 		r.statsMu.Unlock()
 	}
-	return st.estimate(col, len(r.rows))
+	return st.estimate(col, r.Len())
 }
 
 // statsAdd records a presence transition of t (delta +1 on insert, −1 on
@@ -260,7 +255,7 @@ func IndexesBuilt() int64 { return indexesBuilt.Load() }
 
 // rowsLinked counts the delta rows Push has put on version chains,
 // rowsCopied the rows compaction and flattening have written into a new
-// map; copied ÷ linked is the publish amplification.
+// table; copied ÷ linked is the publish amplification.
 var rowsLinked, rowsCopied atomic.Int64
 
 // VersionRows returns the cumulative rows linked by Push and rows copied

@@ -42,6 +42,25 @@ func TestDistinctEstAccuracy(t *testing.T) {
 	}
 }
 
+// A relation reloaded empty has unknown arity until its first insert
+// (storage reloads it as New(-1)): an estimate asked for before that must
+// not pin zero-column sketches that answer Len ever after.
+func TestDistinctEstBeforeArityIsKnown(t *testing.T) {
+	known, unknown := New(2), New(-1)
+	for _, r := range []*Relation{known, unknown} {
+		if got := r.DistinctEst(0); got != 0 {
+			t.Fatalf("DistinctEst(0) of an empty relation = %d, want 0", got)
+		}
+		for i := 0; i < 1000; i++ {
+			r.Add(value.T(fmt.Sprintf("g%d", i%10), fmt.Sprintf("u%d", i)), 1)
+		}
+	}
+	want, got := known.DistinctEst(0), unknown.DistinctEst(0)
+	if want < 5 || want > 20 || got != want {
+		t.Fatalf("1000 rows, 10 distinct: DistinctEst(0) = %d on a relation made with arity -1, %d on one made with arity 2", got, want)
+	}
+}
+
 func TestDistinctEstMaintainedIncrementally(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 50; i++ {

@@ -1,6 +1,9 @@
 package relation
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Versioned is an immutable, copy-on-write relation version: the unit
 // snapshot publication works with. A version is either a frozen
@@ -10,7 +13,7 @@ import "sync/atomic"
 // are derived from it.
 //
 // Push derives the successor version in O(|delta|) by stacking one more
-// overlay link; probes (Count/Has/Lookup) then pay one map hit per
+// overlay link; probes (Count/Has/Lookup) then pay one table probe per
 // link. Two triggers keep both costs bounded, and only the second is
 // O(|base|):
 //
@@ -39,7 +42,7 @@ type Versioned struct {
 
 const (
 	// maxChainDepth bounds per-probe overhead: a reader pays at most
-	// this many map hits per Count/Has. A chain that would reach it is
+	// this many table probes per Count/Has. A chain that would reach it is
 	// compacted to base ⊎ one run; the base is not copied.
 	maxChainDepth = 32
 	// minFlattenRows keeps small relations from flattening on every
@@ -99,35 +102,67 @@ func (v *Versioned) Push(delta *Relation) *Versioned {
 // base ⊎ run: the same content at depth 1 (depth 0 if everything pending
 // cancelled), for O(pending rows) and without touching the base.
 func (v *Versioned) compact() *Versioned {
-	run := fold(v.deltas[0].Clone(), v.deltas[1:])
+	run := v.deltas[0].Clone()
+	for _, d := range v.deltas[1:] {
+		run.MergeDelta(d)
+	}
+	rowsCopied.Add(int64(v.pend))
+	run.Freeze()
 	if run.Empty() {
 		return NewVersioned(v.base)
 	}
 	return &Versioned{rd: Overlay(v.base, run), base: v.base, deltas: []*Relation{run}, pend: run.Len()}
 }
 
-// materialize collapses the chain into a single frozen relation: one
-// copy of the flat base at its exact size and with its indexes, then the
-// pending deltas folded in by their cached keys, which keeps those indexes
-// in step (cloneIndexed). No tuple is encoded, and the map is
-// never sized from the chain's Len, which only bounds the row count from
-// above (a delete/re-insert workload would keep paying for the slack).
-// The copy is O(|base|).
+// materialize collapses the chain into a single frozen relation. The
+// pending links are first netted in a pooled scratch relation, so the rows
+// the result will have can be counted before it is made (the chain's Len
+// only bounds that from above) and the new base is allocated once, for the
+// larger of that count and the base's: when the relation has not grown its
+// cells arrive by one memmove. The base's indexes come with it
+// (cloneIndexed) and the fold keeps them in step. Tuples the base holds are
+// folded before tuples it does not, so the table never holds more rows than
+// it was made for and a flatten cannot double it. Nothing is encoded or hashed.
 func (v *Versioned) materialize() *Relation {
-	return fold(v.base.cloneIndexed(), v.deltas)
-}
-
-// fold merges deltas into f, a copy nobody else holds yet, and freezes it.
-func fold(f *Relation, deltas []*Relation) *Relation {
-	copied := f.Len()
-	for _, d := range deltas {
-		f.MergeDelta(d)
-		copied += d.Len()
+	base, n := v.base, v.base.Len()
+	run := netRuns.Get().(*Relation)
+	run.arity = v.deltas[0].arity
+	for _, d := range v.deltas {
+		run.MergeDelta(d)
 	}
-	rowsCopied.Add(int64(copied))
+	// nets calls f with every netted row, its hash and its count in base.
+	nets := func(f func(row Row, h uint32, was int64)) {
+		for _, c := range run.rows.cells {
+			if c.count != 0 {
+				f(run.row(c), c.h, countAt(base, c.h, c.key()))
+			}
+		}
+	}
+	nets(func(row Row, _ uint32, was int64) {
+		if was == 0 {
+			n++
+		} else if was+row.Count == 0 {
+			n--
+		}
+	})
+	f := base.cloneIndexed(max(n, base.Len()))
+	for _, held := range [2]bool{true, false} {
+		nets(func(row Row, h uint32, was int64) {
+			if (was != 0) == held {
+				f.addHashed(row, h)
+			}
+		})
+	}
+	run.Reset()
+	netRuns.Put(run)
+	rowsCopied.Add(int64(base.Len() + v.pend))
 	f.Freeze()
 	return f
 }
+
+// netRuns pools materialize's scratch: a flatten every few applies would
+// otherwise allocate another quarter of the base to net its links in.
+var netRuns = sync.Pool{New: func() any { return New(-1) }}
 
 // Reader returns the version's read view: the cached flat relation if
 // one exists, else the overlay chain.
