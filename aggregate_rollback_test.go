@@ -52,3 +52,66 @@ func TestRejectedAggregateApplyLeavesGroupTablesIntact(t *testing.T) {
 		})
 	}
 }
+
+// A rejected apply may fail after its outputs borrowed stored rows: a
+// deletion's Δ row is the stored row's tuple and key under another count.
+// Whether it is refused before any rule runs (a deletion of an absent
+// tuple), inside the first stratum or inside the last (a sum meeting a
+// string after other rules of the apply were evaluated), every stored
+// relation must keep its rows and counts, and the next good apply must end
+// where a fresh Materialize of the surviving base does.
+func TestRejectedApplyAfterBorrowingLeavesStoredRowsIntact(t *testing.T) {
+	const (
+		hop   = "hop(X,Y) :- link(X,Z), link(Z,Y).\n"
+		tc    = "tc(X,Y) :- link(X,Y).\ntc(X,Y) :- link(X,Z), tc(Z,Y).\n"
+		first = "total(X,S) :- groupby(link(X,V),[X],S=sum(V)).\n" // beside the join, in stratum 1
+		base  = "link(1,2). link(1,3). link(2,3). link(2,4). link(3,4). link(4,5)."
+		good  = "-link(2,3). +link(3,5)."
+	)
+	last := func(view string) string { return "total(X,S) :- groupby(" + view + "(X,V),[X],S=sum(V)).\n" }
+	for _, tt := range []struct {
+		name, program, bad, wantErr string
+		opts                        []ivm.Option
+		preds                       []string
+	}{
+		{"counting/first-stratum", hop + first, `-link(2,3). +link(2,"oops").`, "non-numeric",
+			[]ivm.Option{ivm.WithSemantics(ivm.DuplicateSemantics)}, []string{"hop", "total"}},
+		{"counting/last-stratum", hop + last("hop"), `-link(2,3). +link(4,"oops").`, "non-numeric",
+			[]ivm.Option{ivm.WithSemantics(ivm.DuplicateSemantics)}, []string{"hop", "total"}},
+		{"counting/absent-tuple", hop + last("hop"), `-link(2,3). -link(9,9).`, "absent",
+			nil, []string{"hop", "total"}},
+		{"dred/first-stratum", tc + first, `-link(2,3). +link(2,"oops").`, "non-numeric",
+			[]ivm.Option{ivm.WithStrategy(ivm.DRed)}, []string{"tc", "total"}},
+		{"dred/last-stratum", tc + last("tc"), `-link(2,3). +link(5,"oops").`, "non-numeric",
+			[]ivm.Option{ivm.WithStrategy(ivm.DRed)}, []string{"tc", "total"}},
+		{"dred/absent-tuple", tc + last("tc"), `-link(2,3). -link(9,9).`, "absent",
+			[]ivm.Option{ivm.WithStrategy(ivm.DRed)}, []string{"tc", "total"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			v := mustViews(t, base, tt.program, tt.opts...)
+			all := append([]string{"link"}, tt.preds...)
+			before := make(map[string][]ivm.Row)
+			for _, pred := range all {
+				before[pred] = ivm.EngineRows(v, pred)
+			}
+			if _, err := v.ApplyScript(tt.bad); err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("bad apply: err = %v, want one that says %q", err, tt.wantErr)
+			}
+			for _, pred := range all {
+				after := ivm.EngineRows(v, pred)
+				same := len(after) == len(before[pred])
+				for i := 0; same && i < len(after); i++ {
+					same = after[i].Tuple.Equal(before[pred][i].Tuple) && after[i].Count == before[pred][i].Count
+				}
+				if !same {
+					t.Fatalf("the rejected apply moved stored %s:\n got %v\nwant %v", pred, after, before[pred])
+				}
+			}
+			borrowed := watchBorrowing(v)
+			apply(t, v, good)
+			borrowed(t, "the good apply")
+			fresh := mustViews(t, strings.Replace(base, "link(2,3).", "link(3,5).", 1), tt.program, tt.opts...)
+			requireSameRows(t, "after a rejected apply and a good one", all, fresh, v, true)
+		})
+	}
+}

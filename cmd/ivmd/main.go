@@ -66,7 +66,7 @@ func run() error {
 	idemWindow := flag.Int("idem-window", 0, "idempotency keys remembered for apply dedup (0 = library default); size it above the keyed applies that can land within a client's retry horizon")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request timeout for non-streaming endpoints")
 	maxBody := flag.Int64("max-body", 4<<20, "maximum apply request body bytes")
-	subBuffer := flag.Int("sub-buffer", 256, "per-subscriber event buffer; a consumer that falls this far behind is evicted")
+	subBuffer := flag.Int("sub-buffer", 256, "per-subscriber event buffer; a consumer that falls this far behind is evicted (the resume ring keeps as many events, 4 KiB of lines each)")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle lifetime of snapshot-pinned sessions")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging (lifecycle events still log)")

@@ -1,5 +1,7 @@
 package ivm
 
+import "ivm/internal/relation"
+
 // What the engine holds, as opposed to what the views have published: the
 // external test package asserts that the two never part.
 
@@ -19,4 +21,19 @@ func EngineRows(v *Views, pred string) []Row {
 		return nil
 	}
 	return r.SortedRows()
+}
+
+// EngineRelation is the engine's stored relation for pred (nil if none).
+func EngineRelation(v *Views, pred string) *relation.Relation {
+	v.wmu.Lock()
+	defer v.wmu.Unlock()
+	return v.eng.DB().Get(pred)
+}
+
+// EngineCommittedDeltas is what the engine's last operation merged into
+// its stored relations.
+func EngineCommittedDeltas(v *Views) map[string]*relation.Relation {
+	v.wmu.Lock()
+	defer v.wmu.Unlock()
+	return v.eng.CommittedDeltas()
 }

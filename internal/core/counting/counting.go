@@ -491,7 +491,7 @@ func (e *Engine) applyRule(ri int, cascade map[string]*relation.Relation, pendin
 
 	dp, ok := perPred[rule.Head.Pred]
 	if !ok {
-		dp = relation.New(len(rule.Head.Args))
+		dp = e.headDelta(rule, nil)
 		perPred[rule.Head.Pred] = dp
 	}
 
@@ -514,6 +514,14 @@ func (e *Engine) applyRule(ri int, cascade map[string]*relation.Relation, pendin
 		}
 	}
 	return nil
+}
+
+// headDelta returns an empty Δ(head) that borrows from pending (or nil) and
+// the stored head relation, which is written after the last stratum.
+func (e *Engine) headDelta(rule datalog.Rule, pending *relation.Relation) *relation.Relation {
+	out := relation.New(len(rule.Head.Args))
+	out.BorrowFrom(e.db.Ensure(rule.Head.Pred, -1), pending)
+	return out
 }
 
 // applyStratumParallel evaluates all delta rules of a nonrecursive
@@ -544,7 +552,7 @@ func (e *Engine) applyStratumParallel(rules []int, cascade map[string]*relation.
 				Srcs:     srcs,
 				FirstLit: i,
 				Plan:     plan,
-				Out:      relation.New(len(rule.Head.Args)),
+				Out:      e.headDelta(rule, nil),
 			})
 		}
 	}

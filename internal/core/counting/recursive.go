@@ -48,11 +48,11 @@ func (e *Engine) applyRecursiveStratum(stratum int, rules []int,
 
 	// ---- Round 0: effects of lower-strata changes. ----
 	round := make(map[string]*relation.Relation)
-	for pred := range inStratum {
-		round[pred] = relation.New(e.db.Ensure(pred, -1).Arity())
-	}
 	for _, ri := range rules {
 		rule := e.prog.Rules[ri]
+		if round[rule.Head.Pred] == nil {
+			round[rule.Head.Pred] = e.headDelta(rule, nil)
+		}
 		// Reuse the nonrecursive delta-rule machinery, but restrict the Δ
 		// positions to subgoals over *changed lower* predicates and route
 		// results into the round accumulator.
@@ -127,7 +127,7 @@ func (e *Engine) applyRecursiveStratum(stratum int, rules []int,
 						srcs[j] = e.sideSource(l2, eval.RuleLit{Rule: ri, Lit: j}, cascade, pendingT, true)
 					}
 				}
-				out := relation.New(len(rule.Head.Args))
+				out := e.headDelta(rule, acc[rule.Head.Pred]) // acc moves after the round
 				plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs, li)
 				if err != nil {
 					return err

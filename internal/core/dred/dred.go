@@ -360,7 +360,9 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 // lacks (!stored): the seed of a rule removal, resp. insertion.
 func (e *Engine) ruleSeed(ri int, stored bool) (*relation.Relation, error) {
 	rule := e.prog.Rules[ri]
+	head := e.db.Ensure(rule.Head.Pred, len(rule.Head.Args))
 	out := relation.New(len(rule.Head.Args))
+	out.BorrowFrom(head, nil)
 	srcs, err := e.ruleSources(ri, nil, nil)
 	if err != nil {
 		return nil, err
@@ -368,7 +370,6 @@ func (e *Engine) ruleSeed(ri int, stored bool) (*relation.Relation, error) {
 	if err := eval.EvalRuleInstr(rule, srcs, -1, out, e.instr); err != nil {
 		return nil, err
 	}
-	head := e.db.Ensure(rule.Head.Pred, len(rule.Head.Args))
 	seed := relation.New(len(rule.Head.Args))
 	out.Each(func(row relation.Row) {
 		if row.Count > 0 && head.Has(row.Tuple) == stored {

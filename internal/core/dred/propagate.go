@@ -147,20 +147,28 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		return eval.Task{Rule: rule, Srcs: srcs, FirstLit: deltaLit, Plan: plan}, nil
 	}
 
-	// scratchOut returns the operation's one output relation of the given
-	// arity, emptied: sequential evaluations write into it in turn, each
-	// fold consuming it before the next evaluation starts. It dies with
-	// the operation (see Relation.Reset), so a big one leaves nothing
-	// behind.
+	// lend names out's lenders for an evaluation of pred's rules: δ⁺(p) ⊆
+	// δ⁻(p) ⊆ p (§7) stores every head of steps 1 and 2, step 3's may be
+	// in the net. Storage is written at commit, the net between evaluations.
+	lend := func(out *relation.Relation, pred string) *relation.Relation {
+		out.BorrowFrom(e.db.Ensure(pred, -1), net[pred])
+		return out
+	}
+
+	// scratchOut returns the operation's one output relation of head's
+	// arity, emptied and lent to for head's predicate: sequential
+	// evaluations write into it in turn, each fold consuming it before the
+	// next evaluation starts. It dies with the operation (see
+	// Relation.Reset), so a big one leaves nothing behind.
 	scratch := make(map[int]*relation.Relation)
-	scratchOut := func(arity int) *relation.Relation {
-		out := scratch[arity]
+	scratchOut := func(head datalog.Atom) *relation.Relation {
+		out := scratch[len(head.Args)]
 		if out == nil {
-			out = relation.New(arity)
-			scratch[arity] = out
+			out = relation.New(len(head.Args))
+			scratch[len(head.Args)] = out
 		}
 		out.Reset()
-		return out
+		return lend(out, head.Pred)
 	}
 
 	// evalStep evaluates one δ-rule sequentially, returning the derived
@@ -170,7 +178,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		if err != nil {
 			return nil, err
 		}
-		t.Out = scratchOut(len(t.Rule.Head.Args))
+		t.Out = scratchOut(t.Rule.Head)
 		if err := eval.EvalRulePlanInstr(t.Rule, t.Srcs, t.FirstLit, t.Plan, t.Out, e.instr); err != nil {
 			return nil, err
 		}
@@ -189,7 +197,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 	// rounds).
 	runSteps := func(tasks []eval.Task, folds []func(*relation.Relation)) error {
 		for k := range tasks {
-			tasks[k].Out = relation.New(len(tasks[k].Rule.Head.Args))
+			tasks[k].Out = lend(relation.New(len(tasks[k].Rule.Head.Args)), tasks[k].Rule.Head.Pred)
 		}
 		if err := eval.RunBatchInstr(tasks, e.par, e.instr); err != nil {
 			return err
@@ -382,7 +390,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			if delS[p].Empty() {
 				continue
 			}
-			derived := scratchOut(len(rule.Head.Args))
+			derived := scratchOut(rule.Head)
 			if err := e.rederive(ri, delS[p], source, derived); err != nil {
 				return nil, err
 			}
@@ -408,7 +416,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 					if delS[p].Empty() {
 						continue
 					}
-					derived := scratchOut(len(rule.Head.Args))
+					derived := scratchOut(rule.Head)
 					if err := e.rederiveDelta(ri, li, d, delS[p], source, derived); err != nil {
 						return nil, err
 					}

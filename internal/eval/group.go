@@ -40,6 +40,11 @@ type groupEntry struct {
 	cur       value.Tuple // current T tuple (nil if group empty)
 }
 
+// tuple builds the group's T tuple for aggregate value v, in one allocation.
+func (e *groupEntry) tuple(v value.Value) value.Tuple {
+	return append(append(make(value.Tuple, 0, len(e.groupVals)+1), e.groupVals...), v)
+}
+
 // undoEntry snapshots one group before an uncommitted ApplyDelta touched
 // it, so Rollback can restore the table if maintenance aborts.
 type undoEntry struct {
@@ -81,7 +86,7 @@ func BuildGroupTable(g *datalog.Aggregate, u relation.Reader) (*GroupTable, erro
 	// Materialize T.
 	for _, e := range t.groups {
 		if v, ok := e.state.Result(); ok {
-			e.cur = append(e.groupVals.Clone(), v)
+			e.cur = e.tuple(v)
 			t.rel.Add(e.cur, 1)
 		}
 	}
@@ -230,24 +235,21 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*rela
 				return nil, err
 			}
 		}
-		var next value.Tuple
-		if v, ok := e.state.Result(); ok {
-			next = append(e.groupVals.Clone(), v)
-		}
+		// Only cur's last value, the aggregate, can move: only then build.
+		v, ok := e.state.Result()
 		switch {
-		case e.cur == nil && next == nil:
-			delete(t.groups, k)
-		case e.cur != nil && next != nil && e.cur.Equal(next):
+		case e.cur != nil && ok && e.cur[len(e.cur)-1].Equal(v):
 			// unchanged
+		case e.cur == nil && !ok:
+			delete(t.groups, k)
 		default:
 			if e.cur != nil {
 				changed = append(changed, relation.Row{Tuple: e.cur, Count: -1})
 			}
-			if next != nil {
-				changed = append(changed, relation.Row{Tuple: next, Count: 1})
-			}
-			e.cur = next
-			if next == nil {
+			if e.cur = nil; ok {
+				e.cur = e.tuple(v)
+				changed = append(changed, relation.Row{Tuple: e.cur, Count: 1})
+			} else {
 				delete(t.groups, k)
 			}
 		}

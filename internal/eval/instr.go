@@ -15,6 +15,8 @@ type Instruments struct {
 	// (no usable bound column). Kept separate from JoinProbes so the
 	// planner's cost feedback distinguishes keyed accesses from scans.
 	JoinScans *metrics.Counter
+	// Derived rows a tuple was allocated for, and that took a stored row's.
+	HeadsBuilt, HeadsBorrowed *metrics.Counter
 	// PartitionedJoins counts single-rule evaluations that were hash-
 	// partitioned across workers.
 	PartitionedJoins *metrics.Counter
@@ -36,6 +38,8 @@ func NewInstruments(r *metrics.Registry) *Instruments {
 	return &Instruments{
 		JoinProbes:       r.Counter("eval_join_probes_total"),
 		JoinScans:        r.Counter("eval_join_scans_total"),
+		HeadsBuilt:       r.Counter("eval_heads_built_total"),
+		HeadsBorrowed:    r.Counter("eval_heads_borrowed_total"),
 		PartitionedJoins: r.Counter("eval_partitioned_joins_total"),
 		BatchTasks:       r.Counter("eval_batch_tasks_total"),
 		TaskBusy:         r.Histogram("eval_task_seconds"),

@@ -165,7 +165,7 @@ func evalRuleParallel(rule datalog.Rule, srcs []Source, firstLit int, plan *Plan
 	if in != nil {
 		in.PartitionedJoins.Inc()
 	}
-	sh := relation.NewShards(len(rule.Head.Args), workers)
+	sh := relation.NewShards(out, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

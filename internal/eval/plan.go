@@ -471,19 +471,22 @@ func walkSteps(rule datalog.Rule, srcs []Source, steps []PlanStep, out *relation
 	if in != nil {
 		in.JoinProbes.Add(w.ctr.probes)
 		in.JoinScans.Add(w.ctr.scans)
+		in.HeadsBuilt.Add(w.ctr.heads[relation.Built])
+		in.HeadsBorrowed.Add(w.ctr.heads[relation.Borrowed])
 	}
 	return err
 }
 
 func (w *ruleWalk) walk(step int, count int64) error {
 	if step == len(w.steps) {
-		// The head tuple is the one thing a derivation allocates: out
-		// keeps it when the row is new.
-		head, err := groundAtom(nil, w.rule.Head.Args, w.b)
+		// The head is grounded on the stack (one wider than buf spills):
+		// out builds a tuple only for a row that nobody holds.
+		var buf [4]value.Value
+		head, err := groundAtom(buf[:0], w.rule.Head.Args, w.b)
 		if err != nil {
 			return err
 		}
-		w.out.Add(head, count)
+		w.ctr.heads[w.out.AddDerived(head, count)]++
 		return nil
 	}
 	fr := &w.frames[step]

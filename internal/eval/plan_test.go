@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ivm/internal/metrics"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
 	"ivm/internal/value"
@@ -373,14 +374,18 @@ func TestPlanMatchesGreedyOutput(t *testing.T) {
 	}
 }
 
-// A rule walk reuses one scratch frame per step: beyond the head tuple
-// each derivation hands to out, what it allocates must not grow with the
-// rows it joins. Both paths — planned and greedy — run the same walker
-// over a join whose probe count scales with n.
-func TestRuleWalkAllocatesOnlyHeadTuples(t *testing.T) {
+// A rule walk reuses one scratch frame per step and grounds the head on
+// its stack: it allocates a tuple only for a head that neither the output
+// nor a lender holds. A re-walk into an output that holds every head, or
+// into an emptied one that borrows them all, must therefore allocate a
+// number of objects that does not grow with the rows it joins — and no
+// more than a walk whose every derivation the last filter rejects, which
+// never grounds a head: there is no per-walk scratch for it either. Both
+// paths — planned and greedy — run the same walker.
+func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y), !blocked(X,Y).`)
 	rule := prog.Rules[0]
-	overhead := func(n int, planned bool) float64 {
+	allocs := func(n int, planned bool, mode string) float64 {
 		link, blocked := relation.New(2), relation.New(2)
 		for i := 0; i < n; i++ {
 			link.Add(value.T(i, i+1), 1)
@@ -396,23 +401,49 @@ func TestRuleWalkAllocatesOnlyHeadTuples(t *testing.T) {
 			}
 		}
 		out := relation.New(2)
+		in := NewInstruments(metrics.NewRegistry())
 		eval := func() {
-			if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, nil); err != nil {
+			if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, in); err != nil {
 				t.Fatal(err)
 			}
 		}
-		eval() // builds the index and stores every head tuple once
-		derivations := out.TotalCount()
-		if derivations < int64(n) {
-			t.Fatalf("join of %d links has %d derivations", n, derivations)
+		eval() // builds the index and every head tuple, once
+		heads := int64(out.Len())
+		if derivations := out.TotalCount(); derivations < int64(n) || in.HeadsBuilt.Value() != heads {
+			t.Fatalf("join of %d links: %d derivations of %d heads, %d built", n, derivations, heads, in.HeadsBuilt.Value())
 		}
-		return testing.AllocsPerRun(10, eval) - float64(derivations)
+		lender := out.Clone()
+		switch mode {
+		case "lent":
+			held := eval
+			eval = func() {
+				out.Reset() // keeps its cells: the table does not grow again
+				out.BorrowFrom(lender, nil)
+				held()
+			}
+		case "blocked":
+			blocked.MergeDelta(out)
+		}
+		eval()
+		a := testing.AllocsPerRun(10, eval)
+		borrowed := map[string]int64{"lent": 12 * heads}[mode]
+		if in.HeadsBuilt.Value() != heads || in.HeadsBorrowed.Value() != borrowed {
+			t.Fatalf("%s: 12 re-walks built %d heads and borrowed %d, want 0 and %d",
+				mode, in.HeadsBuilt.Value()-heads, in.HeadsBorrowed.Value(), borrowed)
+		}
+		if mode == "blocked" && !relation.Equal(out, lender) {
+			t.Fatal("a walk with every head blocked derived one")
+		}
+		return a
 	}
 	for _, planned := range []bool{true, false} {
-		small, large := overhead(50, planned), overhead(2000, planned)
-		if large > small || large > 40 {
-			t.Errorf("planned=%v: beyond one head tuple per derivation, a walk over 2000 links allocates %v objects, over 50 links %v; want equal and small",
-				planned, large, small)
+		none := allocs(50, planned, "blocked")
+		for _, mode := range []string{"held", "lent"} {
+			small, large := allocs(50, planned, mode), allocs(2000, planned, mode)
+			if large != small || small > none {
+				t.Errorf("planned=%v %s: a re-walk over 2000 links allocates %v objects, over 50 links %v, one that grounds no head %v; want all equal",
+					planned, mode, large, small, none)
+			}
 		}
 	}
 }

@@ -44,8 +44,10 @@ func EvalRule(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Rela
 // counter afterwards. Probes are keyed accesses (point lookups, index
 // lookups, negation Has checks); scans are full-relation enumerations —
 // kept separate so the planner's cost feedback can tell them apart.
+// heads counts the derivations by where the output found their row.
 type joinCounters struct {
 	probes, scans int64
+	heads         [relation.Built + 1]int64
 }
 
 // EvalRuleInstr is EvalRule with instrumentation: join probes and scans

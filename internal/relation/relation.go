@@ -67,28 +67,29 @@ func (r Row) WithCount(count int64) Row {
 // (Add/Set/Delete/MergeDelta) must not overlap reads or other mutations;
 // parallel evaluation therefore writes into per-worker Shards and merges.
 type Relation struct {
-	arity int
-	rows  table
+	arity int32 // one word with frozen; the flags share one too: 144 bytes
 
 	// frozen marks an immutable relation (a published snapshot version):
 	// any mutation panics. Lazy index builds remain allowed — they are
 	// internally synchronized and do not change the relation's content.
 	frozen bool
+	rows   table
 
 	// idx holds the lazy hash indexes, keyed by column signature. idxMu
 	// guards idx against concurrent lazy builds from reader goroutines;
 	// hasIdx lets the mutation hot path skip the lock entirely until the
 	// first index exists.
-	idx    map[string]*index
-	idxMu  sync.RWMutex
-	hasIdx atomic.Bool
-	gen    uint64 // marks the index buckets r may write in place (index.go)
+	idx      map[string]*index
+	idxMu    sync.RWMutex
+	hasIdx   atomic.Bool
+	hasStats atomic.Bool
+	gen      uint64       // marks the index buckets r may write in place (index.go)
+	lend     [2]*Relation // what AddDerived borrows stored rows from (BorrowFrom)
 
 	// stats holds the lazy per-column distinct sketches (see stats.go),
 	// with the same build-once-then-incremental discipline as idx.
-	stats    *tableStats
-	statsMu  sync.RWMutex
-	hasStats atomic.Bool
+	stats   *tableStats
+	statsMu sync.RWMutex
 }
 
 // cell is a stored row without what the relation already knows: every
@@ -128,7 +129,7 @@ func (r *Relation) row(c cell) Row {
 // "unknown until the first insert" (useful for generic plumbing). Its
 // cells are made by the first insert.
 func New(arity int) *Relation {
-	return &Relation{arity: arity, rows: newTable(0)}
+	return &Relation{arity: int32(arity), rows: newTable(0)}
 }
 
 // FromRows builds a relation from rows, merging duplicate tuples' counts.
@@ -141,7 +142,7 @@ func FromRows(arity int, rows []Row) *Relation {
 }
 
 // Arity returns the relation's arity (-1 if still unknown).
-func (r *Relation) Arity() int { return r.arity }
+func (r *Relation) Arity() int { return int(r.arity) }
 
 // Len returns the number of distinct tuples (not the sum of counts).
 func (r *Relation) Len() int { return r.rows.n }
@@ -224,6 +225,50 @@ func (r *Relation) Add(t value.Tuple, count int64) {
 	r.insert(Row{Tuple: t, Count: count, key: string(kb)}, h)
 }
 
+// Origin says where AddDerived found a derived tuple's row: r held it
+// (counts added), a lender did, or it was built, tuple and key.
+type Origin uint8
+
+const (
+	Merged Origin = iota
+	Borrowed
+	Built
+)
+
+// BorrowFrom names r's lenders (either may be nil), whose rows AddDerived
+// takes instead of building a tuple they hold: for an engine's output, the
+// stored head relation and its pending net. A lender must not be mutated
+// while r is filled; borrowed tuples and keys are immutable, as all are.
+func (r *Relation) BorrowFrom(stored, pending *Relation) { r.lend = [2]*Relation{stored, pending} }
+
+// AddDerived is Add for a tuple in scratch storage, of which r keeps
+// nothing: a tuple and a key are built only for a row neither r nor a
+// lender holds. A borrowed cell carries count, never the lender's.
+func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
+	if count == 0 {
+		return Merged
+	}
+	r.mutable()
+	var buf [value.KeyScratch]byte
+	kb := t.AppendKey(buf[:0])
+	h := hashBytes(kb)
+	if i := find(&r.rows, h, kb); i >= 0 {
+		r.bump(i, count)
+		return Merged
+	}
+	for _, l := range r.lend {
+		if l == nil {
+			continue
+		}
+		if i := find(&l.rows, h, kb); i >= 0 {
+			r.insert(l.row(l.rows.cells[i]).WithCount(count), h)
+			return Borrowed
+		}
+	}
+	r.insert(Row{Tuple: t.Clone(), Count: count, key: string(kb)}, h)
+	return Built
+}
+
 // AddRow is Add for a row that came out of a relation: it reuses the
 // row's cached key instead of encoding the tuple again. Rows built by
 // hand (no cached key) take the Add path.
@@ -251,8 +296,8 @@ func (r *Relation) addHashed(in Row, h uint32) {
 // insert stores a keyed row whose tuple is not yet present; h hashes its key.
 func (r *Relation) insert(row Row, h uint32) {
 	if r.arity < 0 {
-		r.arity = len(row.Tuple)
-	} else if len(row.Tuple) != r.arity {
+		r.arity = int32(len(row.Tuple))
+	} else if len(row.Tuple) != r.Arity() {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", row.Tuple, r.arity))
 	}
 	r.rows.insert(newCell(row, h))
@@ -323,17 +368,18 @@ func (r *Relation) Clone() *Relation {
 // upper bound stays that large for the life of the relation (counting's
 // setTransitions and DRed's negPart/posPart count first).
 func NewSized(arity, n int) *Relation {
-	return &Relation{arity: arity, rows: newTable(sizedCells(n))}
+	return &Relation{arity: int32(arity), rows: newTable(sizedCells(n))}
 }
 
 // Reset empties r for reuse as a scratch output, keeping its arity and
-// dropping its indexes and statistics. A cleared table keeps the cells of
-// the largest content it has held, so a relation that is Reset must not
-// outlive the operation that fills it.
+// dropping its indexes, statistics and lenders. A cleared table keeps the
+// cells of the largest content it has held, so a relation that is Reset
+// must not outlive the operation that fills it.
 func (r *Relation) Reset() {
 	r.mutable()
 	clear(r.rows.cells)
 	r.rows.n = 0
+	r.lend = [2]*Relation{}
 	r.idxMu.Lock()
 	r.idx = nil
 	r.hasIdx.Store(false)
@@ -382,7 +428,7 @@ func (r *Relation) ToSet() *Relation {
 			n++
 		}
 	}
-	out := NewSized(r.arity, n)
+	out := NewSized(r.Arity(), n)
 	for _, c := range r.rows.cells {
 		if c.count > 0 {
 			c.count = 1
@@ -446,9 +492,9 @@ func EqualAsSets(a, b *Relation) bool {
 
 func pickArity(a, b *Relation) int {
 	if a.arity >= 0 {
-		return a.arity
+		return a.Arity()
 	}
-	return b.arity
+	return b.Arity()
 }
 
 // String renders the relation like the paper: {ab 2, mn -1} with tuples in

@@ -27,15 +27,17 @@ type Shards struct {
 	parts []*Relation
 }
 
-// NewShards returns n empty shards of the given arity (n is clamped to a
-// minimum of 1).
-func NewShards(arity, n int) *Shards {
+// NewShards returns n empty shards (n is clamped to a minimum of 1) of
+// dst's arity that borrow from dst's lenders: what is merged into dst is
+// then built as if dst had been filled directly.
+func NewShards(dst *Relation, n int) *Shards {
 	if n < 1 {
 		n = 1
 	}
 	s := &Shards{parts: make([]*Relation, n)}
 	for i := range s.parts {
-		s.parts[i] = New(arity)
+		s.parts[i] = New(dst.Arity())
+		s.parts[i].lend = dst.lend
 	}
 	return s
 }
@@ -62,13 +64,6 @@ func (s *Shards) MergeInto(dst *Relation) {
 	for _, row := range rows {
 		dst.AddRow(row)
 	}
-}
-
-// Merge returns the ⊎ of all shards as a fresh relation.
-func (s *Shards) Merge() *Relation {
-	out := New(s.parts[0].Arity())
-	s.MergeInto(out)
-	return out
 }
 
 // keyHash is FNV-1a over a tuple's canonical key — deterministic across

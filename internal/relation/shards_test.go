@@ -22,7 +22,7 @@ func TestShardsMergeEqualsSequential(t *testing.T) {
 		}
 	}
 
-	sh := NewShards(2, workers)
+	sh := NewShards(New(2), workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -35,7 +35,8 @@ func TestShardsMergeEqualsSequential(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got := sh.Merge()
+	got := New(2)
+	sh.MergeInto(got)
 	if !Equal(want, got) {
 		t.Fatalf("sharded merge diverges from sequential:\nwant %s\ngot  %s", want, got)
 	}

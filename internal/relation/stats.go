@@ -118,7 +118,7 @@ func DistinctEstimate(rd Reader, col int) int {
 // maintaining them incrementally afterwards.
 func (r *Relation) DistinctEst(col int) int {
 	// Unknown arity (-1) means empty: sketches made now would never get columns.
-	if col < 0 || col >= r.arity {
+	if col < 0 || col >= r.Arity() {
 		return r.Len()
 	}
 	r.statsMu.RLock()

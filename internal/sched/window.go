@@ -72,12 +72,13 @@ func (w *Window[T]) Seed(v uint64) {
 // Append adds an item committed at version. Versions must advance; an
 // append at or below the current high-water mark means the version
 // counter restarted (a state reset), so the window clears and restarts
-// from the new version rather than serve a spliced history.
-func (w *Window[T]) Append(version uint64, item T) {
+// from the new version rather than serve a spliced history. It returns
+// the total size of the entries the window then holds.
+func (w *Window[T]) Append(version uint64, item T) int {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		return
+		return 0
 	}
 	if w.haveBounds && version <= w.hi {
 		w.start, w.count, w.used = 0, 0, 0
@@ -99,10 +100,11 @@ func (w *Window[T]) Append(version uint64, item T) {
 	w.entries[(w.start+w.count)%len(w.entries)] = WindowEntry[T]{Version: version, Item: item}
 	w.count++
 	w.hi = version
-	ch := w.waitCh
+	ch, used := w.waitCh, w.used
 	w.waitCh = make(chan struct{})
 	w.mu.Unlock()
 	close(ch)
+	return used
 }
 
 // Bounds returns the window's coverage: every committed version in

@@ -432,6 +432,46 @@ func TestHubFragmentEvents(t *testing.T) {
 	}
 }
 
+// TestHubRingBoundedByBytes: the resume ring holds ringCap × 4 KiB of event
+// lines at most, so large events age out before there are ringCap of them
+// — a resume from below the evicted bound gets the resync answer — while
+// the newest event always stays for its apply's ack, whatever its size.
+func TestHubRingBoundedByBytes(t *testing.T) {
+	v := encodeViews(t)
+	reg := metrics.NewRegistry()
+	h := NewHub(v, reg, 8) // 8 events, 32 KiB
+	var commits []*ivm.ChangeSet
+	for i := 0; i < 5; i++ {
+		commits = append(commits, applyRows(t, v, fmt.Sprintf("big%d", i), 400))
+	}
+	newest := commits[len(commits)-1]
+	line := h.Ack(newest, false)
+	if c := h.commitOf(newest); len(line) < 12<<10 || &c.line[0] != &line[0] {
+		t.Fatalf("the newest commit's %d-byte ack is not its line in the ring", len(line))
+	}
+	held := reg.Snapshot().Gauge("hub_ring_bytes")
+	if held < int64(len(line)) || held > 8*hubRingEventBytes || held >= int64(5*len(line)) {
+		t.Fatalf("hub_ring_bytes = %d after five %d-byte events, want the newest ones within %d", held, len(line), 8*hubRingEventBytes)
+	}
+	if sub, _, resync := h.SubscribeFrom(nil, 4, commits[0].Version()); sub != nil || !resync {
+		t.Fatalf("resume from a version evicted by bytes: sub=%v resync=%v, want a resync", sub, resync)
+	}
+	sub, backlog, resync := h.SubscribeFrom(nil, 4, newest.Version()-1)
+	if sub == nil || resync || len(backlog) != 1 || backlog[0].version != newest.Version() {
+		t.Fatalf("resume from the version before the newest: sub=%v resync=%v backlog=%v", sub, resync, backlog)
+	}
+	sub.Close()
+
+	// One event over the whole budget stays alone.
+	huge := applyRows(t, v, "huge", 2000)
+	if held := reg.Snapshot().Gauge("hub_ring_bytes"); held != int64(len(h.Ack(huge, false))) || held <= 8*hubRingEventBytes {
+		t.Fatalf("hub_ring_bytes = %d after a %d-byte event", held, len(h.Ack(huge, false)))
+	}
+	if sub, _, resync := h.SubscribeFrom(nil, 4, newest.Version()-1); sub != nil || !resync {
+		t.Fatalf("resume across the oversized event's evictions: sub=%v resync=%v, want a resync", sub, resync)
+	}
+}
+
 // TestAckIsTheEventOnTheWire: over HTTP, the body of an apply's ack and
 // the subscription line of the version it committed are the same bytes.
 func TestAckIsTheEventOnTheWire(t *testing.T) {

@@ -41,6 +41,7 @@ type Hub struct {
 	ring *sched.Window[*commit]
 
 	gActive    *metrics.Gauge
+	gRingBytes *metrics.Gauge
 	cEvents    *metrics.Counter
 	cDelivered *metrics.Counter
 	cEvicted   *metrics.Counter
@@ -48,8 +49,13 @@ type Hub struct {
 	cResyncs   *metrics.Counter
 }
 
-// NewHub builds a hub over v, registering its commit hook. ringCap
-// bounds the resume replay ring. Backpressure counters land in reg:
+// hubRingEventBytes is the resume ring's byte budget per event of its
+// capacity: a count alone lets 10 KB event lines outgrow the views.
+const hubRingEventBytes = 4 << 10
+
+// NewHub builds a hub over v, registering its commit hook. The resume
+// replay ring holds at most ringCap events and ringCap × 4 KiB of lines
+// (hub_ring_bytes), the newest always. Backpressure counters land in reg:
 // server_subscribers_active (gauge), server_sub_events_total (committed
 // events fanned out), server_sub_delivered_total (per-subscriber
 // deliveries), server_sub_evicted_total (slow consumers dropped),
@@ -58,8 +64,9 @@ type Hub struct {
 func NewHub(v *ivm.Views, reg *metrics.Registry, ringCap int) *Hub {
 	h := &Hub{
 		subs:       make(map[*Subscriber]struct{}),
-		ring:       sched.NewWindow(ringCap, 0, func(*commit) int { return 0 }), // bounded by count
+		ring:       sched.NewWindow(ringCap, ringCap*hubRingEventBytes, func(c *commit) int { return len(c.line) }),
 		gActive:    reg.Gauge("server_subscribers_active"),
+		gRingBytes: reg.Gauge("hub_ring_bytes"),
 		cEvents:    reg.Counter("server_sub_events_total"),
 		cDelivered: reg.Counter("server_sub_delivered_total"),
 		cEvicted:   reg.Counter("server_sub_evicted_total"),
@@ -220,7 +227,7 @@ func (h *Hub) publish(cs *ivm.ChangeSet) {
 		return
 	}
 	h.cEvents.Inc()
-	h.ring.Append(c.version, c)
+	h.gRingBytes.Set(int64(h.ring.Append(c.version, c)))
 	for s := range h.subs {
 		if c.kept(s.preds) == 0 {
 			continue

@@ -33,7 +33,8 @@ type Options struct {
 	MaxBodyBytes int64
 	// SubscriberBuffer is the default per-subscriber event buffer; a
 	// subscriber that falls this many committed batches behind is
-	// evicted (default 256). Clients may request less, never more.
+	// evicted (default 256). Clients may request less, never more. The
+	// resume ring keeps as many events, within 4 KiB of lines for each.
 	SubscriberBuffer int
 	// SessionTTL is the idle lifetime of a snapshot-pinned session;
 	// every read through the session refreshes it (default 5m).

@@ -7,6 +7,7 @@ package ivm_test
 // program families × quick.Check trials exceed 100 randomized runs.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,7 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 					if d.Empty() {
 						continue
 					}
+					borrowedSeq, borrowedPar := watchBorrowing(seq), watchBorrowing(par)
 					csSeq, err := seq.Apply(d)
 					if err != nil {
 						t.Fatalf("seed %d round %d seq: %v", seed, round, err)
@@ -88,6 +90,10 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d round %d par: %v", seed, round, err)
 					}
+					// Four workers read one lender: both outputs borrow
+					// every stored row (two tasks may build one new tuple).
+					borrowedSeq(t, fmt.Sprintf("seed %d round %d seq", seed, round))
+					borrowedPar(t, fmt.Sprintf("seed %d round %d par", seed, round))
 					// Reported change sets must match exactly too.
 					sp, pp := csSeq.Preds(), csPar.Preds()
 					if len(sp) != len(pp) {
