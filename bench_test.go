@@ -311,13 +311,6 @@ func BenchmarkE13RecursiveCounting(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSpeedup — the E14 sweep through standard tooling:
-// maintenance of the tri_hop view across worker counts × batch sizes ×
-// base sizes, through the public API. The sub-benchmark names encode the
-// configuration (workers/w2 means two evaluation workers); comparing
-// w1 vs wN at fixed batch/base gives the speedup. Results are
-// bit-identical at every setting — only latency changes — so this is a
-// pure scheduling benchmark. Meaningful speedups need multiple CPUs.
 // BenchmarkPlannerSkew — the cost-based planner on skewed cardinalities:
 // hot is small with a 1000-way fan-out per key, wide is large but
 // near-unique, and the timed Δreq keys hit hot's fan-out while missing
@@ -382,48 +375,6 @@ func skewMissToggle(i int) *ivm.Update {
 		u.Delete("req", key)
 	}
 	return u
-}
-
-func BenchmarkParallelSpeedup(b *testing.B) {
-	b.ReportAllocs()
-	for _, size := range []struct {
-		name         string
-		nodes, edges int
-	}{
-		{"base-small", 80, 400},
-		{"base-large", benchNodes, benchEdges},
-	} {
-		link := workload.RandomGraph(experiments.Rng(14), size.nodes, size.edges)
-		for _, batch := range []int{1, 16} {
-			del := workload.SampleDeletes(experiments.Rng(15), link, batch)
-			for _, workers := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("%s/batch%d/w%d", size.name, batch, workers)
-				b.Run(name, func(b *testing.B) {
-					b.ReportAllocs()
-					db := ivm.NewDatabase()
-					for _, row := range link.SortedRows() {
-						db.InsertTuple("link", row.Tuple, 1)
-					}
-					v, err := db.Materialize(experiments.TriHopProgram,
-						ivm.WithParallelism(workers))
-					if err != nil {
-						b.Fatal(err)
-					}
-					ins := del.Negate()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						d := del
-						if i%2 == 1 {
-							d = ins
-						}
-						if _, err := v.Apply(ivm.UpdateFromRelations(experiments.DeltaOf(d))); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
 }
 
 // hopDegProgram is the layered benchmark's replica_follow program.

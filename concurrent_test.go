@@ -25,7 +25,7 @@ func TestConcurrentReadersDuringUpdates(t *testing.T) {
 		hop(X,Y) :- link(X,Z), link(Z,Y).
 		tri(X,Y) :- hop(X,Z), link(Z,Y).
 		only(X,Y) :- tri(X,Y), !hop(X,Y).
-	`, ivm.WithParallelism(4))
+	`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,6 @@ type Engine struct {
 	sem   eval.Semantics
 	db    *eval.DB
 
-	// Parallelism is the worker count the per-Apply re-evaluations use
-	// (<= 1 sequential). Set it before the first Apply.
-	Parallelism int
-
 	// Metrics, when non-nil, receives the recompute_* counters and
 	// timings (and the eval_* series of the per-Apply re-evaluations).
 	// Set it before the first Apply.
@@ -161,7 +157,6 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		e.planner = eval.NewPlanner(e.Metrics)
 	}
 	ev := eval.NewEvaluator(e.prog, e.strat, e.sem)
-	ev.Parallelism = e.Parallelism
 	ev.Instr = eval.NewInstruments(e.Metrics)
 	ev.Planner = e.planner
 	if err := ev.Evaluate(e.db); err != nil {

@@ -61,11 +61,6 @@ type Config struct {
 	AllowRecursion bool
 	// MaxIterations bounds recursive count fixpoints (0 = default).
 	MaxIterations int
-	// Parallelism is the number of worker goroutines used to evaluate the
-	// delta rules of a stratum (Δ1..Δn over all rules, which are mutually
-	// independent) concurrently, and to hash-partition large single-rule
-	// joins. <= 1 evaluates sequentially; results are identical either way.
-	Parallelism int
 	// DisablePlanner turns off the cost-based join planner: every rule
 	// evaluation falls back to the greedy per-call literal order.
 	// Results are identical either way.
@@ -94,8 +89,7 @@ type Engine struct {
 	// fixpoints) and their iteration budget.
 	allowRecursion bool
 	maxIter        int
-	// par is the worker count for delta-rule batches (<= 1 sequential).
-	par int
+
 	db  *eval.DB
 	gts map[eval.RuleLit]*eval.GroupTable
 
@@ -205,7 +199,6 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	ev := eval.NewEvaluator(prog, st, sem)
 	ev.RecursiveCounts = cfg.AllowRecursion
 	ev.MaxIterations = cfg.MaxIterations
-	ev.Parallelism = cfg.Parallelism
 	ev.Instr = instr
 	ev.Planner = planner
 	if err := ev.Evaluate(db); err != nil {
@@ -214,8 +207,7 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	e := &Engine{
 		prog: prog, strat: st, sem: sem, reportSet: reportSet,
 		allowRecursion: cfg.AllowRecursion, maxIter: cfg.MaxIterations,
-		par: cfg.Parallelism,
-		db:  db, gts: ev.GroupTables,
+		db: db, gts: ev.GroupTables,
 		planner: planner,
 		tracer:  cfg.Tracer, instr: instr,
 	}
@@ -366,16 +358,11 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 				break
 			}
 		}
-		switch {
-		case recursive:
+		if recursive {
 			if err := e.applyRecursiveStratum(s, byStratum[s], cascade, pendingT, perPred); err != nil {
 				return fail(err)
 			}
-		case e.par > 1:
-			if err := e.applyStratumParallel(byStratum[s], cascade, pendingT, perPred); err != nil {
-				return fail(err)
-			}
-		default:
+		} else {
 			for _, ri := range byStratum[s] {
 				if err := e.applyRule(ri, cascade, pendingT, perPred); err != nil {
 					return fail(err)
@@ -524,60 +511,9 @@ func (e *Engine) headDelta(rule datalog.Rule, pending *relation.Relation) *relat
 	return out
 }
 
-// applyStratumParallel evaluates all delta rules of a nonrecursive
-// stratum as one batch over the worker pool. The Δ images and group-table
-// updates are computed sequentially up front (they memoize into shared
-// maps); every Δi(r) evaluation then writes a private output, and the
-// outputs are ⊎-merged into perPred in task order — identical to the
-// sequential accumulation because ⊎ is commutative.
-func (e *Engine) applyStratumParallel(rules []int, cascade map[string]*relation.Relation, pendingT map[eval.RuleLit]*relation.Relation, perPred map[string]*relation.Relation) error {
-	var tasks []eval.Task
-	for _, ri := range rules {
-		rule := e.prog.Rules[ri]
-		litDelta, err := e.deltaImages(ri, cascade, pendingT)
-		if err != nil {
-			return err
-		}
-		for i := range litDelta {
-			if litDelta[i] == nil {
-				continue
-			}
-			srcs := e.deltaSources(ri, litDelta, i, cascade, pendingT)
-			plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs, i)
-			if err != nil {
-				return err
-			}
-			tasks = append(tasks, eval.Task{
-				Rule:     rule,
-				Srcs:     srcs,
-				FirstLit: i,
-				Plan:     plan,
-				Out:      e.headDelta(rule, nil),
-			})
-		}
-	}
-	if err := eval.RunBatchInstr(tasks, e.par, e.instr); err != nil {
-		return err
-	}
-	for _, t := range tasks {
-		pred := t.Rule.Head.Pred
-		dp, ok := perPred[pred]
-		if !ok {
-			dp = relation.New(len(t.Rule.Head.Args))
-			perPred[pred] = dp
-		}
-		dp.MergeDelta(t.Out)
-		e.last.DeltaRulesEvaluated++
-		if e.tracer != nil {
-			e.tracer.RuleEvaluated(pred, t.Out.Len())
-		}
-	}
-	return nil
-}
-
 // deltaImages computes the per-literal Δ images of rule ri (nil =
-// subgoal unchanged), updating group tables as a side effect. Must run
-// sequentially: it memoizes into pendingT.
+// subgoal unchanged), updating group tables as a side effect (it
+// memoizes into pendingT).
 func (e *Engine) deltaImages(ri int, cascade map[string]*relation.Relation, pendingT map[eval.RuleLit]*relation.Relation) ([]*relation.Relation, error) {
 	rule := e.prog.Rules[ri]
 	n := len(rule.Body)
@@ -627,8 +563,7 @@ func (e *Engine) deltaImages(ri int, cascade map[string]*relation.Relation, pend
 
 // deltaSources builds the source list of delta rule Δi(r) per Definition
 // 4.1: position i reads the Δ image, earlier positions the new state,
-// later positions the old state. Reads shared state only — safe to call
-// before fanning the evaluations out to workers.
+// later positions the old state.
 func (e *Engine) deltaSources(ri int, litDelta []*relation.Relation, i int, cascade map[string]*relation.Relation, pendingT map[eval.RuleLit]*relation.Relation) []eval.Source {
 	rule := e.prog.Rules[ri]
 	n := len(rule.Body)

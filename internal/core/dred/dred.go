@@ -46,11 +46,6 @@ type Stats struct {
 
 // Config carries the engine's tuning knobs.
 type Config struct {
-	// Parallelism is the number of worker goroutines used for the δ-rule
-	// batches of the step-1 overestimate and step-3 insertion fixpoints
-	// (and for hash-partitioning large single-rule joins). <= 1 runs
-	// sequentially; the maintained views are identical either way.
-	Parallelism int
 	// DisablePlanner turns off the cost-based join planner: every δ-rule
 	// evaluation falls back to the greedy per-call literal order.
 	// Results are identical either way.
@@ -71,8 +66,6 @@ type Engine struct {
 	strat *strata.Stratification
 	db    *eval.DB
 	gts   map[eval.RuleLit]*eval.GroupTable
-	// par is the worker count for δ-rule batches (<= 1 sequential).
-	par int
 
 	// last holds the work counters of the most recent operation. It is
 	// written only by Apply/AddRule/RemoveRule and read via Stats();
@@ -149,7 +142,7 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 		db.Put(pred, base.Get(pred).ToSet())
 	}
 	e := &Engine{
-		prog: prog, strat: st, db: db, par: cfg.Parallelism,
+		prog: prog, strat: st, db: db,
 		tracer: cfg.Tracer, instr: eval.NewInstruments(cfg.Metrics),
 	}
 	if !cfg.DisablePlanner {
@@ -175,7 +168,6 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 
 func (e *Engine) materialize() error {
 	ev := eval.NewEvaluator(e.prog, e.strat, eval.Set)
-	ev.Parallelism = e.par
 	ev.Instr = e.instr
 	ev.Planner = e.planner
 	if err := ev.Evaluate(e.db); err != nil {

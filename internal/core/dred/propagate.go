@@ -117,12 +117,29 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 	}
 
-	// stepTask assembles one δ-rule evaluation: rule ri with literal
-	// deltaLit bound to img and every other literal at the old (step 1)
-	// or new (steps 2/3) version. Sources are resolved immediately (they
-	// touch shared group-table state); the join itself runs via
-	// eval.EvalRule — directly or as part of a parallel batch.
-	stepTask := func(ri, deltaLit int, img relation.Reader, useNew bool) (eval.Task, error) {
+	// scratchOut returns the operation's one output relation of head's
+	// arity, emptied: evaluations write into it in turn, each fold
+	// consuming it before the next evaluation starts. It dies with the
+	// operation (see Relation.Reset), so a big one leaves nothing behind.
+	// Its lenders are head's stored relation and net: δ⁺(p) ⊆ δ⁻(p) ⊆ p
+	// (§7) stores every head of steps 1 and 2, step 3's may be in the net.
+	// Storage is written at commit, the net between evaluations.
+	scratch := make(map[int]*relation.Relation)
+	scratchOut := func(head datalog.Atom) *relation.Relation {
+		out := scratch[len(head.Args)]
+		if out == nil {
+			out = relation.New(len(head.Args))
+			scratch[len(head.Args)] = out
+		}
+		out.Reset()
+		out.BorrowFrom(e.db.Ensure(head.Pred, -1), net[head.Pred])
+		return out
+	}
+
+	// evalStep evaluates one δ-rule — rule ri with literal deltaLit bound
+	// to img and every other literal at the old (step 1) or new (steps
+	// 2/3) version — returning the derived tuples in the scratch output.
+	evalStep := func(ri, deltaLit int, img relation.Reader, useNew bool) (*relation.Relation, error) {
 		rule := e.prog.Rules[ri]
 		srcs := make([]eval.Source, len(rule.Body))
 		for j, lit := range rule.Body {
@@ -132,7 +149,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			}
 			s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, useNew)
 			if err != nil {
-				return eval.Task{}, err
+				return nil, err
 			}
 			srcs[j] = s
 		}
@@ -142,74 +159,17 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: kind, Delta: deltaLit}, rule, srcs, deltaLit)
 		if err != nil {
-			return eval.Task{}, err
-		}
-		return eval.Task{Rule: rule, Srcs: srcs, FirstLit: deltaLit, Plan: plan}, nil
-	}
-
-	// lend names out's lenders for an evaluation of pred's rules: δ⁺(p) ⊆
-	// δ⁻(p) ⊆ p (§7) stores every head of steps 1 and 2, step 3's may be
-	// in the net. Storage is written at commit, the net between evaluations.
-	lend := func(out *relation.Relation, pred string) *relation.Relation {
-		out.BorrowFrom(e.db.Ensure(pred, -1), net[pred])
-		return out
-	}
-
-	// scratchOut returns the operation's one output relation of head's
-	// arity, emptied and lent to for head's predicate: sequential
-	// evaluations write into it in turn, each fold consuming it before the
-	// next evaluation starts. It dies with the operation (see
-	// Relation.Reset), so a big one leaves nothing behind.
-	scratch := make(map[int]*relation.Relation)
-	scratchOut := func(head datalog.Atom) *relation.Relation {
-		out := scratch[len(head.Args)]
-		if out == nil {
-			out = relation.New(len(head.Args))
-			scratch[len(head.Args)] = out
-		}
-		out.Reset()
-		return lend(out, head.Pred)
-	}
-
-	// evalStep evaluates one δ-rule sequentially, returning the derived
-	// tuples in the scratch output.
-	evalStep := func(ri, deltaLit int, img relation.Reader, useNew bool) (*relation.Relation, error) {
-		t, err := stepTask(ri, deltaLit, img, useNew)
-		if err != nil {
 			return nil, err
 		}
-		t.Out = scratchOut(t.Rule.Head)
-		if err := eval.EvalRulePlanInstr(t.Rule, t.Srcs, t.FirstLit, t.Plan, t.Out, e.instr); err != nil {
+		out := scratchOut(rule.Head)
+		if err := eval.EvalRulePlanInstr(rule, srcs, deltaLit, plan, out, e.instr); err != nil {
 			return nil, err
 		}
 		e.last.RuleFirings++
 		if e.tracer != nil {
-			e.tracer.RuleEvaluated(t.Rule.Head.Pred, t.Out.Len())
+			e.tracer.RuleEvaluated(rule.Head.Pred, out.Len())
 		}
-		return t.Out, nil
-	}
-
-	// runSteps evaluates a batch of prepared δ-rule tasks across the
-	// worker pool, each into an output of its own (the tasks of one pass
-	// are independent: folds are deferred until the whole batch finished,
-	// then run in task order — confluent, because deferred effects
-	// re-enter through the in-stratum Δ images of the following fixpoint
-	// rounds).
-	runSteps := func(tasks []eval.Task, folds []func(*relation.Relation)) error {
-		for k := range tasks {
-			tasks[k].Out = lend(relation.New(len(tasks[k].Rule.Head.Args)), tasks[k].Rule.Head.Pred)
-		}
-		if err := eval.RunBatchInstr(tasks, e.par, e.instr); err != nil {
-			return err
-		}
-		e.last.RuleFirings += len(tasks)
-		for k := range tasks {
-			if e.tracer != nil {
-				e.tracer.RuleEvaluated(tasks[k].Rule.Head.Pred, tasks[k].Out.Len())
-			}
-			folds[k](tasks[k].Out)
-		}
-		return nil
+		return out, nil
 	}
 
 	for s := 1; s <= e.strat.MaxStratum; s++ {
@@ -250,48 +210,21 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 				}
 			})
 		}
-		if e.par > 1 {
-			var tasks []eval.Task
-			var folds []func(*relation.Relation)
-			for _, ri := range rules {
-				rule := e.prog.Rules[ri]
-				for li, lit := range rule.Body {
-					img, err := e.deleteImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, oldR)
-					if err != nil {
-						return nil, err
-					}
-					if img == nil || img.Empty() {
-						continue
-					}
-					t, err := stepTask(ri, li, img, false)
-					if err != nil {
-						return nil, err
-					}
-					pred := rule.Head.Pred
-					tasks = append(tasks, t)
-					folds = append(folds, func(out *relation.Relation) { foldDel(pred, out) })
+		for _, ri := range rules {
+			rule := e.prog.Rules[ri]
+			for li, lit := range rule.Body {
+				img, err := e.deleteImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, oldR)
+				if err != nil {
+					return nil, err
 				}
-			}
-			if err := runSteps(tasks, folds); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, ri := range rules {
-				rule := e.prog.Rules[ri]
-				for li, lit := range rule.Body {
-					img, err := e.deleteImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, oldR)
-					if err != nil {
-						return nil, err
-					}
-					if img == nil || img.Empty() {
-						continue
-					}
-					out, err := evalStep(ri, li, img, false)
-					if err != nil {
-						return nil, err
-					}
-					foldDel(rule.Head.Pred, out)
+				if img == nil || img.Empty() {
+					continue
 				}
+				out, err := evalStep(ri, li, img, false)
+				if err != nil {
+					return nil, err
+				}
+				foldDel(rule.Head.Pred, out)
 			}
 		}
 		for pred := range inStratum {
@@ -303,48 +236,21 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			e.last.FixpointRounds++
 			cur := round
 			round = make(map[string]relation.RowSlice, len(cur))
-			if e.par > 1 {
-				var tasks []eval.Task
-				var folds []func(*relation.Relation)
-				for _, ri := range rules {
-					rule := e.prog.Rules[ri]
-					for li, lit := range rule.Body {
-						if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
-							continue
-						}
-						d := cur[lit.Atom.Pred]
-						if len(d) == 0 {
-							continue
-						}
-						t, err := stepTask(ri, li, d, false)
-						if err != nil {
-							return nil, err
-						}
-						pred := rule.Head.Pred
-						tasks = append(tasks, t)
-						folds = append(folds, func(out *relation.Relation) { foldDel(pred, out) })
+			for _, ri := range rules {
+				rule := e.prog.Rules[ri]
+				for li, lit := range rule.Body {
+					if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
+						continue
 					}
-				}
-				if err := runSteps(tasks, folds); err != nil {
-					return nil, err
-				}
-			} else {
-				for _, ri := range rules {
-					rule := e.prog.Rules[ri]
-					for li, lit := range rule.Body {
-						if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
-							continue
-						}
-						d := cur[lit.Atom.Pred]
-						if len(d) == 0 {
-							continue
-						}
-						out, err := evalStep(ri, li, d, false)
-						if err != nil {
-							return nil, err
-						}
-						foldDel(rule.Head.Pred, out)
+					d := cur[lit.Atom.Pred]
+					if len(d) == 0 {
+						continue
 					}
+					out, err := evalStep(ri, li, d, false)
+					if err != nil {
+						return nil, err
+					}
+					foldDel(rule.Head.Pred, out)
 				}
 			}
 			if len(round) == 0 {
@@ -444,48 +350,21 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 				}
 			})
 		}
-		if e.par > 1 {
-			var tasks []eval.Task
-			var folds []func(*relation.Relation)
-			for _, ri := range rules {
-				rule := e.prog.Rules[ri]
-				for li, lit := range rule.Body {
-					img, err := e.insertImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, newR)
-					if err != nil {
-						return nil, err
-					}
-					if img == nil || img.Empty() {
-						continue
-					}
-					t, err := stepTask(ri, li, img, true)
-					if err != nil {
-						return nil, err
-					}
-					pred := rule.Head.Pred
-					tasks = append(tasks, t)
-					folds = append(folds, func(out *relation.Relation) { foldAdd(pred, out) })
+		for _, ri := range rules {
+			rule := e.prog.Rules[ri]
+			for li, lit := range rule.Body {
+				img, err := e.insertImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, newR)
+				if err != nil {
+					return nil, err
 				}
-			}
-			if err := runSteps(tasks, folds); err != nil {
-				return nil, err
-			}
-		} else {
-			for _, ri := range rules {
-				rule := e.prog.Rules[ri]
-				for li, lit := range rule.Body {
-					img, err := e.insertImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, newR)
-					if err != nil {
-						return nil, err
-					}
-					if img == nil || img.Empty() {
-						continue
-					}
-					out, err := evalStep(ri, li, img, true)
-					if err != nil {
-						return nil, err
-					}
-					foldAdd(rule.Head.Pred, out)
+				if img == nil || img.Empty() {
+					continue
 				}
+				out, err := evalStep(ri, li, img, true)
+				if err != nil {
+					return nil, err
+				}
+				foldAdd(rule.Head.Pred, out)
 			}
 		}
 		for pred := range inStratum {
@@ -497,48 +376,21 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			e.last.FixpointRounds++
 			cur := round
 			round = make(map[string]relation.RowSlice, len(cur))
-			if e.par > 1 {
-				var tasks []eval.Task
-				var folds []func(*relation.Relation)
-				for _, ri := range rules {
-					rule := e.prog.Rules[ri]
-					for li, lit := range rule.Body {
-						if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
-							continue
-						}
-						d := cur[lit.Atom.Pred]
-						if len(d) == 0 {
-							continue
-						}
-						t, err := stepTask(ri, li, d, true)
-						if err != nil {
-							return nil, err
-						}
-						pred := rule.Head.Pred
-						tasks = append(tasks, t)
-						folds = append(folds, func(out *relation.Relation) { foldAdd(pred, out) })
+			for _, ri := range rules {
+				rule := e.prog.Rules[ri]
+				for li, lit := range rule.Body {
+					if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
+						continue
 					}
-				}
-				if err := runSteps(tasks, folds); err != nil {
-					return nil, err
-				}
-			} else {
-				for _, ri := range rules {
-					rule := e.prog.Rules[ri]
-					for li, lit := range rule.Body {
-						if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
-							continue
-						}
-						d := cur[lit.Atom.Pred]
-						if len(d) == 0 {
-							continue
-						}
-						out, err := evalStep(ri, li, d, true)
-						if err != nil {
-							return nil, err
-						}
-						foldAdd(rule.Head.Pred, out)
+					d := cur[lit.Atom.Pred]
+					if len(d) == 0 {
+						continue
 					}
+					out, err := evalStep(ri, li, d, true)
+					if err != nil {
+						return nil, err
+					}
+					foldAdd(rule.Head.Pred, out)
 				}
 			}
 			if len(round) == 0 {

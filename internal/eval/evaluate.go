@@ -39,15 +39,8 @@ type Evaluator struct {
 	// default).
 	MaxIterations int
 
-	// Parallelism is the number of worker goroutines used to evaluate the
-	// independent rules of a stratum (and the rounds of a semi-naive
-	// fixpoint) concurrently. Values <= 1 evaluate sequentially. Results
-	// are identical either way: workers write private buffers that are
-	// ⊎-merged deterministically.
-	Parallelism int
-
 	// Instr, when non-nil, collects low-level evaluation metrics (join
-	// probes, batch tasks, worker timings) during Evaluate.
+	// probes and scans, heads built and borrowed) during Evaluate.
 	Instr *Instruments
 
 	// Planner, when non-nil, supplies cached cost-based plans for rule
@@ -173,12 +166,8 @@ func (e *Evaluator) planFor(ri, delta int, rule datalog.Rule, srcs []Source) (*P
 // evalFlatStratum evaluates a nonrecursive stratum in one pass, with
 // full derivation counting. Stratum numbers strictly increase along
 // every cross-component dependency edge (see strata.computeSN), so the
-// rules of a flat stratum never read each other's heads and can be
-// evaluated concurrently.
+// rules of a flat stratum never read each other's heads.
 func (e *Evaluator) evalFlatStratum(db *DB, rules []int) error {
-	if e.Parallelism > 1 {
-		return e.evalFlatStratumParallel(db, rules)
-	}
 	for _, ri := range rules {
 		rule := e.prog.Rules[ri]
 		out := db.Ensure(rule.Head.Pred, len(rule.Head.Args))
@@ -193,38 +182,6 @@ func (e *Evaluator) evalFlatStratum(db *DB, rules []int) error {
 		if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, e.Instr); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// evalFlatStratumParallel is evalFlatStratum over a worker pool: sources
-// (including group-table builds, which memoize into e.GroupTables) are
-// resolved sequentially up front, each rule evaluates into a private
-// output, and the outputs are merged in rule order.
-func (e *Evaluator) evalFlatStratumParallel(db *DB, rules []int) error {
-	tasks := make([]Task, 0, len(rules))
-	for _, ri := range rules {
-		rule := e.prog.Rules[ri]
-		db.Ensure(rule.Head.Pred, len(rule.Head.Args))
-		srcs, err := e.sources(db, ri, nil)
-		if err != nil {
-			return err
-		}
-		plan, err := e.planFor(ri, -1, rule, srcs)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, Task{
-			Rule: rule, Srcs: srcs, FirstLit: -1, Plan: plan,
-			Out: relation.New(len(rule.Head.Args)),
-		})
-	}
-	if err := RunBatchInstr(tasks, e.Parallelism, e.Instr); err != nil {
-		return err
-	}
-	for k, ri := range rules {
-		rule := e.prog.Rules[ri]
-		db.Ensure(rule.Head.Pred, len(rule.Head.Args)).MergeDelta(tasks[k].Out)
 	}
 	return nil
 }
@@ -255,37 +212,43 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 		})
 	}
 
+	// A round evaluates all its rules before it folds any output: the
+	// folds write the working relations the round's evaluations read, so
+	// folding as it goes would change which round derives a tuple.
+	type derived struct {
+		pred string
+		out  *relation.Relation
+	}
+	var round []derived
+	evalInto := func(ri, li int, srcs []Source) error {
+		rule := e.prog.Rules[ri]
+		plan, err := e.planFor(ri, li, rule, srcs)
+		if err != nil {
+			return err
+		}
+		out := relation.New(len(rule.Head.Args))
+		round = append(round, derived{rule.Head.Pred, out})
+		return EvalRulePlanInstr(rule, srcs, li, plan, out, e.Instr)
+	}
+
 	// Seed round: evaluate every rule against the (empty) stratum
 	// relations — this covers all derivations not using in-stratum
-	// predicates (the base cases). Each round's evaluations are
-	// independent (they read the working relations and write private
-	// outputs), so they form a batch that RunBatch may spread over
-	// workers; the folds run sequentially afterwards, in task order.
+	// predicates (the base cases).
 	delta := make(map[string]*relation.Relation)
 	for pred := range inStratum {
 		delta[pred] = relation.New(arityOf(e.prog, pred))
 	}
-	seed := make([]Task, 0, len(rules))
 	for _, ri := range rules {
-		rule := e.prog.Rules[ri]
 		srcs, err := e.sources(db, ri, work)
 		if err != nil {
 			return err
 		}
-		plan, err := e.planFor(ri, -1, rule, srcs)
-		if err != nil {
+		if err := evalInto(ri, -1, srcs); err != nil {
 			return err
 		}
-		seed = append(seed, Task{
-			Rule: rule, Srcs: srcs, FirstLit: -1, Plan: plan,
-			Out: relation.New(len(rule.Head.Args)),
-		})
 	}
-	if err := RunBatchInstr(seed, e.Parallelism, e.Instr); err != nil {
-		return err
-	}
-	for _, t := range seed {
-		collect(t.Out, t.Rule.Head.Pred, delta[t.Rule.Head.Pred])
+	for _, d := range round {
+		collect(d.out, d.pred, delta[d.pred])
 	}
 
 	for {
@@ -303,10 +266,9 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 		for pred := range inStratum {
 			next[pred] = relation.New(arityOf(e.prog, pred))
 		}
-		var round []Task
+		round = round[:0]
 		for _, ri := range rules {
-			rule := e.prog.Rules[ri]
-			for li, lit := range rule.Body {
+			for li, lit := range e.prog.Rules[ri].Body {
 				if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
 					continue
 				}
@@ -319,21 +281,13 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 					return err
 				}
 				srcs[li] = Source{Rel: d}
-				plan, err := e.planFor(ri, li, rule, srcs)
-				if err != nil {
+				if err := evalInto(ri, li, srcs); err != nil {
 					return err
 				}
-				round = append(round, Task{
-					Rule: rule, Srcs: srcs, FirstLit: li, Plan: plan,
-					Out: relation.New(len(rule.Head.Args)),
-				})
 			}
 		}
-		if err := RunBatchInstr(round, e.Parallelism, e.Instr); err != nil {
-			return err
-		}
-		for _, t := range round {
-			collect(t.Out, t.Rule.Head.Pred, next[t.Rule.Head.Pred])
+		for _, d := range round {
+			collect(d.out, d.pred, next[d.pred])
 		}
 		delta = next
 	}

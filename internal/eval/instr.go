@@ -4,8 +4,8 @@ import "ivm/internal/metrics"
 
 // Instruments bundles the low-level evaluation instruments an engine
 // resolves once from its metrics registry and threads through rule
-// evaluation. All instruments are atomic, so workers of a parallel
-// batch update them directly. A nil *Instruments disables collection
+// evaluation. All instruments are atomic: Views.Metrics() reads them
+// while the writer evaluates. A nil *Instruments disables collection
 // entirely (one nil check per evaluation, none per probe).
 type Instruments struct {
 	// JoinProbes counts keyed relation accesses performed by joins: one
@@ -17,16 +17,6 @@ type Instruments struct {
 	JoinScans *metrics.Counter
 	// Derived rows a tuple was allocated for, and that took a stored row's.
 	HeadsBuilt, HeadsBorrowed *metrics.Counter
-	// PartitionedJoins counts single-rule evaluations that were hash-
-	// partitioned across workers.
-	PartitionedJoins *metrics.Counter
-	// BatchTasks counts rule-evaluation tasks submitted to RunBatch.
-	BatchTasks *metrics.Counter
-	// TaskBusy observes per-task evaluation wall time (worker busy time).
-	TaskBusy *metrics.Histogram
-	// QueueWait observes, per task, the time between batch submission
-	// and a worker picking the task up.
-	QueueWait *metrics.Histogram
 }
 
 // NewInstruments resolves the evaluation instruments from r. A nil
@@ -36,13 +26,9 @@ func NewInstruments(r *metrics.Registry) *Instruments {
 		return nil
 	}
 	return &Instruments{
-		JoinProbes:       r.Counter("eval_join_probes_total"),
-		JoinScans:        r.Counter("eval_join_scans_total"),
-		HeadsBuilt:       r.Counter("eval_heads_built_total"),
-		HeadsBorrowed:    r.Counter("eval_heads_borrowed_total"),
-		PartitionedJoins: r.Counter("eval_partitioned_joins_total"),
-		BatchTasks:       r.Counter("eval_batch_tasks_total"),
-		TaskBusy:         r.Histogram("eval_task_seconds"),
-		QueueWait:        r.Histogram("eval_queue_wait_seconds"),
+		JoinProbes:    r.Counter("eval_join_probes_total"),
+		JoinScans:     r.Counter("eval_join_scans_total"),
+		HeadsBuilt:    r.Counter("eval_heads_built_total"),
+		HeadsBorrowed: r.Counter("eval_heads_borrowed_total"),
 	}
 }

@@ -432,8 +432,7 @@ func EvalRulePlanInstr(rule datalog.Rule, srcs []Source, firstLit int, plan *Pla
 }
 
 // ruleWalk is the state of one rule evaluation: the nested-loop join over
-// the steps, and the buffers it reuses from row to row. Nothing in it is
-// shared, so concurrent evaluations each own one.
+// the steps, and the buffers it reuses from row to row.
 type ruleWalk struct {
 	rule  datalog.Rule
 	srcs  []Source

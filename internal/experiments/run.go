@@ -32,7 +32,6 @@ func RunAll(s Scale) []*Table {
 	return []*Table{
 		RunE1(s), RunE2(s), RunE3(s), RunE4(s), RunE5(s), RunE6(s),
 		RunE7(s), RunE8(s), RunE9(s), RunE10(s), RunE12(s), RunE13(s),
-		RunE14(s),
 	}
 }
 
@@ -630,62 +629,6 @@ func RunE13(s Scale) *Table {
 			fmt.Sprint(k), dur(cm), dur(dm), dur(rm),
 			fmt.Sprintf("%.2f", float64(cm)/float64(dm)),
 		})
-	}
-	return t
-}
-
-// RunE14 — parallel delta-rule evaluation: maintenance latency of the
-// tri_hop view (counting) and transitive closure (DRed) across worker
-// counts, with the speedup over the sequential engine. The maintained
-// views are bit-identical at every worker count (the parallel property
-// tests pin this); only latency changes. On a single-CPU host the
-// speedups hover around 1.0 — the sweep shows its spread on multicore CI.
-func RunE14(s Scale) *Table {
-	t := &Table{
-		ID:     "E14",
-		Title:  "parallel delta-rule evaluation (workers sweep)",
-		Claim:  "independent delta rules and hash-partitioned joins spread across workers with identical results",
-		Header: []string{"deleted edges", "workers", "counting", "speedup", "dred", "speedup"},
-	}
-	link := workload.RandomGraph(Rng(140), s.Nodes, s.Edges)
-	for _, k := range []int{4, 16} {
-		d := workload.SampleDeletes(Rng(141+int64(k)), link, k)
-		var seqC, seqD time.Duration
-		for _, w := range []int{1, 2, 4, 8} {
-			w := w
-			cm, err := medianOf(s.Trials, func() func() error {
-				e, err := counting.NewWithConfig(MustRules(TriHopProgram), LinkDB(link.Clone()),
-					counting.Config{Semantics: eval.Set, Parallelism: w})
-				if err != nil {
-					panic(err)
-				}
-				return func() error { _, err := e.Apply(DeltaOf(d)); return err }
-			})
-			if err != nil {
-				panic(err)
-			}
-			dm, err := medianOf(s.Trials, func() func() error {
-				e, err := dred.NewWithConfig(MustRules(TCProgram), LinkDB(link.Clone()),
-					dred.Config{Parallelism: w})
-				if err != nil {
-					panic(err)
-				}
-				warmDRed(e, d)
-				return func() error { _, err := e.Apply(DeltaOf(d)); return err }
-			})
-			if err != nil {
-				panic(err)
-			}
-			if w == 1 {
-				seqC, seqD = cm, dm
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(k), fmt.Sprint(w), dur(cm),
-				fmt.Sprintf("%.2fx", float64(seqC)/float64(cm)),
-				dur(dm),
-				fmt.Sprintf("%.2fx", float64(seqD)/float64(dm)),
-			})
-		}
 	}
 	return t
 }

@@ -113,31 +113,12 @@ func TestRelationIs144Bytes(t *testing.T) {
 	}
 }
 
-// Shards borrow what the relation they merge into borrows from, and a
-// merged or borrowed AddDerived allocates nothing.
-func TestShardsBorrowAndAddDerivedAllocations(t *testing.T) {
+// A merged or borrowed AddDerived allocates nothing.
+func TestMergedOrBorrowedAddDerivedAllocatesNothing(t *testing.T) {
 	lender := New(2)
 	for i := 0; i < 100; i++ {
 		lender.Add(value.T(i, i+1), 3)
 	}
-	dst := New(2)
-	dst.BorrowFrom(lender, nil)
-	sh := NewShards(dst, 2)
-	for i := 0; i < 100; i++ {
-		if got := sh.Shard(i%2).AddDerived(value.T(i, i+1), -1); got != Borrowed {
-			t.Fatalf("shard %d: %v, want Borrowed", i%2, got)
-		}
-	}
-	sh.MergeInto(dst)
-	if !Equal(dst.Negate(), lender.ToSet()) {
-		t.Fatalf("merged shards: %v", dst)
-	}
-	dst.Each(func(row Row) {
-		if !sameRow(row, stored(t, lender, row.Tuple)) {
-			t.Fatalf("%v is not the lender's row", row.Tuple)
-		}
-	})
-
 	scratch := value.T(0, 0)
 	out := New(2)
 	refill := func() {

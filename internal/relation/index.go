@@ -74,10 +74,11 @@ func colsSig(cols []int) string {
 // callers may pass buffers they reuse; a lookup on a built index
 // allocates nothing. The returned rows are read-only.
 //
-// Lookup is safe to call from concurrent readers (parallel rule
-// evaluation probes shared relations from many workers): the lazy index
-// build is guarded by idxMu with a read-locked fast path, so concurrent
-// Lookups never race even when they trigger the first build. Mutations
+// Lookup is safe to call from concurrent readers (Views.Query and
+// session reads probe a pinned version from any number of goroutines
+// while the writer evaluates): the lazy index build is guarded by idxMu
+// with a read-locked fast path, so concurrent Lookups never race even
+// when they trigger the first build. Mutations
 // (Add/Delete) must still be externally serialized against readers.
 func (r *Relation) Lookup(cols []int, keyVals value.Tuple) []Row {
 	var sigBuf [32]byte

@@ -29,7 +29,6 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	key, noKey := value.T("s7"), value.T("s-none")
 	cols := []int{0}
 	r.Lookup(cols, key) // build the index and let Add maintain it below
-	part := PartitionView(r, 1, 3)
 	set := SetImage(r)
 
 	noAllocs(t, "Count hit", func() { _ = r.Count(hit) })
@@ -52,7 +51,6 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	noAllocs(t, "Each", func() { r.Each(func(row Row) { n += len(row.Tuple) }) })
 	noAllocs(t, "Set of an existing tuple", func() { r.Set(hit, 3); r.Set(hit, 4) })
 	noAllocs(t, "Delete miss", func() { r.Delete(miss) })
-	noAllocs(t, "partition Count", func() { _ = part.Count(hit); _ = part.Has(miss) })
 	noAllocs(t, "set-image Lookup of a set", func() { _ = set.Lookup(cols, noKey); _ = set.Count(hit) })
 }
 

@@ -191,14 +191,6 @@ func TestRowSliceAgreesWithRelation(t *testing.T) {
 			t.Fatalf("Len %d, want %d", rows.Len(), want.Len())
 		}
 		readersAgree(t, rng, keys, rows, want, "whole")
-		for _, parts := range []int{1, 4} {
-			for part := 0; part < parts; part++ {
-				owned := New(2)
-				PartitionView(want, part, parts).Each(owned.AddRow)
-				readersAgree(t, rng, keys, PartitionView(rows, part, parts), owned,
-					fmt.Sprintf("part %d/%d", part, parts))
-			}
-		}
 	}
 	if empty := RowSlice(nil); empty.Arity() != -1 || empty.Len() != 0 || empty.Has(value.T(1, "p0")) ||
 		len(empty.Lookup([]int{0}, value.T(1))) != 0 {

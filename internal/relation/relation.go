@@ -64,8 +64,9 @@ func (r Row) WithCount(count int64) Row {
 // Concurrency: any number of goroutines may *read* a Relation
 // concurrently (Count/Has/Each/Lookup/Rows), including Lookups that
 // lazily build an index — the build is internally synchronized. Mutations
-// (Add/Set/Delete/MergeDelta) must not overlap reads or other mutations;
-// parallel evaluation therefore writes into per-worker Shards and merges.
+// (Add/Set/Delete/MergeDelta) must not overlap reads or other mutations:
+// the one writer mutates engine state only, and what readers pin (a
+// published version) is frozen.
 type Relation struct {
 	arity int32 // one word with frozen; the flags share one too: 144 bytes
 

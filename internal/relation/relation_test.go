@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -220,6 +222,39 @@ func TestLookupQuickAgainstScan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+func tup(vals ...any) value.Tuple { return value.T(vals...) }
+
+// TestConcurrentLookupBuildsIndexOnce: hammering Lookup from many
+// goroutines (forcing the lazy index build) must be race-free and agree
+// with sequential results. Run with -race to check the guarantee.
+func TestConcurrentLookupBuildsIndexOnce(t *testing.T) {
+	r := New(2)
+	for i := 0; i < 200; i++ {
+		r.Add(tup(fmt.Sprintf("k%d", i%20), fmt.Sprintf("v%d", i)), 1)
+	}
+	want := len(r.Lookup([]int{0}, tup("k3")))
+
+	fresh := New(2)
+	r.Each(func(row Row) { fresh.Add(row.Tuple, row.Count) })
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := len(fresh.Lookup([]int{0}, tup("k3"))); got != want {
+					t.Errorf("worker %d: lookup returned %d rows, want %d", w, got, want)
+					return
+				}
+				// A second column signature exercises concurrent builds of
+				// distinct indexes too.
+				fresh.Lookup([]int{1}, tup(fmt.Sprintf("v%d", i)))
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestMergeDeltaQuickMatchesUnionPlus(t *testing.T) {

@@ -249,9 +249,6 @@ type Views struct {
 	verMu sync.Mutex
 	verCh chan struct{}
 
-	// par is the resolved evaluation parallelism (>= 1).
-	par int
-
 	// explainSem is the semantics derivation enumeration resolves
 	// sources under: the view semantics, except that counting without
 	// statement (2) keeps duplicate counts inside a set view. Constant.
@@ -349,10 +346,6 @@ func (d *Database) Materialize(programSrc string, opts ...Option) (*Views, error
 // MaterializeProgram is Materialize for an already parsed program.
 func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, opts ...Option) (*Views, error) {
 	cfg := newConfig(opts)
-	par, err := resolveParallelism(&cfg)
-	if err != nil {
-		return nil, err
-	}
 	if err := datalog.Validate(prog); err != nil {
 		return nil, err
 	}
@@ -371,7 +364,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		}
 	}
 	reg := metrics.NewRegistry()
-	v := &Views{cfg: cfg, strategy: strategy, programSrc: programSrc, par: par, reg: reg, explainSem: cfg.semantics}
+	v := &Views{cfg: cfg, strategy: strategy, programSrc: programSrc, reg: reg, explainSem: cfg.semantics}
 	switch strategy {
 	case Counting:
 		eng, err := counting.NewWithConfig(prog, d.base, counting.Config{
@@ -380,7 +373,6 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			AllowRecursion: cfg.recursiveCounts,
 			MaxIterations:  cfg.maxIterations,
 			DisablePlanner: cfg.disablePlanner,
-			Parallelism:    par,
 			Metrics:        reg,
 			Tracer:         cfg.tracer,
 		})
@@ -393,7 +385,6 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			return nil, fmt.Errorf("ivm: DRed requires set semantics")
 		}
 		eng, err := dred.NewWithConfig(prog, d.base, dred.Config{
-			Parallelism:    par,
 			Metrics:        reg,
 			Tracer:         cfg.tracer,
 			DisablePlanner: cfg.disablePlanner,
@@ -407,7 +398,6 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		if err != nil {
 			return nil, err
 		}
-		eng.Parallelism = par
 		eng.Metrics = reg
 		eng.Tracer = cfg.tracer
 		eng.DisablePlanner = cfg.disablePlanner
@@ -453,9 +443,6 @@ func (v *Views) Strategy() Strategy { return v.strategy }
 
 // Semantics returns the view semantics.
 func (v *Views) Semantics() Semantics { return v.cfg.semantics }
-
-// Parallelism returns the resolved evaluation worker count (>= 1).
-func (v *Views) Parallelism() int { return v.par }
 
 // ProgramSource returns the program text the views were built from (as
 // of the current published version).

@@ -199,7 +199,7 @@ func TestStatsAccessorsRaceDuringApply(t *testing.T) {
 	v, err := db.Materialize(`
 		hop(X,Y) :- link(X,Z), link(Z,Y).
 		tri(X,Y) :- hop(X,Z), link(Z,Y).
-	`, ivm.WithParallelism(4))
+	`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,21 +317,5 @@ func TestHiddenOnlyChangesYieldEmptyChangeSet(t *testing.T) {
 		if pred != "deg" {
 			t.Fatalf("unexpected predicate in change set: %v", ch.Preds())
 		}
-	}
-}
-
-func TestInvalidParallelismEnvIsAnError(t *testing.T) {
-	t.Setenv("IVM_PARALLELISM", "4x")
-	db := ivm.NewDatabase()
-	db.MustLoad(`link(a,b).`)
-	if _, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`); err == nil {
-		t.Fatal("malformed IVM_PARALLELISM must surface as an error")
-	} else if !strings.Contains(err.Error(), "IVM_PARALLELISM") {
-		t.Fatalf("error should name the variable: %v", err)
-	}
-
-	t.Setenv("IVM_PARALLELISM", "auto")
-	if _, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`); err != nil {
-		t.Fatalf("auto must be accepted: %v", err)
 	}
 }

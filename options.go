@@ -1,13 +1,6 @@
 package ivm
 
-import (
-	"fmt"
-	"os"
-	"strconv"
-
-	"ivm/internal/eval"
-	"ivm/internal/metrics"
-)
+import "ivm/internal/metrics"
 
 type config struct {
 	strategy        Strategy
@@ -17,10 +10,7 @@ type config struct {
 	fragmentTuples  bool
 	recursiveCounts bool
 	maxIterations   int
-	// parallelism: parallelismUnset until WithParallelism or the
-	// IVM_PARALLELISM environment variable resolves it.
-	parallelism int
-	tracer      metrics.Tracer
+	tracer          metrics.Tracer
 	// groupCommit batches WAL fsyncs for store-bound views (OpenStore).
 	groupCommit bool
 	// idemWindow is the idempotency-window capacity (0 = default).
@@ -33,21 +23,12 @@ type config struct {
 // newConfig applies opts over the shared defaults. Every front end
 // (Datalog and SQL) must build its config here so defaults cannot drift.
 func newConfig(opts []Option) config {
-	cfg := config{strategy: Auto, semantics: SetSemantics, parallelism: parallelismUnset}
+	cfg := config{strategy: Auto, semantics: SetSemantics}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return cfg
 }
-
-// parallelismUnset marks a config whose parallelism was not chosen
-// explicitly; resolution then falls back to IVM_PARALLELISM, and finally
-// to sequential evaluation.
-const parallelismUnset = -1
-
-// AutoParallelism selects one evaluation worker per available CPU
-// (runtime.GOMAXPROCS) when passed to WithParallelism.
-const AutoParallelism = 0
 
 // Option configures Materialize.
 type Option func(*config)
@@ -70,25 +51,6 @@ func WithoutPlanner() Option { return func(c *config) { c.disablePlanner = true 
 // WithTupleFragmentation makes the PF baseline propagate one tuple per
 // pass (its most fragmented schedule).
 func WithTupleFragmentation() Option { return func(c *config) { c.fragmentTuples = true } }
-
-// WithParallelism sets the number of worker goroutines used to evaluate
-// the independent delta rules of a stratum (and to hash-partition large
-// single-rule joins). n = AutoParallelism (0) uses one worker per
-// available CPU; n = 1 evaluates sequentially (the default); negative n
-// is treated as AutoParallelism. Maintained views and reported change
-// sets are bit-identical at every setting — workers write private
-// buffers that are ⊎-merged deterministically.
-//
-// Without this option, the IVM_PARALLELISM environment variable is
-// consulted ("auto" or a number; unset means sequential).
-func WithParallelism(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = AutoParallelism
-		}
-		c.parallelism = n
-	}
-}
 
 // WithTracer subscribes t to maintenance trace events (batch start/end,
 // stratum completion, rule evaluations). A nil t leaves tracing off.
@@ -117,31 +79,6 @@ func WithIdempotencyWindow(n int) Option {
 // leaves the WAL untouched, because the records behind the damage were
 // acknowledged as durable and would otherwise be silently lost.
 func WithWALRepair() Option { return func(c *config) { c.walRepair = true } }
-
-// resolveParallelism turns the configured (or environment-supplied)
-// parallelism into a concrete worker count. A malformed IVM_PARALLELISM
-// value is an error, not a silent fallback to sequential evaluation.
-func resolveParallelism(c *config) (int, error) {
-	n := c.parallelism
-	if n == parallelismUnset {
-		env, ok := os.LookupEnv("IVM_PARALLELISM")
-		if !ok {
-			return 1, nil
-		}
-		if env == "auto" {
-			return eval.Workers(AutoParallelism), nil
-		}
-		v, err := strconv.Atoi(env)
-		if err != nil {
-			return 0, fmt.Errorf("ivm: invalid IVM_PARALLELISM value %q (want \"auto\" or an integer)", env)
-		}
-		n = v
-		if n < 0 {
-			n = AutoParallelism
-		}
-	}
-	return eval.Workers(n), nil
-}
 
 // WithRecursiveCounting lets the counting strategy maintain recursive
 // views ([GKM92]; the paper's Section 8). Requires duplicate semantics

@@ -100,47 +100,6 @@ func TestPropertyPlannerMatchesGreedy(t *testing.T) {
 	}
 }
 
-// TestPlannerParallelMatchesSequentialGreedy crosses both axes: a
-// planned parallel Views against a greedy sequential one.
-func TestPlannerParallelMatchesSequentialGreedy(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		baseFacts := randomEdges(rng, 7, 12, false).String()
-		mk := func(opts ...ivm.Option) *ivm.Views {
-			db := ivm.NewDatabase()
-			db.MustLoad(baseFacts)
-			v, err := db.Materialize(propertyPrograms[0].src, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v
-		}
-		ref := mk(ivm.WithoutPlanner())
-		par := mk(ivm.WithParallelism(4))
-		for round := 0; round < 5; round++ {
-			d := buildDelta(rng, ref, false)
-			if d.Empty() {
-				continue
-			}
-			if _, err := ref.Apply(d); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if _, err := par.Apply(d); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			for pred := range ref.Program().DerivedPreds() {
-				if !sameRows(ref.Rows(pred), par.Rows(pred)) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPlannerCacheSteadyState drives many same-shaped update batches and
 // asserts the plan cache reaches a ≥99% hit rate: steady-state
 // maintenance must not pay planning costs.

@@ -50,6 +50,20 @@ var propertyPrograms = []struct {
 	`, true, false, `tc(X,Y) :- link(Y,X).`},
 }
 
+// sameRows demands exact tuple AND count equality (not just set
+// agreement).
+func sameRows(a, b []ivm.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Tuple.Equal(b[i].Tuple) || a[i].Count != b[i].Count {
+			return false
+		}
+	}
+	return true
+}
+
 // derivedRows reads every derived relation of v.
 func derivedRows(v *ivm.Views) map[string][]ivm.Row {
 	out := make(map[string][]ivm.Row)

@@ -4,8 +4,10 @@
 # the docs/ pages the README points at must exist, and every relative
 # markdown link in README.md and docs/*.md must resolve to a real file;
 # and README.md, DESIGN.md and docs/*.md may name only `ivmd -flag` /
-# `ivmbench -flag` flags the command's main.go defines and `make <target>`
-# targets the Makefile has.
+# `ivmbench -flag` flags the command's main.go defines, `make <target>`
+# targets the Makefile has, and `With…(`/`Without…(` options, `IVM_…`
+# variables and backticked `…_total`/`…_seconds` series that non-test Go
+# still defines, reads or registers.
 set -eu
 
 README_BUDGET="${README_BUDGET:-250}"
@@ -76,7 +78,36 @@ for f in README.md DESIGN.md docs/*.md; do
         fi
     done
 done
+
+# An option, environment variable or metric series the docs name must
+# still exist: an option as a func some non-test Go defines, a variable as
+# a name some non-test Go mentions, a series (a backticked word ending
+# _total or _seconds, or a histogram's _count/_sum_ns line; patterns with
+# a * are skipped) as a string literal in non-test Go outside benchmark/.
+GO_ALL="$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*')"
+GO_CORE="$(echo "$GO_ALL" | grep -v '^\./benchmark/')"
+for f in README.md DESIGN.md docs/*.md; do
+    for opt in $(grep -oE '\bWith(out)?[A-Z][A-Za-z]*\(' "$f" | tr -d '(' | sort -u); do
+        if ! grep -q "^func $opt(" $GO_ALL; then
+            echo "$f: names option $opt(, which no non-test Go defines" >&2
+            FAILED=1
+        fi
+    done
+    for var in $(grep -oE 'IVM_[A-Z_]+' "$f" | sort -u); do
+        if ! grep -q "$var" $GO_ALL; then
+            echo "$f: names variable $var, which no non-test Go reads" >&2
+            FAILED=1
+        fi
+    done
+    for series in $(grep -oE '`[a-z0-9_]+(_total|_seconds)(_count|_sum_ns)?`' "$f" |
+        tr -d '`' | sed -E 's/_(count|sum_ns)$//' | sort -u); do
+        if ! grep -q "\"$series\"" $GO_CORE; then
+            echo "$f: names series $series, which no non-test Go outside benchmark/ registers" >&2
+            FAILED=1
+        fi
+    done
+done
 if [ "$FAILED" -ne 0 ]; then
     exit 1
 fi
-echo "docs lint OK (links resolve; flags and make targets exist)"
+echo "docs lint OK (links resolve; flags, make targets, options, variables and series exist)"
