@@ -115,3 +115,40 @@ func TestRejectedApplyAfterBorrowingLeavesStoredRowsIntact(t *testing.T) {
 		})
 	}
 }
+
+// A rule edit rejected while it is maintained — AddRule's seed meeting a
+// non-numeric operand, RemoveRule's insertions under a negation meeting
+// one — must leave the program as it was: Program() and ProgramSource()
+// (what checkpoints persist) keep the old rules, and later applies end
+// where a fresh Materialize of the old program over the same base does.
+func TestRejectedAddRuleLeavesProgramIntact(t *testing.T) {
+	const tc = "tc(X,Y) :- link(X,Y).\ntc(X,Y) :- tc(X,Z), link(Z,Y).\n"
+	for _, tt := range []struct {
+		name, base, program, later string
+		edit                       func(*ivm.Views) (*ivm.ChangeSet, error)
+		preds                      []string
+	}{
+		{"add-rule/seed", "link(a,b). link(b,c). w(a,x).", tc, "+link(c,d). +w(b,3).",
+			func(v *ivm.Views) (*ivm.ChangeSet, error) { return v.AddRule("tc(X, Y + 1) :- w(X, Y).") },
+			[]string{"tc"}},
+		{"remove-rule/propagate", "q(a). w(a,x).", "p(X) :- q(X).\nr(X, Y + 1) :- w(X, Y), !p(X).\n", "+q(b). +w(c,3).",
+			func(v *ivm.Views) (*ivm.ChangeSet, error) { return v.RemoveRule(0) },
+			[]string{"p", "r"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			v := mustViews(t, tt.base, tt.program, ivm.WithStrategy(ivm.DRed))
+			src := v.ProgramSource()
+			if _, err := tt.edit(v); err == nil || !strings.Contains(err.Error(), "non-numeric") {
+				t.Fatalf("edit: err = %v, want a non-numeric operand", err)
+			}
+			for _, script := range strings.SplitAfter(tt.later, ". ") {
+				apply(t, v, script)
+			}
+			if n := len(v.Program().Rules); n != 2 || v.ProgramSource() != src {
+				t.Fatalf("after the rejected edit Program() has %d rules and ProgramSource() is\n%s\nwant 2 rules and\n%s", n, v.ProgramSource(), src)
+			}
+			fresh := mustViews(t, tt.base+" "+strings.ReplaceAll(tt.later, "+", ""), tt.program, ivm.WithStrategy(ivm.DRed))
+			requireSameRows(t, "after a rejected edit and two applies", tt.preds, fresh, v, true)
+		})
+	}
+}

@@ -315,28 +315,15 @@ func BenchmarkE13RecursiveCounting(b *testing.B) {
 // hot is small with a 1000-way fan-out per key, wide is large but
 // near-unique, and the timed Δreq keys hit hot's fan-out while missing
 // wide (they draw from the half of hot's keys that wide does not
-// overlap). The planner probes wide first (fan-out ≈ 1, early exit); the
-// greedy order enumerates hot's 1000 rows per delta only to discard
-// every one at the wide probe.
+// overlap). The planner probes wide first (fan-out ≈ 1, early exit).
 func BenchmarkPlannerSkew(b *testing.B) {
 	b.ReportAllocs()
-	for _, planner := range []bool{true, false} {
-		name := "planner-on"
-		opts := []ivm.Option{}
-		if !planner {
-			name = "planner-off"
-			opts = append(opts, ivm.WithoutPlanner())
+	v := skewViews(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.Apply(skewMissToggle(i)); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			v := skewViews(b, opts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := v.Apply(skewMissToggle(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -348,7 +335,7 @@ const (
 	skewOverlap             = 4
 )
 
-func skewViews(tb testing.TB, opts ...ivm.Option) *ivm.Views {
+func skewViews(tb testing.TB) *ivm.Views {
 	hot, wide := workload.SkewedJoin(skewHotKeys, skewFanout, skewWideRows, skewOverlap)
 	db := ivm.NewDatabase()
 	for _, row := range hot.SortedRows() {
@@ -357,7 +344,7 @@ func skewViews(tb testing.TB, opts ...ivm.Option) *ivm.Views {
 	for _, row := range wide.SortedRows() {
 		db.InsertTuple("wide", row.Tuple, 1)
 	}
-	v, err := db.Materialize(`out(Y,Z) :- req(X), hot(X,Y), wide(X,Z).`, opts...)
+	v, err := db.Materialize(`out(Y,Z) :- req(X), hot(X,Y), wide(X,Z).`)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -42,9 +42,6 @@ type Config struct {
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives per-Apply trace events.
 	Tracer metrics.Tracer
-	// DisablePlanner turns off the inner engine's cost-based join
-	// planner; delta rules then use the static greedy literal order.
-	DisablePlanner bool
 }
 
 // Engine maintains views by per-base-predicate (or per-tuple) change
@@ -99,7 +96,7 @@ func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 
 // NewWithConfig is New with observability hooks.
 func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, error) {
-	d, err := dred.NewWithConfig(prog, base, dred.Config{DisablePlanner: cfg.DisablePlanner})
+	d, err := dred.New(prog, base)
 	if err != nil {
 		return nil, err
 	}

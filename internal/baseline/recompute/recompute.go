@@ -7,6 +7,7 @@ package recompute
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ivm/internal/datalog"
@@ -31,13 +32,9 @@ type Engine struct {
 	// before the first Apply.
 	Tracer metrics.Tracer
 
-	// DisablePlanner turns off the cost-based join planner for the
-	// per-Apply re-evaluations. Set it before the first Apply.
-	DisablePlanner bool
-
-	// planner caches join plans across Applies (created lazily on the
-	// first Apply so Metrics/DisablePlanner can be set after New).
-	planner *eval.Planner
+	// planner caches join plans across Applies; it is built on the first
+	// Apply so Metrics can be set after New.
+	planner func() *eval.Planner
 
 	// lastDeltas holds, per predicate, the exact signed count delta the
 	// most recent Apply committed into stored content (base merges plus
@@ -77,7 +74,9 @@ func New(prog *datalog.Program, base *eval.DB, sem eval.Semantics) (*Engine, err
 	if err := ev.Evaluate(db); err != nil {
 		return nil, err
 	}
-	return &Engine{prog: prog, strat: st, sem: sem, db: db}, nil
+	e := &Engine{prog: prog, strat: st, sem: sem, db: db}
+	e.planner = sync.OnceValue(func() *eval.Planner { return eval.NewPlanner(e.Metrics) })
+	return e, nil
 }
 
 // Stats returns nil: a recomputation keeps no work counters.
@@ -153,12 +152,9 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	for pred, d := range commit {
 		e.db.Ensure(pred, d.Arity()).MergeDelta(d)
 	}
-	if !e.DisablePlanner && e.planner == nil {
-		e.planner = eval.NewPlanner(e.Metrics)
-	}
 	ev := eval.NewEvaluator(e.prog, e.strat, e.sem)
 	ev.Instr = eval.NewInstruments(e.Metrics)
-	ev.Planner = e.planner
+	ev.Planner = e.planner()
 	if err := ev.Evaluate(e.db); err != nil {
 		return nil, err
 	}

@@ -61,10 +61,6 @@ type Config struct {
 	AllowRecursion bool
 	// MaxIterations bounds recursive count fixpoints (0 = default).
 	MaxIterations int
-	// DisablePlanner turns off the cost-based join planner: every rule
-	// evaluation falls back to the greedy per-call literal order.
-	// Results are identical either way.
-	DisablePlanner bool
 	// Metrics, when non-nil, receives the engine's counters and timing
 	// histograms (counting_*, eval_* and planner_* series). Nil disables
 	// collection.
@@ -107,7 +103,7 @@ type Engine struct {
 	// previous published version.
 	lastDeltas map[string]*relation.Relation
 
-	// planner caches cost-based delta-rule plans (nil = planning off).
+	// planner caches cost-based delta-rule plans.
 	planner *eval.Planner
 
 	// tracer and the resolved metric instruments; all nil-safe.
@@ -192,10 +188,7 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 		}
 	}
 	instr := eval.NewInstruments(cfg.Metrics)
-	var planner *eval.Planner
-	if !cfg.DisablePlanner {
-		planner = eval.NewPlanner(cfg.Metrics)
-	}
+	planner := eval.NewPlanner(cfg.Metrics)
 	ev := eval.NewEvaluator(prog, st, sem)
 	ev.RecursiveCounts = cfg.AllowRecursion
 	ev.MaxIterations = cfg.MaxIterations
@@ -487,12 +480,12 @@ func (e *Engine) applyRule(ri int, cascade map[string]*relation.Relation, pendin
 			continue
 		}
 		srcs := e.deltaSources(ri, litDelta, i, cascade, pendingT)
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs, i)
+		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs)
 		if err != nil {
 			return err
 		}
 		before := dp.Len()
-		if err := eval.EvalRulePlanInstr(rule, srcs, i, plan, dp, e.instr); err != nil {
+		if err := eval.EvalPlan(rule, srcs, plan, dp, e.instr); err != nil {
 			return err
 		}
 		e.last.DeltaRulesEvaluated++

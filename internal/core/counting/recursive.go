@@ -128,11 +128,11 @@ func (e *Engine) applyRecursiveStratum(stratum int, rules []int,
 					}
 				}
 				out := e.headDelta(rule, acc[rule.Head.Pred]) // acc moves after the round
-				plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs, li)
+				plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs)
 				if err != nil {
 					return err
 				}
-				if err := eval.EvalRulePlanInstr(rule, srcs, li, plan, out, e.instr); err != nil {
+				if err := eval.EvalPlan(rule, srcs, plan, out, e.instr); err != nil {
 					return err
 				}
 				e.last.DeltaRulesEvaluated++
@@ -223,11 +223,11 @@ func (e *Engine) applyRuleLowerOnly(ri int, inStratum map[string]bool,
 			}
 			srcs[j] = e.sideSource(lit, eval.RuleLit{Rule: ri, Lit: j}, cascade, pendingT, j < i)
 		}
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs, i)
+		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs)
 		if err != nil {
 			return err
 		}
-		if err := eval.EvalRulePlanInstr(rule, srcs, i, plan, dp, e.instr); err != nil {
+		if err := eval.EvalPlan(rule, srcs, plan, dp, e.instr); err != nil {
 			return err
 		}
 		e.last.DeltaRulesEvaluated++

@@ -20,6 +20,7 @@ package dred
 
 import (
 	"fmt"
+	"maps"
 
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
@@ -46,10 +47,6 @@ type Stats struct {
 
 // Config carries the engine's tuning knobs.
 type Config struct {
-	// DisablePlanner turns off the cost-based join planner: every δ-rule
-	// evaluation falls back to the greedy per-call literal order.
-	// Results are identical either way.
-	DisablePlanner bool
 	// Metrics, when non-nil, receives the engine's counters and timing
 	// histograms (dred_*, eval_* and planner_* series). Nil disables
 	// collection.
@@ -80,8 +77,8 @@ type Engine struct {
 	// deltas onto the previous published version.
 	lastNet map[string]*relation.Relation
 
-	// planner caches cost-based δ-rule plans (nil = planning off). Rule
-	// edits Reset it: rule indices shift with the program.
+	// planner caches cost-based δ-rule plans. Rule edits Reset it: rule
+	// indices shift with the program.
 	planner *eval.Planner
 
 	// tracer and the resolved metric instruments; all nil-safe.
@@ -144,9 +141,7 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	e := &Engine{
 		prog: prog, strat: st, db: db,
 		tracer: cfg.Tracer, instr: eval.NewInstruments(cfg.Metrics),
-	}
-	if !cfg.DisablePlanner {
-		e.planner = eval.NewPlanner(cfg.Metrics)
+		planner: eval.NewPlanner(cfg.Metrics),
 	}
 	if r := cfg.Metrics; r != nil {
 		e.mOps = r.Counter("dred_ops_total")
@@ -270,19 +265,16 @@ func (e *Engine) AddRule(r datalog.Rule) (map[string]*relation.Relation, error) 
 	if err != nil {
 		return nil, err
 	}
-	ri := len(newProg.Rules) - 1
-	e.prog, e.strat = newProg, st
-	// Rule indices changed: cached plans are keyed by index.
-	e.planner.Reset()
-
-	// Seed: the new rule's derivations not yet in the view.
-	seed, err := e.ruleSeed(ri, false)
-	if err != nil {
-		return nil, err
-	}
-	seedAdd := map[string]*relation.Relation{r.Head.Pred: seed}
-	return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
-		make(map[string]*relation.Relation), nil, seedAdd)
+	return e.edit(newProg, st, maps.Clone(e.gts), func() (map[string]*relation.Relation, error) {
+		// Seed: the new rule's derivations not yet in the view.
+		seed, err := e.ruleSeed(len(newProg.Rules)-1, false)
+		if err != nil {
+			return nil, err
+		}
+		seedAdd := map[string]*relation.Relation{r.Head.Pred: seed}
+		return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
+			make(map[string]*relation.Relation), nil, seedAdd)
+	})
 }
 
 // RemoveRule deletes rule index ri from the view definition and
@@ -326,25 +318,42 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 		}
 	}
 	headPred := removed.Head.Pred
-	e.prog, e.strat, e.gts = newProg, st, gts
-	// Rule indices changed: cached plans are keyed by index.
-	e.planner.Reset()
+	return e.edit(newProg, st, gts, func() (map[string]*relation.Relation, error) {
+		// The head predicate may have lost all its rules; it may even no
+		// longer be derived. Either way its stratum in the *new* program
+		// drives propagation; if it vanished as a derived predicate, treat
+		// its tuples as plain deletions seeded at its old location.
+		if !newProg.DerivedPreds()[headPred] {
+			// The predicate is no longer derived: its whole extension drains.
+			// propagate commits the negative net into storage and pushes the
+			// deletions through the higher strata.
+			net := map[string]*relation.Relation{headPred: seed.Negate()}
+			del := map[string]*relation.Relation{headPred: seed}
+			return e.propagate(del, map[string]*relation.Relation{}, net, nil, nil)
+		}
+		seedDel := map[string]*relation.Relation{headPred: seed}
+		return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
+			make(map[string]*relation.Relation), seedDel, nil)
+	})
+}
 
-	// The head predicate may have lost all its rules; it may even no
-	// longer be derived. Either way its stratum in the *new* program
-	// drives propagation; if it vanished as a derived predicate, treat
-	// its tuples as plain deletions seeded at its old location.
-	seedDel := map[string]*relation.Relation{headPred: seed}
-	if !e.prog.DerivedPreds()[headPred] {
-		// The predicate is no longer derived: its whole extension drains.
-		// propagate commits the negative net into storage and pushes the
-		// deletions through the higher strata.
-		net := map[string]*relation.Relation{headPred: seed.Negate()}
-		del := map[string]*relation.Relation{headPred: seed}
-		return e.propagate(del, map[string]*relation.Relation{}, net, nil, nil)
+// edit installs a rule edit's program, strata and group tables and runs
+// its maintenance. If that fails, the previous three come back: a rejected
+// edit leaves the engine's program as it was, as a rejected Apply leaves
+// its stored rows. Either way the plan cache starts over, because cached
+// plans are keyed by rule index.
+func (e *Engine) edit(prog *datalog.Program, st *strata.Stratification, gts map[eval.RuleLit]*eval.GroupTable,
+	maintain func() (map[string]*relation.Relation, error)) (map[string]*relation.Relation, error) {
+
+	oldProg, oldStrat, oldGts := e.prog, e.strat, e.gts
+	e.prog, e.strat, e.gts = prog, st, gts
+	e.planner.Reset()
+	changes, err := maintain()
+	if err != nil {
+		e.prog, e.strat, e.gts = oldProg, oldStrat, oldGts
+		e.planner.Reset()
 	}
-	return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
-		make(map[string]*relation.Relation), seedDel, nil)
+	return changes, err
 }
 
 // ruleSeed evaluates rule ri over the committed state and returns, as a
@@ -359,7 +368,7 @@ func (e *Engine) ruleSeed(ri int, stored bool) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := eval.EvalRuleInstr(rule, srcs, -1, out, e.instr); err != nil {
+	if err := eval.EvalRule(rule, srcs, -1, out, e.instr); err != nil {
 		return nil, err
 	}
 	seed := relation.New(len(rule.Head.Args))

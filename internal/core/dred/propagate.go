@@ -157,12 +157,12 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		if useNew {
 			kind = eval.PlanDeltaNew
 		}
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: kind, Delta: deltaLit}, rule, srcs, deltaLit)
+		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: kind, Delta: deltaLit}, rule, srcs)
 		if err != nil {
 			return nil, err
 		}
 		out := scratchOut(rule.Head)
-		if err := eval.EvalRulePlanInstr(rule, srcs, deltaLit, plan, out, e.instr); err != nil {
+		if err := eval.EvalPlan(rule, srcs, plan, out, e.instr); err != nil {
 			return nil, err
 		}
 		e.last.RuleFirings++
@@ -546,11 +546,11 @@ func (e *Engine) rederive(ri int, cand *relation.Relation,
 			}
 			srcs[j+1] = s
 		}
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: 0}, aux, srcs, 0)
+		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: 0}, aux, srcs)
 		if err != nil {
 			return err
 		}
-		return eval.EvalRulePlanInstr(aux, srcs, 0, plan, out, e.instr)
+		return eval.EvalPlan(aux, srcs, plan, out, e.instr)
 	}
 
 	// Slow path: full evaluation over the new state.
@@ -562,11 +562,11 @@ func (e *Engine) rederive(ri int, cand *relation.Relation,
 		}
 		srcs[j] = s
 	}
-	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanEval, Delta: -1}, rule, srcs, -1)
+	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanEval, Delta: -1}, rule, srcs)
 	if err != nil {
 		return err
 	}
-	return eval.EvalRulePlanInstr(rule, srcs, -1, plan, out, e.instr)
+	return eval.EvalPlan(rule, srcs, plan, out, e.instr)
 }
 
 // rederiveDelta is the semi-naive variant of rederive: only derivations
@@ -597,17 +597,17 @@ func (e *Engine) rederiveDelta(ri, li int, d relation.Reader, cand *relation.Rel
 			Body: append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: rule.Head}}, rule.Body...),
 		}
 		auxSrcs := append([]eval.Source{{Rel: cand}}, srcs...)
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: li + 1}, aux, auxSrcs, li+1)
+		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: li + 1}, aux, auxSrcs)
 		if err != nil {
 			return err
 		}
-		return eval.EvalRulePlanInstr(aux, auxSrcs, li+1, plan, out, e.instr)
+		return eval.EvalPlan(aux, auxSrcs, plan, out, e.instr)
 	}
-	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs, li)
+	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs)
 	if err != nil {
 		return err
 	}
-	return eval.EvalRulePlanInstr(rule, srcs, li, plan, out, e.instr)
+	return eval.EvalPlan(rule, srcs, plan, out, e.instr)
 }
 
 // headSimple reports whether every head argument is a variable or

@@ -61,83 +61,81 @@ var workingSetPrograms = []struct {
 // inserted.
 func TestWorkingSetRandomizedStream(t *testing.T) {
 	for _, p := range workingSetPrograms {
-		for _, noPlanner := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/noplanner=%v", p.name, noPlanner), func(t *testing.T) {
-				prog := rules(t, p.src)
-				rng := rand.New(rand.NewSource(7))
-				link := flipBase(rng, 5, 8, 2, 10)
-				base := eval.NewDB()
-				base.Put("link", link)
-				alt, node := relation.New(2), relation.New(1)
-				for i, row := range link.SortedRows() {
-					if i%3 == 0 {
-						alt.AddRow(row)
-					}
-					node.Set(row.Tuple[:1], 1)
-					node.Set(row.Tuple[1:], 1)
+		t.Run(p.name, func(t *testing.T) {
+			prog := rules(t, p.src)
+			rng := rand.New(rand.NewSource(7))
+			link := flipBase(rng, 5, 8, 2, 10)
+			base := eval.NewDB()
+			base.Put("link", link)
+			alt, node := relation.New(2), relation.New(1)
+			for i, row := range link.SortedRows() {
+				if i%3 == 0 {
+					alt.AddRow(row)
 				}
-				base.Put("alt", alt)
-				base.Put("node", node)
+				node.Set(row.Tuple[:1], 1)
+				node.Set(row.Tuple[1:], 1)
+			}
+			base.Put("alt", alt)
+			base.Put("node", node)
 
-				e, err := NewWithConfig(prog, base, Config{DisablePlanner: noPlanner})
+			e, err := New(prog, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			re, err := recompute.New(prog, base, eval.Set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum Stats
+			var held *relation.Relation
+			for step := 0; step < 120; step++ {
+				deleting := held == nil
+				var d *relation.Relation
+				if deleting {
+					d = workload.SampleDeletes(rng, e.Relation("link"), 3)
+					held = d
+				} else {
+					d, held = held.Negate(), nil
+				}
+				dm := map[string]*relation.Relation{"link": d}
+				ch, err := e.Apply(dm)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("step %d: %v", step, err)
 				}
-				re, err := recompute.New(prog, base, eval.Set)
-				if err != nil {
-					t.Fatal(err)
+				if _, err := re.Apply(dm); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
-				var sum Stats
-				var held *relation.Relation
-				for step := 0; step < 120; step++ {
-					deleting := held == nil
-					var d *relation.Relation
-					if deleting {
-						d = workload.SampleDeletes(rng, e.Relation("link"), 3)
-						held = d
-					} else {
-						d, held = held.Negate(), nil
+				for pred := range prog.DerivedPreds() {
+					if !relation.Equal(e.Relation(pred), re.Relation(pred).ToSet()) {
+						t.Fatalf("step %d: %s diverges\ndred:      %v\nrecompute: %v",
+							step, pred, e.Relation(pred), re.Relation(pred))
 					}
-					dm := map[string]*relation.Relation{"link": d}
-					ch, err := e.Apply(dm)
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					if _, err := re.Apply(dm); err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					for pred := range prog.DerivedPreds() {
-						if !relation.Equal(e.Relation(pred), re.Relation(pred).ToSet()) {
-							t.Fatalf("step %d: %s diverges\ndred:      %v\nrecompute: %v",
-								step, pred, e.Relation(pred), re.Relation(pred))
-						}
-					}
-					st := e.Stats().(Stats)
-					dels, adds := 0, 0
-					del, add := split(ch)
-					for _, r := range del {
-						dels += r.Len()
-					}
-					for _, r := range add {
-						adds += r.Len()
-					}
-					if deleting && dels != st.Overestimated-st.Rederived {
-						t.Fatalf("step %d (delete): |Del| = %d, Overestimated-Rederived = %d-%d", step, dels, st.Overestimated, st.Rederived)
-					}
-					if !deleting && adds != st.Inserted {
-						t.Fatalf("step %d (insert): |Add| = %d, Inserted = %d", step, adds, st.Inserted)
-					}
-					sum.Overestimated += st.Overestimated
-					sum.Rederived += st.Rederived
-					sum.Inserted += st.Inserted
-					sum.RuleFirings += st.RuleFirings
-					sum.FixpointRounds += st.FixpointRounds
 				}
-				if sum != p.want {
-					t.Fatalf("stats over the stream = %+v, the parent commit reports %+v", sum, p.want)
+				st := e.Stats().(Stats)
+				dels, adds := 0, 0
+				del, add := split(ch)
+				for _, r := range del {
+					dels += r.Len()
 				}
-			})
-		}
+				for _, r := range add {
+					adds += r.Len()
+				}
+				if deleting && dels != st.Overestimated-st.Rederived {
+					t.Fatalf("step %d (delete): |Del| = %d, Overestimated-Rederived = %d-%d", step, dels, st.Overestimated, st.Rederived)
+				}
+				if !deleting && adds != st.Inserted {
+					t.Fatalf("step %d (insert): |Add| = %d, Inserted = %d", step, adds, st.Inserted)
+				}
+				sum.Overestimated += st.Overestimated
+				sum.Rederived += st.Rederived
+				sum.Inserted += st.Inserted
+				sum.RuleFirings += st.RuleFirings
+				sum.FixpointRounds += st.FixpointRounds
+			}
+			if sum != p.want {
+				t.Fatalf("stats over the stream = %+v, the parent commit reports %+v", sum, p.want)
+			}
+		})
 	}
 }
 

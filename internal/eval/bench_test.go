@@ -21,13 +21,13 @@ func BenchmarkEvalRuleJoin(b *testing.B) {
 	srcs := []Source{{Rel: link}, {Rel: link}}
 	// Warm the index.
 	out := relation.New(2)
-	if err := EvalRule(prog.Rules[0], srcs, -1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], srcs, -1, out, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := relation.New(2)
-		if err := EvalRule(prog.Rules[0], srcs, -1, out); err != nil {
+		if err := EvalRule(prog.Rules[0], srcs, -1, out, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,13 +45,13 @@ func BenchmarkEvalRuleDeltaJoin(b *testing.B) {
 	})
 	srcs := []Source{{Rel: delta}, {Rel: link}}
 	out := relation.New(2)
-	if err := EvalRule(prog.Rules[0], srcs, 0, out); err != nil {
+	if err := EvalRule(prog.Rules[0], srcs, 0, out, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := relation.New(2)
-		if err := EvalRule(prog.Rules[0], srcs, 0, out); err != nil {
+		if err := EvalRule(prog.Rules[0], srcs, 0, out, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,7 @@ func TestEvalRuleCountsMultiply(t *testing.T) {
 	link.Add(value.T("a", "b"), 2)
 	link.Add(value.T("b", "c"), 3)
 	out := relation.New(2)
-	err := EvalRule(prog.Rules[0], []Source{{Rel: link}, {Rel: link}}, -1, out)
+	err := EvalRule(prog.Rules[0], []Source{{Rel: link}, {Rel: link}}, -1, out, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestEvalRuleRepeatedVariables(t *testing.T) {
 	link.Add(value.T("a", "a"), 1)
 	link.Add(value.T("a", "b"), 1)
 	out := relation.New(1)
-	if err := EvalRule(prog.Rules[0], []Source{{Rel: link}}, -1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], []Source{{Rel: link}}, -1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"a": 1})
@@ -98,7 +98,7 @@ func TestEvalRuleConstantsInBody(t *testing.T) {
 	link.Add(value.T("a", "b"), 1)
 	link.Add(value.T("x", "y"), 1)
 	out := relation.New(1)
-	if err := EvalRule(prog.Rules[0], []Source{{Rel: link}}, -1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], []Source{{Rel: link}}, -1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"b": 1})
@@ -112,7 +112,7 @@ func TestEvalRuleNegationFilter(t *testing.T) {
 	h := relation.New(2)
 	h.Add(value.T("a", "c"), 5)
 	out := relation.New(2)
-	if err := EvalRule(prog.Rules[0], []Source{{Rel: tRel}, {Rel: h}}, -1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], []Source{{Rel: tRel}, {Rel: h}}, -1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"a,b": 2})
@@ -128,7 +128,7 @@ func TestEvalRuleNegationJoinDelta(t *testing.T) {
 	dNotH.Add(value.T("a", "b"), -1) // h(a,b) became true
 	out := relation.New(2)
 	srcs := []Source{{Rel: tRel}, {Rel: dNotH, JoinDelta: true}}
-	if err := EvalRule(prog.Rules[0], srcs, 1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], srcs, 1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"a,b": -1})
@@ -142,7 +142,7 @@ func TestEvalRuleConditionsAndArithmetic(t *testing.T) {
 	p.Add(value.T("c", 4), 1)
 	p.Add(value.T("d", 9), 2)
 	out := relation.New(2)
-	if err := EvalRule(prog.Rules[0], []Source{{Rel: p}, {}, {}}, -1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], []Source{{Rel: p}, {}, {}}, -1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"b,6": 1, "d,18": 2})
@@ -157,7 +157,7 @@ func TestEvalRuleFirstLiteralOverride(t *testing.T) {
 	delta.Add(value.T("b", "c"), -1)
 	// Δ at position 1: hop(X,Y) :- link(X,Z), Δlink(Z,Y).
 	out := relation.New(2)
-	if err := EvalRule(prog.Rules[0], []Source{{Rel: link}, {Rel: delta}}, 1, out); err != nil {
+	if err := EvalRule(prog.Rules[0], []Source{{Rel: link}, {Rel: delta}}, 1, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"a,c": -1})
@@ -165,7 +165,7 @@ func TestEvalRuleFirstLiteralOverride(t *testing.T) {
 
 func TestEvalRuleSourceCountMismatch(t *testing.T) {
 	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	if err := EvalRule(prog.Rules[0], []Source{{Rel: relation.New(2)}}, -1, relation.New(2)); err == nil {
+	if err := EvalRule(prog.Rules[0], []Source{{Rel: relation.New(2)}}, -1, relation.New(2), nil); err == nil {
 		t.Fatal("source count mismatch must error")
 	}
 }

@@ -43,8 +43,9 @@ type Evaluator struct {
 	// probes and scans, heads built and borrowed) during Evaluate.
 	Instr *Instruments
 
-	// Planner, when non-nil, supplies cached cost-based plans for rule
-	// evaluation; nil keeps the greedy per-call join order.
+	// Planner caches the cost-based plans rule evaluation follows.
+	// NewEvaluator gives the evaluator one of its own; an engine hands it
+	// the planner its maintenance uses.
 	Planner *Planner
 
 	// GroupTables holds the GROUPBY materializations built during
@@ -60,6 +61,7 @@ func NewEvaluator(prog *datalog.Program, st *strata.Stratification, sem Semantic
 		strat:       st,
 		sem:         sem,
 		TrackCounts: true,
+		Planner:     NewPlanner(nil),
 		GroupTables: make(map[RuleLit]*GroupTable),
 	}
 }
@@ -156,11 +158,16 @@ func (e *Evaluator) sources(db *DB, ri int, inStratum map[string]relation.Reader
 	return srcs, nil
 }
 
-// planFor is the Evaluator's planner lookup: full-evaluation plans keyed
-// by rule and restricted literal (-1 outside semi-naive rounds). A nil
-// Planner yields a nil plan (greedy order).
-func (e *Evaluator) planFor(ri, delta int, rule datalog.Rule, srcs []Source) (*Plan, error) {
-	return e.Planner.PlanFor(PlanKey{Rule: ri, Kind: PlanEval, Delta: delta}, rule, srcs, delta)
+// evalRule evaluates rule ri into out following the Planner's
+// full-evaluation plan, keyed by the restricted literal delta (-1 outside
+// semi-naive rounds).
+func (e *Evaluator) evalRule(ri, delta int, srcs []Source, out *relation.Relation) error {
+	rule := e.prog.Rules[ri]
+	plan, err := e.Planner.PlanFor(PlanKey{Rule: ri, Kind: PlanEval, Delta: delta}, rule, srcs)
+	if err != nil {
+		return err
+	}
+	return EvalPlan(rule, srcs, plan, out, e.Instr)
 }
 
 // evalFlatStratum evaluates a nonrecursive stratum in one pass, with
@@ -175,11 +182,7 @@ func (e *Evaluator) evalFlatStratum(db *DB, rules []int) error {
 		if err != nil {
 			return err
 		}
-		plan, err := e.planFor(ri, -1, rule, srcs)
-		if err != nil {
-			return err
-		}
-		if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, e.Instr); err != nil {
+		if err := e.evalRule(ri, -1, srcs, out); err != nil {
 			return err
 		}
 	}
@@ -221,14 +224,10 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 	}
 	var round []derived
 	evalInto := func(ri, li int, srcs []Source) error {
-		rule := e.prog.Rules[ri]
-		plan, err := e.planFor(ri, li, rule, srcs)
-		if err != nil {
-			return err
-		}
-		out := relation.New(len(rule.Head.Args))
-		round = append(round, derived{rule.Head.Pred, out})
-		return EvalRulePlanInstr(rule, srcs, li, plan, out, e.Instr)
+		head := e.prog.Rules[ri].Head
+		out := relation.New(len(head.Args))
+		round = append(round, derived{head.Pred, out})
+		return e.evalRule(ri, li, srcs, out)
 	}
 
 	// Seed round: evaluate every rule against the (empty) stratum
@@ -320,7 +319,7 @@ func NaiveEvaluate(prog *datalog.Program, st *strata.Stratification, db *DB) err
 					}
 				}
 				tmp := relation.New(len(rule.Head.Args))
-				if err := EvalRule(rule, srcs, -1, tmp); err != nil {
+				if err := EvalRule(rule, srcs, -1, tmp, nil); err != nil {
 					return err
 				}
 				full := db.rel(rule.Head.Pred)

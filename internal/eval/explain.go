@@ -22,7 +22,7 @@ type GroundSubgoal struct {
 // derivations the counting algorithm counts but does not store ("we store
 // only the number of derivations, not the derivations themselves",
 // Section 1). srcs supplies the relation for each body literal exactly as
-// for EvalRule.
+// for EvalRule, and the walk takes PlanRule's literal order.
 func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubgoal, error) {
 	if len(head) != len(rule.Head.Args) {
 		return nil, nil
@@ -45,7 +45,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 	}
 	defer undoBind(b, undo)
 
-	order, err := orderLiterals(rule, srcs, -1)
+	plan, err := PlanRule(rule, srcs, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 	trail := make([]GroundSubgoal, 0, len(rule.Body))
 	var walk func(step int) error
 	walk = func(step int) error {
-		if step == len(order) {
+		if step == len(plan.Steps) {
 			if !simple {
 				// Expression heads: compute and compare.
 				got, err := groundAtom(nil, rule.Head.Args, b)
@@ -68,7 +68,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 			out = append(out, append([]GroundSubgoal(nil), trail...))
 			return nil
 		}
-		idx := order[step]
+		idx := plan.Steps[step].Lit
 		lit := rule.Body[idx]
 		src := srcs[idx]
 

@@ -13,20 +13,16 @@ import (
 	"ivm/internal/value"
 )
 
-// Cost-based join planning for delta-rule evaluation.
+// Cost-based join planning: every rule evaluation follows a Plan.
 //
-// orderLiterals (rule.go) picks a join order syntactically: most bound
-// columns first, smaller Len on ties — recomputed on every EvalRule call
-// and blind to how selective a bound column actually is. PlanRule instead
-// orders the body by estimated join fan-out, using the per-column
-// distinct statistics relations maintain (relation.CardEstimator), and
-// freezes the per-literal access path (point / index / scan / filter)
-// into the plan so execution does no per-call classification. The
-// Δ-subgoal stays pinned first (paper Section 6.1) and filters still run
-// as soon as their variables are bound, so a plan accepts exactly the
-// rules the greedy order accepts and produces bit-identical output: the
-// head relation merges counts commutatively, so only cost depends on the
-// order.
+// PlanRule orders the body by estimated join fan-out, using the
+// per-column distinct statistics relations maintain
+// (relation.CardEstimator), and freezes the per-literal access path
+// (point / index / scan / filter) into the plan so execution does no
+// per-call classification. The Δ-subgoal stays pinned first (paper
+// Section 6.1) and filters run as soon as their variables are bound. The
+// head relation merges counts commutatively, so every safe order derives
+// the same multiset: only cost depends on the order.
 //
 // Planner caches plans per (rule, kind, Δ-position); steady-state
 // maintenance hits the cache and pays no planning cost. Plans carry a
@@ -118,9 +114,8 @@ func (p *Plan) drifted(srcs []Source) bool {
 // and join-capable, is pinned first (the Δ-subgoal of a delta rule).
 // Remaining join literals are taken in order of estimated fan-out
 // (Len / ∏ distinct(boundCol), ties toward the original literal order);
-// filters run as soon as their variables are bound. PlanRule fails on
-// exactly the rules orderLiterals fails on: filters whose variables no
-// remaining join can bind.
+// filters run as soon as their variables are bound. PlanRule fails on a
+// rule with filters whose variables no remaining join can bind.
 func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	n := len(rule.Body)
 	if len(srcs) != n {
@@ -150,7 +145,7 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	}
 	take := func(i int) {
 		remaining[i] = false
-		p.Steps = append(p.Steps, accessPath(rule, srcs, i, bound, true))
+		p.Steps = append(p.Steps, accessPath(rule, srcs, i, bound))
 	}
 	flushFilters := func() {
 		for i := 0; i < n; i++ {
@@ -231,10 +226,10 @@ func boundColumns(args []datalog.Term, bound map[string]bool) (cols []int, all b
 }
 
 // accessPath freezes the access path of body literal i under the bound
-// set and, for a join literal, adds its variables to the set. With
-// reuseIndex an index step probes an existing index on a subset of its
-// bound columns rather than have the relation build a new one.
-func accessPath(rule datalog.Rule, srcs []Source, i int, bound map[string]bool, reuseIndex bool) PlanStep {
+// set and, for a join literal, adds its variables to the set. An index
+// step probes an existing index on a subset of its bound columns rather
+// than have the relation build a new one.
+func accessPath(rule datalog.Rule, srcs []Source, i int, bound map[string]bool) PlanStep {
 	step := PlanStep{Lit: i}
 	switch {
 	case rule.Body[i].Kind == datalog.LitCondition:
@@ -249,10 +244,8 @@ func accessPath(rule datalog.Rule, srcs []Source, i int, bound map[string]bool, 
 			step.Kind = AccessPoint
 		case len(cols) > 0:
 			step.Kind = AccessIndex
-			if reuseIndex {
-				if reuse := relation.PreferredIndexFor(srcs[i].Rel, cols); reuse != nil {
-					cols = reuse
-				}
+			if reuse := relation.PreferredIndexFor(srcs[i].Rel, cols); reuse != nil {
+				cols = reuse
 			}
 			step.Cols = cols
 		default:
@@ -336,14 +329,14 @@ const (
 // PlanKey identifies one cached plan. Semantics is implicit: each engine
 // owns its Planner, and an engine evaluates under one semantics.
 type PlanKey struct {
-	Rule  int
-	Kind  PlanKind
+	Rule int
+	Kind PlanKind
+	// Delta is the body literal the plan pins first, or -1.
 	Delta int
 }
 
-// Planner caches plans per PlanKey. A nil *Planner disables planning:
-// PlanFor returns a nil plan and execution falls back to the greedy
-// order. All methods are safe for concurrent use.
+// Planner caches plans per PlanKey. All methods are safe for concurrent
+// use.
 type Planner struct {
 	mu    sync.RWMutex
 	plans map[PlanKey]*Plan
@@ -367,11 +360,8 @@ func NewPlanner(reg *metrics.Registry) *Planner {
 }
 
 // PlanFor returns the cached plan for key, building (and caching) one
-// when absent or drifted. On a nil Planner it returns (nil, nil).
-func (p *Planner) PlanFor(key PlanKey, rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
-	if p == nil {
-		return nil, nil
-	}
+// with key.Delta pinned first when absent or drifted.
+func (p *Planner) PlanFor(key PlanKey, rule datalog.Rule, srcs []Source) (*Plan, error) {
 	p.mu.RLock()
 	pl := p.plans[key]
 	p.mu.RUnlock()
@@ -379,7 +369,7 @@ func (p *Planner) PlanFor(key PlanKey, rule datalog.Rule, srcs []Source, firstLi
 		p.hits.Inc()
 		return pl, nil
 	}
-	npl, err := PlanRule(rule, srcs, firstLit)
+	npl, err := PlanRule(rule, srcs, key.Delta)
 	if err != nil {
 		return nil, err
 	}
@@ -399,9 +389,6 @@ func (p *Planner) PlanFor(key PlanKey, rule datalog.Rule, srcs []Source, firstLi
 // Reset drops every cached plan. Rule edits must call it: rule indices
 // shift, so stale keys would serve plans for the wrong rule.
 func (p *Planner) Reset() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.plans = make(map[PlanKey]*Plan)
 	p.mu.Unlock()
@@ -410,21 +397,29 @@ func (p *Planner) Reset() {
 
 // Len returns the number of cached plans.
 func (p *Planner) Len() int {
-	if p == nil {
-		return 0
-	}
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return len(p.plans)
 }
 
-// EvalRulePlanInstr evaluates rule following plan; with a nil plan it
-// falls back to EvalRuleInstr's greedy order. The output relation is
-// identical either way — only the join order and access paths differ.
-func EvalRulePlanInstr(rule datalog.Rule, srcs []Source, firstLit int, plan *Plan, out *relation.Relation, in *Instruments) error {
-	if plan == nil {
-		return EvalRuleInstr(rule, srcs, firstLit, out, in)
+// EvalRule evaluates one rule with the given per-literal sources and adds
+// every derived head tuple (with its derivation count — the product of
+// the joined tuples' counts, summed over derivations) into out, following
+// a fresh PlanRule plan. firstLit, when >= 0, is the literal pinned first:
+// delta rules put the Δ-subgoal first because it is usually the most
+// restrictive (paper Section 6.1). Join probes, scans and built or
+// borrowed heads are counted into in, which may be nil.
+func EvalRule(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Relation, in *Instruments) error {
+	plan, err := PlanRule(rule, srcs, firstLit)
+	if err != nil {
+		return err
 	}
+	return EvalPlan(rule, srcs, plan, out, in)
+}
+
+// EvalPlan is EvalRule following an already built (typically cached)
+// plan for the same rule shape.
+func EvalPlan(rule datalog.Rule, srcs []Source, plan *Plan, out *relation.Relation, in *Instruments) error {
 	if len(srcs) != len(rule.Body) {
 		return fmt.Errorf("eval: rule has %d literals but %d sources given", len(rule.Body), len(srcs))
 	}

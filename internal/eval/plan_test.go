@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ivm/internal/datalog"
 	"ivm/internal/metrics"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
@@ -50,7 +51,7 @@ func TestPlanSingleLiteralBodyIsOneScan(t *testing.T) {
 		t.Fatalf("want a single scan step, got %s", plan.Describe(prog.Rules[0]))
 	}
 	out := relation.New(2)
-	if err := EvalRulePlanInstr(prog.Rules[0], []Source{{Rel: link}}, -1, plan, out, nil); err != nil {
+	if err := EvalPlan(prog.Rules[0], []Source{{Rel: link}}, plan, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 10 {
@@ -59,19 +60,13 @@ func TestPlanSingleLiteralBodyIsOneScan(t *testing.T) {
 }
 
 func TestPlanAllFilterRuleFails(t *testing.T) {
-	// A body of only condition literals can never bind X: both the
-	// greedy order and the planner must reject it identically.
+	// A body of only condition literals can never bind X.
 	prog, _ := parseProgram(t, `p(X) :- q(X), X > 1.`)
 	rule := prog.Rules[0]
 	rule.Body = rule.Body[1:] // strip the join, leaving the bare filter
-	srcs := []Source{{}}
-	_, perr := PlanRule(rule, srcs, -1)
-	gerr := EvalRule(rule, srcs, -1, relation.New(1))
-	if perr == nil || gerr == nil {
-		t.Fatalf("planner err = %v, greedy err = %v; want both non-nil", perr, gerr)
-	}
-	if perr.Error() != gerr.Error() {
-		t.Fatalf("planner and greedy disagree on the error:\n  plan:   %v\n  greedy: %v", perr, gerr)
+	_, err := PlanRule(rule, []Source{{}}, -1)
+	if err == nil || !strings.Contains(err.Error(), "filters with unbound variables") {
+		t.Fatalf("PlanRule err = %v, want the unbound-filter error", err)
 	}
 }
 
@@ -89,7 +84,7 @@ func TestPlanGroundFilterOnlyBody(t *testing.T) {
 		}
 	}
 	out := relation.New(1)
-	if err := EvalRulePlanInstr(prog.Rules[0], []Source{{}, {}}, -1, plan, out, nil); err != nil {
+	if err := EvalPlan(prog.Rules[0], []Source{{}, {}}, plan, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 1 {
@@ -122,7 +117,7 @@ func TestPlanAggregateInDeltaPositionPinnedFirst(t *testing.T) {
 
 func TestPlanNegationOrderedAfterBindingJoin(t *testing.T) {
 	// blocked(X,Y) binds nothing; the planner must hold the negation
-	// until link(X,Y) has bound X and Y, exactly like the greedy order.
+	// until link(X,Y) has bound X and Y.
 	prog, _ := parseProgram(t, `ok(X,Y) :- !blocked(X,Y), link(X,Y).`)
 	rule := prog.Rules[0]
 	blocked := relation.New(2)
@@ -142,7 +137,7 @@ func TestPlanNegationOrderedAfterBindingJoin(t *testing.T) {
 		t.Fatalf("negation step kind = %v, want AccessNegFilter", plan.Steps[1].Kind)
 	}
 	out := relation.New(2)
-	if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, nil); err != nil {
+	if err := EvalPlan(rule, srcs, plan, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantCounts(t, out, map[string]int64{"a,c": 1})
@@ -168,8 +163,8 @@ func TestPlanNegationNeverBoundFails(t *testing.T) {
 func TestPlanPrefersLowFanoutSource(t *testing.T) {
 	// hub(X,Y): 4 distinct X fanning out to ~250 Y each (small Len, huge
 	// fan-out). flat(X,Z): 2000 rows, X unique (large Len, fan-out 1).
-	// With X bound by Δreq, the planner must probe flat before hub; the
-	// greedy order would pick hub (smaller Len on the bound-count tie).
+	// With X bound by Δreq, the planner must probe flat before hub, though
+	// hub is the smaller relation.
 	prog, _ := parseProgram(t, `out(Y,Z) :- req(X), hub(X,Y), flat(X,Z).`)
 	rule := prog.Rules[0]
 	hub := relation.New(2)
@@ -249,7 +244,7 @@ func TestPlanReusesExistingSubsetIndex(t *testing.T) {
 	}
 	// And the reused subset index still yields exact rows.
 	out := relation.New(1)
-	if err := EvalRulePlanInstr(rule, srcs, 0, plan, out, nil); err != nil {
+	if err := EvalPlan(rule, srcs, plan, out, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]int64{}
@@ -268,17 +263,17 @@ func TestPlannerCacheHitMissReplan(t *testing.T) {
 	srcs := []Source{{Rel: link}, {Rel: link}}
 	p := NewPlanner(nil)
 	key := PlanKey{Rule: 0, Kind: PlanEval, Delta: -1}
-	if _, err := p.PlanFor(key, rule, srcs, -1); err != nil {
+	if _, err := p.PlanFor(key, rule, srcs); err != nil {
 		t.Fatal(err)
 	}
 	if p.Len() != 1 {
 		t.Fatalf("cache holds %d plans after first build, want 1", p.Len())
 	}
-	pl1, err := p.PlanFor(key, rule, srcs, -1)
+	pl1, err := p.PlanFor(key, rule, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, err := p.PlanFor(key, rule, srcs, -1)
+	pl2, err := p.PlanFor(key, rule, srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +283,7 @@ func TestPlannerCacheHitMissReplan(t *testing.T) {
 
 	// Grow one source ~64×: the fingerprint drifts and PlanFor replans.
 	grown := fillSeq(2, 1024, 1024)
-	pl3, err := p.PlanFor(key, rule, []Source{{Rel: grown}, {Rel: grown}}, -1)
+	pl3, err := p.PlanFor(key, rule, []Source{{Rel: grown}, {Rel: grown}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,76 +297,109 @@ func TestPlannerCacheHitMissReplan(t *testing.T) {
 	}
 }
 
-func TestPlannerNilIsGreedyFallback(t *testing.T) {
-	var p *Planner
-	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	plan, err := p.PlanFor(PlanKey{}, prog.Rules[0], []Source{{}, {}}, -1)
-	if err != nil || plan != nil {
-		t.Fatalf("nil planner: plan=%v err=%v, want nil,nil", plan, err)
-	}
+// TestEveryJoinOrderAgrees walks every safe literal order of each rule
+// shape — any join next, the filters it makes ready right after it, as
+// PlanRule orders them — and requires one multiset from all of them and
+// from EvalRule: only cost may depend on the order.
+func TestEveryJoinOrderAgrees(t *testing.T) {
 	link := relation.New(2)
-	link.Add(value.T("a", "b"), 2)
-	link.Add(value.T("b", "c"), 3)
-	out := relation.New(2)
-	if err := EvalRulePlanInstr(prog.Rules[0], []Source{{Rel: link}, {Rel: link}}, -1, nil, out, nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 60; i++ {
+		link.Add(value.T("n"+itoa(i%12), "n"+itoa((i*7)%12)), 1)
 	}
-	wantCounts(t, out, map[string]int64{"a,c": 6})
+	hub := relation.New(2)
+	for i := 0; i < 200; i++ {
+		hub.Add(value.T("n"+itoa(i%3), "y"+itoa(i)), 1)
+	}
+	req, blocked := relation.New(1), relation.New(2)
+	req.Add(value.T("n1"), 1)
+	blocked.Add(value.T("n1", "n7"), 1)
+	for _, tc := range []struct {
+		src  string
+		srcs []Source
+	}{
+		{`hop(X,Y) :- link(X,Z), link(Z,Y).`, []Source{{Rel: link}, {Rel: link}}},
+		{`out(Y,Z) :- req(X), hub(X,Y), flat(X,Z).`, []Source{{Rel: req}, {Rel: hub}, {Rel: fillSeq(2, 300, 300)}}},
+		{`ok(X,Y) :- !blocked(X,Y), link(X,Y).`, []Source{{Rel: blocked.ToSet()}, {Rel: link}}},
+		{`big(X) :- link(X,Y), link(Y,Z), link(Z,X), X != Y.`, []Source{{Rel: link}, {Rel: link}, {Rel: link}, {}}},
+	} {
+		prog, _ := parseProgram(t, tc.src)
+		rule := prog.Rules[0]
+		want := relation.New(len(rule.Head.Args))
+		if err := EvalRule(rule, tc.srcs, -1, want, nil); err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		orders := everyOrder(rule, tc.srcs)
+		if len(orders) == 0 {
+			t.Fatalf("%s: no safe order", tc.src)
+		}
+		for _, steps := range orders {
+			out := relation.New(len(rule.Head.Args))
+			if err := walkSteps(rule, tc.srcs, steps, out, nil); err != nil {
+				t.Fatalf("%s: %v", tc.src, err)
+			}
+			if !relation.Equal(out, want) {
+				t.Fatalf("%s: order %s derives %v, EvalRule %v", tc.src, (&Plan{Steps: steps, pinned: -1}).Describe(rule), counts(out), counts(want))
+			}
+		}
+	}
 }
 
-// TestPlanMatchesGreedyOutput drives planned and greedy evaluation over
-// the same rule shapes and asserts identical multisets.
-func TestPlanMatchesGreedyOutput(t *testing.T) {
-	progs := []string{
-		`hop(X,Y) :- link(X,Z), link(Z,Y).`,
-		`out(Y,Z) :- req(X), hub(X,Y), flat(X,Z).`,
-		`ok(X,Y) :- !blocked(X,Y), link(X,Y).`,
-		`big(X) :- link(X,Y), link(Y,Z), link(Z,X), X != Y.`,
+// everyOrder freezes, with accessPath, every order of rule's joins that
+// leaves no filter unbound, each join followed by the filters it readies.
+func everyOrder(rule datalog.Rule, srcs []Source) [][]PlanStep {
+	isFilter := func(i int) bool {
+		l := rule.Body[i]
+		return l.Kind == datalog.LitCondition || (l.Kind == datalog.LitNegated && !srcs[i].JoinDelta)
 	}
-	mkSrcs := func(rule int, prog string) []Source {
-		link := relation.New(2)
-		for i := 0; i < 60; i++ {
-			link.Add(value.T("n"+itoa(i%12), "n"+itoa((i*7)%12)), 1)
+	var joins []int
+	for i := range rule.Body {
+		if !isFilter(i) {
+			joins = append(joins, i)
 		}
-		switch prog {
-		case progs[1]:
-			hub := relation.New(2)
-			for i := 0; i < 200; i++ {
-				hub.Add(value.T("n"+itoa(i%3), "y"+itoa(i)), 1)
+	}
+	freeze := func(perm []int) ([]PlanStep, bool) {
+		bound := make(map[string]bool)
+		taken := make([]bool, len(rule.Body))
+		var steps []PlanStep
+		take := func(i int) {
+			taken[i] = true
+			steps = append(steps, accessPath(rule, srcs, i, bound))
+		}
+		flush := func() {
+			for i, lit := range rule.Body {
+				ready := !taken[i] && isFilter(i)
+				for _, v := range lit.UsesVars(nil) {
+					ready = ready && bound[v]
+				}
+				if ready {
+					take(i)
+				}
 			}
-			flat := fillSeq(2, 300, 300)
-			req := relation.New(1)
-			req.Add(value.T("n1"), 1)
-			return []Source{{Rel: req}, {Rel: hub}, {Rel: flat}}
-		case progs[2]:
-			blocked := relation.New(2)
-			blocked.Add(value.T("n1", "n7"), 1)
-			return []Source{{Rel: blocked.ToSet()}, {Rel: link}}
-		default:
-			if prog == progs[0] {
-				return []Source{{Rel: link}, {Rel: link}}
+		}
+		flush()
+		for _, j := range perm {
+			take(j)
+			flush()
+		}
+		return steps, len(steps) == len(rule.Body)
+	}
+	var out [][]PlanStep
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(joins) {
+			if steps, ok := freeze(joins); ok {
+				out = append(out, steps)
 			}
-			return []Source{{Rel: link}, {Rel: link}, {Rel: link}, {}}
+			return
+		}
+		for i := k; i < len(joins); i++ {
+			joins[k], joins[i] = joins[i], joins[k]
+			permute(k + 1)
+			joins[k], joins[i] = joins[i], joins[k]
 		}
 	}
-	for _, src := range progs {
-		prog, _ := parseProgram(t, src)
-		rule := prog.Rules[0]
-		srcs := mkSrcs(0, src)
-		plan, err := PlanRule(rule, srcs, -1)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		planned := relation.New(len(rule.Head.Args))
-		if err := EvalRulePlanInstr(rule, srcs, -1, plan, planned, nil); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		greedy := relation.New(len(rule.Head.Args))
-		if err := EvalRule(rule, srcs, -1, greedy); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		wantCounts(t, planned, counts(greedy))
-	}
+	permute(0)
+	return out
 }
 
 // A rule walk reuses one scratch frame per step and grounds the head on
@@ -380,12 +408,11 @@ func TestPlanMatchesGreedyOutput(t *testing.T) {
 // into an emptied one that borrows them all, must therefore allocate a
 // number of objects that does not grow with the rows it joins — and no
 // more than a walk whose every derivation the last filter rejects, which
-// never grounds a head: there is no per-walk scratch for it either. Both
-// paths — planned and greedy — run the same walker.
+// never grounds a head: there is no per-walk scratch for it either.
 func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y), !blocked(X,Y).`)
 	rule := prog.Rules[0]
-	allocs := func(n int, planned bool, mode string) float64 {
+	allocs := func(n int, mode string) float64 {
 		link, blocked := relation.New(2), relation.New(2)
 		for i := 0; i < n; i++ {
 			link.Add(value.T(i, i+1), 1)
@@ -393,17 +420,14 @@ func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 		}
 		blocked.Add(value.T(0, 2), 1)
 		srcs := []Source{{Rel: link}, {Rel: link}, {Rel: blocked}}
-		var plan *Plan
-		if planned {
-			var err error
-			if plan, err = PlanRule(rule, srcs, -1); err != nil {
-				t.Fatal(err)
-			}
+		plan, err := PlanRule(rule, srcs, -1)
+		if err != nil {
+			t.Fatal(err)
 		}
 		out := relation.New(2)
 		in := NewInstruments(metrics.NewRegistry())
 		eval := func() {
-			if err := EvalRulePlanInstr(rule, srcs, -1, plan, out, in); err != nil {
+			if err := EvalPlan(rule, srcs, plan, out, in); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -436,14 +460,12 @@ func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 		}
 		return a
 	}
-	for _, planned := range []bool{true, false} {
-		none := allocs(50, planned, "blocked")
-		for _, mode := range []string{"held", "lent"} {
-			small, large := allocs(50, planned, mode), allocs(2000, planned, mode)
-			if large != small || small > none {
-				t.Errorf("planned=%v %s: a re-walk over 2000 links allocates %v objects, over 50 links %v, one that grounds no head %v; want all equal",
-					planned, mode, large, small, none)
-			}
+	none := allocs(50, "blocked")
+	for _, mode := range []string{"held", "lent"} {
+		small, large := allocs(50, mode), allocs(2000, mode)
+		if large != small || small > none {
+			t.Errorf("%s: a re-walk over 2000 links allocates %v objects, over 50 links %v, one that grounds no head %v; want all equal",
+				mode, large, small, none)
 		}
 	}
 }

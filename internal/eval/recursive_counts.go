@@ -84,12 +84,8 @@ func (e *Evaluator) evalRecursiveStratumCounted(db *DB, s int, rules []int) erro
 		if err != nil {
 			return err
 		}
-		plan, err := e.planFor(ri, -1, rule, srcs)
-		if err != nil {
-			return err
-		}
 		tmp := relation.New(len(rule.Head.Args))
-		if err := EvalRulePlanInstr(rule, srcs, -1, plan, tmp, e.Instr); err != nil {
+		if err := e.evalRule(ri, -1, srcs, tmp); err != nil {
 			return err
 		}
 		prev[rule.Head.Pred].MergeDelta(tmp)
@@ -143,12 +139,8 @@ func (e *Evaluator) evalRecursiveStratumCounted(db *DB, s int, rules []int) erro
 						srcs[j] = s2[j]
 					}
 				}
-				plan, err := e.planFor(ri, li, rule, srcs)
-				if err != nil {
-					return err
-				}
 				tmp := relation.New(len(rule.Head.Args))
-				if err := EvalRulePlanInstr(rule, srcs, li, plan, tmp, e.Instr); err != nil {
+				if err := e.evalRule(ri, li, srcs, tmp); err != nil {
 					return err
 				}
 				next[rule.Head.Pred].MergeDelta(tmp)

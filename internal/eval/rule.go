@@ -26,19 +26,6 @@ type Source struct {
 	JoinDelta bool
 }
 
-// EvalRule evaluates one rule with the given per-literal sources and adds
-// every derived head tuple (with its derivation count — the product of
-// the joined tuples' counts, summed over derivations) into out.
-//
-// firstLit, when >= 0, forces that body literal to be scanned first: delta
-// rules put the Δ-subgoal first because it is usually the most restrictive
-// (paper Section 6.1 notes Δ-subgoals lead the join order). The remaining
-// literals are ordered greedily, with filters (conditions, negations)
-// evaluated as soon as their variables are bound.
-func EvalRule(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Relation) error {
-	return EvalRuleInstr(rule, srcs, firstLit, out, nil)
-}
-
 // joinCounters accumulates access-path counts locally during one rule
 // evaluation; they are flushed to Instruments in a single atomic add per
 // counter afterwards. Probes are keyed accesses (point lookups, index
@@ -48,32 +35,6 @@ func EvalRule(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Rela
 type joinCounters struct {
 	probes, scans int64
 	heads         [relation.Built + 1]int64
-}
-
-// EvalRuleInstr is EvalRule with instrumentation: join probes and scans
-// are counted locally during the walk and flushed to in (if non-nil) in
-// a single atomic add per counter afterwards, so the instrumented hot
-// path differs from the bare one only by a local integer increment per
-// access.
-//
-// The greedy order is turned into the same frozen steps a Plan holds —
-// with every bound column probed, never a reused subset index — and
-// walked by the same walker, so the two paths differ only in the order
-// they choose and in the planner's index reuse.
-func EvalRuleInstr(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Relation, in *Instruments) error {
-	if len(srcs) != len(rule.Body) {
-		return fmt.Errorf("eval: rule has %d literals but %d sources given", len(rule.Body), len(srcs))
-	}
-	order, err := orderLiterals(rule, srcs, firstLit)
-	if err != nil {
-		return err
-	}
-	bound := make(map[string]bool)
-	steps := make([]PlanStep, len(order))
-	for k, i := range order {
-		steps[k] = accessPath(rule, srcs, i, bound, false)
-	}
-	return walkSteps(rule, srcs, steps, out, in)
 }
 
 // joinArgs returns the term pattern a join-mode literal exposes: the
@@ -154,99 +115,5 @@ func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func
 			err = emit(row)
 		})
 		return err
-	}
-}
-
-// orderLiterals produces a safe, greedy evaluation order: the designated
-// first literal (if join-capable) leads; filters run as soon as all their
-// variables are bound; remaining joins are chosen by most-bound-columns
-// first (original order breaking ties).
-func orderLiterals(rule datalog.Rule, srcs []Source, firstLit int) ([]int, error) {
-	n := len(rule.Body)
-	remaining := make([]bool, n)
-	for i := range remaining {
-		remaining[i] = true
-	}
-	bound := make(map[string]bool)
-	order := make([]int, 0, n)
-
-	isFilter := func(i int) bool {
-		l := rule.Body[i]
-		return l.Kind == datalog.LitCondition || (l.Kind == datalog.LitNegated && !srcs[i].JoinDelta)
-	}
-	ready := func(i int) bool {
-		for _, v := range rule.Body[i].UsesVars(nil) {
-			if !bound[v] {
-				return false
-			}
-		}
-		return true
-	}
-	take := func(i int) {
-		remaining[i] = false
-		order = append(order, i)
-		if !isFilter(i) {
-			for _, t := range joinArgs(rule.Body[i]) {
-				for _, v := range t.Vars(nil) {
-					bound[v] = true
-				}
-			}
-		}
-	}
-	flushFilters := func() {
-		for i := 0; i < n; i++ {
-			if remaining[i] && isFilter(i) && ready(i) {
-				take(i)
-			}
-		}
-	}
-
-	if firstLit >= 0 && firstLit < n && !isFilter(firstLit) {
-		take(firstLit)
-	}
-	flushFilters()
-
-	for {
-		done := true
-		for i := 0; i < n; i++ {
-			if remaining[i] {
-				done = false
-				break
-			}
-		}
-		if done {
-			return order, nil
-		}
-		// Pick the join literal with the most variables already bound;
-		// break ties toward the smaller relation (cheaper fan-out).
-		best, bestScore, bestLen := -1, -1, 0
-		for i := 0; i < n; i++ {
-			if !remaining[i] || isFilter(i) {
-				continue
-			}
-			score := 0
-			for _, t := range joinArgs(rule.Body[i]) {
-				for _, v := range t.Vars(nil) {
-					if bound[v] {
-						score++
-					}
-				}
-				if _, isConst := t.(datalog.Const); isConst {
-					score++
-				}
-			}
-			size := 0
-			if srcs[i].Rel != nil {
-				size = srcs[i].Rel.Len()
-			}
-			if score > bestScore || (score == bestScore && size < bestLen) {
-				best, bestScore, bestLen = i, score, size
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("eval: rule %q has filters with unbound variables and no remaining joins", rule.String())
-		}
-		take(best)
-		flushFilters()
 	}
 }

@@ -57,7 +57,7 @@ type Options struct {
 	// HTTPClient overrides the transport (nil = dial/header timeouts but
 	// no overall request timeout, which the endless stream needs).
 	HTTPClient *http.Client
-	// ExtraOptions are engine options (tracing, planner ablation, ...) applied
+	// ExtraOptions are engine options (tracing, idempotency window, ...) applied
 	// when materializing the follower's views. Strategy and semantics
 	// always follow the primary's — derived state is bit-identical only
 	// under the same engine configuration.

@@ -372,7 +372,6 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			DisableSetOpt:  cfg.disableSetOpt,
 			AllowRecursion: cfg.recursiveCounts,
 			MaxIterations:  cfg.maxIterations,
-			DisablePlanner: cfg.disablePlanner,
 			Metrics:        reg,
 			Tracer:         cfg.tracer,
 		})
@@ -385,9 +384,8 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			return nil, fmt.Errorf("ivm: DRed requires set semantics")
 		}
 		eng, err := dred.NewWithConfig(prog, d.base, dred.Config{
-			Metrics:        reg,
-			Tracer:         cfg.tracer,
-			DisablePlanner: cfg.disablePlanner,
+			Metrics: reg,
+			Tracer:  cfg.tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -400,16 +398,14 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		}
 		eng.Metrics = reg
 		eng.Tracer = cfg.tracer
-		eng.DisablePlanner = cfg.disablePlanner
 		v.eng = eng
 	case PF:
 		if cfg.semantics == DuplicateSemantics {
 			return nil, fmt.Errorf("ivm: the PF baseline requires set semantics")
 		}
 		eng, err := pf.NewWithConfig(prog, d.base, pf.Config{
-			Metrics:        reg,
-			Tracer:         cfg.tracer,
-			DisablePlanner: cfg.disablePlanner,
+			Metrics: reg,
+			Tracer:  cfg.tracer,
 		})
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ type config struct {
 	strategy        Strategy
 	semantics       Semantics
 	disableSetOpt   bool
-	disablePlanner  bool
 	fragmentTuples  bool
 	recursiveCounts bool
 	maxIterations   int
@@ -42,11 +41,6 @@ func WithSemantics(s Semantics) Option { return func(c *config) { c.semantics = 
 // WithoutSetOptimization disables statement (2) of Algorithm 4.1 (the
 // set-semantics cascade cut) — exposed for the ablation experiments.
 func WithoutSetOptimization() Option { return func(c *config) { c.disableSetOpt = true } }
-
-// WithoutPlanner disables the cost-based join planner; delta rules then
-// use the static greedy literal order. Maintained views are bit-identical
-// either way — exposed for the planner ablation experiments.
-func WithoutPlanner() Option { return func(c *config) { c.disablePlanner = true } }
 
 // WithTupleFragmentation makes the PF baseline propagate one tuple per
 // pass (its most fragmented schedule).

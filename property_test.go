@@ -152,7 +152,7 @@ func TestPropertyStrategiesAgree(t *testing.T) {
 				if tc.recursive {
 					strategies = append(strategies, ivm.PF, ivm.DRed)
 				} else {
-					strategies = append(strategies, ivm.Counting, ivm.DRed)
+					strategies = append(strategies, ivm.Counting, ivm.PF, ivm.DRed)
 				}
 				views := make([]*ivm.Views, len(strategies))
 				for i, s := range strategies {

@@ -65,7 +65,7 @@ func replicaConfigOptions(st ReplicaState) ([]Option, error) {
 }
 
 // ViewsFromReplicaState materializes fresh Views from a transferred
-// state. extra options are applied first (tracing, planner ablation, ...);
+// state. extra options are applied first (tracing, idempotency window, ...);
 // the state's strategy and semantics are applied last, since derived
 // state is bit-identical to the sender's only under the same engine
 // configuration.
