@@ -5,6 +5,8 @@ package ivm_test
 // bases, self-joins, multi-rule unions, and cross-semantics behaviors.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"ivm"
@@ -378,6 +380,62 @@ func TestArityMismatchesAreErrorsNotPanics(t *testing.T) {
 		// The engine stays usable.
 		if _, err := v.Apply(ivm.NewUpdate().Insert("p", "b")); err != nil {
 			t.Fatalf("%v: engine unusable after arity error: %v", s, err)
+		}
+	}
+}
+
+// Relations key a float by its bits, so a join must match by that identity
+// too, whichever access path the planner picks. At f9e135c a scan compared
+// with float ==: the ±0 join found no p until the unrelated rule r built an
+// index on b's column 0, which the planner reused for p, leaving Y to the
+// scan's compare; NaN went the other way; and c(0.0, -0.0) matched c(X, X).
+// Every strategy must answer as a key-identity join would, materialising
+// the facts or maintaining them in, and must equal recompute.
+func TestJoinEqualityIsKeyIdentity(t *testing.T) {
+	const join = `p(X) :- a(X, Y), b(X, Y, Z).`
+	const withIndex = "r(X) :- c(X), b(X, W, V).\n" + join
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	zeros := [][]any{{"a", 1, 0.0}, {"b", 1, negZero, 5}, {"c", 1}}
+	nans := [][]any{{"a", 1, nan}, {"b", 1, nan, 5}, {"c", 1}}
+	for _, tc := range []struct {
+		name, program, pred string
+		facts               [][]any
+		want                int
+	}{
+		{"±0 across literals", join, "p", zeros, 0},
+		{"±0 across literals, subset index", withIndex, "p", zeros, 0},
+		{"±0 within a literal", `q(X) :- c(X, X).`, "q", [][]any{{"c", 0.0, negZero}}, 0},
+		{"NaN across literals", join, "p", nans, 1},
+		{"NaN across literals, subset index", withIndex, "p", nans, 1},
+		{"NaN within a literal", `q(X) :- c(X, X).`, "q", [][]any{{"c", nan, nan}}, 1},
+	} {
+		for _, s := range []ivm.Strategy{ivm.Counting, ivm.DRed, ivm.PF, ivm.Recompute} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, s), func(t *testing.T) {
+				db, u := ivm.NewDatabase(), ivm.NewUpdate()
+				for _, f := range tc.facts {
+					db.Insert(f[0].(string), f[1:]...)
+					u.Insert(f[0].(string), f[1:]...)
+				}
+				views := map[string]*ivm.Views{}
+				var err error
+				if views["materialised"], err = db.Materialize(tc.program, ivm.WithStrategy(s)); err != nil {
+					t.Fatal(err)
+				}
+				if views["recomputed"], err = db.Materialize(tc.program, ivm.WithStrategy(ivm.Recompute)); err != nil {
+					t.Fatal(err)
+				}
+				if views["maintained"], err = ivm.NewDatabase().Materialize(tc.program, ivm.WithStrategy(s)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := views["maintained"].Apply(u); err != nil {
+					t.Fatal(err)
+				}
+				for what, v := range views {
+					if got := v.Rows(tc.pred); len(got) != tc.want {
+						t.Errorf("%s: %s = %v, want %d rows", what, tc.pred, got, tc.want)
+					}
+				}
+			})
 		}
 	}
 }

@@ -540,7 +540,7 @@ func (e *Engine) deltaImages(ri int, cascade map[string]*relation.Relation, pend
 				}
 				uNew := relation.Overlay(e.old(inner), cd)
 				var err error
-				dt, err = gt.ApplyDelta(cd, uNew)
+				dt, err = gt.ApplyDelta(cd, uNew, e.instr)
 				if err != nil {
 					return nil, err
 				}

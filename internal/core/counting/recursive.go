@@ -193,7 +193,7 @@ func (e *Engine) applyRuleLowerOnly(ri int, inStratum map[string]bool,
 					return fmt.Errorf("counting: internal error: no group table for rule %d literal %d", ri, li)
 				}
 				var err error
-				dt, err = gt.ApplyDelta(cd, relation.Overlay(e.old(inner), cd))
+				dt, err = gt.ApplyDelta(cd, relation.Overlay(e.old(inner), cd), e.instr)
 				if err != nil {
 					return err
 				}

@@ -85,7 +85,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			pendingT[key] = dt
 			return dt, nil
 		}
-		dt, err := gt.ApplyDelta(nu, newR(g.Inner.Pred))
+		dt, err := gt.ApplyDelta(nu, newR(g.Inner.Pred), e.instr)
 		if err != nil {
 			return nil, err
 		}

@@ -114,7 +114,7 @@ func BenchmarkGroupTableDelta(b *testing.B) {
 		if i%2 == 1 {
 			d = del
 		}
-		dt, err := gt.ApplyDelta(d, relation.Overlay(u, d))
+		dt, err := gt.ApplyDelta(d, relation.Overlay(u, d), nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -84,19 +84,23 @@ func groundAtom(dst value.Tuple, args []datalog.Term, b *binding) (value.Tuple, 
 // overwritten; nil allocates). Constants and bound variables must match
 // exactly; repeated variables within args must agree. On a failed match
 // the binding is restored and the list is empty.
+//
+// Values match by key identity (== on value.Value), the equality every
+// relation probe and index uses: a scan must join what a lookup would, so
+// -0.0 does not match 0.0 and NaN matches itself, as their keys do.
 func matchPattern(args []datalog.Term, tuple value.Tuple, b *binding, buf []string) (ok bool, boundVars []string) {
 	boundVars = buf[:0]
 	for i, a := range args {
 		switch x := a.(type) {
 		case datalog.Const:
-			if !x.Value.Equal(tuple[i]) {
+			if x.Value != tuple[i] {
 				undoBind(b, boundVars)
 				return false, boundVars[:0]
 			}
 		case datalog.Var:
 			name := string(x)
 			if cur, bound := b.lookup(name); bound {
-				if !cur.Equal(tuple[i]) {
+				if cur != tuple[i] {
 					undoBind(b, boundVars)
 					return false, boundVars[:0]
 				}

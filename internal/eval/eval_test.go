@@ -333,7 +333,7 @@ func TestGroupTableBuildAndDeltas(t *testing.T) {
 	du.Add(value.T("b", 7), -1)
 	du.Add(value.T("c", 9), 1)
 	uNew := relation.Overlay(u, du)
-	dt, err := gt.ApplyDelta(du, uNew)
+	dt, err := gt.ApplyDelta(du, uNew, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestGroupTableBuildAndDeltas(t *testing.T) {
 	// still present (we only inserted 1); removing 1 rescans to 3.
 	du2 := relation.New(2)
 	du2.Add(value.T("a", 1), -1)
-	dt2, err := gt.ApplyDelta(du2, relation.Overlay(u, du2))
+	dt2, err := gt.ApplyDelta(du2, relation.Overlay(u, du2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestGroupTableBuildAndDeltas(t *testing.T) {
 	u.Add(value.T("a", 99), 1)
 	du3 := relation.New(2)
 	du3.Add(value.T("a", 99), -1)
-	dt3, err := gt.ApplyDelta(du3, relation.Overlay(u, du3))
+	dt3, err := gt.ApplyDelta(du3, relation.Overlay(u, du3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

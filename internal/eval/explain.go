@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"ivm/internal/datalog"
 	"ivm/internal/relation"
 	"ivm/internal/value"
@@ -61,7 +63,7 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 				if err != nil {
 					return err
 				}
-				if !got.Equal(head) {
+				if !slices.Equal(got, head) {
 					return nil
 				}
 			}

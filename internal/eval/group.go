@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"ivm/internal/agg"
 	"ivm/internal/datalog"
@@ -189,7 +190,10 @@ func (t *GroupTable) dropEmpty() {
 // exactly one Commit or Rollback before the next ApplyDelta; a failed one
 // has rolled the table back itself. Either way undo is empty on entry,
 // so its keys are the groups this call touched.
-func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*relation.Relation, error) {
+//
+// Group values and aggregates compare by key identity (==), as the
+// relations holding them do: -0.0 is not 0.0 and NaN is itself.
+func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *Instruments) (*relation.Relation, error) {
 	if t.undo == nil {
 		t.undo = make(map[string]undoEntry)
 	}
@@ -234,11 +238,14 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader) (*rela
 				t.Rollback()
 				return nil, err
 			}
+			if in != nil {
+				in.groupRescans.Inc()
+			}
 		}
 		// Only cur's last value, the aggregate, can move: only then build.
 		v, ok := e.state.Result()
 		switch {
-		case e.cur != nil && ok && e.cur[len(e.cur)-1].Equal(v):
+		case e.cur != nil && ok && e.cur[len(e.cur)-1] == v:
 			// unchanged
 		case e.cur == nil && !ok:
 			delete(t.groups, k)
@@ -273,7 +280,7 @@ func (t *GroupTable) rescan(e *groupEntry, uNew relation.Reader) error {
 		if err != nil {
 			return err
 		}
-		if !ok || !gv.Equal(e.groupVals) {
+		if !ok || !slices.Equal(gv, e.groupVals) {
 			continue
 		}
 		if row.Count > 0 {

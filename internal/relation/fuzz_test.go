@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,17 +29,45 @@ func churn() []byte {
 }
 
 // FuzzTableOps drives a relation with a stream of two-byte operations —
-// the low nibble of the first byte picks Add, AddRow, Delete, Set, Clone
+// the low nibble of the first byte picks Add, AddRow, Delete, Set, a copy
 // or Reset, its high nibble the count, the second byte the tuple — beside
-// a plain map[string]int64, and checks the tuple touched after every
-// operation and the whole content at the end and at every Clone (the
-// relation a Clone leaves behind must keep what it had).
+// a plain map[string]int64. A copy is a Clone for an even count, else the
+// successor of the frozen relation (cloneIndexed), whose first writes go
+// to runs it shares. After every operation it checks the tuple touched,
+// and Lookup on {0}, {1} and {0,1} for its projections (so every later
+// operation maintains those indexes); at the end and at every copy, the
+// whole content and every projection (the relation a copy leaves behind
+// must keep what it had).
 func FuzzTableOps(f *testing.F) {
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r, m := New(-1), map[string]int64{}
 		tuples := map[string]value.Tuple{}
+		// lookups checks Lookup on each projection of each probe.
+		lookups := func(where string, r *Relation, m map[string]int64, probes ...value.Tuple) {
+			model := make([]Row, 0, len(m))
+			for k, c := range m {
+				model = append(model, Row{Tuple: tuples[k], Count: c, key: k})
+			}
+			for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+				for _, tu := range probes {
+					kv, got, want := tu.Project(cols), map[string]int64{}, map[string]int64{}
+					run := r.Lookup(cols, kv)
+					for _, row := range run {
+						got[row.Key()] = row.Count
+					}
+					for _, row := range model {
+						if slices.IndexFunc(cols, func(c int) bool { return row.Tuple[c] != tu[c] }) < 0 {
+							want[row.key] = row.Count
+						}
+					}
+					if len(run) != len(got) || !maps.Equal(got, want) {
+						t.Fatalf("%s: Lookup(%v, %v) = %v, model %v", where, cols, kv, run, want)
+					}
+				}
+			}
+		}
 		same := func(where string, r *Relation, m map[string]int64) {
 			seen := 0
 			r.Each(func(row Row) {
@@ -53,6 +83,11 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("%s: Count(%v) = %d, model %d", where, tuples[k], got, c)
 				}
 			}
+			var probes []value.Tuple
+			for _, tu := range tuples {
+				probes = append(probes, tu)
+			}
+			lookups(where, r, m, probes...)
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			tu := value.T(int64(ops[i+1]%16), strings.Repeat("k", int(ops[i+1]/16)))
@@ -73,10 +108,15 @@ func FuzzTableOps(f *testing.F) {
 				m[k] = c
 			case 4:
 				old, oldM := r, maps.Clone(m)
-				r = r.Clone()
+				if c%2 == 0 {
+					r = r.Clone()
+				} else {
+					old.Freeze()
+					r = old.cloneIndexed(old.Len())
+				}
 				r.Add(tu, 1)
 				m[k]++
-				same("the relation a Clone left behind", old, oldM)
+				same("the relation a copy left behind", old, oldM)
 			default:
 				r.Reset()
 				m = map[string]int64{}
@@ -87,6 +127,7 @@ func FuzzTableOps(f *testing.F) {
 			if got := r.Count(tu); got != m[k] {
 				t.Fatalf("op %d (%#x %d): Count(%v) = %d, model %d", i/2, ops[i], ops[i+1], tu, got, m[k])
 			}
+			lookups(fmt.Sprintf("op %d (%#x %d)", i/2, ops[i], ops[i+1]), r, m, tu)
 		}
 		same("at the end", r, m)
 	})

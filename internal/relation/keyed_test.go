@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -28,7 +29,10 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	hit, miss := value.T("s5", "d105"), value.T("s5", "nope")
 	key, noKey := value.T("s7"), value.T("s-none")
 	cols := []int{0}
-	r.Lookup(cols, key) // build the index and let Add maintain it below
+	// Build three indexes and let every count change below maintain them.
+	r.Lookup(cols, key)
+	r.Lookup([]int{1}, value.T("d105"))
+	r.Lookup([]int{0, 1}, hit)
 	set := SetImage(r)
 
 	noAllocs(t, "Count hit", func() { _ = r.Count(hit) })
@@ -37,6 +41,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	noAllocs(t, "Has miss", func() { _ = r.Has(miss) })
 	noAllocs(t, "Lookup hit on a built index", func() { _ = r.Lookup(cols, key) })
 	noAllocs(t, "Lookup miss on a built index", func() { _ = r.Lookup(cols, noKey) })
+	noAllocs(t, "Lookup hit on a two-column index", func() { _ = r.Lookup([]int{0, 1}, hit) })
 	noAllocs(t, "Add of an existing tuple", func() { r.Add(hit, 1) })
 	// The stored cell carries its key: neither the re-store of a bumped
 	// count nor the delete of a cancelled one builds a string, and Each
@@ -52,6 +57,38 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	noAllocs(t, "Set of an existing tuple", func() { r.Set(hit, 3); r.Set(hit, 4) })
 	noAllocs(t, "Delete miss", func() { r.Delete(miss) })
 	noAllocs(t, "set-image Lookup of a set", func() { _ = set.Lookup(cols, noKey); _ = set.Count(hit) })
+}
+
+// An index build makes a fixed number of objects — the index, its columns,
+// its key table, the one array its runs are carved from and here the idx
+// slice, plus the probe's tuple — however many keys it finds: a map of
+// buckets made three per key. Once built, a count
+// change of a stored tuple rewrites its row in the run in place.
+func TestIndexBuildAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pooled scratch
+	build := func(keys int) (*Relation, float64) {
+		r := New(2)
+		for i := 0; i < 2000; i++ {
+			r.Add(value.T(i%keys, i), 1)
+		}
+		return r, testing.AllocsPerRun(20, func() {
+			r.idx = nil
+			if len(r.Lookup([]int{0}, value.T(7))) != 2000/keys {
+				t.Fatal("the built index lost rows")
+			}
+		})
+	}
+	_, few := build(20)
+	r, many := build(2000)
+	t.Logf("an index build over 2 000 rows allocates %v objects with 20 keys, %v with 2 000", few, many)
+	stored := value.T(7, 7)
+	noAllocs(t, "a count change of a stored tuple in an indexed relation", func() { r.Add(stored, 1); r.Add(stored, -1) })
+	if raceEnabled {
+		t.Skipf("allocation counts of pooled scratch do not hold under -race (saw %v and %v)", few, many)
+	}
+	if few != many || many > 8 {
+		t.Fatalf("an index build over 2 000 rows allocates %v objects with 20 keys, %v with 2 000", few, many)
+	}
 }
 
 func TestLongKeysSpillTheScratchCorrectly(t *testing.T) {
@@ -128,13 +165,26 @@ func keyed(t value.Tuple, count int64) Row {
 	return h.Rows()[0].WithCount(count)
 }
 
-// indexImage renders every index of r as sig → bucket key → sorted rows.
+// indexImage renders every index of r as columns → run key → sorted rows,
+// and checks the key table's count of occupied slots on the way.
 func indexImage(r *Relation) map[string]map[string][]string {
 	out := make(map[string]map[string][]string)
-	for sig, ix := range r.idx {
+	for _, ix := range r.idx {
 		m := make(map[string][]string)
-		for k, b := range ix.buckets {
-			for _, row := range b.rows {
+		n := 0
+		for _, s := range ix.slots {
+			if len(s.run) == 0 {
+				continue
+			}
+			n++
+			k := s.run[0].Tuple.Project(ix.cols).Key()
+			if m[k] != nil {
+				m[k] = append(m[k], "TWO RUNS")
+			}
+			for _, row := range s.run {
+				if row.Tuple.Project(ix.cols).Key() != k {
+					m[k] = append(m[k], "WRONG RUN "+row.key)
+				}
 				if row.key != row.Tuple.Key() {
 					m[k] = append(m[k], "BAD KEY "+row.key)
 				}
@@ -142,7 +192,10 @@ func indexImage(r *Relation) map[string]map[string][]string {
 			}
 			sort.Strings(m[k])
 		}
-		out[sig] = m
+		if n != ix.n {
+			m["#"] = []string{fmt.Sprintf("%d runs, n = %d", n, ix.n)}
+		}
+		out[fmt.Sprint(ix.cols)] = m
 	}
 	return out
 }
@@ -181,7 +234,7 @@ func TestKeyedAddMatchesAddProperty(t *testing.T) {
 			}
 		})
 		if ia, ib := fmt.Sprint(indexImage(a)), fmt.Sprint(indexImage(b)); ia != ib {
-			t.Fatalf("trial %d: index buckets differ:\n  %s\n  %s", trial, ia, ib)
+			t.Fatalf("trial %d: index runs differ:\n  %s\n  %s", trial, ia, ib)
 		}
 		for col := range a.stats.cols {
 			if a.stats.cols[col] != b.stats.cols[col] {
@@ -257,7 +310,7 @@ func lookupAgrees(t *testing.T, rng *rand.Rand, keys int, rd Reader, want *Relat
 // reader — must read, at every version and through every demanded index,
 // as the sequential ⊎-merge does; and a published version keeps reading
 // as it did however many compactions and flattens its successors go
-// through on buckets they share with it.
+// through on runs they share with it.
 func TestVersionedChainFlattensLikeSequentialMerge(t *testing.T) {
 	type published struct {
 		v    *Versioned

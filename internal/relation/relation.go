@@ -14,7 +14,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"ivm/internal/value"
@@ -68,7 +67,7 @@ func (r Row) WithCount(count int64) Row {
 // the one writer mutates engine state only, and what readers pin (a
 // published version) is frozen.
 type Relation struct {
-	arity int32 // one word with frozen; the flags share one too: 144 bytes
+	arity int32 // one word with frozen: 144 bytes
 
 	// frozen marks an immutable relation (a published snapshot version):
 	// any mutation panics. Lazy index builds remain allowed — they are
@@ -76,16 +75,13 @@ type Relation struct {
 	frozen bool
 	rows   table
 
-	// idx holds the lazy hash indexes, keyed by column signature. idxMu
-	// guards idx against concurrent lazy builds from reader goroutines;
-	// hasIdx lets the mutation hot path skip the lock entirely until the
-	// first index exists.
-	idx      map[string]*index
-	idxMu    sync.RWMutex
-	hasIdx   atomic.Bool
-	hasStats atomic.Bool
-	gen      uint64       // marks the index buckets r may write in place (index.go)
-	lend     [2]*Relation // what AddDerived borrows stored rows from (BorrowFrom)
+	// idx holds the lazy hash indexes, a few at most, told apart by their
+	// columns. idxMu guards idx against concurrent lazy builds from reader
+	// goroutines. A mutation reads idx without it: mutations never overlap
+	// reads, so only a reader's build can race a reader.
+	idx   []*index
+	idxMu sync.RWMutex
+	lend  [2]*Relation // what AddDerived borrows stored rows from (BorrowFrom)
 
 	// stats holds the lazy per-column distinct sketches (see stats.go),
 	// with the same build-once-then-incremental discipline as idx.
@@ -381,14 +377,7 @@ func (r *Relation) Reset() {
 	clear(r.rows.cells)
 	r.rows.n = 0
 	r.lend = [2]*Relation{}
-	r.idxMu.Lock()
-	r.idx = nil
-	r.hasIdx.Store(false)
-	r.idxMu.Unlock()
-	r.statsMu.Lock()
-	r.stats = nil
-	r.hasStats.Store(false)
-	r.statsMu.Unlock()
+	r.idx, r.stats = nil, nil
 }
 
 // MergeDelta folds delta into r using the ⊎ operator of Section 3:

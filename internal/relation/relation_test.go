@@ -172,11 +172,11 @@ func TestLookupIndexMaintenance(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("index must see deletes: %d rows", len(rows))
 	}
-	// Count updates inside buckets.
+	// Count updates inside runs.
 	r.Add(value.T("a", "b"), 4)
 	for _, rw := range r.Lookup([]int{0}, value.T("a")) {
 		if rw.Tuple.Equal(value.T("a", "b")) && rw.Count != 5 {
-			t.Fatalf("bucket count = %d, want 5", rw.Count)
+			t.Fatalf("run count = %d, want 5", rw.Count)
 		}
 	}
 	// Second-column index coexists.
@@ -290,7 +290,7 @@ func TestResetEmptiesForReuse(t *testing.T) {
 	if r.Len() != 0 || !r.Empty() || r.Arity() != 2 || r.Has(value.T("a", "b")) {
 		t.Fatalf("after Reset: len %d arity %d", r.Len(), r.Arity())
 	}
-	if r.PreferredIndex([]int{0}) != nil || r.hasStats.Load() {
+	if r.PreferredIndex([]int{0}) != nil || r.stats != nil {
 		t.Fatal("Reset keeps an index or the stats")
 	}
 	r.Add(value.T("a", "d"), 1)

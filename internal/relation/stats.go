@@ -2,7 +2,7 @@ package relation
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -130,7 +130,6 @@ func (r *Relation) DistinctEst(col int) int {
 			st = &tableStats{cols: make([]colSketch, r.arity)}
 			r.Each(func(row Row) { st.add(row.Tuple, 1) })
 			r.stats = st
-			r.hasStats.Store(true)
 		}
 		r.statsMu.Unlock()
 	}
@@ -139,16 +138,11 @@ func (r *Relation) DistinctEst(col int) int {
 
 // statsAdd records a presence transition of t (delta +1 on insert, −1 on
 // removal) in the column sketches. Count-only changes do not call it:
-// distinct counts track tuple presence, not multiplicity.
+// distinct counts track tuple presence, not multiplicity. Like idxAdd it
+// reads the lazy field unlocked: mutations never overlap reads.
 func (r *Relation) statsAdd(t value.Tuple, delta int) {
-	if !r.hasStats.Load() {
-		return
-	}
-	r.statsMu.RLock()
-	st := r.stats
-	r.statsMu.RUnlock()
-	if st != nil {
-		st.add(t, delta)
+	if r.stats != nil {
+		r.stats.add(t, delta)
 	}
 }
 
@@ -192,7 +186,7 @@ type IndexPreferrer interface {
 	// PreferredIndex returns the column set of an existing index whose
 	// columns are a subset of bound (which must be sorted ascending), or
 	// nil when none applies. The result is deterministic: exact matches
-	// win, then the widest subset, ties broken by column signature.
+	// win, then the widest subset, ties broken by column order.
 	PreferredIndex(bound []int) []int
 }
 
@@ -208,40 +202,32 @@ func PreferredIndexFor(rd Reader, bound []int) []int {
 // PreferredIndex implements IndexPreferrer over the relation's live index
 // set. See the interface for the selection rule.
 func (r *Relation) PreferredIndex(bound []int) []int {
-	if !r.hasIdx.Load() || len(bound) == 0 {
+	if len(bound) == 0 {
 		return nil
 	}
 	r.idxMu.RLock()
 	defer r.idxMu.RUnlock()
-	if ix := r.idx[colsSig(bound)]; ix != nil {
-		return append([]int(nil), ix.cols...)
+	if ix := r.index(bound); ix != nil {
+		return slices.Clone(ix.cols)
 	}
-	inBound := make(map[int]bool, len(bound))
-	for _, c := range bound {
-		inBound[c] = true
-	}
-	var bestSig string
 	var best []int
-	for sig, ix := range r.idx {
+	for _, ix := range r.idx {
 		usable := len(ix.cols) > 0
 		for _, c := range ix.cols {
-			if !inBound[c] {
+			if _, in := slices.BinarySearch(bound, c); !in {
 				usable = false
 				break
 			}
 		}
-		if !usable {
-			continue
-		}
-		if best == nil || len(ix.cols) > len(best) || (len(ix.cols) == len(best) && sig < bestSig) {
-			best, bestSig = ix.cols, sig
+		if usable && (best == nil || len(ix.cols) > len(best) || (len(ix.cols) == len(best) && slices.Compare(ix.cols, best) < 0)) {
+			best = ix.cols
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	out := append([]int(nil), best...)
-	sort.Ints(out)
+	out := slices.Clone(best)
+	slices.Sort(out)
 	return out
 }
 

@@ -30,8 +30,11 @@ var lastMul atomic.Uint32
 
 // newTable returns an empty table of the given length with a mul of its own.
 func newTable(cells int) table {
-	return table{cells: make([]cell, cells), mul: lastMul.Add(0x9e3779b2) | 1}
+	return table{cells: make([]cell, cells), mul: nextMul()}
 }
+
+// nextMul hands out the odd multipliers of tables and index key tables.
+func nextMul() uint32 { return lastMul.Add(0x9e3779b2) | 1 }
 
 // Load factors, measured (EXPERIMENTS.md E24): a table made for n rows has
 // ⌈n·4/3⌉ cells, and one that grows in place doubles when an insert would
@@ -52,7 +55,10 @@ func hashString(k string) uint32 { return uint32(maphash.String(seed, k)) }
 // sizedCells is the length of a table made for exactly n rows.
 func sizedCells(n int) int { return (n*sizedNum + sizedDen - 1) / sizedDen }
 
-func (t *table) home(h uint32) int { return int(uint64(h*t.mul) * uint64(len(t.cells)) >> 32) }
+func (t *table) home(h uint32) int { return homeOf(h, t.mul, len(t.cells)) }
+
+// homeOf is the home of hash h in an array of n entries scrambled by mul.
+func homeOf(h, mul uint32, n int) int { return int(uint64(h*mul) * uint64(n) >> 32) }
 
 // find returns the index of the cell that holds key k, whose hash is h,
 // or -1. It allocates nothing for either kind of key.

@@ -162,12 +162,13 @@ func TestVersionedFlatIsCachedAndReusedByPush(t *testing.T) {
 	}
 }
 
-// A flatten shares the old base's index buckets with the new one, and
-// readers of the old base hold their rows slices: the writer must copy a
-// bucket before its first write to it. Every version here has exactly
-// perKey count-1 rows under each key, so a reader that sees anything else
-// — or the race detector, under `make race` — has caught a write in place.
-func TestVersionedSharedBucketsUnderConcurrentReaders(t *testing.T) {
+// A flatten shares the old base's index runs with the new one, and
+// readers of the old base hold those runs: the writer must copy a run
+// before its first write to it, even an append into spare capacity. Every
+// version here has exactly perKey count-1 rows under each key, so a reader
+// that sees anything else — or the race detector, under `make race` — has
+// caught a write in place.
+func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
 	const keys, perKey, pushes, readers = 40, 15, 700, 3
 	base := New(2)
 	for k := 0; k < keys; k++ {
@@ -195,7 +196,7 @@ func TestVersionedSharedBucketsUnderConcurrentReaders(t *testing.T) {
 				live := 0
 				for _, row := range rows {
 					if row.Count != 1 || rd.Count(row.Tuple) != 1 {
-						errs <- fmt.Sprintf("key %d: row %v has count %d in the bucket, %d stored", k, row.Tuple, row.Count, rd.Count(row.Tuple))
+						errs <- fmt.Sprintf("key %d: row %v has count %d in the run, %d stored", k, row.Tuple, row.Count, rd.Count(row.Tuple))
 						return
 					}
 					live++
@@ -209,7 +210,7 @@ func TestVersionedSharedBucketsUnderConcurrentReaders(t *testing.T) {
 	}
 	// Each push retires the oldest row of one key and adds its next one,
 	// so pending rows pile up past ¼|base| (flatten) by way of several
-	// compactions, over buckets the readers are probing.
+	// compactions, over runs the readers are probing.
 	flattens, compactions := 0, 0
 	for i := 0; i < pushes && len(errs) == 0; i++ {
 		k, gen := i%keys, i/keys
@@ -238,9 +239,10 @@ func TestVersionedSharedBucketsUnderConcurrentReaders(t *testing.T) {
 	}
 }
 
-// A bucket shared across flattens must not keep the base that built it
-// reachable: the ownership mark is a number. With one bucket no delta
-// ever touches, the first base would otherwise live as long as the chain.
+// A run shared across flattens must not keep the base that built it
+// reachable: the ownership mark is a flag on the slot. With one run no
+// delta ever touches, the first base would otherwise live as long as the
+// chain.
 func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 	collected := make(chan struct{})
 	v := func() *Versioned {
@@ -264,7 +266,7 @@ func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 		}
 	}
 	if got := v.Reader().Lookup([]int{0}, value.T("untouched")); len(got) != 1 {
-		t.Fatalf("the carried index lost its untouched bucket: %v", got)
+		t.Fatalf("the carried index lost its untouched run: %v", got)
 	}
 	for i := 0; i < 20; i++ {
 		runtime.GC()
@@ -276,6 +278,62 @@ func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 		}
 	}
 	t.Fatal("the first base is still reachable from a version four flattens later")
+}
+
+// The retention bound of carved runs (DESIGN.md §10): a build carves
+// every run from one array, and a run still shared with a successor pins
+// all of it. Once every key of the first base's index has been rewritten,
+// nothing refers to that array and it is collected.
+func TestVersionedRewrittenRunsReleaseTheirArray(t *testing.T) {
+	const keys = 7
+	collected := make(chan struct{})
+	v := func() *Versioned {
+		base := New(2)
+		for i := 0; i < 2*minFlattenRows; i++ {
+			base.Add(value.T(i%keys, i), 1)
+		}
+		var first Row
+		base.Each(func(row Row) {
+			if first.Tuple == nil {
+				first = row
+			}
+		})
+		// The first cell's key is the build's first key: its run starts the array.
+		run := base.Lookup([]int{0}, first.Tuple[:1])
+		runtime.SetFinalizer(&run[0], func(*Row) { close(collected) })
+		return NewVersioned(base)
+	}()
+	flatten := func(touched int) {
+		d := New(2)
+		for j := 0; j < minFlattenRows; j++ {
+			d.Add(value.T(j%touched, -1-j), 1)
+		}
+		d.Freeze()
+		prev := v.base
+		if v = v.Push(d); v.base == prev {
+			t.Fatal("a delta of minFlattenRows rows did not flatten")
+		}
+	}
+	gone := func() bool {
+		for i := 0; i < 20; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				return true
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		return false
+	}
+	flatten(keys - 1) // key keys-1 keeps its shared run
+	if gone() {
+		t.Fatal("the array was collected while a successor still shares a run carved from it")
+	}
+	flatten(keys)
+	if !gone() {
+		t.Fatal("the first base's array is still reachable after every one of its runs was rewritten")
+	}
+	runtime.KeepAlive(v)
 }
 
 // Publishing a small delta must not cost O(|base|), however many times:

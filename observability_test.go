@@ -128,6 +128,54 @@ func TestDRedMetricsAgreeWithStats(t *testing.T) {
 	}
 }
 
+// Deleting a group's current minimum is the one aggregate change that is
+// not incrementally computable: Algorithm 6.1 rescans that group. Every
+// apply here deletes the minimum of group a or b (a rescan) and inserts
+// into group c above its minimum (none), so each apply rescans exactly one
+// group, the views equal a recomputation after each, and
+// eval_group_rescans_total counts one rescan per apply. (PF leaves its
+// inner DRed engine unobserved, so no eval_* series moves under it.)
+func TestMinRescansAreCounted(t *testing.T) {
+	const program = `m(G, M) :- groupby(e(G, V), [G], M = min(V)).`
+	const applies = 20
+	for _, s := range []ivm.Strategy{ivm.Counting, ivm.DRed} {
+		db := ivm.NewDatabase()
+		for i := 0; i < applies; i++ {
+			db.Insert("e", "a", i)
+			db.Insert("e", "b", 100+i)
+		}
+		db.Insert("e", "c", -1)
+		v, err := db.Materialize(program, ivm.WithStrategy(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := db.Materialize(program, ivm.WithStrategy(ivm.Recompute))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := v.Metrics().Counter("eval_group_rescans_total")
+		for i := 0; i < applies; i++ {
+			u := ivm.NewUpdate().Insert("e", "c", i)
+			if i%2 == 0 {
+				u.Delete("e", "a", i/2)
+			} else {
+				u.Delete("e", "b", 100+i/2)
+			}
+			for _, w := range []*ivm.Views{v, oracle} {
+				if _, err := w.Apply(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := fmt.Sprint(v.Rows("m")), fmt.Sprint(oracle.Rows("m")); got != want {
+				t.Fatalf("%v apply %d: m = %s, recompute %s", s, i, got, want)
+			}
+		}
+		if got := v.Metrics().Counter("eval_group_rescans_total") - before; got != applies {
+			t.Errorf("%v: %d applies that each delete a minimum counted %d rescans", s, applies, got)
+		}
+	}
+}
+
 func TestTracerReceivesBatchLifecycle(t *testing.T) {
 	var mu sync.Mutex
 	var events []string
