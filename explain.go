@@ -28,7 +28,8 @@ type Derivation struct {
 	Rule string
 	// RuleIndex is the rule's position in Program().Rules.
 	RuleIndex int
-	// Subgoals are the instantiated body literals, in evaluation order.
+	// Subgoals are the instantiated body literals, in body order
+	// (conditions, which match no tuple, are left out).
 	Subgoals []Subgoal
 }
 

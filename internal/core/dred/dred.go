@@ -21,6 +21,7 @@ package dred
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
@@ -81,6 +82,14 @@ type Engine struct {
 	// indices shift with the program.
 	planner *eval.Planner
 
+	// aux[ri] is rule ri's rederivation rule δ⁺(p) :- δ⁻(p) & body, built
+	// once per installed program; a head with expressions has none (an
+	// empty Body).
+	aux []datalog.Rule
+	// srcs is the one source list an evaluation fills at a time; it is
+	// cleared after each, so it holds no relation between evaluations.
+	srcs []eval.Source
+
 	// tracer and the resolved metric instruments; all nil-safe.
 	tracer          metrics.Tracer
 	instr           *eval.Instruments
@@ -139,10 +148,11 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 		db.Put(pred, base.Get(pred).ToSet())
 	}
 	e := &Engine{
-		prog: prog, strat: st, db: db,
+		db:     db,
 		tracer: cfg.Tracer, instr: eval.NewInstruments(cfg.Metrics),
 		planner: eval.NewPlanner(cfg.Metrics),
 	}
+	e.install(prog, st, nil)
 	if r := cfg.Metrics; r != nil {
 		e.mOps = r.Counter("dred_ops_total")
 		e.mOverestimated = r.Counter("dred_overestimated_total")
@@ -346,14 +356,38 @@ func (e *Engine) edit(prog *datalog.Program, st *strata.Stratification, gts map[
 	maintain func() (map[string]*relation.Relation, error)) (map[string]*relation.Relation, error) {
 
 	oldProg, oldStrat, oldGts := e.prog, e.strat, e.gts
-	e.prog, e.strat, e.gts = prog, st, gts
-	e.planner.Reset()
+	e.install(prog, st, gts)
 	changes, err := maintain()
 	if err != nil {
-		e.prog, e.strat, e.gts = oldProg, oldStrat, oldGts
-		e.planner.Reset()
+		e.install(oldProg, oldStrat, oldGts)
 	}
 	return changes, err
+}
+
+// install makes prog, its strata and gts the engine's, with prog's
+// rederivation rules, and starts the plan cache over.
+func (e *Engine) install(prog *datalog.Program, st *strata.Stratification, gts map[eval.RuleLit]*eval.GroupTable) {
+	e.prog, e.strat, e.gts = prog, st, gts
+	e.aux = make([]datalog.Rule, len(prog.Rules))
+	for ri, r := range prog.Rules {
+		if !slices.ContainsFunc(r.Head.Args, isArith) {
+			e.aux[ri] = datalog.Rule{Head: r.Head, Body: append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: r.Head}}, r.Body...)}
+		}
+	}
+	e.planner.Reset()
+}
+
+func isArith(t datalog.Term) bool {
+	_, ok := t.(datalog.Arith)
+	return ok
+}
+
+// sources returns the engine's source list at length n, empty.
+func (e *Engine) sources(n int) []eval.Source {
+	if cap(e.srcs) < n {
+		e.srcs = make([]eval.Source, n)
+	}
+	return e.srcs[:n]
 }
 
 // ruleSeed evaluates rule ri over the committed state and returns, as a

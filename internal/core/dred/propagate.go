@@ -39,12 +39,25 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 	byStratum := e.strat.RulesByStratum(e.prog)
 
 	oldR := func(pred string) relation.Reader { return e.db.Ensure(pred, -1) }
+	// newR is stored ⊎ net, one overlay per predicate and net for the
+	// operation. An empty net is no overlay: one made then would not see
+	// the rows the net gains later.
+	type overlaid struct {
+		net *relation.Relation
+		rd  relation.Reader
+	}
+	newRs := make(map[string]overlaid)
 	newR := func(pred string) relation.Reader {
-		r := oldR(pred)
-		if n := net[pred]; n != nil {
-			return relation.Overlay(r, n)
+		n := net[pred]
+		if n == nil || n.Empty() {
+			return oldR(pred)
 		}
-		return r
+		if o := newRs[pred]; o.net == n {
+			return o.rd
+		}
+		rd := relation.Overlay(oldR(pred), n)
+		newRs[pred] = overlaid{n, rd}
+		return rd
 	}
 	netOf := func(pred string) *relation.Relation {
 		n, ok := net[pred]
@@ -141,7 +154,8 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 	// 2/3) version — returning the derived tuples in the scratch output.
 	evalStep := func(ri, deltaLit int, img relation.Reader, useNew bool) (*relation.Relation, error) {
 		rule := e.prog.Rules[ri]
-		srcs := make([]eval.Source, len(rule.Body))
+		srcs := e.sources(len(rule.Body))
+		defer clear(srcs)
 		for j, lit := range rule.Body {
 			if j == deltaLit {
 				srcs[j] = eval.Source{Rel: img, JoinDelta: lit.Kind == datalog.LitNegated}
@@ -172,6 +186,12 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		return out, nil
 	}
 
+	// round is the Δ frontier of the running fixpoint (each fold admits a
+	// tuple once), empty again whenever a fixpoint ends, and cur the one
+	// it reads. Both serve every round and stratum of the operation and go
+	// with it: kept across applies they would hold the largest frontier
+	// any apply ever had (DESIGN.md §4).
+	round, cur := make(frontier), make(frontier)
 	for s := 1; s <= e.strat.MaxStratum; s++ {
 		rules := byStratum[s]
 		if len(rules) == 0 {
@@ -188,14 +208,11 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		// The stratum's working set stores a tuple once per step. delS is
 		// δ⁻(p): step 1 fills it with the overestimate, step 2 takes every
 		// rederived tuple back out, so from then on it holds exactly the
-		// true deletions. round is the Δ frontier of the running fixpoint,
-		// per predicate the rows the last round's folds let through (each
-		// fold admits a tuple once), empty again whenever a fixpoint ends.
+		// true deletions.
 		delS := make(map[string]*relation.Relation)
 		for pred := range inStratum {
 			delS[pred] = relation.New(e.db.Ensure(pred, -1).Arity())
 		}
-		round := make(map[string]relation.RowSlice)
 
 		// ---- Step 1: overestimate deletions. ----
 		// Every source of step 1 is old state and getDeltaT reads lower
@@ -234,8 +251,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 		for {
 			e.last.FixpointRounds++
-			cur := round
-			round = make(map[string]relation.RowSlice, len(cur))
+			cur, round = round, cur.reset()
 			for _, ri := range rules {
 				rule := e.prog.Rules[ri]
 				for li, lit := range rule.Body {
@@ -253,7 +269,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 					foldDel(rule.Head.Pred, out)
 				}
 			}
-			if len(round) == 0 {
+			if round.empty() {
 				break
 			}
 		}
@@ -297,7 +313,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 				continue
 			}
 			derived := scratchOut(rule.Head)
-			if err := e.rederive(ri, delS[p], source, derived); err != nil {
+			if err := e.rederive(ri, -1, nil, delS[p], source, derived); err != nil {
 				return nil, err
 			}
 			foldReadd(p, derived)
@@ -306,8 +322,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		// derivations pass through them.
 		for {
 			e.last.FixpointRounds++
-			cur := round
-			round = make(map[string]relation.RowSlice, len(cur))
+			cur, round = round, cur.reset()
 			for _, ri := range rules {
 				rule := e.prog.Rules[ri]
 				p := rule.Head.Pred
@@ -323,13 +338,13 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 						continue
 					}
 					derived := scratchOut(rule.Head)
-					if err := e.rederiveDelta(ri, li, d, delS[p], source, derived); err != nil {
+					if err := e.rederive(ri, li, d, delS[p], source, derived); err != nil {
 						return nil, err
 					}
 					foldReadd(p, derived)
 				}
 			}
-			if len(round) == 0 {
+			if round.empty() {
 				break
 			}
 		}
@@ -374,8 +389,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		}
 		for {
 			e.last.FixpointRounds++
-			cur := round
-			round = make(map[string]relation.RowSlice, len(cur))
+			cur, round = round, cur.reset()
 			for _, ri := range rules {
 				rule := e.prog.Rules[ri]
 				for li, lit := range rule.Body {
@@ -393,7 +407,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 					foldAdd(rule.Head.Pred, out)
 				}
 			}
-			if len(round) == 0 {
+			if round.empty() {
 				break
 			}
 		}
@@ -523,102 +537,49 @@ func (e *Engine) insertImage(lit datalog.Literal, key eval.RuleLit, inStratum ma
 	}
 }
 
-// rederive evaluates rule ri restricted to the deletion candidates cand
-// over the new state, into out: the fast path prepends the candidate set
-// as an extra subgoal matching the head pattern; rules whose heads
-// contain expressions fall back to full evaluation intersected with cand.
-func (e *Engine) rederive(ri int, cand *relation.Relation,
+// rederive evaluates rule ri over the new state into out, restricted to
+// the deletion candidates cand: δ⁺(p) :- δ⁻(p) & s1ν & … & snν. li < 0 is
+// the first pass, over every derivation; li >= 0 a semi-naive round, over
+// the derivations through the newly readded tuples d at body position li.
+// The rule's aux rule joins cand as literal 0, over the head pattern, so
+// non-candidate heads are cut early; a head with expressions has none, and
+// the rule is evaluated whole, its output intersected with cand by the
+// fold.
+func (e *Engine) rederive(ri, li int, d relation.Reader, cand *relation.Relation,
 	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error), out *relation.Relation) error {
 
 	rule := e.prog.Rules[ri]
-	e.last.RuleFirings++
-	if headSimple(rule) {
-		aux := datalog.Rule{
-			Head: rule.Head,
-			Body: append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: rule.Head}}, rule.Body...),
-		}
-		srcs := make([]eval.Source, len(aux.Body))
-		srcs[0] = eval.Source{Rel: cand}
-		for j, lit := range rule.Body {
-			s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, true)
-			if err != nil {
-				return err
-			}
-			srcs[j+1] = s
-		}
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: 0}, aux, srcs)
-		if err != nil {
-			return err
-		}
-		return eval.EvalPlan(aux, srcs, plan, out, e.instr)
-	}
-
-	// Slow path: full evaluation over the new state.
-	srcs := make([]eval.Source, len(rule.Body))
-	for j, lit := range rule.Body {
-		s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, true)
-		if err != nil {
-			return err
-		}
-		srcs[j] = s
-	}
-	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanEval, Delta: -1}, rule, srcs)
-	if err != nil {
-		return err
-	}
-	return eval.EvalPlan(rule, srcs, plan, out, e.instr)
-}
-
-// rederiveDelta is the semi-naive variant of rederive: only derivations
-// that pass through the newly readded tuples d at body position li are
-// explored, restricted to the remaining candidates.
-func (e *Engine) rederiveDelta(ri, li int, d relation.Reader, cand *relation.Relation,
-	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error), out *relation.Relation) error {
-
-	rule := e.prog.Rules[ri]
-	srcs := make([]eval.Source, len(rule.Body))
+	srcs := e.sources(len(rule.Body) + 1)
+	defer clear(srcs)
+	srcs[0] = eval.Source{Rel: cand}
 	for j, lit := range rule.Body {
 		if j == li {
-			srcs[j] = eval.Source{Rel: d}
+			srcs[j+1] = eval.Source{Rel: d}
 			continue
 		}
 		s, err := source(lit, eval.RuleLit{Rule: ri, Lit: j}, true)
 		if err != nil {
 			return err
 		}
-		srcs[j] = s
+		srcs[j+1] = s
 	}
 	e.last.RuleFirings++
-	if headSimple(rule) {
-		// Join the candidate set as an extra subgoal over the head
-		// pattern so non-candidate heads are cut early.
-		aux := datalog.Rule{
-			Head: rule.Head,
-			Body: append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: rule.Head}}, rule.Body...),
-		}
-		auxSrcs := append([]eval.Source{{Rel: cand}}, srcs...)
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: li + 1}, aux, auxSrcs)
+	if aux := e.aux[ri]; aux.Body != nil {
+		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanRederive, Delta: li + 1}, aux, srcs)
 		if err != nil {
 			return err
 		}
-		return eval.EvalPlan(aux, auxSrcs, plan, out, e.instr)
+		return eval.EvalPlan(aux, srcs, plan, out, e.instr)
 	}
-	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}, rule, srcs)
+	key := eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: li}
+	if li < 0 {
+		key.Kind = eval.PlanEval
+	}
+	plan, err := e.planner.PlanFor(key, rule, srcs[1:])
 	if err != nil {
 		return err
 	}
-	return eval.EvalPlan(rule, srcs, plan, out, e.instr)
-}
-
-// headSimple reports whether every head argument is a variable or
-// constant (no expressions), enabling the candidate-driven fast path.
-func headSimple(r datalog.Rule) bool {
-	for _, a := range r.Head.Args {
-		if _, ok := a.(datalog.Arith); ok {
-			return false
-		}
-	}
-	return true
+	return eval.EvalPlan(rule, srcs[1:], plan, out, e.instr)
 }
 
 // ruleSources resolves every literal of rule ri against the current
@@ -656,4 +617,28 @@ func (e *Engine) ruleSources(ri int, net map[string]*relation.Relation, pendingT
 		}
 	}
 	return srcs, nil
+}
+
+// frontier is the Δ of one fixpoint round: per predicate, the rows the
+// round's folds let through.
+type frontier map[string]relation.RowSlice
+
+// empty reports whether the round let no row through.
+func (f frontier) empty() bool {
+	for _, rows := range f {
+		if len(rows) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// reset empties f for the next round, keeping each predicate's array
+// and clearing the rows out of it.
+func (f frontier) reset() frontier {
+	for pred, rows := range f {
+		clear(rows)
+		f[pred] = rows[:0]
+	}
+	return f
 }

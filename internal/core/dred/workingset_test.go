@@ -7,6 +7,7 @@ import (
 
 	"ivm/internal/baseline/recompute"
 	"ivm/internal/eval"
+	"ivm/internal/metrics"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
 	"ivm/internal/value"
@@ -140,8 +141,8 @@ func TestWorkingSetRandomizedStream(t *testing.T) {
 }
 
 // flipEngine is the layered benchmark's tc_dred_mem shape: tc over an 8×24
-// layered DAG with 40 cross edges, maintained by DRed.
-func flipEngine(tb testing.TB) (*Engine, *rand.Rand) {
+// layered DAG with 40 cross edges, maintained by DRed and counted into reg.
+func flipEngine(tb testing.TB, reg *metrics.Registry) (*Engine, *rand.Rand) {
 	prog, err := parser.ParseRules(tcProgram)
 	if err != nil {
 		tb.Fatal(err)
@@ -149,7 +150,7 @@ func flipEngine(tb testing.TB) (*Engine, *rand.Rand) {
 	rng := rand.New(rand.NewSource(1))
 	base := eval.NewDB()
 	base.Put("link", flipBase(rng, 8, 24, 2, 40))
-	e, err := New(prog, base)
+	e, err := NewWithConfig(prog, base, Config{Metrics: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -157,17 +158,32 @@ func flipEngine(tb testing.TB) (*Engine, *rand.Rand) {
 }
 
 // flipAllocCeiling is ~10 % above the objects a delete of 4 links and
-// their re-insertion allocate (measured 909; 1 071 with a map of buckets
+// their re-insertion allocate (measured 434, 440 under -race; 909 with a
+// map binding and walk scratch per evaluation, 1 071 with a map of buckets
 // per index, 2 840 with the outputs' lenders taken away): an output of
-// propagate that stops borrowing the rows its head relation stores, or an
-// index that makes objects per key again, fails here, not only in the
-// layered benchmark's allocs_per_apply.
-const flipAllocCeiling = 1000
+// propagate that stops borrowing the rows its head relation stores, an
+// index that makes objects per key, or a walk or a fixpoint round that
+// allocates its scratch again fails here, not only in the layered
+// benchmark's allocs_per_apply.
+const flipAllocCeiling = 480
+
+// flipWork is the work of TestFlipAllocCeiling's 21 delete-and-reinsert
+// pairs (AllocsPerRun's warm-up and 20 runs), exactly as the interpreter
+// that bound variables in a map counted it: a cheaper walk of the same
+// plans makes the same probes and scans and derives the same heads.
+var flipWork = map[string]int64{
+	"eval_join_probes_total":    60837,
+	"eval_join_scans_total":     483,
+	"eval_heads_built_total":    2163,
+	"eval_heads_borrowed_total": 18333,
+}
 
 func TestFlipAllocCeiling(t *testing.T) {
-	e, rng := flipEngine(t)
+	reg := metrics.NewRegistry()
+	e, rng := flipEngine(t, reg)
 	del := workload.SampleDeletes(rng, e.Relation("link"), 4)
 	ins := del.Negate()
+	before := reg.Snapshot()
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, d := range []*relation.Relation{del, ins} {
 			if _, err := e.Apply(map[string]*relation.Relation{"link": d}); err != nil {
@@ -179,12 +195,18 @@ func TestFlipAllocCeiling(t *testing.T) {
 	if allocs > flipAllocCeiling {
 		t.Fatalf("deleting 4 links and re-inserting them allocates %.0f objects, ceiling %d: does every output of propagate still name its lenders (lend)?", allocs, flipAllocCeiling)
 	}
+	after := reg.Snapshot()
+	for name, want := range flipWork {
+		if got := after.Counter(name) - before.Counter(name); got != want {
+			t.Errorf("%s = %d over the stream, want %d: a plan or a walk changed the work", name, got, want)
+		}
+	}
 }
 
 // BenchmarkDRedDeleteReinsert is that shape as a go test benchmark: one op
 // deletes 4 links, the next puts them back.
 func BenchmarkDRedDeleteReinsert(b *testing.B) {
-	e, rng := flipEngine(b)
+	e, rng := flipEngine(b, nil)
 	var held *relation.Relation
 	b.ReportAllocs()
 	b.ResetTimer()

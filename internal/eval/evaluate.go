@@ -323,16 +323,12 @@ func NaiveEvaluate(prog *datalog.Program, st *strata.Stratification, db *DB) err
 					return err
 				}
 				full := db.rel(rule.Head.Pred)
-				var cerr error
 				tmp.Each(func(row relation.Row) {
-					if cerr == nil && row.Count > 0 && !full.Has(row.Tuple) {
+					if row.Count > 0 && !full.Has(row.Tuple) {
 						full.AddRow(row.WithCount(1))
 						changed = true
 					}
 				})
-				if cerr != nil {
-					return cerr
-				}
 			}
 			if !changed {
 				break

@@ -20,108 +20,76 @@ type GroundSubgoal struct {
 }
 
 // Explain enumerates the instantiations of rule's body that derive the
-// ground head tuple, one slice of ground subgoals per derivation — the
-// derivations the counting algorithm counts but does not store ("we store
-// only the number of derivations, not the derivations themselves",
-// Section 1). srcs supplies the relation for each body literal exactly as
-// for EvalRule, and the walk takes PlanRule's literal order.
+// ground head tuple, one slice of ground subgoals per derivation, in body
+// order — the derivations the counting algorithm counts but does not store
+// ("we store only the number of derivations, not the derivations
+// themselves", Section 1). srcs supplies the relation for each body
+// literal exactly as for EvalRule.
+//
+// A head of variables and constants is DRed's rederivation shape: the
+// head, as a literal pinned first over the one row it must match, binds
+// its variables before the body joins. A head with arithmetic cannot be
+// a literal: the rule is planned as it is, and the head is grounded and
+// compared at the end of each derivation. Either way the walk is
+// EvalPlan's, and a derivation is read back from its slots.
 func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubgoal, error) {
 	if len(head) != len(rule.Head.Args) {
 		return nil, nil
 	}
-	b := newBinding()
-	simple := true
-	for _, a := range rule.Head.Args {
-		if _, ok := a.(datalog.Arith); ok {
-			simple = false
-			break
-		}
-	}
-	var undo []string
+	simple := !slices.ContainsFunc(rule.Head.Args, func(a datalog.Term) bool {
+		_, ok := a.(datalog.Arith)
+		return ok
+	})
+	walked, walkedSrcs, off := rule, srcs, 0
 	if simple {
-		ok, bound := matchPattern(rule.Head.Args, head, b, nil)
-		if !ok {
-			return nil, nil
-		}
-		undo = bound
+		walked.Body = append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: rule.Head}}, rule.Body...)
+		walkedSrcs = append([]Source{{Rel: relation.RowSlice{{Tuple: head, Count: 1}}}}, srcs...)
+		off = 1
 	}
-	defer undoBind(b, undo)
-
-	plan, err := PlanRule(rule, srcs, -1)
+	plan, err := PlanRule(walked, walkedSrcs, off-1)
 	if err != nil {
 		return nil, err
 	}
+	step := make([]*PlanStep, len(walked.Body))
+	for k := range plan.Steps {
+		step[plan.Steps[k].Lit] = &plan.Steps[k]
+	}
 
 	var out [][]GroundSubgoal
-	trail := make([]GroundSubgoal, 0, len(rule.Body))
-	var walk func(step int) error
-	walk = func(step int) error {
-		if step == len(plan.Steps) {
-			if !simple {
-				// Expression heads: compute and compare.
-				got, err := groundAtom(nil, rule.Head.Args, b)
-				if err != nil {
-					return err
-				}
-				if !slices.Equal(got, head) {
-					return nil
-				}
+	w := plan.takeWalk()
+	w.srcs = walkedSrcs
+	w.leaf = func() error {
+		if !simple {
+			got, err := ground(nil, plan.head, w.slots)
+			if err != nil || !slices.Equal(got, head) {
+				return err
 			}
-			out = append(out, append([]GroundSubgoal(nil), trail...))
-			return nil
 		}
-		idx := plan.Steps[step].Lit
-		lit := rule.Body[idx]
-		src := srcs[idx]
-
-		switch {
-		case lit.Kind == datalog.LitCondition:
-			l, err := evalTerm(lit.Cond.Left, b)
-			if err != nil {
-				return err
-			}
-			r, err := evalTerm(lit.Cond.Right, b)
-			if err != nil {
-				return err
-			}
-			if lit.Cond.Op.Eval(l, r) {
-				return walk(step + 1)
-			}
-			return nil
-
-		case lit.Kind == datalog.LitNegated && !src.JoinDelta:
-			t, err := groundAtom(nil, lit.Atom.Args, b)
-			if err != nil {
-				return err
-			}
-			if src.Rel.Has(t) {
-				return nil
-			}
-			trail = append(trail, GroundSubgoal{Pred: lit.Atom.Pred, Tuple: t, Negated: true, Count: 1})
-			err = walk(step + 1)
-			trail = trail[:len(trail)-1]
-			return err
-
-		default:
-			args := joinArgs(lit)
-			return joinLiteral(args, src.Rel, b, func(count int64) error {
-				t, err := groundAtom(nil, args, b)
+		var d []GroundSubgoal
+		for li, lit := range rule.Body {
+			st := step[li+off]
+			switch {
+			case st.Kind == AccessFilter:
+			case st.Kind == AccessNegFilter:
+				t, err := ground(nil, st.args, w.slots)
 				if err != nil {
 					return err
 				}
-				trail = append(trail, GroundSubgoal{
+				d = append(d, GroundSubgoal{Pred: lit.Atom.Pred, Tuple: t, Negated: true, Count: 1})
+			default:
+				t := bound(st.ops, w.slots)
+				d = append(d, GroundSubgoal{
 					Pred:      lit.Pred(),
 					Tuple:     t,
 					Aggregate: lit.Kind == datalog.LitAggregate,
-					Count:     count,
+					Count:     srcs[li].Rel.Count(t),
 				})
-				err = walk(step + 1)
-				trail = trail[:len(trail)-1]
-				return err
-			})
+			}
 		}
+		out = append(out, d)
+		return nil
 	}
-	if err := walk(0); err != nil {
+	if err := w.walk(0, 1); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -26,12 +26,15 @@ type GroupTable struct {
 	// or Rollback resolves the pending delta.
 	undo map[string]undoEntry
 
-	// Scratch reused by match from row to row (a table is built and
-	// maintained by one goroutine at a time): the binding, the variables
-	// the last row bound, and the grouping values match returns.
-	b     *binding
-	newly []string
-	gv    value.Tuple
+	// The inner atom, compiled once (slots.go): the pattern, the slots of
+	// the grouping variables and the aggregated term. match reuses slots
+	// and gv, the grouping values it returns, from row to row (a table is
+	// built and maintained by one goroutine at a time).
+	ops    []colOp
+	gslots []int
+	arg    term
+	slots  []value.Value
+	gv     value.Tuple
 }
 
 type groupEntry struct {
@@ -66,7 +69,9 @@ func BuildGroupTable(g *datalog.Aggregate, u relation.Reader) (*GroupTable, erro
 		groupCols: cols,
 		groups:    make(map[string]*groupEntry),
 		rel:       relation.New(len(g.GroupBy) + 1),
-		b:         newBinding(),
+	}
+	if err := t.compile(); err != nil {
+		return nil, err
 	}
 	var ferr error
 	u.Each(func(row relation.Row) {
@@ -126,26 +131,41 @@ func fold(e *groupEntry, av value.Value, count int64) error {
 	return nil
 }
 
+// compile compiles the inner atom's pattern, the grouping variables and
+// the aggregated term over the slots the pattern binds.
+func (t *GroupTable) compile() error {
+	slots := make(slotOf)
+	ops, err := compilePattern(t.g.Inner.Args, slots)
+	if err != nil {
+		return err
+	}
+	for _, v := range t.g.GroupBy {
+		s, ok := slots[string(v)]
+		if !ok {
+			return fmt.Errorf("eval: grouping variable %s unbound by %s", v, t.g.Inner)
+		}
+		t.gslots = append(t.gslots, s)
+	}
+	if t.arg, err = compileTerm(t.g.Arg, slots); err != nil {
+		return err
+	}
+	t.ops, t.slots = ops, make([]value.Value, len(slots))
+	return nil
+}
+
 // match checks row against the inner atom pattern; on success it returns
 // the grouping values and the aggregated expression's value. gv lives in
 // the table's scratch and is valid until the next match.
 func (t *GroupTable) match(tuple value.Tuple) (gv value.Tuple, av value.Value, ok bool, err error) {
-	ok, t.newly = matchPattern(t.g.Inner.Args, tuple, t.b, t.newly)
-	if !ok {
+	if !match(t.ops, tuple, t.slots) {
 		return nil, value.Value{}, false, nil
 	}
-	defer undoBind(t.b, t.newly)
 	gv = t.gv[:0]
-	for _, v := range t.g.GroupBy {
-		val, found := t.b.lookup(string(v))
-		if !found {
-			return nil, value.Value{}, false, fmt.Errorf("eval: grouping variable %s unbound by %s", v, t.g.Inner)
-		}
-		gv = append(gv, val)
+	for _, s := range t.gslots {
+		gv = append(gv, t.slots[s])
 	}
 	t.gv = gv
-	av, err = evalTerm(t.g.Arg, t.b)
-	if err != nil {
+	if av, err = t.arg.eval(t.slots); err != nil {
 		return nil, value.Value{}, false, err
 	}
 	return gv, av, true, nil

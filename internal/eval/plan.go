@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ivm/internal/datalog"
 	"ivm/internal/metrics"
@@ -73,12 +74,21 @@ type PlanStep struct {
 	Kind AccessKind
 	// Cols are the columns probed on an AccessIndex step (ascending).
 	// They are a subset of the step's bound columns when an existing
-	// index is reused; the residual columns are checked by pattern match.
+	// index is reused; the residual columns are checked by the step's ops.
 	Cols []int
+
+	// The step's slot program. A join step has one op per column of its
+	// pattern. args grounds what the step probes with: a point step's
+	// pattern, an index step's key (one term per probed column), a negated
+	// literal's atom, or a condition's two sides, which cmp compares.
+	ops  []colOp
+	args []term
+	cmp  datalog.CmpOp
 }
 
 // Plan is a frozen evaluation order with per-step access paths for one
-// rule shape. Plans are immutable once built.
+// rule shape, compiled into a slot program (slots.go). Plans are immutable
+// once built; only the walk scratch they lend to evaluations changes.
 type Plan struct {
 	Steps []PlanStep
 	// pinned is the Δ-literal forced first (-1 when none).
@@ -86,6 +96,14 @@ type Plan struct {
 	// fp is the log₂(Len+1) fingerprint per body literal recorded at
 	// plan time; -1 marks literals not tracked (filters, the Δ literal).
 	fp []int8
+	// head grounds the rule's head from the slots, of which there are
+	// nslots.
+	head   []term
+	nslots int
+	// scratch is the walk state the last evaluation released, taken by
+	// the next one; nil while an evaluation holds it, so a concurrent
+	// evaluation of the plan builds its own.
+	scratch atomic.Pointer[ruleWalk]
 }
 
 // driftThreshold is the log₂ distance at which a cached plan is
@@ -114,8 +132,9 @@ func (p *Plan) drifted(srcs []Source) bool {
 // and join-capable, is pinned first (the Δ-subgoal of a delta rule).
 // Remaining join literals are taken in order of estimated fan-out
 // (Len / ∏ distinct(boundCol), ties toward the original literal order);
-// filters run as soon as their variables are bound. PlanRule fails on a
-// rule with filters whose variables no remaining join can bind.
+// filters run as soon as their variables are bound. Each step is compiled
+// as it is taken, the head last. PlanRule fails on a rule with filters
+// whose variables no remaining join can bind.
 func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	n := len(rule.Body)
 	if len(srcs) != n {
@@ -125,7 +144,7 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	for i := range remaining {
 		remaining[i] = true
 	}
-	bound := make(map[string]bool)
+	slots := make(slotOf)
 	p := &Plan{Steps: make([]PlanStep, 0, n), pinned: -1, fp: make([]int8, n)}
 	for i := range p.fp {
 		p.fp[i] = -1
@@ -137,15 +156,20 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	}
 	ready := func(i int) bool {
 		for _, v := range rule.Body[i].UsesVars(nil) {
-			if !bound[v] {
+			if _, ok := slots[v]; !ok {
 				return false
 			}
 		}
 		return true
 	}
+	var err error
 	take := func(i int) {
 		remaining[i] = false
-		p.Steps = append(p.Steps, accessPath(rule, srcs, i, bound))
+		st, serr := accessPath(rule, srcs, i, slots)
+		if err == nil {
+			err = serr
+		}
+		p.Steps = append(p.Steps, st)
 	}
 	flushFilters := func() {
 		for i := 0; i < n; i++ {
@@ -177,7 +201,7 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 			if !remaining[i] || isFilter(i) {
 				continue
 			}
-			bc, _ := boundColumns(joinArgs(rule.Body[i]), bound)
+			bc, _ := boundColumns(joinArgs(rule.Body[i]), slots)
 			if c := fanoutEstimate(srcs[i].Rel, bc); best < 0 || c < bestCost {
 				best, bestCost = i, c
 			}
@@ -187,6 +211,12 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 		}
 		take(best)
 		flushFilters()
+	}
+	if err == nil {
+		err = p.compileHead(rule, slots)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Fingerprint the non-Δ join sources for drift detection.
@@ -201,19 +231,27 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	return p, nil
 }
 
-// boundColumns classifies a join pattern's columns under the bound set:
-// the columns holding a constant or a bound variable, and whether that
-// is all of them. This is exactly what a walk finds at runtime, because
-// at step k a variable is bound iff an earlier join step's literal
-// mentioned it.
-func boundColumns(args []datalog.Term, bound map[string]bool) (cols []int, all bool) {
+// compileHead ends p's slot program: the head, grounded from the slots
+// the steps bind.
+func (p *Plan) compileHead(rule datalog.Rule, slots slotOf) error {
+	head, err := compileTerms(rule.Head.Args, slots)
+	p.head, p.nslots = head, len(slots)
+	return err
+}
+
+// boundColumns classifies a join pattern's columns under the variables
+// slots binds: the columns holding a constant or a bound variable, and
+// whether that is all of them. This is exactly what a walk finds at
+// runtime, because at step k a variable is bound iff an earlier join
+// step's literal mentioned it.
+func boundColumns(args []datalog.Term, slots slotOf) (cols []int, all bool) {
 	all = true
 	for ci, a := range args {
 		switch x := a.(type) {
 		case datalog.Const:
 			cols = append(cols, ci)
 		case datalog.Var:
-			if bound[string(x)] {
+			if _, ok := slots[string(x)]; ok {
 				cols = append(cols, ci)
 			} else {
 				all = false
@@ -225,39 +263,48 @@ func boundColumns(args []datalog.Term, bound map[string]bool) (cols []int, all b
 	return cols, all
 }
 
-// accessPath freezes the access path of body literal i under the bound
-// set and, for a join literal, adds its variables to the set. An index
-// step probes an existing index on a subset of its bound columns rather
-// than have the relation build a new one.
-func accessPath(rule datalog.Rule, srcs []Source, i int, bound map[string]bool) PlanStep {
+// accessPath freezes the access path of body literal i under the
+// variables slots binds and compiles the step; a join literal binds a
+// slot for each variable it is the first to mention. An index step
+// probes an existing index on a subset of its bound columns rather than
+// have the relation build a new one.
+func accessPath(rule datalog.Rule, srcs []Source, i int, slots slotOf) (PlanStep, error) {
+	lit := rule.Body[i]
 	step := PlanStep{Lit: i}
+	var err error
 	switch {
-	case rule.Body[i].Kind == datalog.LitCondition:
-		step.Kind = AccessFilter
-	case rule.Body[i].Kind == datalog.LitNegated && !srcs[i].JoinDelta:
+	case lit.Kind == datalog.LitCondition:
+		step.Kind, step.cmp = AccessFilter, lit.Cond.Op
+		step.args, err = compileTerms([]datalog.Term{lit.Cond.Left, lit.Cond.Right}, slots)
+	case lit.Kind == datalog.LitNegated && !srcs[i].JoinDelta:
 		step.Kind = AccessNegFilter
+		step.args, err = compileTerms(lit.Atom.Args, slots)
 	default:
-		args := joinArgs(rule.Body[i])
-		cols, all := boundColumns(args, bound)
+		args := joinArgs(lit)
+		cols, all := boundColumns(args, slots)
 		switch {
 		case all && len(args) > 0:
 			step.Kind = AccessPoint
+			step.args, err = compileTerms(args, slots)
 		case len(cols) > 0:
 			step.Kind = AccessIndex
 			if reuse := relation.PreferredIndexFor(srcs[i].Rel, cols); reuse != nil {
 				cols = reuse
 			}
 			step.Cols = cols
+			key := make([]datalog.Term, len(cols))
+			for j, c := range cols {
+				key[j] = args[c]
+			}
+			step.args, err = compileTerms(key, slots)
 		default:
 			step.Kind = AccessScan
 		}
-		for _, t := range args {
-			for _, v := range t.Vars(nil) {
-				bound[v] = true
-			}
+		if err == nil {
+			step.ops, err = compilePattern(args, slots)
 		}
 	}
-	return step
+	return step, err
 }
 
 // fanoutEstimate is the expected number of rows a join step emits per
@@ -423,18 +470,32 @@ func EvalPlan(rule datalog.Rule, srcs []Source, plan *Plan, out *relation.Relati
 	if len(srcs) != len(rule.Body) {
 		return fmt.Errorf("eval: rule has %d literals but %d sources given", len(rule.Body), len(srcs))
 	}
-	return walkSteps(rule, srcs, plan.Steps, out, in)
+	w := plan.takeWalk()
+	w.srcs, w.out = srcs, out
+	err := w.walk(0, 1)
+	if in != nil {
+		in.JoinProbes.Add(w.ctr.probes)
+		in.JoinScans.Add(w.ctr.scans)
+		in.HeadsBuilt.Add(w.ctr.heads[relation.Built])
+		in.HeadsBorrowed.Add(w.ctr.heads[relation.Borrowed])
+	}
+	w.release()
+	return err
 }
 
-// ruleWalk is the state of one rule evaluation: the nested-loop join over
-// the steps, and the buffers it reuses from row to row.
+// ruleWalk is the state of one evaluation of a plan: the nested-loop join
+// over its steps, and the buffers it reuses from row to row. The plan
+// keeps the walk state its last evaluation released, so an evaluation of
+// a cached plan allocates nothing of its own.
 type ruleWalk struct {
-	rule  datalog.Rule
-	srcs  []Source
-	steps []PlanStep
-	out   *relation.Relation
-	b     *binding
-	// ctr counts access paths locally; walkSteps flushes it to the
+	plan *Plan
+	srcs []Source
+	out  *relation.Relation
+	// leaf, when set, takes each derivation in out's place (Explain).
+	leaf  func() error
+	slots []value.Value
+	head  value.Tuple // the head, grounded for out.AddDerived
+	// ctr counts access paths locally; EvalPlan flushes it to the
 	// Instruments in one atomic add per counter.
 	ctr joinCounters
 	// frames[k] is step k's scratch.
@@ -443,113 +504,110 @@ type ruleWalk struct {
 
 // frame is what one step of a walk would otherwise allocate per row.
 type frame struct {
-	args  []datalog.Term // the step literal's join pattern
 	tuple value.Tuple    // probe tuple: a ground atom, or an index probe's key values
-	newly []string       // variables the current row bound, for undo
+	rows  []relation.Row // where an overlay merges the runs a probe finds (relation.LookupInto)
 }
 
-// walkSteps evaluates rule through steps' frozen order and access paths,
-// adding every derived head tuple (count = product of the joined rows'
-// counts) into out.
-func walkSteps(rule datalog.Rule, srcs []Source, steps []PlanStep, out *relation.Relation, in *Instruments) error {
-	w := &ruleWalk{
-		rule: rule, srcs: srcs, steps: steps, out: out,
-		b: newBinding(), frames: make([]frame, len(steps)),
+// maxKeptRows bounds the row buffer a released frame keeps, so a cached
+// plan holds at most 64 × 48 B = 3 KB per step: a probe that merged a
+// longer run pays for its buffer again next time rather than leave it
+// behind for the life of the plan. The four benchmark workloads merge
+// runs of at most 95 rows, and all but 73 of ~207 000 merges on
+// tc_dred_mem hold 7 rows or fewer (E29).
+const maxKeptRows = 64
+
+// takeWalk returns the walk state the plan's last evaluation released, or
+// new state when another evaluation holds it.
+func (p *Plan) takeWalk() *ruleWalk {
+	if w := p.scratch.Swap(nil); w != nil {
+		return w
 	}
-	for k, st := range steps {
-		if st.Kind.join() {
-			w.frames[k].args = joinArgs(rule.Body[st.Lit])
+	return &ruleWalk{plan: p, slots: make([]value.Value, p.nslots), frames: make([]frame, len(p.Steps))}
+}
+
+// release hands w back to its plan holding nothing of the evaluation it
+// served: no source, output or row, and no value a slot or buffer held.
+func (w *ruleWalk) release() {
+	w.srcs, w.out, w.leaf, w.ctr = nil, nil, nil, joinCounters{}
+	clear(w.slots)
+	clear(w.head)
+	for i := range w.frames {
+		fr := &w.frames[i]
+		clear(fr.tuple)
+		if fr.rows = fr.rows[:cap(fr.rows)]; len(fr.rows) > maxKeptRows {
+			fr.rows = nil
 		}
+		clear(fr.rows)
 	}
-	err := w.walk(0, 1)
-	if in != nil {
-		in.JoinProbes.Add(w.ctr.probes)
-		in.JoinScans.Add(w.ctr.scans)
-		in.HeadsBuilt.Add(w.ctr.heads[relation.Built])
-		in.HeadsBorrowed.Add(w.ctr.heads[relation.Borrowed])
-	}
-	return err
+	w.plan.scratch.Store(w)
 }
 
-func (w *ruleWalk) walk(step int, count int64) error {
-	if step == len(w.steps) {
-		// The head is grounded on the stack (one wider than buf spills):
-		// out builds a tuple only for a row that nobody holds.
-		var buf [4]value.Value
-		head, err := groundAtom(buf[:0], w.rule.Head.Args, w.b)
+func (w *ruleWalk) walk(k int, count int64) error {
+	steps := w.plan.Steps
+	if k == len(steps) {
+		if w.leaf != nil {
+			return w.leaf()
+		}
+		head, err := ground(w.head, w.plan.head, w.slots)
 		if err != nil {
 			return err
 		}
+		w.head = head
 		w.ctr.heads[w.out.AddDerived(head, count)]++
 		return nil
 	}
-	fr := &w.frames[step]
-	st := &w.steps[step]
-	lit := &w.rule.Body[st.Lit]
+	st, fr := &steps[k], &w.frames[k]
 	rel := w.srcs[st.Lit].Rel
-
 	switch st.Kind {
 	case AccessFilter:
-		l, err := evalTerm(lit.Cond.Left, w.b)
+		l, err := st.args[0].eval(w.slots)
 		if err != nil {
 			return err
 		}
-		r, err := evalTerm(lit.Cond.Right, w.b)
+		r, err := st.args[1].eval(w.slots)
 		if err != nil {
 			return err
 		}
-		if lit.Cond.Op.Eval(l, r) {
-			return w.walk(step+1, count)
+		if st.cmp.Eval(l, r) {
+			return w.walk(k+1, count)
 		}
 		return nil
 
 	case AccessNegFilter:
-		t, err := groundAtom(fr.tuple, lit.Atom.Args, w.b)
+		t, err := ground(fr.tuple, st.args, w.slots)
 		if err != nil {
 			return err
 		}
 		fr.tuple = t
 		w.ctr.probes++
 		if !rel.Has(t) {
-			return w.walk(step+1, count)
+			return w.walk(k+1, count)
 		}
 		return nil
 
 	case AccessPoint:
-		t, err := groundAtom(fr.tuple, fr.args, w.b)
+		t, err := ground(fr.tuple, st.args, w.slots)
 		if err != nil {
 			return err
 		}
 		fr.tuple = t
 		w.ctr.probes++
 		if c := rel.Count(t); c != 0 {
-			return w.walk(step+1, count*c)
+			return w.walk(k+1, count*c)
 		}
 		return nil
 
 	case AccessIndex:
-		// Bound/unbound classification was done at plan time; matchPattern
-		// still verifies every column, so a reused subset index (or a
+		// The ops still check every column, so a reused subset index (or a
 		// conservative plan) only costs extra candidates, never wrong rows.
-		key := fr.tuple[:0]
-		for _, c := range st.Cols {
-			switch x := fr.args[c].(type) {
-			case datalog.Const:
-				key = append(key, x.Value)
-			case datalog.Var:
-				v, ok := w.b.lookup(string(x))
-				if !ok {
-					return fmt.Errorf("eval: internal error: plan probes unbound column %d", c)
-				}
-				key = append(key, v)
-			default:
-				return fmt.Errorf("eval: expression %s in join pattern", fr.args[c])
-			}
+		key, err := ground(fr.tuple, st.args, w.slots)
+		if err != nil {
+			return err
 		}
 		fr.tuple = key
 		w.ctr.probes++
-		for _, row := range rel.Lookup(st.Cols, key) {
-			if err := w.emit(fr, step, row, count); err != nil {
+		for _, row := range relation.LookupInto(rel, st.Cols, key, &fr.rows) {
+			if err := w.emit(st, k, row, count); err != nil {
 				return err
 			}
 		}
@@ -557,26 +615,37 @@ func (w *ruleWalk) walk(step int, count int64) error {
 
 	default: // AccessScan
 		w.ctr.scans++
+		switch r := rel.(type) {
+		case *relation.Relation:
+			for row, i := r.Next(0); i >= 0; row, i = r.Next(i) {
+				if err := w.emit(st, k, row, count); err != nil {
+					return err
+				}
+			}
+			return nil
+		case relation.RowSlice:
+			for _, row := range r {
+				if err := w.emit(st, k, row, count); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		var err error
 		rel.Each(func(row relation.Row) {
 			if err == nil {
-				err = w.emit(fr, step, row, count)
+				err = w.emit(st, k, row, count)
 			}
 		})
 		return err
 	}
 }
 
-// emit matches one candidate row of step's literal against the binding
-// and, on success, walks the remaining steps with the row's variables
-// bound.
-func (w *ruleWalk) emit(fr *frame, step int, row relation.Row, count int64) error {
-	ok, newly := matchPattern(fr.args, row.Tuple, w.b, fr.newly)
-	fr.newly = newly
-	if !ok {
+// emit matches one candidate row of step k's literal and, on success,
+// walks the remaining steps with the row's variables in their slots.
+func (w *ruleWalk) emit(st *PlanStep, k int, row relation.Row, count int64) error {
+	if !match(st.ops, row.Tuple, w.slots) {
 		return nil
 	}
-	err := w.walk(step+1, count*row.Count)
-	undoBind(w.b, newly)
-	return err
+	return w.walk(k+1, count*row.Count)
 }

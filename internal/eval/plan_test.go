@@ -1,7 +1,11 @@
 package eval
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"ivm/internal/datalog"
@@ -300,7 +304,17 @@ func TestPlannerCacheHitMissReplan(t *testing.T) {
 // TestEveryJoinOrderAgrees walks every safe literal order of each rule
 // shape — any join next, the filters it makes ready right after it, as
 // PlanRule orders them — and requires one multiset from all of them and
-// from EvalRule: only cost may depend on the order.
+// from EvalRule: only cost may depend on the order. Each order numbers
+// the slots differently and compiles each literal's columns differently
+// (a variable bound by an earlier join is checked, else bound), so this is
+// the slot compiler's oracle. Besides four hand-written shapes it runs
+// seeded generated rules: variables repeated within a literal, constant
+// columns, arithmetic heads, conditions, negation as a filter and as a
+// joined Δ(¬Q), and an aggregate literal as a join, over a value domain
+// with -0.0, 0.0 and NaN. It must catch, among others, this mutation: a
+// repeated variable compiled as a bind instead of a check
+// (compilePattern binding c(X,X)'s second column), which joins c(0,1)
+// wherever X is still unbound.
 func TestEveryJoinOrderAgrees(t *testing.T) {
 	link := relation.New(2)
 	for i := 0; i < 60; i++ {
@@ -313,6 +327,11 @@ func TestEveryJoinOrderAgrees(t *testing.T) {
 	req, blocked := relation.New(1), relation.New(2)
 	req.Add(value.T("n1"), 1)
 	blocked.Add(value.T("n1", "n7"), 1)
+	type shape struct {
+		rule datalog.Rule
+		srcs []Source
+	}
+	var shapes []shape
 	for _, tc := range []struct {
 		src  string
 		srcs []Source
@@ -323,30 +342,163 @@ func TestEveryJoinOrderAgrees(t *testing.T) {
 		{`big(X) :- link(X,Y), link(Y,Z), link(Z,X), X != Y.`, []Source{{Rel: link}, {Rel: link}, {Rel: link}, {}}},
 	} {
 		prog, _ := parseProgram(t, tc.src)
-		rule := prog.Rules[0]
+		shapes = append(shapes, shape{prog.Rules[0], tc.srcs})
+	}
+	rng := rand.New(rand.NewSource(1))
+	g := newJoinRuleGen(rng)
+	seen := map[string]int{}
+	for len(shapes) < 4+300 {
+		rule, srcs, kinds := g.rule()
+		if datalog.Validate(&datalog.Program{Rules: []datalog.Rule{rule}}) != nil {
+			continue
+		}
+		for _, k := range kinds {
+			seen[k]++
+		}
+		shapes = append(shapes, shape{rule, srcs})
+	}
+	for _, k := range []string{"repeated", "const", "arith-head", "condition", "neg-filter", "neg-join", "aggregate"} {
+		if seen[k] < 20 {
+			t.Fatalf("the generator made %d rules with %s, want at least 20", seen[k], k)
+		}
+	}
+
+	for _, sh := range shapes {
+		rule := sh.rule
 		want := relation.New(len(rule.Head.Args))
-		if err := EvalRule(rule, tc.srcs, -1, want, nil); err != nil {
-			t.Fatalf("%s: %v", tc.src, err)
+		if err := EvalRule(rule, sh.srcs, -1, want, nil); err != nil {
+			t.Fatalf("%s: %v", rule, err)
 		}
-		orders := everyOrder(rule, tc.srcs)
+		orders := everyOrder(rule, sh.srcs)
 		if len(orders) == 0 {
-			t.Fatalf("%s: no safe order", tc.src)
+			t.Fatalf("%s: no safe order", rule)
 		}
-		for _, steps := range orders {
+		for _, plan := range orders {
 			out := relation.New(len(rule.Head.Args))
-			if err := walkSteps(rule, tc.srcs, steps, out, nil); err != nil {
-				t.Fatalf("%s: %v", tc.src, err)
+			if err := EvalPlan(rule, sh.srcs, plan, out, nil); err != nil {
+				t.Fatalf("%s: %v", rule, err)
 			}
 			if !relation.Equal(out, want) {
-				t.Fatalf("%s: order %s derives %v, EvalRule %v", tc.src, (&Plan{Steps: steps, pinned: -1}).Describe(rule), counts(out), counts(want))
+				t.Fatalf("%s: order %s derives %v, EvalRule %v", rule, plan.Describe(rule), out, want)
 			}
 		}
 	}
 }
 
-// everyOrder freezes, with accessPath, every order of rule's joins that
+// joinRuleGen generates rules over three arity-2 relations a, b and c, a
+// relation n under negation, and GROUPBY(a(G, V), [G], S = count(V)).
+type joinRuleGen struct {
+	rng  *rand.Rand
+	rels map[string]*relation.Relation // a, b, c, n, and dn: a Δ(¬n) image, counts ±1
+}
+
+// joinOrderDomain is the generated values: key identity tells -0.0 from
+// 0.0 and NaN matches itself, whichever order probes or scans them.
+var joinOrderDomain = []value.Value{value.NewInt(0), value.NewInt(1), value.NewInt(2),
+	value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN())}
+
+func newJoinRuleGen(rng *rand.Rand) *joinRuleGen {
+	g := &joinRuleGen{rng: rng, rels: map[string]*relation.Relation{}}
+	for _, name := range []string{"a", "b", "c", "n", "dn"} {
+		r := relation.New(2)
+		for i := 0; i < 12; i++ {
+			count := int64(1 + rng.Intn(2))
+			if name == "dn" {
+				count = int64(2*rng.Intn(2) - 1)
+			}
+			r.Add(value.Tuple{g.val(), g.val()}, count)
+		}
+		g.rels[name] = r
+	}
+	return g
+}
+
+func (g *joinRuleGen) val() value.Value { return joinOrderDomain[g.rng.Intn(len(joinOrderDomain))] }
+
+// rule returns a generated rule, its sources, and the shapes it holds.
+// The body is shuffled, so ties in PlanRule's estimates fall differently.
+func (g *joinRuleGen) rule() (datalog.Rule, []Source, []string) {
+	rng := g.rng
+	vars := []datalog.Var{"X", "Y", "Z", "W"}
+	var body []datalog.Literal
+	var srcs []Source
+	var kinds []string
+	var used []datalog.Term // the variables the joins bind
+	bind := func(ts ...datalog.Term) {
+		for _, t := range ts {
+			if v, ok := t.(datalog.Var); ok && !slices.Contains(used, t) {
+				used = append(used, v)
+			}
+		}
+	}
+	add := func(lit datalog.Literal, src Source, kind string) {
+		body, srcs = append(body, lit), append(srcs, src)
+		if kind != "" {
+			kinds = append(kinds, kind)
+		}
+	}
+	for j := 2 + rng.Intn(2); j > 0; j-- {
+		args := make([]datalog.Term, 2)
+		for i := range args {
+			args[i] = vars[rng.Intn(len(vars))]
+			if rng.Intn(6) == 0 {
+				args[i] = datalog.Const{Value: g.val()}
+				kinds = append(kinds, "const")
+			}
+		}
+		kind := ""
+		if rng.Intn(4) == 0 {
+			args[1], kind = args[0], "repeated"
+		}
+		pred := string(rune('a' + rng.Intn(3)))
+		add(datalog.Literal{Kind: datalog.LitPositive, Atom: datalog.Atom{Pred: pred, Args: args}}, Source{Rel: g.rels[pred]}, kind)
+		bind(args...)
+	}
+	if rng.Intn(3) == 0 {
+		grp := vars[rng.Intn(len(vars))]
+		agg := &datalog.Aggregate{Inner: datalog.Atom{Pred: "a", Args: []datalog.Term{grp, datalog.Var("V")}},
+			GroupBy: []datalog.Var{grp}, Result: "S", Func: datalog.AggCount, Arg: datalog.Var("V")}
+		gt, err := BuildGroupTable(agg, g.rels["a"])
+		if err != nil {
+			panic(err)
+		}
+		add(datalog.Literal{Kind: datalog.LitAggregate, Agg: agg}, Source{Rel: gt.Rel()}, "aggregate")
+		bind(grp, datalog.Var("S"))
+	}
+	if len(used) == 0 {
+		return g.rule()
+	}
+	pick := func() datalog.Term { return used[rng.Intn(len(used))] }
+	switch rng.Intn(3) {
+	case 0:
+		add(datalog.Literal{Kind: datalog.LitNegated, Atom: datalog.Atom{Pred: "n", Args: []datalog.Term{pick(), pick()}}},
+			Source{Rel: g.rels["n"]}, "neg-filter")
+	case 1:
+		add(datalog.Literal{Kind: datalog.LitNegated, Atom: datalog.Atom{Pred: "n", Args: []datalog.Term{pick(), pick()}}},
+			Source{Rel: g.rels["dn"], JoinDelta: true}, "neg-join")
+	}
+	if rng.Intn(2) == 0 {
+		cond := &datalog.Condition{Op: datalog.CmpOp(rng.Intn(6)), Left: pick(), Right: pick()}
+		if rng.Intn(2) == 0 {
+			cond.Right = datalog.Const{Value: g.val()}
+		}
+		add(datalog.Literal{Kind: datalog.LitCondition, Cond: cond}, Source{}, "condition")
+	}
+	head := datalog.Atom{Pred: "h", Args: []datalog.Term{pick(), pick()}}
+	if rng.Intn(3) == 0 {
+		head.Args[1] = datalog.Arith{Op: datalog.OpAdd, Left: pick(), Right: datalog.Const{Value: value.NewInt(1)}}
+		kinds = append(kinds, "arith-head")
+	}
+	rng.Shuffle(len(body), func(i, j int) {
+		body[i], body[j] = body[j], body[i]
+		srcs[i], srcs[j] = srcs[j], srcs[i]
+	})
+	return datalog.Rule{Head: head, Body: body}, srcs, kinds
+}
+
+// everyOrder compiles, with accessPath, every order of rule's joins that
 // leaves no filter unbound, each join followed by the filters it readies.
-func everyOrder(rule datalog.Rule, srcs []Source) [][]PlanStep {
+func everyOrder(rule datalog.Rule, srcs []Source) []*Plan {
 	isFilter := func(i int) bool {
 		l := rule.Body[i]
 		return l.Kind == datalog.LitCondition || (l.Kind == datalog.LitNegated && !srcs[i].JoinDelta)
@@ -357,19 +509,21 @@ func everyOrder(rule datalog.Rule, srcs []Source) [][]PlanStep {
 			joins = append(joins, i)
 		}
 	}
-	freeze := func(perm []int) ([]PlanStep, bool) {
-		bound := make(map[string]bool)
+	compile := func(perm []int) *Plan {
+		slots := make(slotOf)
 		taken := make([]bool, len(rule.Body))
-		var steps []PlanStep
+		p, ok := &Plan{pinned: -1}, true
 		take := func(i int) {
 			taken[i] = true
-			steps = append(steps, accessPath(rule, srcs, i, bound))
+			st, err := accessPath(rule, srcs, i, slots)
+			p.Steps, ok = append(p.Steps, st), ok && err == nil
 		}
 		flush := func() {
 			for i, lit := range rule.Body {
 				ready := !taken[i] && isFilter(i)
 				for _, v := range lit.UsesVars(nil) {
-					ready = ready && bound[v]
+					_, ok := slots[v]
+					ready = ready && ok
 				}
 				if ready {
 					take(i)
@@ -381,14 +535,17 @@ func everyOrder(rule datalog.Rule, srcs []Source) [][]PlanStep {
 			take(j)
 			flush()
 		}
-		return steps, len(steps) == len(rule.Body)
+		if !ok || len(p.Steps) != len(rule.Body) || p.compileHead(rule, slots) != nil {
+			return nil
+		}
+		return p
 	}
-	var out [][]PlanStep
+	var out []*Plan
 	var permute func(k int)
 	permute = func(k int) {
 		if k == len(joins) {
-			if steps, ok := freeze(joins); ok {
-				out = append(out, steps)
+			if p := compile(joins); p != nil {
+				out = append(out, p)
 			}
 			return
 		}
@@ -402,13 +559,14 @@ func everyOrder(rule datalog.Rule, srcs []Source) [][]PlanStep {
 	return out
 }
 
-// A rule walk reuses one scratch frame per step and grounds the head on
-// its stack: it allocates a tuple only for a head that neither the output
-// nor a lender holds. A re-walk into an output that holds every head, or
-// into an emptied one that borrows them all, must therefore allocate a
-// number of objects that does not grow with the rows it joins — and no
-// more than a walk whose every derivation the last filter rejects, which
-// never grounds a head: there is no per-walk scratch for it either.
+// A rule walk takes its plan's scratch — slots, frames, probe tuples, the
+// head buffer — and grounds the head there: it allocates a tuple only for
+// a head that neither the output nor a lender holds. A warmed re-walk into
+// an output that holds every head, into an emptied one that borrows them
+// all, or one whose every derivation the last filter rejects must
+// therefore allocate nothing, however many rows it joins, and under -race
+// too: the scratch is handed over by an atomic swap, not a sync.Pool,
+// which the race detector empties at random.
 func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y), !blocked(X,Y).`)
 	rule := prog.Rules[0]
@@ -460,12 +618,55 @@ func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 		}
 		return a
 	}
-	none := allocs(50, "blocked")
-	for _, mode := range []string{"held", "lent"} {
-		small, large := allocs(50, mode), allocs(2000, mode)
-		if large != small || small > none {
-			t.Errorf("%s: a re-walk over 2000 links allocates %v objects, over 50 links %v, one that grounds no head %v; want all equal",
-				mode, large, small, none)
+	for _, mode := range []string{"held", "lent", "blocked"} {
+		for _, n := range []int{50, 2000} {
+			if a := allocs(n, mode); a != 0 {
+				t.Errorf("%s: a warmed re-walk over %d links allocates %v objects, want 0", mode, n, a)
+			}
 		}
 	}
+}
+
+// A plan lends its walk scratch to one evaluation at a time: evaluations
+// of one plan from several goroutines at once, each probing an overlay
+// through its own frame buffers, each derive the whole result.
+func TestPlanEvaluatedConcurrently(t *testing.T) {
+	prog, _ := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	rule := prog.Rules[0]
+	link, net := relation.New(2), relation.New(2)
+	for i := 0; i < 300; i++ {
+		link.Add(value.T(i%40, (i*7)%40), 1)
+	}
+	for i := 0; i < 20; i++ {
+		net.Add(value.T(i, (i*3)%40), 1)
+		net.Add(value.T(i, (i*7)%40), -1)
+	}
+	srcs := []Source{{Rel: link}, {Rel: relation.Overlay(link, net)}}
+	plan, err := PlanRule(rule, srcs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relation.New(2)
+	if err := EvalPlan(rule, srcs, plan, want, nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				out := relation.New(2)
+				if err := EvalPlan(rule, srcs, plan, out, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if !relation.Equal(out, want) {
+					t.Errorf("a concurrent evaluation derived %v, alone %v", out, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

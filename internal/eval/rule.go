@@ -1,11 +1,8 @@
 package eval
 
 import (
-	"fmt"
-
 	"ivm/internal/datalog"
 	"ivm/internal/relation"
-	"ivm/internal/value"
 )
 
 // Source supplies the concrete relation a body literal is evaluated
@@ -52,68 +49,4 @@ func joinArgs(lit datalog.Literal) []datalog.Term {
 		return append(args, lit.Agg.Result)
 	}
 	return nil
-}
-
-// joinLiteral enumerates the rows of rel matching args under the current
-// binding, using a hash index on the bound columns when one helps, and
-// invokes each with the row's count, extending/retracting the binding
-// around the call. It classifies the columns on every call, which lets
-// Explain start from a binding the head already filled; rule evaluation
-// goes through walkSteps instead.
-func joinLiteral(args []datalog.Term, rel relation.Reader, b *binding, each func(count int64) error) error {
-	// Classify columns under the current binding.
-	var boundCols []int
-	var keyVals value.Tuple
-	allBound := true
-	for i, a := range args {
-		switch x := a.(type) {
-		case datalog.Const:
-			boundCols = append(boundCols, i)
-			keyVals = append(keyVals, x.Value)
-		case datalog.Var:
-			if v, ok := b.lookup(string(x)); ok {
-				boundCols = append(boundCols, i)
-				keyVals = append(keyVals, v)
-			} else {
-				allBound = false
-			}
-		default:
-			return fmt.Errorf("eval: expression %s in join pattern", a)
-		}
-	}
-
-	emit := func(row relation.Row) error {
-		ok, newly := matchPattern(args, row.Tuple, b, nil)
-		if !ok {
-			return nil
-		}
-		err := each(row.Count)
-		undoBind(b, newly)
-		return err
-	}
-
-	switch {
-	case allBound && len(args) > 0:
-		// Point lookup: every column is bound, so the key values are the tuple.
-		if c := rel.Count(keyVals); c != 0 {
-			return each(c)
-		}
-		return nil
-	case len(boundCols) > 0:
-		for _, row := range rel.Lookup(boundCols, keyVals) {
-			if err := emit(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		var err error
-		rel.Each(func(row relation.Row) {
-			if err != nil {
-				return
-			}
-			err = emit(row)
-		})
-		return err
-	}
 }

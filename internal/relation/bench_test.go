@@ -65,6 +65,24 @@ func BenchmarkOverlayLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlayLookupHub merges a hub's base and delta runs of n rows
+// each into one reused buffer: the time per probe grows with n, not n².
+func BenchmarkOverlayLookupHub(b *testing.B) {
+	for _, n := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("run=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			o := hubOverlay(n)
+			cols, key := []int{0}, value.T("hub")
+			var buf []Row
+			LookupInto(o, cols, key, &buf)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				LookupInto(o, cols, key, &buf)
+			}
+		})
+	}
+}
+
 func BenchmarkMergeDelta(b *testing.B) {
 	b.ReportAllocs()
 	delta := New(2)

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -29,21 +30,53 @@ func churn() []byte {
 }
 
 // FuzzTableOps drives a relation with a stream of two-byte operations —
-// the low nibble of the first byte picks Add, AddRow, Delete, Set, a copy
-// or Reset, its high nibble the count, the second byte the tuple — beside
-// a plain map[string]int64. A copy is a Clone for an even count, else the
-// successor of the frozen relation (cloneIndexed), whose first writes go
-// to runs it shares. After every operation it checks the tuple touched,
-// and Lookup on {0}, {1} and {0,1} for its projections (so every later
-// operation maintains those indexes); at the end and at every copy, the
-// whole content and every projection (the relation a copy leaves behind
-// must keep what it had).
+// the low nibble of the first byte picks Add, AddRow, Delete, Set, a copy,
+// Reset or an add to a delta beside the relation, its high nibble the
+// count, the second byte the tuple — beside a plain map[string]int64. A
+// copy is a Clone for an even count, else the successor of the frozen
+// relation (cloneIndexed), whose first writes go to runs it shares. An add
+// to the delta with count 0 cancels the tuple's count in base ⊎ delta. A
+// tuple's first value is an int, or +0.0, -0.0 or NaN, which key identity
+// tells apart and matches as themselves. After every operation it checks
+// the tuple touched, and Lookup on {0}, {1} and {0,1} for its projections
+// (so every later operation maintains those indexes), of the relation and
+// of Overlay(relation, delta) through one reused buffer; at the end and at
+// every copy, the whole content and every projection (the relation a copy
+// leaves behind must keep what it had).
 func FuzzTableOps(f *testing.F) {
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
+	f.Add([]byte{0x80, 13, 0x80, 14, 0x80, 15, 0x81, 0x1d, 0x86, 13, 0x76, 14, 0x96, 0x2f, 0x76, 15, 0x66, 0x1e, 0x02, 13})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		r, m := New(-1), map[string]int64{}
 		tuples := map[string]value.Tuple{}
+		delta := New(-1)
+		var buf []Row
+		// overlays checks LookupInto on base ⊎ delta, and on base ⊎ delta ⊎
+		// -delta, against what the materialized overlays hold.
+		overlays := func(where string, probes ...value.Tuple) {
+			ov := Overlay(r, delta)
+			for _, c := range []struct {
+				rd   Reader
+				flat *Relation
+			}{{ov, Materialize(ov)}, {Overlay(ov, delta.Negate()), r}} {
+				for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+					for _, tu := range probes {
+						kv, got, want := tu.Project(cols), map[string]int64{}, map[string]int64{}
+						run := LookupInto(c.rd, cols, kv, &buf)
+						for _, row := range run {
+							got[row.Key()] = row.Count
+						}
+						for _, row := range c.flat.Lookup(cols, kv) {
+							want[row.Key()] = row.Count
+						}
+						if len(run) != len(got) || !maps.Equal(got, want) {
+							t.Fatalf("%s: overlay Lookup(%v, %v) = %v, materialized %v", where, cols, kv, run, want)
+						}
+					}
+				}
+			}
+		}
 		// lookups checks Lookup on each projection of each probe.
 		lookups := func(where string, r *Relation, m map[string]int64, probes ...value.Tuple) {
 			model := make([]Row, 0, len(m))
@@ -89,11 +122,15 @@ func FuzzTableOps(f *testing.F) {
 			}
 			lookups(where, r, m, probes...)
 		}
+		first := []value.Value{13: value.NewFloat(0), 14: value.NewFloat(math.Copysign(0, -1)), 15: value.NewFloat(math.NaN())}
 		for i := 0; i+1 < len(ops); i += 2 {
 			tu := value.T(int64(ops[i+1]%16), strings.Repeat("k", int(ops[i+1]/16)))
+			if v := ops[i+1] % 16; v >= 13 {
+				tu[0] = first[v]
+			}
 			k, c := tu.Key(), int64(ops[i]>>4)-7
 			tuples[k] = tu
-			switch ops[i] & 0xf % 6 {
+			switch ops[i] & 0xf % 7 {
 			case 0:
 				r.Add(tu, c)
 				m[k] += c
@@ -117,9 +154,14 @@ func FuzzTableOps(f *testing.F) {
 				r.Add(tu, 1)
 				m[k]++
 				same("the relation a copy left behind", old, oldM)
-			default:
+			case 5:
 				r.Reset()
 				m = map[string]int64{}
+			default:
+				if c == 0 {
+					c = -r.Count(tu) - delta.Count(tu)
+				}
+				delta.Add(tu, c)
 			}
 			if m[k] == 0 {
 				delete(m, k)
@@ -127,8 +169,15 @@ func FuzzTableOps(f *testing.F) {
 			if got := r.Count(tu); got != m[k] {
 				t.Fatalf("op %d (%#x %d): Count(%v) = %d, model %d", i/2, ops[i], ops[i+1], tu, got, m[k])
 			}
-			lookups(fmt.Sprintf("op %d (%#x %d)", i/2, ops[i], ops[i+1]), r, m, tu)
+			where := fmt.Sprintf("op %d (%#x %d)", i/2, ops[i], ops[i+1])
+			lookups(where, r, m, tu)
+			overlays(where, tu)
 		}
 		same("at the end", r, m)
+		var probes []value.Tuple
+		for _, tu := range tuples {
+			probes = append(probes, tu)
+		}
+		overlays("at the end", probes...)
 	})
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"slices"
 
 	"ivm/internal/value"
 )
@@ -166,34 +167,54 @@ func (o *overlay) PreferredIndex(bound []int) []int {
 }
 
 func (o *overlay) Lookup(cols []int, keyVals value.Tuple) []Row {
-	base := o.base.Lookup(cols, keyVals)
+	var buf []Row
+	return o.lookup(cols, keyVals, &buf)
+}
+
+// LookupInto is Lookup for a caller that probes again and again: where r
+// has to build its answer — an overlay merging the runs of its base and
+// its delta, a set image recounting them — it builds it in *buf, grown as
+// needed, which the caller keeps for its next probe. The answer is
+// read-only, and valid until the next call with buf.
+func LookupInto(r Reader, cols []int, keyVals value.Tuple, buf *[]Row) []Row {
+	switch x := r.(type) {
+	case *overlay:
+		return x.lookup(cols, keyVals, buf)
+	case *setView:
+		return x.lookup(cols, keyVals, buf)
+	}
+	return r.Lookup(cols, keyVals)
+}
+
+// lookup merges the base's run for keyVals with the delta's: a base row
+// takes the delta's count for its tuple, a delta row joins the run only
+// where the base has no count for its tuple, and rows whose counts cancel
+// leave it. Count probes by the tuple's key, the identity an index's ==
+// compares, so the merge costs one probe per row of either run whatever
+// their lengths. Without a delta row the base's run is the answer as it is.
+func (o *overlay) lookup(cols []int, keyVals value.Tuple, buf *[]Row) []Row {
 	del := o.delta.Lookup(cols, keyVals)
+	base := LookupInto(o.base, cols, keyVals, buf)
 	if len(del) == 0 {
 		return base
 	}
-	dm := make(map[string]int64, len(del))
-	for _, row := range del {
-		dm[row.Key()] = row.Count
-	}
-	out := make([]Row, 0, len(base)+len(del))
-	for _, row := range base {
-		k := row.Key()
-		if d, ok := dm[k]; ok {
-			delete(dm, k) // mark as merged
-			if c := row.Count + d; c != 0 {
-				out = append(out, row.WithCount(c))
-			}
-			continue
-		}
-		out = append(out, row)
-	}
-	if len(dm) > 0 {
-		for _, row := range del {
-			if d, ok := dm[row.Key()]; ok && d != 0 {
-				out = append(out, row)
-			}
+	// base may be *buf already: copying it onto itself moves nothing.
+	out := append((*buf)[:0], base...)
+	n := 0
+	for _, row := range out {
+		if row.Count += o.delta.Count(row.Tuple); row.Count != 0 {
+			out[n] = row
+			n++
 		}
 	}
+	clear(out[n:])
+	out = out[:n]
+	for _, d := range del {
+		if d.Count != 0 && o.base.Count(d.Tuple) == 0 {
+			out = append(out, d)
+		}
+	}
+	*buf = out
 	return out
 }
 
@@ -242,22 +263,24 @@ func (s *setView) Each(f func(Row)) {
 }
 
 func (s *setView) Lookup(cols []int, keyVals value.Tuple) []Row {
-	rows := s.r.Lookup(cols, keyVals)
-	isSet := true
-	for i := range rows {
-		if rows[i].Count != 1 {
-			isSet = false
-			break
-		}
-	}
-	if isSet {
+	var buf []Row
+	return s.lookup(cols, keyVals, &buf)
+}
+
+// lookup is LookupInto for the set image: r's run as it is when every
+// count is already 1, else its positive rows at count 1, written into
+// *buf over r's run if that is where it lies.
+func (s *setView) lookup(cols []int, keyVals value.Tuple, buf *[]Row) []Row {
+	rows := LookupInto(s.r, cols, keyVals, buf)
+	if !slices.ContainsFunc(rows, func(row Row) bool { return row.Count != 1 }) {
 		return rows // already its own set image: nothing to copy
 	}
-	out := make([]Row, 0, len(rows))
+	out := (*buf)[:0]
 	for _, row := range rows {
 		if row.Count > 0 {
 			out = append(out, row.WithCount(1))
 		}
 	}
+	*buf = out
 	return out
 }

@@ -63,6 +63,48 @@ func TestOverlayLookup(t *testing.T) {
 	}
 }
 
+// hubOverlay is base ⊎ delta where one key, "hub", has a run of n rows on
+// each side: the delta cancels every other base row and adds as many rows
+// the base does not have.
+func hubOverlay(n int) Reader {
+	base, delta := New(2), New(2)
+	for i := 0; i < n; i++ {
+		base.Add(value.T("hub", i), 1)
+		if i%2 == 0 {
+			delta.Add(value.T("hub", i), -1)
+		} else {
+			delta.Add(value.T("hub", n+i), 1)
+		}
+	}
+	return Overlay(base, delta)
+}
+
+// TestOverlayLookupLongRuns probes a hub whose base and delta runs both
+// hold 2 000 rows: the merge answers as the materialized overlay does and,
+// once the caller's buffer has grown, allocates nothing.
+func TestOverlayLookupLongRuns(t *testing.T) {
+	const n = 2000
+	o := hubOverlay(n)
+	cols, key := []int{0}, value.T("hub")
+	want := map[string]int64{}
+	for _, row := range Materialize(o).Lookup(cols, key) {
+		want[row.Key()] = row.Count
+	}
+	var buf []Row
+	got := LookupInto(o, cols, key, &buf)
+	if len(got) != n || len(want) != n {
+		t.Fatalf("merged run has %d rows, materialized %d, want %d", len(got), len(want), n)
+	}
+	for _, row := range got {
+		if want[row.Key()] != row.Count {
+			t.Fatalf("%v has count %d, materialized %d", row.Tuple, row.Count, want[row.Key()])
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { LookupInto(o, cols, key, &buf) }); a != 0 {
+		t.Fatalf("a warmed merge allocates %.0f objects, want 0", a)
+	}
+}
+
 func TestOverlayComposes(t *testing.T) {
 	base := rel(row(1, "a"))
 	d1 := rel(row(1, "b"))

@@ -339,6 +339,20 @@ func (r *Relation) Each(f func(Row)) {
 	}
 }
 
+// Next returns the first row stored at position i or after and the
+// position after it, or next < 0 past the last row: Each for a caller
+// that keeps no closure, under the same rule.
+//
+//	for row, i := r.Next(0); i >= 0; row, i = r.Next(i) { … }
+func (r *Relation) Next(i int) (row Row, next int) {
+	for ; i < len(r.rows.cells); i++ {
+		if c := r.rows.cells[i]; c.count != 0 {
+			return r.row(c), i + 1
+		}
+	}
+	return Row{}, -1
+}
+
 // Rows returns all rows in unspecified order.
 func (r *Relation) Rows() []Row {
 	out := make([]Row, 0, r.rows.n)
