@@ -487,7 +487,7 @@ func BenchmarkEncodeCommitRecord(b *testing.B) {
 	deltas, keys := e.CommittedDeltas(), []string{"op-1"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := storage.EncodeCommitRecord(uint64(i), keys, 0, deltas)
+		rec, err := storage.EncodeCommitRecord(uint64(i), keys, nil, 0, deltas)
 		if err != nil {
 			b.Fatal(err)
 		}

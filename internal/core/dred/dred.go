@@ -136,13 +136,6 @@ func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 
 // NewWithConfig is New with tuning knobs.
 func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, error) {
-	if err := datalog.Validate(prog); err != nil {
-		return nil, err
-	}
-	st, err := strata.Compute(prog)
-	if err != nil {
-		return nil, err
-	}
 	db := eval.NewDB()
 	for _, pred := range base.Preds() {
 		db.Put(pred, base.Get(pred).ToSet())
@@ -152,7 +145,9 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 		tracer: cfg.Tracer, instr: eval.NewInstruments(cfg.Metrics),
 		planner: eval.NewPlanner(cfg.Metrics),
 	}
-	e.install(prog, st, nil)
+	if err := e.Install(prog); err != nil {
+		return nil, err
+	}
 	if r := cfg.Metrics; r != nil {
 		e.mOps = r.Counter("dred_ops_total")
 		e.mOverestimated = r.Counter("dred_overestimated_total")
@@ -268,14 +263,7 @@ func (e *Engine) AddRule(r datalog.Rule) (map[string]*relation.Relation, error) 
 	}
 	newProg := e.prog.Clone()
 	newProg.Rules = append(newProg.Rules, r)
-	if err := datalog.Validate(newProg); err != nil {
-		return nil, err
-	}
-	st, err := strata.Compute(newProg)
-	if err != nil {
-		return nil, err
-	}
-	return e.edit(newProg, st, maps.Clone(e.gts), func() (map[string]*relation.Relation, error) {
+	return e.edit(newProg, maps.Clone(e.gts), func() (map[string]*relation.Relation, error) {
 		// Seed: the new rule's derivations not yet in the view.
 		seed, err := e.ruleSeed(len(newProg.Rules)-1, false)
 		if err != nil {
@@ -308,13 +296,6 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 
 	newProg := e.prog.Clone()
 	newProg.Rules = append(newProg.Rules[:ri], newProg.Rules[ri+1:]...)
-	if err := datalog.Validate(newProg); err != nil {
-		return nil, err
-	}
-	st, err := strata.Compute(newProg)
-	if err != nil {
-		return nil, err
-	}
 	// Group tables are keyed by rule index: shift keys above ri.
 	gts := make(map[eval.RuleLit]*eval.GroupTable, len(e.gts))
 	for k, v := range e.gts {
@@ -328,7 +309,7 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 		}
 	}
 	headPred := removed.Head.Pred
-	return e.edit(newProg, st, gts, func() (map[string]*relation.Relation, error) {
+	return e.edit(newProg, gts, func() (map[string]*relation.Relation, error) {
 		// The head predicate may have lost all its rules; it may even no
 		// longer be derived. Either way its stratum in the *new* program
 		// drives propagation; if it vanished as a derived predicate, treat
@@ -347,14 +328,22 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 	})
 }
 
-// edit installs a rule edit's program, strata and group tables and runs
-// its maintenance. If that fails, the previous three come back: a rejected
-// edit leaves the engine's program as it was, as a rejected Apply leaves
-// its stored rows. Either way the plan cache starts over, because cached
-// plans are keyed by rule index.
-func (e *Engine) edit(prog *datalog.Program, st *strata.Stratification, gts map[eval.RuleLit]*eval.GroupTable,
+// edit validates and stratifies a rule edit's program, installs it with
+// gts and runs its maintenance. If that fails, the previous program,
+// strata and group tables come back: a rejected edit leaves the engine's
+// program as it was, as a rejected Apply leaves its stored rows. Either
+// way the plan cache starts over, because cached plans are keyed by rule
+// index.
+func (e *Engine) edit(prog *datalog.Program, gts map[eval.RuleLit]*eval.GroupTable,
 	maintain func() (map[string]*relation.Relation, error)) (map[string]*relation.Relation, error) {
 
+	if err := datalog.Validate(prog); err != nil {
+		return nil, err
+	}
+	st, err := strata.Compute(prog)
+	if err != nil {
+		return nil, err
+	}
 	oldProg, oldStrat, oldGts := e.prog, e.strat, e.gts
 	e.install(prog, st, gts)
 	changes, err := maintain()
@@ -362,6 +351,14 @@ func (e *Engine) edit(prog *datalog.Program, st *strata.Stratification, gts map[
 		e.install(oldProg, oldStrat, oldGts)
 	}
 	return changes, err
+}
+
+// Install makes prog the engine's program with no rule evaluated: the
+// engine's first step, and the first half of folding a rule edit's commit
+// record (Fold merges its Δ). Group tables are dropped, as a fold does.
+func (e *Engine) Install(prog *datalog.Program) error {
+	_, err := e.edit(prog, make(map[eval.RuleLit]*eval.GroupTable), func() (map[string]*relation.Relation, error) { return nil, nil })
+	return err
 }
 
 // install makes prog, its strata and gts the engine's, with prog's

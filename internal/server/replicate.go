@@ -13,7 +13,7 @@ import (
 // replWindowRecordBytes is the replication window's byte budget per
 // record of Options.ReplWindow: a commit record carries its committed
 // deltas (typically 0.1–6 KB), so a count alone would let the window
-// outgrow the views it serves. Raising -repl-window raises both bounds.
+// outgrow the views it serves. Options.ReplWindow raises both bounds.
 const replWindowRecordBytes = 512
 
 // handleReplicate serves GET /v1/replicate: the resumable replication
@@ -33,8 +33,9 @@ const replWindowRecordBytes = 512
 //     bridge — the follower replaces its state wholesale and tails on.
 //
 // A missing ?from= means "bootstrap me": the handler leads with an 'S'
-// record. Commits whose effects a delta cannot express (rule edits,
-// marked Reset) are also shipped as a fresh 'S'.
+// record. Every commit after that is a 'D' record, rule edits included
+// (their records carry the program), so 'S' serves bootstrap and gap
+// recovery only.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -175,16 +176,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// lost.
 		ch := s.replWin.WaitCh()
 		if e, ok := s.replWin.Next(cur); ok {
-			if e.Item.Reset {
-				// A rule edit: deltas cannot express it, so ship the
-				// current state (at least e.Version) and jump there.
-				v, ok := sendState()
-				if !ok {
-					return
-				}
-				cur = v
-				continue
-			}
 			if !sendDelta(e.Item.CommitRecord, e.Item.UnixNano) {
 				return
 			}

@@ -7,8 +7,9 @@ package storage
 // so the scan must never panic, must tell those three apart by typed
 // error, and must be canonical: the records it accepts re-encode to
 // exactly the bytes it accepted. A record that carries deltas is also
-// walked the way a fold walks it: every row it yields is one whole key of
-// the section's arity, and anything else is a malformed record.
+// walked the way a fold walks it: a rule edit's program fills its frame,
+// every row it yields is one whole key of the section's arity, and
+// anything else is a malformed record.
 
 import (
 	"bytes"
@@ -21,7 +22,8 @@ import (
 // well-formed logs of script and delta records, torn tails, in-place
 // damage, records an earlier build wrote, and malformed records of this
 // one (seed-10 on: a delta record, then its damaged delta sections in
-// name order).
+// name order; seed-18 on: a rule edit's record, then its damaged program
+// sections in name order).
 func walFuzzSeeds(t testing.TB) [][]byte {
 	var valid []byte
 	for i, rec := range []CommitRecord{
@@ -52,6 +54,10 @@ func walFuzzSeeds(t testing.TB) [][]byte {
 	for _, name := range sortedKeys(malformedDeltaPayloads(t)) {
 		seeds = append(seeds, rawWALRecord(1, 1, malformedDeltaPayloads(t)[name]))
 	}
+	seeds = append(seeds, append(append([]byte(nil), valid...), rawWALRecord(1, 4, editRecord(t).Payload)...))
+	for _, name := range sortedKeys(malformedEditPayloads(t)) {
+		seeds = append(seeds, rawWALRecord(1, 1, malformedEditPayloads(t)[name]))
+	}
 	return seeds
 }
 
@@ -76,6 +82,9 @@ func FuzzScanWAL(f *testing.F) {
 				return err
 			}
 			if rec.HasDeltas() {
+				if _, err := readProgram(rec); err != nil {
+					t.Fatalf("accepted record %x: %v", payload, err)
+				}
 				if _, err := readDeltas(rec); err != nil {
 					return err
 				}

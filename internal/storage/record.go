@@ -26,11 +26,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // CommitRecord is one committed maintenance pass: the snapshot version
 // it published, the idempotency keys of the Apply calls it covers (a
 // coalesced batch carries every caller's key), and what reproduces it —
-// the signed per-predicate deltas the engine committed (format 2) or, in
-// a record from before those were shipped, the delta script to re-derive
-// them from (format 1). The views after n commits are a fold of n records
-// over a starting state, x ⊎ Δ₁ ⊎ … ⊎ Δₙ, so crash recovery, WAL backfill
-// and a follower's tail all replay this one type.
+// the signed per-predicate deltas the engine committed (format 2; format
+// 3, a rule edit's, also carries the edited program) or, in a record from
+// before those were shipped, the delta script to re-derive them from
+// (format 1). The views after n commits are a fold of n records over a
+// starting state, x ⊎ Δ₁ ⊎ … ⊎ Δₙ, so crash recovery, WAL backfill and a
+// follower's tail all replay this one type.
 type CommitRecord struct {
 	Version uint64
 	Keys    []string
@@ -43,7 +44,8 @@ type CommitRecord struct {
 	// (the decoder aliases its argument); a record built by hand has none
 	// and renders as format 1.
 	Payload []byte
-	deltas  int // where Payload's delta section starts; 0 unless format 2
+	deltas  int // where Payload's delta section starts; 0 unless format 2 or 3
+	program int // where Payload's program text starts; 0 unless format 3
 }
 
 // Every payload opens [format u8][version u64][nkeys u16]([klen u16][key])*
@@ -53,6 +55,10 @@ type CommitRecord struct {
 //
 //	[engine u8]([nlen u16][name][arity u16][nrows u32]([count varint][tuple key])*)*
 //
+// Format 3 is a rule edit: format 2 with the edited program's text before
+// the engine byte, [plen u32][program], so a build that reads only format
+// 2 refuses it instead of folding the Δ without the program.
+//
 // engine names the configuration that cut the record — stored counts, and
 // so count changes, are particular to it (see Engine). count is the
 // signed change of the row's derivation count, never 0; the
@@ -60,10 +66,11 @@ type CommitRecord struct {
 // on both ends, self-delimiting given the arity — so encoding copies it
 // and decoding looks it up without keying anything. Delta scripts are
 // text and the retired framings opened with 0x00, so no payload an
-// earlier build wrote starts with either byte.
+// earlier build wrote starts with any of the three bytes.
 const (
 	formatScript = 1
 	formatDeltas = 2
+	formatEdit   = 3
 )
 
 // commitRecordFixed is the payload size before keys and body.
@@ -110,11 +117,12 @@ func appendHeader(dst []byte, format byte, version uint64, keys []string) ([]byt
 // copied out at their exact size.
 var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// EncodeCommitRecord cuts the format-2 record of a commit from the deltas
-// its engine committed (CommittedDeltas), stamped with that engine's
+// EncodeCommitRecord cuts the record of a commit from the deltas its
+// engine committed (CommittedDeltas), stamped with that engine's
 // configuration: one rendering, kept as the record's Payload at exactly
-// its size.
-func EncodeCommitRecord(version uint64, keys []string, engine byte, deltas map[string]*relation.Relation) (CommitRecord, error) {
+// its size. program is nil for an update (format 2) and, for a rule edit
+// (format 3), the program text the edit left.
+func EncodeCommitRecord(version uint64, keys []string, program *string, engine byte, deltas map[string]*relation.Relation) (CommitRecord, error) {
 	preds := make([]string, 0, len(deltas))
 	for pred, d := range deltas {
 		if len(pred) > 0xffff || d.Arity() > 0xffff || uint64(d.Len()) > math.MaxUint32 {
@@ -129,8 +137,18 @@ func EncodeCommitRecord(version uint64, keys []string, engine byte, deltas map[s
 	if err != nil {
 		return CommitRecord{}, err
 	}
+	rec := CommitRecord{Version: version, Keys: keys}
+	if program != nil {
+		if uint64(len(*program)) > math.MaxUint32 {
+			return CommitRecord{}, fmt.Errorf("storage: a program of %d bytes exceeds the record's field width", len(*program))
+		}
+		buf[0] = formatEdit
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(*program)))
+		rec.program = len(buf)
+		buf = append(buf, *program...)
+	}
 	buf = append(buf, engine)
-	rec := CommitRecord{Version: version, Keys: keys, deltas: len(buf)}
+	rec.deltas = len(buf)
 	for _, pred := range preds {
 		d := deltas[pred]
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(pred)))
@@ -170,12 +188,12 @@ func (r CommitRecord) encodedLen() int {
 	return n
 }
 
-// DecodeCommitRecord parses a payload of either format. The record keeps
-// payload; a delta section is read in place, later, by Deltas. Any other
-// leading byte — the retired bare-script and 0x00-framed payloads
-// included — is an *UnknownFormatError.
+// DecodeCommitRecord parses a payload of any of the three formats. The
+// record keeps payload; a delta section is read in place, later, by
+// Deltas. Any other leading byte — the retired bare-script and
+// 0x00-framed payloads included — is an *UnknownFormatError.
 func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
-	if len(payload) == 0 || (payload[0] != formatScript && payload[0] != formatDeltas) {
+	if len(payload) == 0 || payload[0] < formatScript || payload[0] > formatEdit {
 		format := -1 // empty payload: the retired bare framing of an empty script
 		if len(payload) > 0 {
 			format = int(payload[0])
@@ -203,24 +221,41 @@ func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
 		rec.Keys = append(rec.Keys, string(payload[off:off+kl]))
 		off += kl
 	}
-	switch {
-	case payload[0] == formatScript:
+	if payload[0] == formatScript {
 		rec.Script = string(payload[off:])
-	case off == len(payload):
-		return CommitRecord{}, fmt.Errorf("%w: truncated before the engine byte", errMalformedRecord)
-	default:
-		rec.deltas = off + 1
+		return rec, nil
 	}
+	if payload[0] == formatEdit {
+		if len(payload)-off < 4 || uint64(len(payload)-off-4) < uint64(binary.BigEndian.Uint32(payload[off:])) {
+			return CommitRecord{}, fmt.Errorf("%w: truncated in the program", errMalformedRecord)
+		}
+		rec.program = off + 4
+		off = rec.program + int(binary.BigEndian.Uint32(payload[off:]))
+	}
+	if off == len(payload) {
+		return CommitRecord{}, fmt.Errorf("%w: truncated before the engine byte", errMalformedRecord)
+	}
+	rec.deltas = off + 1
 	return rec, nil
 }
 
 // HasDeltas reports whether the record carries its committed deltas
-// (format 2) and so replays as a fold, without a script.
+// (format 2 or 3) and so replays as a fold, without a script.
 func (r CommitRecord) HasDeltas() bool { return r.deltas > 0 }
 
-// Engine returns a format-2 record's engine byte: an opaque stamp of the
-// strategy and semantics whose stored counts the deltas are changes of.
-// Only views configured the same can fold the record.
+// Program returns a rule edit's program text — the view program as the
+// edit left it, to be installed before its deltas are folded — and
+// whether the record is one (format 3).
+func (r CommitRecord) Program() (src string, ok bool) {
+	if r.program == 0 {
+		return "", false
+	}
+	return string(r.Payload[r.program : r.deltas-1]), true
+}
+
+// Engine returns a format-2 or -3 record's engine byte: an opaque stamp of
+// the strategy and semantics whose stored counts the deltas are changes
+// of. Only views configured the same can fold the record.
 func (r CommitRecord) Engine() byte { return r.Payload[r.deltas-1] }
 
 // Deltas returns a reader over the record's delta section.

@@ -56,6 +56,12 @@ func replFuzzSeeds(t testing.TB) [][]byte {
 	for _, name := range sortedKeys(malformedDeltaPayloads(t)) {
 		seeds = append(seeds, rawReplRecord(ReplKindDelta, 7, malformedDeltaPayloads(t)[name]))
 	}
+	// A 'D' record shipping a rule edit, then its damaged program sections
+	// (seed-16 on).
+	seeds = append(seeds, rawReplRecord(ReplKindDelta, 9, editRecord(t).Payload))
+	for _, name := range sortedKeys(malformedEditPayloads(t)) {
+		seeds = append(seeds, rawReplRecord(ReplKindDelta, 9, malformedEditPayloads(t)[name]))
+	}
 	return seeds
 }
 
@@ -68,10 +74,14 @@ func FuzzReplRecord(f *testing.F) {
 		if err != nil {
 			return // damage detected; nothing else to assert
 		}
-		// A follower folds what it is sent: walking a shipped delta
-		// section must end in rows or in a malformed-record error.
+		// A follower folds what it is sent: a shipped rule edit's program
+		// fills its frame, and walking a shipped delta section must end in
+		// rows or in a malformed-record error.
 		for _, rec := range records {
 			if rec.HasDeltas() {
+				if _, err := readProgram(rec.CommitRecord); err != nil {
+					t.Fatalf("shipped record %x: %v", rec.Payload, err)
+				}
 				if _, err := readDeltas(rec.CommitRecord); err != nil && !errors.Is(err, errMalformedRecord) {
 					t.Fatalf("delta walk of %x stopped with an untyped error: %v", rec.Payload, err)
 				}

@@ -515,9 +515,9 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// The layout is pinned byte for byte: a keyed and a keyless record, and
-// the WAL frame around one of them. Drift here breaks every store and
-// every follower in the field, so it must fail loudly.
+// The layout is pinned byte for byte: a keyed and a keyless record, a rule
+// edit's, and the WAL frame around one of them. Drift here breaks every
+// store and every follower in the field, so it must fail loudly.
 func TestCommitRecordGoldenBytes(t *testing.T) {
 	keyed := CommitRecord{Version: 0x0102030405060708, Keys: []string{"k1", "key-2"}, Script: "+p(1)."}
 	keyless := CommitRecord{Version: 7, Script: "-q(a,b)."}
@@ -528,6 +528,10 @@ func TestCommitRecordGoldenBytes(t *testing.T) {
 		// format | version | nkeys | klen "k1" | klen "key-2" | script
 		{keyed, "01" + "0102030405060708" + "0002" + "0002" + "6b31" + "0005" + "6b65792d32" + "2b702831292e"},
 		{keyless, "01" + "0000000000000007" + "0000" + "2d7128612c62292e"},
+		// format 3 | version | nkeys | klen "k1" | plen 13 | "p(X) :- q(X)." | engine |
+		//   nlen "p" | arity 1 | nrows 1 | count +1 (zigzag 2) | key s1:a|
+		{editRecord(t), "03" + "0000000000000009" + "0001" + "0002" + "6b31" + "0000000d" + "70285829203a2d20712858292e" + "08" +
+			"0001" + "70" + "0001" + "00000001" + "02" + "73313a617c"},
 	} {
 		got, err := c.rec.AppendTo(nil)
 		if err != nil {
@@ -559,11 +563,39 @@ func deltaRecord(t testing.TB) CommitRecord {
 	link.Add(value.T("a", "b"), 1)
 	flag := relation.New(0)
 	flag.Add(value.T(), -2)
-	rec, err := EncodeCommitRecord(7, []string{"k1"}, 0x05, map[string]*relation.Relation{"link": link, "flag": flag})
+	rec, err := EncodeCommitRecord(7, []string{"k1"}, nil, 0x05, map[string]*relation.Relation{"link": link, "flag": flag})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rec
+}
+
+// editRecord cuts the format-3 record the rule-edit tests share: a keyed
+// DRed edit that leaves the program p(X) :- q(X). and derives p(a).
+func editRecord(t testing.TB) CommitRecord {
+	t.Helper()
+	p := relation.New(1)
+	p.Add(value.T("a"), 1)
+	program := "p(X) :- q(X)."
+	rec, err := EncodeCommitRecord(9, []string{"k1"}, &program, 0x08, map[string]*relation.Relation{"p": p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// readProgram walks a record's program section the way a fold reads it:
+// present only in a format-3 record, framed by its length and followed by
+// the engine byte.
+func readProgram(rec CommitRecord) (string, error) {
+	src, ok := rec.Program()
+	if ok != (rec.Payload[0] == formatEdit) {
+		return "", fmt.Errorf("format %d record reports a program: %v", rec.Payload[0], ok)
+	}
+	if ok && (int(binary.BigEndian.Uint32(rec.Payload[rec.program-4:])) != len(src) || rec.program+len(src) != rec.deltas-1) {
+		return "", fmt.Errorf("program section %q does not fill its frame", src)
+	}
+	return src, nil
 }
 
 // readDeltas walks a record's delta section into "pred/arity: count key"
@@ -626,9 +658,41 @@ func TestCommitRecordDeltasGoldenBytes(t *testing.T) {
 	if script, _ := DecodeCommitRecord([]byte{formatScript, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, '+'}); script.HasDeltas() {
 		t.Fatal("a script record claims to carry deltas")
 	}
-	empty, err := EncodeCommitRecord(8, nil, 0, nil)
+	empty, err := EncodeCommitRecord(8, nil, nil, 0, nil)
 	if rows, rerr := readDeltas(empty); err != nil || rerr != nil || len(rows) != 0 || !empty.HasDeltas() {
 		t.Fatalf("empty commit: %+v, %v, rows %q, %v", empty, err, rows, rerr)
+	}
+	if _, ok := again.Program(); ok {
+		t.Fatal("an update's record claims to carry a program")
+	}
+}
+
+// A rule edit's record (format 3) decodes to the record it was cut as,
+// hands back its program, engine byte and deltas, and re-ships its bytes;
+// an edit that leaves no rule still carries its (empty) program.
+func TestCommitRecordEditRoundTrip(t *testing.T) {
+	rec := editRecord(t)
+	again, err := DecodeCommitRecord(rec.Payload)
+	if err != nil || !reflect.DeepEqual(again, rec) {
+		t.Fatalf("decode = %+v, %v; want %+v", again, err, rec)
+	}
+	if src, err := readProgram(again); err != nil || src != "p(X) :- q(X)." {
+		t.Fatalf("program = %q, %v", src, err)
+	}
+	rows, err := readDeltas(again)
+	if want := []string{"p/1: 1 s1:a|"}; err != nil || again.Engine() != 0x08 || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("engine %#x, deltas %q, %v; want 0x08 and %q", again.Engine(), rows, err, want)
+	}
+	if framed, _ := again.AppendTo(nil); !bytes.Equal(framed, rec.Payload) {
+		t.Fatal("a decoded edit record must re-ship the bytes it came as")
+	}
+	none := ""
+	empty, err := EncodeCommitRecord(10, nil, &none, 0x08, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, ok := empty.Program(); !ok || src != "" || empty.Payload[0] != formatEdit {
+		t.Fatalf("an edit leaving no rule: program %q, %v, format %d", src, ok, empty.Payload[0])
 	}
 }
 
@@ -651,6 +715,22 @@ func malformedDeltaPayloads(t testing.TB) map[string][]byte {
 		"arity smaller than the key":          patch(link+4, 0, 1),
 		"count 0":                             patch(link+10, 0),
 		"name longer than the record":         patch(link-2, 0xff, 0xff),
+	}
+}
+
+// malformedEditPayloads are format-3 payloads cut or damaged in their
+// program section behind a valid checksum: the program is framed by its
+// length and the engine byte still follows it, so the decoder refuses
+// each.
+func malformedEditPayloads(t testing.TB) map[string][]byte {
+	rec := editRecord(t)
+	past := append([]byte(nil), rec.Payload...)
+	binary.BigEndian.PutUint32(past[rec.program-4:], 0xffffffff)
+	return map[string][]byte{
+		"truncated program length":        rec.Payload[:rec.program-2],
+		"program length past the payload": past,
+		"truncated in the program":        rec.Payload[:rec.program+5],
+		"no engine byte":                  rec.Payload[:rec.deltas-1],
 	}
 }
 
@@ -677,6 +757,11 @@ func TestDecodeCommitRecordRefusals(t *testing.T) {
 	} {
 		if _, err := DecodeCommitRecord(payload); !errors.Is(err, errMalformedRecord) {
 			t.Errorf("%s: decode = %v, want errMalformedRecord", name, err)
+		}
+	}
+	for name, payload := range malformedEditPayloads(t) {
+		if _, err := DecodeCommitRecord(payload); !errors.Is(err, errMalformedRecord) {
+			t.Errorf("edit, %s: decode = %v, want errMalformedRecord", name, err)
 		}
 	}
 	// ... and anything that does not lead with the format byte is not

@@ -316,9 +316,11 @@ type engine interface {
 
 // ruleEditor is the engine that also maintains views across changes to
 // their definition (the paper's §7 rule insertion and deletion): DRed.
+// Install takes an edited program as it stands, for a fold of the edit.
 type ruleEditor interface {
 	AddRule(r datalog.Rule) (map[string]*relation.Relation, error)
 	RemoveRule(ri int) (map[string]*relation.Relation, error)
+	Install(prog *datalog.Program) error
 }
 
 var (
@@ -428,8 +430,12 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 	v.mSnapWait = reg.Histogram("snapshot_wait_seconds")
 	v.mSnapVersion = reg.Gauge("snapshot_version")
 	v.mSnapUnix = reg.Gauge("snapshot_published_unixnano")
+	rels := make(map[string]*relation.Versioned)
+	for _, pred := range v.eng.DB().Preds() {
+		rels[pred] = relation.NewVersioned(v.eng.DB().Get(pred).Clone())
+	}
 	v.wmu.Lock()
-	v.publishVersionLocked(v.engineRelsLocked(), 1)
+	v.installLocked(v.versionLocked(rels, 1))
 	v.wmu.Unlock()
 	return v, nil
 }
@@ -481,6 +487,9 @@ type applyReq struct {
 	// rec, instead of u, is a commit record to fold (ApplyCommitRecord):
 	// its deltas are merged as they stand and its keys seed the window.
 	rec *CommitRecord
+	// edit, instead of u, is a rule edit (AddRule, RemoveRule): the
+	// engine's rule editor maintains it and its record carries the program.
+	edit func(ruleEditor) (map[string]*relation.Relation, error)
 	// keys are the idempotency keys this request carries: one for a
 	// keyed client apply, several only when a format-1 WAL record merged
 	// from several applies is replayed.
@@ -506,12 +515,10 @@ type applyGroup struct {
 	// record is the one it was handed. The WAL logs it and replication
 	// ships it, so the durable order and the published order agree.
 	rec CommitRecord
-	// rels is the relation map as of this group's maintenance pass — the
-	// exact state its version publishes.
-	rels map[string]*relation.Versioned
-	// reset marks a rule edit: logged as a checkpoint, reported as a
-	// CommitEvent.Reset.
-	reset   bool
+	// ver is the version the group publishes: the relation map, program
+	// and engine statistics as of its maintenance pass — a later group of
+	// the batch may edit the program.
+	ver     *version
 	pubUnix int64
 	wait    func() error
 	err     error
@@ -604,8 +611,7 @@ func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
 // processBatch is the maintainer: it runs on the scheduler leader's
 // goroutine, one batch at a time, and drives it through the commit
 // pipeline (DESIGN.md §17): dedupe → admit → maintain → log → publish →
-// notify → release. A rule edit runs the same admit … notify stages
-// (editRules).
+// notify → release — updates, records to fold and rule edits alike.
 func (v *Views) processBatch(batch []*applyReq) {
 	v.wmu.Lock()
 	fresh, leaders, followers := v.dedupeLocked(batch)
@@ -659,7 +665,7 @@ func (v *Views) dedupeLocked(batch []*applyReq) (fresh []*applyReq, leaders map[
 // group on their ⊎-merged net update when they merge and the merge
 // validates, otherwise one group per request in arrival order. Each
 // maintained group leaves with its change set, its commit record cut and
-// the relation map its version will publish.
+// the version it will publish.
 func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGroup {
 	v.mBatches.Inc()
 	v.mBatchUpdates.Add(int64(len(admitted)))
@@ -677,7 +683,7 @@ func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGrou
 			merged.Merge(r.u)
 		}
 		if g := v.maintainGroupLocked(admitted, merged, next, base+1, cut); g.cs != nil {
-			g.rels = next
+			g.ver = v.versionLocked(next, g.rec.Version)
 			return []*applyGroup{g}
 		}
 		// The merged net update did not validate as a whole; fall back to
@@ -695,11 +701,9 @@ func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGrou
 // gapless sequence is what recovery and replication backfill align on) —
 // and then the stage waits for the records to group-commit, so a published
 // version never shows state the log has not made durable. A rule edit's
-// record is a checkpoint: a WAL of deltas cannot express a program change,
-// so the epoch is advanced instead, stamped with the version about to
-// publish so a recovery resumes the counter where readers of the edit saw
-// it. A failure marks its group and does not stop the pipeline: the engine
-// state already advanced and later groups build on it.
+// record is one more record: it carries the program it leaves. A failure
+// marks its group and does not stop the pipeline: the engine state
+// already advanced and later groups build on it.
 func (v *Views) logLocked(groups []*applyGroup) {
 	if v.store == nil {
 		return
@@ -708,17 +712,12 @@ func (v *Views) logLocked(groups []*applyGroup) {
 		return fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
 	}
 	for _, g := range groups {
-		switch {
-		case g.err != nil: // not maintained, or its record could not be cut
-		case g.reset:
-			if err := v.checkpointLocked(g.rec.Version); err != nil {
-				g.err = fmt.Errorf("ivm: rule change applied in memory but checkpoint failed: %w", err)
-			}
-		default:
-			var err error
-			if g.wait, err = v.store.AppendRecordAsync(g.rec); err != nil {
-				g.err = notLogged(err)
-			}
+		if g.err != nil { // not maintained, or its record could not be cut
+			continue
+		}
+		var err error
+		if g.wait, err = v.store.AppendRecordAsync(g.rec); err != nil {
+			g.err = notLogged(err)
 		}
 	}
 	for _, g := range groups {
@@ -746,7 +745,7 @@ func (v *Views) publishLocked(groups []*applyGroup) {
 		if g.cs == nil {
 			continue
 		}
-		g.pubUnix = v.publishVersionLocked(g.rels, g.rec.Version).published
+		g.pubUnix = v.installLocked(g.ver).published
 		if g.err == nil {
 			for _, k := range g.rec.Keys {
 				v.idem.record(k, g.rec.Version)
@@ -762,9 +761,7 @@ func (v *Views) publishLocked(groups []*applyGroup) {
 // handler never extends a rule edit, Sync, or Close stall; readers are
 // lock-free and were never stalled in the first place) — but before the
 // batch's requests complete, so each Apply still returns only after the
-// handlers for its batch have run. A rule edit's commit event is a reset
-// marker: its effects are not a delta, so replication subscribers
-// resynchronize from a full state snapshot.
+// handlers for its batch have run.
 func (v *Views) notifyGroups(groups []*applyGroup, recHandlers []func(ev CommitEvent)) {
 	for _, g := range groups {
 		if g.err != nil {
@@ -772,7 +769,7 @@ func (v *Views) notifyGroups(groups []*applyGroup, recHandlers []func(ev CommitE
 		}
 		v.notify(g.cs)
 		for _, fn := range recHandlers {
-			fn(CommitEvent{CommitRecord: g.rec, UnixNano: g.pubUnix, Reset: g.reset})
+			fn(CommitEvent{CommitRecord: g.rec, UnixNano: g.pubUnix})
 		}
 	}
 }
@@ -831,8 +828,8 @@ func (v *Views) admitLocked(u *Update) error {
 func mergeable(reqs []*applyReq) bool {
 	arity := make(map[string]int)
 	for _, r := range reqs {
-		if r.rec != nil {
-			return false // a record folds alone, at its own version
+		if r.u == nil {
+			return false // a record or a rule edit commits alone, at its own version
 		}
 		for pred, rel := range r.u.per {
 			a := rel.Arity()
@@ -868,23 +865,37 @@ func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relat
 			// Snapshot the relation map as of this group so its version
 			// publishes exactly this group's state; later groups keep
 			// evolving next.
-			g.rels = maps.Clone(next)
+			g.ver = v.versionLocked(maps.Clone(next), ver)
 		}
 		groups = append(groups, g)
 	}
 	return groups
 }
 
-// maintainGroupLocked runs one maintenance pass for u on behalf of reqs
-// and, when it succeeds, cuts the group's commit record at version — the
-// one place a record is cut, whether the group is a whole coalesced batch
-// or a single request. A failed pass returns a group with no change set
-// (g.cs == nil) and the engine's error; the caller owns g.rels.
+// maintainGroupLocked runs one engine pass for reqs — u's, or the rule
+// edit of its one request — pushes the committed deltas onto next and cuts
+// the group's commit record at version: the one place a record is cut (a
+// rule edit's also carries the program it leaves). A failed pass leaves
+// engine and next as they were and returns a group with no change set
+// (g.cs == nil) and the engine's error; the caller owns g.ver.
 func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string]*relation.Versioned, version uint64, cut bool) *applyGroup {
 	g := &applyGroup{reqs: reqs}
-	if g.cs, g.err = v.maintainLocked(u, next); g.err != nil {
+	var per map[string]*relation.Relation
+	var program *string
+	if edit := reqs[0].edit; edit == nil {
+		per, g.err = v.eng.Apply(u.deltas())
+	} else if per, g.err = edit(v.eng.(ruleEditor)); g.err == nil {
+		// Regenerated from the edited rules, the text the record, Save and
+		// checkpoints carry is the views as they now are (fact clauses
+		// dropped lose nothing: base facts live in the database).
+		v.programSrc = v.eng.Program().String()
+		program = &v.programSrc
+	}
+	if g.err != nil {
 		return g
 	}
+	v.pushDeltasLocked(next, v.eng.CommittedDeltas())
+	g.cs = v.changeSetLocked(per)
 	g.cs.version = version
 	g.rec.Version = version
 	// A coalesced batch is one record, so it carries every caller's
@@ -897,24 +908,11 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 		}
 	}
 	if cut {
-		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, v.engineByte(), v.eng.CommittedDeltas()); g.err != nil {
+		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, program, v.engineByte(), v.eng.CommittedDeltas()); g.err != nil {
 			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
 		}
 	}
 	return g
-}
-
-// maintainLocked runs one engine maintenance pass for u and folds the
-// exact committed deltas onto the in-progress version map. On error the
-// engine state is unchanged (engines validate before committing) and
-// next is untouched.
-func (v *Views) maintainLocked(u *Update, next map[string]*relation.Versioned) (*ChangeSet, error) {
-	per, err := v.eng.Apply(u.deltas())
-	if err != nil {
-		return nil, err
-	}
-	v.pushDeltasLocked(next, v.eng.CommittedDeltas())
-	return v.changeSetLocked(per), nil
 }
 
 // changeSetLocked wraps the visible deltas an engine operation returned,
@@ -988,14 +986,11 @@ func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 type CommitRecord = storage.CommitRecord
 
 // CommitEvent is one published version as OnCommitRecord reports it: the
-// commit's record plus when it was published. Reset marks a commit whose
-// effects a delta script cannot express (a rule edit — only Version is
-// set): subscribers must resynchronize from a full state snapshot
-// instead of applying deltas across it.
+// commit's record plus when it was published. A rule edit's record carries
+// the program it leaves (CommitRecord.Program), so every commit folds.
 type CommitEvent struct {
 	CommitRecord
 	UnixNano int64
-	Reset    bool
 }
 
 // OnCommitRecord subscribes fn to the commit-ordered record stream:

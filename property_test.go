@@ -366,7 +366,11 @@ func TestPropertyCountsAreTrueDerivationCounts(t *testing.T) {
 // TestPropertyRuleChangesAgreeWithRematerialize: after a random sequence
 // of AddRule/RemoveRule operations interleaved with data changes, the
 // DRed-maintained views equal a fresh materialization of the final
-// program over the final base (the Section 7 rule-maintenance claim).
+// program over the final base (the Section 7 rule-maintenance claim). It
+// also checks the fold law across edits: every commit's record, rule
+// edits included, folded into a second Views built from the initial
+// ReplicaState lands on the primary's rows, program, version and change
+// set after each operation — a predicate an edit stops deriving too.
 func TestPropertyRuleChangesAgreeWithRematerialize(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -380,42 +384,69 @@ func TestPropertyRuleChangesAgreeWithRematerialize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		folded, err := ivm.ViewsFromReplicaState(v.Snapshot().ReplicaState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []ivm.CommitEvent
+		v.OnCommitRecord(func(ev ivm.CommitEvent) { events = append(events, ev) })
+		preds := []string{"link", "hyper", "bridge", "tc", "hub"}
+		fold := func(what string, want *ivm.ChangeSet) {
+			t.Helper()
+			if len(events) != 1 || events[0].Version != want.Version() {
+				t.Fatalf("seed %d: %s: commit events %+v, want one at version %d", seed, what, events, want.Version())
+			}
+			got, err := folded.ApplyCommitRecord(events[0].CommitRecord)
+			if err != nil {
+				t.Fatalf("seed %d: %s: fold: %v", seed, what, err)
+			}
+			events = events[:0]
+			what = fmt.Sprintf("seed %d: %s: folded vs primary", seed, what)
+			requireSameChanges(t, what, want, got)
+			requireSameRows(t, what, preds, v, folded, true)
+			if folded.ProgramSource() != v.ProgramSource() {
+				t.Fatalf("%s: program\n%s\nwant\n%s", what, folded.ProgramSource(), v.ProgramSource())
+			}
+		}
+		do := func(what string, cs *ivm.ChangeSet, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, what, err)
+			}
+			fold(what, cs)
+		}
 		extraRules := []string{
 			`tc(X,Y) :- hyper(X,Y).`,
 			`tc(X,Y) :- bridge(X,Z), bridge(Z,Y).`,
+			`hub(X) :- tc(X,Y), hyper(Y,X).`,
 		}
 		added := []int{} // rule indexes of added extras, in v.Program order
-		for round := 0; round < 6; round++ {
+		for round := 0; round < 8; round++ {
 			switch rng.Intn(3) {
 			case 0: // data change
 				d := buildDelta(rng, v, false)
 				if !d.Empty() {
-					if _, err := v.Apply(d); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
+					cs, err := v.Apply(d)
+					do("apply", cs, err)
 				}
 				// Feed the auxiliary base relations occasionally.
 				if rng.Intn(2) == 0 {
-					u := ivm.NewUpdate().Insert("hyper", nodeName(rng.Intn(7)), nodeName(rng.Intn(7)))
-					if _, err := v.Apply(u); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
+					cs, err := v.Apply(ivm.NewUpdate().Insert("hyper", nodeName(rng.Intn(7)), nodeName(rng.Intn(7))))
+					do("apply", cs, err)
 				}
 			case 1: // add a rule (if not all added)
 				if len(added) < len(extraRules) {
 					idx := len(v.Program().Rules)
-					if _, err := v.AddRule(extraRules[len(added)]); err != nil {
-						t.Fatalf("seed %d addrule: %v", seed, err)
-					}
+					cs, err := v.AddRule(extraRules[len(added)])
+					do("addrule", cs, err)
 					added = append(added, idx)
 				}
 			case 2: // remove the most recently added rule
 				if len(added) > 0 {
 					ri := added[len(added)-1]
 					added = added[:len(added)-1]
-					if _, err := v.RemoveRule(ri); err != nil {
-						t.Fatalf("seed %d rmrule: %v", seed, err)
-					}
+					cs, err := v.RemoveRule(ri)
+					do("rmrule", cs, err)
 				}
 			}
 		}

@@ -108,8 +108,8 @@ func TestOnCommitRecordStream(t *testing.T) {
 		if rec.Version != base+uint64(i)+1 {
 			t.Fatalf("record %d version = %d, want %d", i, rec.Version, base+uint64(i)+1)
 		}
-		if rec.Reset {
-			t.Fatalf("record %d unexpectedly marked reset", i)
+		if _, edit := rec.Program(); edit {
+			t.Fatalf("record %d of an apply carries a program", i)
 		}
 		if rec.UnixNano == 0 {
 			t.Fatalf("record %d has no timestamp", i)
@@ -231,9 +231,11 @@ func assertViewsIdentical(t *testing.T, want, got *Snapshot) {
 	}
 }
 
-// Rule edits checkpoint with the about-to-publish version and announce
-// a reset commit record.
-func TestRuleEditVersionAndReset(t *testing.T) {
+// A rule edit ships as a record: one commit event at the edit's version,
+// whose payload is a format-3 record carrying the program the edit left
+// and its Δ, and which the WAL tail returns byte for byte — so a follower
+// backfilled from the log folds it like any other commit.
+func TestRuleEditShipsAsARecord(t *testing.T) {
 	dir := t.TempDir()
 	v, _, err := OpenStore(dir, func() (*Views, error) {
 		d := NewDatabase()
@@ -246,18 +248,26 @@ func TestRuleEditVersionAndReset(t *testing.T) {
 	}
 	defer v.Shutdown()
 
-	var resets []CommitEvent
-	v.OnCommitRecord(func(ev CommitEvent) {
-		if ev.Reset {
-			resets = append(resets, ev)
-		}
-	})
+	var events []CommitEvent
+	v.OnCommitRecord(func(ev CommitEvent) { events = append(events, ev) })
+	base := v.Snapshot().Version()
 	cs, err := v.AddRule("sym(X,Y) :- link(Y,X).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resets) != 1 || resets[0].Version != cs.Version() {
-		t.Fatalf("reset records = %+v, want one at version %d", resets, cs.Version())
+	if len(events) != 1 || events[0].Version != cs.Version() || cs.Version() != base+1 {
+		t.Fatalf("commit events = %+v, want one at version %d", events, base+1)
+	}
+	ev := events[0]
+	if src, edit := ev.Program(); !edit || ev.Payload[0] != 3 || src != v.ProgramSource() {
+		t.Fatalf("the edit's record: format %d, program %q (edit %v); want format 3 carrying %q", ev.Payload[0], src, edit, v.ProgramSource())
+	}
+	if !ev.HasDeltas() || !bytes.Contains(ev.Payload, []byte("sym")) {
+		t.Fatalf("the edit's record does not carry its Δ: %x", ev.Payload)
+	}
+	tail, ok, err := v.CommittedRecordsAfter(base)
+	if err != nil || !ok || len(tail) != 1 || !bytes.Equal(tail[0].Payload, ev.Payload) {
+		t.Fatalf("WAL tail = %+v, ok=%v err=%v; want the shipped record, byte for byte", tail, ok, err)
 	}
 	want := v.Snapshot().Version()
 	if err := v.Close(); err != nil {
@@ -268,8 +278,8 @@ func TestRuleEditVersionAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Shutdown()
-	if got := v2.Snapshot().Version(); got != want {
-		t.Fatalf("version after rule-edit checkpoint recovery = %d, want %d", got, want)
+	if got := v2.Snapshot().Version(); got != want || v2.ProgramSource() != v.ProgramSource() {
+		t.Fatalf("after replaying the edit: version %d, program %q; want %d, %q", got, v2.ProgramSource(), want, v.ProgramSource())
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 	"io"
 	"time"
 
+	"ivm/internal/parser"
 	"ivm/internal/relation"
 )
 
-// foldGroupLocked replays a format-2 commit record as a group of its own:
+// foldGroupLocked replays a delta-carrying record as a group of its own:
 // fold it (foldRecordLocked), push its deltas onto the version map, and
 // hand the record on as it was received — to the log stage, to
 // commit-record subscribers — with the change set the primary's
@@ -42,13 +43,28 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 // the commit's visible change set, which the record does not carry: per
 // derived, non-hidden predicate the delta itself, or under set semantics
 // (where only the recompute baseline reports count moves) the rows whose
-// presence flips.
+// presence flips. A rule edit's record installs the program it carries,
+// under which its change set is read — a predicate the edit stops deriving
+// is reported as the primary reported it — and then folds its Δ.
 func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relation, *ChangeSet, error) {
 	if by := rec.Engine(); by != v.engineByte() {
 		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.engineByte())}
 	}
 	start := time.Now()
-	db, derived := v.eng.DB(), v.eng.Program().DerivedPreds()
+	db, prog := v.eng.DB(), v.eng.Program()
+	src, edit := rec.Program()
+	ed, _ := v.eng.(ruleEditor)
+	if edit {
+		res, err := parser.Parse(src)
+		if err == nil && ed == nil {
+			err = fmt.Errorf("the %v strategy does not edit rules", v.strategy)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("ivm: commit record %d: rule edit: %w", rec.Version, err)
+		}
+		prog = res.Program
+	}
+	derived := prog.DerivedPreds()
 	flips := v.strategy != Recompute && v.cfg.semantics == SetSemantics
 	deltas := make(map[string]*relation.Relation)
 	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
@@ -106,6 +122,12 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relatio
 		if visible != nil && !visible.Empty() {
 			cs.perPred[pred] = visible
 		}
+	}
+	if edit {
+		if err := ed.Install(prog); err != nil {
+			return nil, nil, fmt.Errorf("ivm: commit record %d: rule edit: %w", rec.Version, err)
+		}
+		v.programSrc = src
 	}
 	v.eng.Fold(deltas)
 	v.mReplayRows.Add(int64(rows))
@@ -166,9 +188,10 @@ func engineString(b byte) string {
 // x ⊎ Δ₁ ⊎ … ⊎ Δₙ — so it costs O(|Δ|): vetted against stored content,
 // merged into the engine's relations and the version chain, published,
 // reported to subscribers as the primary reported it, and logged and
-// re-shipped by this node as the bytes it arrived as. The views must sit
-// at rec.Version-1, run the strategy and semantics the record was cut
-// under, and hold every row it takes away, or a *DivergenceError is
+// re-shipped by this node as the bytes it arrived as (a rule edit's record
+// installs its program first). The views must sit at rec.Version-1, run
+// the strategy and semantics the record was cut under, and hold every
+// row it takes away, or a *DivergenceError is
 // returned with nothing applied. A script record (format 1) is re-derived
 // by ApplyScriptReplicated instead. Either way the record's keys re-seed
 // the idempotency window, so a client retrying across a crash or a

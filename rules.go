@@ -8,13 +8,12 @@ import (
 )
 
 // AddRule extends the view definition (DRed strategy only; Section 7's
-// rule insertion maintenance). Rule edits serialize with Apply batches
-// under the write lock and publish a fresh version before returning.
-// Store-bound views checkpoint the edit as a new epoch; as with Apply, an
-// edit that was maintained but could not be made durable is still
-// published and reported as an error (Sync, or treat the store as lost),
-// and one refused up front — after Close the error wraps ErrStoreClosed —
-// changes nothing.
+// rule insertion maintenance). A rule edit is a commit like an Apply: it
+// publishes a version before returning, and its commit record carries the
+// edited program and the edit's Δ, which the WAL logs and followers fold.
+// As with Apply, an edit maintained but not made durable is published and
+// reported as an error, and one refused up front (after Close the error
+// wraps ErrStoreClosed) changes nothing.
 func (v *Views) AddRule(ruleSrc string) (*ChangeSet, error) {
 	prog, err := parser.ParseRules(ruleSrc)
 	if err != nil {
@@ -36,41 +35,13 @@ func (v *Views) RemoveRule(ri int) (*ChangeSet, error) {
 	})
 }
 
-// editRules runs one rule edit through the commit pipeline's admit …
-// notify stages (processBatch), as a group of its own: admitted against
-// the store before the engine is touched, maintained by the engine's rule
-// editor, logged as a checkpoint, published with the version map rebuilt
-// in full, and reported to commit-record subscribers as a reset.
+// editRules submits a rule edit to the commit pipeline (processBatch): a
+// request never merged with another, maintained by the engine's rule
+// editor, and otherwise admitted, logged, published and notified as any.
 func (v *Views) editRules(op string, edit func(ruleEditor) (map[string]*relation.Relation, error)) (*ChangeSet, error) {
-	ed, ok := v.eng.(ruleEditor)
-	if !ok {
+	if _, ok := v.eng.(ruleEditor); !ok {
 		return nil, fmt.Errorf("ivm: %s requires the DRed strategy (have %v)", op, v.strategy)
 	}
-	v.wmu.Lock()
-	err := v.admitLocked(nil)
-	var per map[string]*relation.Relation
-	if err == nil {
-		per, err = edit(ed)
-	}
-	if err != nil {
-		v.wmu.Unlock()
-		return nil, err
-	}
-	// The program text is regenerated from the edited rule set so Save and
-	// checkpoints persist the views as they now are (base facts already
-	// live in the database, so dropping fact clauses from the text loses
-	// nothing).
-	v.programSrc = v.eng.Program().String()
-	g := &applyGroup{cs: v.changeSetLocked(per), rels: v.engineRelsLocked(), reset: true}
-	g.rec.Version = v.cur.Load().id + 1
-	g.cs.version = g.rec.Version
-	groups := []*applyGroup{g}
-	v.logLocked(groups)
-	v.publishLocked(groups)
-	v.wmu.Unlock()
-	v.notifyGroups(groups, v.recordHandlers())
-	if g.err != nil {
-		return nil, g.err
-	}
-	return g.cs, nil
+	cs, _, err := v.submit(&applyReq{edit: edit})
+	return cs, err
 }

@@ -4,7 +4,8 @@
 # the docs/ pages the README points at must exist, and every relative
 # markdown link in README.md and docs/*.md must resolve to a real file;
 # and README.md, DESIGN.md and docs/*.md may name only `ivmd -flag` /
-# `ivmbench -flag` flags the command's main.go defines, `make <target>`
+# `ivmbench -flag` flags the command's main.go defines, backticked
+# `-flag`s some cmd/*/main.go defines (or `go test`'s), `make <target>`
 # targets the Makefile has, and `With…(`/`Without…(` options, `IVM_…`
 # variables and backticked `…_total`/`…_seconds` series that non-test Go
 # still defines, reads or registers.
@@ -70,7 +71,17 @@ for cmd in ivmd ivmbench; do
         done
     done
 done
+# A backticked `-flag` on its own is a flag too: some cmd/*/main.go must
+# define it, unless it is one of the go toolchain's that the docs cite.
+defined="$(cat cmd/*/main.go | grep -o 'flag\.[A-Za-z0-9]*("[^"]*"' | sed 's/.*("//; s/"$//')"
 for f in README.md DESIGN.md docs/*.md; do
+    for flag in $(grep -oE '`-[a-z][a-z0-9-]*`' "$f" | tr -d '`' | sed 's/^-//' | sort -u); do
+        case "$flag" in race | coverprofile) continue ;; esac
+        if ! echo "$defined" | grep -qx -- "$flag"; then
+            echo "$f: names \`-$flag\`, which no cmd/*/main.go defines" >&2
+            FAILED=1
+        fi
+    done
     for target in $(grep -oE '(^|`|: )make +[a-z][a-z0-9-]*' "$f" | sed 's/.*make  *//' | sort -u); do
         if ! grep -q "^$target:" Makefile; then
             echo "$f: names make $target, which the Makefile does not have" >&2

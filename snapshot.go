@@ -229,20 +229,20 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 	return out, nil
 }
 
-// publishVersionLocked atomically publishes rels under an explicit
-// version id (wmu held). Every successful maintenance batch publishes —
-// even one with no visible changes — so the version-carried statistics
-// stay current. The maintainer assigns ids before the WAL group-commit
-// wait so the durable record and the published version carry the same
-// number; ids must advance in publish order.
-func (v *Views) publishVersionLocked(rels map[string]*relation.Versioned, id uint64) *version {
-	return v.installLocked(&version{
+// versionLocked is the version rels make under id with the engine's
+// program and statistics as they stand (wmu held). Every successful
+// maintenance group publishes one — even one with no visible changes — so
+// the version-carried statistics stay current. The maintainer assigns ids
+// before the WAL group-commit wait so the durable record and the published
+// version carry the same number; ids must advance in publish order.
+func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *version {
+	return &version{
 		id:         id,
 		rels:       rels,
 		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
 		stats:      v.eng.Stats(),
-	})
+	}
 }
 
 // SeedVersion republishes the current state unchanged under version id
@@ -314,17 +314,4 @@ func (v *Views) WaitForVersion(min uint64, timeout time.Duration) bool {
 			return v.cur.Load().id >= min
 		}
 	}
-}
-
-// engineRelsLocked rebuilds the whole version map from the engine's
-// storage (full clone). Used at materialization and after rule edits,
-// where there is no predecessor map to push a commit's deltas onto: a rule
-// edit changes the program and possibly the derived-predicate set.
-func (v *Views) engineRelsLocked() map[string]*relation.Versioned {
-	db := v.eng.DB()
-	rels := make(map[string]*relation.Versioned)
-	for _, pred := range db.Preds() {
-		rels[pred] = relation.NewVersioned(db.Get(pred).Clone())
-	}
-	return rels
 }

@@ -43,8 +43,9 @@ func (ri RecoveryInfo) String() string {
 // onto it (ApplyCommitRecord). When the store is empty, init is called to
 // build the initial views (e.g. from program and fact files) and the
 // result is immediately checkpointed. The returned views are store-bound:
-// every Apply is durably WAL-logged before it returns, rule edits
-// checkpoint a new epoch, and Sync checkpoints on demand. Options apply to
+// every Apply and rule edit is durably WAL-logged before it returns — an
+// edit's record carries the program it leaves, so replay installs it and
+// folds the edit's Δ — and Sync checkpoints on demand. Options apply to
 // the rematerialization of a recovered program (and WithGroupCommit to the
 // WAL); init builds its views with whatever options it chooses. A snapshot
 // opens under any strategy and semantics, but a WAL record folds only

@@ -290,7 +290,7 @@ func TestOpenStoreFloatDeltaIdentitySurvivesWAL(t *testing.T) {
 	}
 }
 
-func TestOpenStoreRuleEditCheckpoints(t *testing.T) {
+func TestOpenStoreRuleEditReplaysFromWAL(t *testing.T) {
 	dir := t.TempDir()
 	v, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
 		db := ivm.NewDatabase()
@@ -316,11 +316,12 @@ func TestOpenStoreRuleEditCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	// The rule edit checkpointed (epoch 2); only the later delta replays.
-	if info.Epoch != 2 || info.Replayed != 1 {
+	// The rule edit is a WAL record like the apply after it: the epoch
+	// stays where OpenStore's initial checkpoint put it and both replay.
+	if info.Epoch != 1 || info.Replayed != 2 {
 		t.Fatalf("info: %+v", info)
 	}
-	if len(v2.Program().Rules) != 3 {
+	if len(v2.Program().Rules) != 3 || v2.ProgramSource() != v.ProgramSource() {
 		t.Fatalf("rules: %v", v2.Program().Rules)
 	}
 	for _, want := range [][2]string{{"a", "c"}, {"c", "d"}, {"d", "e"}} {
@@ -329,25 +330,24 @@ func TestOpenStoreRuleEditCheckpoints(t *testing.T) {
 		}
 	}
 
-	// A rule edit whose checkpoint fails was still maintained: like an
-	// Apply whose fsync fails it publishes — readers and the engine must
-	// not part — and reports the durability error; subscribers hear
+	// A rule edit whose record cannot be logged was still maintained: like
+	// an Apply whose WAL write fails it publishes — readers and the engine
+	// must not part — and reports the durability error; subscribers hear
 	// nothing of it.
-	resets := 0
-	v2.OnCommitRecord(func(ev ivm.CommitEvent) {
-		if ev.Reset {
-			resets++
-		}
-	})
+	events := 0
+	v2.OnCommitRecord(func(ivm.CommitEvent) { events++ })
 	before := v2.Snapshot().Version()
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2.AddRule(`reach(X,Y) :- link(Y,X).`); err == nil || errors.Is(err, ivm.ErrStoreClosed) {
-		t.Fatalf("AddRule over a vanished store directory: %v, want a checkpoint error", err)
+	restore := walWritesFail(t, dir)
+	_, err = v2.AddRule(`reach(X,Y) :- link(Y,X).`)
+	restore()
+	if err == nil || errors.Is(err, ivm.ErrStoreClosed) || !strings.Contains(err.Error(), "not durably logged") {
+		t.Fatalf("AddRule over a failing WAL: %v, want a durability error", err)
 	}
-	if got := v2.Snapshot().Version(); got != before+1 || resets != 0 {
-		t.Fatalf("failed-checkpoint edit: version %d (was %d), %d reset events; want it published and unannounced", got, before, resets)
+	if got := v2.Snapshot().Version(); got != before+1 || events != 0 || ivm.EngineRules(v2) != 4 {
+		t.Fatalf("unlogged edit: version %d (was %d), %d commit events, %d engine rules; want it published and unannounced", got, before, events, ivm.EngineRules(v2))
 	}
 	if _, err := v2.ApplyScript(`+link(c,d).`); err != nil {
 		t.Fatal(err)

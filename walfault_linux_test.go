@@ -1,0 +1,52 @@
+//go:build linux
+
+package ivm_test
+
+import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+)
+
+// walWritesFail makes every write to the WAL of the store in dir fail as
+// on a full disk — the open file's descriptor is pointed at /dev/full —
+// until the returned func puts the file back. The directory may already
+// be removed: the store keeps its WAL open.
+func walWritesFail(t *testing.T, dir string) (restore func()) {
+	t.Helper()
+	wal := filepath.Join(dir, "wal.log")
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	for _, e := range fds {
+		target, err := os.Readlink("/proc/self/fd/" + e.Name())
+		if err != nil || strings.TrimSuffix(target, " (deleted)") != wal {
+			continue
+		}
+		fd, _ := strconv.Atoi(e.Name())
+		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+		if err != nil {
+			t.Skipf("no /dev/full: %v", err)
+		}
+		defer full.Close()
+		saved, err := syscall.Dup(fd)
+		if err == nil {
+			err = syscall.Dup3(int(full.Fd()), fd, syscall.O_CLOEXEC)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if err := syscall.Dup3(saved, fd, syscall.O_CLOEXEC); err != nil {
+				t.Fatal(err)
+			}
+			syscall.Close(saved)
+		}
+	}
+	t.Fatalf("no open descriptor on %s", wal)
+	return nil
+}
