@@ -30,6 +30,26 @@ func TestAutoStrategySelection(t *testing.T) {
 	}
 }
 
+// A fact whose arity clashes with its relation's — within one input or
+// with a relation loaded before — is an error that names the predicate,
+// the fact and both arities, and nothing of that input is inserted.
+func TestLoadRejectsArityClash(t *testing.T) {
+	for _, tt := range []struct{ before, src, want string }{
+		{"", `link(a,b). link(x,y). link(a,b,c).`, "fact link(a, b, c) has arity 3, but link has arity 2"},
+		{`link(a,b).`, `hop(a,b). link(c).`, "fact link(c) has arity 1, but link has arity 2"},
+	} {
+		db := ivm.NewDatabase()
+		db.MustLoad(tt.before)
+		err := db.Load(tt.src)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Fatalf("Load(%q) after %q: err = %v, want one that says %q", tt.src, tt.before, err, tt.want)
+		}
+		if n := len(db.Rows("link")); n != len(strings.Fields(tt.before)) || db.Rows("hop") != nil {
+			t.Fatalf("Load(%q) after %q inserted facts: link %v, hop %v", tt.src, tt.before, db.Rows("link"), db.Rows("hop"))
+		}
+	}
+}
+
 func TestStrategyStrings(t *testing.T) {
 	for s, want := range map[ivm.Strategy]string{
 		ivm.Auto: "auto", ivm.Counting: "counting", ivm.DRed: "dred",

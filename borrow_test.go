@@ -18,8 +18,8 @@ import (
 // after the next operation on v and fails the test unless every row of
 // the engine's committed deltas whose tuple was stored before is that
 // stored tuple, pointer for pointer. It returns how many committed rows
-// were not stored before (fresh), and how many tuples rule evaluation
-// built during the operation.
+// were not stored before (fresh), and how many tuples rule evaluation and
+// GROUPBY tables' ΔT built during the operation.
 func watchBorrowing(v *ivm.Views) func(t *testing.T, what string) (fresh, built int64) {
 	storedBefore := make(map[string]map[string]*ivm.Value)
 	for pred := range v.Program().DerivedPreds() {
@@ -97,6 +97,51 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 		}
 		if inserted == 0 {
 			t.Fatal("the stream inserted nothing")
+		}
+	})
+
+	// A head over a GROUPBY subgoal is T's row (Algorithm 6.1): after
+	// Materialize and after every apply, each stored deg / min_cost_hop
+	// row is T's tuple, pointer for pointer, so a new one was borrowed from
+	// ΔT, which built it once.
+	t.Run("groupby", func(t *testing.T) {
+		for _, ex := range []struct {
+			head, facts, program string
+			opts                 []ivm.Option
+			scripts              []string
+		}{
+			{"deg", example11Links, "hop(X,Y) :- link(X,Z), link(Z,Y).\ndeg(X,C) :- groupby(hop(X,Y), [X], C = count(Y)).",
+				nil, []string{`+link(b,f).`, `-link(a,b).`, `+link(a,b). +link(d,g).`, `-link(b,f). -link(d,g).`}},
+			{"min_cost_hop", `link(a,b,10). link(b,c,20). link(b,e,5). link(a,d,15). link(d,c,6).`, `
+				hop(S,D,C1+C2)    :- link(S,I,C1), link(I,D,C2).
+				min_cost_hop(S,D,M) :- groupby(hop(S,D,C), [S,D], M = min(C)).`,
+				[]ivm.Option{ivm.WithSemantics(ivm.DuplicateSemantics)},
+				[]string{`+link(a,x,6). +link(x,c,6).`, `-link(x,c,6).`, `-link(b,c,20). -link(d,c,6).`}},
+		} {
+			v := mustViews(t, ex.facts, ex.program, ex.opts...)
+			sharesT := func(what string) {
+				tr := ivm.EngineGroupRel(v, 1, 0)
+				ivm.EngineRelation(v, ex.head).Each(func(row relation.Row) {
+					if got, ok := tr.Stored([]byte(row.Key())); !ok || unsafe.SliceData(got.Tuple) != unsafe.SliceData(row.Tuple) {
+						t.Errorf("%s: stored %s%v is not T's tuple", what, ex.head, row.Tuple)
+					}
+				})
+			}
+			sharesT("after Materialize")
+			var fresh int64
+			for _, script := range ex.scripts {
+				check := watchBorrowing(v)
+				apply(t, v, script)
+				f, built := check(t, script)
+				if built < f {
+					t.Fatalf("%s: %d committed rows were not stored, and only %d heads were built", script, f, built)
+				}
+				sharesT(script)
+				fresh += f
+			}
+			if fresh == 0 {
+				t.Fatalf("%s: no apply added a row", ex.head)
+			}
 		}
 	})
 

@@ -1,13 +1,47 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ivm"
 )
+
+// TestMain runs the command itself when the test binary is started as
+// `<test binary> ivm <flags>`, so a test can see its exit status.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "ivm" {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// Facts whose arities clash make ivm exit 1 with a message that names
+// them, not die with a stack trace.
+func TestDataArityClashExitsNonZero(t *testing.T) {
+	dir := t.TempDir()
+	program, data := filepath.Join(dir, "views.dl"), filepath.Join(dir, "facts.dl")
+	if err := os.WriteFile(program, []byte("hop(X,Y) :- link(X,Z), link(Z,Y).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(data, []byte("link(a,b). link(a,b,c).\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(os.Args[0], "ivm", "-program", program, "-data", data).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ivm exited with %v, want status 1; output:\n%s", err, out)
+	}
+	if want := "ivm: load: fact link(a, b, c) has arity 3, but link has arity 2\n"; string(out) != want {
+		t.Fatalf("ivm printed\n%s\nwant\n%s", out, want)
+	}
+}
 
 func testViews(t *testing.T) *ivm.Views {
 	t.Helper()

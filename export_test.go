@@ -1,6 +1,9 @@
 package ivm
 
-import "ivm/internal/relation"
+import (
+	"ivm/internal/core/counting"
+	"ivm/internal/relation"
+)
 
 // What the engine holds, as opposed to what the views have published: the
 // external test package asserts that the two never part.
@@ -28,6 +31,17 @@ func EngineRelation(v *Views, pred string) *relation.Relation {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
 	return v.eng.DB().Get(pred)
+}
+
+// EngineGroupRel is the counting engine's committed T for rule ri's
+// aggregate literal li (nil under another engine).
+func EngineGroupRel(v *Views, ri, li int) *relation.Relation {
+	v.wmu.Lock()
+	defer v.wmu.Unlock()
+	if e, ok := v.eng.(*counting.Engine); ok {
+		return e.GroupRel(ri, li)
+	}
+	return nil
 }
 
 // EngineCommittedDeltas is what the engine's last operation merged into

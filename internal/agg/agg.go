@@ -32,8 +32,8 @@ type State interface {
 	// Result returns the aggregate value; ok is false for an empty group
 	// (an empty group contributes no tuple to the GROUPBY relation).
 	Result() (v value.Value, ok bool)
-	// Clone returns an independent copy.
-	Clone() State
+	// Set makes the receiver a copy of src, a State of the same function.
+	Set(src State)
 }
 
 // New returns a fresh State for the named function.
@@ -74,6 +74,8 @@ func (e *nonNumericError) Error() string {
 // extremum implements MIN/MAX over any totally ordered values. It tracks
 // the current extremum and how many copies of it the group holds, so
 // removals of non-extremal values and of duplicated extrema stay O(1).
+// A copy is the same value (==), not one Compare ties with (-0.0 and 0.0;
+// NaN and every float): a tie may stay in the group after best leaves it.
 type extremum struct {
 	min     bool
 	n       int64 // total multiplicity in the group
@@ -103,7 +105,7 @@ func (e *extremum) Add(v value.Value, mult int64) error {
 	if e.n == 0 || e.better(v, e.best) {
 		e.best = v
 		e.bestN = mult
-	} else if v.Compare(e.best) == 0 {
+	} else if v == e.best {
 		e.bestN += mult
 	}
 	e.n += mult
@@ -117,7 +119,7 @@ func (e *extremum) Remove(v value.Value, mult int64) (bool, error) {
 	if e.n < mult {
 		return false, fmt.Errorf("agg: %s group underflow", e.name())
 	}
-	if v.Compare(e.best) == 0 {
+	if v == e.best {
 		e.bestN -= mult
 		if e.bestN <= 0 {
 			e.n -= mult
@@ -143,10 +145,7 @@ func (e *extremum) Result() (value.Value, bool) {
 	return e.best, true
 }
 
-func (e *extremum) Clone() State {
-	c := *e
-	return &c
-}
+func (e *extremum) Set(src State) { *e = *src.(*extremum) }
 
 // sum implements SUM. Integer groups stay exact in int64; a single float
 // member switches the group to float accumulation.
@@ -199,10 +198,7 @@ func (s *sum) Result() (value.Value, bool) {
 	return value.NewInt(s.i), true
 }
 
-func (s *sum) Clone() State {
-	c := *s
-	return &c
-}
+func (s *sum) Set(src State) { *s = *src.(*sum) }
 
 // counter implements COUNT (of group members, with multiplicity).
 type counter struct {
@@ -229,10 +225,7 @@ func (c *counter) Result() (value.Value, bool) {
 	return value.NewInt(c.n), true
 }
 
-func (c *counter) Clone() State {
-	x := *c
-	return &x
-}
+func (c *counter) Set(src State) { *c = *src.(*counter) }
 
 // avg implements AVERAGE, decomposed into sum and count.
 type avg struct {
@@ -268,10 +261,7 @@ func (a *avg) Result() (value.Value, bool) {
 	return value.NewFloat(a.sum / float64(a.n)), true
 }
 
-func (a *avg) Clone() State {
-	c := *a
-	return &c
-}
+func (a *avg) Set(src State) { *a = *src.(*avg) }
 
 // variance implements the population variance, decomposed into count, sum
 // and sum of squares: Var = E[X²] − E[X]².
@@ -319,7 +309,4 @@ func (s *variance) Result() (value.Value, bool) {
 	return value.NewFloat(math.Max(v, 0)), true
 }
 
-func (s *variance) Clone() State {
-	c := *s
-	return &c
-}
+func (s *variance) Set(src State) { *s = *src.(*variance) }

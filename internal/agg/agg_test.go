@@ -90,6 +90,23 @@ func TestMinDuplicatedExtremum(t *testing.T) {
 	}
 }
 
+// A value Compare ties with the minimum is not a copy of it: -0.0 ties with
+// 0.0 and NaN with every float, yet removing the minimum leaves neither
+// one as the minimum without a rescan.
+func TestMinTieIsNotACopy(t *testing.T) {
+	for _, tie := range []value.Value{value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN())} {
+		s := mustNew(t, datalog.AggMin)
+		for _, v := range []value.Value{value.NewFloat(0), tie} {
+			if err := s.Add(v, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rescan, err := s.Remove(value.NewFloat(0), 1); err != nil || !rescan {
+			t.Fatalf("removing 0.0 beside %v: rescan=%v err=%v, want a rescan", tie, rescan, err)
+		}
+	}
+}
+
 func TestMinRemoveLastMember(t *testing.T) {
 	s := mustNew(t, datalog.AggMin)
 	addAll(t, s, 4)
@@ -223,14 +240,19 @@ func TestCloneIndependence(t *testing.T) {
 	for _, f := range []datalog.AggFunc{datalog.AggMin, datalog.AggMax, datalog.AggSum, datalog.AggCount, datalog.AggAvg, datalog.AggVariance} {
 		s := mustNew(t, f)
 		addAll(t, s, 5)
-		c := s.Clone()
+		c := mustNew(t, f)
+		addAll(t, c, 7, 9) // Set overwrites what c held
+		c.Set(s)
 		addAll(t, c, 100)
 		v1, _ := s.Result()
 		if f == datalog.AggMin && v1.Int() != 5 {
-			t.Errorf("%s: clone leaked into original", f)
+			t.Errorf("%s: copy leaked into original", f)
 		}
 		if f == datalog.AggCount && v1.Int() != 1 {
-			t.Errorf("%s: clone leaked into original", f)
+			t.Errorf("%s: copy leaked into original", f)
+		}
+		if v2, _ := c.Result(); f == datalog.AggCount && v2.Int() != 2 {
+			t.Errorf("%s: copy holds %v, want 2", f, v2)
 		}
 	}
 }

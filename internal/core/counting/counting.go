@@ -233,6 +233,15 @@ func (e *Engine) Relation(pred string) *relation.Relation { return e.db.Get(pred
 // DB exposes the engine's storage (read-only use).
 func (e *Engine) DB() *eval.DB { return e.db }
 
+// GroupRel returns the committed T of rule ri's aggregate literal li, or
+// nil without a table for it. Treat it as read-only.
+func (e *Engine) GroupRel(ri, li int) *relation.Relation {
+	if gt := e.gts[eval.RuleLit{Rule: ri, Lit: li}]; gt != nil {
+		return gt.Rel()
+	}
+	return nil
+}
+
 // old returns the reader a rule body uses for pred's pre-change state:
 // under set semantics, the set image (Section 5.1's per-stratum counts).
 func (e *Engine) old(pred string) relation.Reader {
@@ -474,10 +483,14 @@ func (e *Engine) applyRule(ri int, cascade map[string]*relation.Relation, pendin
 		dp = e.headDelta(rule, nil)
 		perPred[rule.Head.Pred] = dp
 	}
+	stored := e.db.Ensure(rule.Head.Pred, -1)
 
 	for i := range litDelta {
 		if litDelta[i] == nil {
 			continue
+		}
+		if rule.Body[i].Kind == datalog.LitAggregate {
+			dp.BorrowFrom(stored, litDelta[i]) // a head over ΔT is often ΔT's new row
 		}
 		srcs := e.deltaSources(ri, litDelta, i, cascade, pendingT)
 		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs)
@@ -485,7 +498,9 @@ func (e *Engine) applyRule(ri int, cascade map[string]*relation.Relation, pendin
 			return err
 		}
 		before := dp.Len()
-		if err := eval.EvalPlan(rule, srcs, plan, dp, e.instr); err != nil {
+		err = eval.EvalPlan(rule, srcs, plan, dp, e.instr)
+		dp.BorrowFrom(stored, nil) // dp is published with the commit, ΔT need not be
+		if err != nil {
 			return err
 		}
 		e.last.DeltaRulesEvaluated++

@@ -182,7 +182,14 @@ func (e *Evaluator) evalFlatStratum(db *DB, rules []int) error {
 		if err != nil {
 			return err
 		}
-		if err := e.evalRule(ri, -1, srcs, out); err != nil {
+		for li, lit := range rule.Body {
+			if lit.Kind == datalog.LitAggregate { // a head over T is often T's row
+				out.BorrowFrom(nil, e.GroupTables[RuleLit{ri, li}].Rel())
+			}
+		}
+		err = e.evalRule(ri, -1, srcs, out)
+		out.BorrowFrom(nil, nil)
+		if err != nil {
 			return err
 		}
 	}

@@ -23,8 +23,12 @@ type GroupTable struct {
 	groups    map[string]*groupEntry
 	rel       *relation.Relation // committed T
 	// undo holds pre-ApplyDelta snapshots of touched groups until Commit
-	// or Rollback resolves the pending delta.
-	undo map[string]undoEntry
+	// or Rollback resolves the pending delta; it is cleared, not dropped,
+	// so one map serves every apply. spare holds the old states Commit
+	// released, for the next ApplyDelta's copies; it never holds more
+	// than the most groups one ApplyDelta touched.
+	undo  map[string]undoEntry
+	spare []agg.State
 
 	// The inner atom, compiled once (slots.go): the pattern, the slots of
 	// the grouping variables and the aggregated term. match reuses slots
@@ -50,12 +54,13 @@ func (e *groupEntry) tuple(v value.Value) value.Tuple {
 }
 
 // undoEntry snapshots one group before an uncommitted ApplyDelta touched
-// it, so Rollback can restore the table if maintenance aborts.
+// it, so Rollback can restore the table if maintenance aborts. e is nil
+// for a group the ApplyDelta created; otherwise state and cur are what e
+// held, and e goes on with a copy of state.
 type undoEntry struct {
-	existed   bool
-	groupVals value.Tuple
-	state     agg.State
-	cur       value.Tuple
+	e     *groupEntry
+	state agg.State
+	cur   value.Tuple
 }
 
 // BuildGroupTable computes the GROUPBY relation for g over u.
@@ -69,6 +74,7 @@ func BuildGroupTable(g *datalog.Aggregate, u relation.Reader) (*GroupTable, erro
 		groupCols: cols,
 		groups:    make(map[string]*groupEntry),
 		rel:       relation.New(len(g.GroupBy) + 1),
+		undo:      make(map[string]undoEntry),
 	}
 	if err := t.compile(); err != nil {
 		return nil, err
@@ -180,13 +186,29 @@ func (t *GroupTable) entry(gv value.Tuple) (e *groupEntry, existed bool) {
 	if e, ok := t.groups[string(kb)]; ok {
 		return e, true
 	}
+	e = &groupEntry{key: string(kb), groupVals: gv.Clone(), state: t.newState()}
+	t.groups[e.key] = e
+	return e, false
+}
+
+func (t *GroupTable) newState() agg.State {
 	st, err := agg.New(t.g.Func)
 	if err != nil {
 		panic(err) // function validated at program validation time
 	}
-	e = &groupEntry{key: string(kb), groupVals: gv.Clone(), state: st}
-	t.groups[e.key] = e
-	return e, false
+	return st
+}
+
+// copyOf returns a copy of st in a spare state, or a new one if none is left.
+func (t *GroupTable) copyOf(st agg.State) agg.State {
+	var c agg.State
+	if n := len(t.spare); n > 0 {
+		c, t.spare = t.spare[n-1], t.spare[:n-1]
+	} else {
+		c = t.newState()
+	}
+	c.Set(st)
+	return c
 }
 
 func (t *GroupTable) dropEmpty() {
@@ -211,12 +233,13 @@ func (t *GroupTable) dropEmpty() {
 // has rolled the table back itself. Either way undo is empty on entry,
 // so its keys are the groups this call touched.
 //
+// A changed group builds one row, its new tuple and key: its retraction
+// is T's stored row. The new tuple counts in in.HeadsBuilt, since the head
+// of the rule over T borrows it instead of building its own.
+//
 // Group values and aggregates compare by key identity (==), as the
 // relations holding them do: -0.0 is not 0.0 and NaN is itself.
 func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *Instruments) (*relation.Relation, error) {
-	if t.undo == nil {
-		t.undo = make(map[string]undoEntry)
-	}
 	var ferr error
 	du.Each(func(row relation.Row) {
 		if ferr != nil {
@@ -232,12 +255,10 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 		}
 		e, existed := t.entry(gv)
 		if _, snapped := t.undo[e.key]; !snapped {
-			ue := undoEntry{existed: existed, groupVals: e.groupVals}
+			var ue undoEntry
 			if existed {
-				if e.state != nil {
-					ue.state = e.state.Clone()
-				}
-				ue.cur = e.cur
+				ue = undoEntry{e: e, state: e.state, cur: e.cur}
+				e.state = t.copyOf(e.state)
 			}
 			t.undo[e.key] = ue
 		}
@@ -251,6 +272,8 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 	// ΔT's rows are distinct tuples (a group's old and new tuple differ,
 	// and groups do not share tuples): collected first, they size ΔT.
 	changed := make([]relation.Row, 0, 2*len(t.undo))
+	var buf [value.KeyScratch]byte
+	var built int64
 	for k := range t.undo {
 		e := t.groups[k]
 		if e.state == nil {
@@ -271,11 +294,13 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 			delete(t.groups, k)
 		default:
 			if e.cur != nil {
-				changed = append(changed, relation.Row{Tuple: e.cur, Count: -1})
+				old, _ := t.rel.Stored(e.cur.AppendKey(buf[:0])) // e.cur is T's, keyed
+				changed = append(changed, old.WithCount(-1))
 			}
 			if e.cur = nil; ok {
 				e.cur = e.tuple(v)
 				changed = append(changed, relation.Row{Tuple: e.cur, Count: 1})
+				built++
 			} else {
 				delete(t.groups, k)
 			}
@@ -285,15 +310,15 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 	for _, row := range changed {
 		deltaT.AddRow(row)
 	}
+	if in != nil {
+		in.HeadsBuilt.Add(built)
+	}
 	return deltaT, nil
 }
 
 // rescan rebuilds a group's state from the new grouped relation.
 func (t *GroupTable) rescan(e *groupEntry, uNew relation.Reader) error {
-	st, err := agg.New(t.g.Func)
-	if err != nil {
-		return err
-	}
+	st := t.newState()
 	e.state = st
 	for _, row := range uNew.Lookup(t.groupCols, e.groupVals) {
 		gv, av, ok, err := t.match(row.Tuple)
@@ -313,10 +338,15 @@ func (t *GroupTable) rescan(e *groupEntry, uNew relation.Reader) error {
 }
 
 // Commit folds a previously returned ΔT into the committed relation and
-// discards the undo snapshots.
+// returns the undo snapshots' states to the spare list.
 func (t *GroupTable) Commit(deltaT *relation.Relation) {
 	t.rel.MergeDelta(deltaT)
-	t.undo = nil
+	for _, ue := range t.undo {
+		if ue.e != nil {
+			t.spare = append(t.spare, ue.state)
+		}
+	}
+	clear(t.undo)
 }
 
 // Rollback restores the group states to their last committed values,
@@ -325,13 +355,14 @@ func (t *GroupTable) Commit(deltaT *relation.Relation) {
 // revert.
 func (t *GroupTable) Rollback() {
 	for k, ue := range t.undo {
-		if !ue.existed {
+		if ue.e == nil {
 			delete(t.groups, k)
 			continue
 		}
-		t.groups[k] = &groupEntry{key: k, groupVals: ue.groupVals, state: ue.state, cur: ue.cur}
+		ue.e.state, ue.e.cur = ue.state, ue.cur
+		t.groups[k] = ue.e
 	}
-	t.undo = nil
+	clear(t.undo)
 }
 
 // groupColumns locates each grouping variable's first position in the

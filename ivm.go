@@ -159,11 +159,27 @@ type Database struct {
 func NewDatabase() *Database { return &Database{base: eval.NewDB()} }
 
 // Load parses and inserts ground facts, e.g. `link(a,b). link(b,c).`.
-// Facts may carry multiplicities: `link(a,b) * 3.`.
+// Facts may carry multiplicities: `link(a,b) * 3.`. A fact whose arity
+// differs from its relation's, or from an earlier fact's of the same
+// predicate, is an error, and then nothing is inserted.
 func (d *Database) Load(src string) error {
 	facts, err := parser.ParseDelta(src)
 	if err != nil {
 		return err
+	}
+	arity := make(map[string]int)
+	for _, f := range facts {
+		want, ok := arity[f.Pred]
+		if !ok {
+			want = len(f.Tuple)
+			if r := d.base.Get(f.Pred); r != nil && r.Arity() >= 0 {
+				want = r.Arity()
+			}
+			arity[f.Pred] = want
+		}
+		if len(f.Tuple) != want {
+			return fmt.Errorf("load: fact %s%s has arity %d, but %s has arity %d", f.Pred, f.Tuple, len(f.Tuple), f.Pred, want)
+		}
 	}
 	for _, f := range facts {
 		d.base.Ensure(f.Pred, len(f.Tuple)).Add(f.Tuple, f.Count)
