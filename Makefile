@@ -85,7 +85,7 @@ cover:
 	awk -v t="$$total" -v b="$$baseline" 'BEGIN { exit !(t+0 >= b+0) }' || { \
 		echo "coverage $${total}% fell below the $${baseline}% baseline" >&2; exit 1; }
 
-# 30s of native fuzzing per target (the same seven as CI).
+# 30s of native fuzzing per target (the same eight as CI).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 30s -run '^$$' ./internal/storage
@@ -94,6 +94,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDecodeDelta -fuzztime 30s -run '^$$' ./client
 	$(GO) test -fuzz FuzzTableOps -fuzztime 30s -run '^$$' ./internal/relation
 	$(GO) test -fuzz FuzzGroupTable -fuzztime 30s -run '^$$' ./internal/eval
+	$(GO) test -fuzz FuzzCompare -fuzztime 30s -run '^$$' ./internal/value
 
 # Run ivmd against a scratch store with the smoke program (Ctrl-C to
 # stop; an acked apply is never lost across the SIGINT shutdown).

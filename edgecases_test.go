@@ -390,7 +390,8 @@ func TestArityMismatchesAreErrorsNotPanics(t *testing.T) {
 // index on b's column 0, which the planner reused for p, leaving Y to the
 // scan's compare; NaN went the other way; and c(0.0, -0.0) matched c(X, X).
 // Every strategy must answer as a key-identity join would, materialising
-// the facts or maintaining them in, and must equal recompute.
+// the facts or maintaining them in, and must equal recompute; so must a
+// Query of the rule's body.
 func TestJoinEqualityIsKeyIdentity(t *testing.T) {
 	const join = `p(X) :- a(X, Y), b(X, Y, Z).`
 	const withIndex = "r(X) :- c(X), b(X, W, V).\n" + join
@@ -398,16 +399,16 @@ func TestJoinEqualityIsKeyIdentity(t *testing.T) {
 	zeros := [][]any{{"a", 1, 0.0}, {"b", 1, negZero, 5}, {"c", 1}}
 	nans := [][]any{{"a", 1, nan}, {"b", 1, nan, 5}, {"c", 1}}
 	for _, tc := range []struct {
-		name, program, pred string
-		facts               [][]any
-		want                int
+		name, program, pred, query string
+		facts                      [][]any
+		want                       int
 	}{
-		{"±0 across literals", join, "p", zeros, 0},
-		{"±0 across literals, subset index", withIndex, "p", zeros, 0},
-		{"±0 within a literal", `q(X) :- c(X, X).`, "q", [][]any{{"c", 0.0, negZero}}, 0},
-		{"NaN across literals", join, "p", nans, 1},
-		{"NaN across literals, subset index", withIndex, "p", nans, 1},
-		{"NaN within a literal", `q(X) :- c(X, X).`, "q", [][]any{{"c", nan, nan}}, 1},
+		{"±0 across literals", join, "p", "", zeros, 0},
+		{"±0 across literals, subset index", withIndex, "p", "", zeros, 0},
+		{"±0 within a literal", `q(X) :- c(X, X).`, "q", "c(X, X)", [][]any{{"c", 0.0, negZero}}, 0},
+		{"NaN across literals", join, "p", "", nans, 1},
+		{"NaN across literals, subset index", withIndex, "p", "", nans, 1},
+		{"NaN within a literal", `q(X) :- c(X, X).`, "q", "c(X, X)", [][]any{{"c", nan, nan}}, 1},
 	} {
 		for _, s := range []ivm.Strategy{ivm.Counting, ivm.DRed, ivm.PF, ivm.Recompute} {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, s), func(t *testing.T) {
@@ -431,8 +432,23 @@ func TestJoinEqualityIsKeyIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for what, v := range views {
-					if got := v.Rows(tc.pred); len(got) != tc.want {
+					got := v.Rows(tc.pred)
+					if len(got) != tc.want {
 						t.Errorf("%s: %s = %v, want %d rows", what, tc.pred, got, tc.want)
+					}
+					if tc.query == "" {
+						continue
+					}
+					res, err := v.Query(tc.query)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := len(res) == len(got)
+					for i := 0; same && i < len(res); i++ {
+						same = res[i].Bindings["X"] == got[i].Tuple[0]
+					}
+					if !same {
+						t.Errorf("%s: Query(%s) = %v, want the rows of %s: %v", what, tc.query, res, tc.pred, got)
 					}
 				}
 			})

@@ -62,20 +62,33 @@ func Incremental(f datalog.AggFunc) bool {
 	return f != datalog.AggMin && f != datalog.AggMax
 }
 
-type nonNumericError struct {
+type operandError struct {
 	fn string
 	v  value.Value
 }
 
-func (e *nonNumericError) Error() string {
-	return fmt.Sprintf("agg: %s over non-numeric value %s", e.fn, e.v)
+func (e *operandError) Error() string {
+	return fmt.Sprintf("agg: %s over non-numeric or non-finite value %s", e.fn, e.v)
+}
+
+// operand is v as SUM, AVG and VARIANCE add it, or the error for a string,
+// a NaN or an ±Inf: once summed, no removal could take a NaN or an Inf back
+// out (NaN − NaN and Inf − Inf are NaN). MIN and MAX only order values and
+// take every value.
+func operand(fn string, v value.Value) (float64, error) {
+	if v.IsNumeric() {
+		if f := v.Float(); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			return f, nil
+		}
+	}
+	return 0, &operandError{fn, v}
 }
 
 // extremum implements MIN/MAX over any totally ordered values. It tracks
 // the current extremum and how many copies of it the group holds, so
 // removals of non-extremal values and of duplicated extrema stay O(1).
-// A copy is the same value (==), not one Compare ties with (-0.0 and 0.0;
-// NaN and every float): a tie may stay in the group after best leaves it.
+// value.Compare is 0 exactly when == holds, so every value is a copy of
+// best or strictly on one side of it: -0.0 is below 0.0, NaN below all.
 type extremum struct {
 	min     bool
 	n       int64 // total multiplicity in the group
@@ -147,52 +160,44 @@ func (e *extremum) Result() (value.Value, bool) {
 
 func (e *extremum) Set(src State) { *e = *src.(*extremum) }
 
-// sum implements SUM. Integer groups stay exact in int64; a single float
-// member switches the group to float accumulation.
+// sum implements SUM. Int members add exactly in int64 and Float members
+// in float64; the result is a Float while the group holds a Float member
+// and an Int otherwise, as a rebuild of the group would find it.
 type sum struct {
-	n     int64
-	i     int64
-	f     float64
-	float bool
+	n, floats int64 // members, and how many of them are Floats
+	i         int64
+	f         float64
 }
 
-func (s *sum) Add(v value.Value, mult int64) error {
-	if !v.IsNumeric() {
-		return &nonNumericError{"sum", v}
+func (s *sum) Add(v value.Value, mult int64) error { return s.fold(v, mult) }
+
+func (s *sum) Remove(v value.Value, mult int64) (bool, error) { return false, s.fold(v, -mult) }
+
+func (s *sum) fold(v value.Value, mult int64) error {
+	f, err := operand("sum", v)
+	if err != nil {
+		return err
 	}
-	if v.Kind() == value.Float {
-		s.float = true
+	if s.n += mult; s.n < 0 {
+		return fmt.Errorf("agg: sum group underflow")
 	}
-	if v.Kind() == value.Int && !s.float {
+	if v.Kind() == value.Int {
 		s.i += v.Int() * mult
-	} else {
-		s.f += v.Float() * float64(mult)
+		return nil
 	}
-	s.n += mult
+	if s.floats += mult; s.floats == 0 {
+		s.f = 0 // no Float left: drop what rounding left behind
+	} else {
+		s.f += f * float64(mult)
+	}
 	return nil
-}
-
-func (s *sum) Remove(v value.Value, mult int64) (bool, error) {
-	if !v.IsNumeric() {
-		return false, &nonNumericError{"sum", v}
-	}
-	if v.Kind() == value.Int && !s.float {
-		s.i -= v.Int() * mult
-	} else {
-		s.f -= v.Float() * float64(mult)
-	}
-	s.n -= mult
-	if s.n < 0 {
-		return false, fmt.Errorf("agg: sum group underflow")
-	}
-	return false, nil
 }
 
 func (s *sum) Result() (value.Value, bool) {
 	if s.n == 0 {
 		return value.Value{}, false
 	}
-	if s.float {
+	if s.floats > 0 {
 		return value.NewFloat(s.f + float64(s.i)), true
 	}
 	return value.NewInt(s.i), true
@@ -233,25 +238,20 @@ type avg struct {
 	sum float64
 }
 
-func (a *avg) Add(v value.Value, mult int64) error {
-	if !v.IsNumeric() {
-		return &nonNumericError{"avg", v}
-	}
-	a.sum += v.Float() * float64(mult)
-	a.n += mult
-	return nil
-}
+func (a *avg) Add(v value.Value, mult int64) error { return a.fold(v, mult) }
 
-func (a *avg) Remove(v value.Value, mult int64) (bool, error) {
-	if !v.IsNumeric() {
-		return false, &nonNumericError{"avg", v}
+func (a *avg) Remove(v value.Value, mult int64) (bool, error) { return false, a.fold(v, -mult) }
+
+func (a *avg) fold(v value.Value, mult int64) error {
+	f, err := operand("avg", v)
+	if err != nil {
+		return err
 	}
-	a.sum -= v.Float() * float64(mult)
-	a.n -= mult
-	if a.n < 0 {
-		return false, fmt.Errorf("agg: avg group underflow")
+	if a.n += mult; a.n < 0 {
+		return fmt.Errorf("agg: avg group underflow")
 	}
-	return false, nil
+	a.sum += f * float64(mult)
+	return nil
 }
 
 func (a *avg) Result() (value.Value, bool) {
@@ -271,29 +271,21 @@ type variance struct {
 	sumSq float64
 }
 
-func (s *variance) Add(v value.Value, mult int64) error {
-	if !v.IsNumeric() {
-		return &nonNumericError{"variance", v}
+func (s *variance) Add(v value.Value, mult int64) error { return s.fold(v, mult) }
+
+func (s *variance) Remove(v value.Value, mult int64) (bool, error) { return false, s.fold(v, -mult) }
+
+func (s *variance) fold(v value.Value, mult int64) error {
+	f, err := operand("variance", v)
+	if err != nil {
+		return err
 	}
-	f := v.Float()
+	if s.n += mult; s.n < 0 {
+		return fmt.Errorf("agg: variance group underflow")
+	}
 	s.sum += f * float64(mult)
 	s.sumSq += f * f * float64(mult)
-	s.n += mult
 	return nil
-}
-
-func (s *variance) Remove(v value.Value, mult int64) (bool, error) {
-	if !v.IsNumeric() {
-		return false, &nonNumericError{"variance", v}
-	}
-	f := v.Float()
-	s.sum -= f * float64(mult)
-	s.sumSq -= f * f * float64(mult)
-	s.n -= mult
-	if s.n < 0 {
-		return false, fmt.Errorf("agg: variance group underflow")
-	}
-	return false, nil
 }
 
 func (s *variance) Result() (value.Value, bool) {

@@ -90,19 +90,24 @@ func TestMinDuplicatedExtremum(t *testing.T) {
 	}
 }
 
-// A value Compare ties with the minimum is not a copy of it: -0.0 ties with
-// 0.0 and NaN with every float, yet removing the minimum leaves neither
-// one as the minimum without a rescan.
+// -0.0 and NaN are not copies of 0.0 but values below it (Compare's order),
+// so MIN{0.0, -0.0} is -0.0 and MIN{0.0, NaN} is NaN, whichever went in
+// first, and removing 0.0 needs no rescan.
 func TestMinTieIsNotACopy(t *testing.T) {
-	for _, tie := range []value.Value{value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN())} {
-		s := mustNew(t, datalog.AggMin)
-		for _, v := range []value.Value{value.NewFloat(0), tie} {
-			if err := s.Add(v, 1); err != nil {
-				t.Fatal(err)
+	for _, low := range []value.Value{value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN())} {
+		for _, in := range [][]value.Value{{value.NewFloat(0), low}, {low, value.NewFloat(0)}} {
+			s := mustNew(t, datalog.AggMin)
+			for _, v := range in {
+				if err := s.Add(v, 1); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if rescan, err := s.Remove(value.NewFloat(0), 1); err != nil || !rescan {
-			t.Fatalf("removing 0.0 beside %v: rescan=%v err=%v, want a rescan", tie, rescan, err)
+			if got := result(t, s); got != low {
+				t.Fatalf("MIN%v = %v, want %v", in, got, low)
+			}
+			if rescan, err := s.Remove(value.NewFloat(0), 1); err != nil || rescan || result(t, s) != low {
+				t.Fatalf("removing 0.0 from %v: rescan=%v err=%v, want %v kept", in, rescan, err, low)
+			}
 		}
 	}
 }
@@ -178,10 +183,25 @@ func TestSumIntExactAndFloatSwitch(t *testing.T) {
 	}
 }
 
+// SUM, AVG and VARIANCE refuse a string, and a NaN or ±Inf too: once
+// summed, no removal takes one back out (NaN − NaN and Inf − Inf are NaN).
 func TestSumRejectsStrings(t *testing.T) {
-	s := mustNew(t, datalog.AggSum)
-	if err := s.Add(value.NewString("x"), 1); err == nil {
-		t.Fatal("sum over strings must error")
+	for _, f := range []datalog.AggFunc{datalog.AggSum, datalog.AggAvg, datalog.AggVariance} {
+		for _, v := range []value.Value{value.NewString("x"), value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(math.Inf(-1))} {
+			s := mustNew(t, f)
+			addAll(t, s, 1)
+			if err := s.Add(v, 1); err == nil {
+				t.Errorf("%s: Add(%v) must error", f, v)
+			}
+			if _, err := s.Remove(v, 1); err == nil {
+				t.Errorf("%s: Remove(%v) must error", f, v)
+			}
+			want := mustNew(t, f)
+			addAll(t, want, 1)
+			if got := result(t, s); got != result(t, want) {
+				t.Errorf("%s over {1} after refusing %v = %v, want %v", f, v, got, result(t, want))
+			}
+		}
 	}
 }
 

@@ -137,25 +137,26 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-// Eval applies the comparison to two values using the total order of the
-// value package (numerics compare numerically across kinds).
+// Eval applies the comparison under value.Compare, the order whose
+// equality is the one joins and groups use: exact across kinds, so 2^53 <
+// 2^53+1, and -0.0 < 0.0, a NaN equals itself and sorts below every
+// number. The one exception is that an Int and a Float of the same exact
+// value are equal (1 = 1.0): the order is value.CompareNumeric.
 func (op CmpOp) Eval(a, b value.Value) bool {
-	// Equality across Int/Float should be numeric, like the comparisons.
-	c := a.Compare(b)
-	numEq := c == 0 || (a.IsNumeric() && b.IsNumeric() && a.Float() == b.Float())
+	c := a.CompareNumeric(b)
 	switch op {
 	case CmpEq:
-		return numEq
+		return c == 0
 	case CmpNe:
-		return !numEq
+		return c != 0
 	case CmpLt:
-		return c < 0 && !numEq
+		return c < 0
 	case CmpLe:
-		return c < 0 || numEq
+		return c <= 0
 	case CmpGt:
-		return c > 0 && !numEq
+		return c > 0
 	case CmpGe:
-		return c > 0 || numEq
+		return c >= 0
 	}
 	return false
 }

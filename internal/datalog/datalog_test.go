@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,21 +34,27 @@ func TestTermVars(t *testing.T) {
 
 func TestCmpOpEval(t *testing.T) {
 	i2, f2, i3 := value.NewInt(2), value.NewFloat(2), value.NewInt(3)
-	if !CmpEq.Eval(i2, f2) {
-		t.Error("2 = 2.0 numerically")
-	}
-	if CmpNe.Eval(i2, f2) {
-		t.Error("2 != 2.0 is false")
-	}
-	if !CmpLt.Eval(i2, i3) || CmpLt.Eval(i3, i2) || CmpLt.Eval(i2, f2) {
-		t.Error("Lt")
-	}
-	if !CmpLe.Eval(i2, f2) || !CmpGe.Eval(f2, i2) {
-		t.Error("Le/Ge on numeric ties")
-	}
 	a, b := value.NewString("a"), value.NewString("b")
-	if !CmpLt.Eval(a, b) || !CmpNe.Eval(a, b) {
-		t.Error("string comparisons")
+	// Beyond 2^53 two ints can round to one float64; they compare exactly.
+	big, bigPlus1, bigF := value.NewInt(1<<53), value.NewInt(1<<53+1), value.NewFloat(1<<53)
+	zero, negZero := value.NewFloat(0), value.NewFloat(math.Copysign(0, -1))
+	for _, c := range []struct {
+		op   CmpOp
+		a, b value.Value
+		want bool
+	}{
+		{CmpEq, i2, f2, true}, // an Int and a Float of one exact value are equal
+		{CmpNe, i2, f2, false},
+		{CmpLt, i2, i3, true}, {CmpLt, i3, i2, false}, {CmpLt, i2, f2, false},
+		{CmpLe, i2, f2, true}, {CmpGe, f2, i2, true},
+		{CmpLt, a, b, true}, {CmpNe, a, b, true},
+		{CmpNe, big, bigPlus1, true}, {CmpLt, big, bigPlus1, true}, {CmpEq, big, bigPlus1, false},
+		{CmpEq, big, bigF, true}, {CmpGt, bigPlus1, bigF, true},
+		{CmpLt, negZero, zero, true}, {CmpEq, value.NewInt(0), negZero, true},
+	} {
+		if got := c.op.Eval(c.a, c.b); got != c.want {
+			t.Errorf("%v %v %v = %v, want %v", c.a, c.op, c.b, got, c.want)
+		}
 	}
 }
 

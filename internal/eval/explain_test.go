@@ -28,10 +28,10 @@ func TestExplainEnumeratesDerivations(t *testing.T) {
 			t.Fatalf("subgoals: %v", d)
 		}
 		// The chain must connect a → mid → c.
-		if !d[0].Tuple[0].Equal(value.NewString("a")) || !d[1].Tuple[1].Equal(value.NewString("c")) {
+		if d[0].Tuple[0] != value.NewString("a") || d[1].Tuple[1] != value.NewString("c") {
 			t.Fatalf("chain: %v", d)
 		}
-		if !d[0].Tuple[1].Equal(d[1].Tuple[0]) {
+		if d[0].Tuple[1] != d[1].Tuple[0] {
 			t.Fatalf("mid mismatch: %v", d)
 		}
 	}

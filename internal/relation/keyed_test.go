@@ -245,7 +245,7 @@ func TestKeyedAddMatchesAddProperty(t *testing.T) {
 		for k := -2; k < 4; k++ {
 			var want int64
 			a.Each(func(row Row) {
-				if row.Tuple[0].Equal(value.NewInt(int64(k))) {
+				if row.Tuple[0] == value.NewInt(int64(k)) {
 					want += row.Count
 				}
 			})
@@ -289,7 +289,7 @@ func lookupAgrees(t *testing.T, rng *rand.Rand, keys int, rd Reader, want *Relat
 		n := 0
 		want.Each(func(row Row) {
 			for i, c := range cols {
-				if !row.Tuple[c].Equal(kv[i]) {
+				if row.Tuple[c] != kv[i] {
 					return
 				}
 			}

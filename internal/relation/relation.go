@@ -11,7 +11,7 @@ package relation
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -360,11 +360,12 @@ func (r *Relation) Rows() []Row {
 	return out
 }
 
-// SortedRows returns rows ordered lexicographically by tuple — handy for
-// deterministic output and golden tests.
+// SortedRows returns rows ordered lexicographically by tuple under
+// value.Compare, which ties no two distinct rows: one order whatever order
+// they went in, for deterministic output and golden tests.
 func (r *Relation) SortedRows() []Row {
 	out := r.Rows()
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
+	slices.SortFunc(out, func(a, b Row) int { return a.Tuple.Compare(b.Tuple) })
 	return out
 }
 

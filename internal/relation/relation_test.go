@@ -2,6 +2,9 @@ package relation
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -137,11 +140,40 @@ func TestArityEnforcement(t *testing.T) {
 	r.Add(value.T("a"), 1)
 }
 
+// SortedRows is one strictly increasing order whatever order the rows went
+// in — ±0, NaN, 1 beside 1.0 and ints beyond 2^53 included.
 func TestSortedRowsDeterministic(t *testing.T) {
 	r := rel(row(1, "b"), row(1, "a"), row(1, "c"))
 	rows := r.SortedRows()
 	if len(rows) != 3 || rows[0].Tuple[0].Str() != "a" || rows[2].Tuple[0].Str() != "c" {
 		t.Errorf("sorted: %v", rows)
+	}
+	vals := []value.Value{
+		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN()),
+		value.NewFloat(1), value.NewInt(1), value.NewFloat(-1), value.NewString("a"),
+		value.NewInt(1 << 53), value.NewInt(1<<53 + 1), value.NewFloat(1 << 53),
+	}
+	rng := rand.New(rand.NewSource(31))
+	var first string
+	for i := 0; i < 200; i++ {
+		rng.Shuffle(len(vals), func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
+		r := New(1)
+		for _, v := range vals {
+			r.Add(value.Tuple{v}, 1)
+		}
+		var order strings.Builder
+		rows := r.SortedRows()
+		for j, row := range rows {
+			if j > 0 && rows[j-1].Tuple.Compare(row.Tuple) >= 0 {
+				t.Fatalf("SortedRows = %v: not increasing at %d", rows, j)
+			}
+			order.WriteString(row.Key())
+		}
+		if i == 0 {
+			first = order.String()
+		} else if order.String() != first {
+			t.Fatalf("SortedRows = %q after insertion order %v, want %q", order.String(), vals, first)
+		}
 	}
 }
 
@@ -200,7 +232,7 @@ func TestLookupQuickAgainstScan(t *testing.T) {
 		for k := int64(0); k < 8; k++ {
 			want := make(map[string]int64)
 			r.Each(func(rw Row) {
-				if rw.Tuple[0].Equal(value.NewInt(k)) {
+				if rw.Tuple[0] == value.NewInt(k) {
 					want[rw.Tuple.Key()] = rw.Count
 				}
 			})

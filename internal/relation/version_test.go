@@ -392,7 +392,7 @@ func TestPushCostIndependentOfBase(t *testing.T) {
 	}
 	want := 0
 	nv.Flat().Each(func(row Row) {
-		if row.Tuple[0].Equal(value.NewInt(7)) {
+		if row.Tuple[0] == value.NewInt(7) {
 			want++
 		}
 	})

@@ -72,7 +72,7 @@ func TestInsertFacts(t *testing.T) {
 	if len(script.Facts) != 3 {
 		t.Fatalf("facts: %d", len(script.Facts))
 	}
-	if !script.Facts[0].Row[0].Equal(value.NewString("a")) {
+	if script.Facts[0].Row[0] != value.NewString("a") {
 		t.Fatalf("fact 0: %v", script.Facts[0])
 	}
 	if _, err := Translate(script); err != nil {

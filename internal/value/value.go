@@ -6,9 +6,11 @@ package value
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -90,46 +92,60 @@ func (v Value) Str() string {
 // IsNumeric reports whether v is an Int or Float.
 func (v Value) IsNumeric() bool { return v.kind == Int || v.kind == Float }
 
-// Equal reports whether two values are identical (same kind and payload).
-// Int 1 and Float 1.0 are not Equal; use Compare for numeric comparison.
-func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
+// Compare is a total order of values consistent with == (key identity):
+// v.Compare(o) == 0 exactly when v == o. Numerics sort before strings and
+// compare by exact value, an Int against a Float without rounding either
+// to the other, with NaN below every number. Among values of one exact
+// value the Int comes first, then -0.0, then 0.0; NaNs sort among
+// themselves by their bits. Strings compare bytewise. The result is -1, 0
+// or +1.
+func (v Value) Compare(o Value) int {
+	c := v.CompareNumeric(o)
+	if c == 0 && v.kind != o.kind { // 1 and 1.0
+		c = cmp.Compare(v.kind, o.kind)
 	}
-	switch v.kind {
-	case Int:
-		return v.n == o.n
-	case Float: // float ==, not bits: -0.0 equals 0.0 and NaN nothing
-		return math.Float64frombits(v.n) == math.Float64frombits(o.n)
+	return c
+}
+
+// CompareNumeric is Compare without its one tie-break across kinds: an Int
+// and a Float of the same exact value (1 and 1.0, 0 and -0.0) compare 0.
+// It is the order of rule conditions, where 1 = 1.0.
+func (v Value) CompareNumeric(o Value) int {
+	switch {
+	case v.kind == String || o.kind == String:
+		if v.kind != o.kind {
+			return cmp.Compare(v.kind, o.kind) // numerics first
+		}
+		return strings.Compare(v.s, o.s)
+	case v.kind == Int && o.kind == Int:
+		return cmp.Compare(int64(v.n), int64(o.n))
+	case v.kind == Float && o.kind == Float:
+		if c := cmp.Compare(math.Float64frombits(v.n), math.Float64frombits(o.n)); c != 0 || v.n == o.n {
+			return c
+		}
+		return cmp.Compare(int64(v.n), int64(o.n)) // -0.0 and 0.0, or two NaNs: by bits, sign first
+	case v.kind == Int:
+		return compareIntFloat(int64(v.n), math.Float64frombits(o.n))
 	default:
-		return v.s == o.s
+		return -compareIntFloat(int64(o.n), math.Float64frombits(v.n))
 	}
 }
 
-// Compare imposes a total order over values: numerics sort before strings
-// and compare numerically across Int/Float; strings compare bytewise.
-// The result is -1, 0, or +1.
-func (v Value) Compare(o Value) int {
-	vn, on := v.IsNumeric(), o.IsNumeric()
+// compareIntFloat compares i with f exactly, NaN below every int.
+func compareIntFloat(i int64, f float64) int {
 	switch {
-	case vn && on:
-		a, b := v.Float(), o.Float()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		// Equal as floats: break ties by kind so ordering is total and
-		// consistent with Equal (Int 1 != Float 1).
-		return int(v.kind) - int(o.kind)
-	case vn:
-		return -1
-	case on:
+	case math.IsNaN(f):
 		return 1
-	default:
-		return strings.Compare(v.s, o.s)
+	case f >= 1<<63:
+		return -1
+	case f < -1<<63:
+		return 1
 	}
+	t := math.Trunc(f) // in [-2^63, 2^63), so int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f)
 }
 
 // String renders v in the surface syntax: integers and floats as literals,
@@ -395,18 +411,9 @@ func (t Tuple) AppendProjKey(b []byte, cols []int) []byte {
 	return b
 }
 
-// Equal reports element-wise equality.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(o[i]) {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports element-wise ==, which is key identity: t.Equal(o)
+// exactly when t.Key() == o.Key().
+func (t Tuple) Equal(o Tuple) bool { return slices.Equal(t, o) }
 
 // Compare orders tuples lexicographically; shorter tuples sort first on ties.
 func (t Tuple) Compare(o Tuple) int {

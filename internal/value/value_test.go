@@ -1,9 +1,11 @@
 package value
 
 import (
+	"cmp"
 	"math"
+	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,18 +57,25 @@ func TestAccessorPanics(t *testing.T) {
 	mustPanic("Str on int", func() { NewInt(1).Str() })
 }
 
+// == is the one equality: key identity, so kind and float bits count.
 func TestEqual(t *testing.T) {
-	if !NewInt(1).Equal(NewInt(1)) {
+	if NewInt(1) != NewInt(1) {
 		t.Error("1 == 1")
 	}
-	if NewInt(1).Equal(NewFloat(1)) {
-		t.Error("Int 1 must not Equal Float 1.0 (Equal is identity, not numeric)")
+	if NewInt(1) == NewFloat(1) {
+		t.Error("Int 1 must not == Float 1.0 (== is identity, not numeric)")
 	}
-	if NewString("a").Equal(NewString("b")) {
+	if NewString("a") == NewString("b") {
 		t.Error("a != b")
 	}
-	if NewInt(1).Equal(NewString("1")) {
+	if NewInt(1) == NewString("1") {
 		t.Error("cross-kind")
+	}
+	if NewFloat(math.NaN()) != NewFloat(math.NaN()) {
+		t.Error("NaN == NaN: same bits")
+	}
+	if NewFloat(0) == NewFloat(math.Copysign(0, -1)) {
+		t.Error("0.0 must not == -0.0: different bits")
 	}
 }
 
@@ -74,9 +83,10 @@ func TestCompareTotalOrder(t *testing.T) {
 	vals := []Value{
 		NewInt(-5), NewInt(0), NewInt(3), NewFloat(-5.5), NewFloat(0),
 		NewFloat(2.5), NewString(""), NewString("a"), NewString("zz"),
+		NewFloat(math.NaN()), NewFloat(math.Copysign(0, -1)), NewFloat(math.Inf(1)),
 	}
 	// Antisymmetry + transitivity via sort then pairwise check.
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
+	slices.SortFunc(vals, Value.Compare)
 	for i := 0; i < len(vals); i++ {
 		for j := 0; j < len(vals); j++ {
 			c := vals[i].Compare(vals[j])
@@ -89,11 +99,17 @@ func TestCompareTotalOrder(t *testing.T) {
 			if c != -vals[j].Compare(vals[i]) {
 				t.Fatalf("antisymmetry violated at %v vs %v", vals[i], vals[j])
 			}
+			if (c == 0) != (vals[i] == vals[j]) {
+				t.Fatalf("Compare(%v, %v) = %d disagrees with ==", vals[i], vals[j], c)
+			}
 		}
 	}
-	// Numerics sort before strings.
+	// Numerics sort before strings; NaN below every number.
 	if NewInt(999).Compare(NewString("")) >= 0 {
 		t.Error("numerics must sort before strings")
+	}
+	if NewFloat(math.NaN()).Compare(NewFloat(math.Inf(-1))) >= 0 {
+		t.Error("NaN must sort below -Inf")
 	}
 }
 
@@ -104,14 +120,122 @@ func TestCompareNumericCrossKind(t *testing.T) {
 	if NewFloat(2.5).Compare(NewInt(3)) >= 0 {
 		t.Error("2.5 < 3")
 	}
+	if NewInt(1<<53+1).Compare(NewFloat(1<<53)) <= 0 {
+		t.Error("2^53+1 > 2^53.0: no rounding through float64")
+	}
 	// Equal numerically: ordering falls back to kind but stays consistent.
 	a, b := NewInt(2), NewFloat(2)
 	if a.Compare(b) == 0 {
-		t.Error("Int 2 vs Float 2.0 must not compare equal (Equal is false)")
+		t.Error("Int 2 vs Float 2.0 must not compare equal (== is false)")
 	}
 	if a.Compare(b) != -b.Compare(a) {
 		t.Error("tie-break must be antisymmetric")
 	}
+	// CompareNumeric drops only that tie-break.
+	if a.CompareNumeric(b) != 0 {
+		t.Error("CompareNumeric: 2 = 2.0")
+	}
+}
+
+// compareDomain draws a value: any int, any float bits (NaN payloads and
+// subnormals included), the float nearest an int, one of the values where
+// the order is easiest to get wrong, or a short string.
+func compareDomain(kind uint8, n uint64) Value {
+	specials := []Value{
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN()), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+		NewInt(0), NewInt(1), NewFloat(1), NewFloat(0.5), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(1 << 63), NewFloat(-1 << 63), NewString(""), NewString("a"),
+	}
+	for _, i := range []int64{1<<53 + 1, 1<<53 - 1, -1<<53 - 1, -1<<53 + 1} {
+		specials = append(specials, NewInt(i), NewFloat(float64(i)))
+	}
+	switch kind % 5 {
+	case 0:
+		return NewInt(int64(n))
+	case 1:
+		return NewFloat(math.Float64frombits(n))
+	case 2:
+		return NewFloat(float64(int64(n)))
+	case 3:
+		return specials[n%uint64(len(specials))]
+	}
+	return NewString(strings.Repeat("a", int(n%3)))
+}
+
+// wantCompare is Compare's documented order built from math/big: NaNs
+// (by bits), then numbers by exact value, then strings; among numbers of
+// one exact value the Int, then -0.0, then 0.0 — except that for
+// CompareNumeric (numeric) an Int and a Float of one value tie.
+func wantCompare(a, b Value, numeric bool) int {
+	rank := func(v Value) int {
+		switch {
+		case v.Kind() == String:
+			return 2
+		case v.Kind() == Float && math.IsNaN(v.Float()):
+			return 0
+		}
+		return 1
+	}
+	exact := func(v Value) *big.Float {
+		if v.Kind() == Int {
+			return new(big.Float).SetInt64(v.Int())
+		}
+		return new(big.Float).SetFloat64(v.Float())
+	}
+	tie := func(v Value) int {
+		switch {
+		case v.Kind() == Int:
+			return 0
+		case math.Signbit(v.Float()):
+			return 1
+		}
+		return 2
+	}
+	if c := cmp.Compare(rank(a), rank(b)); c != 0 {
+		return c
+	}
+	switch rank(a) {
+	case 0:
+		return cmp.Compare(int64(math.Float64bits(a.Float())), int64(math.Float64bits(b.Float())))
+	case 2:
+		return strings.Compare(a.Str(), b.Str())
+	}
+	if c := exact(a).Cmp(exact(b)); c != 0 || numeric && a.Kind() != b.Kind() {
+		return c
+	}
+	return cmp.Compare(tie(a), tie(b))
+}
+
+// FuzzCompare generalises TestEqual, TestCompareTotalOrder and
+// TestCompareNumericCrossKind. It checks Compare and CompareNumeric
+// against wantCompare and, over every order of a triple, that Compare is
+// antisymmetric and transitive and is 0 exactly when == holds and exactly
+// when the keys are equal.
+func FuzzCompare(f *testing.F) {
+	for i := uint64(0); i < 25; i++ {
+		f.Add(uint8(3), uint8(3), uint8(3), i, (i+1)%25, (i+7)%25)
+	}
+	f.Add(uint8(0), uint8(2), uint8(1), uint64(1<<53+1), uint64(1<<53+1), uint64(0x7ff8000000000001))
+	f.Add(uint8(0), uint8(1), uint8(1), uint64(0), uint64(1<<63), uint64(0))
+	f.Fuzz(func(t *testing.T, ka, kb, kc uint8, na, nb, nc uint64) {
+		vals := []Value{compareDomain(ka, na), compareDomain(kb, nb), compareDomain(kc, nc)}
+		for _, p := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			a, b, c := vals[p[0]], vals[p[1]], vals[p[2]]
+			ab := a.Compare(b)
+			if want := wantCompare(a, b, false); ab != want || b.Compare(a) != -ab {
+				t.Fatalf("Compare(%v, %v) = %d, reversed %d; want %d", a, b, ab, b.Compare(a), want)
+			}
+			if (ab == 0) != (a == b) || (a == b) != (Tuple{a}.Key() == Tuple{b}.Key()) {
+				t.Fatalf("%v, %v: Compare %d, == %v, keys %q %q", a, b, ab, a == b, Tuple{a}.Key(), Tuple{b}.Key())
+			}
+			if got, want := a.CompareNumeric(b), wantCompare(a, b, true); got != want {
+				t.Fatalf("CompareNumeric(%v, %v) = %d, want %d", a, b, got, want)
+			}
+			if ab <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+				t.Fatalf("not transitive: %v <= %v <= %v but Compare(%v, %v) > 0", a, b, c, a, c)
+			}
+		}
+	})
 }
 
 func TestArithmetic(t *testing.T) {
@@ -120,7 +244,7 @@ func TestArithmetic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
+		if got != want {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
@@ -256,7 +380,7 @@ func TestTupleProjectCloneString(t *testing.T) {
 	}
 	c := tu.Clone()
 	c[0] = NewString("z")
-	if !tu[0].Equal(NewString("a")) {
+	if tu[0] != NewString("a") {
 		t.Error("clone must be independent")
 	}
 	if tu.String() != "(a, 1, 2.5)" {
@@ -340,28 +464,10 @@ func TestAppendKeyMatchesKeyProperty(t *testing.T) {
 			t.Fatalf("AppendProjKey(%v, %v) = %q, Project.Key = %q", tu, cols, got, want)
 		}
 		// Injective against a second draw.
-		if other := randomTuple(rng); (other.Key() == want) != keyEqual(tu, other) {
+		if other := randomTuple(rng); (other.Key() == want) != tu.Equal(other) {
 			t.Fatalf("key injectivity broken for %v vs %v", tu, other)
 		}
 	}
-}
-
-// keyEqual is Tuple.Equal except that NaN equals NaN: keys encode the
-// float's bits.
-func keyEqual(a, b Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Kind() == Float && b[i].Kind() == Float {
-			if math.Float64bits(a[i].Float()) != math.Float64bits(b[i].Float()) {
-				return false
-			}
-		} else if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // A key decodes back to the tuple it encodes (strings aliasing the key),
@@ -375,7 +481,7 @@ func TestTupleFromKeyRoundTrip(t *testing.T) {
 		tu := randomTuple(rng)
 		key := tu.Key()
 		got, err := TupleFromKey(key, len(tu))
-		if err != nil || !keyEqual(got, tu) {
+		if err != nil || !got.Equal(tu) {
 			t.Fatalf("TupleFromKey(%q, %d) = %v, %v; want %v", key, len(tu), got, err, tu)
 		}
 		if n, err := KeyLen([]byte(key+"i7|trailing"), len(tu)); err != nil || n != len(key) {

@@ -18,7 +18,7 @@ func TestRandomGraphShape(t *testing.T) {
 		if r.Count != 1 {
 			t.Fatal("edges have count 1")
 		}
-		if r.Tuple[0].Equal(r.Tuple[1]) {
+		if r.Tuple[0] == r.Tuple[1] {
 			t.Fatal("no self loops")
 		}
 	})
@@ -68,7 +68,7 @@ func TestScaleFreeConnectivity(t *testing.T) {
 		t.Fatalf("edges: %d", g.Len())
 	}
 	g.Each(func(r relation.Row) {
-		if r.Tuple[0].Equal(r.Tuple[1]) {
+		if r.Tuple[0] == r.Tuple[1] {
 			t.Fatal("no self loops")
 		}
 	})

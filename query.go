@@ -1,6 +1,8 @@
 package ivm
 
 import (
+	"slices"
+
 	"ivm/internal/datalog"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
@@ -42,10 +44,10 @@ func (v *Views) Query(goal string) ([]QueryResult, error) {
 
 // matchGoal enumerates rel rows matching the atom pattern.
 func matchGoal(a datalog.Atom, rel relation.Reader) []QueryResult {
-	// Bound columns (constants) drive an index lookup when present.
-	// Lookup may build an index lazily, but that build is synchronized
-	// inside the relation package, so concurrent matches are safe on a
-	// shared frozen relation.
+	// Bound columns (constants) drive an index lookup when present, which
+	// matches them by key identity (==), as a join would. Lookup may build
+	// an index lazily, but that build is synchronized inside the relation
+	// package, so concurrent matches are safe on a shared frozen relation.
 	var cols []int
 	var key value.Tuple
 	for i, t := range a.Args {
@@ -69,22 +71,12 @@ func matchGoal(a datalog.Atom, rel relation.Reader) []QueryResult {
 		bind := make(map[string]Value)
 		ok := true
 		for i, t := range a.Args {
-			switch x := t.(type) {
-			case datalog.Const:
-				if !x.Value.Equal(row.Tuple[i]) {
-					ok = false
-				}
-			case datalog.Var:
-				if prev, seen := bind[string(x)]; seen {
-					if !prev.Equal(row.Tuple[i]) {
-						ok = false
-					}
-				} else {
+			if x, isVar := t.(datalog.Var); isVar {
+				if prev, seen := bind[string(x)]; !seen {
 					bind[string(x)] = row.Tuple[i]
+				} else if ok = prev == row.Tuple[i]; !ok {
+					break
 				}
-			}
-			if !ok {
-				break
 			}
 		}
 		if ok {
@@ -92,14 +84,6 @@ func matchGoal(a datalog.Atom, rel relation.Reader) []QueryResult {
 		}
 	}
 	// Deterministic order for callers and tests.
-	sortQueryResults(out)
+	slices.SortFunc(out, func(a, b QueryResult) int { return a.Row.Tuple.Compare(b.Row.Tuple) })
 	return out
-}
-
-func sortQueryResults(rs []QueryResult) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Row.Tuple.Compare(rs[j-1].Row.Tuple) < 0; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }
