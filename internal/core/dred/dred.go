@@ -204,8 +204,6 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	}
 	derived := e.prog.DerivedPreds()
 	net := make(map[string]*relation.Relation)
-	del := make(map[string]*relation.Relation)
-	add := make(map[string]*relation.Relation)
 	for pred, d := range baseDelta {
 		if derived[pred] {
 			return nil, fmt.Errorf("dred: delta for derived predicate %s (only base relations may change)", pred)
@@ -239,10 +237,8 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 			continue
 		}
 		net[pred] = trans
-		del[pred] = negPart(trans)
-		add[pred] = posPart(trans)
 	}
-	return e.propagate(del, add, net, nil, nil)
+	return e.propagate(net, nil, nil)
 }
 
 // AddRule extends the view definition with a new rule and incrementally
@@ -270,8 +266,7 @@ func (e *Engine) AddRule(r datalog.Rule) (map[string]*relation.Relation, error) 
 			return nil, err
 		}
 		seedAdd := map[string]*relation.Relation{r.Head.Pred: seed}
-		return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
-			make(map[string]*relation.Relation), nil, seedAdd)
+		return e.propagate(make(map[string]*relation.Relation), nil, seedAdd)
 	})
 }
 
@@ -318,13 +313,10 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 			// The predicate is no longer derived: its whole extension drains.
 			// propagate commits the negative net into storage and pushes the
 			// deletions through the higher strata.
-			net := map[string]*relation.Relation{headPred: seed.Negate()}
-			del := map[string]*relation.Relation{headPred: seed}
-			return e.propagate(del, map[string]*relation.Relation{}, net, nil, nil)
+			return e.propagate(map[string]*relation.Relation{headPred: seed.Negate()}, nil, nil)
 		}
 		seedDel := map[string]*relation.Relation{headPred: seed}
-		return e.propagate(map[string]*relation.Relation{}, map[string]*relation.Relation{},
-			make(map[string]*relation.Relation), seedDel, nil)
+		return e.propagate(make(map[string]*relation.Relation), seedDel, nil)
 	})
 }
 
@@ -411,11 +403,8 @@ func (e *Engine) ruleSeed(ri int, stored bool) (*relation.Relation, error) {
 	return seed, nil
 }
 
-// negPart and posPart return the tuples r holds with a negative (resp.
-// positive) count, as a set sized exactly (see relation.NewSized).
-func negPart(r *relation.Relation) *relation.Relation { return signPart(r, true) }
-func posPart(r *relation.Relation) *relation.Relation { return signPart(r, false) }
-
+// signPart returns the tuples r holds with a negative count (neg) or a
+// positive one, as a set sized exactly (see relation.NewSized).
 func signPart(r *relation.Relation, neg bool) *relation.Relation {
 	n := 0
 	r.Each(func(row relation.Row) {

@@ -19,10 +19,10 @@ import (
 func split(ch map[string]*relation.Relation) (del, add map[string]*relation.Relation) {
 	del, add = make(map[string]*relation.Relation), make(map[string]*relation.Relation)
 	for pred, n := range ch {
-		if d := negPart(n); !d.Empty() {
+		if d := signPart(n, true); !d.Empty() {
 			del[pred] = d
 		}
-		if a := posPart(n); !a.Empty() {
+		if a := signPart(n, false); !a.Empty() {
 			add[pred] = a
 		}
 	}

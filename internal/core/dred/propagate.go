@@ -10,13 +10,11 @@ import (
 
 // propagate runs the three DRed steps stratum by stratum.
 //
-// del/add hold, per predicate, the tuples already known to have left or
-// entered that predicate (initially: the base-relation changes); net holds
-// the same information as a signed relation and is what gets committed.
-// seedDel/seedAdd inject deletion candidates / insertions directly at a
-// derived predicate's own stratum (used by RemoveRule/AddRule).
-func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
-	seedDel, seedAdd map[string]*relation.Relation) (_ map[string]*relation.Relation, err error) {
+// net holds, per predicate, the signed change known so far (initially:
+// the base-relation changes) and is what gets committed. seedDel/seedAdd
+// inject deletion candidates / insertions directly at a derived
+// predicate's own stratum (used by RemoveRule/AddRule).
+func (e *Engine) propagate(net, seedDel, seedAdd map[string]*relation.Relation) (_ map[string]*relation.Relation, err error) {
 
 	timing := e.observing()
 	var opStart time.Time
@@ -66,6 +64,27 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			net[pred] = n
 		}
 		return n
+	}
+	// part returns the tuples that left (neg) or entered pred, its net's
+	// sign part, built the first time a δ-rule reads it. Only a literal of
+	// a higher stratum reads one, so the net is final by then; tc, whose
+	// one stratum reads only link, builds none.
+	lost, gained := make(map[string]*relation.Relation), make(map[string]*relation.Relation)
+	part := func(pred string, neg bool) *relation.Relation {
+		n := net[pred]
+		if n == nil || n.Empty() {
+			return nil
+		}
+		cache := gained
+		if neg {
+			cache = lost
+		}
+		sp, ok := cache[pred]
+		if !ok {
+			sp = signPart(n, neg)
+			cache[pred] = sp
+		}
+		return sp
 	}
 
 	// getGT returns (building over the old state if needed) the group
@@ -205,24 +224,18 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		for _, ri := range rules {
 			inStratum[e.prog.Rules[ri].Head.Pred] = true
 		}
-		// The stratum's working set stores a tuple once per step. delS is
-		// δ⁻(p): step 1 fills it with the overestimate, step 2 takes every
-		// rederived tuple back out, so from then on it holds exactly the
-		// true deletions.
-		delS := make(map[string]*relation.Relation)
-		for pred := range inStratum {
-			delS[pred] = relation.New(e.db.Ensure(pred, -1).Arity())
-		}
-
 		// ---- Step 1: overestimate deletions. ----
-		// Every source of step 1 is old state and getDeltaT reads lower
-		// strata only, so nothing reads an in-stratum net before the
-		// fixpoint ends: it is written once, below, at its exact size.
+		// δ⁻(p) is the −1 rows of net[p], which no lower stratum wrote: step
+		// 1 folds the overestimate into it, and step 2's +1 for a rederived
+		// tuple cancels its row, so from then on it holds exactly the true
+		// deletions. Every source of step 1 is old state and getDeltaT reads
+		// lower strata only, so nothing reads an in-stratum net before the
+		// fixpoint ends.
 		foldDel := func(pred string, derived *relation.Relation) {
 			stored := e.db.Ensure(pred, -1)
 			derived.Each(func(row relation.Row) {
-				if row.Count > 0 && stored.Has(row.Tuple) && !delS[pred].Has(row.Tuple) {
-					delS[pred].AddRow(row.WithCount(1))
+				if row.Count > 0 && stored.Has(row.Tuple) && (net[pred] == nil || net[pred].Count(row.Tuple) == 0) {
+					netOf(pred).AddRow(row.WithCount(-1))
 					round[pred] = append(round[pred], row.WithCount(1))
 				}
 			})
@@ -230,7 +243,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		for _, ri := range rules {
 			rule := e.prog.Rules[ri]
 			for li, lit := range rule.Body {
-				img, err := e.deleteImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, oldR)
+				img, err := e.image(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, part, true, getDeltaT, oldR)
 				if err != nil {
 					return nil, err
 				}
@@ -274,9 +287,8 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			}
 		}
 		for pred := range inStratum {
-			e.last.Overestimated += delS[pred].Len()
-			if !delS[pred].Empty() {
-				net[pred] = delS[pred].Negate()
+			if n := net[pred]; n != nil {
+				e.last.Overestimated += n.Len()
 			}
 		}
 		var step2Start time.Time
@@ -291,29 +303,31 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		// readdition can enable further rederivations (through in-stratum
 		// subgoals) drive more rounds — work stays proportional to the
 		// overestimate, not rounds × candidates.
-		// The candidates of δ⁺(p) :- δ⁻(p) & … are delS[p] itself: a
-		// rederived tuple leaves it (and cancels in net), so later rules
-		// and rounds see only what is still unexplained, and an index an
-		// evaluation built on it stays maintained.
+		// The candidates of δ⁺(p) :- δ⁻(p) & … are net[p] itself: a
+		// rederived tuple's +1 cancels its −1 row, so later rules and rounds
+		// see only what is still unexplained. A rederivation walk derives a
+		// head with the candidate's −1 multiplied into its count, the
+		// arithmetic-head path with a positive one: the fold takes either.
 		foldReadd := func(pred string, derived *relation.Relation) {
+			n := net[pred]
 			derived.Each(func(row relation.Row) {
-				if row.Count > 0 && delS[pred].Has(row.Tuple) {
-					delS[pred].AddRow(row.WithCount(-1))
-					net[pred].AddRow(row.WithCount(1))
+				if n.Count(row.Tuple) < 0 {
+					n.AddRow(row.WithCount(1))
 					round[pred] = append(round[pred], row.WithCount(1))
 					e.last.Rederived++
 				}
 			})
 		}
+		candidates := func(p string) bool { return net[p] != nil && !net[p].Empty() }
 		// First pass: full candidate check over the new state.
 		for _, ri := range rules {
 			rule := e.prog.Rules[ri]
 			p := rule.Head.Pred
-			if delS[p].Empty() {
+			if !candidates(p) {
 				continue
 			}
 			derived := scratchOut(rule.Head)
-			if err := e.rederive(ri, -1, nil, delS[p], source, derived); err != nil {
+			if err := e.rederive(ri, -1, nil, net[p], source, derived); err != nil {
 				return nil, err
 			}
 			foldReadd(p, derived)
@@ -334,11 +348,11 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 					if len(d) == 0 {
 						continue
 					}
-					if delS[p].Empty() {
+					if !candidates(p) {
 						continue
 					}
 					derived := scratchOut(rule.Head)
-					if err := e.rederive(ri, li, d, delS[p], source, derived); err != nil {
+					if err := e.rederive(ri, li, d, net[p], source, derived); err != nil {
 						return nil, err
 					}
 					foldReadd(p, derived)
@@ -368,7 +382,7 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 		for _, ri := range rules {
 			rule := e.prog.Rules[ri]
 			for li, lit := range rule.Body {
-				img, err := e.insertImage(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del, add, getDeltaT, newR)
+				img, err := e.image(lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, part, false, getDeltaT, newR)
 				if err != nil {
 					return nil, err
 				}
@@ -419,18 +433,10 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 			}
 		}
 
-		// ---- Finalize the stratum: expose net transitions upward. ----
+		// ---- Finalize the stratum: report its net transitions. ----
 		for pred := range inStratum {
-			n := net[pred]
-			if n == nil || n.Empty() {
-				continue
-			}
-			changes[pred] = n
-			if dn := negPart(n); !dn.Empty() {
-				del[pred] = dn
-			}
-			if ap := posPart(n); !ap.Empty() {
-				add[pred] = ap
+			if n := net[pred]; n != nil && !n.Empty() {
+				changes[pred] = n
 			}
 		}
 	}
@@ -462,27 +468,31 @@ func (e *Engine) propagate(del, add, net map[string]*relation.Relation,
 	return changes, nil
 }
 
-// deleteImage returns the δ⁻ image of a literal for step 1: the tuples
-// whose change can invalidate derivations through this subgoal.
-func (e *Engine) deleteImage(lit datalog.Literal, key eval.RuleLit, inStratum map[string]bool,
-	del, add map[string]*relation.Relation,
+// image returns the image of a literal that drives a δ-rule: for step 1
+// (neg, rd = oldR) the tuples whose change can invalidate a derivation
+// through it, for step 3 (rd = newR) those whose change can enable one.
+// part gives a lower stratum's sign parts. A positive literal's image is
+// the tuples q lost (step 1) or gained (step 3), a negated one's those q
+// changed the other way that rd lacks (q gaining a tuple makes ¬q lose
+// it, and the reverse), a GROUPBY's the rows of ΔT's sign.
+func (e *Engine) image(lit datalog.Literal, key eval.RuleLit, inStratum map[string]bool,
+	part func(string, bool) *relation.Relation, neg bool,
 	getDeltaT func(eval.RuleLit, *datalog.Aggregate) (*relation.Relation, error),
-	oldR func(string) relation.Reader) (*relation.Relation, error) {
+	rd func(string) relation.Reader) (*relation.Relation, error) {
 
 	switch lit.Kind {
 	case datalog.LitPositive:
 		if inStratum[lit.Atom.Pred] {
 			return nil, nil // driven by the in-stratum fixpoint
 		}
-		return del[lit.Atom.Pred], nil
+		return part(lit.Atom.Pred, neg), nil
 	case datalog.LitNegated:
-		// q gaining tuples makes ¬q lose them.
-		a := add[lit.Atom.Pred]
+		a := part(lit.Atom.Pred, !neg)
 		if a == nil || a.Empty() {
 			return nil, nil
 		}
 		img := relation.New(a.Arity())
-		q := oldR(lit.Atom.Pred)
+		q := rd(lit.Atom.Pred)
 		a.Each(func(row relation.Row) {
 			if !q.Has(row.Tuple) {
 				img.AddRow(row.WithCount(1))
@@ -494,57 +504,21 @@ func (e *Engine) deleteImage(lit datalog.Literal, key eval.RuleLit, inStratum ma
 		if err != nil {
 			return nil, err
 		}
-		return negPart(dt), nil
-	default:
-		return nil, nil
-	}
-}
-
-// insertImage returns the δ⁺ image of a literal for step 3.
-func (e *Engine) insertImage(lit datalog.Literal, key eval.RuleLit, inStratum map[string]bool,
-	del, add map[string]*relation.Relation,
-	getDeltaT func(eval.RuleLit, *datalog.Aggregate) (*relation.Relation, error),
-	newR func(string) relation.Reader) (*relation.Relation, error) {
-
-	switch lit.Kind {
-	case datalog.LitPositive:
-		if inStratum[lit.Atom.Pred] {
-			return nil, nil
-		}
-		return add[lit.Atom.Pred], nil
-	case datalog.LitNegated:
-		// q losing tuples makes ¬q gain them.
-		d := del[lit.Atom.Pred]
-		if d == nil || d.Empty() {
-			return nil, nil
-		}
-		img := relation.New(d.Arity())
-		q := newR(lit.Atom.Pred)
-		d.Each(func(row relation.Row) {
-			if !q.Has(row.Tuple) {
-				img.AddRow(row.WithCount(1))
-			}
-		})
-		return img, nil
-	case datalog.LitAggregate:
-		dt, err := getDeltaT(key, lit.Agg)
-		if err != nil {
-			return nil, err
-		}
-		return posPart(dt), nil
+		return signPart(dt, neg), nil
 	default:
 		return nil, nil
 	}
 }
 
 // rederive evaluates rule ri over the new state into out, restricted to
-// the deletion candidates cand: δ⁺(p) :- δ⁻(p) & s1ν & … & snν. li < 0 is
-// the first pass, over every derivation; li >= 0 a semi-naive round, over
-// the derivations through the newly readded tuples d at body position li.
-// The rule's aux rule joins cand as literal 0, over the head pattern, so
-// non-candidate heads are cut early; a head with expressions has none, and
-// the rule is evaluated whole, its output intersected with cand by the
-// fold.
+// the deletion candidates cand (the −1 rows of p's net): δ⁺(p) :- δ⁻(p) &
+// s1ν & … & snν. li < 0 is the first pass, over every candidate; li >= 0 a
+// semi-naive round, over the derivations through the newly readded tuples
+// d at body position li. The rule's aux rule joins cand as literal 0, over
+// the head pattern: pinned in the first pass, a point filter in a round,
+// so non-candidate heads are cut early. A head with expressions has no aux
+// rule: the rule is evaluated whole, its output intersected with cand by
+// the fold.
 func (e *Engine) rederive(ri, li int, d relation.Reader, cand *relation.Relation,
 	source func(datalog.Literal, eval.RuleLit, bool) (eval.Source, error), out *relation.Relation) error {
 

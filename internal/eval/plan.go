@@ -29,7 +29,8 @@ import (
 // maintenance hits the cache and pays no planning cost. Plans carry a
 // coarse log₂-size fingerprint of their non-Δ join sources and are
 // replanned when any source drifts past 4× — the Δ source is excluded
-// because its size varies batch to batch by design.
+// because its size varies batch to batch by design, and so is a
+// rederivation's candidate set, which is a point filter when not pinned.
 
 // AccessKind is the access path chosen for one plan step.
 type AccessKind uint8
@@ -39,6 +40,10 @@ const (
 	AccessFilter AccessKind = iota
 	// AccessNegFilter checks a negated literal's absence (Has probe).
 	AccessNegFilter
+	// AccessPointFilter checks a bound literal's presence with a point
+	// lookup, as soon as its variables are bound: a rederivation's
+	// candidate set, which the planner neither sizes nor fingerprints.
+	AccessPointFilter
 	// AccessPoint is a full-tuple point lookup (all columns bound).
 	AccessPoint
 	// AccessIndex is a hash-index lookup on Cols.
@@ -49,7 +54,7 @@ const (
 
 // join reports whether the step enumerates rows of a relation (point,
 // index or scan) rather than filtering the current binding.
-func (k AccessKind) join() bool { return k != AccessFilter && k != AccessNegFilter }
+func (k AccessKind) join() bool { return k >= AccessPoint }
 
 func (k AccessKind) String() string {
 	switch k {
@@ -57,6 +62,8 @@ func (k AccessKind) String() string {
 		return "filter"
 	case AccessNegFilter:
 		return "!filter"
+	case AccessPointFilter:
+		return "point filter"
 	case AccessPoint:
 		return "point"
 	case AccessIndex:
@@ -136,6 +143,13 @@ func (p *Plan) drifted(srcs []Source) bool {
 // as it is taken, the head last. PlanRule fails on a rule with filters
 // whose variables no remaining join can bind.
 func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
+	return planRule(rule, srcs, firstLit, false)
+}
+
+// planRule is PlanRule, for a rederivation rule (PlanRederive) when
+// rederive is set: its literal 0, the head's candidate set, is either
+// pinned or a point filter.
+func planRule(rule datalog.Rule, srcs []Source, firstLit int, rederive bool) (*Plan, error) {
 	n := len(rule.Body)
 	if len(srcs) != n {
 		return nil, fmt.Errorf("eval: rule has %d literals but %d sources given", n, len(srcs))
@@ -150,9 +164,10 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 		p.fp[i] = -1
 	}
 
+	headFilter := rederive && firstLit != 0
 	isFilter := func(i int) bool {
 		l := rule.Body[i]
-		return l.Kind == datalog.LitCondition || (l.Kind == datalog.LitNegated && !srcs[i].JoinDelta)
+		return l.Kind == datalog.LitCondition || (l.Kind == datalog.LitNegated && !srcs[i].JoinDelta) || (headFilter && i == 0)
 	}
 	ready := func(i int) bool {
 		for _, v := range rule.Body[i].UsesVars(nil) {
@@ -165,7 +180,7 @@ func PlanRule(rule datalog.Rule, srcs []Source, firstLit int) (*Plan, error) {
 	var err error
 	take := func(i int) {
 		remaining[i] = false
-		st, serr := accessPath(rule, srcs, i, slots)
+		st, serr := accessPath(rule, srcs, i, slots, headFilter && i == 0)
 		if err == nil {
 			err = serr
 		}
@@ -267,12 +282,16 @@ func boundColumns(args []datalog.Term, slots slotOf) (cols []int, all bool) {
 // variables slots binds and compiles the step; a join literal binds a
 // slot for each variable it is the first to mention. An index step
 // probes an existing index on a subset of its bound columns rather than
-// have the relation build a new one.
-func accessPath(rule datalog.Rule, srcs []Source, i int, slots slotOf) (PlanStep, error) {
+// have the relation build a new one. pointFilter takes the literal, its
+// variables all bound, as an AccessPointFilter.
+func accessPath(rule datalog.Rule, srcs []Source, i int, slots slotOf, pointFilter bool) (PlanStep, error) {
 	lit := rule.Body[i]
 	step := PlanStep{Lit: i}
 	var err error
 	switch {
+	case pointFilter:
+		step.Kind = AccessPointFilter
+		step.args, err = compileTerms(lit.Atom.Args, slots)
 	case lit.Kind == datalog.LitCondition:
 		step.Kind, step.cmp = AccessFilter, lit.Cond.Op
 		step.args, err = compileTerms([]datalog.Term{lit.Cond.Left, lit.Cond.Right}, slots)
@@ -369,7 +388,8 @@ const (
 	// Δ-position.
 	PlanDeltaNew
 	// PlanRederive is a DRed rederivation aux rule (the head-candidate
-	// literal prepended to the body). Delta is the pinned literal.
+	// literal prepended to the body). Delta is the pinned literal; when it
+	// is not 0, the candidate literal is a point filter.
 	PlanRederive
 )
 
@@ -416,7 +436,7 @@ func (p *Planner) PlanFor(key PlanKey, rule datalog.Rule, srcs []Source) (*Plan,
 		p.hits.Inc()
 		return pl, nil
 	}
-	npl, err := PlanRule(rule, srcs, key.Delta)
+	npl, err := planRule(rule, srcs, key.Delta, key.Kind == PlanRederive)
 	if err != nil {
 		return nil, err
 	}
@@ -585,7 +605,7 @@ func (w *ruleWalk) walk(k int, count int64) error {
 		}
 		return nil
 
-	case AccessPoint:
+	case AccessPoint, AccessPointFilter:
 		t, err := ground(fr.tuple, st.args, w.slots)
 		if err != nil {
 			return err

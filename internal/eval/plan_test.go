@@ -383,6 +383,110 @@ func TestEveryJoinOrderAgrees(t *testing.T) {
 			}
 		}
 	}
+
+	// The rederivation leg: each rule's DRed shape — the head prepended as
+	// literal 0 over a candidate set — must derive one multiset under every
+	// safe order, and with each literal pinned as PlanFor pins a
+	// PlanRederive key, which takes an unpinned candidate literal as a
+	// point filter. A head with arithmetic has no such shape, and a Δ(¬Q)
+	// join has counts of either sign, which a rederivation never joins.
+	filtered := 0
+	for _, sh := range shapes {
+		rule := sh.rule
+		if slices.ContainsFunc(rule.Head.Args, func(a datalog.Term) bool { _, ok := a.(datalog.Arith); return ok }) ||
+			slices.ContainsFunc(sh.srcs, func(s Source) bool { return s.JoinDelta }) {
+			continue
+		}
+		aux := datalog.Rule{Head: rule.Head, Body: append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: rule.Head}}, rule.Body...)}
+		srcs := append([]Source{{Rel: candidates(t, rng, rule, sh.srcs)}}, sh.srcs...)
+		want := relation.New(len(rule.Head.Args))
+		if err := EvalRule(aux, srcs, -1, want, nil); err != nil {
+			t.Fatalf("%s: %v", aux, err)
+		}
+		plans := everyOrder(aux, srcs)
+		for li := range aux.Body {
+			if p, err := planRule(aux, srcs, li, true); err == nil {
+				plans = append(plans, p)
+			}
+		}
+		for _, plan := range plans {
+			out := relation.New(len(rule.Head.Args))
+			if err := EvalPlan(aux, srcs, plan, out, nil); err != nil {
+				t.Fatalf("%s: %v", aux, err)
+			}
+			if !relation.Equal(out, want) {
+				t.Fatalf("%s: order %s derives %v, EvalRule %v", aux, plan.Describe(aux), out, want)
+			}
+			if slices.ContainsFunc(plan.Steps, func(st PlanStep) bool { return st.Kind == AccessPointFilter }) {
+				filtered++
+			}
+		}
+	}
+	if filtered < 100 {
+		t.Fatalf("%d rederivation plans took the candidates as a point filter, want at least 100", filtered)
+	}
+}
+
+// candidates is a candidate set for rule's rederivation shape: about two
+// thirds of the heads rule derives over srcs, and three tuples of the
+// value domain it may not derive.
+func candidates(t *testing.T, rng *rand.Rand, rule datalog.Rule, srcs []Source) *relation.Relation {
+	heads := relation.New(len(rule.Head.Args))
+	if err := EvalRule(rule, srcs, -1, heads, nil); err != nil {
+		t.Fatalf("%s: %v", rule, err)
+	}
+	cand := relation.New(len(rule.Head.Args))
+	for _, row := range heads.SortedRows() {
+		if rng.Intn(3) > 0 {
+			cand.Add(row.Tuple, 1)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		tu := make(value.Tuple, len(rule.Head.Args))
+		for c := range tu {
+			tu[c] = joinOrderDomain[rng.Intn(len(joinOrderDomain))]
+		}
+		cand.Set(tu, 1)
+	}
+	return cand
+}
+
+// The candidate set of a rederivation is a head filter the planner never
+// sizes: pinned (the first pass) or not (a round), candidate sets of 1,
+// 16 and 4 096 rows get one cached plan and no replan, and a round's plan
+// probes the candidates last, as a point filter.
+func TestRederivePlanIgnoresCandidateSize(t *testing.T) {
+	prog, _ := parseProgram(t, `tc(X,Y) :- tc(X,Y), tc(X,Z), link(Z,Y).`)
+	rule := prog.Rules[0]
+	link, tc := fillSeq(2, 200, 50), fillSeq(2, 2000, 200)
+	d := relation.RowSlice(fillSeq(2, 5, 5).SortedRows())
+	reg := metrics.NewRegistry()
+	p := NewPlanner(reg)
+	for delta, want := range map[int]string{
+		0: "Δ:scan tc(X, Y) -> index tc(X, Z) [cols 0] -> point link(Z, Y)",
+		1: "Δ:scan tc(X, Z) -> index link(Z, Y) [cols 0] -> point filter tc(X, Y)",
+	} {
+		var first *Plan
+		for _, n := range []int{1, 16, 4096} {
+			srcs := []Source{{Rel: fillSeq(2, n, n)}, {Rel: tc}, {Rel: link}}
+			if delta == 1 {
+				srcs[1].Rel = d
+			}
+			plan, err := p.PlanFor(PlanKey{Rule: 0, Kind: PlanRederive, Delta: delta}, rule, srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = plan
+			}
+			if got := plan.Describe(rule); plan != first || got != want {
+				t.Fatalf("Δ at %d, %d candidates: plan %s, want the one plan %s", delta, n, got, want)
+			}
+		}
+	}
+	if n := reg.Snapshot().Counter("planner_replans_total"); n != 0 {
+		t.Fatalf("%d replans, want 0", n)
+	}
 }
 
 // joinRuleGen generates rules over three arity-2 relations a, b and c, a
@@ -515,7 +619,7 @@ func everyOrder(rule datalog.Rule, srcs []Source) []*Plan {
 		p, ok := &Plan{pinned: -1}, true
 		take := func(i int) {
 			taken[i] = true
-			st, err := accessPath(rule, srcs, i, slots)
+			st, err := accessPath(rule, srcs, i, slots, false)
 			p.Steps, ok = append(p.Steps, st), ok && err == nil
 		}
 		flush := func() {

@@ -378,7 +378,7 @@ func (r *Relation) Clone() *Relation {
 // NewSized is New with the table made for n rows, which then go in
 // without growing it. n must be an exact count: a table sized from an
 // upper bound stays that large for the life of the relation (counting's
-// setTransitions and DRed's negPart/posPart count first).
+// setTransitions and DRed's signPart count first).
 func NewSized(arity, n int) *Relation {
 	return &Relation{arity: int32(arity), rows: newTable(sizedCells(n))}
 }
