@@ -1,7 +1,6 @@
 package ivm_test
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -59,7 +58,11 @@ func TestRejectedAggregateApplyLeavesGroupTablesIntact(t *testing.T) {
 			}
 			apply(t, v, tt.good)
 			fresh := mustViews(t, tt.base+" "+tt.good[1:], tt.program, ivm.WithStrategy(tt.strategy))
-			requireSameRows(t, "after a rejected apply and a good one", tt.preds, fresh, v, true)
+			for _, pred := range tt.preds {
+				if w, g := fresh.Rows(pred), v.Rows(pred); !sameRows(w, g, true) {
+					t.Fatalf("after a rejected apply and a good one: %s is\n%v\nwant\n%v", pred, g, w)
+				}
+			}
 
 			rec := mustViews(t, tt.base+" "+tt.good[1:], tt.program, ivm.WithStrategy(ivm.Recompute))
 			pred := tt.good[1:strings.IndexByte(tt.good, '(')]
@@ -80,7 +83,11 @@ func TestRejectedAggregateApplyLeavesGroupTablesIntact(t *testing.T) {
 				if _, err := rec.Apply(w); err != nil {
 					t.Fatalf("step %d under Recompute: %v", step, err)
 				}
-				requireSameRows(t, fmt.Sprintf("step %d (%v)", step, u), tt.preds, rec, v, false)
+				for _, pred := range tt.preds {
+					if w, g := rec.Rows(pred), v.Rows(pred); !sameRows(w, g, false) {
+						t.Fatalf("step %d (%v): %s is\n%v\nwant\n%v", step, u, pred, g, w)
+					}
+				}
 			}
 		})
 	}
@@ -131,12 +138,7 @@ func TestRejectedApplyAfterBorrowingLeavesStoredRowsIntact(t *testing.T) {
 				t.Fatalf("bad apply: err = %v, want one that says %q", err, tt.wantErr)
 			}
 			for _, pred := range all {
-				after := ivm.EngineRows(v, pred)
-				same := len(after) == len(before[pred])
-				for i := 0; same && i < len(after); i++ {
-					same = after[i].Tuple.Equal(before[pred][i].Tuple) && after[i].Count == before[pred][i].Count
-				}
-				if !same {
+				if after := ivm.EngineRows(v, pred); !sameRows(before[pred], after, true) {
 					t.Fatalf("the rejected apply moved stored %s:\n got %v\nwant %v", pred, after, before[pred])
 				}
 			}
@@ -144,7 +146,11 @@ func TestRejectedApplyAfterBorrowingLeavesStoredRowsIntact(t *testing.T) {
 			apply(t, v, good)
 			borrowed(t, "the good apply")
 			fresh := mustViews(t, strings.Replace(base, "link(2,3).", "link(3,5).", 1), tt.program, tt.opts...)
-			requireSameRows(t, "after a rejected apply and a good one", all, fresh, v, true)
+			for _, pred := range all {
+				if w, g := fresh.Rows(pred), v.Rows(pred); !sameRows(w, g, true) {
+					t.Fatalf("after a rejected apply and a good one: %s is\n%v\nwant\n%v", pred, g, w)
+				}
+			}
 		})
 	}
 }
@@ -181,7 +187,11 @@ func TestRejectedAddRuleLeavesProgramIntact(t *testing.T) {
 				t.Fatalf("after the rejected edit Program() has %d rules and ProgramSource() is\n%s\nwant 2 rules and\n%s", n, v.ProgramSource(), src)
 			}
 			fresh := mustViews(t, tt.base+" "+strings.ReplaceAll(tt.later, "+", ""), tt.program, ivm.WithStrategy(ivm.DRed))
-			requireSameRows(t, "after a rejected edit and two applies", tt.preds, fresh, v, true)
+			for _, pred := range tt.preds {
+				if w, g := fresh.Rows(pred), v.Rows(pred); !sameRows(w, g, true) {
+					t.Fatalf("after a rejected edit and two applies: %s is\n%v\nwant\n%v", pred, g, w)
+				}
+			}
 		})
 	}
 }

@@ -68,7 +68,7 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 		}
 		db := ivm.NewDatabase()
 		link.Each(func(row relation.Row) { db.InsertTuple("link", row.Tuple, 1) })
-		v, err := db.Materialize(propertyPrograms[3].src, ivm.WithStrategy(ivm.DRed))
+		v, err := db.Materialize(oracleTC, ivm.WithStrategy(ivm.DRed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,6 +164,15 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		}
 		return nil
 	}
+	// A refused apply leaves the engine as it found it: the passes that
+	// went through are folded back out.
+	fail := func(err error) (map[string]*relation.Relation, error) {
+		for pred, acc := range committed {
+			committed[pred] = acc.Negate()
+		}
+		e.d.Fold(committed)
+		return nil, err
+	}
 
 	for _, pred := range preds {
 		d := baseDelta[pred]
@@ -181,13 +190,13 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 				one := relation.New(d.Arity())
 				one.Add(row.Tuple, row.Count)
 				if err := pass(map[string]*relation.Relation{pred: one}); err != nil {
-					return nil, err
+					return fail(err)
 				}
 			}
 			continue
 		}
 		if err := pass(map[string]*relation.Relation{pred: d}); err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 

@@ -156,6 +156,13 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	ev.Instr = eval.NewInstruments(e.Metrics)
 	ev.Planner = e.planner()
 	if err := ev.Evaluate(e.db); err != nil {
+		// A refused apply leaves the engine as it found it.
+		for pred, d := range commit {
+			e.db.Get(pred).MergeDelta(d.Negate())
+		}
+		for pred, r := range old {
+			e.db.Put(pred, r)
+		}
 		return nil, err
 	}
 	deltas := make(map[string]*relation.Relation)

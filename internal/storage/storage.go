@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -38,7 +39,8 @@ func syncDir(dir string) error {
 	return err
 }
 
-// scalar is the gob-encodable image of a value.Value.
+// scalar is the gob-encodable image of a value.Value. Gob sends no zero
+// field, so -0.0 would arrive as 0.0: it has a kind of its own.
 type scalar struct {
 	Kind uint8
 	I    int64
@@ -51,6 +53,9 @@ func toScalar(v value.Value) scalar {
 	case value.Int:
 		return scalar{Kind: 0, I: v.Int()}
 	case value.Float:
+		if f := v.Float(); f == 0 && math.Signbit(f) {
+			return scalar{Kind: 3}
+		}
 		return scalar{Kind: 1, F: v.Float()}
 	default:
 		return scalar{Kind: 2, S: v.Str()}
@@ -65,6 +70,8 @@ func (s scalar) value() (value.Value, error) {
 		return value.NewFloat(s.F), nil
 	case 2:
 		return value.NewString(s.S), nil
+	case 3:
+		return value.NewFloat(math.Copysign(0, -1)), nil
 	default:
 		return value.Value{}, fmt.Errorf("storage: unknown scalar kind %d", s.Kind)
 	}

@@ -509,7 +509,10 @@ type applyReq struct {
 	// keys are the idempotency keys this request carries: one for a
 	// keyed client apply, several only when a format-1 WAL record merged
 	// from several applies is replayed.
-	keys    []string
+	keys []string
+	// replay marks a replicated script (ApplyScriptReplicated): it is
+	// applied whatever the window holds, and its keys only seed it.
+	replay  bool
 	cs      *ChangeSet
 	deduped bool
 	err     error
@@ -656,7 +659,7 @@ func (v *Views) processBatch(batch []*applyReq) {
 func (v *Views) dedupeLocked(batch []*applyReq) (fresh []*applyReq, leaders map[string]*applyReq, followers []*applyReq) {
 	fresh = make([]*applyReq, 0, len(batch))
 	for _, r := range batch {
-		if len(r.keys) == 1 {
+		if len(r.keys) == 1 && !r.replay {
 			key := r.keys[0]
 			if ver, ok := v.idem.lookup(key); ok {
 				r.cs, r.deduped = &ChangeSet{version: ver}, true
@@ -815,9 +818,21 @@ func (v *Views) release(batch []*applyReq, groups []*applyGroup, leaders map[str
 	}
 }
 
-// admitLocked vets an update against the store before any memory is
-// touched, so the views never run ahead of a log they cannot write to.
+// admitLocked vets an update against the program — a relation a rule
+// reads has that arity, whether it stores a row or not — and against the
+// store before any memory is touched, so the views never run ahead of a
+// log they cannot write to.
 func (v *Views) admitLocked(u *Update) error {
+	for _, rule := range v.eng.Program().Rules {
+		for _, l := range rule.Body {
+			if l.Kind == datalog.LitAggregate {
+				l.Atom = l.Agg.Inner
+			}
+			if u != nil && l.Kind != datalog.LitCondition && u.per[l.Atom.Pred] != nil && u.per[l.Atom.Pred].Arity() != len(l.Atom.Args) {
+				return fmt.Errorf("ivm: update uses %s with arity %d and the program with %d", l.Atom.Pred, u.per[l.Atom.Pred].Arity(), len(l.Atom.Args))
+			}
+		}
+	}
 	if v.store == nil {
 		return nil
 	}

@@ -78,18 +78,6 @@ func snapshotRows(s *ivm.Snapshot) map[string][]ivm.Row {
 	return out
 }
 
-func rowsEqual(a, b []ivm.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Count != b[i].Count || a[i].Tuple.Compare(b[i].Tuple) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // replayPrefix rematerializes the trial's program over the initial facts
 // plus every committed op with version <= ver, sequentially.
 func replayPrefix(t *testing.T, cfg linTrialConfig, log []struct {
@@ -239,7 +227,7 @@ func runLinTrial(t *testing.T, cfg linTrialConfig, trial int) {
 		// returned at pin time, although up to finalVer-obs.ver newer
 		// versions have been published since.
 		for pred, rows := range obs.rows {
-			if again := obs.snap.Rows(pred); !rowsEqual(rows, again) {
+			if again := obs.snap.Rows(pred); !sameRows(rows, again, true) {
 				t.Fatalf("%s trial %d: snapshot v%d changed mid-use for %s (final version %d)",
 					cfg.name, trial, obs.ver, pred, finalVer)
 			}
@@ -248,7 +236,7 @@ func runLinTrial(t *testing.T, cfg linTrialConfig, trial int) {
 		// rematerialization of the committed prefix it names.
 		ref := replayPrefix(t, cfg, log, obs.ver)
 		for pred, rows := range obs.rows {
-			if want := ref.Rows(pred); !rowsEqual(rows, want) {
+			if want := ref.Rows(pred); !sameRows(want, rows, true) {
 				t.Fatalf("%s trial %d: snapshot v%d diverges from sequential prefix for %s:\n  snap: %v\n  want: %v",
 					cfg.name, trial, obs.ver, pred, rows, want)
 			}

@@ -224,6 +224,6 @@ func (v *Views) ApplyScriptReplicated(script string, keys []string) (*ChangeSet,
 	if err != nil {
 		return nil, err
 	}
-	cs, _, err := v.submit(&applyReq{u: u, keys: keys})
+	cs, _, err := v.submit(&applyReq{u: u, keys: keys, replay: true})
 	return cs, err
 }
