@@ -13,7 +13,7 @@ import (
 // the rows a fresh Materialize of the surviving base computes. The failing
 // table is not in the engine's pending set when it fails, so it rolls
 // itself back; a table that succeeded earlier in the same apply is rolled
-// back by the engine (counting's fail, dred.propagate's error return).
+// back by the engine (propagate's error return).
 // With two aggregates the count or min subgoal is maintained first and
 // succeeds; the min one has just rescanned the group whose minimum the
 // rejected apply deletes. A stream of good applies follows, each compared

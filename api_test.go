@@ -1,6 +1,7 @@
 package ivm_test
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -214,18 +215,28 @@ func TestApplyScriptErrors(t *testing.T) {
 	}
 }
 
-func TestRuleChangeRequiresDRed(t *testing.T) {
+// Counting views take rule edits: an added rule's derivations arrive with
+// their counts, a removed one's leave. The recompute baseline takes none.
+func TestRuleEditOnCountingViews(t *testing.T) {
 	db := ivm.NewDatabase()
-	db.MustLoad(`link(a,b).`)
-	v, err := db.Materialize(`v(X,Y) :- link(X,Y).`) // counting
+	db.MustLoad(`link(a,b). other(a,b). other(c,d).`)
+	v, err := db.Materialize(`v(X,Y) :- link(X,Y).`)
+	if err != nil || v.Strategy() != ivm.Counting {
+		t.Fatalf("materialize: %v, strategy %v", err, v.Strategy())
+	}
+	cs, err := v.AddRule(`v(X,Y) :- other(X,Y).`)
+	if err != nil || v.Count("v", "a", "b") != 2 || v.Count("v", "c", "d") != 1 || len(cs.Inserted("v")) != 1 {
+		t.Fatalf("AddRule: %v, v = %v, change set %v", err, v.Rows("v"), cs)
+	}
+	if cs, err = v.RemoveRule(0); err != nil || v.Count("v", "a", "b") != 1 || len(cs.Deleted("v")) != 0 {
+		t.Fatalf("RemoveRule: %v, v = %v, change set %v", err, v.Rows("v"), cs)
+	}
+	r, err := db.Materialize(`w(X,Y) :- link(X,Y).`, ivm.WithStrategy(ivm.Recompute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.AddRule(`v(X,Y) :- other(X,Y).`); err == nil {
-		t.Fatal("AddRule on counting must error")
-	}
-	if _, err := v.RemoveRule(0); err == nil {
-		t.Fatal("RemoveRule on counting must error")
+	if _, err := r.AddRule(`w(X,Y) :- other(X,Y).`); err == nil {
+		t.Fatal("AddRule on the recompute baseline must error")
 	}
 }
 
@@ -306,7 +317,7 @@ func TestPFStrategyThroughAPI(t *testing.T) {
 	v, err := db.Materialize(`
 		tc(X,Y) :- link(X,Y).
 		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`, ivm.WithStrategy(ivm.PF), ivm.WithTupleFragmentation())
+	`, ivm.WithStrategy(ivm.PF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +329,7 @@ func TestPFStrategyThroughAPI(t *testing.T) {
 		t.Fatalf("tc: %v", v.Rows("tc"))
 	}
 	st, ok := v.PFStats()
-	if !ok || st.Passes != 2 {
+	if !ok || st.Passes != 1 { // one pass per changed base predicate
 		t.Fatalf("pf stats: %+v ok=%v", st, ok)
 	}
 	if len(ch.Deleted("tc")) == 0 {
@@ -479,5 +490,173 @@ func TestUpdateStaysTheCallersAfterApply(t *testing.T) {
 				t.Fatalf("count(link(c,d)) = %d after applying it twice, want %d", got, want)
 			}
 		})
+	}
+}
+
+// An emptied relation takes the arity a rule edit reads it at — or
+// derives it at — and a follower folding the edit's records lands on the
+// same rows; one that holds rows of another arity refuses the edit and
+// keeps the program.
+func TestRuleEditResetsAnEmptiedRelationsArity(t *testing.T) {
+	for _, s := range []ivm.Strategy{ivm.Auto, ivm.Counting, ivm.DRed} {
+		t.Run(s.String(), func(t *testing.T) {
+			build := func(facts string) *ivm.Views {
+				db := ivm.NewDatabase()
+				db.MustLoad(`link(a,b). link(b,c). s(1).` + facts)
+				v, err := db.Materialize(`v(X,Y) :- link(X,Y).`, ivm.WithStrategy(s))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			v, follower, stranger := build(""), build(""), build(`link(c,d).`)
+			var folded *ivm.ChangeSet
+			v.OnCommitRecord(func(ev ivm.CommitEvent) {
+				var err error
+				if folded, err = follower.ApplyCommitRecord(ev.CommitRecord); err != nil {
+					t.Errorf("folding record %d: %v", ev.Version, err)
+				}
+			})
+			for _, views := range []*ivm.Views{v, stranger} {
+				for _, script := range []string{`+q(1).`, `-q(1).`, `+w(1).`, `-w(1).`} {
+					if _, err := views.ApplyScript(script); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := views.AddRule(`r(X,Y) :- q(X,Y).`); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := stranger.ApplyScript(`+q(1,2).`); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.ApplyScript(`+q(1,2).`); err != nil || !v.Has("r", 1, 2) {
+				t.Fatalf("q(1,2): %v, r = %v", err, v.Rows("r"))
+			}
+			if _, err := v.ApplyScript(`+q(3).`); err == nil {
+				t.Fatal("q(3) at the arity the rules no longer read it at must be refused")
+			}
+			if _, err := v.AddRule(`u(X,Y) :- s(X,Y).`); err == nil || len(v.Program().Rules) != 2 {
+				t.Fatalf("an edit reading s(1) at arity 2: %v, %d rules", err, len(v.Program().Rules))
+			}
+			if _, err := v.AddRule(`w(X,Y) :- link(X,Y).`); err != nil {
+				t.Fatal(err)
+			}
+			want := v.Rows("link")
+			for _, views := range []*ivm.Views{v, follower} {
+				if got := views.Rows("w"); !sameRows(want, got, true) {
+					t.Fatalf("w derived at arity 2 from an emptied arity-1 relation: %v, want %v", got, want)
+				}
+				if got := views.Snapshot().Rows("w"); !sameRows(want, got, true) {
+					t.Fatalf("published w: %v, want %v", got, want)
+				}
+			}
+			if _, err := v.ApplyScript(`-link(a,b).`); err != nil || v.Has("w", "a", "b") || !follower.Has("w", "b", "c") || follower.Has("w", "a", "b") {
+				t.Fatalf("-link(a,b): %v, w = %v, follower's %v", err, v.Rows("w"), follower.Rows("w"))
+			}
+			// An edit record cut over another state installs its program
+			// before its Δ is vetted; refused, it leaves the program as it was.
+			var rec ivm.CommitRecord
+			stranger.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+			for _, step := range []func() error{
+				func() error { _, err := stranger.AddRule(`w(X,Y) :- link(X,Y).`); return err },
+				func() error { _, err := stranger.ApplyScript(`-link(a,b).`); return err },
+				func() error { _, err := stranger.RemoveRule(2); return err },
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var div *ivm.DivergenceError
+			if _, err := follower.ApplyCommitRecord(rec); !errors.As(err, &div) || div.Pred != "w" {
+				t.Fatalf("folding another state's edit record: %v", err)
+			}
+			if len(follower.Program().Rules) != 3 || !sameRows(v.Rows("w"), follower.Rows("w"), true) {
+				t.Fatalf("a refused edit record moved the follower: %d rules, w = %v", len(follower.Program().Rules), follower.Rows("w"))
+			}
+			if _, err := v.ApplyScript(`+link(c,d).`); err != nil || len(folded.Inserted("w")) != 1 {
+				t.Fatalf("+link(c,d) after a refused edit record: %v, the follower reports %v", err, folded)
+			}
+			if _, err := v.RemoveRule(2); err != nil || len(follower.Program().Rules) != 2 || follower.Has("w", "b", "c") {
+				t.Fatalf("RemoveRule: %v, follower's rules %v, w = %v", err, follower.Program().Rules, follower.Rows("w"))
+			}
+		})
+	}
+}
+
+// A commit record is stamped with what maintains its program. A DRed
+// views' record of a mixed program — the stamp the views of an earlier
+// build, which chose one algorithm per program, cut under auto — does not
+// fold into auto views, whose nonrecursive strata keep counts; an auto
+// views' record of a nonrecursive program folds into counting ones.
+func TestRecordStampNamesTheStrataAlgorithms(t *testing.T) {
+	const mixed = `tc(X,Y) :- link(X,Y).
+		tc(X,Y) :- tc(X,Z), link(Z,Y).
+		pair(X,Y) :- tc(X,Z), tc(Z,Y).`
+	build := func(program string, opts ...ivm.Option) *ivm.Views {
+		db := ivm.NewDatabase()
+		db.MustLoad(`link(a,b). link(b,c). link(a,c). link(c,d).`)
+		v, err := db.Materialize(program, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	cut := func(v *ivm.Views) (rec ivm.CommitRecord) {
+		v.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+		if _, err := v.ApplyScript(`-link(b,c).`); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	rec := cut(build(mixed, ivm.WithStrategy(ivm.DRed)))
+	auto := build(mixed)
+	if auto.Strategy() != ivm.Auto || auto.Count("pair", "a", "d") != 2 {
+		t.Fatalf("auto views of a mixed program: %v, pair = %v", auto.Strategy(), auto.Rows("pair"))
+	}
+	var div *ivm.DivergenceError
+	if _, err := auto.ApplyCommitRecord(rec); !errors.As(err, &div) || div.Engine != "dred/set" || div.Have != "auto/set" {
+		t.Fatalf("folding a DRed record into auto views: %v", err)
+	}
+	if auto.Snapshot().Version() != 1 || auto.Count("pair", "a", "d") != 2 {
+		t.Fatalf("the refused record moved the views: version %d, pair = %v", auto.Snapshot().Version(), auto.Rows("pair"))
+	}
+	if _, err := auto.ApplyCommitRecord(cut(build(mixed))); err != nil || auto.Has("tc", "b", "c") {
+		t.Fatalf("folding an auto record: %v, tc = %v", err, auto.Rows("tc"))
+	}
+	hop := `hop(X,Y) :- link(X,Z), link(Z,Y).`
+	counting := build(hop, ivm.WithStrategy(ivm.Counting))
+	if _, err := counting.ApplyCommitRecord(cut(build(hop))); err != nil || counting.Has("hop", "a", "c") {
+		t.Fatalf("folding an auto record of a nonrecursive program into counting views: %v, hop = %v", err, counting.Rows("hop"))
+	}
+	// An edit record is stamped with what maintains the program it
+	// installs, and checked against what would maintain it here.
+	primary := build(hop)
+	primary.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+	if _, err := primary.AddRule(`hop(X,Y) :- hop(X,Z), link(Z,Y).`); err != nil || primary.Strategy() != ivm.DRed {
+		t.Fatalf("AddRule making hop recursive: %v, %v", err, primary.Strategy())
+	}
+	for _, c := range []struct {
+		have string
+		opts []ivm.Option
+	}{
+		{"counting/set", []ivm.Option{ivm.WithStrategy(ivm.Counting)}},
+		{"counting/duplicate", []ivm.Option{ivm.WithSemantics(ivm.DuplicateSemantics)}},
+		{"", nil},
+	} {
+		v := build(hop, c.opts...)
+		_, err := v.ApplyCommitRecord(rec)
+		if c.have == "" {
+			if err != nil || v.Strategy() != ivm.DRed || !sameRows(primary.Rows("hop"), v.Rows("hop"), true) {
+				t.Fatalf("folding the edit into auto views: %v, %v, hop = %v", err, v.Strategy(), v.Rows("hop"))
+			}
+			continue
+		}
+		if !errors.As(err, &div) || div.Engine != "dred/set" || div.Have != c.have || len(v.Program().Rules) != 1 {
+			t.Fatalf("folding the edit into %s views: %v, %d rules", c.have, err, len(v.Program().Rules))
+		}
+		if _, err := v.ApplyScript(`+link(d,e).`); err != nil || !v.Has("hop", "c", "e") || v.Has("hop", "b", "e") {
+			t.Fatalf("%s views after the refused edit record: %v, hop = %v", c.have, err, v.Rows("hop"))
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ivm"
+	"ivm/internal/core/counting"
 	"ivm/internal/eval"
 	"ivm/internal/experiments"
 	"ivm/internal/relation"
@@ -85,21 +86,13 @@ func BenchmarkE3SetOptimization(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			link := workload.RandomGraph(experiments.Rng(3), benchNodes/3, benchEdges/2)
-			db := ivm.NewDatabase()
-			for _, row := range link.SortedRows() {
-				db.InsertTuple("link", row.Tuple, 1)
-			}
-			opts := []ivm.Option{ivm.WithSemantics(ivm.SetSemantics)}
-			if disable {
-				opts = append(opts, ivm.WithoutSetOptimization())
-			}
-			v, err := db.Materialize(experiments.TriHopProgram, opts...)
+			e, err := counting.NewWithConfig(experiments.MustRules(experiments.TriHopProgram), experiments.LinkDB(link.Clone()),
+				counting.Config{Semantics: eval.Set, DisableSetOpt: disable})
 			if err != nil {
 				b.Fatal(err)
 			}
 			applyRounds(b, func(d *relation.Relation) error {
-				u := ivm.UpdateFromRelations(experiments.DeltaOf(d))
-				_, err := v.Apply(u)
+				_, err := e.Apply(experiments.DeltaOf(d))
 				return err
 			}, link)
 		})

@@ -284,22 +284,21 @@ func runREPL(views *ivm.Views, apply func(string) error, in io.Reader, out io.Wr
 }
 
 func printStats(out io.Writer, views *ivm.Views) {
-	if st, ok := views.CountingStats(); ok {
+	// A mixed program has a line for each algorithm.
+	cst, counting := views.CountingStats()
+	if counting {
 		fmt.Fprintf(out, "counting: delta rules=%d, delta tuples=%d, cascades stopped=%d\n",
-			st.DeltaRulesEvaluated, st.DeltaTuples, st.CascadeStopped)
-		return
+			cst.DeltaRulesEvaluated, cst.DeltaTuples, cst.CascadeStopped)
 	}
 	if st, ok := views.DRedStats(); ok {
 		fmt.Fprintf(out, "dred: overestimated=%d, rederived=%d, inserted=%d, rule firings=%d\n",
 			st.Overestimated, st.Rederived, st.Inserted, st.RuleFirings)
-		return
-	}
-	if st, ok := views.PFStats(); ok {
+	} else if st, ok := views.PFStats(); ok {
 		fmt.Fprintf(out, "pf: passes=%d, overestimated=%d, rederived=%d, inserted=%d, rule firings=%d\n",
 			st.Passes, st.Overestimated, st.Rederived, st.Inserted, st.RuleFirings)
-		return
+	} else if !counting {
+		fmt.Fprintln(out, "no stats for this strategy")
 	}
-	fmt.Fprintln(out, "no stats for this strategy")
 }
 
 func printPreds(out io.Writer, views *ivm.Views, preds []string) {

@@ -1,7 +1,7 @@
 package ivm
 
 import (
-	"ivm/internal/core/counting"
+	"ivm/internal/core/dred"
 	"ivm/internal/relation"
 )
 
@@ -33,12 +33,12 @@ func EngineRelation(v *Views, pred string) *relation.Relation {
 	return v.eng.DB().Get(pred)
 }
 
-// EngineGroupRel is the counting engine's committed T for rule ri's
-// aggregate literal li (nil under another engine).
+// EngineGroupRel is the engine's committed T for rule ri's aggregate
+// literal li (nil under a baseline, or without a table for it).
 func EngineGroupRel(v *Views, ri, li int) *relation.Relation {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	if e, ok := v.eng.(*counting.Engine); ok {
+	if e, ok := v.eng.(*dred.Engine); ok {
 		return e.GroupRel(ri, li)
 	}
 	return nil

@@ -167,7 +167,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	}
 	deltas := make(map[string]*relation.Relation)
 	for pred := range derived {
-		d := diff(old[pred], e.db.Get(pred))
+		d := relation.Diff(old[pred], e.db.Get(pred))
 		if !d.Empty() {
 			deltas[pred] = d
 		}
@@ -198,20 +198,4 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		}
 	}
 	return deltas, nil
-}
-
-// diff returns new − old as a signed count delta.
-func diff(old, new *relation.Relation) *relation.Relation {
-	out := relation.New(new.Arity())
-	new.Each(func(row relation.Row) {
-		if c := row.Count - old.Count(row.Tuple); c != 0 {
-			out.Add(row.Tuple, c)
-		}
-	})
-	old.Each(func(row relation.Row) {
-		if new.Count(row.Tuple) == 0 {
-			out.Add(row.Tuple, -row.Count)
-		}
-	})
-	return out
 }

@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"ivm/internal/core/dred"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // its size: the three-strata hop program over a random graph, and a mixed
 // batch — 16 stored links deleted, 16 new ones inserted — with the batch
 // that undoes it.
-func hopBatch(tb testing.TB, reg *metrics.Registry) (e *Engine, batch, undo map[string]*relation.Relation) {
+func hopBatch(tb testing.TB, reg *metrics.Registry) (e *dred.Engine, batch, undo map[string]*relation.Relation) {
 	prog, err := parser.ParseRules(`
 		hop(X,Y)     :- link(X,Z), link(Z,Y).
 		tri_hop(X,Y) :- hop(X,Z), link(Z,Y).

@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"ivm/internal/core/dred"
 	"math/rand"
 	"testing"
 
@@ -58,14 +59,14 @@ func TestRejectsRecursive(t *testing.T) {
 		tc(X,Y) :- link(X,Y).
 		tc(X,Y) :- tc(X,Z), link(Z,Y).
 	`)
-	if _, err := New(prog, eval.NewDB(), eval.Set); err != ErrRecursive {
+	if _, err := newEngine(prog, eval.NewDB(), eval.Set); err != ErrRecursive {
 		t.Fatalf("err = %v, want ErrRecursive", err)
 	}
 }
 
 func TestRejectsDerivedDelta(t *testing.T) {
 	prog := rules(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	e, err := New(prog, load(t, `link(a,b).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,b).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRejectsDerivedDelta(t *testing.T) {
 
 func TestRejectsOverDeletion(t *testing.T) {
 	prog := rules(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	e, err := New(prog, load(t, `link(a,b).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,b).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRejectsOverDeletion(t *testing.T) {
 func TestInsertionsOfNewBasePred(t *testing.T) {
 	// A base predicate that was empty at materialization time.
 	prog := rules(t, `v(X,Y) :- link(X,Y), extra(Y).`)
-	e, err := New(prog, load(t, `link(a,b).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,b).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestInsertionsOfNewBasePred(t *testing.T) {
 func TestUpdateAsDeleteInsert(t *testing.T) {
 	// The paper treats updates as delete+insert in one batch.
 	prog := rules(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	e, err := New(prog, load(t, `link(a,b). link(b,c).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,b). link(b,c).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestUpdateAsDeleteInsert(t *testing.T) {
 
 func TestEmptyDeltaNoChanges(t *testing.T) {
 	prog := rules(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	e, err := New(prog, load(t, `link(a,b). link(b,c).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,b). link(b,c).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestEmptyDeltaNoChanges(t *testing.T) {
 	if len(ch) != 0 {
 		t.Fatalf("changes: %v", ch)
 	}
-	if e.Stats().(Stats).DeltaRulesEvaluated != 0 {
+	if e.Stats().(dred.Stats).DeltaRulesEvaluated != 0 {
 		t.Fatal("no delta rules should fire")
 	}
 }
@@ -152,7 +153,7 @@ func TestIrrelevantDeltaStopsEarly(t *testing.T) {
 		hop(X,Y) :- link(X,Z), link(Z,Y).
 		other(X) :- unrelated(X).
 	`)
-	e, err := New(prog, load(t, `link(a,b). link(b,c). unrelated(q).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,b). link(b,c). unrelated(q).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +167,8 @@ func TestIrrelevantDeltaStopsEarly(t *testing.T) {
 	if ch["other"] == nil {
 		t.Fatal("other must change")
 	}
-	if e.Stats().(Stats).DeltaRulesEvaluated != 1 {
-		t.Fatalf("delta rules evaluated = %d, want 1", e.Stats().(Stats).DeltaRulesEvaluated)
+	if e.Stats().(dred.Stats).DeltaRulesEvaluated != 1 {
+		t.Fatalf("delta rules evaluated = %d, want 1", e.Stats().(dred.Stats).DeltaRulesEvaluated)
 	}
 }
 
@@ -175,7 +176,7 @@ func TestSelfJoinDeltaExactness(t *testing.T) {
 	// Theorem 4.1 on the classic self-join trap: inserting a tuple that
 	// joins with itself must produce exactly the new derivations, once.
 	prog := rules(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	e, err := New(prog, load(t, `link(a,a).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `link(a,a).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestNegationInsertionDeletesView(t *testing.T) {
 	prog := rules(t, `
 		v(X) :- t(X), !q(X).
 	`)
-	e, err := New(prog, load(t, `t(a). t(b). q(b).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `t(a). t(b). q(b).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestNegationInsertionDeletesView(t *testing.T) {
 func TestNegationCountInvariance(t *testing.T) {
 	// Example 6.1's remark: ¬q(t) only cares whether count(q(t)) > 0.
 	prog := rules(t, `v(X) :- t(X), !q(X).`)
-	e, err := New(prog, load(t, `t(a). q(a). q(a).`), eval.Duplicate) // q(a) count 2
+	e, err := newEngine(prog, load(t, `t(a). q(a). q(a).`), eval.Duplicate) // q(a) count 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 	base.Put("link", workload.RandomGraph(rng, 12, 30))
 
 	for _, sem := range []eval.Semantics{eval.Set, eval.Duplicate} {
-		ce, err := New(prog, base, sem)
+		ce, err := newEngine(prog, base, sem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +323,7 @@ func TestSetModeCountsEqualRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := eval.NewDB()
 	base.Put("link", workload.RandomGraph(rng, 10, 25))
-	ce, err := New(prog, base, eval.Set)
+	ce, err := newEngine(prog, base, eval.Set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestAggregateMaintenanceAgainstRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := eval.NewDB()
 	base.Put("link", workload.RandomWeightedGraph(rng, 8, 20, 10))
-	ce, err := New(prog, base, eval.Duplicate)
+	ce, err := newEngine(prog, base, eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ func TestMultiPredicateBatch(t *testing.T) {
 		edge(X,Y) :- rail(X,Y).
 		hop(X,Y)  :- edge(X,Z), edge(Z,Y).
 	`)
-	e, err := New(prog, load(t, `road(a,b). rail(b,c).`), eval.Duplicate)
+	e, err := newEngine(prog, load(t, `road(a,b). rail(b,c).`), eval.Duplicate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,4 +466,10 @@ func TestMultiPredicateBatch(t *testing.T) {
 	if d := ch["hop"]; d != nil && !d.Empty() {
 		t.Fatalf("Δhop should be net empty: %v", d)
 	}
+}
+
+// newEngine materializes prog over base under sem with counting on every
+// stratum.
+func newEngine(prog *datalog.Program, base *eval.DB, sem eval.Semantics) (*dred.Engine, error) {
+	return NewWithConfig(prog, base, Config{Semantics: sem})
 }

@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"ivm/internal/core/dred"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"ivm/internal/workload"
 )
 
-func recursiveEngine(t *testing.T, facts string) *Engine {
+func recursiveEngine(t *testing.T, facts string) *dred.Engine {
 	t.Helper()
 	prog := rules(t, `
 		tc(X,Y) :- link(X,Y).
@@ -32,7 +33,7 @@ func TestRecursiveRejectedWithoutOptIn(t *testing.T) {
 		tc(X,Y) :- link(X,Y).
 		tc(X,Y) :- tc(X,Z), link(Z,Y).
 	`)
-	if _, err := New(prog, load(t, `link(a,b).`), eval.Duplicate); err != ErrRecursive {
+	if _, err := newEngine(prog, load(t, `link(a,b).`), eval.Duplicate); err != ErrRecursive {
 		t.Fatalf("err = %v, want ErrRecursive", err)
 	}
 	// And set semantics + recursion is DRed's domain even with the opt-in.
@@ -136,7 +137,7 @@ func TestRecursiveDivergenceOnCycleCreation(t *testing.T) {
 	e := recursiveEngine(t, `link(a,b). link(b,c).`)
 	// Closing the cycle c→a makes every tc count infinite.
 	_, err := e.Apply(delta(t, `+link(c,a).`))
-	if _, ok := err.(*ErrDiverged); !ok {
+	if _, ok := err.(*dred.ErrDiverged); !ok {
 		t.Fatalf("err = %v, want ErrDiverged", err)
 	}
 	// The engine state is unchanged and still usable.

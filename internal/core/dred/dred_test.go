@@ -9,6 +9,7 @@ import (
 	"ivm/internal/eval"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
+	"ivm/internal/strata"
 	"ivm/internal/value"
 	"ivm/internal/workload"
 )
@@ -563,5 +564,95 @@ func TestAddRuleRejectsBasePredicateWithFacts(t *testing.T) {
 	}
 	if !e.Relation("w").Has(value.T("a")) {
 		t.Fatalf("w: %v", e.Relation("w"))
+	}
+}
+
+// TestMixedProgramCountsItsNonrecursiveStrata maintains tc under a join
+// and a GROUPBY with the algorithm chosen per stratum: after a deletion
+// only tc's stratum overestimates and rederives — exactly as tc alone
+// does — and the strata above it store the derivation counts a
+// from-scratch evaluation computes, not sets.
+func TestMixedProgramCountsItsNonrecursiveStrata(t *testing.T) {
+	const above = `
+		pair(X,Y) :- tc(X,Z), tc(Z,Y).
+		deg(X,C) :- groupby(tc(X,Y), [X], C = count(Y)).`
+	const facts = `link(a,b). link(b,c). link(a,c). link(c,d). link(b,d). link(a,e). link(e,d).`
+	prog := rules(t, tcProgram+above)
+	e, err := NewWithConfig(prog, load(t, facts), Config{Algorithm: PerStratum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := New(rules(t, tcProgram), load(t, facts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := `-link(a,b).`
+	if _, err := e.Apply(delta(t, del)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alone.Apply(delta(t, del)); err != nil {
+		t.Fatal(err)
+	}
+	st, want := e.Stats().(Stats), alone.Stats().(Stats)
+	if st.Overestimated != want.Overestimated || st.Rederived != want.Rederived || st.DeltaRulesEvaluated == 0 {
+		t.Fatalf("stats %+v: the strata above tc overestimate or rederive (tc alone: %+v), or run no delta rule", st, want)
+	}
+	ref := load(t, facts)
+	ref.Get("link").Add(value.T("a", "b"), -1)
+	st2, err := strata.Compute(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eval.NewEvaluator(prog, st2, eval.Set).Evaluate(ref); err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []string{"tc", "pair", "deg"} {
+		if got, want := e.Relation(pred).String(), ref.Get(pred).String(); got != want {
+			t.Errorf("%s stores %s, evaluation %s", pred, got, want)
+		}
+	}
+	if e.Relation("pair").TotalCount() == int64(e.Relation("pair").Len()) {
+		t.Errorf("pair holds no tuple with two derivations: %s", e.Relation("pair"))
+	}
+}
+
+// A rule edit keeps the group tables it does not touch: an added rule
+// leaves every table in place, a removed one takes its own with it and
+// moves those of the rules after it down one index. Both go on being
+// maintained.
+func TestRuleEditsKeepGroupTables(t *testing.T) {
+	for _, alg := range []Algorithm{DRed, PerStratum} {
+		e, err := NewWithConfig(rules(t, `
+			cnt(X,N) :- groupby(a(X,Y), [X], N = count(Y)).
+			tot(X,S) :- groupby(b(X,Y), [X], S = sum(Y)).`),
+			load(t, `a(x,1). a(x,2). b(x,3). b(y,4).`), Config{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot := e.GroupRel(1, 0)
+		if tot == nil {
+			t.Fatal("no group table for tot after materialization")
+		}
+		big := rules(t, `big(X) :- tot(X,S), S > 3.`).Rules[0]
+		if _, err := e.AddRule(big); err != nil {
+			t.Fatal(err)
+		}
+		if e.GroupRel(1, 0) != tot || e.GroupRel(0, 0) == nil {
+			t.Fatalf("algorithm %d: AddRule rebuilt or dropped a group table", alg)
+		}
+		if _, err := e.RemoveRule(0); err != nil {
+			t.Fatal(err)
+		}
+		if e.GroupRel(0, 0) != tot || e.GroupRel(1, 0) != nil {
+			t.Fatalf("algorithm %d: RemoveRule did not move tot's table to rule 0", alg)
+		}
+		if _, err := e.Apply(delta(t, `+b(y,5). -b(x,3). +a(x,3).`)); err != nil {
+			t.Fatal(err)
+		}
+		for pred, want := range map[string]string{"tot": "{(y, 9)}", "big": "{(y)}", "cnt": "{}"} {
+			if got := e.Relation(pred).String(); got != want {
+				t.Errorf("algorithm %d: %s = %s, want %s", alg, pred, got, want)
+			}
+		}
 	}
 }

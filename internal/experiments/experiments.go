@@ -178,7 +178,7 @@ func ratio(a, b time.Duration) string {
 }
 
 // CountingEngine materializes prog over link with the given semantics.
-func CountingEngine(progSrc string, db *eval.DB, sem eval.Semantics) *counting.Engine {
+func CountingEngine(progSrc string, db *eval.DB, sem eval.Semantics) *dred.Engine {
 	e, err := counting.NewWithConfig(MustRules(progSrc), db,
 		counting.Config{Semantics: sem, Metrics: metricsReg})
 	if err != nil {

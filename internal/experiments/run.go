@@ -7,7 +7,6 @@ import (
 	"ivm/internal/baseline/pf"
 	"ivm/internal/core/counting"
 	"ivm/internal/core/dred"
-	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/relation"
 	"ivm/internal/workload"
@@ -133,15 +132,14 @@ func RunE3(s Scale) *Table {
 	for _, v := range []variant{{"with stmt (2)", false}, {"without stmt (2)", true}} {
 		var fired, tuples, stopped int
 		med, err := medianOf(s.Trials, func() func() error {
-			db := LinkDB(link.Clone())
-			prog := MustRules(TriHopProgram)
-			e, err := newCountingWithOpt(prog, db, v.disableOpt)
+			e, err := counting.NewWithConfig(MustRules(TriHopProgram), LinkDB(link.Clone()),
+				counting.Config{Semantics: eval.Set, DisableSetOpt: v.disableOpt})
 			if err != nil {
 				panic(err)
 			}
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				st := e.Stats().(counting.Stats)
+				st := e.Stats().(dred.Stats)
 				fired, tuples, stopped = st.DeltaRulesEvaluated, st.DeltaTuples, st.CascadeStopped
 				return err
 			}
@@ -570,15 +568,6 @@ func weightedMixed(rng interface {
 		}
 	})
 	return d
-}
-
-// newCountingWithOpt builds a counting engine with or without statement
-// (2) of Algorithm 4.1 (E3's ablation).
-func newCountingWithOpt(prog *datalog.Program, db *eval.DB, disable bool) (*counting.Engine, error) {
-	return counting.NewWithConfig(prog, db, counting.Config{
-		Semantics:     eval.Set,
-		DisableSetOpt: disable,
-	})
 }
 
 // RunE13 — counting on recursive views (Section 8's future work,

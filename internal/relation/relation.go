@@ -443,6 +443,24 @@ func (r *Relation) ToSet() *Relation {
 	return out
 }
 
+// Diff returns new − old as a signed count delta: what merged into old
+// makes new. A tuple old holds keeps old's row, so the delta lends the
+// stored tuple rather than a copy of it.
+func Diff(old, new *Relation) *Relation {
+	out := New(new.Arity())
+	old.Each(func(row Row) {
+		if c := new.Count(row.Tuple) - row.Count; c != 0 {
+			out.AddRow(row.WithCount(c))
+		}
+	})
+	new.Each(func(row Row) {
+		if old.Count(row.Tuple) == 0 {
+			out.AddRow(row)
+		}
+	})
+	return out
+}
+
 // SetDiff returns set(a) − set(b) as a signed delta: tuples in a but not b
 // get +1, tuples in b but not a get −1. This implements statement (2) of
 // Algorithm 4.1 (the cascade delta under set semantics).

@@ -96,6 +96,25 @@ func TestToSetAndSetDiff(t *testing.T) {
 	}
 }
 
+// Diff is what merged into old makes new; a row old holds keeps old's
+// stored tuple.
+func TestDiff(t *testing.T) {
+	old := rel(row(2, "a"), row(1, "b"), row(1, "c"))
+	new := rel(row(1, "a"), row(1, "b"), row(3, "d"))
+	d := Diff(old, new)
+	if d.Count(value.T("a")) != -1 || d.Count(value.T("c")) != -1 || d.Count(value.T("d")) != 3 || d.Len() != 3 {
+		t.Fatalf("Diff: %v", d)
+	}
+	if got, want := d.Lookup([]int{0}, value.T("a")), old.Lookup([]int{0}, value.T("a")); &got[0].Tuple[0] != &want[0].Tuple[0] {
+		t.Error("Diff copied a tuple old holds")
+	}
+	merged := old.Clone()
+	merged.MergeDelta(d)
+	if !Equal(merged, new) {
+		t.Fatalf("old ⊎ Diff(old, new) = %v, want %v", merged, new)
+	}
+}
+
 func TestEqualAndEqualAsSets(t *testing.T) {
 	a := rel(row(2, "a"), row(1, "b"))
 	b := rel(row(1, "a"), row(1, "b"))

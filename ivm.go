@@ -9,8 +9,10 @@
 //     each view; and
 //   - the DRed (Delete and Rederive) algorithm for general recursive
 //     views (set semantics), which deletes an overestimate, rederives the
-//     survivors, and propagates insertions — and also maintains views
-//     when rules are added to or removed from the view definition.
+//     survivors, and propagates insertions.
+//
+// One engine runs both, stratum by stratum, and maintains the views as
+// well when rules are added to or removed from the view definition.
 //
 // Views are defined in an extended Datalog dialect:
 //
@@ -19,8 +21,9 @@
 //	v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
 //	changes, err := v.Apply(ivm.NewUpdate().Delete("link", "a", "b"))
 //
-// The strategy is chosen automatically (counting for nonrecursive
-// programs, DRed for recursive ones) and can be forced with WithStrategy.
+// The algorithm is chosen per stratum (counting for nonrecursive strata,
+// DRed for recursive ones) and can be forced on every stratum with
+// WithStrategy.
 package ivm
 
 import (
@@ -33,7 +36,6 @@ import (
 
 	"ivm/internal/baseline/pf"
 	"ivm/internal/baseline/recompute"
-	"ivm/internal/core/counting"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
@@ -42,7 +44,6 @@ import (
 	"ivm/internal/relation"
 	"ivm/internal/sched"
 	"ivm/internal/storage"
-	"ivm/internal/strata"
 	"ivm/internal/value"
 )
 
@@ -100,12 +101,14 @@ const (
 type Strategy int
 
 const (
-	// Auto uses Counting for nonrecursive programs and DRed for
-	// recursive ones — the paper's recommendation.
+	// Auto uses Counting for nonrecursive strata and DRed for recursive
+	// ones — the paper's recommendation.
 	Auto Strategy = iota
-	// Counting uses Algorithm 4.1 (nonrecursive views only).
+	// Counting uses Algorithm 4.1 on every stratum (nonrecursive views
+	// only, unless WithRecursiveCounting).
 	Counting
-	// DRed uses the Delete-and-Rederive algorithm (set semantics).
+	// DRed uses the Delete-and-Rederive algorithm on every stratum (set
+	// semantics).
 	DRed
 	// Recompute re-evaluates views from scratch on every change (the
 	// non-incremental baseline).
@@ -228,7 +231,7 @@ func (d *Database) Rows(pred string) []Row {
 // the successor version atomically.
 type Views struct {
 	cfg        config
-	strategy   Strategy // resolved (never Auto)
+	strategy   Strategy // what maintains the program (regime); wmu, versions carry a copy
 	programSrc string   // authoritative copy (wmu); versions carry a race-free copy
 	// hidden marks internal auxiliary predicates (e.g. the GROUP BY join
 	// helpers the SQL front end generates) that are filtered out of
@@ -264,11 +267,6 @@ type Views struct {
 	// with no waiters cost one mutex hop and no channel.
 	verMu sync.Mutex
 	verCh chan struct{}
-
-	// explainSem is the semantics derivation enumeration resolves
-	// sources under: the view semantics, except that counting without
-	// statement (2) keeps duplicate counts inside a set view. Constant.
-	explainSem Semantics
 
 	// reg collects the engines' counters and timing histograms; always
 	// non-nil for views built by MaterializeProgram/MaterializeSQL.
@@ -306,9 +304,9 @@ type Views struct {
 	// deposed at.
 	fence atomic.Uint64
 
-	// eng is the maintenance engine (touched only under wmu). Which one
-	// it is reads v.strategy; what only some engines can do is an optional
-	// interface asserted where it is needed (ruleEditor).
+	// eng is the maintenance engine (touched only under wmu): the one
+	// engine (*dred.Engine), which also maintains rule edits, or a
+	// baseline.
 	eng engine
 }
 
@@ -330,21 +328,10 @@ type engine interface {
 	Stats() any
 }
 
-// ruleEditor is the engine that also maintains views across changes to
-// their definition (the paper's §7 rule insertion and deletion): DRed.
-// Install takes an edited program as it stands, for a fold of the edit.
-type ruleEditor interface {
-	AddRule(r datalog.Rule) (map[string]*relation.Relation, error)
-	RemoveRule(ri int) (map[string]*relation.Relation, error)
-	Install(prog *datalog.Program) error
-}
-
 var (
-	_ engine     = (*counting.Engine)(nil)
-	_ engine     = (*dred.Engine)(nil)
-	_ engine     = (*recompute.Engine)(nil)
-	_ engine     = (*pf.Engine)(nil)
-	_ ruleEditor = (*dred.Engine)(nil)
+	_ engine = (*dred.Engine)(nil)
+	_ engine = (*recompute.Engine)(nil)
+	_ engine = (*pf.Engine)(nil)
 )
 
 // Materialize parses the program (rules; facts are loaded into the
@@ -367,43 +354,20 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 	if err := datalog.Validate(prog); err != nil {
 		return nil, err
 	}
-	st, err := strata.Compute(prog)
-	if err != nil {
-		return nil, err
-	}
-	strategy := cfg.strategy
-	if strategy == Auto {
-		strategy = Counting
-		for pred := range prog.DerivedPreds() {
-			if st.Recursive[pred] {
-				strategy = DRed
-				break
-			}
-		}
-	}
 	reg := metrics.NewRegistry()
-	v := &Views{cfg: cfg, strategy: strategy, programSrc: programSrc, reg: reg, explainSem: cfg.semantics}
-	switch strategy {
-	case Counting:
-		eng, err := counting.NewWithConfig(prog, d.base, counting.Config{
+	v := &Views{cfg: cfg, programSrc: programSrc, reg: reg}
+	switch cfg.strategy {
+	case Auto, Counting, DRed:
+		if cfg.strategy == DRed && cfg.semantics == DuplicateSemantics {
+			return nil, fmt.Errorf("ivm: DRed requires set semantics")
+		}
+		eng, err := dred.NewWithConfig(prog, d.base, dred.Config{
+			Algorithm:      map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed}[cfg.strategy],
 			Semantics:      cfg.semantics,
-			DisableSetOpt:  cfg.disableSetOpt,
 			AllowRecursion: cfg.recursiveCounts,
 			MaxIterations:  cfg.maxIterations,
 			Metrics:        reg,
 			Tracer:         cfg.tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		v.eng, v.explainSem = eng, eng.InternalSemantics()
-	case DRed:
-		if cfg.semantics == DuplicateSemantics {
-			return nil, fmt.Errorf("ivm: DRed requires set semantics")
-		}
-		eng, err := dred.NewWithConfig(prog, d.base, dred.Config{
-			Metrics: reg,
-			Tracer:  cfg.tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -428,11 +392,11 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		if err != nil {
 			return nil, err
 		}
-		eng.FragmentTuples = cfg.fragmentTuples
 		v.eng = eng
 	default:
-		return nil, fmt.Errorf("ivm: unknown strategy %v", strategy)
+		return nil, fmt.Errorf("ivm: unknown strategy %v", cfg.strategy)
 	}
+	v.strategy = v.regime()
 	v.comb = sched.New(v.processBatch)
 	v.idem = newIdemWindow(cfg.idemWindow)
 	v.mBatches = reg.Counter("sched_batches_total")
@@ -456,8 +420,20 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 	return v, nil
 }
 
-// Strategy returns the resolved maintenance strategy.
-func (v *Views) Strategy() Strategy { return v.strategy }
+// Strategy returns what maintains the current program: Counting when no
+// stratum is recursive, DRed when every one is (or when forced), and Auto
+// only for a mixed program under Auto, whose nonrecursive strata count
+// and recursive ones run DRed. Recompute and PF are as configured.
+func (v *Views) Strategy() Strategy { return v.cur.Load().strategy }
+
+// regime is what maintains the engine's program, as Strategy and a commit
+// record's stamp name it: the algorithms its strata run, or a baseline.
+func (v *Views) regime() Strategy {
+	if eng, ok := v.eng.(*dred.Engine); ok {
+		return [...]Strategy{dred.DRed: DRed, dred.Counting: Counting, dred.PerStratum: Auto}[eng.Regime()]
+	}
+	return v.cfg.strategy
+}
 
 // Semantics returns the view semantics.
 func (v *Views) Semantics() Semantics { return v.cfg.semantics }
@@ -504,8 +480,8 @@ type applyReq struct {
 	// its deltas are merged as they stand and its keys seed the window.
 	rec *CommitRecord
 	// edit, instead of u, is a rule edit (AddRule, RemoveRule): the
-	// engine's rule editor maintains it and its record carries the program.
-	edit func(ruleEditor) (map[string]*relation.Relation, error)
+	// engine maintains it and its record carries the program.
+	edit func(*dred.Engine) (map[string]*relation.Relation, error)
 	// keys are the idempotency keys this request carries: one for a
 	// keyed client apply, several only when a format-1 WAL record merged
 	// from several applies is replayed.
@@ -915,12 +891,15 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 	var program *string
 	if edit := reqs[0].edit; edit == nil {
 		per, g.err = v.eng.Apply(u.deltas())
-	} else if per, g.err = edit(v.eng.(ruleEditor)); g.err == nil {
+	} else if per, g.err = edit(v.eng.(*dred.Engine)); g.err == nil {
 		// Regenerated from the edited rules, the text the record, Save and
 		// checkpoints carry is the views as they now are (fact clauses
-		// dropped lose nothing: base facts live in the database).
+		// dropped lose nothing: base facts live in the database). The
+		// record is stamped with what maintains them now.
 		v.programSrc = v.eng.Program().String()
 		program = &v.programSrc
+		v.strategy = v.regime()
+		v.refreshEmptiesLocked(next)
 	}
 	if g.err != nil {
 		return g
@@ -939,7 +918,7 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 		}
 	}
 	if cut {
-		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, program, v.engineByte(), v.eng.CommittedDeltas()); g.err != nil {
+		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, program, v.stamp(v.strategy), v.eng.CommittedDeltas()); g.err != nil {
 			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
 		}
 	}
@@ -965,6 +944,17 @@ func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map
 			// First stored content for this predicate: version it from
 			// a clone of the engine's (small, just-created) relation.
 			next[pred] = relation.NewVersioned(r.Clone())
+		}
+	}
+}
+
+// refreshEmptiesLocked republishes, empty, the emptied relations a rule
+// edit gave another arity (the arity its rules now read or derive them
+// at), so that the edit's Δ, pushed next, lands at the engine's arity.
+func (v *Views) refreshEmptiesLocked(next map[string]*relation.Versioned) {
+	for pred, vr := range next {
+		if r := v.eng.DB().Get(pred); r != nil && vr.Reader().Arity() != r.Arity() {
+			next[pred] = relation.NewVersioned(relation.New(r.Arity()))
 		}
 	}
 }
@@ -1113,20 +1103,24 @@ func (v *Views) hiddenLocked() []string {
 	return hidden
 }
 
-// CountingStats returns the counting-engine statistics of the
-// maintenance pass that produced the current published version. The
-// stats are carried on the version itself, so the read is lock-free and
-// race-free against concurrent Apply.
-func (v *Views) CountingStats() (counting.Stats, bool) {
-	st, ok := v.cur.Load().stats.(counting.Stats)
-	return st, ok
+// CountingStats returns the engine statistics of the maintenance pass
+// that produced the current published version, if counting maintains a
+// stratum of its program (their counting counters). The stats are carried
+// on the version itself, so the read is lock-free and race-free against
+// concurrent Apply.
+func (v *Views) CountingStats() (dred.Stats, bool) {
+	cur := v.cur.Load()
+	st, ok := cur.stats.(dred.Stats)
+	return st, ok && cur.strategy != DRed
 }
 
-// DRedStats returns the DRed-engine statistics of the maintenance pass
-// that produced the current published version. Lock-free.
+// DRedStats returns the engine statistics of the maintenance pass that
+// produced the current published version, if DRed maintains a stratum of
+// its program (their DRed counters). Lock-free.
 func (v *Views) DRedStats() (dred.Stats, bool) {
-	st, ok := v.cur.Load().stats.(dred.Stats)
-	return st, ok
+	cur := v.cur.Load()
+	st, ok := cur.stats.(dred.Stats)
+	return st, ok && cur.strategy != Counting
 }
 
 // PFStats returns the PF-baseline statistics of the maintenance pass
@@ -1137,7 +1131,7 @@ func (v *Views) PFStats() (pf.Stats, bool) {
 }
 
 // Metrics returns an immutable snapshot of every metric the views'
-// engines have recorded: cumulative counters (counting_*, dred_*, pf_*,
+// engine has recorded: cumulative counters (counting_*, dred_*, pf_*,
 // recompute_*, eval_*, sched_*), gauges, and duration histograms.
 // Counters are cumulative across the views' lifetime, unlike the
 // per-operation *Stats accessors. The underlying instruments are
@@ -1157,7 +1151,7 @@ func (v *Views) Metrics() MetricsSnapshot {
 // counts), program text, and hidden-predicate set to path. The write is
 // atomic and durable (temp file fsync + rename + directory fsync).
 func (v *Views) Save(path string) error {
-	if v.strategy == PF {
+	if v.cfg.strategy == PF {
 		return fmt.Errorf("ivm: Save is not supported for the PF baseline")
 	}
 	v.wmu.Lock()

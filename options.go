@@ -5,8 +5,6 @@ import "ivm/internal/metrics"
 type config struct {
 	strategy        Strategy
 	semantics       Semantics
-	disableSetOpt   bool
-	fragmentTuples  bool
 	recursiveCounts bool
 	maxIterations   int
 	tracer          metrics.Tracer
@@ -37,14 +35,6 @@ func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s }
 
 // WithSemantics selects set or duplicate semantics (default: set).
 func WithSemantics(s Semantics) Option { return func(c *config) { c.semantics = s } }
-
-// WithoutSetOptimization disables statement (2) of Algorithm 4.1 (the
-// set-semantics cascade cut) — exposed for the ablation experiments.
-func WithoutSetOptimization() Option { return func(c *config) { c.disableSetOpt = true } }
-
-// WithTupleFragmentation makes the PF baseline propagate one tuple per
-// pass (its most fragmented schedule).
-func WithTupleFragmentation() Option { return func(c *config) { c.fragmentTuples = true } }
 
 // WithTracer subscribes t to maintenance trace events (batch start/end,
 // stratum completion, rule evaluations). A nil t leaves tracing off.
@@ -80,8 +70,8 @@ func WithWALRepair() Option { return func(c *config) { c.walRepair = true } }
 // trees, which is finite only on acyclic derivations — materialization
 // and updates fail with a divergence error (after maxIterations fixpoint
 // rounds; 0 = default) when a derivation cycle appears, leaving the views
-// unchanged. Auto keeps selecting DRed for recursive programs, the
-// paper's recommendation.
+// unchanged. Auto keeps selecting DRed for recursive strata, the paper's
+// recommendation.
 func WithRecursiveCounting(maxIterations int) Option {
 	return func(c *config) {
 		c.recursiveCounts = true

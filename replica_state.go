@@ -29,7 +29,7 @@ func (s *Snapshot) ReplicaState() ReplicaState {
 		Program:   s.v.programSrc,
 		Hidden:    s.views.hiddenLocked(),
 		Facts:     s.v.baseFacts(1).String(),
-		Strategy:  s.views.strategy.String(),
+		Strategy:  s.views.cfg.strategy.String(),
 		Semantics: s.views.cfg.semantics.String(),
 	}
 }

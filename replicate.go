@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"ivm/internal/core/dred"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
 )
@@ -24,6 +25,9 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 	if err != nil {
 		g.err = err
 		return g
+	}
+	if _, edit := r.rec.Program(); edit {
+		v.refreshEmptiesLocked(next)
 	}
 	v.pushDeltasLocked(next, deltas)
 	cs.version = version
@@ -45,27 +49,41 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 // (where only the recompute baseline reports count moves) the rows whose
 // presence flips. A rule edit's record installs the program it carries,
 // under which its change set is read — a predicate the edit stops deriving
-// is reported as the primary reported it — and then folds its Δ.
-func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relation, *ChangeSet, error) {
-	if by := rec.Engine(); by != v.engineByte() {
-		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.engineByte())}
-	}
+// is reported as the primary reported it — and then folds its Δ. Its
+// stamp is checked against what maintains the program it installs.
+func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relation, _ *ChangeSet, err error) {
 	start := time.Now()
-	db, prog := v.eng.DB(), v.eng.Program()
+	db, prog, strategy := v.eng.DB(), v.eng.Program(), v.strategy
 	src, edit := rec.Program()
-	ed, _ := v.eng.(ruleEditor)
+	var undo func()
+	defer func() {
+		if err != nil && undo != nil {
+			undo()
+		}
+	}()
 	if edit {
+		// Installed first, so that the stamp is checked against what
+		// maintains the edited program and the deltas are vetted against
+		// the arities it gives emptied relations; undone if refused.
 		res, err := parser.Parse(src)
-		if err == nil && ed == nil {
-			err = fmt.Errorf("the %v strategy does not edit rules", v.strategy)
+		eng, ok := v.eng.(*dred.Engine)
+		if err == nil && !ok {
+			err = fmt.Errorf("the %v baseline takes no rule edits", v.cfg.strategy)
 		}
-		if err != nil {
+		if err == nil {
+			undo, err = eng.Install(res.Program)
+		}
+		if err == nil {
+			prog, strategy = res.Program, v.regime()
+		} else if rec.Engine() == v.stamp(strategy) {
 			return nil, nil, fmt.Errorf("ivm: commit record %d: rule edit: %w", rec.Version, err)
-		}
-		prog = res.Program
+		} // else it was cut under another configuration, as the stamp says
+	}
+	if by := rec.Engine(); by != v.stamp(strategy) {
+		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.stamp(strategy))}
 	}
 	derived := prog.DerivedPreds()
-	flips := v.strategy != Recompute && v.cfg.semantics == SetSemantics
+	flips := v.cfg.strategy != Recompute && v.cfg.semantics == SetSemantics
 	deltas := make(map[string]*relation.Relation)
 	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
 	rows := 0
@@ -124,10 +142,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (map[string]*relation.Relatio
 		}
 	}
 	if edit {
-		if err := ed.Install(prog); err != nil {
-			return nil, nil, fmt.Errorf("ivm: commit record %d: rule edit: %w", rec.Version, err)
-		}
-		v.programSrc = src
+		v.programSrc, v.strategy = src, strategy
 	}
 	v.eng.Fold(deltas)
 	v.mReplayRows.Add(int64(rows))
@@ -166,14 +181,18 @@ func (e *DivergenceError) Error() string {
 	return fmt.Sprintf("ivm: diverged: commit record is stamped version %d but the views are at version %d", e.Version, e.At)
 }
 
-// engineByte is the stamp these views put on the commit records they cut
-// and demand of the ones they fold: strategy, semantics and the counting
-// regime inside the engine (WithoutSetOptimization). Stored derivation
-// counts — and so a record's count changes — differ between any two.
-func (v *Views) engineByte() byte {
-	return byte(v.strategy)<<2 | byte(v.cfg.semantics)<<1 | byte(v.explainSem)
+// stamp is the byte these views put on the commit records they cut and
+// demand of the ones they fold: what maintains the program (strategy —
+// Auto only for a mixed program) and the semantics, twice, as records cut
+// when counting could keep duplicate counts inside a set view spell it.
+// Stored derivation counts — and so a record's count changes — differ
+// between any two.
+func (v *Views) stamp(strategy Strategy) byte {
+	return byte(strategy)<<2 | byte(v.cfg.semantics)<<1 | byte(v.cfg.semantics)
 }
 
+// engineString names a stamp; a record cut with duplicate counts inside a
+// set view reads "(duplicate counts inside)".
 func engineString(b byte) string {
 	s := fmt.Sprintf("%v/%v", Strategy(b>>2), Semantics(b>>1&1))
 	if b>>1&1 != b&1 {

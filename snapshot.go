@@ -23,6 +23,8 @@ type version struct {
 	rels       map[string]*relation.Versioned
 	prog       *datalog.Program
 	programSrc string
+	// strategy is what maintains prog (Views.Strategy).
+	strategy Strategy
 	// published is the wall-clock UnixNano of the publish, feeding the
 	// snapshot-age gauge.
 	published int64
@@ -151,7 +153,7 @@ func (s *Snapshot) Explain(goal string) ([]Derivation, error) {
 	var out []Derivation
 	for _, ri := range prog.RulesFor(a.Pred) {
 		rule := prog.Rules[ri]
-		srcs, err := eval.SourcesAt(rule, ri, db, s.views.explainSem, nil)
+		srcs, err := eval.SourcesAt(rule, ri, db, s.views.cfg.semantics, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +218,7 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 	var out []RulePlan
 	for _, ri := range prog.RulesFor(pred) {
 		rule := prog.Rules[ri]
-		srcs, err := eval.SourcesAt(rule, ri, db, s.views.explainSem, nil)
+		srcs, err := eval.SourcesAt(rule, ri, db, s.views.cfg.semantics, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -241,6 +243,7 @@ func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *v
 		rels:       rels,
 		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
+		strategy:   v.strategy,
 		stats:      v.eng.Stats(),
 	}
 }

@@ -107,7 +107,7 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 		}
 		info.Initialized = true
 	}
-	if v.strategy == PF {
+	if v.cfg.strategy == PF {
 		return fail(fmt.Errorf("ivm: the PF baseline cannot be store-bound"))
 	}
 	v.wmu.Lock()

@@ -659,7 +659,6 @@ func TestOpenStoreRefusesAWALCutUnderAnotherConfiguration(t *testing.T) {
 	for name, opt := range map[string]ivm.Option{
 		"strategy":       ivm.WithStrategy(ivm.DRed),
 		"semantics":      ivm.WithSemantics(ivm.DuplicateSemantics),
-		"counts regime":  ivm.WithoutSetOptimization(),
 		"other baseline": ivm.WithStrategy(ivm.Recompute),
 	} {
 		_, _, err := ivm.OpenStore(dir, noInit(t), opt)
