@@ -54,7 +54,7 @@ func TestLoadRejectsArityClash(t *testing.T) {
 func TestStrategyStrings(t *testing.T) {
 	for s, want := range map[ivm.Strategy]string{
 		ivm.Auto: "auto", ivm.Counting: "counting", ivm.DRed: "dred",
-		ivm.Recompute: "recompute", ivm.PF: "pf",
+		ivm.Recompute: "recompute",
 	} {
 		if s.String() != want {
 			t.Errorf("%d: %q", s, s.String())
@@ -311,32 +311,6 @@ func TestSaveAndLoadViews(t *testing.T) {
 	}
 }
 
-func TestPFStrategyThroughAPI(t *testing.T) {
-	db := ivm.NewDatabase()
-	db.MustLoad(`link(a,b). link(b,c). link(a,c).`)
-	v, err := db.Materialize(`
-		tc(X,Y) :- link(X,Y).
-		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`, ivm.WithStrategy(ivm.PF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := v.Apply(ivm.NewUpdate().Delete("link", "a", "b").Delete("link", "b", "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Has("tc", "a", "b") || !v.Has("tc", "a", "c") {
-		t.Fatalf("tc: %v", v.Rows("tc"))
-	}
-	st, ok := v.PFStats()
-	if !ok || st.Passes != 1 { // one pass per changed base predicate
-		t.Fatalf("pf stats: %+v ok=%v", st, ok)
-	}
-	if len(ch.Deleted("tc")) == 0 {
-		t.Fatal("deletions expected")
-	}
-}
-
 func TestRecomputeStrategyThroughAPI(t *testing.T) {
 	db := ivm.NewDatabase()
 	db.MustLoad(`link(a,b). link(b,c).`)
@@ -458,7 +432,6 @@ func TestUpdateStaysTheCallersAfterApply(t *testing.T) {
 		"recompute/set":       {ivm.WithStrategy(ivm.Recompute)},
 		"recompute/duplicate": {ivm.WithStrategy(ivm.Recompute), ivm.WithSemantics(ivm.DuplicateSemantics)},
 		"dred/set":            {ivm.WithStrategy(ivm.DRed)},
-		"pf/set":              {ivm.WithStrategy(ivm.PF)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			db := ivm.NewDatabase()

@@ -270,40 +270,6 @@ func BenchmarkE12InsertOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkE13RecursiveCounting — counted delta fixpoints on DAG
-// transitive closure ([GKM92], Section 8's future work).
-func BenchmarkE13RecursiveCounting(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.LayeredDAG(experiments.Rng(130), 10, 6, 2)
-	db := ivm.NewDatabase()
-	for _, row := range link.SortedRows() {
-		db.InsertTuple("link", row.Tuple, 1)
-	}
-	v, err := db.Materialize(experiments.TCProgram,
-		ivm.WithStrategy(ivm.Counting),
-		ivm.WithSemantics(ivm.DuplicateSemantics),
-		ivm.WithRecursiveCounting(500))
-	if err != nil {
-		b.Fatal(err)
-	}
-	del := workload.SampleDeletes(experiments.Rng(131), link, 1)
-	var ins *relation.Relation
-	del.Each(func(r relation.Row) {
-		ins = relation.New(2)
-		ins.Add(r.Tuple, 1)
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := del
-		if i%2 == 1 {
-			d = ins
-		}
-		if _, err := v.Apply(ivm.UpdateFromRelations(experiments.DeltaOf(d))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlannerSkew — the cost-based planner on skewed cardinalities:
 // hot is small with a 1000-way fan-out per key, wide is large but
 // near-unique, and the timed Δreq keys hit hot's fan-out while missing

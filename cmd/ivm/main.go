@@ -42,7 +42,7 @@ func main() {
 func run() error {
 	programPath := flag.String("program", "", "file with view rules (and optionally facts)")
 	dataPath := flag.String("data", "", "file with base facts")
-	strategyFlag := flag.String("strategy", "auto", "auto, counting, dred, recompute, or pf")
+	strategyFlag := flag.String("strategy", "auto", "auto, counting, dred, or recompute")
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
 	snapshotPath := flag.String("snapshot", "", "snapshot file to load (if present) and save on exit")
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + write-ahead log) for crash-safe persistence")
@@ -293,9 +293,6 @@ func printStats(out io.Writer, views *ivm.Views) {
 	if st, ok := views.DRedStats(); ok {
 		fmt.Fprintf(out, "dred: overestimated=%d, rederived=%d, inserted=%d, rule firings=%d\n",
 			st.Overestimated, st.Rederived, st.Inserted, st.RuleFirings)
-	} else if st, ok := views.PFStats(); ok {
-		fmt.Fprintf(out, "pf: passes=%d, overestimated=%d, rederived=%d, inserted=%d, rule firings=%d\n",
-			st.Passes, st.Overestimated, st.Rederived, st.Inserted, st.RuleFirings)
 	} else if !counting {
 		fmt.Fprintln(out, "no stats for this strategy")
 	}

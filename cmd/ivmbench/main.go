@@ -1,5 +1,5 @@
 // Command ivmbench regenerates every experiment table of the
-// reproduction (DESIGN.md E1–E13; E11 lives in the property tests).
+// reproduction (DESIGN.md E1–E12; E11 lives in the property tests).
 //
 // Usage:
 //
@@ -88,9 +88,9 @@ func main() {
 		"E1": experiments.RunE1, "E2": experiments.RunE2, "E3": experiments.RunE3,
 		"E4": experiments.RunE4, "E5": experiments.RunE5, "E6": experiments.RunE6,
 		"E7": experiments.RunE7, "E8": experiments.RunE8, "E9": experiments.RunE9,
-		"E10": experiments.RunE10, "E12": experiments.RunE12, "E13": experiments.RunE13,
+		"E10": experiments.RunE10, "E12": experiments.RunE12,
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E12", "E13"}
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E12"}
 
 	want := map[string]bool{}
 	if *expFlag != "" {

@@ -94,9 +94,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if strategy == ivm.PF {
-		return fmt.Errorf("strategy %q cannot be served: the PF baseline cannot be store-bound", *strategyFlag)
-	}
 	semantics, err := ivm.ParseSemantics(*semanticsFlag)
 	if err != nil {
 		return err

@@ -331,35 +331,6 @@ func TestHiddenPredsDoNotLeakInSQLChangeSets(t *testing.T) {
 	}
 }
 
-func TestRecursiveCountingThroughAPI(t *testing.T) {
-	db := ivm.NewDatabase()
-	db.MustLoad(`link(a,b). link(a,c). link(b,d). link(c,d).`)
-	v, err := db.Materialize(`
-		tc(X,Y) :- link(X,Y).
-		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`, ivm.WithStrategy(ivm.Counting), ivm.WithSemantics(ivm.DuplicateSemantics),
-		ivm.WithRecursiveCounting(500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Count("tc", "a", "d") != 2 {
-		t.Fatalf("tc(a,d) = %d, want 2 (two paths)", v.Count("tc", "a", "d"))
-	}
-	if _, err := v.Apply(ivm.NewUpdate().Delete("link", "a", "b")); err != nil {
-		t.Fatal(err)
-	}
-	if v.Count("tc", "a", "d") != 1 {
-		t.Fatalf("tc(a,d) = %d after delete", v.Count("tc", "a", "d"))
-	}
-	// Closing a cycle diverges but leaves the views intact.
-	if _, err := v.Apply(ivm.NewUpdate().Insert("link", "d", "a")); err == nil {
-		t.Fatal("cycle must diverge")
-	}
-	if v.Count("tc", "a", "d") != 1 {
-		t.Fatal("failed update must not change the view")
-	}
-}
-
 func TestArityMismatchesAreErrorsNotPanics(t *testing.T) {
 	// Within one update.
 	u := ivm.NewUpdate().Insert("p", 1).Insert("p", 1, 2)
@@ -410,7 +381,7 @@ func TestJoinEqualityIsKeyIdentity(t *testing.T) {
 		{"NaN across literals, subset index", withIndex, "p", "", nans, 1},
 		{"NaN within a literal", `q(X) :- c(X, X).`, "q", "c(X, X)", [][]any{{"c", nan, nan}}, 1},
 	} {
-		for _, s := range []ivm.Strategy{ivm.Counting, ivm.DRed, ivm.PF, ivm.Recompute} {
+		for _, s := range []ivm.Strategy{ivm.Counting, ivm.DRed, ivm.Recompute} {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, s), func(t *testing.T) {
 				db, u := ivm.NewDatabase(), ivm.NewUpdate()
 				for _, f := range tc.facts {

@@ -34,14 +34,12 @@ type Stats struct {
 	RuleFirings   int
 }
 
-// Config carries the engine's observability hooks.
+// Config carries the engine's metrics registry.
 type Config struct {
 	// Metrics, when non-nil, receives the pf_* counters and timings. The
 	// inner DRed engine is left unobserved so its per-pass work is not
 	// double-counted: the pf_* series already aggregates it.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, receives per-Apply trace events.
-	Tracer metrics.Tracer
 }
 
 // Engine maintains views by per-base-predicate (or per-tuple) change
@@ -58,13 +56,7 @@ type Engine struct {
 	// serialize Apply against Stats (see dred.Engine).
 	last Stats
 
-	// lastDeltas accumulates, per predicate, the exact signed deltas the
-	// most recent Apply's passes committed into stored content. Snapshot
-	// publication replays these onto the previous published version.
-	lastDeltas map[string]*relation.Relation
-
-	// tracer and the resolved metric instruments; all nil-safe.
-	tracer        metrics.Tracer
+	// The resolved metric instruments; all nil-safe.
 	mApplies      *metrics.Counter
 	mPasses       *metrics.Counter
 	mOverest      *metrics.Counter
@@ -78,17 +70,6 @@ type Engine struct {
 // as a Stats.
 func (e *Engine) Stats() any { return e.last }
 
-// CommittedDeltas returns, per predicate, the exact signed count delta
-// the most recent Apply merged into its stored relation, summed across
-// all fragmented passes.
-func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.lastDeltas }
-
-// Fold merges a commit's deltas into stored content (see dred.Engine.Fold).
-func (e *Engine) Fold(deltas map[string]*relation.Relation) {
-	e.d.Fold(deltas)
-	e.lastDeltas, e.last = deltas, Stats{}
-}
-
 // New materializes prog over base (set semantics).
 func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 	return NewWithConfig(prog, base, Config{})
@@ -100,7 +81,7 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{d: d, tracer: cfg.Tracer}
+	e := &Engine{d: d}
 	if r := cfg.Metrics; r != nil {
 		e.mApplies = r.Counter("pf_applies_total")
 		e.mPasses = r.Counter("pf_passes_total")
@@ -127,13 +108,9 @@ func (e *Engine) DB() *eval.DB { return e.d.DB() }
 // each derived relation across the passes.
 func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
-	timing := e.tracer != nil || e.mApplySeconds != nil
 	var applyStart time.Time
-	if timing {
+	if e.mApplySeconds != nil {
 		applyStart = time.Now()
-	}
-	if e.tracer != nil {
-		e.tracer.BatchStart("pf", len(baseDelta))
 	}
 	preds := make([]string, 0, len(baseDelta))
 	for p := range baseDelta {
@@ -202,16 +179,10 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 
 	// A tuple one pass deleted and a later one rederived has cancelled in
 	// the sum: what is left of a derived predicate is its visible change.
-	e.lastDeltas = make(map[string]*relation.Relation, len(committed))
 	out := make(map[string]*relation.Relation)
 	derived := e.d.Program().DerivedPreds()
 	for pred, acc := range committed {
-		if acc.Empty() {
-			continue
-		}
-		acc.Freeze()
-		e.lastDeltas[pred] = acc
-		if derived[pred] {
+		if derived[pred] && !acc.Empty() {
 			out[pred] = acc
 		}
 	}
@@ -221,12 +192,8 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 	e.mRederived.Add(int64(e.last.Rederived))
 	e.mInserted.Add(int64(e.last.Inserted))
 	e.mRuleFirings.Add(int64(e.last.RuleFirings))
-	if timing {
-		d := time.Since(applyStart)
-		e.mApplySeconds.Observe(d)
-		if e.tracer != nil {
-			e.tracer.BatchDone(d, len(out))
-		}
+	if e.mApplySeconds != nil {
+		e.mApplySeconds.Observe(time.Since(applyStart))
 	}
 	return out, nil
 }

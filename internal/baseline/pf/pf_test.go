@@ -137,3 +137,36 @@ func TestPFChangeSetsMergeAcrossPasses(t *testing.T) {
 		t.Fatalf("tc unchanged as a set, but Δ(tc) = %v", ch["tc"])
 	}
 }
+
+// TestPFRefusedApplyRollsBackEarlierPasses: the passes of a batch commit
+// one by one, so when a later pass is refused the earlier ones must be
+// folded back out and the refused batch leave every relation as it was.
+func TestPFRefusedApplyRollsBackEarlierPasses(t *testing.T) {
+	e := engine(t, tcProgram+`tc(X,Y) :- hyper(X,Y).`, `link(a,b). link(b,c). hyper(c,d).`)
+	before := make(map[string]*relation.Relation)
+	for _, pred := range e.DB().Preds() {
+		before[pred] = e.Relation(pred).Clone()
+	}
+	// hyper's pass goes first and inserts; link's deletes an absent tuple.
+	batch, err := parser.ParseDelta(`+hyper(d,e). -link(x,y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := make(map[string]*relation.Relation)
+	for _, f := range batch {
+		delta[f.Pred] = relation.New(len(f.Tuple))
+		delta[f.Pred].Add(f.Tuple, f.Count)
+	}
+	if _, err := e.Apply(delta); err == nil {
+		t.Fatal("deleting an absent link was accepted")
+	}
+	for _, pred := range e.DB().Preds() {
+		want := before[pred]
+		if want == nil {
+			want = relation.New(e.Relation(pred).Arity())
+		}
+		if !relation.Equal(e.Relation(pred), want) {
+			t.Errorf("%s after the refused batch: %v, before: %v", pred, e.Relation(pred), want)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import (
 	"ivm/internal/eval"
 )
 
-// ErrRecursive is returned when a recursive program is given without
-// AllowRecursion: the paper proposes counting for nonrecursive views only
-// (recursive counts can be infinite); use DRed instead.
+// ErrRecursive is returned when a recursive program is given: the paper
+// proposes counting for nonrecursive views only (recursive counts can be
+// infinite); use DRed instead.
 var ErrRecursive = dred.ErrRecursive
 
 // Config is the engine's configuration; its Algorithm is ignored.

@@ -1,11 +1,14 @@
 package counting
 
 import (
-	"ivm/internal/core/dred"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ivm"
 	"ivm/internal/baseline/recompute"
+	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/parser"
@@ -61,6 +64,34 @@ func TestRejectsRecursive(t *testing.T) {
 	`)
 	if _, err := newEngine(prog, eval.NewDB(), eval.Set); err != ErrRecursive {
 		t.Fatalf("err = %v, want ErrRecursive", err)
+	}
+}
+
+// TestRecursiveRejectedWithoutOptIn: counting maintains no recursive
+// stratum under either semantics, and a library user is told which
+// strategies do. Duplicate semantics on a recursive program is refused
+// under every strategy that could be asked to count it.
+func TestRecursiveRejectedWithoutOptIn(t *testing.T) {
+	const tc = `
+		tc(X,Y) :- link(X,Y).
+		tc(X,Y) :- tc(X,Z), link(Z,Y).
+	`
+	if _, err := newEngine(rules(t, tc), load(t, `link(a,b).`), eval.Duplicate); err != ErrRecursive {
+		t.Fatalf("err = %v, want ErrRecursive", err)
+	}
+	db := ivm.NewDatabase()
+	db.MustLoad(`link(a,b).`)
+	_, err := db.Materialize(tc, ivm.WithStrategy(ivm.Counting))
+	if !errors.Is(err, ErrRecursive) || !strings.Contains(err.Error(), "WithStrategy(DRed) or Auto") {
+		t.Fatalf("err = %v, want ErrRecursive naming WithStrategy(DRed) or Auto", err)
+	}
+	for _, s := range []ivm.Strategy{ivm.Auto, ivm.Counting} {
+		if _, err := db.Materialize(tc, ivm.WithStrategy(s), ivm.WithSemantics(ivm.DuplicateSemantics)); err == nil {
+			t.Fatalf("%v with duplicate semantics materialized a recursive view", s)
+		}
+	}
+	if rows := db.Rows("link"); len(rows) != 1 || db.Rows("tc") != nil {
+		t.Fatalf("the refusals changed the database: link %v, tc %v", rows, db.Rows("tc"))
 	}
 }
 

@@ -11,24 +11,17 @@ import (
 )
 
 // count maintains counting stratum s: the delta rules of Definition 4.1
-// (a counted fixpoint of them when the stratum is recursive) and a rule
-// edit's seeds sum into each head's Δ, which the stratum commits whole and
-// cascades as statement (2) decides.
+// and a rule edit's seeds sum into each head's Δ, which the stratum
+// commits whole and cascades as statement (2) decides.
 func (e *Engine) count(o *op, s int, rules []int) error {
 	var stratumStart time.Time
 	if o.timing {
 		stratumStart = time.Now()
 	}
 	perPred := make(map[string]*relation.Relation)
-	if e.kinds[s] == recounted {
-		if err := e.recount(o, s, rules, perPred); err != nil {
+	for _, ri := range rules {
+		if err := e.applyRule(o, ri, perPred); err != nil {
 			return err
-		}
-	} else {
-		for _, ri := range rules {
-			if err := e.applyRule(o, ri, nil, perPred); err != nil {
-				return err
-			}
 		}
 	}
 	for pred, seed := range o.seeds {
@@ -75,12 +68,10 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 }
 
 // applyRule evaluates the delta rules Δ1(r)..Δn(r) of rule ri that have a
-// changed subgoal, accumulating Δ(head) into perPred; a literal over a
-// predicate of inStratum is no changed subgoal and reads its old state (a
-// recursive stratum's round 0).
-func (e *Engine) applyRule(o *op, ri int, inStratum map[string]bool, perPred map[string]*relation.Relation) error {
+// changed subgoal, accumulating Δ(head) into perPred.
+func (e *Engine) applyRule(o *op, ri int, perPred map[string]*relation.Relation) error {
 	rule := e.prog.Rules[ri]
-	litDelta, err := e.deltaImages(o, ri, inStratum)
+	litDelta, err := e.deltaImages(o, ri)
 	if err != nil {
 		return err
 	}
@@ -88,12 +79,15 @@ func (e *Engine) applyRule(o *op, ri int, inStratum map[string]bool, perPred map
 		return nil // no subgoal changed
 	}
 
+	stored := e.db.Ensure(rule.Head.Pred, -1)
 	dp, ok := perPred[rule.Head.Pred]
 	if !ok {
-		dp = e.headDelta(rule, nil)
+		// Δ(head) borrows from the stored head relation, which is written
+		// only after the last stratum.
+		dp = relation.New(len(rule.Head.Args))
+		dp.BorrowFrom(stored, nil)
 		perPred[rule.Head.Pred] = dp
 	}
-	stored := e.db.Ensure(rule.Head.Pred, -1)
 
 	for i := range litDelta {
 		if litDelta[i] == nil {
@@ -102,7 +96,7 @@ func (e *Engine) applyRule(o *op, ri int, inStratum map[string]bool, perPred map
 		if rule.Body[i].Kind == datalog.LitAggregate {
 			dp.BorrowFrom(stored, litDelta[i]) // a head over ΔT is often ΔT's new row
 		}
-		srcs, err := e.deltaSources(o, ri, litDelta, i, inStratum)
+		srcs, err := e.deltaSources(o, ri, litDelta, i)
 		if err != nil {
 			return err
 		}
@@ -124,23 +118,14 @@ func (e *Engine) applyRule(o *op, ri int, inStratum map[string]bool, perPred map
 	return nil
 }
 
-// headDelta returns an empty Δ(head) that borrows from pending (or nil) and
-// the stored head relation, which is written after the last stratum.
-func (e *Engine) headDelta(rule datalog.Rule, pending *relation.Relation) *relation.Relation {
-	out := relation.New(len(rule.Head.Args))
-	out.BorrowFrom(e.db.Ensure(rule.Head.Pred, -1), pending)
-	return out
-}
-
 // deltaImages computes the per-literal Δ images of rule ri (nil = subgoal
 // unchanged), updating group tables as a side effect (deltaT memoizes
-// them). A literal over a predicate of inStratum keeps none: a recursive
-// stratum's own rounds drive it.
-func (e *Engine) deltaImages(o *op, ri int, inStratum map[string]bool) ([]*relation.Relation, error) {
+// them).
+func (e *Engine) deltaImages(o *op, ri int) ([]*relation.Relation, error) {
 	rule := e.prog.Rules[ri]
 	litDelta := make([]*relation.Relation, len(rule.Body))
 	for li, lit := range rule.Body {
-		if pred := lit.Pred(); pred == "" || inStratum[pred] {
+		if lit.Pred() == "" {
 			continue
 		}
 		switch lit.Kind {
@@ -172,23 +157,17 @@ func (e *Engine) deltaImages(o *op, ri int, inStratum map[string]bool) ([]*relat
 
 // deltaSources builds the source list of delta rule Δi(r) per Definition
 // 4.1: position i reads the Δ image, earlier positions the new state,
-// later positions the old state (Example 4.1's d1/d2 orientation) — except
-// a literal over a predicate of inStratum, which reads its old state (a
-// recursive stratum's round 0).
-func (e *Engine) deltaSources(o *op, ri int, litDelta []*relation.Relation, i int, inStratum map[string]bool) ([]eval.Source, error) {
+// later positions the old state (Example 4.1's d1/d2 orientation).
+func (e *Engine) deltaSources(o *op, ri int, litDelta []*relation.Relation, i int) ([]eval.Source, error) {
 	rule := e.prog.Rules[ri]
 	srcs := make([]eval.Source, len(rule.Body))
 	for j, lit := range rule.Body {
-		var err error
-		switch pred := lit.Pred(); {
-		case j == i:
+		if j == i {
 			srcs[j] = eval.Source{Rel: litDelta[i], JoinDelta: lit.Kind == datalog.LitNegated}
-		case pred != "" && inStratum[pred]:
-			srcs[j] = eval.Source{Rel: e.old(pred)}
-		default:
-			srcs[j], err = e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, j < i)
+			continue
 		}
-		if err != nil {
+		var err error
+		if srcs[j], err = e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, j < i); err != nil {
 			return nil, err
 		}
 	}

@@ -26,8 +26,7 @@
 // set transitions under set semantics — and commits its exact count Δ, so
 // the stored state is always what a from-scratch evaluation computes.
 // Config.Algorithm forces one algorithm on every stratum for the paper's
-// comparisons; forced counting also maintains recursive strata under
-// duplicate semantics when AllowRecursion is set ([GKM92], Section 8).
+// comparisons; forced counting refuses a recursive stratum.
 //
 // AddRule/RemoveRule maintain the views across changes to their
 // definition: the derivations a rule contributes propagate exactly like
@@ -53,8 +52,8 @@ type Algorithm int
 const (
 	// DRed maintains every stratum by Delete-and-Rederive (set semantics).
 	DRed Algorithm = iota
-	// Counting maintains every stratum by counting; a recursive stratum
-	// needs AllowRecursion and duplicate semantics.
+	// Counting maintains every stratum by counting, and refuses a
+	// recursive one.
 	Counting
 	// PerStratum maintains nonrecursive strata by counting and recursive
 	// ones by DRed — the paper's pairing.
@@ -62,9 +61,9 @@ const (
 )
 
 // ErrRecursive is returned when forced counting is given a recursive
-// stratum without AllowRecursion: the paper proposes counting for
-// nonrecursive views only (recursive counts can be infinite).
-var ErrRecursive = fmt.Errorf("counting: program is recursive; use dred.Engine (counting may not terminate on recursive views)")
+// stratum: the paper proposes counting for nonrecursive views only
+// (recursive counts can be infinite, Section 8).
+var ErrRecursive = fmt.Errorf("counting: program is recursive; maintain it with WithStrategy(DRed) or Auto (counting may not terminate on recursive views)")
 
 // Stats describes the work of the most recent maintenance operation:
 // counting strata fill the first three counters, DRed strata the rest.
@@ -102,13 +101,6 @@ type Config struct {
 	// 5.1) under forced counting, E3's ablation: a set view then keeps
 	// full duplicate counts, and every count change cascades.
 	DisableSetOpt bool
-	// AllowRecursion lets forced counting maintain recursive strata under
-	// duplicate semantics ([GKM92], Section 8): count(t) is the number of
-	// derivation trees, and materialization and maintenance fail with
-	// ErrCountsDiverge/ErrDiverged when it is infinite.
-	AllowRecursion bool
-	// MaxIterations bounds recursive count fixpoints (0 = default).
-	MaxIterations int
 	// Metrics, when non-nil, receives the engine's counters and timing
 	// histograms (counting_* from counting strata, dred_* from DRed
 	// strata, eval_* and planner_* series). Nil disables collection.
@@ -123,7 +115,6 @@ type kind uint8
 
 const (
 	flat      kind = iota // counting's delta rules, one pass
-	recounted             // counting's counted delta fixpoint
 	rederived             // DRed's three steps
 )
 
@@ -150,10 +141,6 @@ type Engine struct {
 	// changes are collapsed to set transitions.
 	sem       eval.Semantics
 	reportSet bool
-	// recursion: whether forced counting maintains recursive strata
-	// (counted delta fixpoints), and their iteration budget.
-	allowRecursion bool
-	maxIter        int
 
 	db *eval.DB
 	// gts holds the group tables of aggregate subgoals, built over the
@@ -237,7 +224,6 @@ func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
 		alg: cfg.Algorithm, sem: cfg.Semantics,
-		allowRecursion: cfg.AllowRecursion && cfg.Algorithm == Counting, maxIter: cfg.MaxIterations,
 		tracer: cfg.Tracer, reg: cfg.Metrics, instr: eval.NewInstruments(cfg.Metrics),
 		planner: eval.NewPlanner(cfg.Metrics),
 	}
@@ -271,8 +257,6 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 // group tables it built.
 func (e *Engine) evaluate(db *eval.DB) (map[eval.RuleLit]*eval.GroupTable, error) {
 	ev := eval.NewEvaluator(e.prog, e.strat, e.sem)
-	ev.RecursiveCounts = e.allowRecursion
-	ev.MaxIterations = e.maxIter
 	ev.Instr = e.instr
 	ev.Planner = e.planner
 	if err := ev.Evaluate(db); err != nil {
@@ -465,9 +449,9 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 // maintains the views by the rule's derivations (seed), keeping the group
 // tables gts (the engine's, keyed by prog's rule indices) — or, when the
 // edit moves a predicate between a counting stratum and a DRed one, whose
-// stored counts differ, or touches a counted recursive stratum, by
-// evaluating the program afresh. A rejected edit leaves the engine's
-// program as it was, as a rejected Apply leaves its stored rows.
+// stored counts differ, by evaluating the program afresh. A rejected edit
+// leaves the engine's program as it was, as a rejected Apply leaves its
+// stored rows.
 func (e *Engine) edit(prog *datalog.Program, rule datalog.Rule, sign int64, gts map[eval.RuleLit]*eval.GroupTable) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
 	if e.tracer != nil {
@@ -478,8 +462,7 @@ func (e *Engine) edit(prog *datalog.Program, rule datalog.Rule, sign int64, gts 
 	if err != nil {
 		return nil, err
 	}
-	afresh := slices.Contains(was.kinds, recounted) || slices.Contains(e.kinds, recounted)
-	derived := prog.DerivedPreds()
+	derived, afresh := prog.DerivedPreds(), false
 	for pred := range was.prog.DerivedPreds() {
 		afresh = afresh || derived[pred] && was.counted[pred] != e.counted[pred]
 	}
@@ -548,12 +531,8 @@ func (e *Engine) regimeOf(prog *datalog.Program, st *strata.Stratification) (reg
 				return regime{}, fmt.Errorf("engine: stratum %d needs DRed, which maintains set semantics only (duplicate counts of a recursive view may be infinite)", s)
 			}
 			r.kinds[s] = rederived
-		case recursive && !e.allowRecursion:
-			return regime{}, ErrRecursive
-		case recursive && e.Semantics() != eval.Duplicate:
-			return regime{}, fmt.Errorf("counting: recursive counting requires duplicate semantics (for set semantics use the DRed engine)")
 		case recursive:
-			r.kinds[s] = recounted
+			return regime{}, ErrRecursive
 		}
 		if r.kinds[s] == rederived {
 			r.hasDRed = r.hasDRed || len(rules) > 0

@@ -29,16 +29,6 @@ type Evaluator struct {
 	// counting" baseline of Section 5 used to measure counting overhead.
 	TrackCounts bool
 
-	// RecursiveCounts enables duplicate-semantics evaluation of recursive
-	// strata via counted semi-naive fixpoints ([GKM92]): count(t) becomes
-	// the number of derivation trees, finite only on acyclic derivations.
-	// Divergent strata return *ErrCountsDiverge after MaxIterations.
-	RecursiveCounts bool
-
-	// MaxIterations bounds counted recursive fixpoints (0 = the package
-	// default).
-	MaxIterations int
-
 	// Instr, when non-nil, collects low-level evaluation metrics (join
 	// probes and scans, heads built and borrowed) during Evaluate.
 	Instr *Instruments
@@ -103,8 +93,6 @@ func (e *Evaluator) Evaluate(db *DB) error {
 		}
 		var err error
 		switch {
-		case recursive && e.sem == Duplicate && e.RecursiveCounts:
-			err = e.evalRecursiveStratumCounted(db, s, rules)
 		case recursive && e.sem == Duplicate:
 			return ErrRecursiveDuplicates
 		case recursive:

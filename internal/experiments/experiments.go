@@ -1,5 +1,5 @@
 // Package experiments builds the workloads, engines and measurement
-// tables for the reproduction experiments E1–E13 listed in DESIGN.md.
+// tables for the reproduction experiments E1–E12 listed in DESIGN.md.
 // Every table/claim of the paper's evaluation maps to one Run* function;
 // cmd/ivmbench prints them and the root bench_test.go benchmarks reuse
 // the same scenario builders.

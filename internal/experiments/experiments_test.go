@@ -14,7 +14,7 @@ func TestRunAllSmoke(t *testing.T) {
 	}
 	tiny := Scale{Nodes: 30, Edges: 90, Trials: 1}
 	tables := RunAll(tiny)
-	if len(tables) != 12 {
+	if len(tables) != 11 {
 		t.Fatalf("tables: %d", len(tables))
 	}
 	seen := map[string]bool{}

@@ -30,7 +30,7 @@ var SmokeScale = Scale{Nodes: 60, Edges: 240, Trials: 3}
 func RunAll(s Scale) []*Table {
 	return []*Table{
 		RunE1(s), RunE2(s), RunE3(s), RunE4(s), RunE5(s), RunE6(s),
-		RunE7(s), RunE8(s), RunE9(s), RunE10(s), RunE12(s), RunE13(s),
+		RunE7(s), RunE8(s), RunE9(s), RunE10(s), RunE12(s),
 	}
 }
 
@@ -568,56 +568,4 @@ func weightedMixed(rng interface {
 		}
 	})
 	return d
-}
-
-// RunE13 — counting on recursive views (Section 8's future work,
-// [GKM92]): on acyclic data, counted delta fixpoints maintain exact
-// derivation (path) counts; compared against DRed and recompute.
-func RunE13(s Scale) *Table {
-	t := &Table{
-		ID:     "E13",
-		Title:  "recursive counting on DAG transitive closure ([GKM92], Section 8)",
-		Claim:  "counting extends to recursive views with finite counts; deltas quiesce on acyclic derivations",
-		Header: []string{"deleted edges", "counting", "dred", "recompute", "counting/dred"},
-	}
-	layers, width := s.Nodes/20, 6
-	if layers < 5 {
-		layers = 5
-	}
-	link := workload.LayeredDAG(Rng(130), layers, width, 2)
-	cfg := counting.Config{Semantics: eval.Duplicate, AllowRecursion: true, MaxIterations: 10 * layers}
-	prog := MustRules(TCProgram)
-	for _, k := range []int{1, 4, 16} {
-		d := workload.SampleDeletes(Rng(131+int64(k)), link, k)
-		cm, err := medianOf(s.Trials, func() func() error {
-			e, err := counting.NewWithConfig(prog, LinkDB(link.Clone()), cfg)
-			if err != nil {
-				panic(err)
-			}
-			return func() error { _, err := e.Apply(DeltaOf(d)); return err }
-		})
-		if err != nil {
-			panic(err)
-		}
-		dm, err := medianOf(s.Trials, func() func() error {
-			e := DRedEngine(TCProgram, LinkDB(link.Clone()))
-			warmDRed(e, d)
-			return func() error { _, err := e.Apply(DeltaOf(d)); return err }
-		})
-		if err != nil {
-			panic(err)
-		}
-		rm, err := medianOf(s.Trials, func() func() error {
-			e := RecomputeEngine(TCProgram, LinkDB(link.Clone()), eval.Set)
-			return func() error { _, err := e.Apply(DeltaOf(d)); return err }
-		})
-		if err != nil {
-			panic(err)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(k), dur(cm), dur(dm), dur(rm),
-			fmt.Sprintf("%.2f", float64(cm)/float64(dm)),
-		})
-	}
-	return t
 }

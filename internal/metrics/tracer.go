@@ -12,8 +12,9 @@ import "time"
 // event arguments unless a tracer is installed.
 type Tracer interface {
 	// BatchStart fires when a maintenance operation (Apply, AddRule,
-	// RemoveRule) begins. strategy is "counting", "dred", "recompute",
-	// or "pf"; deltaPreds is the number of base predicates with changes.
+	// RemoveRule) begins. strategy is "counting", "dred",
+	// "counting+dred" or "recompute"; deltaPreds is the number of base
+	// predicates with changes.
 	BatchStart(strategy string, deltaPreds int)
 	// StratumDone fires after each stratum's delta propagation, with
 	// the stratum number (1-based, least first) and its wall time.

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ivm/internal/baseline/pf"
 	"ivm/internal/baseline/recompute"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
@@ -105,7 +104,7 @@ const (
 	// ones — the paper's recommendation.
 	Auto Strategy = iota
 	// Counting uses Algorithm 4.1 on every stratum (nonrecursive views
-	// only, unless WithRecursiveCounting).
+	// only).
 	Counting
 	// DRed uses the Delete-and-Rederive algorithm on every stratum (set
 	// semantics).
@@ -113,11 +112,9 @@ const (
 	// Recompute re-evaluates views from scratch on every change (the
 	// non-incremental baseline).
 	Recompute
-	// PF uses the fragmented Propagation/Filtration-style baseline.
-	PF
 )
 
-var strategyNames = [...]string{Auto: "auto", Counting: "counting", DRed: "dred", Recompute: "recompute", PF: "pf"}
+var strategyNames = [...]string{Auto: "auto", Counting: "counting", DRed: "dred", Recompute: "recompute"}
 
 func (s Strategy) String() string {
 	if s >= 0 && int(s) < len(strategyNames) {
@@ -331,7 +328,6 @@ type engine interface {
 var (
 	_ engine = (*dred.Engine)(nil)
 	_ engine = (*recompute.Engine)(nil)
-	_ engine = (*pf.Engine)(nil)
 )
 
 // Materialize parses the program (rules; facts are loaded into the
@@ -362,12 +358,10 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 			return nil, fmt.Errorf("ivm: DRed requires set semantics")
 		}
 		eng, err := dred.NewWithConfig(prog, d.base, dred.Config{
-			Algorithm:      map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed}[cfg.strategy],
-			Semantics:      cfg.semantics,
-			AllowRecursion: cfg.recursiveCounts,
-			MaxIterations:  cfg.maxIterations,
-			Metrics:        reg,
-			Tracer:         cfg.tracer,
+			Algorithm: map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed}[cfg.strategy],
+			Semantics: cfg.semantics,
+			Metrics:   reg,
+			Tracer:    cfg.tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -380,18 +374,6 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 		}
 		eng.Metrics = reg
 		eng.Tracer = cfg.tracer
-		v.eng = eng
-	case PF:
-		if cfg.semantics == DuplicateSemantics {
-			return nil, fmt.Errorf("ivm: the PF baseline requires set semantics")
-		}
-		eng, err := pf.NewWithConfig(prog, d.base, pf.Config{
-			Metrics: reg,
-			Tracer:  cfg.tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
 		v.eng = eng
 	default:
 		return nil, fmt.Errorf("ivm: unknown strategy %v", cfg.strategy)
@@ -423,7 +405,7 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 // Strategy returns what maintains the current program: Counting when no
 // stratum is recursive, DRed when every one is (or when forced), and Auto
 // only for a mixed program under Auto, whose nonrecursive strata count
-// and recursive ones run DRed. Recompute and PF are as configured.
+// and recursive ones run DRed. Recompute is as configured.
 func (v *Views) Strategy() Strategy { return v.cur.Load().strategy }
 
 // regime is what maintains the engine's program, as Strategy and a commit
@@ -1123,15 +1105,8 @@ func (v *Views) DRedStats() (dred.Stats, bool) {
 	return st, ok && cur.strategy != Counting
 }
 
-// PFStats returns the PF-baseline statistics of the maintenance pass
-// that produced the current published version. Lock-free.
-func (v *Views) PFStats() (pf.Stats, bool) {
-	st, ok := v.cur.Load().stats.(pf.Stats)
-	return st, ok
-}
-
 // Metrics returns an immutable snapshot of every metric the views'
-// engine has recorded: cumulative counters (counting_*, dred_*, pf_*,
+// engine has recorded: cumulative counters (counting_*, dred_*,
 // recompute_*, eval_*, sched_*), gauges, and duration histograms.
 // Counters are cumulative across the views' lifetime, unlike the
 // per-operation *Stats accessors. The underlying instruments are
@@ -1151,9 +1126,6 @@ func (v *Views) Metrics() MetricsSnapshot {
 // counts), program text, and hidden-predicate set to path. The write is
 // atomic and durable (temp file fsync + rename + directory fsync).
 func (v *Views) Save(path string) error {
-	if v.cfg.strategy == PF {
-		return fmt.Errorf("ivm: Save is not supported for the PF baseline")
-	}
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
 	// No base version: LoadViews rematerializes from version 1.

@@ -262,7 +262,6 @@ func TestStatsAccessorsRaceDuringApply(t *testing.T) {
 			for !stop.Load() {
 				v.CountingStats()
 				v.DRedStats()
-				v.PFStats()
 				m := v.Metrics()
 				_ = m.Counter("counting_applies_total")
 			}

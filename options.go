@@ -3,11 +3,9 @@ package ivm
 import "ivm/internal/metrics"
 
 type config struct {
-	strategy        Strategy
-	semantics       Semantics
-	recursiveCounts bool
-	maxIterations   int
-	tracer          metrics.Tracer
+	strategy  Strategy
+	semantics Semantics
+	tracer    metrics.Tracer
 	// groupCommit batches WAL fsyncs for store-bound views (OpenStore).
 	groupCommit bool
 	// idemWindow is the idempotency-window capacity (0 = default).
@@ -63,18 +61,3 @@ func WithIdempotencyWindow(n int) Option {
 // leaves the WAL untouched, because the records behind the damage were
 // acknowledged as durable and would otherwise be silently lost.
 func WithWALRepair() Option { return func(c *config) { c.walRepair = true } }
-
-// WithRecursiveCounting lets the counting strategy maintain recursive
-// views ([GKM92]; the paper's Section 8). Requires duplicate semantics
-// and WithStrategy(Counting): count(t) becomes the number of derivation
-// trees, which is finite only on acyclic derivations — materialization
-// and updates fail with a divergence error (after maxIterations fixpoint
-// rounds; 0 = default) when a derivation cycle appears, leaving the views
-// unchanged. Auto keeps selecting DRed for recursive strata, the paper's
-// recommendation.
-func WithRecursiveCounting(maxIterations int) Option {
-	return func(c *config) {
-		c.recursiveCounts = true
-		c.maxIterations = maxIterations
-	}
-}

@@ -11,10 +11,10 @@ import (
 // AddRule extends the view definition (Section 7's rule insertion
 // maintenance) on the strata of any program; an edit making a stratum
 // recursive under duplicate semantics, or reading a relation that holds
-// rows of another arity, is refused. The Recompute and PF baselines take
-// no rule edits. A rule edit is a commit like an Apply: it
-// publishes a version before returning, and its commit record carries the
-// edited program and the edit's Δ, which the WAL logs and followers fold.
+// rows of another arity, is refused. The Recompute baseline takes no rule
+// edits. A rule edit is a commit like an Apply: it publishes a version
+// before returning, and its commit record carries the edited program and
+// the edit's Δ, which the WAL logs and followers fold.
 // As with Apply, an edit maintained but not made durable is published and
 // reported as an error, and one refused up front (after Close the error
 // wraps ErrStoreClosed) changes nothing.

@@ -107,9 +107,6 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 		}
 		info.Initialized = true
 	}
-	if v.cfg.strategy == PF {
-		return fail(fmt.Errorf("ivm: the PF baseline cannot be store-bound"))
-	}
 	v.wmu.Lock()
 	err = v.bindStoreLocked(st, info.Initialized)
 	v.wmu.Unlock()
