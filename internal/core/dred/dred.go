@@ -220,10 +220,33 @@ func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 
 // NewWithConfig validates and stratifies prog, materializes its views over
 // the base relations in base (which is cloned; the engine owns its
-// storage), and returns a ready engine.
+// storage), and returns a ready engine: Load, then one evaluation.
 func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, error) {
+	db := eval.NewDB()
+	for _, pred := range base.Preds() {
+		if r := base.Get(pred); cfg.Semantics == eval.Set { // sets: multiplicities collapse
+			db.Put(pred, r.ToSet())
+		} else {
+			db.Put(pred, r.Clone())
+		}
+	}
+	e, err := Load(prog, db, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if e.gts, err = e.evaluate(e.db); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Load returns an engine that maintains prog over db, which it owns, taken
+// as its stored state: base and derived relations with the counts this
+// configuration stores. Nothing is evaluated; group tables are built when
+// first needed.
+func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
-		alg: cfg.Algorithm, sem: cfg.Semantics,
+		alg: cfg.Algorithm, sem: cfg.Semantics, db: db,
 		tracer: cfg.Tracer, reg: cfg.Metrics, instr: eval.NewInstruments(cfg.Metrics),
 		planner: eval.NewPlanner(cfg.Metrics),
 	}
@@ -231,24 +254,9 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 		// Without statement (2) a set view needs full duplicate counts.
 		e.sem, e.reportSet = eval.Duplicate, true
 	}
-	if cfg.Semantics == eval.Set {
-		// Under set semantics base relations are sets: multiplicities in
-		// the input collapse.
-		e.db = eval.NewDB()
-		for _, pred := range base.Preds() {
-			e.db.Put(pred, base.Get(pred).ToSet())
-		}
-	} else {
-		e.db = base.Clone()
-	}
 	if _, err := e.Install(prog); err != nil {
 		return nil, err
 	}
-	gts, err := e.evaluate(e.db)
-	if err != nil {
-		return nil, err
-	}
-	e.gts = gts
 	return e, nil
 }
 

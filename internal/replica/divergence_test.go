@@ -26,7 +26,7 @@ import (
 // fakePrimary scripts replication connections by hand.
 type fakePrimary struct {
 	t     *testing.T
-	state storage.ReplState
+	state storage.State
 	base  uint64 // version of the state record
 	conns atomic.Int64
 	froms chan string // ?from= of each connection, "" when absent
@@ -65,7 +65,7 @@ func (f *fakePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case 1:
 		// Bootstrap: state at base, one good delta, then a gap — base+3
 		// with base+2 never sent. The follower must refuse to apply it.
-		payload, err := storage.EncodeReplState(f.state)
+		payload, err := f.state.AppendTo(nil)
 		if err != nil {
 			f.t.Error(err)
 			return

@@ -32,7 +32,7 @@ import (
 // record at the real epoch.
 type fencePrimary struct {
 	t      *testing.T
-	state  storage.ReplState
+	state  storage.State
 	base   uint64
 	conns  atomic.Int64
 	epochs chan string // ?epoch= of each connection
@@ -68,7 +68,7 @@ func (f *fencePrimary) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	switch conn {
 	case 1:
-		payload, err := storage.EncodeReplState(f.state)
+		payload, err := f.state.AppendTo(nil)
 		if err != nil {
 			f.t.Error(err)
 			return

@@ -304,7 +304,7 @@ func (r *Replica) bootstrap(br *bufio.Reader) error {
 		case storage.ReplKindHeartbeat:
 			continue
 		case storage.ReplKindState:
-			st, err := storage.DecodeReplState(rec.State)
+			st, err := storage.DecodeState(rec.State)
 			if err != nil {
 				return err
 			}
@@ -312,7 +312,6 @@ func (r *Replica) bootstrap(br *bufio.Reader) error {
 			if err != nil {
 				return fmt.Errorf("replica: building views from state: %w", err)
 			}
-			v.SeedVersion(rec.Version)
 			r.v = v
 			r.admitEpoch(rec) // first record: adopts the leader's epoch
 			r.advance(rec)
@@ -442,15 +441,12 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 		case storage.ReplKindHeartbeat:
 			r.advance(rec)
 		case storage.ReplKindState:
-			st, err := storage.DecodeReplState(rec.State)
+			st, err := storage.DecodeState(rec.State)
 			if err != nil {
 				r.opts.Logf("replica: bad state record: %v", err)
 				return nil // reconnect; a fresh stream re-sends it
 			}
-			if st.Program != r.v.ProgramSource() {
-				return fmt.Errorf("replica: primary's program changed; restart the follower to pick it up")
-			}
-			if err := r.v.ResetToReplicaState(st, rec.Version); err != nil {
+			if err := r.v.ResetToReplicaState(st); err != nil {
 				return fmt.Errorf("replica: applying state reset: %w", err)
 			}
 			r.cResets.Inc()

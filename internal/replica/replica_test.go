@@ -159,6 +159,71 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 	}
 }
 
+// A follower that fell out of the primary's window while the primary's
+// program changed is reset across the edit: the state record carries the
+// program, and the reset folds it with the difference — no restart, no
+// divergence.
+func TestReplicaResetCrossesARuleEdit(t *testing.T) {
+	v := buildPrimaryViews(t)
+	defer v.Shutdown()
+	first := server.New(v, server.Options{ReplWindow: 2, ReplHeartbeat: 20 * time.Millisecond})
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := faultnet.New(faultnet.Options{Target: first.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	patient := client.RetryPolicy{MaxAttempts: 1000, BaseDelay: 3 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
+	rep, err := Start(proxy.URL(), Options{Retry: patient, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	cs, err := v.Apply(ivm.NewUpdate().Insert("link", "c", "d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, rep, cs.Version(), 10*time.Second)
+
+	// The primary's server goes away; while the follower is cut off the
+	// program gains a rule and more commits land.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := first.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.AddRule(`reach(X,Y) :- link(X,Y).`); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []*ivm.Update{ivm.NewUpdate().Insert("link", "d", "e"), ivm.NewUpdate().Delete("link", "a", "b")} {
+		if _, err := v.Apply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A new server's window starts at the current version, so the
+	// follower's resume point is out of it: it gets a state record.
+	second := startServer(t, v, server.Options{ReplWindow: 2, ReplHeartbeat: 20 * time.Millisecond})
+	proxy.SetTarget(second.Addr())
+	final := v.Snapshot()
+	waitApplied(t, rep, final.Version(), 10*time.Second)
+	assertConverged(t, final, rep)
+	if got := rep.Views().ProgramSource(); got != v.ProgramSource() {
+		t.Fatalf("follower's program %q, want the primary's %q", got, v.ProgramSource())
+	}
+	reg := rep.Registry().Snapshot()
+	if resets, div := reg.Counter("replica_resets_total"), reg.Counter("replica_divergence_total"); resets != 1 || div != 0 {
+		t.Fatalf("replica_resets_total = %d, replica_divergence_total = %d; want 1 and 0", resets, div)
+	}
+	// And it keeps tailing under the edited program.
+	if cs, err = v.Apply(ivm.NewUpdate().Insert("link", "e", "f")); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, rep, cs.Version(), 10*time.Second)
+	assertConverged(t, v.Snapshot(), rep)
+}
+
 // A follower hands on what it received: the record it folded goes to its
 // own commit-record subscribers — hence to its replication window and to
 // a follower tailing it — as the bytes the primary cut, not re-encoded,

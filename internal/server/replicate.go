@@ -117,7 +117,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// returns its version — the follower's new resume point.
 	sendState := func() (uint64, bool) {
 		snap := s.v.Snapshot()
-		payload, err := storage.EncodeReplState(snap.ReplicaState())
+		payload, err := snap.ReplicaState().AppendTo(nil)
 		if err != nil {
 			s.opts.Logf("ivmd: replicate: encoding state: %v", err)
 			return 0, false

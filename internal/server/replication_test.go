@@ -99,7 +99,7 @@ func TestReplicateBootstrapAndTail(t *testing.T) {
 	if got, want := rec.Version, v.Snapshot().Version(); got != want {
 		t.Fatalf("state version %d, want %d", got, want)
 	}
-	st, err := storage.DecodeReplState(rec.State)
+	st, err := storage.DecodeState(rec.State)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ const commitRecordFixed = 1 + 8 + 2
 // incompatible build. Nothing is repaired or set aside: the file is left
 // exactly as found and there is no migration path.
 type UnknownFormatError struct {
-	What   string // "WAL" or "snapshot"
+	What   string // "WAL", "snapshot", "replication state" or "state record"
 	Format int    // the format byte / version number found
 }
 
@@ -114,8 +114,31 @@ func appendHeader(dst []byte, format byte, version uint64, keys []string) ([]byt
 }
 
 // recordScratch holds the buffers records are rendered in before being
-// copied out at their exact size.
+// copied out at their exact size — up to maxScratch: a bulk commit's
+// buffer, pooled, would stay live while small commits reuse it.
 var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxScratch = 64 << 10
+
+// appendSection renders one predicate's section of a delta section (or of
+// a state record): its name, arity and row count, then each row as its
+// count and its tuple's key. A relation the fields cannot describe — a
+// name or arity wider than 16 bits, an arity still unknown (negative),
+// more than 2³²−1 rows — is refused.
+func appendSection(buf []byte, pred string, d *relation.Relation) ([]byte, error) {
+	if len(pred) > math.MaxUint16 || d.Arity() < 0 || d.Arity() > math.MaxUint16 || uint64(d.Len()) > math.MaxUint32 {
+		return nil, fmt.Errorf("storage: %s (arity %d, %d rows) exceeds the record's field widths", pred, d.Arity(), d.Len())
+	}
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(pred)))
+	buf = append(buf, pred...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(d.Arity()))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(d.Len()))
+	d.Each(func(row relation.Row) {
+		buf = binary.AppendVarint(buf, row.Count)
+		buf = append(buf, row.Key()...)
+	})
+	return buf, nil
+}
 
 // EncodeCommitRecord cuts the record of a commit from the deltas its
 // engine committed (CommittedDeltas), stamped with that engine's
@@ -124,16 +147,18 @@ var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
 // (format 3), the program text the edit left.
 func EncodeCommitRecord(version uint64, keys []string, program *string, engine byte, deltas map[string]*relation.Relation) (CommitRecord, error) {
 	preds := make([]string, 0, len(deltas))
-	for pred, d := range deltas {
-		if len(pred) > 0xffff || d.Arity() > 0xffff || uint64(d.Len()) > math.MaxUint32 {
-			return CommitRecord{}, fmt.Errorf("storage: delta of %s (arity %d, %d rows) exceeds the record's field widths", pred, d.Arity(), d.Len())
-		}
+	for pred := range deltas {
 		preds = append(preds, pred)
 	}
 	sort.Strings(preds)
 	scratch := recordScratch.Get().(*[]byte)
-	defer recordScratch.Put(scratch)
 	buf, err := appendHeader((*scratch)[:0], formatDeltas, version, keys)
+	defer func() {
+		if cap(buf) <= maxScratch {
+			*scratch = buf
+			recordScratch.Put(scratch)
+		}
+	}()
 	if err != nil {
 		return CommitRecord{}, err
 	}
@@ -150,19 +175,12 @@ func EncodeCommitRecord(version uint64, keys []string, program *string, engine b
 	buf = append(buf, engine)
 	rec.deltas = len(buf)
 	for _, pred := range preds {
-		d := deltas[pred]
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(pred)))
-		buf = append(buf, pred...)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(d.Arity()))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(d.Len()))
-		d.Each(func(row relation.Row) {
-			buf = binary.AppendVarint(buf, row.Count)
-			buf = append(buf, row.Key()...)
-		})
+		if buf, err = appendSection(buf, pred, deltas[pred]); err != nil {
+			return CommitRecord{}, err
+		}
 	}
 	rec.Payload = make([]byte, len(buf))
 	copy(rec.Payload, buf)
-	*scratch = buf
 	return rec, nil
 }
 

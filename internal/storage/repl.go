@@ -17,10 +17,10 @@ package storage
 //     header version repeats the record's own, and a disagreement is
 //     rejected like a checksum failure. Applying the stream of 'D'
 //     records in version order reproduces the primary bit-for-bit.
-//   - 'S' (state): payload is a JSON ReplState — the full program,
-//     facts, and configuration at version. Sent when a follower's
-//     resume point is too old to bridge with deltas; the follower
-//     replaces its state wholesale and resumes tailing from version.
+//   - 'S' (state): payload is the state record (storage.go) at version,
+//     which it repeats. Sent to bootstrap a follower or when its resume
+//     point is too old to bridge with deltas; the follower loads it (or
+//     folds its difference) and resumes tailing from version.
 //   - 'H' (heartbeat): empty payload; version is the primary's current
 //     published version. Keeps the connection demonstrably alive and
 //     lets an idle follower track lag.
@@ -29,7 +29,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -62,28 +61,8 @@ type ReplRecord struct {
 	// CommitRecord's Version is the header version of every kind; Keys
 	// and Script are set for 'D' records, whose payload is the record.
 	CommitRecord
-	// State is the raw JSON ReplState payload of an 'S' record.
+	// State is an 'S' record's payload, a state record (DecodeState).
 	State []byte
-}
-
-// ReplState is the full-state payload of an 'S' record: everything a
-// follower needs to reproduce a primary's Views at one version — the
-// program, the stored base facts, the hidden-predicate set, and the
-// engine configuration that must match for derived state to be
-// bit-identical.
-type ReplState struct {
-	// Program is the view-definition source text.
-	Program string `json:"program"`
-	// Hidden lists internal auxiliary predicates filtered from
-	// user-facing change sets.
-	Hidden []string `json:"hidden,omitempty"`
-	// Facts is a delta script (`+pred(tuple) * n.` lines) inserting
-	// every stored base fact with its count.
-	Facts string `json:"facts"`
-	// Strategy and Semantics are the engine configuration names the
-	// follower must match for bit-identical derived state.
-	Strategy  string `json:"strategy,omitempty"`
-	Semantics string `json:"semantics,omitempty"`
 }
 
 // AppendReplRecord encodes rec and appends it to dst. A 'D' record's
@@ -178,6 +157,13 @@ func ReadReplRecord(r *bufio.Reader) (ReplRecord, error) {
 		}
 		rec.CommitRecord = commit
 	case ReplKindState:
+		version, err := stateVersion(payload, "replication state")
+		if err != nil {
+			return ReplRecord{}, err
+		}
+		if version != rec.Version {
+			return ReplRecord{}, fmt.Errorf("storage: replication record header names version %d but ships the state of version %d", rec.Version, version)
+		}
 		rec.State = payload
 	}
 	return rec, nil
@@ -199,18 +185,4 @@ func DecodeReplRecords(data []byte) ([]ReplRecord, error) {
 		}
 		out = append(out, rec)
 	}
-}
-
-// EncodeReplState renders st as the JSON payload of an 'S' record.
-func EncodeReplState(st ReplState) ([]byte, error) {
-	return json.Marshal(st)
-}
-
-// DecodeReplState parses an 'S' record payload.
-func DecodeReplState(data []byte) (ReplState, error) {
-	var st ReplState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return ReplState{}, fmt.Errorf("storage: decoding replication state payload: %w", err)
-	}
-	return st, nil
 }

@@ -6,8 +6,8 @@ package storage
 // re-encoding: whatever records it extracts, re-encoding and decoding
 // again must yield the same records. The seed corpus covers 'D' records
 // (whose payload is the WAL's commit record, verbatim), state and
-// heartbeat records, torn tails, in-place damage, and a 'D' payload in a
-// retired framing.
+// heartbeat records, torn tails, in-place damage, and 'D' and 'S'
+// payloads in retired framings.
 
 import (
 	"bytes"
@@ -37,7 +37,7 @@ func replFuzzSeeds(t testing.TB) [][]byte {
 		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 111, CommitRecord: CommitRecord{Version: 1, Script: "+link(a,b)."}},
 		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 222, CommitRecord: CommitRecord{Version: 2, Script: "-link(a,b) * 2.", Keys: []string{"k1", "k2"}}},
 		{Kind: ReplKindDelta, Epoch: 2, CommitRecord: CommitRecord{Version: 3, Keys: []string{"only-keys"}}},
-		{Kind: ReplKindState, Epoch: 2, CommitRecord: CommitRecord{Version: 4}, State: []byte(`{"program":"p(X) :- q(X).","facts":"+q(1).\n"}`)},
+		{Kind: ReplKindState, Epoch: 2, CommitRecord: CommitRecord{Version: 42}, State: stateRecord(t)},
 		{Kind: ReplKindHeartbeat, Epoch: 3, UnixNano: 333, CommitRecord: CommitRecord{Version: 4}},
 	})
 	corrupt := append([]byte(nil), valid...)
@@ -62,7 +62,41 @@ func replFuzzSeeds(t testing.TB) [][]byte {
 	for _, name := range sortedKeys(malformedEditPayloads(t)) {
 		seeds = append(seeds, rawReplRecord(ReplKindDelta, 9, malformedEditPayloads(t)[name]))
 	}
+	// An 'S' record in the layout of earlier builds, then damaged state
+	// records (seed-21 on, in name order).
+	seeds = append(seeds, rawReplRecord(ReplKindState, 4, []byte(`{"program":"p(X) :- q(X).","facts":"+q(1).\n"}`)))
+	for _, name := range sortedKeys(malformedStatePayloads(t)) {
+		seeds = append(seeds, rawReplRecord(ReplKindState, 42, malformedStatePayloads(t)[name]))
+	}
 	return seeds
+}
+
+// stateRecord is sampleState as a state record.
+func stateRecord(t testing.TB) []byte {
+	b, err := sampleState().AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// malformedStatePayloads damages a state record past its fixed header.
+func malformedStatePayloads(t testing.TB) map[string][]byte {
+	good := stateRecord(t)
+	hop := bytes.Index(good, []byte("hop\x00\x03")) // name | arity u16 | nrows u32 | count | key
+	patch := func(off int, b ...byte) []byte {
+		p := append([]byte(nil), good...)
+		copy(p[off:], b)
+		return p
+	}
+	return map[string][]byte{
+		"truncated rows":                 good[:len(good)-3],
+		"program longer than the record": patch(stateFixed, 0x7f, 0xff, 0xff, 0xff),
+		"hidden names past the end":      patch(bytes.Index(good, []byte("aux_1"))-4, 0xff, 0xff, 0xff, 0xff),
+		"nrows larger than the bytes":    patch(hop+5, 0xff, 0xff, 0xff, 0xff),
+		"negative stored count":          patch(hop+9, 0x03),
+		"a relation listed twice":        append(good, good[hop-2:bytes.Index(good, []byte("link\x00\x02"))-2]...),
+	}
 }
 
 func FuzzReplRecord(f *testing.F) {
@@ -78,6 +112,27 @@ func FuzzReplRecord(f *testing.F) {
 		// fills its frame, and walking a shipped delta section must end in
 		// rows or in a malformed-record error.
 		for _, rec := range records {
+			if rec.Kind == ReplKindState {
+				// A follower loads what it is sent: a shipped state decodes
+				// to relations or to a malformed-record error, and what it
+				// decodes to is what it re-encodes as.
+				st, err := DecodeState(rec.State)
+				if err != nil {
+					if !errors.Is(err, errMalformedRecord) {
+						t.Fatalf("state %x refused with an untyped error: %v", rec.State, err)
+					}
+					continue
+				}
+				b, err := st.AppendTo(nil)
+				if err != nil {
+					t.Fatalf("decoded state %x does not re-encode: %v", rec.State, err)
+				}
+				again, err := DecodeState(b)
+				if err != nil {
+					t.Fatalf("re-encoded state %x: %v", b, err)
+				}
+				requireSameState(t, st, again)
+			}
 			if rec.HasDeltas() {
 				if _, err := readProgram(rec.CommitRecord); err != nil {
 					t.Fatalf("shipped record %x: %v", rec.Payload, err)

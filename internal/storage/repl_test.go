@@ -27,15 +27,11 @@ func rawReplRecord(kind byte, version uint64, payload []byte) []byte {
 }
 
 func TestReplRecordRoundTrip(t *testing.T) {
-	state, err := EncodeReplState(ReplState{
-		Program:   "p(X) :- q(X).",
-		Hidden:    []string{"__aux1"},
-		Facts:     "+q(1).\n+q(2) * 3.\n",
-		Strategy:  "counting",
-		Semantics: "set",
-	})
+	want := sampleState()
+	want.Version = 4
+	state, err := want.AppendTo(nil)
 	if err != nil {
-		t.Fatalf("EncodeReplState: %v", err)
+		t.Fatal(err)
 	}
 	records := []ReplRecord{
 		{Kind: ReplKindDelta, Epoch: 1, UnixNano: 123, CommitRecord: CommitRecord{Version: 1, Script: "+q(1)."}},
@@ -72,14 +68,11 @@ func TestReplRecordRoundTrip(t *testing.T) {
 		t.Fatalf("want clean io.EOF at stream end, got %v", err)
 	}
 
-	st, err := DecodeReplState(state)
+	st, err := DecodeState(state)
 	if err != nil {
-		t.Fatalf("DecodeReplState: %v", err)
+		t.Fatalf("DecodeState: %v", err)
 	}
-	if st.Program != "p(X) :- q(X)." || st.Facts != "+q(1).\n+q(2) * 3.\n" ||
-		len(st.Hidden) != 1 || st.Strategy != "counting" || st.Semantics != "set" {
-		t.Fatalf("state round trip: %+v", st)
-	}
+	requireSameState(t, want, st)
 }
 
 func TestReplRecordRejectsDamage(t *testing.T) {
@@ -126,6 +119,18 @@ func TestReplRecordRejectsDamage(t *testing.T) {
 	var unknown *UnknownFormatError
 	if err := read(foreign); !errors.As(err, &unknown) {
 		t.Fatalf("retired 'D' payload: %v, want *UnknownFormatError", err)
+	}
+	// So is a state record in another layout — the JSON 'S' payload of
+	// earlier builds — and one whose version is not the header's.
+	if err := read(rawReplRecord(ReplKindState, 4, []byte(`{"program":"p."}`))); !errors.As(err, &unknown) {
+		t.Fatalf("JSON 'S' payload: %v, want *UnknownFormatError", err)
+	}
+	state, err := sampleState().AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := read(rawReplRecord(ReplKindState, 41, state)); err == nil || !strings.Contains(err.Error(), "header names version 41") {
+		t.Fatalf("header/state version disagreement: %v", err)
 	}
 	// An unknown kind byte is rejected outright.
 	if _, err := AppendReplRecord(nil, ReplRecord{Kind: 'Z'}); err == nil {

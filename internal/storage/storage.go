@@ -1,12 +1,12 @@
 // Package storage persists databases (relations with derivation counts)
-// and view programs: checksummed gob snapshots for full state (this
-// file), the commit record and its WAL framing (record.go), the managed
-// checkpoint + write-ahead-log directory that pairs them (store.go), and
-// the replication stream that ships the same records (repl.go).
+// and view programs: the state record that checksummed snapshot files and
+// replication 'S' records carry (this file), the commit record and its WAL
+// framing (record.go), the managed checkpoint + write-ahead-log directory
+// that pairs them (store.go), and the replication stream that ships the
+// same records (repl.go).
 package storage
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -16,10 +16,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"ivm/internal/eval"
 	"ivm/internal/relation"
-	"ivm/internal/value"
 )
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
@@ -39,200 +39,201 @@ func syncDir(dir string) error {
 	return err
 }
 
-// scalar is the gob-encodable image of a value.Value. Gob sends no zero
-// field, so -0.0 would arrive as 0.0: it has a kind of its own.
-type scalar struct {
-	Kind uint8
-	I    int64
-	F    float64
-	S    string
+// State is a full state record: everything that reproduces a Views at one
+// version without evaluating a rule — the program, the hidden-predicate
+// set, the version, the configuration, and every stored row, base and
+// derived, with the count the engine keeps for it. The views after n
+// commits are x ⊎ Δ₁ ⊎ … ⊎ Δₙ, and a state record is x = ∅ ⊎ Δ₀. It is
+// the body of a snapshot file (layout 4) and the payload of a replication
+// 'S' record:
+//
+//	[layout u8 = 4][version u64][engine u8][config u8][plen u32][program]
+//	[hlen u32][hidden names, newline-separated] then one section per
+//	relation, as a commit record's delta section: [nlen u16][name]
+//	[arity u16][nrows u32]([count varint][tuple key])*
+//
+// engine is the stamp of what maintained the stored counts — a commit
+// record's engine byte — and config the same stamp of the strategy the
+// writer was configured with (they differ where a configured Auto runs one
+// algorithm on every stratum). A row's count is its stored count, never
+// below 1.
+type State struct {
+	Version        uint64
+	Engine, Config byte
+	Program        string
+	Hidden         []string
+	// DB holds every stored relation. A relation of still unknown
+	// (negative) arity is empty and is not written.
+	DB *eval.DB
 }
 
-func toScalar(v value.Value) scalar {
-	switch v.Kind() {
-	case value.Int:
-		return scalar{Kind: 0, I: v.Int()}
-	case value.Float:
-		if f := v.Float(); f == 0 && math.Signbit(f) {
-			return scalar{Kind: 3}
+// stateLayout is the one state record layout this build reads and
+// writes: it is snapshot layout 4 (layouts 1-3 were gob encodings).
+const stateLayout = 4
+
+// stateFixed is the record's size before the program's length.
+const stateFixed = 1 + 8 + 1 + 1
+
+// AppendTo appends the state record to dst.
+func (st State) AppendTo(dst []byte) ([]byte, error) {
+	dst = append(dst, stateLayout)
+	dst = binary.BigEndian.AppendUint64(dst, st.Version)
+	dst = append(dst, st.Engine, st.Config)
+	for _, text := range []string{st.Program, strings.Join(st.Hidden, "\n")} {
+		if uint64(len(text)) > math.MaxUint32 {
+			return nil, fmt.Errorf("storage: %d bytes of program or hidden names exceed the state record's field width", len(text))
 		}
-		return scalar{Kind: 1, F: v.Float()}
-	default:
-		return scalar{Kind: 2, S: v.Str()}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(text)))
+		dst = append(dst, text...)
+	}
+	var err error
+	for _, pred := range st.DB.Preds() {
+		if rel := st.DB.Get(pred); rel.Arity() >= 0 {
+			if dst, err = appendSection(dst, pred, rel); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return dst, nil
+}
+
+// stateVersion reads a state record's layout and version without decoding
+// the rest: any layout but this build's is an *UnknownFormatError.
+func stateVersion(payload []byte, what string) (uint64, error) {
+	if len(payload) == 0 || payload[0] != stateLayout {
+		format := -1
+		if len(payload) > 0 {
+			format = int(payload[0])
+		}
+		return 0, &UnknownFormatError{What: what, Format: format}
+	}
+	if len(payload) < stateFixed {
+		return 0, fmt.Errorf("%w: %d-byte state record is shorter than its fixed header", errMalformedRecord, len(payload))
+	}
+	return binary.BigEndian.Uint64(payload[1:9]), nil
+}
+
+// DecodeState parses a state record, each relation straight into a table
+// sized for its rows. The relations are fresh and the caller's; nothing
+// aliases payload.
+func DecodeState(payload []byte) (State, error) {
+	version, err := stateVersion(payload, "state record")
+	if err != nil {
+		return State{}, err
+	}
+	st := State{Version: version, Engine: payload[9], Config: payload[10], DB: eval.NewDB()}
+	b := payload[stateFixed:]
+	var texts [2]string
+	for i := range texts {
+		if len(b) < 4 || uint64(len(b)-4) < uint64(binary.BigEndian.Uint32(b)) {
+			return State{}, fmt.Errorf("%w: truncated in the program or hidden names", errMalformedRecord)
+		}
+		n := 4 + int(binary.BigEndian.Uint32(b))
+		texts[i], b = string(b[4:n]), b[n:]
+	}
+	if st.Program = texts[0]; texts[1] != "" {
+		st.Hidden = strings.Split(texts[1], "\n")
+	}
+	for rd := (&DeltaReader{b: b}); ; {
+		pred, arity, nrows, err := rd.Next()
+		if err == io.EOF {
+			return st, nil
+		}
+		if err != nil {
+			return State{}, err
+		}
+		rel := relation.NewSized(arity, nrows)
+		for i := 0; i < nrows; i++ {
+			count, key, err := rd.Row()
+			if err != nil {
+				return State{}, err
+			}
+			row, err := relation.RowFromKey(key, arity)
+			if err != nil || count < 0 {
+				return State{}, fmt.Errorf("%w: %s row %d", errMalformedRecord, pred, i)
+			}
+			rel.AddRow(row.WithCount(count))
+		}
+		if st.DB.Get(pred) != nil || rel.Len() != nrows {
+			return State{}, fmt.Errorf("%w: the state lists %s or one of its rows twice", errMalformedRecord, pred)
+		}
+		st.DB.Put(pred, rel)
 	}
 }
-
-func (s scalar) value() (value.Value, error) {
-	switch s.Kind {
-	case 0:
-		return value.NewInt(s.I), nil
-	case 1:
-		return value.NewFloat(s.F), nil
-	case 2:
-		return value.NewString(s.S), nil
-	case 3:
-		return value.NewFloat(math.Copysign(0, -1)), nil
-	default:
-		return value.Value{}, fmt.Errorf("storage: unknown scalar kind %d", s.Kind)
-	}
-}
-
-// row is the gob-encodable image of one counted tuple.
-type row struct {
-	Tuple []scalar
-	Count int64
-}
-
-// snapshot is the on-disk image of a database plus its view program.
-type snapshot struct {
-	Version   int
-	Program   string
-	Relations map[string][]row
-	// Hidden lists internal auxiliary predicates that the front end
-	// filters out of user-facing change sets — e.g. the helper predicates
-	// SQL GROUP BY translation generates.
-	Hidden []string
-	// BaseVersion is the published snapshot version the saved state
-	// corresponds to, so a restarted process — or a replica bootstrapping
-	// from a checkpoint — resumes the version counter where the writer
-	// left it.
-	BaseVersion uint64
-}
-
-// snapshotVersion is the one snapshot layout this build reads and
-// writes; any other Version is an *UnknownFormatError.
-const snapshotVersion = 3
 
 // snapFooterMagic opens the whole-file CRC32C footer
-// (`magic | crc32c(body)`) that closes every snapshot. Gob decoding alone
-// misses in-place corruption that still happens to parse — a flipped bit
-// in a count, say — so a snapshot whose footer is missing, mangled or
-// mismatched is damaged, whatever its body decodes to.
+// (`magic | crc32c(body)`) that closes every snapshot, so in-place
+// corruption that still parses — a flipped bit in a count, say — is
+// caught: a snapshot whose footer is missing, mangled or mismatched is
+// damaged, whatever its body decodes to.
 var snapFooterMagic = [4]byte{'I', 'V', 'S', '1'}
 
 const snapFooterSize = 8
 
-// crcWriter tees writes into a running CRC32C.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-// SaveFile writes a snapshot of db (every relation, with counts), the
-// program text, the hidden-predicate set and the base version to path,
-// atomically and durably: the temp file is fsynced before the rename and
-// the parent directory is fsynced after it, so a crash at any point
-// leaves either the old snapshot or the complete new one — never a
-// missing or empty file. The checksum footer covers the whole body.
-func SaveFile(path string, db *eval.DB, program string, hidden []string, baseVersion uint64) error {
-	snap := snapshot{
-		Version:     snapshotVersion,
-		Program:     program,
-		Relations:   make(map[string][]row),
-		Hidden:      append([]string(nil), hidden...),
-		BaseVersion: baseVersion,
+// SaveFile writes st as a snapshot file at path — its state record and
+// the checksum footer over it — atomically and durably: the temp file is
+// fsynced before the rename and the parent directory is fsynced after it,
+// so a crash at any point leaves either the old snapshot or the complete
+// new one, never a missing or empty file.
+func SaveFile(path string, st State) error {
+	data, err := st.AppendTo(nil)
+	if err != nil {
+		return err
 	}
-	for _, pred := range db.Preds() {
-		rel := db.Get(pred)
-		rows := make([]row, 0, rel.Len())
-		for _, r := range rel.SortedRows() {
-			t := make([]scalar, len(r.Tuple))
-			for i, v := range r.Tuple {
-				t[i] = toScalar(v)
-			}
-			rows = append(rows, row{Tuple: t, Count: r.Count})
-		}
-		snap.Relations[pred] = rows
-	}
+	data = append(data, snapFooterMagic[:]...)
+	data = binary.BigEndian.AppendUint32(data, crc32.Checksum(data[:len(data)-4], castagnoli))
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	bw := bufio.NewWriter(f)
-	cw := &crcWriter{w: bw}
-	if err := gob.NewEncoder(cw).Encode(&snap); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	var footer [snapFooterSize]byte
-	copy(footer[:4], snapFooterMagic[:])
-	binary.BigEndian.PutUint32(footer[4:], cw.crc)
-	if _, err := bw.Write(footer[:]); err != nil {
-		return fail(err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return syncDir(filepath.Dir(path))
 }
 
-// LoadFile reads the snapshot at path: the database, the program text,
-// the hidden-predicate set and the base version it was stamped with. The
-// file is read once and its checksum footer is always verified before
-// anything is decoded.
-func LoadFile(path string) (*eval.DB, string, []string, uint64, error) {
+// LoadFile reads the snapshot at path. The file is read once and its
+// checksum footer is verified before anything is decoded. An intact file
+// in another layout — the gob encodings of layouts 1-3 included — is an
+// *UnknownFormatError.
+func LoadFile(path string) (State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", nil, 0, err
+		return State{}, err
 	}
 	bodyLen := len(data) - snapFooterSize
 	if bodyLen < 0 || !bytes.Equal(data[bodyLen:bodyLen+4], snapFooterMagic[:]) {
-		return nil, "", nil, 0, fmt.Errorf("storage: snapshot %s has no checksum footer: truncated or damaged", path)
+		return State{}, fmt.Errorf("storage: snapshot %s has no checksum footer: truncated or damaged", path)
 	}
 	body := data[:bodyLen]
 	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(data[bodyLen+4:]); got != want {
-		return nil, "", nil, 0, fmt.Errorf("storage: snapshot %s checksum mismatch (%08x != %08x)", path, got, want)
+		return State{}, fmt.Errorf("storage: snapshot %s checksum mismatch (%08x != %08x)", path, got, want)
 	}
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&snap); err != nil {
-		return nil, "", nil, 0, fmt.Errorf("storage: decoding snapshot: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, "", nil, 0, &UnknownFormatError{What: "snapshot", Format: snap.Version}
-	}
-	db := eval.NewDB()
-	for pred, rows := range snap.Relations {
-		var rel *relation.Relation
-		for _, rw := range rows {
-			t := make(value.Tuple, len(rw.Tuple))
-			for i, s := range rw.Tuple {
-				v, err := s.value()
-				if err != nil {
-					return nil, "", nil, 0, err
-				}
-				t[i] = v
-			}
-			if rel == nil {
-				rel = relation.New(len(t))
-			}
-			rel.Add(t, rw.Count)
+	if len(body) > 0 && body[0] != stateLayout {
+		// A gob stream opens with its first message's length, never 4;
+		// the layouts it carried named themselves in a Version field.
+		var gobbed struct{ Version int }
+		if gob.NewDecoder(bytes.NewReader(body)).Decode(&gobbed) == nil {
+			return State{}, &UnknownFormatError{What: "snapshot", Format: gobbed.Version}
 		}
-		if rel == nil {
-			rel = relation.New(-1)
-		}
-		db.Put(pred, rel)
 	}
-	return db, snap.Program, snap.Hidden, snap.BaseVersion, nil
+	if _, err := stateVersion(body, "snapshot"); err != nil {
+		return State{}, err
+	}
+	st, err := DecodeState(body)
+	if err != nil {
+		return State{}, fmt.Errorf("storage: decoding snapshot %s: %w", path, err)
+	}
+	return st, nil
 }

@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"ivm/internal/eval"
 	"ivm/internal/metrics"
 )
 
@@ -113,16 +112,9 @@ type Store struct {
 
 	// recovery results; immutable after OpenStore (records until handed
 	// over by Records).
-	info        RecoveryInfo
-	snapDB      *eval.DB
-	snapProgram string
-	snapHidden  []string
-	records     []CommitRecord
-
-	// snapVersion is the BaseVersion of the newest snapshot: set by
-	// recovery from the snapshot file, advanced by CheckpointAt. Guarded
-	// by mu after OpenStore.
-	snapVersion uint64
+	info    RecoveryInfo
+	snap    State
+	records []CommitRecord
 
 	// instruments; nil until AttachMetrics (nil instruments are no-ops).
 	mAppends, mAppendBytes, mFsyncs, mCheckpoints *metrics.Counter
@@ -195,7 +187,7 @@ func (s *Store) recoverSnapshots() error {
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
 	for _, ep := range epochs {
 		path := filepath.Join(s.dir, snapName(ep))
-		db, program, hidden, base, err := LoadFile(path)
+		st, err := LoadFile(path)
 		var unknown *UnknownFormatError
 		if errors.As(err, &unknown) {
 			// Intact, just not ours to read: falling back an epoch would
@@ -209,8 +201,7 @@ func (s *Store) recoverSnapshots() error {
 			os.Rename(path, path+".corrupt")
 			continue
 		}
-		s.snapDB, s.snapProgram, s.snapHidden = db, program, hidden
-		s.snapVersion = base
+		s.snap = st
 		s.info.Epoch, s.info.HasSnapshot = ep, true
 		s.epoch = ep
 		break
@@ -288,11 +279,11 @@ func (s *Store) recoverWAL() error {
 // Recovery reports what OpenStore found.
 func (s *Store) Recovery() RecoveryInfo { return s.info }
 
-// Snapshot returns the recovered snapshot contents (ok=false when the
-// store held none). The returned DB is the store's own copy; callers
-// take ownership.
-func (s *Store) Snapshot() (db *eval.DB, program string, hidden []string, ok bool) {
-	return s.snapDB, s.snapProgram, s.snapHidden, s.info.HasSnapshot
+// Snapshot hands over the recovered snapshot's state (ok=false when the
+// store held none); the store keeps none of it.
+func (s *Store) Snapshot() (st State, ok bool) {
+	st, s.snap = s.snap, State{}
+	return st, s.info.HasSnapshot
 }
 
 // Records hands over the commit records to replay on top of the
@@ -303,15 +294,6 @@ func (s *Store) Records() []CommitRecord {
 	recs := s.records
 	s.records = nil
 	return recs
-}
-
-// SnapshotBaseVersion returns the published snapshot version the newest
-// checkpoint was stamped with. After recovery this is the version the
-// in-memory state sat at before any WAL replay.
-func (s *Store) SnapshotBaseVersion() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapVersion
 }
 
 // TailRecords re-reads the live WAL and returns every current-epoch
@@ -451,14 +433,13 @@ func (s *Store) AppendRecordAsync(cr CommitRecord) (wait func() error, err error
 	return func() error { return s.gc.waitSynced(seq) }, nil
 }
 
-// CheckpointAt writes a new snapshot epoch and truncates the WAL. The
-// sequence — fsync temp snapshot, rename, fsync directory, bump epoch,
+// CheckpointAt writes st as a new snapshot epoch and truncates the WAL.
+// The sequence — fsync temp snapshot, rename, fsync directory, bump epoch,
 // truncate + fsync WAL — guarantees a crash at any point recovers to
-// exactly the checkpointed state plus later appends. baseVersion records
-// the snapshot version the checkpointed state was published as, so
-// recovery restarts the version counter where the previous process left
-// it.
-func (s *Store) CheckpointAt(db *eval.DB, program string, hidden []string, baseVersion uint64) error {
+// exactly the checkpointed state plus later appends. st.Version is the
+// version the state was published as, so recovery restarts the version
+// counter where the previous process left it.
+func (s *Store) CheckpointAt(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -466,11 +447,10 @@ func (s *Store) CheckpointAt(db *eval.DB, program string, hidden []string, baseV
 	}
 	start := time.Now()
 	next := s.epoch + 1
-	if err := SaveFile(filepath.Join(s.dir, snapName(next)), db, program, hidden, baseVersion); err != nil {
+	if err := SaveFile(filepath.Join(s.dir, snapName(next)), st); err != nil {
 		return err
 	}
 	s.epoch = next
-	s.snapVersion = baseVersion
 	if err := s.wal.Truncate(0); err != nil {
 		return err
 	}

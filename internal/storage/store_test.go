@@ -48,7 +48,7 @@ func appendRec(t testing.TB, s *Store, version uint64, script string, keys ...st
 // checkpoint writes the sample database as the store's next epoch.
 func checkpoint(t testing.TB, s *Store, program string, hidden ...string) {
 	t.Helper()
-	if err := s.CheckpointAt(sampleDB(), program, hidden, 0); err != nil {
+	if err := s.CheckpointAt(State{Program: program, Hidden: hidden, DB: sampleDB()}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -100,7 +100,7 @@ func TestStoreEmptyOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, StoreOptions{})
 	defer s.Close()
-	if _, _, _, ok := s.Snapshot(); ok {
+	if _, ok := s.Snapshot(); ok {
 		t.Fatal("empty store must have no snapshot")
 	}
 	if got := scripts(s); len(got) != 0 || s.Epoch() != 0 {
@@ -139,11 +139,11 @@ func TestStoreCheckpointSupersedesWAL(t *testing.T) {
 
 	s2 := openTestStore(t, dir, StoreOptions{})
 	defer s2.Close()
-	db, prog, hidden, ok := s2.Snapshot()
-	if !ok || prog != "prog." || len(hidden) != 1 || hidden[0] != "aux" {
-		t.Fatalf("snapshot: ok=%v prog=%q hidden=%v", ok, prog, hidden)
+	st, ok := s2.Snapshot()
+	if !ok || st.Program != "prog." || len(st.Hidden) != 1 || st.Hidden[0] != "aux" {
+		t.Fatalf("snapshot: ok=%v prog=%q hidden=%v", ok, st.Program, st.Hidden)
 	}
-	if db.Get("link").Count(value.T("b", "c")) != 3 {
+	if st.DB.Get("link").Count(value.T("b", "c")) != 3 {
 		t.Fatal("snapshot db contents")
 	}
 	if got := scripts(s2); len(got) != 1 || got[0] != "+p(2)." {
@@ -330,8 +330,8 @@ func TestStoreFallsBackToPreviousSnapshot(t *testing.T) {
 	if info.Epoch != 1 || info.BadSnapshots != 1 {
 		t.Fatalf("info: %+v", info)
 	}
-	if _, prog, _, ok := s2.Snapshot(); !ok || prog != "v1." {
-		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", prog, ok)
+	if st, ok := s2.Snapshot(); !ok || st.Program != "v1." {
+		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", st.Program, ok)
 	}
 	if got := scripts(s2); len(got) != 1 || got[0] != "+p(1)." {
 		t.Fatalf("scripts: %v", got)
@@ -472,7 +472,7 @@ func TestStoreAppendAfterCloseFails(t *testing.T) {
 	if _, err := s.AppendVersionedAsync(2, "+p(1).", nil); err != ErrStoreClosed {
 		t.Fatalf("err: %v", err)
 	}
-	if err := s.CheckpointAt(sampleDB(), "p.", nil, 0); err != ErrStoreClosed {
+	if err := s.CheckpointAt(State{Program: "p.", DB: sampleDB()}); err != ErrStoreClosed {
 		t.Fatalf("err: %v", err)
 	}
 	if _, err := s.TailRecords(0); err != ErrStoreClosed {
@@ -829,15 +829,23 @@ func TestRetiredFormatsRefusedUntouched(t *testing.T) {
 			requireRefused(t, dir)
 		})
 	}
-	for _, version := range []int{1, 2} {
+	v3, err := os.ReadFile(filepath.Join("testdata", "snapshot-v3.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("snapshot/v%d", version), func(t *testing.T) {
 			dir := t.TempDir()
 			s := openTestStore(t, dir, StoreOptions{})
 			checkpoint(t, s, "prog.")
 			s.Close()
-			// The newest checkpoint is an intact file in a retired layout;
-			// falling back to epoch 1 would silently drop what it holds.
-			old := snapshotBytes(t, snapshot{Version: version, Program: "old."})
+			// The newest checkpoint is an intact file in a retired layout
+			// (3 as the previous build wrote it); falling back to epoch 1
+			// would silently drop what it holds.
+			old := v3
+			if version < 3 {
+				old = gobSnapshot(t, version)
+			}
 			if err := os.WriteFile(filepath.Join(dir, snapName(2)), old, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -879,8 +887,8 @@ func TestStoreDamagedSnapshotFooterFallsBack(t *testing.T) {
 	if info := s2.Recovery(); info.Epoch != 1 || info.BadSnapshots != 1 {
 		t.Fatalf("info: %+v", info)
 	}
-	if _, prog, _, ok := s2.Snapshot(); !ok || prog != "v1." {
-		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", prog, ok)
+	if st, ok := s2.Snapshot(); !ok || st.Program != "v1." {
+		t.Fatalf("must fall back to snapshot 1 (prog=%q ok=%v)", st.Program, ok)
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Fatalf("the damaged snapshot must be set aside: %v", err)
@@ -922,4 +930,21 @@ func sansPayload(recs []CommitRecord) []CommitRecord {
 		out[i].Payload = nil
 	}
 	return out
+}
+
+// A bulk commit's grown render buffer is dropped, not pooled: the small
+// commits that reuse pooled buffers would otherwise keep it live.
+func TestRecordScratchDropsBulkBuffers(t *testing.T) {
+	bulk := relation.New(1)
+	for i := int64(0); bulk.Len() < maxScratch/4; i++ {
+		bulk.Add(value.T(i), 1)
+	}
+	if _, err := EncodeCommitRecord(2, nil, nil, 0, map[string]*relation.Relation{"p": bulk}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if b := recordScratch.Get().(*[]byte); cap(*b) > maxScratch {
+			t.Fatalf("the pool holds a %d-byte buffer (cap %d)", cap(*b), maxScratch)
+		}
+	}
 }

@@ -124,7 +124,7 @@ func (s Strategy) String() string {
 }
 
 // ParseStrategy reads a strategy by the name String prints ("" is Auto),
-// as flags and a ReplicaState spell it.
+// as flags spell it.
 func ParseStrategy(name string) (Strategy, error) {
 	for s, n := range strategyNames {
 		if name == n {
@@ -346,39 +346,51 @@ func (d *Database) Materialize(programSrc string, opts ...Option) (*Views, error
 
 // MaterializeProgram is Materialize for an already parsed program.
 func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, opts ...Option) (*Views, error) {
-	cfg := newConfig(opts)
-	if err := datalog.Validate(prog); err != nil {
+	cfg, reg := newConfig(opts), metrics.NewRegistry()
+	eng, err := cfg.materialize(prog, d.base, reg)
+	if err != nil {
 		return nil, err
 	}
-	reg := metrics.NewRegistry()
-	v := &Views{cfg: cfg, programSrc: programSrc, reg: reg}
-	switch cfg.strategy {
-	case Auto, Counting, DRed:
-		if cfg.strategy == DRed && cfg.semantics == DuplicateSemantics {
-			return nil, fmt.Errorf("ivm: DRed requires set semantics")
+	return newViews(cfg, reg, eng, programSrc, nil, 1), nil
+}
+
+// materialize evaluates prog over base (which the engine copies) with the
+// engine c names, reporting to reg.
+func (c config) materialize(prog *datalog.Program, base *eval.DB, reg *metrics.Registry) (engine, error) {
+	if c.strategy == Recompute {
+		eng, err := recompute.New(prog, base, c.semantics)
+		if err == nil {
+			eng.Metrics, eng.Tracer = reg, c.tracer
 		}
-		eng, err := dred.NewWithConfig(prog, d.base, dred.Config{
-			Algorithm: map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed}[cfg.strategy],
-			Semantics: cfg.semantics,
-			Metrics:   reg,
-			Tracer:    cfg.tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		v.eng = eng
-	case Recompute:
-		eng, err := recompute.New(prog, d.base, cfg.semantics)
-		if err != nil {
-			return nil, err
-		}
-		eng.Metrics = reg
-		eng.Tracer = cfg.tracer
-		v.eng = eng
-	default:
-		return nil, fmt.Errorf("ivm: unknown strategy %v", cfg.strategy)
+		return eng, err
 	}
-	v.strategy = v.regime()
+	dcfg, err := c.engineConfig(reg)
+	if err != nil {
+		return nil, err
+	}
+	return dred.NewWithConfig(prog, base, dcfg)
+}
+
+// engineConfig is the maintenance engine's configuration for c's strategy
+// (any but the Recompute baseline), reporting to reg.
+func (c config) engineConfig(reg *metrics.Registry) (dred.Config, error) {
+	alg, ok := map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed}[c.strategy]
+	switch {
+	case !ok:
+		return dred.Config{}, fmt.Errorf("ivm: unknown strategy %v", c.strategy)
+	case c.strategy == DRed && c.semantics == DuplicateSemantics:
+		return dred.Config{}, fmt.Errorf("ivm: DRed requires set semantics")
+	}
+	return dred.Config{Algorithm: alg, Semantics: c.semantics, Metrics: reg, Tracer: c.tracer}, nil
+}
+
+// newViews wraps a ready engine, which reports to reg, as Views hiding the
+// hidden predicates and publishes its storage as version id — each
+// relation cloned, as the engine keeps mutating its own.
+func newViews(cfg config, reg *metrics.Registry, eng engine, programSrc string, hidden []string, id uint64) *Views {
+	v := &Views{cfg: cfg, programSrc: programSrc, reg: reg, eng: eng}
+	v.setHidden(hidden)
+	v.strategy = cfg.regime(eng)
 	v.comb = sched.New(v.processBatch)
 	v.idem = newIdemWindow(cfg.idemWindow)
 	v.mBatches = reg.Counter("sched_batches_total")
@@ -393,13 +405,13 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 	v.mSnapVersion = reg.Gauge("snapshot_version")
 	v.mSnapUnix = reg.Gauge("snapshot_published_unixnano")
 	rels := make(map[string]*relation.Versioned)
-	for _, pred := range v.eng.DB().Preds() {
-		rels[pred] = relation.NewVersioned(v.eng.DB().Get(pred).Clone())
+	for _, pred := range eng.DB().Preds() {
+		rels[pred] = relation.NewVersioned(eng.DB().Get(pred).Clone())
 	}
 	v.wmu.Lock()
-	v.installLocked(v.versionLocked(rels, 1))
+	v.installLocked(v.versionLocked(rels, id))
 	v.wmu.Unlock()
-	return v, nil
+	return v
 }
 
 // Strategy returns what maintains the current program: Counting when no
@@ -408,13 +420,13 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 // and recursive ones run DRed. Recompute is as configured.
 func (v *Views) Strategy() Strategy { return v.cur.Load().strategy }
 
-// regime is what maintains the engine's program, as Strategy and a commit
+// regime is what maintains eng's program, as Strategy and a commit
 // record's stamp name it: the algorithms its strata run, or a baseline.
-func (v *Views) regime() Strategy {
-	if eng, ok := v.eng.(*dred.Engine); ok {
+func (c config) regime(eng engine) Strategy {
+	if eng, ok := eng.(*dred.Engine); ok {
 		return [...]Strategy{dred.DRed: DRed, dred.Counting: Counting, dred.PerStratum: Auto}[eng.Regime()]
 	}
-	return v.cfg.strategy
+	return c.strategy
 }
 
 // Semantics returns the view semantics.
@@ -880,7 +892,7 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 		// record is stamped with what maintains them now.
 		v.programSrc = v.eng.Program().String()
 		program = &v.programSrc
-		v.strategy = v.regime()
+		v.strategy = v.cfg.regime(v.eng)
 		v.refreshEmptiesLocked(next)
 	}
 	if g.err != nil {
@@ -900,7 +912,7 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 		}
 	}
 	if cut {
-		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, program, v.stamp(v.strategy), v.eng.CommittedDeltas()); g.err != nil {
+		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, program, v.cfg.stamp(v.strategy), v.eng.CommittedDeltas()); g.err != nil {
 			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
 		}
 	}
@@ -1122,47 +1134,28 @@ func (v *Views) Metrics() MetricsSnapshot {
 	return v.reg.Snapshot()
 }
 
-// Save snapshots the views' storage (base + derived relations with
-// counts), program text, and hidden-predicate set to path. The write is
-// atomic and durable (temp file fsync + rename + directory fsync).
+// Save writes the views' full state — every stored relation, base and
+// derived, with its counts, the program text and the hidden-predicate set
+// — as a snapshot file at path. The write is atomic and durable (temp file
+// fsync + rename + directory fsync).
 func (v *Views) Save(path string) error {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	// No base version: LoadViews rematerializes from version 1.
-	return storage.SaveFile(path, v.eng.DB(), v.programSrc, v.hiddenLocked(), 0)
+	st := v.state(v.cur.Load())
+	st.Version = 0 // LoadViews starts at version 1
+	return storage.SaveFile(path, st)
 }
 
-// LoadViews restores a snapshot saved by Views.Save, rematerializing the
-// views over the restored base relations. The hidden-predicate set (the
-// auxiliary predicates of SQL-defined views) is restored with it, so
-// change sets stay filtered exactly as before the save.
+// LoadViews restores views saved by Views.Save, at version 1. Under the
+// strategy and semantics they were saved under the stored counts load as
+// they are, with no rule evaluated; under others the views are
+// rematerialized over the saved base relations. The hidden-predicate set
+// (the auxiliary predicates of SQL-defined views) is restored with them,
+// so change sets stay filtered exactly as before the save.
 func LoadViews(path string, opts ...Option) (*Views, error) {
-	db, programSrc, hidden, _, err := storage.LoadFile(path)
+	st, err := storage.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return viewsFromSnapshot(db, programSrc, hidden, opts)
-}
-
-// viewsFromSnapshot rematerializes views from decoded snapshot contents:
-// the non-derived relations seed a fresh database and the program is
-// parsed and materialized over it.
-func viewsFromSnapshot(db *eval.DB, programSrc string, hidden []string, opts []Option) (*Views, error) {
-	res, err := parser.Parse(programSrc)
-	if err != nil {
-		return nil, err
-	}
-	d := NewDatabase()
-	derived := res.Program.DerivedPreds()
-	for _, pred := range db.Preds() {
-		if !derived[pred] {
-			d.base.Put(pred, db.Get(pred))
-		}
-	}
-	v, err := d.MaterializeProgram(res.Program, programSrc, opts...)
-	if err != nil {
-		return nil, err
-	}
-	v.setHidden(hidden)
-	return v, nil
+	return viewsFromState(st, opts)
 }

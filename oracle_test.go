@@ -30,6 +30,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -270,6 +271,10 @@ func TestIdempotencyWindowEviction(t *testing.T) {
 
 func TestIdempotencyWindowSurvivesRecovery(t *testing.T) {
 	runOracleCase(t, 1, on("store"), "reopened")
+}
+
+func TestReopenUnderOtherOptions(t *testing.T) {
+	runOracleCase(t, 2, func(c oracleConfig) bool { return on("store")(c) && c.strategy != ivm.Recompute }, "reopened-elsewhere")
 }
 
 func TestFullStackRandomizedAgainstRecompute(t *testing.T) {
@@ -1566,15 +1571,19 @@ func (r *oracleRun) startNode() {
 func (r *oracleRun) foreign(state ivm.ReplicaState) {
 	pred := r.basePred[0]
 	t := r.fresh(pred)
-	record := func(st ivm.ReplicaState, sign int64) (rec ivm.CommitRecord, ok bool) {
-		if v, err := ivm.ViewsFromReplicaState(st, r.extra()...); err == nil {
+	// cut is v's record of inserting t with sign as the commit after
+	// state's version.
+	cut := func(v *ivm.Views, err error, sign int64) (rec ivm.CommitRecord, ok bool) {
+		if err == nil {
+			v.SeedVersion(state.Version)
 			v.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
 			_, err = v.Apply(ivm.NewUpdate().InsertTuple(pred, t, sign))
 			ok = err == nil
 		}
 		return rec, ok
 	}
-	good, ok := record(state, 1)
+	v, err := ivm.ViewsFromReplicaState(state, r.extra()...)
+	good, ok := cut(v, err, 1)
 	if !ok {
 		return
 	}
@@ -1582,18 +1591,27 @@ func (r *oracleRun) foreign(state ivm.ReplicaState) {
 	if cut, err := storage.DecodeCommitRecord(good.Payload[:len(good.Payload)-3]); err == nil {
 		records["a truncated"] = cut
 	}
-	stranger := state
-	stranger.Facts += ivm.NewUpdate().InsertTuple(pred, t, 1).String()
-	if rec, ok := record(stranger, -1); ok {
-		records["another state's"] = rec
-	}
-	for _, other := range [][2]string{{"recompute", "duplicate"}, {"recompute", "set"}, {"dred", "set"}} {
-		st := state
-		if st.Strategy, st.Semantics = other[0], other[1]; st.Strategy != state.Strategy || st.Semantics != state.Semantics {
-			if rec, ok := record(st, 1); ok {
-				records["another configuration's"] = rec
-				break
+	// Another state's: views that hold t take it away.
+	if v, err := ivm.ViewsFromReplicaState(state, r.extra()...); err == nil {
+		if _, err = v.Apply(ivm.NewUpdate().InsertTuple(pred, t, 1)); err == nil {
+			if rec, ok := cut(v, nil, -1); ok {
+				records["another state's"] = rec
 			}
+		}
+	}
+	// Another configuration's: the state loaded under other options.
+	saved := filepath.Join(r.t.TempDir(), "state")
+	for _, other := range []struct {
+		s   ivm.Strategy
+		sem ivm.Semantics
+	}{{ivm.Recompute, ivm.DuplicateSemantics}, {ivm.Recompute, ivm.SetSemantics}, {ivm.DRed, ivm.SetSemantics}} {
+		if other.s == r.strategy && other.sem == r.sem || r.w.Save(saved) != nil {
+			continue
+		}
+		v, err := ivm.LoadViews(saved, append(r.extra(), ivm.WithStrategy(other.s), ivm.WithSemantics(other.sem))...)
+		if rec, ok := cut(v, err, 1); ok {
+			records["another configuration's"] = rec
+			break
 		}
 	}
 	for name, rec := range records {
@@ -1646,6 +1664,7 @@ func (r *oracleRun) finish() {
 	if err := r.w.Close(); err != nil {
 		r.fatal("close: %v", err)
 	}
+	r.reopenElsewhere()
 	st, err := storage.OpenStore(r.dir, storage.StoreOptions{})
 	if err != nil {
 		r.fatal("storage: %v", err)
@@ -1657,6 +1676,52 @@ func (r *oracleRun) finish() {
 	if _, _, err = ivm.OpenStore(r.dir, nil, r.options(r.strategy)...); !errors.As(err, &behind) || behind.Version != last-1 || behind.At != last {
 		r.fatal("recovery over a record two versions behind: %v", err)
 	}
+}
+
+// reopenElsewhere opens the closed store under a configuration whose
+// stamp is not its records': refused while the WAL holds a record, opened
+// once the stamped configuration has recovered and checkpointed — by
+// rematerializing the checkpoint's base relations, which must hold what a
+// recomputation under that configuration holds — and checkpointed again
+// under the other one.
+func (r *oracleRun) reopenElsewhere() {
+	other := ivm.DRed
+	switch {
+	case r.strategy == ivm.Recompute:
+		other = ivm.Auto
+	case r.w.Strategy() == ivm.DRed || r.sem == ivm.DuplicateSemantics:
+		other = ivm.Recompute
+	}
+	v, _, err := ivm.OpenStore(r.dir, nil, r.options(other)...)
+	var div *ivm.DivergenceError
+	if logged := r.version > 1; logged != errors.As(err, &div) || logged && div.Engine == div.Have {
+		r.fatal("opening records cut by %v views under %v: %v", r.strategy, other, err)
+	}
+	if err == nil {
+		v.Close()
+	}
+	if v, _, err = ivm.OpenStore(r.dir, nil, r.options(r.strategy)...); err != nil || v.Shutdown() != nil {
+		r.fatal("recovering under %v to checkpoint: %v", r.strategy, err)
+	}
+	if v, _, err = ivm.OpenStore(r.dir, nil, r.options(other)...); err != nil {
+		r.fatal("opening the checkpoint under %v: %v", other, err)
+	}
+	st, strategy := r.st, r.strategy
+	r.strategy = other
+	if r.st, err = r.recomputeOnce(st.base, st.rules); err != nil {
+		r.fatal("recomputing under %v: %v", other, err)
+	}
+	r.check("reopened under "+other.String(), v)
+	for pred, want := range r.st.want { // counts too: DRed's are 1, not the checkpoint's
+		if got := v.Rows(pred); !sameRows(want, got, true) {
+			r.fatal("the checkpoint opened under %v: %s holds\n%v\nthe recomputation\n%v", other, pred, got, want)
+		}
+	}
+	r.st, r.strategy = st, strategy
+	if err := v.Shutdown(); err != nil {
+		r.fatal("checkpointing under %v: %v", other, err)
+	}
+	r.hit("reopened-elsewhere")
 }
 
 func (r *oracleRun) finishFollower() {

@@ -1,116 +1,151 @@
 package ivm
 
-// Replica-state transfer: the full-state form of a Views that a
-// replication follower uses to bootstrap (or resynchronize) before
-// tailing delta records. The state ships as program text plus a facts
-// delta script — the same textual forms the WAL and checkpoints already
-// round-trip — so a follower rebuilding from it converges bit-identical
-// to the primary at the stamped version.
+// Full-state transfer: a Views at one version as one state record, which
+// checkpoints, Save and replication 'S' records carry. Restoring one loads
+// the stored counts it holds; nothing is re-derived.
 
 import (
 	"fmt"
+	"maps"
 
+	"ivm/internal/core/dred"
+	"ivm/internal/eval"
+	"ivm/internal/metrics"
+	"ivm/internal/parser"
+	"ivm/internal/relation"
 	"ivm/internal/storage"
 )
 
-// ReplicaState is everything a follower needs to reproduce a primary's
-// Views at one version: the program, the stored base facts (as an
-// insert-only delta script, counts included), the hidden-predicate set,
-// and the engine configuration that must match for derived state to be
-// bit-identical. It is the payload of a replication 'S' record, defined
-// beside that record's codec.
-type ReplicaState = storage.ReplState
+// ReplicaState is everything that reproduces a Views at one version: the
+// program, the hidden-predicate set, the version, the configuration, and
+// every stored row, base and derived, with its count. It is the state
+// record a replication 'S' record ships and a checkpoint holds.
+type ReplicaState = storage.State
 
 // ReplicaState captures the snapshot's full state for replication
-// transfer. Facts covers exactly the non-derived stored relations; the
-// derived relations are reproduced by materializing Program over them.
-func (s *Snapshot) ReplicaState() ReplicaState {
-	return ReplicaState{
-		Program:   s.v.programSrc,
-		Hidden:    s.views.hiddenLocked(),
-		Facts:     s.v.baseFacts(1).String(),
-		Strategy:  s.views.cfg.strategy.String(),
-		Semantics: s.views.cfg.semantics.String(),
-	}
-}
+// transfer.
+func (s *Snapshot) ReplicaState() ReplicaState { return s.views.state(s.v) }
 
-// baseFacts is the version's non-derived stored rows as an update: each
-// row's count times sign, so -1 makes the update that deletes them all.
-func (vv *version) baseFacts(sign int64) *Update {
-	derived := vv.prog.DerivedPreds()
-	u := NewUpdate()
+// state is the state record of version vv.
+func (v *Views) state(vv *version) storage.State {
+	db := eval.NewDB()
 	for pred, vr := range vv.rels {
-		if derived[pred] {
-			continue
-		}
-		for _, row := range vr.Flat().SortedRows() {
-			u.InsertTuple(pred, row.Tuple, sign*row.Count)
-		}
+		db.Put(pred, vr.Flat())
 	}
-	return u
+	return storage.State{Version: vv.id, Engine: v.cfg.stamp(vv.strategy), Config: v.cfg.stamp(v.cfg.strategy),
+		Program: vv.programSrc, Hidden: v.hiddenLocked(), DB: db}
 }
 
-// replicaConfigOptions maps a ReplicaState's engine configuration back
-// to materialization options.
-func replicaConfigOptions(st ReplicaState) ([]Option, error) {
-	strategy, err := ParseStrategy(st.Strategy)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: replica state: %w", err)
-	}
-	sem, err := ParseSemantics(st.Semantics)
-	if err != nil {
-		return nil, fmt.Errorf("ivm: replica state: %w", err)
-	}
-	return []Option{WithStrategy(strategy), WithSemantics(sem)}, nil
-}
-
-// ViewsFromReplicaState materializes fresh Views from a transferred
-// state. extra options are applied first (tracing, idempotency window, ...);
-// the state's strategy and semantics are applied last, since derived
-// state is bit-identical to the sender's only under the same engine
-// configuration.
+// ViewsFromReplicaState builds Views from a transferred state: extra
+// options (tracing, idempotency window, ...), then the strategy and
+// semantics the state was stored under. The views take st's relations for
+// their own; the frozen ones of Snapshot.ReplicaState are copied.
 func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
-	cfgOpts, err := replicaConfigOptions(st)
-	if err != nil {
-		return nil, err
-	}
-	d := NewDatabase()
-	if err := d.Load(st.Facts); err != nil {
-		return nil, fmt.Errorf("ivm: loading replica state facts: %w", err)
-	}
-	v, err := d.Materialize(st.Program, append(append([]Option(nil), extra...), cfgOpts...)...)
-	if err != nil {
-		return nil, err
-	}
-	v.setHidden(st.Hidden)
-	return v, nil
+	return viewsFromState(st, append(extra[:len(extra):len(extra)],
+		WithStrategy(Strategy(st.Config>>2)), WithSemantics(Semantics(st.Config>>1&1))))
 }
 
-// ResetToReplicaState replaces the views' stored facts with st's,
-// wholesale, and seeds the published version to version — a follower's
-// resynchronization path when it is too far behind to bridge with
-// deltas. The replacement runs as one Apply (delete every stored base
-// row, insert every transferred row, net-merged), so readers observe a
-// single atomic step from the old state to the new one; the engine
-// re-derives the views incrementally from the net difference. The
-// program must be unchanged: a program edit changes the rule set the
-// engine was compiled for, so the caller must rebuild with
-// ViewsFromReplicaState instead.
-func (v *Views) ResetToReplicaState(st ReplicaState, version uint64) error {
-	if st.Program != v.ProgramSource() {
-		return fmt.Errorf("ivm: replica state carries a different program; rebuild the views instead of resetting")
-	}
-	incoming, err := ParseUpdate(st.Facts)
+// viewsFromState is the one restore of a state record, published once at
+// its version. Under the configuration its stamp names, its relations are
+// the engine's storage and no rule is evaluated; under another, or the
+// Recompute baseline, its base relations are materialized.
+func viewsFromState(st storage.State, opts []Option) (*Views, error) {
+	res, err := parser.Parse(st.Program)
 	if err != nil {
-		return fmt.Errorf("ivm: parsing replica state facts: %w", err)
+		return nil, err
 	}
-	u := v.cur.Load().baseFacts(-1)
-	u.Merge(incoming)
-	if _, err := v.Apply(u); err != nil {
-		return fmt.Errorf("ivm: applying replica state reset: %w", err)
+	cfg, reg := newConfig(opts), metrics.NewRegistry()
+	var eng engine
+	if dcfg, err := cfg.engineConfig(reg); err == nil {
+		db := eval.NewDB()
+		for _, pred := range st.DB.Preds() {
+			rel := st.DB.Get(pred)
+			if rel.Frozen() {
+				rel = rel.Clone()
+			}
+			db.Put(pred, rel)
+		}
+		if e, err := dred.Load(res.Program, db, dcfg); err == nil && cfg.stamp(cfg.regime(e)) == st.Engine {
+			eng = e
+		}
 	}
-	v.SeedVersion(version)
-	return nil
+	if eng == nil {
+		base, derived := eval.NewDB(), res.Program.DerivedPreds()
+		for _, pred := range st.DB.Preds() {
+			if !derived[pred] {
+				base.Put(pred, st.DB.Get(pred))
+			}
+		}
+		reg = metrics.NewRegistry()
+		if eng, err = cfg.materialize(res.Program, base, reg); err != nil {
+			return nil, err
+		}
+	}
+	return newViews(cfg, reg, eng, st.Program, st.Hidden, max(st.Version, 1)), nil
+}
+
+// ResetToReplicaState moves the views to st wholesale, a follower's resync
+// when it is too far behind to bridge with deltas: the difference folds as
+// one commit record stamped st.Version, carrying st's program when it is
+// not the views' own — one atomic publish, no rule evaluated. Views of
+// another configuration are refused with a *DivergenceError and nothing
+// applied; store-bound views checkpoint the result.
+func (v *Views) ResetToReplicaState(st ReplicaState) error {
+	v.wmu.Lock()
+	cs, err := v.resetLocked(st)
+	v.wmu.Unlock()
+	if cs != nil {
+		v.notify(cs)
+	}
+	return err
+}
+
+// resetLocked folds and publishes the reset (wmu held).
+func (v *Views) resetLocked(st ReplicaState) (cs *ChangeSet, err error) {
+	db, preds := v.eng.DB(), v.eng.DB().Preds()
+	for _, pred := range st.DB.Preds() {
+		if db.Get(pred) == nil {
+			preds = append(preds, pred)
+		}
+	}
+	deltas := make(map[string]*relation.Relation)
+	for _, pred := range preds {
+		stored, incoming := db.Get(pred), st.DB.Get(pred)
+		switch {
+		case incoming == nil || incoming.Empty():
+			if stored == nil || stored.Empty() {
+				continue
+			}
+			incoming = relation.New(stored.Arity())
+		case stored == nil || stored.Empty():
+			stored = relation.New(incoming.Arity())
+		case stored.Arity() != incoming.Arity():
+			return nil, fmt.Errorf("ivm: replica state holds %s at arity %d and these views at %d", pred, incoming.Arity(), stored.Arity())
+		}
+		if d := relation.Diff(stored, incoming); !d.Empty() {
+			deltas[pred] = d
+		}
+	}
+	var program *string
+	if st.Program != v.programSrc {
+		program = &st.Program
+	}
+	rec, err := storage.EncodeCommitRecord(st.Version, nil, program, st.Engine, deltas)
+	if err == nil {
+		deltas, cs, err = v.foldRecordLocked(rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	next := maps.Clone(v.cur.Load().rels)
+	v.refreshEmptiesLocked(next)
+	v.pushDeltasLocked(next, deltas)
+	cs.version = st.Version
+	v.installLocked(v.versionLocked(next, st.Version))
+	if v.store != nil {
+		err = v.checkpointLocked()
+	}
+	return cs, err
 }
 
 // CommittedRecordsAfter returns the WAL's commit records stamped with

@@ -74,13 +74,13 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 			undo, err = eng.Install(res.Program)
 		}
 		if err == nil {
-			prog, strategy = res.Program, v.regime()
-		} else if rec.Engine() == v.stamp(strategy) {
+			prog, strategy = res.Program, v.cfg.regime(v.eng)
+		} else if rec.Engine() == v.cfg.stamp(strategy) {
 			return nil, nil, fmt.Errorf("ivm: commit record %d: rule edit: %w", rec.Version, err)
 		} // else it was cut under another configuration, as the stamp says
 	}
-	if by := rec.Engine(); by != v.stamp(strategy) {
-		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.stamp(strategy))}
+	if by := rec.Engine(); by != v.cfg.stamp(strategy) {
+		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.cfg.stamp(strategy))}
 	}
 	derived := prog.DerivedPreds()
 	flips := v.cfg.strategy != Recompute && v.cfg.semantics == SetSemantics
@@ -181,14 +181,14 @@ func (e *DivergenceError) Error() string {
 	return fmt.Sprintf("ivm: diverged: commit record is stamped version %d but the views are at version %d", e.Version, e.At)
 }
 
-// stamp is the byte these views put on the commit records they cut and
-// demand of the ones they fold: what maintains the program (strategy —
-// Auto only for a mixed program) and the semantics, twice, as records cut
-// when counting could keep duplicate counts inside a set view spell it.
-// Stored derivation counts — and so a record's count changes — differ
-// between any two.
-func (v *Views) stamp(strategy Strategy) byte {
-	return byte(strategy)<<2 | byte(v.cfg.semantics)<<1 | byte(v.cfg.semantics)
+// stamp is the byte views of this configuration put on the commit records
+// and states they cut and demand of the ones they fold and load: what
+// maintains the program (strategy — Auto only for a mixed program) and the
+// semantics, twice, as records cut when counting could keep duplicate
+// counts inside a set view spell it. Stored derivation counts — and so a
+// record's count changes — differ between any two.
+func (c config) stamp(strategy Strategy) byte {
+	return byte(strategy)<<2 | byte(c.semantics)<<1 | byte(c.semantics)
 }
 
 // engineString names a stamp; a record cut with duplicate counts inside a

@@ -38,19 +38,20 @@ func (ri RecoveryInfo) String() string {
 }
 
 // OpenStore opens (creating if needed) the crash-recovery store in dir
-// and restores views from it: the newest valid snapshot is loaded and
-// rematerialized, and the WAL's commit records from its epoch are folded
-// onto it (ApplyCommitRecord). When the store is empty, init is called to
-// build the initial views (e.g. from program and fact files) and the
-// result is immediately checkpointed. The returned views are store-bound:
-// every Apply and rule edit is durably WAL-logged before it returns — an
-// edit's record carries the program it leaves, so replay installs it and
-// folds the edit's Δ — and Sync checkpoints on demand. Options apply to
-// the rematerialization of a recovered program (and WithGroupCommit to the
-// WAL); init builds its views with whatever options it chooses. A snapshot
-// opens under any strategy and semantics, but a WAL record folds only
-// under the ones it was cut by: a store closed without a checkpoint and
-// opened under others is refused with a *DivergenceError naming both.
+// and restores views from it: the newest valid snapshot is loaded and the
+// WAL's commit records from its epoch are folded onto it
+// (ApplyCommitRecord). When the store is empty, init is called to build
+// the initial views (e.g. from program and fact files) and the result is
+// immediately checkpointed. The returned views are store-bound: every
+// Apply and rule edit is durably WAL-logged before it returns — an edit's
+// record carries the program it leaves, so replay installs it and folds
+// the edit's Δ — and Sync checkpoints on demand. Options apply to the
+// recovered views (and WithGroupCommit to the WAL); init builds its views
+// with whatever options it chooses. A snapshot opens under any strategy
+// and semantics — its stored counts as they are under the ones it was
+// written under, else rematerialized — but a WAL record folds only under
+// the ones it was cut by: a store closed without a checkpoint and opened
+// under others is refused with a *DivergenceError naming both.
 func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views, RecoveryInfo, error) {
 	cfg := newConfig(opts)
 	st, err := storage.OpenStore(dir, storage.StoreOptions{GroupCommit: cfg.groupCommit, RepairCorruptWAL: cfg.walRepair})
@@ -63,19 +64,12 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 		return nil, info, err
 	}
 	var v *Views
-	if db, programSrc, hidden, ok := st.Snapshot(); ok {
-		v, err = viewsFromSnapshot(db, programSrc, hidden, opts)
-		if err != nil {
+	if state, ok := st.Snapshot(); ok {
+		// The views start at the version the checkpoint was published as,
+		// and each WAL record republishes its own: the commit order
+		// survives the crash, so a follower resumes across it.
+		if v, err = viewsFromState(state, opts); err != nil {
 			return fail(err)
-		}
-		// Version alignment: the checkpoint carries the version its state
-		// was published as, so the rematerialized views (which restart at
-		// version 1) are seeded up to it before replay. Each WAL record
-		// then republishes its original version — the durable commit
-		// order survives the crash, which is what lets a follower resume
-		// replication across a primary restart without a gap.
-		if base := st.SnapshotBaseVersion(); base > v.cur.Load().id {
-			v.SeedVersion(base)
 		}
 		// Replay happens before the views are store-bound, so the
 		// records are not re-appended to the WAL they came from.
@@ -129,7 +123,7 @@ func (v *Views) bindStoreLocked(st *storage.Store, initialized bool) (err error)
 	if initialized {
 		// Checkpoint immediately so a snapshot always exists: from here
 		// on every WAL record has an epoch-stamped snapshot beneath it.
-		if err := v.checkpointLocked(v.cur.Load().id); err != nil {
+		if err := v.checkpointLocked(); err != nil {
 			return err
 		}
 	}
@@ -153,10 +147,11 @@ func (v *Views) bindStoreLocked(st *storage.Store, initialized bool) (err error)
 }
 
 // checkpointLocked writes the engine's full state — base and derived
-// relations, program text, hidden set — as a new snapshot epoch of the
-// store, stamped with published version id (write lock held).
-func (v *Views) checkpointLocked(id uint64) error {
-	return v.store.CheckpointAt(v.eng.DB(), v.programSrc, v.hiddenLocked(), id)
+// relations with their counts, program text, hidden set — as a new
+// snapshot epoch of the store, stamped with the published version (write
+// lock held).
+func (v *Views) checkpointLocked() error {
+	return v.store.CheckpointAt(v.state(v.cur.Load()))
 }
 
 // Sync checkpoints store-bound views: the full state (base + derived
@@ -170,7 +165,7 @@ func (v *Views) Sync() error {
 	}
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	return v.checkpointLocked(v.cur.Load().id)
+	return v.checkpointLocked()
 }
 
 // Store reports whether the views are bound to a crash-recovery store
@@ -242,7 +237,7 @@ func (v *Views) Shutdown() error {
 	if v.store == nil || v.store.Closed() {
 		return nil
 	}
-	if err := v.checkpointLocked(v.cur.Load().id); err != nil {
+	if err := v.checkpointLocked(); err != nil {
 		// Close anyway: the WAL already holds every acked apply, so
 		// recovery replays to the same state; the checkpoint was only an
 		// optimization. Surface the checkpoint error over Close's.
