@@ -46,6 +46,7 @@ bench-smoke:
 # `bash benchmark/run.sh` is the full run.
 bench-layered:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	cd benchmark && $(GO) test -count=3 -run TestSmokeRunPassesEveryCheck .
 	bash benchmark/run.sh -smoke
 
 # One experiment with metrics exposition, then the registry of a Views

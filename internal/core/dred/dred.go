@@ -270,11 +270,15 @@ func (e *Engine) evaluate(db *eval.DB) (map[eval.RuleLit]*eval.GroupTable, error
 	if err := ev.Evaluate(db); err != nil {
 		return nil, err
 	}
-	if e.alg == DRed {
-		// The evaluator counts the derivations of nonrecursive strata:
-		// DRed keeps their set images.
-		for pred := range e.prog.DerivedPreds() {
-			db.Put(pred, db.Get(pred).ToSet())
+	// Evaluation leaves a derived relation at the size its last doubling
+	// reached; each is remade once at its exact size, the layout a loaded
+	// state has (Load). The evaluator counts the derivations of
+	// nonrecursive strata: DRed keeps their set images.
+	for pred := range e.prog.DerivedPreds() {
+		if r := db.Get(pred); e.alg == DRed {
+			db.Put(pred, r.ToSet())
+		} else {
+			r.Trim()
 		}
 	}
 	return ev.GroupTables, nil

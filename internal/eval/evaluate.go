@@ -217,10 +217,16 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 		pred string
 		out  *relation.Relation
 	}
+	// Each (rule, Δ literal) refills its output of the last round (outs).
 	var round []derived
+	outs := make(map[[2]int]*relation.Relation)
 	evalInto := func(ri, li int, srcs []Source) error {
-		head := e.prog.Rules[ri].Head
-		out := relation.New(len(head.Args))
+		head, key := e.prog.Rules[ri].Head, [2]int{ri, li}
+		if outs[key] == nil {
+			outs[key] = relation.New(len(head.Args))
+		}
+		out := outs[key]
+		out.Reset()
 		round = append(round, derived{head.Pred, out})
 		return e.evalRule(ri, li, srcs, out)
 	}
@@ -285,50 +291,4 @@ func (e *Evaluator) evalRecursiveStratum(db *DB, s int, rules []int) error {
 		}
 		delta = next
 	}
-}
-
-// NaiveEvaluate evaluates the program by naive fixpoint iteration under
-// set semantics — slow but obviously correct; used as a test oracle.
-func NaiveEvaluate(prog *datalog.Program, st *strata.Stratification, db *DB) error {
-	for pred := range prog.DerivedPreds() {
-		db.Put(pred, relation.New(arityOf(prog, pred)))
-	}
-	byStratum := st.RulesByStratum(prog)
-	for s := 1; s <= st.MaxStratum; s++ {
-		rules := byStratum[s]
-		for {
-			changed := false
-			for _, ri := range rules {
-				rule := prog.Rules[ri]
-				srcs := make([]Source, len(rule.Body))
-				for li, lit := range rule.Body {
-					switch lit.Kind {
-					case datalog.LitPositive, datalog.LitNegated:
-						srcs[li] = Source{Rel: relation.SetImage(db.rel(lit.Atom.Pred))}
-					case datalog.LitAggregate:
-						gt, err := BuildGroupTable(lit.Agg, relation.SetImage(db.rel(lit.Agg.Inner.Pred)))
-						if err != nil {
-							return err
-						}
-						srcs[li] = Source{Rel: gt.Rel()}
-					}
-				}
-				tmp := relation.New(len(rule.Head.Args))
-				if err := EvalRule(rule, srcs, -1, tmp, nil); err != nil {
-					return err
-				}
-				full := db.rel(rule.Head.Pred)
-				tmp.Each(func(row relation.Row) {
-					if row.Count > 0 && !full.Has(row.Tuple) {
-						full.AddRow(row.WithCount(1))
-						changed = true
-					}
-				})
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-	return nil
 }

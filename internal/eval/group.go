@@ -23,12 +23,15 @@ type GroupTable struct {
 	groups    map[string]*groupEntry
 	rel       *relation.Relation // committed T
 	// undo holds pre-ApplyDelta snapshots of touched groups until Commit
-	// or Rollback resolves the pending delta; it is cleared, not dropped,
-	// so one map serves every apply. spare holds the old states Commit
-	// released, for the next ApplyDelta's copies; it never holds more
-	// than the most groups one ApplyDelta touched.
-	undo  map[string]undoEntry
-	spare []agg.State
+	// or Rollback resolves the pending delta, and touched their keys in
+	// first-touch order, the order of ΔT's rows; both are cleared, not
+	// dropped. spare holds the old states Commit released, for the next
+	// ApplyDelta's copies; it never holds more than the most groups one
+	// ApplyDelta touched. rows is rescan's probe buffer.
+	undo    map[string]undoEntry
+	touched []string
+	spare   []agg.State
+	rows    []relation.Row
 
 	// The inner atom, compiled once (slots.go): the pattern, the slots of
 	// the grouping variables and the aggregated term. match reuses slots
@@ -261,6 +264,7 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 				e.state = t.copyOf(e.state)
 			}
 			t.undo[e.key] = ue
+			t.touched = append(t.touched, e.key)
 		}
 		ferr = fold(e, av, row.Count)
 	})
@@ -274,7 +278,7 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 	changed := make([]relation.Row, 0, 2*len(t.undo))
 	var buf [value.KeyScratch]byte
 	var built int64
-	for k := range t.undo {
+	for _, k := range t.touched {
 		e := t.groups[k]
 		if e.state == nil {
 			if err := t.rescan(e, uNew); err != nil {
@@ -320,7 +324,10 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 func (t *GroupTable) rescan(e *groupEntry, uNew relation.Reader) error {
 	st := t.newState()
 	e.state = st
-	for _, row := range uNew.Lookup(t.groupCols, e.groupVals) {
+	run := relation.LookupRun(uNew, t.groupCols, e.groupVals, &t.rows)
+	defer func() { clear(t.rows) }()
+	for i := range run.Len() {
+		row := run.Row(i)
 		gv, av, ok, err := t.match(row.Tuple)
 		if err != nil {
 			return err
@@ -347,6 +354,7 @@ func (t *GroupTable) Commit(deltaT *relation.Relation) {
 		}
 	}
 	clear(t.undo)
+	t.touched = slices.Delete(t.touched, 0, len(t.touched))
 }
 
 // Rollback restores the group states to their last committed values,
@@ -363,6 +371,7 @@ func (t *GroupTable) Rollback() {
 		t.groups[k] = ue.e
 	}
 	clear(t.undo)
+	t.touched = slices.Delete(t.touched, 0, len(t.touched))
 }
 
 // groupColumns locates each grouping variable's first position in the

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -107,6 +108,10 @@ type Plan struct {
 	// nslots.
 	head   []term
 	nslots int
+	// stop is, in a rederivation plan, the step that binds the head's last
+	// variable: below one of its rows every derivation derives the same
+	// head, and a walk needs only the first (-1 in other plans).
+	stop int
 	// scratch is the walk state the last evaluation released, taken by
 	// the next one; nil while an evaluation holds it, so a concurrent
 	// evaluation of the plan builds its own.
@@ -159,7 +164,8 @@ func planRule(rule datalog.Rule, srcs []Source, firstLit int, rederive bool) (*P
 		remaining[i] = true
 	}
 	slots := make(slotOf)
-	p := &Plan{Steps: make([]PlanStep, 0, n), pinned: -1, fp: make([]int8, n)}
+	p := &Plan{Steps: make([]PlanStep, 0, n), pinned: -1, fp: make([]int8, n), stop: -1}
+	ends := make([]int, 0, n) // per step, the number of variables bound after it
 	for i := range p.fp {
 		p.fp[i] = -1
 	}
@@ -185,6 +191,7 @@ func planRule(rule datalog.Rule, srcs []Source, firstLit int, rederive bool) (*P
 			err = serr
 		}
 		p.Steps = append(p.Steps, st)
+		ends = append(ends, len(slots))
 	}
 	flushFilters := func() {
 		for i := 0; i < n; i++ {
@@ -232,6 +239,13 @@ func planRule(rule datalog.Rule, srcs []Source, firstLit int, rederive bool) (*P
 	}
 	if err != nil {
 		return nil, err
+	}
+	if rederive {
+		last := -1
+		for _, v := range rule.Head.Vars(nil) {
+			last = max(last, slots[v])
+		}
+		p.stop = slices.IndexFunc(ends, func(end int) bool { return last < end })
 	}
 
 	// Fingerprint the non-Δ join sources for drift detection.
@@ -518,6 +532,9 @@ type ruleWalk struct {
 	// ctr counts access paths locally; EvalPlan flushes it to the
 	// Instruments in one atomic add per counter.
 	ctr joinCounters
+	// derived says a head was derived below the current row of the plan's
+	// stop step.
+	derived bool
 	// frames[k] is step k's scratch.
 	frames []frame
 }
@@ -525,7 +542,7 @@ type ruleWalk struct {
 // frame is what one step of a walk would otherwise allocate per row.
 type frame struct {
 	tuple value.Tuple    // probe tuple: a ground atom, or an index probe's key values
-	rows  []relation.Row // where an overlay merges the runs a probe finds (relation.LookupInto)
+	rows  []relation.Row // where an overlay merges the runs a probe finds (relation.LookupRun)
 }
 
 // maxKeptRows bounds the row buffer a released frame keeps, so a cached
@@ -548,7 +565,7 @@ func (p *Plan) takeWalk() *ruleWalk {
 // release hands w back to its plan holding nothing of the evaluation it
 // served: no source, output or row, and no value a slot or buffer held.
 func (w *ruleWalk) release() {
-	w.srcs, w.out, w.leaf, w.ctr = nil, nil, nil, joinCounters{}
+	w.srcs, w.out, w.leaf, w.ctr, w.derived = nil, nil, nil, joinCounters{}, false
 	clear(w.slots)
 	clear(w.head)
 	for i := range w.frames {
@@ -574,6 +591,7 @@ func (w *ruleWalk) walk(k int, count int64) error {
 		}
 		w.head = head
 		w.ctr.heads[w.out.AddDerived(head, count)]++
+		w.derived = true
 		return nil
 	}
 	st, fr := &steps[k], &w.frames[k]
@@ -626,8 +644,9 @@ func (w *ruleWalk) walk(k int, count int64) error {
 		}
 		fr.tuple = key
 		w.ctr.probes++
-		for _, row := range relation.LookupInto(rel, st.Cols, key, &fr.rows) {
-			if err := w.emit(st, k, row, count); err != nil {
+		run := relation.LookupRun(rel, st.Cols, key, &fr.rows)
+		for i := range run.Len() {
+			if err := w.emit(st, k, run.Row(i), count); err != nil || w.cut(k) {
 				return err
 			}
 		}
@@ -637,28 +656,44 @@ func (w *ruleWalk) walk(k int, count int64) error {
 		w.ctr.scans++
 		switch r := rel.(type) {
 		case *relation.Relation:
-			for row, i := r.Next(0); i >= 0; row, i = r.Next(i) {
-				if err := w.emit(st, k, row, count); err != nil {
+			for i := range r.Len() {
+				if err := w.emit(st, k, r.At(i), count); err != nil || w.cut(k) {
 					return err
 				}
 			}
 			return nil
 		case relation.RowSlice:
 			for _, row := range r {
-				if err := w.emit(st, k, row, count); err != nil {
+				if err := w.emit(st, k, row, count); err != nil || w.cut(k) {
 					return err
 				}
 			}
 			return nil
 		}
 		var err error
+		cut := false
 		rel.Each(func(row relation.Row) {
-			if err == nil {
+			if err == nil && !cut {
 				err = w.emit(st, k, row, count)
+				cut = w.cut(k)
 			}
 		})
 		return err
 	}
+}
+
+// cut reports whether step k takes no more rows: below a rederivation
+// plan's stop step, once a head was derived. The stop step itself goes on
+// with its next row, for which no head is derived yet.
+func (w *ruleWalk) cut(k int) bool {
+	if !w.derived || w.plan.stop < 0 {
+		return false
+	}
+	if k > w.plan.stop {
+		return true
+	}
+	w.derived = false
+	return false
 }
 
 // emit matches one candidate row of step k's literal and, on success,

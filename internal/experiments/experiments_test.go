@@ -37,3 +37,11 @@ func TestRunAllSmoke(t *testing.T) {
 		}
 	}
 }
+
+// RunAll executes every experiment at the given scale.
+func RunAll(s Scale) []*Table {
+	return []*Table{
+		RunE1(s), RunE2(s), RunE3(s), RunE4(s), RunE5(s), RunE6(s),
+		RunE7(s), RunE8(s), RunE9(s), RunE10(s), RunE12(s),
+	}
+}

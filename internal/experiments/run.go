@@ -26,14 +26,6 @@ var DefaultScale = Scale{Nodes: 300, Edges: 1800, Trials: 5}
 // SmokeScale runs everything in well under a second.
 var SmokeScale = Scale{Nodes: 60, Edges: 240, Trials: 3}
 
-// RunAll executes every experiment at the given scale.
-func RunAll(s Scale) []*Table {
-	return []*Table{
-		RunE1(s), RunE2(s), RunE3(s), RunE4(s), RunE5(s), RunE6(s),
-		RunE7(s), RunE8(s), RunE9(s), RunE10(s), RunE12(s),
-	}
-}
-
 // RunE1 — Example 1.1 at scale: single-edge deletions of the hop view,
 // counting vs DRed vs recompute.
 func RunE1(s Scale) *Table {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -12,13 +13,23 @@ import (
 
 // A stored row is a cell: the key (pointer, length and hash), pointer to
 // the tuple's backing array and count — the tuple's length is the
-// relation's arity and is not stored — and a relation is one flat
-// open-addressing array of them. These tests hold that layout and that
-// table to their contract.
+// relation's arity and is not stored — and a relation is a dense array of
+// them in insertion order beside an open-addressing array of positions.
+// An index slot is a run of positions and a hash. These tests hold that
+// layout and those tables to their contract.
 
 func TestCellIs32Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(cell{}); got != 32 {
 		t.Fatalf("unsafe.Sizeof(cell{}) = %d, want 32 (the table is an array of them)", got)
+	}
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want 32 (a key table is an array of them)", got)
+	}
+	if got := unsafe.Sizeof(slot{}.run[0]); got != 4 {
+		t.Fatalf("a run entry is %d bytes, want the 4 of a position", got)
+	}
+	if got := unsafe.Sizeof(entry{}); got != 32+4*slotsPer {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want a cell and %d slots of 4 bytes", got, slotsPer)
 	}
 }
 
@@ -115,6 +126,7 @@ func sameAsModel(t *testing.T, where string, r *Relation, m model, arity int) {
 	if seen != 2*len(m) {
 		t.Fatalf("%s: Each and Rows visited %d rows, want %d", where, seen, 2*len(m))
 	}
+	checkRuns(t, where, r)
 	if arity == 0 {
 		return
 	}
@@ -137,6 +149,65 @@ func sameAsModel(t *testing.T, where string, r *Relation, m model, arity int) {
 			t.Fatalf("%s: Lookup(%v, %v) = %d rows, model %d", where, cols, probe, len(got), want)
 		}
 		break
+	}
+}
+
+// checkRuns holds every index r has built to a scan of r: each run lists,
+// ascending, exactly the positions of the rows that project to its key,
+// under that key's hash, and the key table finds it; and the row table's
+// slots point at every cell once, each from its probe path.
+func checkRuns(t *testing.T, where string, r *Relation) {
+	t.Helper()
+	cells := r.rows.cells
+	if n := r.rows.nslots(); n != 0 {
+		seen := make([]bool, len(cells))
+		for i := 0; i < n; i++ {
+			p := *r.rows.slot(i)
+			if p == 0 {
+				continue
+			}
+			if int(p) > len(cells) || seen[p-1] {
+				t.Fatalf("%s: row slot %d holds position %d of %d, or twice", where, i, p-1, len(cells))
+			}
+			seen[p-1] = true
+			if find(&r.rows, cells[p-1].h, cells[p-1].key()) != int(p-1) {
+				t.Fatalf("%s: the row at position %d is not found from its home", where, p-1)
+			}
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("%s: the row slots miss a position", where)
+		}
+	} else if len(cells) > smallRows {
+		t.Fatalf("%s: %d rows and no slots", where, len(cells))
+	}
+	for i, e := range cells[len(cells):cap(cells)] {
+		if e.cell != (cell{}) {
+			t.Fatalf("%s: the cell after the last row, at %d, holds %+v", where, len(cells)+i, e.cell)
+		}
+	}
+	for _, ix := range r.idx {
+		want := map[string][]int32{}
+		for p, c := range cells {
+			k := r.row(c.cell).Tuple.Project(ix.cols).Key()
+			want[k] = append(want[k], int32(p))
+		}
+		n := 0
+		for _, s := range ix.slots {
+			if len(s.run) == 0 {
+				continue
+			}
+			n++
+			key := r.At(int(s.run[0])).Tuple.Project(ix.cols)
+			if !slices.Equal(s.run, want[key.Key()]) || s.h != hashString(key.Key()) {
+				t.Fatalf("%s: index %v holds run %v for %v, a scan finds %v", where, ix.cols, s.run, key, want[key.Key()])
+			}
+			if i := ix.find(r, s.h, key); i < 0 || !slices.Equal(ix.slots[i].run, s.run) {
+				t.Fatalf("%s: index %v does not find its run for %v", where, ix.cols, key)
+			}
+		}
+		if n != ix.n || n != len(want) {
+			t.Fatalf("%s: index %v has %d runs, counts %d, a scan finds %d keys", where, ix.cols, n, ix.n, len(want))
+		}
 	}
 }
 
@@ -265,12 +336,13 @@ func TestCellsAgainstPlainModel(t *testing.T) {
 	t.Run("rows in home order", tableHomeOrder)
 }
 
-// tableHomeOrder feeds a growing relation the rows of another in the order
-// they are read out, which is the source's home order. Were the homes of
-// the two tables the same, the rows would fill the target's first cells as
-// one run at every size it passes through, and building it would be
-// quadratic; with a multiplier per table no run is long. Checked when the
-// target is as full as it gets, just before a growth.
+// tableHomeOrder feeds a growing relation the rows of another in the
+// order they are read out. Were that the source's home order, as it was
+// when rows iterated over the hash table, the rows would fill the
+// target's first slots as one run at every size it passes through, since
+// every table takes its homes from the one hash; in insertion order no run
+// is long. Checked when the target is as full as it gets, just before a
+// growth.
 func tableHomeOrder(t *testing.T) {
 	src := New(2)
 	for i := 0; i < 40000; i++ {
@@ -278,23 +350,23 @@ func tableHomeOrder(t *testing.T) {
 	}
 	dst := New(2)
 	for _, row := range src.Rows() {
-		if dst.AddRow(row); dst.Len() == 26000 {
+		if dst.AddRow(row); dst.Len() == 32768 {
 			break
 		}
 	}
-	cells := dst.rows.cells
-	if len(cells) != 32768 {
-		t.Fatalf("26 000 rows sit in %d cells, want the 32 768 that are four fifths full at 26 214", len(cells))
+	n := dst.rows.nslots()
+	if cap(dst.rows.cells) != 32768 || n != slotsPer*32768 {
+		t.Fatalf("32 768 rows sit in %d cells and %d slots, want a full table of 32 768", cap(dst.rows.cells), n)
 	}
 	longest, run := 0, 0
-	for _, c := range cells {
-		if run++; c.count == 0 {
+	for j := 0; j < n; j++ {
+		if run++; *dst.rows.slot(j) == 0 {
 			run = 0
 		}
 		longest = max(longest, run)
 	}
-	if longest > len(cells)/8 {
-		t.Fatalf("the longest run of a table filled in another's home order is %d of %d cells", longest, len(cells))
+	if longest > n/8 {
+		t.Fatalf("the longest run of a table filled from another's rows is %d of %d slots", longest, n)
 	}
 }
 
@@ -315,8 +387,8 @@ func tableGrowths(t *testing.T, rng *rand.Rand) {
 			r.Delete(intTuple(j))
 			m.add(intTuple(j), -m[intTuple(j).Key()].count)
 		}
-		if len(r.rows.cells) != cells {
-			grown, cells = grown+1, len(r.rows.cells)
+		if cap(r.rows.cells) != cells {
+			grown, cells = grown+1, cap(r.rows.cells)
 			sameAsModel(t, fmt.Sprintf("after growth %d to %d cells", grown, cells), r, m, 2)
 		}
 	}
@@ -329,9 +401,9 @@ func tableGrowths(t *testing.T, rng *rand.Rand) {
 		r.Delete(mr.tuple)
 		delete(m, k)
 	}
-	for i, c := range r.rows.cells {
-		if c != (cell{}) {
-			t.Fatalf("cell %d of an emptied table is %+v, want the zero cell", i, c)
+	for i, e := range r.rows.cells[:cap(r.rows.cells)] {
+		if e != (entry{}) {
+			t.Fatalf("entry %d of an emptied table is %+v, want the zero cell and empty slots", i, e)
 		}
 	}
 	sameAsModel(t, "emptied", r, m, 2)
@@ -339,8 +411,8 @@ func tableGrowths(t *testing.T, rng *rand.Rand) {
 		r.Add(intTuple(i), -2)
 		m.add(intTuple(i), -2)
 	}
-	if len(r.rows.cells) != cells {
-		t.Fatalf("refilling an emptied table of %d cells with fewer rows left it with %d", cells, len(r.rows.cells))
+	if cap(r.rows.cells) != cells {
+		t.Fatalf("refilling an emptied table of %d cells with fewer rows left it with %d", cells, cap(r.rows.cells))
 	}
 	sameAsModel(t, "refilled", r, m, 2)
 
@@ -370,28 +442,27 @@ func tableGrowths(t *testing.T, rng *rand.Rand) {
 }
 
 // tableWrappedRun fills a sized table with tuples whose home is its last
-// cell, so that their probe run wraps the end of the array, and deletes
-// them in every rotation of their order: each delete shifts cells back
-// across the wrap, and every tuple left must still be found.
+// slot, so that their probe run wraps the end of the slot array, and
+// deletes them in every rotation of their order: each delete shifts slots
+// back across the wrap and moves the last cell into the hole, and every
+// tuple left must still be found.
 func tableWrappedRun(t *testing.T) {
-	const n = 6
-	probe := NewSized(2, n)
-	last := len(probe.rows.cells) - 1
+	const n = 2 * smallRows
+	last := slotsFor(n) - 1
 	var run []value.Tuple
 	for i := 0; len(run) < n-1; i++ {
-		if tu := intTuple(i); probe.rows.home(hashString(tu.Key())) == last {
+		if tu := intTuple(i); homeOf(hashString(tu.Key()), last+1) == last {
 			run = append(run, tu)
 		}
 	}
 	for rot := range run {
 		r, m := NewSized(2, n), model{}
-		r.rows.mul = probe.rows.mul // the homes the run was picked for
 		for _, tu := range run {
 			r.Add(tu, 1)
 			m.add(tu, 1)
 		}
-		if r.rows.cells[0].count == 0 || r.rows.home(r.rows.cells[0].h) != last {
-			t.Fatalf("cell 0 holds %+v: the run does not wrap the end of the array", r.rows.cells[0])
+		if p := *r.rows.slot(0); p == 0 || homeOf(r.rows.cells[p-1].h, last+1) != last {
+			t.Fatalf("slot 0 holds position %d: the run does not wrap the end of the array", p-1)
 		}
 		for i := range run {
 			tu := run[(rot+i)%len(run)]
@@ -402,10 +473,10 @@ func tableWrappedRun(t *testing.T) {
 	}
 }
 
-// tableSized: NewSized(n) and n inserts allocate the relation and one cell
+// tableSized: NewSized(n) and n inserts allocate the relation and one
 // array, never a second; one more row than it was made for may grow it.
 func tableSized(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 100, 1000} {
+	for _, n := range []int{1, 2, 3, 7, smallRows, smallRows + 1, 100, 1000} {
 		rows := make([]Row, n)
 		for i := range rows {
 			rows[i] = keyed(intTuple(i), 1)
@@ -417,9 +488,9 @@ func tableSized(t *testing.T) {
 				r.AddRow(row)
 			}
 		})
-		if allocs > 2 || len(r.rows.cells) != sizedCells(n) || r.Len() != n {
+		if allocs > 2 || cap(r.rows.cells) != n || r.Len() != n {
 			t.Errorf("NewSized(%d) and %d inserts: %v allocations, %d cells for %d rows; want 2 allocations and %d cells",
-				n, n, allocs, len(r.rows.cells), r.Len(), sizedCells(n))
+				n, n, allocs, cap(r.rows.cells), r.Len(), n)
 		}
 	}
 }
@@ -458,8 +529,8 @@ func tableMaterialize(t *testing.T) {
 	link(append(ebb, Row{Tuple: fresh, Count: 3}, Row{Tuple: held, Count: 1}, Row{Tuple: gone, Count: -1})...)
 	f := v.Flat()
 	sameAsModel(t, "flattened chain", f, m, 2)
-	if f.Len() != 1000 || len(f.rows.cells) != sizedCells(1000) {
-		t.Fatalf("flat form has %d rows in %d cells, want 1000 rows in the %d cells made for them", f.Len(), len(f.rows.cells), sizedCells(1000))
+	if f.Len() != 1000 || cap(f.rows.cells) != 1000 {
+		t.Fatalf("flat form has %d rows in %d cells, want 1000 rows in the 1000 cells made for them", f.Len(), cap(f.rows.cells))
 	}
 }
 

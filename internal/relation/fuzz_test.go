@@ -40,9 +40,11 @@ func churn() []byte {
 // tells apart and matches as themselves. After every operation it checks
 // the tuple touched, and Lookup on {0}, {1} and {0,1} for its projections
 // (so every later operation maintains those indexes), of the relation and
-// of Overlay(relation, delta) through one reused buffer; at the end and at
-// every copy, the whole content and every projection (the relation a copy
-// leaves behind must keep what it had).
+// of Overlay(relation, delta) through one reused buffer, and every built
+// index's runs against a scan (checkRuns), so a swap-remove that loses the
+// row it moves fails at once; at the end and at every copy, the whole
+// content and every projection (the relation a copy leaves behind must
+// keep what it had).
 func FuzzTableOps(f *testing.F) {
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
@@ -171,6 +173,7 @@ func FuzzTableOps(f *testing.F) {
 			}
 			where := fmt.Sprintf("op %d (%#x %d)", i/2, ops[i], ops[i+1])
 			lookups(where, r, m, tu)
+			checkRuns(t, where, r)
 			overlays(where, tu)
 		}
 		same("at the end", r, m)

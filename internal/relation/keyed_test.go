@@ -177,11 +177,12 @@ func indexImage(r *Relation) map[string]map[string][]string {
 				continue
 			}
 			n++
-			k := s.run[0].Tuple.Project(ix.cols).Key()
+			k := r.At(int(s.run[0])).Tuple.Project(ix.cols).Key()
 			if m[k] != nil {
 				m[k] = append(m[k], "TWO RUNS")
 			}
-			for _, row := range s.run {
+			for _, p := range s.run {
+				row := r.At(int(p))
 				if row.Tuple.Project(ix.cols).Key() != k {
 					m[k] = append(m[k], "WRONG RUN "+row.key)
 				}

@@ -121,8 +121,17 @@ func (o *overlay) Arity() int {
 	return o.delta.Arity()
 }
 
+// Count encodes and hashes t once where base and delta are both relations.
 func (o *overlay) Count(t value.Tuple) int64 {
-	return o.base.Count(t) + o.delta.Count(t)
+	b, ok := o.base.(*Relation)
+	d, dok := o.delta.(*Relation)
+	if !ok || !dok {
+		return o.base.Count(t) + o.delta.Count(t)
+	}
+	var buf [value.KeyScratch]byte
+	kb := t.AppendKey(buf[:0])
+	h := hashBytes(kb)
+	return countAt(b, h, kb) + countAt(d, h, kb)
 }
 
 func (o *overlay) Has(t value.Tuple) bool { return o.Count(t) > 0 }
@@ -168,22 +177,68 @@ func (o *overlay) PreferredIndex(bound []int) []int {
 
 func (o *overlay) Lookup(cols []int, keyVals value.Tuple) []Row {
 	var buf []Row
-	return o.lookup(cols, keyVals, &buf)
+	return LookupInto(o, cols, keyVals, &buf)
 }
 
-// LookupInto is Lookup for a caller that probes again and again: where r
-// has to build its answer — an overlay merging the runs of its base and
-// its delta, a set image recounting them — it builds it in *buf, grown as
-// needed, which the caller keeps for its next probe. The answer is
-// read-only, and valid until the next call with buf.
-func LookupInto(r Reader, cols []int, keyVals value.Tuple, buf *[]Row) []Row {
-	switch x := r.(type) {
-	case *overlay:
-		return x.lookup(cols, keyVals, buf)
-	case *setView:
-		return x.lookup(cols, keyVals, buf)
+// Run is the answer to a probe: a relation's rows read through their
+// positions in an index run, or rows in a slice. It is read-only, and valid
+// until the relation it reads is mutated or the buffer it was built in is
+// used again.
+type Run struct {
+	rel  *Relation
+	pos  []int32
+	rows []Row
+}
+
+// Len is the number of rows in the run: one of pos and rows is empty.
+func (r Run) Len() int { return len(r.pos) + len(r.rows) }
+
+// Row returns the run's i-th row.
+func (r Run) Row(i int) Row {
+	if r.rel != nil {
+		return r.rel.At(int(r.pos[i]))
 	}
-	return r.Lookup(cols, keyVals)
+	return r.rows[i]
+}
+
+// AppendTo appends the run's rows to dst, which may be the slice the run
+// reads: a copy onto itself moves nothing.
+func (r Run) AppendTo(dst []Row) []Row {
+	dst = slices.Grow(dst, r.Len())
+	for i := range r.Len() {
+		dst = append(dst, r.Row(i))
+	}
+	return dst
+}
+
+// LookupRun is Lookup for a caller that probes again and again: a
+// relation's run is read where its index keeps it, and where r has to
+// build its answer — an overlay merging the runs of its base and its
+// delta, a set image recounting them — it builds it in *buf, grown as
+// needed, which the caller keeps for its next probe.
+func LookupRun(r Reader, cols []int, keyVals value.Tuple, buf *[]Row) Run {
+	return lookupRun(r, cols, keyVals, keyHash(keyVals), buf)
+}
+
+// lookupRun is LookupRun for keyVals hashed to h.
+func lookupRun(r Reader, cols []int, keyVals value.Tuple, h uint32, buf *[]Row) Run {
+	switch x := r.(type) {
+	case *Relation:
+		return x.run(cols, keyVals, h)
+	case *overlay:
+		return x.lookup(cols, keyVals, h, buf)
+	case *setView:
+		return x.lookup(cols, keyVals, h, buf)
+	}
+	return Run{rows: r.Lookup(cols, keyVals)}
+}
+
+// LookupInto is LookupRun for a caller that wants the rows in a slice:
+// the run's rows, built in *buf. The answer is read-only, and valid until
+// the next call with buf.
+func LookupInto(r Reader, cols []int, keyVals value.Tuple, buf *[]Row) []Row {
+	*buf = LookupRun(r, cols, keyVals, buf).AppendTo((*buf)[:0])
+	return *buf
 }
 
 // lookup merges the base's run for keyVals with the delta's: a base row
@@ -192,30 +247,32 @@ func LookupInto(r Reader, cols []int, keyVals value.Tuple, buf *[]Row) []Row {
 // leave it. Count probes by the tuple's key, the identity an index's ==
 // compares, so the merge costs one probe per row of either run whatever
 // their lengths. Without a delta row the base's run is the answer as it is.
-func (o *overlay) lookup(cols []int, keyVals value.Tuple, buf *[]Row) []Row {
-	del := o.delta.Lookup(cols, keyVals)
-	base := LookupInto(o.base, cols, keyVals, buf)
-	if len(del) == 0 {
+func (o *overlay) lookup(cols []int, keyVals value.Tuple, h uint32, buf *[]Row) Run {
+	base := lookupRun(o.base, cols, keyVals, h, buf)
+	var dbuf []Row // a delta that builds its run builds it here
+	del := lookupRun(o.delta, cols, keyVals, h, &dbuf)
+	if del.Len() == 0 {
 		return base
 	}
-	// base may be *buf already: copying it onto itself moves nothing.
-	out := append((*buf)[:0], base...)
+	out := base.AppendTo((*buf)[:0])
+	nb := len(out)
+	out = del.AppendTo(out)
 	n := 0
-	for _, row := range out {
-		if row.Count += o.delta.Count(row.Tuple); row.Count != 0 {
+	for i, row := range out {
+		if i < nb {
+			row.Count += o.delta.Count(row.Tuple)
+		} else if row.Count == 0 || o.base.Count(row.Tuple) != 0 {
+			continue
+		}
+		if row.Count != 0 {
 			out[n] = row
 			n++
 		}
 	}
 	clear(out[n:])
 	out = out[:n]
-	for _, d := range del {
-		if d.Count != 0 && o.base.Count(d.Tuple) == 0 {
-			out = append(out, d)
-		}
-	}
 	*buf = out
-	return out
+	return Run{rows: out}
 }
 
 // setView presents the set image of a reader: positive-count tuples with
@@ -264,23 +321,27 @@ func (s *setView) Each(f func(Row)) {
 
 func (s *setView) Lookup(cols []int, keyVals value.Tuple) []Row {
 	var buf []Row
-	return s.lookup(cols, keyVals, &buf)
+	return LookupInto(s, cols, keyVals, &buf)
 }
 
-// lookup is LookupInto for the set image: r's run as it is when every
+// lookup is LookupRun for the set image: r's run as it is when every
 // count is already 1, else its positive rows at count 1, written into
 // *buf over r's run if that is where it lies.
-func (s *setView) lookup(cols []int, keyVals value.Tuple, buf *[]Row) []Row {
-	rows := LookupInto(s.r, cols, keyVals, buf)
-	if !slices.ContainsFunc(rows, func(row Row) bool { return row.Count != 1 }) {
+func (s *setView) lookup(cols []int, keyVals value.Tuple, h uint32, buf *[]Row) Run {
+	rows := lookupRun(s.r, cols, keyVals, h, buf)
+	i := 0
+	for i < rows.Len() && rows.Row(i).Count == 1 {
+		i++
+	}
+	if i == rows.Len() {
 		return rows // already its own set image: nothing to copy
 	}
 	out := (*buf)[:0]
-	for _, row := range rows {
-		if row.Count > 0 {
+	for i := range rows.Len() {
+		if row := rows.Row(i); row.Count > 0 {
 			out = append(out, row.WithCount(1))
 		}
 	}
 	*buf = out
-	return out
+	return Run{rows: out}
 }

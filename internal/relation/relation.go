@@ -67,26 +67,25 @@ func (r Row) WithCount(count int64) Row {
 // the one writer mutates engine state only, and what readers pin (a
 // published version) is frozen.
 type Relation struct {
-	arity int32 // one word with frozen: 144 bytes
+	arity int32 // one word with frozen and viewed: 104 bytes
 
 	// frozen marks an immutable relation (a published snapshot version):
 	// any mutation panics. Lazy index builds remain allowed — they are
 	// internally synchronized and do not change the relation's content.
 	frozen bool
+	// viewed says an index holds a view (index.go) the next mutation drops.
+	viewed bool
 	rows   table
 
 	// idx holds the lazy hash indexes, a few at most, told apart by their
-	// columns. idxMu guards idx against concurrent lazy builds from reader
-	// goroutines. A mutation reads idx without it: mutations never overlap
-	// reads, so only a reader's build can race a reader.
+	// columns, and stats the lazy per-column distinct sketches (stats.go),
+	// kept the same way. idxMu guards both against concurrent lazy builds
+	// from reader goroutines. A mutation reads them without it: mutations
+	// never overlap reads, so only a reader's build can race a reader.
 	idx   []*index
+	stats *tableStats
 	idxMu sync.RWMutex
 	lend  [2]*Relation // what AddDerived borrows stored rows from (BorrowFrom)
-
-	// stats holds the lazy per-column distinct sketches (see stats.go),
-	// with the same build-once-then-incremental discipline as idx.
-	stats   *tableStats
-	statsMu sync.RWMutex
 }
 
 // cell is a stored row without what the relation already knows: every
@@ -96,9 +95,8 @@ type Relation struct {
 // len == cap == arity: an append to a read-back tuple always copies. The
 // key string is kept the same way, as the pointer to its bytes and a
 // 32-bit length, which leaves room for the key's hash (see table) in the
-// 32 bytes of a cell; a Row is 64. With the key at hand a row read back,
-// and every later merge of it, is never encoded again. A cell is occupied
-// iff count != 0.
+// 32 bytes of a cell; a Row is 48. With the key at hand a row read back,
+// and every later merge of it, is never encoded again.
 type cell struct {
 	kp    *byte
 	vals  *value.Value
@@ -117,6 +115,10 @@ func newCell(row Row, h uint32) cell {
 	return cell{kp: unsafe.StringData(row.key), kl: uint32(len(row.key)), h: h, vals: unsafe.SliceData(row.Tuple), count: row.Count}
 }
 
+// At returns the row stored at position p, 0 ≤ p < Len(): the relation
+// in Each's order, for a caller that keeps no closure.
+func (r *Relation) At(p int) Row { return r.row(r.rows.cells[p].cell) }
+
 // row rebuilds the Row of a cell stored in r.
 func (r *Relation) row(c cell) Row {
 	return Row{Tuple: unsafe.Slice(c.vals, r.arity), Count: c.count, key: c.key()}
@@ -126,23 +128,14 @@ func (r *Relation) row(c cell) Row {
 // "unknown until the first insert" (useful for generic plumbing). Its
 // cells are made by the first insert.
 func New(arity int) *Relation {
-	return &Relation{arity: int32(arity), rows: newTable(0)}
-}
-
-// FromRows builds a relation from rows, merging duplicate tuples' counts.
-func FromRows(arity int, rows []Row) *Relation {
-	r := New(arity)
-	for _, row := range rows {
-		r.AddRow(row)
-	}
-	return r
+	return &Relation{arity: int32(arity)}
 }
 
 // Arity returns the relation's arity (-1 if still unknown).
 func (r *Relation) Arity() int { return int(r.arity) }
 
 // Len returns the number of distinct tuples (not the sum of counts).
-func (r *Relation) Len() int { return r.rows.n }
+func (r *Relation) Len() int { return len(r.rows.cells) }
 
 // TotalCount returns the sum of all counts (the multiset cardinality).
 func (r *Relation) TotalCount() int64 {
@@ -154,7 +147,7 @@ func (r *Relation) TotalCount() int64 {
 }
 
 // Empty reports whether the relation has no tuples.
-func (r *Relation) Empty() bool { return r.rows.n == 0 }
+func (r *Relation) Empty() bool { return len(r.rows.cells) == 0 }
 
 // Count returns the stored count for t (0 if absent). Like every probe
 // it encodes t into a stack buffer and probes the table with the bytes,
@@ -177,7 +170,7 @@ func countAt[K string | []byte](r *Relation, h uint32, k K) int64 {
 // that hold a tuple's encoding rather than the tuple. Allocates nothing.
 func (r *Relation) Stored(kb []byte) (Row, bool) {
 	if i := find(&r.rows, hashBytes(kb), kb); i >= 0 {
-		return r.row(r.rows.cells[i]), true
+		return r.At(i), true
 	}
 	return Row{}, false
 }
@@ -258,7 +251,7 @@ func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 			continue
 		}
 		if i := find(&l.rows, h, kb); i >= 0 {
-			r.insert(l.row(l.rows.cells[i]).WithCount(count), h)
+			r.insert(l.At(i).WithCount(count), h)
 			return Borrowed
 		}
 	}
@@ -297,20 +290,23 @@ func (r *Relation) insert(row Row, h uint32) {
 	} else if len(row.Tuple) != r.Arity() {
 		panic(fmt.Sprintf("relation: arity mismatch: tuple %v into arity-%d relation", row.Tuple, r.arity))
 	}
-	r.rows.insert(newCell(row, h))
-	r.idxAdd(row, row.Count, false)
+	r.unview()
+	p := r.rows.insert(newCell(row, h))
+	r.idxInsert(row.Tuple, p)
 	r.statsAdd(row.Tuple, 1)
 }
 
-// bump adds delta to the stored cell i, removing it when the count cancels.
+// bump adds delta to the stored cell i, removing it when the count
+// cancels. Only a removal touches the indexes, which hold positions.
 func (r *Relation) bump(i int, delta int64) {
-	r.rows.cells[i].count += delta
-	row := r.row(r.rows.cells[i])
-	if row.Count == 0 {
-		r.rows.del(i)
-		r.statsAdd(row.Tuple, -1)
+	r.unview()
+	if r.rows.cells[i].count += delta; r.rows.cells[i].count != 0 {
+		return
 	}
-	r.idxAdd(row, delta, true)
+	t := r.At(i).Tuple
+	r.idxDelete(t, i)
+	r.rows.del(i)
+	r.statsAdd(t, -1)
 }
 
 // Set forces the count of t to exactly count (removing it when 0).
@@ -328,34 +324,20 @@ func (r *Relation) Delete(t value.Tuple) {
 	}
 }
 
-// Each calls f for every row, in unspecified order. f must not mutate the
-// relation — a delete moves cells back under the cursor, an insert may move
-// the table — and no call site does (audited for EXPERIMENTS.md E24).
+// Each calls f for every row, in the order the relation's history left
+// them: insertion order, where a removed row's place went to the row that
+// was last. f must not mutate the relation — a delete moves the last row
+// under the cursor, an insert may move the table — and no call site does
+// (audited for EXPERIMENTS.md E24).
 func (r *Relation) Each(f func(Row)) {
 	for _, c := range r.rows.cells {
-		if c.count != 0 {
-			f(r.row(c))
-		}
+		f(r.row(c.cell))
 	}
 }
 
-// Next returns the first row stored at position i or after and the
-// position after it, or next < 0 past the last row: Each for a caller
-// that keeps no closure, under the same rule.
-//
-//	for row, i := r.Next(0); i >= 0; row, i = r.Next(i) { … }
-func (r *Relation) Next(i int) (row Row, next int) {
-	for ; i < len(r.rows.cells); i++ {
-		if c := r.rows.cells[i]; c.count != 0 {
-			return r.row(c), i + 1
-		}
-	}
-	return Row{}, -1
-}
-
-// Rows returns all rows in unspecified order.
+// Rows returns all rows in Each's order.
 func (r *Relation) Rows() []Row {
-	out := make([]Row, 0, r.rows.n)
+	out := make([]Row, 0, r.Len())
 	r.Each(func(row Row) { out = append(out, row) })
 	return out
 }
@@ -369,10 +351,11 @@ func (r *Relation) SortedRows() []Row {
 	return out
 }
 
-// Clone returns a deep-enough copy (tuples are immutable and shared).
-// Indexes are not copied; the table is made to size (a memmove if r's is).
+// Clone returns a deep-enough copy (tuples are immutable and shared), in
+// r's order. Indexes are not copied; the table is made to size (two
+// memmoves if r's is).
 func (r *Relation) Clone() *Relation {
-	return &Relation{arity: r.arity, rows: r.rows.clone(sizedCells(r.rows.n))}
+	return &Relation{arity: r.arity, rows: r.rows.clone(r.Len())}
 }
 
 // NewSized is New with the table made for n rows, which then go in
@@ -380,29 +363,36 @@ func (r *Relation) Clone() *Relation {
 // upper bound stays that large for the life of the relation (counting's
 // setTransitions and DRed's signPart count first).
 func NewSized(arity, n int) *Relation {
-	return &Relation{arity: int32(arity), rows: newTable(sizedCells(n))}
+	return &Relation{arity: int32(arity), rows: table{cells: make([]entry, 0, n)}}
+}
+
+// Trim remakes r's table at exactly its row count, as NewSized lays one
+// out. Rows keep their positions, so r's indexes stay as they are.
+func (r *Relation) Trim() {
+	r.mutable()
+	if cap(r.rows.cells) != r.Len() {
+		r.rows = r.rows.clone(r.Len())
+	}
 }
 
 // Reset empties r for reuse as a scratch output, keeping its arity and
 // dropping its indexes, statistics and lenders. A cleared table keeps the
-// cells of the largest content it has held, so a relation that is Reset
+// arrays of the largest content it has held, so a relation that is Reset
 // must not outlive the operation that fills it.
 func (r *Relation) Reset() {
 	r.mutable()
-	clear(r.rows.cells)
-	r.rows.n = 0
+	r.rows.reset()
 	r.lend = [2]*Relation{}
-	r.idx, r.stats = nil, nil
+	r.idx, r.stats, r.viewed = nil, nil, false
 }
 
 // MergeDelta folds delta into r using the ⊎ operator of Section 3:
-// counts add, zero-count tuples vanish. r is modified in place. Stored
-// rows carry their keys and hashes: no tuple is encoded, no key hashed.
+// counts add, zero-count tuples vanish. r is modified in place, in
+// delta's order. Stored rows carry their keys and hashes: no tuple is
+// encoded, no key hashed.
 func (r *Relation) MergeDelta(delta *Relation) {
 	for _, c := range delta.rows.cells {
-		if c.count != 0 {
-			r.addHashed(delta.row(c), c.h)
-		}
+		r.addHashed(delta.row(c.cell), c.h)
 	}
 }
 
@@ -437,7 +427,7 @@ func (r *Relation) ToSet() *Relation {
 	for _, c := range r.rows.cells {
 		if c.count > 0 {
 			c.count = 1
-			out.rows.place(c)
+			out.rows.insert(c.cell)
 		}
 	}
 	return out
@@ -466,19 +456,19 @@ func Diff(old, new *Relation) *Relation {
 // Algorithm 4.1 (the cascade delta under set semantics).
 func SetDiff(a, b *Relation) *Relation {
 	out := New(pickArity(a, b))
-	if b.rows.n > 0 && b.arity != out.arity { // out takes cells of both
+	if b.Len() > 0 && b.arity != out.arity { // out takes cells of both
 		panic(fmt.Sprintf("relation: SetDiff of arity-%d and arity-%d relations", a.arity, b.arity))
 	}
 	for _, c := range a.rows.cells {
 		if c.count > 0 && countAt(b, c.h, c.key()) <= 0 {
 			c.count = 1
-			out.rows.insert(c)
+			out.rows.insert(c.cell)
 		}
 	}
 	for _, c := range b.rows.cells {
 		if c.count > 0 && countAt(a, c.h, c.key()) <= 0 {
 			c.count = -1
-			out.rows.insert(c)
+			out.rows.insert(c.cell)
 		}
 	}
 	return out
@@ -487,11 +477,11 @@ func SetDiff(a, b *Relation) *Relation {
 // Equal reports whether two relations contain exactly the same tuples with
 // the same counts.
 func Equal(a, b *Relation) bool {
-	if a.rows.n != b.rows.n {
+	if a.Len() != b.Len() {
 		return false
 	}
 	for _, c := range a.rows.cells {
-		if c.count != 0 && countAt(b, c.h, c.key()) != c.count {
+		if countAt(b, c.h, c.key()) != c.count {
 			return false
 		}
 	}

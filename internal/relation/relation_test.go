@@ -370,3 +370,12 @@ func TestResetOfFrozenRelationPanics(t *testing.T) {
 	}()
 	r.Reset()
 }
+
+// FromRows builds a relation from rows, merging duplicate tuples' counts.
+func FromRows(arity int, rows []Row) *Relation {
+	r := New(arity)
+	for _, row := range rows {
+		r.AddRow(row)
+	}
+	return r
+}

@@ -121,17 +121,17 @@ func (r *Relation) DistinctEst(col int) int {
 	if col < 0 || col >= r.Arity() {
 		return r.Len()
 	}
-	r.statsMu.RLock()
+	r.idxMu.RLock()
 	st := r.stats
-	r.statsMu.RUnlock()
+	r.idxMu.RUnlock()
 	if st == nil {
-		r.statsMu.Lock()
+		r.idxMu.Lock()
 		if st = r.stats; st == nil {
 			st = &tableStats{cols: make([]colSketch, r.arity)}
 			r.Each(func(row Row) { st.add(row.Tuple, 1) })
 			r.stats = st
 		}
-		r.statsMu.Unlock()
+		r.idxMu.Unlock()
 	}
 	return st.estimate(col, r.Len())
 }

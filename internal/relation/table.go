@@ -1,49 +1,51 @@
 package relation
 
-import (
-	"hash/maphash"
-	"sync/atomic"
-)
+import "hash/maphash"
 
-// table is the row container of a Relation: one flat open-addressing array
-// of cells, probed linearly. A cell is occupied iff its count is non-zero
-// — the Relation invariant, so there are no control bytes and no
-// tombstones: a delete shifts the rest of its run back. The home of a key
-// is hash·len(cells) >> 32, which works for any length, so a table is
-// sized to its row count, not to a power of two, and copied by one make
-// and one memmove. Cells carry their hash: placing, growing and deleting
-// never read key bytes, and a probe reads them only on a hash match.
+// table is the row container of a Relation: its cells in one dense array,
+// in the order the rows went in, and an open-addressing array of positions
+// that finds a key, probed linearly (CPython's compact dict). A delete is a
+// swap-remove: the last cell moves into the hole. So the cells' order is a
+// function of the operations applied, never of the hash seed, and a scan
+// meets no empty cell. A slot holds a position + 1, 0 for empty; a delete
+// shifts the rest of its slot run back, so there are no tombstones. The
+// home of a key is hash·len(slots) >> 32. Cells carry their hash: placing,
+// growing and deleting never read key bytes, nor a probe but on a match.
 //
-// The hash is the same in every table of the process, so a row goes from
-// one relation into another without being hashed again; mul, odd and the
-// table's own, scrambles it before the home is taken. Rows read out of one
-// table arrive in its home order, and in a growing table with the same
-// homes they would pile onto its first cells, run after run: quadratic. A
-// copy keeps its source's mul: that lets it be a memmove, or sequential.
+// The slots live in the cells' array, slotsPer beside each cell of its
+// capacity, so a table is one allocation and a copy of the same capacity
+// one memmove; with twice as many slots as rows they stay at most half
+// full. A table of at most smallRows cells leaves them unused: a probe
+// compares the hashes of its cells.
 type table struct {
-	cells []cell
-	n     int // occupied cells
-	mul   uint32
+	cells []entry // len is the number of rows; the slots span cap
 }
 
-var lastMul atomic.Uint32
-
-// newTable returns an empty table of the given length with a mul of its own.
-func newTable(cells int) table {
-	return table{cells: make([]cell, cells), mul: nextMul()}
+// entry is a cell and slotsPer slots: slot j is in entry j / slotsPer.
+type entry struct {
+	cell
+	slots [slotsPer]int32
 }
 
-// nextMul hands out the odd multipliers of tables and index key tables.
-func nextMul() uint32 { return lastMul.Add(0x9e3779b2) | 1 }
-
-// Load factors, measured (EXPERIMENTS.md E24): a table made for n rows has
-// ⌈n·4/3⌉ cells, and one that grows in place doubles when an insert would
-// take it past 4/5 full. Both leave an empty cell for a probe to stop at.
 const (
-	sizedNum, sizedDen = 4, 3
-	growNum, growDen   = 4, 5
-	minCells           = 8 // the first growth of a table made empty
+	smallRows = 8 // the largest table that leaves its slots unused, and its first growth
+	slotsPer  = 2 // slots per row of capacity
 )
+
+// slotsFor is the number of slots a table of the given capacity uses.
+func slotsFor(rows int) int {
+	if rows <= smallRows {
+		return 0
+	}
+	return rows * slotsPer
+}
+
+func (t *table) nslots() int { return slotsFor(cap(t.cells)) }
+
+// slot returns slot j.
+func (t *table) slot(j int) *int32 {
+	return &t.cells[:cap(t.cells)][uint(j)/slotsPer].slots[uint(j)%slotsPer]
+}
 
 // seed keys the cell hash, per process: relations hold tuples sent by
 // network clients, who must not be able to aim them at one probe run.
@@ -52,89 +54,132 @@ var seed = maphash.MakeSeed()
 func hashBytes(kb []byte) uint32 { return uint32(maphash.Bytes(seed, kb)) }
 func hashString(k string) uint32 { return uint32(maphash.String(seed, k)) }
 
-// sizedCells is the length of a table made for exactly n rows.
-func sizedCells(n int) int { return (n*sizedNum + sizedDen - 1) / sizedDen }
+// homeOf is the home of hash h in an array of n entries.
+func homeOf(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
 
-func (t *table) home(h uint32) int { return homeOf(h, t.mul, len(t.cells)) }
-
-// homeOf is the home of hash h in an array of n entries scrambled by mul.
-func homeOf(h, mul uint32, n int) int { return int(uint64(h*mul) * uint64(n) >> 32) }
-
-// find returns the index of the cell that holds key k, whose hash is h,
+// find returns the position of the cell that holds key k, whose hash is h,
 // or -1. It allocates nothing for either kind of key.
 func find[K string | []byte](t *table, h uint32, k K) int {
-	if len(t.cells) == 0 {
+	n := t.nslots()
+	if n == 0 {
+		for i := range t.cells {
+			if c := &t.cells[i]; c.h == h && c.key() == string(k) {
+				return i
+			}
+		}
 		return -1
 	}
-	for i := t.home(h); ; {
-		c := &t.cells[i]
-		if c.count == 0 {
+	for j := homeOf(h, n); ; {
+		p := *t.slot(j)
+		if p == 0 {
 			return -1
 		}
-		if c.h == h && c.key() == string(k) {
-			return i
+		if c := &t.cells[p-1]; c.h == h && c.key() == string(k) {
+			return int(p - 1)
 		}
-		if i++; i == len(t.cells) {
-			i = 0
-		}
-	}
-}
-
-// insert stores c, whose key the table does not hold, growing first if c
-// would take the table past its load limit.
-func (t *table) insert(c cell) {
-	if (t.n+1)*growDen > len(t.cells)*growNum {
-		*t = t.clone(max(minCells, 2*len(t.cells)))
-	}
-	t.place(c)
-}
-
-// place stores c in the first empty cell at or after its home.
-func (t *table) place(c cell) {
-	i := t.home(c.h)
-	for t.cells[i].count != 0 {
-		if i++; i == len(t.cells) {
-			i = 0
-		}
-	}
-	t.cells[i] = c
-	t.n++
-}
-
-// del empties cell i and moves back every later cell of its run that the
-// gap would cut off from its home, so that probes never need a tombstone.
-func (t *table) del(i int) {
-	for j := i; ; {
-		if j++; j == len(t.cells) {
+		if j++; j == n {
 			j = 0
 		}
-		c := &t.cells[j]
-		if c.count == 0 {
-			break
-		}
-		// c stays if its home lies in (i, j], cyclically: then the gap at
-		// i is not on its probe path.
-		if k := t.home(c.h); (i < k && k <= j) || (j < i && (i < k || k <= j)) {
-			continue
-		}
-		t.cells[i], i = *c, j
 	}
-	t.cells[i] = cell{}
-	t.n--
 }
 
-// clone returns a copy of t with the given number of cells: by memmove
-// when that is t's own length, cell by cell — in home order, so nearly
-// sequentially — when it is not.
-func (t *table) clone(cells int) table {
-	if cells == len(t.cells) {
-		return table{cells: append([]cell(nil), t.cells...), n: t.n, mul: t.mul}
+// insert appends c, whose key the table does not hold, growing first if
+// the table is full, and returns its position.
+func (t *table) insert(c cell) int {
+	if len(t.cells) == cap(t.cells) {
+		*t = t.clone(max(smallRows, 2*cap(t.cells)))
 	}
-	out := table{cells: make([]cell, cells), mul: t.mul}
-	for _, c := range t.cells {
-		if c.count != 0 {
-			out.place(c)
+	p := len(t.cells)
+	t.cells = t.cells[:p+1] // the entry's slots stay: they are not this cell's
+	t.cells[p].cell = c
+	t.place(p)
+	return p
+}
+
+// place stores position p in the first empty slot at or after its home,
+// if the table uses its slots.
+func (t *table) place(p int) {
+	n := t.nslots()
+	if n == 0 {
+		return
+	}
+	j := homeOf(t.cells[p].h, n)
+	for *t.slot(j) != 0 {
+		if j++; j == n {
+			j = 0
 		}
 	}
+	*t.slot(j) = int32(p + 1)
+}
+
+// slotOf returns the slot that holds position p.
+func (t *table) slotOf(p int) int {
+	n := t.nslots()
+	j := homeOf(t.cells[p].h, n)
+	for ; *t.slot(j) != int32(p+1); j = (j + 1) % n {
+	}
+	return j
+}
+
+// del removes the cell at position p: the last cell moves into its place,
+// and the slot that pointed at the last cell now points at p.
+func (t *table) del(p int) {
+	last := len(t.cells) - 1
+	if t.nslots() != 0 {
+		t.unslot(t.slotOf(p))
+		if p != last {
+			*t.slot(t.slotOf(last)) = int32(p + 1)
+		}
+	}
+	t.cells[p].cell = t.cells[last].cell
+	t.cells[last].cell = cell{}
+	t.cells = t.cells[:last]
+}
+
+// unslot empties slot i and moves back every later slot of its run that
+// the gap would cut off from its home, so that probes never need a
+// tombstone.
+func (t *table) unslot(i int) {
+	n := t.nslots()
+	for j := i; ; {
+		if j++; j == n {
+			j = 0
+		}
+		p := *t.slot(j)
+		if p == 0 {
+			break
+		}
+		if inGap(i, j, homeOf(t.cells[p-1].h, n)) {
+			continue
+		}
+		*t.slot(i), i = p, j
+	}
+	*t.slot(i) = 0
+}
+
+// inGap reports whether home k lies in (i, j], cyclically: then a gap at
+// i is not on the probe path of the entry at j, which stays.
+func inGap(i, j, k int) bool { return (i < k && k <= j) || (j < i && (i < k || k <= j)) }
+
+// clone returns a copy of t with room for the given number of rows, at
+// least len(t.cells). The cells keep their positions; a copy of t's
+// capacity is one memmove, slots and all, and one of another capacity
+// places its slots again.
+func (t *table) clone(rows int) table {
+	out := table{cells: make([]entry, len(t.cells), rows)}
+	if rows == cap(t.cells) {
+		copy(out.cells[:rows], t.cells[:rows])
+		return out
+	}
+	for p := range out.cells {
+		out.cells[p].cell = t.cells[p].cell
+		out.place(p)
+	}
 	return out
+}
+
+// reset empties t, keeping its array.
+func (t *table) reset() {
+	t.cells = t.cells[:0]
+	clear(t.cells[:cap(t.cells)])
 }

@@ -102,7 +102,9 @@ func (v *Versioned) Push(delta *Relation) *Versioned {
 // base ⊎ run: the same content at depth 1 (depth 0 if everything pending
 // cancelled), for O(pending rows) and without touching the base.
 func (v *Versioned) compact() *Versioned {
-	run := v.deltas[0].Clone()
+	// Made for every pending row, so that the merges never grow it.
+	first := v.deltas[0]
+	run := &Relation{arity: first.arity, rows: first.rows.clone(v.pend)}
 	for _, d := range v.deltas[1:] {
 		run.MergeDelta(d)
 	}
@@ -133,9 +135,7 @@ func (v *Versioned) materialize() *Relation {
 	// nets calls f with every netted row, its hash and its count in base.
 	nets := func(f func(row Row, h uint32, was int64)) {
 		for _, c := range run.rows.cells {
-			if c.count != 0 {
-				f(run.row(c), c.h, countAt(base, c.h, c.key()))
-			}
+			f(run.row(c.cell), c.h, countAt(base, c.h, c.key()))
 		}
 	}
 	nets(func(row Row, _ uint32, was int64) {

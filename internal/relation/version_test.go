@@ -299,8 +299,8 @@ func TestVersionedRewrittenRunsReleaseTheirArray(t *testing.T) {
 			}
 		})
 		// The first cell's key is the build's first key: its run starts the array.
-		run := base.Lookup([]int{0}, first.Tuple[:1])
-		runtime.SetFinalizer(&run[0], func(*Row) { close(collected) })
+		run := base.run([]int{0}, first.Tuple[:1], keyHash(first.Tuple[:1]))
+		runtime.SetFinalizer(&run.pos[0], func(*int32) { close(collected) })
 		return NewVersioned(base)
 	}()
 	flatten := func(touched int) {

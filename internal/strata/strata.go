@@ -296,15 +296,3 @@ func (s *Stratification) RulesByStratum(p *datalog.Program) [][]int {
 	}
 	return out
 }
-
-// PredsInStratum returns the derived predicates at stratum n, sorted.
-func (s *Stratification) PredsInStratum(n int) []string {
-	var out []string
-	for pred, sn := range s.SN {
-		if sn == n && !s.Base[pred] {
-			out = append(out, pred)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

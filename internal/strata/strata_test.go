@@ -1,6 +1,7 @@
 package strata
 
 import (
+	"sort"
 	"testing"
 
 	"ivm/internal/parser"
@@ -239,4 +240,16 @@ func ringName(i int) string {
 
 func ringRule(i, next int) string {
 	return ringName(i) + "(X) :- " + ringName(next) + "(X).\n"
+}
+
+// PredsInStratum returns the derived predicates at stratum n, sorted.
+func (s *Stratification) PredsInStratum(n int) []string {
+	var out []string
+	for pred, sn := range s.SN {
+		if sn == n && !s.Base[pred] {
+			out = append(out, pred)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

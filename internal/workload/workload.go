@@ -74,15 +74,6 @@ func ChainGraph(n int) *relation.Relation {
 	return rel
 }
 
-// CycleGraph returns the directed cycle over n nodes.
-func CycleGraph(n int) *relation.Relation {
-	rel := ChainGraph(n)
-	if n > 1 {
-		rel.Add(value.Tuple{node(n - 1), node(0)}, 1)
-	}
-	return rel
-}
-
 // GridGraph returns a w×h grid with right and down edges — many
 // alternative derivations per reachable pair, the regime where DRed's
 // rederivation step pays off.
@@ -176,27 +167,6 @@ func ClusteredDeletes(rel *relation.Relation, k int) *relation.Relation {
 		out.Add(row.Tuple, -1)
 	}
 	return out
-}
-
-// ScaleFree returns a preferential-attachment graph: each new node links
-// to k existing nodes chosen proportionally to their degree.
-func ScaleFree(rng *rand.Rand, n, k int) *relation.Relation {
-	rel := relation.New(2)
-	if n < 2 {
-		return rel
-	}
-	targets := []int{0}
-	for v := 1; v < n; v++ {
-		links := make(map[int]bool)
-		for len(links) < k && len(links) < v {
-			links[targets[rng.Intn(len(targets))]] = true
-		}
-		for u := range links {
-			rel.Add(value.Tuple{node(v), node(u)}, 1)
-			targets = append(targets, u, v)
-		}
-	}
-	return rel
 }
 
 // SampleDeletes picks k distinct stored tuples of rel uniformly and

@@ -139,3 +139,33 @@ func TestDeterministicWithSeed(t *testing.T) {
 		t.Fatal("same seed must give the same graph")
 	}
 }
+
+// ScaleFree returns a preferential-attachment graph: each new node links
+// to k existing nodes chosen proportionally to their degree.
+func ScaleFree(rng *rand.Rand, n, k int) *relation.Relation {
+	rel := relation.New(2)
+	if n < 2 {
+		return rel
+	}
+	targets := []int{0}
+	for v := 1; v < n; v++ {
+		links := make(map[int]bool)
+		for len(links) < k && len(links) < v {
+			links[targets[rng.Intn(len(targets))]] = true
+		}
+		for u := range links {
+			rel.Add(value.Tuple{node(v), node(u)}, 1)
+			targets = append(targets, u, v)
+		}
+	}
+	return rel
+}
+
+// CycleGraph returns the directed cycle over n nodes.
+func CycleGraph(n int) *relation.Relation {
+	rel := ChainGraph(n)
+	if n > 1 {
+		rel.Add(value.Tuple{node(n - 1), node(0)}, 1)
+	}
+	return rel
+}

@@ -58,7 +58,7 @@ func matchGoal(a datalog.Atom, rel relation.Reader) []QueryResult {
 	}
 	var rows []Row
 	if len(cols) > 0 {
-		rows = rel.Lookup(cols, key)
+		relation.LookupInto(rel, cols, key, &rows)
 	} else {
 		rel.Each(func(row Row) { rows = append(rows, row) })
 	}
