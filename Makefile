@@ -87,7 +87,7 @@ cover:
 	awk -v t="$$total" -v b="$$baseline" 'BEGIN { exit !(t+0 >= b+0) }' || { \
 		echo "coverage $${total}% fell below the $${baseline}% baseline" >&2; exit 1; }
 
-# 30s of native fuzzing per target (the same nine as CI).
+# 30s of native fuzzing per target (the same thirteen as CI).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 30s -run '^$$' ./internal/storage
@@ -98,6 +98,10 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzGroupTable -fuzztime 30s -run '^$$' ./internal/eval
 	$(GO) test -fuzz FuzzCompare -fuzztime 30s -run '^$$' ./internal/value
 	$(GO) test -fuzz FuzzOracle -fuzztime 30s -run '^$$' .
+	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s -run '^$$' ./internal/parser
+	$(GO) test -fuzz FuzzParseDelta -fuzztime 30s -run '^$$' ./internal/parser
+	$(GO) test -fuzz FuzzParseGoal -fuzztime 30s -run '^$$' ./internal/parser
+	$(GO) test -fuzz FuzzTupleFromKey -fuzztime 30s -run '^$$' ./internal/value
 
 # Run ivmd against a scratch store with the smoke program (Ctrl-C to
 # stop; an acked apply is never lost across the SIGINT shutdown).

@@ -100,8 +100,8 @@ func (e *Engine) Program() *datalog.Program { return e.d.Program() }
 // Relation returns the stored relation for pred, or nil.
 func (e *Engine) Relation(pred string) *relation.Relation { return e.d.Relation(pred) }
 
-// DB exposes the underlying storage (read-only use).
-func (e *Engine) DB() *eval.DB { return e.d.DB() }
+// Preds returns the predicates the engine stores, sorted.
+func (e *Engine) Preds() []string { return e.d.Preds() }
 
 // Apply propagates the batch fragmented into one pass per base predicate
 // (or per tuple with FragmentTuples) and returns the signed net change of

@@ -144,7 +144,7 @@ func TestPFChangeSetsMergeAcrossPasses(t *testing.T) {
 func TestPFRefusedApplyRollsBackEarlierPasses(t *testing.T) {
 	e := engine(t, tcProgram+`tc(X,Y) :- hyper(X,Y).`, `link(a,b). link(b,c). hyper(c,d).`)
 	before := make(map[string]*relation.Relation)
-	for _, pred := range e.DB().Preds() {
+	for _, pred := range e.Preds() {
 		before[pred] = e.Relation(pred).Clone()
 	}
 	// hyper's pass goes first and inserts; link's deletes an absent tuple.
@@ -160,7 +160,7 @@ func TestPFRefusedApplyRollsBackEarlierPasses(t *testing.T) {
 	if _, err := e.Apply(delta); err == nil {
 		t.Fatal("deleting an absent link was accepted")
 	}
-	for _, pred := range e.DB().Preds() {
+	for _, pred := range e.Preds() {
 		want := before[pred]
 		if want == nil {
 			want = relation.New(e.Relation(pred).Arity())

@@ -50,8 +50,21 @@ func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.last
 // Fold merges deltas — the CommittedDeltas of the engine that ran the
 // commit — into stored content without re-evaluating anything.
 func (e *Engine) Fold(deltas map[string]*relation.Relation) {
-	e.db.MergeDeltas(deltas)
+	for pred, d := range deltas {
+		e.own(pred, d.Arity()).MergeDelta(d)
+	}
 	e.lastDeltas = deltas
+}
+
+// own returns pred's relation to write: a copy in its place if it was
+// published (Stored froze it).
+func (e *Engine) own(pred string, arity int) *relation.Relation {
+	r := e.db.Ensure(pred, arity)
+	if r.Frozen() {
+		r = r.Clone()
+		e.db.Put(pred, r)
+	}
+	return r
 }
 
 // New validates prog and computes the initial materialization.
@@ -88,8 +101,18 @@ func (e *Engine) Program() *datalog.Program { return e.prog }
 // Relation returns the stored relation for pred, or nil.
 func (e *Engine) Relation(pred string) *relation.Relation { return e.db.Get(pred) }
 
-// DB exposes the engine's storage (read-only use).
-func (e *Engine) DB() *eval.DB { return e.db }
+// Stored returns pred's relation as a stored relation to read or publish,
+// or nil. Publishing freezes it: the next Apply that changes it works on
+// a copy, as it re-derives every view anyway.
+func (e *Engine) Stored(pred string) *relation.Stored {
+	if r := e.db.Get(pred); r != nil {
+		return relation.Store(r)
+	}
+	return nil
+}
+
+// Preds returns the predicates the engine stores, sorted.
+func (e *Engine) Preds() []string { return e.db.Preds() }
 
 // Apply merges the base changes and recomputes every view from scratch,
 // returning the count delta of each derived relation (diff of old vs new).
@@ -150,7 +173,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		old[pred] = e.db.Get(pred)
 	}
 	for pred, d := range commit {
-		e.db.Ensure(pred, d.Arity()).MergeDelta(d)
+		e.own(pred, d.Arity()).MergeDelta(d)
 	}
 	ev := eval.NewEvaluator(e.prog, e.strat, e.sem)
 	ev.Instr = eval.NewInstruments(e.Metrics)

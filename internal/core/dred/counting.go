@@ -193,7 +193,7 @@ func deltaNegation(qOld relation.Reader, dq *relation.Relation) *relation.Relati
 
 // setTransitions returns set(stored ⊎ d) − set(stored) as a ±1 delta:
 // the tuples whose presence flips when d is applied to stored.
-func setTransitions(stored *relation.Relation, d *relation.Relation) *relation.Relation {
+func setTransitions(stored relation.Reader, d *relation.Relation) *relation.Relation {
 	return pick(d, func(row relation.Row) int64 {
 		oldC := stored.Count(row.Tuple)
 		newC := oldC + row.Count

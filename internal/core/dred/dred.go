@@ -142,7 +142,7 @@ type Engine struct {
 	sem       eval.Semantics
 	reportSet bool
 
-	db *eval.DB
+	db store
 	// gts holds the group tables of aggregate subgoals, built over the
 	// committed state the first time a literal needs one.
 	gts map[eval.RuleLit]*eval.GroupTable
@@ -207,7 +207,9 @@ func (e *Engine) CommittedDeltas() map[string]*relation.Relation { return e.last
 // checked that no count falls below zero. Group tables are dropped, and
 // the next operation builds the ones it needs.
 func (e *Engine) Fold(deltas map[string]*relation.Relation) {
-	e.db.MergeDeltas(deltas)
+	for pred, d := range deltas {
+		e.db.Ensure(pred, d.Arity()).MergeDelta(d)
+	}
 	e.lastDeltas, e.last = deltas, Stats{}
 	e.gts = make(map[eval.RuleLit]*eval.GroupTable)
 }
@@ -234,19 +236,58 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	if e.gts, err = e.evaluate(e.db); err != nil {
+	db = eval.NewDB() // the relations Install left, private yet: no copy
+	for pred, s := range e.db {
+		db.Put(pred, s.Relation())
+	}
+	if e.gts, err = e.evaluate(db); err != nil {
 		return nil, err
 	}
+	e.db = storeOf(db)
 	return e, nil
+}
+
+// store holds the engine's stored relations, base and derived.
+type store map[string]*relation.Stored
+
+// storeOf takes db's relations as the engine's: each private until first
+// published, or shared as it is if frozen.
+func storeOf(db *eval.DB) store {
+	s := make(store)
+	for _, pred := range db.Preds() {
+		s[pred] = relation.Store(db.Get(pred))
+	}
+	return s
+}
+
+// Ensure returns pred's stored relation, made empty with the given arity
+// if absent.
+func (s store) Ensure(pred string, arity int) *relation.Stored {
+	r, ok := s[pred]
+	if !ok {
+		r = relation.Store(relation.New(arity))
+		s[pred] = r
+	}
+	return r
+}
+
+// reader is pred's stored relation as a rule body reads it: an empty one
+// of unknown arity if there is none.
+func (s store) reader(pred string) relation.Reader {
+	if r := s[pred]; r != nil {
+		return r
+	}
+	return relation.New(-1)
 }
 
 // Load returns an engine that maintains prog over db, which it owns, taken
 // as its stored state: base and derived relations with the counts this
-// configuration stores. Nothing is evaluated; group tables are built when
-// first needed.
+// configuration stores. A frozen relation is shared, not copied: the
+// engine's writes go to its net. Nothing is evaluated; group tables are
+// built when first needed.
 func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
-		alg: cfg.Algorithm, sem: cfg.Semantics, db: db,
+		alg: cfg.Algorithm, sem: cfg.Semantics, db: storeOf(db),
 		tracer: cfg.Tracer, reg: cfg.Metrics, instr: eval.NewInstruments(cfg.Metrics),
 		planner: eval.NewPlanner(cfg.Metrics),
 	}
@@ -295,12 +336,29 @@ func (e *Engine) Semantics() eval.Semantics {
 // Program returns the maintained view program.
 func (e *Engine) Program() *datalog.Program { return e.prog }
 
-// Relation returns the stored relation (base or derived) for pred, or nil.
-// Derived tuples carry their stored counts; treat it as read-only.
-func (e *Engine) Relation(pred string) *relation.Relation { return e.db.Get(pred) }
+// Relation returns the stored relation (base or derived) for pred, or nil,
+// as one relation: the engine's own until it is first published, a copy
+// after. Derived tuples carry their stored counts; treat it as read-only.
+func (e *Engine) Relation(pred string) *relation.Relation {
+	if s := e.db[pred]; s != nil {
+		return s.Relation()
+	}
+	return nil
+}
 
-// DB exposes the engine's storage (read-only use).
-func (e *Engine) DB() *eval.DB { return e.db }
+// Stored returns the engine's stored relation for pred, or nil: read it,
+// publish it, never write it.
+func (e *Engine) Stored(pred string) *relation.Stored { return e.db[pred] }
+
+// Preds returns the predicates the engine stores, sorted.
+func (e *Engine) Preds() []string {
+	preds := make([]string, 0, len(e.db))
+	for pred := range e.db {
+		preds = append(preds, pred)
+	}
+	slices.Sort(preds)
+	return preds
+}
 
 // GroupRel returns the committed T of rule ri's aggregate literal li, or
 // nil without a table for it. Treat it as read-only.
@@ -427,7 +485,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 // relations are defined entirely by their rules (a rematerialization
 // would drop the facts).
 func (e *Engine) AddRule(r datalog.Rule) (map[string]*relation.Relation, error) {
-	if stored := e.db.Get(r.Head.Pred); stored != nil && !stored.Empty() && !e.prog.DerivedPreds()[r.Head.Pred] {
+	if stored := e.db[r.Head.Pred]; stored != nil && !stored.Empty() && !e.prog.DerivedPreds()[r.Head.Pred] {
 		return nil, fmt.Errorf("engine: cannot add a rule for %s: it is a base relation with stored facts", r.Head.Pred)
 	}
 	prog := e.prog.Clone()
@@ -506,7 +564,7 @@ func (e *Engine) seed(rule datalog.Rule, sign int64) (map[string]*relation.Relat
 	e.begin(o)
 	switch stored := e.db.Ensure(head, d.Arity()); {
 	case sign < 0 && !e.prog.DerivedPreds()[head]:
-		d = stored.Negate()
+		d = stored.Relation().Negate()
 		if o.commit[head] = d; e.sem == eval.Set {
 			d = setTransitions(stored, d)
 		}
@@ -578,7 +636,7 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 	if err != nil {
 		return nil, err
 	}
-	reset := make(map[string]*relation.Relation)
+	reset := make(map[string]*relation.Stored)
 	for _, rule := range prog.Rules {
 		for i := -1; i < len(rule.Body); i++ {
 			atom := rule.Head
@@ -587,17 +645,15 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 					atom = rule.Body[i].Agg.Inner
 				}
 			}
-			r := e.db.Get(atom.Pred)
+			r := e.db[atom.Pred]
 			switch {
 			case atom.Pred == "" || r == nil || r.Arity() < 0 || r.Arity() == len(atom.Args):
 			case !r.Empty():
-				for pred, r := range reset {
-					e.db.Put(pred, r)
-				}
+				maps.Copy(e.db, reset)
 				return nil, fmt.Errorf("engine: the program reads %s with arity %d, and it holds rows of arity %d", atom.Pred, len(atom.Args), r.Arity())
 			default:
 				reset[atom.Pred] = r
-				e.db.Put(atom.Pred, relation.New(len(atom.Args)))
+				e.db[atom.Pred] = relation.Store(relation.New(len(atom.Args)))
 			}
 		}
 	}
@@ -625,9 +681,7 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 	e.planner.Reset()
 	return func() {
 		*e = was
-		for pred, r := range reset {
-			e.db.Put(pred, r)
-		}
+		maps.Copy(e.db, reset)
 		e.planner.Reset()
 	}, nil
 }
@@ -638,9 +692,9 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 func (e *Engine) reevaluate(prev *datalog.Program) (map[string]*relation.Relation, error) {
 	derived, wasDerived := e.prog.DerivedPreds(), prev.DerivedPreds()
 	fresh := eval.NewDB()
-	for _, pred := range e.db.Preds() {
+	for _, pred := range e.Preds() {
 		if !derived[pred] && !wasDerived[pred] {
-			fresh.Put(pred, e.db.Get(pred))
+			fresh.Put(pred, e.db[pred].Relation())
 		}
 	}
 	if _, err := e.evaluate(fresh); err != nil {
@@ -678,7 +732,7 @@ func isArith(t datalog.Term) bool {
 func (e *Engine) ruleDerivations(rule datalog.Rule) (*relation.Relation, error) {
 	out := relation.New(len(rule.Head.Args))
 	out.BorrowFrom(e.db.Ensure(rule.Head.Pred, len(rule.Head.Args)), nil)
-	srcs, err := eval.SourcesAt(rule, -1, e.db, e.sem, nil)
+	srcs, err := eval.SourcesAt(rule, -1, e.db.reader, e.sem, nil)
 	if err == nil {
 		err = eval.EvalRule(rule, srcs, -1, out, e.instr)
 	}

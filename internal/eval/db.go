@@ -57,14 +57,6 @@ func (db *DB) Ensure(pred string, arity int) *relation.Relation {
 	return r
 }
 
-// MergeDeltas folds per-predicate signed deltas into the stored
-// relations with ⊎, creating relations first seen here.
-func (db *DB) MergeDeltas(deltas map[string]*relation.Relation) {
-	for pred, d := range deltas {
-		db.Ensure(pred, d.Arity()).MergeDelta(d)
-	}
-}
-
 // Put installs (replacing) the relation for pred.
 func (db *DB) Put(pred string, r *relation.Relation) { db.rels[pred] = r }
 
@@ -89,6 +81,10 @@ func (db *DB) Clone() *DB {
 	}
 	return c
 }
+
+// Reader is pred's relation as a rule body reads it (SourcesAt): an
+// empty one of unknown arity if db has none.
+func (db *DB) Reader(pred string) relation.Reader { return db.rel(pred) }
 
 // rel returns pred's relation or an empty placeholder of unknown arity
 // (reads of missing relations behave as empty).

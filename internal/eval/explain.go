@@ -95,16 +95,16 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 	return out, nil
 }
 
-// SourcesAt resolves every literal of rule against db's current state,
-// building group tables on demand from gts (creating and caching any that
-// are missing). It is the common "current state" resolver engines use for
-// explanation queries.
-func SourcesAt(rule datalog.Rule, ri int, db *DB, sem Semantics, gts map[RuleLit]*GroupTable) ([]Source, error) {
+// SourcesAt resolves every literal of rule against the relations rel
+// returns (DB.Reader, or an engine's stored state), building group tables
+// on demand from gts (creating and caching any that are missing). It is
+// the common "current state" resolver engines use for explanation queries.
+func SourcesAt(rule datalog.Rule, ri int, rel func(pred string) relation.Reader, sem Semantics, gts map[RuleLit]*GroupTable) ([]Source, error) {
 	srcs := make([]Source, len(rule.Body))
 	for li, lit := range rule.Body {
 		switch lit.Kind {
 		case datalog.LitPositive, datalog.LitNegated:
-			var r relation.Reader = db.rel(lit.Atom.Pred)
+			r := rel(lit.Atom.Pred)
 			if sem == Set {
 				r = relation.SetImage(r)
 			}
@@ -113,7 +113,7 @@ func SourcesAt(rule datalog.Rule, ri int, db *DB, sem Semantics, gts map[RuleLit
 			key := RuleLit{Rule: ri, Lit: li}
 			gt, ok := gts[key]
 			if !ok {
-				var inner relation.Reader = db.rel(lit.Agg.Inner.Pred)
+				inner := rel(lit.Agg.Inner.Pred)
 				if sem == Set {
 					inner = relation.SetImage(inner)
 				}

@@ -83,7 +83,7 @@ func TestSourcesAtBuildsAndCachesGroupTables(t *testing.T) {
 	prog, _ := parseProgram(t, `m(S,M) :- groupby(u(S,C), [S], M = min(C)).`)
 	db := loadDB(t, `u(a, 5). u(a, 3).`)
 	gts := make(map[RuleLit]*GroupTable)
-	srcs, err := SourcesAt(prog.Rules[0], 0, db, Duplicate, gts)
+	srcs, err := SourcesAt(prog.Rules[0], 0, db.Reader, Duplicate, gts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSourcesAtBuildsAndCachesGroupTables(t *testing.T) {
 		t.Fatalf("aggregate derivation: %v", ds)
 	}
 	// Second call reuses the cached table.
-	if _, err := SourcesAt(prog.Rules[0], 0, db, Duplicate, gts); err != nil {
+	if _, err := SourcesAt(prog.Rules[0], 0, db.Reader, Duplicate, gts); err != nil {
 		t.Fatal(err)
 	}
 	if len(gts) != 1 {

@@ -704,12 +704,13 @@ func TestRuleWalkAllocatesOnlyNewHeadTuples(t *testing.T) {
 			t.Fatalf("join of %d links: %d derivations of %d heads, %d built", n, derivations, heads, in.HeadsBuilt.Value())
 		}
 		lender := out.Clone()
+		stored := relation.Store(lender)
 		switch mode {
 		case "lent":
 			held := eval
 			eval = func() {
 				out.Reset() // keeps its cells: the table does not grow again
-				out.BorrowFrom(lender, nil)
+				out.BorrowFrom(stored, nil)
 				held()
 			}
 		case "blocked":

@@ -334,6 +334,7 @@ func TestCellsAgainstPlainModel(t *testing.T) {
 	t.Run("sized", tableSized)
 	t.Run("materialize", tableMaterialize)
 	t.Run("rows in home order", tableHomeOrder)
+	t.Run("stored", func(t *testing.T) { tableStored(t, rng) })
 }
 
 // tableHomeOrder feeds a growing relation the rows of another in the
@@ -514,9 +515,7 @@ func tableMaterialize(t *testing.T) {
 			d.Add(row.Tuple, row.Count)
 			m.add(row.Tuple, row.Count)
 		}
-		d.Freeze()
-		// Not Push: its ratio rule would flatten at the first link.
-		v = &Versioned{rd: Overlay(v.rd, d), base: v.base, deltas: append(v.deltas[:len(v.deltas):len(v.deltas)], d), pend: v.pend + d.Len()}
+		v = v.Push(d)
 	}
 	fresh, held, gone := intTuple(5000), intTuple(1), intTuple(2)
 	var flood, ebb []Row

@@ -30,7 +30,7 @@ func TestAddDerivedBorrowsBeforeItBuilds(t *testing.T) {
 	second.Add(value.T("a", "b"), 9) // shadowed: the first lender wins
 	second.Add(value.T("c", "d"), 5)
 	out := New(2)
-	out.BorrowFrom(first, second)
+	out.BorrowFrom(Store(first), second)
 
 	scratch := value.T("a", "b")
 	if got := out.AddDerived(scratch, -1); got != Borrowed {
@@ -89,7 +89,7 @@ func TestAddDerivedKeepsTheChecksOfAdd(t *testing.T) {
 	lender := New(3)
 	lender.Add(value.T(1, 2, 3), 1)
 	out := New(2)
-	out.BorrowFrom(lender, nil)
+	out.BorrowFrom(Store(lender), nil)
 	panics("a built row of another arity", func() { out.AddDerived(value.T(1), 1) })
 	panics("a borrowed row of another arity", func() { out.AddDerived(value.T(1, 2, 3), 1) })
 	if out.Len() != 0 {
@@ -122,10 +122,10 @@ func TestMergedOrBorrowedAddDerivedAllocatesNothing(t *testing.T) {
 		lender.Add(value.T(i, i+1), 3)
 	}
 	scratch := value.T(0, 0)
-	out := New(2)
+	out, stored := New(2), Store(lender)
 	refill := func() {
 		out.Reset()
-		out.BorrowFrom(lender, nil)
+		out.BorrowFrom(stored, nil)
 		for i := 0; i < 100; i++ {
 			scratch[0], scratch[1] = value.NewInt(int64(i)), value.NewInt(int64(i+1))
 			out.AddDerived(scratch, 1) // borrowed

@@ -31,8 +31,10 @@ func churn() []byte {
 
 // FuzzTableOps drives a relation with a stream of two-byte operations —
 // the low nibble of the first byte picks Add, AddRow, Delete, Set, a copy,
-// Reset or an add to a delta beside the relation, its high nibble the
-// count, the second byte the tuple — beside a plain map[string]int64. A
+// Reset, an add to a delta beside the relation or a rebase, its high
+// nibble the count, the second byte the tuple — beside a plain
+// map[string]int64, and a published Stored fed every change the relation
+// takes, as a one-row delta, which a rebase op folds into a new base. A
 // copy is a Clone for an even count, else the successor of the frozen
 // relation (cloneIndexed), whose first writes go to runs it shares. An add
 // to the delta with count 0 cancels the tuple's count in base ⊎ delta. A
@@ -44,7 +46,8 @@ func churn() []byte {
 // index's runs against a scan (checkRuns), so a swap-remove that loses the
 // row it moves fails at once; at the end and at every copy, the whole
 // content and every projection (the relation a copy leaves behind must
-// keep what it had).
+// keep what it had). The Stored must read as the relation does, order and
+// all, after every operation (sameAsFlat).
 func FuzzTableOps(f *testing.F) {
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
@@ -53,6 +56,8 @@ func FuzzTableOps(f *testing.F) {
 		r, m := New(-1), map[string]int64{}
 		tuples := map[string]value.Tuple{}
 		delta := New(-1)
+		st := Store(New(-1))
+		st.Publish(nil, nil)
 		var buf []Row
 		// overlays checks LookupInto on base ⊎ delta, and on base ⊎ delta ⊎
 		// -delta, against what the materialized overlays hold.
@@ -132,7 +137,8 @@ func FuzzTableOps(f *testing.F) {
 			}
 			k, c := tu.Key(), int64(ops[i]>>4)-7
 			tuples[k] = tu
-			switch ops[i] & 0xf % 7 {
+			was := r.Count(tu)
+			switch ops[i] & 0xf % 8 {
 			case 0:
 				r.Add(tu, c)
 				m[k] += c
@@ -159,11 +165,20 @@ func FuzzTableOps(f *testing.F) {
 			case 5:
 				r.Reset()
 				m = map[string]int64{}
-			default:
+				st, was = Store(New(-1)), 0
+				st.Publish(nil, nil)
+			case 6:
 				if c == 0 {
 					c = -r.Count(tu) - delta.Count(tu)
 				}
 				delta.Add(tu, c)
+			default:
+				st.rebase()
+			}
+			if moved := r.Count(tu) - was; moved != 0 {
+				d := New(2)
+				d.Add(tu, moved)
+				st.MergeDelta(d)
 			}
 			if m[k] == 0 {
 				delete(m, k)
@@ -175,6 +190,7 @@ func FuzzTableOps(f *testing.F) {
 			lookups(where, r, m, tu)
 			checkRuns(t, where, r)
 			overlays(where, tu)
+			sameAsFlat(t, where, st, r, [][]int{{0}, {1}, {0, 1}}, tu)
 		}
 		same("at the end", r, m)
 		var probes []value.Tuple
@@ -182,5 +198,6 @@ func FuzzTableOps(f *testing.F) {
 			probes = append(probes, tu)
 		}
 		overlays("at the end", probes...)
+		sameAsFlat(t, "at the end", st, r, [][]int{{0}, {1}, {0, 1}}, probes...)
 	})
 }

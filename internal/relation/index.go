@@ -156,16 +156,31 @@ func (r *Relation) unview() {
 }
 
 // buildIndex returns the index on cols, building it unless a concurrent
-// reader got there first. One pass over pooled scratch numbers the
-// distinct keys; then the key table is made for exactly that many and
-// every run is carved, at its exact length, from one []int32: a build
-// makes the same few objects however many keys it finds.
+// reader got there first.
 func (r *Relation) buildIndex(cols []int) *index {
 	r.idxMu.Lock()
 	defer r.idxMu.Unlock()
 	if ix := r.index(cols); ix != nil {
 		return ix
 	}
+	indexesBuilt.Add(1)
+	return r.addIndexLocked(cols)
+}
+
+// addIndex builds r's index on cols, which r lacks, uncounted: the index
+// of a Stored's net, which stands for its base's. The caller owns r.
+func (r *Relation) addIndex(cols []int) *index {
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	return r.addIndexLocked(cols)
+}
+
+// addIndexLocked builds and keeps r's index on cols (idxMu held). One pass
+// over pooled scratch numbers the distinct keys; then the key table is
+// made for exactly that many and every run is carved, at its exact
+// length, from one []int32: a build makes the same few objects however
+// many keys it finds.
+func (r *Relation) addIndexLocked(cols []int) *index {
 	// The index outlives the call: it must not alias the caller's slice.
 	ix := &index{cols: slices.Clone(cols)}
 	cells := r.rows.cells
@@ -212,7 +227,6 @@ func (r *Relation) buildIndex(cols []int) *index {
 	*sc = scratch{of: of, probe: probe, first: first, hs: hs, pos: pos}
 	scratches.Put(sc)
 	r.idx = append(r.idx, ix)
-	indexesBuilt.Add(1)
 	return ix
 }
 
@@ -336,16 +350,48 @@ func (ix *index) own(i, extra int) *slot {
 // index: at the end of its run.
 func (r *Relation) idxInsert(t value.Tuple, p int) {
 	for _, ix := range r.idx {
-		i, h := ix.slotFor(r, t)
-		if i < 0 {
-			if (ix.n+1)*5 > len(ix.slots)*4 {
-				ix.resize(max(smallRows, 2*len(ix.slots)))
-			}
-			ix.place(slot{run: append(ix.carve(1), int32(p)), h: h})
-			continue
+		ix.add(r, t, p)
+	}
+}
+
+// add puts position p, which holds tuple t, in t's run, where it keeps
+// the run ascending.
+func (ix *index) add(r *Relation, t value.Tuple, p int) {
+	i, h := ix.slotFor(r, t)
+	if i < 0 {
+		if (ix.n+1)*5 > len(ix.slots)*4 {
+			ix.resize(max(smallRows, 2*len(ix.slots)))
 		}
-		s := ix.own(i, 1)
+		i = homeOf(h, len(ix.slots))
+		for len(ix.slots[i].run) != 0 {
+			if i++; i == len(ix.slots) {
+				i = 0
+			}
+		}
+		// An emptied slot of a drained index keeps its array: reuse it.
+		run := ix.slots[i].run
+		if cap(run) == 0 {
+			run = ix.carve(1)
+		}
+		ix.slots[i] = slot{run: append(run, int32(p)), h: h}
+		ix.n++
+		return
+	}
+	s := ix.own(i, 1)
+	if at, _ := slices.BinarySearch(s.run, int32(p)); at < len(s.run) {
+		s.run = slices.Insert(s.run, at, int32(p))
+	} else {
 		s.run = append(s.run, int32(p))
+	}
+}
+
+// drop takes position p, which holds tuple t, out of t's run.
+func (ix *index) drop(r *Relation, t value.Tuple, p int) {
+	i, _ := ix.slotFor(r, t)
+	s := ix.own(i, 0)
+	at, _ := slices.BinarySearch(s.run, int32(p))
+	if s.run = slices.Delete(s.run, at, at+1); len(s.run) == 0 {
+		ix.del(i)
 	}
 }
 
@@ -356,19 +402,14 @@ func (r *Relation) idxInsert(t value.Tuple, p int) {
 func (r *Relation) idxDelete(t value.Tuple, p int) {
 	last := len(r.rows.cells) - 1
 	for _, ix := range r.idx {
-		i, _ := ix.slotFor(r, t)
-		s := ix.own(i, 0)
-		at, _ := slices.BinarySearch(s.run, int32(p))
-		if s.run = slices.Delete(s.run, at, at+1); len(s.run) == 0 {
-			ix.del(i)
-		}
+		ix.drop(r, t, p)
 		if p == last {
 			continue
 		}
-		i, _ = ix.slotFor(r, r.At(last).Tuple)
-		s = ix.own(i, 0)
+		i, _ := ix.slotFor(r, r.At(last).Tuple)
+		s := ix.own(i, 0)
 		run := s.run[:len(s.run)-1]
-		at, _ = slices.BinarySearch(run, int32(p))
+		at, _ := slices.BinarySearch(run, int32(p))
 		s.run = slices.Insert(run, at, int32(p))
 	}
 }

@@ -121,17 +121,34 @@ func (o *overlay) Arity() int {
 	return o.delta.Arity()
 }
 
-// Count encodes and hashes t once where base and delta are both relations.
+// Count encodes and hashes t once where base and delta are both stored
+// relations.
 func (o *overlay) Count(t value.Tuple) int64 {
-	b, ok := o.base.(*Relation)
-	d, dok := o.delta.(*Relation)
-	if !ok || !dok {
+	if !byKey(o.base) || !byKey(o.delta) {
 		return o.base.Count(t) + o.delta.Count(t)
 	}
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
 	h := hashBytes(kb)
-	return countAt(b, h, kb) + countAt(d, h, kb)
+	return countHashed(o.base, h, kb) + countHashed(o.delta, h, kb)
+}
+
+// byKey reports whether r is a *Relation or a *Stored, which count by key.
+func byKey(r Reader) bool {
+	switch r.(type) {
+	case *Relation, *Stored:
+		return true
+	}
+	return false
+}
+
+// countHashed is the count of key kb, hashed to h, in r, a stored relation
+// (a type switch, not an interface call, which kb would escape to).
+func countHashed(r Reader, h uint32, kb []byte) int64 {
+	if s, ok := r.(*Stored); ok {
+		return s.countHashed(h, kb)
+	}
+	return countAt(r.(*Relation), h, kb)
 }
 
 func (o *overlay) Has(t value.Tuple) bool { return o.Count(t) > 0 }
@@ -225,6 +242,8 @@ func lookupRun(r Reader, cols []int, keyVals value.Tuple, h uint32, buf *[]Row) 
 	switch x := r.(type) {
 	case *Relation:
 		return x.run(cols, keyVals, h)
+	case *Stored:
+		return x.lookup(cols, keyVals, h, buf)
 	case *overlay:
 		return x.lookup(cols, keyVals, h, buf)
 	case *setView:

@@ -85,7 +85,9 @@ type Relation struct {
 	idx   []*index
 	stats *tableStats
 	idxMu sync.RWMutex
-	lend  [2]*Relation // what AddDerived borrows stored rows from (BorrowFrom)
+	// What AddDerived borrows rows from (BorrowFrom).
+	lendStored *Stored
+	lendNet    *Relation
 }
 
 // cell is a stored row without what the relation already knows: every
@@ -168,9 +170,14 @@ func countAt[K string | []byte](r *Relation, h uint32, k K) int64 {
 
 // Stored returns the row stored under the canonical key kb, for callers
 // that hold a tuple's encoding rather than the tuple. Allocates nothing.
-func (r *Relation) Stored(kb []byte) (Row, bool) {
-	if i := find(&r.rows, hashBytes(kb), kb); i >= 0 {
-		return r.At(i), true
+func (r *Relation) Stored(kb []byte) (Row, bool) { return r.held(hashBytes(kb), kb) }
+
+// held returns the row stored under key k, hashed to h (none in a nil r).
+func (r *Relation) held(h uint32, k []byte) (Row, bool) {
+	if r != nil {
+		if i := find(&r.rows, h, k); i >= 0 {
+			return r.At(i), true
+		}
 	}
 	return Row{}, false
 }
@@ -186,7 +193,7 @@ func (r *Relation) Has(t value.Tuple) bool {
 // concurrent readers are frozen so a maintenance bug that touched a
 // published relation fails loudly instead of corrupting readers. Lazy
 // index builds (Lookup) stay legal; Clone returns a mutable copy.
-func (r *Relation) Freeze() { r.frozen = true }
+func (r *Relation) Freeze() { r.frozen, r.lendStored, r.lendNet = true, nil, nil }
 
 // Frozen reports whether the relation has been frozen.
 func (r *Relation) Frozen() bool { return r.frozen }
@@ -229,7 +236,10 @@ const (
 // takes instead of building a tuple they hold: for an engine's output, the
 // stored head relation and its pending net. A lender must not be mutated
 // while r is filled; borrowed tuples and keys are immutable, as all are.
-func (r *Relation) BorrowFrom(stored, pending *Relation) { r.lend = [2]*Relation{stored, pending} }
+// Freezing r forgets them.
+func (r *Relation) BorrowFrom(stored *Stored, pending *Relation) {
+	r.lendStored, r.lendNet = stored, pending
+}
 
 // AddDerived is Add for a tuple in scratch storage, of which r keeps
 // nothing: a tuple and a key are built only for a row neither r nor a
@@ -246,14 +256,13 @@ func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 		r.bump(i, count)
 		return Merged
 	}
-	for _, l := range r.lend {
-		if l == nil {
-			continue
-		}
-		if i := find(&l.rows, h, kb); i >= 0 {
-			r.insert(l.At(i).WithCount(count), h)
-			return Borrowed
-		}
+	row, ok := r.lendStored.held(h, kb)
+	if !ok {
+		row, ok = r.lendNet.held(h, kb)
+	}
+	if ok {
+		r.insert(row.WithCount(count), h)
+		return Borrowed
 	}
 	r.insert(Row{Tuple: t.Clone(), Count: count, key: string(kb)}, h)
 	return Built
@@ -382,8 +391,46 @@ func (r *Relation) Trim() {
 func (r *Relation) Reset() {
 	r.mutable()
 	r.rows.reset()
-	r.lend = [2]*Relation{}
+	r.lendStored, r.lendNet = nil, nil
 	r.idx, r.stats, r.viewed = nil, nil, false
+}
+
+// drain empties r as Reset does, but keeps its indexes, emptied, to be
+// maintained from the next insert on, and their runs' arrays: r's own,
+// as r is never cloned.
+func (r *Relation) drain() {
+	r.rows.reset()
+	for _, ix := range r.idx {
+		for i := range ix.slots {
+			ix.slots[i].run = ix.slots[i].run[:0]
+		}
+		ix.n, ix.view, ix.at = 0, nil, nil
+	}
+	r.stats, r.viewed = nil, false
+}
+
+// replace puts cell c at place p: only its count changes if it holds the
+// cell's key, else the row there leaves the key table and the indexes and
+// c's row enters them at p.
+func (r *Relation) replace(p int, c cell) {
+	old := &r.rows.cells[p].cell
+	if old.h == c.h && old.key() == c.key() {
+		old.count = c.count
+		return
+	}
+	t := r.At(p).Tuple
+	for _, ix := range r.idx {
+		ix.drop(r, t, p)
+	}
+	if r.rows.nslots() != 0 {
+		r.rows.unslot(r.rows.slotOf(p))
+	}
+	*old = c
+	r.rows.place(p)
+	t = r.At(p).Tuple
+	for _, ix := range r.idx {
+		ix.add(r, t, p)
+	}
 }
 
 // MergeDelta folds delta into r using the ⊎ operator of Section 3:
@@ -436,7 +483,7 @@ func (r *Relation) ToSet() *Relation {
 // Diff returns new − old as a signed count delta: what merged into old
 // makes new. A tuple old holds keeps old's row, so the delta lends the
 // stored tuple rather than a copy of it.
-func Diff(old, new *Relation) *Relation {
+func Diff(old, new Reader) *Relation {
 	out := New(new.Arity())
 	old.Each(func(row Row) {
 		if c := new.Count(row.Tuple) - row.Count; c != 0 {

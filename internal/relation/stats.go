@@ -207,20 +207,30 @@ func (r *Relation) PreferredIndex(bound []int) []int {
 	}
 	r.idxMu.RLock()
 	defer r.idxMu.RUnlock()
-	if ix := r.index(bound); ix != nil {
-		return slices.Clone(ix.cols)
+	return preferred(len(r.idx), func(i int) []int { return r.idx[i].cols }, bound)
+}
+
+// preferred is PreferredIndex over n indexes, index i on the columns
+// colsOf(i).
+func preferred(n int, colsOf func(int) []int, bound []int) []int {
+	if len(bound) == 0 {
+		return nil
 	}
 	var best []int
-	for _, ix := range r.idx {
-		usable := len(ix.cols) > 0
-		for _, c := range ix.cols {
+	for i := range n {
+		cols := colsOf(i)
+		if slices.Equal(cols, bound) {
+			return slices.Clone(cols)
+		}
+		usable := len(cols) > 0
+		for _, c := range cols {
 			if _, in := slices.BinarySearch(bound, c); !in {
 				usable = false
 				break
 			}
 		}
-		if usable && (best == nil || len(ix.cols) > len(best) || (len(ix.cols) == len(best) && slices.Compare(ix.cols, best) < 0)) {
-			best = ix.cols
+		if usable && (best == nil || len(cols) > len(best) || (len(cols) == len(best) && slices.Compare(cols, best) < 0)) {
+			best = cols
 		}
 	}
 	if best == nil {

@@ -1,0 +1,127 @@
+package relation
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"ivm/internal/value"
+)
+
+// sameAsFlat checks that s reads exactly as flat, the one table fed the
+// same operations: Len, every row in Each's order, Count, Has and Stored
+// of each probe, LookupRun on cols for each probe's projection — the same
+// rows in the same order — and DistinctEst of every column; and that the
+// base's key table and index runs are whole (checkRuns).
+func sameAsFlat(t *testing.T, where string, s *Stored, flat *Relation, cols [][]int, probes ...value.Tuple) {
+	t.Helper()
+	if s.Len() != flat.Len() || s.Empty() != flat.Empty() {
+		t.Fatalf("%s: Len %d, the flat table's %d", where, s.Len(), flat.Len())
+	}
+	var got, want []string
+	s.Each(func(row Row) { got = append(got, fmt.Sprintf("%v×%d", row.Tuple, row.Count)) })
+	flat.Each(func(row Row) { want = append(want, fmt.Sprintf("%v×%d", row.Tuple, row.Count)) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: Each reads\n  %v\nthe flat table\n  %v", where, got, want)
+	}
+	var buf []Row
+	for _, tu := range probes {
+		if s.Count(tu) != flat.Count(tu) || s.Has(tu) != flat.Has(tu) {
+			t.Fatalf("%s: Count(%v) = %d, the flat table's %d", where, tu, s.Count(tu), flat.Count(tu))
+		}
+		kb := tu.AppendKey(nil)
+		row, ok := s.Stored(kb)
+		frow, fok := flat.Stored(kb)
+		if ok != fok || row.Count != frow.Count || ok && row.Key() != string(kb) {
+			t.Fatalf("%s: Stored(%v) = %v %v, the flat table's %v %v", where, tu, row, ok, frow, fok)
+		}
+		for _, c := range cols {
+			kv := tu.Project(c)
+			run := LookupRun(s, c, kv, &buf)
+			fr := LookupRun(flat, c, kv, nil)
+			got, want = got[:0], want[:0]
+			for i := range run.Len() {
+				got = append(got, fmt.Sprintf("%v×%d", run.Row(i).Tuple, run.Row(i).Count))
+			}
+			for i := range fr.Len() {
+				want = append(want, fmt.Sprintf("%v×%d", fr.Row(i).Tuple, fr.Row(i).Count))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: LookupRun(%v, %v) reads %v, the flat table's %v", where, c, kv, got, want)
+			}
+		}
+	}
+	for col := range max(flat.Arity(), 0) {
+		if s.DistinctEst(col) != flat.DistinctEst(col) {
+			t.Fatalf("%s: DistinctEst(%d) = %d, the flat table's %d", where, col, s.DistinctEst(col), flat.DistinctEst(col))
+		}
+	}
+	checkRuns(t, where, s.base)
+	checkRuns(t, where, s.net)
+}
+
+// tableStored feeds a published Stored and one table the same stream of
+// deltas — inserts, deletes of stored rows, count bumps, and bulk ones
+// that take the net past its bound — and after each holds the Stored, and
+// the version it published, to the table; a rebase makes a base exactly
+// the size of its rows.
+func tableStored(t *testing.T, rng *rand.Rand) {
+	cols := [][]int{{0}, {1}, {0, 1}}
+	tuple := func() value.Tuple { return value.T(rng.Intn(40), fmt.Sprintf("v%d", rng.Intn(30))) }
+	rebases := 0
+	for trial := 0; trial < 6; trial++ {
+		flat := New(2)
+		for i := rng.Intn(1200); i > 0; i-- {
+			flat.Add(tuple(), int64(rng.Intn(3)+1))
+		}
+		for _, c := range cols {
+			flat.Lookup(c, value.T(0, "v0")[:len(c)])
+		}
+		s := Store(flat.Clone())
+		if trial%2 == 0 { // the writer's indexes come along
+			for _, c := range cols {
+				s.Lookup(c, value.T(0, "v0")[:len(c)])
+			}
+		}
+		v := s.Publish(nil, nil)
+		for op := 0; op < 60; op++ {
+			d, rows := New(2), flat.Rows()
+			n := 1 + rng.Intn(12)
+			if op%15 == 14 {
+				n = minFlattenRows + rng.Intn(flat.Len()/2+1)
+			}
+			for i := 0; i < n; i++ {
+				switch k := rng.Intn(3); {
+				case k == 0 && len(rows) > 0:
+					row := rows[rng.Intn(len(rows))]
+					d.AddRow(row.WithCount(-row.Count - d.Count(row.Tuple)))
+				case k == 1 && len(rows) > 0:
+					d.AddRow(rows[rng.Intn(len(rows))].WithCount(int64(rng.Intn(5) - 2)))
+				default:
+					d.Add(tuple(), int64(rng.Intn(3)+1))
+				}
+			}
+			prev := s.base
+			flat.MergeDelta(d)
+			s.MergeDelta(d)
+			v = s.Publish(v, d)
+			where := fmt.Sprintf("trial %d op %d", trial, op)
+			probes := []value.Tuple{tuple(), tuple()}
+			d.Each(func(row Row) { probes = append(probes, row.Tuple) })
+			sameAsFlat(t, where, s, flat, cols, probes...)
+			if !Equal(Materialize(v.Reader()), flat) {
+				t.Fatalf("%s: the published version differs from the flat table", where)
+			}
+			if s.base != prev {
+				rebases++
+				if s.net.Len() != 0 || cap(s.base.rows.cells) != s.base.Len() || v.Depth() != 0 {
+					t.Fatalf("%s: a rebase left %d net rows, %d rows in %d cells, depth %d", where, s.net.Len(), s.base.Len(), cap(s.base.rows.cells), v.Depth())
+				}
+			}
+		}
+	}
+	if rebases < 6 {
+		t.Fatalf("%d rebases over the streams, want several", rebases)
+	}
+}

@@ -122,19 +122,38 @@ func TestVersionedCompactionOfCancellingLinksReturnsTheBase(t *testing.T) {
 	}
 }
 
+// publisher publishes deltas as the views do: each is merged into the
+// writer's Stored, which rebases by its ratio rule, then published over the
+// last version.
+type publisher struct {
+	s *Stored
+	v *Versioned
+}
+
+func publish(base *Relation) *publisher {
+	s := Store(base)
+	return &publisher{s: s, v: s.Publish(nil, nil)}
+}
+
+func (p *publisher) push(d *Relation) *Versioned {
+	p.s.MergeDelta(d)
+	p.v = p.s.Publish(p.v, d)
+	return p.v
+}
+
 func TestVersionedPendFractionFlattens(t *testing.T) {
-	// A single delta holding ≥ max(minFlattenRows, flen/4) rows must
-	// flatten immediately even at depth 1.
+	// A single delta holding ≥ max(minFlattenRows, flen/4) rows rebases
+	// the writer, and its version is the new base, even at depth 1.
 	base := New(1)
 	for i := 0; i < 2*minFlattenRows; i++ {
 		base.Add(value.T(fmt.Sprintf("b%d", i)), 1)
 	}
-	v := NewVersioned(base)
+	p := publish(base)
 	d := New(1)
 	for i := 0; i < minFlattenRows; i++ {
 		d.Add(value.T(fmt.Sprintf("d%d", i)), 1)
 	}
-	nv := v.Push(d)
+	nv := p.push(d)
 	if nv.Depth() != 0 {
 		t.Fatalf("bulk delta must flatten: depth = %d", nv.Depth())
 	}
@@ -143,7 +162,7 @@ func TestVersionedPendFractionFlattens(t *testing.T) {
 	}
 }
 
-func TestVersionedFlatIsCachedAndReusedByPush(t *testing.T) {
+func TestVersionedFlatIsCachedAndNotChainedFrom(t *testing.T) {
 	v := NewVersioned(New(2))
 	d := New(2)
 	d.Add(value.T("a", "b"), 1)
@@ -152,13 +171,13 @@ func TestVersionedFlatIsCachedAndReusedByPush(t *testing.T) {
 	if v1.Flat() != f {
 		t.Fatal("Flat must cache its result")
 	}
-	// The next Push should chain from the cached flat form, resetting
-	// depth to 1 rather than stacking on the old chain.
+	// A reader's flat form is the reader's copy: the next Push stacks on
+	// the chain over the writer's base, never on the copy.
 	d2 := New(2)
 	d2.Add(value.T("c", "d"), 1)
 	v2 := v1.Push(d2)
-	if v2.Depth() != 1 {
-		t.Fatalf("push over a materialized version: depth = %d, want 1", v2.Depth())
+	if v2.Depth() != 2 || v2.base != v.base {
+		t.Fatalf("push over a materialized version: depth = %d, want 2 over the same base", v2.Depth())
 	}
 }
 
@@ -169,7 +188,7 @@ func TestVersionedFlatIsCachedAndReusedByPush(t *testing.T) {
 // that sees anything else — or the race detector, under `make race` — has
 // caught a write in place.
 func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
-	const keys, perKey, pushes, readers = 40, 15, 700, 3
+	const keys, perKey, pushes, readers = 40, 15, 1200, 3
 	base := New(2)
 	for k := 0; k < keys; k++ {
 		for j := 0; j < perKey; j++ {
@@ -177,7 +196,8 @@ func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
 		}
 	}
 	var recent [8]atomic.Pointer[Versioned]
-	v := NewVersioned(base)
+	p := publish(base)
+	v := p.v
 	for i := range recent {
 		recent[i].Store(v)
 	}
@@ -209,7 +229,7 @@ func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
 		}(int64(r))
 	}
 	// Each push retires the oldest row of one key and adds its next one,
-	// so pending rows pile up past ¼|base| (flatten) by way of several
+	// so the writer's net piles up past ¼|base| (rebase) by way of several
 	// compactions, over runs the readers are probing.
 	flattens, compactions := 0, 0
 	for i := 0; i < pushes && len(errs) == 0; i++ {
@@ -218,7 +238,7 @@ func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
 		d.Add(value.T(k, gen), -1)
 		d.Add(value.T(k, gen+perKey), 1)
 		prev := v
-		v = v.Push(d)
+		v = p.push(d)
 		switch {
 		case v.base != prev.base:
 			flattens++
@@ -245,7 +265,7 @@ func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
 // chain.
 func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 	collected := make(chan struct{})
-	v := func() *Versioned {
+	w := func() *publisher {
 		base := New(2)
 		base.Add(value.T("untouched", 0), 1)
 		for i := 0; i < 2*minFlattenRows; i++ {
@@ -253,15 +273,16 @@ func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 		}
 		base.Lookup([]int{0}, value.T("untouched"))
 		runtime.SetFinalizer(base, func(*Relation) { close(collected) })
-		return NewVersioned(base)
+		return publish(base)
 	}()
+	var v *Versioned
 	for flattens, i := 0, 0; flattens < 4; i++ {
 		d := New(2)
 		for j := 0; j < minFlattenRows; j++ {
 			d.Add(value.T(j%7, 1000*(i+1)+j), 1)
 		}
-		prev := v.base
-		if v = v.Push(d); v.base != prev {
+		prev := w.v.base
+		if v = w.push(d); v.base != prev {
 			flattens++
 		}
 	}
@@ -272,7 +293,7 @@ func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 		runtime.GC()
 		select {
 		case <-collected:
-			runtime.KeepAlive(v)
+			runtime.KeepAlive(w)
 			return
 		case <-time.After(10 * time.Millisecond):
 		}
@@ -287,7 +308,7 @@ func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 func TestVersionedRewrittenRunsReleaseTheirArray(t *testing.T) {
 	const keys = 7
 	collected := make(chan struct{})
-	v := func() *Versioned {
+	w := func() *publisher {
 		base := New(2)
 		for i := 0; i < 2*minFlattenRows; i++ {
 			base.Add(value.T(i%keys, i), 1)
@@ -301,7 +322,7 @@ func TestVersionedRewrittenRunsReleaseTheirArray(t *testing.T) {
 		// The first cell's key is the build's first key: its run starts the array.
 		run := base.run([]int{0}, first.Tuple[:1], keyHash(first.Tuple[:1]))
 		runtime.SetFinalizer(&run.pos[0], func(*int32) { close(collected) })
-		return NewVersioned(base)
+		return publish(base)
 	}()
 	flatten := func(touched int) {
 		d := New(2)
@@ -309,9 +330,9 @@ func TestVersionedRewrittenRunsReleaseTheirArray(t *testing.T) {
 			d.Add(value.T(j%touched, -1-j), 1)
 		}
 		d.Freeze()
-		prev := v.base
-		if v = v.Push(d); v.base == prev {
-			t.Fatal("a delta of minFlattenRows rows did not flatten")
+		prev := w.v.base
+		if w.push(d).base == prev {
+			t.Fatal("a delta of minFlattenRows rows did not rebase")
 		}
 	}
 	gone := func() bool {
@@ -333,7 +354,7 @@ func TestVersionedRewrittenRunsReleaseTheirArray(t *testing.T) {
 	if !gone() {
 		t.Fatal("the first base's array is still reachable after every one of its runs was rewritten")
 	}
-	runtime.KeepAlive(v)
+	runtime.KeepAlive(w)
 }
 
 // Publishing a small delta must not cost O(|base|), however many times:
@@ -362,13 +383,13 @@ func TestPushCostIndependentOfBase(t *testing.T) {
 		d.Freeze()
 		deltas[i] = d
 	}
-	v := NewVersioned(base)
+	w := publish(base)
 	pushed := totalAlloc(func() {
 		for _, d := range deltas {
-			v = v.Push(d)
+			w.push(d)
 		}
 	})
-	if v.base != base {
+	if w.v.base != base {
 		t.Fatal("2 048 pending rows over 100 000 copied the base")
 	}
 	var clone *Relation
@@ -382,9 +403,9 @@ func TestPushCostIndependentOfBase(t *testing.T) {
 		bulk.Add(value.T(i%1000, 2*n+i), 1)
 	}
 	built := IndexesBuilt()
-	nv := v.Push(bulk)
+	nv := w.push(bulk)
 	if nv.Depth() != 0 || nv.base == base {
-		t.Fatal("a delta of ¼|base| rows did not flatten")
+		t.Fatal("a delta of ¼|base| rows did not rebase")
 	}
 	got := nv.Reader().Lookup([]int{0}, value.T(7))
 	if IndexesBuilt() != built {

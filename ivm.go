@@ -309,7 +309,9 @@ type Views struct {
 
 // engine is the contract of a maintenance strategy (DESIGN.md §17): a
 // state — the program and the stored relations it maintains — one change
-// type, the signed per-predicate Δ of the paper's §3, and ⊎. Apply derives
+// type, the signed per-predicate Δ of the paper's §3, and ⊎. Stored is a
+// predicate's stored relation, which publication freezes and shares (the
+// engine writes on in its net, or a copy). Apply derives
 // the Δ of every view from a Δ of the base relations, merges both into the
 // state and returns the visible change of each derived relation that moved
 // (the map is the caller's); CommittedDeltas is the exact Δ the last
@@ -318,7 +320,8 @@ type Views struct {
 // own work-counter struct for its last operation (nil if it keeps none).
 type engine interface {
 	Program() *datalog.Program
-	DB() *eval.DB
+	Stored(pred string) *relation.Stored
+	Preds() []string
 	Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error)
 	CommittedDeltas() map[string]*relation.Relation
 	Fold(deltas map[string]*relation.Relation)
@@ -385,8 +388,8 @@ func (c config) engineConfig(reg *metrics.Registry) (dred.Config, error) {
 }
 
 // newViews wraps a ready engine, which reports to reg, as Views hiding the
-// hidden predicates and publishes its storage as version id — each
-// relation cloned, as the engine keeps mutating its own.
+// hidden predicates and publishes its storage as version id: each stored
+// relation is frozen and shared, not copied.
 func newViews(cfg config, reg *metrics.Registry, eng engine, programSrc string, hidden []string, id uint64) *Views {
 	v := &Views{cfg: cfg, programSrc: programSrc, reg: reg, eng: eng}
 	v.setHidden(hidden)
@@ -405,8 +408,8 @@ func newViews(cfg config, reg *metrics.Registry, eng engine, programSrc string, 
 	v.mSnapVersion = reg.Gauge("snapshot_version")
 	v.mSnapUnix = reg.Gauge("snapshot_published_unixnano")
 	rels := make(map[string]*relation.Versioned)
-	for _, pred := range eng.DB().Preds() {
-		rels[pred] = relation.NewVersioned(eng.DB().Get(pred).Clone())
+	for _, pred := range eng.Preds() {
+		rels[pred] = eng.Stored(pred).Publish(nil, nil)
 	}
 	v.wmu.Lock()
 	v.installLocked(v.versionLocked(rels, id))
@@ -929,15 +932,12 @@ func (v *Views) changeSetLocked(per map[string]*relation.Relation) *ChangeSet {
 }
 
 // pushDeltasLocked folds a commit's deltas — already merged into the
-// engine's storage — onto the in-progress version map.
+// engine's storage — onto the in-progress version map: each links onto
+// its predicate's version, unless the engine has a new base for it.
 func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map[string]*relation.Relation) {
 	for pred, d := range deltas {
-		if cv, ok := next[pred]; ok {
-			next[pred] = cv.Push(d)
-		} else if r := v.eng.DB().Get(pred); r != nil {
-			// First stored content for this predicate: version it from
-			// a clone of the engine's (small, just-created) relation.
-			next[pred] = relation.NewVersioned(r.Clone())
+		if st := v.eng.Stored(pred); st != nil {
+			next[pred] = st.Publish(next[pred], d)
 		}
 	}
 }
@@ -947,7 +947,7 @@ func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map
 // at), so that the edit's Δ, pushed next, lands at the engine's arity.
 func (v *Views) refreshEmptiesLocked(next map[string]*relation.Versioned) {
 	for pred, vr := range next {
-		if r := v.eng.DB().Get(pred); r != nil && vr.Reader().Arity() != r.Arity() {
+		if r := v.eng.Stored(pred); r != nil && vr.Reader().Arity() != r.Arity() {
 			next[pred] = relation.NewVersioned(relation.New(r.Arity()))
 		}
 	}

@@ -39,7 +39,7 @@ func (v *Views) state(vv *version) storage.State {
 // ViewsFromReplicaState builds Views from a transferred state: extra
 // options (tracing, idempotency window, ...), then the strategy and
 // semantics the state was stored under. The views take st's relations for
-// their own; the frozen ones of Snapshot.ReplicaState are copied.
+// their own; the frozen ones of Snapshot.ReplicaState are shared.
 func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
 	return viewsFromState(st, append(extra[:len(extra):len(extra)],
 		WithStrategy(Strategy(st.Config>>2)), WithSemantics(Semantics(st.Config>>1&1))))
@@ -57,15 +57,7 @@ func viewsFromState(st storage.State, opts []Option) (*Views, error) {
 	cfg, reg := newConfig(opts), metrics.NewRegistry()
 	var eng engine
 	if dcfg, err := cfg.engineConfig(reg); err == nil {
-		db := eval.NewDB()
-		for _, pred := range st.DB.Preds() {
-			rel := st.DB.Get(pred)
-			if rel.Frozen() {
-				rel = rel.Clone()
-			}
-			db.Put(pred, rel)
-		}
-		if e, err := dred.Load(res.Program, db, dcfg); err == nil && cfg.stamp(cfg.regime(e)) == st.Engine {
+		if e, err := dred.Load(res.Program, st.DB, dcfg); err == nil && cfg.stamp(cfg.regime(e)) == st.Engine {
 			eng = e
 		}
 	}
@@ -102,22 +94,26 @@ func (v *Views) ResetToReplicaState(st ReplicaState) error {
 
 // resetLocked folds and publishes the reset (wmu held).
 func (v *Views) resetLocked(st ReplicaState) (cs *ChangeSet, err error) {
-	db, preds := v.eng.DB(), v.eng.DB().Preds()
+	preds := v.eng.Preds()
 	for _, pred := range st.DB.Preds() {
-		if db.Get(pred) == nil {
+		if v.eng.Stored(pred) == nil {
 			preds = append(preds, pred)
 		}
 	}
 	deltas := make(map[string]*relation.Relation)
 	for _, pred := range preds {
-		stored, incoming := db.Get(pred), st.DB.Get(pred)
+		var stored relation.Reader
+		if r := v.eng.Stored(pred); r != nil && !r.Empty() {
+			stored = r
+		}
+		incoming := st.DB.Get(pred)
 		switch {
 		case incoming == nil || incoming.Empty():
-			if stored == nil || stored.Empty() {
+			if stored == nil {
 				continue
 			}
 			incoming = relation.New(stored.Arity())
-		case stored == nil || stored.Empty():
+		case stored == nil:
 			stored = relation.New(incoming.Arity())
 		case stored.Arity() != incoming.Arity():
 			return nil, fmt.Errorf("ivm: replica state holds %s at arity %d and these views at %d", pred, incoming.Arity(), stored.Arity())

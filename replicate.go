@@ -53,7 +53,7 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 // stamp is checked against what maintains the program it installs.
 func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relation, _ *ChangeSet, err error) {
 	start := time.Now()
-	db, prog, strategy := v.eng.DB(), v.eng.Program(), v.strategy
+	prog, strategy := v.eng.Program(), v.strategy
 	src, edit := rec.Program()
 	var undo func()
 	defer func() {
@@ -95,9 +95,9 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 		if err != nil {
 			return nil, nil, err
 		}
-		stored := db.Get(pred)
+		stored := v.eng.Stored(pred)
 		if stored == nil {
-			stored = relation.New(arity)
+			stored = relation.Store(relation.New(arity))
 		}
 		if a := stored.Arity(); a >= 0 && a != arity {
 			return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred}

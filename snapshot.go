@@ -153,7 +153,7 @@ func (s *Snapshot) Explain(goal string) ([]Derivation, error) {
 	var out []Derivation
 	for _, ri := range prog.RulesFor(a.Pred) {
 		rule := prog.Rules[ri]
-		srcs, err := eval.SourcesAt(rule, ri, db, s.views.cfg.semantics, nil)
+		srcs, err := eval.SourcesAt(rule, ri, db.Reader, s.views.cfg.semantics, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +218,7 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 	var out []RulePlan
 	for _, ri := range prog.RulesFor(pred) {
 		rule := prog.Rules[ri]
-		srcs, err := eval.SourcesAt(rule, ri, db, s.views.cfg.semantics, nil)
+		srcs, err := eval.SourcesAt(rule, ri, db.Reader, s.views.cfg.semantics, nil)
 		if err != nil {
 			return nil, err
 		}
