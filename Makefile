@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-layered metrics crash chaos cover \
 	fuzz-smoke serve smoke-server replica failover bench-regression docs-lint loc \
-	staticcheck vulncheck ci
+	oracle-mutations staticcheck vulncheck ci
 
 all: build
 
@@ -103,6 +103,11 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParseGoal -fuzztime 30s -run '^$$' ./internal/parser
 	$(GO) test -fuzz FuzzTupleFromKey -fuzztime 30s -run '^$$' ./internal/value
 
+# Each one-line bug of scripts/oracle_mutations.sh, put back in a copy of
+# the tree, must make TestOracle fail (EXPERIMENTS.md E34, E40).
+oracle-mutations:
+	bash scripts/oracle_mutations.sh
+
 # Run ivmd against a scratch store with the smoke program (Ctrl-C to
 # stop; an acked apply is never lost across the SIGINT shutdown).
 SERVE_STORE ?= /tmp/ivmd-store
@@ -166,5 +171,5 @@ vulncheck:
 		echo "govulncheck not installed; skipping (CI runs it)"; \
 	fi
 
-ci: build vet fmt-check loc test race bench-smoke bench-layered metrics crash chaos cover fuzz-smoke \
+ci: build vet fmt-check loc test race oracle-mutations bench-smoke bench-layered metrics crash chaos cover fuzz-smoke \
 	smoke-server replica failover bench-regression docs-lint staticcheck vulncheck

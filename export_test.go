@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"ivm/internal/core/dred"
 	"ivm/internal/relation"
 )
 
@@ -63,14 +62,11 @@ func HeldCells(v *Views) (cells, rows int) {
 }
 
 // EngineGroupRel is the engine's committed T for rule ri's aggregate
-// literal li (nil under a baseline, or without a table for it).
+// literal li (nil without a table for it).
 func EngineGroupRel(v *Views, ri, li int) *relation.Relation {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	if e, ok := v.eng.(*dred.Engine); ok {
-		return e.GroupRel(ri, li)
-	}
-	return nil
+	return v.eng.GroupRel(ri, li)
 }
 
 // EngineCommittedDeltas is what the engine's last operation merged into

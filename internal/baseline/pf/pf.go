@@ -123,7 +123,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		if _, err := e.d.Apply(delta); err != nil {
 			return err
 		}
-		st := e.d.Stats().(dred.Stats)
+		st := e.d.Stats()
 		e.last.Passes++
 		e.last.Overestimated += st.Overestimated
 		e.last.Rederived += st.Rederived

@@ -104,7 +104,7 @@ func TestPFFragmentsWork(t *testing.T) {
 	if _, err := d.Apply(dm); err != nil {
 		t.Fatal(err)
 	}
-	pst, dst := p.Stats().(Stats), d.Stats().(dred.Stats)
+	pst, dst := p.Stats().(Stats), d.Stats()
 	if pst.Passes != 5 {
 		t.Fatalf("passes = %d, want 5", pst.Passes)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ivm"
-	"ivm/internal/baseline/recompute"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
@@ -174,7 +173,7 @@ func TestEmptyDeltaNoChanges(t *testing.T) {
 	if len(ch) != 0 {
 		t.Fatalf("changes: %v", ch)
 	}
-	if e.Stats().(dred.Stats).DeltaRulesEvaluated != 0 {
+	if e.Stats().DeltaRulesEvaluated != 0 {
 		t.Fatal("no delta rules should fire")
 	}
 }
@@ -198,8 +197,8 @@ func TestIrrelevantDeltaStopsEarly(t *testing.T) {
 	if ch["other"] == nil {
 		t.Fatal("other must change")
 	}
-	if e.Stats().(dred.Stats).DeltaRulesEvaluated != 1 {
-		t.Fatalf("delta rules evaluated = %d, want 1", e.Stats().(dred.Stats).DeltaRulesEvaluated)
+	if e.Stats().DeltaRulesEvaluated != 1 {
+		t.Fatalf("delta rules evaluated = %d, want 1", e.Stats().DeltaRulesEvaluated)
 	}
 }
 
@@ -289,8 +288,8 @@ func TestNegationCountInvariance(t *testing.T) {
 }
 
 // TestRandomizedAgainstRecompute cross-checks counting maintenance against
-// the recompute baseline over many random delta batches (experiment E11's
-// engine-level form).
+// a from-scratch evaluation after each of many random delta batches
+// (experiment E11's engine-level form).
 func TestRandomizedAgainstRecompute(t *testing.T) {
 	progSrc := `
 		hop(X,Y)     :- link(X,Z), link(Z,Y).
@@ -307,10 +306,6 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := recompute.New(prog, base, sem)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for round := 0; round < 25; round++ {
 			link := ce.Relation("link")
 			d := workload.Mixed(rng, link, 12, 2, 2)
@@ -321,9 +316,7 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 			if _, err := ce.Apply(dm); err != nil {
 				t.Fatalf("%v round %d: %v", sem, round, err)
 			}
-			if _, err := re.Apply(dm); err != nil {
-				t.Fatalf("%v round %d: %v", sem, round, err)
-			}
+			re := recomputed(t, prog, ce, sem)
 			for _, pred := range []string{"link", "hop", "tri_hop", "dead"} {
 				a, b := ce.Relation(pred), re.Relation(pred)
 				if sem == eval.Duplicate {
@@ -358,19 +351,13 @@ func TestSetModeCountsEqualRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := recompute.New(prog, base, eval.Set)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for round := 0; round < 20; round++ {
 		d := workload.Mixed(rng, ce.Relation("link"), 10, 2, 2)
 		dm := map[string]*relation.Relation{"link": d}
 		if _, err := ce.Apply(dm); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := re.Apply(dm); err != nil {
-			t.Fatal(err)
-		}
+		re := recomputed(t, prog, ce, eval.Set)
 		for _, pred := range []string{"hop", "tri_hop"} {
 			if !relation.Equal(ce.Relation(pred), re.Relation(pred)) {
 				t.Fatalf("round %d: %s per-stratum counts diverge:\ncounting:  %v\nrecompute: %v",
@@ -432,10 +419,6 @@ func TestAggregateMaintenanceAgainstRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := recompute.New(prog, base, eval.Duplicate)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for round := 0; round < 25; round++ {
 		link := ce.Relation("link")
 		d := workload.SampleDeletes(rng, link, 1)
@@ -453,9 +436,7 @@ func TestAggregateMaintenanceAgainstRecompute(t *testing.T) {
 		if _, err := ce.Apply(dm); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if _, err := re.Apply(dm); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
+		re := recomputed(t, prog, ce, eval.Duplicate)
 		for _, pred := range []string{"cost", "mc", "total", "cnt"} {
 			if !relation.Equal(ce.Relation(pred), re.Relation(pred)) {
 				t.Fatalf("round %d: %s diverges:\ncounting:  %v\nrecompute: %v",
@@ -501,6 +482,22 @@ func TestMultiPredicateBatch(t *testing.T) {
 
 // newEngine materializes prog over base under sem with counting on every
 // stratum.
+// recomputed is prog evaluated from scratch over e's base relations.
+func recomputed(t *testing.T, prog *datalog.Program, e *dred.Engine, sem eval.Semantics) *dred.Engine {
+	t.Helper()
+	base, derived := eval.NewDB(), prog.DerivedPreds()
+	for _, pred := range e.Preds() {
+		if !derived[pred] {
+			base.Put(pred, e.Relation(pred))
+		}
+	}
+	re, err := dred.NewWithConfig(prog, base, dred.Config{Algorithm: dred.Recompute, Semantics: sem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re
+}
+
 func newEngine(prog *datalog.Program, base *eval.DB, sem eval.Semantics) (*dred.Engine, error) {
 	return NewWithConfig(prog, base, Config{Semantics: sem})
 }

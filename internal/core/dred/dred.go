@@ -26,7 +26,10 @@
 // set transitions under set semantics — and commits its exact count Δ, so
 // the stored state is always what a from-scratch evaluation computes.
 // Config.Algorithm forces one algorithm on every stratum for the paper's
-// comparisons; forced counting refuses a recursive stratum.
+// comparisons; forced counting refuses a recursive stratum. Recompute is
+// the point they are measured against (Section 1): it stores what the
+// paper's pairing stores and maintains nothing, evaluating every stratum
+// afresh and committing the difference.
 //
 // AddRule/RemoveRule maintain the views across changes to their
 // definition: the derivations a rule contributes propagate exactly like
@@ -58,6 +61,9 @@ const (
 	// PerStratum maintains nonrecursive strata by counting and recursive
 	// ones by DRed — the paper's pairing.
 	PerStratum
+	// Recompute re-evaluates every view from scratch on each operation
+	// and commits the difference: the non-incremental baseline.
+	Recompute
 )
 
 // ErrRecursive is returned when forced counting is given a recursive
@@ -92,7 +98,8 @@ type Stats struct {
 // Config selects the engine's algorithm, semantics and hooks.
 type Config struct {
 	// Algorithm is what maintains the strata: DRed (the zero value) or
-	// Counting on every stratum, or each stratum by its recursion.
+	// Counting on every stratum, each stratum by its recursion, or none
+	// (Recompute).
 	Algorithm Algorithm
 	// Semantics is the external view semantics (set or duplicate). A DRed
 	// stratum needs set semantics.
@@ -103,7 +110,8 @@ type Config struct {
 	DisableSetOpt bool
 	// Metrics, when non-nil, receives the engine's counters and timing
 	// histograms (counting_* from counting strata, dred_* from DRed
-	// strata, eval_* and planner_* series). Nil disables collection.
+	// strata, recompute_* from Recompute, eval_* and planner_* series).
+	// Nil disables collection.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives per-operation trace events. Nil
 	// costs a single pointer check per event site.
@@ -121,7 +129,8 @@ const (
 // regime is what maintains each stratum of a program: kinds[s] is the
 // algorithm of stratum s; counted holds the derived predicates of counting
 // strata, whose stored counts may exceed 1; hasCount/hasDRed say which
-// algorithms the program runs.
+// algorithms the program runs (neither under Recompute, which stores what
+// they would).
 type regime struct {
 	kinds             []kind
 	counted           map[string]bool
@@ -171,11 +180,15 @@ type Engine struct {
 	// tracer and the metrics registry, both nil-safe. The counting_* and
 	// dred_* series are resolved by install for the algorithms the
 	// program runs (nil instruments record nothing).
-	tracer metrics.Tracer
-	reg    *metrics.Registry
-	instr  *eval.Instruments
-	mCount countingInstruments
-	mDRed  dredInstruments
+	tracer     metrics.Tracer
+	reg        *metrics.Registry
+	instr      *eval.Instruments
+	mCount     countingInstruments
+	mDRed      dredInstruments
+	mRecompute struct {
+		applies   *metrics.Counter
+		applySecs *metrics.Histogram
+	}
 }
 
 // countingInstruments are the series counting strata emit.
@@ -192,8 +205,8 @@ type dredInstruments struct {
 }
 
 // Stats returns the work counters of the most recent maintenance
-// operation (Apply, AddRule, or RemoveRule), as a Stats.
-func (e *Engine) Stats() any { return e.last }
+// operation (Apply, AddRule, or RemoveRule); Recompute keeps none.
+func (e *Engine) Stats() Stats { return e.last }
 
 // CommittedDeltas returns, per predicate, the exact signed count delta
 // the most recent operation merged into its stored relation (base and
@@ -371,9 +384,11 @@ func (e *Engine) GroupRel(ri, li int) *relation.Relation {
 
 // Regime returns what maintains the installed program's strata: Counting
 // or DRed when one algorithm maintains every one, PerStratum when both run
-// (a mixed program).
+// (a mixed program), Recompute as configured.
 func (e *Engine) Regime() Algorithm {
 	switch {
+	case e.alg == Recompute:
+		return Recompute
 	case !e.hasDRed:
 		return Counting
 	case !e.hasCount:
@@ -384,7 +399,7 @@ func (e *Engine) Regime() Algorithm {
 
 // name is the engine's regime as a tracer's batch events name it.
 func (e *Engine) name() string {
-	return [...]string{DRed: "dred", Counting: "counting", PerStratum: "counting+dred"}[e.Regime()]
+	return [...]string{DRed: "dred", Counting: "counting", PerStratum: "counting+dred", Recompute: "recompute"}[e.Regime()]
 }
 
 // old returns pred's committed state as a rule body reads it: under set
@@ -422,7 +437,8 @@ func (e *Engine) groupTable(key eval.RuleLit, g *datalog.Aggregate) (*eval.Group
 // Deleted base tuples must be a subset of the stored base relations
 // (Lemma 4.1's precondition); under duplicate semantics a deletion must
 // not exceed the stored multiplicity. Violations are rejected before any
-// state changes.
+// state changes. Recompute evaluates the views afresh over the changed
+// base instead of maintaining them.
 func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
 	if e.tracer != nil {
@@ -475,6 +491,9 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 			o.cascade[pred] = cd
 		}
 	}
+	if e.alg == Recompute {
+		return e.reevaluate(o, e.prog)
+	}
 	return e.propagate(o)
 }
 
@@ -517,9 +536,10 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 
 // edit installs prog, which adds rule (sign +1) or removes it (−1), and
 // maintains the views by the rule's derivations (seed), keeping the group
-// tables gts (the engine's, keyed by prog's rule indices) — or, when the
-// edit moves a predicate between a counting stratum and a DRed one, whose
-// stored counts differ, by evaluating the program afresh. A rejected edit
+// tables gts (the engine's, keyed by prog's rule indices) — or, under
+// Recompute or when the edit moves a predicate between a counting stratum
+// and a DRed one, whose stored counts differ, by evaluating the program
+// afresh. A rejected edit
 // leaves the engine's program as it was, as a rejected Apply leaves its
 // stored rows.
 func (e *Engine) edit(prog *datalog.Program, rule datalog.Rule, sign int64, gts map[eval.RuleLit]*eval.GroupTable) (map[string]*relation.Relation, error) {
@@ -532,13 +552,15 @@ func (e *Engine) edit(prog *datalog.Program, rule datalog.Rule, sign int64, gts 
 	if err != nil {
 		return nil, err
 	}
-	derived, afresh := prog.DerivedPreds(), false
+	derived, afresh := prog.DerivedPreds(), e.alg == Recompute
 	for pred := range was.prog.DerivedPreds() {
 		afresh = afresh || derived[pred] && was.counted[pred] != e.counted[pred]
 	}
 	var changes map[string]*relation.Relation
 	if afresh {
-		changes, err = e.reevaluate(was.prog)
+		o := e.newOp()
+		e.begin(o)
+		changes, err = e.reevaluate(o, was.prog)
 	} else {
 		e.gts = gts
 		changes, err = e.seed(rule, sign)
@@ -596,7 +618,7 @@ func (e *Engine) regimeOf(prog *datalog.Program, st *strata.Stratification) (reg
 	for s, rules := range st.RulesByStratum(prog) {
 		recursive := slices.ContainsFunc(rules, func(ri int) bool { return st.Recursive[prog.Rules[ri].Head.Pred] })
 		switch {
-		case e.alg == DRed || e.alg == PerStratum && recursive:
+		case e.alg == DRed || (e.alg == PerStratum || e.alg == Recompute) && recursive:
 			if e.sem != eval.Set && len(rules) > 0 {
 				return regime{}, fmt.Errorf("engine: stratum %d needs DRed, which maintains set semantics only (duplicate counts of a recursive view may be infinite)", s)
 			}
@@ -615,6 +637,9 @@ func (e *Engine) regimeOf(prog *datalog.Program, st *strata.Stratification) (reg
 	}
 	r.hasCount = r.hasCount || e.alg == Counting || e.alg == PerStratum && !r.hasDRed
 	r.hasDRed = r.hasDRed || e.alg == DRed
+	if e.alg == Recompute {
+		r.hasCount, r.hasDRed = false, false
+	}
 	return r, nil
 }
 
@@ -672,6 +697,9 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 			r.Histogram("dred_apply_seconds"),
 			[3]*metrics.Histogram{r.Histogram("dred_step1_seconds"), r.Histogram("dred_step2_seconds"), r.Histogram("dred_step3_seconds")}}
 	}
+	if r := e.reg; e.alg == Recompute {
+		e.mRecompute.applies, e.mRecompute.applySecs = r.Counter("recompute_applies_total"), r.Histogram("recompute_apply_seconds")
+	}
 	e.aux = make([]datalog.Rule, len(prog.Rules))
 	for ri, r := range prog.Rules {
 		if !slices.ContainsFunc(r.Head.Args, isArith) {
@@ -687,9 +715,11 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 }
 
 // reevaluate evaluates the installed program afresh over the stored base
-// relations and commits, as one operation, the exact difference against
-// the stored state of every predicate prev or the program derives.
-func (e *Engine) reevaluate(prev *datalog.Program) (map[string]*relation.Relation, error) {
+// relations, each ⊎ its Δ in o.commit, and commits o with the exact
+// difference against the stored state of every predicate prev or the
+// program derives; under Recompute the relations it evaluated are stored
+// as they are. A refused evaluation has changed nothing.
+func (e *Engine) reevaluate(o *op, prev *datalog.Program) (map[string]*relation.Relation, error) {
 	derived, wasDerived := e.prog.DerivedPreds(), prev.DerivedPreds()
 	fresh := eval.NewDB()
 	for _, pred := range e.Preds() {
@@ -697,16 +727,23 @@ func (e *Engine) reevaluate(prev *datalog.Program) (map[string]*relation.Relatio
 			fresh.Put(pred, e.db[pred].Relation())
 		}
 	}
+	for pred, d := range o.commit { // a base Δ, its relation ensured by Apply
+		r := e.db[pred].Relation().Clone()
+		r.MergeDelta(d)
+		fresh.Put(pred, r)
+	}
 	if _, err := e.evaluate(fresh); err != nil {
 		return nil, err
 	}
-	o := e.newOp()
-	e.begin(o)
+	if e.alg == Recompute {
+		o.fresh = fresh
+	}
 	maps.Copy(wasDerived, derived)
 	for pred := range wasDerived {
 		now := fresh.Get(pred)
 		if now == nil {
 			now = relation.New(e.db.Ensure(pred, -1).Arity())
+			fresh.Put(pred, now)
 		}
 		stored := e.db.Ensure(pred, now.Arity())
 		d := relation.Diff(stored, now)
@@ -758,7 +795,11 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 	}
 	e.lastDeltas = make(map[string]*relation.Relation, len(o.commit))
 	for pred, d := range o.commit {
-		e.db.Ensure(pred, d.Arity()).MergeDelta(d)
+		if o.fresh != nil && !d.Empty() {
+			e.db[pred] = relation.Store(o.fresh.Get(pred))
+		} else {
+			e.db.Ensure(pred, d.Arity()).MergeDelta(d)
+		}
 		if !d.Empty() {
 			e.lastDeltas[pred] = d
 		}
@@ -775,6 +816,10 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 		m.deltaRules.Add(int64(e.last.DeltaRulesEvaluated))
 		m.deltaTuples.Add(int64(e.last.DeltaTuples))
 		m.cascadeStops.Add(int64(e.last.CascadeStopped))
+		m.applySecs.Observe(d)
+	}
+	if m := e.mRecompute; e.alg == Recompute {
+		m.applies.Inc()
 		m.applySecs.Observe(d)
 	}
 	if m := e.mDRed; e.hasDRed {

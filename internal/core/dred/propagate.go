@@ -27,6 +27,10 @@ type op struct {
 	// derivation counts on a counting stratum, on a DRed one insertions
 	// (+1 rows) or deletion candidates (−1 rows).
 	seeds map[string]*relation.Relation
+	// fresh, under Recompute, is the state the operation evaluated, every
+	// predicate it commits included: commit stores a relation whose Δ is
+	// not empty as it is, not merged.
+	fresh *eval.DB
 
 	// The working set, which goes with the operation (DESIGN.md §4):
 	// newRs caches stored ⊎ net per predicate, lost and gained a lower

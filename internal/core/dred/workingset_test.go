@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ivm/internal/baseline/recompute"
 	"ivm/internal/eval"
 	"ivm/internal/metrics"
 	"ivm/internal/parser"
@@ -83,10 +82,6 @@ func TestWorkingSetRandomizedStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			re, err := recompute.New(prog, base, eval.Set)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var sum Stats
 			var held *relation.Relation
 			for step := 0; step < 120; step++ {
@@ -103,16 +98,14 @@ func TestWorkingSetRandomizedStream(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				if _, err := re.Apply(dm); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
+				re := recomputed(t, prog, e, eval.Set)
 				for pred := range prog.DerivedPreds() {
 					if !relation.Equal(e.Relation(pred), re.Relation(pred).ToSet()) {
 						t.Fatalf("step %d: %s diverges\ndred:      %v\nrecompute: %v",
 							step, pred, e.Relation(pred), re.Relation(pred))
 					}
 				}
-				st := e.Stats().(Stats)
+				st := e.Stats()
 				dels, adds := 0, 0
 				del, add := split(ch)
 				for _, r := range del {

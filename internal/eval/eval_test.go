@@ -276,32 +276,6 @@ func TestEvaluateNegationAboveRecursion(t *testing.T) {
 	})
 }
 
-func TestEvaluateMatchesNaiveOracle(t *testing.T) {
-	src := `
-		hop(X,Y)    :- link(X,Z), link(Z,Y).
-		tc(X,Y)     :- link(X,Y).
-		tc(X,Y)     :- tc(X,Z), link(Z,Y).
-		both(X,Y)   :- hop(X,Y), tc(X,Y).
-		lonely(X,Y) :- tc(X,Y), !hop(X,Y).
-	`
-	prog, st := parseProgram(t, src)
-	facts := `link(a,b). link(b,c). link(c,a). link(c,d). link(d,e). link(a,e).`
-	db1 := loadDB(t, facts)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db1); err != nil {
-		t.Fatal(err)
-	}
-	db2 := loadDB(t, facts)
-	if err := NaiveEvaluate(prog, st, db2); err != nil {
-		t.Fatal(err)
-	}
-	for pred := range prog.DerivedPreds() {
-		if !relation.EqualAsSets(db1.Get(pred), db2.Get(pred)) {
-			t.Fatalf("%s: semi-naive %v vs naive %v", pred, db1.Get(pred), db2.Get(pred))
-		}
-	}
-}
-
 func TestTrackCountsOffCollapsesToSets(t *testing.T) {
 	prog, st := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
 	db := loadDB(t, `link(a,b). link(a,d). link(d,c). link(b,c).`)
@@ -471,50 +445,4 @@ func countIn(d *relation.Relation, x int) int {
 		}
 	})
 	return n
-}
-
-// NaiveEvaluate evaluates the program by naive fixpoint iteration under
-// set semantics — slow but obviously correct; the test oracle of TestEvaluateMatchesNaiveOracle.
-func NaiveEvaluate(prog *datalog.Program, st *strata.Stratification, db *DB) error {
-	for pred := range prog.DerivedPreds() {
-		db.Put(pred, relation.New(arityOf(prog, pred)))
-	}
-	byStratum := st.RulesByStratum(prog)
-	for s := 1; s <= st.MaxStratum; s++ {
-		rules := byStratum[s]
-		for {
-			changed := false
-			for _, ri := range rules {
-				rule := prog.Rules[ri]
-				srcs := make([]Source, len(rule.Body))
-				for li, lit := range rule.Body {
-					switch lit.Kind {
-					case datalog.LitPositive, datalog.LitNegated:
-						srcs[li] = Source{Rel: relation.SetImage(db.rel(lit.Atom.Pred))}
-					case datalog.LitAggregate:
-						gt, err := BuildGroupTable(lit.Agg, relation.SetImage(db.rel(lit.Agg.Inner.Pred)))
-						if err != nil {
-							return err
-						}
-						srcs[li] = Source{Rel: gt.Rel()}
-					}
-				}
-				tmp := relation.New(len(rule.Head.Args))
-				if err := EvalRule(rule, srcs, -1, tmp, nil); err != nil {
-					return err
-				}
-				full := db.rel(rule.Head.Pred)
-				tmp.Each(func(row relation.Row) {
-					if row.Count > 0 && !full.Has(row.Tuple) {
-						full.AddRow(row.WithCount(1))
-						changed = true
-					}
-				})
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-	return nil
 }

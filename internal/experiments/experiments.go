@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ivm/internal/baseline/pf"
-	"ivm/internal/baseline/recompute"
 	"ivm/internal/core/counting"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
@@ -196,13 +195,14 @@ func DRedEngine(progSrc string, db *eval.DB) *dred.Engine {
 	return e
 }
 
-// RecomputeEngine materializes prog over db.
-func RecomputeEngine(progSrc string, db *eval.DB, sem eval.Semantics) *recompute.Engine {
-	e, err := recompute.New(MustRules(progSrc), db, sem)
+// RecomputeEngine materializes prog over db, to be re-evaluated from
+// scratch on every Apply.
+func RecomputeEngine(progSrc string, db *eval.DB, sem eval.Semantics) *dred.Engine {
+	e, err := dred.NewWithConfig(MustRules(progSrc), db,
+		dred.Config{Algorithm: dred.Recompute, Semantics: sem, Metrics: metricsReg})
 	if err != nil {
 		panic(err)
 	}
-	e.Metrics = metricsReg
 	return e
 }
 

@@ -131,7 +131,7 @@ func RunE3(s Scale) *Table {
 			}
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				st := e.Stats().(dred.Stats)
+				st := e.Stats()
 				fired, tuples, stopped = st.DeltaRulesEvaluated, st.DeltaTuples, st.CascadeStopped
 				return err
 			}
@@ -320,7 +320,7 @@ func RunE8(s Scale) *Table {
 			if err != nil {
 				panic(err)
 			}
-			dredRuns = append(dredRuns, e8Sample{el, e.Stats().(dred.Stats).Overestimated})
+			dredRuns = append(dredRuns, e8Sample{el, e.Stats().Overestimated})
 
 			r := RecomputeEngine(TCProgram, LinkDB(link.Clone()), eval.Set)
 			el, err = timeIt(func() error { _, err := r.Apply(DeltaOf(d)); return err })
@@ -402,7 +402,7 @@ func RunE9(s Scale) *Table {
 			warmDRed(e, d)
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				st := e.Stats().(dred.Stats)
+				st := e.Stats()
 				firings, reder = st.RuleFirings, st.Rederived
 				return err
 			}
@@ -528,7 +528,7 @@ func RunE12(s Scale) *Table {
 			warmDRed(e, d) // apply + undo: warms the lazy indexes
 			return func() error {
 				_, err := e.Apply(DeltaOf(d))
-				over = e.Stats().(dred.Stats).Overestimated
+				over = e.Stats().Overestimated
 				return err
 			}
 		})

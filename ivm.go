@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ivm/internal/baseline/recompute"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
@@ -301,37 +300,10 @@ type Views struct {
 	// deposed at.
 	fence atomic.Uint64
 
-	// eng is the maintenance engine (touched only under wmu): the one
-	// engine (*dred.Engine), which also maintains rule edits, or a
-	// baseline.
-	eng engine
+	// eng is the maintenance engine (touched only under wmu), whatever
+	// the strategy: Recompute is one of its algorithms (DESIGN.md §17).
+	eng *dred.Engine
 }
-
-// engine is the contract of a maintenance strategy (DESIGN.md §17): a
-// state — the program and the stored relations it maintains — one change
-// type, the signed per-predicate Δ of the paper's §3, and ⊎. Stored is a
-// predicate's stored relation, which publication freezes and shares (the
-// engine writes on in its net, or a copy). Apply derives
-// the Δ of every view from a Δ of the base relations, merges both into the
-// state and returns the visible change of each derived relation that moved
-// (the map is the caller's); CommittedDeltas is the exact Δ the last
-// operation merged, base relations and count-only moves included; Fold
-// merges a commit record's Δ with no rule evaluated. Stats is the engine's
-// own work-counter struct for its last operation (nil if it keeps none).
-type engine interface {
-	Program() *datalog.Program
-	Stored(pred string) *relation.Stored
-	Preds() []string
-	Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error)
-	CommittedDeltas() map[string]*relation.Relation
-	Fold(deltas map[string]*relation.Relation)
-	Stats() any
-}
-
-var (
-	_ engine = (*dred.Engine)(nil)
-	_ engine = (*recompute.Engine)(nil)
-)
 
 // Materialize parses the program (rules; facts are loaded into the
 // database first), validates and stratifies it, materializes every view
@@ -358,15 +330,8 @@ func (d *Database) MaterializeProgram(prog *datalog.Program, programSrc string, 
 }
 
 // materialize evaluates prog over base (which the engine copies) with the
-// engine c names, reporting to reg.
-func (c config) materialize(prog *datalog.Program, base *eval.DB, reg *metrics.Registry) (engine, error) {
-	if c.strategy == Recompute {
-		eng, err := recompute.New(prog, base, c.semantics)
-		if err == nil {
-			eng.Metrics, eng.Tracer = reg, c.tracer
-		}
-		return eng, err
-	}
+// algorithm c names, reporting to reg.
+func (c config) materialize(prog *datalog.Program, base *eval.DB, reg *metrics.Registry) (*dred.Engine, error) {
 	dcfg, err := c.engineConfig(reg)
 	if err != nil {
 		return nil, err
@@ -374,10 +339,10 @@ func (c config) materialize(prog *datalog.Program, base *eval.DB, reg *metrics.R
 	return dred.NewWithConfig(prog, base, dcfg)
 }
 
-// engineConfig is the maintenance engine's configuration for c's strategy
-// (any but the Recompute baseline), reporting to reg.
+// engineConfig is the maintenance engine's configuration for c's strategy,
+// reporting to reg.
 func (c config) engineConfig(reg *metrics.Registry) (dred.Config, error) {
-	alg, ok := map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed}[c.strategy]
+	alg, ok := map[Strategy]dred.Algorithm{Auto: dred.PerStratum, Counting: dred.Counting, DRed: dred.DRed, Recompute: dred.Recompute}[c.strategy]
 	switch {
 	case !ok:
 		return dred.Config{}, fmt.Errorf("ivm: unknown strategy %v", c.strategy)
@@ -390,10 +355,10 @@ func (c config) engineConfig(reg *metrics.Registry) (dred.Config, error) {
 // newViews wraps a ready engine, which reports to reg, as Views hiding the
 // hidden predicates and publishes its storage as version id: each stored
 // relation is frozen and shared, not copied.
-func newViews(cfg config, reg *metrics.Registry, eng engine, programSrc string, hidden []string, id uint64) *Views {
+func newViews(cfg config, reg *metrics.Registry, eng *dred.Engine, programSrc string, hidden []string, id uint64) *Views {
 	v := &Views{cfg: cfg, programSrc: programSrc, reg: reg, eng: eng}
 	v.setHidden(hidden)
-	v.strategy = cfg.regime(eng)
+	v.strategy = regime(eng)
 	v.comb = sched.New(v.processBatch)
 	v.idem = newIdemWindow(cfg.idemWindow)
 	v.mBatches = reg.Counter("sched_batches_total")
@@ -424,12 +389,9 @@ func newViews(cfg config, reg *metrics.Registry, eng engine, programSrc string, 
 func (v *Views) Strategy() Strategy { return v.cur.Load().strategy }
 
 // regime is what maintains eng's program, as Strategy and a commit
-// record's stamp name it: the algorithms its strata run, or a baseline.
-func (c config) regime(eng engine) Strategy {
-	if eng, ok := eng.(*dred.Engine); ok {
-		return [...]Strategy{dred.DRed: DRed, dred.Counting: Counting, dred.PerStratum: Auto}[eng.Regime()]
-	}
-	return c.strategy
+// record's stamp name it: the algorithms its strata run, or Recompute.
+func regime(eng *dred.Engine) Strategy {
+	return [...]Strategy{dred.DRed: DRed, dred.Counting: Counting, dred.PerStratum: Auto, dred.Recompute: Recompute}[eng.Regime()]
 }
 
 // Semantics returns the view semantics.
@@ -888,14 +850,14 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 	var program *string
 	if edit := reqs[0].edit; edit == nil {
 		per, g.err = v.eng.Apply(u.deltas())
-	} else if per, g.err = edit(v.eng.(*dred.Engine)); g.err == nil {
+	} else if per, g.err = edit(v.eng); g.err == nil {
 		// Regenerated from the edited rules, the text the record, Save and
 		// checkpoints carry is the views as they now are (fact clauses
 		// dropped lose nothing: base facts live in the database). The
 		// record is stamped with what maintains them now.
 		v.programSrc = v.eng.Program().String()
 		program = &v.programSrc
-		v.strategy = v.cfg.regime(v.eng)
+		v.strategy = regime(v.eng)
 		v.refreshEmptiesLocked(next)
 	}
 	if g.err != nil {
@@ -1104,8 +1066,7 @@ func (v *Views) hiddenLocked() []string {
 // concurrent Apply.
 func (v *Views) CountingStats() (dred.Stats, bool) {
 	cur := v.cur.Load()
-	st, ok := cur.stats.(dred.Stats)
-	return st, ok && cur.strategy != DRed
+	return cur.stats, cur.strategy == Counting || cur.strategy == Auto
 }
 
 // DRedStats returns the engine statistics of the maintenance pass that
@@ -1113,8 +1074,7 @@ func (v *Views) CountingStats() (dred.Stats, bool) {
 // its program (their DRed counters). Lock-free.
 func (v *Views) DRedStats() (dred.Stats, bool) {
 	cur := v.cur.Load()
-	st, ok := cur.stats.(dred.Stats)
-	return st, ok && cur.strategy != Counting
+	return cur.stats, cur.strategy == DRed || cur.strategy == Auto
 }
 
 // Metrics returns an immutable snapshot of every metric the views'

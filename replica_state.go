@@ -47,17 +47,17 @@ func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
 
 // viewsFromState is the one restore of a state record, published once at
 // its version. Under the configuration its stamp names, its relations are
-// the engine's storage and no rule is evaluated; under another, or the
-// Recompute baseline, its base relations are materialized.
+// the engine's storage and no rule is evaluated; under another, its base
+// relations are materialized.
 func viewsFromState(st storage.State, opts []Option) (*Views, error) {
 	res, err := parser.Parse(st.Program)
 	if err != nil {
 		return nil, err
 	}
 	cfg, reg := newConfig(opts), metrics.NewRegistry()
-	var eng engine
+	var eng *dred.Engine
 	if dcfg, err := cfg.engineConfig(reg); err == nil {
-		if e, err := dred.Load(res.Program, st.DB, dcfg); err == nil && cfg.stamp(cfg.regime(e)) == st.Engine {
+		if e, err := dred.Load(res.Program, st.DB, dcfg); err == nil && cfg.stamp(regime(e)) == st.Engine {
 			eng = e
 		}
 	}

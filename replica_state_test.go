@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"ivm/internal/relation"
 )
 
 // Versions must survive a checkpoint + restart: the durable commit
@@ -405,4 +407,47 @@ func TestRestoresEvaluateNothing(t *testing.T) {
 	}
 	assertViewsIdentical(t, follower.Snapshot(), loaded.Snapshot())
 	assertViewsIdentical(t, follower.Snapshot(), reopened.Snapshot())
+}
+
+// TestRecomputeRestoreEvaluatesNothing: Recompute is an algorithm of the
+// one engine, so a state it stamped loads as that engine's storage too. An
+// evaluation would probe and build join indexes (the process-wide count;
+// no parallel test runs beside this one).
+func TestRecomputeRestoreEvaluatesNothing(t *testing.T) {
+	d := NewDatabase()
+	d.MustLoad(`link(a,b). link(b,c). link(c,a). link(c,d).`)
+	v, err := d.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).
+		reach(X,Y) :- link(X,Y).
+		reach(X,Y) :- reach(X,Z), link(Z,Y).
+		deg(X,C) :- groupby(hop(X,Y), [X], C = count(Y)).`, WithStrategy(Recompute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.ApplyScript(`-link(c,d). +link(d,a).`); err != nil {
+		t.Fatal(err)
+	}
+	want := v.Snapshot()
+	saved := filepath.Join(t.TempDir(), "views.snap")
+	if err := v.Save(saved); err != nil {
+		t.Fatal(err)
+	}
+	built := relation.IndexesBuilt()
+	follower, err := ViewsFromReplicaState(want.ReplicaState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadViews(saved, WithStrategy(Recompute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := relation.IndexesBuilt() - built; n != 0 {
+		t.Errorf("the restores built %d indexes", n)
+	}
+	loaded.SeedVersion(want.Version()) // Save keeps no version
+	for name, r := range map[string]*Views{"follower": follower, "LoadViews": loaded} {
+		if n := r.Metrics().Counter("eval_join_probes_total"); n != 0 || r.Strategy() != Recompute {
+			t.Errorf("%s: eval_join_probes_total = %d after the restore, strategy %v", name, n, r.Strategy())
+		}
+		assertViewsIdentical(t, want, r.Snapshot())
+	}
 }

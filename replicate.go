@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"ivm/internal/core/dred"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
 )
@@ -46,8 +45,7 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 // evaluated: one keyed lookup and one merge per delta row. It also derives
 // the commit's visible change set, which the record does not carry: per
 // derived, non-hidden predicate the delta itself, or under set semantics
-// (where only the recompute baseline reports count moves) the rows whose
-// presence flips. A rule edit's record installs the program it carries,
+// the rows whose presence flips. A rule edit's record installs the program it carries,
 // under which its change set is read — a predicate the edit stops deriving
 // is reported as the primary reported it — and then folds its Δ. Its
 // stamp is checked against what maintains the program it installs.
@@ -66,15 +64,11 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 		// maintains the edited program and the deltas are vetted against
 		// the arities it gives emptied relations; undone if refused.
 		res, err := parser.Parse(src)
-		eng, ok := v.eng.(*dred.Engine)
-		if err == nil && !ok {
-			err = fmt.Errorf("the %v baseline takes no rule edits", v.cfg.strategy)
+		if err == nil {
+			undo, err = v.eng.Install(res.Program)
 		}
 		if err == nil {
-			undo, err = eng.Install(res.Program)
-		}
-		if err == nil {
-			prog, strategy = res.Program, v.cfg.regime(v.eng)
+			prog, strategy = res.Program, regime(v.eng)
 		} else if rec.Engine() == v.cfg.stamp(strategy) {
 			return nil, nil, fmt.Errorf("ivm: commit record %d: rule edit: %w", rec.Version, err)
 		} // else it was cut under another configuration, as the stamp says
@@ -83,7 +77,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.cfg.stamp(strategy))}
 	}
 	derived := prog.DerivedPreds()
-	flips := v.cfg.strategy != Recompute && v.cfg.semantics == SetSemantics
+	flips := v.cfg.semantics == SetSemantics
 	deltas := make(map[string]*relation.Relation)
 	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
 	rows := 0

@@ -11,8 +11,8 @@ import (
 // AddRule extends the view definition (Section 7's rule insertion
 // maintenance) on the strata of any program; an edit making a stratum
 // recursive under duplicate semantics, or reading a relation that holds
-// rows of another arity, is refused. The Recompute baseline takes no rule
-// edits. A rule edit is a commit like an Apply: it publishes a version
+// rows of another arity, is refused. Recompute evaluates the edited
+// program afresh. A rule edit is a commit like an Apply: it publishes a version
 // before returning, and its commit record carries the edited program and
 // the edit's Δ, which the WAL logs and followers fold.
 // As with Apply, an edit maintained but not made durable is published and
@@ -26,7 +26,7 @@ func (v *Views) AddRule(ruleSrc string) (*ChangeSet, error) {
 	if len(prog.Rules) != 1 {
 		return nil, fmt.Errorf("ivm: AddRule expects exactly one rule, got %d", len(prog.Rules))
 	}
-	return v.editRules("AddRule", func(eng *dred.Engine) (map[string]*relation.Relation, error) {
+	return v.editRules(func(eng *dred.Engine) (map[string]*relation.Relation, error) {
 		return eng.AddRule(prog.Rules[0])
 	})
 }
@@ -34,7 +34,7 @@ func (v *Views) AddRule(ruleSrc string) (*ChangeSet, error) {
 // RemoveRule removes rule index ri (as listed by Program) from the view
 // definition (see AddRule).
 func (v *Views) RemoveRule(ri int) (*ChangeSet, error) {
-	return v.editRules("RemoveRule", func(eng *dred.Engine) (map[string]*relation.Relation, error) {
+	return v.editRules(func(eng *dred.Engine) (map[string]*relation.Relation, error) {
 		return eng.RemoveRule(ri)
 	})
 }
@@ -42,10 +42,7 @@ func (v *Views) RemoveRule(ri int) (*ChangeSet, error) {
 // editRules submits a rule edit to the commit pipeline (processBatch): a
 // request never merged with another, maintained by the engine, and
 // otherwise admitted, logged, published and notified as any.
-func (v *Views) editRules(op string, edit func(*dred.Engine) (map[string]*relation.Relation, error)) (*ChangeSet, error) {
-	if _, ok := v.eng.(*dred.Engine); !ok {
-		return nil, fmt.Errorf("ivm: %s: the %v baseline takes no rule edits", op, v.cfg.strategy)
-	}
+func (v *Views) editRules(edit func(*dred.Engine) (map[string]*relation.Relation, error)) (*ChangeSet, error) {
 	cs, _, err := v.submit(&applyReq{edit: edit})
 	return cs, err
 }

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Puts back, one at a time, the one-line bugs the oracle must catch
+# (EXPERIMENTS.md E34, E40) and requires `go test -run '^TestOracle$' .`
+# to FAIL on each. Every mutation runs in its own copy of the tree, made
+# in a temporary directory, so the checkout is never touched. A pattern
+# must occur exactly once in its file: a stale one fails the script
+# loudly instead of testing nothing. Copies tracked and untracked,
+# not-ignored files (`git add` is not needed first).
+#
+#   bash scripts/oracle_mutations.sh      (make oracle-mutations)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# name | file | pattern | replacement
+mutations=(
+	"GroupTable.Rollback keeps the aborted state|internal/eval/group.go|ue.e.state, ue.e.cur = ue.state, ue.cur|_ = ue.state"
+	"publishLocked skips a group whose log stage failed|ivm.go|		if g.cs == nil {|		if g.cs == nil || g.err != nil {"
+	"the engine's edit does not undo a refused edit|internal/core/dred/dred.go|		undo()|		_ = undo"
+	"colCheck matches floats by numeric ==|internal/eval/slots.go|			if t[i] != slots[op.slot] {|			if t[i] != slots[op.slot] && !(t[i].IsNumeric() && slots[op.slot].IsNumeric() && t[i].Float() == slots[op.slot].Float()) {"
+	"extremum.Add counts a numeric tie as a copy of best|internal/agg/agg.go|	} else if v == e.best {|	} else if v.IsNumeric() && e.best.IsNumeric() && v.Float() == e.best.Float() {"
+	"MIN/MAX count a CompareNumeric tie as a copy of best (PR 30)|internal/agg/agg.go|	} else if v == e.best {|	} else if v.CompareNumeric(e.best) == 0 {"
+	"a SUM stays a Float once it held one (PR 31)|internal/agg/agg.go|	if s.floats += mult; s.floats == 0 {|	if s.floats += max(mult, 0); s.floats == 0 {"
+	"SUM's Result is one too many|internal/agg/agg.go|	return value.NewInt(s.i), true|	return value.NewInt(s.i + 1), true"
+	"CmpLt evaluates as <=|internal/datalog/ast.go|		return c < 0|		return c <= 0"
+)
+
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+failed=0
+for m in "${mutations[@]}"; do
+	IFS='|' read -r name file pattern replacement <<<"$m"
+	dir="$work/tree"
+	rm -rf "$dir"
+	mkdir -p "$dir"
+	git ls-files -z --cached --others --exclude-standard | while IFS= read -r -d '' f; do
+		[ -e "$f" ] && printf '%s\0' "$f"
+	done | xargs -0 cp --parents -t "$dir"
+	n="$(awk -v p="$pattern" '{ s = $0; while ((i = index(s, p)) > 0) { n++; s = substr(s, i + length(p)) } } END { print n + 0 }' "$dir/$file")"
+	if [ "$n" != 1 ]; then
+		echo "STALE  $name: the pattern occurs $n times in $file" >&2
+		failed=1
+		continue
+	fi
+	awk -v p="$pattern" -v r="$replacement" '{ if ((i = index($0, p)) > 0) $0 = substr($0, 1, i - 1) r substr($0, i + length(p)); print }' \
+		"$dir/$file" >"$dir/$file.mutated"
+	mv "$dir/$file.mutated" "$dir/$file"
+	if out="$(cd "$dir" && go test -count=1 -run '^TestOracle$' . 2>&1)"; then
+		echo "MISSED $name: TestOracle passes" >&2
+		failed=1
+		continue
+	fi
+	first="$(printf '%s\n' "$out" | grep -m1 -E 'seed [0-9]+ leg' | sed 's/^[[:space:]]*//' | cut -c1-240 || true)"
+	echo "caught $name: ${first:-$(printf '%s\n' "$out" | grep -m1 FAIL)}"
+done
+exit "$failed"

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/parser"
@@ -29,9 +30,9 @@ type version struct {
 	// snapshot-age gauge.
 	published int64
 	// stats is the engine's statistics of the maintenance pass that
-	// produced this version (its own Stats struct; nil if it keeps none),
-	// so the *Stats accessors are race-free against Apply.
-	stats any
+	// produced this version, so the *Stats accessors are race-free
+	// against Apply.
+	stats dred.Stats
 }
 
 // reader returns the pinned read view of pred, or nil if the predicate
