@@ -235,7 +235,7 @@ func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
 
 // NewWithConfig validates and stratifies prog, materializes its views over
 // the base relations in base (which is cloned; the engine owns its
-// storage), and returns a ready engine: Load, then one evaluation.
+// storage), and returns a ready engine: Load, then maintenance from ∅.
 func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, error) {
 	db := eval.NewDB()
 	for _, pred := range base.Preds() {
@@ -249,14 +249,9 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	db = eval.NewDB() // the relations Install left, private yet: no copy
-	for pred, s := range e.db {
-		db.Put(pred, s.Relation())
-	}
-	if e.gts, err = e.evaluate(db); err != nil {
+	if err := e.materialize(); err != nil {
 		return nil, err
 	}
-	e.db = storeOf(db)
 	return e, nil
 }
 
@@ -312,30 +307,6 @@ func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
-}
-
-// evaluate materializes the installed program's views into db over its
-// base relations, as the strata's algorithms store them, and returns the
-// group tables it built.
-func (e *Engine) evaluate(db *eval.DB) (map[eval.RuleLit]*eval.GroupTable, error) {
-	ev := eval.NewEvaluator(e.prog, e.strat, e.sem)
-	ev.Instr = e.instr
-	ev.Planner = e.planner
-	if err := ev.Evaluate(db); err != nil {
-		return nil, err
-	}
-	// Evaluation leaves a derived relation at the size its last doubling
-	// reached; each is remade once at its exact size, the layout a loaded
-	// state has (Load). The evaluator counts the derivations of
-	// nonrecursive strata: DRed keeps their set images.
-	for pred := range e.prog.DerivedPreds() {
-		if r := db.Get(pred); e.alg == DRed {
-			db.Put(pred, r.ToSet())
-		} else {
-			r.Trim()
-		}
-	}
-	return ev.GroupTables, nil
 }
 
 // Semantics returns the external view semantics.
@@ -404,9 +375,10 @@ func (e *Engine) name() string {
 
 // old returns pred's committed state as a rule body reads it: under set
 // semantics the set image of a counting stratum's relation (Section 5.1's
-// per-stratum counts), every other relation — a set then — as stored.
+// per-stratum counts), every other relation — a set then — as stored, and
+// one the engine lacks as empty, without storing it.
 func (e *Engine) old(pred string) relation.Reader {
-	r := e.db.Ensure(pred, -1)
+	r := e.db.reader(pred)
 	if e.sem == eval.Set && e.counted[pred] {
 		return relation.SetImage(r)
 	}
@@ -715,38 +687,40 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 }
 
 // reevaluate evaluates the installed program afresh over the stored base
-// relations, each ⊎ its Δ in o.commit, and commits o with the exact
-// difference against the stored state of every predicate prev or the
-// program derives; under Recompute the relations it evaluated are stored
-// as they are. A refused evaluation has changed nothing.
+// relations, each ⊎ its Δ in o.commit — materialize, on a copy of the
+// engine that shares the rest — and commits o with the exact difference
+// against the stored state of every predicate prev or the program derives;
+// under Recompute the relations it evaluated are stored as they are. A
+// refused evaluation has changed nothing.
 func (e *Engine) reevaluate(o *op, prev *datalog.Program) (map[string]*relation.Relation, error) {
 	derived, wasDerived := e.prog.DerivedPreds(), prev.DerivedPreds()
-	fresh := eval.NewDB()
-	for _, pred := range e.Preds() {
+	fresh := *e
+	fresh.db, fresh.gts = make(store), make(map[eval.RuleLit]*eval.GroupTable)
+	for pred, s := range e.db {
 		if !derived[pred] && !wasDerived[pred] {
-			fresh.Put(pred, e.db[pred].Relation())
+			fresh.db[pred] = s
 		}
 	}
 	for pred, d := range o.commit { // a base Δ, its relation ensured by Apply
 		r := e.db[pred].Relation().Clone()
 		r.MergeDelta(d)
-		fresh.Put(pred, r)
+		fresh.db[pred] = relation.Store(r)
 	}
-	if _, err := e.evaluate(fresh); err != nil {
+	if err := fresh.materialize(); err != nil {
 		return nil, err
 	}
 	if e.alg == Recompute {
-		o.fresh = fresh
+		o.fresh = fresh.db
 	}
 	maps.Copy(wasDerived, derived)
 	for pred := range wasDerived {
-		now := fresh.Get(pred)
+		now := fresh.db[pred]
 		if now == nil {
-			now = relation.New(e.db.Ensure(pred, -1).Arity())
-			fresh.Put(pred, now)
+			now = relation.Store(relation.New(e.db.Ensure(pred, -1).Arity()))
+			fresh.db[pred] = now
 		}
 		stored := e.db.Ensure(pred, now.Arity())
-		d := relation.Diff(stored, now)
+		d := relation.Diff(stored, now.Relation()) // never published: the table itself
 		o.commit[pred] = d
 		if e.sem == eval.Set {
 			d = setTransitions(stored, d)
@@ -796,7 +770,7 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 	e.lastDeltas = make(map[string]*relation.Relation, len(o.commit))
 	for pred, d := range o.commit {
 		if o.fresh != nil && !d.Empty() {
-			e.db[pred] = relation.Store(o.fresh.Get(pred))
+			e.db[pred] = o.fresh[pred]
 		} else {
 			e.db.Ensure(pred, d.Arity()).MergeDelta(d)
 		}

@@ -2,13 +2,13 @@ package dred
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
-	"ivm/internal/strata"
 	"ivm/internal/value"
 	"ivm/internal/workload"
 )
@@ -578,8 +578,8 @@ func TestAddRuleRejectsBasePredicateWithFacts(t *testing.T) {
 // TestMixedProgramCountsItsNonrecursiveStrata maintains tc under a join
 // and a GROUPBY with the algorithm chosen per stratum: after a deletion
 // only tc's stratum overestimates and rederives — exactly as tc alone
-// does — and the strata above it store the derivation counts a
-// from-scratch evaluation computes, not sets.
+// does — and the strata above it store the derivation counts a fresh
+// materialization of the new base stores, not sets.
 func TestMixedProgramCountsItsNonrecursiveStrata(t *testing.T) {
 	const above = `
 		pair(X,Y) :- tc(X,Z), tc(Z,Y).
@@ -605,22 +605,37 @@ func TestMixedProgramCountsItsNonrecursiveStrata(t *testing.T) {
 	if st.Overestimated != want.Overestimated || st.Rederived != want.Rederived || st.DeltaRulesEvaluated == 0 {
 		t.Fatalf("stats %+v: the strata above tc overestimate or rederive (tc alone: %+v), or run no delta rule", st, want)
 	}
-	ref := load(t, facts)
-	ref.Get("link").Add(value.T("a", "b"), -1)
-	st2, err := strata.Compute(prog)
+	after := load(t, facts)
+	after.Get("link").Add(value.T("a", "b"), -1)
+	ref, err := NewWithConfig(prog, after, Config{Algorithm: PerStratum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eval.NewEvaluator(prog, st2, eval.Set).Evaluate(ref); err != nil {
-		t.Fatal(err)
-	}
 	for _, pred := range []string{"tc", "pair", "deg"} {
-		if got, want := e.Relation(pred).String(), ref.Get(pred).String(); got != want {
-			t.Errorf("%s stores %s, evaluation %s", pred, got, want)
+		if got, want := e.Relation(pred).String(), ref.Relation(pred).String(); got != want {
+			t.Errorf("%s stores %s, a fresh materialization %s", pred, got, want)
 		}
 	}
 	if e.Relation("pair").TotalCount() == int64(e.Relation("pair").Len()) {
 		t.Errorf("pair holds no tuple with two derivations: %s", e.Relation("pair"))
+	}
+}
+
+// A rule that reads a predicate the engine lacks reads it as empty and
+// stores nothing for it: a relation made then, of unknown arity, would be
+// published with its net missing from the version.
+func TestReadOfAnAbsentRelationStoresNothing(t *testing.T) {
+	for _, alg := range []Algorithm{PerStratum, DRed, Counting, Recompute} {
+		e, err := NewWithConfig(rules(t, `p(X) :- a(X), b(X).`), load(t, `a(x).`), Config{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Apply(delta(t, `+a(y).`)); err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(e.Preds(), "b") {
+			t.Fatalf("algorithm %d stores b after an apply: %v", alg, e.Preds())
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dred
 
 import (
+	"slices"
 	"time"
 
 	"ivm/internal/datalog"
@@ -30,7 +31,7 @@ type op struct {
 	// fresh, under Recompute, is the state the operation evaluated, every
 	// predicate it commits included: commit stores a relation whose Δ is
 	// not empty as it is, not merged.
-	fresh *eval.DB
+	fresh store
 
 	// The working set, which goes with the operation (DESIGN.md §4):
 	// newRs caches stored ⊎ net per predicate, lost and gained a lower
@@ -216,10 +217,25 @@ func (e *Engine) sources(n int) []eval.Source {
 	return e.srcs[:n]
 }
 
-// evalStep evaluates one δ-rule — rule ri with literal deltaLit bound to
-// img and every other literal at the old (step 1) or new (steps 2/3)
-// version — returning the derived tuples in the scratch output.
-func (e *Engine) evalStep(o *op, ri, deltaLit int, img relation.Reader, useNew bool) (*relation.Relation, error) {
+// evalStep evaluates one δ-rule (evalInto) into the scratch output and
+// returns it.
+func (e *Engine) evalStep(o *op, ri, deltaLit int, img relation.Reader, kind eval.PlanKind) (*relation.Relation, error) {
+	head := e.prog.Rules[ri].Head
+	out := e.scratchOut(o, head)
+	if err := e.evalInto(o, ri, deltaLit, img, kind, out); err != nil {
+		return nil, err
+	}
+	e.last.RuleFirings++
+	if e.tracer != nil {
+		e.tracer.RuleEvaluated(head.Pred, out.Len())
+	}
+	return out, nil
+}
+
+// evalInto evaluates rule ri into out, with literal deltaLit (none if < 0)
+// bound to img and every other literal at the old state (a PlanDeltaOld
+// plan: step 1) or the new one.
+func (e *Engine) evalInto(o *op, ri, deltaLit int, img relation.Reader, kind eval.PlanKind, out *relation.Relation) error {
 	rule := e.prog.Rules[ri]
 	srcs := e.sources(len(rule.Body))
 	defer clear(srcs)
@@ -228,29 +244,17 @@ func (e *Engine) evalStep(o *op, ri, deltaLit int, img relation.Reader, useNew b
 			srcs[j] = eval.Source{Rel: img, JoinDelta: lit.Kind == datalog.LitNegated}
 			continue
 		}
-		s, err := e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, useNew)
+		s, err := e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, kind != eval.PlanDeltaOld)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		srcs[j] = s
 	}
-	kind := eval.PlanDeltaOld
-	if useNew {
-		kind = eval.PlanDeltaNew
-	}
 	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: kind, Delta: deltaLit}, rule, srcs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := e.scratchOut(o, rule.Head)
-	if err := eval.EvalPlan(rule, srcs, plan, out, e.instr); err != nil {
-		return nil, err
-	}
-	e.last.RuleFirings++
-	if e.tracer != nil {
-		e.tracer.RuleEvaluated(rule.Head.Pred, out.Len())
-	}
-	return out, nil
+	return eval.EvalPlan(rule, srcs, plan, out, e.instr)
 }
 
 // rederive runs DRed's three steps on stratum s. Its net — the −1 rows of
@@ -398,10 +402,13 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 
 // sweep runs step 1 (del: deletions, over the old state) or step 3
 // (insertions, over the new state) of a DRed stratum: every δ-rule a lower
-// stratum's change drives, then the edit's seed, then semi-naive rounds in
-// which each in-stratum literal takes the previous round's rows; fold
-// admits what each evaluation derives into the next round.
+// stratum's change drives, then the edit's seed, then the semi-naive
+// rounds; fold admits what each evaluation derives into the next round.
 func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, fold func(string, *relation.Relation)) error {
+	kind := eval.PlanDeltaNew
+	if del {
+		kind = eval.PlanDeltaOld
+	}
 	for _, ri := range rules {
 		rule := e.prog.Rules[ri]
 		for li, lit := range rule.Body {
@@ -412,7 +419,7 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 			if img == nil || img.Empty() {
 				continue
 			}
-			out, err := e.evalStep(o, ri, li, img, !del)
+			out, err := e.evalStep(o, ri, li, img, kind)
 			if err != nil {
 				return err
 			}
@@ -424,6 +431,14 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 			fold(pred, signPart(seed, del))
 		}
 	}
+	return e.rounds(o, rules, inStratum, kind, fold)
+}
+
+// rounds runs semi-naive rounds from the frontier o's folds have filled:
+// in each, every in-stratum literal takes the previous round's rows, the
+// other literals the state kind plans for, until a round lets no row
+// through.
+func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, kind eval.PlanKind, fold func(string, *relation.Relation)) error {
 	for {
 		e.last.FixpointRounds++
 		cur := o.next()
@@ -437,7 +452,7 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 				if len(d) == 0 {
 					continue
 				}
-				out, err := e.evalStep(o, ri, li, d, !del)
+				out, err := e.evalStep(o, ri, li, d, kind)
 				if err != nil {
 					return err
 				}
@@ -448,6 +463,86 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 			return nil
 		}
 	}
+}
+
+// materialize evaluates the installed program from ∅ into the stored
+// relations, which hold its base: maintenance with every old state empty
+// and Δ the whole base, where Δ is the new state (Theorem 4.1) and is
+// written where it is stored. Each derived relation starts empty. A rule
+// that does not read its own stratum is its full join, once, into its
+// head — counts summed on a counting stratum, collapsed to 1 on a DRed one;
+// a stratum that reads itself then runs step 3's semi-naive rounds from
+// what those joins derived. It makes no Δ, version or trace event, and
+// counts no work in Stats: it runs on a copy of the engine, without its
+// tracer, that shares its stored relations, group tables and planner.
+func (e *Engine) materialize() error {
+	m := *e
+	m.tracer = nil
+	o := m.newOp()
+	fold := func(pred string, derived *relation.Relation) {
+		r := m.db[pred].Relation()
+		derived.Each(func(row relation.Row) {
+			if row.Count > 0 && !r.Has(row.Tuple) {
+				r.AddRow(row.WithCount(1))
+				o.fr[o.turn][pred] = append(o.fr[o.turn][pred], row.WithCount(1))
+			}
+		})
+	}
+	for s, rules := range m.strat.RulesByStratum(m.prog) {
+		inStratum := make(map[string]bool)
+		for _, ri := range rules {
+			head := m.prog.Rules[ri].Head
+			inStratum[head.Pred] = true
+			m.db[head.Pred] = relation.Store(relation.New(len(head.Args)))
+		}
+		reads := func(ri int) bool {
+			return slices.ContainsFunc(m.prog.Rules[ri].Body, func(lit datalog.Literal) bool {
+				return lit.Kind == datalog.LitPositive && inStratum[lit.Atom.Pred]
+			})
+		}
+		loops := slices.ContainsFunc(rules, reads)
+		for _, ri := range rules {
+			rule := m.prog.Rules[ri]
+			switch {
+			case reads(ri): // derives nothing until the rounds
+			case loops:
+				out, err := m.evalStep(o, ri, -1, nil, eval.PlanEval)
+				if err != nil {
+					return err
+				}
+				fold(rule.Head.Pred, out)
+			default:
+				out := m.db[rule.Head.Pred].Relation()
+				for j, lit := range rule.Body {
+					if lit.Kind == datalog.LitAggregate { // a head over T is often T's row
+						gt, err := m.groupTable(eval.RuleLit{Rule: ri, Lit: j}, lit.Agg)
+						if err != nil {
+							return err
+						}
+						out.BorrowFrom(nil, gt.Rel())
+					}
+				}
+				err := m.evalInto(o, ri, -1, nil, eval.PlanEval, out)
+				out.BorrowFrom(nil, nil)
+				if err != nil {
+					return err
+				}
+			}
+		}
+		if loops {
+			if err := m.rounds(o, rules, inStratum, eval.PlanEval, fold); err != nil {
+				return err
+			}
+		}
+		for pred := range inStratum {
+			if r := m.db[pred].Relation(); m.kinds[s] == rederived && !loops {
+				m.db[pred] = relation.Store(r.ToSet())
+			} else {
+				r.Trim() // at the layout a loaded state has (Load)
+			}
+		}
+	}
+	return nil
 }
 
 // image returns the image of a literal that drives a δ-rule: for step 1

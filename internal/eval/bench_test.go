@@ -57,24 +57,6 @@ func BenchmarkEvalRuleDeltaJoin(b *testing.B) {
 	}
 }
 
-func BenchmarkSemiNaiveTC(b *testing.B) {
-	b.ReportAllocs()
-	prog, st := parseProgram(b, `
-		tc(X,Y) :- link(X,Y).
-		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`)
-	link := workload.LayeredDAG(rand.New(rand.NewSource(2)), 10, 6, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		db := NewDB()
-		db.Put("link", link.Clone())
-		ev := NewEvaluator(prog, st, Set)
-		if err := ev.Evaluate(db); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkGroupTableBuild(b *testing.B) {
 	b.ReportAllocs()
 	prog, _ := parseProgram(b, `m(S,M) :- groupby(u(S,C), [S], M = min(C)).`)

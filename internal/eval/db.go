@@ -1,15 +1,14 @@
-// Package eval implements bottom-up evaluation of the extended Datalog
-// dialect: nested-loop joins with on-demand hash indexes, stratified
-// naive and semi-naive fixpoints, duplicate-counting semantics ([Mum91]),
-// negation-as-filter and GROUPBY aggregation. The counting and DRed
-// maintenance algorithms are built on the rule evaluator exported here.
+// Package eval evaluates one rule of the extended Datalog dialect at a
+// time: a cost-based planner orders its subgoals, and a walk joins them
+// with on-demand hash indexes under duplicate-counting semantics
+// ([Mum91]), negation as a filter and GROUPBY group tables. It has no
+// fixpoint driver: the maintenance engine (internal/core/dred) runs the
+// strata, and materializes views as maintenance from ∅.
 package eval
 
 import (
-	"fmt"
 	"sort"
 
-	"ivm/internal/datalog"
 	"ivm/internal/relation"
 )
 
@@ -60,9 +59,6 @@ func (db *DB) Ensure(pred string, arity int) *relation.Relation {
 // Put installs (replacing) the relation for pred.
 func (db *DB) Put(pred string, r *relation.Relation) { db.rels[pred] = r }
 
-// Delete removes pred's relation entirely.
-func (db *DB) Delete(pred string) { delete(db.rels, pred) }
-
 // Preds returns the predicate names present, sorted.
 func (db *DB) Preds() []string {
 	out := make([]string, 0, len(db.rels))
@@ -73,55 +69,11 @@ func (db *DB) Preds() []string {
 	return out
 }
 
-// Clone returns a database with cloned relations.
-func (db *DB) Clone() *DB {
-	c := NewDB()
-	for p, r := range db.rels {
-		c.rels[p] = r.Clone()
-	}
-	return c
-}
-
 // Reader is pred's relation as a rule body reads it (SourcesAt): an
 // empty one of unknown arity if db has none.
-func (db *DB) Reader(pred string) relation.Reader { return db.rel(pred) }
-
-// rel returns pred's relation or an empty placeholder of unknown arity
-// (reads of missing relations behave as empty).
-func (db *DB) rel(pred string) *relation.Relation {
+func (db *DB) Reader(pred string) relation.Reader {
 	if r := db.rels[pred]; r != nil {
 		return r
 	}
 	return relation.New(-1)
-}
-
-// String renders the database deterministically for debugging and tests.
-func (db *DB) String() string {
-	var out string
-	for _, p := range db.Preds() {
-		out += fmt.Sprintf("%s = %s\n", p, db.rels[p])
-	}
-	return out
-}
-
-// arityOf determines the arity a program uses pred with (-1 if unseen).
-func arityOf(p *datalog.Program, pred string) int {
-	for _, r := range p.Rules {
-		if r.Head.Pred == pred {
-			return len(r.Head.Args)
-		}
-		for _, l := range r.Body {
-			switch l.Kind {
-			case datalog.LitPositive, datalog.LitNegated:
-				if l.Atom.Pred == pred {
-					return len(l.Atom.Args)
-				}
-			case datalog.LitAggregate:
-				if l.Agg.Inner.Pred == pred {
-					return len(l.Agg.Inner.Args)
-				}
-			}
-		}
-	}
-	return -1
 }

@@ -171,122 +171,6 @@ func TestEvalRuleSourceCountMismatch(t *testing.T) {
 	}
 }
 
-func TestEvaluateNonrecursiveDuplicate(t *testing.T) {
-	prog, st := parseProgram(t, `
-		hop(X,Y)     :- link(X,Z), link(Z,Y).
-		tri_hop(X,Y) :- hop(X,Z), link(Z,Y).
-	`)
-	db := loadDB(t, `link(a,b). link(a,d). link(d,c). link(b,c). link(c,h). link(f,g).`)
-	ev := NewEvaluator(prog, st, Duplicate)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("hop"), map[string]int64{"a,c": 2, "d,h": 1, "b,h": 1})
-	wantCounts(t, db.Get("tri_hop"), map[string]int64{"a,h": 2})
-}
-
-func TestEvaluateSetSemanticsPerStratumCounts(t *testing.T) {
-	// Section 5.1: under set semantics, a stratum-2 predicate counts
-	// derivations treating stratum-1 tuples as count 1.
-	prog, st := parseProgram(t, `
-		hop(X,Y)     :- link(X,Z), link(Z,Y).
-		tri_hop(X,Y) :- hop(X,Z), link(Z,Y).
-	`)
-	db := loadDB(t, `link(a,b). link(a,d). link(d,c). link(b,c). link(c,h). link(f,g).`)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	// hop(a,c) still has 2 derivations within its stratum...
-	wantCounts(t, db.Get("hop"), map[string]int64{"a,c": 2, "d,h": 1, "b,h": 1})
-	// ...but tri_hop(a,h) counts hop(a,c) once.
-	wantCounts(t, db.Get("tri_hop"), map[string]int64{"a,h": 1})
-}
-
-func TestEvaluateRecursiveTransitiveClosure(t *testing.T) {
-	prog, st := parseProgram(t, `
-		tc(X,Y) :- link(X,Y).
-		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`)
-	db := loadDB(t, `link(a,b). link(b,c). link(c,d).`)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("tc"), map[string]int64{
-		"a,b": 1, "a,c": 1, "a,d": 1, "b,c": 1, "b,d": 1, "c,d": 1,
-	})
-}
-
-func TestEvaluateRecursiveCycle(t *testing.T) {
-	prog, st := parseProgram(t, `
-		tc(X,Y) :- link(X,Y).
-		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`)
-	db := loadDB(t, `link(a,b). link(b,a).`)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("tc"), map[string]int64{
-		"a,b": 1, "b,a": 1, "a,a": 1, "b,b": 1,
-	})
-}
-
-func TestEvaluateMutualRecursion(t *testing.T) {
-	prog, st := parseProgram(t, `
-		even(X) :- zero(X).
-		even(Y) :- odd(X), succ(X,Y).
-		odd(Y)  :- even(X), succ(X,Y).
-	`)
-	db := loadDB(t, `zero(0). succ(0,1). succ(1,2). succ(2,3). succ(3,4).`)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("even"), map[string]int64{"0": 1, "2": 1, "4": 1})
-	wantCounts(t, db.Get("odd"), map[string]int64{"1": 1, "3": 1})
-}
-
-func TestEvaluateRecursiveDuplicateRejected(t *testing.T) {
-	prog, st := parseProgram(t, `
-		tc(X,Y) :- link(X,Y).
-		tc(X,Y) :- tc(X,Z), link(Z,Y).
-	`)
-	db := loadDB(t, `link(a,b).`)
-	ev := NewEvaluator(prog, st, Duplicate)
-	if err := ev.Evaluate(db); err != ErrRecursiveDuplicates {
-		t.Fatalf("err = %v, want ErrRecursiveDuplicates", err)
-	}
-}
-
-func TestEvaluateNegationAboveRecursion(t *testing.T) {
-	prog, st := parseProgram(t, `
-		tc(X,Y)      :- link(X,Y).
-		tc(X,Y)      :- tc(X,Z), link(Z,Y).
-		unreach(X,Y) :- node(X), node(Y), !tc(X,Y).
-	`)
-	db := loadDB(t, `link(a,b). node(a). node(b).`)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("unreach"), map[string]int64{
-		"a,a": 1, "b,a": 1, "b,b": 1,
-	})
-}
-
-func TestTrackCountsOffCollapsesToSets(t *testing.T) {
-	prog, st := parseProgram(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	db := loadDB(t, `link(a,b). link(a,d). link(d,c). link(b,c).`)
-	ev := NewEvaluator(prog, st, Duplicate)
-	ev.TrackCounts = false
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("hop"), map[string]int64{"a,c": 1})
-}
-
 func TestGroupTableBuildAndDeltas(t *testing.T) {
 	prog, _ := parseProgram(t, `m(S,M) :- groupby(u(S,C), [S], M = min(C)).`)
 	g := prog.Rules[0].Body[0].Agg
@@ -366,23 +250,6 @@ func TestGroupTableDuplicateMultiplicities(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCounts(t, gt.Rel(), map[string]int64{"a,3": 1})
-}
-
-func TestEvaluateWithAggregate(t *testing.T) {
-	prog, st := parseProgram(t, `
-		m(S, M)   :- groupby(u(S, C), [S], M = sum(C)).
-		big(S)    :- m(S, M), M > 10.
-	`)
-	db := loadDB(t, `u(a, 5). u(a, 7). u(b, 2).`)
-	ev := NewEvaluator(prog, st, Set)
-	if err := ev.Evaluate(db); err != nil {
-		t.Fatal(err)
-	}
-	wantCounts(t, db.Get("m"), map[string]int64{"a,12": 1, "b,2": 1})
-	wantCounts(t, db.Get("big"), map[string]int64{"a": 1})
-	if len(ev.GroupTables) != 1 {
-		t.Fatalf("group tables: %d", len(ev.GroupTables))
-	}
 }
 
 // ΔT's rows go in in the order the delta first touches their groups, each

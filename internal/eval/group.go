@@ -10,6 +10,12 @@ import (
 	"ivm/internal/value"
 )
 
+// RuleLit addresses one body literal of one program rule; it keys an
+// engine's group tables of aggregate subgoals.
+type RuleLit struct {
+	Rule, Lit int
+}
+
 // GroupTable materializes one GROUPBY subgoal: the relation T over
 // (groupVars..., result) with one tuple per non-empty group, plus the
 // per-group incremental aggregate state needed to run Algorithm 6.1.

@@ -19,7 +19,6 @@ import (
 	"ivm/internal/metrics"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
-	"ivm/internal/strata"
 	"ivm/internal/workload"
 )
 
@@ -216,21 +215,25 @@ func PFEngine(progSrc string, db *eval.DB, fragmentTuples bool) *pf.Engine {
 	return e
 }
 
-// Evaluate materializes a program once (for E7-style measurements) and
-// returns the DB.
-func Evaluate(progSrc string, db *eval.DB, sem eval.Semantics, trackCounts bool) *eval.DB {
+// Evaluate materializes a program once by counting (for E7-style
+// measurements) and returns its relations. Without counts each derived
+// relation is then collapsed to its set image: duplicate elimination
+// without counting (Section 5).
+func Evaluate(progSrc string, db *eval.DB, sem eval.Semantics, counts bool) *eval.DB {
 	prog := MustRules(progSrc)
-	st, err := strata.Compute(prog)
+	e, err := dred.NewWithConfig(prog, db, dred.Config{Algorithm: dred.Counting, Semantics: sem})
 	if err != nil {
 		panic(err)
 	}
-	work := db.Clone()
-	ev := eval.NewEvaluator(prog, st, sem)
-	ev.TrackCounts = trackCounts
-	if err := ev.Evaluate(work); err != nil {
-		panic(err)
+	out, derived := eval.NewDB(), prog.DerivedPreds()
+	for _, pred := range e.Preds() {
+		if r := e.Relation(pred); !counts && derived[pred] {
+			out.Put(pred, r.ToSet())
+		} else {
+			out.Put(pred, r)
+		}
 	}
-	return work
+	return out
 }
 
 // DeltaOf builds the map form of a link delta.

@@ -468,16 +468,15 @@ func RunE10(s Scale) *Table {
 
 	// AddRule vs rebuilding the three-rule program.
 	am, err := medianOf(s.Trials, func() func() error {
-		e := DRedEngine(TCProgram, db.Clone())
+		e := DRedEngine(TCProgram, db)
 		return func() error { _, err := e.AddRule(addRule); return err }
 	})
 	if err != nil {
 		panic(err)
 	}
 	rm, err := medianOf(s.Trials, func() func() error {
-		work := db.Clone()
 		return func() error {
-			_ = DRedEngine(progWith, work)
+			_ = DRedEngine(progWith, db)
 			return nil
 		}
 	})
@@ -488,16 +487,15 @@ func RunE10(s Scale) *Table {
 
 	// RemoveRule vs rebuilding the two-rule program.
 	dm, err := medianOf(s.Trials, func() func() error {
-		e := DRedEngine(progWith, db.Clone())
+		e := DRedEngine(progWith, db)
 		return func() error { _, err := e.RemoveRule(2); return err }
 	})
 	if err != nil {
 		panic(err)
 	}
 	rm2, err := medianOf(s.Trials, func() func() error {
-		work := db.Clone()
 		return func() error {
-			_ = DRedEngine(TCProgram, work)
+			_ = DRedEngine(TCProgram, db)
 			return nil
 		}
 	})

@@ -127,9 +127,8 @@ func flipByte(path string, off int64) error {
 
 // groundTruth recomputes the views from scratch: base facts plus the
 // expected surviving scripts, under the Recompute strategy. It shares the
-// engine and its evaluator with the store-backed instance, but none of
-// what recovery runs: no δ-rule, commit-record fold, WAL replay or
-// checkpoint load.
+// engine with the store-backed instance, but none of what recovery runs:
+// no commit-record fold, WAL replay or checkpoint load.
 func groundTruth(expect []string) (*ivm.Views, error) {
 	db := ivm.NewDatabase()
 	if err := db.Load(baseFacts); err != nil {

@@ -1,8 +1,8 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40). A seed picks a
-// program family, a strategy, set or duplicate semantics, an idempotency
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41). A seed picks
+// a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
 // views must refuse. After every operation the views must hold the rows
@@ -21,7 +21,8 @@ package ivm_test
 // colCheck comparing floats by numeric == [28]; extremum.Add counting a
 // numeric tie as a copy of best [29]; MIN/MAX counting a CompareNumeric
 // tie as a copy [39]; a SUM staying a Float once it held one [19]; SUM's
-// Result one too many [2]; CmpLt evaluated as <= [9].
+// Result one too many [2]; CmpLt evaluated as <= [9]; materialization
+// skipping the semi-naive rounds after its seed pass [3].
 
 import (
 	"cmp"
