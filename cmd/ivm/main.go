@@ -46,7 +46,6 @@ func run() error {
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
 	snapshotPath := flag.String("snapshot", "", "snapshot file to load (if present) and save on exit")
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + write-ahead log) for crash-safe persistence")
-	groupCommit := flag.Bool("group-commit", false, "batch WAL fsyncs across concurrent appenders (requires -store)")
 	repl := flag.Bool("repl", false, "interactive session after loading")
 	show := flag.String("show", "", "comma-separated predicates to print after loading and after each delta")
 	metricsFlag := flag.Bool("metrics", false, "print a metrics exposition (name value lines) before exiting")
@@ -61,10 +60,6 @@ func run() error {
 		return err
 	}
 	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
-
-	if *groupCommit {
-		opts = append(opts, ivm.WithGroupCommit())
-	}
 
 	var views *ivm.Views
 	if *storeDir != "" {

@@ -62,7 +62,6 @@ func run() error {
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + WAL); empty = memory-only")
 	strategyFlag := flag.String("strategy", "auto", "auto, counting, dred, or recompute")
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
-	groupCommit := flag.Bool("group-commit", true, "batch WAL fsyncs across concurrent applies (requires -store)")
 	idemWindow := flag.Int("idem-window", 0, "idempotency keys remembered for apply dedup (0 = library default); size it above the keyed applies that can land within a client's retry horizon")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request timeout for non-streaming endpoints")
 	maxBody := flag.Int64("max-body", 4<<20, "maximum apply request body bytes")
@@ -99,9 +98,6 @@ func run() error {
 		return err
 	}
 	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
-	if *groupCommit {
-		opts = append(opts, ivm.WithGroupCommit())
-	}
 	if *idemWindow > 0 {
 		opts = append(opts, ivm.WithIdempotencyWindow(*idemWindow))
 	}

@@ -175,7 +175,7 @@ func TestFailoverChaos(t *testing.T) {
 		db.MustLoad(`link(a,b). link(b,c).`)
 		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
 	}
-	vA, _, err := ivm.OpenStore(dirA, build, ivm.WithGroupCommit())
+	vA, _, err := ivm.OpenStore(dirA, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestFailoverChaos(t *testing.T) {
 
 	// Revive the old primary from its own store. It comes back at its
 	// persisted epoch 1 — a deposed leader that must be fenced.
-	vA2, _, err := ivm.OpenStore(dirA, build, ivm.WithGroupCommit())
+	vA2, _, err := ivm.OpenStore(dirA, build)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -396,7 +396,7 @@ func TestReplicaChaosKillRestart(t *testing.T) {
 		db.MustLoad(`link(a,b). link(b,c).`)
 		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
 	}
-	v, _, err := ivm.OpenStore(dir, build, ivm.WithGroupCommit())
+	v, _, err := ivm.OpenStore(dir, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestReplicaChaosKillRestart(t *testing.T) {
 
 	// Restart from the checkpoint + WAL on a fresh port and repoint the
 	// proxy — the followers' reconnect loops find it there.
-	v2, _, err := ivm.OpenStore(dir, build, ivm.WithGroupCommit())
+	v2, _, err := ivm.OpenStore(dir, build)
 	if err != nil {
 		t.Fatal(err)
 	}

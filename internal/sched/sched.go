@@ -7,7 +7,7 @@
 // so every batch the processor sees is exactly the set of requests that
 // arrived while the previous batch was being maintained. Under a bursty
 // write load this coalesces many logical updates into one maintenance
-// pass (one delta propagation, one WAL group commit, one snapshot
+// pass (one delta propagation, one WAL fsync, one snapshot
 // publication); with a single caller every batch has size one and the
 // behavior is indistinguishable from direct application.
 //

@@ -63,7 +63,7 @@ func TestChaosGauntletExactlyOnce(t *testing.T) {
 		t.Skip("chaos gauntlet skipped in -short")
 	}
 	dir := t.TempDir()
-	v, _, err := ivm.OpenStore(dir, chaosInit, ivm.WithSemantics(ivm.DuplicateSemantics), ivm.WithGroupCommit())
+	v, _, err := ivm.OpenStore(dir, chaosInit, ivm.WithSemantics(ivm.DuplicateSemantics))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestChaosGauntletExactlyOnce(t *testing.T) {
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v2, info, err := ivm.OpenStore(dir, nil, ivm.WithSemantics(ivm.DuplicateSemantics), ivm.WithGroupCommit())
+	v2, info, err := ivm.OpenStore(dir, nil, ivm.WithSemantics(ivm.DuplicateSemantics))
 	if err != nil {
 		t.Fatalf("reopen after mid-run kill: %v", err)
 	}

@@ -27,7 +27,7 @@ func TestE2EServedTraffic(t *testing.T) {
 		db := ivm.NewDatabase()
 		db.MustLoad(`link(a,b). link(b,c).`)
 		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
-	}, ivm.WithGroupCommit())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

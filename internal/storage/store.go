@@ -4,10 +4,11 @@ package storage
 // snapshot-<epoch>.gob checkpoints plus one checksummed, epoch-stamped
 // write-ahead log (wal.log). The durability protocol:
 //
-//   - AppendVersionedAsync writes {epoch, seq, len, crc32c, payload} —
-//     the payload is one commit record (record.go) — in a single write
-//     followed by fsync (optionally batched across concurrent appenders
-//     — group commit).
+//   - AppendRecord writes {epoch, seq, len, crc32c, payload} — the
+//     payload is one commit record (record.go) — in a single write, and
+//     WaitDurable fsyncs through the last record written, so appends
+//     followed by their waits cost one fsync. A failed fsync is sticky:
+//     the store takes no more writes until it is reopened.
 //   - CheckpointAt writes the snapshot to a temp file, fsyncs it, renames
 //     it into place, fsyncs the directory, bumps the epoch, and only
 //     then truncates (and fsyncs) the WAL. A crash anywhere in that
@@ -48,12 +49,6 @@ var ErrStoreClosed = errors.New("storage: store is closed")
 
 // StoreOptions tunes a Store.
 type StoreOptions struct {
-	// GroupCommit batches WAL fsyncs across concurrent appenders: each
-	// append still blocks until its record is durable, but one fsync can
-	// cover many records. Recommended under concurrent writers; with a
-	// single writer it adds one goroutine handoff per append.
-	GroupCommit bool
-
 	// RepairCorruptWAL lets recovery discard a mid-log corrupt record
 	// and everything after it, keeping the valid prefix. Off by default:
 	// the discarded suffix holds acknowledged (fsynced) appends, so
@@ -102,13 +97,15 @@ type Store struct {
 	dir  string
 	opts StoreOptions
 
-	mu     sync.Mutex // serializes WAL writes, checkpoint, close
+	mu     sync.Mutex // serializes WAL writes, fsyncs, checkpoint, close
 	wal    *os.File
 	epoch  uint64
-	seq    uint64
+	seq    uint64 // the last record written
+	synced uint64 // the last record an fsync (or a checkpoint) covered
 	closed bool
-
-	gc *groupCommitter
+	// failed is the first failed WAL fsync, wrapped; once set the store
+	// writes and fsyncs nothing more.
+	failed error
 
 	// recovery results; immutable after OpenStore (records until handed
 	// over by Records).
@@ -157,10 +154,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		}
 		return nil, err
 	}
-	if opts.GroupCommit {
-		s.gc = newGroupCommitter(s.wal)
-		go s.gc.run()
-	}
+	s.synced = s.seq
 	return s, nil
 }
 
@@ -335,15 +329,24 @@ func (s *Store) TailRecords(fromExcl uint64) ([]CommitRecord, error) {
 	return out, nil
 }
 
-// Closed reports whether Close has been called. Callers that mutate
-// in-memory state before appending can pre-check so a closed store
-// rejects the whole operation instead of leaving memory ahead of the
-// log (a concurrent Close can still land between the check and the
-// append; the append then fails with ErrStoreClosed after the fact).
-func (s *Store) Closed() bool {
+// Err reports why the store takes no more writes: ErrStoreClosed after
+// Close, the first failed WAL fsync (wrapped) before it, nil while the
+// store is healthy. Callers that mutate in-memory state before appending
+// can pre-check so such a store rejects the whole operation instead of
+// leaving memory ahead of the log (a concurrent Close can still land
+// between the check and the append; the append then fails after the
+// fact).
+func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closed
+	return s.errLocked()
+}
+
+func (s *Store) errLocked() error {
+	if s.closed {
+		return ErrStoreClosed
+	}
+	return s.failed
 }
 
 // Epoch returns the current checkpoint epoch.
@@ -372,65 +375,73 @@ func (s *Store) AttachMetrics(reg *metrics.Registry) {
 	reg.Counter("storage_recovery_skipped_stale_total").Add(int64(s.info.SkippedStale))
 	reg.Counter("storage_recovery_corrupt_records_total").Add(int64(s.info.CorruptRecords))
 	s.gEpoch.Set(int64(s.epoch))
-	if s.gc != nil {
-		s.gc.setMetrics(s.mFsyncs, s.hFsync)
-	}
 }
 
-// AppendVersionedAsync appends a format-1 (script) commit record; see
-// AppendRecordAsync. Kept for the layered benchmark's storage kernel,
-// which compiles against it; nothing else writes format 1.
+// AppendVersionedAsync appends a format-1 (script) commit record and
+// returns its WaitDurable. Kept for the layered benchmark's storage
+// kernel, which compiles against it; nothing else writes format 1.
 func (s *Store) AppendVersionedAsync(version uint64, script string, keys []string) (wait func() error, err error) {
-	return s.AppendRecordAsync(CommitRecord{Version: version, Keys: keys, Script: script})
+	seq, err := s.AppendRecord(CommitRecord{Version: version, Keys: keys, Script: script})
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return s.WaitDurable(seq) }, nil
 }
 
-// AppendRecordAsync writes one commit record (establishing its position
-// in the log) and returns a wait function that blocks until the record
-// is durable. Its version is the snapshot version the record's apply
-// publishes — the durable commit order recovery and replication backfill
-// align on — and recovery hands its idempotency keys back via Records so
-// dedup survives replay. Callers that serialize appends under their own
-// lock can write inside the critical section and wait outside it,
-// letting group commit batch the fsyncs.
-func (s *Store) AppendRecordAsync(cr CommitRecord) (wait func() error, err error) {
+// AppendRecord writes one commit record, establishing its position in
+// the log, and returns its sequence number for WaitDurable. Its version
+// is the snapshot version the record's apply publishes — the durable
+// commit order recovery and replication backfill align on — and recovery
+// hands its idempotency keys back via Records so dedup survives replay.
+func (s *Store) AppendRecord(cr CommitRecord) (seq uint64, err error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrStoreClosed
+	defer s.mu.Unlock()
+	if err := s.errLocked(); err != nil {
+		return 0, err
 	}
 	rec, err := encodeWALRecord(s.epoch, s.seq+1, cr)
 	if err != nil {
-		s.mu.Unlock()
-		return nil, err
+		return 0, err
 	}
 	s.seq++
-	seq := s.seq
 	if _, err := s.wal.Write(rec); err != nil {
-		s.mu.Unlock()
-		return nil, err
+		return 0, err
 	}
 	s.mAppends.Inc()
 	s.mAppendBytes.Add(int64(len(rec)))
-	if s.gc == nil {
-		start := time.Now()
-		err := s.wal.Sync()
-		s.hFsync.Observe(time.Since(start))
-		s.mFsyncs.Inc()
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return func() error { return nil }, nil
+	return s.seq, nil
+}
+
+// WaitDurable returns once record seq is durable: it fsyncs through the
+// last record written, unless an earlier wait, checkpoint or Close
+// already covered seq. So appends followed by their waits cost one
+// fsync however many records they wrote.
+func (s *Store) WaitDurable(seq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq <= s.synced {
+		return nil
 	}
-	// Register with the committer before releasing the store lock: Close
-	// marks the store closed under this same lock, so by the time it
-	// asks the committer to drain, every record that passed the closed
-	// check above has been noted and the final fsync covers it — a
-	// record that was durably written can then never be reported back to
-	// its appender as ErrStoreClosed.
-	s.gc.noteAppended(seq)
-	s.mu.Unlock()
-	return func() error { return s.gc.waitSynced(seq) }, nil
+	if s.failed != nil { // also when Close's own fsync failed
+		return s.failed
+	}
+	start := time.Now()
+	err := s.fsyncLocked()
+	s.hFsync.Observe(time.Since(start))
+	s.mFsyncs.Inc()
+	return err
+}
+
+// fsyncLocked fsyncs the WAL through the last record written. A failure
+// is sticky: the kernel may have dropped the pages it could not write,
+// so a later fsync that succeeds would prove nothing about them.
+func (s *Store) fsyncLocked() error {
+	if err := s.wal.Sync(); err != nil {
+		s.failed = fmt.Errorf("storage: WAL fsync failed, no more writes until the store is reopened: %w", err)
+		return s.failed
+	}
+	s.synced = s.seq
+	return nil
 }
 
 // CheckpointAt writes st as a new snapshot epoch and truncates the WAL.
@@ -442,8 +453,8 @@ func (s *Store) AppendRecordAsync(cr CommitRecord) (wait func() error, err error
 func (s *Store) CheckpointAt(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
+	if err := s.errLocked(); err != nil {
+		return err
 	}
 	start := time.Now()
 	next := s.epoch + 1
@@ -454,7 +465,7 @@ func (s *Store) CheckpointAt(st State) error {
 	if err := s.wal.Truncate(0); err != nil {
 		return err
 	}
-	if err := s.wal.Sync(); err != nil {
+	if err := s.fsyncLocked(); err != nil {
 		return err
 	}
 	s.mCheckpoints.Inc()
@@ -479,131 +490,22 @@ func (s *Store) pruneLocked() {
 	}
 }
 
-// Close flushes and closes the WAL. Further operations fail with
-// ErrStoreClosed.
+// Close fsyncs the records no wait has covered yet — unless an fsync
+// already failed, which it reports instead — and closes the WAL. Further
+// operations fail with ErrStoreClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
-	if s.gc != nil {
-		s.gc.close()
+	err := s.failed
+	if err == nil && s.synced < s.seq {
+		err = s.fsyncLocked()
 	}
-	if err := s.wal.Sync(); err != nil {
-		s.wal.Close()
-		return err
+	if cerr := s.wal.Close(); err == nil {
+		err = cerr
 	}
-	return s.wal.Close()
-}
-
-// groupCommitter batches WAL fsyncs: appenders note their sequence
-// number and wait; a dedicated goroutine fsyncs once per batch and
-// releases every appender the sync covered.
-type groupCommitter struct {
-	f    *os.File
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	appended uint64
-	synced   uint64
-	err      error
-	closed   bool
-	// drained is set once the final fsync after close has run: only
-	// then may a waiter conclude its record was not covered.
-	drained bool
-	done    chan struct{}
-
-	fsyncs *metrics.Counter
-	hFsync *metrics.Histogram
-}
-
-func newGroupCommitter(f *os.File) *groupCommitter {
-	g := &groupCommitter{f: f, done: make(chan struct{})}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-func (g *groupCommitter) setMetrics(fsyncs *metrics.Counter, h *metrics.Histogram) {
-	g.mu.Lock()
-	g.fsyncs, g.hFsync = fsyncs, h
-	g.mu.Unlock()
-}
-
-func (g *groupCommitter) noteAppended(seq uint64) {
-	g.mu.Lock()
-	if seq > g.appended {
-		g.appended = seq
-	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-func (g *groupCommitter) waitSynced(seq uint64) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.err == nil && g.synced < seq && !g.drained {
-		g.cond.Wait()
-	}
-	if g.err != nil {
-		return g.err
-	}
-	if g.synced < seq {
-		return ErrStoreClosed
-	}
-	return nil
-}
-
-func (g *groupCommitter) run() {
-	g.mu.Lock()
-	for {
-		for !g.closed && g.appended == g.synced && g.err == nil {
-			g.cond.Wait()
-		}
-		if g.closed {
-			// Final drain: one last fsync covers everything written.
-			target := g.appended
-			g.mu.Unlock()
-			err := g.f.Sync()
-			g.mu.Lock()
-			if err != nil {
-				// Waiters must see the real sync failure, not a generic
-				// ErrStoreClosed for a record that may not be durable.
-				if g.err == nil {
-					g.err = err
-				}
-			} else if g.err == nil {
-				g.synced = target
-			}
-			g.drained = true
-			g.cond.Broadcast()
-			g.mu.Unlock()
-			close(g.done)
-			return
-		}
-		target := g.appended
-		fsyncs, h := g.fsyncs, g.hFsync
-		g.mu.Unlock()
-		start := time.Now()
-		err := g.f.Sync()
-		h.Observe(time.Since(start))
-		fsyncs.Inc()
-		g.mu.Lock()
-		if err != nil {
-			g.err = err
-		} else if target > g.synced {
-			g.synced = target
-		}
-		g.cond.Broadcast()
-	}
-}
-
-func (g *groupCommitter) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	<-g.done
+	return err
 }

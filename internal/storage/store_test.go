@@ -381,7 +381,7 @@ func TestStorePrunesOldSnapshots(t *testing.T) {
 
 func TestStoreGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, StoreOptions{GroupCommit: true})
+	s := openTestStore(t, dir, StoreOptions{})
 	reg := metrics.NewRegistry()
 	s.AttachMetrics(reg)
 	const writers, perWriter = 8, 25
@@ -418,16 +418,50 @@ func TestStoreGroupCommitConcurrentAppends(t *testing.T) {
 	}
 }
 
+func TestStoreAppendsThenWaitsCostOneFsync(t *testing.T) {
+	// A scheduler batch appends every group's record, then waits on each:
+	// the first wait fsyncs through the last record written and covers the
+	// rest, and no wait returns before that fsync.
+	s := openTestStore(t, t.TempDir(), StoreOptions{})
+	defer s.Close()
+	reg := metrics.NewRegistry()
+	s.AttachMetrics(reg)
+	fsyncs := func() int64 { return reg.Snapshot().Counter("storage_wal_fsyncs_total") }
+	const k = 5
+	var waits []func() error
+	for i := 0; i < k; i++ {
+		wait, err := s.AppendVersionedAsync(uint64(i+2), fmt.Sprintf("+p(%d).", i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waits = append(waits, wait)
+	}
+	if got := fsyncs(); got != 0 {
+		t.Fatalf("%d fsyncs before any wait, want 0", got)
+	}
+	for i, wait := range waits {
+		if err := wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fsyncs(); got != 1 {
+			t.Fatalf("after wait %d: %d fsyncs, want 1", i+1, got)
+		}
+	}
+	appendRec(t, s, k+2, "+p(9).")
+	if got := fsyncs(); got != 2 {
+		t.Fatalf("a record written after the fsync needs its own: %d fsyncs, want 2", got)
+	}
+}
+
 func TestStoreGroupCommitCloseNeverFailsDurableAppends(t *testing.T) {
 	// Race Close against concurrent appenders: any append that
 	// passes the closed check has its record written, so its wait() must
-	// report success (the final drain's fsync covers it), and the record
-	// must be there on recovery. Before the fix, Close could capture the
-	// committer's high-water mark between an append's write and its
-	// registration, and a durable record was reported as ErrStoreClosed.
+	// report success (Close's fsync covers it), and the record must be
+	// there on recovery — a written record is never reported back as
+	// ErrStoreClosed.
 	for round := 0; round < 25; round++ {
 		dir := t.TempDir()
-		s := openTestStore(t, dir, StoreOptions{GroupCommit: true})
+		s := openTestStore(t, dir, StoreOptions{})
 		const writers = 8
 		var acked atomic.Int64
 		start := make(chan struct{})

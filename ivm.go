@@ -222,9 +222,9 @@ func (d *Database) Rows(pred string) []Row {
 // neither block on nor are blocked by maintenance. Writes (Apply,
 // AddRule, RemoveRule) are serialized through a coalescing scheduler:
 // concurrent Apply callers enqueue, a single maintainer merges each
-// queue drain into one ⊎-net update, runs one maintenance pass, waits
-// for the batch's WAL record to group-commit, and only then publishes
-// the successor version atomically.
+// queue drain into one ⊎-net update, runs one maintenance pass, appends
+// the batch's WAL record and waits for its one fsync, and only then
+// publishes the successor version atomically.
 type Views struct {
 	cfg        config
 	strategy   Strategy // what maintains the program (regime); wmu, versions carry a copy
@@ -282,9 +282,9 @@ type Views struct {
 	mReplaySecs *metrics.Histogram
 	mReplayRows *metrics.Counter
 
-	// idem is the bounded LRU behind ApplyIdempotent: key → the
-	// ChangeSet the key's apply committed (idem.go). Accessed only on
-	// the maintainer goroutine under wmu.
+	// idem is the bounded LRU behind ApplyIdempotent: key → the version
+	// the key's apply committed (idem.go). Accessed only on the
+	// maintainer goroutine under wmu.
 	idem *idemWindow
 
 	// store, when non-nil, is the crash-recovery store the views are
@@ -474,7 +474,7 @@ type applyGroup struct {
 	// the batch may edit the program.
 	ver     *version
 	pubUnix int64
-	wait    func() error
+	seq     uint64 // the WAL sequence number of rec, once appended
 	err     error
 }
 
@@ -494,15 +494,16 @@ type applyGroup struct {
 // gets exactly its own result or error.
 //
 // For store-bound views (OpenStore), the batch is durably logged to the
-// WAL: Apply returns only after the record is fsynced (batched across
-// concurrent callers under WithGroupCommit), and the new version is
-// published only after the fsync — a snapshot never shows state the log
-// has not made durable. Updates containing NaN or ±Inf floats are
-// rejected up front (they have no replayable literal syntax), and after
-// Close the error wraps ErrStoreClosed. A logging failure is returned
-// as an error even though the in-memory views already applied the
-// update — the caller should Sync (checkpoint) or treat the store as
-// lost.
+// WAL: Apply returns only after the record is fsynced — one fsync per
+// batch, however many concurrent callers it coalesced — and the new
+// version is published only after the fsync, so a snapshot never shows
+// state the log has not made durable. Updates containing NaN or ±Inf
+// floats are rejected up front (they have no replayable literal syntax),
+// and after Close the error wraps ErrStoreClosed. A logging failure is
+// returned as an error even though the in-memory views already applied
+// the update. A failed fsync is sticky: every later update is refused
+// before the views move, until the store is closed and reopened (which
+// recovers what the WAL holds).
 func (v *Views) Apply(u *Update) (*ChangeSet, error) {
 	cs, _, err := v.submit(&applyReq{u: u})
 	return cs, err
@@ -653,8 +654,10 @@ func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGrou
 // publish order agree, and every published version has exactly one record
 // (an empty net update logs too: replaying a no-op is a no-op, and a
 // gapless sequence is what recovery and replication backfill align on) —
-// and then the stage waits for the records to group-commit, so a published
-// version never shows state the log has not made durable. A rule edit's
+// and then the stage waits for them to be durable, so a published version
+// never shows state the log has not made durable. The first wait fsyncs
+// through the last record and covers the rest: one fsync per batch, even
+// one that fell back to a group per request. A rule edit's
 // record is one more record: it carries the program it leaves. A failure
 // marks its group and does not stop the pipeline: the engine state
 // already advanced and later groups build on it.
@@ -670,15 +673,15 @@ func (v *Views) logLocked(groups []*applyGroup) {
 			continue
 		}
 		var err error
-		if g.wait, err = v.store.AppendRecordAsync(g.rec); err != nil {
+		if g.seq, err = v.store.AppendRecord(g.rec); err != nil {
 			g.err = notLogged(err)
 		}
 	}
 	for _, g := range groups {
-		if g.wait == nil {
+		if g.seq == 0 {
 			continue
 		}
-		if err := g.wait(); err != nil {
+		if err := v.store.WaitDurable(g.seq); err != nil {
 			g.err = notLogged(err)
 		}
 	}
@@ -771,8 +774,8 @@ func (v *Views) admitLocked(u *Update) error {
 	if v.store == nil {
 		return nil
 	}
-	if v.store.Closed() {
-		return fmt.Errorf("ivm: %w", storage.ErrStoreClosed)
+	if err := v.store.Err(); err != nil {
+		return fmt.Errorf("ivm: %w", err)
 	}
 	// NaN/±Inf have no parseable literal syntax, so a state transfer
 	// containing one could never load. Reject before touching memory. (A

@@ -6,8 +6,6 @@ type config struct {
 	strategy  Strategy
 	semantics Semantics
 	tracer    metrics.Tracer
-	// groupCommit batches WAL fsyncs for store-bound views (OpenStore).
-	groupCommit bool
 	// idemWindow is the idempotency-window capacity (0 = default).
 	idemWindow int
 	// walRepair lets OpenStore discard a corrupt WAL suffix instead of
@@ -37,12 +35,6 @@ func WithSemantics(s Semantics) Option { return func(c *config) { c.semantics = 
 // WithTracer subscribes t to maintenance trace events (batch start/end,
 // stratum completion, rule evaluations). A nil t leaves tracing off.
 func WithTracer(t Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithGroupCommit makes a store-bound Views (OpenStore) batch WAL
-// fsyncs across concurrent Apply callers: each Apply still returns only
-// after its delta is durable, but one fsync can cover many deltas.
-// Ignored for views without a store.
-func WithGroupCommit() Option { return func(c *config) { c.groupCommit = true } }
 
 // WithIdempotencyWindow sets how many distinct idempotency keys the
 // views remember for ApplyIdempotent dedup (default

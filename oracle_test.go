@@ -616,11 +616,7 @@ func (r *oracleRun) options(strategy ivm.Strategy) []ivm.Option {
 		OnStratumDone:   func(n int, _ time.Duration) { r.mu.Lock(); r.stratum = n + 1; r.mu.Unlock() },
 		OnRuleEvaluated: func(rule string, _ int) { r.mu.Lock(); r.rule = rule; r.mu.Unlock() },
 	}
-	opts := append(r.extra(), ivm.WithStrategy(strategy), ivm.WithSemantics(r.sem), ivm.WithTracer(trace))
-	if r.storeLeg() {
-		opts = append(opts, ivm.WithGroupCommit())
-	}
-	return opts
+	return append(r.extra(), ivm.WithStrategy(strategy), ivm.WithSemantics(r.sem), ivm.WithTracer(trace))
 }
 
 func (r *oracleRun) extra() []ivm.Option {

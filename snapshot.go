@@ -236,7 +236,7 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 // program and statistics as they stand (wmu held). Every successful
 // maintenance group publishes one — even one with no visible changes — so
 // the version-carried statistics stay current. The maintainer assigns ids
-// before the WAL group-commit wait so the durable record and the published
+// before the WAL append so the durable record and the published
 // version carry the same number; ids must advance in publish order.
 func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *version {
 	return &version{

@@ -46,7 +46,7 @@ func (ri RecoveryInfo) String() string {
 // Apply and rule edit is durably WAL-logged before it returns — an edit's
 // record carries the program it leaves, so replay installs it and folds
 // the edit's Δ — and Sync checkpoints on demand. Options apply to the
-// recovered views (and WithGroupCommit to the WAL); init builds its views
+// recovered views (and WithWALRepair to recovery); init builds its views
 // with whatever options it chooses. A snapshot opens under any strategy
 // and semantics — its stored counts as they are under the ones it was
 // written under, else rematerialized — but a WAL record folds only under
@@ -54,7 +54,7 @@ func (ri RecoveryInfo) String() string {
 // under others is refused with a *DivergenceError naming both.
 func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views, RecoveryInfo, error) {
 	cfg := newConfig(opts)
-	st, err := storage.OpenStore(dir, storage.StoreOptions{GroupCommit: cfg.groupCommit, RepairCorruptWAL: cfg.walRepair})
+	st, err := storage.OpenStore(dir, storage.StoreOptions{RepairCorruptWAL: cfg.walRepair})
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
@@ -234,7 +234,7 @@ func (v *Views) Shutdown() error {
 	v.Drain()
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
-	if v.store == nil || v.store.Closed() {
+	if v.store == nil || v.store.Err() == storage.ErrStoreClosed {
 		return nil
 	}
 	if err := v.checkpointLocked(); err != nil {

@@ -214,7 +214,7 @@ func TestOpenStoreStaleEpochRecords(t *testing.T) {
 
 func TestOpenStoreGroupCommitConcurrentAppliers(t *testing.T) {
 	dir := t.TempDir()
-	v, _, err := ivm.OpenStore(dir, storeInit(t), ivm.WithGroupCommit())
+	v, _, err := ivm.OpenStore(dir, storeInit(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +234,13 @@ func TestOpenStoreGroupCommitConcurrentAppliers(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// A scheduler batch appends its records and then waits on them, which
+	// costs one fsync whether it committed one group or fell back to one
+	// per request.
+	snap := v.Metrics()
+	if fsyncs, batches := snap.Counter("storage_wal_fsyncs_total"), snap.Counter("sched_batches_total"); fsyncs < 1 || fsyncs > batches {
+		t.Fatalf("%d WAL fsyncs over %d scheduler batches, want between 1 and one per batch", fsyncs, batches)
+	}
 	v.Close()
 
 	v2, info, err := ivm.OpenStore(dir, noInit(t))
@@ -356,6 +363,45 @@ func TestOpenStoreRuleEditReplaysFromWAL(t *testing.T) {
 		if got, want := fmt.Sprint(v2.Rows(pred)), fmt.Sprint(ivm.EngineRows(v2, pred)); got != want {
 			t.Fatalf("%s after an acked apply: published %s, engine holds %s", pred, got, want)
 		}
+	}
+}
+
+func TestOpenStoreFailedFsyncRefusesUntilReopen(t *testing.T) {
+	// A failed WAL fsync is sticky: the kernel may have dropped the pages
+	// it could not write, so a later fsync that succeeds proves nothing.
+	// The apply it fails was maintained and published but not logged; the
+	// next is refused before the engine moves, even with the disk back;
+	// a reopen recovers what the WAL holds, and a keyed retry lands once.
+	dir := t.TempDir()
+	v, _, err := ivm.OpenStore(dir, storeInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := walSyncsFail(t, dir)
+	_, _, err = v.ApplyScriptIdempotent("k1", "+link(x,y).")
+	restore()
+	if err == nil || !strings.Contains(err.Error(), "not durably logged") {
+		t.Fatalf("apply over a failing fsync: %v, want a durability error", err)
+	}
+	before := v.Snapshot().Version()
+	if _, err := v.ApplyScript("+link(y,z)."); err == nil || !strings.Contains(err.Error(), "fsync failed") {
+		t.Fatalf("apply after a failed fsync: %v, want it refused", err)
+	}
+	if got := v.Snapshot().Version(); got != before || v.Has("link", "y", "z") {
+		t.Fatalf("refused apply moved the views: version %d, was %d", got, before)
+	}
+	v.Close()
+
+	v2, _, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	if _, deduped, err := v2.ApplyScriptIdempotent("k1", "+link(x,y)."); err != nil || deduped {
+		t.Fatalf("keyed retry after reopen: deduped=%v err=%v", deduped, err)
+	}
+	if got := v2.Count("link", "x", "y"); got != 1 {
+		t.Fatalf("link(x,y) count %d after the retry, want 1", got)
 	}
 }
 

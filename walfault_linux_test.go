@@ -16,6 +16,18 @@ import (
 // until the returned func puts the file back. The directory may already
 // be removed: the store keeps its WAL open.
 func walWritesFail(t *testing.T, dir string) (restore func()) {
+	return walRedirect(t, dir, "/dev/full")
+}
+
+// walSyncsFail makes every fsync of the WAL of the store in dir fail —
+// the descriptor is pointed at /dev/null, where writes succeed and fsync
+// returns EINVAL — until the returned func puts the file back.
+func walSyncsFail(t *testing.T, dir string) (restore func()) {
+	return walRedirect(t, dir, "/dev/null")
+}
+
+// walRedirect points the open descriptor on dir's wal.log at device.
+func walRedirect(t *testing.T, dir, device string) (restore func()) {
 	t.Helper()
 	wal := filepath.Join(dir, "wal.log")
 	fds, err := os.ReadDir("/proc/self/fd")
@@ -28,14 +40,14 @@ func walWritesFail(t *testing.T, dir string) (restore func()) {
 			continue
 		}
 		fd, _ := strconv.Atoi(e.Name())
-		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+		dev, err := os.OpenFile(device, os.O_WRONLY, 0)
 		if err != nil {
-			t.Skipf("no /dev/full: %v", err)
+			t.Skipf("no %s: %v", device, err)
 		}
-		defer full.Close()
+		defer dev.Close()
 		saved, err := syscall.Dup(fd)
 		if err == nil {
-			err = syscall.Dup3(int(full.Fd()), fd, syscall.O_CLOEXEC)
+			err = syscall.Dup3(int(dev.Fd()), fd, syscall.O_CLOEXEC)
 		}
 		if err != nil {
 			t.Fatal(err)
