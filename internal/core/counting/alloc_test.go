@@ -3,6 +3,7 @@ package counting
 import (
 	"ivm/internal/core/dred"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ivm/internal/eval"
@@ -51,6 +52,13 @@ func hopBatch(tb testing.TB, reg *metrics.Registry) (e *dred.Engine, batch, undo
 // allocs_per_apply.
 const hopBatchAllocCeiling = 1950
 
+// hopBatchByteCeiling is ~10 % above the bytes one batch and its undo
+// allocate (MemStats.TotalAlloc over the same runs; measured 294 100, and
+// 392 100 when each apply grew every Δ(head) from 8 rows in a fresh table
+// and a rebase that shrank its relation copied the base twice): a
+// published Δ copied twice, or grown again each apply, fails here.
+const hopBatchByteCeiling = 324000
+
 // hopBatchWork is the work of TestHopBatchAllocCeiling's 21 batch-and-undo
 // pairs (AllocsPerRun's warm-up and 20 runs), exactly as the interpreter
 // that bound variables in a map counted it: a cheaper walk of the same
@@ -68,6 +76,9 @@ func TestHopBatchAllocCeiling(t *testing.T) {
 	reg := metrics.NewRegistry()
 	e, batch, undo := hopBatch(t, reg)
 	before := reg.Snapshot()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes0 := ms.TotalAlloc
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, d := range []map[string]*relation.Relation{batch, undo} {
 			if _, err := e.Apply(d); err != nil {
@@ -75,9 +86,14 @@ func TestHopBatchAllocCeiling(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("a 16+16 batch and its undo allocate %.0f objects (ceiling %d)", allocs, hopBatchAllocCeiling)
+	runtime.ReadMemStats(&ms)
+	bytes := (ms.TotalAlloc - bytes0) / 21 // AllocsPerRun's warm-up and its 20 runs
+	t.Logf("a 16+16 batch and its undo allocate %.0f objects (ceiling %d) and %d bytes (ceiling %d)", allocs, hopBatchAllocCeiling, bytes, hopBatchByteCeiling)
 	if allocs > hopBatchAllocCeiling {
 		t.Fatalf("a 16+16 batch and its undo allocate %.0f objects, ceiling %d: does every output still name its lender (headDelta)?", allocs, hopBatchAllocCeiling)
+	}
+	if bytes > hopBatchByteCeiling {
+		t.Fatalf("a 16+16 batch and its undo allocate %d bytes, ceiling %d: is Δ(head) still built in the engine's working table and copied once at its size, and does a shrinking rebase copy its base once?", bytes, hopBatchByteCeiling)
 	}
 	after := reg.Snapshot()
 	for name, want := range hopBatchWork {

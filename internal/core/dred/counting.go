@@ -19,6 +19,7 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 		stratumStart = time.Now()
 	}
 	perPred := make(map[string]*relation.Relation)
+	defer e.keepWork(perPred)
 	for _, ri := range rules {
 		if err := e.applyRule(o, ri, perPred); err != nil {
 			return err
@@ -30,13 +31,13 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 		}
 	}
 	// Close the stratum: record full deltas and decide what cascades.
-	for pred, dp := range perPred {
-		if dp.Empty() {
+	for pred, w := range perPred {
+		if w.Empty() {
 			continue
 		}
 		stored := e.db.Ensure(pred, -1)
 		var verr error
-		dp.Each(func(row relation.Row) {
+		w.Each(func(row relation.Row) {
 			if verr == nil && stored.Count(row.Tuple)+row.Count < 0 {
 				verr = fmt.Errorf("counting: internal error: count of %s%s would become negative (Theorem 4.1 violated)", pred, row.Tuple)
 			}
@@ -44,7 +45,9 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 		if verr != nil {
 			return verr
 		}
-		dp.Freeze() // linked into the published version as it is
+		// One frozen copy, made to size, is what the commit's readers see.
+		dp := w.Clone()
+		dp.Freeze()
 		o.commit[pred] = dp
 		e.last.DeltaTuples += dp.Len()
 		if e.sem != eval.Set {
@@ -82,9 +85,13 @@ func (e *Engine) applyRule(o *op, ri int, perPred map[string]*relation.Relation)
 	stored := e.db.Ensure(rule.Head.Pred, -1)
 	dp, ok := perPred[rule.Head.Pred]
 	if !ok {
+		if dp = e.work[rule.Head.Pred]; dp == nil {
+			dp = relation.New(len(rule.Head.Args))
+			e.work[rule.Head.Pred] = dp
+		}
 		// Δ(head) borrows from the stored head relation, which is written
 		// only after the last stratum.
-		dp = relation.New(len(rule.Head.Args))
+		dp.Reset()
 		dp.BorrowFrom(stored, nil)
 		perPred[rule.Head.Pred] = dp
 	}
@@ -116,6 +123,16 @@ func (e *Engine) applyRule(o *op, ri int, perPred map[string]*relation.Relation)
 		}
 	}
 	return nil
+}
+
+// keepWork drops the working table of each head in perPred whose array
+// outgrew its stored relation's net bound: a bulk apply leaves nothing.
+func (e *Engine) keepWork(perPred map[string]*relation.Relation) {
+	for pred := range perPred {
+		if w := e.work[pred]; w != nil && !e.db[pred].Keeps(w) {
+			delete(e.work, pred)
+		}
+	}
 }
 
 // deltaImages computes the per-literal Δ images of rule ri (nil = subgoal

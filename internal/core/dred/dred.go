@@ -164,6 +164,9 @@ type Engine struct {
 	// most recent operation merged into stored content — wider than its
 	// visible changes where statement (2) stopped a cascade.
 	lastDeltas map[string]*relation.Relation
+	// work holds, per head of a counting stratum, the table its Δ(head) is
+	// built in (counting.go): each apply empties it, and publishes a copy.
+	work map[string]*relation.Relation
 
 	// planner caches cost-based δ-rule plans. Rule edits Reset it: rule
 	// indices shift with the program.
@@ -297,7 +300,7 @@ func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
 		alg: cfg.Algorithm, sem: cfg.Semantics, db: storeOf(db),
 		tracer: cfg.Tracer, reg: cfg.Metrics, instr: eval.NewInstruments(cfg.Metrics),
-		planner: eval.NewPlanner(cfg.Metrics),
+		planner: eval.NewPlanner(cfg.Metrics), work: make(map[string]*relation.Relation),
 	}
 	if e.sem == eval.Set && cfg.DisableSetOpt && e.alg == Counting {
 		// Without statement (2) a set view needs full duplicate counts.
@@ -386,7 +389,8 @@ func (e *Engine) old(pred string) relation.Reader {
 }
 
 // groupTable returns the group table of an aggregate literal, building it
-// over the committed state if the engine has none.
+// over the committed state if the engine has none. T's rows are tuples
+// built, and the heads over T borrow them: they count as heads built.
 func (e *Engine) groupTable(key eval.RuleLit, g *datalog.Aggregate) (*eval.GroupTable, error) {
 	if gt, ok := e.gts[key]; ok {
 		return gt, nil
@@ -394,6 +398,9 @@ func (e *Engine) groupTable(key eval.RuleLit, g *datalog.Aggregate) (*eval.Group
 	gt, err := eval.BuildGroupTable(g, e.old(g.Inner.Pred))
 	if err != nil {
 		return nil, err
+	}
+	if e.instr != nil {
+		e.instr.HeadsBuilt.Add(int64(gt.Rel().Len()))
 	}
 	e.gts[key] = gt
 	return gt, nil
@@ -656,6 +663,7 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 	}
 	was := *e
 	e.prog, e.strat, e.regime, e.gts = prog, st, reg, make(map[eval.RuleLit]*eval.GroupTable)
+	clear(e.work) // a head may be gone, or read at another arity
 	if r := e.reg; e.hasCount {
 		e.mCount = countingInstruments{
 			r.Counter("counting_applies_total"), r.Counter("counting_delta_rules_total"),

@@ -1,6 +1,7 @@
 package dred
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -677,5 +678,52 @@ func TestRuleEditsKeepGroupTables(t *testing.T) {
 				t.Errorf("algorithm %d: %s = %s, want %s", alg, pred, got, want)
 			}
 		}
+	}
+}
+
+// Counting builds each Δ(head) in a working table the engine keeps and
+// publishes one exact-size frozen copy of it. A bulk apply whose Δ(head)
+// outgrows the head's net bound leaves no working array that large; a
+// small one keeps its table for the next apply; a head the program loses
+// takes its table with it.
+func TestWorkingDeltaTableKeptWithinTheNetBound(t *testing.T) {
+	e, err := NewWithConfig(rules(t, `hop(X,Y) :- link(X,Z), link(Z,Y).`), load(t, `link(n0,n1).`),
+		Config{Algorithm: Counting, Semantics: eval.Set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk := relation.New(2)
+	for i := 1; i < 2000; i++ {
+		bulk.Add(value.T(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)), 1)
+	}
+	if _, err := e.Apply(map[string]*relation.Relation{"link": bulk}); err != nil {
+		t.Fatal(err)
+	}
+	d := e.CommittedDeltas()["hop"]
+	if room := relation.Cells(nil, []*relation.Versioned{relation.NewVersioned(d)}); d.Len() != 1999 || !d.Frozen() || room != d.Len() {
+		t.Fatalf("Δ(hop) of the bulk apply: %d rows, frozen %v, room for %d; want 1999, frozen, exact", d.Len(), d.Frozen(), room)
+	}
+	// Grown by doubling to 2 048 rows, past the bound of ¼ of hop's 1 999.
+	if w := e.work["hop"]; w != nil {
+		t.Fatalf("the bulk apply left its working table behind (%d rows, kept: %v)", w.Len(), e.Stored("hop").Keeps(w))
+	}
+	if _, err := e.Apply(delta(t, `+link(n2000,n2001).`)); err != nil {
+		t.Fatal(err)
+	}
+	w := e.work["hop"]
+	if w == nil || w == e.CommittedDeltas()["hop"] {
+		t.Fatalf("a one-row apply kept no working table of its own: %v", w)
+	}
+	if _, err := e.Apply(delta(t, `-link(n2000,n2001).`)); err != nil {
+		t.Fatal(err)
+	}
+	if e.work["hop"] != w {
+		t.Fatal("the next small apply did not reuse the working table")
+	}
+	if _, err := e.RemoveRule(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.work) != 0 {
+		t.Fatalf("working tables kept for heads the program lost: %v", e.work)
 	}
 }

@@ -43,11 +43,12 @@ const chunkRuns = 16 // the length of the chunks new keys' runs are cut from
 
 func keySlots(n int) int { return (n*4 + 2) / 3 }
 
-// cloneIndexed is Clone for the successor of a frozen relation, with room
-// for n ≥ r.Len() rows: the copy also takes every index r has built — each
-// key table is copied, the runs, whose positions the copy keeps, are
-// shared until written — so merging a delta into it maintains those
-// indexes instead of leaving the next reader to rebuild them.
+// cloneIndexed is Clone for the successor of a frozen relation, made for
+// n rows (r's first n if it has more): the copy also takes every index r has
+// built — each key table is copied, the runs, whose positions the copy keeps
+// and from which those past n are cut, are shared until written — so merging
+// a delta into it maintains those indexes instead of leaving the next reader
+// to rebuild them.
 func (r *Relation) cloneIndexed(n int) *Relation {
 	c := &Relation{arity: r.arity, rows: r.rows.clone(n)}
 	r.idxMu.RLock()
@@ -58,8 +59,23 @@ func (r *Relation) cloneIndexed(n int) *Relation {
 			slots[i].shared = true
 		}
 		c.idx = append(c.idx, &index{cols: ix.cols, slots: slots, n: ix.n})
+		if n < r.Len() {
+			c.idx[len(c.idx)-1].cut(n)
+		}
 	}
 	return c
+}
+
+// cut truncates each run before its first position ≥ n (a run ascends),
+// in place, shared or not; a run left empty leaves the key table.
+func (ix *index) cut(n int) {
+	for i := range ix.slots {
+		for len(ix.slots[i].run) > 0 && ix.slots[i].run[0] >= int32(n) {
+			ix.del(i) // a later slot of the probe run may move here
+		}
+		k, _ := slices.BinarySearch(ix.slots[i].run, int32(n))
+		ix.slots[i].run = ix.slots[i].run[:k]
+	}
 }
 
 // index returns r's index on cols, or nil. The caller holds idxMu.

@@ -370,7 +370,8 @@ func (r *Relation) Clone() *Relation {
 // NewSized is New with the table made for n rows, which then go in
 // without growing it. n must be an exact count: a table sized from an
 // upper bound stays that large for the life of the relation (counting's
-// setTransitions and DRed's signPart count first).
+// setTransitions and DRed's signPart count first; counting's Δ(head) grows
+// in a table it reuses and publishes a Clone, which is made to size).
 func NewSized(arity, n int) *Relation {
 	return &Relation{arity: int32(arity), rows: table{cells: make([]entry, 0, n)}}
 }
@@ -387,7 +388,7 @@ func (r *Relation) Trim() {
 // Reset empties r for reuse as a scratch output, keeping its arity and
 // dropping its indexes, statistics and lenders. A cleared table keeps the
 // arrays of the largest content it has held, so a relation that is Reset
-// must not outlive the operation that fills it.
+// must not outlive the operation that fills it unless bounded (Stored.Keeps).
 func (r *Relation) Reset() {
 	r.mutable()
 	r.rows.reset()

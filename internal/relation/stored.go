@@ -323,6 +323,10 @@ func (s *Stored) MergeDelta(delta *Relation) {
 // bound is the net's size at which it is folded into a new base.
 func (s *Stored) bound() int { return max(minFlattenRows, (s.base.Len()+3)/4) }
 
+// Keeps reports whether w, a working table its writer reuses, may keep its
+// array: while it is within the net's bound.
+func (s *Stored) Keeps(w *Relation) bool { return cap(w.rows.cells) <= s.bound() }
+
 // add merges one keyed row, hashed to h, as the single table would.
 func (s *Stored) add(row Row, h uint32) {
 	switch i, q := locate(s, h, row.key); {
@@ -434,27 +438,21 @@ func Cells(stored []*Stored, versions []*Versioned) int {
 
 // rebase folds the net into a copy of the base, which becomes the base:
 // row for row the state, in place order, with the base's indexes carried
-// over and kept in step. The net keeps its arrays and indexes, emptied.
+// over and kept in step. The copy is one table at the state's size, a
+// shrunk base's first rows. The net keeps its arrays and indexes, emptied.
 func (s *Stored) rebase() {
 	nb := s.base.Len()
-	t := s.base.cloneIndexed(max(s.n, nb))
+	t := s.base.cloneIndexed(s.n)
 	for i, p := range s.pos {
 		if int(p) < nb {
 			t.replace(int(p), s.net.rows.cells[i].cell)
 		}
 	}
-	for last := nb - 1; last >= s.n; last-- {
-		t.idxDelete(t.At(last).Tuple, last)
-		t.rows.del(last)
-	}
 	for p := nb; p < s.n; p++ {
 		c := s.net.rows.cells[s.at[p]-1].cell
 		t.insert(s.net.row(c), c.h)
 	}
-	if cap(t.rows.cells) > s.n { // shrunk: the base is made for its rows
-		t.rows = t.rows.clone(s.n)
-	}
-	rowsCopied.Add(int64(nb + s.net.Len()))
+	rowsCopied.Add(int64(min(nb, s.n) + s.net.Len()))
 	t.Freeze()
 	s.base = t
 	s.net.drain()

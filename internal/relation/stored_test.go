@@ -3,8 +3,10 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"ivm/internal/value"
 )
@@ -124,4 +126,49 @@ func tableStored(t *testing.T, rng *rand.Rand) {
 	if rebases < 6 {
 		t.Fatalf("%d rebases over the streams, want several", rebases)
 	}
+}
+
+// A rebase that shrinks its relation copies the base once, at the new
+// size: it allocates one table of the state's rows and, for the index it
+// carries, a key table and the runs it writes — no table at the old size,
+// and no second copy to trim one.
+func TestRebaseCopiesItsBaseOnce(t *testing.T) {
+	base := New(2)
+	for i := range 4000 {
+		base.Add(value.T(i, i%50), 1)
+	}
+	base.Lookup([]int{1}, value.T(0))
+	base.Freeze()
+	s := Store(base)
+	s.Lookup([]int{1}, value.T(0))
+	del := New(2)
+	for i := range s.bound() - 1 { // deletes at the front: each moves the last row into the net
+		del.Add(value.T(i, i%50), -1)
+	}
+	s.MergeDelta(del)
+	if s.base != base || s.net.Len() != s.bound()-1 {
+		t.Fatalf("setup: the net holds %d rows, want %d and no rebase yet", s.net.Len(), s.bound()-1)
+	}
+	n := s.Len()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	s.rebase()
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	table := uint64(n) * uint64(unsafe.Sizeof(entry{}))
+	keys := uint64(keySlots(50)) * uint64(unsafe.Sizeof(slot{}))
+	runs := uint64(3 * 4 * n) // each run copied when first written, then grown: 3 int32s a position at most
+	if limit := table + keys + runs; got > limit {
+		t.Fatalf("a rebase from %d rows to %d allocated %d bytes, more than one table of %d rows (%d), its key table (%d) and its runs (%d)",
+			base.Len(), n, got, n, table, keys, runs)
+	}
+	t.Logf("a rebase from %d rows to %d allocated %d bytes: a table of %d, a key table of %d, runs up to %d", base.Len(), n, got, table, keys, runs)
+	if c := cap(s.base.rows.cells); c != n || s.base.Len() != n {
+		t.Fatalf("the new base holds %d rows with room for %d, want %d exactly", s.base.Len(), c, n)
+	}
+	flat := base.Clone()
+	flat.MergeDelta(del)
+	flat.Lookup([]int{1}, value.T(0))
+	sameAsFlat(t, "after the shrinking rebase", s, flat, [][]int{{1}}, value.T(3999, 49), value.T(0, 0), value.T(2500, 0))
 }

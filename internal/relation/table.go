@@ -161,12 +161,12 @@ func (t *table) unslot(i int) {
 // i is not on the probe path of the entry at j, which stays.
 func inGap(i, j, k int) bool { return (i < k && k <= j) || (j < i && (i < k || k <= j)) }
 
-// clone returns a copy of t with room for the given number of rows, at
-// least len(t.cells). The cells keep their positions; a copy of t's
-// capacity is one memmove, slots and all, and one of another capacity
-// places its slots again.
+// clone returns a copy of t's first cells, as many as the given number of
+// rows has room for, with room for those rows. The cells keep their
+// positions; a copy of t's capacity is one memmove, slots and all, and one
+// of another capacity places its slots again.
 func (t *table) clone(rows int) table {
-	out := table{cells: make([]entry, len(t.cells), rows)}
+	out := table{cells: make([]entry, min(len(t.cells), rows), rows)}
 	if rows == cap(t.cells) {
 		copy(out.cells[:rows], t.cells[:rows])
 		return out

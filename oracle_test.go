@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -9,9 +9,10 @@ package ivm_test
 // and counts the reference interpreter (reference_test.go, which shares no
 // engine code) evaluates over the model's base and rules, and each
 // ChangeSet and commit record must be the diff of consecutive evaluations,
-// the fold law f(x ⊕ Δ) = f(x) ⊕ f′(x, Δ); a mismatch is reported at the
-// lowest stratum that differs, as the reference numbers them, with the
-// seed, leg, version and that stratum's rules.
+// the fold law f(x ⊕ Δ) = f(x) ⊕ f′(x, Δ), a ChangeSet read only once the
+// next operation has applied, as a caller may read it. A mismatch is
+// reported at the lowest stratum that differs, as the reference numbers
+// them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
 // runs), these bugs each fail the default budget (first failing seed in
@@ -22,7 +23,8 @@ package ivm_test
 // numeric tie as a copy of best [29]; MIN/MAX counting a CompareNumeric
 // tie as a copy [39]; a SUM staying a Float once it held one [19]; SUM's
 // Result one too many [2]; CmpLt evaluated as <= [9]; materialization
-// skipping the semi-naive rounds after its seed pass [3].
+// skipping the semi-naive rounds after its seed pass [3]; counting
+// committing its working Δ(head) uncopied and unfrozen [2].
 
 import (
 	"cmp"
@@ -233,6 +235,20 @@ func FuzzOracle(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { runOracle(t, seed, nil) })
+}
+
+// TestRuleEditCountsTheGroupRowsItBuilds runs the seeds that found an
+// edit's heads undercounted (EXPERIMENTS.md E43): arithmetic's last extra
+// makes cost recursive under auto/set, so the edit evaluates its strata
+// afresh, and the group tables it builds over cost made mch's and spend's
+// new rows without counting them in eval_heads_built_total.
+func TestRuleEditCountsTheGroupRowsItBuilds(t *testing.T) {
+	for _, seed := range []int64{72, 422, 432, 662, 762, 1062, 1112, 1292, 2192, 2642, 2702} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			t.Parallel()
+			runOracle(t, seed, nil)
+		})
+	}
 }
 
 // runOracleCase runs the oracle on the first n seeds past the budget whose
@@ -474,7 +490,9 @@ type oracleRun struct {
 	rule               string //
 	events             []ivm.CommitEvent
 	pending            map[uint64]ivm.CommitEvent
-	changes, refolded  map[uint64]string // change sets per version, rendered: the writer's, the follower's
+	changes            map[uint64]*ivm.ChangeSet // the writer's change sets, read late (unread)
+	refolded           map[uint64]string         // the follower's, rendered
+	unread             []func()                  // checks of change sets, run once the next operation has applied
 	st                 *oracleState
 	memo               map[string]oracleMemo // recompute's states, by base and rules
 	version            uint64
@@ -526,7 +544,7 @@ func oracleDraw(seed int64) (oracleConfig, *rand.Rand) {
 func runOracle(t *testing.T, seed int64, cov map[string]int) {
 	c, rng := oracleDraw(seed)
 	r := &oracleRun{t: t, seed: seed, rng: rng, cov: cov, fixed: make(map[string]bool), arity: make(map[string]int),
-		pending: make(map[uint64]ivm.CommitEvent), changes: make(map[uint64]string),
+		pending: make(map[uint64]ivm.CommitEvent), changes: make(map[uint64]*ivm.ChangeSet),
 		refolded: make(map[uint64]string), acked: make(map[string][]oracleChange)}
 	defer r.crash()
 	strategy := c.strategy
@@ -675,7 +693,7 @@ func (r *oracleRun) open(base map[string]map[string]ivm.Row, strategy ivm.Strate
 // watch subscribes to v's records and change sets.
 func (r *oracleRun) watch(v *ivm.Views) {
 	v.OnCommitRecord(func(ev ivm.CommitEvent) { r.mu.Lock(); r.events = append(r.events, ev); r.mu.Unlock() })
-	v.OnCommit(func(cs *ivm.ChangeSet) { r.mu.Lock(); r.changes[cs.Version()] = renderChanges(cs); r.mu.Unlock() })
+	v.OnCommit(func(cs *ivm.ChangeSet) { r.mu.Lock(); r.changes[cs.Version()] = cs; r.mu.Unlock() })
 }
 
 // renderChanges is a change set as a subscriber sees it.
@@ -1054,30 +1072,36 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	// edit stops deriving drains in the record only.
 	visible := func(pred string) bool { return next.derived[pred] && !slices.Contains(r.hidden, pred) }
 	want := diff(prev.want, next.want, visible, r.sem == ivm.SetSemantics)
-	var bad []oracleMismatch
 	for _, cs := range css {
 		if cs.Version() != ver {
 			r.fatal("a caller of version %d was told %d", ver, cs.Version())
 		}
-		got := make(oracleDelta)
-		for _, pred := range cs.Preds() {
-			for _, row := range cs.Delta(pred) {
-				got.add(pred, row.Tuple.Key(), row.Count)
-			}
-		}
-		bad = append(bad, got.compare("change set", want)...)
 	}
+	// A change set is read only once the next operation has applied: what
+	// a caller was given must not move with the engine's later work.
+	r.unread = append(r.unread, func() {
+		var bad []oracleMismatch
+		for _, cs := range css {
+			got := make(oracleDelta)
+			for _, pred := range cs.Preds() {
+				for _, row := range cs.Delta(pred) {
+					got.add(pred, row.Tuple.Key(), row.Count)
+				}
+			}
+			bad = append(bad, got.compare("change set", want)...)
+		}
+		r.fail(fmt.Sprintf("commit of version %d, read after the next", ver), bad)
+	})
 	r.takeEvents()
 	ev, ok := r.pending[ver]
 	if delete(r.pending, ver); ok != logged {
 		r.fatal("version %d announced a record: %v", ver, ok)
 	}
 	if !logged {
-		r.fail("commit", bad)
 		return
 	}
 	got, size := r.recordDelta(ev.CommitRecord)
-	r.fail("commit", append(bad, got.compare("record", diff(prev.want, next.want, func(string) bool { return true }, false))...))
+	r.fail("commit", got.compare("record", diff(prev.want, next.want, func(string) bool { return true }, false)))
 	evKeys := slices.Clone(ev.Keys)
 	slices.Sort(evKeys)
 	if slices.Sort(keys); !slices.Equal(evKeys, keys) {
@@ -1103,12 +1127,17 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 		cs, err = r.node.ApplyCommitRecord(ev.CommitRecord)
 		r.folds, r.foldRows = r.folds+1, r.foldRows+int64(len(got))
 	}
-	r.mu.Lock()
-	reported := r.changes[ver]
-	r.mu.Unlock()
-	if err != nil || cs.Version() != ver || renderChanges(cs) != reported {
-		r.fatal("the node folds version %d: err %v, change set\n%v\nthe writer's\n%s", ver, err, cs, reported)
+	if err != nil || cs.Version() != ver {
+		r.fatal("the node folds version %d: err %v, change set %v", ver, err, cs)
 	}
+	r.unread = append(r.unread, func() {
+		r.mu.Lock()
+		reported := renderChanges(r.changes[ver])
+		r.mu.Unlock()
+		if renderChanges(cs) != reported {
+			r.fatal("the node folded version %d: change set\n%v\nthe writer's\n%s", ver, cs, reported)
+		}
+	})
 }
 
 // takeEvents moves the records published since the last call to pending.
@@ -1151,6 +1180,8 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	if !concurrent && !c0.dedup && c0.refused == nil && r.strategy != ivm.Recompute {
 		borrowed = watchBorrowing(r.w)
 	}
+	late := r.unread
+	r.unread = nil
 	var wg sync.WaitGroup
 	for _, c := range calls {
 		run := func() {
@@ -1171,6 +1202,9 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 		}()
 	}
 	wg.Wait()
+	for _, check := range late { // queued before these operations applied
+		check()
+	}
 	byVersion := make(map[uint64][]*call)
 	applied := make(map[*oracleOp]*call)
 	for _, c := range calls {
@@ -1719,6 +1753,9 @@ func (r *oracleRun) startFollower() {
 // finish ends the leg: the follower catches up and is compared, and the
 // store is recovered once more, then refuses a record stamped behind it.
 func (r *oracleRun) finish() {
+	for _, check := range r.unread {
+		check()
+	}
 	if r.leg == "follower" {
 		r.finishFollower()
 	}
@@ -1805,8 +1842,8 @@ func (r *oracleRun) finishFollower() {
 	r.check("follower", f)
 	r.requireDedups("follower", f, r.replayWindow())
 	r.mu.Lock()
-	for ver, want := range r.changes {
-		if got := r.refolded[ver]; got != want {
+	for ver, cs := range r.changes {
+		if got, want := r.refolded[ver], renderChanges(cs); got != want {
 			r.mu.Unlock()
 			r.fatal("the follower reported version %d as\n%s\nthe primary as\n%s", ver, got, want)
 		}
