@@ -89,7 +89,7 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 				t.Fatalf("step %d: %v", step, err)
 			}
 			fresh, built := check(t, fmt.Sprintf("step %d", step))
-			st, _ := v.DRedStats()
+			st := v.Trace().Stats
 			if built != int64(st.Inserted) || fresh != built {
 				t.Fatalf("step %d: %d heads built, %d rows inserted, %d committed rows were not stored", step, built, st.Inserted, fresh)
 			}

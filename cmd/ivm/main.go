@@ -21,6 +21,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -180,7 +181,7 @@ func runREPL(views *ivm.Views, apply func(string) error, in io.Reader, out io.Wr
   show <pred>      print a relation        query <goal>     e.g. query hop(a, X)
   explain <goal>   list a tuple's derivations                rules            list rules
   addrule <rule>   extend the definition   rmrule <index>   remove a rule
-  stats            last maintenance stats  metrics          cumulative metrics
+  stats            last commit's trace     metrics          cumulative metrics
   version          published snapshot version
   help             this text               quit             exit`)
 	sc := bufio.NewScanner(in)
@@ -262,8 +263,8 @@ func runREPL(views *ivm.Views, apply func(string) error, in io.Reader, out io.Wr
 					fmt.Fprint(out, ch)
 				}
 			}
-		case "stats":
-			printStats(out, views)
+		case "stats": // the last commit's account, as GET /v1/trace renders it
+			err = json.NewEncoder(out).Encode(views.Trace())
 		case "metrics":
 			_, err = views.Metrics().WriteTo(out)
 		case "version":
@@ -275,21 +276,6 @@ func runREPL(views *ivm.Views, apply func(string) error, in io.Reader, out io.Wr
 		if err != nil {
 			fmt.Fprintln(out, "error:", err)
 		}
-	}
-}
-
-func printStats(out io.Writer, views *ivm.Views) {
-	// A mixed program has a line for each algorithm.
-	cst, counting := views.CountingStats()
-	if counting {
-		fmt.Fprintf(out, "counting: delta rules=%d, delta tuples=%d, cascades stopped=%d\n",
-			cst.DeltaRulesEvaluated, cst.DeltaTuples, cst.CascadeStopped)
-	}
-	if st, ok := views.DRedStats(); ok {
-		fmt.Fprintf(out, "dred: overestimated=%d, rederived=%d, inserted=%d, rule firings=%d\n",
-			st.Overestimated, st.Rederived, st.Inserted, st.RuleFirings)
-	} else if !counting {
-		fmt.Fprintln(out, "no stats for this strategy")
 	}
 }
 

@@ -113,7 +113,7 @@ func TestREPLRulesAddRemove(t *testing.T) {
 func TestREPLStatsAndErrors(t *testing.T) {
 	v := testViews(t)
 	out := runScript(t, v, "-link(a,b).\nstats\n-link(zz,qq).\nbad syntax here\nquit\n")
-	if !strings.Contains(out, "dred: overestimated=") {
+	if !strings.Contains(out, `"strategy":"dred","stats":{`) || !strings.Contains(out, `"overestimated":`) {
 		t.Fatalf("stats:\n%s", out)
 	}
 	if strings.Count(out, "error:") != 2 {

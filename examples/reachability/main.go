@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, _ := views.DRedStats()
+	st := views.Trace().Stats
 	fmt.Printf("\nafter losing s1↔leaf3: %d pairs deleted, %d overestimated, %d rederived\n",
 		len(changes.Deleted("reach")), st.Overestimated, st.Rederived)
 	fmt.Println("h1→h3 still reachable (via s2):", views.Has("reach", "h1", "h3"))

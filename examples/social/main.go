@@ -66,10 +66,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(ch)
-	if st, ok := views.CountingStats(); ok {
-		fmt.Printf("delta rules fired: %d, cascades stopped by statement (2): %d\n",
-			st.DeltaRulesEvaluated, st.CascadeStopped)
-	}
+	st := views.Trace().Stats
+	fmt.Printf("delta rules fired: %d, cascades stopped by statement (2): %d\n",
+		st.DeltaRulesEvaluated, st.CascadeStopped)
 
 	// ann→bob→dee and ann→cay→dee both derive fof(ann, dee): removing
 	// one leg costs that tuple a derivation but not its membership, so
@@ -81,10 +80,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(ch)
-	if st, ok := views.CountingStats(); ok {
-		fmt.Printf("delta rules fired: %d, cascades stopped by statement (2): %d\n",
-			st.DeltaRulesEvaluated, st.CascadeStopped)
-	}
+	st = views.Trace().Stats
+	fmt.Printf("delta rules fired: %d, cascades stopped by statement (2): %d\n",
+		st.DeltaRulesEvaluated, st.CascadeStopped)
 
 	// An account deletion in bulk: eve leaves; every edge she touches
 	// goes in one maintenance batch.

@@ -367,8 +367,9 @@ func TestSetModeCountsEqualRecompute(t *testing.T) {
 	}
 }
 
-// TestAblationNoSetOptStillCorrect: with statement (2) disabled the
-// results must still be correct as sets, just computed with more work.
+// TestAblationNoSetOptStillCorrect: without statement (2) — full duplicate
+// counts, so that every count change cascades — the results must still be
+// correct as sets, just computed with more work.
 func TestAblationNoSetOptStillCorrect(t *testing.T) {
 	prog := rules(t, `
 		hop(X,Y)     :- link(X,Z), link(Z,Y).
@@ -381,12 +382,9 @@ func TestAblationNoSetOptStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noOpt, err := NewWithConfig(prog, base, Config{Semantics: eval.Set, DisableSetOpt: true})
+	noOpt, err := NewWithConfig(prog, base, Config{Semantics: eval.Duplicate})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if noOpt.Semantics() != eval.Set {
-		t.Fatal("external semantics must remain Set")
 	}
 	for round := 0; round < 15; round++ {
 		d := workload.Mixed(rng, opt.Relation("link"), 10, 2, 2)
@@ -396,6 +394,9 @@ func TestAblationNoSetOptStillCorrect(t *testing.T) {
 		}
 		if _, err := noOpt.Apply(dm); err != nil {
 			t.Fatal(err)
+		}
+		if st := noOpt.Stats(); st.CascadeStopped != 0 {
+			t.Fatalf("round %d: %d cascades stopped without statement (2)", round, st.CascadeStopped)
 		}
 		for _, pred := range []string{"hop", "tri_hop"} {
 			if !relation.EqualAsSets(opt.Relation(pred), noOpt.Relation(pred)) {

@@ -14,6 +14,7 @@ import (
 // and a rule edit's seeds sum into each head's Δ, which the stratum
 // commits whole and cascades as statement (2) decides.
 func (e *Engine) count(o *op, s int, rules []int) error {
+	st := StratumTrace{Stratum: s, Algorithm: "counting"}
 	var stratumStart time.Time
 	if o.timing {
 		stratumStart = time.Now()
@@ -61,12 +62,9 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 		}
 	}
 	if o.timing {
-		d := time.Since(stratumStart)
-		e.mCount.stratumSecs.Observe(d)
-		if e.tracer != nil {
-			e.tracer.StratumDone(s, d)
-		}
+		st.Wall = time.Since(stratumStart)
 	}
+	e.stratumDone(st)
 	return nil
 }
 

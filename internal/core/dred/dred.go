@@ -75,24 +75,38 @@ var ErrRecursive = fmt.Errorf("counting: program is recursive; maintain it with 
 // counting strata fill the first three counters, DRed strata the rest.
 type Stats struct {
 	// DeltaRulesEvaluated counts Δi(r) evaluations performed.
-	DeltaRulesEvaluated int
+	DeltaRulesEvaluated int `json:"delta_rules_evaluated"`
 	// DeltaTuples counts tuples (with count changes) produced across the
 	// derived relations of counting strata.
-	DeltaTuples int
+	DeltaTuples int `json:"delta_tuples"`
 	// CascadeStopped counts derived relations whose counts changed but
 	// whose set image did not, so statement (2) suppressed propagation.
-	CascadeStopped int
+	CascadeStopped int `json:"cascade_stopped"`
 	// Overestimated counts tuples placed in δ⁻ overestimates (step 1).
-	Overestimated int
+	Overestimated int `json:"overestimated"`
 	// Rederived counts overestimated tuples put back in step 2.
-	Rederived int
+	Rederived int `json:"rederived"`
 	// Inserted counts tuples added by step 3.
-	Inserted int
+	Inserted int `json:"inserted"`
 	// RuleFirings counts DRed rule evaluations, all steps and strata.
-	RuleFirings int
+	RuleFirings int `json:"rule_firings"`
 	// FixpointRounds counts the semi-naive rounds of steps 1–3 across
 	// all DRed strata.
-	FixpointRounds int
+	FixpointRounds int `json:"fixpoint_rounds"`
+}
+
+// StratumTrace is one stratum's part of a maintenance operation: its number
+// (1 for the lowest derived one), what maintained it ("counting", "dred",
+// or "recompute" where the operation evaluated the program afresh), its
+// wall time with DRed's steps 1–3 within it, and the rows of the exact
+// count Δ it committed. A stratum maintained on an engine that nothing
+// observes (no metrics, no tracer) reads no clock: its times are zero.
+type StratumTrace struct {
+	Stratum   int              `json:"stratum"`
+	Algorithm string           `json:"algorithm"`
+	Wall      time.Duration    `json:"wall_ns"`
+	Steps     [3]time.Duration `json:"dred_steps_ns"`
+	Delta     int              `json:"delta_rows"`
 }
 
 // Config selects the engine's algorithm, semantics and hooks.
@@ -104,17 +118,13 @@ type Config struct {
 	// Semantics is the external view semantics (set or duplicate). A DRed
 	// stratum needs set semantics.
 	Semantics eval.Semantics
-	// DisableSetOpt turns off statement (2) of Algorithm 4.1 (Section
-	// 5.1) under forced counting, E3's ablation: a set view then keeps
-	// full duplicate counts, and every count change cascades.
-	DisableSetOpt bool
 	// Metrics, when non-nil, receives the engine's counters and timing
 	// histograms (counting_* from counting strata, dred_* from DRed
 	// strata, recompute_* from Recompute, eval_* and planner_* series).
 	// Nil disables collection.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, receives per-operation trace events. Nil
-	// costs a single pointer check per event site.
+	// Tracer, when non-nil, receives per-stratum and per-rule trace
+	// events. Nil costs a single pointer check per event site.
 	Tracer metrics.Tracer
 }
 
@@ -144,12 +154,9 @@ type Engine struct {
 	alg   Algorithm
 	regime
 
-	// sem is the internal counting regime: Set means per-stratum counts
-	// with statement (2); Duplicate means full multiset counts. reportSet
-	// marks a set view kept under Duplicate (DisableSetOpt): its reported
-	// changes are collapsed to set transitions.
-	sem       eval.Semantics
-	reportSet bool
+	// sem is the counting regime: Set means per-stratum counts with
+	// statement (2); Duplicate means full multiset counts.
+	sem eval.Semantics
 
 	db store
 	// gts holds the group tables of aggregate subgoals, built over the
@@ -160,6 +167,9 @@ type Engine struct {
 	// sharing the engine across goroutines must serialize maintenance
 	// against Stats (ivm.Views copies it onto each version it publishes).
 	last Stats
+	// strata holds the most recent operation's StratumTraces, in order, in
+	// a slice of its own: a published one is never written again.
+	strata []StratumTrace
 	// lastDeltas holds, per predicate, the exact signed count delta the
 	// most recent operation merged into stored content — wider than its
 	// visible changes where statement (2) stopped a cascade.
@@ -197,7 +207,7 @@ type Engine struct {
 // countingInstruments are the series counting strata emit.
 type countingInstruments struct {
 	applies, deltaRules, deltaTuples, cascadeStops *metrics.Counter
-	applySecs, stratumSecs                         *metrics.Histogram
+	applySecs                                      *metrics.Histogram
 }
 
 // dredInstruments are the series DRed strata emit.
@@ -210,6 +220,10 @@ type dredInstruments struct {
 // Stats returns the work counters of the most recent maintenance
 // operation (Apply, AddRule, or RemoveRule); Recompute keeps none.
 func (e *Engine) Stats() Stats { return e.last }
+
+// Strata returns the most recent operation's per-stratum records, one for
+// each stratum with rules, in stratum order; none after a Fold.
+func (e *Engine) Strata() []StratumTrace { return e.strata }
 
 // CommittedDeltas returns, per predicate, the exact signed count delta
 // the most recent operation merged into its stored relation (base and
@@ -226,7 +240,7 @@ func (e *Engine) Fold(deltas map[string]*relation.Relation) {
 	for pred, d := range deltas {
 		e.db.Ensure(pred, d.Arity()).MergeDelta(d)
 	}
-	e.lastDeltas, e.last = deltas, Stats{}
+	e.lastDeltas, e.last, e.strata = deltas, Stats{}, nil
 	e.gts = make(map[eval.RuleLit]*eval.GroupTable)
 }
 
@@ -252,7 +266,7 @@ func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	if err := e.materialize(); err != nil {
+	if _, err := e.materialize(); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -302,10 +316,6 @@ func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 		tracer: cfg.Tracer, reg: cfg.Metrics, instr: eval.NewInstruments(cfg.Metrics),
 		planner: eval.NewPlanner(cfg.Metrics), work: make(map[string]*relation.Relation),
 	}
-	if e.sem == eval.Set && cfg.DisableSetOpt && e.alg == Counting {
-		// Without statement (2) a set view needs full duplicate counts.
-		e.sem, e.reportSet = eval.Duplicate, true
-	}
 	if _, err := e.Install(prog); err != nil {
 		return nil, err
 	}
@@ -313,12 +323,7 @@ func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 }
 
 // Semantics returns the external view semantics.
-func (e *Engine) Semantics() eval.Semantics {
-	if e.reportSet {
-		return eval.Set
-	}
-	return e.sem
-}
+func (e *Engine) Semantics() eval.Semantics { return e.sem }
 
 // Program returns the maintained view program.
 func (e *Engine) Program() *datalog.Program { return e.prog }
@@ -371,11 +376,6 @@ func (e *Engine) Regime() Algorithm {
 	return PerStratum
 }
 
-// name is the engine's regime as a tracer's batch events name it.
-func (e *Engine) name() string {
-	return [...]string{DRed: "dred", Counting: "counting", PerStratum: "counting+dred", Recompute: "recompute"}[e.Regime()]
-}
-
 // old returns pred's committed state as a rule body reads it: under set
 // semantics the set image of a counting stratum's relation (Section 5.1's
 // per-stratum counts), every other relation — a set then — as stored, and
@@ -419,10 +419,7 @@ func (e *Engine) groupTable(key eval.RuleLit, g *datalog.Aggregate) (*eval.Group
 // state changes. Recompute evaluates the views afresh over the changed
 // base instead of maintaining them.
 func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error) {
-	e.last = Stats{}
-	if e.tracer != nil {
-		e.tracer.BatchStart(e.name(), len(baseDelta))
-	}
+	e.last, e.strata = Stats{}, nil
 	o := e.newOp()
 	e.begin(o)
 	derived := e.prog.DerivedPreds()
@@ -436,7 +433,7 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		}
 		var verr error
 		cd := d // under duplicate semantics the caller's, which stays theirs to reuse
-		if e.sem == eval.Set || e.reportSet {
+		if e.sem == eval.Set {
 			// Base relations are sets: inserting a present tuple is a no-op.
 			cd = pick(d, func(row relation.Row) int64 {
 				has := stored.Has(row.Tuple)
@@ -522,10 +519,7 @@ func (e *Engine) RemoveRule(ri int) (map[string]*relation.Relation, error) {
 // leaves the engine's program as it was, as a rejected Apply leaves its
 // stored rows.
 func (e *Engine) edit(prog *datalog.Program, rule datalog.Rule, sign int64, gts map[eval.RuleLit]*eval.GroupTable) (map[string]*relation.Relation, error) {
-	e.last = Stats{}
-	if e.tracer != nil {
-		e.tracer.BatchStart(e.name()+map[int64]string{1: ":add-rule", -1: ":remove-rule"}[sign], 1)
-	}
+	e.last, e.strata = Stats{}, nil
 	was := *e
 	undo, err := e.Install(prog)
 	if err != nil {
@@ -668,7 +662,7 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 		e.mCount = countingInstruments{
 			r.Counter("counting_applies_total"), r.Counter("counting_delta_rules_total"),
 			r.Counter("counting_delta_tuples_total"), r.Counter("counting_cascade_stops_total"),
-			r.Histogram("counting_apply_seconds"), r.Histogram("counting_stratum_seconds")}
+			r.Histogram("counting_apply_seconds")}
 	}
 	if r := e.reg; e.hasDRed {
 		e.mDRed = dredInstruments{
@@ -714,9 +708,11 @@ func (e *Engine) reevaluate(o *op, prev *datalog.Program) (map[string]*relation.
 		r.MergeDelta(d)
 		fresh.db[pred] = relation.Store(r)
 	}
-	if err := fresh.materialize(); err != nil {
+	strata, err := fresh.materialize()
+	if err != nil {
 		return nil, err
 	}
+	e.strata = strata
 	if e.alg == Recompute {
 		o.fresh = fresh.db
 	}
@@ -759,21 +755,15 @@ func (e *Engine) ruleDerivations(rule datalog.Rule) (*relation.Relation, error) 
 }
 
 // commit merges the operation's exact deltas into storage and commits the
-// group tables it moved. It returns the visible change of each derived
-// relation that moved: its cascade, or under DisableSetOpt the set
-// transitions of its counts.
+// group tables it moved, counts each stratum's Δ rows into its record, and
+// observes the operation's series. It returns the visible change of each
+// derived relation that moved: its cascade.
 func (e *Engine) commit(o *op) map[string]*relation.Relation {
 	visible := make(map[string]*relation.Relation)
 	for pred, c := range o.cascade {
-		if e.strat.SN[pred] == 0 { // a base relation
-			continue
+		if e.strat.SN[pred] != 0 { // not a base relation
+			visible[pred] = c
 		}
-		if e.reportSet {
-			if c = setTransitions(e.db.Ensure(pred, -1), c); c.Empty() {
-				continue
-			}
-		}
-		visible[pred] = c
 	}
 	e.lastDeltas = make(map[string]*relation.Relation, len(o.commit))
 	for pred, d := range o.commit {
@@ -784,6 +774,9 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 		}
 		if !d.Empty() {
 			e.lastDeltas[pred] = d
+		}
+		if i, ok := slices.BinarySearchFunc(e.strata, e.strat.SN[pred], func(st StratumTrace, s int) int { return st.Stratum - s }); ok {
+			e.strata[i].Delta += d.Len()
 		}
 	}
 	for key, dt := range o.pendingT {
@@ -812,9 +805,13 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 		m.ruleFirings.Add(int64(e.last.RuleFirings))
 		m.fixpointRounds.Add(int64(e.last.FixpointRounds))
 		m.applySecs.Observe(d)
-	}
-	if e.tracer != nil {
-		e.tracer.BatchDone(d, len(visible))
+		for _, st := range e.strata {
+			if st.Algorithm == "dred" {
+				for i, h := range m.stepSecs {
+					h.Observe(st.Steps[i])
+				}
+			}
+		}
 	}
 	return visible
 }

@@ -63,11 +63,21 @@ func (e *Engine) newOp() *op {
 	}
 }
 
-// begin starts o's clock when anything observes the engine.
+// begin starts o's clock when anything observes the engine, and the
+// stratum records: the engine's, as nothing of o may outlive it.
 func (e *Engine) begin(o *op) {
 	if o.timing = e.tracer != nil || e.reg != nil; o.timing {
 		o.start = time.Now()
 	}
+	e.strata = make([]StratumTrace, 0, e.strat.MaxStratum)
+}
+
+// stratumDone records a stratum's part of the operation, and tells the tracer.
+func (e *Engine) stratumDone(st StratumTrace) {
+	if e.tracer != nil {
+		e.tracer.StratumDone(st.Stratum, st.Wall)
+	}
+	e.strata = append(e.strata, st)
 }
 
 // propagate walks the strata in order, each with its algorithm, over the
@@ -261,6 +271,7 @@ func (e *Engine) evalInto(o *op, ri, deltaLit int, img relation.Reader, kind eva
 // step 1's overestimate less what step 2 puts back, and step 3's
 // insertions — is its cascade, committed as it stands.
 func (e *Engine) rederive(o *op, s int, rules []int) error {
+	st := StratumTrace{Stratum: s, Algorithm: "dred"}
 	var stratumStart time.Time
 	if o.timing {
 		stratumStart = time.Now()
@@ -296,7 +307,7 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	var step2Start time.Time
 	if o.timing {
 		step2Start = time.Now()
-		e.mDRed.stepSecs[0].Observe(step2Start.Sub(stratumStart))
+		st.Steps[0] = step2Start.Sub(stratumStart)
 	}
 
 	// ---- Step 2: rederive tuples with alternative derivations. ----
@@ -363,7 +374,7 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	var step3Start time.Time
 	if o.timing {
 		step3Start = time.Now()
-		e.mDRed.stepSecs[1].Observe(step3Start.Sub(step2Start))
+		st.Steps[1] = step3Start.Sub(step2Start)
 	}
 
 	// ---- Step 3: propagate insertions. ----
@@ -382,11 +393,9 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	}
 	if o.timing {
 		now := time.Now()
-		e.mDRed.stepSecs[2].Observe(now.Sub(step3Start))
-		if e.tracer != nil {
-			e.tracer.StratumDone(s, now.Sub(stratumStart))
-		}
+		st.Steps[2], st.Wall = now.Sub(step3Start), now.Sub(stratumStart)
 	}
+	e.stratumDone(st)
 
 	// ---- Finalize the stratum: its net transitions are what it reports
 	// and commits. ----
@@ -474,8 +483,9 @@ func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, kind eval
 // a stratum that reads itself then runs step 3's semi-naive rounds from
 // what those joins derived. It makes no Δ, version or trace event, and
 // counts no work in Stats: it runs on a copy of the engine, without its
-// tracer, that shares its stored relations, group tables and planner.
-func (e *Engine) materialize() error {
+// tracer, that shares its stored relations, group tables and planner, and
+// returns a record of each stratum with rules.
+func (e *Engine) materialize() ([]StratumTrace, error) {
 	m := *e
 	m.tracer = nil
 	o := m.newOp()
@@ -488,7 +498,12 @@ func (e *Engine) materialize() error {
 			}
 		})
 	}
+	var strata []StratumTrace
 	for s, rules := range m.strat.RulesByStratum(m.prog) {
+		if len(rules) == 0 {
+			continue
+		}
+		start := time.Now()
 		inStratum := make(map[string]bool)
 		for _, ri := range rules {
 			head := m.prog.Rules[ri].Head
@@ -508,7 +523,7 @@ func (e *Engine) materialize() error {
 			case loops:
 				out, err := m.evalStep(o, ri, -1, nil, eval.PlanEval)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				fold(rule.Head.Pred, out)
 			default:
@@ -517,7 +532,7 @@ func (e *Engine) materialize() error {
 					if lit.Kind == datalog.LitAggregate { // a head over T is often T's row
 						gt, err := m.groupTable(eval.RuleLit{Rule: ri, Lit: j}, lit.Agg)
 						if err != nil {
-							return err
+							return nil, err
 						}
 						out.BorrowFrom(nil, gt.Rel())
 					}
@@ -525,13 +540,13 @@ func (e *Engine) materialize() error {
 				err := m.evalInto(o, ri, -1, nil, eval.PlanEval, out)
 				out.BorrowFrom(nil, nil)
 				if err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
 		if loops {
 			if err := m.rounds(o, rules, inStratum, eval.PlanEval, fold); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		for pred := range inStratum {
@@ -541,8 +556,9 @@ func (e *Engine) materialize() error {
 				r.Trim() // at the layout a loaded state has (Load)
 			}
 		}
+		strata = append(strata, StratumTrace{Stratum: s, Algorithm: "recompute", Wall: time.Since(start)})
 	}
-	return nil
+	return strata, nil
 }
 
 // image returns the image of a literal that drives a δ-rule: for step 1

@@ -155,20 +155,16 @@ func TestRegistryConcurrentUse(t *testing.T) {
 func TestFuncTracerNilCallbacks(t *testing.T) {
 	// A FuncTracer with no callbacks must be safe to drive.
 	ft := &FuncTracer{}
-	ft.BatchStart("counting", 1)
 	ft.StratumDone(1, time.Millisecond)
 	ft.RuleEvaluated("p", 3)
-	ft.BatchDone(time.Millisecond, 1)
 
 	var events []string
 	ft2 := &FuncTracer{
-		OnBatchStart: func(strategy string, n int) { events = append(events, "start:"+strategy) },
-		OnBatchDone:  func(d time.Duration, n int) { events = append(events, "done") },
+		OnRuleEvaluated: func(rule string, n int) { events = append(events, "rule:"+rule) },
 	}
-	ft2.BatchStart("dred", 2)
+	ft2.RuleEvaluated("p", 2)
 	ft2.StratumDone(1, 0) // nil callback skipped
-	ft2.BatchDone(0, 0)
-	if len(events) != 2 || events[0] != "start:dred" || events[1] != "done" {
+	if len(events) != 1 || events[0] != "rule:p" {
 		t.Fatalf("events = %v", events)
 	}
 }

@@ -2,11 +2,13 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"ivm"
+	"ivm/internal/core/dred"
 	"ivm/internal/storage"
 )
 
@@ -15,6 +17,28 @@ import (
 // deltas (typically 0.1–6 KB), so a count alone would let the window
 // outgrow the views it serves. Options.ReplWindow raises both bounds.
 const replWindowRecordBytes = 512
+
+// traceBytes is what a window entry's trace adds to its record's payload.
+func traceBytes(t *ivm.ApplyTrace) int {
+	return int(reflect.TypeFor[ivm.ApplyTrace]().Size()) + len(t.Strata)*int(reflect.TypeFor[dred.StratumTrace]().Size())
+}
+
+// handleTrace serves GET /v1/trace?version=N, the ivm.ApplyTrace of version
+// N from the replication window: 404 above its newest, 410 below its oldest.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	n, err := strconv.ParseUint(r.URL.Query().Get("version"), 10, 64)
+	lo, hi, _ := s.replWin.Bounds()
+	switch e, ok := s.replWin.Next(n - 1); {
+	case err != nil || n == 0:
+		writeError(w, http.StatusBadRequest, "invalid version %q", r.URL.Query().Get("version"))
+	case ok && e.Version == n:
+		writeJSON(w, http.StatusOK, e.Item.Trace)
+	case n > hi:
+		writeError(w, http.StatusNotFound, "version %d is not published; the newest is %d", n, hi)
+	default:
+		writeError(w, http.StatusGone, "version %d is not in the trace window, which holds the versions after %d through %d", n, lo, hi)
+	}
+}
 
 // handleReplicate serves GET /v1/replicate: the resumable replication
 // stream a follower tails. The response is a raw sequence of framed
@@ -176,7 +200,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// lost.
 		ch := s.replWin.WaitCh()
 		if e, ok := s.replWin.Next(cur); ok {
-			if !sendDelta(e.Item.CommitRecord, e.Item.UnixNano) {
+			if !sendDelta(e.Item.CommitRecord, e.Item.Trace.Published.UnixNano()) {
 				return
 			}
 			cur = e.Item.Version

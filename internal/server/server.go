@@ -58,8 +58,9 @@ type Options struct {
 	// ReplWindow is how many committed records the in-memory replication
 	// window retains (default 1024) — fewer when they are large: the
 	// window also holds at most ReplWindow × 512 bytes of encoded records
-	// (512 KiB by default), newest first. Followers resuming further
-	// behind are backfilled from the WAL, or from a full state transfer.
+	// and their traces (512 KiB by default), newest first. Followers
+	// resuming further behind are backfilled from the WAL, or from a full
+	// state transfer; GET /v1/trace answers from the same window.
 	ReplWindow int
 	// ReplHeartbeat is the keepalive cadence of idle /v1/replicate
 	// streams (default 500ms). Heartbeats carry the current published
@@ -122,9 +123,9 @@ type Server struct {
 	http   *http.Server
 	httpLn net.Listener
 
-	// replWin is the in-memory tail of committed records that
-	// /v1/replicate streams from; stop unblocks idle streams at
-	// shutdown.
+	// replWin is the in-memory tail of committed records, with their
+	// traces, that /v1/replicate streams from and /v1/trace reads; stop
+	// unblocks idle streams at shutdown.
 	replWin  *sched.Window[ivm.CommitEvent]
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -185,7 +186,7 @@ func New(v *ivm.Views, opts Options) *Server {
 	// a no-op, whereas the reverse order could lose that commit from the
 	// window's claimed coverage.
 	s.replWin = sched.NewWindow(opts.ReplWindow, opts.ReplWindow*replWindowRecordBytes,
-		func(ev ivm.CommitEvent) int { return len(ev.Payload) })
+		func(ev ivm.CommitEvent) int { return len(ev.Payload) + traceBytes(ev.Trace) })
 	v.OnCommitRecord(func(ev ivm.CommitEvent) { s.replWin.Append(ev.Version, ev) })
 	s.replWin.Seed(v.Snapshot().Version())
 	mux := http.NewServeMux()
@@ -209,6 +210,7 @@ func New(v *ivm.Views, opts Options) *Server {
 	mux.Handle("GET /v1/explain", timed(s.handleExplain))
 	mux.Handle("GET /v1/metrics", timed(s.handleMetrics))
 	mux.Handle("GET /v1/info", timed(s.handleInfo))
+	mux.Handle("GET /v1/trace", timed(s.handleTrace))
 	mux.Handle("POST /v1/promote", timed(s.handlePromote))
 	mux.Handle("POST /v1/session", timed(s.handleSessionCreate))
 	mux.Handle("DELETE /v1/session/{id}", timed(s.handleSessionDelete))

@@ -70,10 +70,10 @@ func Str(s string) Value    { return value.NewString(s) }
 // Semantics selects set vs SQL duplicate (multiset) semantics.
 type Semantics = eval.Semantics
 
-// Tracer receives maintenance trace events: batch start/end, per-stratum
-// completion, and per-rule evaluation. Implementations must be safe for
-// the goroutine running Apply; a nil tracer costs one pointer check per
-// event site. See FuncTracer for a closure-based implementation.
+// Tracer receives maintenance events as they happen, per stratum and per
+// rule evaluation (a commit's whole account is its ApplyTrace); it must be
+// safe for the goroutine running Apply. A nil tracer costs one pointer
+// check per event site. FuncTracer implements it with closures.
 type Tracer = metrics.Tracer
 
 // FuncTracer is a Tracer assembled from optional callbacks; nil fields
@@ -120,6 +120,13 @@ func (s Strategy) String() string {
 		return strategyNames[s]
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// MarshalText and UnmarshalText spell a strategy by name, as JSON does.
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+func (s *Strategy) UnmarshalText(b []byte) (err error) {
+	*s, err = ParseStrategy(string(b))
+	return err
 }
 
 // ParseStrategy reads a strategy by the name String prints ("" is Auto),
@@ -217,7 +224,7 @@ func (d *Database) Rows(pred string) []Row {
 // snapshot of a Database.
 //
 // Concurrency model (see DESIGN.md §10): reads (Rows, Count, Has,
-// Query, Explain, Snapshot, the *Stats accessors) pin the current
+// Query, Explain, Snapshot, Trace) pin the current
 // published version with one atomic load and never take a lock — they
 // neither block on nor are blocked by maintenance. Writes (Apply,
 // AddRule, RemoveRule) are serialized through a coalescing scheduler:
@@ -274,9 +281,6 @@ type Views struct {
 	mFallbacks    *metrics.Counter
 	mDedups       *metrics.Counter
 	mApplyWait    *metrics.Histogram
-	mSnapWait     *metrics.Histogram
-	mSnapVersion  *metrics.Gauge
-	mSnapUnix     *metrics.Gauge
 	mIdemEntries  *metrics.Gauge
 	// One observation per folded commit record (foldRecordLocked).
 	mReplaySecs *metrics.Histogram
@@ -369,9 +373,6 @@ func newViews(cfg config, reg *metrics.Registry, eng *dred.Engine, programSrc st
 	v.mReplaySecs = reg.Histogram("commit_replay_seconds")
 	v.mReplayRows = reg.Counter("commit_replay_rows_total")
 	v.mApplyWait = reg.Histogram("sched_apply_wait_seconds")
-	v.mSnapWait = reg.Histogram("snapshot_wait_seconds")
-	v.mSnapVersion = reg.Gauge("snapshot_version")
-	v.mSnapUnix = reg.Gauge("snapshot_published_unixnano")
 	rels := make(map[string]*relation.Versioned)
 	for _, pred := range eng.Preds() {
 		rels[pred] = eng.Stored(pred).Publish(nil, nil)
@@ -386,7 +387,7 @@ func newViews(cfg config, reg *metrics.Registry, eng *dred.Engine, programSrc st
 // stratum is recursive, DRed when every one is (or when forced), and Auto
 // only for a mixed program under Auto, whose nonrecursive strata count
 // and recursive ones run DRed. Recompute is as configured.
-func (v *Views) Strategy() Strategy { return v.cur.Load().strategy }
+func (v *Views) Strategy() Strategy { return v.cur.Load().trace.Strategy }
 
 // regime is what maintains eng's program, as Strategy and a commit
 // record's stamp name it: the algorithms its strata run, or Recompute.
@@ -448,6 +449,7 @@ type applyReq struct {
 	// replay marks a replicated script (ApplyScriptReplicated): it is
 	// applied whatever the window holds, and its keys only seed it.
 	replay  bool
+	enq     time.Time // when it was enqueued
 	cs      *ChangeSet
 	deduped bool
 	err     error
@@ -470,12 +472,11 @@ type applyGroup struct {
 	// ships it, so the durable order and the published order agree.
 	rec CommitRecord
 	// ver is the version the group publishes: the relation map, program
-	// and engine statistics as of its maintenance pass — a later group of
-	// the batch may edit the program.
-	ver     *version
-	pubUnix int64
-	seq     uint64 // the WAL sequence number of rec, once appended
-	err     error
+	// and trace as of its maintenance pass — a later group of the batch
+	// may edit the program.
+	ver *version
+	seq uint64 // the WAL sequence number of rec, once appended
+	err error
 }
 
 // Apply maintains every view under the update and returns the per-view
@@ -552,11 +553,10 @@ func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
 	if r.u != nil && r.u.err != nil {
 		return nil, false, r.u.err
 	}
-	start := time.Now()
-	r.done = make(chan struct{})
+	r.enq, r.done = time.Now(), make(chan struct{})
 	v.comb.Submit(r)
 	<-r.done
-	v.mApplyWait.Observe(time.Since(start))
+	v.mApplyWait.Observe(time.Since(r.enq))
 	if r.err != nil {
 		return nil, false, r.err
 	}
@@ -569,6 +569,7 @@ func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
 // notify → release — updates, records to fold and rule edits alike.
 func (v *Views) processBatch(batch []*applyReq) {
 	v.wmu.Lock()
+	taken := time.Now()
 	fresh, leaders, followers := v.dedupeLocked(batch)
 	admitted := fresh[:0]
 	for _, r := range fresh {
@@ -581,7 +582,7 @@ func (v *Views) processBatch(batch []*applyReq) {
 	recHandlers := v.recordHandlers()
 	groups := v.maintainBatchLocked(admitted, v.store != nil || len(recHandlers) > 0)
 	v.logLocked(groups)
-	v.publishLocked(groups)
+	v.publishLocked(groups, taken)
 	v.wmu.Unlock()
 	v.notifyGroups(groups, recHandlers)
 	v.release(batch, groups, leaders, followers)
@@ -672,18 +673,22 @@ func (v *Views) logLocked(groups []*applyGroup) {
 		if g.err != nil { // not maintained, or its record could not be cut
 			continue
 		}
+		start := time.Now()
 		var err error
 		if g.seq, err = v.store.AppendRecord(g.rec); err != nil {
 			g.err = notLogged(err)
 		}
+		g.ver.trace.WALAppend = time.Since(start)
 	}
 	for _, g := range groups {
 		if g.seq == 0 {
 			continue
 		}
+		start := time.Now()
 		if err := v.store.WaitDurable(g.seq); err != nil {
 			g.err = notLogged(err)
 		}
+		g.ver.trace.FsyncWait = time.Since(start)
 	}
 }
 
@@ -696,13 +701,18 @@ func (v *Views) logLocked(groups []*applyGroup) {
 // durability error deliberately leaves its keys out, so the caller gets
 // the error rather than a dedup answer — a blind retry of an
 // applied-but-unlogged update is exactly the double apply the window
-// exists to prevent.
-func (v *Views) publishLocked(groups []*applyGroup) {
+// exists to prevent. A trace takes its group's keys and longest wait.
+func (v *Views) publishLocked(groups []*applyGroup, taken time.Time) {
 	for _, g := range groups {
 		if g.cs == nil {
 			continue
 		}
-		g.pubUnix = v.installLocked(g.ver).published
+		t := g.ver.trace
+		t.Keys = g.rec.Keys
+		for _, r := range g.reqs {
+			t.Wait = max(t.Wait, taken.Sub(r.enq))
+		}
+		v.installLocked(g.ver)
 		if g.err == nil {
 			for _, k := range g.rec.Keys {
 				v.idem.record(k, g.rec.Version)
@@ -726,7 +736,7 @@ func (v *Views) notifyGroups(groups []*applyGroup, recHandlers []func(ev CommitE
 		}
 		v.notify(g.cs)
 		for _, fn := range recHandlers {
-			fn(CommitEvent{CommitRecord: g.rec, UnixNano: g.pubUnix})
+			fn(CommitEvent{CommitRecord: g.rec, Trace: g.ver.trace})
 		}
 	}
 }
@@ -966,11 +976,32 @@ func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 type CommitRecord = storage.CommitRecord
 
 // CommitEvent is one published version as OnCommitRecord reports it: the
-// commit's record plus when it was published. A rule edit's record carries
-// the program it leaves (CommitRecord.Program), so every commit folds.
+// commit's record plus its trace. A rule edit's record carries the program
+// it leaves (CommitRecord.Program), so every commit folds.
 type CommitEvent struct {
 	CommitRecord
-	UnixNano int64
+	Trace *ApplyTrace
+}
+
+// ApplyTrace is the account of the commit that published a version, frozen
+// at publish: Views.Trace reads the current version's and each CommitEvent
+// carries its commit's. It is shared; do not modify it. It holds the
+// version, the idempotency keys covered, what maintains the program, the
+// engine's work counters and a record of each stratum maintained (neither
+// for a folded commit record), the longest a covered request waited for
+// the maintainer to take its batch, the WAL append and the wait for it to
+// be durable (the batch's fsync, for its first commit; zero without a
+// store), and when it was published.
+type ApplyTrace struct {
+	Version   uint64              `json:"version"`
+	Keys      []string            `json:"keys,omitempty"`
+	Strategy  Strategy            `json:"strategy"`
+	Stats     dred.Stats          `json:"stats"`
+	Wait      time.Duration       `json:"wait_ns"`
+	Strata    []dred.StratumTrace `json:"strata,omitempty"`
+	WALAppend time.Duration       `json:"wal_append_ns"`
+	FsyncWait time.Duration       `json:"fsync_wait_ns"`
+	Published time.Time           `json:"published"`
 }
 
 // OnCommitRecord subscribes fn to the commit-ordered record stream:
@@ -1062,29 +1093,16 @@ func (v *Views) hiddenLocked() []string {
 	return hidden
 }
 
-// CountingStats returns the engine statistics of the maintenance pass
-// that produced the current published version, if counting maintains a
-// stratum of its program (their counting counters). The stats are carried
-// on the version itself, so the read is lock-free and race-free against
-// concurrent Apply.
-func (v *Views) CountingStats() (dred.Stats, bool) {
-	cur := v.cur.Load()
-	return cur.stats, cur.strategy == Counting || cur.strategy == Auto
-}
-
-// DRedStats returns the engine statistics of the maintenance pass that
-// produced the current published version, if DRed maintains a stratum of
-// its program (their DRed counters). Lock-free.
-func (v *Views) DRedStats() (dred.Stats, bool) {
-	cur := v.cur.Load()
-	return cur.stats, cur.strategy == DRed || cur.strategy == Auto
-}
+// Trace returns the account of the commit that published the current
+// version. The version carries it, so the read is lock-free and race-free
+// against concurrent Apply.
+func (v *Views) Trace() *ApplyTrace { return v.cur.Load().trace }
 
 // Metrics returns an immutable snapshot of every metric the views'
 // engine has recorded: cumulative counters (counting_*, dred_*,
 // recompute_*, eval_*, sched_*), gauges, and duration histograms.
 // Counters are cumulative across the views' lifetime, unlike the
-// per-operation *Stats accessors. The underlying instruments are
+// per-version Trace. The underlying instruments are
 // atomic, so the snapshot is race-free and lock-free.
 func (v *Views) Metrics() MetricsSnapshot {
 	// Refresh the process-wide relation gauges so the snapshot reflects

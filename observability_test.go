@@ -1,9 +1,8 @@
 package ivm_test
 
 // Tests for the observability layer: the metrics registry surfaced via
-// Views.Metrics(), agreement between metric counters and the legacy
-// per-batch Stats, tracer hooks, and the race-safety of the stats
-// accessors (run with -race).
+// Views.Metrics(), agreement between metric counters and the per-version
+// ApplyTrace, tracer hooks, and the race-safety of Trace (run with -race).
 
 import (
 	"fmt"
@@ -31,10 +30,11 @@ func TestCountingMetricsAgreeWithStats(t *testing.T) {
 		if _, err := v.Apply(ivm.NewUpdate().Insert("link", "c", fmt.Sprintf("n%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		st, ok := v.CountingStats()
-		if !ok {
-			t.Fatal("counting stats expected")
+		tr := v.Trace()
+		if tr.Strategy != ivm.Counting {
+			t.Fatalf("traced strategy %v, want counting", tr.Strategy)
 		}
+		st := tr.Stats
 		rules += st.DeltaRulesEvaluated
 		tuples += st.DeltaTuples
 	}
@@ -106,10 +106,11 @@ func TestDRedMetricsAgreeWithStats(t *testing.T) {
 	if _, err := v.Apply(ivm.NewUpdate().Delete("link", "a", "b")); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := v.DRedStats()
-	if !ok {
-		t.Fatal("dred stats expected")
+	tr := v.Trace()
+	if tr.Strategy != ivm.DRed || len(tr.Strata) != 1 || tr.Strata[0].Algorithm != "dred" {
+		t.Fatalf("trace %+v, want one DRed stratum", tr)
 	}
+	st := tr.Stats
 	m := v.Metrics()
 	if got := m.Counter("dred_ops_total"); got != 1 {
 		t.Fatalf("dred_ops_total = %d, want 1", got)
@@ -125,6 +126,12 @@ func TestDRedMetricsAgreeWithStats(t *testing.T) {
 	}
 	if hs := m.Histograms["dred_apply_seconds"]; hs.Count != 1 {
 		t.Fatalf("dred_apply_seconds count = %d", hs.Count)
+	}
+	// The step series are observed from the trace's one DRed stratum.
+	for i, name := range []string{"dred_step1_seconds", "dred_step2_seconds", "dred_step3_seconds"} {
+		if hs := m.Histograms[name]; hs.Count != 1 || hs.Sum != tr.Strata[0].Steps[i] {
+			t.Fatalf("%s = %+v, the trace's step %v", name, hs, tr.Strata[0].Steps[i])
+		}
 	}
 }
 
@@ -180,11 +187,6 @@ func TestTracerReceivesBatchLifecycle(t *testing.T) {
 	var mu sync.Mutex
 	var events []string
 	tr := &ivm.FuncTracer{
-		OnBatchStart: func(strategy string, deltaPreds int) {
-			mu.Lock()
-			events = append(events, "start:"+strategy)
-			mu.Unlock()
-		},
 		OnStratumDone: func(stratum int, d time.Duration) {
 			mu.Lock()
 			events = append(events, fmt.Sprintf("stratum:%d", stratum))
@@ -193,11 +195,6 @@ func TestTracerReceivesBatchLifecycle(t *testing.T) {
 		OnRuleEvaluated: func(rule string, tuples int) {
 			mu.Lock()
 			events = append(events, "rule:"+rule)
-			mu.Unlock()
-		},
-		OnBatchDone: func(d time.Duration, changedPreds int) {
-			mu.Lock()
-			events = append(events, "done")
 			mu.Unlock()
 		},
 	}
@@ -209,36 +206,33 @@ func TestTracerReceivesBatchLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Apply(ivm.NewUpdate().Insert("link", "c", "d")); err != nil {
+	cs, err := v.Apply(ivm.NewUpdate().Insert("link", "c", "d"))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(events) < 3 {
-		t.Fatalf("too few tracer events: %v", events)
+	// Two δ-rules of hop read link; the one stratum closes after them.
+	if want := []string{"rule:hop", "rule:hop", "stratum:1"}; fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Fatalf("tracer events %v, want %v", events, want)
 	}
-	if events[0] != "start:counting" {
-		t.Fatalf("first event %q, want start:counting", events[0])
+	// The apply's account is the trace of the version it published.
+	trace := v.Trace()
+	if trace.Version != cs.Version() || trace.Strategy != ivm.Counting || trace.Published.IsZero() {
+		t.Fatalf("trace %+v of version %d", trace, cs.Version())
 	}
-	if events[len(events)-1] != "done" {
-		t.Fatalf("last event %q, want done", events[len(events)-1])
+	if st := trace.Strata; len(st) != 1 || st[0].Stratum != 1 || st[0].Algorithm != "counting" || st[0].Delta != 1 || st[0].Wall <= 0 {
+		t.Fatalf("strata %+v, want stratum 1 counting hop(b,d)", st)
 	}
-	var sawRule bool
-	for _, e := range events {
-		if e == "rule:hop" {
-			sawRule = true
-		}
-	}
-	if !sawRule {
-		t.Fatalf("no rule:hop event in %v", events)
+	if trace.Stats.DeltaRulesEvaluated != 2 || trace.Stats.DeltaTuples != 1 {
+		t.Fatalf("stats %+v", trace.Stats)
 	}
 }
 
-// TestStatsAccessorsRaceDuringApply hammers Metrics() and the three
-// *Stats() accessors while a writer applies batches. Run with -race:
-// the accessors must read the engines' last-batch stats under the
-// Views lock, never concurrently with an Apply writing them.
+// TestStatsAccessorsRaceDuringApply hammers Metrics() and Trace() while a
+// writer applies batches. Run with -race: a trace is read off the version
+// it pins, never concurrently with an Apply writing it.
 func TestStatsAccessorsRaceDuringApply(t *testing.T) {
 	db := ivm.NewDatabase()
 	for i := 0; i < 30; i++ {
@@ -260,8 +254,8 @@ func TestStatsAccessorsRaceDuringApply(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				v.CountingStats()
-				v.DRedStats()
+				tr := v.Trace()
+				_, _ = tr.Stats, fmt.Sprint(tr.Strata, tr.Published)
 				m := v.Metrics()
 				_ = m.Counter("counting_applies_total")
 			}

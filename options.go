@@ -32,8 +32,8 @@ func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s }
 // WithSemantics selects set or duplicate semantics (default: set).
 func WithSemantics(s Semantics) Option { return func(c *config) { c.semantics = s } }
 
-// WithTracer subscribes t to maintenance trace events (batch start/end,
-// stratum completion, rule evaluations). A nil t leaves tracing off.
+// WithTracer subscribes t to maintenance events as they happen (stratum
+// completion, rule evaluations). A nil t leaves tracing off.
 func WithTracer(t Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithIdempotencyWindow sets how many distinct idempotency keys the

@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -10,7 +10,9 @@ package ivm_test
 // engine code) evaluates over the model's base and rules, and each
 // ChangeSet and commit record must be the diff of consecutive evaluations,
 // the fold law f(x ⊕ Δ) = f(x) ⊕ f′(x, Δ), a ChangeSet read only once the
-// next operation has applied, as a caller may read it. A mismatch is
+// next operation has applied, as a caller may read it; each commit's trace
+// carries its record's version and keys and a record of each stratum of
+// the program, and every views' Trace is its current version's. A mismatch is
 // reported at the lowest stratum that differs, as the reference numbers
 // them, with the seed, leg, version and that stratum's rules.
 //
@@ -24,7 +26,8 @@ package ivm_test
 // tie as a copy [39]; a SUM staying a Float once it held one [19]; SUM's
 // Result one too many [2]; CmpLt evaluated as <= [9]; materialization
 // skipping the semi-naive rounds after its seed pass [3]; counting
-// committing its working Δ(head) uncopied and unfrozen [2].
+// committing its working Δ(head) uncopied and unfrozen [2]; a version's
+// trace stamped with its predecessor's version [1].
 
 import (
 	"cmp"
@@ -628,9 +631,9 @@ func oracleAdd(base map[string]map[string]ivm.Row, pred string, t ivm.Tuple, n i
 // opened with; extra is what a node built from a ReplicaState needs
 // besides the strategy and semantics the state names.
 func (r *oracleRun) options(strategy ivm.Strategy) []ivm.Option {
-	// The tracer keeps where maintenance is, for a panic to name.
+	// The tracer keeps where maintenance is, for a panic to name; do
+	// starts it over.
 	trace := &ivm.FuncTracer{
-		OnBatchStart:    func(string, int) { r.mu.Lock(); r.stratum, r.rule = 1, ""; r.mu.Unlock() },
 		OnStratumDone:   func(n int, _ time.Duration) { r.mu.Lock(); r.stratum = n + 1; r.mu.Unlock() },
 		OnRuleEvaluated: func(rule string, _ int) { r.mu.Lock(); r.rule = rule; r.mu.Unlock() },
 	}
@@ -885,11 +888,14 @@ func (r *oracleRun) crash() {
 	}
 }
 
-// check holds v to the model: version, program, and every predicate's
-// rows and counts.
+// check holds v to the model: version, trace, program, and every
+// predicate's rows and counts.
 func (r *oracleRun) check(what string, v *ivm.Views) {
 	if got := v.Snapshot().Version(); got != r.version {
 		r.fatal("%s: the views publish version %d", what, got)
+	}
+	if got := v.Trace().Version; got != r.version {
+		r.fatal("%s: the trace of version %d is stamped %d", what, r.version, got)
 	}
 	if got, want := v.Program().String(), r.st.prog.String(); got != want || ivm.EngineRules(v) != len(r.st.prog.Rules) {
 		r.fatal("%s: the program is\n%s\nwant\n%s\nand the engine's has %d rules", what, got, want, ivm.EngineRules(v))
@@ -1100,6 +1106,20 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	if !logged {
 		return
 	}
+	// The writer maintained the commit: its trace is the record's, with
+	// a record of each stratum of the program it leaves.
+	levels := make(map[int]bool)
+	for _, n := range next.model.level {
+		levels[n] = true
+	}
+	tr, last := ev.Trace, 0
+	traced := tr.Version == ver && slices.Equal(tr.Keys, ev.Keys) && len(tr.Strata) == len(levels)
+	for _, st := range tr.Strata {
+		traced, last = traced && levels[st.Stratum] && st.Stratum > last, st.Stratum
+	}
+	if !traced {
+		r.fatal("version %d with keys %q and %d strata is traced as %+v", ver, ev.Keys, len(levels), tr)
+	}
 	got, size := r.recordDelta(ev.CommitRecord)
 	r.fail("commit", got.compare("record", diff(prev.want, next.want, func(string) bool { return true }, false)))
 	evKeys := slices.Clone(ev.Keys)
@@ -1165,6 +1185,9 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 		cs             *ivm.ChangeSet
 		err            error
 	}
+	r.mu.Lock()
+	r.stratum, r.rule = 1, ""
+	r.mu.Unlock()
 	calls := make([]*call, len(ops))
 	for i, op := range ops {
 		c := &call{op: op}

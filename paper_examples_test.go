@@ -111,10 +111,11 @@ func TestExample11DRed(t *testing.T) {
 	wantDelta(t, ch, "hop", map[string]int64{"a,e": -1})
 	wantRows(t, v, "hop", map[string]int64{"a,c": 1})
 
-	st, ok := v.DRedStats()
-	if !ok {
-		t.Fatal("no DRed stats")
+	tr := v.Trace()
+	if tr.Strategy != ivm.DRed {
+		t.Fatalf("traced strategy %v, want dred", tr.Strategy)
 	}
+	st := tr.Stats
 	// The paper: "DRed first deletes tuples hop(a,c) and hop(a,e) ...
 	// hop(a,c) is rederived and reinserted in the second step."
 	if st.Overestimated != 2 || st.Rederived != 1 {
@@ -184,7 +185,7 @@ func TestExample51SetOptimization(t *testing.T) {
 		t.Fatal("tri_hop(a,h) should survive under the set-semantics optimization")
 	}
 
-	st, _ := v.CountingStats()
+	st := v.Trace().Stats
 	if st.CascadeStopped != 0 {
 		// hop's set image DID change (af, ag, dg inserted) so the cascade
 		// is not fully stopped — this asserts the stat only counts full
@@ -219,7 +220,7 @@ func TestStatement2FullStop(t *testing.T) {
 	if len(ch.Delta("q")) != 0 {
 		t.Fatalf("Δ(q) = %v, want empty", ch.Delta("q"))
 	}
-	st, _ := v.CountingStats()
+	st := v.Trace().Stats
 	if st.CascadeStopped != 1 {
 		t.Fatalf("CascadeStopped = %d, want 1", st.CascadeStopped)
 	}

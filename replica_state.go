@@ -32,7 +32,7 @@ func (v *Views) state(vv *version) storage.State {
 	for pred, vr := range vv.rels {
 		db.Put(pred, vr.Flat())
 	}
-	return storage.State{Version: vv.id, Engine: v.cfg.stamp(vv.strategy), Config: v.cfg.stamp(v.cfg.strategy),
+	return storage.State{Version: vv.id, Engine: v.cfg.stamp(vv.trace.Strategy), Config: v.cfg.stamp(v.cfg.strategy),
 		Program: vv.programSrc, Hidden: v.hiddenLocked(), DB: db}
 }
 

@@ -115,8 +115,8 @@ func TestOnCommitRecordStream(t *testing.T) {
 		if _, edit := rec.Program(); edit {
 			t.Fatalf("record %d of an apply carries a program", i)
 		}
-		if rec.UnixNano == 0 {
-			t.Fatalf("record %d has no timestamp", i)
+		if rec.Trace.Version != rec.Version || rec.Trace.Published.IsZero() {
+			t.Fatalf("record %d has trace %+v", i, rec.Trace)
 		}
 	}
 	const header = 12 // a keyless record's payload before its deltas

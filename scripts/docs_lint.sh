@@ -6,9 +6,11 @@
 # and README.md, DESIGN.md and docs/*.md may name only `ivmd -flag` /
 # `ivmbench -flag` flags the command's main.go defines, backticked
 # `-flag`s some cmd/*/main.go defines (or `go test`'s), `make <target>`
-# targets the Makefile has, and `With…(`/`Without…(` options, `IVM_…`
-# variables and backticked `…_total`/`…_seconds` series that non-test Go
-# still defines, reads or registers.
+# targets the Makefile has, `GET|POST|DELETE /v1/…` routes
+# internal/server/server.go registers (each of which docs/SERVING.md
+# names), and `With…(`/`Without…(` options, `IVM_…` variables and
+# backticked `…_total`/`…_seconds` series that non-test Go still defines,
+# reads or registers.
 set -eu
 
 README_BUDGET="${README_BUDGET:-250}"
@@ -118,7 +120,31 @@ for f in README.md DESIGN.md docs/*.md; do
         fi
     done
 done
+# A route the docs name must be a pattern the server registers, and
+# docs/SERVING.md must name every one. Routes read METHOD:/path; a
+# `/v1/a|b|c` alternation names a, b and c, and a query string is no part
+# of a route.
+routes="$(grep -oE 'Handle(Func)?\("(GET|POST|DELETE) /v1/[^"]*"' internal/server/server.go | sed 's/^[^"]*"//; s/"$//; s/ /:/')"
+named() {
+    grep -oE '(GET|POST|DELETE) +/v1/[A-Za-z0-9_/{}|-]+' "$1" | sed 's/  */:/' |
+        awk -F'|' '{ n = split($1, p, "/"); base = substr($1, 1, length($1) - length(p[n])); print $1; for (i = 2; i <= NF; i++) print base $i }' | sort -u
+}
+for f in README.md DESIGN.md docs/*.md; do
+    for route in $(named "$f"); do
+        if ! echo "$routes" | grep -qxF -- "$route"; then
+            echo "$f: names route ${route%%:*} ${route#*:}, which internal/server/server.go does not register" >&2
+            FAILED=1
+        fi
+    done
+done
+served="$(named docs/SERVING.md)"
+for route in $routes; do
+    if ! echo "$served" | grep -qxF -- "$route"; then
+        echo "docs/SERVING.md does not name ${route%%:*} ${route#*:}, which internal/server/server.go registers" >&2
+        FAILED=1
+    fi
+done
 if [ "$FAILED" -ne 0 ]; then
     exit 1
 fi
-echo "docs lint OK (links resolve; flags, make targets, options, variables and series exist)"
+echo "docs lint OK (links resolve; flags, make targets, routes, options, variables and series exist)"

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/parser"
@@ -13,8 +12,8 @@ import (
 )
 
 // version is one published snapshot of the views: an immutable map of
-// predicate → versioned relation plus the program and statistics as of
-// that point. The maintainer builds the successor version off-line (the
+// predicate → versioned relation plus the program and the trace of the
+// commit that published it. The maintainer builds the successor off-line (the
 // per-update deltas are pushed onto copy-on-write relation versions,
 // sharing every unchanged relation with the predecessor) and publishes
 // it with a single atomic pointer store — readers pin a version with
@@ -24,15 +23,9 @@ type version struct {
 	rels       map[string]*relation.Versioned
 	prog       *datalog.Program
 	programSrc string
-	// strategy is what maintains prog (Views.Strategy).
-	strategy Strategy
-	// published is the wall-clock UnixNano of the publish, feeding the
-	// snapshot-age gauge.
-	published int64
-	// stats is the engine's statistics of the maintenance pass that
-	// produced this version, so the *Stats accessors are race-free
-	// against Apply.
-	stats dred.Stats
+	// trace is the version's ApplyTrace, frozen once it is published; its
+	// Strategy is what maintains prog (Views.Strategy).
+	trace *ApplyTrace
 }
 
 // reader returns the pinned read view of pred, or nil if the predicate
@@ -64,12 +57,7 @@ type Snapshot struct {
 //
 // Reads through the Views directly (v.Rows, v.Query, ...) each pin the
 // then-current version instead.
-func (v *Views) Snapshot() *Snapshot {
-	start := time.Now()
-	s := &Snapshot{views: v, v: v.cur.Load()}
-	v.mSnapWait.Observe(time.Since(start))
-	return s
-}
+func (v *Views) Snapshot() *Snapshot { return &Snapshot{views: v, v: v.cur.Load()} }
 
 // Version returns the snapshot's monotonically increasing version
 // number. Version n+1 is the state of version n with exactly one
@@ -233,9 +221,9 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 }
 
 // versionLocked is the version rels make under id with the engine's
-// program and statistics as they stand (wmu held). Every successful
-// maintenance group publishes one — even one with no visible changes — so
-// the version-carried statistics stay current. The maintainer assigns ids
+// program as it stands and a trace of the engine's last pass (wmu held).
+// Every successful maintenance group publishes one — even one with no
+// visible changes — so the current trace is the current version's. The maintainer assigns ids
 // before the WAL append so the durable record and the published
 // version carry the same number; ids must advance in publish order.
 func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *version {
@@ -244,8 +232,7 @@ func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *v
 		rels:       rels,
 		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
-		strategy:   v.strategy,
-		stats:      v.eng.Stats(),
+		trace:      &ApplyTrace{Version: id, Strategy: v.strategy, Stats: v.eng.Stats(), Strata: v.eng.Strata()},
 	}
 }
 
@@ -259,19 +246,16 @@ func (v *Views) SeedVersion(id uint64) {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
 	nv := *v.cur.Load()
-	nv.id = id
+	nv.id, nv.trace = id, &ApplyTrace{Version: id, Strategy: nv.trace.Strategy}
 	v.installLocked(&nv)
 }
 
-// installLocked stamps nv with the time and makes it the current version:
-// one atomic store, the snapshot gauges, and a wake-up for WaitForVersion.
-func (v *Views) installLocked(nv *version) *version {
-	nv.published = time.Now().UnixNano()
+// installLocked stamps nv's trace with the time and makes nv the current
+// version: one atomic store and a wake-up for WaitForVersion.
+func (v *Views) installLocked(nv *version) {
+	nv.trace.Published = time.Now()
 	v.cur.Store(nv)
-	v.mSnapVersion.Set(int64(nv.id))
-	v.mSnapUnix.Set(nv.published)
 	v.wakeVersionWaiters()
-	return nv
 }
 
 // wakeVersionWaiters releases every WaitForVersion caller to re-check
