@@ -29,10 +29,11 @@ test:
 	$(GO) test -count=1 ./...
 
 # The WAL's append/wait/close paths race each other in these tests; a
-# close/append race once flaked about one run in 40, so they repeat.
+# close/append race once flaked about one run in 40, so they repeat, and
+# so do the history's readers beside its appends, sheds and prunes.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=30 -run 'GroupCommit|FailedFsync' . ./internal/storage
+	$(GO) test -race -count=30 -run 'GroupCommit|FailedFsync|HistoryReadersRaceShedding' . ./internal/storage
 
 # Full benchmark run (slow; use bench-smoke for a compile-and-run check).
 bench:

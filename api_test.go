@@ -485,10 +485,12 @@ func TestRuleEditResetsAnEmptiedRelationsArity(t *testing.T) {
 			}
 			v, follower, stranger := build(""), build(""), build(`link(c,d).`)
 			var folded *ivm.ChangeSet
-			v.OnCommitRecord(func(ev ivm.CommitEvent) {
+			h := v.History()
+			v.OnCommit(func(cs *ivm.ChangeSet) {
+				ev, _ := h.At(cs.Version())
 				var err error
 				if folded, err = follower.ApplyCommitRecord(ev.CommitRecord); err != nil {
-					t.Errorf("folding record %d: %v", ev.Version, err)
+					t.Errorf("folding record %d: %v", cs.Version(), err)
 				}
 			})
 			for _, views := range []*ivm.Views{v, stranger} {
@@ -530,8 +532,7 @@ func TestRuleEditResetsAnEmptiedRelationsArity(t *testing.T) {
 			}
 			// An edit record cut over another state installs its program
 			// before its Δ is vetted; refused, it leaves the program as it was.
-			var rec ivm.CommitRecord
-			stranger.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+			stranger.History()
 			for _, step := range []func() error{
 				func() error { _, err := stranger.AddRule(`w(X,Y) :- link(X,Y).`); return err },
 				func() error { _, err := stranger.ApplyScript(`-link(a,b).`); return err },
@@ -542,7 +543,7 @@ func TestRuleEditResetsAnEmptiedRelationsArity(t *testing.T) {
 				}
 			}
 			var div *ivm.DivergenceError
-			if _, err := follower.ApplyCommitRecord(rec); !errors.As(err, &div) || div.Pred != "w" {
+			if _, err := follower.ApplyCommitRecord(newestRecord(stranger)); !errors.As(err, &div) || div.Pred != "w" {
 				t.Fatalf("folding another state's edit record: %v", err)
 			}
 			if len(follower.Program().Rules) != 3 || !sameRows(v.Rows("w"), follower.Rows("w"), true) {
@@ -576,12 +577,12 @@ func TestRecordStampNamesTheStrataAlgorithms(t *testing.T) {
 		}
 		return v
 	}
-	cut := func(v *ivm.Views) (rec ivm.CommitRecord) {
-		v.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+	cut := func(v *ivm.Views) ivm.CommitRecord {
+		v.History()
 		if _, err := v.ApplyScript(`-link(b,c).`); err != nil {
 			t.Fatal(err)
 		}
-		return rec
+		return newestRecord(v)
 	}
 	rec := cut(build(mixed, ivm.WithStrategy(ivm.DRed)))
 	auto := build(mixed)
@@ -606,10 +607,11 @@ func TestRecordStampNamesTheStrataAlgorithms(t *testing.T) {
 	// An edit record is stamped with what maintains the program it
 	// installs, and checked against what would maintain it here.
 	primary := build(hop)
-	primary.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+	primary.History()
 	if _, err := primary.AddRule(`hop(X,Y) :- hop(X,Z), link(Z,Y).`); err != nil || primary.Strategy() != ivm.DRed {
 		t.Fatalf("AddRule making hop recursive: %v, %v", err, primary.Strategy())
 	}
+	rec = newestRecord(primary)
 	for _, c := range []struct {
 		have string
 		opts []ivm.Option
@@ -633,4 +635,12 @@ func TestRecordStampNamesTheStrataAlgorithms(t *testing.T) {
 			t.Fatalf("%s views after the refused edit record: %v, hop = %v", c.have, err, v.Rows("hop"))
 		}
 	}
+}
+
+// newestRecord is the record of v's newest commit as its history holds
+// it: whole, since nothing committed after it. The history must have been
+// running before that commit (History starts it).
+func newestRecord(v *ivm.Views) ivm.CommitRecord {
+	ev, _ := v.History().At(v.Snapshot().Version())
+	return ev.CommitRecord
 }

@@ -393,7 +393,7 @@ func BenchmarkApplyCommitRecord(b *testing.B) {
 			}
 			var recs []ivm.CommitRecord
 			var scripts []string
-			primary.OnCommitRecord(func(ev ivm.CommitEvent) { recs = append(recs, ev.CommitRecord) })
+			h := primary.History()
 			snap := primary.Snapshot()
 			follower, err := ivm.ViewsFromReplicaState(snap.ReplicaState())
 			if err != nil {
@@ -409,9 +409,12 @@ func BenchmarkApplyCommitRecord(b *testing.B) {
 					for j := 0; j < chunk && i+j < b.N; j++ {
 						u := gen.next()
 						scripts = append(scripts, u.String())
-						if _, err := primary.Apply(u); err != nil {
+						cs, err := primary.Apply(u)
+						if err != nil {
 							b.Fatal(err)
 						}
+						ev, _ := h.At(cs.Version())
+						recs = append(recs, ev.CommitRecord)
 					}
 					b.StartTimer()
 				}

@@ -5,7 +5,7 @@ package main
 // faultnet proxy between client and server, and drives keyed appliers
 // through the client's retry/backoff path. The report (BENCH_faults.json)
 // quantifies what the chaos gauntlet proves qualitatively: how often a
-// fault forces a retry, how often the server's idempotency window
+// fault forces a retry, how often the server's history of commits
 // absorbs one, and — under duplicate semantics — that every acked apply
 // landed exactly once.
 

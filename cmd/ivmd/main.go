@@ -62,7 +62,7 @@ func run() error {
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + WAL); empty = memory-only")
 	strategyFlag := flag.String("strategy", "auto", "auto, counting, dred, or recompute")
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
-	idemWindow := flag.Int("idem-window", 0, "idempotency keys remembered for apply dedup (0 = library default); size it above the keyed applies that can land within a client's retry horizon")
+	history := flag.Int("history", 0, "recent commits kept for apply dedup, replication and /v1/trace (0 = library default, 1024); size it above the commits that can land within a client's retry horizon or a follower's lag")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request timeout for non-streaming endpoints")
 	maxBody := flag.Int64("max-body", 4<<20, "maximum apply request body bytes")
 	subBuffer := flag.Int("sub-buffer", 256, "per-subscriber event buffer; a consumer that falls this far behind is evicted (the resume ring keeps as many events, 4 KiB of lines each)")
@@ -98,8 +98,8 @@ func run() error {
 		return err
 	}
 	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
-	if *idemWindow > 0 {
-		opts = append(opts, ivm.WithIdempotencyWindow(*idemWindow))
+	if *history > 0 {
+		opts = append(opts, ivm.WithHistory(*history))
 	}
 
 	if *followURL != "" {

@@ -179,7 +179,7 @@ func TestFailoverChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := server.New(vA, server.Options{OwnViews: true, ReplWindow: 256, ReplHeartbeat: 20 * time.Millisecond, Logf: t.Logf})
+	srvA := server.New(vA, server.Options{OwnViews: true, ReplHeartbeat: 20 * time.Millisecond, Logf: t.Logf})
 	if err := srvA.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,6 @@ func TestFailoverChaos(t *testing.T) {
 	defer rep1.Stop()
 	srv1 := startServer(t, rep1.Views(), server.Options{
 		LeaderURL:      srvA.URL(),
-		ReplWindow:     256,
 		ReplHeartbeat:  20 * time.Millisecond,
 		MinVersionWait: 5 * time.Second,
 		Promote:        rep1.Promote,

@@ -57,7 +57,7 @@ type Options struct {
 	// HTTPClient overrides the transport (nil = dial/header timeouts but
 	// no overall request timeout, which the endless stream needs).
 	HTTPClient *http.Client
-	// ExtraOptions are engine options (tracing, idempotency window, ...) applied
+	// ExtraOptions are engine options (tracing, history, ...) applied
 	// when materializing the follower's views. Strategy and semantics
 	// always follow the primary's — derived state is bit-identical only
 	// under the same engine configuration.
@@ -460,7 +460,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 				// version stamp is the idempotency key.
 			case rec.Version == applied+1:
 				// The same replay step as crash recovery: the record lands
-				// at its stamped version (and re-seeds the dedup window with
+				// at its stamped version (and enters the history with
 				// the primary's keys, so a client retry that lands here
 				// after promotion still dedups) or the follower halts.
 				if _, err := r.v.ApplyCommitRecord(rec.CommitRecord); err != nil {

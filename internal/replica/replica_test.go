@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,11 +23,11 @@ import (
 // fastRetry keeps test reconnect latency in the milliseconds.
 var fastRetry = client.RetryPolicy{MaxAttempts: 20, BaseDelay: 3 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
 
-func buildPrimaryViews(t *testing.T) *ivm.Views {
+func buildPrimaryViews(t *testing.T, opts ...ivm.Option) *ivm.Views {
 	t.Helper()
 	db := ivm.NewDatabase()
 	db.MustLoad(`link(a,b). link(b,c).`)
-	v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +158,37 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 	}
 }
 
-// A follower that fell out of the primary's window while the primary's
-// program changed is reset across the edit: the state record carries the
-// program, and the reset folds it with the difference — no restart, no
-// divergence.
+// A follower cut off while the primary's program changed resumes into
+// history entries shed for their bytes (the primary keeps four commits
+// and 2 KiB of them; the edit and the large applies weigh more). A
+// memory-only primary resets it across the edit — the state record
+// carries the program, and the reset folds it with the difference; a
+// store-bound one bridges the shed entries from its WAL, edit record
+// included. Either way: no restart, no divergence, and it keeps tailing
+// under the edited program from a second server over the same views.
 func TestReplicaResetCrossesARuleEdit(t *testing.T) {
-	v := buildPrimaryViews(t)
-	defer v.Shutdown()
-	first := server.New(v, server.Options{ReplWindow: 2, ReplHeartbeat: 20 * time.Millisecond})
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "store"}[durable], func(t *testing.T) {
+			build := func() (*ivm.Views, error) {
+				db := ivm.NewDatabase()
+				db.MustLoad(`link(a,b). link(b,c).`)
+				return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, ivm.WithHistory(4))
+			}
+			v, err := build()
+			if durable {
+				v, _, err = ivm.OpenStore(t.TempDir(), build)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Shutdown()
+			crossEditOnResume(t, v, map[bool]int64{false: 1, true: 0}[durable])
+		})
+	}
+}
+
+func crossEditOnResume(t *testing.T, v *ivm.Views, wantResets int64) {
+	first := server.New(v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
 	if err := first.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +210,8 @@ func TestReplicaResetCrossesARuleEdit(t *testing.T) {
 	waitApplied(t, rep, cs.Version(), 10*time.Second)
 
 	// The primary's server goes away; while the follower is cut off the
-	// program gains a rule and more commits land.
+	// program gains a rule and more commits land, large enough that the
+	// history sheds all but the newest.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := first.Shutdown(ctx); err != nil {
@@ -197,14 +220,25 @@ func TestReplicaResetCrossesARuleEdit(t *testing.T) {
 	if _, err := v.AddRule(`reach(X,Y) :- link(X,Y).`); err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range []*ivm.Update{ivm.NewUpdate().Insert("link", "d", "e"), ivm.NewUpdate().Delete("link", "a", "b")} {
+	for i := 0; i < 2; i++ {
+		u := ivm.NewUpdate().Delete("link", "a", "b")
+		if i == 1 {
+			u = ivm.NewUpdate()
+		}
+		for j := 0; j < 40; j++ {
+			u.Insert("link", fmt.Sprintf("x%d_%d", i, j), fmt.Sprintf("y%d_%d", i, j))
+		}
 		if _, err := v.Apply(u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A new server's window starts at the current version, so the
-	// follower's resume point is out of it: it gets a state record.
-	second := startServer(t, v, server.Options{ReplWindow: 2, ReplHeartbeat: 20 * time.Millisecond})
+	if lo, hi, _ := v.History().Bounds(); lo > cs.Version() || hi != cs.Version()+3 {
+		t.Fatalf("the history holds (%d, %d], want the follower's %d inside it", lo, hi, cs.Version())
+	}
+	if ev, _ := v.History().At(cs.Version() + 1); ev.Trace != nil {
+		t.Fatal("the edit's entry is whole: the follower would not meet a shed one")
+	}
+	second := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
 	proxy.SetTarget(second.Addr())
 	final := v.Snapshot()
 	waitApplied(t, rep, final.Version(), 10*time.Second)
@@ -213,8 +247,8 @@ func TestReplicaResetCrossesARuleEdit(t *testing.T) {
 		t.Fatalf("follower's program %q, want the primary's %q", got, v.ProgramSource())
 	}
 	reg := rep.Registry().Snapshot()
-	if resets, div := reg.Counter("replica_resets_total"), reg.Counter("replica_divergence_total"); resets != 1 || div != 0 {
-		t.Fatalf("replica_resets_total = %d, replica_divergence_total = %d; want 1 and 0", resets, div)
+	if resets, div := reg.Counter("replica_resets_total"), reg.Counter("replica_divergence_total"); resets != wantResets || div != 0 {
+		t.Fatalf("replica_resets_total = %d, replica_divergence_total = %d; want %d and 0", resets, div, wantResets)
 	}
 	// And it keeps tailing under the edited program.
 	if cs, err = v.Apply(ivm.NewUpdate().Insert("link", "e", "f")); err != nil {
@@ -225,22 +259,18 @@ func TestReplicaResetCrossesARuleEdit(t *testing.T) {
 }
 
 // A follower hands on what it received: the record it folded goes to its
-// own commit-record subscribers — hence to its replication window and to
-// a follower tailing it — as the bytes the primary cut, not re-encoded,
-// and the second-hop follower converges on them.
+// own history — hence to a follower tailing it — as the bytes the
+// primary cut, not re-encoded, and the second-hop follower converges on
+// them.
 func TestFollowerReshipsTheBytesItReceived(t *testing.T) {
 	v := buildPrimaryViews(t)
 	defer v.Shutdown()
-	var mu sync.Mutex
-	cut, reshipped := make(map[uint64][]byte), make(map[uint64][]byte)
-	v.OnCommitRecord(func(ev ivm.CommitEvent) { mu.Lock(); cut[ev.Version] = ev.Payload; mu.Unlock() })
 	srv := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
 	first, err := Start(srv.URL(), Options{Retry: fastRetry, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Stop()
-	first.Views().OnCommitRecord(func(ev ivm.CommitEvent) { mu.Lock(); reshipped[ev.Version] = ev.Payload; mu.Unlock() })
 	hop := startServer(t, first.Views(), server.Options{LeaderURL: srv.URL(), ReplHeartbeat: 20 * time.Millisecond})
 	second, err := Start(hop.URL(), Options{Retry: fastRetry, Logf: t.Logf})
 	if err != nil {
@@ -259,14 +289,11 @@ func TestFollowerReshipsTheBytesItReceived(t *testing.T) {
 	waitApplied(t, second, last, 10*time.Second)
 	assertConverged(t, v.Snapshot(), first)
 	assertConverged(t, v.Snapshot(), second)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reshipped) != 20 {
-		t.Fatalf("the first follower handed on %d records, want 20", len(reshipped))
-	}
-	for version, payload := range reshipped {
-		if len(payload) == 0 || !bytes.Equal(payload, cut[version]) {
-			t.Fatalf("version %d: the follower hands on %x, the primary cut %x", version, payload, cut[version])
+	for version := last - 19; version <= last; version++ {
+		cut, _ := v.History().At(version)
+		reshipped, ok := first.Views().History().At(version)
+		if !ok || len(reshipped.Payload) == 0 || !bytes.Equal(reshipped.Payload, cut.Payload) {
+			t.Fatalf("version %d: the follower hands on %x, the primary cut %x", version, reshipped.Payload, cut.Payload)
 		}
 	}
 }
@@ -275,12 +302,12 @@ func TestFollowerReshipsTheBytesItReceived(t *testing.T) {
 // two followers behind fault-injecting proxies and requires both to
 // converge bit-identically to the primary's final snapshot.
 func convergenceTrial(t *testing.T, seed int64, fraction float64) {
-	v := buildPrimaryViews(t)
+	v := buildPrimaryViews(t, ivm.WithHistory(8))
 	defer v.Shutdown()
-	// A small replication window forces stragglers through the state
-	// fallback (memory-only primary: no WAL to bridge from), so the
-	// trials exercise resets as well as plain tailing.
-	srv := startServer(t, v, server.Options{ReplWindow: 8, ReplHeartbeat: 20 * time.Millisecond})
+	// A small history forces stragglers through the state fallback
+	// (memory-only primary: no WAL to bridge from), so the trials
+	// exercise resets as well as plain tailing.
+	srv := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
 
 	rng := rand.New(rand.NewSource(seed))
 	var reps []*Replica
@@ -394,13 +421,13 @@ func TestReplicaChaosKillRestart(t *testing.T) {
 	build := func() (*ivm.Views, error) {
 		db := ivm.NewDatabase()
 		db.MustLoad(`link(a,b). link(b,c).`)
-		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, ivm.WithHistory(16))
 	}
-	v, _, err := ivm.OpenStore(dir, build)
+	v, _, err := ivm.OpenStore(dir, build, ivm.WithHistory(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(v, server.Options{OwnViews: true, ReplWindow: 16, ReplHeartbeat: 20 * time.Millisecond})
+	srv := server.New(v, server.Options{OwnViews: true, ReplHeartbeat: 20 * time.Millisecond})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -455,11 +482,11 @@ func TestReplicaChaosKillRestart(t *testing.T) {
 
 	// Restart from the checkpoint + WAL on a fresh port and repoint the
 	// proxy — the followers' reconnect loops find it there.
-	v2, _, err := ivm.OpenStore(dir, build)
+	v2, _, err := ivm.OpenStore(dir, build, ivm.WithHistory(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := server.New(v2, server.Options{OwnViews: true, ReplWindow: 16, ReplHeartbeat: 20 * time.Millisecond})
+	srv2 := server.New(v2, server.Options{OwnViews: true, ReplHeartbeat: 20 * time.Millisecond})
 	if err := srv2.Start(); err != nil {
 		t.Fatal(err)
 	}

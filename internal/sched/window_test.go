@@ -1,12 +1,13 @@
 package sched
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
 
 func TestWindowAppendNextBounds(t *testing.T) {
-	w := NewWindow(4, 0, func(string) int { return 0 })
+	w := NewWindow(4, 0, func(string) int { return 0 }, nil, nil)
 	if _, _, ok := w.Bounds(); ok {
 		t.Fatal("fresh window claims bounds")
 	}
@@ -47,7 +48,7 @@ func TestWindowAppendNextBounds(t *testing.T) {
 }
 
 func TestWindowSeed(t *testing.T) {
-	w := NewWindow(2, 0, func(int) int { return 0 })
+	w := NewWindow(2, 0, func(int) int { return 0 }, nil, nil)
 	w.Seed(10)
 	ca, hi, ok := w.Bounds()
 	if !ok || ca != 10 || hi != 10 {
@@ -65,7 +66,7 @@ func TestWindowSeed(t *testing.T) {
 }
 
 func TestWindowRestartClears(t *testing.T) {
-	w := NewWindow(8, 0, func(int) int { return 0 })
+	w := NewWindow(8, 0, func(int) int { return 0 }, nil, nil)
 	w.Append(5, 5)
 	w.Append(6, 6)
 	// A version at or below hi means the counter restarted: the window
@@ -84,7 +85,7 @@ func TestWindowRestartClears(t *testing.T) {
 }
 
 func TestWindowWaitCh(t *testing.T) {
-	w := NewWindow(2, 0, func(int) int { return 0 })
+	w := NewWindow(2, 0, func(int) int { return 0 }, nil, nil)
 	ch := w.WaitCh()
 	select {
 	case <-ch:
@@ -98,23 +99,16 @@ func TestWindowWaitCh(t *testing.T) {
 	}()
 	w.Append(1, 1)
 	<-done
-
-	// Close wakes waiters too.
-	ch = w.WaitCh()
-	w.Close()
-	<-ch
-	// Appends after Close are dropped.
-	w.Append(2, 2)
-	if _, _, ok := w.Bounds(); !ok {
-		t.Fatal("bounds lost")
-	}
-	if _, ok := w.Next(1); ok {
-		t.Fatal("append after Close landed")
+	// Each append hands out a fresh channel.
+	select {
+	case <-w.WaitCh():
+		t.Fatal("the wait channel after an append is already closed")
+	default:
 	}
 }
 
 func TestWindowConcurrentReaders(t *testing.T) {
-	w := NewWindow(64, 0, func(uint64) int { return 0 })
+	w := NewWindow(64, 0, func(uint64) int { return 0 }, nil, nil)
 	const last = 2000
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -153,44 +147,60 @@ func TestWindowConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// Given a size the window also evicts by the bytes it retains, always
-// keeps the newest entry whatever its size, and leaves the low-water mark
-// where a reader that fell off it must backfill from.
+// Given a size the window sheds the oldest items' bytes past its budget
+// but keeps their entries, whose versions the count alone ages out; the
+// newest item stays whole whatever its size, and drop sees every entry
+// that leaves, a restart's too.
 func TestWindowByteBudget(t *testing.T) {
-	w := NewWindow(8, 100, func(b []byte) int { return len(b) })
+	var dropped []uint64
+	w := NewWindow(8, 100, func(b []byte) int { return len(b) }, func([]byte) []byte { return nil },
+		func(e WindowEntry[[]byte]) { dropped = append(dropped, e.Version) })
 	w.Seed(0)
 	for v := uint64(1); v <= 4; v++ {
 		w.Append(v, make([]byte, 30))
 	}
-	// 4 × 30 > 100: version 1 went.
-	if ca, hi, _ := w.Bounds(); ca != 1 || hi != 4 {
-		t.Fatalf("bounds = (%d, %d], want (1, 4]", ca, hi)
+	// 4 × 30 > 100: version 1's bytes went, its entry stayed.
+	if ca, hi, _ := w.Bounds(); ca != 0 || hi != 4 {
+		t.Fatalf("bounds = (%d, %d], want (0, 4]", ca, hi)
 	}
-	if _, ok := w.Next(0); ok {
-		t.Fatal("a reader below the byte-evicted mark must be sent to backfill")
+	if e, ok := w.Next(0); !ok || e.Version != 1 || e.Item != nil {
+		t.Fatalf("Next(0) = %+v, %v, want version 1 shed", e, ok)
 	}
-	if e, ok := w.Next(1); !ok || e.Version != 2 {
+	if e, ok := w.Next(1); !ok || e.Version != 2 || len(e.Item) != 30 {
 		t.Fatalf("Next(1) = %+v, %v", e, ok)
 	}
-	// One oversized entry evicts everything else but stays itself.
-	w.Append(5, make([]byte, 500))
-	if ca, hi, _ := w.Bounds(); ca != 4 || hi != 5 {
-		t.Fatalf("bounds after an oversized entry = (%d, %d], want (4, 5]", ca, hi)
+	// One oversized entry sheds everything else but stays itself.
+	if used := w.Append(5, make([]byte, 500)); used != 500 {
+		t.Fatalf("an oversized entry leaves %d bytes held, want 500", used)
 	}
-	if e, ok := w.Next(4); !ok || len(e.Item) != 500 {
-		t.Fatal("the newest entry must stay retrievable whatever its size")
+	for v := uint64(1); v <= 4; v++ {
+		if item, ok := w.At(v); !ok || item != nil {
+			t.Fatalf("version %d: %d bytes held, in the window %v; want shed", v, len(item), ok)
+		}
 	}
-	// Small entries fit again once it ages out; the count bound still holds.
-	for v := uint64(6); v <= 20; v++ {
+	if item, ok := w.At(5); !ok || len(item) != 500 {
+		t.Fatal("the newest entry must stay whole whatever its size")
+	}
+	// Small entries fit again once it is shed; the count bound evicts.
+	for v := uint64(6); v <= 12; v++ {
 		w.Append(v, make([]byte, 1))
 	}
-	if ca, hi, _ := w.Bounds(); ca != 12 || hi != 20 {
-		t.Fatalf("bounds after refilling = (%d, %d], want (12, 20]", ca, hi)
+	if ca, hi, _ := w.Bounds(); ca != 4 || hi != 12 {
+		t.Fatalf("bounds after refilling = (%d, %d], want (4, 12]", ca, hi)
 	}
-	// A version restart clears the byte account with the entries.
+	if item, ok := w.At(5); !ok || item != nil {
+		t.Fatal("the oversized entry must be shed once a newer one came")
+	}
+	if !slices.Equal(dropped, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("dropped %v, want [1 2 3 4]", dropped)
+	}
+	// A version restart drops every entry and clears the byte account.
 	w.Append(3, make([]byte, 90))
 	w.Append(4, make([]byte, 10))
-	if e, ok := w.Next(2); !ok || e.Version != 3 {
-		t.Fatalf("after a restart Next(2) = %+v, %v: the byte account was not reset", e, ok)
+	if item, ok := w.At(3); !ok || len(item) != 90 {
+		t.Fatalf("after a restart version 3 holds %d bytes, %v: the byte account was not reset", len(item), ok)
+	}
+	if len(dropped) != 12 {
+		t.Fatalf("a restart dropped %v", dropped[4:])
 	}
 }

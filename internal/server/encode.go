@@ -113,7 +113,7 @@ func (c *commit) appendEvent(b []byte, preds map[string]bool) []byte {
 
 // ackLine is the acknowledgment of an apply that left no deltas to
 // report — nothing visible changed, or the answer came from the
-// idempotency window (which keeps the version, not the rows).
+// history (which keeps the version, not the rows).
 func ackLine(version uint64, deduped bool) []byte {
 	b := appendVersion(make([]byte, 0, 48), version)
 	if deduped {

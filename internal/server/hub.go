@@ -54,8 +54,10 @@ type Hub struct {
 const hubRingEventBytes = 4 << 10
 
 // NewHub builds a hub over v, registering its commit hook. The resume
-// replay ring holds at most ringCap events and ringCap × 4 KiB of lines
-// (hub_ring_bytes), the newest always. Backpressure counters land in reg:
+// replay ring holds the newest ringCap events and at most ringCap × 4 KiB
+// of their lines (hub_ring_bytes): past that the oldest shed their lines,
+// the newest's always stays, and a resume that meets a shed event
+// resyncs. Backpressure counters land in reg:
 // server_subscribers_active (gauge), server_sub_events_total (committed
 // events fanned out), server_sub_delivered_total (per-subscriber
 // deliveries), server_sub_evicted_total (slow consumers dropped),
@@ -64,7 +66,7 @@ const hubRingEventBytes = 4 << 10
 func NewHub(v *ivm.Views, reg *metrics.Registry, ringCap int) *Hub {
 	h := &Hub{
 		subs:       make(map[*Subscriber]struct{}),
-		ring:       sched.NewWindow(ringCap, ringCap*hubRingEventBytes, func(c *commit) int { return len(c.line) }),
+		ring:       sched.NewWindow(ringCap, ringCap*hubRingEventBytes, lineBytes, func(*commit) *commit { return nil }, nil),
 		gActive:    reg.Gauge("server_subscribers_active"),
 		gRingBytes: reg.Gauge("hub_ring_bytes"),
 		cEvents:    reg.Counter("server_sub_events_total"),
@@ -137,22 +139,24 @@ func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*
 	var backlog []*commit
 	if resume {
 		ca, _, ok := h.ring.Bounds()
-		if !ok || from < ca {
-			// The resume point predates the ring's coverage: a replay
-			// could silently skip events, which is exactly what resume
-			// exists to prevent.
-			h.cResyncs.Inc()
-			return nil, nil, true
-		}
-		for after := from; ; {
-			e, ok := h.ring.Next(after)
-			if !ok {
+		resync := !ok || from < ca
+		for after := from; !resync; {
+			e, more := h.ring.Next(after)
+			if !more {
 				break
 			}
-			after = e.Version
-			if e.Item.kept(s.preds) > 0 {
+			if resync = e.Item == nil; !resync && e.Item.kept(s.preds) > 0 {
 				backlog = append(backlog, e.Item)
 			}
+			after = e.Version
+		}
+		if resync {
+			// The ring no longer covers every event after the resume
+			// point (it predates the ring, or a shed event lies after it):
+			// a replay could silently skip events, which is exactly what
+			// resume exists to prevent.
+			h.cResyncs.Inc()
+			return nil, nil, true
 		}
 		h.cResumes.Inc()
 	}
@@ -196,8 +200,9 @@ func (s *Subscriber) Close() {
 
 // CloseAll shuts the hub down: every subscriber's channel is closed and
 // later Subscribe calls return nil. Commit events arriving afterwards
-// are discarded. Used by graceful shutdown, before the HTTP server
-// drains, so streaming handlers unblock.
+// are discarded unencoded (the commit hook outlives the hub). Used by
+// graceful shutdown, before the HTTP server drains, so streaming
+// handlers unblock.
 func (h *Hub) CloseAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -217,14 +222,14 @@ func (h *Hub) CloseAll() {
 // (non-blocking) deliveries so a concurrent Close never closes a channel
 // mid-send.
 func (h *Hub) publish(cs *ivm.ChangeSet) {
-	c := encodeCommit(cs)
-	if c == nil {
-		return // nothing visible changed; subscribers see no event
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
+	}
+	c := encodeCommit(cs)
+	if c == nil {
+		return // nothing visible changed; subscribers see no event
 	}
 	h.cEvents.Inc()
 	h.gRingBytes.Set(int64(h.ring.Append(c.version, c)))
@@ -266,15 +271,23 @@ func (h *Hub) Ack(cs *ivm.ChangeSet, deduped bool) []byte {
 }
 
 // commitOf finds the published encoding of cs (nil if cs shows no
-// changes). Only a commit that has already aged out of the ring — more
-// versions than the ring holds published before this caller got to
+// changes). Only a commit the ring has already aged out or shed — more
+// versions or bytes than it holds published before this caller got to
 // write its ack — or one committed after CloseAll is encoded here.
 func (h *Hub) commitOf(cs *ivm.ChangeSet) *commit {
 	if cs.Empty() {
 		return nil
 	}
-	if e, ok := h.ring.Next(cs.Version() - 1); ok && e.Version == cs.Version() {
-		return e.Item
+	if c, _ := h.ring.At(cs.Version()); c != nil {
+		return c
 	}
 	return encodeCommit(cs)
+}
+
+// lineBytes is what the ring holds of a commit: its event line.
+func lineBytes(c *commit) int {
+	if c == nil {
+		return 0
+	}
+	return len(c.line)
 }

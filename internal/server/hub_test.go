@@ -9,11 +9,11 @@ import (
 	"ivm/internal/metrics"
 )
 
-func buildTestViews(t *testing.T) *ivm.Views {
+func buildTestViews(t *testing.T, opts ...ivm.Option) *ivm.Views {
 	t.Helper()
 	db := ivm.NewDatabase()
 	db.MustLoad(`link(a,b). link(b,c).`)
-	v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,41 +2,30 @@ package server
 
 import (
 	"net/http"
-	"reflect"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"ivm"
-	"ivm/internal/core/dred"
 	"ivm/internal/storage"
 )
 
-// replWindowRecordBytes is the replication window's byte budget per
-// record of Options.ReplWindow: a commit record carries its committed
-// deltas (typically 0.1–6 KB), so a count alone would let the window
-// outgrow the views it serves. Options.ReplWindow raises both bounds.
-const replWindowRecordBytes = 512
-
-// traceBytes is what a window entry's trace adds to its record's payload.
-func traceBytes(t *ivm.ApplyTrace) int {
-	return int(reflect.TypeFor[ivm.ApplyTrace]().Size()) + len(t.Strata)*int(reflect.TypeFor[dred.StratumTrace]().Size())
-}
-
 // handleTrace serves GET /v1/trace?version=N, the ivm.ApplyTrace of version
-// N from the replication window: 404 above its newest, 410 below its oldest.
+// N from the views' history: 404 above its newest, 410 below its oldest
+// or once the history shed it.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.ParseUint(r.URL.Query().Get("version"), 10, 64)
-	lo, hi, _ := s.replWin.Bounds()
-	switch e, ok := s.replWin.Next(n - 1); {
+	h := s.v.History()
+	lo, hi, _ := h.Bounds()
+	switch ev, ok := h.At(n); {
 	case err != nil || n == 0:
 		writeError(w, http.StatusBadRequest, "invalid version %q", r.URL.Query().Get("version"))
-	case ok && e.Version == n:
-		writeJSON(w, http.StatusOK, e.Item.Trace)
+	case ok && ev.Trace != nil:
+		writeJSON(w, http.StatusOK, ev.Trace)
 	case n > hi:
 		writeError(w, http.StatusNotFound, "version %d is not published; the newest is %d", n, hi)
 	default:
-		writeError(w, http.StatusGone, "version %d is not in the trace window, which holds the versions after %d through %d", n, lo, hi)
+		writeError(w, http.StatusGone, "version %d's trace is not in the history, which holds the versions after %d through %d", n, lo, hi)
 	}
 }
 
@@ -50,9 +39,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // Resume protocol: ?from=<version> asks for every commit after that
 // version. The handler serves it from a ladder of sources —
 //
-//  1. the in-memory window of recent commits (the common case);
-//  2. the WAL, when the resume point has aged out of the window and the
-//     durable records still bridge the gap contiguously;
+//  1. the views' history of recent commits (the common case);
+//  2. the WAL, when the resume point has aged out of the history, or
+//     the history shed the record, and the durable records still bridge
+//     the gap contiguously;
 //  3. a full state snapshot ('S'), when neither can prove a gapless
 //     bridge — the follower replaces its state wholesale and tails on.
 //
@@ -154,14 +144,14 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		})
 		return snap.Version(), ok
 	}
-	// backfill bridges (cur, coversAfter] from the WAL; when the durable
+	// backfill bridges (cur, through] from the WAL; when the durable
 	// records cannot prove a contiguous bridge (a checkpoint truncated
 	// them, an append failed and left a hole, no store at all) it falls
 	// back to a full state transfer. Returns the new resume point.
-	backfill := func(coversAfter uint64) (uint64, bool) {
+	backfill := func(through uint64) (uint64, bool) {
 		recs, ok, err := s.v.CommittedRecordsAfter(cur)
 		if ok && err == nil && len(recs) > 0 && recs[0].Version == cur+1 {
-			contiguous := recs[len(recs)-1].Version >= coversAfter
+			contiguous := recs[len(recs)-1].Version >= through
 			for i := 1; contiguous && i < len(recs); i++ {
 				if recs[i].Version != recs[i-1].Version+1 {
 					contiguous = false
@@ -190,6 +180,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		cur = v
 	}
 
+	h := s.v.History()
 	hb := time.NewTicker(s.opts.ReplHeartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
@@ -198,16 +189,19 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// Capture the wait channel before probing: an append landing
 		// between Next and the select then wakes us instead of being
 		// lost.
-		ch := s.replWin.WaitCh()
-		if e, ok := s.replWin.Next(cur); ok {
+		ch := h.WaitCh()
+		e, ok := h.Next(cur)
+		if ok && e.Item.Trace != nil {
 			if !sendDelta(e.Item.CommitRecord, e.Item.Trace.Published.UnixNano()) {
 				return
 			}
-			cur = e.Item.Version
+			cur = e.Version
 			continue
 		}
-		if ca, _, ok := s.replWin.Bounds(); ok && cur < ca {
-			next, ok := backfill(ca)
+		// A shed entry, or a resume point below the history: backfill
+		// through it.
+		if ca, _, _ := h.Bounds(); ok || cur < ca {
+			next, ok := backfill(max(ca, e.Version))
 			if !ok {
 				return
 			}

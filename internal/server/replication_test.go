@@ -27,9 +27,9 @@ import (
 )
 
 // startReplServer builds a memory-only primary and serves it.
-func startReplServer(t *testing.T, opts Options) (*ivm.Views, *Server) {
+func startReplServer(t *testing.T, opts Options, viewOpts ...ivm.Option) (*ivm.Views, *Server) {
 	t.Helper()
-	v := buildTestViews(t)
+	v := buildTestViews(t, viewOpts...)
 	srv := New(v, opts)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestReplicateBootstrapAndTail(t *testing.T) {
 	}
 }
 
-// TestReplicateResumeFromWindow: a ?from= inside the in-memory window
+// TestReplicateResumeFromWindow: a ?from= inside the views' history
 // replays deltas only — no state transfer.
 func TestReplicateResumeFromWindow(t *testing.T) {
 	v, srv := startReplServer(t, Options{ReplHeartbeat: 25 * time.Millisecond})
@@ -164,18 +164,18 @@ func TestReplicateResumeFromWindow(t *testing.T) {
 }
 
 // TestReplicateBackfillFromWAL: a resume point that has aged out of the
-// in-memory window is bridged from the WAL with contiguous deltas.
+// history is bridged from the WAL with contiguous deltas.
 func TestReplicateBackfillFromWAL(t *testing.T) {
 	dir := t.TempDir()
 	v, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
 		db := ivm.NewDatabase()
 		db.MustLoad(`link(a,b). link(b,c).`)
-		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, ivm.WithHistory(2))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(v, Options{ReplWindow: 2, ReplHeartbeat: 25 * time.Millisecond, OwnViews: true})
+	srv := New(v, Options{ReplHeartbeat: 25 * time.Millisecond, OwnViews: true})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestReplicateBackfillFromWAL(t *testing.T) {
 		want = append(want, cs.Version())
 	}
 
-	// from=base is 6 commits back; the window holds 2, so the bridge
+	// from=base is 6 commits back; the history holds 2, so the bridge
 	// must come from the WAL — still all deltas, in order, gapless.
 	br, closeStream := openStream(t, fmt.Sprintf("%s/v1/replicate?from=%d", srv.URL(), base))
 	defer closeStream()
@@ -209,7 +209,7 @@ func TestReplicateBackfillFromWAL(t *testing.T) {
 
 // TestReplicateShipsWALPayloadVerbatim pins the sharing: a commit is
 // framed once, so the payload of the 'D' record shipped for it — from
-// the in-memory window and from WAL backfill alike — is byte for byte
+// the history and from WAL backfill alike — is byte for byte
 // the payload its WAL record holds. Both files are read raw here, with
 // the two header layouts spelled out, so the codecs cannot vouch for
 // each other.
@@ -218,12 +218,12 @@ func TestReplicateShipsWALPayloadVerbatim(t *testing.T) {
 	v, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
 		db := ivm.NewDatabase()
 		db.MustLoad(`link(a,b). link(b,c).`)
-		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+		return db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`, ivm.WithHistory(2))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(v, Options{ReplWindow: 2, ReplHeartbeat: 25 * time.Millisecond, OwnViews: true})
+	srv := New(v, Options{ReplHeartbeat: 25 * time.Millisecond, OwnViews: true})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +303,10 @@ func TestReplicateShipsWALPayloadVerbatim(t *testing.T) {
 }
 
 // TestReplicateStaleResumeFallsBackToState: with no WAL to bridge from,
-// a resume point behind the window gets a full state record at the
+// a resume point behind the history gets a full state record at the
 // current version instead of a gap.
 func TestReplicateStaleResumeFallsBackToState(t *testing.T) {
-	v, srv := startReplServer(t, Options{ReplWindow: 2, ReplHeartbeat: 25 * time.Millisecond})
+	v, srv := startReplServer(t, Options{ReplHeartbeat: 25 * time.Millisecond}, ivm.WithHistory(2))
 
 	base := v.Snapshot().Version()
 	var last uint64

@@ -19,7 +19,6 @@ import (
 	"ivm/internal/datalog"
 	"ivm/internal/metrics"
 	"ivm/internal/parser"
-	"ivm/internal/sched"
 )
 
 // Options configures a Server. The zero value serves HTTP on a random
@@ -55,13 +54,6 @@ type Options struct {
 	// returning the new epoch this node now leads at. After it returns
 	// the server clears its leader URL and serves applies locally.
 	Promote func() (uint64, error)
-	// ReplWindow is how many committed records the in-memory replication
-	// window retains (default 1024) — fewer when they are large: the
-	// window also holds at most ReplWindow × 512 bytes of encoded records
-	// and their traces (512 KiB by default), newest first. Followers
-	// resuming further behind are backfilled from the WAL, or from a full
-	// state transfer; GET /v1/trace answers from the same window.
-	ReplWindow int
 	// ReplHeartbeat is the keepalive cadence of idle /v1/replicate
 	// streams (default 500ms). Heartbeats carry the current published
 	// version, so an idle follower still tracks lag.
@@ -94,9 +86,6 @@ func (o *Options) withDefaults() Options {
 	if out.SessionTTL <= 0 {
 		out.SessionTTL = 5 * time.Minute
 	}
-	if out.ReplWindow <= 0 {
-		out.ReplWindow = 1024
-	}
 	if out.ReplHeartbeat <= 0 {
 		out.ReplHeartbeat = 500 * time.Millisecond
 	}
@@ -123,10 +112,7 @@ type Server struct {
 	http   *http.Server
 	httpLn net.Listener
 
-	// replWin is the in-memory tail of committed records, with their
-	// traces, that /v1/replicate streams from and /v1/trace reads; stop
-	// unblocks idle streams at shutdown.
-	replWin  *sched.Window[ivm.CommitEvent]
+	// stop unblocks idle replication streams at shutdown.
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -139,7 +125,7 @@ type Server struct {
 	fwd *http.Client
 
 	// applyWG tracks in-flight applies and forwards so Shutdown can
-	// drain them before the replication window closes — an acked apply
+	// drain them before the replication streams close — an acked apply
 	// is always shipped to connected followers. Admission goes through
 	// beginApply (Add under mu, gated on draining): once Shutdown has
 	// flipped draining and started waiting, no new apply can slip in.
@@ -181,14 +167,9 @@ func New(v *ivm.Views, opts Options) *Server {
 		stop:        make(chan struct{}),
 	}
 	s.leader.Store(opts.LeaderURL)
-	// Register the window's feed before seeding it: a commit landing in
-	// between appends (establishing tighter bounds) and the seed becomes
-	// a no-op, whereas the reverse order could lose that commit from the
-	// window's claimed coverage.
-	s.replWin = sched.NewWindow(opts.ReplWindow, opts.ReplWindow*replWindowRecordBytes,
-		func(ev ivm.CommitEvent) int { return len(ev.Payload) + traceBytes(ev.Trace) })
-	v.OnCommitRecord(func(ev ivm.CommitEvent) { s.replWin.Append(ev.Version, ev) })
-	s.replWin.Seed(v.Snapshot().Version())
+	// /v1/replicate streams from the views' history and /v1/trace reads
+	// it: start it now, so it holds every commit from here on.
+	v.History()
 	mux := http.NewServeMux()
 	timed := func(h http.HandlerFunc) http.Handler {
 		inner := http.TimeoutHandler(h, opts.RequestTimeout, `{"error":"request timed out"}`)
@@ -272,7 +253,7 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 //
 // The apply drain and forwarding proxy MUST drain before the streams
 // close — the reverse order acks applies whose commit records the
-// closed window can no longer ship, which is exactly the write a
+// closed streams can no longer ship, which is exactly the write a
 // promoted follower would then be missing.
 //
 // ctx bounds each wait; on expiry remaining connections are cut but the
@@ -291,7 +272,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.opts.Logf("ivmd: shutdown: closing subscriptions")
 	s.hub.CloseAll()
 	s.stopOnce.Do(func() { close(s.stop) })
-	s.replWin.Close()
 	s.opts.Logf("ivmd: shutdown: draining http")
 	err := s.http.Shutdown(ctx)
 	if s.opts.OwnViews {

@@ -38,7 +38,7 @@ func getTrace(t *testing.T, url, version string) (int, ivm.ApplyTrace, string) {
 // server from its ack's version to its trace: the key, the WAL append and
 // fsync wait, one record per stratum, and the stats Views.Trace reads
 // right after the apply. A retry of the key is deduped onto the same
-// version, so onto the same trace; a version the two-entry window has
+// version, so onto the same trace; a version the two-commit history has
 // dropped answers 410, one not yet published 404, and a bad one 400.
 func TestTraceFollowsAKeyedApply(t *testing.T) {
 	v, _, err := ivm.OpenStore(t.TempDir(), func() (*ivm.Views, error) {
@@ -46,12 +46,12 @@ func TestTraceFollowsAKeyedApply(t *testing.T) {
 		db.MustLoad(`link(a,b). link(b,c).`)
 		return db.Materialize(`
 			hop(X,Y) :- link(X,Z), link(Z,Y).
-			tri(X,Y) :- hop(X,Z), link(Z,Y).`)
+			tri(X,Y) :- hop(X,Z), link(Z,Y).`, ivm.WithHistory(2))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(v, Options{ReplWindow: 2, OwnViews: true})
+	srv := New(v, Options{OwnViews: true})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

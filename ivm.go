@@ -29,6 +29,7 @@ package ivm
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -256,14 +257,12 @@ type Views struct {
 	comb *sched.Combiner[*applyReq]
 
 	// handlersMu guards the OnChange subscriptions, keyed by predicate
-	// ("" = every predicate), the OnCommit subscriptions, and the
-	// OnCommitRecord subscriptions. Handlers run on the maintainer
-	// goroutine after version publish, before the batch's Apply calls
-	// return.
-	handlersMu           sync.Mutex
-	handlers             map[string][]func(pred string, inserted, deleted []Row)
-	commitHandlers       []func(cs *ChangeSet)
-	commitRecordHandlers []func(ev CommitEvent)
+	// ("" = every predicate), and the OnCommit subscriptions. Handlers
+	// run on the maintainer goroutine after version publish, before the
+	// batch's Apply calls return.
+	handlersMu     sync.Mutex
+	handlers       map[string][]func(pred string, inserted, deleted []Row)
+	commitHandlers []func(cs *ChangeSet)
 
 	// verMu/verCh implement WaitForVersion: verCh, when non-nil, is
 	// closed at the next version publish. Lazily allocated so publishes
@@ -286,10 +285,11 @@ type Views struct {
 	mReplaySecs *metrics.Histogram
 	mReplayRows *metrics.Counter
 
-	// idem is the bounded LRU behind ApplyIdempotent: key → the version
-	// the key's apply committed (idem.go). Accessed only on the
-	// maintainer goroutine under wmu.
-	idem *idemWindow
+	// history is the window of recent commits (history.go), nil until
+	// needed; keys indexes its keys: key → the version of the commit
+	// carrying it, the maintainer's once the history runs.
+	history atomic.Pointer[sched.Window[CommitEvent]]
+	keys    map[string]uint64
 
 	// store, when non-nil, is the crash-recovery store the views are
 	// bound to (OpenStore): every Apply is durably logged to its WAL and
@@ -364,7 +364,6 @@ func newViews(cfg config, reg *metrics.Registry, eng *dred.Engine, programSrc st
 	v.setHidden(hidden)
 	v.strategy = regime(eng)
 	v.comb = sched.New(v.processBatch)
-	v.idem = newIdemWindow(cfg.idemWindow)
 	v.mBatches = reg.Counter("sched_batches_total")
 	v.mBatchUpdates = reg.Counter("sched_batch_updates_total")
 	v.mFallbacks = reg.Counter("sched_coalesce_fallbacks_total")
@@ -437,8 +436,10 @@ func (v *Views) Has(pred string, vals ...any) bool {
 type applyReq struct {
 	u *Update
 	// rec, instead of u, is a commit record to fold (ApplyCommitRecord):
-	// its deltas are merged as they stand and its keys seed the window.
-	rec *CommitRecord
+	// its deltas are merged as they stand and its keys enter the history,
+	// without its payload when recovered from the WAL.
+	rec       *CommitRecord
+	recovered bool
 	// edit, instead of u, is a rule edit (AddRule, RemoveRule): the
 	// engine maintains it and its record carries the program.
 	edit func(*dred.Engine) (map[string]*relation.Relation, error)
@@ -447,7 +448,7 @@ type applyReq struct {
 	// from several applies is replayed.
 	keys []string
 	// replay marks a replicated script (ApplyScriptReplicated): it is
-	// applied whatever the window holds, and its keys only seed it.
+	// applied whatever the history holds, and its keys only enter it.
 	replay  bool
 	enq     time.Time // when it was enqueued
 	cs      *ChangeSet
@@ -466,10 +467,10 @@ type applyGroup struct {
 	cs   *ChangeSet
 	// rec is the group's commit record, cut when maintenance succeeds:
 	// the version it publishes, every covered request's idempotency keys,
-	// and — encoded only when the WAL or a commit-record subscriber will
-	// consume it — the deltas the engine committed. A folded group's
-	// record is the one it was handed. The WAL logs it and replication
-	// ships it, so the durable order and the published order agree.
+	// and — encoded only when the WAL or the history will hold it — the
+	// deltas the engine committed. A folded group's record is the one it
+	// was handed. The WAL logs it and replication ships it, so the
+	// durable order and the published order agree.
 	rec CommitRecord
 	// ver is the version the group publishes: the relation map, program
 	// and trace as of its maintenance pass — a later group of the batch
@@ -516,10 +517,10 @@ func (v *Views) Apply(u *Update) (*ChangeSet, error) {
 // ChangeSet that carries only the original apply's Version — no deltas
 // (it is Empty) — instead of re-applying: the window remembers where a
 // write landed, not its rows, so a retry that also needs the deltas
-// re-reads them from a subscription resumed before that version. The
-// dedup window is a bounded LRU (WithIdempotencyWindow); a retry
-// arriving after the key's eviction re-applies. For store-bound views
-// the key is logged inside the apply's WAL record and re-seeded on
+// re-reads them from a subscription resumed before that version. A key
+// is known while its commit is in the views' history (WithHistory); a
+// retry arriving after that re-applies. For store-bound views the key is
+// logged inside the apply's WAL record and re-enters the history on
 // recovery replay, so dedup survives a crash between commit and
 // acknowledgment — the scenario a timed-out network client cannot
 // distinguish from "never committed". An empty key degrades to plain
@@ -570,6 +571,10 @@ func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
 func (v *Views) processBatch(batch []*applyReq) {
 	v.wmu.Lock()
 	taken := time.Now()
+	h := v.history.Load()
+	if h == nil && slices.ContainsFunc(batch, func(r *applyReq) bool { return len(r.keys) > 0 || r.rec != nil && len(r.rec.Keys) > 0 }) {
+		h = v.historyLocked()
+	}
 	fresh, leaders, followers := v.dedupeLocked(batch)
 	admitted := fresh[:0]
 	for _, r := range fresh {
@@ -577,19 +582,18 @@ func (v *Views) processBatch(batch []*applyReq) {
 			admitted = append(admitted, r)
 		}
 	}
-	// A group's record is encoded only when something will consume it:
-	// the WAL, or a commit-record subscriber (replication).
-	recHandlers := v.recordHandlers()
-	groups := v.maintainBatchLocked(admitted, v.store != nil || len(recHandlers) > 0)
+	// A group's record is encoded only when something will hold it: the
+	// WAL, or the history.
+	groups := v.maintainBatchLocked(admitted, v.store != nil || h != nil)
 	v.logLocked(groups)
 	v.publishLocked(groups, taken)
 	v.wmu.Unlock()
-	v.notifyGroups(groups, recHandlers)
+	v.notifyGroups(groups, h)
 	v.release(batch, groups, leaders, followers)
 }
 
-// dedupeLocked answers keyed requests before admission: a key already in
-// the window completes with the version its apply committed; a key that
+// dedupeLocked answers keyed requests before admission: a key in the
+// history completes with the version its apply committed; a key that
 // repeats within this very batch (a retry racing its first attempt) elects
 // the first request as leader and parks the rest as its followers. What is
 // left goes on to admission.
@@ -598,7 +602,7 @@ func (v *Views) dedupeLocked(batch []*applyReq) (fresh []*applyReq, leaders map[
 	for _, r := range batch {
 		if len(r.keys) == 1 && !r.replay {
 			key := r.keys[0]
-			if ver, ok := v.idem.lookup(key); ok {
+			if ver, ok := v.keys[key]; ok {
 				r.cs, r.deduped = &ChangeSet{version: ver}, true
 				v.mDedups.Inc()
 				continue
@@ -697,11 +701,7 @@ func (v *Views) logLocked(groups []*applyGroup) {
 // whose log stage failed, because the engine state already advanced and
 // later groups build on it — so published versions and WAL records
 // correspond 1:1 and replication can align on the version number alone.
-// Idempotency keys are recorded only for fully committed groups: a
-// durability error deliberately leaves its keys out, so the caller gets
-// the error rather than a dedup answer — a blind retry of an
-// applied-but-unlogged update is exactly the double apply the window
-// exists to prevent. A trace takes its group's keys and longest wait.
+// A trace takes its group's keys and longest wait.
 func (v *Views) publishLocked(groups []*applyGroup, taken time.Time) {
 	for _, g := range groups {
 		if g.cs == nil {
@@ -713,31 +713,25 @@ func (v *Views) publishLocked(groups []*applyGroup, taken time.Time) {
 			t.Wait = max(t.Wait, taken.Sub(r.enq))
 		}
 		v.installLocked(g.ver)
-		if g.err == nil {
-			for _, k := range g.rec.Keys {
-				v.idem.record(k, g.rec.Version)
-			}
-		}
 	}
-	v.mIdemEntries.Set(int64(v.idem.len()))
 }
 
-// notifyGroups runs the subscriptions of every fully committed group on
-// the maintainer goroutine — after its version is published (so handlers
-// and concurrent readers see the new state) and outside wmu (so a slow
-// handler never extends a rule edit, Sync, or Close stall; readers are
-// lock-free and were never stalled in the first place) — but before the
-// batch's requests complete, so each Apply still returns only after the
-// handlers for its batch have run.
-func (v *Views) notifyGroups(groups []*applyGroup, recHandlers []func(ev CommitEvent)) {
+// notifyGroups hands every fully committed group to the history h, if
+// any, and then to the subscriptions, on the maintainer goroutine after
+// publish (handlers see the new state) and outside wmu (a slow handler
+// never extends a rule edit, Sync, or Close stall), but before the batch's
+// requests complete. A group whose log failed enters neither: a dedup
+// answer to the retry of an applied-but-unlogged update would be exactly
+// the double apply the history exists to prevent.
+func (v *Views) notifyGroups(groups []*applyGroup, h *sched.Window[CommitEvent]) {
 	for _, g := range groups {
 		if g.err != nil {
 			continue
 		}
-		v.notify(g.cs)
-		for _, fn := range recHandlers {
-			fn(CommitEvent{CommitRecord: g.rec, Trace: g.ver.trace})
+		if h != nil {
+			v.remember(h, g)
 		}
+		v.notify(g.cs)
 	}
 }
 
@@ -975,7 +969,7 @@ func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 // replication 'D' record ships.
 type CommitRecord = storage.CommitRecord
 
-// CommitEvent is one published version as OnCommitRecord reports it: the
+// CommitEvent is one published version as the history holds it: the
 // commit's record plus its trace. A rule edit's record carries the program
 // it leaves (CommitRecord.Program), so every commit folds.
 type CommitEvent struct {
@@ -1002,28 +996,6 @@ type ApplyTrace struct {
 	WALAppend time.Duration       `json:"wal_append_ns"`
 	FsyncWait time.Duration       `json:"fsync_wait_ns"`
 	Published time.Time           `json:"published"`
-}
-
-// OnCommitRecord subscribes fn to the commit-ordered record stream:
-// one event per published version, in version order, carrying the
-// record that reproduces the commit. This is the feed the replication
-// endpoint streams to followers. Like OnCommit handlers, fn runs on the
-// maintainer goroutine after publish with no Views lock held, and must
-// not Apply or edit rules from within the callback. Subscribe before the
-// first Apply you need to observe — commits that ran before the
-// subscription are not replayed (the serving layer bridges the gap from
-// the WAL instead).
-func (v *Views) OnCommitRecord(fn func(ev CommitEvent)) {
-	v.handlersMu.Lock()
-	defer v.handlersMu.Unlock()
-	v.commitRecordHandlers = append(v.commitRecordHandlers, fn)
-}
-
-// recordHandlers snapshots the OnCommitRecord subscriptions.
-func (v *Views) recordHandlers() []func(ev CommitEvent) {
-	v.handlersMu.Lock()
-	defer v.handlersMu.Unlock()
-	return v.commitRecordHandlers
 }
 
 // notify fires the OnChange and OnCommit handlers for a change set.

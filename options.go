@@ -6,8 +6,8 @@ type config struct {
 	strategy  Strategy
 	semantics Semantics
 	tracer    metrics.Tracer
-	// idemWindow is the idempotency-window capacity (0 = default).
-	idemWindow int
+	// history is how many commits the history holds (0 = default).
+	history int
 	// walRepair lets OpenStore discard a corrupt WAL suffix instead of
 	// refusing to recover (WithWALRepair).
 	walRepair bool
@@ -36,15 +36,12 @@ func WithSemantics(s Semantics) Option { return func(c *config) { c.semantics = 
 // completion, rule evaluations). A nil t leaves tracing off.
 func WithTracer(t Tracer) Option { return func(c *config) { c.tracer = t } }
 
-// WithIdempotencyWindow sets how many distinct idempotency keys the
-// views remember for ApplyIdempotent dedup (default
-// DefaultIdempotencyWindow). The window is an LRU: once more than n
-// keyed applies land after a key's commit, a retry of that key is no
-// longer recognized and re-applies. Size it to comfortably exceed the
-// keyed applies that can land within a client's longest retry horizon.
-func WithIdempotencyWindow(n int) Option {
-	return func(c *config) { c.idemWindow = n }
-}
+// WithHistory sets how many commits the views' history holds (default
+// DefaultHistory): the window ApplyIdempotent dedups against and the
+// serving layer replicates and traces from. A key is known until n
+// commits have landed after its own; size n above the commits a client's
+// longest retry horizon, or a follower's lag, can see.
+func WithHistory(n int) Option { return func(c *config) { c.history = n } }
 
 // WithWALRepair lets OpenStore recover past mid-WAL corruption by
 // discarding the corrupt record and everything after it; the valid

@@ -27,7 +27,8 @@ package ivm_test
 // Result one too many [2]; CmpLt evaluated as <= [9]; materialization
 // skipping the semi-naive rounds after its seed pass [3]; counting
 // committing its working Δ(head) uncopied and unfrozen [2]; a version's
-// trace stamped with its predecessor's version [1].
+// trace stamped with its predecessor's version [1]; the history's key
+// index keeping a key after its commit left the history [3].
 
 import (
 	"cmp"
@@ -348,8 +349,11 @@ func TestApplyIdempotentConcurrentSameKey(t *testing.T) {
 	runOracleCase(t, 1, func(c oracleConfig) bool { return on("memory")(c) && c.window == 2 }, "same-key")
 }
 
+// TestIdempotencyWindowEviction runs the first six seeds of a two-commit
+// history: a key ages out two commits after its own, keyed or not, and a
+// retry of it re-applies.
 func TestIdempotencyWindowEviction(t *testing.T) {
-	runOracleCase(t, 2, func(c oracleConfig) bool { return c.window == 2 }, "retry:evicted")
+	runOracleCase(t, 6, func(c oracleConfig) bool { return c.window == 2 }, "retry:evicted")
 }
 
 func TestIdempotencyWindowSurvivesRecovery(t *testing.T) {
@@ -439,31 +443,11 @@ func (op *oracleOp) run(v *ivm.Views) (cs *ivm.ChangeSet, deduped bool, err erro
 	return cs, false, err
 }
 
-// oracleLRU models the idempotency window: the keys and the versions they
-// were acked at, most recently used first.
-type oracleLRU struct {
-	cap  int
-	keys []oracleKeyed
-}
-
-type oracleKeyed struct {
-	key string
-	ver uint64
-}
-
-func (l *oracleLRU) find(key string) (uint64, bool) {
-	i := slices.IndexFunc(l.keys, func(k oracleKeyed) bool { return k.key == key })
-	if i < 0 {
-		return 0, false
-	}
-	return l.keys[i].ver, true
-}
-
-// record puts key first, at ver, evicting the least recently used key
-// beyond the capacity.
-func (l *oracleLRU) record(key string, ver uint64) {
-	l.keys = slices.DeleteFunc(l.keys, func(k oracleKeyed) bool { return k.key == key })
-	l.keys = slices.Insert(l.keys, 0, oracleKeyed{key, ver})[:min(len(l.keys)+1, l.cap)]
+// oracleCommit is a logged commit as a history holds it: its version and
+// the keys its record carries.
+type oracleCommit struct {
+	ver  uint64
+	keys []string
 }
 
 // oracleRun is one seed's run: the draw, the views under test and the
@@ -499,8 +483,7 @@ type oracleRun struct {
 	st                 *oracleState
 	memo               map[string]oracleMemo // recompute's states, by base and rules
 	version            uint64
-	lru                *oracleLRU
-	keyLog             []oracleKeyed // each key a record carried, in commit order
+	log                []oracleCommit // every logged commit since open, in version order
 	acked              map[string][]oracleChange
 	dedupLo, dedupHi   int64 // sched_idem_dedup_total lies between
 	failKey            string
@@ -530,7 +513,7 @@ func oracleDraw(seed int64) (oracleConfig, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	n, k := int64(len(oracleFamilies)), int64(len(oracleStrategies))
 	c := oracleConfig{fam: &oracleFamilies[(seed%n+n)%n], strategy: oracleStrategies[((seed+seed/n)%k+k)%k],
-		leg: []string{"memory", "fold", "rederive", "store"}[rng.Intn(4)], sem: ivm.SetSemantics, window: ivm.DefaultIdempotencyWindow}
+		leg: []string{"memory", "fold", "rederive", "store"}[rng.Intn(4)], sem: ivm.SetSemantics, window: ivm.DefaultHistory}
 	if rng.Intn(12) == 0 {
 		c.leg = "follower"
 	}
@@ -641,7 +624,7 @@ func (r *oracleRun) options(strategy ivm.Strategy) []ivm.Option {
 }
 
 func (r *oracleRun) extra() []ivm.Option {
-	return []ivm.Option{ivm.WithIdempotencyWindow(r.window)}
+	return []ivm.Option{ivm.WithHistory(r.window)}
 }
 
 // open builds the leg's views over base and checks them.
@@ -667,7 +650,7 @@ func (r *oracleRun) open(base map[string]map[string]ivm.Row, strategy ivm.Strate
 	}
 	r.w, r.version, r.strategy = v, v.Snapshot().Version(), strategy
 	r.hidden = v.Snapshot().ReplicaState().Hidden
-	r.lru = &oracleLRU{cap: r.window}
+	r.log = nil
 	var rules []string
 	for _, rule := range v.Program().Rules {
 		rules = append(rules, rule.String())
@@ -693,10 +676,19 @@ func (r *oracleRun) open(base map[string]map[string]ivm.Row, strategy ivm.Strate
 	return nil
 }
 
-// watch subscribes to v's records and change sets.
+// watch subscribes to v's change sets, and takes each commit's record
+// from v's history as it lands: the newest entry, so never shed.
 func (r *oracleRun) watch(v *ivm.Views) {
-	v.OnCommitRecord(func(ev ivm.CommitEvent) { r.mu.Lock(); r.events = append(r.events, ev); r.mu.Unlock() })
-	v.OnCommit(func(cs *ivm.ChangeSet) { r.mu.Lock(); r.changes[cs.Version()] = cs; r.mu.Unlock() })
+	h := v.History()
+	v.OnCommit(func(cs *ivm.ChangeSet) {
+		ev, ok := h.At(cs.Version())
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if ok {
+			r.events = append(r.events, ev)
+		}
+		r.changes[cs.Version()] = cs
+	})
 }
 
 // renderChanges is a change set as a subscriber sees it.
@@ -1131,10 +1123,7 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	if src, ok := ev.Program(); ok != edit || edit && len(ev.Payload) > 16+len(src)+size {
 		r.fatal("a record of %d bytes carries a program: %v, a %d-byte Δ", len(ev.Payload), ok, size)
 	}
-	for _, k := range ev.Keys {
-		r.lru.record(k, ver)
-		r.keyLog = append(r.keyLog, oracleKeyed{k, ver})
-	}
+	r.log = append(r.log, oracleCommit{ver, ev.Keys})
 	if r.node == nil {
 		return
 	}
@@ -1178,7 +1167,7 @@ func (r *oracleRun) takeEvents() {
 func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	type call struct {
 		op             *oracleOp
-		ver            uint64 // the version a key in the window was acked at
+		ver            uint64 // the version a key in the history was acked at
 		next           *oracleState
 		refused        error
 		dedup, deduped bool
@@ -1189,9 +1178,10 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	r.stratum, r.rule = 1, ""
 	r.mu.Unlock()
 	calls := make([]*call, len(ops))
+	held := r.remembered()
 	for i, op := range ops {
 		c := &call{op: op}
-		if c.ver, c.dedup = r.lru.find(op.key); !c.dedup || !op.keyed {
+		if c.ver, c.dedup = held[op.key]; !c.dedup || !op.keyed {
 			c.dedup = false
 			c.next, c.refused = r.next(op)
 		}
@@ -1245,7 +1235,6 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 				r.fatal("%s: a retry of %q answers %v deduped=%v err=%v, want an empty dedup at version %d",
 					op.what, op.key, c.cs, c.deduped, c.err, c.ver)
 			}
-			r.lru.record(op.key, c.ver)
 			r.dedupLo++
 			r.dedupHi++
 		case c.refused != nil && c.err == nil:
@@ -1278,7 +1267,7 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 			r.fail("wal", bad)
 		case c.err != nil || c.deduped && (applied[op] == nil || !c.cs.Empty() || c.cs.Version() != applied[op].cs.Version()):
 			// A caller racing its own key's first apply learns where it
-			// landed and nothing else; a window hit counts, a retry
+			// landed and nothing else; a history hit counts, a retry
 			// inside the batch does not.
 			r.fatal("%s: err %v, deduped %v %v; the recomputation accepts it", op.what, c.err, c.deduped, c.cs)
 		case c.deduped:
@@ -1325,13 +1314,13 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	r.checkAll(c0.op.what)
 }
 
-// checkAll holds every views of the leg to the model, and the window's
-// metrics to the model LRU.
+// checkAll holds every views of the leg to the model, and the history's
+// metrics to the model's.
 func (r *oracleRun) checkAll(what string) {
 	r.check(what, r.w)
 	m := r.w.Metrics()
-	if got := m.Gauge("idem_window_entries"); got != int64(len(r.lru.keys)) {
-		r.fatal("%s: idem_window_entries %d, the model holds %d keys", what, got, len(r.lru.keys))
+	if got, want := m.Gauge("idem_window_entries"), len(r.remembered()); got != int64(want) {
+		r.fatal("%s: idem_window_entries %d, the model holds %d keys", what, got, want)
 	}
 	if got := m.Counter("sched_idem_dedup_total"); got < r.dedupLo || got > r.dedupHi {
 		r.fatal("%s: sched_idem_dedup_total %d, want [%d, %d]", what, got, r.dedupLo, r.dedupHi)
@@ -1428,15 +1417,15 @@ func (r *oracleRun) apply() {
 	r.do(false, op)
 }
 
-// retry re-sends a committed key's update: a dedup while the key is in
-// the window, a fresh apply once it was evicted.
+// retry re-sends a committed key's update: a dedup while its commit is in
+// the history, a fresh apply once it left.
 func (r *oracleRun) retry() {
 	keys := oracleKeys(r.acked)
 	if len(keys) == 0 {
 		return
 	}
 	k := keys[r.rng.Intn(len(keys))]
-	if _, ok := r.lru.find(k); ok {
+	if _, ok := r.remembered()[k]; ok {
 		r.hit("retry:dedup")
 	} else {
 		r.hit("retry:evicted")
@@ -1621,28 +1610,35 @@ func (r *oracleRun) burst(sameKey bool) {
 	r.do(true, ops...)
 }
 
-// replayWindow is the window a fold or a replay of every record seeds.
-func (r *oracleRun) replayWindow() *oracleLRU {
-	l := &oracleLRU{cap: r.window}
-	for _, k := range r.keyLog {
-		l.record(k.key, k.ver)
+// remembered models a history's key index: the keys of the newest
+// r.window logged commits, each at its commit's version. A writer's, a
+// node's that folded every record, a follower's and a recovered store's
+// agree: each committed every logged commit since open — recovery
+// replays the WAL, which a run never checkpoints — and a history starts
+// no later than the first commit that carries a key.
+func (r *oracleRun) remembered() map[string]uint64 {
+	held := make(map[string]uint64)
+	for _, c := range r.log[max(len(r.log)-r.window, 0):] {
+		for _, k := range c.keys {
+			held[k] = c.ver
+		}
 	}
-	return l
+	return held
 }
 
-// requireDedups retries every key of l on v, least recent first: each
-// must answer as a dedup at its acked version.
-func (r *oracleRun) requireDedups(what string, v *ivm.Views, l *oracleLRU) {
-	for i := len(l.keys) - 1; i >= 0; i-- {
-		k := l.keys[i]
-		cs, deduped, err := v.ApplyIdempotent(k.key, oracleUpdate(r.acked[k.key]))
-		if err != nil || !deduped || cs.Version() != k.ver {
-			r.fatal("%s: a retry of %q: deduped=%v err=%v %v, want a dedup at version %d", what, k.key, deduped, err, cs, k.ver)
+// requireDedups retries every key the model holds on v: each must answer
+// as a dedup at its acked version.
+func (r *oracleRun) requireDedups(what string, v *ivm.Views) {
+	held := r.remembered()
+	for _, k := range oracleKeys(held) {
+		cs, deduped, err := v.ApplyIdempotent(k, oracleUpdate(r.acked[k]))
+		if err != nil || !deduped || cs.Version() != held[k] {
+			r.fatal("%s: a retry of %q: deduped=%v err=%v %v, want a dedup at version %d", what, k, deduped, err, cs, held[k])
 		}
 	}
 	if v == r.w {
-		r.dedupLo += int64(len(l.keys))
-		r.dedupHi += int64(len(l.keys))
+		r.dedupLo += int64(len(held))
+		r.dedupHi += int64(len(held))
 	}
 }
 
@@ -1652,7 +1648,7 @@ func (r *oracleRun) takeOver(what string, v *ivm.Views) {
 	r.hit(what)
 	r.w, r.node = v, nil
 	r.watch(v)
-	r.lru, r.dedupLo, r.dedupHi = r.replayWindow(), 0, 0
+	r.dedupLo, r.dedupHi = 0, 0
 	r.checkAll(what)
 }
 
@@ -1670,7 +1666,7 @@ func (r *oracleRun) reopen() {
 		r.fatal("reopen replayed %d records in epoch %d", info.Replayed, info.Epoch)
 	}
 	r.takeOver("reopened", v)
-	r.requireDedups("reopened", v, r.lru)
+	r.requireDedups("reopened", v)
 	r.checkAll("reopened")
 }
 
@@ -1699,9 +1695,12 @@ func (r *oracleRun) foreign(state ivm.ReplicaState) {
 	cut := func(v *ivm.Views, err error, sign int64) (rec ivm.CommitRecord, ok bool) {
 		if err == nil {
 			v.SeedVersion(state.Version)
-			v.OnCommitRecord(func(ev ivm.CommitEvent) { rec = ev.CommitRecord })
+			v.History()
 			_, err = v.Apply(ivm.NewUpdate().InsertTuple(pred, t, sign))
 			ok = err == nil
+		}
+		if ok {
+			rec = newestRecord(v)
 		}
 		return rec, ok
 	}
@@ -1863,7 +1862,7 @@ func (r *oracleRun) finishFollower() {
 	}
 	f := r.rep.Views()
 	r.check("follower", f)
-	r.requireDedups("follower", f, r.replayWindow())
+	r.requireDedups("follower", f)
 	r.mu.Lock()
 	for ver, cs := range r.changes {
 		if got, want := r.refolded[ver], renderChanges(cs); got != want {

@@ -37,7 +37,7 @@ func (v *Views) state(vv *version) storage.State {
 }
 
 // ViewsFromReplicaState builds Views from a transferred state: extra
-// options (tracing, idempotency window, ...), then the strategy and
+// options (tracing, history, ...), then the strategy and
 // semantics the state was stored under. The views take st's relations for
 // their own; the frozen ones of Snapshot.ReplicaState are shared.
 func ViewsFromReplicaState(st ReplicaState, extra ...Option) (*Views, error) {
@@ -147,7 +147,7 @@ func (v *Views) resetLocked(st ReplicaState) (cs *ChangeSet, err error) {
 // CommittedRecordsAfter returns the WAL's commit records stamped with
 // versions greater than fromExcl, in version order — the replication
 // backfill source when a follower's resume point has aged out of the
-// in-memory window. ok is false for views without a store (nothing
+// history. ok is false for views without a store (nothing
 // durable to read). The caller must check the returned sequence is
 // contiguous from its resume point and fall back to a full state
 // transfer when it is not.

@@ -89,8 +89,7 @@ func TestOnCommitRecordStream(t *testing.T) {
 	}
 	defer v.Shutdown()
 
-	var recs []CommitEvent
-	v.OnCommitRecord(func(ev CommitEvent) { recs = append(recs, ev) })
+	h := v.History()
 	base := v.Snapshot().Version()
 
 	if _, err := v.Apply(NewUpdate().Insert("link", "b", "c")); err != nil {
@@ -105,8 +104,16 @@ func TestOnCommitRecordStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var recs []CommitEvent
+	for ver := base + 1; ; ver++ {
+		ev, ok := h.At(ver)
+		if !ok {
+			break
+		}
+		recs = append(recs, ev)
+	}
 	if len(recs) != 3 {
-		t.Fatalf("got %d commit records, want 3: %+v", len(recs), recs)
+		t.Fatalf("the history holds %d commit records, want 3: %+v", len(recs), recs)
 	}
 	for i, rec := range recs {
 		if rec.Version != base+uint64(i)+1 {
@@ -269,17 +276,16 @@ func TestRuleEditShipsAsARecord(t *testing.T) {
 	}
 	defer v.Shutdown()
 
-	var events []CommitEvent
-	v.OnCommitRecord(func(ev CommitEvent) { events = append(events, ev) })
+	h := v.History()
 	base := v.Snapshot().Version()
 	cs, err := v.AddRule("sym(X,Y) :- link(Y,X).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || events[0].Version != cs.Version() || cs.Version() != base+1 {
-		t.Fatalf("commit events = %+v, want one at version %d", events, base+1)
+	ev, ok := h.At(base + 1)
+	if _, hi, _ := h.Bounds(); !ok || hi != base+1 || cs.Version() != base+1 {
+		t.Fatalf("the history holds %+v through version %d, want one commit at version %d", ev, hi, base+1)
 	}
-	ev := events[0]
 	if src, edit := ev.Program(); !edit || ev.Payload[0] != 3 || src != v.ProgramSource() {
 		t.Fatalf("the edit's record: format %d, program %q (edit %v); want format 3 carrying %q", ev.Payload[0], src, edit, v.ProgramSource())
 	}

@@ -206,15 +206,21 @@ func engineString(b byte) string {
 // the strategy and semantics the record was cut under, and hold every
 // row it takes away, or a *DivergenceError is
 // returned with nothing applied. A script record (format 1) is re-derived
-// by ApplyScriptReplicated instead. Either way the record's keys re-seed
-// the idempotency window, so a client retrying across a crash or a
-// failover still gets a dedup answer stamped with the replayed version.
+// by ApplyScriptReplicated instead. Either way the record's keys enter
+// the history, so a client retrying across a crash or a failover still
+// gets a dedup answer stamped with the replayed version.
 func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
+	return v.applyCommitRecord(rec, false)
+}
+
+// applyCommitRecord is ApplyCommitRecord; a recovered record's entry in
+// the history holds its version and keys only.
+func (v *Views) applyCommitRecord(rec CommitRecord, recovered bool) (*ChangeSet, error) {
 	if at := v.cur.Load().id; at != rec.Version-1 {
 		return nil, &DivergenceError{Version: rec.Version, At: at}
 	}
 	if rec.HasDeltas() {
-		cs, _, err := v.submit(&applyReq{rec: &rec})
+		cs, _, err := v.submit(&applyReq{rec: &rec, recovered: recovered})
 		return cs, err
 	}
 	cs, err := v.ApplyScriptReplicated(rec.Script, rec.Keys)
@@ -228,10 +234,10 @@ func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
 }
 
 // ApplyScriptReplicated re-derives a format-1 record: its delta script
-// goes through full maintenance and its keys re-seed the idempotency
-// window. Kept for stores written before records carried their deltas and
-// for the layered benchmark's re-apply kernel, which compiles against it;
-// to be deleted with format 1.
+// goes through full maintenance and its keys enter the history. Kept
+// for stores written before records carried their deltas and for the
+// layered benchmark's re-apply kernel, which compiles against it; to be
+// deleted with format 1.
 func (v *Views) ApplyScriptReplicated(script string, keys []string) (*ChangeSet, error) {
 	u, err := ParseUpdate(script)
 	if err != nil {

@@ -25,6 +25,7 @@ mutations=(
 	"materialize skips the semi-naive rounds after the seed pass|internal/core/dred/propagate.go|m.rounds(o, rules, inStratum, eval.PlanEval, fold)|error(nil)"
 	"counting commits its working Δ(head) uncopied and unfrozen|internal/core/dred/counting.go|		dp.Freeze()|		dp = w"
 	"the trace is stamped with the predecessor's version|snapshot.go|&ApplyTrace{Version: id, Strategy: v.strategy|&ApplyTrace{Version: id - 1, Strategy: v.strategy"
+	"the history's index keeps a key after its commit leaves|history.go|			delete(v.keys, k)|			_ = k"
 )
 
 work="$(mktemp -d)"
