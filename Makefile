@@ -30,10 +30,11 @@ test:
 
 # The WAL's append/wait/close paths race each other in these tests; a
 # close/append race once flaked about one run in 40, so they repeat, and
-# so do the history's readers beside its appends, sheds and prunes.
+# so do the history's readers beside its appends, sheds and prunes, and
+# subscription resumes beside the commits the hub publishes.
 race:
 	$(GO) test -race -count=1 ./...
-	$(GO) test -race -count=30 -run 'GroupCommit|FailedFsync|HistoryReadersRaceShedding' . ./internal/storage
+	$(GO) test -race -count=30 -run 'GroupCommit|FailedFsync|HistoryReadersRaceShedding|ResumeRacesPublish' . ./internal/storage ./internal/server
 
 # Full benchmark run (slow; use bench-smoke for a compile-and-run check).
 bench:
@@ -91,13 +92,12 @@ cover:
 	awk -v t="$$total" -v b="$$baseline" 'BEGIN { exit !(t+0 >= b+0) }' || { \
 		echo "coverage $${total}% fell below the $${baseline}% baseline" >&2; exit 1; }
 
-# 30s of native fuzzing per target (the same thirteen as CI).
+# 30s of native fuzzing per target (the same twelve as CI).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParseUpdate -fuzztime 30s -run '^$$' .
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 30s -run '^$$' ./internal/storage
 	$(GO) test -fuzz FuzzReplRecord -fuzztime 30s -run '^$$' ./internal/storage
 	$(GO) test -fuzz FuzzSQLParse -fuzztime 30s -run '^$$' ./internal/sqlview
-	$(GO) test -fuzz FuzzDecodeDelta -fuzztime 30s -run '^$$' ./client
 	$(GO) test -fuzz FuzzTableOps -fuzztime 30s -run '^$$' ./internal/relation
 	$(GO) test -fuzz FuzzGroupTable -fuzztime 30s -run '^$$' ./internal/eval
 	$(GO) test -fuzz FuzzCompare -fuzztime 30s -run '^$$' ./internal/value

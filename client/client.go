@@ -5,7 +5,10 @@
 // cheaply in consumer services.
 //
 // Applies are retried automatically under an idempotency key (see
-// RetryPolicy and ApplyWithKey), so a lost ack never double-applies.
+// RetryPolicy and ApplyWithKey), so a lost ack never double-applies. An
+// ack is the version the apply published; the rows it changed reach
+// subscribers, and a subscription resumed after the version before it
+// reads them.
 // Against a replicated cluster, ReadPool round-robins reads over
 // followers with leader fallback, and NewClusterPool discovers the
 // topology — leader, followers, fencing epoch — from any seed node's
@@ -410,7 +413,7 @@ var ErrEvicted = fmt.Errorf("ivmd: subscriber evicted (consumer too slow)")
 
 // ErrResyncRequired reports that the server could not replay the events
 // between this subscriber's resume point and now (they aged out of its
-// replay ring): the stream has a gap, so re-read current state and
+// history): the stream has a gap, so re-read current state and
 // resubscribe.
 var ErrResyncRequired = fmt.Errorf("ivmd: subscription resume point aged out; re-read state and resubscribe")
 

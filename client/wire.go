@@ -15,10 +15,7 @@ type Row struct {
 }
 
 // Delta is one predicate's changes within a committed batch (deleted
-// counts are reported positive, mirroring ivm.ChangeSet). It decodes
-// itself by hand (decode.go) — into the same values encoding/json would
-// produce, at a handful of allocations per delta instead of several per
-// row.
+// counts are reported positive, mirroring ivm.ChangeSet).
 type Delta struct {
 	Pred     string `json:"pred"`
 	Inserted []Row  `json:"inserted,omitempty"`
@@ -30,9 +27,9 @@ type Delta struct {
 // stream is a hello carrying the current version and no deltas; a final
 // event with Evicted set reports that the server dropped this consumer
 // for falling behind its buffer. A final event with Resync set answers
-// a ?from= resume whose events have aged out of the server's replay
-// ring: the stream has an unbridgeable gap, so re-read current state
-// and subscribe afresh.
+// a ?from= resume whose commits have aged out of the server's history
+// (ivmd -history): the stream has an unbridgeable gap, so re-read
+// current state and subscribe afresh.
 type Event struct {
 	Version uint64  `json:"version"`
 	Deltas  []Delta `json:"deltas,omitempty"`
@@ -42,18 +39,16 @@ type Event struct {
 }
 
 // ApplyResult acknowledges a durably applied update: the version in
-// which its effects became visible plus the per-view changes. For
-// store-bound servers the WAL record is fsynced before this result is
-// sent — an acked apply survives any crash or shutdown. Deduped reports
-// that the request's Idempotency-Key had already committed: nothing was
-// applied again, Version is the version the original apply published,
-// and Deltas is empty — the server's window keeps the ack, not the
-// rows. To re-read the changes of an apply whose ack was lost, resume a
-// subscription from a version before it.
+// which its effects became visible. For store-bound servers the WAL
+// record is fsynced before this result is sent — an acked apply survives
+// any crash or shutdown. Deduped reports that the request's
+// Idempotency-Key had already committed: nothing was applied again, and
+// Version is the version the original apply published. The rows an
+// apply changed are the event stamped Version of a subscription resumed
+// after Version−1 (GET /v1/subscribe?from=Version−1).
 type ApplyResult struct {
-	Version uint64  `json:"version"`
-	Deltas  []Delta `json:"deltas,omitempty"`
-	Deduped bool    `json:"deduped,omitempty"`
+	Version uint64 `json:"version"`
+	Deduped bool   `json:"deduped,omitempty"`
 }
 
 // QueryResult is one match of a query goal.

@@ -62,10 +62,10 @@ func run() error {
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + WAL); empty = memory-only")
 	strategyFlag := flag.String("strategy", "auto", "auto, counting, dred, or recompute")
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
-	history := flag.Int("history", 0, "recent commits kept for apply dedup, replication and /v1/trace (0 = library default, 1024); size it above the commits that can land within a client's retry horizon or a follower's lag")
+	history := flag.Int("history", 0, "recent commits kept for apply dedup, replication, /v1/trace and subscription resume (0 = library default, 1024); size it above the commits that can land within a client's retry horizon or a follower's lag")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request timeout for non-streaming endpoints")
 	maxBody := flag.Int64("max-body", 4<<20, "maximum apply request body bytes")
-	subBuffer := flag.Int("sub-buffer", 256, "per-subscriber event buffer; a consumer that falls this far behind is evicted (the resume ring keeps as many events, 4 KiB of lines each)")
+	subBuffer := flag.Int("sub-buffer", 256, "per-subscriber live event buffer; a consumer that falls this far behind is evicted (how far back a ?from= resume reaches is -history's)")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle lifetime of snapshot-pinned sessions")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging (lifecycle events still log)")

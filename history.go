@@ -4,19 +4,21 @@ import (
 	"reflect"
 
 	"ivm/internal/core/dred"
+	"ivm/internal/relation"
 	"ivm/internal/sched"
+	"ivm/internal/value"
 )
 
 // The history (DESIGN.md §13) is the views' one window of recent commits:
 // ApplyIdempotent dedups against its keys — counting and DRed are only
 // right if every Δ is applied exactly once, so a client that cannot tell
 // "never committed" from "committed, ack lost" retries under its key and
-// learns where its write landed — and the serving layer replicates and
-// answers /v1/trace from it. It holds the newest n commits and at most
-// 512 bytes of records and traces for each: past that the oldest shed
-// their payload and trace but keep their version and keys, so a key
-// dedups for exactly n commits whatever the records weigh. Views start it
-// on demand, and recovery replays the WAL's keys into it.
+// learns where its write landed — and the serving layer replicates,
+// answers /v1/trace and resumes subscriptions from it. It holds the newest
+// n commits and at most 512 bytes of records, traces and ChangeSets for
+// each: past that the oldest shed all three but keep their version and
+// keys, so a key dedups for exactly n commits whatever the records weigh.
+// Views start it on demand, and recovery replays the WAL's keys into it.
 
 // DefaultHistory is how many commits a history holds when WithHistory is
 // not given. It must comfortably exceed the commits that can land
@@ -25,7 +27,8 @@ import (
 const DefaultHistory = 1024
 
 // historyRecordBytes is the history's byte budget per commit it holds: a
-// record carries its committed deltas (typically 0.1–6 KB).
+// record carries its committed deltas (typically 0.1–6 KB), and its
+// ChangeSet the visible ones again as rows.
 const historyRecordBytes = 512
 
 // MaxIdempotencyKeyLen bounds key length: keys are logged inside every
@@ -36,9 +39,9 @@ const MaxIdempotencyKeyLen = 256
 
 // History returns the views' window of recent commits, starting it at the
 // current version if none runs yet; from then on every commit enters it
-// before the Apply calls it acknowledges return. An entry whose Trace is
-// nil holds its version and keys only: the byte budget shed it, or
-// recovery replayed it from the WAL, which still holds its record.
+// before the Apply calls it acknowledges return. An entry whose Trace and
+// Changes are nil holds its version and keys only: the byte budget shed
+// it, or recovery replayed it from the WAL, which still holds its record.
 func (v *Views) History() *sched.Window[CommitEvent] {
 	if h := v.history.Load(); h != nil {
 		return h
@@ -68,11 +71,11 @@ func (v *Views) historyLocked() *sched.Window[CommitEvent] {
 // remember appends a fully committed group to the history and indexes its
 // keys. Only the maintainer touches the index.
 func (v *Views) remember(h *sched.Window[CommitEvent], g *applyGroup) {
-	ev := CommitEvent{CommitRecord: g.rec, Trace: g.ver.trace}
+	ev := CommitEvent{CommitRecord: g.rec, Trace: g.ver.trace, Changes: g.cs}
 	if g.reqs[0].recovered {
 		ev = shedCommit(ev)
 	}
-	h.Append(ev.Version, ev)
+	v.mHistBytes.Set(int64(h.Append(ev.Version, ev)))
 	for _, k := range ev.Keys {
 		v.keys[k] = ev.Version
 	}
@@ -89,16 +92,37 @@ func (v *Views) forget(e sched.WindowEntry[CommitEvent]) {
 	}
 }
 
-// commitBytes is what a history entry holds of its record and trace.
+// commitBytes is what a history entry holds of its record, trace and
+// ChangeSet.
 func commitBytes(ev CommitEvent) int {
-	if ev.Trace == nil {
-		return len(ev.Payload)
+	n := len(ev.Payload)
+	if ev.Trace != nil {
+		n += int(reflect.TypeFor[ApplyTrace]().Size()) + len(ev.Trace.Strata)*int(reflect.TypeFor[dred.StratumTrace]().Size())
 	}
-	return len(ev.Payload) + int(reflect.TypeFor[ApplyTrace]().Size()) +
-		len(ev.Trace.Strata)*int(reflect.TypeFor[dred.StratumTrace]().Size())
+	if ev.Changes != nil {
+		n += changeSetBytes
+		for _, rel := range ev.Changes.perPred {
+			n += relationBytes + rel.Len()*(changedRowBytes+rel.Arity()*valueBytes)
+			rel.Each(func(row Row) { n += len(row.Key()) })
+		}
+	}
+	return n
 }
 
-// shedCommit is ev less its payload and trace: its version and keys.
+// What a ChangeSet costs (DESIGN.md §4 "What a row costs"; EXPERIMENTS.md
+// E46 measures a one-row ChangeSet at 586 bytes): itself and its map of
+// predicates, a header and Go's smallest group of slots; per predicate a
+// relation header; per changed row a cell with its two slots, its tuple's
+// values, its key and the Row a reader's sorted split makes of it.
+var (
+	changeSetBytes  = int(reflect.TypeFor[ChangeSet]().Size()) + 256
+	relationBytes   = int(reflect.TypeFor[relation.Relation]().Size())
+	changedRowBytes = 40 + int(reflect.TypeFor[Row]().Size())
+	valueBytes      = int(reflect.TypeFor[value.Value]().Size())
+)
+
+// shedCommit is ev less its payload, trace and ChangeSet: its version and
+// keys.
 func shedCommit(ev CommitEvent) CommitEvent {
 	return CommitEvent{CommitRecord: CommitRecord{Version: ev.Version, Keys: ev.Keys}}
 }

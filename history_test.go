@@ -145,6 +145,67 @@ func TestHistoryShedsBytesNotKeys(t *testing.T) {
 	}
 }
 
+// A commit's ChangeSet enters the history with it and counts against the
+// same budget, each changed row at no less than DESIGN.md §4 measures a
+// row of arity 2 to cost — a 40-byte cell with its slots, 64 bytes of
+// tuple backing, its key and a 48-byte Row for the read side — and the
+// ChangeSet, its map and its relation header at no less than the 416
+// bytes a one-row ChangeSet holds besides its row (EXPERIMENTS.md E46).
+// Past n × 512 bytes the oldest entries shed their ChangeSets with their
+// records and traces; the newest keeps its own, whatever its size.
+func TestHistoryCountsChangeSets(t *testing.T) {
+	const n = 8
+	v := historyViews(t, n)
+	h := v.History()
+	into := func(tag string, rows int) *ChangeSet {
+		u := NewUpdate()
+		for i := 0; i < rows; i++ {
+			u.Insert("link", fmt.Sprintf("%s_%d", tag, i), "a") // hop(tag_i, b)
+		}
+		cs, err := v.Apply(u)
+		if err != nil || len(cs.Inserted("hop")) != rows {
+			t.Fatalf("%s: %v, %v", tag, cs, err)
+		}
+		return cs
+	}
+	cs := into("one", 4)
+	ev, _ := h.At(cs.Version())
+	if ev.Changes != cs {
+		t.Fatalf("version %d's entry holds ChangeSet %v, its Apply returned %v", cs.Version(), ev.Changes, cs)
+	}
+	floor := 416
+	for _, row := range cs.Inserted("hop") {
+		floor += 40 + 64 + len(row.Key()) + 48
+	}
+	if got := commitBytes(ev) - commitBytes(CommitEvent{CommitRecord: ev.CommitRecord, Trace: ev.Trace}); got < floor {
+		t.Fatalf("4 changed rows are counted at %d bytes, under the %d they cost", got, floor)
+	}
+	held := func() (used, shed int) {
+		lo, hi, _ := h.Bounds()
+		for ver := lo + 1; ver <= hi; ver++ {
+			e, _ := h.At(ver)
+			used += commitBytes(e)
+			if e.Changes == nil && e.Trace == nil && e.Payload == nil {
+				shed++
+			}
+		}
+		return used, shed
+	}
+	var last *ChangeSet
+	for i := 0; i < 2*n; i++ {
+		last = into(fmt.Sprint("c", i), 4)
+	}
+	used, shed := held()
+	if ev, _ := h.At(last.Version()); ev.Changes != last || used > n*historyRecordBytes || shed == 0 || v.Metrics().Gauge("history_bytes") != int64(used) {
+		t.Fatalf("the history holds %d bytes (history_bytes %d) with %d of %d entries shed; want at most %d, some shed, the newest whole",
+			used, v.Metrics().Gauge("history_bytes"), shed, n, n*historyRecordBytes)
+	}
+	into("huge", 100)
+	if used, shed := held(); used <= n*historyRecordBytes || shed != n-1 || v.Metrics().Gauge("history_bytes") != int64(used) {
+		t.Fatalf("after a 100-row commit the history holds %d bytes with %d entries shed; want the newest alone, over the budget", used, shed)
+	}
+}
+
 // Recovery replays the WAL's records into the history as their versions
 // and keys only — a replayed payload would pin the WAL image — and the
 // keys dedup.
@@ -163,7 +224,7 @@ func TestRecoveredHistoryHoldsKeysOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v.Close()
-	if ev, ok := v.History().At(first); !ok || ev.Payload != nil || ev.Trace != nil || len(ev.Keys) != 1 || ev.Keys[0] != "k" {
+	if ev, ok := v.History().At(first); !ok || ev.Payload != nil || ev.Trace != nil || ev.Changes != nil || len(ev.Keys) != 1 || ev.Keys[0] != "k" {
 		t.Fatalf("the replayed entry: %+v, in the history %v; want version %d and key k only", ev, ok, first)
 	}
 	if ver, deduped := keyed(t, v, "k", links("k", 2)); !deduped || ver != first {
@@ -198,7 +259,7 @@ func TestHistoryReadersRaceShedding(t *testing.T) {
 				case ok && e.Item.Trace != nil && (e.Item.Trace.Version != e.Version || e.Item.Version != e.Version || len(e.Item.Payload) == 0):
 					t.Errorf("entry %d holds record %d, trace %d, %d payload bytes", e.Version, e.Item.Version, e.Item.Trace.Version, len(e.Item.Payload))
 					return
-				case ok && e.Item.Trace == nil && (e.Item.Payload != nil || e.Item.Version != e.Version):
+				case ok && e.Item.Trace == nil && (e.Item.Payload != nil || e.Item.Changes != nil || e.Item.Version != e.Version):
 					t.Errorf("shed entry %d holds %+v", e.Version, e.Item)
 					return
 				case ok:

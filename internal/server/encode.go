@@ -11,21 +11,18 @@ import (
 )
 
 // The wire encoder. A commit leaves the engine as a ChangeSet and is
-// rendered exactly once, by hand, into the bytes every consumer is
-// served: the apply ack, each subscriber's event line, every resume
-// backlog. The output is byte-compatible with encoding/json over the
-// client package's Delta/Event/ApplyResult/RowsResponse structs (HTML
-// escaping included) — encode_test.go holds the two against each other
-// — so clients decode it as they always have.
+// rendered by hand, once for all its live subscribers, into the bytes
+// each is served; a resume's backlog renders the history's ChangeSets
+// the same way. The output is byte-compatible with encoding/json over the
+// client package's Event/ApplyResult/RowsResponse structs (HTML escaping
+// included) — encode_test.go holds the two against each other — so
+// clients decode it with encoding/json.
 
-// commit is what remains of a ChangeSet once it is published: its
-// version and its encoding. Immutable and shared by the hub's ring,
-// every subscriber's buffer and in-flight acks.
+// commit is what remains of a ChangeSet once it is encoded: its version
+// and its encoding. Immutable and shared by every subscriber's buffer.
 type commit struct {
 	version uint64
-	// line is the whole event — and the whole ack of the apply that
-	// committed it, the two are the same document:
-	// {"version":V,"deltas":[D1,D2,...]}\n
+	// line is the whole event: {"version":V,"deltas":[D1,D2,...]}\n
 	line []byte
 	// frags locate the per-predicate Delta objects D1, D2, ... inside
 	// line, in name order; a predicate-filtered subscriber is served a
@@ -52,7 +49,7 @@ type encoder struct {
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // encodeCommit renders cs; nil when no visible predicate changed (such
-// a commit has no event, and its ack carries no deltas).
+// a commit has no event).
 func encodeCommit(cs *ivm.ChangeSet) *commit {
 	if cs.Empty() {
 		return nil
@@ -111,9 +108,8 @@ func (c *commit) appendEvent(b []byte, preds map[string]bool) []byte {
 	return append(b, "]}\n"...)
 }
 
-// ackLine is the acknowledgment of an apply that left no deltas to
-// report — nothing visible changed, or the answer came from the
-// history (which keeps the version, not the rows).
+// ackLine is the acknowledgment of an apply: the version it published,
+// or for a deduped retry the version the original apply published.
 func ackLine(version uint64, deduped bool) []byte {
 	b := appendVersion(make([]byte, 0, 48), version)
 	if deduped {

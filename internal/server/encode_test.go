@@ -64,7 +64,7 @@ func marshalLine(t testing.TB, v any) []byte {
 // encodeViews serves three visible views over two base tables plus the
 // hidden auxiliary predicate SQL aggregation generates, under duplicate
 // semantics so counts other than 1 occur.
-func encodeViews(t testing.TB) *ivm.Views {
+func encodeViews(t testing.TB, opts ...ivm.Option) *ivm.Views {
 	t.Helper()
 	v, err := ivm.NewDatabase().MaterializeSQL(`
 		CREATE TABLE a(x, y);
@@ -72,7 +72,7 @@ func encodeViews(t testing.TB) *ivm.Views {
 		CREATE VIEW p(x, y) AS SELECT x, y FROM a;
 		CREATE VIEW q(x) AS SELECT x FROM b;
 		CREATE VIEW n(x, c) AS SELECT x, COUNT(*) AS c FROM a GROUP BY x;
-	`, ivm.WithSemantics(ivm.DuplicateSemantics))
+	`, append(opts, ivm.WithSemantics(ivm.DuplicateSemantics))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,11 @@ func randomValue(rng *rand.Rand) any {
 // TestEncodeCommitMatchesEncodingJSON is the differential test of the
 // wire: for seeded random change sets — insert-only, delete-only and
 // mixed predicates, predicates that did not change (absent), the hidden
-// predicate (absent) — the ack, the event, a filtered event, the deduped
-// ack and the rows document are byte-equal to encoding/json over the
-// client structs, and decode back into exactly those structs.
+// predicate (absent) — the event, a filtered event, the acks and the rows
+// document are byte-equal to encoding/json over the client structs, and
+// an event decodes back into exactly those structs.
 func TestEncodeCommitMatchesEncodingJSON(t *testing.T) {
 	v := encodeViews(t)
-	h := NewHub(v, metrics.NewRegistry(), 4)
 	rng := rand.New(rand.NewSource(14))
 	var as, bs [][]any // rows currently in a and b, to delete from
 	shapes := make(map[string]int)
@@ -161,19 +160,7 @@ func TestEncodeCommitMatchesEncodingJSON(t *testing.T) {
 			shapes["no visible change"]++
 		}
 
-		ack := h.Ack(cs, false)
-		if want := marshalLine(t, client.ApplyResult{Version: cs.Version(), Deltas: ref}); !bytes.Equal(ack, want) {
-			t.Fatalf("step %d ack:\n got  %s want %s", step, ack, want)
-		}
-		var decoded client.ApplyResult
-		if err := json.Unmarshal(ack, &decoded); err != nil {
-			t.Fatalf("step %d: decoding the ack: %v", step, err)
-		}
-		if want := (client.ApplyResult{Version: cs.Version(), Deltas: ref}); !reflect.DeepEqual(decoded, want) {
-			t.Fatalf("step %d: ack decodes to %#v, want %#v", step, decoded, want)
-		}
-
-		c := h.commitOf(cs)
+		c := encodeCommit(cs)
 		if (c == nil) != (len(ref) == 0) {
 			t.Fatalf("step %d: commit %v for %d visible deltas", step, c, len(ref))
 		}
@@ -181,6 +168,13 @@ func TestEncodeCommitMatchesEncodingJSON(t *testing.T) {
 			all := &Subscriber{}
 			if want := marshalLine(t, client.Event{Version: cs.Version(), Deltas: ref}); !bytes.Equal(all.Line(c), want) {
 				t.Fatalf("step %d event:\n got  %s want %s", step, all.Line(c), want)
+			}
+			var decoded client.Event
+			if err := json.Unmarshal(all.Line(c), &decoded); err != nil {
+				t.Fatalf("step %d: decoding the event: %v", step, err)
+			}
+			if want := (client.Event{Version: cs.Version(), Deltas: ref}); !reflect.DeepEqual(decoded, want) {
+				t.Fatalf("step %d: event decodes to %#v, want %#v", step, decoded, want)
 			}
 			// A subscriber to p and q only: its event is the selection of
 			// fragments, byte-equal to marshalling the filtered deltas.
@@ -218,7 +212,7 @@ func TestEncodeCommitMatchesEncodingJSON(t *testing.T) {
 	if err != nil || !deduped {
 		t.Fatalf("retry: deduped=%v err=%v", deduped, err)
 	}
-	if got, want := h.Ack(again, true), marshalLine(t, client.ApplyResult{Version: first.Version(), Deduped: true}); !bytes.Equal(got, want) {
+	if got, want := ackLine(again.Version(), true), marshalLine(t, client.ApplyResult{Version: first.Version(), Deduped: true}); !bytes.Equal(got, want) {
 		t.Fatalf("deduped ack: got %s want %s", got, want)
 	}
 	// The stream must have exercised every shape it claims to cover.
@@ -301,17 +295,23 @@ func TestEncodeCommitAllocationsIndependentOfRows(t *testing.T) {
 	}
 }
 
-// TestCommitEncodedOnceForEveryConsumer: eight subscribers and the ack
-// of one version are served one encoding — counted here as the distinct
-// commits (and distinct line buffers) the nine consumers were handed.
+// TestCommitEncodedOnceForEveryConsumer: eight subscribers of one version
+// are served one encoding — counted here as the distinct commits (and
+// distinct line buffers) they were handed — and with no subscriber a
+// commit is not encoded at all.
 func TestCommitEncodedOnceForEveryConsumer(t *testing.T) {
 	v := encodeViews(t)
-	h := NewHub(v, metrics.NewRegistry(), 16)
+	reg := metrics.NewRegistry()
+	h := NewHub(v, reg)
+	applyRows(t, v, "unheard", 25)
+	if n := reg.Snapshot().Counter("server_sub_events_total"); n != 0 {
+		t.Fatalf("with no subscriber %d commits were encoded", n)
+	}
 	var subs []*Subscriber
 	for i := 0; i < 8; i++ {
 		subs = append(subs, h.Subscribe(nil, 4))
 	}
-	cs := applyRows(t, v, "once", 25)
+	applyRows(t, v, "once", 25)
 	encodings := make(map[*commit]bool)
 	buffers := make(map[*byte]bool)
 	for _, s := range subs {
@@ -319,27 +319,17 @@ func TestCommitEncodedOnceForEveryConsumer(t *testing.T) {
 		encodings[c] = true
 		buffers[&s.Line(c)[0]] = true
 	}
-	encodings[h.commitOf(cs)] = true
-	buffers[&h.Ack(cs, false)[0]] = true
-	if len(encodings) != 1 || len(buffers) != 1 {
-		t.Fatalf("8 subscribers and an ack saw %d encodings in %d buffers, want 1 and 1", len(encodings), len(buffers))
-	}
-	// Past the ring the ack still answers — encoded again, same bytes.
-	first := append([]byte(nil), h.Ack(cs, false)...)
-	for i := 0; i < 20; i++ {
-		applyRows(t, v, fmt.Sprintf("later%d", i), 1)
-	}
-	if again := h.Ack(cs, false); !bytes.Equal(again, first) {
-		t.Fatalf("ack after the commit aged out of the ring:\n got  %s want %s", again, first)
+	if len(encodings) != 1 || len(buffers) != 1 || reg.Snapshot().Counter("server_sub_events_total") != 1 {
+		t.Fatalf("8 subscribers saw %d encodings in %d buffers, want 1 and 1", len(encodings), len(buffers))
 	}
 }
 
 // TestHubFragmentEvents drives filtered delivery, eviction, resume after
 // eviction and resync at the hub, against fragment events.
 func TestHubFragmentEvents(t *testing.T) {
-	v := encodeViews(t)
+	v := encodeViews(t, ivm.WithHistory(32))
 	reg := metrics.NewRegistry()
-	h := NewHub(v, reg, 8)
+	h := NewHub(v, reg)
 	onlyQ := h.Subscribe([]string{"q"}, 64)
 	pAndN := h.Subscribe([]string{"p", "n"}, 64)
 	slow := h.Subscribe([]string{"p"}, 1)
@@ -400,7 +390,7 @@ func TestHubFragmentEvents(t *testing.T) {
 		t.Fatalf("slow subscriber open=%v evicted=%v, want closed and evicted", open, slow.Evicted())
 	}
 
-	// Resume after the eviction: the backlog is the retained commits after
+	// Resume after the eviction: the backlog is the history's commits after
 	// the last version seen, narrowed by the filter, as byte lines.
 	resumed, backlog, resync := h.SubscribeFrom([]string{"q"}, 4, versions[0])
 	if resumed == nil || resync {
@@ -418,8 +408,8 @@ func TestHubFragmentEvents(t *testing.T) {
 		t.Fatalf("resume backlog versions %v, want %v", back, want)
 	}
 
-	// Resync: push the resume point out of the 8-commit ring.
-	for i := 0; i < 10; i++ {
+	// Resync: push the resume point out of the 32-commit history.
+	for i := 0; i < 32; i++ {
 		applyRows(t, v, fmt.Sprintf("age%d", i), 1)
 	}
 	if sub, _, resync := h.SubscribeFrom(nil, 4, versions[0]); sub != nil || !resync {
@@ -432,29 +422,24 @@ func TestHubFragmentEvents(t *testing.T) {
 	}
 }
 
-// TestHubRingBoundedByBytes: the resume ring holds ringCap × 4 KiB of event
-// lines at most, so large events age out before there are ringCap of them
-// — a resume from below the evicted bound gets the resync answer — while
-// the newest event always stays for its apply's ack, whatever its size.
+// TestHubRingBoundedByBytes: a resume reaches back as far as the views'
+// history holds ChangeSets — n commits, within n × 512 B of records,
+// traces and ChangeSets (history_bytes), the newest whatever its size —
+// so large commits are shed before there are n of them, and a resume
+// into a shed one gets the resync answer.
 func TestHubRingBoundedByBytes(t *testing.T) {
-	v := encodeViews(t)
-	reg := metrics.NewRegistry()
-	h := NewHub(v, reg, 8) // 8 events, 32 KiB
+	v := encodeViews(t, ivm.WithHistory(8)) // 8 commits, 4 KiB
+	h := NewHub(v, metrics.NewRegistry())
 	var commits []*ivm.ChangeSet
-	for i := 0; i < 5; i++ {
-		commits = append(commits, applyRows(t, v, fmt.Sprintf("big%d", i), 400))
+	for i := 0; i < 6; i++ {
+		commits = append(commits, applyRows(t, v, fmt.Sprintf("mid%d", i), 6))
 	}
 	newest := commits[len(commits)-1]
-	line := h.Ack(newest, false)
-	if c := h.commitOf(newest); len(line) < 12<<10 || &c.line[0] != &line[0] {
-		t.Fatalf("the newest commit's %d-byte ack is not its line in the ring", len(line))
-	}
-	held := reg.Snapshot().Gauge("hub_ring_bytes")
-	if held < int64(len(line)) || held > 8*hubRingEventBytes || held >= int64(5*len(line)) {
-		t.Fatalf("hub_ring_bytes = %d after five %d-byte events, want the newest ones within %d", held, len(line), 8*hubRingEventBytes)
+	if held := v.Metrics().Gauge("history_bytes"); held <= 0 || held > 8*512 {
+		t.Fatalf("history_bytes = %d after six 6-row commits, want them within 4 KiB", held)
 	}
 	if sub, _, resync := h.SubscribeFrom(nil, 4, commits[0].Version()); sub != nil || !resync {
-		t.Fatalf("resume from a version evicted by bytes: sub=%v resync=%v, want a resync", sub, resync)
+		t.Fatalf("resume into commits shed for their bytes: sub=%v resync=%v, want a resync", sub, resync)
 	}
 	sub, backlog, resync := h.SubscribeFrom(nil, 4, newest.Version()-1)
 	if sub == nil || resync || len(backlog) != 1 || backlog[0].version != newest.Version() {
@@ -462,18 +447,24 @@ func TestHubRingBoundedByBytes(t *testing.T) {
 	}
 	sub.Close()
 
-	// One event over the whole budget stays alone.
-	huge := applyRows(t, v, "huge", 2000)
-	if held := reg.Snapshot().Gauge("hub_ring_bytes"); held != int64(len(h.Ack(huge, false))) || held <= 8*hubRingEventBytes {
-		t.Fatalf("hub_ring_bytes = %d after a %d-byte event", held, len(h.Ack(huge, false)))
+	// One commit over the whole budget stays, alone.
+	huge := applyRows(t, v, "huge", 400)
+	if held := v.Metrics().Gauge("history_bytes"); held <= 8*512 {
+		t.Fatalf("history_bytes = %d after a 400-row commit", held)
 	}
 	if sub, _, resync := h.SubscribeFrom(nil, 4, newest.Version()-1); sub != nil || !resync {
-		t.Fatalf("resume across the oversized event's evictions: sub=%v resync=%v, want a resync", sub, resync)
+		t.Fatalf("resume across the oversized commit's sheds: sub=%v resync=%v, want a resync", sub, resync)
 	}
+	sub, backlog, resync = h.SubscribeFrom([]string{"p"}, 4, huge.Version()-1)
+	if sub == nil || resync || len(backlog) != 1 || bytes.Count(sub.Line(backlog[0]), []byte(`"tuple"`)) != 400 {
+		t.Fatalf("resume from the version before the huge commit: sub=%v resync=%v backlog=%v", sub, resync, backlog)
+	}
+	sub.Close()
 }
 
-// TestAckIsTheEventOnTheWire: over HTTP, the body of an apply's ack and
-// the subscription line of the version it committed are the same bytes.
+// TestAckIsTheEventOnTheWire: over HTTP, an apply's ack is its version,
+// and a subscription resumed after the version before it opens with the
+// very line a live subscriber was sent for that version.
 func TestAckIsTheEventOnTheWire(t *testing.T) {
 	_, srv := startReplServer(t, Options{})
 	resp, err := http.Get(srv.URL() + "/v1/subscribe")
@@ -494,16 +485,20 @@ func TestAckIsTheEventOnTheWire(t *testing.T) {
 	if err != nil || post.StatusCode != http.StatusOK {
 		t.Fatalf("apply: status %d err %v body %s", post.StatusCode, err, ack)
 	}
-	event, err := stream.ReadBytes('\n')
+	var res client.ApplyResult
+	if err := json.Unmarshal(ack, &res); err != nil || !bytes.Equal(ack, ackLine(res.Version, false)) {
+		t.Fatalf("ack %s decodes to %+v (%v), want the version alone", ack, res, err)
+	}
+	live, err := stream.ReadBytes('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ack, event) {
-		t.Fatalf("ack and event of one version differ:\n ack   %s event %s", ack, event)
+	ev, resumed := eventAt(t, srv.URL(), res.Version)
+	if !bytes.Equal(resumed, live) {
+		t.Fatalf("live and resumed events of one version differ:\n live    %s resumed %s", live, resumed)
 	}
-	var res client.ApplyResult
-	if err := json.Unmarshal(ack, &res); err != nil || len(res.Deltas) != 1 || len(res.Deltas[0].Inserted) == 0 || len(res.Deltas[0].Deleted) == 0 {
-		t.Fatalf("ack %s decodes to %+v (%v)", ack, res, err)
+	if len(ev.Deltas) != 1 || len(ev.Deltas[0].Inserted) == 0 || len(ev.Deltas[0].Deleted) == 0 {
+		t.Fatalf("version %d's event %s decodes to %+v", res.Version, resumed, ev)
 	}
 }
 
@@ -525,14 +520,14 @@ func BenchmarkEncodeCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkHubPublish is one commit through Hub.publish — encode, ring,
+// BenchmarkHubPublish is one commit through Hub.publish — encode and
 // fan-out — with nobody listening and with eight subscribers, each
 // drained (and its line taken) inside the loop so none is ever evicted.
 func BenchmarkHubPublish(b *testing.B) {
 	for _, nsubs := range []int{0, 8} {
 		b.Run(fmt.Sprintf("subs=%d", nsubs), func(b *testing.B) {
 			v := encodeViews(b)
-			h := NewHub(v, metrics.NewRegistry(), 256)
+			h := NewHub(v, metrics.NewRegistry())
 			defer h.CloseAll()
 			var subs []*Subscriber
 			for i := 0; i < nsubs; i++ {

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,11 +18,12 @@ import (
 
 // Hub fans committed change sets out to subscribers. It drains
 // ivm.Views.OnCommit — one event per committed maintenance batch, in
-// commit order — encodes the batch once (encode.go) and delivers that
-// one encoding to every subscriber whose predicate filter matches, over
-// a per-subscriber bounded channel. After publish a commit is its
-// version and its bytes: the ring, the buffers and the apply ack all
-// hold the same *commit and nothing renders it again.
+// commit order — encodes a batch once (encode.go) when a subscriber's
+// filter keeps one of its changed predicates, and delivers that one
+// encoding to every subscriber whose filter matches, over a
+// per-subscriber bounded channel. It keeps no window of its own: a
+// subscription resumed after a version reads the commits it missed from
+// the views' history, whose entries hold their ChangeSets.
 //
 // Backpressure policy: the commit path never blocks on a consumer. A
 // subscriber whose buffer is full when an event arrives is evicted —
@@ -34,14 +36,17 @@ type Hub struct {
 	mu     sync.Mutex
 	subs   map[*Subscriber]struct{}
 	closed bool
-	// ring retains recent published commits so a consumer that reconnects
-	// with ?from=<last seen version> can be replayed the events it missed
-	// instead of forced to resync, and so an apply's ack is the event its
-	// commit already published.
-	ring *sched.Window[*commit]
+	hist   *sched.Window[ivm.CommitEvent]
+	// published is the last version publish saw: a commit enters the
+	// history before it is published, so a resume's backlog is the history
+	// up to here and live delivery everything after it. Commits at or
+	// below skipThrough were in the history when the hub first read it and
+	// are published afterwards: every backlog holds them, so publish skips
+	// them. A resume from below unbridged resyncs: publish saw that commit
+	// outside the history (a replica reset publishes no history entry).
+	published, skipThrough, unbridged uint64
 
 	gActive    *metrics.Gauge
-	gRingBytes *metrics.Gauge
 	cEvents    *metrics.Counter
 	cDelivered *metrics.Counter
 	cEvicted   *metrics.Counter
@@ -49,37 +54,33 @@ type Hub struct {
 	cResyncs   *metrics.Counter
 }
 
-// hubRingEventBytes is the resume ring's byte budget per event of its
-// capacity: a count alone lets 10 KB event lines outgrow the views.
-const hubRingEventBytes = 4 << 10
-
-// NewHub builds a hub over v, registering its commit hook. The resume
-// replay ring holds the newest ringCap events and at most ringCap × 4 KiB
-// of their lines (hub_ring_bytes): past that the oldest shed their lines,
-// the newest's always stays, and a resume that meets a shed event
-// resyncs. Backpressure counters land in reg:
-// server_subscribers_active (gauge), server_sub_events_total (committed
-// events fanned out), server_sub_delivered_total (per-subscriber
-// deliveries), server_sub_evicted_total (slow consumers dropped),
+// NewHub builds a hub over v, registering its commit hook and starting
+// v's history, which bounds how far back a subscription resumes.
+// Backpressure counters land in reg: server_subscribers_active (gauge),
+// server_sub_events_total (commits encoded for subscribers),
+// server_sub_delivered_total (per-subscriber deliveries),
+// server_sub_evicted_total (slow consumers dropped),
 // server_sub_resumes_total (?from= reconnects replayed gaplessly), and
 // server_sub_resyncs_total (reconnects refused for having aged out).
-func NewHub(v *ivm.Views, reg *metrics.Registry, ringCap int) *Hub {
+func NewHub(v *ivm.Views, reg *metrics.Registry) *Hub {
 	h := &Hub{
 		subs:       make(map[*Subscriber]struct{}),
-		ring:       sched.NewWindow(ringCap, ringCap*hubRingEventBytes, lineBytes, func(*commit) *commit { return nil }, nil),
+		hist:       v.History(),
 		gActive:    reg.Gauge("server_subscribers_active"),
-		gRingBytes: reg.Gauge("hub_ring_bytes"),
 		cEvents:    reg.Counter("server_sub_events_total"),
 		cDelivered: reg.Counter("server_sub_delivered_total"),
 		cEvicted:   reg.Counter("server_sub_evicted_total"),
 		cResumes:   reg.Counter("server_sub_resumes_total"),
 		cResyncs:   reg.Counter("server_sub_resyncs_total"),
 	}
-	// Commit hook before seed: an event landing in between establishes
-	// the ring's bounds itself and the seed no-ops (the reverse order
-	// could claim coverage over an event the ring never saw).
+	// Commit hook before reading the history: a commit the history holds
+	// by then is in every backlog, and every later one is published.
 	v.OnCommit(h.publish)
-	h.ring.Seed(v.Snapshot().Version())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, hi, _ := h.hist.Bounds(); hi > h.published {
+		h.published, h.skipThrough = hi, hi
+	}
 	return h
 }
 
@@ -105,17 +106,17 @@ func (h *Hub) Subscribe(preds []string, buffer int) *Subscriber {
 }
 
 // SubscribeFrom registers a consumer resuming after version from. The
-// returned backlog holds every retained matching event after from, in
-// commit order, captured atomically with registration — the caller
-// delivers the backlog first and then drains the live channel, and the
-// resumed stream is gapless (live events all carry versions above the
-// backlog's tail). The backlog is returned as a slice rather than
-// pre-loaded into the buffer so a resume can bridge gaps far larger
-// than the consumer's buffer: the ring's retention is the only limit.
-// resync reports that the gap could not be bridged — events after from
-// have aged out of the ring; the caller must tell the consumer to
-// re-read state and subscribe afresh. A nil subscriber with resync
-// false means the hub has shut down.
+// returned backlog holds every matching commit after from that the hub
+// published before registration, in commit order, encoded from the views'
+// history — the caller delivers the backlog first and then drains the
+// live channel, which carries every later commit: the resumed stream has
+// no gap and no duplicate. The backlog is returned as a slice rather than
+// pre-loaded into the buffer so a resume can bridge gaps far larger than
+// the consumer's buffer: the history's reach is the only limit. resync
+// reports that the gap could not be bridged — from lies below the
+// history, a commit after it was shed or replayed there without its rows,
+// or one was published outside it; the caller must tell the consumer to
+// re-read state and subscribe afresh. A nil subscriber with resync false means the hub has shut down.
 func (h *Hub) SubscribeFrom(preds []string, buffer int, from uint64) (sub *Subscriber, backlog []*commit, resync bool) {
 	return h.subscribe(preds, buffer, from, true)
 }
@@ -132,36 +133,45 @@ func (h *Hub) subscribe(preds []string, buffer int, from uint64, resume bool) (*
 		}
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed {
+		h.mu.Unlock()
 		return nil, nil, false
 	}
-	var backlog []*commit
+	var missed []*ivm.ChangeSet
 	if resume {
-		ca, _, ok := h.ring.Bounds()
-		resync := !ok || from < ca
+		coversAfter, _, _ := h.hist.Bounds()
+		resync := from < coversAfter || from < h.unbridged
 		for after := from; !resync; {
-			e, more := h.ring.Next(after)
-			if !more {
+			e, more := h.hist.Next(after)
+			if !more || e.Version > h.published {
 				break
 			}
-			if resync = e.Item == nil; !resync && e.Item.kept(s.preds) > 0 {
-				backlog = append(backlog, e.Item)
+			if resync = e.Item.Changes == nil; !resync && s.keepsAny(e.Item.Changes) {
+				missed = append(missed, e.Item.Changes)
 			}
 			after = e.Version
 		}
 		if resync {
-			// The ring no longer covers every event after the resume
-			// point (it predates the ring, or a shed event lies after it):
-			// a replay could silently skip events, which is exactly what
-			// resume exists to prevent.
+			// The history no longer holds every commit after the resume
+			// point: a replay could silently skip one, which is exactly
+			// what resume exists to prevent.
 			h.cResyncs.Inc()
+			h.mu.Unlock()
 			return nil, nil, true
 		}
 		h.cResumes.Inc()
 	}
 	h.subs[s] = struct{}{}
 	h.gActive.Add(1)
+	h.mu.Unlock()
+	// ChangeSets are immutable: the backlog is encoded without holding up
+	// publish.
+	var backlog []*commit
+	for _, cs := range missed {
+		if c := encodeCommit(cs); c != nil && c.kept(s.preds) > 0 {
+			backlog = append(backlog, c)
+		}
+	}
 	return s, backlog, false
 }
 
@@ -217,23 +227,32 @@ func (h *Hub) CloseAll() {
 	}
 }
 
-// publish runs on the maintainer goroutine for every committed batch:
-// the one place a commit is encoded. It holds the hub lock across the
-// (non-blocking) deliveries so a concurrent Close never closes a channel
-// mid-send.
+// publish runs on the maintainer goroutine for every committed batch,
+// after the history took it: the one place a commit is encoded, and only
+// when a subscriber's filter keeps one of its changed predicates. It
+// holds the hub lock across the (non-blocking) deliveries so a concurrent
+// Close never closes a channel mid-send.
 func (h *Hub) publish(cs *ivm.ChangeSet) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed || cs.Version() <= h.skipThrough {
 		return
 	}
-	c := encodeCommit(cs)
-	if c == nil {
-		return // nothing visible changed; subscribers see no event
+	h.published, h.skipThrough = cs.Version(), 0
+	if e, ok := h.hist.At(cs.Version()); !ok || e.Changes != cs {
+		h.unbridged = cs.Version()
 	}
-	h.cEvents.Inc()
-	h.gRingBytes.Set(int64(h.ring.Append(c.version, c)))
+	var c *commit
 	for s := range h.subs {
+		if c == nil {
+			if !s.keepsAny(cs) {
+				continue
+			}
+			if c = encodeCommit(cs); c == nil {
+				return // nothing visible changed; subscribers see no event
+			}
+			h.cEvents.Inc()
+		}
 		if c.kept(s.preds) == 0 {
 			continue
 		}
@@ -248,6 +267,14 @@ func (h *Hub) publish(cs *ivm.ChangeSet) {
 	}
 }
 
+// keepsAny reports whether s's filter keeps a predicate cs changed.
+func (s *Subscriber) keepsAny(cs *ivm.ChangeSet) bool {
+	if s.preds == nil {
+		return !cs.Empty()
+	}
+	return slices.ContainsFunc(cs.Preds(), func(p string) bool { return s.preds[p] })
+}
+
 // evictLocked drops a registered subscriber for falling behind (hub
 // lock held): its channel closes with the evicted flag set.
 func (h *Hub) evictLocked(s *Subscriber) {
@@ -256,38 +283,4 @@ func (h *Hub) evictLocked(s *Subscriber) {
 	h.cEvicted.Inc()
 	s.evicted.Store(true)
 	close(s.ch)
-}
-
-// Ack returns the acknowledgment line of the apply that returned cs.
-// Commit handlers run before Apply returns, so a fresh apply's commit is
-// already in the ring and its ack is that commit's event line, byte for
-// byte; a deduped answer and an apply that changed nothing visible carry
-// the version alone.
-func (h *Hub) Ack(cs *ivm.ChangeSet, deduped bool) []byte {
-	if c := h.commitOf(cs); c != nil {
-		return c.line
-	}
-	return ackLine(cs.Version(), deduped)
-}
-
-// commitOf finds the published encoding of cs (nil if cs shows no
-// changes). Only a commit the ring has already aged out or shed — more
-// versions or bytes than it holds published before this caller got to
-// write its ack — or one committed after CloseAll is encoded here.
-func (h *Hub) commitOf(cs *ivm.ChangeSet) *commit {
-	if cs.Empty() {
-		return nil
-	}
-	if c, _ := h.ring.At(cs.Version()); c != nil {
-		return c
-	}
-	return encodeCommit(cs)
-}
-
-// lineBytes is what the ring holds of a commit: its event line.
-func lineBytes(c *commit) int {
-	if c == nil {
-		return 0
-	}
-	return len(c.line)
 }

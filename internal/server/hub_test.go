@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -26,7 +28,7 @@ func buildTestViews(t *testing.T, opts ...ivm.Option) *ivm.Views {
 func TestHubBackpressure(t *testing.T) {
 	v := buildTestViews(t)
 	reg := metrics.NewRegistry()
-	h := NewHub(v, reg, 256)
+	h := NewHub(v, reg)
 
 	fast := h.Subscribe(nil, 1024)
 	slow := h.Subscribe(nil, 1)
@@ -105,7 +107,7 @@ func TestHubBackpressure(t *testing.T) {
 func TestHubConcurrentAppliesDeliverInOrder(t *testing.T) {
 	v := buildTestViews(t)
 	reg := metrics.NewRegistry()
-	h := NewHub(v, reg, 256)
+	h := NewHub(v, reg)
 	sub := h.Subscribe([]string{"hop"}, 4096)
 
 	var mu sync.Mutex
@@ -151,4 +153,115 @@ func TestHubConcurrentAppliesDeliverInOrder(t *testing.T) {
 	if sub.Evicted() {
 		t.Fatal("fast subscriber was evicted")
 	}
+}
+
+// TestResumeRacesPublish resumes subscriptions while applies commit: a
+// commit enters the history before the hub publishes it, so a resume
+// lands between the two now and then. Each resumed stream — backlog, then
+// live — must carry every version after its resume point exactly once,
+// in order. (It may open with the published versions up to a resume point
+// read from the snapshot ahead of publish: the overlap a hello has too.)
+func TestResumeRacesPublish(t *testing.T) {
+	v := buildTestViews(t)
+	h := NewHub(v, metrics.NewRegistry())
+	start := v.Snapshot().Version()
+	const writers, rounds, resumers = 4, 40, 4
+	var mu sync.Mutex
+	var acked []uint64
+	var applies, resumes, drains sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		applies.Add(1)
+		go func() {
+			defer applies.Done()
+			for i := 0; i < rounds; i++ {
+				mid := fmt.Sprintf("r%d_%d", w, i)
+				cs, err := v.Apply(ivm.NewUpdate().Insert("link", "s_"+mid, mid).Insert("link", mid, "d_"+mid))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, cs.Version())
+				mu.Unlock()
+			}
+		}()
+	}
+	type stream struct {
+		from uint64
+		seen []uint64
+	}
+	var streams []*stream
+	for r := 0; r < resumers; r++ {
+		resumes.Add(1)
+		go func() {
+			defer resumes.Done()
+			for i := 0; i < rounds/4; i++ {
+				cur := v.Snapshot().Version()
+				from := max(start, cur-min(cur, uint64(r))) // up to r commits back
+				sub, backlog, resync := h.SubscribeFrom(nil, 4*writers*rounds, from)
+				if sub == nil || resync {
+					t.Errorf("resume from %d: sub=%v resync=%v", from, sub, resync)
+					return
+				}
+				s := &stream{from: from}
+				for _, c := range backlog {
+					s.seen = append(s.seen, c.version)
+				}
+				mu.Lock()
+				streams = append(streams, s)
+				mu.Unlock()
+				drains.Add(1)
+				go func() {
+					defer drains.Done()
+					for c := range sub.Events() {
+						s.seen = append(s.seen, c.version)
+					}
+				}()
+				defer sub.Close()
+			}
+			applies.Wait()
+		}()
+	}
+	resumes.Wait()
+	drains.Wait()
+	slices.Sort(acked)
+	acked = slices.Compact(acked) // coalesced applies share a version
+	for _, s := range streams {
+		after := slices.DeleteFunc(slices.Clone(s.seen), func(v uint64) bool { return v <= s.from })
+		i := sort.Search(len(acked), func(i int) bool { return acked[i] > s.from })
+		if !slices.IsSorted(s.seen) || len(slices.Compact(slices.Clone(s.seen))) != len(s.seen) || !slices.Equal(after, acked[i:]) {
+			t.Fatalf("resumed after %d, the stream carried %v; the applies acked %v", s.from, s.seen, acked[i:])
+		}
+	}
+}
+
+// TestResumeAcrossResetResyncs: a replica reset publishes its commit
+// without a history entry, so a resume from before it cannot be bridged
+// from the history and resyncs; one from the reset on is served.
+func TestResumeAcrossResetResyncs(t *testing.T) {
+	v := buildTestViews(t)
+	h := NewHub(v, metrics.NewRegistry())
+	before := v.Snapshot().Version()
+	primary := buildTestViews(t)
+	for i := 0; i < 3; i++ {
+		if _, err := primary.Apply(ivm.NewUpdate().Insert("link", fmt.Sprint("x", i), "a")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := v.ResetToReplicaState(primary.Snapshot().ReplicaState()); err != nil {
+		t.Fatal(err)
+	}
+	reset := v.Snapshot().Version()
+	if sub, _, resync := h.SubscribeFrom(nil, 4, before); sub != nil || !resync {
+		t.Fatalf("resume from %d across the reset to %d: sub=%v resync=%v, want a resync", before, reset, sub, resync)
+	}
+	cs, err := v.Apply(ivm.NewUpdate().Insert("link", "y", "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, backlog, resync := h.SubscribeFrom(nil, 4, reset)
+	if sub == nil || resync || len(backlog) != 1 || backlog[0].version != cs.Version() {
+		t.Fatalf("resume from the reset's version %d: sub=%v resync=%v backlog=%v", reset, sub, resync, backlog)
+	}
+	sub.Close()
 }

@@ -52,15 +52,14 @@ func TestHTTPApplyIdempotencyKey(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || first.Deduped {
 		t.Fatalf("first keyed apply: status %d deduped=%v", resp.StatusCode, first.Deduped)
 	}
-	if len(first.Deltas) == 0 {
-		t.Fatal("the first apply's ack must carry its deltas")
+	if ev, _ := eventAt(t, srv.URL(), first.Version); len(ev.Deltas) == 0 {
+		t.Fatal("the first apply's version must carry its deltas")
 	}
 	resp, second, body := postApply(t, srv.URL(), "req-1", "+link(a,z). +link(z,y).")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry status = %d", resp.StatusCode)
 	}
-	// The window keeps the ack, not the rows: a deduped reply is the
-	// original version and the flag, nothing else.
+	// A deduped reply is the original version and the flag, nothing else.
 	if want := fmt.Sprintf("{\"version\":%d,\"deduped\":true}\n", first.Version); body != want {
 		t.Fatalf("deduped reply = %q, want %q", body, want)
 	}

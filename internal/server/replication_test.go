@@ -3,7 +3,7 @@ package server
 // Tests for the replication serving surface: the /v1/replicate stream
 // (bootstrap, tail, window resume, WAL backfill, state fallback,
 // heartbeats), follower write rejection, bounded-staleness min_version
-// reads, and subscription resume over the hub's ring.
+// reads, and subscription resume from the views' history.
 
 import (
 	"bufio"
@@ -23,6 +23,7 @@ import (
 
 	"ivm"
 	"ivm/client"
+	"ivm/internal/replica"
 	"ivm/internal/storage"
 )
 
@@ -488,7 +489,7 @@ func TestMinVersionReads(t *testing.T) {
 
 // TestSubscribeResumeAfterEviction: a subscriber that stalls past its
 // buffer is evicted server-side; the client must reconnect with its
-// resume point and the hub ring must replay every missed event — the
+// resume point and the history must replay every missed event — the
 // consumer sees every committed version exactly once, in order.
 func TestSubscribeResumeAfterEviction(t *testing.T) {
 	v, srv := startReplServer(t, Options{})
@@ -564,5 +565,45 @@ func TestSubscribeResumeAfterEviction(t *testing.T) {
 	}
 	if m["server_sub_resumes_total"] < 1 {
 		t.Fatalf("server_sub_resumes_total = %d, want >= 1", m["server_sub_resumes_total"])
+	}
+}
+
+// TestAckRowsReadBySubscription: an ack is a version, and the rows it
+// changed are the event a subscription resumed after the version before
+// it opens with — on the primary that committed it, and on a follower
+// that forwarded the apply and then folded the commit, byte for byte.
+func TestAckRowsReadBySubscription(t *testing.T) {
+	_, primary := startReplServer(t, Options{ReplHeartbeat: 20 * time.Millisecond})
+	rep, err := replica.Start(primary.URL(), replica.Options{Retry: client.RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	follower := New(rep.Views(), Options{LeaderURL: primary.URL()})
+	if err := follower.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Shutdown(context.Background())
+	ctx := context.Background()
+	for _, via := range []*Server{primary, follower} {
+		res, err := client.New(via.URL(), nil).Apply(ctx, "+link(c,d). -link(a,b).")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, line := eventAt(t, primary.URL(), res.Version)
+		if len(ev.Deltas) != 1 || ev.Deltas[0].Pred != "hop" || len(ev.Deltas[0].Inserted) != 1 || len(ev.Deltas[0].Deleted) != 1 {
+			t.Fatalf("applied through %s: version %d's event is %s", via.URL(), res.Version, line)
+		}
+		for deadline := time.Now().Add(10 * time.Second); rep.Applied() < res.Version; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the follower is stuck at version %d, want %d", rep.Applied(), res.Version)
+			}
+		}
+		if _, folded := eventAt(t, follower.URL(), res.Version); !bytes.Equal(folded, line) {
+			t.Fatalf("version %d's event on the follower:\n %s on the primary:\n %s", res.Version, folded, line)
+		}
+		if _, err := client.New(via.URL(), nil).Apply(ctx, "-link(c,d). +link(a,b)."); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -30,10 +30,11 @@ type Options struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps apply request bodies (default 4 MiB).
 	MaxBodyBytes int64
-	// SubscriberBuffer is the default per-subscriber event buffer; a
+	// SubscriberBuffer is the default per-subscriber live event buffer; a
 	// subscriber that falls this many committed batches behind is
-	// evicted (default 256). Clients may request less, never more. The
-	// resume ring keeps as many events, within 4 KiB of lines for each.
+	// evicted (default 256). Clients may request less, never more. How
+	// far back a ?from= resume reaches is the views' history's
+	// (ivm.WithHistory), not this.
 	SubscriberBuffer int
 	// SessionTTL is the idle lifetime of a snapshot-pinned session;
 	// every read through the session refreshes it (default 5m).
@@ -153,7 +154,7 @@ func New(v *ivm.Views, opts Options) *Server {
 	s := &Server{
 		v:           v,
 		opts:        opts,
-		hub:         NewHub(v, reg, opts.SubscriberBuffer),
+		hub:         NewHub(v, reg),
 		sess:        newSessionTable(opts.SessionTTL, reg),
 		reg:         reg,
 		replStreams: make(map[*atomic.Uint64]struct{}),
@@ -167,9 +168,6 @@ func New(v *ivm.Views, opts Options) *Server {
 		stop:        make(chan struct{}),
 	}
 	s.leader.Store(opts.LeaderURL)
-	// /v1/replicate streams from the views' history and /v1/trace reads
-	// it: start it now, so it holds every commit from here on.
-	v.History()
 	mux := http.NewServeMux()
 	timed := func(h http.HandlerFunc) http.Handler {
 		inner := http.TimeoutHandler(h, opts.RequestTimeout, `{"error":"request timed out"}`)
@@ -475,16 +473,14 @@ func (s *Server) readerFor(w http.ResponseWriter, r *http.Request) (reader, bool
 
 // handleApply applies a delta script. The body is either raw script
 // text or JSON {"script": "..."}; the response acknowledges the version
-// the batch published. For store-bound views the WAL record is fsynced
-// before this handler returns.
+// the batch published, {"version":V}, and nothing else: the rows it
+// changed are read by subscribing from V−1. For store-bound views the WAL
+// record is fsynced before this handler returns.
 //
 // An Idempotency-Key header makes the apply exactly-once under retries:
 // the first commit under a key is the only one applied, and duplicate
 // requests are answered {"version":V,"deduped":true} — the original
-// apply's version, no deltas — instead of re-applying (DESIGN.md §13).
-//
-// A fresh apply's ack is the event its commit already published to
-// subscribers, byte for byte (Hub.Ack): nothing is rendered here.
+// apply's version — instead of re-applying (DESIGN.md §13).
 //
 // On a follower the apply is transparently forwarded to the leader
 // (Idempotency-Key preserved, the leader's version-stamped ack returned
@@ -556,7 +552,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if deduped {
 		s.cDedups.Inc()
 	}
-	writeEncoded(w, s.hub.Ack(cs, deduped))
+	writeEncoded(w, ackLine(cs.Version(), deduped))
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -30,8 +34,33 @@ func startTestServer(t *testing.T, opts Options) (*Server, *client.Client) {
 	return srv, client.New(srv.URL(), nil)
 }
 
+// eventAt reads what the apply acked at version ver changed as a
+// subscriber does: the event a subscription resumed after ver−1 opens
+// with, decoded and as served.
+func eventAt(t *testing.T, url string, ver uint64) (client.Event, []byte) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/subscribe?from=%d", url, ver-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stream := bufio.NewReader(resp.Body)
+	if hello, err := stream.ReadBytes('\n'); err != nil || !bytes.Contains(hello, []byte(`"hello":true`)) {
+		t.Fatalf("resume from %d: hello %q, %v", ver-1, hello, err)
+	}
+	line, err := stream.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev client.Event
+	if err := json.Unmarshal(line, &ev); err != nil || ev.Version != ver {
+		t.Fatalf("resume from %d opens with %s (%v), want version %d's event", ver-1, line, err, ver)
+	}
+	return ev, line
+}
+
 func TestHTTPApplyQueryRoundtrip(t *testing.T) {
-	_, c := startTestServer(t, Options{})
+	srv, c := startTestServer(t, Options{})
 	ctx := context.Background()
 
 	res, err := c.Apply(ctx, `+link(a,d). +link(d,e).`)
@@ -41,14 +70,15 @@ func TestHTTPApplyQueryRoundtrip(t *testing.T) {
 	if res.Version == 0 {
 		t.Fatal("apply did not report a version")
 	}
+	ev, _ := eventAt(t, srv.URL(), res.Version)
 	found := false
-	for _, d := range res.Deltas {
+	for _, d := range ev.Deltas {
 		if d.Pred == "hop" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("apply deltas missing hop: %+v", res.Deltas)
+		t.Fatalf("the event of version %d lacks hop: %+v", res.Version, ev.Deltas)
 	}
 
 	q, err := c.Query(ctx, `hop(a,X)`)

@@ -281,6 +281,7 @@ type Views struct {
 	mDedups       *metrics.Counter
 	mApplyWait    *metrics.Histogram
 	mIdemEntries  *metrics.Gauge
+	mHistBytes    *metrics.Gauge
 	// One observation per folded commit record (foldRecordLocked).
 	mReplaySecs *metrics.Histogram
 	mReplayRows *metrics.Counter
@@ -369,6 +370,7 @@ func newViews(cfg config, reg *metrics.Registry, eng *dred.Engine, programSrc st
 	v.mFallbacks = reg.Counter("sched_coalesce_fallbacks_total")
 	v.mDedups = reg.Counter("sched_idem_dedup_total")
 	v.mIdemEntries = reg.Gauge("idem_window_entries")
+	v.mHistBytes = reg.Gauge("history_bytes")
 	v.mReplaySecs = reg.Histogram("commit_replay_seconds")
 	v.mReplayRows = reg.Counter("commit_replay_rows_total")
 	v.mApplyWait = reg.Histogram("sched_apply_wait_seconds")
@@ -970,11 +972,14 @@ func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 type CommitRecord = storage.CommitRecord
 
 // CommitEvent is one published version as the history holds it: the
-// commit's record plus its trace. A rule edit's record carries the program
+// commit's record, its trace and its ChangeSet — the one its Apply
+// callers and OnCommit handlers were handed, which a subscription resumed
+// from an earlier version reads. A rule edit's record carries the program
 // it leaves (CommitRecord.Program), so every commit folds.
 type CommitEvent struct {
 	CommitRecord
-	Trace *ApplyTrace
+	Trace   *ApplyTrace
+	Changes *ChangeSet
 }
 
 // ApplyTrace is the account of the commit that published a version, frozen

@@ -38,7 +38,7 @@ func WithTracer(t Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // WithHistory sets how many commits the views' history holds (default
 // DefaultHistory): the window ApplyIdempotent dedups against and the
-// serving layer replicates and traces from. A key is known until n
+// serving layer replicates, traces and resumes subscriptions from. A key is known until n
 // commits have landed after its own; size n above the commits a client's
 // longest retry horizon, or a follower's lag, can see.
 func WithHistory(n int) Option { return func(c *config) { c.history = n } }
