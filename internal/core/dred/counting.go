@@ -31,33 +31,34 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 			perPred[pred] = seed // an edit changes nothing below its head's stratum
 		}
 	}
-	// Close the stratum: record full deltas and decide what cascades.
+	// Close the stratum: one probe a Δ row reads its old count, which
+	// checks Theorem 4.1, and decides what cascades.
 	for pred, w := range perPred {
 		if w.Empty() {
 			continue
 		}
-		stored := e.db.Ensure(pred, -1)
-		var verr error
-		w.Each(func(row relation.Row) {
-			if verr == nil && stored.Count(row.Tuple)+row.Count < 0 {
-				verr = fmt.Errorf("counting: internal error: count of %s%s would become negative (Theorem 4.1 violated)", pred, row.Tuple)
+		olds, own := e.counts(e.db.Ensure(pred, -1), w), true
+		for i, old := range olds {
+			row := w.At(i)
+			if old+row.Count < 0 {
+				return fmt.Errorf("counting: internal error: count of %s%s would become negative (Theorem 4.1 violated)", pred, row.Tuple)
 			}
-		})
-		if verr != nil {
-			return verr
+			olds[i] = flip(row, old)
+			own = own && olds[i] == row.Count
 		}
 		// One frozen copy, made to size, is what the commit's readers see.
 		dp := w.Clone()
 		dp.Freeze()
 		o.commit[pred] = dp
 		e.last.DeltaTuples += dp.Len()
-		if e.sem != eval.Set {
+		// Statement (2): Δ(P) = set(Pν) − set(P) is both what cascades
+		// and the externally visible change of a set view — the copy
+		// itself when each row flips by its own count.
+		if e.sem != eval.Set || own {
 			o.cascade[pred] = dp
-		} else if cd := setTransitions(stored, dp); cd.Empty() {
+		} else if cd := dp.Pick(func(p int, _ int64) int64 { return olds[p] }); cd.Empty() {
 			e.last.CascadeStopped++
 		} else {
-			// Statement (2): Δ(P) = set(Pν) − set(P) is both what cascades
-			// and the externally visible change of a set view.
 			o.cascade[pred] = cd
 		}
 	}
@@ -150,7 +151,7 @@ func (e *Engine) deltaImages(o *op, ri int) ([]*relation.Relation, error) {
 			}
 		case datalog.LitNegated:
 			if cd := o.cascade[lit.Atom.Pred]; cd != nil {
-				if dn := deltaNegation(e.old(lit.Atom.Pred), cd); !dn.Empty() {
+				if dn := e.deltaNegation(lit.Atom.Pred, cd); !dn.Empty() {
 					litDelta[li] = dn
 				}
 			}
@@ -191,33 +192,26 @@ func (e *Engine) deltaSources(o *op, ri int, litDelta []*relation.Relation, i in
 
 // deltaNegation computes Δ(¬Q) per Definition 6.1: a tuple of ΔQ that
 // leaves the (positive) set image of Q enters ¬Q with count 1; one that
-// enters it leaves ¬Q with count −1.
-func deltaNegation(qOld relation.Reader, dq *relation.Relation) *relation.Relation {
-	return pick(dq, func(row relation.Row) int64 {
-		oldHas := qOld.Has(row.Tuple)
-		newHas := qOld.Count(row.Tuple)+row.Count > 0
-		switch {
-		case oldHas && !newHas:
-			return 1
-		case !oldHas && newHas:
-			return -1
+// enters it leaves ¬Q with count −1. Q's old counts are read as e.old
+// reads them: a counting stratum's set image under set semantics.
+func (e *Engine) deltaNegation(q string, dq *relation.Relation) *relation.Relation {
+	image := e.sem == eval.Set && e.counted[q]
+	return e.pick(e.db[q], dq, func(row relation.Row, old int64) int64 {
+		if image {
+			old = min(max(old, 0), 1)
 		}
-		return 0
+		return -flip(row, old)
 	})
 }
 
-// setTransitions returns set(stored ⊎ d) − set(stored) as a ±1 delta:
-// the tuples whose presence flips when d is applied to stored.
-func setTransitions(stored relation.Reader, d *relation.Relation) *relation.Relation {
-	return pick(d, func(row relation.Row) int64 {
-		oldC := stored.Count(row.Tuple)
-		newC := oldC + row.Count
-		switch {
-		case oldC <= 0 && newC > 0:
-			return 1
-		case oldC > 0 && newC <= 0:
-			return -1
-		}
-		return 0
-	})
+// flip is statement (2) for one row of a Δ: +1 where merging it into old
+// brings its tuple into the set image, −1 where it takes it out, else 0.
+func flip(row relation.Row, old int64) int64 {
+	switch now := old + row.Count; {
+	case old <= 0 && now > 0:
+		return 1
+	case old > 0 && now <= 0:
+		return -1
+	}
+	return 0
 }

@@ -177,6 +177,8 @@ type Engine struct {
 	// work holds, per head of a counting stratum, the table its Δ(head) is
 	// built in (counting.go): each apply empties it, and publishes a copy.
 	work map[string]*relation.Relation
+	// olds is counts' slice, kept while within keptCounts rows.
+	olds []int64
 
 	// planner caches cost-based δ-rule plans. Rule edits Reset it: rule
 	// indices shift with the program.
@@ -435,8 +437,8 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		cd := d // under duplicate semantics the caller's, which stays theirs to reuse
 		if e.sem == eval.Set {
 			// Base relations are sets: inserting a present tuple is a no-op.
-			cd = pick(d, func(row relation.Row) int64 {
-				has := stored.Has(row.Tuple)
+			cd = e.pick(stored, d, func(row relation.Row, old int64) int64 {
+				has := old > 0
 				switch {
 				case row.Count > 0 && !has:
 					return 1
@@ -453,11 +455,12 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 				cd.Freeze()
 			}
 		} else {
-			d.Each(func(row relation.Row) {
-				if verr == nil && stored.Count(row.Tuple)+row.Count < 0 {
-					verr = fmt.Errorf("engine: deletion of %s%s exceeds its stored count %d", pred, row.Tuple, stored.Count(row.Tuple))
+			for i, old := range e.counts(stored, d) {
+				if row := d.At(i); old+row.Count < 0 {
+					verr = fmt.Errorf("engine: deletion of %s%s exceeds its stored count %d", pred, row.Tuple, old)
+					break
 				}
-			})
+			}
 		}
 		if verr != nil {
 			return nil, verr
@@ -561,7 +564,7 @@ func (e *Engine) seed(rule datalog.Rule, sign int64) (map[string]*relation.Relat
 	case sign < 0 && !e.prog.DerivedPreds()[head]:
 		d = stored.Relation().Negate()
 		if o.commit[head] = d; e.sem == eval.Set {
-			d = setTransitions(stored, d)
+			d = e.pick(stored, d, flip)
 		}
 		if !d.Empty() {
 			o.cascade[head] = d
@@ -572,8 +575,8 @@ func (e *Engine) seed(rule datalog.Rule, sign int64) (map[string]*relation.Relat
 		}
 		o.seeds = map[string]*relation.Relation{head: d}
 	default:
-		o.seeds = map[string]*relation.Relation{head: pick(d, func(row relation.Row) int64 {
-			if row.Count > 0 && stored.Has(row.Tuple) == (sign < 0) {
+		o.seeds = map[string]*relation.Relation{head: e.pick(stored, d, func(row relation.Row, old int64) int64 {
+			if row.Count > 0 && (old > 0) == (sign < 0) {
 				return sign
 			}
 			return 0
@@ -727,7 +730,7 @@ func (e *Engine) reevaluate(o *op, prev *datalog.Program) (map[string]*relation.
 		d := relation.Diff(stored, now.Relation()) // never published: the table itself
 		o.commit[pred] = d
 		if e.sem == eval.Set {
-			d = setTransitions(stored, d)
+			d = e.pick(stored, d, flip)
 		}
 		if derived[pred] && !d.Empty() {
 			o.cascade[pred] = d
@@ -816,38 +819,35 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 	return visible
 }
 
-// pick returns the rows of d that sign gives a nonzero count, with that
-// count. One pass counts them and a second fills the result, which is
-// therefore allocated once at its size (relation.NewSized) instead of
-// doubling its way there.
-func pick(d *relation.Relation, sign func(relation.Row) int64) *relation.Relation {
-	n := 0
-	d.Each(func(row relation.Row) {
-		if sign(row) != 0 {
-			n++
-		}
-	})
-	out := relation.NewSized(d.Arity(), n)
-	if n > 0 {
-		d.Each(func(row relation.Row) { out.AddRow(row.WithCount(sign(row))) })
+// counts returns the count stored holds under the key of each row of d, in
+// d's order (relation.Stored.Counts), in the engine's scratch slice: valid
+// until the next call.
+func (e *Engine) counts(stored *relation.Stored, d *relation.Relation) []int64 {
+	olds := stored.Counts(d, e.olds[:0])
+	if cap(olds) <= keptCounts { // a bulk apply's is not kept
+		e.olds = olds
 	}
-	return out
+	return olds
 }
+
+// pick returns the rows of d that sign, given a row and the count stored
+// holds under its key, gives a nonzero count, with that count: one probe a
+// row, and a result made at its size (relation.Relation.Pick).
+func (e *Engine) pick(stored *relation.Stored, d *relation.Relation, sign func(row relation.Row, old int64) int64) *relation.Relation {
+	olds := e.counts(stored, d)
+	return d.Pick(func(p int, _ int64) int64 { return sign(d.At(p), olds[p]) })
+}
+
+// keptCounts is the most rows of old counts the engine keeps room for (32 KB).
+const keptCounts = 1 << 12
 
 // signPart returns the tuples r holds with a negative count (neg) or a
 // positive one, as a set sized exactly (see relation.NewSized).
 func signPart(r *relation.Relation, neg bool) *relation.Relation {
-	n := 0
-	r.Each(func(row relation.Row) {
-		if (row.Count < 0) == neg {
-			n++
+	return r.Pick(func(_ int, c int64) int64 {
+		if (c < 0) == neg {
+			return 1
 		}
+		return 0
 	})
-	out := relation.NewSized(r.Arity(), n)
-	r.Each(func(row relation.Row) {
-		if (row.Count < 0) == neg {
-			out.AddRow(row.WithCount(1))
-		}
-	})
-	return out
 }

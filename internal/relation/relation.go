@@ -170,10 +170,10 @@ func countAt[K string | []byte](r *Relation, h uint32, k K) int64 {
 
 // Stored returns the row stored under the canonical key kb, for callers
 // that hold a tuple's encoding rather than the tuple. Allocates nothing.
-func (r *Relation) Stored(kb []byte) (Row, bool) { return r.held(hashBytes(kb), kb) }
+func (r *Relation) Stored(kb []byte) (Row, bool) { return held(r, hashBytes(kb), kb) }
 
 // held returns the row stored under key k, hashed to h (none in a nil r).
-func (r *Relation) held(h uint32, k []byte) (Row, bool) {
+func held[K string | []byte](r *Relation, h uint32, k K) (Row, bool) {
 	if r != nil {
 		if i := find(&r.rows, h, k); i >= 0 {
 			return r.At(i), true
@@ -256,9 +256,9 @@ func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 		r.bump(i, count)
 		return Merged
 	}
-	row, ok := r.lendStored.held(h, kb)
+	row, ok := storedRow(r.lendStored, h, kb)
 	if !ok {
-		row, ok = r.lendNet.held(h, kb)
+		row, ok = held(r.lendNet, h, kb)
 	}
 	if ok {
 		r.insert(row.WithCount(count), h)
@@ -369,11 +369,31 @@ func (r *Relation) Clone() *Relation {
 
 // NewSized is New with the table made for n rows, which then go in
 // without growing it. n must be an exact count: a table sized from an
-// upper bound stays that large for the life of the relation (counting's
-// setTransitions and DRed's signPart count first; counting's Δ(head) grows
-// in a table it reuses and publishes a Clone, which is made to size).
+// upper bound stays that large for the life of the relation (Pick counts
+// first; counting's Δ(head) grows in a table it reuses and publishes a
+// Clone, which is made to size).
 func NewSized(arity, n int) *Relation {
 	return &Relation{arity: int32(arity), rows: table{cells: make([]entry, 0, n)}}
+}
+
+// Pick returns the rows of r to which count, given a row's position and
+// count, gives a nonzero count, with that count, in r's order. One pass
+// counts them and a second fills a table made to size, placing each cell
+// by the hash it carries.
+func (r *Relation) Pick(count func(p int, c int64) int64) *Relation {
+	n := 0
+	for p, c := range r.rows.cells {
+		if count(p, c.count) != 0 {
+			n++
+		}
+	}
+	out := NewSized(r.Arity(), n)
+	for p, c := range r.rows.cells {
+		if c.count = count(p, c.count); c.count != 0 {
+			out.rows.insert(c.cell)
+		}
+	}
+	return out
 }
 
 // Trim remakes r's table at exactly its row count, as NewSized lays one
@@ -465,20 +485,7 @@ func (r *Relation) Negate() *Relation {
 // to count 1 (tuples with non-positive counts are dropped). This is the
 // set(·) function of Algorithm 4.1 statement (2).
 func (r *Relation) ToSet() *Relation {
-	n := 0
-	for _, c := range r.rows.cells {
-		if c.count > 0 {
-			n++
-		}
-	}
-	out := NewSized(r.Arity(), n)
-	for _, c := range r.rows.cells {
-		if c.count > 0 {
-			c.count = 1
-			out.rows.insert(c.cell)
-		}
-	}
-	return out
+	return r.Pick(func(_ int, c int64) int64 { return min(max(c, 0), 1) })
 }
 
 // Diff returns new − old as a signed count delta: what merged into old

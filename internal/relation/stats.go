@@ -254,6 +254,10 @@ func IndexesBuilt() int64 { return indexesBuilt.Load() }
 // table; copied ÷ linked is the publish amplification.
 var rowsLinked, rowsCopied atomic.Int64
 
+// rowProbes counts the Δ rows a Stored has been probed for by the key
+// their cells carry: each row of Counts, each row MergeDelta folds.
+var rowProbes atomic.Int64
+
 // VersionRows returns the cumulative rows linked by Push and rows copied
 // by compaction or flattening, across all versions in the process.
 func VersionRows() (linked, copied int64) { return rowsLinked.Load(), rowsCopied.Load() }

@@ -138,13 +138,13 @@ func locate[K string | []byte](s *Stored, h uint32, k K) (i, q int) {
 	return -1, -1
 }
 
-// held returns the row stored under key k, hashed to h (none in a nil s).
-func (s *Stored) held(h uint32, k []byte) (Row, bool) {
+// storedRow returns the row stored under key k, hashed to h (none in a nil s).
+func storedRow[K string | []byte](s *Stored, h uint32, k K) (Row, bool) {
 	if s == nil {
 		return Row{}, false
 	}
 	if s.private() {
-		return s.base.held(h, k)
+		return held(s.base, h, k)
 	}
 	switch i, q := locate(s, h, k); {
 	case i >= 0:
@@ -156,7 +156,7 @@ func (s *Stored) held(h uint32, k []byte) (Row, bool) {
 }
 
 func (s *Stored) countHashed(h uint32, kb []byte) int64 {
-	row, _ := s.held(h, kb)
+	row, _ := storedRow(s, h, kb)
 	return row.Count
 }
 
@@ -167,11 +167,24 @@ func (s *Stored) Count(t value.Tuple) int64 {
 	return s.countHashed(hashBytes(kb), kb)
 }
 
+// Counts appends to dst the count s holds under the key of each row of d,
+// in d's order (0 where s lacks it, everywhere in a nil s): one probe a
+// row, with the key and hash d's cell carries, so no tuple is encoded and
+// no key hashed again.
+func (s *Stored) Counts(d *Relation, dst []int64) []int64 {
+	rowProbes.Add(int64(d.Len()))
+	for _, c := range d.rows.cells {
+		row, _ := storedRow(s, c.h, c.key())
+		dst = append(dst, row.Count)
+	}
+	return dst
+}
+
 // Has reports whether t is present with a positive count.
 func (s *Stored) Has(t value.Tuple) bool { return s.Count(t) > 0 }
 
 // Stored returns the row stored under the canonical key kb.
-func (s *Stored) Stored(kb []byte) (Row, bool) { return s.held(hashBytes(kb), kb) }
+func (s *Stored) Stored(kb []byte) (Row, bool) { return storedRow(s, hashBytes(kb), kb) }
 
 // rowAt returns the row at place p < n.
 func (s *Stored) rowAt(p int) Row {
@@ -306,6 +319,7 @@ func (s *Stored) PreferredIndex(bound []int) []int {
 // MergeDelta folds delta into the state with ⊎, in delta's order, then
 // rebases if the net has reached its bound.
 func (s *Stored) MergeDelta(delta *Relation) {
+	rowProbes.Add(int64(delta.Len()))
 	if s.private() {
 		s.base.MergeDelta(delta)
 		return

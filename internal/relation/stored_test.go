@@ -172,3 +172,59 @@ func TestRebaseCopiesItsBaseOnce(t *testing.T) {
 	flat.Lookup([]int{1}, value.T(0))
 	sameAsFlat(t, "after the shrinking rebase", s, flat, [][]int{{1}}, value.T(3999, 49), value.T(0, 0), value.T(2500, 0))
 }
+
+// Counts reads, row for row, the count Count reads: on a private relation
+// and a shared one, for rows held in the base at their place, in the net,
+// moved there by a swap-remove, and absent, and across a rebase.
+func TestCountsReadWhatCountReads(t *testing.T) {
+	row := func(i int) value.Tuple { return value.T(i, fmt.Sprintf("v%d", i%7)) }
+	base := New(2)
+	for i := range 40 {
+		base.Add(row(i), int64(1+i%3))
+	}
+	probe := New(2) // rows 30..49: the last ten absent
+	for i := 30; i < 50; i++ {
+		probe.Add(row(i), 1)
+	}
+	check := func(where string, s *Stored, want map[int]int64) {
+		t.Helper()
+		got := s.Counts(probe, []int64{7}) // appends after what dst holds
+		if len(got) != 1+probe.Len() || got[0] != 7 {
+			t.Fatalf("%s: Counts returned %d counts after the 1 dst held (%v), want %d", where, len(got)-1, got, probe.Len())
+		}
+		for i, c := range got[1:] {
+			r := probe.At(i)
+			n := r.Tuple[0].Int()
+			if c != s.Count(r.Tuple) {
+				t.Fatalf("%s: Counts reads %d for %v, Count %d", where, c, r.Tuple, s.Count(r.Tuple))
+			}
+			if w, ok := want[int(n)]; ok && c != w {
+				t.Fatalf("%s: Counts reads %d for %v, want %d", where, c, r.Tuple, w)
+			}
+		}
+	}
+	s := Store(base.Clone())
+	check("private", s, map[int]int64{30: 1, 39: 1, 40: 0, 49: 0})
+	s.Publish(nil, nil)
+	check("shared, every row at its place", s, map[int]int64{30: 1, 39: 1, 40: 0})
+	d := New(2)
+	d.Add(row(31), 5)                    // bumped: in the net at its place
+	d.Add(row(32), -base.Count(row(32))) // deleted: row 39 moves into its place
+	d.Add(row(45), 2)                    // new: in the net past the base
+	s.MergeDelta(d)
+	if s.net.Len() != 3 || s.atp(32) == 0 {
+		t.Fatalf("setup: the net holds %d rows, want the bumped, the moved and the new one", s.net.Len())
+	}
+	check("shared, with a net", s, map[int]int64{30: 1, 31: 7, 32: 0, 39: 1, 45: 2, 46: 0})
+	prev := s.base
+	bulk := New(2)
+	for i := 100; i < 100+minFlattenRows; i++ {
+		bulk.Add(row(i), 1)
+	}
+	s.MergeDelta(bulk)
+	if s.base == prev || s.net.Len() != 0 {
+		t.Fatalf("setup: %d rows merged past the net's bound left %d net rows and no rebase", bulk.Len(), s.net.Len())
+	}
+	check("after a rebase", s, map[int]int64{30: 1, 31: 7, 32: 0, 39: 1, 45: 2, 46: 0})
+	check("a nil relation", nil, map[int]int64{30: 0, 45: 0})
+}

@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -29,7 +29,9 @@ package ivm_test
 // committing its working Δ(head) uncopied and unfrozen [2]; a version's
 // trace stamped with its predecessor's version [1]; the history's key
 // index keeping a key after its commit left the history [3]; the history
-// holding a hollow ChangeSet for a commit it has not shed [1].
+// holding a hollow ChangeSet for a commit it has not shed [1]; counting
+// cascading its Δ(head) copy as it is where a row flips the set image by
+// ±1 but moves its count by ±2 [4].
 
 import (
 	"cmp"

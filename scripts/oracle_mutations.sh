@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -27,6 +27,7 @@ mutations=(
 	"the trace is stamped with the predecessor's version|snapshot.go|&ApplyTrace{Version: id, Strategy: v.strategy|&ApplyTrace{Version: id - 1, Strategy: v.strategy"
 	"the history's index keeps a key after its commit leaves|history.go|			delete(v.keys, k)|			_ = k"
 	"the history holds a hollow ChangeSet for an unshed commit|history.go|Trace: g.ver.trace, Changes: g.cs}|Trace: g.ver.trace, Changes: &ChangeSet{version: g.cs.version}}"
+	"counting cascades Δ(head) itself where a row flips by ±1 but moves by ±2|internal/core/dred/counting.go|olds[i] == row.Count|olds[i]*row.Count > 0"
 )
 
 work="$(mktemp -d)"
