@@ -33,7 +33,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -68,7 +68,7 @@ func run() error {
 	subBuffer := flag.Int("sub-buffer", 256, "per-subscriber live event buffer; a consumer that falls this far behind is evicted (how far back a ?from= resume reaches is -history's)")
 	sessionTTL := flag.Duration("session-ttl", 5*time.Minute, "idle lifetime of snapshot-pinned sessions")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 30*time.Second, "graceful-shutdown drain budget")
-	quiet := flag.Bool("quiet", false, "suppress per-request logging (lifecycle events still log)")
+	quiet := flag.Bool("quiet", false, "log at Info level: per-request Debug records are dropped, lifecycle events still log")
 	followURL := flag.String("follow", "", "follow as a read replica: comma-separated cluster URLs, first is the upstream (e.g. http://127.0.0.1:7199)")
 	promoteURL := flag.String("promote", "", "client mode: promote the follower at this URL to primary and exit")
 	flag.Parse()
@@ -77,17 +77,11 @@ func run() error {
 		return promote(*promoteURL)
 	}
 
-	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
-	logf := logger.Printf
+	level := slog.LevelDebug
 	if *quiet {
-		logf = func(format string, args ...any) {
-			// Lifecycle lines keep flowing; per-request lines are dropped.
-			if strings.HasPrefix(format, "ivmd: %s %s ->") {
-				return
-			}
-			logger.Printf(format, args...)
-		}
+		level = slog.LevelInfo
 	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	strategy, err := ivm.ParseStrategy(*strategyFlag)
 	if err != nil {
@@ -118,31 +112,22 @@ func run() error {
 			sessionTTL:      *sessionTTL,
 			shutdownTimeout: *shutdownTimeout,
 			engineOpts:      opts,
-			logf:            logf,
+			logger:          logger,
 		})
 	}
 
 	var views *ivm.Views
+	var info ivm.RecoveryInfo
 	if *storeDir != "" {
-		v, info, err := ivm.OpenStore(*storeDir, func() (*ivm.Views, error) {
+		views, info, err = ivm.OpenStore(*storeDir, func() (*ivm.Views, error) {
 			return buildViews(*programPath, *dataPath, opts)
 		}, opts...)
-		if err != nil {
-			return err
-		}
-		logf("ivmd: store %s: %s", *storeDir, info)
-		views = v
 	} else {
-		v, err := buildViews(*programPath, *dataPath, opts)
-		if err != nil {
-			return err
-		}
-		logf("ivmd: memory-only (no -store): applies are not durable")
-		views = v
+		views, err = buildViews(*programPath, *dataPath, opts)
 	}
-	logf("ivmd: strategy=%v semantics=%v rules=%d version=%d",
-		views.Strategy(), views.Semantics(), len(views.Program().Rules), views.Snapshot().Version())
-
+	if err != nil {
+		return err
+	}
 	srv := server.New(views, server.Options{
 		Addr:             *addr,
 		RequestTimeout:   *requestTimeout,
@@ -150,8 +135,13 @@ func run() error {
 		SubscriberBuffer: *subBuffer,
 		SessionTTL:       *sessionTTL,
 		OwnViews:         true,
-		Logf:             logf,
+		Logger:           logger,
 	})
+	if *storeDir != "" {
+		srv.Info("ivmd: store", slog.String("dir", *storeDir), slog.String("recovery", info.String()))
+	} else {
+		srv.Info("ivmd: memory-only (no -store): applies are not durable")
+	}
 	if err := srv.Start(); err != nil {
 		views.Close()
 		return err
@@ -160,7 +150,7 @@ func run() error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
-	logf("ivmd: received %v, shutting down", got)
+	srv.Info("ivmd: shutting down", slog.String("signal", got.String()))
 	ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
 	return srv.Shutdown(ctx)
@@ -175,7 +165,7 @@ type followerConfig struct {
 	sessionTTL      time.Duration
 	shutdownTimeout time.Duration
 	engineOpts      []ivm.Option
-	logf            func(format string, args ...any)
+	logger          *slog.Logger
 }
 
 // runFollower bootstraps a replica from the first seed and serves its
@@ -193,14 +183,12 @@ func runFollower(seeds []string, cfg followerConfig) error {
 				s.SetLeaderURL(u)
 			}
 		},
-		Logf: cfg.logf,
+		Logger: cfg.logger,
 	})
 	if err != nil {
 		return err
 	}
 	views := rep.Views()
-	cfg.logf("ivmd: following %s from version %d (epoch %d, strategy=%v semantics=%v rules=%d)",
-		rep.LeaderURL(), rep.Applied(), rep.Epoch(), views.Strategy(), views.Semantics(), len(views.Program().Rules))
 
 	// promoted flips before rep.Promote cancels the tail, so the main
 	// select below can tell a promotion from a replication failure.
@@ -222,7 +210,7 @@ func runFollower(seeds []string, cfg followerConfig) error {
 			return epoch, err
 		},
 		ExtraMetrics: []*metrics.Registry{rep.Registry()},
-		Logf:         cfg.logf,
+		Logger:       cfg.logger,
 	})
 	if err := srv.Start(); err != nil {
 		rep.Stop()
@@ -236,16 +224,16 @@ func runFollower(seeds []string, cfg followerConfig) error {
 	var repErr error
 	select {
 	case got := <-sig:
-		cfg.logf("ivmd: received %v, shutting down", got)
+		srv.Info("ivmd: shutting down", slog.String("signal", got.String()))
 	case <-rep.Done():
 		if promoted.Load() {
 			// Promotion retired the tail loop on purpose; this node now
 			// leads the cluster and keeps serving until a signal.
 			got := <-sig
-			cfg.logf("ivmd: received %v, shutting down", got)
+			srv.Info("ivmd: shutting down", slog.String("signal", got.String()))
 		} else {
 			repErr = rep.Err()
-			cfg.logf("ivmd: replication ended: %v", repErr)
+			srv.Info("ivmd: replication ended", slog.Any("err", repErr))
 		}
 	}
 	// Stop replication before Shutdown closes the views underneath it.

@@ -12,12 +12,10 @@ package pf
 
 import (
 	"sort"
-	"time"
 
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
-	"ivm/internal/metrics"
 	"ivm/internal/relation"
 )
 
@@ -34,14 +32,6 @@ type Stats struct {
 	RuleFirings   int
 }
 
-// Config carries the engine's metrics registry.
-type Config struct {
-	// Metrics, when non-nil, receives the pf_* counters and timings. The
-	// inner DRed engine is left unobserved so its per-pass work is not
-	// double-counted: the pf_* series already aggregates it.
-	Metrics *metrics.Registry
-}
-
 // Engine maintains views by per-base-predicate (or per-tuple) change
 // propagation.
 type Engine struct {
@@ -55,43 +45,20 @@ type Engine struct {
 	// read via Stats(). Callers sharing the engine across goroutines must
 	// serialize Apply against Stats (see dred.Engine).
 	last Stats
-
-	// The resolved metric instruments; all nil-safe.
-	mApplies      *metrics.Counter
-	mPasses       *metrics.Counter
-	mOverest      *metrics.Counter
-	mRederived    *metrics.Counter
-	mInserted     *metrics.Counter
-	mRuleFirings  *metrics.Counter
-	mApplySeconds *metrics.Histogram
 }
 
 // Stats returns the accumulated work counters of the most recent Apply,
 // as a Stats.
 func (e *Engine) Stats() any { return e.last }
 
-// New materializes prog over base (set semantics).
+// New materializes prog over base (set semantics). The inner DRed
+// engine reports to no registry: Stats is PF's account of its passes.
 func New(prog *datalog.Program, base *eval.DB) (*Engine, error) {
-	return NewWithConfig(prog, base, Config{})
-}
-
-// NewWithConfig is New with observability hooks.
-func NewWithConfig(prog *datalog.Program, base *eval.DB, cfg Config) (*Engine, error) {
 	d, err := dred.New(prog, base)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{d: d}
-	if r := cfg.Metrics; r != nil {
-		e.mApplies = r.Counter("pf_applies_total")
-		e.mPasses = r.Counter("pf_passes_total")
-		e.mOverest = r.Counter("pf_overestimated_total")
-		e.mRederived = r.Counter("pf_rederived_total")
-		e.mInserted = r.Counter("pf_inserted_total")
-		e.mRuleFirings = r.Counter("pf_rule_firings_total")
-		e.mApplySeconds = r.Histogram("pf_apply_seconds")
-	}
-	return e, nil
+	return &Engine{d: d}, nil
 }
 
 // Program returns the view program.
@@ -108,10 +75,6 @@ func (e *Engine) Preds() []string { return e.d.Preds() }
 // each derived relation across the passes.
 func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*relation.Relation, error) {
 	e.last = Stats{}
-	var applyStart time.Time
-	if e.mApplySeconds != nil {
-		applyStart = time.Now()
-	}
 	preds := make([]string, 0, len(baseDelta))
 	for p := range baseDelta {
 		preds = append(preds, p)
@@ -185,15 +148,6 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 		if derived[pred] && !acc.Empty() {
 			out[pred] = acc
 		}
-	}
-	e.mApplies.Inc()
-	e.mPasses.Add(int64(e.last.Passes))
-	e.mOverest.Add(int64(e.last.Overestimated))
-	e.mRederived.Add(int64(e.last.Rederived))
-	e.mInserted.Add(int64(e.last.Inserted))
-	e.mRuleFirings.Add(int64(e.last.RuleFirings))
-	if e.mApplySeconds != nil {
-		e.mApplySeconds.Observe(time.Since(applyStart))
 	}
 	return out, nil
 }

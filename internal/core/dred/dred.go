@@ -120,7 +120,7 @@ type Config struct {
 	Semantics eval.Semantics
 	// Metrics, when non-nil, receives the engine's counters and timing
 	// histograms (counting_* from counting strata, dred_* from DRed
-	// strata, recompute_* from Recompute, eval_* and planner_* series).
+	// strata, eval_* and planner_* series).
 	// Nil disables collection.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, receives per-stratum and per-rule trace
@@ -195,15 +195,11 @@ type Engine struct {
 	// tracer and the metrics registry, both nil-safe. The counting_* and
 	// dred_* series are resolved by install for the algorithms the
 	// program runs (nil instruments record nothing).
-	tracer     metrics.Tracer
-	reg        *metrics.Registry
-	instr      *eval.Instruments
-	mCount     countingInstruments
-	mDRed      dredInstruments
-	mRecompute struct {
-		applies   *metrics.Counter
-		applySecs *metrics.Histogram
-	}
+	tracer metrics.Tracer
+	reg    *metrics.Registry
+	instr  *eval.Instruments
+	mCount countingInstruments
+	mDRed  dredInstruments
 }
 
 // countingInstruments are the series counting strata emit.
@@ -674,9 +670,6 @@ func (e *Engine) Install(prog *datalog.Program) (undo func(), err error) {
 			r.Histogram("dred_apply_seconds"),
 			[3]*metrics.Histogram{r.Histogram("dred_step1_seconds"), r.Histogram("dred_step2_seconds"), r.Histogram("dred_step3_seconds")}}
 	}
-	if r := e.reg; e.alg == Recompute {
-		e.mRecompute.applies, e.mRecompute.applySecs = r.Counter("recompute_applies_total"), r.Histogram("recompute_apply_seconds")
-	}
 	e.aux = make([]datalog.Rule, len(prog.Rules))
 	for ri, r := range prog.Rules {
 		if !slices.ContainsFunc(r.Head.Args, isArith) {
@@ -794,10 +787,6 @@ func (e *Engine) commit(o *op) map[string]*relation.Relation {
 		m.deltaRules.Add(int64(e.last.DeltaRulesEvaluated))
 		m.deltaTuples.Add(int64(e.last.DeltaTuples))
 		m.cascadeStops.Add(int64(e.last.CascadeStopped))
-		m.applySecs.Observe(d)
-	}
-	if m := e.mRecompute; e.alg == Recompute {
-		m.applies.Inc()
 		m.applySecs.Observe(d)
 	}
 	if m := e.mDRed; e.hasDRed {

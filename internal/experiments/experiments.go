@@ -67,9 +67,9 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// metricsReg, when non-nil, is threaded into every engine the helper
-// constructors below build, so one harness run accumulates a single
-// cross-experiment metrics snapshot.
+// metricsReg, when non-nil, is threaded into the counting, DRed and
+// recompute engines the helper constructors below build, so one harness
+// run accumulates a single cross-experiment metrics snapshot.
 var metricsReg *metrics.Registry
 
 // EnableMetrics turns on metrics collection for engines built after the
@@ -207,7 +207,7 @@ func RecomputeEngine(progSrc string, db *eval.DB, sem eval.Semantics) *dred.Engi
 
 // PFEngine materializes prog over db.
 func PFEngine(progSrc string, db *eval.DB, fragmentTuples bool) *pf.Engine {
-	e, err := pf.NewWithConfig(MustRules(progSrc), db, pf.Config{Metrics: metricsReg})
+	e, err := pf.New(MustRules(progSrc), db)
 	if err != nil {
 		panic(err)
 	}

@@ -116,7 +116,7 @@ func TestReplicaDivergenceGuard(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	rep, err := Start(ts.URL, Options{Retry: fastRetry, Logf: t.Logf})
+	rep, err := Start(ts.URL, Options{Retry: fastRetry, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestReplicaRecordThatDoesNotFitIsDivergence(t *testing.T) {
 	v := buildPrimaryViews(t)
 	defer v.Shutdown()
 	leader := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
-	rep, err := Start(leader.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	rep, err := Start(leader.URL(), Options{Retry: fastRetry, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

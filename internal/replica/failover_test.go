@@ -117,7 +117,7 @@ func TestReplicaFencesStaleEpoch(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	rep, err := Start(ts.URL, Options{Retry: fastRetry, Logf: t.Logf})
+	rep, err := Start(ts.URL, Options{Retry: fastRetry, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFailoverChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvA := server.New(vA, server.Options{OwnViews: true, ReplHeartbeat: 20 * time.Millisecond, Logf: t.Logf})
+	srvA := server.New(vA, server.Options{OwnViews: true, ReplHeartbeat: 20 * time.Millisecond, Logger: testLogger(t)})
 	if err := srvA.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFailoverChaos(t *testing.T) {
 
 	// F1: the promotable follower — its server wires POST /v1/promote to
 	// the replica's Promote, exactly as cmd/ivmd does.
-	rep1, err := Start(srvA.URL(), Options{Retry: fastRetry, StallTimeout: 2 * time.Second, Logf: t.Logf})
+	rep1, err := Start(srvA.URL(), Options{Retry: fastRetry, StallTimeout: 2 * time.Second, Logger: testLogger(t)})
 	if err != nil {
 		shutA()
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestFailoverChaos(t *testing.T) {
 		MinVersionWait: 5 * time.Second,
 		Promote:        rep1.Promote,
 		ExtraMetrics:   []*metrics.Registry{rep1.Registry()},
-		Logf:           t.Logf,
+		Logger:         testLogger(t),
 	})
 
 	// F2: the forwarding front door, seeded so it can find the new
@@ -218,7 +218,7 @@ func TestFailoverChaos(t *testing.T) {
 				s.SetLeaderURL(u)
 			}
 		},
-		Logf: t.Logf,
+		Logger: testLogger(t),
 	})
 	if err != nil {
 		shutA()
@@ -228,7 +228,7 @@ func TestFailoverChaos(t *testing.T) {
 	srv2 := startServer(t, rep2.Views(), server.Options{
 		LeaderURL:    srvA.URL(),
 		ExtraMetrics: []*metrics.Registry{rep2.Registry()},
-		Logf:         t.Logf,
+		Logger:       testLogger(t),
 	})
 	srv2Ptr.Store(srv2)
 
@@ -325,7 +325,7 @@ func TestFailoverChaos(t *testing.T) {
 	if got := vA2.FenceEpoch(); got != 1 {
 		t.Fatalf("revived primary at fence epoch %d, want its persisted 1", got)
 	}
-	srvA2 := startServer(t, vA2, server.Options{OwnViews: true, Logf: t.Logf})
+	srvA2 := startServer(t, vA2, server.Options{OwnViews: true, Logger: testLogger(t)})
 	beforeRevived := vA2.Snapshot().Version()
 
 	// Fence check 1: an epoch-2 follower's replication handshake is

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -72,8 +73,9 @@ type Options struct {
 	// follower re-resolves its upstream to a different URL. The serving
 	// layer hooks this to retarget write forwarding.
 	OnLeaderChange func(url string)
-	// Logf receives one line per lifecycle event (nil = silent).
-	Logf func(format string, args ...any)
+	// Logger receives an Info record per lifecycle event, stamped with
+	// the follower's applied version, epoch and leader (nil = silent).
+	Logger *slog.Logger
 }
 
 func (o Options) withDefaults() Options {
@@ -100,8 +102,8 @@ func (o Options) withDefaults() Options {
 			ResponseHeaderTimeout: 30 * time.Second,
 		}}
 	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
+	if o.Logger == nil {
+		o.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
 	return o
 }
@@ -120,11 +122,8 @@ type Replica struct {
 	lastRecord atomic.Int64  // unixnano of the last record received
 
 	gLagVersions *metrics.Gauge
-	gLagMillis   *metrics.Gauge
 	gLagSeconds  *metrics.Gauge
 	gApplied     *metrics.Gauge
-	gLeader      *metrics.Gauge
-	gEpoch       *metrics.Gauge
 	cReconnects  *metrics.Counter
 	cRecords     *metrics.Counter
 	cResets      *metrics.Counter
@@ -155,11 +154,8 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 		reg:          reg,
 		probe:        &http.Client{Timeout: 2 * time.Second},
 		gLagVersions: reg.Gauge("replica_lag_versions"),
-		gLagMillis:   reg.Gauge("replica_lag_millis"),
 		gLagSeconds:  reg.Gauge("replica_lag_seconds"),
 		gApplied:     reg.Gauge("replica_applied_version"),
-		gLeader:      reg.Gauge("replica_leader_version"),
-		gEpoch:       reg.Gauge("replica_epoch"),
 		cReconnects:  reg.Counter("replica_reconnects_total"),
 		cRecords:     reg.Counter("replica_records_total"),
 		cResets:      reg.Counter("replica_resets_total"),
@@ -200,7 +196,7 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 		cancel()
 		return nil, err
 	}
-	r.opts.Logf("replica: bootstrapped from %s at version %d (epoch %d)", r.LeaderURL(), r.applied.Load(), r.Epoch())
+	r.info("replica: bootstrapped")
 	go r.run(resp, br)
 	return r, nil
 }
@@ -331,7 +327,6 @@ func (r *Replica) advance(rec storage.ReplRecord) {
 	}
 	if rec.Version > r.leader.Load() {
 		r.leader.Store(rec.Version)
-		r.gLeader.Set(int64(rec.Version))
 	}
 	lag := int64(r.leader.Load()) - int64(r.applied.Load())
 	if lag < 0 {
@@ -343,7 +338,6 @@ func (r *Replica) advance(rec storage.ReplRecord) {
 		if ms < 0 {
 			ms = 0
 		}
-		r.gLagMillis.Set(ms)
 		r.gLagSeconds.Set(ms / 1000)
 	}
 }
@@ -360,7 +354,7 @@ func (r *Replica) run(resp *http.Response, br *bufio.Reader) {
 		}
 		if err != nil {
 			r.setErr(err)
-			r.opts.Logf("replica: stopping: %v", err)
+			r.info("replica: stopping", slog.Any("err", err))
 			return
 		}
 		// Retryable end: re-resolve the leader (the upstream may be dead
@@ -384,7 +378,7 @@ func (r *Replica) run(resp *http.Response, br *bufio.Reader) {
 		}
 		if !reconnected {
 			r.setErr(fmt.Errorf("replica: reconnect gave up after %d attempts: %w", p.MaxAttempts, lastErr))
-			r.opts.Logf("replica: stopping: %v", r.Err())
+			r.info("replica: stopping", slog.Any("err", r.Err()))
 			return
 		}
 	}
@@ -411,7 +405,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 			case <-t.C:
 				idle := time.Since(time.Unix(0, r.lastRecord.Load()))
 				if idle >= r.opts.StallTimeout {
-					r.opts.Logf("replica: stream silent for %s, reconnecting", idle.Round(time.Millisecond))
+					r.info("replica: stream silent, reconnecting", slog.Duration("idle", idle.Round(time.Millisecond)))
 					resp.Body.Close()
 					return
 				}
@@ -425,7 +419,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 		rec, err := storage.ReadReplRecord(br)
 		if err != nil {
 			if err != io.EOF && r.ctx.Err() == nil {
-				r.opts.Logf("replica: stream broke: %v", err)
+				r.info("replica: stream broke", slog.Any("err", err))
 			}
 			return nil // reconnect
 		}
@@ -443,7 +437,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 		case storage.ReplKindState:
 			st, err := storage.DecodeState(rec.State)
 			if err != nil {
-				r.opts.Logf("replica: bad state record: %v", err)
+				r.info("replica: bad state record", slog.Any("err", err))
 				return nil // reconnect; a fresh stream re-sends it
 			}
 			if err := r.v.ResetToReplicaState(st); err != nil {
@@ -451,7 +445,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 			}
 			r.cResets.Inc()
 			r.advance(rec)
-			r.opts.Logf("replica: state reset to version %d", rec.Version)
+			r.info("replica: state reset")
 		case storage.ReplKindDelta:
 			applied := r.applied.Load()
 			switch {
@@ -475,7 +469,7 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 				// A gap. Never skip over it: reconnect from the applied
 				// version and make the primary re-backfill the range.
 				r.cDivergence.Inc()
-				r.opts.Logf("replica: gap: got version %d after %d, re-backfilling", rec.Version, applied)
+				r.info("replica: gap, re-backfilling", slog.Uint64("record", rec.Version))
 				return nil
 			}
 		}
@@ -493,18 +487,17 @@ func (r *Replica) admitEpoch(rec storage.ReplRecord) bool {
 	known := r.epoch.Load()
 	if rec.Epoch < known {
 		r.cFenced.Inc()
-		r.opts.Logf("replica: fenced stale record: epoch %d < %d (kind %q, version %d)",
-			rec.Epoch, known, rec.Kind, rec.Version)
+		r.info("replica: fenced stale record", slog.Uint64("record", rec.Version),
+			slog.String("kind", string(rec.Kind)), slog.Uint64("record_epoch", rec.Epoch))
 		return false
 	}
 	if rec.Epoch > known {
 		r.epoch.Store(rec.Epoch)
-		r.gEpoch.Set(int64(rec.Epoch))
 		if r.v != nil {
 			r.v.SetFenceEpoch(rec.Epoch)
 		}
 		if known != 0 {
-			r.opts.Logf("replica: leader epoch moved %d -> %d", known, rec.Epoch)
+			r.info("replica: leader epoch moved", slog.Uint64("from", known))
 		}
 	}
 	return true
@@ -542,7 +535,7 @@ func (r *Replica) resolveLeader() {
 	}
 	if bestURL != "" && bestURL != cur {
 		r.setLeaderURL(bestURL)
-		r.opts.Logf("replica: leader re-resolved to %s (epoch %d)", bestURL, bestEpoch)
+		r.info("replica: leader re-resolved", slog.Uint64("leader_epoch", bestEpoch))
 		if r.opts.OnLeaderChange != nil {
 			r.opts.OnLeaderChange(bestURL)
 		}
@@ -594,9 +587,17 @@ func (r *Replica) Promote() (uint64, error) {
 		return 0, err
 	}
 	r.epoch.Store(epoch)
-	r.gEpoch.Set(int64(epoch))
-	r.opts.Logf("replica: promoted to primary at epoch %d (version %d)", epoch, r.applied.Load())
+	r.info("replica: promoted to primary")
 	return epoch, nil
+}
+
+// info writes a lifecycle record stamped with the follower's applied
+// version, its epoch and the upstream it tails. Its records say
+// role=follower; after Promote the serving layer's records say primary.
+func (r *Replica) info(msg string, attrs ...slog.Attr) {
+	r.opts.Logger.LogAttrs(r.ctx, slog.LevelInfo, msg, append(attrs,
+		slog.Uint64("version", r.applied.Load()), slog.Uint64("epoch", r.Epoch()),
+		slog.String("leader", r.LeaderURL()), slog.String("role", "follower"))...)
 }
 
 // sleepCtx waits d or until ctx ends.

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"testing"
 	"time"
@@ -22,6 +23,19 @@ import (
 
 // fastRetry keeps test reconnect latency in the milliseconds.
 var fastRetry = client.RetryPolicy{MaxAttempts: 20, BaseDelay: 3 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+
+// testLogger writes every record, requests included, through t.Log, so a
+// failing test shows what the follower and its primary did.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, &slog.HandlerOptions{Level: slog.LevelDebug}))
+}
+
+type testWriter struct{ t testing.TB }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(string(bytes.TrimSuffix(p, []byte("\n"))))
+	return len(p), nil
+}
 
 func buildPrimaryViews(t *testing.T, opts ...ivm.Option) *ivm.Views {
 	t.Helper()
@@ -119,7 +133,7 @@ func TestReplicaBootstrapAndTail(t *testing.T) {
 	defer v.Shutdown()
 	srv := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
 
-	rep, err := Start(srv.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	rep, err := Start(srv.URL(), Options{Retry: fastRetry, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +212,7 @@ func crossEditOnResume(t *testing.T, v *ivm.Views, wantResets int64) {
 	}
 	defer proxy.Close()
 	patient := client.RetryPolicy{MaxAttempts: 1000, BaseDelay: 3 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
-	rep, err := Start(proxy.URL(), Options{Retry: patient, Logf: t.Logf})
+	rep, err := Start(proxy.URL(), Options{Retry: patient, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,13 +280,13 @@ func TestFollowerReshipsTheBytesItReceived(t *testing.T) {
 	v := buildPrimaryViews(t)
 	defer v.Shutdown()
 	srv := startServer(t, v, server.Options{ReplHeartbeat: 20 * time.Millisecond})
-	first, err := Start(srv.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	first, err := Start(srv.URL(), Options{Retry: fastRetry, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer first.Stop()
 	hop := startServer(t, first.Views(), server.Options{LeaderURL: srv.URL(), ReplHeartbeat: 20 * time.Millisecond})
-	second, err := Start(hop.URL(), Options{Retry: fastRetry, Logf: t.Logf})
+	second, err := Start(hop.URL(), Options{Retry: fastRetry, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

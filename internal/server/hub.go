@@ -46,32 +46,29 @@ type Hub struct {
 	// outside the history (a replica reset publishes no history entry).
 	published, skipThrough, unbridged uint64
 
-	gActive    *metrics.Gauge
-	cEvents    *metrics.Counter
-	cDelivered *metrics.Counter
-	cEvicted   *metrics.Counter
-	cResumes   *metrics.Counter
-	cResyncs   *metrics.Counter
+	gActive  *metrics.Gauge
+	cEvents  *metrics.Counter
+	cEvicted *metrics.Counter
+	cResumes *metrics.Counter
+	cResyncs *metrics.Counter
 }
 
 // NewHub builds a hub over v, registering its commit hook and starting
 // v's history, which bounds how far back a subscription resumes.
 // Backpressure counters land in reg: server_subscribers_active (gauge),
 // server_sub_events_total (commits encoded for subscribers),
-// server_sub_delivered_total (per-subscriber deliveries),
 // server_sub_evicted_total (slow consumers dropped),
 // server_sub_resumes_total (?from= reconnects replayed gaplessly), and
 // server_sub_resyncs_total (reconnects refused for having aged out).
 func NewHub(v *ivm.Views, reg *metrics.Registry) *Hub {
 	h := &Hub{
-		subs:       make(map[*Subscriber]struct{}),
-		hist:       v.History(),
-		gActive:    reg.Gauge("server_subscribers_active"),
-		cEvents:    reg.Counter("server_sub_events_total"),
-		cDelivered: reg.Counter("server_sub_delivered_total"),
-		cEvicted:   reg.Counter("server_sub_evicted_total"),
-		cResumes:   reg.Counter("server_sub_resumes_total"),
-		cResyncs:   reg.Counter("server_sub_resyncs_total"),
+		subs:     make(map[*Subscriber]struct{}),
+		hist:     v.History(),
+		gActive:  reg.Gauge("server_subscribers_active"),
+		cEvents:  reg.Counter("server_sub_events_total"),
+		cEvicted: reg.Counter("server_sub_evicted_total"),
+		cResumes: reg.Counter("server_sub_resumes_total"),
+		cResyncs: reg.Counter("server_sub_resyncs_total"),
 	}
 	// Commit hook before reading the history: a commit the history holds
 	// by then is in every backlog, and every later one is published.
@@ -258,7 +255,6 @@ func (h *Hub) publish(cs *ivm.ChangeSet) {
 		}
 		select {
 		case s.ch <- c:
-			h.cDelivered.Inc()
 		default:
 			// Full buffer: the consumer is slower than the commit rate.
 			// Evict it — a closed stream it can detect beats a silent gap.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -113,7 +114,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		rec.Epoch = s.v.FenceEpoch()
 		buf, err := storage.AppendReplRecord(nil, rec)
 		if err != nil {
-			s.opts.Logf("ivmd: replicate: encoding record v%d: %v", rec.Version, err)
+			s.Info("ivmd: replicate: encoding record", slog.Uint64("record", rec.Version), slog.Any("err", err))
 			return false
 		}
 		if _, err := w.Write(buf); err != nil {
@@ -133,7 +134,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		snap := s.v.Snapshot()
 		payload, err := snap.ReplicaState().AppendTo(nil)
 		if err != nil {
-			s.opts.Logf("ivmd: replicate: encoding state: %v", err)
+			s.Info("ivmd: replicate: encoding state", slog.Any("err", err))
 			return 0, false
 		}
 		ok := send(storage.ReplRecord{
@@ -167,7 +168,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err != nil {
-			s.opts.Logf("ivmd: replicate: WAL backfill after v%d: %v", cur, err)
+			s.Info("ivmd: replicate: WAL backfill", slog.Uint64("after", cur), slog.Any("err", err))
 		}
 		return sendState()
 	}

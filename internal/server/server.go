@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
@@ -65,9 +66,10 @@ type Options struct {
 	// ExtraMetrics are appended to the /v1/metrics exposition after the
 	// engine and server series — e.g. a follower's replica_* registry.
 	ExtraMetrics []*metrics.Registry
-	// Logf receives one line per lifecycle event and served request
-	// (nil = silent).
-	Logf func(format string, args ...any)
+	// Logger receives an Info record per lifecycle event, stamped with
+	// what /v1/info reports at that moment (version, epoch, leader,
+	// role), and a Debug record per served request (nil = silent).
+	Logger *slog.Logger
 }
 
 func (o *Options) withDefaults() Options {
@@ -93,8 +95,8 @@ func (o *Options) withDefaults() Options {
 	if out.MinVersionWait <= 0 {
 		out.MinVersionWait = 2 * time.Second
 	}
-	if out.Logf == nil {
-		out.Logf = func(string, ...any) {}
+	if out.Logger == nil {
+		out.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
 	return out
 }
@@ -214,12 +216,24 @@ func (s *Server) Start() error {
 	s.httpLn = ln
 	go func() {
 		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.opts.Logf("ivmd: http serve: %v", err)
+			s.Info("ivmd: http serve", slog.Any("err", err))
 		}
 	}()
 	s.sess.startSweeper()
-	s.opts.Logf("ivmd: serving HTTP on %s", ln.Addr())
+	s.Info("ivmd: serving HTTP", slog.String("addr", ln.Addr().String()),
+		slog.String("strategy", s.v.Strategy().String()), slog.String("semantics", semanticsName(s.v)),
+		slog.Int("rules", len(s.v.Program().Rules)))
 	return nil
+}
+
+// Info writes a lifecycle record stamped with what /v1/info reports at
+// this moment: the published version, the fencing epoch, the leader and
+// this node's role.
+func (s *Server) Info(msg string, attrs ...slog.Attr) {
+	role, leader := s.role()
+	s.opts.Logger.LogAttrs(context.Background(), slog.LevelInfo, msg, append(attrs,
+		slog.Uint64("version", s.v.Snapshot().Version()), slog.Uint64("epoch", s.v.FenceEpoch()),
+		slog.String("leader", leader), slog.String("role", role))...)
 }
 
 // Addr returns the bound HTTP address (valid after Start).
@@ -262,23 +276,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	s.mu.Unlock()
 	s.sess.stopSweeper()
-	s.opts.Logf("ivmd: shutdown: draining applies and forwards")
+	s.Info("ivmd: shutdown: draining applies and forwards")
 	waitCtx(ctx, &s.applyWG)
 	s.v.Drain()
-	s.opts.Logf("ivmd: shutdown: waiting for replication streams")
+	s.Info("ivmd: shutdown: waiting for replication streams")
 	s.waitReplStreams(ctx)
-	s.opts.Logf("ivmd: shutdown: closing subscriptions")
+	s.Info("ivmd: shutdown: closing subscriptions")
 	s.hub.CloseAll()
 	s.stopOnce.Do(func() { close(s.stop) })
-	s.opts.Logf("ivmd: shutdown: draining http")
+	s.Info("ivmd: shutdown: draining http")
 	err := s.http.Shutdown(ctx)
 	if s.opts.OwnViews {
-		s.opts.Logf("ivmd: shutdown: checkpointing store")
+		s.Info("ivmd: shutdown: checkpointing store")
 		if serr := s.v.Shutdown(); serr != nil && err == nil {
 			err = serr
 		}
 	}
-	s.opts.Logf("ivmd: shutdown complete")
+	s.Info("ivmd: shutdown complete")
 	return err
 }
 
@@ -338,7 +352,7 @@ func (s *Server) waitReplStreams(ctx context.Context) {
 	}
 }
 
-// logMiddleware counts and (when Logf is set) logs every request.
+// logMiddleware counts every request and logs it at Debug level.
 func (s *Server) logMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -350,7 +364,9 @@ func (s *Server) logMiddleware(next http.Handler) http.Handler {
 			s.cErrors.Inc()
 		}
 		s.hRequest.Observe(d)
-		s.opts.Logf("ivmd: %s %s -> %d (%s)", r.Method, r.URL.Path, lw.status, d)
+		s.opts.Logger.LogAttrs(r.Context(), slog.LevelDebug, "ivmd: request",
+			slog.String("method", r.Method), slog.String("path", r.URL.Path), slog.Int("status", lw.status),
+			slog.Duration("took", d), slog.String("key", r.Header.Get("Idempotency-Key")))
 	})
 }
 
@@ -419,6 +435,14 @@ func (s *Server) LeaderURL() string {
 // primary — promotion's serving-layer half.
 func (s *Server) SetLeaderURL(u string) {
 	s.leader.Store(u)
+}
+
+// role reports this node's role and its leader ("" on a primary).
+func (s *Server) role() (role, leader string) {
+	if leader = s.LeaderURL(); leader != "" {
+		return "follower", leader
+	}
+	return "primary", ""
 }
 
 // setLeaderHeader advertises the primary on responses a client should
@@ -672,12 +696,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Rules:     len(s.v.Program().Rules),
 		Version:   snap.Version(),
 		Preds:     snap.Preds(),
-		Role:      "primary",
 		Epoch:     s.v.FenceEpoch(),
 	}
-	if leader := s.LeaderURL(); leader != "" {
-		info.Role, info.LeaderURL = "follower", leader
-	}
+	info.Role, info.LeaderURL = s.role()
 	if dir, ok := s.v.Store(); ok {
 		info.StoreDir = dir
 	}
@@ -704,7 +725,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.SetLeaderURL("")
-	s.opts.Logf("ivmd: promoted to primary at epoch %d", epoch)
+	s.Info("ivmd: promoted to primary")
 	writeJSON(w, http.StatusOK, client.PromoteResult{Role: "primary", Epoch: epoch, Promoted: true})
 }
 

@@ -116,7 +116,6 @@ type Store struct {
 	// instruments; nil until AttachMetrics (nil instruments are no-ops).
 	mAppends, mAppendBytes, mFsyncs, mCheckpoints *metrics.Counter
 	hFsync, hCheckpoint                           *metrics.Histogram
-	gEpoch                                        *metrics.Gauge
 }
 
 func snapName(epoch uint64) string {
@@ -359,8 +358,7 @@ func (s *Store) Epoch() uint64 {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// AttachMetrics resolves the store's instruments against reg (nil-safe)
-// and publishes the recovery counters.
+// AttachMetrics resolves the store's instruments against reg (nil-safe).
 func (s *Store) AttachMetrics(reg *metrics.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -370,11 +368,6 @@ func (s *Store) AttachMetrics(reg *metrics.Registry) {
 	s.mCheckpoints = reg.Counter("storage_checkpoints_total")
 	s.hFsync = reg.Histogram("storage_wal_fsync")
 	s.hCheckpoint = reg.Histogram("storage_checkpoint")
-	s.gEpoch = reg.Gauge("storage_epoch")
-	reg.Counter("storage_recovery_replayed_total").Add(int64(s.info.Replayed))
-	reg.Counter("storage_recovery_skipped_stale_total").Add(int64(s.info.SkippedStale))
-	reg.Counter("storage_recovery_corrupt_records_total").Add(int64(s.info.CorruptRecords))
-	s.gEpoch.Set(int64(s.epoch))
 }
 
 // AppendVersionedAsync appends a format-1 (script) commit record and
@@ -470,7 +463,6 @@ func (s *Store) CheckpointAt(st State) error {
 	}
 	s.mCheckpoints.Inc()
 	s.hCheckpoint.Observe(time.Since(start))
-	s.gEpoch.Set(int64(s.epoch))
 	s.pruneLocked()
 	return nil
 }

@@ -277,7 +277,6 @@ type Views struct {
 	// Cached scheduler/snapshot instruments (nil-safe).
 	mBatches      *metrics.Counter
 	mBatchUpdates *metrics.Counter
-	mFallbacks    *metrics.Counter
 	mDedups       *metrics.Counter
 	mApplyWait    *metrics.Histogram
 	mIdemEntries  *metrics.Gauge
@@ -367,7 +366,6 @@ func newViews(cfg config, reg *metrics.Registry, eng *dred.Engine, programSrc st
 	v.comb = sched.New(v.processBatch)
 	v.mBatches = reg.Counter("sched_batches_total")
 	v.mBatchUpdates = reg.Counter("sched_batch_updates_total")
-	v.mFallbacks = reg.Counter("sched_coalesce_fallbacks_total")
 	v.mDedups = reg.Counter("sched_idem_dedup_total")
 	v.mIdemEntries = reg.Gauge("idem_window_entries")
 	v.mHistBytes = reg.Gauge("history_bytes")
@@ -651,7 +649,6 @@ func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGrou
 		// The merged net update did not validate as a whole; fall back to
 		// applying each caller's update individually so each gets exactly
 		// its own result or error.
-		v.mFallbacks.Inc()
 	}
 	return v.runSequentialLocked(admitted, next, base, cut)
 }
@@ -1076,8 +1073,9 @@ func (v *Views) hiddenLocked() []string {
 func (v *Views) Trace() *ApplyTrace { return v.cur.Load().trace }
 
 // Metrics returns an immutable snapshot of every metric the views'
-// engine has recorded: cumulative counters (counting_*, dred_*,
-// recompute_*, eval_*, sched_*), gauges, and duration histograms.
+// engine has recorded: cumulative counters (counting_*, dred_*, eval_*,
+// sched_*), gauges, and duration histograms (docs/SERVING.md lists
+// every series).
 // Counters are cumulative across the views' lifetime, unlike the
 // per-version Trace. The underlying instruments are
 // atomic, so the snapshot is race-free and lock-free.

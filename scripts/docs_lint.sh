@@ -10,7 +10,8 @@
 # internal/server/server.go registers (each of which docs/SERVING.md
 # names), and `With…(`/`Without…(` options, `IVM_…` variables and
 # backticked `…_total`/`…_seconds` series that non-test Go still defines,
-# reads or registers.
+# reads or registers; and docs/SERVING.md's metric table must name exactly
+# the series non-test Go registers.
 set -eu
 
 README_BUDGET="${README_BUDGET:-250}"
@@ -120,6 +121,24 @@ for f in README.md DESIGN.md docs/*.md; do
         fi
     done
 done
+# docs/SERVING.md's metric table is the reference, one row per series by
+# full name: it must name every series non-test Go outside benchmark/
+# registers (a literal handed to .Counter, .Gauge or .Histogram), and no
+# series that nothing registers.
+registered="$(grep -ohE '\.(Counter|Gauge|Histogram)\("[a-z0-9_]+"\)' $GO_CORE | sed -E 's/.*\("//; s/"\)$//' | sort -u)"
+tabled="$(sed -n 's/^| `\([a-z0-9_]*\)` |.*/\1/p' docs/SERVING.md | sort -u)"
+for series in $registered; do
+    if ! echo "$tabled" | grep -qx -- "$series"; then
+        echo "docs/SERVING.md's metric table lacks $series, which non-test Go outside benchmark/ registers" >&2
+        FAILED=1
+    fi
+done
+for series in $tabled; do
+    if ! echo "$registered" | grep -qx -- "$series"; then
+        echo "docs/SERVING.md's metric table names $series, which no non-test Go outside benchmark/ registers" >&2
+        FAILED=1
+    fi
+done
 # A route the docs name must be a pattern the server registers, and
 # docs/SERVING.md must name every one. Routes read METHOD:/path; a
 # `/v1/a|b|c` alternation names a, b and c, and a query string is no part
@@ -147,4 +166,4 @@ done
 if [ "$FAILED" -ne 0 ]; then
     exit 1
 fi
-echo "docs lint OK (links resolve; flags, make targets, routes, options, variables and series exist)"
+echo "docs lint OK (links resolve; flags, make targets, routes, options, variables and series exist; the metric table names every registered series)"

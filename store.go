@@ -142,7 +142,6 @@ func (v *Views) bindStoreLocked(st *storage.Store, initialized bool) (err error)
 		}
 	}
 	v.fence.Store(fence)
-	v.reg.Gauge("fence_epoch").Set(int64(fence))
 	return nil
 }
 
@@ -211,7 +210,6 @@ func (v *Views) SetFenceEpoch(e uint64) error {
 		swapped := v.fence.CompareAndSwap(cur, e)
 		v.wmu.Unlock()
 		if swapped {
-			v.reg.Gauge("fence_epoch").Set(int64(e))
 			return nil
 		}
 	}
