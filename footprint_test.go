@@ -2,6 +2,7 @@ package ivm_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -118,4 +119,139 @@ func TestOldBaseIsCollected(t *testing.T) {
 		}
 	}
 	t.Fatal("the first base of hop is still reachable two rebases later")
+}
+
+// TestApplyWorkIsFlatInDatabaseSize is Theorem 4.1's cost law over the
+// public API: an apply's work is a function of its Δ, not of |DB|. Each
+// rung of a ladder holds n nodes and 4n random links under hop and a
+// groupby count over it, and takes 4 000 single-link applies, each
+// inserting a new link or deleting a stored one. The test reads counts
+// only. Join probes, Δ rows and objects per apply must not grow with n,
+// and the version rows publication copies per row it links must stay
+// within copiedPerLogDB·log₂|DB| (|DB| the links). MIN and MAX are the one
+// exception to the law: deleting a group's extremum rescans the group
+// (ROADMAP item 2), so the ladder aggregates by count.
+func TestApplyWorkIsFlatInDatabaseSize(t *testing.T) {
+	// Measured 0.335 at the smallest rung (copied ÷ linked 4.0, 4.3 and 5.0
+	// up the ladder), + 10 %. A compaction that re-copied every pending
+	// row read 10.4, 31.5 and 37.9.
+	const copiedPerLogDB = 0.37
+	const applies = 4000
+	var first [3]float64 // probes, Δ rows and objects per apply at the first rung
+	for _, n := range []int{1000, 4000, 16000} {
+		rng := rand.New(rand.NewSource(1))
+		db := ivm.NewDatabase()
+		var live []value.Tuple
+		has := make(map[string]bool)
+		workload.RandomGraph(rng, n, 4*n).Each(func(row relation.Row) {
+			db.InsertTuple("link", row.Tuple, 1)
+			live, has[row.Key()] = append(live, row.Tuple), true
+		})
+		v, err := db.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).\n" +
+			"deg(X,C) :- groupby(hop(X,Y), [X], C = count(Y)).\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		m0, objects0 := v.Metrics(), ms.Mallocs
+		linked0, copied0 := relation.VersionRows()
+		delta := 0
+		for i := 0; i < applies; i++ {
+			u := ivm.NewUpdate()
+			if i%2 == 0 {
+				tu := live[0]
+				for has[tu.Key()] {
+					tu = value.Tuple{value.NewString(fmt.Sprintf("n%d", rng.Intn(n))), value.NewString(fmt.Sprintf("n%d", rng.Intn(n)))}
+				}
+				u.InsertTuple("link", tu, 1)
+				live, has[tu.Key()] = append(live, tu), true
+			} else {
+				j := rng.Intn(len(live))
+				u.InsertTuple("link", live[j], -1)
+				delete(has, live[j].Key())
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			if _, err := v.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+			delta += v.Trace().Stats.DeltaTuples
+		}
+		runtime.ReadMemStats(&ms)
+		linked, copied := relation.VersionRows()
+		got := [3]float64{
+			float64(v.Metrics().Counter("eval_join_probes_total")-m0.Counter("eval_join_probes_total")) / applies,
+			float64(delta) / applies,
+			float64(ms.Mallocs-objects0) / applies,
+		}
+		ratio, bound := float64(copied-copied0)/float64(linked-linked0), copiedPerLogDB*math.Log2(float64(4*n))
+		t.Logf("n = %d: %.2f probes, %.2f Δ rows, %.1f objects per apply; %.2f version rows copied per row linked (bound %.2f)", n, got[0], got[1], got[2], ratio, bound)
+		if ratio > bound {
+			t.Errorf("n = %d: publication copied %.2f version rows per row it linked, more than %.2f·log₂|DB| = %.2f: does compaction re-copy every pending row?", n, ratio, copiedPerLogDB, bound)
+		}
+		if n == 1000 {
+			first = got
+			continue
+		}
+		for i, what := range []string{"join probes", "Δ rows", "objects"} {
+			if got[i] > 1.1*first[i] {
+				t.Errorf("n = %d: %.2f %s per apply, %.2f at n = 1000: the work grew with |DB|", n, got[i], what, first[i])
+			}
+		}
+	}
+}
+
+// TestFollowerFoldByteCeiling folds replica_follow's stream in small
+// (slidingLinks: 8 links out and 8 in per apply, under hop, tri_hop and a
+// groupby count) on a follower under set semantics, and pins the bytes a
+// fold allocates. A set view's change set is the record's Δ itself where
+// each row flips by its own count, else one Pick of it made to size.
+func TestFollowerFoldByteCeiling(t *testing.T) {
+	const warm, folds = 32, 64
+	// ~10 % above the bytes a fold allocates (measured 64 242; 94 598 when
+	// each change set grew row by row from an empty table).
+	const ceiling = 70700
+	gen := newSlidingLinks()
+	db := ivm.NewDatabase()
+	for _, tu := range gen.live {
+		db.InsertTuple("link", tu, 1)
+	}
+	primary, err := db.Materialize(hopDegProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := primary.History()
+	snap := primary.Snapshot()
+	follower, err := ivm.ViewsFromReplicaState(snap.ReplicaState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.SeedVersion(snap.Version())
+	recs := make([]ivm.CommitRecord, warm+folds)
+	for i := range recs {
+		cs, err := primary.Apply(gen.next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, _ := h.At(cs.Version())
+		recs[i] = ev.CommitRecord
+	}
+	var ms runtime.MemStats
+	var before uint64
+	for i, rec := range recs {
+		if i == warm {
+			runtime.ReadMemStats(&ms)
+			before = ms.TotalAlloc
+		}
+		if _, err := follower.ApplyCommitRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	bytes := (ms.TotalAlloc - before) / folds
+	t.Logf("a fold allocates %d bytes (ceiling %d)", bytes, ceiling)
+	if bytes > ceiling {
+		t.Fatalf("a fold allocates %d bytes, ceiling %d: is a set view's change set still the record's Δ, or one Pick of it made to size?", bytes, ceiling)
+	}
 }

@@ -43,7 +43,7 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 			if old+row.Count < 0 {
 				return fmt.Errorf("counting: internal error: count of %s%s would become negative (Theorem 4.1 violated)", pred, row.Tuple)
 			}
-			olds[i] = flip(row, old)
+			olds[i] = Flip(row, old)
 			own = own && olds[i] == row.Count
 		}
 		// One frozen copy, made to size, is what the commit's readers see.
@@ -200,13 +200,14 @@ func (e *Engine) deltaNegation(q string, dq *relation.Relation) *relation.Relati
 		if image {
 			old = min(max(old, 0), 1)
 		}
-		return -flip(row, old)
+		return -Flip(row, old)
 	})
 }
 
-// flip is statement (2) for one row of a Δ: +1 where merging it into old
+// Flip is statement (2) for one row of a Δ: +1 where merging it into old
 // brings its tuple into the set image, −1 where it takes it out, else 0.
-func flip(row relation.Row, old int64) int64 {
+// A follower reads a set view's change set off a record by it too.
+func Flip(row relation.Row, old int64) int64 {
 	switch now := old + row.Count; {
 	case old <= 0 && now > 0:
 		return 1

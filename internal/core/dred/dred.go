@@ -560,7 +560,7 @@ func (e *Engine) seed(rule datalog.Rule, sign int64) (map[string]*relation.Relat
 	case sign < 0 && !e.prog.DerivedPreds()[head]:
 		d = stored.Relation().Negate()
 		if o.commit[head] = d; e.sem == eval.Set {
-			d = e.pick(stored, d, flip)
+			d = e.pick(stored, d, Flip)
 		}
 		if !d.Empty() {
 			o.cascade[head] = d
@@ -723,7 +723,7 @@ func (e *Engine) reevaluate(o *op, prev *datalog.Program) (map[string]*relation.
 		d := relation.Diff(stored, now.Relation()) // never published: the table itself
 		o.commit[pred] = d
 		if e.sem == eval.Set {
-			d = e.pick(stored, d, flip)
+			d = e.pick(stored, d, Flip)
 		}
 		if derived[pred] && !d.Empty() {
 			o.cascade[pred] = d

@@ -250,8 +250,8 @@ var indexesBuilt atomic.Int64
 func IndexesBuilt() int64 { return indexesBuilt.Load() }
 
 // rowsLinked counts the delta rows Push has put on version chains,
-// rowsCopied the rows compaction and flattening have written into a new
-// table; copied ÷ linked is the publish amplification.
+// rowsCopied the rows compaction, rebasing and flattening have written
+// into a new table; copied ÷ linked is the publish amplification.
 var rowsLinked, rowsCopied atomic.Int64
 
 // rowProbes counts the Δ rows a Stored has been probed for by the key
@@ -259,5 +259,5 @@ var rowsLinked, rowsCopied atomic.Int64
 var rowProbes atomic.Int64
 
 // VersionRows returns the cumulative rows linked by Push and rows copied
-// by compaction or flattening, across all versions in the process.
+// by compaction, rebasing or flattening, across all versions in the process.
 func VersionRows() (linked, copied int64) { return rowsLinked.Load(), rowsCopied.Load() }

@@ -11,17 +11,20 @@ import "sync/atomic"
 //
 // Push derives the successor version in O(|delta|) by stacking one more
 // overlay link; probes (Count/Has/Lookup) then pay one table probe per
-// link. A push that would reach maxChainDepth compacts: the links above
-// the base are folded into one frozen run, O(pending rows), and the base
-// is shared as it is. A pending row is therefore re-copied at most once
-// per maxChainDepth-1 pushes, and delete/re-insert pairs cancel out of the
-// run. The base is the one its writer last made (Stored.Publish), which
-// starts the next chain over it: a version never copies its base.
+// link. A push that would reach maxChainDepth compacts by size tiers: the
+// two newest links, and each older one no larger than twice what is folded
+// so far, are folded into one frozen run; older runs stay links, and the
+// base is shared as it is. Run sizes stay geometric, so a pending row is
+// re-copied O(log(pend/|delta|)) times before its writer rebases, and
+// delete/re-insert pairs cancel out of the run. The base is the one its
+// writer last made (Stored.Publish), which starts the next chain over it:
+// a version never copies its base.
 type Versioned struct {
 	rd     Reader      // base itself, or the overlay chain base ⊎ deltas...
 	base   *Relation   // the frozen flat relation at the bottom of the chain
 	deltas []*Relation // frozen links above base, oldest first (never written after Push)
 	pend   int         // delta rows accumulated above base
+	copied int         // rows the push that made this version compacted
 
 	// flat caches the fully materialized (frozen) form, built lazily by
 	// Flat. Concurrent builders may race to store it; every candidate has
@@ -32,7 +35,7 @@ type Versioned struct {
 const (
 	// maxChainDepth bounds per-probe overhead: a reader pays at most
 	// this many table probes per Count/Has. A chain that would reach it is
-	// compacted to base ⊎ one run; the base is not copied.
+	// compacted by size tiers (compact); the base is not copied.
 	maxChainDepth = 32
 	// minFlattenRows keeps small relations from rebasing on every merge:
 	// below this many net rows a Stored is never rebased.
@@ -78,22 +81,34 @@ func (v *Versioned) Push(delta *Relation) *Versioned {
 	return nv
 }
 
-// compact folds the links above the base into one frozen run and returns
-// base ⊎ run: the same content at depth 1 (depth 0 if everything pending
-// cancelled), for O(pending rows) and without touching the base.
+// compact folds the two newest links, and then each older link no larger
+// than twice the rows folded so far, into one frozen run: the same content
+// at a smaller depth (a run that cancels out is dropped), for O(rows
+// folded) and without touching the older links or the base.
 func (v *Versioned) compact() *Versioned {
-	// Made for every pending row, so that the merges never grow it.
-	first := v.deltas[0]
-	run := &Relation{arity: first.arity, rows: first.rows.clone(v.pend)}
-	for _, d := range v.deltas[1:] {
+	k, folded := len(v.deltas)-2, v.deltas[len(v.deltas)-2].Len()+v.deltas[len(v.deltas)-1].Len()
+	for k > 0 && v.deltas[k-1].Len() <= 2*folded {
+		k--
+		folded += v.deltas[k].Len()
+	}
+	// Made for every folded row, so that the merges never grow it.
+	run := &Relation{arity: v.deltas[k].arity, rows: v.deltas[k].rows.clone(folded)}
+	for _, d := range v.deltas[k+1:] {
 		run.MergeDelta(d)
 	}
-	rowsCopied.Add(int64(v.pend))
+	rowsCopied.Add(int64(folded))
 	run.Freeze()
-	if run.Empty() {
-		return NewVersioned(v.base)
+	nv := &Versioned{rd: v.base, base: v.base, deltas: v.deltas[:k:k], pend: v.pend - folded + run.Len(), copied: folded}
+	if !run.Empty() {
+		nv.deltas = append(nv.deltas, run)
 	}
-	return &Versioned{rd: Overlay(v.base, run), base: v.base, deltas: []*Relation{run}, pend: run.Len()}
+	for _, d := range nv.deltas {
+		nv.rd = Overlay(nv.rd, d)
+	}
+	if len(nv.deltas) == 0 {
+		nv.flat.Store(v.base)
+	}
+	return nv
 }
 
 // materialize collapses the chain into a single frozen relation, a copy
@@ -131,6 +146,10 @@ func (v *Versioned) Flat() *Relation {
 	v.flat.Store(f)
 	return f
 }
+
+// Copied reports the rows the push that made v copied to compact its
+// chain (0 if it did not compact).
+func (v *Versioned) Copied() int { return v.copied }
 
 // Depth reports the current overlay-chain depth (0 when flat) — an
 // observability hook for tests and metrics.

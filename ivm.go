@@ -237,6 +237,7 @@ type Views struct {
 	cfg        config
 	strategy   Strategy // what maintains the program (regime); wmu, versions carry a copy
 	programSrc string   // authoritative copy (wmu); versions carry a race-free copy
+	copied     int      // rows the pushes since the last version was made compacted (wmu)
 	// hidden marks internal auxiliary predicates (e.g. the GROUP BY join
 	// helpers the SQL front end generates) that are filtered out of
 	// user-facing change sets. Written only before concurrent use.
@@ -901,11 +902,13 @@ func (v *Views) changeSetLocked(per map[string]*relation.Relation) *ChangeSet {
 
 // pushDeltasLocked folds a commit's deltas — already merged into the
 // engine's storage — onto the in-progress version map: each links onto
-// its predicate's version, unless the engine has a new base for it.
+// its predicate's version, unless the engine has a new base for it. The
+// rows a link's compaction copied go on the next version's trace.
 func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map[string]*relation.Relation) {
 	for pred, d := range deltas {
 		if st := v.eng.Stored(pred); st != nil {
 			next[pred] = st.Publish(next[pred], d)
+			v.copied += next[pred].Copied()
 		}
 	}
 }
@@ -984,20 +987,22 @@ type CommitEvent struct {
 // carries its commit's. It is shared; do not modify it. It holds the
 // version, the idempotency keys covered, what maintains the program, the
 // engine's work counters and a record of each stratum maintained (neither
-// for a folded commit record), the longest a covered request waited for
+// for a folded commit record), the rows its publish copied to compact
+// version chains, the longest a covered request waited for
 // the maintainer to take its batch, the WAL append and the wait for it to
 // be durable (the batch's fsync, for its first commit; zero without a
 // store), and when it was published.
 type ApplyTrace struct {
-	Version   uint64              `json:"version"`
-	Keys      []string            `json:"keys,omitempty"`
-	Strategy  Strategy            `json:"strategy"`
-	Stats     dred.Stats          `json:"stats"`
-	Wait      time.Duration       `json:"wait_ns"`
-	Strata    []dred.StratumTrace `json:"strata,omitempty"`
-	WALAppend time.Duration       `json:"wal_append_ns"`
-	FsyncWait time.Duration       `json:"fsync_wait_ns"`
-	Published time.Time           `json:"published"`
+	Version    uint64              `json:"version"`
+	Keys       []string            `json:"keys,omitempty"`
+	Strategy   Strategy            `json:"strategy"`
+	Stats      dred.Stats          `json:"stats"`
+	Wait       time.Duration       `json:"wait_ns"`
+	Strata     []dred.StratumTrace `json:"strata,omitempty"`
+	RowsCopied int                 `json:"rows_copied"`
+	WALAppend  time.Duration       `json:"wal_append_ns"`
+	FsyncWait  time.Duration       `json:"fsync_wait_ns"`
+	Published  time.Time           `json:"published"`
 }
 
 // notify fires the OnChange and OnCommit handlers for a change set.

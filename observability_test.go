@@ -360,3 +360,43 @@ func TestHiddenOnlyChangesYieldEmptyChangeSet(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceNamesTheCommitThatCompacted: a version's trace carries the rows
+// its publish copied to compact version chains, on the primary and on a
+// follower folding its records. Over a base too large to rebase, 32
+// one-link applies that derive nothing deepen link's chain by one link
+// each: the 32nd commit alone compacts, folding the 32 one-row links.
+func TestTraceNamesTheCommitThatCompacted(t *testing.T) {
+	db := ivm.NewDatabase()
+	for i := 0; i < 2000; i++ {
+		db.Insert("link", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+	}
+	primary, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := primary.History()
+	snap := primary.Snapshot()
+	follower, err := ivm.ViewsFromReplicaState(snap.ReplicaState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.SeedVersion(snap.Version())
+	for i := 1; i <= 32; i++ {
+		cs, err := primary.ApplyScript(fmt.Sprintf("+link(c%d, d%d).", i, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, _ := h.At(cs.Version())
+		if _, err := follower.ApplyCommitRecord(ev.CommitRecord); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if i == 32 {
+			want = 32
+		}
+		if p, f := primary.Trace().RowsCopied, follower.Trace().RowsCopied; p != want || f != want {
+			t.Fatalf("apply %d: the primary's trace copied %d rows and the follower's %d, want %d", i, p, f, want)
+		}
+	}
+}

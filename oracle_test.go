@@ -1,11 +1,12 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
-// views must refuse. After every operation the views must hold the rows
+// views must refuse; every eighth seed ends it with one large apply and
+// 32 small ones (tiers). After every operation the views must hold the rows
 // and counts the reference interpreter (reference_test.go, which shares no
 // engine code) evaluates over the model's base and rules, and each
 // ChangeSet and commit record must be the diff of consecutive evaluations,
@@ -31,7 +32,9 @@ package ivm_test
 // index keeping a key after its commit left the history [3]; the history
 // holding a hollow ChangeSet for a commit it has not shed [1]; counting
 // cascading its Δ(head) copy as it is where a row flips the set image by
-// ±1 but moves its count by ±2 [4].
+// ±1 but moves its count by ±2 [4]; a follower sharing a record's Δ as a
+// set view's change set where the same holds [4]; a compaction leaving a
+// run it keeps out of the rebuilt version chain [7].
 
 import (
 	"cmp"
@@ -157,7 +160,7 @@ var oracleAxes = strings.Fields(`family:join family:negation family:arithmetic f
 	refused:materialize promoted reopened foreign-records coalesced same-key retry:dedup retry:evicted
 	empty-key refused-key edits>10 edit:emptied edit:arity-reset rejected:absent rejected:arity rejected:string
 	rejected:long-key rejected:non-finite rejected:unsafe-rule rejected:rule-arity rejected:edit-seed
-	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal`)
+	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal tiers`)
 
 func TestOracle(t *testing.T) {
 	cov := make(map[string]int)
@@ -1384,7 +1387,27 @@ func (r *oracleRun) run() {
 	if r.edits > 10 {
 		r.hit("edits>10")
 	}
+	if r.seed%8 == 7 {
+		r.tiers()
+	}
 	r.finish()
+}
+
+// tiers is one apply of 80 fresh tuples of one base predicate and then 32
+// applies that each delete one of them, with no rebase between: the
+// version chain compacts by size tiers and keeps the large run as a link
+// below the small ones it folds (DESIGN.md §10).
+func (r *oracleRun) tiers() {
+	pred := r.basePred[0]
+	big := &oracleOp{what: "tiers"}
+	for range 80 {
+		big.ch = append(big.ch, oracleChange{pred, r.fresh(pred), 1})
+	}
+	r.do(false, big)
+	for _, c := range big.ch[:32] {
+		r.do(false, &oracleOp{what: "tiers", ch: []oracleChange{{pred, c.t, -1}}})
+	}
+	r.hit("tiers")
 }
 
 // draws is n changes: deletions of stored tuples and

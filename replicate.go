@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"ivm/internal/core/dred"
 	"ivm/internal/parser"
 	"ivm/internal/relation"
 )
@@ -44,8 +45,10 @@ func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned
 // merges them into the engine's storage. No script is parsed, no rule
 // evaluated: one keyed lookup and one merge per delta row. It also derives
 // the commit's visible change set, which the record does not carry: per
-// derived, non-hidden predicate the delta itself, or under set semantics
-// the rows whose presence flips. A rule edit's record installs the program it carries,
+// derived, non-hidden predicate the frozen delta itself, or under set
+// semantics the rows whose presence flips (dred.Flip, read off the count
+// the lookup fetched) — the delta again where each row flips by its own
+// count, else one Pick of it made to size. A rule edit's record installs the program it carries,
 // under which its change set is read — a predicate the edit stops deriving
 // is reported as the primary reported it — and then folds its Δ. Its
 // stamp is checked against what maintains the program it installs.
@@ -77,7 +80,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 		return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Engine: engineString(by), Have: engineString(v.cfg.stamp(strategy))}
 	}
 	derived := prog.DerivedPreds()
-	flips := v.cfg.semantics == SetSemantics
+	set := v.cfg.semantics == SetSemantics
 	deltas := make(map[string]*relation.Relation)
 	cs := &ChangeSet{perPred: make(map[string]*relation.Relation)}
 	rows := 0
@@ -97,14 +100,12 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 			return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred}
 		}
 		d := relation.NewSized(arity, nrows)
-		var visible *relation.Relation // nil: base or hidden, not reported
-		switch {
-		case !derived[pred] || v.hidden[pred]:
-		case flips:
-			visible = relation.New(arity)
-		default:
-			visible = d
+		report := derived[pred] && !v.hidden[pred]
+		var flips []int8 // each row's statement (2) flip, for a reported set view
+		if report && set {
+			flips = make([]int8, nrows)
 		}
+		own := true
 		for i := 0; i < nrows; i++ {
 			count, key, err := rd.Row()
 			if err != nil {
@@ -116,13 +117,14 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 					return nil, nil, fmt.Errorf("ivm: commit record %d: %s row: %w", rec.Version, pred, err)
 				}
 			}
-			was, now := row.Count, row.Count+count
-			if now < 0 {
+			if row.Count+count < 0 {
 				return nil, nil, &DivergenceError{Version: rec.Version, At: rec.Version - 1, Pred: pred, Tuple: row.Tuple}
 			}
-			d.AddRow(row.WithCount(count))
-			if visible != nil && visible != d && (was > 0) != (now > 0) {
-				visible.AddRow(row.WithCount(min(1, max(-1, count))))
+			dr := row.WithCount(count)
+			d.AddRow(dr)
+			if flips != nil {
+				f := dred.Flip(dr, row.Count)
+				flips[i], own = int8(f), own && f == count
 			}
 		}
 		if _, dup := deltas[pred]; dup || d.Len() != nrows {
@@ -131,7 +133,13 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 		d.Freeze()
 		deltas[pred] = d
 		rows += nrows
-		if visible != nil && !visible.Empty() {
+		// The change set is Δ itself, under set semantics too when each
+		// row flips by its own count; else the rows that flip, made to size.
+		visible := d
+		if !own {
+			visible = d.Pick(func(p int, _ int64) int64 { return int64(flips[p]) })
+		}
+		if report && !visible.Empty() {
 			cs.perPred[pred] = visible
 		}
 	}
