@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ivm"
 )
@@ -489,7 +490,7 @@ func TestRuleEditResetsAnEmptiedRelationsArity(t *testing.T) {
 			v.OnCommit(func(cs *ivm.ChangeSet) {
 				ev, _ := h.At(cs.Version())
 				var err error
-				if folded, err = follower.ApplyCommitRecord(ev.CommitRecord); err != nil {
+				if folded, err = follower.ApplyCommitRecord(ev.CommitRecord, ev.Trace.Published); err != nil {
 					t.Errorf("folding record %d: %v", cs.Version(), err)
 				}
 			})
@@ -543,7 +544,7 @@ func TestRuleEditResetsAnEmptiedRelationsArity(t *testing.T) {
 				}
 			}
 			var div *ivm.DivergenceError
-			if _, err := follower.ApplyCommitRecord(newestRecord(stranger)); !errors.As(err, &div) || div.Pred != "w" {
+			if _, err := follower.ApplyCommitRecord(newestRecord(stranger), time.Time{}); !errors.As(err, &div) || div.Pred != "w" {
 				t.Fatalf("folding another state's edit record: %v", err)
 			}
 			if len(follower.Program().Rules) != 3 || !sameRows(v.Rows("w"), follower.Rows("w"), true) {
@@ -590,18 +591,18 @@ func TestRecordStampNamesTheStrataAlgorithms(t *testing.T) {
 		t.Fatalf("auto views of a mixed program: %v, pair = %v", auto.Strategy(), auto.Rows("pair"))
 	}
 	var div *ivm.DivergenceError
-	if _, err := auto.ApplyCommitRecord(rec); !errors.As(err, &div) || div.Engine != "dred/set" || div.Have != "auto/set" {
+	if _, err := auto.ApplyCommitRecord(rec, time.Time{}); !errors.As(err, &div) || div.Engine != "dred/set" || div.Have != "auto/set" {
 		t.Fatalf("folding a DRed record into auto views: %v", err)
 	}
 	if auto.Snapshot().Version() != 1 || auto.Count("pair", "a", "d") != 2 {
 		t.Fatalf("the refused record moved the views: version %d, pair = %v", auto.Snapshot().Version(), auto.Rows("pair"))
 	}
-	if _, err := auto.ApplyCommitRecord(cut(build(mixed))); err != nil || auto.Has("tc", "b", "c") {
+	if _, err := auto.ApplyCommitRecord(cut(build(mixed)), time.Time{}); err != nil || auto.Has("tc", "b", "c") {
 		t.Fatalf("folding an auto record: %v, tc = %v", err, auto.Rows("tc"))
 	}
 	hop := `hop(X,Y) :- link(X,Z), link(Z,Y).`
 	counting := build(hop, ivm.WithStrategy(ivm.Counting))
-	if _, err := counting.ApplyCommitRecord(cut(build(hop))); err != nil || counting.Has("hop", "a", "c") {
+	if _, err := counting.ApplyCommitRecord(cut(build(hop)), time.Time{}); err != nil || counting.Has("hop", "a", "c") {
 		t.Fatalf("folding an auto record of a nonrecursive program into counting views: %v, hop = %v", err, counting.Rows("hop"))
 	}
 	// An edit record is stamped with what maintains the program it
@@ -621,7 +622,7 @@ func TestRecordStampNamesTheStrataAlgorithms(t *testing.T) {
 		{"", nil},
 	} {
 		v := build(hop, c.opts...)
-		_, err := v.ApplyCommitRecord(rec)
+		_, err := v.ApplyCommitRecord(rec, time.Time{})
 		if c.have == "" {
 			if err != nil || v.Strategy() != ivm.DRed || !sameRows(primary.Rows("hop"), v.Rows("hop"), true) {
 				t.Fatalf("folding the edit into auto views: %v, %v, hop = %v", err, v.Strategy(), v.Rows("hop"))

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ivm"
 	"ivm/internal/core/counting"
@@ -419,7 +420,7 @@ func BenchmarkApplyCommitRecord(b *testing.B) {
 					b.StartTimer()
 				}
 				if mode == "fold" {
-					_, err = follower.ApplyCommitRecord(recs[i%chunk])
+					_, err = follower.ApplyCommitRecord(recs[i%chunk], time.Time{})
 				} else {
 					_, err = follower.ApplyScriptReplicated(scripts[i%chunk], nil)
 				}

@@ -244,7 +244,7 @@ func TestFollowerFoldByteCeiling(t *testing.T) {
 			runtime.ReadMemStats(&ms)
 			before = ms.TotalAlloc
 		}
-		if _, err := follower.ApplyCommitRecord(rec); err != nil {
+		if _, err := follower.ApplyCommitRecord(rec, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}

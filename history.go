@@ -4,9 +4,7 @@ import (
 	"reflect"
 
 	"ivm/internal/core/dred"
-	"ivm/internal/relation"
 	"ivm/internal/sched"
-	"ivm/internal/value"
 )
 
 // The history (DESIGN.md §13) is the views' one window of recent commits:
@@ -93,33 +91,23 @@ func (v *Views) forget(e sched.WindowEntry[CommitEvent]) {
 }
 
 // commitBytes is what a history entry holds of its record, trace and
-// ChangeSet.
+// ChangeSet: the ChangeSet itself, its map (a header and Go's smallest
+// group of slots) and what its Δ relations hold beside the stored rows
+// they borrow (relation.Relation.Held), unsorted: only a subscriber's
+// delivery sorts it (E50).
 func commitBytes(ev CommitEvent) int {
 	n := len(ev.Payload)
 	if ev.Trace != nil {
 		n += int(reflect.TypeFor[ApplyTrace]().Size()) + len(ev.Trace.Strata)*int(reflect.TypeFor[dred.StratumTrace]().Size())
 	}
 	if ev.Changes != nil {
-		n += changeSetBytes
+		n += int(reflect.TypeFor[ChangeSet]().Size()) + 256
 		for _, rel := range ev.Changes.perPred {
-			n += relationBytes + rel.Len()*(changedRowBytes+rel.Arity()*valueBytes)
-			rel.Each(func(row Row) { n += len(row.Key()) })
+			n += rel.Held()
 		}
 	}
 	return n
 }
-
-// What a ChangeSet costs (DESIGN.md §4 "What a row costs"; EXPERIMENTS.md
-// E46 measures a one-row ChangeSet at 586 bytes): itself and its map of
-// predicates, a header and Go's smallest group of slots; per predicate a
-// relation header; per changed row a cell with its two slots, its tuple's
-// values, its key and the Row a reader's sorted split makes of it.
-var (
-	changeSetBytes  = int(reflect.TypeFor[ChangeSet]().Size()) + 256
-	relationBytes   = int(reflect.TypeFor[relation.Relation]().Size())
-	changedRowBytes = 40 + int(reflect.TypeFor[Row]().Size())
-	valueBytes      = int(reflect.TypeFor[value.Value]().Size())
-)
 
 // shedCommit is ev less its payload, trace and ChangeSet: its version and
 // keys.

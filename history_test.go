@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -169,16 +170,8 @@ func TestHistoryCountsChangeSets(t *testing.T) {
 		return cs
 	}
 	cs := into("one", 4)
-	ev, _ := h.At(cs.Version())
-	if ev.Changes != cs {
+	if ev, _ := h.At(cs.Version()); ev.Changes != cs {
 		t.Fatalf("version %d's entry holds ChangeSet %v, its Apply returned %v", cs.Version(), ev.Changes, cs)
-	}
-	floor := 416
-	for _, row := range cs.Inserted("hop") {
-		floor += 40 + 64 + len(row.Key()) + 48
-	}
-	if got := commitBytes(ev) - commitBytes(CommitEvent{CommitRecord: ev.CommitRecord, Trace: ev.Trace}); got < floor {
-		t.Fatalf("4 changed rows are counted at %d bytes, under the %d they cost", got, floor)
 	}
 	held := func() (used, shed int) {
 		lo, hi, _ := h.Bounds()
@@ -203,6 +196,52 @@ func TestHistoryCountsChangeSets(t *testing.T) {
 	into("huge", 100)
 	if used, shed := held(); used <= n*historyRecordBytes || shed != n-1 || v.Metrics().Gauge("history_bytes") != int64(used) {
 		t.Fatalf("after a 100-row commit the history holds %d bytes with %d entries shed; want the newest alone, over the budget", used, shed)
+	}
+}
+
+// TestHistoryCountsWhatAChangeSetHolds holds the history's count of a
+// ChangeSet to the heap it keeps alive: ChangeSets of n new hop rows each,
+// held and then dropped with the views kept, after a commit that rebases
+// hop so that no version still links their Δ relations. Their rows' keys
+// and tuples are the stored relation's, so a ChangeSet holds its header,
+// map, relation header and cells.
+func TestHistoryCountsWhatAChangeSetHolds(t *testing.T) {
+	for _, tc := range []struct{ rows, commits int }{{1, 2000}, {400, 40}} {
+		v := historyViews(t, 8)
+		apply := func(tag string, rows int) *ChangeSet {
+			u := NewUpdate()
+			for i := 0; i < rows; i++ {
+				u.Insert("link", fmt.Sprintf("%s_%d", tag, i), "a") // hop(tag_i, b)
+			}
+			cs, err := v.Apply(u)
+			if err != nil || cs.Empty() {
+				t.Fatalf("%s: %v, %v", tag, cs, err)
+			}
+			return cs
+		}
+		held, counted := make([]*ChangeSet, tc.commits), 0
+		for i := range held {
+			held[i] = apply(fmt.Sprint("c", i), tc.rows)
+			counted += commitBytes(CommitEvent{Changes: held[i]})
+		}
+		apply("rebase", tc.rows*tc.commits) // past the net's bound: a new chain
+		heap := func() int64 {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			return int64(ms.HeapAlloc)
+		}
+		with := heap()
+		runtime.KeepAlive(held)
+		held = nil
+		measured := float64(with-heap()) / float64(tc.commits)
+		runtime.KeepAlive(v)
+		each := float64(counted) / float64(tc.commits)
+		t.Logf("%d-row ChangeSet: counted %.0f bytes, holds %.0f", tc.rows, each, measured)
+		if each > 1.25*measured || measured > 1.25*each {
+			t.Errorf("a %d-row ChangeSet is counted at %.0f bytes and holds %.0f: not within 1.25×", tc.rows, each, measured)
+		}
 	}
 }
 

@@ -58,10 +58,10 @@ func BenchmarkOverlayLookup(b *testing.B) {
 	}
 	o := Overlay(base, delta)
 	key := value.T("s7")
-	o.Lookup([]int{0}, key)
+	LookupInto(o, []int{0}, key, new([]Row))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Lookup([]int{0}, key)
+		LookupInto(o, []int{0}, key, new([]Row))
 	}
 }
 
@@ -213,7 +213,7 @@ func BenchmarkVersionedLookupAcrossFlatten(b *testing.B) {
 	b.ReportAllocs()
 	const n = 20_000
 	v := NewVersioned(versionedBase(n))
-	v.Reader().Lookup([]int{0}, value.T(7))
+	LookupInto(v.Reader(), []int{0}, value.T(7), new([]Row))
 	bulk := New(2)
 	for i := 0; i < n/4; i++ {
 		bulk.Add(value.T(i%(n/100), n+i), 1)
@@ -223,7 +223,7 @@ func BenchmarkVersionedLookupAcrossFlatten(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nv := v.Push(bulk)
-		if nv.Depth() != 0 || len(nv.Reader().Lookup([]int{0}, key)) != 125 {
+		if nv.Depth() != 0 || len(LookupInto(nv.Reader(), []int{0}, key, new([]Row))) != 125 {
 			b.Fatal("the bulk push did not flatten, or the lookup missed rows")
 		}
 	}

@@ -171,6 +171,15 @@ func (r *Relation) unview() {
 	}
 }
 
+// unindex drops the indexes readers built on r, a link that has left its
+// version chain, so that a history's change set holding r pins none; a
+// reader whose version still links r builds again what it probes.
+func (r *Relation) unindex() {
+	r.idxMu.Lock()
+	r.idx, r.viewed = nil, false
+	r.idxMu.Unlock()
+}
+
 // buildIndex returns the index on cols, building it unless a concurrent
 // reader got there first.
 func (r *Relation) buildIndex(cols []int) *index {

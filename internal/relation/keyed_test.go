@@ -56,7 +56,7 @@ func TestProbesDoNotAllocate(t *testing.T) {
 	noAllocs(t, "Each", func() { r.Each(func(row Row) { n += len(row.Tuple) }) })
 	noAllocs(t, "Set of an existing tuple", func() { r.Set(hit, 3); r.Set(hit, 4) })
 	noAllocs(t, "Delete miss", func() { r.Delete(miss) })
-	noAllocs(t, "set-image Lookup of a set", func() { _ = set.Lookup(cols, noKey); _ = set.Count(hit) })
+	noAllocs(t, "set-image Lookup of a set", func() { _ = LookupInto(set, cols, noKey, new([]Row)); _ = set.Count(hit) })
 }
 
 // An index build makes a fixed number of objects — the index, its columns,
@@ -281,7 +281,7 @@ func lookupAgrees(t *testing.T, rng *rand.Rand, keys int, rd Reader, want *Relat
 			kv[i] = tup[c]
 		}
 		got := map[string]int64{}
-		for _, row := range rd.Lookup(cols, kv) {
+		for _, row := range LookupInto(rd, cols, kv, new([]Row)) {
 			if _, dup := got[row.Key()]; dup || row.Count == 0 {
 				t.Fatalf("%s: Lookup(%v, %v) returned %v twice or with count zero", where, cols, kv, row.Tuple)
 			}

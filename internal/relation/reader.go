@@ -25,8 +25,6 @@ type Reader interface {
 	Has(t value.Tuple) bool
 	// Each visits every row (unspecified order).
 	Each(f func(Row))
-	// Lookup returns rows whose projection on cols matches keyVals.
-	Lookup(cols []int, keyVals value.Tuple) []Row
 }
 
 var (
@@ -35,14 +33,6 @@ var (
 	_ Reader = (*setView)(nil)
 	_ Reader = RowSlice(nil)
 )
-
-// Materialize copies any Reader into a fresh *Relation. Rows keep the
-// keys they were stored under; none is encoded again.
-func Materialize(r Reader) *Relation {
-	out := New(r.Arity())
-	r.Each(out.AddRow)
-	return out
-}
 
 // RowSlice is a Reader over distinct rows held in a slice: the Δ image of
 // one semi-naive round, which its join pins first and only scans, so
@@ -192,11 +182,6 @@ func (o *overlay) PreferredIndex(bound []int) []int {
 	return PreferredIndexFor(o.base, bound)
 }
 
-func (o *overlay) Lookup(cols []int, keyVals value.Tuple) []Row {
-	var buf []Row
-	return LookupInto(o, cols, keyVals, &buf)
-}
-
 // Run is the answer to a probe: a relation's rows read through their
 // positions in an index run, or rows in a slice. It is read-only, and valid
 // until the relation it reads is mutated or the buffer it was built in is
@@ -228,11 +213,12 @@ func (r Run) AppendTo(dst []Row) []Row {
 	return dst
 }
 
-// LookupRun is Lookup for a caller that probes again and again: a
-// relation's run is read where its index keeps it, and where r has to
-// build its answer — an overlay merging the runs of its base and its
-// delta, a set image recounting them — it builds it in *buf, grown as
-// needed, which the caller keeps for its next probe.
+// LookupRun returns the rows of r whose projection on cols is keyVals,
+// for a caller that probes again and again: a relation's run is read
+// where its index keeps it, and where r has to build its answer — an
+// overlay merging the runs of its base and its delta, a set image
+// recounting them — it builds it in *buf, grown as needed, which the
+// caller keeps for its next probe.
 func LookupRun(r Reader, cols []int, keyVals value.Tuple, buf *[]Row) Run {
 	return lookupRun(r, cols, keyVals, keyHash(keyVals), buf)
 }
@@ -249,7 +235,7 @@ func lookupRun(r Reader, cols []int, keyVals value.Tuple, h uint32, buf *[]Row) 
 	case *setView:
 		return x.lookup(cols, keyVals, h, buf)
 	}
-	return Run{rows: r.Lookup(cols, keyVals)}
+	return Run{rows: r.(RowSlice).Lookup(cols, keyVals)} // the last Reader: a scan
 }
 
 // LookupInto is LookupRun for a caller that wants the rows in a slice:
@@ -336,11 +322,6 @@ func (s *setView) Each(f func(Row)) {
 			f(row.WithCount(1))
 		}
 	})
-}
-
-func (s *setView) Lookup(cols []int, keyVals value.Tuple) []Row {
-	var buf []Row
-	return LookupInto(s, cols, keyVals, &buf)
 }
 
 // lookup is LookupRun for the set image: r's run as it is when every

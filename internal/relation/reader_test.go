@@ -50,7 +50,7 @@ func TestOverlayLookup(t *testing.T) {
 	delta.Add(value.T("a", "d"), 1)  // insert
 	o := Overlay(base, delta)
 
-	rows := o.Lookup([]int{0}, value.T("a"))
+	rows := LookupInto(o, []int{0}, value.T("a"), new([]Row))
 	got := make(map[string]int64)
 	for _, rw := range rows {
 		got[rw.Tuple.Key()] = rw.Count
@@ -137,7 +137,7 @@ func TestSetImage(t *testing.T) {
 	// Lookup collapses too.
 	base2 := New(2)
 	base2.Add(value.T("a", "b"), 7)
-	rows := SetImage(base2).Lookup([]int{0}, value.T("a"))
+	rows := LookupInto(SetImage(base2), []int{0}, value.T("a"), new([]Row))
 	if len(rows) != 1 || rows[0].Count != 1 {
 		t.Errorf("set lookup: %v", rows)
 	}
@@ -178,7 +178,7 @@ func TestOverlayQuick(t *testing.T) {
 			if o.Has(value.T(k)) != want.Has(value.T(k)) {
 				return false
 			}
-			lr := o.Lookup([]int{0}, value.T(k))
+			lr := LookupInto(o, []int{0}, value.T(k), new([]Row))
 			wc := want.Count(value.T(k))
 			switch {
 			case wc == 0 && len(lr) != 0:

@@ -148,6 +148,20 @@ func (r *Relation) TotalCount() int64 {
 	return n
 }
 
+// Held is the bytes r, a Δ merged into a stored relation, holds beside it:
+// its header, its cells, and the key and values of each row whose count
+// is negative, which no stored row lends (a link drops its indexes when
+// it leaves its version chain).
+func (r *Relation) Held() int {
+	n := int(unsafe.Sizeof(*r)) + cap(r.rows.cells)*int(unsafe.Sizeof(entry{}))
+	for _, c := range r.rows.cells {
+		if c.count < 0 {
+			n += int(c.kl) + int(r.arity)*int(unsafe.Sizeof(value.Value{}))
+		}
+	}
+	return n
+}
+
 // Empty reports whether the relation has no tuples.
 func (r *Relation) Empty() bool { return len(r.rows.cells) == 0 }
 

@@ -74,7 +74,7 @@ func (s *Stored) share() {
 // before delta was prev (nil: none): prev with delta linked while the base
 // is prev's, else a version of the base, frozen now if it was private. A
 // base prev does not share is one the writer has just made, and its net
-// is empty.
+// is empty; prev's links leave the chain, and their indexes with them.
 func (s *Stored) Publish(prev *Versioned, delta *Relation) *Versioned {
 	if s.private() {
 		s.base.Freeze()
@@ -85,6 +85,11 @@ func (s *Stored) Publish(prev *Versioned, delta *Relation) *Versioned {
 	}
 	if s.net.Len() > 0 || s.n != s.base.Len() {
 		panic("relation: publishing a stored relation whose net the version lacks")
+	}
+	if prev != nil {
+		for _, d := range prev.deltas {
+			d.unindex()
+		}
 	}
 	return NewVersioned(s.base)
 }
@@ -220,13 +225,6 @@ func (s *Stored) Relation() *Relation {
 		}
 	}
 	return out
-}
-
-// Lookup returns the rows whose projection on cols is keyVals, in place
-// order.
-func (s *Stored) Lookup(cols []int, keyVals value.Tuple) []Row {
-	var buf []Row
-	return LookupInto(s, cols, keyVals, &buf)
 }
 
 // lookup is LookupRun for the state: base's run for keyVals as it is

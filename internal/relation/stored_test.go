@@ -83,7 +83,7 @@ func tableStored(t *testing.T, rng *rand.Rand) {
 		s := Store(flat.Clone())
 		if trial%2 == 0 { // the writer's indexes come along
 			for _, c := range cols {
-				s.Lookup(c, value.T(0, "v0")[:len(c)])
+				LookupInto(s, c, value.T(0, "v0")[:len(c)], new([]Row))
 			}
 		}
 		v := s.Publish(nil, nil)
@@ -140,7 +140,7 @@ func TestRebaseCopiesItsBaseOnce(t *testing.T) {
 	base.Lookup([]int{1}, value.T(0))
 	base.Freeze()
 	s := Store(base)
-	s.Lookup([]int{1}, value.T(0))
+	LookupInto(s, []int{1}, value.T(0), new([]Row))
 	del := New(2)
 	for i := range s.bound() - 1 { // deletes at the front: each moves the last row into the net
 		del.Add(value.T(i, i%50), -1)

@@ -84,7 +84,8 @@ func (v *Versioned) Push(delta *Relation) *Versioned {
 // compact folds the two newest links, and then each older link no larger
 // than twice the rows folded so far, into one frozen run: the same content
 // at a smaller depth (a run that cancels out is dropped), for O(rows
-// folded) and without touching the older links or the base.
+// folded) and without touching the older links or the base. The folded
+// links leave the chain, and their indexes with them.
 func (v *Versioned) compact() *Versioned {
 	k, folded := len(v.deltas)-2, v.deltas[len(v.deltas)-2].Len()+v.deltas[len(v.deltas)-1].Len()
 	for k > 0 && v.deltas[k-1].Len() <= 2*folded {
@@ -98,6 +99,9 @@ func (v *Versioned) compact() *Versioned {
 	}
 	rowsCopied.Add(int64(folded))
 	run.Freeze()
+	for _, d := range v.deltas[k:] {
+		d.unindex()
+	}
 	nv := &Versioned{rd: v.base, base: v.base, deltas: v.deltas[:k:k], pend: v.pend - folded + run.Len(), copied: folded}
 	if !run.Empty() {
 		nv.deltas = append(nv.deltas, run)

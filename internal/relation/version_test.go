@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -212,7 +213,7 @@ func TestVersionedSharedRunsUnderConcurrentReaders(t *testing.T) {
 			for !stop.Load() {
 				rd := recent[rng.Intn(len(recent))].Load().Reader()
 				k := rng.Intn(keys)
-				rows := rd.Lookup([]int{0}, value.T(k))
+				rows := LookupInto(rd, []int{0}, value.T(k), new([]Row))
 				live := 0
 				for _, row := range rows {
 					if row.Count != 1 || rd.Count(row.Tuple) != 1 {
@@ -286,7 +287,7 @@ func TestVersionedFlattenReleasesTheOldBase(t *testing.T) {
 			flattens++
 		}
 	}
-	if got := v.Reader().Lookup([]int{0}, value.T("untouched")); len(got) != 1 {
+	if got := LookupInto(v.Reader(), []int{0}, value.T("untouched"), new([]Row)); len(got) != 1 {
 		t.Fatalf("the carried index lost its untouched run: %v", got)
 	}
 	for i := 0; i < 20; i++ {
@@ -407,7 +408,7 @@ func TestPushCostIndependentOfBase(t *testing.T) {
 	if nv.Depth() != 0 || nv.base == base {
 		t.Fatal("a delta of ¼|base| rows did not rebase")
 	}
-	got := nv.Reader().Lookup([]int{0}, value.T(7))
+	got := LookupInto(nv.Reader(), []int{0}, value.T(7), new([]Row))
 	if IndexesBuilt() != built {
 		t.Fatal("the flattened version rebuilt an index its base already had")
 	}
@@ -419,5 +420,63 @@ func TestPushCostIndependentOfBase(t *testing.T) {
 	})
 	if len(got) != want || want != n/1000+n/4/1000 {
 		t.Fatalf("carried index returns %d rows for key 7, a scan %d", len(got), want)
+	}
+}
+
+// A link leaves its version chain when compact folds it into a run and
+// when its writer rebases: either way it drops the indexes readers built
+// on it, which a history's change set holding it would otherwise pin. A
+// reader still pinned to a version that links it reads the same rows.
+func TestALinkLeavingItsChainDropsItsIndexes(t *testing.T) {
+	indexes := func(r *Relation) int {
+		r.idxMu.RLock()
+		defer r.idxMu.RUnlock()
+		return len(r.idx)
+	}
+	base := New(2)
+	for i := range 4 * minFlattenRows {
+		base.Add(value.T(i%7, i), 1)
+	}
+	p := publish(base)
+	link := func(rows, tag int) *Relation {
+		d := New(2)
+		for i := range rows {
+			d.Add(value.T(tag, -i-1), 1)
+		}
+		d.Freeze() // linked as it is, as counting's Δ(head) copy is
+		return d
+	}
+	probe := func(v *Versioned, tag int) []Row {
+		return slices.Clone(LookupInto(v.Reader(), []int{0}, value.T(tag), new([]Row)))
+	}
+	for _, leave := range []struct {
+		name string
+		by   func(tag int)
+	}{
+		{"compact", func(tag int) {
+			for depth := 0; p.v.Depth() > depth; tag++ {
+				depth = p.v.Depth()
+				p.push(link(1, tag))
+			}
+		}},
+		{"rebase", func(tag int) {
+			for prev := p.v.base; p.v.base == prev; {
+				p.push(link(minFlattenRows, tag))
+			}
+		}},
+	} {
+		d := link(1, 100)
+		old := p.push(d)
+		want := probe(old, 100)
+		if indexes(d) != 1 || len(want) != 1 {
+			t.Fatalf("%s: a reader's probe built %d indexes on the link and read %v", leave.name, indexes(d), want)
+		}
+		leave.by(200)
+		if slices.Contains(p.v.deltas, d) || indexes(d) != 0 {
+			t.Fatalf("%s: the link is in the chain: %v; it keeps %d indexes", leave.name, slices.Contains(p.v.deltas, d), indexes(d))
+		}
+		if got := probe(old, 100); !slices.EqualFunc(got, want, func(a, b Row) bool { return a.Key() == b.Key() && a.Count == b.Count }) {
+			t.Fatalf("%s: the pinned version reads %v, it read %v", leave.name, got, want)
+		}
 	}
 }

@@ -457,7 +457,11 @@ func (r *Replica) tail(resp *http.Response, br *bufio.Reader) error {
 				// at its stamped version (and enters the history with
 				// the primary's keys, so a client retry that lands here
 				// after promotion still dedups) or the follower halts.
-				if _, err := r.v.ApplyCommitRecord(rec.CommitRecord); err != nil {
+				var published time.Time // zero: the primary no longer knew it
+				if rec.UnixNano != 0 {
+					published = time.Unix(0, rec.UnixNano)
+				}
+				if _, err := r.v.ApplyCommitRecord(rec.CommitRecord, published); err != nil {
 					var div *ivm.DivergenceError
 					if errors.As(err, &div) {
 						r.cDivergence.Inc()

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ivm"
 )
 
 // TestRequestLogOffAllocatesOnlyTheStatusWriter pins what one request
@@ -46,6 +48,36 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestShutdownLogsWhatItCheckpoints: a node with a store logs its
+// checkpoint and the store's directory; one without — a follower, a
+// memory-only primary — says it has no store to checkpoint.
+func TestShutdownLogsWhatItCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	stored, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) { return buildTestViews(t), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		v         *ivm.Views
+		want, not string
+	}{
+		{buildTestViews(t), `msg="ivmd: shutdown: no store to checkpoint" version=1`, "checkpointing"},
+		{stored, `msg="ivmd: shutdown: checkpointing store" dir=` + dir + " version=1", "no store"},
+	} {
+		var out syncBuffer
+		srv := New(tc.v, Options{OwnViews: true, Logger: slog.New(slog.NewTextHandler(&out, nil))})
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := srv.Shutdown(ctx)
+		cancel()
+		if log := out.String(); err != nil || !strings.Contains(log, tc.want) || strings.Contains(log, tc.not) {
+			t.Errorf("shutdown: %v; the log should hold %s and not %q:\n%s", err, tc.want, tc.not, log)
+		}
+	}
 }
 
 // TestQuietLevelKeepsLifecycleRecords is what ivmd -quiet keeps: at Info

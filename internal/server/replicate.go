@@ -108,6 +108,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
+	h := s.v.History()
 	send := func(rec storage.ReplRecord) bool {
 		// Every record carries the node's current fencing epoch: the
 		// follower's split-brain guard rides the stream itself.
@@ -123,8 +124,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	// sendDelta ships one commit record; publishedAt is 0 for a WAL
-	// backfill (the log does not keep publish times).
+	// sendDelta ships one commit record, stamped with when it was
+	// published (0 once the history no longer traces it: the log keeps no
+	// publish times).
 	sendDelta := func(rec ivm.CommitRecord, publishedAt int64) bool {
 		return send(storage.ReplRecord{Kind: storage.ReplKindDelta, UnixNano: publishedAt, CommitRecord: rec})
 	}
@@ -160,7 +162,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			}
 			if contiguous {
 				for _, rec := range recs {
-					if !sendDelta(rec, 0) {
+					var at int64
+					if e, ok := h.At(rec.Version); ok && e.Trace != nil {
+						at = e.Trace.Published.UnixNano()
+					}
+					if !sendDelta(rec, at) {
 						return 0, false
 					}
 				}
@@ -181,7 +187,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		cur = v
 	}
 
-	h := s.v.History()
 	hb := time.NewTicker(s.opts.ReplHeartbeat)
 	defer hb.Stop()
 	ctx := r.Context()

@@ -287,7 +287,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.Info("ivmd: shutdown: draining http")
 	err := s.http.Shutdown(ctx)
 	if s.opts.OwnViews {
-		s.Info("ivmd: shutdown: checkpointing store")
+		if dir, ok := s.v.Store(); ok {
+			s.Info("ivmd: shutdown: checkpointing store", slog.String("dir", dir))
+		} else {
+			s.Info("ivmd: shutdown: no store to checkpoint")
+		}
 		if serr := s.v.Shutdown(); serr != nil && err == nil {
 			err = serr
 		}

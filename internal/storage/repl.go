@@ -27,7 +27,6 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -167,22 +166,4 @@ func ReadReplRecord(r *bufio.Reader) (ReplRecord, error) {
 		rec.State = payload
 	}
 	return rec, nil
-}
-
-// DecodeReplRecords decodes a byte buffer as a sequence of replication
-// records (the fuzz-target entry point). A clean EOF at a record
-// boundary ends the scan without error.
-func DecodeReplRecords(data []byte) ([]ReplRecord, error) {
-	r := bufio.NewReader(bytes.NewReader(data))
-	var out []ReplRecord
-	for {
-		rec, err := ReadReplRecord(r)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
 }

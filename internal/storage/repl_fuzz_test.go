@@ -10,8 +10,10 @@ package storage
 // payloads in retired framings.
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -155,4 +157,22 @@ func FuzzReplRecord(f *testing.F) {
 			t.Fatalf("records changed in round trip:\n got %+v\nwant %+v", again, records)
 		}
 	})
+}
+
+// DecodeReplRecords decodes a byte buffer as a sequence of replication
+// records, as a follower reads its stream. A clean EOF at a record
+// boundary ends the scan without error.
+func DecodeReplRecords(data []byte) ([]ReplRecord, error) {
+	r := bufio.NewReader(bytes.NewReader(data))
+	var out []ReplRecord
+	for {
+		rec, err := ReadReplRecord(r)
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
 }

@@ -235,9 +235,10 @@ func (d *Database) Rows(pred string) []Row {
 // publishes the successor version atomically.
 type Views struct {
 	cfg        config
-	strategy   Strategy // what maintains the program (regime); wmu, versions carry a copy
-	programSrc string   // authoritative copy (wmu); versions carry a race-free copy
-	copied     int      // rows the pushes since the last version was made compacted (wmu)
+	strategy   Strategy      // what maintains the program (regime); wmu, versions carry a copy
+	programSrc string        // authoritative copy (wmu); versions carry a race-free copy
+	copied     int           // rows the pushes since the last version was made compacted (wmu)
+	folded     time.Duration // the fold of the record since the last version was made (wmu)
 	// hidden marks internal auxiliary predicates (e.g. the GROUP BY join
 	// helpers the SQL front end generates) that are filtered out of
 	// user-facing change sets. Written only before concurrent use.
@@ -441,6 +442,7 @@ type applyReq struct {
 	// without its payload when recovered from the WAL.
 	rec       *CommitRecord
 	recovered bool
+	published time.Time // when the node that shipped rec published it, if known
 	// edit, instead of u, is a rule edit (AddRule, RemoveRule): the
 	// engine maintains it and its record carries the program.
 	edit func(*dred.Engine) (map[string]*relation.Relation, error)
@@ -701,17 +703,16 @@ func (v *Views) logLocked(groups []*applyGroup) {
 // whose log stage failed, because the engine state already advanced and
 // later groups build on it — so published versions and WAL records
 // correspond 1:1 and replication can align on the version number alone.
-// A trace takes its group's keys and longest wait.
+// A trace takes its group's keys, its earliest enqueue and the wait
+// since, and a folded record's publish time on the node that shipped it.
 func (v *Views) publishLocked(groups []*applyGroup, taken time.Time) {
 	for _, g := range groups {
 		if g.cs == nil {
 			continue
 		}
 		t := g.ver.trace
-		t.Keys = g.rec.Keys
-		for _, r := range g.reqs {
-			t.Wait = max(t.Wait, taken.Sub(r.enq))
-		}
+		t.Enqueued = slices.MinFunc(g.reqs, func(a, b *applyReq) int { return a.enq.Compare(b.enq) }).enq
+		t.Keys, t.Wait, t.PrimaryPublished = g.rec.Keys, taken.Sub(t.Enqueued), g.reqs[0].published
 		v.installLocked(g.ver)
 	}
 }
@@ -984,25 +985,25 @@ type CommitEvent struct {
 
 // ApplyTrace is the account of the commit that published a version, frozen
 // at publish: Views.Trace reads the current version's and each CommitEvent
-// carries its commit's. It is shared; do not modify it. It holds the
-// version, the idempotency keys covered, what maintains the program, the
-// engine's work counters and a record of each stratum maintained (neither
-// for a folded commit record), the rows its publish copied to compact
-// version chains, the longest a covered request waited for
-// the maintainer to take its batch, the WAL append and the wait for it to
-// be durable (the batch's fsync, for its first commit; zero without a
-// store), and when it was published.
+// carries its commit's. It is shared; do not modify it. DESIGN.md §8 says
+// what each field holds and where its clock is read. A follower's trace of
+// a version it folded holds the record's keys, when it was received
+// (Enqueued), its fold, and when the node that shipped it published it,
+// so a version's traces on a primary and its followers line up.
 type ApplyTrace struct {
-	Version    uint64              `json:"version"`
-	Keys       []string            `json:"keys,omitempty"`
-	Strategy   Strategy            `json:"strategy"`
-	Stats      dred.Stats          `json:"stats"`
-	Wait       time.Duration       `json:"wait_ns"`
-	Strata     []dred.StratumTrace `json:"strata,omitempty"`
-	RowsCopied int                 `json:"rows_copied"`
-	WALAppend  time.Duration       `json:"wal_append_ns"`
-	FsyncWait  time.Duration       `json:"fsync_wait_ns"`
-	Published  time.Time           `json:"published"`
+	Version          uint64              `json:"version"`
+	Keys             []string            `json:"keys,omitempty"`
+	Strategy         Strategy            `json:"strategy"`
+	Stats            dred.Stats          `json:"stats"`
+	Enqueued         time.Time           `json:"enqueued"`
+	Wait             time.Duration       `json:"wait_ns"`
+	Strata           []dred.StratumTrace `json:"strata,omitempty"`
+	Fold             time.Duration       `json:"fold_ns"`
+	PrimaryPublished time.Time           `json:"primary_published"`
+	RowsCopied       int                 `json:"rows_copied"`
+	WALAppend        time.Duration       `json:"wal_append_ns"`
+	FsyncWait        time.Duration       `json:"fsync_wait_ns"`
+	Published        time.Time           `json:"published"`
 }
 
 // notify fires the OnChange and OnCommit handlers for a change set.

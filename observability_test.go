@@ -388,7 +388,7 @@ func TestTraceNamesTheCommitThatCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev, _ := h.At(cs.Version())
-		if _, err := follower.ApplyCommitRecord(ev.CommitRecord); err != nil {
+		if _, err := follower.ApplyCommitRecord(ev.CommitRecord, ev.Trace.Published); err != nil {
 			t.Fatal(err)
 		}
 		want := 0

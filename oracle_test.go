@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -13,7 +13,9 @@ package ivm_test
 // the fold law f(x ⊕ Δ) = f(x) ⊕ f′(x, Δ), a ChangeSet read only once the
 // next operation has applied, as a caller may read it; each commit's trace
 // carries its record's version and keys and a record of each stratum of
-// the program, and every views' Trace is its current version's. A mismatch is
+// the program, and every views' Trace is its current version's; a
+// follower traces each version both nodes' histories trace with the
+// primary's keys and publish time and a fold of its own. A mismatch is
 // reported at the lowest stratum that differs, as the reference numbers
 // them, with the seed, leg, version and that stratum's rules.
 //
@@ -34,7 +36,8 @@ package ivm_test
 // cascading its Δ(head) copy as it is where a row flips the set image by
 // ±1 but moves its count by ±2 [4]; a follower sharing a record's Δ as a
 // set view's change set where the same holds [4]; a compaction leaving a
-// run it keeps out of the rebuilt version chain [7].
+// run it keeps out of the rebuilt version chain [7]; a follower stamping
+// its own clock as the primary's publish time [8].
 
 import (
 	"cmp"
@@ -160,7 +163,7 @@ var oracleAxes = strings.Fields(`family:join family:negation family:arithmetic f
 	refused:materialize promoted reopened foreign-records coalesced same-key retry:dedup retry:evicted
 	empty-key refused-key edits>10 edit:emptied edit:arity-reset rejected:absent rejected:arity rejected:string
 	rejected:long-key rejected:non-finite rejected:unsafe-rule rejected:rule-arity rejected:edit-seed
-	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal tiers`)
+	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal tiers traces-joined`)
 
 func TestOracle(t *testing.T) {
 	cov := make(map[string]int)
@@ -1150,7 +1153,7 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	if r.leg == "rederive" && !edit {
 		cs, err = r.node.ApplyScriptReplicated(strings.Join(scripts, ""), ev.Keys)
 	} else {
-		cs, err = r.node.ApplyCommitRecord(ev.CommitRecord)
+		cs, err = r.node.ApplyCommitRecord(ev.CommitRecord, ev.Trace.Published)
 		r.folds, r.foldRows = r.folds+1, r.foldRows+int64(len(got))
 	}
 	if err != nil || cs.Version() != ver {
@@ -1774,7 +1777,7 @@ func (r *oracleRun) foreign(state ivm.ReplicaState) {
 		}
 	}
 	for name, rec := range records {
-		_, err := r.node.ApplyCommitRecord(rec)
+		_, err := r.node.ApplyCommitRecord(rec, time.Time{})
 		var div *ivm.DivergenceError
 		switch diverged := errors.As(err, &div); {
 		case err == nil || (name == "a truncated") == diverged:
@@ -1800,6 +1803,7 @@ func (r *oracleRun) startFollower() {
 		r.fatal("follower: %v", err)
 	}
 	r.rep = rep
+	rep.Views().History() // from the first record it folds
 	rep.Views().OnCommit(func(cs *ivm.ChangeSet) { r.mu.Lock(); r.refolded[cs.Version()] = renderChanges(cs); r.mu.Unlock() })
 	r.t.Cleanup(func() {
 		rep.Stop()
@@ -1908,12 +1912,29 @@ func (r *oracleRun) finishFollower() {
 		}
 	}
 	r.mu.Unlock()
+	// The traces of the two nodes line up by version: each version both
+	// histories trace, the follower traces with the primary's keys and
+	// publish time (the 'D' frame's stamp) and a fold of its own.
+	ph, fh := r.w.History(), f.History()
+	lo, hi, _ := fh.Bounds()
+	for ver := lo + 1; ver <= hi; ver++ {
+		p, _ := ph.At(ver)
+		q, _ := fh.At(ver)
+		if p.Trace == nil || q.Trace == nil {
+			continue
+		}
+		if !slices.Equal(q.Trace.Keys, p.Trace.Keys) || !q.Trace.PrimaryPublished.Equal(p.Trace.Published) || q.Trace.Fold <= 0 {
+			r.fatal("version %d: the primary traces keys %q published %v; the follower keys %q, the primary's publish %v, a fold of %v",
+				ver, p.Trace.Keys, p.Trace.Published, q.Trace.Keys, q.Trace.PrimaryPublished, q.Trace.Fold)
+		}
+		r.hit("traces-joined")
+	}
 	snap := r.rep.Registry().Snapshot()
 	if resets, div := snap.Counter("replica_resets_total"), snap.Counter("replica_divergence_total"); resets != 0 || div != 0 {
 		r.fatal("replica_resets_total %d, replica_divergence_total %d", resets, div)
 	}
 	var ahead *ivm.DivergenceError
-	_, err := f.ApplyCommitRecord(ivm.CommitRecord{Version: r.version + 2, Script: "+link(x,y)."})
+	_, err := f.ApplyCommitRecord(ivm.CommitRecord{Version: r.version + 2, Script: "+link(x,y)."}, time.Time{})
 	if !errors.As(err, &ahead) || ahead.Version != r.version+2 || ahead.At != r.version {
 		r.fatal("the follower folds a record two versions ahead: %v", err)
 	}

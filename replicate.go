@@ -148,7 +148,8 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 	}
 	v.eng.Fold(deltas)
 	v.mReplayRows.Add(int64(rows))
-	v.mReplaySecs.Observe(time.Since(start))
+	v.folded = time.Since(start)
+	v.mReplaySecs.Observe(v.folded)
 	return deltas, cs, nil
 }
 
@@ -216,27 +217,31 @@ func engineString(b byte) string {
 // returned with nothing applied. A script record (format 1) is re-derived
 // by ApplyScriptReplicated instead. Either way the record's keys enter
 // the history, so a client retrying across a crash or a failover still
-// gets a dedup answer stamped with the replayed version.
-func (v *Views) ApplyCommitRecord(rec CommitRecord) (*ChangeSet, error) {
-	return v.applyCommitRecord(rec, false)
+// gets a dedup answer stamped with the replayed version. published is
+// when the node that shipped the record published it (zero if unknown:
+// the WAL keeps no publish times); the version's trace carries it beside
+// its own receive, fold and publish (ApplyTrace.PrimaryPublished).
+func (v *Views) ApplyCommitRecord(rec CommitRecord, published time.Time) (*ChangeSet, error) {
+	return v.applyCommitRecord(&applyReq{rec: &rec, published: published})
 }
 
-// applyCommitRecord is ApplyCommitRecord; a recovered record's entry in
-// the history holds its version and keys only.
-func (v *Views) applyCommitRecord(rec CommitRecord, recovered bool) (*ChangeSet, error) {
-	if at := v.cur.Load().id; at != rec.Version-1 {
-		return nil, &DivergenceError{Version: rec.Version, At: at}
+// applyCommitRecord is ApplyCommitRecord for r, a request to fold r.rec;
+// a recovered record's entry in the history holds its version and keys
+// only.
+func (v *Views) applyCommitRecord(r *applyReq) (*ChangeSet, error) {
+	if at := v.cur.Load().id; at != r.rec.Version-1 {
+		return nil, &DivergenceError{Version: r.rec.Version, At: at}
 	}
-	if rec.HasDeltas() {
-		cs, _, err := v.submit(&applyReq{rec: &rec, recovered: recovered})
+	if r.rec.HasDeltas() {
+		cs, _, err := v.submit(r)
 		return cs, err
 	}
-	cs, err := v.ApplyScriptReplicated(rec.Script, rec.Keys)
+	cs, err := v.ApplyScriptReplicated(r.rec.Script, r.rec.Keys)
 	if err != nil {
 		return nil, err
 	}
-	if cs.Version() != rec.Version {
-		return nil, &DivergenceError{Version: rec.Version, At: cs.Version()}
+	if cs.Version() != r.rec.Version {
+		return nil, &DivergenceError{Version: r.rec.Version, At: cs.Version()}
 	}
 	return cs, nil
 }

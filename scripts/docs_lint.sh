@@ -10,8 +10,9 @@
 # internal/server/server.go registers (each of which docs/SERVING.md
 # names), and `With…(`/`Without…(` options, `IVM_…` variables and
 # backticked `…_total`/`…_seconds` series that non-test Go still defines,
-# reads or registers; and docs/SERVING.md's metric table must name exactly
-# the series non-test Go registers.
+# reads or registers; docs/SERVING.md's metric table must name exactly
+# the series non-test Go registers, and DESIGN.md §8's trace table exactly
+# the exported fields of ivm.ApplyTrace.
 set -eu
 
 README_BUDGET="${README_BUDGET:-250}"
@@ -139,6 +140,23 @@ for series in $tabled; do
         FAILED=1
     fi
 done
+# DESIGN.md §8's table of the apply trace names, in its rows' first cells,
+# exactly the exported fields of ivm.ApplyTrace (ivm.go).
+fields="$(sed -n '/^type ApplyTrace struct {/,/^}/p' ivm.go | sed -n 's/^[[:space:]]*\([A-Z][A-Za-z0-9]*\)[[:space:]].*/\1/p' | sort -u)"
+traced="$(awk '/^\| field \| what \| where the clock is read \|/ { on = 1; next } on && !/^\|/ { on = 0 } on' DESIGN.md |
+    sed -n 's/^| \([^|]*\) |.*/\1/p' | grep -oE '`[A-Za-z0-9]+`' | tr -d '`' | sort -u)"
+for field in $fields; do
+    if ! echo "$traced" | grep -qx -- "$field"; then
+        echo "DESIGN.md's trace table lacks ApplyTrace.$field" >&2
+        FAILED=1
+    fi
+done
+for field in $traced; do
+    if ! echo "$fields" | grep -qx -- "$field"; then
+        echo "DESIGN.md's trace table names $field, which ivm.ApplyTrace does not have" >&2
+        FAILED=1
+    fi
+done
 # A route the docs name must be a pattern the server registers, and
 # docs/SERVING.md must name every one. Routes read METHOD:/path; a
 # `/v1/a|b|c` alternation names a, b and c, and a query string is no part
@@ -166,4 +184,4 @@ done
 if [ "$FAILED" -ne 0 ]; then
     exit 1
 fi
-echo "docs lint OK (links resolve; flags, make targets, routes, options, variables and series exist; the metric table names every registered series)"
+echo "docs lint OK (links resolve; flags, make targets, routes, options, variables and series exist; the metric table names every registered series, the trace table every ApplyTrace field)"

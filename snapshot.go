@@ -221,21 +221,22 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 }
 
 // versionLocked is the version rels make under id with the engine's
-// program as it stands and a trace of the engine's last pass and of the
-// compactions the pushes onto rels made (wmu held).
+// program as it stands and a trace of the engine's last pass, of the
+// fold of a record and of the compactions the pushes onto rels made (wmu
+// held).
 // Every successful maintenance group publishes one — even one with no
 // visible changes — so the current trace is the current version's. The maintainer assigns ids
 // before the WAL append so the durable record and the published
 // version carry the same number; ids must advance in publish order.
 func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *version {
-	copied := v.copied
-	v.copied = 0
+	copied, folded := v.copied, v.folded
+	v.copied, v.folded = 0, 0
 	return &version{
 		id:         id,
 		rels:       rels,
 		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
-		trace:      &ApplyTrace{Version: id, Strategy: v.strategy, Stats: v.eng.Stats(), Strata: v.eng.Strata(), RowsCopied: copied},
+		trace:      &ApplyTrace{Version: id, Strategy: v.strategy, Stats: v.eng.Stats(), Strata: v.eng.Strata(), Fold: folded, RowsCopied: copied},
 	}
 }
 

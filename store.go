@@ -84,7 +84,7 @@ func OpenStore(dir string, init func() (*Views, error), opts ...Option) (*Views,
 				// than replay it under the wrong number.
 				v.SeedVersion(rec.Version - 1)
 			}
-			if _, err := v.applyCommitRecord(rec, true); err != nil {
+			if _, err := v.applyCommitRecord(&applyReq{rec: &rec, recovered: true}); err != nil {
 				return fail(fmt.Errorf("ivm: replaying WAL record %d: %w", i+1, err))
 			}
 		}
