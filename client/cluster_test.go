@@ -27,6 +27,7 @@ type clusterNode struct {
 	failRead  int    // status to fail reads with; 0 = answer
 	applies   int
 	reads     int
+	infos     int // /v1/info probes answered
 	url       string
 }
 
@@ -35,6 +36,7 @@ func (n *clusterNode) server(t *testing.T) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
 		n.mu.Lock()
+		n.infos++
 		info := Info{Version: 1, Role: n.role, Epoch: n.epoch}
 		if n.role == "follower" {
 			info.LeaderURL = n.leaderURL
@@ -137,6 +139,62 @@ func TestClusterPoolDiscovery(t *testing.T) {
 	if _, err := NewClusterPool(context.Background(), []string{"http://127.0.0.1:1"}, nil); err == nil {
 		t.Fatal("NewClusterPool succeeded with no reachable primary")
 	}
+}
+
+// TestProbeLeaderRules: one rule a subtest. A node whose info names no
+// leader is a primary, whatever its role says; a tie goes to the earlier
+// candidate; a primary below the minimum epoch is no leader; a follower's
+// leader_url is probed once however many name it.
+func TestProbeLeaderRules(t *testing.T) {
+	ctx := context.Background()
+	t.Run("no leader named is a primary", func(t *testing.T) {
+		bare := &clusterNode{} // a pre-cluster server reports no role
+		bare.server(t)
+		f := &clusterNode{role: "follower", epoch: 5, leaderURL: "http://127.0.0.1:1"}
+		f.server(t)
+		leader, followers, err := ProbeLeader(ctx, []string{f.url, bare.url}, nil, 0)
+		if err != nil || leader != bare.url || len(followers) != 1 || followers[0] != f.url {
+			t.Fatalf("leader %q, followers %v, err %v; want %q and [%s]", leader, followers, err, bare.url, f.url)
+		}
+	})
+	t.Run("a tie goes to the earlier candidate", func(t *testing.T) {
+		a, b := &clusterNode{role: "primary", epoch: 3}, &clusterNode{role: "primary", epoch: 3}
+		a.server(t)
+		b.server(t)
+		for _, cands := range [][]string{{a.url, b.url}, {b.url, a.url}} {
+			if leader, _, err := ProbeLeader(ctx, cands, nil, 0); err != nil || leader != cands[0] {
+				t.Fatalf("candidates %v: leader %q (err %v), want the first", cands, leader, err)
+			}
+		}
+	})
+	t.Run("the minimum epoch", func(t *testing.T) {
+		stale, fresh := &clusterNode{role: "primary", epoch: 1}, &clusterNode{role: "primary", epoch: 3}
+		stale.server(t)
+		fresh.server(t)
+		if leader, _, err := ProbeLeader(ctx, []string{stale.url, fresh.url}, nil, 2); err != nil || leader != fresh.url {
+			t.Fatalf("leader %q (err %v), want the epoch-3 primary", leader, err)
+		}
+		if leader, _, err := ProbeLeader(ctx, []string{stale.url, fresh.url}, nil, 4); err == nil {
+			t.Fatalf("leader %q below the minimum epoch 4", leader)
+		}
+	})
+	t.Run("a follower's leader is probed once", func(t *testing.T) {
+		p := &clusterNode{role: "primary", epoch: 2}
+		p.server(t)
+		f1 := &clusterNode{role: "follower", epoch: 2, leaderURL: p.url}
+		f2 := &clusterNode{role: "follower", epoch: 2, leaderURL: p.url + "/"}
+		f1.server(t)
+		f2.server(t)
+		leader, followers, err := ProbeLeader(ctx, []string{f1.url, f2.url, p.url}, nil, 0)
+		if err != nil || leader != p.url || len(followers) != 2 {
+			t.Fatalf("leader %q, followers %v, err %v", leader, followers, err)
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if p.infos != 1 {
+			t.Fatalf("the leader two followers name was probed %d times, want once", p.infos)
+		}
+	})
 }
 
 // TestClusterPoolApplyFailover: an apply bounced with a Leader-URL

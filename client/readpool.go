@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -62,7 +63,7 @@ func NewClusterPool(ctx context.Context, seeds []string, hc *http.Client) (*Read
 	if hc == nil {
 		hc = &http.Client{Transport: defaultTransport()}
 	}
-	leaderURL, followers, err := probeCluster(ctx, seeds, hc)
+	leaderURL, followers, err := ProbeLeader(ctx, seeds, hc, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -74,16 +75,16 @@ func NewClusterPool(ctx context.Context, seeds []string, hc *http.Client) (*Read
 	return p, nil
 }
 
-// probeCluster asks each candidate for /v1/info and returns the
-// highest-epoch primary plus the reachable follower URLs. Followers'
-// advertised leader_url values are probed too (one hop), so a seed
-// list of followers still finds their primary.
-func probeCluster(ctx context.Context, seeds []string, hc *http.Client) (string, []string, error) {
-	cands := append([]string(nil), seeds...)
+// ProbeLeader asks each candidate for /v1/info and returns the cluster's
+// leader and the reachable followers. A node whose info names no leader is
+// a primary; the leader is the one with the highest fencing epoch at or
+// above minEpoch, the earlier candidate on a tie. A follower's advertised
+// leader_url is probed too, once, so a candidate list of followers still
+// finds their primary. It fails when no such primary is reachable.
+func ProbeLeader(ctx context.Context, cands []string, hc *http.Client, minEpoch uint64) (leader string, followers []string, err error) {
+	cands = slices.Clone(cands)
 	seen := make(map[string]bool, len(cands)+1)
-	var leaderURL string
 	var leaderEpoch uint64
-	var followers []string
 	var lastErr error
 	for i := 0; i < len(cands); i++ {
 		u := strings.TrimRight(cands[i], "/")
@@ -92,36 +93,23 @@ func probeCluster(ctx context.Context, seeds []string, hc *http.Client) (string,
 		}
 		seen[u] = true
 		info, err := New(u, hc).Info(ctx)
-		if err != nil {
-			lastErr = err
-			continue
-		}
 		switch {
-		case info.LeaderURL == "":
-			// A primary (or a pre-cluster server that reports no role).
-			if info.Epoch >= leaderEpoch {
-				leaderURL, leaderEpoch = u, info.Epoch
-			}
-		default:
+		case err != nil:
+			lastErr = err
+		case info.LeaderURL != "":
 			followers = append(followers, u)
 			cands = append(cands, info.LeaderURL)
+		case info.Epoch >= minEpoch && (leader == "" || info.Epoch > leaderEpoch):
+			leader, leaderEpoch = u, info.Epoch
 		}
 	}
-	if leaderURL == "" {
+	if leader == "" {
 		if lastErr != nil {
 			return "", nil, fmt.Errorf("client: no primary reachable from seeds: %w", lastErr)
 		}
 		return "", nil, errors.New("client: no primary reachable from seeds")
 	}
-	// The leader may also appear in the follower list when a stale
-	// follower still advertised it as its own peer; drop it.
-	kept := followers[:0]
-	for _, u := range followers {
-		if u != leaderURL {
-			kept = append(kept, u)
-		}
-	}
-	return leaderURL, kept, nil
+	return leader, followers, nil
 }
 
 // Leader returns the leader's client as the pool currently knows it
@@ -159,7 +147,7 @@ func (p *ReadPool) Apply(ctx context.Context, script string) (*ApplyResult, erro
 		return p.Leader().Apply(ctx, script)
 	}
 	if StatusOf(err) == 0 && len(p.seeds) > 0 {
-		if leaderURL, _, derr := probeCluster(ctx, p.seeds, p.hc); derr == nil {
+		if leaderURL, _, derr := ProbeLeader(ctx, p.seeds, p.hc, 0); derr == nil {
 			p.setLeader(leaderURL)
 			return p.Leader().Apply(ctx, script)
 		}

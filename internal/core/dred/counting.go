@@ -2,7 +2,6 @@ package dred
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"ivm/internal/datalog"
@@ -70,48 +69,37 @@ func (e *Engine) count(o *op, s int, rules []int) error {
 }
 
 // applyRule evaluates the delta rules Δ1(r)..Δn(r) of rule ri that have a
-// changed subgoal, accumulating Δ(head) into perPred.
+// changed subgoal, accumulating Δ(head) into perPred. Δi(r) reads its
+// subgoal's Δ at i, the new state before it and the old state after it
+// (Definition 4.1, Example 4.1's d1/d2 orientation).
 func (e *Engine) applyRule(o *op, ri int, perPred map[string]*relation.Relation) error {
 	rule := e.prog.Rules[ri]
-	litDelta, err := e.deltaImages(o, ri)
-	if err != nil {
-		return err
-	}
-	if !slices.ContainsFunc(litDelta, func(d *relation.Relation) bool { return d != nil }) {
-		return nil // no subgoal changed
-	}
-
-	stored := e.db.Ensure(rule.Head.Pred, -1)
-	dp, ok := perPred[rule.Head.Pred]
-	if !ok {
-		if dp = e.work[rule.Head.Pred]; dp == nil {
-			dp = relation.New(len(rule.Head.Args))
-			e.work[rule.Head.Pred] = dp
+	for i, lit := range rule.Body {
+		d, err := e.delta(o, ri, i)
+		if err != nil {
+			return err
 		}
-		// Δ(head) borrows from the stored head relation, which is written
-		// only after the last stratum.
-		dp.Reset()
-		dp.BorrowFrom(stored, nil)
-		perPred[rule.Head.Pred] = dp
-	}
-
-	for i := range litDelta {
-		if litDelta[i] == nil {
+		if d == nil {
 			continue
 		}
-		if rule.Body[i].Kind == datalog.LitAggregate {
-			dp.BorrowFrom(stored, litDelta[i]) // a head over ΔT is often ΔT's new row
+		stored := e.db.Ensure(rule.Head.Pred, -1)
+		dp, ok := perPred[rule.Head.Pred]
+		if !ok {
+			if dp = e.work[rule.Head.Pred]; dp == nil {
+				dp = relation.New(len(rule.Head.Args))
+				e.work[rule.Head.Pred] = dp
+			}
+			// Δ(head) borrows from the stored head relation, which is written
+			// only after the last stratum.
+			dp.Reset()
+			dp.BorrowFrom(stored, nil)
+			perPred[rule.Head.Pred] = dp
 		}
-		srcs, err := e.deltaSources(o, ri, litDelta, i)
-		if err != nil {
-			return err
-		}
-		plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: eval.PlanDeltaNew, Delta: i}, rule, srcs)
-		if err != nil {
-			return err
+		if lit.Kind == datalog.LitAggregate {
+			dp.BorrowFrom(stored, d) // a head over ΔT is often ΔT's new row
 		}
 		before := dp.Len()
-		err = eval.EvalPlan(rule, srcs, plan, dp, e.instr)
+		err = e.evalInto(o, ri, i, d, eval.PlanDeltaNew, i, dp)
 		dp.BorrowFrom(stored, nil) // dp is published with the commit, ΔT need not be
 		if err != nil {
 			return err
@@ -134,60 +122,33 @@ func (e *Engine) keepWork(perPred map[string]*relation.Relation) {
 	}
 }
 
-// deltaImages computes the per-literal Δ images of rule ri (nil = subgoal
-// unchanged), updating group tables as a side effect (deltaT memoizes
-// them).
-func (e *Engine) deltaImages(o *op, ri int) ([]*relation.Relation, error) {
-	rule := e.prog.Rules[ri]
-	litDelta := make([]*relation.Relation, len(rule.Body))
-	for li, lit := range rule.Body {
-		if lit.Pred() == "" {
-			continue
-		}
-		switch lit.Kind {
-		case datalog.LitPositive:
-			if cd := o.cascade[lit.Atom.Pred]; cd != nil {
-				litDelta[li] = cd
-			}
-		case datalog.LitNegated:
-			if cd := o.cascade[lit.Atom.Pred]; cd != nil {
-				if dn := e.deltaNegation(lit.Atom.Pred, cd); !dn.Empty() {
-					litDelta[li] = dn
-				}
-			}
-		case datalog.LitAggregate:
-			if o.cascade[lit.Agg.Inner.Pred] == nil {
-				continue
-			}
-			dt, err := e.deltaT(o, eval.RuleLit{Rule: ri, Lit: li}, lit.Agg)
-			if err != nil {
-				return nil, err
-			}
-			if !dt.Empty() {
-				litDelta[li] = dt
-			}
-		}
+// delta returns the Δ image literal li of rule ri reads in a δ-rule, nil
+// where the literal's relation did not change: Δ(Q) for a positive
+// literal, Δ(¬Q) for a negated one, the ΔT of a GROUPBY subgoal (deltaT
+// memoizes it, updating its group table). A DRed stratum reads its sign
+// parts (image).
+func (e *Engine) delta(o *op, ri, li int) (*relation.Relation, error) {
+	lit := e.prog.Rules[ri].Body[li]
+	cd := o.cascade[lit.Pred()]
+	if cd == nil {
+		return nil, nil
 	}
-	return litDelta, nil
-}
-
-// deltaSources builds the source list of delta rule Δi(r) per Definition
-// 4.1: position i reads the Δ image, earlier positions the new state,
-// later positions the old state (Example 4.1's d1/d2 orientation).
-func (e *Engine) deltaSources(o *op, ri int, litDelta []*relation.Relation, i int) ([]eval.Source, error) {
-	rule := e.prog.Rules[ri]
-	srcs := make([]eval.Source, len(rule.Body))
-	for j, lit := range rule.Body {
-		if j == i {
-			srcs[j] = eval.Source{Rel: litDelta[i], JoinDelta: lit.Kind == datalog.LitNegated}
-			continue
-		}
+	var d *relation.Relation
+	switch lit.Kind {
+	case datalog.LitPositive:
+		return cd, nil
+	case datalog.LitNegated:
+		d = e.deltaNegation(lit.Atom.Pred, cd)
+	case datalog.LitAggregate:
 		var err error
-		if srcs[j], err = e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, j < i); err != nil {
+		if d, err = e.deltaT(o, eval.RuleLit{Rule: ri, Lit: li}, lit.Agg); err != nil {
 			return nil, err
 		}
 	}
-	return srcs, nil
+	if d == nil || d.Empty() {
+		return nil, nil
+	}
+	return d, nil
 }
 
 // deltaNegation computes Δ(¬Q) per Definition 6.1: a tuple of ΔQ that

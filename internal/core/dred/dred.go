@@ -188,8 +188,8 @@ type Engine struct {
 	// once per installed program; a head with expressions has none (an
 	// empty Body).
 	aux []datalog.Rule
-	// srcs is the one source list a DRed evaluation fills at a time; it is
-	// cleared after each, so it holds no relation between evaluations.
+	// srcs is the one source list a δ-rule evaluation fills at a time; it
+	// is cleared after each, so it holds no relation between evaluations.
 	srcs []eval.Source
 
 	// tracer and the metrics registry, both nil-safe. The counting_* and

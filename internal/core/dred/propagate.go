@@ -227,44 +227,58 @@ func (e *Engine) sources(n int) []eval.Source {
 	return e.srcs[:n]
 }
 
-// evalStep evaluates one δ-rule (evalInto) into the scratch output and
-// returns it.
-func (e *Engine) evalStep(o *op, ri, deltaLit int, img relation.Reader, kind eval.PlanKind) (*relation.Relation, error) {
-	head := e.prog.Rules[ri].Head
-	out := e.scratchOut(o, head)
-	if err := e.evalInto(o, ri, deltaLit, img, kind, out); err != nil {
+// evalStep evaluates one δ-rule of a DRed stratum or materialize into the
+// scratch output and returns it: literal li (none if < 0) reads img, every
+// other literal the old state (a PlanDeltaOld plan: step 1) or the new one.
+func (e *Engine) evalStep(o *op, ri, li int, img relation.Reader, kind eval.PlanKind) (*relation.Relation, error) {
+	rule := e.prog.Rules[ri]
+	newBelow := len(rule.Body)
+	if kind == eval.PlanDeltaOld {
+		newBelow = 0
+	}
+	out := e.scratchOut(o, rule.Head)
+	if err := e.evalInto(o, ri, li, img, kind, newBelow, out); err != nil {
 		return nil, err
 	}
 	e.last.RuleFirings++
 	if e.tracer != nil {
-		e.tracer.RuleEvaluated(head.Pred, out.Len())
+		e.tracer.RuleEvaluated(rule.Head.Pred, out.Len())
 	}
 	return out, nil
 }
 
-// evalInto evaluates rule ri into out, with literal deltaLit (none if < 0)
-// bound to img and every other literal at the old state (a PlanDeltaOld
-// plan: step 1) or the new one.
-func (e *Engine) evalInto(o *op, ri, deltaLit int, img relation.Reader, kind eval.PlanKind, out *relation.Relation) error {
+// evalInto evaluates rule ri into out over the sources fill gives it, in
+// the engine's source list.
+func (e *Engine) evalInto(o *op, ri, li int, img relation.Reader, kind eval.PlanKind, newBelow int, out *relation.Relation) error {
 	rule := e.prog.Rules[ri]
 	srcs := e.sources(len(rule.Body))
 	defer clear(srcs)
-	for j, lit := range rule.Body {
-		if j == deltaLit {
-			srcs[j] = eval.Source{Rel: img, JoinDelta: lit.Kind == datalog.LitNegated}
-			continue
-		}
-		s, err := e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, kind != eval.PlanDeltaOld)
-		if err != nil {
-			return err
-		}
-		srcs[j] = s
+	if err := e.fill(o, ri, li, img, newBelow, srcs); err != nil {
+		return err
 	}
-	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: kind, Delta: deltaLit}, rule, srcs)
+	plan, err := e.planner.PlanFor(eval.PlanKey{Rule: ri, Kind: kind, Delta: li}, rule, srcs)
 	if err != nil {
 		return err
 	}
 	return eval.EvalPlan(rule, srcs, plan, out, e.instr)
+}
+
+// fill fills srcs with the sources of a δ-rule of rule ri: literal li
+// reads img, a literal before newBelow the new state and any later one the
+// old state — Definition 4.1's Δli(r) with newBelow = li, DRed's step 1
+// with 0, steps 2 and 3 with the body's length.
+func (e *Engine) fill(o *op, ri, li int, img relation.Reader, newBelow int, srcs []eval.Source) error {
+	for j, lit := range e.prog.Rules[ri].Body {
+		if j == li {
+			srcs[j] = eval.Source{Rel: img, JoinDelta: lit.Kind == datalog.LitNegated}
+			continue
+		}
+		var err error
+		if srcs[j], err = e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, j < newBelow); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rederive runs DRed's three steps on stratum s. Its net — the −1 rows of
@@ -330,46 +344,29 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 			}
 		})
 	}
-	candidates := func(p string) bool { return o.cascade[p] != nil && !o.cascade[p].Empty() }
-	// First pass: full candidate check over the new state.
-	for _, ri := range rules {
-		rule := e.prog.Rules[ri]
-		p := rule.Head.Pred
-		if !candidates(p) {
-			continue
+	readd := func(ri, li int, d relation.Reader) (*relation.Relation, error) {
+		head := e.prog.Rules[ri].Head
+		cand := o.cascade[head.Pred]
+		if cand == nil || cand.Empty() {
+			return nil, nil
 		}
-		derived := e.scratchOut(o, rule.Head)
-		if err := e.rederiveRule(o, ri, -1, nil, o.cascade[p], derived); err != nil {
+		out := e.scratchOut(o, head)
+		return out, e.rederiveRule(o, ri, li, d, cand, out)
+	}
+	// First pass: full candidate check over the new state; then the rounds,
+	// in which newly readded tuples re-enable candidates whose derivations
+	// pass through them.
+	for _, ri := range rules {
+		out, err := readd(ri, -1, nil)
+		if err != nil {
 			return err
 		}
-		foldReadd(p, derived)
+		if out != nil {
+			foldReadd(e.prog.Rules[ri].Head.Pred, out)
+		}
 	}
-	// Delta rounds: newly readded tuples re-enable candidates whose
-	// derivations pass through them.
-	for {
-		e.last.FixpointRounds++
-		cur := o.next()
-		for _, ri := range rules {
-			rule := e.prog.Rules[ri]
-			p := rule.Head.Pred
-			for li, lit := range rule.Body {
-				if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
-					continue
-				}
-				d := cur[lit.Atom.Pred]
-				if len(d) == 0 || !candidates(p) {
-					continue
-				}
-				derived := e.scratchOut(o, rule.Head)
-				if err := e.rederiveRule(o, ri, li, d, o.cascade[p], derived); err != nil {
-					return err
-				}
-				foldReadd(p, derived)
-			}
-		}
-		if o.fr[o.turn].empty() {
-			break
-		}
+	if err := e.rounds(o, rules, inStratum, readd, foldReadd); err != nil {
+		return err
 	}
 	var step3Start time.Time
 	if o.timing {
@@ -418,17 +415,20 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 	if del {
 		kind = eval.PlanDeltaOld
 	}
+	step := func(ri, li int, img relation.Reader) (*relation.Relation, error) {
+		return e.evalStep(o, ri, li, img, kind)
+	}
 	for _, ri := range rules {
 		rule := e.prog.Rules[ri]
-		for li, lit := range rule.Body {
-			img, err := e.image(o, lit, eval.RuleLit{Rule: ri, Lit: li}, inStratum, del)
+		for li := range rule.Body {
+			img, err := e.image(o, ri, li, inStratum, del)
 			if err != nil {
 				return err
 			}
 			if img == nil || img.Empty() {
 				continue
 			}
-			out, err := e.evalStep(o, ri, li, img, kind)
+			out, err := step(ri, li, img)
 			if err != nil {
 				return err
 			}
@@ -440,14 +440,14 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 			fold(pred, signPart(seed, del))
 		}
 	}
-	return e.rounds(o, rules, inStratum, kind, fold)
+	return e.rounds(o, rules, inStratum, step, fold)
 }
 
 // rounds runs semi-naive rounds from the frontier o's folds have filled:
-// in each, every in-stratum literal takes the previous round's rows, the
-// other literals the state kind plans for, until a round lets no row
-// through.
-func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, kind eval.PlanKind, fold func(string, *relation.Relation)) error {
+// in each, step evaluates every rule with an in-stratum literal bound to
+// the previous round's rows, and fold takes what it derived (a nil result
+// is no evaluation), until a round lets no row through.
+func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, step func(ri, li int, d relation.Reader) (*relation.Relation, error), fold func(string, *relation.Relation)) error {
 	for {
 		e.last.FixpointRounds++
 		cur := o.next()
@@ -461,11 +461,13 @@ func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, kind eval
 				if len(d) == 0 {
 					continue
 				}
-				out, err := e.evalStep(o, ri, li, d, kind)
+				out, err := step(ri, li, d)
 				if err != nil {
 					return err
 				}
-				fold(rule.Head.Pred, out)
+				if out != nil {
+					fold(rule.Head.Pred, out)
+				}
 			}
 		}
 		if o.fr[o.turn].empty() {
@@ -498,6 +500,9 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 			}
 		})
 	}
+	step := func(ri, li int, d relation.Reader) (*relation.Relation, error) {
+		return m.evalStep(o, ri, li, d, eval.PlanEval)
+	}
 	var strata []StratumTrace
 	for s, rules := range m.strat.RulesByStratum(m.prog) {
 		if len(rules) == 0 {
@@ -521,7 +526,7 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 			switch {
 			case reads(ri): // derives nothing until the rounds
 			case loops:
-				out, err := m.evalStep(o, ri, -1, nil, eval.PlanEval)
+				out, err := step(ri, -1, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -537,7 +542,7 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 						out.BorrowFrom(nil, gt.Rel())
 					}
 				}
-				err := m.evalInto(o, ri, -1, nil, eval.PlanEval, out)
+				err := m.evalInto(o, ri, -1, nil, eval.PlanEval, 0, out)
 				out.BorrowFrom(nil, nil)
 				if err != nil {
 					return nil, err
@@ -545,7 +550,7 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 			}
 		}
 		if loops {
-			if err := m.rounds(o, rules, inStratum, eval.PlanEval, fold); err != nil {
+			if err := m.rounds(o, rules, inStratum, step, fold); err != nil {
 				return nil, err
 			}
 		}
@@ -561,45 +566,24 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 	return strata, nil
 }
 
-// image returns the image of a literal that drives a δ-rule: for step 1
-// (neg, old state) the tuples whose change can invalidate a derivation
-// through it, for step 3 (new state) those whose change can enable one. A
-// positive literal's image is the tuples q lost (step 1) or gained (step
-// 3), a negated one's those q changed the other way that q's state lacks
-// (q gaining a tuple makes ¬q lose it, and the reverse), a GROUPBY's the
-// rows of ΔT's sign.
-func (e *Engine) image(o *op, lit datalog.Literal, key eval.RuleLit, inStratum map[string]bool, neg bool) (*relation.Relation, error) {
-	switch lit.Kind {
-	case datalog.LitPositive:
+// image returns the image of literal li of rule ri that drives a δ-rule:
+// for step 1 (neg, old state) the tuples whose change can invalidate a
+// derivation through it, for step 3 (new state) those whose change can
+// enable one — the negative or positive sign part of its Δ (delta), as
+// the cascade holds set transitions. A positive literal's is part's cached
+// one; an in-stratum one's is the fixpoint's.
+func (e *Engine) image(o *op, ri, li int, inStratum map[string]bool, neg bool) (*relation.Relation, error) {
+	if lit := e.prog.Rules[ri].Body[li]; lit.Kind == datalog.LitPositive {
 		if inStratum[lit.Atom.Pred] {
 			return nil, nil // driven by the in-stratum fixpoint
 		}
 		return e.part(o, lit.Atom.Pred, neg), nil
-	case datalog.LitNegated:
-		a := e.part(o, lit.Atom.Pred, !neg)
-		if a == nil || a.Empty() {
-			return nil, nil
-		}
-		img := relation.New(a.Arity())
-		q := e.old(lit.Atom.Pred)
-		if !neg {
-			q = e.newR(o, lit.Atom.Pred)
-		}
-		a.Each(func(row relation.Row) {
-			if !q.Has(row.Tuple) {
-				img.AddRow(row.WithCount(1))
-			}
-		})
-		return img, nil
-	case datalog.LitAggregate:
-		dt, err := e.deltaT(o, key, lit.Agg)
-		if err != nil {
-			return nil, err
-		}
-		return signPart(dt, neg), nil
-	default:
-		return nil, nil
 	}
+	d, err := e.delta(o, ri, li)
+	if d == nil || err != nil {
+		return nil, err
+	}
+	return signPart(d, neg), nil
 }
 
 // rederiveRule evaluates rule ri over the new state into out, restricted
@@ -616,16 +600,8 @@ func (e *Engine) rederiveRule(o *op, ri, li int, d relation.Reader, cand *relati
 	srcs := e.sources(len(rule.Body) + 1)
 	defer clear(srcs)
 	srcs[0] = eval.Source{Rel: cand}
-	for j, lit := range rule.Body {
-		if j == li {
-			srcs[j+1] = eval.Source{Rel: d}
-			continue
-		}
-		s, err := e.source(o, lit, eval.RuleLit{Rule: ri, Lit: j}, true)
-		if err != nil {
-			return err
-		}
-		srcs[j+1] = s
+	if err := e.fill(o, ri, li, d, len(rule.Body), srcs[1:]); err != nil {
+		return err
 	}
 	e.last.RuleFirings++
 	if aux := e.aux[ri]; aux.Body != nil {

@@ -27,14 +27,15 @@ import (
 // the next base: that copy is the only one, made once for the writer and
 // the readers alike, and its indexes carry over.
 type Stored struct {
-	base  *Relation
-	net   *Relation
-	pos   []int32
-	at    []int32
-	n     int
-	stats *tableStats // the state's sketches, built on first use
-	cols  [][]int     // the column sets the writer has probed, oldest first
-	order []int32     // lookup scratch: a run's net rows in place order
+	base   *Relation
+	net    *Relation
+	pos    []int32
+	at     []int32
+	n      int
+	stats  *tableStats // the state's sketches, built on first use
+	cols   [][]int     // the column sets the writer has probed, oldest first
+	order  []int32     // lookup scratch: a run's net rows in place order
+	copied int         // rows rebases copied since the last Publish
 }
 
 var _ Reader = (*Stored)(nil)
@@ -74,7 +75,8 @@ func (s *Stored) share() {
 // before delta was prev (nil: none): prev with delta linked while the base
 // is prev's, else a version of the base, frozen now if it was private. A
 // base prev does not share is one the writer has just made, and its net
-// is empty; prev's links leave the chain, and their indexes with them.
+// is empty; prev's links leave the chain, and their indexes with them,
+// and the rows its rebase copied are the new version's Copied.
 func (s *Stored) Publish(prev *Versioned, delta *Relation) *Versioned {
 	if s.private() {
 		s.base.Freeze()
@@ -91,7 +93,9 @@ func (s *Stored) Publish(prev *Versioned, delta *Relation) *Versioned {
 			d.unindex()
 		}
 	}
-	return NewVersioned(s.base)
+	v := NewVersioned(s.base)
+	v.copied, s.copied = s.copied, 0
+	return v
 }
 
 // Arity returns the relation's arity (-1 if still unknown).
@@ -464,7 +468,9 @@ func (s *Stored) rebase() {
 		c := s.net.rows.cells[s.at[p]-1].cell
 		t.insert(s.net.row(c), c.h)
 	}
-	rowsCopied.Add(int64(min(nb, s.n) + s.net.Len()))
+	copied := min(nb, s.n) + s.net.Len()
+	rowsCopied.Add(int64(copied))
+	s.copied += copied
 	t.Freeze()
 	s.base = t
 	s.net.drain()

@@ -24,7 +24,7 @@ type Versioned struct {
 	base   *Relation   // the frozen flat relation at the bottom of the chain
 	deltas []*Relation // frozen links above base, oldest first (never written after Push)
 	pend   int         // delta rows accumulated above base
-	copied int         // rows the push that made this version compacted
+	copied int         // rows the publish that made this version copied
 
 	// flat caches the fully materialized (frozen) form, built lazily by
 	// Flat. Concurrent builders may race to store it; every candidate has
@@ -151,8 +151,8 @@ func (v *Versioned) Flat() *Relation {
 	return f
 }
 
-// Copied reports the rows the push that made v copied to compact its
-// chain (0 if it did not compact).
+// Copied reports the rows the publish that made v copied: to compact its
+// chain, or to rebase its writer's state into v's base (0 if neither).
 func (v *Versioned) Copied() int { return v.copied }
 
 // Depth reports the current overlay-chain depth (0 when flat) — an

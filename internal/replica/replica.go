@@ -25,7 +25,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -55,9 +54,6 @@ type Options struct {
 	// not even a heartbeat — for this long, catching half-dead
 	// connections TCP alone would sit on (default 15s).
 	StallTimeout time.Duration
-	// HTTPClient overrides the transport (nil = dial/header timeouts but
-	// no overall request timeout, which the endless stream needs).
-	HTTPClient *http.Client
 	// ExtraOptions are engine options (tracing, history, ...) applied
 	// when materializing the follower's views. Strategy and semantics
 	// always follow the primary's — derived state is bit-identical only
@@ -93,15 +89,6 @@ func (o Options) withDefaults() Options {
 	if o.StallTimeout <= 0 {
 		o.StallTimeout = 15 * time.Second
 	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{Transport: &http.Transport{
-			DialContext: (&net.Dialer{
-				Timeout:   10 * time.Second,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			ResponseHeaderTimeout: 30 * time.Second,
-		}}
-	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
@@ -115,6 +102,9 @@ type Replica struct {
 	reg   *metrics.Registry
 	v     *ivm.Views
 	probe *http.Client // short-timeout client for /v1/info discovery
+	// stream dials the replication stream: dial and header timeouts, but
+	// no overall request timeout, which the endless stream needs.
+	stream *http.Client
 
 	applied    atomic.Uint64 // highest version applied locally
 	leader     atomic.Uint64 // highest primary version seen on the wire
@@ -164,6 +154,13 @@ func Start(primaryURL string, opts Options) (*Replica, error) {
 		ctx:          ctx,
 		cancel:       cancel,
 		done:         make(chan struct{}),
+		stream: &http.Client{Transport: &http.Transport{
+			DialContext: (&net.Dialer{
+				Timeout:   10 * time.Second,
+				KeepAlive: 30 * time.Second,
+			}).DialContext,
+			ResponseHeaderTimeout: 30 * time.Second,
+		}},
 	}
 
 	// Bootstrap: connect (retrying under the policy) and consume records
@@ -274,7 +271,7 @@ func (r *Replica) connect(from uint64, resume bool) (*http.Response, *bufio.Read
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := r.opts.HTTPClient.Do(req)
+	resp, err := r.stream.Do(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -508,63 +505,22 @@ func (r *Replica) admitEpoch(rec storage.ReplRecord) bool {
 }
 
 // resolveLeader probes the current upstream and Options.Seeds for the
-// cluster's leader via /v1/info and retargets the tail at the
-// highest-epoch primary at or above the follower's own epoch. A
-// follower answering a probe contributes its advertised leader_url as
-// one extra hop. No reachable acceptable primary leaves the upstream
-// unchanged (the plain reconnect loop keeps trying it).
+// cluster's leader (client.ProbeLeader, with the short-timeout probe
+// client) and retargets the tail at the highest-epoch primary at or above
+// the follower's own epoch — the current upstream on a tie. No reachable
+// acceptable primary leaves the upstream unchanged (the plain reconnect
+// loop keeps trying it).
 func (r *Replica) resolveLeader() {
 	cur := r.LeaderURL()
-	known := r.Epoch()
-	cands := append([]string{cur}, r.opts.Seeds...)
-	seen := make(map[string]bool, len(cands)+1)
-	var bestURL string
-	var bestEpoch uint64
-	for i := 0; i < len(cands); i++ {
-		u := strings.TrimRight(cands[i], "/")
-		if u == "" || seen[u] {
-			continue
-		}
-		seen[u] = true
-		info, err := r.probeInfo(u)
-		if err != nil {
-			continue
-		}
-		switch {
-		case info.Role == "primary" && info.Epoch >= known && info.Epoch > bestEpoch:
-			bestURL, bestEpoch = u, info.Epoch
-		case info.Role == "follower" && info.LeaderURL != "":
-			cands = append(cands, info.LeaderURL)
-		}
+	best, _, err := client.ProbeLeader(r.ctx, append([]string{cur}, r.opts.Seeds...), r.probe, r.Epoch())
+	if err != nil || best == cur {
+		return
 	}
-	if bestURL != "" && bestURL != cur {
-		r.setLeaderURL(bestURL)
-		r.info("replica: leader re-resolved", slog.Uint64("leader_epoch", bestEpoch))
-		if r.opts.OnLeaderChange != nil {
-			r.opts.OnLeaderChange(bestURL)
-		}
+	r.setLeaderURL(best)
+	r.info("replica: leader re-resolved")
+	if r.opts.OnLeaderChange != nil {
+		r.opts.OnLeaderChange(best)
 	}
-}
-
-// probeInfo asks one node for its /v1/info with a short timeout.
-func (r *Replica) probeInfo(base string) (client.Info, error) {
-	req, err := http.NewRequestWithContext(r.ctx, http.MethodGet, base+"/v1/info", nil)
-	if err != nil {
-		return client.Info{}, err
-	}
-	resp, err := r.probe.Do(req)
-	if err != nil {
-		return client.Info{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return client.Info{}, fmt.Errorf("replica: %s/v1/info answered %d", base, resp.StatusCode)
-	}
-	var info client.Info
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&info); err != nil {
-		return client.Info{}, err
-	}
-	return info, nil
 }
 
 // Promote turns this follower into a primary: the tail loop is stopped

@@ -417,16 +417,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, client.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// reader is the read surface shared by the live views and pinned
-// session snapshots; *ivm.Snapshot satisfies it.
-type reader interface {
-	Version() uint64
-	Rows(pred string) []ivm.Row
-	Count(pred string, vals ...any) int64
-	Query(goal string) ([]ivm.QueryResult, error)
-	Explain(goal string) ([]ivm.Derivation, error)
-}
-
 // LeaderURL returns the leader as this server currently knows it: ""
 // when this node is the primary, the primary's base URL on a follower.
 func (s *Server) LeaderURL() string {
@@ -457,15 +447,15 @@ func (s *Server) setLeaderHeader(w http.ResponseWriter) {
 	}
 }
 
-// readerFor resolves the read target: the request's session snapshot
-// when ?session= is present (404 on unknown/expired ids), the current
-// published version otherwise. A ?min_version= parameter makes the read
+// readerFor resolves the snapshot a read serves: the request's session
+// snapshot when ?session= is present (404 on unknown/expired ids), the
+// current published version otherwise. A ?min_version= parameter makes the read
 // bounded-staleness: the handler waits up to Options.MinVersionWait for
 // the published version to reach it, then answers 412 (with a
 // Leader-URL header on followers) instead of serving stale data — the
 // wait-or-redirect contract read-your-writes across replication lag
 // relies on. The bool reports whether a response was already written.
-func (s *Server) readerFor(w http.ResponseWriter, r *http.Request) (reader, bool) {
+func (s *Server) readerFor(w http.ResponseWriter, r *http.Request) (*ivm.Snapshot, bool) {
 	q := r.URL.Query()
 	var min uint64
 	if ms := q.Get("min_version"); ms != "" {

@@ -361,6 +361,50 @@ func TestHiddenOnlyChangesYieldEmptyChangeSet(t *testing.T) {
 	}
 }
 
+// TestTraceNamesTheCommitThatRebased: a commit whose merge takes a
+// relation's net to its bound (a quarter of its 2 000-row base) rebases
+// it, and its trace carries the base rows that copy wrote, on the primary
+// and on a follower folding its record; a one-link commit before it
+// neither rebases nor compacts and carries 0.
+func TestTraceNamesTheCommitThatRebased(t *testing.T) {
+	db := ivm.NewDatabase()
+	for i := 0; i < 2000; i++ {
+		db.Insert("link", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+	}
+	primary, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := primary.History()
+	snap := primary.Snapshot()
+	follower, err := ivm.ViewsFromReplicaState(snap.ReplicaState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.SeedVersion(snap.Version())
+	for _, n := range []int{1, 600} {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "+link(c%d_%d, d%d).\n", n, i, i)
+		}
+		cs, err := primary.ApplyScript(b.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, _ := h.At(cs.Version())
+		if _, err := follower.ApplyCommitRecord(ev.CommitRecord, ev.Trace.Published); err != nil {
+			t.Fatal(err)
+		}
+		p, f := primary.Trace().RowsCopied, follower.Trace().RowsCopied
+		if n == 1 && (p != 0 || f != 0) {
+			t.Fatalf("a one-link commit: the primary's trace copied %d rows and the follower's %d, want 0", p, f)
+		}
+		if n > 1 && (p < 2000 || f < 2000) {
+			t.Fatalf("a %d-link commit: the primary's trace copied %d rows and the follower's %d, want at least link's 2000 base rows", n, p, f)
+		}
+	}
+}
+
 // TestTraceNamesTheCommitThatCompacted: a version's trace carries the rows
 // its publish copied to compact version chains, on the primary and on a
 // follower folding its records. Over a base too large to rebase, 32

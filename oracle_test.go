@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -37,7 +37,8 @@ package ivm_test
 // ±1 but moves its count by ±2 [4]; a follower sharing a record's Δ as a
 // set view's change set where the same holds [4]; a compaction leaving a
 // run it keeps out of the rebuilt version chain [7]; a follower stamping
-// its own clock as the primary's publish time [8].
+// its own clock as the primary's publish time [8]; a DRed image taking
+// its Δ's negative sign part in step 3 as in step 1 [1].
 
 import (
 	"cmp"

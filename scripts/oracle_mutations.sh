@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -22,7 +22,8 @@ mutations=(
 	"a SUM stays a Float once it held one (PR 31)|internal/agg/agg.go|	if s.floats += mult; s.floats == 0 {|	if s.floats += max(mult, 0); s.floats == 0 {"
 	"SUM's Result is one too many|internal/agg/agg.go|	return value.NewInt(s.i), true|	return value.NewInt(s.i + 1), true"
 	"CmpLt evaluates as <=|internal/datalog/ast.go|		return c < 0|		return c <= 0"
-	"materialize skips the semi-naive rounds after the seed pass|internal/core/dred/propagate.go|m.rounds(o, rules, inStratum, eval.PlanEval, fold)|error(nil)"
+	"materialize skips the semi-naive rounds after the seed pass|internal/core/dred/propagate.go|m.rounds(o, rules, inStratum, step, fold)|error(nil)"
+	"a DRed image takes Δ's negative part in both steps|internal/core/dred/propagate.go|return signPart(d, neg), nil|return signPart(d, true), nil"
 	"counting commits its working Δ(head) uncopied and unfrozen|internal/core/dred/counting.go|		dp.Freeze()|		dp = w"
 	"the trace is stamped with the predecessor's version|snapshot.go|&ApplyTrace{Version: id, Strategy: v.strategy|&ApplyTrace{Version: id - 1, Strategy: v.strategy"
 	"the history's index keeps a key after its commit leaves|history.go|			delete(v.keys, k)|			_ = k"
