@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 
 	"ivm"
@@ -12,25 +13,34 @@ import (
 )
 
 // The one rule for who builds a tuple (DESIGN.md §4): an engine's output
-// borrows the row its head relation already stores, and builds a tuple
-// only for a row that is new. watchBorrowing records what v's engine
-// stores for every derived predicate; the function it returns is called
-// after the next operation on v and fails the test unless every row of
-// the engine's committed deltas whose tuple was stored before is that
-// stored tuple, pointer for pointer. It returns how many committed rows
-// were not stored before (fresh), and how many tuples rule evaluation and
-// GROUPBY tables' ΔT built during the operation.
-func watchBorrowing(v *ivm.Views) func(t *testing.T, what string) (fresh, built int64) {
+// borrows the row its head relation already stores, and a row that comes
+// back after its delete borrows the base's own row; it builds a tuple only
+// for a row that is new. watchBorrowing records what v's engine stores for
+// every derived predicate, and the base that state is kept over; the
+// function it returns is called after the next operation on v and fails
+// the test unless every row of the engine's committed deltas whose tuple
+// was stored before is that stored tuple, pointer for pointer. It returns
+// how many committed rows were not stored before (fresh), how many of
+// those are their base's own row, the same tuple (lent), and how many
+// tuples rule evaluation and GROUPBY tables' ΔT built during the
+// operation; it fails the test unless eval_heads_borrowed_total grew by at
+// least the lent rows.
+func watchBorrowing(v *ivm.Views) func(t *testing.T, what string) (fresh, lent, built int64) {
 	storedBefore := make(map[string]map[string]*ivm.Value)
+	bases := make(map[string]*relation.Relation)
 	for pred := range v.Program().DerivedPreds() {
 		rows := make(map[string]*ivm.Value)
 		if r := ivm.EngineRelation(v, pred); r != nil {
 			r.Each(func(row relation.Row) { rows[row.Key()] = unsafe.SliceData(row.Tuple) })
 		}
 		storedBefore[pred] = rows
+		if b := ivm.EngineBase(v, pred); b != nil && b.Frozen() { // a private base is the state
+			bases[pred] = b
+		}
 	}
-	builtBefore := v.Metrics().Counter("eval_heads_built_total")
-	return func(t *testing.T, what string) (fresh, built int64) {
+	m := v.Metrics()
+	builtBefore, borrowedBefore := m.Counter("eval_heads_built_total"), m.Counter("eval_heads_borrowed_total")
+	return func(t *testing.T, what string) (fresh, lent, built int64) {
 		t.Helper()
 		for pred, d := range ivm.EngineCommittedDeltas(v) {
 			rows, derived := storedBefore[pred]
@@ -41,12 +51,19 @@ func watchBorrowing(v *ivm.Views) func(t *testing.T, what string) (fresh, built 
 				switch p, was := rows[row.Key()]; {
 				case !was:
 					fresh++
+					if b, ok := bases[pred].Stored([]byte(row.Key())); ok && unsafe.SliceData(b.Tuple) == unsafe.SliceData(row.Tuple) {
+						lent++
+					}
 				case p != unsafe.SliceData(row.Tuple):
 					t.Errorf("%s: Δ(%s) holds a copy of the stored tuple %v (count %+d)", what, pred, row.Tuple, row.Count)
 				}
 			})
 		}
-		return fresh, v.Metrics().Counter("eval_heads_built_total") - builtBefore
+		m := v.Metrics()
+		if borrowed := m.Counter("eval_heads_borrowed_total") - borrowedBefore; borrowed < lent {
+			t.Errorf("%s: %d committed rows are their base's, and only %d heads were borrowed", what, lent, borrowed)
+		}
+		return fresh, lent, m.Counter("eval_heads_built_total") - builtBefore
 	}
 }
 
@@ -54,44 +71,20 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 	// The tc_dred_mem shape: an apply deletes 4 links of a layered DAG with
 	// skip-layer cross edges, the next puts them back. Every overestimated
 	// and rederived head is a stored row, so DRed builds exactly the tuples
-	// it inserts.
+	// it inserts, less those that come back as their base's own.
 	t.Run("flip-stream", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(3))
-		link := workload.LayeredDAG(rng, 8, 24, 2)
-		for added := 0; added < 40; {
-			l := rng.Intn(6)
-			tu := ivm.T(fmt.Sprintf("n%d", l*24+rng.Intn(24)), fmt.Sprintf("n%d", (l+2)*24+rng.Intn(24)))
-			if !link.Has(tu) {
-				link.Add(tu, 1)
-				added++
-			}
-		}
-		db := ivm.NewDatabase()
-		link.Each(func(row relation.Row) { db.InsertTuple("link", row.Tuple, 1) })
-		v, err := db.Materialize(oracleTC, ivm.WithStrategy(ivm.DRed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var held *relation.Relation
+		v, next := flipStream(t)
 		var inserted int
 		for step := 0; step < 60; step++ {
-			d := held
-			if held == nil {
-				d = workload.SampleDeletes(rng, ivm.EngineRelation(v, "link"), 4)
-				held = d.Negate()
-			} else {
-				held = nil
-			}
-			u := ivm.NewUpdate()
-			d.Each(func(row relation.Row) { u.InsertTuple("link", row.Tuple, row.Count) })
+			u := next()
 			check := watchBorrowing(v)
 			if _, err := v.Apply(u); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			fresh, built := check(t, fmt.Sprintf("step %d", step))
+			fresh, lent, built := check(t, fmt.Sprintf("step %d", step))
 			st := v.Trace().Stats
-			if built != int64(st.Inserted) || fresh != built {
-				t.Fatalf("step %d: %d heads built, %d rows inserted, %d committed rows were not stored", step, built, st.Inserted, fresh)
+			if fresh != int64(st.Inserted) || built != fresh-lent {
+				t.Fatalf("step %d: %d heads built, %d rows inserted, %d committed rows were not stored, %d of them the base's", step, built, st.Inserted, fresh, lent)
 			}
 			inserted += st.Inserted
 		}
@@ -132,8 +125,8 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 			for _, script := range ex.scripts {
 				check := watchBorrowing(v)
 				apply(t, v, script)
-				f, built := check(t, script)
-				if built < f {
+				f, lent, built := check(t, script)
+				if built < f-lent {
 					t.Fatalf("%s: %d committed rows were not stored, and only %d heads were built", script, f, built)
 				}
 				sharesT(script)
@@ -169,8 +162,8 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 			for _, script := range ex.scripts {
 				check := watchBorrowing(v)
 				cs := apply(t, v, script)
-				fresh, built := check(t, script)
-				if built < fresh {
+				fresh, lent, built := check(t, script)
+				if built < fresh-lent {
 					t.Fatalf("%s: %d committed rows were not stored, and only %d heads were built", script, fresh, built)
 				}
 				for _, pred := range cs.Preds() {
@@ -181,5 +174,100 @@ func TestDerivedRowsBorrowStoredRows(t *testing.T) {
 				t.Fatal("no apply deleted a stored row: nothing could be borrowed")
 			}
 		})
+	}
+}
+
+// flipStream is the tc_dred_mem shape under DRed: a layered DAG of 8 layers
+// of 24 nodes with 40 skip-layer cross edges, and next, whose updates
+// delete 4 sampled links and then put the same 4 back, by turns.
+func flipStream(t *testing.T) (v *ivm.Views, next func() *ivm.Update) {
+	rng := rand.New(rand.NewSource(3))
+	link := workload.LayeredDAG(rng, 8, 24, 2)
+	for added := 0; added < 40; {
+		l := rng.Intn(6)
+		tu := ivm.T(fmt.Sprintf("n%d", l*24+rng.Intn(24)), fmt.Sprintf("n%d", (l+2)*24+rng.Intn(24)))
+		if !link.Has(tu) {
+			link.Add(tu, 1)
+			added++
+		}
+	}
+	db := ivm.NewDatabase()
+	link.Each(func(row relation.Row) { db.InsertTuple("link", row.Tuple, 1) })
+	v, err := db.Materialize(oracleTC, ivm.WithStrategy(ivm.DRed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held *relation.Relation
+	return v, func() *ivm.Update {
+		d := held
+		if held == nil {
+			d = workload.SampleDeletes(rng, ivm.EngineRelation(v, "link"), 4)
+			held = d.Negate()
+		} else {
+			held = nil
+		}
+		u := ivm.NewUpdate()
+		d.Each(func(row relation.Row) { u.InsertTuple("link", row.Tuple, row.Count) })
+		return u
+	}
+}
+
+// TestReturningRowsAreTheirBaseRows: a tc row that the flip stream deletes
+// and puts back is its base's own row again — it takes its base place and
+// borrows the base's tuple — so the net holds what changed, not the path
+// it took, and the stream never fills it. After a warm-up, tc's state
+// rebases no more than the ceiling over a fixed run of applies, on the
+// primary and on a follower folding its records (whose fold lends the
+// base's row the same way), and no re-insert builds a head for a row its
+// base holds.
+func TestReturningRowsAreTheirBaseRows(t *testing.T) {
+	const warm, applies = 20, 300
+	// Measured 0 rebases over 4 000 applies. Where a returning row took
+	// the next place as a new row, and so stayed in the net, these 300
+	// rebased tc 10 times; where the fold built the rows it folds, the
+	// follower's did too.
+	const rebaseCeiling = 0
+	v, next := flipStream(t)
+	h := v.History()
+	snap := v.Snapshot()
+	follower, err := ivm.ViewsFromReplicaState(snap.ReplicaState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower.SeedVersion(snap.Version())
+	rebases, copied, folded := 0, 0, 0
+	for step := 0; step < warm+applies; step++ {
+		u := next()
+		base, fbase := ivm.EngineBase(v, "tc"), ivm.EngineBase(follower, "tc")
+		check := watchBorrowing(v)
+		cs, err := v.Apply(u)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		// The follower folds the same record, and lends the same way.
+		ev, _ := h.At(cs.Version())
+		if _, err := follower.ApplyCommitRecord(ev.CommitRecord, time.Time{}); err != nil {
+			t.Fatalf("step %d: the follower's fold: %v", step, err)
+		}
+		if step >= warm && ivm.EngineBase(follower, "tc") != fbase {
+			folded++
+		}
+		fresh, lent, built := check(t, fmt.Sprintf("step %d", step))
+		var held int64 // committed new rows whose key the base holds
+		ivm.EngineCommittedDeltas(v)["tc"].Each(func(row relation.Row) {
+			if _, ok := base.Stored([]byte(row.Key())); ok && row.Count > 0 {
+				held++
+			}
+		})
+		if held != lent || built != fresh-lent {
+			t.Fatalf("step %d: %d heads built for %d new rows; the base holds %d of them, %d came back as the base's own", step, built, fresh, held, lent)
+		}
+		if nb := ivm.EngineBase(v, "tc"); step >= warm && nb != base {
+			rebases, copied = rebases+1, copied+nb.Len()
+		}
+	}
+	t.Logf("%d applies rebased tc %d times, copying %d rows, and the follower's folds %d times (ceiling %d)", applies, rebases, copied, folded, rebaseCeiling)
+	if rebases > rebaseCeiling || folded > rebaseCeiling {
+		t.Errorf("%d applies rebased tc %d times and the follower's folds %d, more than %d: do returning rows stay in the net?", applies, rebases, folded, rebaseCeiling)
 	}
 }

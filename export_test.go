@@ -36,6 +36,17 @@ func EngineRelation(v *Views, pred string) *relation.Relation {
 	return nil
 }
 
+// EngineBase is the relation the engine's stored relation for pred is
+// kept over (nil if none): the rows a row that comes back borrows.
+func EngineBase(v *Views, pred string) *relation.Relation {
+	v.wmu.Lock()
+	defer v.wmu.Unlock()
+	if r := v.eng.Stored(pred); r != nil {
+		return r.Base()
+	}
+	return nil
+}
+
 // VersionFlat is pred's current version as one relation: the engine's
 // base itself while the version is at depth 0.
 func VersionFlat(v *Views, pred string) *relation.Relation { return v.cur.Load().rels[pred].Flat() }

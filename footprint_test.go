@@ -130,7 +130,8 @@ func TestOldBaseIsCollected(t *testing.T) {
 // and the version rows publication copies per row it links must stay
 // within copiedPerLogDB·log₂|DB| (|DB| the links). MIN and MAX are the one
 // exception to the law: deleting a group's extremum rescans the group
-// (ROADMAP item 2), so the ladder aggregates by count.
+// (ROADMAP item 2, TestMinRescansGrowWithTheGroups), so the ladder
+// aggregates by count.
 func TestApplyWorkIsFlatInDatabaseSize(t *testing.T) {
 	// Measured 0.335 at the smallest rung (copied ÷ linked 4.0, 4.3 and 5.0
 	// up the ladder), + 10 %. A compaction that re-copied every pending
@@ -198,6 +199,49 @@ func TestApplyWorkIsFlatInDatabaseSize(t *testing.T) {
 			if got[i] > 1.1*first[i] {
 				t.Errorf("n = %d: %.2f %s per apply, %.2f at n = 1000: the work grew with |DB|", n, got[i], what, first[i])
 			}
+		}
+	}
+}
+
+// TestMinRescansGrowWithTheGroups names the exception to the law above:
+// a MIN group that loses its minimum cannot be updated from its Δ, and
+// Algorithm 6.1 computes it again from the group's rows (GroupTable's
+// rescan). Each rung is a hub of width k: k sources link to it and it
+// links to k targets 0..k-1, so hop holds k groups of k rows, and every
+// apply deletes or puts back the one link to target 0, every group's
+// minimum. An apply's base Δ is one row at every rung, yet
+// eval_group_rescans_total per apply is k/2: the deletes rescan every
+// group, each of its k rows, and the puts-back none. That is the paper's
+// recomputation of a non-incremental aggregate, growing with the groups
+// it must recompute, not a leak.
+func TestMinRescansGrowWithTheGroups(t *testing.T) {
+	const applies = 40
+	for _, k := range []int{8, 32, 128} {
+		db := ivm.NewDatabase()
+		for i := range k {
+			db.InsertTuple("link", ivm.T(fmt.Sprintf("s%d", i), "hub"), 1)
+			db.InsertTuple("link", ivm.T("hub", i), 1)
+		}
+		v, err := db.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).\n" +
+			"lo(X,M) :- groupby(hop(X,Y), [X], M = min(Y)).\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m0 := v.Metrics()
+		for i := range applies {
+			u := ivm.NewUpdate()
+			u.InsertTuple("link", ivm.T("hub", 0), int64(2*(i%2)-1))
+			if _, err := v.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := float64(v.Metrics().Counter("eval_group_rescans_total")-m0.Counter("eval_group_rescans_total")) / applies
+		t.Logf("k = %d: %.1f group rescans per apply", k, got)
+		if got != float64(k)/2 {
+			t.Errorf("k = %d: %.1f group rescans per apply, want k/2 = %d: every delete of the minimum recomputes each of the k groups", k, got, k/2)
+		}
+		if rows := v.Rows("lo"); len(rows) != k {
+			t.Fatalf("k = %d: lo holds %d groups", k, len(rows))
 		}
 	}
 }

@@ -46,8 +46,8 @@ func churn() []byte {
 // index's runs against a scan (checkRuns), so a swap-remove that loses the
 // row it moves fails at once; at the end and at every copy, the whole
 // content and every projection (the relation a copy leaves behind must
-// keep what it had). The Stored must read as the relation does, order and
-// all, after every operation (sameAsFlat).
+// keep what it had). The Stored must read as the relation does, in the
+// order the place model gives, after every operation (samePlaces).
 func FuzzTableOps(f *testing.F) {
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
@@ -56,8 +56,9 @@ func FuzzTableOps(f *testing.F) {
 		r, m := New(-1), map[string]int64{}
 		tuples := map[string]value.Tuple{}
 		delta := New(-1)
-		st := Store(New(-1))
+		st, pl := Store(New(-1)), &places{}
 		st.Publish(nil, nil)
+		pl.seat(st)
 		var buf []Row
 		// overlays checks LookupInto on base ⊎ delta, and on base ⊎ delta ⊎
 		// -delta, against what the materialized overlays hold.
@@ -165,8 +166,9 @@ func FuzzTableOps(f *testing.F) {
 			case 5:
 				r.Reset()
 				m = map[string]int64{}
-				st, was = Store(New(-1)), 0
+				st, was, pl = Store(New(-1)), 0, &places{}
 				st.Publish(nil, nil)
+				pl.seat(st)
 			case 6:
 				if c == 0 {
 					c = -r.Count(tu) - delta.Count(tu)
@@ -174,11 +176,12 @@ func FuzzTableOps(f *testing.F) {
 				delta.Add(tu, c)
 			default:
 				st.rebase()
+				pl.seat(st)
 			}
 			if moved := r.Count(tu) - was; moved != 0 {
 				d := New(2)
 				d.Add(tu, moved)
-				st.MergeDelta(d)
+				pl.merge(st, d)
 			}
 			if m[k] == 0 {
 				delete(m, k)
@@ -190,7 +193,7 @@ func FuzzTableOps(f *testing.F) {
 			lookups(where, r, m, tu)
 			checkRuns(t, where, r)
 			overlays(where, tu)
-			sameAsFlat(t, where, st, r, [][]int{{0}, {1}, {0, 1}}, tu)
+			samePlaces(t, where, st, pl, r, [][]int{{0}, {1}, {0, 1}}, tu)
 		}
 		same("at the end", r, m)
 		var probes []value.Tuple
@@ -198,6 +201,6 @@ func FuzzTableOps(f *testing.F) {
 			probes = append(probes, tu)
 		}
 		overlays("at the end", probes...)
-		sameAsFlat(t, "at the end", st, r, [][]int{{0}, {1}, {0, 1}}, probes...)
+		samePlaces(t, "at the end", st, pl, r, [][]int{{0}, {1}, {0, 1}}, probes...)
 	})
 }

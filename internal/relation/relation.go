@@ -257,7 +257,10 @@ func (r *Relation) BorrowFrom(stored *Stored, pending *Relation) {
 
 // AddDerived is Add for a tuple in scratch storage, of which r keeps
 // nothing: a tuple and a key are built only for a row neither r nor a
-// lender holds. A borrowed cell carries count, never the lender's.
+// lender holds. The stored lender lends, after its state and the pending
+// net, the base's row the state has deleted: a row that comes back is
+// base's own again, and settles at its base place. A borrowed cell carries
+// count, never the lender's.
 func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 	if count == 0 {
 		return Merged
@@ -271,8 +274,10 @@ func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 		return Merged
 	}
 	row, ok := storedRow(r.lendStored, h, kb)
-	if !ok {
-		row, ok = held(r.lendNet, h, kb)
+	if row.Count == 0 { // absent, or base's row the state deleted
+		if net, held := held(r.lendNet, h, kb); held {
+			row, ok = net, true
+		}
 	}
 	if ok {
 		r.insert(row.WithCount(count), h)

@@ -11,16 +11,17 @@ import (
 // makes it the writer's current state. Until the base is first published
 // the relation is private and every write goes into the base itself.
 //
-// The state reads exactly as the one table its writer would hold had it
-// merged every commit into that table (table.go): the same rows, counts
-// and place order — an insert takes the next place, a delete moves the
-// last row into the hole — so a walk that stops at its first match, and
-// every count it makes, follows the same history. Place p holds base's row
-// p unless the net says otherwise: net holds, with its current count, each
-// row whose place or count differs from base's, pos[i] the place of net
-// row i, at[p] 1 + the net row at place p (0: base's row p, if p < n). A
-// base row at no place is deleted: its place is at or past n, or another
-// row took it.
+// The state's rows are in place order, which its history fixes as the one
+// table's (table.go) does — an insert takes the next place, a delete moves
+// the last row into the hole — but for one rule: a row base holds that
+// comes back after its delete takes its base place back, if that place is
+// below the length, and the row there moves to the end. So a delete undone
+// leaves base's rows where base has them, and the net is what changed, not
+// the path it took. Place p holds base's row p unless the net says
+// otherwise: net holds, with its current count, each row whose place,
+// count or tuple differs from base's, pos[i] the place of net row i, at[p]
+// 1 + the net row at place p (0: base's row p, if p < n). A base row at no
+// place is deleted: its place is at or past n, or another row took it.
 //
 // Once the net reaches max(minFlattenRows, ¼|base|) rows, the merge that
 // took it there folds it into a copy of the base (rebase), which becomes
@@ -98,6 +99,10 @@ func (s *Stored) Publish(prev *Versioned, delta *Relation) *Versioned {
 	return v
 }
 
+// Base returns the relation the net is kept over (while private, the
+// state itself): the rows a row that comes back is again.
+func (s *Stored) Base() *Relation { return s.base }
+
 // Arity returns the relation's arity (-1 if still unknown).
 func (s *Stored) Arity() int {
 	if a := s.base.Arity(); a >= 0 {
@@ -134,20 +139,22 @@ func (s *Stored) setAt(p int, v int32) {
 	s.at[p] = v
 }
 
-// locate returns where the row under key k, hashed to h, is: base's row q
-// at its own place — then the net lacks it — or net row i, or -1 for both
-// when it is absent.
+// locate returns where the row under key k, hashed to h, is: net row i,
+// or -1; and q, base's place for k, or -1. Base's row q is the state's
+// when kept(q), and then the net lacks k.
 func locate[K string | []byte](s *Stored, h uint32, k K) (i, q int) {
-	if q = find(&s.base.rows, h, k); q >= 0 && q < s.n && s.atp(q) == 0 {
+	if q = find(&s.base.rows, h, k); q >= 0 && s.kept(int32(q)) {
 		return -1, q
 	}
 	if s.net.Len() > 0 {
-		return find(&s.net.rows, h, k), -1
+		return find(&s.net.rows, h, k), q
 	}
-	return -1, -1
+	return -1, q
 }
 
-// storedRow returns the row stored under key k, hashed to h (none in a nil s).
+// storedRow returns the row stored under key k, hashed to h (none in a nil
+// s). A base row the state has deleted is found at count 0: the tuple a
+// row that comes back borrows, to take its base place back (add).
 func storedRow[K string | []byte](s *Stored, h uint32, k K) (Row, bool) {
 	if s == nil {
 		return Row{}, false
@@ -159,7 +166,11 @@ func storedRow[K string | []byte](s *Stored, h uint32, k K) (Row, bool) {
 	case i >= 0:
 		return s.net.At(i), true
 	case q >= 0:
-		return s.base.At(q), true
+		row := s.base.At(q)
+		if !s.kept(int32(q)) {
+			row.Count = 0
+		}
+		return row, true
 	}
 	return Row{}, false
 }
@@ -192,7 +203,8 @@ func (s *Stored) Counts(d *Relation, dst []int64) []int64 {
 // Has reports whether t is present with a positive count.
 func (s *Stored) Has(t value.Tuple) bool { return s.Count(t) > 0 }
 
-// Stored returns the row stored under the canonical key kb.
+// Stored returns the row stored under the canonical key kb, or base's row
+// at count 0 where the state has deleted it: a fold borrows its tuple.
 func (s *Stored) Stored(kb []byte) (Row, bool) { return storedRow(s, hashBytes(kb), kb) }
 
 // rowAt returns the row at place p < n.
@@ -343,35 +355,55 @@ func (s *Stored) bound() int { return max(minFlattenRows, (s.base.Len()+3)/4) }
 // array: while it is within the net's bound.
 func (s *Stored) Keeps(w *Relation) bool { return cap(w.rows.cells) <= s.bound() }
 
-// add merges one keyed row, hashed to h, as the single table would.
+// add merges one keyed row, hashed to h, at the place the state's order
+// gives it: a row whose count changes keeps its place, a new one takes the
+// next, and one that base holds at a place q below the length takes q
+// back, moving the row there to the end. A row the net holds leaves it
+// where it is base's own row again (settle).
 func (s *Stored) add(row Row, h uint32) {
-	switch i, q := locate(s, h, row.key); {
+	i, q := locate(s, h, row.key)
+	switch {
 	case i >= 0:
 		c := &s.net.rows.cells[i]
-		now := c.count + row.Count
-		if now == 0 {
+		if c.count += row.Count; c.count == 0 {
 			s.remove(int(s.pos[i]))
 			return
 		}
-		c.count = now
-		// Base's row back at its place with its count leaves the net.
-		if p := int(s.pos[i]); p < s.base.Len() {
-			if b := &s.base.rows.cells[p]; b.count == now && b.h == c.h && b.key() == c.key() {
-				s.unnet(i)
-			}
-		}
-	case q >= 0:
+		s.settle(int(s.pos[i]))
+		return
+	case q >= 0 && s.kept(int32(q)):
 		if now := s.base.rows.cells[q].count + row.Count; now != 0 {
 			s.netAt(s.base.At(q).WithCount(now), h, q)
 		} else {
 			s.remove(q)
 		}
-	default:
-		s.netAt(row, h, s.n)
-		s.n++
-		if s.stats != nil {
-			s.stats.add(row.Tuple, 1)
-		}
+		return
+	}
+	p := s.n
+	if q >= 0 && q < s.n { // the row at q, a net row, moves to the end
+		j := s.at[q]
+		s.pos[j-1] = int32(s.n)
+		s.setAt(s.n, j)
+		p = q
+	}
+	s.n++
+	s.settle(s.n - 1)
+	if s.stats != nil {
+		s.stats.add(row.Tuple, 1)
+	}
+	s.netAt(row, h, p)
+	s.settle(p)
+}
+
+// settle takes the net row at place p out of the net if it is base's row
+// p, tuple and count: the state reads base's row there again.
+func (s *Stored) settle(p int) {
+	i := int(s.atp(p)) - 1
+	if i < 0 || p >= s.base.Len() {
+		return
+	}
+	if c, b := &s.net.rows.cells[i], &s.base.rows.cells[p]; c.vals == b.vals && c.count == b.count {
+		s.unnet(i)
 	}
 }
 
@@ -421,6 +453,7 @@ func (s *Stored) remove(p int) {
 		s.at[last] = 0
 		s.pos[i-1] = int32(p)
 		s.setAt(p, i)
+		s.settle(p)
 		return
 	}
 	s.netAt(s.base.At(last), s.base.rows.cells[last].h, p)

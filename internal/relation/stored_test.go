@@ -11,21 +11,102 @@ import (
 	"ivm/internal/value"
 )
 
-// sameAsFlat checks that s reads exactly as flat, the one table fed the
-// same operations: Len, every row in Each's order, Count, Has and Stored
-// of each probe, LookupRun on cols for each probe's projection — the same
-// rows in the same order — and DistinctEst of every column; and that the
-// base's key table and index runs are whole (checkRuns).
-func sameAsFlat(t *testing.T, where string, s *Stored, flat *Relation, cols [][]int, probes ...value.Tuple) {
+// places is the order a Stored's rows read in, mirrored from the deltas
+// it merges: the rows' keys and counts in place order, and base's place
+// of each key. A new row takes the next place, a delete moves the last row
+// into the hole and a count change keeps its place, as in the one table;
+// but a row base holds at a place q below the length that comes back
+// takes q back, and the row there moves to the end.
+type places struct {
+	keys  []string
+	count map[string]int64
+	base  map[string]int
+	of    *Relation // the base the places are of
+}
+
+// seat takes s's state as it is, the first time, and base's places again
+// after s has rebased: a rebase keeps the state's order.
+func (m *places) seat(s *Stored) {
+	if m.of == nil {
+		m.count = make(map[string]int64)
+		s.Each(func(row Row) {
+			m.keys = append(m.keys, row.Key())
+			m.count[row.Key()] = row.Count
+		})
+	}
+	if m.of != s.base {
+		m.of, m.base = s.base, make(map[string]int, len(m.keys))
+		for p, k := range m.keys {
+			m.base[k] = p
+		}
+	}
+}
+
+// merge merges d into s, and into the model row by row in d's order.
+func (m *places) merge(s *Stored, d *Relation) {
+	s.MergeDelta(d)
+	d.Each(func(row Row) {
+		k := row.Key()
+		c, held := m.count[k]
+		switch c += row.Count; {
+		case row.Count == 0:
+		case held && c == 0:
+			p, last := slices.Index(m.keys, k), len(m.keys)-1
+			m.keys[p] = m.keys[last]
+			m.keys = m.keys[:last]
+			delete(m.count, k)
+		case held:
+			m.count[k] = c
+		default:
+			m.count[k] = c
+			if q, ok := m.base[k]; ok && q < len(m.keys) {
+				m.keys = append(m.keys, m.keys[q])
+				m.keys[q] = k
+			} else {
+				m.keys = append(m.keys, k)
+			}
+		}
+	})
+	m.seat(s)
+}
+
+// samePlaces checks that s reads as the place model m says, with the rows
+// of flat, the one table fed the same deltas: Len, every row in Each's
+// order, Count, Has and Stored of each probe (a base row the state deleted
+// is found at count 0), LookupRun on cols for each probe's projection —
+// the rows of the model's order that match, in that order — and
+// DistinctEst of every column; that the net holds no row that is base's
+// own at its base place; and that the base's key table and index runs are
+// whole (checkRuns).
+func samePlaces(t *testing.T, where string, s *Stored, m *places, flat *Relation, cols [][]int, probes ...value.Tuple) {
 	t.Helper()
-	if s.Len() != flat.Len() || s.Empty() != flat.Empty() {
-		t.Fatalf("%s: Len %d, the flat table's %d", where, s.Len(), flat.Len())
+	if s.Len() != flat.Len() || len(m.keys) != flat.Len() || s.Empty() != flat.Empty() {
+		t.Fatalf("%s: Len %d, the model's %d, the flat table's %d", where, s.Len(), len(m.keys), flat.Len())
+	}
+	show := func(row Row) string { return fmt.Sprintf("%v×%d", row.Tuple, row.Count) }
+	model := make([]Row, len(m.keys))
+	for p, k := range m.keys {
+		row, ok := flat.Stored([]byte(k))
+		if !ok || row.Count != m.count[k] {
+			t.Fatalf("%s: the model holds %q×%d, the flat table %v", where, k, m.count[k], row)
+		}
+		model[p] = row
 	}
 	var got, want []string
-	s.Each(func(row Row) { got = append(got, fmt.Sprintf("%v×%d", row.Tuple, row.Count)) })
-	flat.Each(func(row Row) { want = append(want, fmt.Sprintf("%v×%d", row.Tuple, row.Count)) })
+	s.Each(func(row Row) { got = append(got, show(row)) })
+	for _, row := range model {
+		want = append(want, show(row))
+	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s: Each reads\n  %v\nthe flat table\n  %v", where, got, want)
+		t.Fatalf("%s: Each reads\n  %v\nthe model\n  %v", where, got, want)
+	}
+	runs := make([]map[string][]string, len(cols)) // each cols' runs, by projection's key
+	for i, c := range cols {
+		runs[i] = make(map[string][]string)
+		for _, row := range model {
+			k := row.Tuple.Project(c).Key()
+			runs[i][k] = append(runs[i][k], show(row))
+		}
 	}
 	var buf []Row
 	for _, tu := range probes {
@@ -34,23 +115,19 @@ func sameAsFlat(t *testing.T, where string, s *Stored, flat *Relation, cols [][]
 		}
 		kb := tu.AppendKey(nil)
 		row, ok := s.Stored(kb)
-		frow, fok := flat.Stored(kb)
-		if ok != fok || row.Count != frow.Count || ok && row.Key() != string(kb) {
-			t.Fatalf("%s: Stored(%v) = %v %v, the flat table's %v %v", where, tu, row, ok, frow, fok)
+		_, inBase := m.base[string(kb)]
+		if ok != (flat.Count(tu) != 0 || inBase) || row.Count != flat.Count(tu) || ok && row.Key() != string(kb) {
+			t.Fatalf("%s: Stored(%v) = %v %v, the flat table counts %d, the base holds it: %v", where, tu, row, ok, flat.Count(tu), inBase)
 		}
-		for _, c := range cols {
+		for ci, c := range cols {
 			kv := tu.Project(c)
 			run := LookupRun(s, c, kv, &buf)
-			fr := LookupRun(flat, c, kv, nil)
-			got, want = got[:0], want[:0]
+			got, want = got[:0], runs[ci][kv.Key()]
 			for i := range run.Len() {
-				got = append(got, fmt.Sprintf("%v×%d", run.Row(i).Tuple, run.Row(i).Count))
-			}
-			for i := range fr.Len() {
-				want = append(want, fmt.Sprintf("%v×%d", fr.Row(i).Tuple, fr.Row(i).Count))
+				got = append(got, show(run.Row(i)))
 			}
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s: LookupRun(%v, %v) reads %v, the flat table's %v", where, c, kv, got, want)
+				t.Fatalf("%s: LookupRun(%v, %v) reads %v, the model %v", where, c, kv, got, want)
 			}
 		}
 	}
@@ -59,19 +136,27 @@ func sameAsFlat(t *testing.T, where string, s *Stored, flat *Relation, cols [][]
 			t.Fatalf("%s: DistinctEst(%d) = %d, the flat table's %d", where, col, s.DistinctEst(col), flat.DistinctEst(col))
 		}
 	}
+	for i, p := range s.pos {
+		if int(p) < s.base.Len() {
+			if c, b := s.net.rows.cells[i], s.base.rows.cells[p]; c.vals == b.vals && c.count == b.count {
+				t.Fatalf("%s: the net holds base's own row %v×%d at its place %d", where, s.net.At(i).Tuple, c.count, p)
+			}
+		}
+	}
 	checkRuns(t, where, s.base)
 	checkRuns(t, where, s.net)
 }
 
 // tableStored feeds a published Stored and one table the same stream of
-// deltas — inserts, deletes of stored rows, count bumps, and bulk ones
-// that take the net past its bound — and after each holds the Stored, and
-// the version it published, to the table; a rebase makes a base exactly
-// the size of its rows.
+// deltas — inserts, deletes of stored rows, count bumps, base rows put
+// back at their base counts, and bulk ones that take the net past its
+// bound — and after each holds the Stored to the place model, and the
+// version it published to the table; a rebase makes a base exactly the
+// size of its rows.
 func tableStored(t *testing.T, rng *rand.Rand) {
 	cols := [][]int{{0}, {1}, {0, 1}}
 	tuple := func() value.Tuple { return value.T(rng.Intn(40), fmt.Sprintf("v%d", rng.Intn(30))) }
-	rebases := 0
+	rebases, settled := 0, 0
 	for trial := 0; trial < 6; trial++ {
 		flat := New(2)
 		for i := rng.Intn(1200); i > 0; i-- {
@@ -87,6 +172,8 @@ func tableStored(t *testing.T, rng *rand.Rand) {
 			}
 		}
 		v := s.Publish(nil, nil)
+		m := &places{}
+		m.seat(s)
 		for op := 0; op < 60; op++ {
 			d, rows := New(2), flat.Rows()
 			n := 1 + rng.Intn(12)
@@ -94,24 +181,30 @@ func tableStored(t *testing.T, rng *rand.Rand) {
 				n = minFlattenRows + rng.Intn(flat.Len()/2+1)
 			}
 			for i := 0; i < n; i++ {
-				switch k := rng.Intn(3); {
+				switch k := rng.Intn(5); {
 				case k == 0 && len(rows) > 0:
 					row := rows[rng.Intn(len(rows))]
 					d.AddRow(row.WithCount(-row.Count - d.Count(row.Tuple)))
 				case k == 1 && len(rows) > 0:
 					d.AddRow(rows[rng.Intn(len(rows))].WithCount(int64(rng.Intn(5) - 2)))
+				case k == 2 && s.base.Len() > 0:
+					b := s.base.At(rng.Intn(s.base.Len()))
+					d.AddRow(b.WithCount(b.Count - flat.Count(b.Tuple) - d.Count(b.Tuple)))
 				default:
 					d.Add(tuple(), int64(rng.Intn(3)+1))
 				}
 			}
-			prev := s.base
+			prev, net := s.base, s.net.Len()
 			flat.MergeDelta(d)
-			s.MergeDelta(d)
+			m.merge(s, d)
 			v = s.Publish(v, d)
+			if s.base == prev && s.net.Len() < net {
+				settled++
+			}
 			where := fmt.Sprintf("trial %d op %d", trial, op)
 			probes := []value.Tuple{tuple(), tuple()}
 			d.Each(func(row Row) { probes = append(probes, row.Tuple) })
-			sameAsFlat(t, where, s, flat, cols, probes...)
+			samePlaces(t, where, s, m, flat, cols, probes...)
 			if !Equal(Materialize(v.Reader()), flat) {
 				t.Fatalf("%s: the published version differs from the flat table", where)
 			}
@@ -123,8 +216,8 @@ func tableStored(t *testing.T, rng *rand.Rand) {
 			}
 		}
 	}
-	if rebases < 6 {
-		t.Fatalf("%d rebases over the streams, want several", rebases)
+	if rebases < 6 || settled < 6 {
+		t.Fatalf("%d rebases and %d merges that shrank the net over the streams, want several of each", rebases, settled)
 	}
 }
 
@@ -141,11 +234,13 @@ func TestRebaseCopiesItsBaseOnce(t *testing.T) {
 	base.Freeze()
 	s := Store(base)
 	LookupInto(s, []int{1}, value.T(0), new([]Row))
+	m := &places{}
+	m.seat(s)
 	del := New(2)
 	for i := range s.bound() - 1 { // deletes at the front: each moves the last row into the net
 		del.Add(value.T(i, i%50), -1)
 	}
-	s.MergeDelta(del)
+	m.merge(s, del)
 	if s.base != base || s.net.Len() != s.bound()-1 {
 		t.Fatalf("setup: the net holds %d rows, want %d and no rebase yet", s.net.Len(), s.bound()-1)
 	}
@@ -170,7 +265,8 @@ func TestRebaseCopiesItsBaseOnce(t *testing.T) {
 	flat := base.Clone()
 	flat.MergeDelta(del)
 	flat.Lookup([]int{1}, value.T(0))
-	sameAsFlat(t, "after the shrinking rebase", s, flat, [][]int{{1}}, value.T(3999, 49), value.T(0, 0), value.T(2500, 0))
+	m.seat(s)
+	samePlaces(t, "after the shrinking rebase", s, m, flat, [][]int{{1}}, value.T(3999, 49), value.T(0, 0), value.T(2500, 0))
 }
 
 // Counts reads, row for row, the count Count reads: on a private relation

@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -38,7 +38,9 @@ package ivm_test
 // set view's change set where the same holds [4]; a compaction leaving a
 // run it keeps out of the rebuilt version chain [7]; a follower stamping
 // its own clock as the primary's publish time [8]; a DRed image taking
-// its Δ's negative sign part in step 3 as in step 1 [1].
+// its Δ's negative sign part in step 3 as in step 1 [1]; a stored
+// relation's settle taking a net row whose count differs from its base
+// row's out of the net [10].
 
 import (
 	"cmp"
@@ -1208,7 +1210,7 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 		}
 		calls[i] = c
 	}
-	var borrowed func(*testing.T, string) (int64, int64)
+	var borrowed func(*testing.T, string) (int64, int64, int64)
 	c0 := calls[0]
 	// Heads are maintenance's to borrow: Recompute builds its views anew.
 	if !concurrent && !c0.dedup && c0.refused == nil && r.strategy != ivm.Recompute {
@@ -1325,11 +1327,12 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 		r.fatal("%s: a record no commit was acked for", c0.op.what)
 	}
 	if borrowed != nil && len(byVersion) == 1 {
-		// Heads are built for new rows only; DRed's exactly so, unless an
-		// arithmetic head takes its slow path or a group table builds rows.
+		// Heads are built for new rows only, but for a row that comes back
+		// as its base's own; DRed's exactly so, unless an arithmetic head
+		// takes its slow path or a group table builds rows.
 		exact := r.w.Strategy() == ivm.DRed && !r.fam.arith && !c0.op.edit && !strings.Contains(r.st.prog.String(), "groupby")
-		if fresh, built := borrowed(r.t, c0.op.what); built < fresh || exact && built != fresh {
-			r.fatal("%s: %d heads built for %d new rows", c0.op.what, built, fresh)
+		if fresh, lent, built := borrowed(r.t, c0.op.what); built < fresh-lent || exact && built != fresh-lent {
+			r.fatal("%s: %d heads built for %d new rows, %d of them their base's own", c0.op.what, built, fresh, lent)
 		}
 	}
 	r.checkAll(c0.op.what)

@@ -111,7 +111,7 @@ func (v *Views) foldRecordLocked(rec CommitRecord) (_ map[string]*relation.Relat
 			if err != nil {
 				return nil, nil, err
 			}
-			row, ok := stored.Stored(key)
+			row, ok := stored.Stored(key) // or the base's row the state deleted, at count 0
 			if !ok {
 				if row, err = relation.RowFromKey(key, arity); err != nil {
 					return nil, nil, fmt.Errorf("ivm: commit record %d: %s row: %w", rec.Version, pred, err)
