@@ -256,6 +256,9 @@ func TestFollowerFoldByteCeiling(t *testing.T) {
 	// ~10 % above the bytes a fold allocates (measured 64 242; 94 598 when
 	// each change set grew row by row from an empty table).
 	const ceiling = 70700
+	// ~10 % above the objects a fold allocates (measured 237; 407 when a
+	// new row's tuple and key were two allocations).
+	const objectCeiling = 260
 	gen := newSlidingLinks()
 	db := ivm.NewDatabase()
 	for _, tu := range gen.live {
@@ -282,20 +285,23 @@ func TestFollowerFoldByteCeiling(t *testing.T) {
 		recs[i] = ev.CommitRecord
 	}
 	var ms runtime.MemStats
-	var before uint64
+	var before, objects0 uint64
 	for i, rec := range recs {
 		if i == warm {
 			runtime.ReadMemStats(&ms)
-			before = ms.TotalAlloc
+			before, objects0 = ms.TotalAlloc, ms.Mallocs
 		}
 		if _, err := follower.ApplyCommitRecord(rec, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&ms)
-	bytes := (ms.TotalAlloc - before) / folds
-	t.Logf("a fold allocates %d bytes (ceiling %d)", bytes, ceiling)
+	bytes, objects := (ms.TotalAlloc-before)/folds, (ms.Mallocs-objects0)/folds
+	t.Logf("a fold allocates %d bytes (ceiling %d) in %d objects (ceiling %d)", bytes, ceiling, objects, objectCeiling)
 	if bytes > ceiling {
 		t.Fatalf("a fold allocates %d bytes, ceiling %d: is a set view's change set still the record's Δ, or one Pick of it made to size?", bytes, ceiling)
+	}
+	if objects > objectCeiling {
+		t.Fatalf("a fold allocates %d objects, ceiling %d: is a new row still one allocation, its tuple and key in one block (relation.RowFromKey)?", objects, objectCeiling)
 	}
 }

@@ -445,8 +445,9 @@ func (e *Engine) Apply(baseDelta map[string]*relation.Relation) (map[string]*rel
 				}
 				return 0
 			})
-			// Linked into the version as it is, unless only DRed reads it:
-			// the overestimate indexes it, and a copy leaves those behind.
+			// Base's rows lent; linked into the version as it is unless only
+			// DRed reads it: the overestimate indexes it, and a copy drops those.
+			stored.Lend(cd)
 			if e.hasCount {
 				cd.Freeze()
 			}

@@ -38,6 +38,7 @@ type GroupTable struct {
 	touched []string
 	spare   []agg.State
 	rows    []relation.Row
+	changed []relation.Row // ApplyDelta's ΔT rows, cleared after each call
 
 	// The inner atom, compiled once (slots.go): the pattern, the slots of
 	// the grouping variables and the aggregated term. match reuses slots
@@ -57,9 +58,13 @@ type groupEntry struct {
 	cur       value.Tuple // current T tuple (nil if group empty)
 }
 
-// tuple builds the group's T tuple for aggregate value v, in one allocation.
-func (e *groupEntry) tuple(v value.Value) value.Tuple {
-	return append(append(make(value.Tuple, 0, len(e.groupVals)+1), e.groupVals...), v)
+// row builds the group's keyed T row for aggregate value v, in one
+// allocation (relation.KeyedRow), and makes its tuple the current one.
+func (e *groupEntry) row(v value.Value) relation.Row {
+	var buf [4]value.Value // a block's most values: a longer tuple spills
+	row := relation.KeyedRow(append(append(buf[:0], e.groupVals...), v), 1)
+	e.cur = row.Tuple
+	return row
 }
 
 // undoEntry snapshots one group before an uncommitted ApplyDelta touched
@@ -107,8 +112,7 @@ func BuildGroupTable(g *datalog.Aggregate, u relation.Reader) (*GroupTable, erro
 	// Materialize T.
 	for _, e := range t.groups {
 		if v, ok := e.state.Result(); ok {
-			e.cur = e.tuple(v)
-			t.rel.Add(e.cur, 1)
+			t.rel.AddRow(e.row(v))
 		}
 	}
 	t.dropEmpty()
@@ -195,7 +199,7 @@ func (t *GroupTable) entry(gv value.Tuple) (e *groupEntry, existed bool) {
 	if e, ok := t.groups[string(kb)]; ok {
 		return e, true
 	}
-	e = &groupEntry{key: string(kb), groupVals: gv.Clone(), state: t.newState()}
+	e = &groupEntry{key: string(kb), groupVals: slices.Clone(gv), state: t.newState()}
 	t.groups[e.key] = e
 	return e, false
 }
@@ -242,9 +246,10 @@ func (t *GroupTable) dropEmpty() {
 // has rolled the table back itself. Either way undo is empty on entry,
 // so its keys are the groups this call touched.
 //
-// A changed group builds one row, its new tuple and key: its retraction
-// is T's stored row. The new tuple counts in in.HeadsBuilt, since the head
-// of the rule over T borrows it instead of building its own.
+// A changed group builds one row, its new tuple and key in one allocation
+// (relation.KeyedRow), which enters ΔT keyed: its retraction is T's stored
+// row. The new tuple counts in in.HeadsBuilt, since the head of the rule
+// over T borrows it instead of building its own.
 //
 // Group values and aggregates compare by key identity (==), as the
 // relations holding them do: -0.0 is not 0.0 and NaN is itself.
@@ -281,7 +286,8 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 
 	// ΔT's rows are distinct tuples (a group's old and new tuple differ,
 	// and groups do not share tuples): collected first, they size ΔT.
-	changed := make([]relation.Row, 0, 2*len(t.undo))
+	changed := t.changed[:0]
+	defer func() { clear(changed); t.changed = changed[:0] }()
 	var buf [value.KeyScratch]byte
 	var built int64
 	for _, k := range t.touched {
@@ -308,8 +314,7 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 				changed = append(changed, old.WithCount(-1))
 			}
 			if e.cur = nil; ok {
-				e.cur = e.tuple(v)
-				changed = append(changed, relation.Row{Tuple: e.cur, Count: 1})
+				changed = append(changed, e.row(v))
 				built++
 			} else {
 				delete(t.groups, k)

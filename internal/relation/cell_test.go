@@ -46,7 +46,7 @@ func (m model) add(t value.Tuple, c int64) {
 	k := t.Key()
 	mr, ok := m[k]
 	if !ok {
-		mr.tuple = t.Clone()
+		mr.tuple = slices.Clone(t)
 	}
 	if mr.count += c; mr.count == 0 {
 		delete(m, k)

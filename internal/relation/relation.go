@@ -44,9 +44,44 @@ func (r Row) Key() string {
 // kb encodes (Tuple.AppendKey's rendering): one copy of kb becomes the
 // row's key, and the tuple's strings alias that copy, never kb.
 func RowFromKey(kb []byte, arity int) (Row, error) {
-	key := string(kb)
-	t, err := value.TupleFromKey(key, arity)
-	return Row{Tuple: t, key: key}, err
+	row := alloc(kb, arity, nil)
+	return row, value.DecodeKey(row.Tuple, row.key)
+}
+
+// KeyedRow returns the keyed row of a copy of t with count (alloc).
+func KeyedRow(t value.Tuple, count int64) Row {
+	var buf [value.KeyScratch]byte
+	return alloc(t.AppendKey(buf[:0]), len(t), t).WithCount(count)
+}
+
+// alloc returns the zero-count row keyed kb of a copy of vals, or of zeros,
+// len == cap == arity. Its tuple and key are one block of blocks[arity-1]
+// [w-1], w the key's words, where that shape is: the values first, so that
+// the collector scans their strings, then the key's bytes.
+func alloc(kb []byte, arity int, vals value.Tuple) (row Row) {
+	if w := (len(kb) + 7) / 8; arity >= 1 && arity <= len(blocks) && w >= 1 && w <= len(blocks[0]) {
+		vp, kp := blocks[arity-1][w-1]()
+		copy(unsafe.Slice(kp, len(kb)), kb)
+		row = Row{Tuple: unsafe.Slice(vp, arity), key: unsafe.String(kp, len(kb))}
+	} else {
+		row = Row{Tuple: make(value.Tuple, arity), key: string(kb)}
+	}
+	copy(row.Tuple, vals)
+	return row
+}
+
+var blocks = [...][8]func() (*value.Value, *byte){words[[1]value.Value](), words[[2]value.Value](), words[[3]value.Value](), words[[4]value.Value]()}
+
+func words[V any]() [8]func() (*value.Value, *byte) {
+	return [...]func() (*value.Value, *byte){block[V, [1]uint64], block[V, [2]uint64], block[V, [3]uint64], block[V, [4]uint64], block[V, [5]uint64], block[V, [6]uint64], block[V, [7]uint64], block[V, [8]uint64]}
+}
+
+func block[V, K any]() (*value.Value, *byte) {
+	b := new(struct {
+		vals V
+		key  K
+	})
+	return (*value.Value)(unsafe.Pointer(&b.vals)), (*byte)(unsafe.Pointer(&b.key))
 }
 
 // WithCount returns the row with its count replaced, keeping the cached
@@ -283,7 +318,7 @@ func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 		r.insert(row.WithCount(count), h)
 		return Borrowed
 	}
-	r.insert(Row{Tuple: t.Clone(), Count: count, key: string(kb)}, h)
+	r.insert(alloc(kb, len(t), t).WithCount(count), h)
 	return Built
 }
 

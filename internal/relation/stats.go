@@ -255,7 +255,7 @@ func IndexesBuilt() int64 { return indexesBuilt.Load() }
 var rowsLinked, rowsCopied atomic.Int64
 
 // rowProbes counts the Δ rows a Stored has been probed for by the key
-// their cells carry: each row of Counts, each row MergeDelta folds.
+// their cells carry: each row of Counts, MergeDelta and Lend.
 var rowProbes atomic.Int64
 
 // VersionRows returns the cumulative rows linked by Push and rows copied

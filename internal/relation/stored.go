@@ -200,6 +200,19 @@ func (s *Stored) Counts(d *Relation, dst []int64) []int64 {
 	return dst
 }
 
+// Lend gives each row that d, a Δ for s not yet indexed, inserts and s's
+// base holds the base's tuple and key: a row that comes back settles (add).
+func (s *Stored) Lend(d *Relation) {
+	for i := 0; i < d.Len() && !s.private(); i++ {
+		if c := &d.rows.cells[i].cell; c.count > 0 {
+			if q := find(&s.base.rows, c.h, c.key()); q >= 0 {
+				c.kp, c.vals = s.base.rows.cells[q].kp, s.base.rows.cells[q].vals
+			}
+			rowProbes.Add(1)
+		}
+	}
+}
+
 // Has reports whether t is present with a positive count.
 func (s *Stored) Has(t value.Tuple) bool { return s.Count(t) > 0 }
 

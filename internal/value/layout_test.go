@@ -46,9 +46,9 @@ func TestKeyAndTextGolden(t *testing.T) {
 		if got := string(v.AppendText(nil)); got != golden[i].text || v.String() != got {
 			t.Errorf("AppendText(%v) = %q (String %q), want %q", v, got, v.String(), golden[i].text)
 		}
-		back, err := TupleFromKey(golden[i].key, 1)
+		back, err := tupleFromKey(golden[i].key, 1)
 		if err != nil || back[0].Kind() != v.Kind() || back.Key() != golden[i].key {
-			t.Errorf("TupleFromKey(%q) = %v, %v; want %v back", golden[i].key, back, err, v)
+			t.Errorf("DecodeKey(%q) = %v, %v; want %v back", golden[i].key, back, err, v)
 		}
 	}
 	// All of them in one tuple: the framing holds across neighbours.
@@ -57,7 +57,7 @@ func TestKeyAndTextGolden(t *testing.T) {
 	for _, g := range golden {
 		want.WriteString(g.key)
 	}
-	back, err := TupleFromKey(all.Key(), len(all))
+	back, err := tupleFromKey(all.Key(), len(all))
 	if all.Key() != want.String() || err != nil || back.Key() != want.String() {
 		t.Errorf("the tuple of all values keys to %q (decoded %v, %v), want %q", all.Key(), back, err, want.String())
 	}

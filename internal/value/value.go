@@ -369,17 +369,15 @@ func KeyLen(b []byte, arity int) (int, error) {
 	return n, nil
 }
 
-// TupleFromKey decodes a canonical key (what AppendKey renders) of arity
-// values; string values alias key instead of copying out of it. Only the
-// canonical spelling is accepted — whatever a field parses to, the tuple
-// must encode back to key.
-func TupleFromKey(key string, arity int) (Tuple, error) {
-	t := make(Tuple, arity)
+// DecodeKey decodes into t the canonical key (what AppendKey renders) of
+// len(t) values, string values aliasing key. Only the canonical spelling
+// is accepted: whatever a field parses to, t must encode back to key.
+func DecodeKey(t Tuple, key string) error {
 	rest := key
 	for i := range t {
 		end, err := valueEnd(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch body := rest[1:end]; rest[0] {
 		case 'i':
@@ -395,9 +393,9 @@ func TupleFromKey(key string, arity int) (Tuple, error) {
 	}
 	var buf [KeyScratch]byte
 	if rest != "" || string(t.AppendKey(buf[:0])) != key {
-		return nil, errBadKey
+		return errBadKey
 	}
-	return t, nil
+	return nil
 }
 
 // AppendProjKey appends the canonical encoding of t's projection on cols
@@ -424,13 +422,6 @@ func (t Tuple) Compare(o Tuple) int {
 		}
 	}
 	return len(t) - len(o)
-}
-
-// Clone returns an independent copy of t.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
 }
 
 // Project returns the subtuple at the given column positions.

@@ -40,7 +40,8 @@ package ivm_test
 // its own clock as the primary's publish time [8]; a DRed image taking
 // its Δ's negative sign part in step 3 as in step 1 [1]; a stored
 // relation's settle taking a net row whose count differs from its base
-// row's out of the net [10].
+// row's out of the net [10]; a built row's key copied into its block one
+// byte short [2].
 
 import (
 	"cmp"
