@@ -15,10 +15,11 @@ import (
 // itself back; a table that succeeded earlier in the same apply is rolled
 // back by the engine (propagate's error return).
 // With two aggregates the count or min subgoal is maintained first and
-// succeeds; the min one has just rescanned the group whose minimum the
-// rejected apply deletes. A stream of good applies follows, each compared
-// with Recompute: a group table's undo snapshots recycle their states, so
-// a rollback must leave none of them shared.
+// succeeds; the min one has just moved the group whose minimum the
+// rejected apply deletes to its next value, a fold its journal must take
+// back. A stream of good applies follows, each compared with Recompute: a
+// group table's undo snapshots recycle their states, so a rollback must
+// leave none of them shared.
 func TestRejectedAggregateApplyLeavesGroupTablesIntact(t *testing.T) {
 	const (
 		sum   = "total(X,S) :- groupby(G,[X],S=sum(V)).\n"

@@ -3,9 +3,9 @@
 // per-group incremental computation.
 //
 // The scenario: a shipping network with weighted legs, and an order book.
-// Only the groups touched by a change are recomputed; MIN falls back to a
-// group rescan exactly when the current minimum leaves (the
-// non-incrementally-computable case of [DAJ91]).
+// Only the groups touched by a change are updated, from the change alone:
+// when the current minimum leaves, MIN moves to the next value its group
+// holds.
 //
 // Run with:
 //
@@ -65,8 +65,8 @@ func main() {
 	}
 	fmt.Print(ch)
 
-	// Delete the current minimum: Algorithm 6.1 rescans just that group.
-	fmt.Println("\n-link(atl, sfo, 2): the group rescans back to the previous minimum")
+	// Delete the current minimum: the group moves to its next value.
+	fmt.Println("\n-link(atl, sfo, 2): the group falls back to the previous minimum")
 	ch, err = views.ApplyScript(`-link(atl, sfo, 2).`)
 	if err != nil {
 		log.Fatal(err)

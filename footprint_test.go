@@ -123,15 +123,12 @@ func TestOldBaseIsCollected(t *testing.T) {
 
 // TestApplyWorkIsFlatInDatabaseSize is Theorem 4.1's cost law over the
 // public API: an apply's work is a function of its Δ, not of |DB|. Each
-// rung of a ladder holds n nodes and 4n random links under hop and a
-// groupby count over it, and takes 4 000 single-link applies, each
-// inserting a new link or deleting a stored one. The test reads counts
-// only. Join probes, Δ rows and objects per apply must not grow with n,
-// and the version rows publication copies per row it links must stay
-// within copiedPerLogDB·log₂|DB| (|DB| the links). MIN and MAX are the one
-// exception to the law: deleting a group's extremum rescans the group
-// (ROADMAP item 2, TestMinRescansGrowWithTheGroups), so the ladder
-// aggregates by count.
+// rung of a ladder holds n nodes and 4n random links under hop, a groupby
+// count over it and a groupby min of all of hop, one group of about 16n
+// rows, and takes 4 000 single-link applies, each inserting a new link or
+// deleting a stored one. The test reads counts only. Join probes, Δ rows and objects per apply must not
+// grow with n, and the version rows publication copies per row it links
+// must stay within copiedPerLogDB·log₂|DB| (|DB| the links).
 func TestApplyWorkIsFlatInDatabaseSize(t *testing.T) {
 	// Measured 0.335 at the smallest rung (copied ÷ linked 4.0, 4.3 and 5.0
 	// up the ladder), + 10 %. A compaction that re-copied every pending
@@ -149,7 +146,8 @@ func TestApplyWorkIsFlatInDatabaseSize(t *testing.T) {
 			live, has[row.Key()] = append(live, row.Tuple), true
 		})
 		v, err := db.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).\n" +
-			"deg(X,C) :- groupby(hop(X,Y), [X], C = count(Y)).\n")
+			"deg(X,C) :- groupby(hop(X,Y), [X], C = count(Y)).\n" +
+			"lo(M) :- groupby(hop(X,Y), [], M = min(Y)).\n")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,45 +201,174 @@ func TestApplyWorkIsFlatInDatabaseSize(t *testing.T) {
 	}
 }
 
-// TestMinRescansGrowWithTheGroups names the exception to the law above:
-// a MIN group that loses its minimum cannot be updated from its Δ, and
-// Algorithm 6.1 computes it again from the group's rows (GroupTable's
-// rescan). Each rung is a hub of width k: k sources link to it and it
-// links to k targets 0..k-1, so hop holds k groups of k rows, and every
-// apply deletes or puts back the one link to target 0, every group's
-// minimum. An apply's base Δ is one row at every rung, yet
-// eval_group_rescans_total per apply is k/2: the deletes rescan every
-// group, each of its k rows, and the puts-back none. That is the paper's
-// recomputation of a non-incremental aggregate, growing with the groups
-// it must recompute, not a leak.
+// TestMinGroupWorkIsFlatInItsSize holds a MIN group's upkeep to its Δ
+// where values come and go in the middle of its order: a MIN over
+// increasing values, such as the earliest timestamp per key, whose new
+// rows are never the extremum. One group of r holds the k values
+// 0..k-1, and each apply inserts the next value above them all and
+// deletes the one before it, so the group keeps k values and its minimum
+// 0. From k = 8 to k = 32768, the time per apply (the best of five runs)
+// must grow by at most timeRatio, and the bytes and objects per apply by
+// at most 1.25×: measured 1.1–1.2× in time and 1.0× in bytes and objects.
+// A group that kept its values in a sorted slice moved about k of them
+// for each such value and took 65–86× the time at k = 32768.
+func TestMinGroupWorkIsFlatInItsSize(t *testing.T) {
+	const applies, trials, timeRatio = 400, 5, 2.0
+	type rung struct {
+		k                  int
+		v                  *ivm.Views
+		ns, bytes, objects float64
+	}
+	rungs := []*rung{{k: 8}, {k: 32768}}
+	for _, r := range rungs {
+		db := ivm.NewDatabase()
+		for y := range r.k {
+			db.InsertTuple("r", ivm.T("g", y), 1)
+		}
+		var err error
+		if r.v, err = db.Materialize("lo(X,M) :- groupby(r(X,Y), [X], M = min(Y)).\n"); err != nil {
+			t.Fatal(err)
+		}
+		r.ns = math.Inf(1)
+	}
+	// The rungs take turns, so that a stretch of a busy machine slows
+	// both; each keeps its best time.
+	var ms runtime.MemStats
+	for trial := range trials {
+		for _, r := range rungs {
+			runtime.ReadMemStats(&ms)
+			bytes0, objects0, start := ms.TotalAlloc, ms.Mallocs, time.Now()
+			for i := range applies {
+				y := r.k + trial*applies + i
+				u := ivm.NewUpdate()
+				u.InsertTuple("r", ivm.T("g", y), 1)
+				u.InsertTuple("r", ivm.T("g", y-1), -1)
+				if _, err := r.v.Apply(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.ns = min(r.ns, float64(time.Since(start).Nanoseconds())/applies)
+			runtime.ReadMemStats(&ms)
+			r.bytes, r.objects = float64(ms.TotalAlloc-bytes0)/applies, float64(ms.Mallocs-objects0)/applies
+		}
+	}
+	for _, r := range rungs {
+		if got, want := r.v.Rows("lo"), []ivm.Row{{Tuple: ivm.T("g", 0), Count: 1}}; !sameRows(want, got, true) {
+			t.Fatalf("k = %d: lo is %v, want %v", r.k, got, want)
+		}
+	}
+	small, large := rungs[0], rungs[1]
+	t.Logf("k = 8: %.1f µs, %.0f B, %.1f objects per apply; k = 32768: %.1f µs, %.0f B, %.1f objects",
+		small.ns/1e3, small.bytes, small.objects, large.ns/1e3, large.bytes, large.objects)
+	if large.ns > timeRatio*small.ns {
+		t.Errorf("k = 32768: %.1f µs per apply, %.1f at k = 8: the upkeep of a value in the middle of the order grew with the group", large.ns/1e3, small.ns/1e3)
+	}
+	if large.bytes > 1.25*small.bytes || large.objects > 1.25*small.objects {
+		t.Errorf("k = 32768: %.0f B and %.1f objects per apply, %.0f B and %.1f at k = 8: the upkeep grew with the group", large.bytes, large.objects, small.bytes, small.objects)
+	}
+}
+
+// TestMinRescansGrowWithTheGroups holds MIN to the law above where a
+// group loses its minimum on every other apply. Each rung is a hub of
+// width k: k sources link to it and it links to k targets 0..k-1, so hop
+// holds k groups of k rows, and every apply deletes or puts back the one
+// link to target 0, every group's minimum. An apply's base Δ is one row,
+// and its Δ rows grow with k (each of the k groups changes), but the work
+// per Δ row must not: the min stream builds no more relation indexes than
+// the same stream under count (a group that loses its minimum moves to the
+// next value held in its state, without reading hop), and at k = 128 it
+// allocates no more bytes and objects per Δ row than 1.25× those at k = 8
+// (an undo that copied a group's values on every touch would grow with
+// k). The views hold each group's values once: at k = 128, the min views
+// hold at most heldPerRow bytes more per hop row than the count views,
+// after Materialize and after the stream (an undo that kept a spare copy
+// of each group reads 91 B more after it). lo equals a Recompute after
+// every apply.
 func TestMinRescansGrowWithTheGroups(t *testing.T) {
 	const applies = 40
-	for _, k := range []int{8, 32, 128} {
+	// An entry of a group's values is a value.Value (32 B) and its count:
+	// 40 B, and its slice rounds up. Measured 48 B after Materialize and
+	// 49 B after the stream.
+	const heldPerRow = 64
+	type stream struct {
+		indexes                         int64
+		bytes, objects, delta           float64
+		heldAfterBuild, heldAfterStream float64
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	run := func(k int, fn string) stream {
 		db := ivm.NewDatabase()
 		for i := range k {
 			db.InsertTuple("link", ivm.T(fmt.Sprintf("s%d", i), "hub"), 1)
 			db.InsertTuple("link", ivm.T("hub", i), 1)
 		}
-		v, err := db.Materialize("hop(X,Y) :- link(X,Z), link(Z,Y).\n" +
-			"lo(X,M) :- groupby(hop(X,Y), [X], M = min(Y)).\n")
+		program := "hop(X,Y) :- link(X,Z), link(Z,Y).\n" +
+			"lo(X,M) :- groupby(hop(X,Y), [X], M = " + fn + "(Y)).\n"
+		oracle, err := db.Materialize(program, ivm.WithStrategy(ivm.Recompute))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m0 := v.Metrics()
+		var s stream
+		h0 := heap()
+		v, err := db.Materialize(program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.heldAfterBuild = float64(heap()-h0) / float64(k*k)
+		var ms runtime.MemStats
 		for i := range applies {
 			u := ivm.NewUpdate()
 			u.InsertTuple("link", ivm.T("hub", 0), int64(2*(i%2)-1))
+			runtime.ReadMemStats(&ms)
+			bytes0, objects0, indexes0 := ms.TotalAlloc, ms.Mallocs, relation.IndexesBuilt()
 			if _, err := v.Apply(u); err != nil {
 				t.Fatal(err)
 			}
+			s.indexes += relation.IndexesBuilt() - indexes0
+			runtime.ReadMemStats(&ms)
+			s.bytes += float64(ms.TotalAlloc - bytes0)
+			s.objects += float64(ms.Mallocs - objects0)
+			s.delta += float64(v.Trace().Stats.DeltaTuples)
+			if _, err := oracle.Apply(u); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := v.Rows("lo"), oracle.Rows("lo"); fn == "min" && !sameRows(want, got, true) {
+				t.Fatalf("k = %d, apply %d: lo is\n%v\nRecompute holds\n%v", k, i, got, want)
+			}
 		}
-		got := float64(v.Metrics().Counter("eval_group_rescans_total")-m0.Counter("eval_group_rescans_total")) / applies
-		t.Logf("k = %d: %.1f group rescans per apply", k, got)
-		if got != float64(k)/2 {
-			t.Errorf("k = %d: %.1f group rescans per apply, want k/2 = %d: every delete of the minimum recomputes each of the k groups", k, got, k/2)
+		s.heldAfterStream = float64(heap()-h0) / float64(k*k)
+		runtime.KeepAlive(v)
+		runtime.KeepAlive(oracle)
+		s.bytes, s.objects = s.bytes/s.delta, s.objects/s.delta
+		return s
+	}
+	var first stream
+	for _, k := range []int{8, 32, 128} {
+		lo, count := run(k, "min"), run(k, "count")
+		t.Logf("k = %d: min builds %d indexes (count %d); %.0f B and %.2f objects per Δ row; holds %.0f B per hop row after Materialize, %.0f after the stream (count %.0f, %.0f)",
+			k, lo.indexes, count.indexes, lo.bytes, lo.objects, lo.heldAfterBuild, lo.heldAfterStream, count.heldAfterBuild, count.heldAfterStream)
+		if lo.indexes > count.indexes {
+			t.Errorf("k = %d: the min stream built %d relation indexes, the count stream %d: does a group read hop when it loses its minimum?", k, lo.indexes, count.indexes)
 		}
-		if rows := v.Rows("lo"); len(rows) != k {
-			t.Fatalf("k = %d: lo holds %d groups", k, len(rows))
+		if k == 8 {
+			first = lo
+			continue
+		}
+		if k == 128 {
+			if lo.bytes > 1.25*first.bytes || lo.objects > 1.25*first.objects {
+				t.Errorf("k = 128: %.0f B and %.2f objects per Δ row, %.0f B and %.2f at k = 8: the work per Δ row grew with the groups", lo.bytes, lo.objects, first.bytes, first.objects)
+			}
+			for _, held := range [][2]float64{{lo.heldAfterBuild, count.heldAfterBuild}, {lo.heldAfterStream, count.heldAfterStream}} {
+				if held[0]-held[1] > heldPerRow {
+					t.Errorf("k = 128: the min views hold %.0f B per hop row, the count views %.0f: more than %d B a row for a group's values", held[0], held[1], heldPerRow)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package agg
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -42,13 +44,24 @@ func TestUnknownFunc(t *testing.T) {
 	}
 }
 
+// Every function is incrementally computable both ways: removing values
+// leaves what a group built from the rest holds. Only MIN and MAX, whose
+// state holds the group's values, are not Scalars.
 func TestIncrementalClassification(t *testing.T) {
-	if Incremental(datalog.AggMin) || Incremental(datalog.AggMax) {
-		t.Error("MIN/MAX are not incrementally computable downward")
-	}
-	for _, f := range []datalog.AggFunc{datalog.AggSum, datalog.AggCount, datalog.AggAvg, datalog.AggVariance} {
-		if !Incremental(f) {
-			t.Errorf("%s is incrementally computable", f)
+	for _, f := range []datalog.AggFunc{datalog.AggMin, datalog.AggMax, datalog.AggSum, datalog.AggCount, datalog.AggAvg, datalog.AggVariance} {
+		s, rest := mustNew(t, f), mustNew(t, f)
+		addAll(t, s, 4, 1, 9, 1, 6)
+		addAll(t, rest, 4, 1)
+		for _, v := range []int64{9, 1, 6} {
+			if err := s.Remove(value.NewInt(v), 1); err != nil {
+				t.Fatalf("%s: remove %d: %v", f, v, err)
+			}
+		}
+		if got, want := result(t, s), result(t, rest); got != want {
+			t.Errorf("%s over {4, 1, 9, 1, 6} less {9, 1, 6} = %v, want %v", f, got, want)
+		}
+		if _, scalar := s.(Scalar); scalar == (f == datalog.AggMin || f == datalog.AggMax) {
+			t.Errorf("%s: Scalar = %v", f, scalar)
 		}
 	}
 }
@@ -62,37 +75,30 @@ func TestMinBasics(t *testing.T) {
 	if result(t, s).Int() != 3 {
 		t.Fatalf("min = %v", result(t, s))
 	}
-	// Removing a non-minimum is exact.
-	if rescan, err := s.Remove(value.NewInt(9), 1); err != nil || rescan {
-		t.Fatalf("remove 9: rescan=%v err=%v", rescan, err)
+	if err := s.Remove(value.NewInt(9), 1); err != nil || result(t, s).Int() != 3 {
+		t.Fatalf("remove 9: err=%v, min %v", err, result(t, s))
 	}
-	if result(t, s).Int() != 3 {
-		t.Fatal("min unchanged")
-	}
-	// Removing the unique minimum forces a rescan.
-	rescan, err := s.Remove(value.NewInt(3), 1)
-	if err != nil || !rescan {
-		t.Fatalf("remove min: rescan=%v err=%v", rescan, err)
-	}
-	if _, ok := s.Result(); ok {
-		t.Fatal("state is invalid after a rescan request")
+	// Removing the unique minimum moves to the next value.
+	if err := s.Remove(value.NewInt(3), 1); err != nil || result(t, s).Int() != 5 {
+		t.Fatalf("remove min: err=%v, min %v", err, result(t, s))
 	}
 }
 
 func TestMinDuplicatedExtremum(t *testing.T) {
 	s := mustNew(t, datalog.AggMin)
 	addAll(t, s, 3, 3, 7)
-	if rescan, err := s.Remove(value.NewInt(3), 1); err != nil || rescan {
-		t.Fatalf("removing one of two minima must stay exact: rescan=%v err=%v", rescan, err)
+	if err := s.Remove(value.NewInt(3), 1); err != nil || result(t, s).Int() != 3 {
+		t.Fatalf("removing one of two minima: err=%v, min %v", err, result(t, s))
 	}
-	if result(t, s).Int() != 3 {
-		t.Fatal("min still 3")
+	if err := s.Remove(value.NewInt(3), 1); err != nil || result(t, s).Int() != 7 {
+		t.Fatalf("removing the other: err=%v, min %v", err, result(t, s))
 	}
 }
 
 // -0.0 and NaN are not copies of 0.0 but values below it (Compare's order),
 // so MIN{0.0, -0.0} is -0.0 and MIN{0.0, NaN} is NaN, whichever went in
-// first, and removing 0.0 needs no rescan.
+// first; removing 0.0 keeps the low value, and removing the low value
+// leaves 0.0.
 func TestMinTieIsNotACopy(t *testing.T) {
 	for _, low := range []value.Value{value.NewFloat(math.Copysign(0, -1)), value.NewFloat(math.NaN())} {
 		for _, in := range [][]value.Value{{value.NewFloat(0), low}, {low, value.NewFloat(0)}} {
@@ -105,9 +111,59 @@ func TestMinTieIsNotACopy(t *testing.T) {
 			if got := result(t, s); got != low {
 				t.Fatalf("MIN%v = %v, want %v", in, got, low)
 			}
-			if rescan, err := s.Remove(value.NewFloat(0), 1); err != nil || rescan || result(t, s) != low {
-				t.Fatalf("removing 0.0 from %v: rescan=%v err=%v, want %v kept", in, rescan, err, low)
+			if err := s.Remove(value.NewFloat(0), 1); err != nil || result(t, s) != low {
+				t.Fatalf("removing 0.0 from %v: err=%v, want %v kept", in, err, low)
 			}
+			if err := s.Add(value.NewFloat(0), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Remove(low, 1); err != nil || result(t, s) != value.NewFloat(0) {
+				t.Fatalf("removing %v from %v: err=%v, min %v, want 0.0", low, in, err, result(t, s))
+			}
+		}
+	}
+}
+
+// The next extremum is the next value by Compare, whatever the order the
+// values came in: 1 and 1.0 are two values (the Int below), NaN is below
+// every number, and a removal of copies the group does not hold fails and
+// leaves it as it was.
+func TestMinNextExtremum(t *testing.T) {
+	one, oneF, nan := value.NewInt(1), value.NewFloat(1), value.NewFloat(math.NaN())
+	for _, tt := range []struct {
+		min  bool
+		in   []value.Value
+		want []value.Value // the extremum after each removal of the current one
+	}{
+		{true, []value.Value{oneF, value.NewInt(2), one, nan}, []value.Value{nan, one, oneF, value.NewInt(2)}},
+		{false, []value.Value{one, nan, oneF, value.NewInt(0)}, []value.Value{oneF, one, value.NewInt(0), nan}},
+		{true, []value.Value{value.NewString("b"), value.NewInt(7), value.NewString("a")}, []value.Value{value.NewInt(7), value.NewString("a"), value.NewString("b")}},
+	} {
+		s := mustNew(t, map[bool]datalog.AggFunc{true: datalog.AggMin, false: datalog.AggMax}[tt.min])
+		for i, v := range tt.in {
+			if err := s.Add(v, 1); err != nil {
+				t.Fatal(err)
+			}
+			if i == 1 {
+				result(t, s) // the first read sorts; later adds insert in order
+			}
+		}
+		for _, want := range tt.want {
+			if got := result(t, s); got != want {
+				t.Fatalf("min=%v over %v: extremum %v, want %v", tt.min, tt.in, got, want)
+			}
+			if err := s.Remove(want, 2); err == nil {
+				t.Fatalf("min=%v: removing two copies of %v must underflow", tt.min, want)
+			}
+			if err := s.Remove(want, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, ok := s.Result(); ok {
+			t.Fatalf("min=%v over %v: not empty after removing every value", tt.min, tt.in)
+		}
+		if err := s.Remove(one, 1); err == nil {
+			t.Fatal("removing from an emptied group must underflow")
 		}
 	}
 }
@@ -115,9 +171,8 @@ func TestMinTieIsNotACopy(t *testing.T) {
 func TestMinRemoveLastMember(t *testing.T) {
 	s := mustNew(t, datalog.AggMin)
 	addAll(t, s, 4)
-	rescan, err := s.Remove(value.NewInt(4), 1)
-	if err != nil || rescan {
-		t.Fatalf("emptying the group is exact: rescan=%v err=%v", rescan, err)
+	if err := s.Remove(value.NewInt(4), 1); err != nil {
+		t.Fatalf("emptying the group: %v", err)
 	}
 	if _, ok := s.Result(); ok {
 		t.Fatal("group empty")
@@ -129,11 +184,12 @@ func TestMinMultiplicity(t *testing.T) {
 	if err := s.Add(value.NewInt(2), 3); err != nil {
 		t.Fatal(err)
 	}
-	if rescan, _ := s.Remove(value.NewInt(2), 2); rescan {
-		t.Fatal("two of three copies removed: exact")
+	addAll(t, s, 5, 2)
+	if err := s.Remove(value.NewInt(2), 3); err != nil || result(t, s).Int() != 2 {
+		t.Fatalf("three of four copies removed: err=%v, min %v", err, result(t, s))
 	}
-	if result(t, s).Int() != 2 {
-		t.Fatal("min still 2")
+	if err := s.Remove(value.NewInt(2), 2); err == nil || result(t, s).Int() != 2 {
+		t.Fatalf("two of one copy removed: err=%v, min %v, want an underflow and 2 kept", err, result(t, s))
 	}
 }
 
@@ -143,11 +199,11 @@ func TestMaxMirrorsMin(t *testing.T) {
 	if result(t, s).Int() != 9 {
 		t.Fatal("max = 9")
 	}
-	if rescan, _ := s.Remove(value.NewInt(3), 1); rescan {
-		t.Fatal("removing non-max is exact")
+	if err := s.Remove(value.NewInt(3), 1); err != nil || result(t, s).Int() != 9 {
+		t.Fatal("removing non-max keeps 9")
 	}
-	if rescan, _ := s.Remove(value.NewInt(9), 1); !rescan {
-		t.Fatal("removing the max needs a rescan")
+	if err := s.Remove(value.NewInt(9), 1); err != nil || result(t, s).Int() != 5 {
+		t.Fatal("removing the max moves to 5")
 	}
 }
 
@@ -175,7 +231,7 @@ func TestSumIntExactAndFloatSwitch(t *testing.T) {
 	if got := result(t, s); got.Kind() != value.Float || got.Float() != 6.5 {
 		t.Fatalf("sum after float = %v", got)
 	}
-	if _, err := s.Remove(value.NewInt(2), 1); err != nil {
+	if err := s.Remove(value.NewInt(2), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := result(t, s); math.Abs(got.Float()-4.5) > 1e-12 {
@@ -193,7 +249,7 @@ func TestSumRejectsStrings(t *testing.T) {
 			if err := s.Add(v, 1); err == nil {
 				t.Errorf("%s: Add(%v) must error", f, v)
 			}
-			if _, err := s.Remove(v, 1); err == nil {
+			if err := s.Remove(v, 1); err == nil {
 				t.Errorf("%s: Remove(%v) must error", f, v)
 			}
 			want := mustNew(t, f)
@@ -214,13 +270,13 @@ func TestCount(t *testing.T) {
 	if result(t, s).Int() != 3 {
 		t.Fatalf("count = %v", result(t, s))
 	}
-	if _, err := s.Remove(value.NewInt(7), 1); err != nil {
+	if err := s.Remove(value.NewInt(7), 1); err != nil {
 		t.Fatal(err)
 	}
 	if result(t, s).Int() != 2 {
 		t.Fatal("count = 2")
 	}
-	if _, err := s.Remove(value.NewString("anything"), 3); err == nil {
+	if err := s.Remove(value.NewString("anything"), 3); err == nil {
 		t.Fatal("underflow must error")
 	}
 }
@@ -231,7 +287,7 @@ func TestAvg(t *testing.T) {
 	if got := result(t, s).Float(); got != 4 {
 		t.Fatalf("avg = %v", got)
 	}
-	if _, err := s.Remove(value.NewInt(6), 1); err != nil {
+	if err := s.Remove(value.NewInt(6), 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := result(t, s).Float(); got != 3 {
@@ -247,7 +303,7 @@ func TestVariance(t *testing.T) {
 	}
 	// Removing back to a singleton gives variance 0.
 	for _, x := range []int64{2, 4, 4, 4, 5, 5, 7} {
-		if _, err := s.Remove(value.NewInt(x), 1); err != nil {
+		if err := s.Remove(value.NewInt(x), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,15 +313,15 @@ func TestVariance(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	for _, f := range []datalog.AggFunc{datalog.AggMin, datalog.AggMax, datalog.AggSum, datalog.AggCount, datalog.AggAvg, datalog.AggVariance} {
+	for _, f := range []datalog.AggFunc{datalog.AggSum, datalog.AggCount, datalog.AggAvg, datalog.AggVariance} {
 		s := mustNew(t, f)
 		addAll(t, s, 5)
 		c := mustNew(t, f)
 		addAll(t, c, 7, 9) // Set overwrites what c held
-		c.Set(s)
+		c.(Scalar).Set(s)
 		addAll(t, c, 100)
 		v1, _ := s.Result()
-		if f == datalog.AggMin && v1.Int() != 5 {
+		if f == datalog.AggSum && v1.Int() != 5 {
 			t.Errorf("%s: copy leaked into original", f)
 		}
 		if f == datalog.AggCount && v1.Int() != 1 {
@@ -288,7 +344,7 @@ func TestSumQuickAddRemoveInverse(t *testing.T) {
 			}
 		}
 		for _, v := range vals {
-			if _, err := s.Remove(value.NewInt(int64(v)), 1); err != nil {
+			if err := s.Remove(value.NewInt(int64(v)), 1); err != nil {
 				return false
 			}
 		}
@@ -301,7 +357,7 @@ func TestSumQuickAddRemoveInverse(t *testing.T) {
 }
 
 // TestMinQuickAgainstOracle: MIN with arbitrary add/remove sequences
-// matches a recomputed oracle whenever Remove stayed exact.
+// matches a recomputed oracle after every step.
 func TestMinQuickAgainstOracle(t *testing.T) {
 	f := func(ops []int8) bool {
 		s, _ := New(datalog.AggMin)
@@ -313,43 +369,113 @@ func TestMinQuickAgainstOracle(t *testing.T) {
 					return false
 				}
 				multiset[v]++
-				continue
-			}
-			if multiset[v] == 0 {
-				continue // invalid removal; skip
-			}
-			rescan, err := s.Remove(value.NewInt(v), 1)
-			if err != nil {
+			} else if err := s.Remove(value.NewInt(v), 1); (err == nil) != (multiset[v] > 0) {
 				return false
+			} else if err == nil {
+				multiset[v]--
 			}
-			multiset[v]--
-			if rescan {
-				// rebuild, as the engine would
-				s, _ = New(datalog.AggMin)
-				for mv, n := range multiset {
-					if n > 0 {
-						if s.Add(value.NewInt(mv), n) != nil {
-							return false
-						}
-					}
+			var want *int64
+			for mv, n := range multiset {
+				if n > 0 && (want == nil || mv < *want) {
+					want = &mv
 				}
 			}
-		}
-		// Compare with oracle.
-		var want *int64
-		for mv, n := range multiset {
-			if n > 0 && (want == nil || mv < *want) {
-				v := mv
-				want = &v
+			if got, ok := s.Result(); ok != (want != nil) || ok && got.Int() != *want {
+				return false
 			}
 		}
-		got, ok := s.Result()
-		if want == nil {
-			return !ok
-		}
-		return ok && got.Int() == *want
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// walk appends tree t's nodes in order, checking each parent's priority
+// is above its children's, and returns the tree's depth.
+func (e *extremum) walk(t *testing.T, i int32, out *[]node) int {
+	if i == 0 {
+		return 0
+	}
+	n := e.at(i)
+	for _, c := range []int32{n.l, n.r} {
+		if c != 0 && prio(c) > prio(i) {
+			t.Fatalf("node %d's priority is below its child %d's", i, c)
+		}
+	}
+	dl := e.walk(t, n.l, out)
+	*out = append(*out, *n)
+	return 1 + max(dl, e.walk(t, n.r, out))
+}
+
+// A group's tree holds its distinct values in order with their counts,
+// whatever the order they came and went in: random adds and removes over
+// 64 values, MIN and MAX, the values first appended and then, from the
+// first read, inserted into the tree, are checked against a count map
+// after every step (a removal of copies the group lacks must fail and
+// leave it as it was).
+func TestExtremumTreeAgainstCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, fn := range []datalog.AggFunc{datalog.AggMin, datalog.AggMax} {
+		s := mustNew(t, fn)
+		e := s.(*extremum)
+		counts := map[int64]int64{}
+		for step := range 4000 {
+			v, mult := int64(rng.Intn(64)), int64(1+rng.Intn(3))
+			if rng.Intn(2) == 0 || step < 100 {
+				if err := s.Add(value.NewInt(v), mult); err != nil {
+					t.Fatal(err)
+				}
+				counts[v] += mult
+			} else if err := s.Remove(value.NewInt(v), mult); (err == nil) != (counts[v] >= mult) {
+				t.Fatalf("%s, step %d: removing %d of %d (%d held): err=%v", fn, step, mult, v, counts[v], err)
+			} else if err == nil {
+				counts[v] -= mult
+			}
+			if step < 100 {
+				continue // appended, not yet read
+			}
+			var want []node
+			for v, n := range counts {
+				if n > 0 {
+					want = append(want, node{v: value.NewInt(v), n: n})
+				}
+			}
+			slices.SortFunc(want, func(a, b node) int { return e.order(a.v, b.v) })
+			if got, ok := s.Result(); ok != (len(want) > 0) || ok && got != want[len(want)-1].v {
+				t.Fatalf("%s, step %d: result %v (%v), want the last of %v", fn, step, got, ok, want)
+			}
+			var got []node
+			e.walk(t, e.root, &got)
+			if !slices.EqualFunc(got, want, func(a, b node) bool { return a.v == b.v && a.n == b.n }) {
+				t.Fatalf("%s, step %d: the tree holds %v, want %v", fn, step, got, want)
+			}
+		}
+	}
+}
+
+// The tree's depth is O(log k) whatever order the values come in: k
+// values inserted ascending or descending into a read group, as a MIN
+// over increasing timestamps inserts them, leave it within 4·log₂ k
+// (measured 29 at k = 4 096).
+func TestExtremumTreeStaysShallow(t *testing.T) {
+	const k, bound = 1 << 12, 4 * 12
+	for _, fn := range []datalog.AggFunc{datalog.AggMin, datalog.AggMax} {
+		for _, step := range []int64{1, -1} {
+			s := mustNew(t, fn)
+			s.Result() // read: from here on Add inserts into the tree
+			for i := range int64(k) {
+				if err := s.Add(value.NewInt(i*step), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := s.(*extremum)
+			var nodes []node
+			d := e.walk(t, e.root, &nodes)
+			t.Logf("%s, step %d: depth %d over %d values", fn, step, d, len(nodes))
+			if d > bound || len(nodes) != k {
+				t.Errorf("%s, step %d: depth %d over %d values, want at most %d over %d", fn, step, d, len(nodes), bound, k)
+			}
+		}
 	}
 }

@@ -168,7 +168,7 @@ func (e *Engine) deltaT(o *op, key eval.RuleLit, g *datalog.Aggregate) (*relatio
 		o.pendingT[key] = dt
 		return dt, nil
 	}
-	dt, err := gt.ApplyDelta(nu, e.newR(o, g.Inner.Pred), e.instr)
+	dt, err := gt.ApplyDelta(nu, e.instr)
 	if err != nil {
 		return nil, err
 	}

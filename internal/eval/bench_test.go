@@ -96,11 +96,10 @@ func BenchmarkGroupTableDelta(b *testing.B) {
 		if i%2 == 1 {
 			d = del
 		}
-		dt, err := gt.ApplyDelta(d, relation.Overlay(u, d), nil)
+		dt, err := gt.ApplyDelta(d, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		gt.Commit(dt)
-		u.MergeDelta(d)
 	}
 }

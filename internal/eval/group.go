@@ -19,25 +19,25 @@ type RuleLit struct {
 // GroupTable materializes one GROUPBY subgoal: the relation T over
 // (groupVars..., result) with one tuple per non-empty group, plus the
 // per-group incremental aggregate state needed to run Algorithm 6.1.
-// A group whose aggregate cannot be updated incrementally (MIN/MAX losing
-// their extremum) is rebuilt by rescanning the grouped relation restricted
-// to that group — the paper's fallback for non-incrementally-computable
-// cases.
+// Every function's state folds deletes exactly (agg), so a group moves
+// from its Δ alone and the grouped relation is read only to build T.
 type GroupTable struct {
-	g         *datalog.Aggregate
-	groupCols []int // position of each grouping var in the inner atom (first occurrence)
-	groups    map[string]*groupEntry
-	rel       *relation.Relation // committed T
+	g      *datalog.Aggregate
+	groups map[string]*groupEntry
+	rel    *relation.Relation // committed T
 	// undo holds pre-ApplyDelta snapshots of touched groups until Commit
 	// or Rollback resolves the pending delta, and touched their keys in
-	// first-touch order, the order of ΔT's rows; both are cleared, not
-	// dropped. spare holds the old states Commit released, for the next
-	// ApplyDelta's copies; it never holds more than the most groups one
-	// ApplyDelta touched. rows is rescan's probe buffer.
+	// first-touch order, the order of ΔT's rows. A Scalar state is copied:
+	// the snapshot keeps the old state and the group goes on with a copy
+	// made into a state from spare, where Commit puts the old states back
+	// (it never holds more than the most groups one ApplyDelta touched).
+	// A MIN or MAX state holds its group's values and is not copied:
+	// journal records each fold it takes, and Rollback takes them back
+	// newest-first. All are cleared, not dropped.
 	undo    map[string]undoEntry
 	touched []string
-	spare   []agg.State
-	rows    []relation.Row
+	spare   []agg.Scalar
+	journal []folded
 	changed []relation.Row // ApplyDelta's ΔT rows, cleared after each call
 
 	// The inner atom, compiled once (slots.go): the pattern, the slots of
@@ -69,45 +69,58 @@ func (e *groupEntry) row(v value.Value) relation.Row {
 
 // undoEntry snapshots one group before an uncommitted ApplyDelta touched
 // it, so Rollback can restore the table if maintenance aborts. e is nil
-// for a group the ApplyDelta created; otherwise state and cur are what e
-// held, and e goes on with a copy of state.
+// for a group the ApplyDelta created; otherwise cur is what e held, and
+// state, for a Scalar, the state e held before it went on with a copy.
 type undoEntry struct {
 	e     *groupEntry
-	state agg.State
+	state agg.Scalar
 	cur   value.Tuple
+}
+
+// folded is one fold a MIN or MAX state took: count copies of v in (count
+// positive) or out.
+type folded struct {
+	e     *groupEntry
+	v     value.Value
+	count int64
 }
 
 // BuildGroupTable computes the GROUPBY relation for g over u.
 func BuildGroupTable(g *datalog.Aggregate, u relation.Reader) (*GroupTable, error) {
-	cols, err := groupColumns(g)
-	if err != nil {
-		return nil, err
-	}
 	t := &GroupTable{
-		g:         g,
-		groupCols: cols,
-		groups:    make(map[string]*groupEntry),
-		rel:       relation.New(len(g.GroupBy) + 1),
-		undo:      make(map[string]undoEntry),
+		g:      g,
+		groups: make(map[string]*groupEntry),
+		rel:    relation.New(len(g.GroupBy) + 1),
+		undo:   make(map[string]undoEntry),
 	}
 	if err := t.compile(); err != nil {
 		return nil, err
 	}
-	var ferr error
-	u.Each(func(row relation.Row) {
-		if ferr != nil {
-			return
+	each := func(f func(e *groupEntry, av value.Value, count int64) error) (ferr error) {
+		u.Each(func(row relation.Row) {
+			if ferr == nil {
+				gv, av, ok, err := t.match(row.Tuple)
+				if ferr = err; ok {
+					e, _ := t.entry(gv)
+					ferr = f(e, av, row.Count)
+				}
+			}
+		})
+		return ferr
+	}
+	// A MIN or MAX group holds its values: a first pass counts its rows,
+	// so that its values are made once at their size.
+	if _, scalar := t.newState().(agg.Scalar); !scalar {
+		rows := make(map[*groupEntry]int)
+		if err := each(func(e *groupEntry, _ value.Value, _ int64) error { rows[e]++; return nil }); err != nil {
+			return nil, err
 		}
-		gv, av, ok, err := t.match(row.Tuple)
-		if err != nil || !ok {
-			ferr = err
-			return
+		for e, n := range rows {
+			agg.Reserve(e.state, n)
 		}
-		e, _ := t.entry(gv)
-		ferr = fold(e, av, row.Count)
-	})
-	if ferr != nil {
-		return nil, ferr
+	}
+	if err := each(fold); err != nil {
+		return nil, err
 	}
 	// Materialize T.
 	for _, e := range t.groups {
@@ -128,26 +141,12 @@ func (t *GroupTable) Agg() *datalog.Aggregate { return t.g }
 
 // fold routes one grouped-relation row (aggregated value av, signed
 // count) into its group's state: positive counts Add, negative counts
-// Remove. A group whose state can no longer answer exactly is marked for
-// rescan (state == nil) and further rows for it are ignored until the
-// rescan rebuilds it.
+// Remove.
 func fold(e *groupEntry, av value.Value, count int64) error {
-	if e.state == nil {
-		return nil // pending rescan; the rescan sees the full new relation
-	}
 	if count > 0 {
 		return e.state.Add(av, count)
 	}
-	if count < 0 {
-		rescan, err := e.state.Remove(av, -count)
-		if err != nil {
-			return err
-		}
-		if rescan {
-			e.state = nil // rebuild from the grouped relation later
-		}
-	}
-	return nil
+	return e.state.Remove(av, -count)
 }
 
 // compile compiles the inner atom's pattern, the grouping variables and
@@ -213,12 +212,12 @@ func (t *GroupTable) newState() agg.State {
 }
 
 // copyOf returns a copy of st in a spare state, or a new one if none is left.
-func (t *GroupTable) copyOf(st agg.State) agg.State {
-	var c agg.State
+func (t *GroupTable) copyOf(st agg.Scalar) agg.Scalar {
+	var c agg.Scalar
 	if n := len(t.spare); n > 0 {
 		c, t.spare = t.spare[n-1], t.spare[:n-1]
 	} else {
-		c = t.newState()
+		c = t.newState().(agg.Scalar)
 	}
 	c.Set(st)
 	return c
@@ -234,10 +233,10 @@ func (t *GroupTable) dropEmpty() {
 	}
 }
 
-// ApplyDelta runs Algorithm 6.1: for every group touched by du it updates
-// the group's state (rescanning uNew when the aggregate is not
-// incrementally computable downward) and emits ΔT — the old group tuple
-// with count −1 and the new one with +1 whenever the aggregate changed.
+// ApplyDelta runs Algorithm 6.1: for every group touched by du it folds
+// du's rows into the group's state and emits ΔT — the old group tuple with
+// count −1 and the new one with +1 whenever the aggregate changed. It
+// reads du and the table, never the grouped relation.
 //
 // The committed relation (Rel) is untouched until Commit(ΔT) is called, so
 // callers can read old T, ΔT, and new T (= Overlay(Rel, ΔT)) while
@@ -253,7 +252,7 @@ func (t *GroupTable) dropEmpty() {
 //
 // Group values and aggregates compare by key identity (==), as the
 // relations holding them do: -0.0 is not 0.0 and NaN is itself.
-func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *Instruments) (*relation.Relation, error) {
+func (t *GroupTable) ApplyDelta(du relation.Reader, in *Instruments) (*relation.Relation, error) {
 	var ferr error
 	du.Each(func(row relation.Row) {
 		if ferr != nil {
@@ -268,16 +267,21 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 			return
 		}
 		e, existed := t.entry(gv)
+		scalar, isScalar := e.state.(agg.Scalar)
 		if _, snapped := t.undo[e.key]; !snapped {
 			var ue undoEntry
 			if existed {
-				ue = undoEntry{e: e, state: e.state, cur: e.cur}
-				e.state = t.copyOf(e.state)
+				ue = undoEntry{e: e, cur: e.cur}
+				if isScalar {
+					ue.state, e.state = scalar, t.copyOf(scalar)
+				}
 			}
 			t.undo[e.key] = ue
 			t.touched = append(t.touched, e.key)
 		}
-		ferr = fold(e, av, row.Count)
+		if ferr = fold(e, av, row.Count); ferr == nil && !isScalar {
+			t.journal = append(t.journal, folded{e, av, row.Count})
+		}
 	})
 	if ferr != nil {
 		t.Rollback()
@@ -292,15 +296,6 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 	var built int64
 	for _, k := range t.touched {
 		e := t.groups[k]
-		if e.state == nil {
-			if err := t.rescan(e, uNew); err != nil {
-				t.Rollback()
-				return nil, err
-			}
-			if in != nil {
-				in.groupRescans.Inc()
-			}
-		}
 		// Only cur's last value, the aggregate, can move: only then build.
 		v, ok := e.state.Result()
 		switch {
@@ -331,75 +326,45 @@ func (t *GroupTable) ApplyDelta(du relation.Reader, uNew relation.Reader, in *In
 	return deltaT, nil
 }
 
-// rescan rebuilds a group's state from the new grouped relation.
-func (t *GroupTable) rescan(e *groupEntry, uNew relation.Reader) error {
-	st := t.newState()
-	e.state = st
-	run := relation.LookupRun(uNew, t.groupCols, e.groupVals, &t.rows)
-	defer func() { clear(t.rows) }()
-	for i := range run.Len() {
-		row := run.Row(i)
-		gv, av, ok, err := t.match(row.Tuple)
-		if err != nil {
-			return err
-		}
-		if !ok || !slices.Equal(gv, e.groupVals) {
-			continue
-		}
-		if row.Count > 0 {
-			if err := st.Add(av, row.Count); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Commit folds a previously returned ΔT into the committed relation and
 // returns the undo snapshots' states to the spare list.
 func (t *GroupTable) Commit(deltaT *relation.Relation) {
 	t.rel.MergeDelta(deltaT)
 	for _, ue := range t.undo {
-		if ue.e != nil {
+		if ue.state != nil {
 			t.spare = append(t.spare, ue.state)
 		}
 	}
-	clear(t.undo)
-	t.touched = slices.Delete(t.touched, 0, len(t.touched))
+	t.reset()
 }
 
 // Rollback restores the group states to their last committed values,
 // undoing an ApplyDelta whose maintenance round aborted. The committed
 // relation was never touched, so only group states and cached tuples
-// revert.
+// revert. A journaled fold is taken back by its inverse, which holds: the
+// counts are integers and the values compare by identity.
 func (t *GroupTable) Rollback() {
+	for i := len(t.journal) - 1; i >= 0; i-- {
+		if f := t.journal[i]; fold(f.e, f.v, -f.count) != nil {
+			panic("eval: a group table's journal does not take back") // the fold it undoes put the copies there
+		}
+	}
 	for k, ue := range t.undo {
 		if ue.e == nil {
 			delete(t.groups, k)
 			continue
 		}
-		ue.e.state, ue.e.cur = ue.state, ue.cur
+		if ue.e.cur = ue.cur; ue.state != nil {
+			ue.e.state = ue.state
+		}
 		t.groups[k] = ue.e
 	}
-	clear(t.undo)
-	t.touched = slices.Delete(t.touched, 0, len(t.touched))
+	t.reset()
 }
 
-// groupColumns locates each grouping variable's first position in the
-// inner atom.
-func groupColumns(g *datalog.Aggregate) ([]int, error) {
-	cols := make([]int, len(g.GroupBy))
-	for i, v := range g.GroupBy {
-		cols[i] = -1
-		for j, a := range g.Inner.Args {
-			if av, ok := a.(datalog.Var); ok && av == v {
-				cols[i] = j
-				break
-			}
-		}
-		if cols[i] < 0 {
-			return nil, fmt.Errorf("eval: grouping variable %s not found in %s", v, g.Inner)
-		}
-	}
-	return cols, nil
+// reset empties the undo records of the delta Commit or Rollback resolved.
+func (t *GroupTable) reset() {
+	clear(t.undo)
+	t.touched = slices.Delete(t.touched, 0, len(t.touched))
+	t.journal = slices.Delete(t.journal, 0, len(t.journal))
 }

@@ -17,9 +17,6 @@ type Instruments struct {
 	JoinScans *metrics.Counter
 	// Derived rows a tuple was allocated for, and that took a stored row's.
 	HeadsBuilt, HeadsBorrowed *metrics.Counter
-	// groupRescans counts the groups GroupTable.ApplyDelta rebuilt from
-	// the grouped relation because a MIN/MAX extremum left.
-	groupRescans *metrics.Counter
 }
 
 // NewInstruments resolves the evaluation instruments from r. A nil
@@ -33,6 +30,5 @@ func NewInstruments(r *metrics.Registry) *Instruments {
 		JoinScans:     r.Counter("eval_join_scans_total"),
 		HeadsBuilt:    r.Counter("eval_heads_built_total"),
 		HeadsBorrowed: r.Counter("eval_heads_borrowed_total"),
-		groupRescans:  r.Counter("eval_group_rescans_total"),
 	}
 }

@@ -180,7 +180,7 @@ func RunE5(s Scale) *Table {
 	t := &Table{
 		ID:     "E5",
 		Title:  "aggregation: min_cost_hop maintenance (Example 6.2, Algorithm 6.1)",
-		Claim:  "only groups touched by ΔU are recomputed; MIN rescans only when the minimum leaves",
+		Claim:  "only groups touched by ΔU are updated, MIN too when its minimum leaves",
 		Header: []string{"batch |Δ|", "median maint (counting)", "median recompute", "speedup"},
 	}
 	rng := Rng(5)

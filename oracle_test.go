@@ -1,7 +1,7 @@
 package ivm_test
 
 // The oracle: one seeded generator and one exactness checker for the
-// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52). A seed picks
+// paper's Theorems 4.1 and 7.1 (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E54). A seed picks
 // a program family, a strategy, set or duplicate semantics, an idempotency
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
@@ -20,15 +20,19 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these bugs each fail the default budget (first failing seed in
-// brackets): GroupTable.Rollback not restoring ue.e.state and ue.e.cur
-// [19]; publishLocked skipping a group whose log stage failed [18]; the
-// engine's edit not reinstalling the old program on error [7]; match's
-// colCheck comparing floats by numeric == [28]; extremum.Add counting a
-// numeric tie as a copy of best [29]; MIN/MAX counting a CompareNumeric
-// tie as a copy [39]; a SUM staying a Float once it held one [19]; SUM's
-// Result one too many [2]; CmpLt evaluated as <= [9]; materialization
-// skipping the semi-naive rounds after its seed pass [3]; counting
+// runs), these twenty-three bugs each fail the default budget (first
+// failing seed in brackets): GroupTable.Rollback not taking back the
+// folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
+// a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
+// skipping a group whose log stage failed [18]; the engine's edit not
+// reinstalling the old program on error [7]; match's colCheck comparing
+// floats by numeric == [28]; a MIN group counting a numeric tie as a copy
+// of one of its values [19]; MIN counting a CompareNumeric tie as a copy
+// [39]; a MIN/MAX value leaving its group with a copy left, so that the
+// next extremum comes one copy early [2]; a SUM staying a Float once it
+// held one [19]; SUM's Result one too many [2]; CmpLt evaluated as <=
+// [9]; materialization skipping the semi-naive rounds after its seed
+// pass [3]; counting
 // committing its working Δ(head) uncopied and unfrozen [2]; a version's
 // trace stamped with its predecessor's version [1]; the history's key
 // index keeping a key after its commit left the history [3]; the history
@@ -136,6 +140,7 @@ var oracleFamilies = []oracleFamily{
 		hi(X,M) :- groupby(a(X,V), [X], M = max(V)).
 		by(V,N) :- groupby(a(X,V), [V], N = count(X)).
 		nb(X,N) :- groupby(b(X,V,Z), [X], N = count(Z)).
+		top(X,M) :- groupby(b(X,V,Z), [X], M = max(V)).
 		tot(X,S) :- groupby(b(X,V,Z), [X], S = sum(V)).
 		pos(X,V) :- a(X,V), 0 < V.
 		one(X) :- b(X,V,Z), V = 1.`,
@@ -167,7 +172,8 @@ var oracleAxes = strings.Fields(`family:join family:negation family:arithmetic f
 	refused:materialize promoted reopened foreign-records coalesced same-key retry:dedup retry:evicted
 	empty-key refused-key edits>10 edit:emptied edit:arity-reset rejected:absent rejected:arity rejected:string
 	rejected:long-key rejected:non-finite rejected:unsafe-rule rejected:rule-arity rejected:edit-seed
-	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal tiers traces-joined`)
+	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal tiers traces-joined
+	extremum:deleted`)
 
 func TestOracle(t *testing.T) {
 	cov := make(map[string]int)
@@ -1073,6 +1079,9 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	prev := r.st
 	r.version, r.st = ver, next
 	r.learn(next)
+	if !edit && extremumDeleted(prev, next) {
+		r.hit("extremum:deleted")
+	}
 	if edit { // an empty relation takes the arity the rules read it at
 		for pred := range r.arity {
 			if n, read := r.arityOf(pred); read && len(next.base[pred]) == 0 && n != r.arity[pred] {
@@ -1171,6 +1180,34 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 			r.fatal("the node folded version %d: change set\n%v\nthe writer's\n%s", ver, cs, reported)
 		}
 	})
+}
+
+// extremumDeleted reports whether a MIN or MAX group of next's program lost
+// its extremum from prev to next and still has members: its aggregate
+// moved away from the extremum's side.
+func extremumDeleted(prev, next *oracleState) bool {
+	for _, rule := range next.prog.Rules {
+		for _, l := range rule.Body {
+			if l.Kind != datalog.LitAggregate || l.Agg.Func != datalog.AggMin && l.Agg.Func != datalog.AggMax {
+				continue
+			}
+			was, _ := prev.model.groupBy(l.Agg, false)
+			is, _ := next.model.groupBy(l.Agg, false)
+			old := make(map[string]ivm.Value)
+			for _, row := range was {
+				old[row.t[:len(row.t)-1].Key()] = row.t[len(row.t)-1]
+			}
+			for _, row := range is {
+				n := len(row.t) - 1
+				if o, ok := old[row.t[:n].Key()]; ok {
+					if c := row.t[n].Compare(o); l.Agg.Func == datalog.AggMin && c > 0 || l.Agg.Func == datalog.AggMax && c < 0 {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 // takeEvents moves the records published since the last call to pending.

@@ -310,7 +310,7 @@ func TestExample62Aggregation(t *testing.T) {
 	wantRows(t, v, "min_cost_hop", map[string]int64{"a,c,12": 1, "a,e,15": 1})
 	wantDelta(t, ch, "min_cost_hop", map[string]int64{"a,c,21": -1, "a,c,12": 1})
 
-	// Delete the minimum: the group must rescan and fall back to 21.
+	// Delete the minimum: the group falls back to the next value, 21.
 	_, err = v.ApplyScript(`-link(x,c,6).`)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -13,12 +13,14 @@ cd "$(dirname "$0")/.."
 
 # name | file | pattern | replacement
 mutations=(
-	"GroupTable.Rollback keeps the aborted state|internal/eval/group.go|ue.e.state, ue.e.cur = ue.state, ue.cur|_ = ue.state"
+	"GroupTable.Rollback keeps the aborted state|internal/eval/group.go|fold(f.e, f.v, -f.count) != nil|f.e == nil"
+	"GroupTable.Rollback keeps a Scalar's aborted state|internal/eval/group.go|ue.e.state = ue.state|_ = ue.state"
 	"publishLocked skips a group whose log stage failed|ivm.go|		if g.cs == nil {|		if g.cs == nil || g.err != nil {"
 	"the engine's edit does not undo a refused edit|internal/core/dred/dred.go|		undo()|		_ = undo"
 	"colCheck matches floats by numeric ==|internal/eval/slots.go|			if t[i] != slots[op.slot] {|			if t[i] != slots[op.slot] && !(t[i].IsNumeric() && slots[op.slot].IsNumeric() && t[i].Float() == slots[op.slot].Float()) {"
-	"extremum.Add counts a numeric tie as a copy of best|internal/agg/agg.go|	} else if v == e.best {|	} else if v.IsNumeric() && e.best.IsNumeric() && v.Float() == e.best.Float() {"
-	"MIN/MAX count a CompareNumeric tie as a copy of best (PR 30)|internal/agg/agg.go|	} else if v == e.best {|	} else if v.CompareNumeric(e.best) == 0 {"
+	"extremum.Add counts a numeric tie as a copy|internal/agg/agg.go|return b.Compare(a)|if a.IsNumeric() && b.IsNumeric() && a.Float() == b.Float() { return 0 }; return b.Compare(a)"
+	"MIN/MAX count a CompareNumeric tie as a copy|internal/agg/agg.go|return b.Compare(a)|return b.CompareNumeric(a)"
+	"a value leaves its group with a copy left, so the next extremum comes one copy early|internal/agg/agg.go|case e.at(m).n == mult:|case e.at(m).n <= mult+1:"
 	"a SUM stays a Float once it held one (PR 31)|internal/agg/agg.go|	if s.floats += mult; s.floats == 0 {|	if s.floats += max(mult, 0); s.floats == 0 {"
 	"SUM's Result is one too many|internal/agg/agg.go|	return value.NewInt(s.i), true|	return value.NewInt(s.i + 1), true"
 	"CmpLt evaluates as <=|internal/datalog/ast.go|		return c < 0|		return c <= 0"
