@@ -42,7 +42,6 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
-	$(GO) run ./cmd/ivmbench -scale smoke
 
 # The layered benchmark (benchmark/, a module of its own that tier-1
 # `go vet ./...` and `go test ./...` do not reach): vet it, so that a
@@ -54,14 +53,16 @@ bench-layered:
 	cd benchmark && $(GO) test -count=3 -run TestSmokeRunPassesEveryCheck .
 	bash benchmark/run.sh -smoke
 
-# One experiment with metrics exposition, then the registry of a Views
-# (cmd/ivm; the experiments drive bare engines, which have no scheduler,
-# snapshot or replay series) — writes metrics.txt and checks that every
-# required series is there, so metric-name drift fails. CI's "Metrics
-# smoke" step runs this target: the list lives here only.
+# The registries of two Views (cmd/ivm -metrics): views.dl, whose hop and
+# reach share a DRed stratum (the dred_*, replay and version series), then
+# the nonrecursive tri_hop.dl under -strategy counting with one delta file
+# applied (the counting_* series, moved) — writes metrics.txt and checks
+# that every required series is there, so metric-name drift fails. CI's
+# "Metrics smoke" step runs this target: the list lives here only.
 metrics:
-	$(GO) run ./cmd/ivmbench -scale smoke -exp E1 -metrics metrics.txt
-	$(GO) run ./cmd/ivm -program testdata/server/views.dl -data testdata/server/facts.dl -metrics >> metrics.txt
+	$(GO) run ./cmd/ivm -program testdata/server/views.dl -data testdata/server/facts.dl -metrics > metrics.txt
+	$(GO) run ./cmd/ivm -strategy counting -program testdata/server/tri_hop.dl -data testdata/server/facts.dl \
+		-metrics testdata/server/tri_hop_delta.dl >> metrics.txt
 	@for m in counting_applies_total dred_ops_total commit_replay_rows_total commit_replay_seconds_count \
 			relation_version_rows_linked relation_version_rows_copied \
 			eval_heads_built_total eval_heads_borrowed_total \

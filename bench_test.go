@@ -1,10 +1,9 @@
 package ivm_test
 
-// One testing.B benchmark per reproduction experiment (DESIGN.md /
-// EXPERIMENTS.md). cmd/ivmbench prints the full paper-style tables; these
-// benches expose the same workloads to `go test -bench` so regressions
-// are visible in standard tooling. Experiment E11 is property-based and
-// lives in property_test.go.
+// Benchmarks of the public API's planner and replication paths. The
+// paper's experiments E1–E10 and E12 are benchmarks of their own in
+// internal/experiments; E11 is the TestProperty* seed selections of the
+// oracle in oracle_test.go.
 
 import (
 	"fmt"
@@ -13,265 +12,13 @@ import (
 	"time"
 
 	"ivm"
-	"ivm/internal/core/counting"
+	"ivm/internal/core/dred"
 	"ivm/internal/eval"
-	"ivm/internal/experiments"
+	"ivm/internal/parser"
 	"ivm/internal/relation"
 	"ivm/internal/storage"
 	"ivm/internal/workload"
 )
-
-const (
-	benchNodes = 150
-	benchEdges = 900
-)
-
-func benchLink() *relation.Relation {
-	return workload.RandomGraph(experiments.Rng(1), benchNodes, benchEdges)
-}
-
-// applyRounds repeatedly applies a delete+reinsert pair so the engine
-// state returns to its start each two iterations (steady-state benching).
-func applyRounds(b *testing.B, apply func(d *relation.Relation) error, link *relation.Relation) {
-	b.Helper()
-	del := workload.SampleDeletes(experiments.Rng(7), link, 1)
-	var ins *relation.Relation
-	del.Each(func(r relation.Row) {
-		ins = relation.New(del.Arity())
-		ins.Add(r.Tuple, 1)
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := del
-		if i%2 == 1 {
-			d = ins
-		}
-		if err := apply(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE1HopMaintenance — Example 1.1 at scale: single-edge
-// maintenance of the hop view under counting.
-func BenchmarkE1HopMaintenance(b *testing.B) {
-	b.ReportAllocs()
-	link := benchLink()
-	e := experiments.CountingEngine(experiments.HopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
-	applyRounds(b, func(d *relation.Relation) error {
-		_, err := e.Apply(experiments.DeltaOf(d))
-		return err
-	}, link)
-}
-
-// BenchmarkE2TriHop — Example 4.2 at scale: two-stratum maintenance.
-func BenchmarkE2TriHop(b *testing.B) {
-	b.ReportAllocs()
-	link := benchLink()
-	e := experiments.CountingEngine(experiments.TriHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
-	applyRounds(b, func(d *relation.Relation) error {
-		_, err := e.Apply(experiments.DeltaOf(d))
-		return err
-	}, link)
-}
-
-// BenchmarkE3SetOptimization — statement (2) ablation: the same batch
-// with and without the set-semantics cascade cut.
-func BenchmarkE3SetOptimization(b *testing.B) {
-	b.ReportAllocs()
-	// Without statement (2) a set view keeps full duplicate counts:
-	// duplicate semantics over the same sets.
-	for _, sem := range []eval.Semantics{eval.Set, eval.Duplicate} {
-		name := "with-stmt2"
-		if sem == eval.Duplicate {
-			name = "without-stmt2"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			link := workload.RandomGraph(experiments.Rng(3), benchNodes/3, benchEdges/2)
-			e, err := counting.NewWithConfig(experiments.MustRules(experiments.TriHopProgram), experiments.LinkDB(link.Clone()),
-				counting.Config{Semantics: sem})
-			if err != nil {
-				b.Fatal(err)
-			}
-			applyRounds(b, func(d *relation.Relation) error {
-				_, err := e.Apply(experiments.DeltaOf(d))
-				return err
-			}, link)
-		})
-	}
-}
-
-// BenchmarkE4Negation — only_tri_hop maintenance (Definition 6.1).
-func BenchmarkE4Negation(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.RandomGraph(experiments.Rng(4), benchNodes/2, benchEdges/2)
-	e := experiments.CountingEngine(experiments.OnlyTriHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
-	applyRounds(b, func(d *relation.Relation) error {
-		_, err := e.Apply(experiments.DeltaOf(d))
-		return err
-	}, link)
-}
-
-// BenchmarkE5Aggregation — min_cost_hop maintenance (Algorithm 6.1).
-func BenchmarkE5Aggregation(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.RandomWeightedGraph(experiments.Rng(5), benchNodes/2, benchEdges/2, 100)
-	e := experiments.CountingEngine(experiments.MinCostHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
-	applyRounds(b, func(d *relation.Relation) error {
-		_, err := e.Apply(experiments.DeltaOf(d))
-		return err
-	}, link)
-}
-
-// BenchmarkE6CountingVsRecompute — the heuristic-of-inertia sweep: one
-// sub-bench per Δ-fraction per engine.
-func BenchmarkE6CountingVsRecompute(b *testing.B) {
-	b.ReportAllocs()
-	link := benchLink()
-	for _, frac := range []float64{0.001, 0.01, 0.1, 0.5} {
-		k := int(float64(link.Len()) * frac)
-		if k < 1 {
-			k = 1
-		}
-		for _, engine := range []string{"counting", "recompute"} {
-			b.Run(fmt.Sprintf("%s/delta=%.1f%%", engine, frac*100), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					d := workload.SampleDeletes(experiments.Rng(int64(60+i)), link, k)
-					var apply func() error
-					if engine == "counting" {
-						e := experiments.CountingEngine(experiments.TriHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
-						apply = func() error { _, err := e.Apply(experiments.DeltaOf(d)); return err }
-					} else {
-						e := experiments.RecomputeEngine(experiments.TriHopProgram, experiments.LinkDB(link.Clone()), eval.Duplicate)
-						apply = func() error { _, err := e.Apply(experiments.DeltaOf(d)); return err }
-					}
-					b.StartTimer()
-					if err := apply(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE7CountOverhead — view evaluation with and without count
-// tracking (Section 5's "little or no cost").
-func BenchmarkE7CountOverhead(b *testing.B) {
-	b.ReportAllocs()
-	link := benchLink()
-	db := experiments.LinkDB(link)
-	for _, track := range []bool{true, false} {
-		name := "with-counts"
-		if !track {
-			name = "without-counts"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				experiments.Evaluate(experiments.TriHopProgram, db, eval.Set, track)
-			}
-		})
-	}
-}
-
-// BenchmarkE8DRedTC — DRed vs recompute on recursive transitive closure.
-func BenchmarkE8DRedTC(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.LayeredDAG(experiments.Rng(81), 14, 8, 3)
-	for _, engine := range []string{"dred", "recompute"} {
-		b.Run(engine, func(b *testing.B) {
-			b.ReportAllocs()
-			var apply func(d *relation.Relation) error
-			if engine == "dred" {
-				e := experiments.DRedEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()))
-				apply = func(d *relation.Relation) error { _, err := e.Apply(experiments.DeltaOf(d)); return err }
-			} else {
-				e := experiments.RecomputeEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()), eval.Set)
-				apply = func(d *relation.Relation) error { _, err := e.Apply(experiments.DeltaOf(d)); return err }
-			}
-			applyRounds(b, apply, link)
-		})
-	}
-}
-
-// BenchmarkE9DRedVsPF — the fragmentation gap (Section 2's
-// order-of-magnitude claim).
-func BenchmarkE9DRedVsPF(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.LayeredDAG(experiments.Rng(91), 12, 8, 3)
-	k := 8
-	for _, engine := range []string{"dred", "pf-per-tuple"} {
-		b.Run(engine, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d := workload.ClusteredDeletes(link, k)
-				var apply func() error
-				if engine == "dred" {
-					e := experiments.DRedEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()))
-					apply = func() error { _, err := e.Apply(experiments.DeltaOf(d)); return err }
-				} else {
-					e := experiments.PFEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()), true)
-					apply = func() error { _, err := e.Apply(experiments.DeltaOf(d)); return err }
-				}
-				b.StartTimer()
-				if err := apply(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE10RuleChange — incremental rule insertion (Section 7).
-func BenchmarkE10RuleChange(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.RandomGraph(experiments.Rng(10), benchNodes/2, benchEdges/3)
-	hyper := workload.RandomGraph(experiments.Rng(11), benchNodes/2, 8)
-	rule := experiments.MustRules(`tc(X,Y) :- hyperlink(X,Y).`).Rules[0]
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db := experiments.LinkDB(link.Clone())
-		db.Put("hyperlink", hyper.Clone())
-		e := experiments.DRedEngine(experiments.TCProgram, db)
-		b.StartTimer()
-		if _, err := e.AddRule(rule); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE12InsertOnly — pure insertion maintenance of transitive
-// closure (semi-naive, no deletion machinery). A layered DAG keeps the
-// untimed undo pass cheap so the timer isolates the insert.
-func BenchmarkE12InsertOnly(b *testing.B) {
-	b.ReportAllocs()
-	link := workload.LayeredDAG(experiments.Rng(12), 12, 8, 3)
-	e := experiments.DRedEngine(experiments.TCProgram, experiments.LinkDB(link.Clone()))
-	ins := workload.ClusteredDeletes(link, 4).Negate() // 4 forward edges...
-	// ...that we first remove from the engine so each timed op re-inserts
-	// them into a state where they are absent.
-	del := ins.Negate()
-	if _, err := e.Apply(experiments.DeltaOf(del)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Apply(experiments.DeltaOf(ins)); err != nil {
-			b.Fatal(err)
-		}
-		// Undo outside the timer so only insertion propagation is measured.
-		b.StopTimer()
-		if _, err := e.Apply(experiments.DeltaOf(del)); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
 
 // BenchmarkPlannerSkew — the cost-based planner on skewed cardinalities:
 // hot is small with a 1000-way fan-out per key, wide is large but
@@ -342,7 +89,7 @@ type slidingLinks struct {
 }
 
 func newSlidingLinks() *slidingLinks {
-	g := &slidingLinks{rng: experiments.Rng(1), has: make(map[string]bool)}
+	g := &slidingLinks{rng: rand.New(rand.NewSource(1)), has: make(map[string]bool)}
 	for len(g.live) < 1600 {
 		g.insert(nil)
 	}
@@ -441,12 +188,21 @@ func BenchmarkEncodeCommitRecord(b *testing.B) {
 	for _, t := range gen.live {
 		link.Add(t, 1)
 	}
-	e := experiments.CountingEngine(hopDegProgram, experiments.LinkDB(link), eval.Set)
+	prog, err := parser.ParseRules(hopDegProgram)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := eval.NewDB()
+	db.Put("link", link)
+	e, err := dred.NewWithConfig(prog, db, dred.Config{Algorithm: dred.Counting, Semantics: eval.Set})
+	if err != nil {
+		b.Fatal(err)
+	}
 	d := relation.New(2)
 	for _, t := range gen.live[:8] {
 		d.Add(t, -1)
 	}
-	if _, err := e.Apply(experiments.DeltaOf(d)); err != nil {
+	if _, err := e.Apply(map[string]*relation.Relation{"link": d}); err != nil {
 		b.Fatal(err)
 	}
 	deltas, keys := e.CommittedDeltas(), []string{"op-1"}

@@ -174,22 +174,22 @@ func (c *Client) Apply(ctx context.Context, script string) (*ApplyResult, error)
 // Query matches a goal pattern (`hop(a,X)`) against the current
 // published version.
 func (c *Client) Query(ctx context.Context, goal string) (*QueryResponse, error) {
-	return queryAt(ctx, c, "", goal, ReadOptions{})
+	return read[QueryResponse](ctx, c, "", ReadOptions{}, "/v1/query", "goal", goal)
 }
 
 // Rows returns the stored rows of a relation at the current version.
 func (c *Client) Rows(ctx context.Context, pred string) (*RowsResponse, error) {
-	return rowsAt(ctx, c, "", pred, ReadOptions{})
+	return read[RowsResponse](ctx, c, "", ReadOptions{}, "/v1/rows", "pred", pred)
 }
 
 // Count returns the derivation count of a ground goal (`hop(a,c)`).
 func (c *Client) Count(ctx context.Context, goal string) (*CountResponse, error) {
-	return countAt(ctx, c, "", goal, ReadOptions{})
+	return read[CountResponse](ctx, c, "", ReadOptions{}, "/v1/count", "goal", goal)
 }
 
 // Has reports whether a ground goal's tuple is present.
 func (c *Client) Has(ctx context.Context, goal string) (bool, error) {
-	resp, err := countAt(ctx, c, "", goal, ReadOptions{})
+	resp, err := read[CountResponse](ctx, c, "", ReadOptions{}, "/v1/count", "goal", goal)
 	if err != nil {
 		return false, err
 	}
@@ -198,7 +198,7 @@ func (c *Client) Has(ctx context.Context, goal string) (bool, error) {
 
 // Explain enumerates the derivations of a ground view tuple.
 func (c *Client) Explain(ctx context.Context, goal string) (*ExplainResponse, error) {
-	return explainAt(ctx, c, "", goal, ReadOptions{})
+	return read[ExplainResponse](ctx, c, "", ReadOptions{}, "/v1/explain", "goal", goal)
 }
 
 // Metrics fetches the server's metrics exposition (`name value` lines:
@@ -285,22 +285,22 @@ func (s *Session) Close(ctx context.Context) error {
 
 // Query matches a goal at the pinned version.
 func (s *Session) Query(ctx context.Context, goal string) (*QueryResponse, error) {
-	return queryAt(ctx, s.c, s.ID, goal, ReadOptions{})
+	return read[QueryResponse](ctx, s.c, s.ID, ReadOptions{}, "/v1/query", "goal", goal)
 }
 
 // Rows returns a relation's rows at the pinned version.
 func (s *Session) Rows(ctx context.Context, pred string) (*RowsResponse, error) {
-	return rowsAt(ctx, s.c, s.ID, pred, ReadOptions{})
+	return read[RowsResponse](ctx, s.c, s.ID, ReadOptions{}, "/v1/rows", "pred", pred)
 }
 
 // Count returns a ground goal's count at the pinned version.
 func (s *Session) Count(ctx context.Context, goal string) (*CountResponse, error) {
-	return countAt(ctx, s.c, s.ID, goal, ReadOptions{})
+	return read[CountResponse](ctx, s.c, s.ID, ReadOptions{}, "/v1/count", "goal", goal)
 }
 
 // Explain enumerates derivations at the pinned version.
 func (s *Session) Explain(ctx context.Context, goal string) (*ExplainResponse, error) {
-	return explainAt(ctx, s.c, s.ID, goal, ReadOptions{})
+	return read[ExplainResponse](ctx, s.c, s.ID, ReadOptions{}, "/v1/explain", "goal", goal)
 }
 
 // ReadOptions tune one read request. The zero value reads whatever
@@ -315,72 +315,39 @@ type ReadOptions struct {
 	MinVersion uint64
 }
 
-func readQuery(session string, ro ReadOptions) url.Values {
-	q := url.Values{}
+// QueryOpts is Query with per-read options.
+func (c *Client) QueryOpts(ctx context.Context, goal string, ro ReadOptions) (*QueryResponse, error) {
+	return read[QueryResponse](ctx, c, "", ro, "/v1/query", "goal", goal)
+}
+
+// RowsOpts is Rows with per-read options.
+func (c *Client) RowsOpts(ctx context.Context, pred string, ro ReadOptions) (*RowsResponse, error) {
+	return read[RowsResponse](ctx, c, "", ro, "/v1/rows", "pred", pred)
+}
+
+// CountOpts is Count with per-read options.
+func (c *Client) CountOpts(ctx context.Context, goal string, ro ReadOptions) (*CountResponse, error) {
+	return read[CountResponse](ctx, c, "", ro, "/v1/count", "goal", goal)
+}
+
+// ExplainOpts is Explain with per-read options.
+func (c *Client) ExplainOpts(ctx context.Context, goal string, ro ReadOptions) (*ExplainResponse, error) {
+	return read[ExplainResponse](ctx, c, "", ro, "/v1/explain", "goal", goal)
+}
+
+// read GETs one of the read routes at a session's pinned version (or the
+// current one when session is empty), with the read's options and its one
+// argument, and decodes the answer.
+func read[T any](ctx context.Context, c *Client, session string, ro ReadOptions, path, param, arg string) (*T, error) {
+	q := url.Values{param: {arg}}
 	if session != "" {
 		q.Set("session", session)
 	}
 	if ro.MinVersion > 0 {
 		q.Set("min_version", strconv.FormatUint(ro.MinVersion, 10))
 	}
-	return q
-}
-
-// QueryOpts is Query with per-read options.
-func (c *Client) QueryOpts(ctx context.Context, goal string, ro ReadOptions) (*QueryResponse, error) {
-	return queryAt(ctx, c, "", goal, ro)
-}
-
-// RowsOpts is Rows with per-read options.
-func (c *Client) RowsOpts(ctx context.Context, pred string, ro ReadOptions) (*RowsResponse, error) {
-	return rowsAt(ctx, c, "", pred, ro)
-}
-
-// CountOpts is Count with per-read options.
-func (c *Client) CountOpts(ctx context.Context, goal string, ro ReadOptions) (*CountResponse, error) {
-	return countAt(ctx, c, "", goal, ro)
-}
-
-// ExplainOpts is Explain with per-read options.
-func (c *Client) ExplainOpts(ctx context.Context, goal string, ro ReadOptions) (*ExplainResponse, error) {
-	return explainAt(ctx, c, "", goal, ro)
-}
-
-func queryAt(ctx context.Context, c *Client, session, goal string, ro ReadOptions) (*QueryResponse, error) {
-	q := readQuery(session, ro)
-	q.Set("goal", goal)
-	var out QueryResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/query", q, nil, "", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-func rowsAt(ctx context.Context, c *Client, session, pred string, ro ReadOptions) (*RowsResponse, error) {
-	q := readQuery(session, ro)
-	q.Set("pred", pred)
-	var out RowsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/rows", q, nil, "", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-func countAt(ctx context.Context, c *Client, session, goal string, ro ReadOptions) (*CountResponse, error) {
-	q := readQuery(session, ro)
-	q.Set("goal", goal)
-	var out CountResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/count", q, nil, "", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-func explainAt(ctx context.Context, c *Client, session, goal string, ro ReadOptions) (*ExplainResponse, error) {
-	q := readQuery(session, ro)
-	q.Set("goal", goal)
-	var out ExplainResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/explain", q, nil, "", &out); err != nil {
+	var out T
+	if err := c.do(ctx, http.MethodGet, path, q, nil, "", &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

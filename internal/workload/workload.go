@@ -1,5 +1,6 @@
 // Package workload generates the synthetic relations and change batches
-// the experiments run on: random/chain/grid/scale-free link graphs
+// that the paper's experiments (the benchmarks of internal/experiments)
+// and the layered benchmark's streams run on: random/chain/grid link graphs
 // (matching the paper's running hop/tri_hop/transitive-closure examples)
 // and controllable insert/delete/update mixes.
 package workload
