@@ -72,9 +72,9 @@ metrics:
 	@echo "wrote metrics.txt"
 
 # Fault-injection matrix: recovery after simulated crashes must match a
-# full recomputation in every case.
+# full recomputation in every case. The -v log is the matrix report.
 crash:
-	$(GO) run ./cmd/ivmcrash
+	$(GO) test -count=1 -run TestCrashMatrix -v ./internal/storage/crashtest > crash-matrix.txt; s=$$?; cat crash-matrix.txt; exit $$s
 
 # The exactly-once chaos gauntlet under -race (faultnet proxy, >=20%
 # fault rate, kill-and-restart mid-run), plus the quantitative

@@ -2,7 +2,6 @@ package ivm_test
 
 import (
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -268,27 +267,36 @@ func TestRuleChangeEndToEnd(t *testing.T) {
 	}
 }
 
+// Views are saved and restored through the store: a checkpoint, then a
+// reopen under the options they were built with.
 func TestSaveAndLoadViews(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "views.gob")
-
-	db := ivm.NewDatabase()
-	db.MustLoad(`link(a,b). link(b,c).`)
 	src := `hop(X,Y) :- link(X,Z), link(Z,Y).`
-	v, err := db.Materialize(src, ivm.WithSemantics(ivm.DuplicateSemantics))
+	v, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
+		db := ivm.NewDatabase()
+		db.MustLoad(`link(a,b). link(b,c).`)
+		return db.Materialize(src, ivm.WithSemantics(ivm.DuplicateSemantics))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v.Apply(ivm.NewUpdate().Insert("link", "b", "d")); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Save(path); err != nil {
+	if err := v.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	v2, err := ivm.LoadViews(path, ivm.WithSemantics(ivm.DuplicateSemantics))
+	v2, info, err := ivm.OpenStore(dir, nil, ivm.WithSemantics(ivm.DuplicateSemantics))
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer v2.Close()
+	if info.Replayed != 0 {
+		t.Fatalf("the reopen replayed %d records after a checkpoint", info.Replayed)
 	}
 	if v2.ProgramSource() != src {
 		t.Fatalf("program: %q", v2.ProgramSource())

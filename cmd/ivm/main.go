@@ -14,9 +14,7 @@
 // Persistence: -store names a managed directory of checkpoints plus a
 // checksummed write-ahead log; every applied delta is durably logged
 // before it is acknowledged, and on restart the newest valid checkpoint
-// is loaded and the log replayed. -snapshot alone is the single-file
-// flow: load the file if it exists, save it on exit. With both, an
-// existing -snapshot seeds an empty store.
+// is loaded and the log replayed. -program/-data seed an empty store.
 package main
 
 import (
@@ -45,7 +43,6 @@ func run() error {
 	dataPath := flag.String("data", "", "file with base facts")
 	strategyFlag := flag.String("strategy", "auto", "auto, counting, dred, or recompute")
 	semanticsFlag := flag.String("semantics", "set", "set or duplicate")
-	snapshotPath := flag.String("snapshot", "", "snapshot file to load (if present) and save on exit")
 	storeDir := flag.String("store", "", "managed store directory (checkpoints + write-ahead log) for crash-safe persistence")
 	repl := flag.Bool("repl", false, "interactive session after loading")
 	show := flag.String("show", "", "comma-separated predicates to print after loading and after each delta")
@@ -62,12 +59,7 @@ func run() error {
 	}
 	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
 
-	var views *ivm.Views
-	if *storeDir != "" {
-		views, err = openStore(*storeDir, *programPath, *dataPath, *snapshotPath, opts)
-	} else {
-		views, err = loadViews(*programPath, *dataPath, *snapshotPath, opts)
-	}
+	views, err := openViews(*storeDir, *programPath, *dataPath, opts)
 	if err != nil {
 		return err
 	}
@@ -125,39 +117,29 @@ func run() error {
 			return err
 		}
 		fmt.Printf("checkpointed store %s\n", storeBound)
-	} else if *snapshotPath != "" {
-		if err := views.Save(*snapshotPath); err != nil {
-			return err
-		}
-		fmt.Printf("saved snapshot to %s\n", *snapshotPath)
 	}
 	return nil
 }
 
-// openStore opens (or initializes) a managed store. An empty store is
-// seeded from -program/-data, or from an existing -snapshot file. Once
-// the store holds a checkpoint those inputs are ignored: the store is
-// the single source of truth.
-func openStore(dir, programPath, dataPath, snapshotPath string, opts []ivm.Option) (*ivm.Views, error) {
-	views, info, err := ivm.OpenStore(dir, func() (*ivm.Views, error) {
-		return loadViews(programPath, dataPath, snapshotPath, opts)
-	}, opts...)
-	if err != nil {
-		return nil, err
+// openViews materializes -program over -data, or, with a -store, opens
+// the store, which they seed only while it is empty: once the store holds
+// a checkpoint it is the single source of truth and they are ignored.
+func openViews(storeDir, programPath, dataPath string, opts []ivm.Option) (*ivm.Views, error) {
+	if storeDir == "" {
+		return buildViews(programPath, dataPath, opts)
 	}
-	fmt.Printf("store %s: %s\n", dir, info)
-	return views, nil
+	views, info, err := ivm.OpenStore(storeDir, func() (*ivm.Views, error) {
+		return buildViews(programPath, dataPath, opts)
+	}, opts...)
+	if err == nil {
+		fmt.Printf("store %s: %s\n", storeDir, info)
+	}
+	return views, err
 }
 
-func loadViews(programPath, dataPath, snapshotPath string, opts []ivm.Option) (*ivm.Views, error) {
-	if snapshotPath != "" {
-		if _, err := os.Stat(snapshotPath); err == nil {
-			fmt.Printf("loading snapshot %s\n", snapshotPath)
-			return ivm.LoadViews(snapshotPath, opts...)
-		}
-	}
+func buildViews(programPath, dataPath string, opts []ivm.Option) (*ivm.Views, error) {
 	if programPath == "" {
-		return nil, fmt.Errorf("-program is required (or -snapshot with an existing snapshot)")
+		return nil, fmt.Errorf("-program is required (or a -store that holds a checkpoint)")
 	}
 	programSrc, err := os.ReadFile(programPath)
 	if err != nil {

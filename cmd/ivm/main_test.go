@@ -161,7 +161,7 @@ func TestOpenStoreSeedsFromProgramThenIgnoresIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := filepath.Join(dir, "state.store")
-	v, err := openStore(store, programPath, dataPath, "", nil)
+	v, err := openViews(store, programPath, dataPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestOpenStoreSeedsFromProgramThenIgnoresIt(t *testing.T) {
 	}
 	// The store is now the source of truth: the second open replays its
 	// WAL and never reads -program/-data again.
-	v, err = openStore(store, filepath.Join(dir, "gone.dl"), "", "", nil)
+	v, err = openViews(store, filepath.Join(dir, "gone.dl"), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

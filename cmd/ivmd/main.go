@@ -96,39 +96,7 @@ func run() error {
 		opts = append(opts, ivm.WithHistory(*history))
 	}
 
-	if *followURL != "" {
-		if *storeDir != "" || *programPath != "" || *dataPath != "" {
-			return fmt.Errorf("-follow is exclusive with -store/-program/-data: a follower's state comes from the primary")
-		}
-		seeds := strings.Split(*followURL, ",")
-		for i := range seeds {
-			seeds[i] = strings.TrimSpace(seeds[i])
-		}
-		return runFollower(seeds, followerConfig{
-			addr:            *addr,
-			requestTimeout:  *requestTimeout,
-			maxBody:         *maxBody,
-			subBuffer:       *subBuffer,
-			sessionTTL:      *sessionTTL,
-			shutdownTimeout: *shutdownTimeout,
-			engineOpts:      opts,
-			logger:          logger,
-		})
-	}
-
-	var views *ivm.Views
-	var info ivm.RecoveryInfo
-	if *storeDir != "" {
-		views, info, err = ivm.OpenStore(*storeDir, func() (*ivm.Views, error) {
-			return buildViews(*programPath, *dataPath, opts)
-		}, opts...)
-	} else {
-		views, err = buildViews(*programPath, *dataPath, opts)
-	}
-	if err != nil {
-		return err
-	}
-	srv := server.New(views, server.Options{
+	srvOpts := server.Options{
 		Addr:             *addr,
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
@@ -136,84 +104,70 @@ func run() error {
 		SessionTTL:       *sessionTTL,
 		OwnViews:         true,
 		Logger:           logger,
-	})
-	if *storeDir != "" {
-		srv.Info("ivmd: store", slog.String("dir", *storeDir), slog.String("recovery", info.String()))
-	} else {
-		srv.Info("ivmd: memory-only (no -store): applies are not durable")
 	}
-	if err := srv.Start(); err != nil {
-		views.Close()
-		return err
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	got := <-sig
-	srv.Info("ivmd: shutting down", slog.String("signal", got.String()))
-	ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-	defer cancel()
-	return srv.Shutdown(ctx)
-}
-
-// followerConfig carries the serving flags into the -follow path.
-type followerConfig struct {
-	addr            string
-	requestTimeout  time.Duration
-	maxBody         int64
-	subBuffer       int
-	sessionTTL      time.Duration
-	shutdownTimeout time.Duration
-	engineOpts      []ivm.Option
-	logger          *slog.Logger
-}
-
-// runFollower bootstraps a replica from the first seed and serves its
-// views until a signal or a terminal replication error — or, after a
-// promotion, serves on as the cluster's new primary.
-func runFollower(seeds []string, cfg followerConfig) error {
-	// The serving layer comes up after the replica, but leader changes
+	// A follower's server comes up after its replica, but leader changes
 	// fire from the tail goroutine; route them through an atomic pointer.
+	// promoted flips before rep.Promote cancels the tail, so the select
+	// below can tell a promotion from a replication failure.
 	var srvPtr atomic.Pointer[server.Server]
-	rep, err := replica.Start(seeds[0], replica.Options{
-		ExtraOptions: cfg.engineOpts,
-		Seeds:        seeds,
-		OnLeaderChange: func(u string) {
-			if s := srvPtr.Load(); s != nil {
-				s.SetLeaderURL(u)
-			}
-		},
-		Logger: cfg.logger,
-	})
-	if err != nil {
-		return err
-	}
-	views := rep.Views()
-
-	// promoted flips before rep.Promote cancels the tail, so the main
-	// select below can tell a promotion from a replication failure.
 	var promoted atomic.Bool
-	srv := server.New(views, server.Options{
-		Addr:             cfg.addr,
-		RequestTimeout:   cfg.requestTimeout,
-		MaxBodyBytes:     cfg.maxBody,
-		SubscriberBuffer: cfg.subBuffer,
-		SessionTTL:       cfg.sessionTTL,
-		OwnViews:         true,
-		LeaderURL:        rep.LeaderURL(),
-		Promote: func() (uint64, error) {
+	var rep *replica.Replica
+	var views *ivm.Views
+	var info ivm.RecoveryInfo
+	switch {
+	case *followURL != "":
+		if *storeDir != "" || *programPath != "" || *dataPath != "" {
+			return fmt.Errorf("-follow is exclusive with -store/-program/-data: a follower's state comes from the primary")
+		}
+		seeds := strings.Split(*followURL, ",")
+		for i := range seeds {
+			seeds[i] = strings.TrimSpace(seeds[i])
+		}
+		rep, err = replica.Start(seeds[0], replica.Options{
+			ExtraOptions: opts,
+			Seeds:        seeds,
+			OnLeaderChange: func(u string) {
+				if s := srvPtr.Load(); s != nil {
+					s.SetLeaderURL(u)
+				}
+			},
+			Logger: logger,
+		})
+		if err != nil {
+			return err
+		}
+		views = rep.Views()
+		srvOpts.LeaderURL = rep.LeaderURL()
+		srvOpts.Promote = func() (uint64, error) {
 			promoted.Store(true)
 			epoch, err := rep.Promote()
 			if err != nil {
 				promoted.Store(false)
 			}
 			return epoch, err
-		},
-		ExtraMetrics: []*metrics.Registry{rep.Registry()},
-		Logger:       cfg.logger,
-	})
+		}
+		srvOpts.ExtraMetrics = []*metrics.Registry{rep.Registry()}
+	case *storeDir != "":
+		views, info, err = ivm.OpenStore(*storeDir, func() (*ivm.Views, error) {
+			return buildViews(*programPath, *dataPath, opts)
+		}, opts...)
+	default:
+		views, err = buildViews(*programPath, *dataPath, opts)
+	}
+	if err != nil {
+		return err
+	}
+	srv := server.New(views, srvOpts)
+	switch {
+	case *storeDir != "":
+		srv.Info("ivmd: store", slog.String("dir", *storeDir), slog.String("recovery", info.String()))
+	case rep == nil:
+		srv.Info("ivmd: memory-only (no -store): applies are not durable")
+	}
 	if err := srv.Start(); err != nil {
-		rep.Stop()
+		if rep != nil {
+			rep.Stop()
+		}
 		views.Close()
 		return err
 	}
@@ -221,11 +175,15 @@ func runFollower(seeds []string, cfg followerConfig) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var repDone <-chan struct{} // nil, never ready, on a primary
+	if rep != nil {
+		repDone = rep.Done()
+	}
 	var repErr error
 	select {
 	case got := <-sig:
 		srv.Info("ivmd: shutting down", slog.String("signal", got.String()))
-	case <-rep.Done():
+	case <-repDone:
 		if promoted.Load() {
 			// Promotion retired the tail loop on purpose; this node now
 			// leads the cluster and keeps serving until a signal.
@@ -236,9 +194,10 @@ func runFollower(seeds []string, cfg followerConfig) error {
 			srv.Info("ivmd: replication ended", slog.Any("err", repErr))
 		}
 	}
-	// Stop replication before Shutdown closes the views underneath it.
-	rep.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownTimeout)
+	if rep != nil {
+		rep.Stop() // before Shutdown closes the views underneath it
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		return err

@@ -558,7 +558,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "Idempotency-Key of %d bytes exceeds the %d-byte limit", len(key), ivm.MaxIdempotencyKeyLen)
 		return
 	}
-	cs, deduped, err := s.v.ApplyScriptIdempotent(key, script)
+	u, err := ivm.ParseUpdate(script)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "apply: %v", err)
+		return
+	}
+	cs, deduped, err := s.v.ApplyIdempotent(key, u)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		if errors.Is(err, ivm.ErrStoreClosed) {

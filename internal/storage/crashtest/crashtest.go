@@ -361,7 +361,11 @@ func init() {
 				return nil, err
 			}
 			for i, s := range scripts {
-				if _, _, err := v.ApplyScriptIdempotent(fmt.Sprintf("crash-key-%d", i), s); err != nil {
+				u, err := ivm.ParseUpdate(s)
+				if err == nil {
+					_, _, err = v.ApplyIdempotent(fmt.Sprintf("crash-key-%d", i), u)
+				}
+				if err != nil {
 					v.Close()
 					return nil, err
 				}
@@ -380,7 +384,12 @@ func init() {
 			// re-added by a later script — so a dedup failure here is not
 			// an error but silent state corruption, which diffState
 			// catches; the deduped flag is asserted as well.
-			cs, deduped, err := v.ApplyScriptIdempotent("crash-key-1", scripts[1])
+			u, err := ivm.ParseUpdate(scripts[1])
+			if err != nil {
+				v.Close()
+				return nil, info, err
+			}
+			cs, deduped, err := v.ApplyIdempotent("crash-key-1", u)
 			if err != nil {
 				v.Close()
 				return nil, info, fmt.Errorf("post-recovery retry: %w", err)

@@ -170,12 +170,12 @@ var snapFooterMagic = [4]byte{'I', 'V', 'S', '1'}
 
 const snapFooterSize = 8
 
-// SaveFile writes st as a snapshot file at path — its state record and
+// saveFile writes st as a snapshot file at path — its state record and
 // the checksum footer over it — atomically and durably: the temp file is
 // fsynced before the rename and the parent directory is fsynced after it,
 // so a crash at any point leaves either the old snapshot or the complete
 // new one, never a missing or empty file.
-func SaveFile(path string, st State) error {
+func saveFile(path string, st State) error {
 	data, err := st.AppendTo(nil)
 	if err != nil {
 		return err
@@ -203,11 +203,11 @@ func SaveFile(path string, st State) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// LoadFile reads the snapshot at path. The file is read once and its
+// loadFile reads the snapshot at path. The file is read once and its
 // checksum footer is verified before anything is decoded. An intact file
 // in another layout — the gob encodings of layouts 1-3 included — is an
 // *UnknownFormatError.
-func LoadFile(path string) (State, error) {
+func loadFile(path string) (State, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return State{}, err

@@ -44,7 +44,7 @@ func gobSnapshot(t testing.TB, version int) []byte {
 	return withFooter(buf.Bytes())
 }
 
-// withFooter appends the checksum footer SaveFile closes a body with.
+// withFooter appends the checksum footer saveFile closes a body with.
 func withFooter(body []byte) []byte {
 	var footer [snapFooterSize]byte
 	copy(footer[:4], snapFooterMagic[:])
@@ -81,13 +81,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.gob")
 	withUnknown := sampleState()
 	withUnknown.DB.Put("unread", relation.New(-1))
-	if err := SaveFile(path, withUnknown); err != nil {
+	if err := saveFile(path, withUnknown); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file must be renamed away")
 	}
-	got, err := LoadFile(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	requireSameState(t, want, got)
 }
 
-// Every way a snapshot file can be damaged is an error from LoadFile —
+// Every way a snapshot file can be damaged is an error from loadFile —
 // including damage to the footer itself, which must not switch the check
 // off — and none of them is mistaken for a foreign format.
 func TestLoadFileRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.gob")
-	if err := SaveFile(path, sampleState()); err != nil {
+	if err := saveFile(path, sampleState()); err != nil {
 		t.Fatal(err)
 	}
 	good, err := os.ReadFile(path)
@@ -140,10 +140,10 @@ func TestLoadFileRejectsDamage(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadFile(path)
+		_, err := loadFile(path)
 		var unknown *UnknownFormatError
 		if err == nil || errors.As(err, &unknown) {
-			t.Errorf("%s: LoadFile = %v, want a damage error", name, err)
+			t.Errorf("%s: loadFile = %v, want a damage error", name, err)
 		}
 	}
 }
@@ -162,10 +162,10 @@ func TestLoadFileRejectsOtherVersions(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadFile(path)
+		_, err := loadFile(path)
 		var unknown *UnknownFormatError
 		if !errors.As(err, &unknown) || unknown.What != "snapshot" || unknown.Format != version {
-			t.Errorf("layout %d: LoadFile = %v, want *UnknownFormatError", version, err)
+			t.Errorf("layout %d: loadFile = %v, want *UnknownFormatError", version, err)
 		}
 	}
 }

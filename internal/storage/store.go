@@ -180,7 +180,7 @@ func (s *Store) recoverSnapshots() error {
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
 	for _, ep := range epochs {
 		path := filepath.Join(s.dir, snapName(ep))
-		st, err := LoadFile(path)
+		st, err := loadFile(path)
 		var unknown *UnknownFormatError
 		if errors.As(err, &unknown) {
 			// Intact, just not ours to read: falling back an epoch would
@@ -451,7 +451,7 @@ func (s *Store) CheckpointAt(st State) error {
 	}
 	start := time.Now()
 	next := s.epoch + 1
-	if err := SaveFile(filepath.Join(s.dir, snapName(next)), st); err != nil {
+	if err := saveFile(filepath.Join(s.dir, snapName(next)), st); err != nil {
 		return err
 	}
 	s.epoch = next

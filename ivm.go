@@ -258,13 +258,11 @@ type Views struct {
 	// queue in batches (processBatch).
 	comb *sched.Combiner[*applyReq]
 
-	// handlersMu guards the OnChange subscriptions, keyed by predicate
-	// ("" = every predicate), and the OnCommit subscriptions. Handlers
-	// run on the maintainer goroutine after version publish, before the
-	// batch's Apply calls return.
-	handlersMu     sync.Mutex
-	handlers       map[string][]func(pred string, inserted, deleted []Row)
-	commitHandlers []func(cs *ChangeSet)
+	// handlersMu guards the OnCommit subscriptions, OnChange's among
+	// them. Handlers run on the maintainer goroutine after version
+	// publish, before the batch's Apply calls return.
+	handlersMu sync.Mutex
+	handlers   []func(cs *ChangeSet)
 
 	// verMu/verCh implement WaitForVersion: verCh, when non-nil, is
 	// closed at the next version publish. Lazily allocated so publishes
@@ -410,29 +408,15 @@ func (v *Views) Program() *datalog.Program { return v.cur.Load().prog }
 // Rows returns the stored rows of a (base or derived) relation at the
 // current published version, sorted lexicographically. Derived rows
 // carry derivation counts. Lock-free: never blocked by Apply.
-func (v *Views) Rows(pred string) []Row {
-	vr := v.cur.Load().rels[pred]
-	if vr == nil {
-		return nil
-	}
-	return vr.Flat().SortedRows()
-}
+func (v *Views) Rows(pred string) []Row { return v.Snapshot().Rows(pred) }
 
 // Count returns the derivation count of the given tuple (0 if absent)
 // at the current published version. Lock-free.
-func (v *Views) Count(pred string, vals ...any) int64 {
-	r := v.cur.Load().reader(pred)
-	if r == nil {
-		return 0
-	}
-	return r.Count(value.T(vals...))
-}
+func (v *Views) Count(pred string, vals ...any) int64 { return v.Snapshot().Count(pred, vals...) }
 
 // Has reports whether the tuple is in the (base or derived) relation at
 // the current published version. Lock-free.
-func (v *Views) Has(pred string, vals ...any) bool {
-	return v.Count(pred, vals...) > 0
-}
+func (v *Views) Has(pred string, vals ...any) bool { return v.Snapshot().Has(pred, vals...) }
 
 // applyReq is one enqueued Apply call, completed by the maintainer.
 type applyReq struct {
@@ -539,16 +523,6 @@ func (v *Views) ApplyIdempotent(key string, u *Update) (cs *ChangeSet, deduped b
 		return nil, false, fmt.Errorf("ivm: idempotency key of %d bytes exceeds the %d-byte limit", len(key), MaxIdempotencyKeyLen)
 	}
 	return v.submit(&applyReq{u: u, keys: []string{key}})
-}
-
-// ApplyScriptIdempotent parses a delta script and applies it under key
-// (see ApplyIdempotent).
-func (v *Views) ApplyScriptIdempotent(key, src string) (cs *ChangeSet, deduped bool, err error) {
-	u, err := ParseUpdate(src)
-	if err != nil {
-		return nil, false, err
-	}
-	return v.ApplyIdempotent(key, u)
 }
 
 // submit enqueues one request on the scheduler and waits for the
@@ -940,14 +914,18 @@ func (v *Views) refreshEmptiesLocked(next map[string]*relation.Versioned) {
 // handlers completed. Handlers may read the Views (they see the
 // just-published state) but must not Apply, AddRule, or RemoveRule from
 // within the callback: the maintainer is running the handler, so a
-// nested write deadlocks.
+// nested write deadlocks. fn rides the OnCommit feed: it is a commit
+// handler that reads pred's part of each ChangeSet, so a predicate no
+// handler watches is never sorted.
 func (v *Views) OnChange(pred string, fn func(pred string, inserted, deleted []Row)) {
-	v.handlersMu.Lock()
-	defer v.handlersMu.Unlock()
-	if v.handlers == nil {
-		v.handlers = make(map[string][]func(string, []Row, []Row))
-	}
-	v.handlers[pred] = append(v.handlers[pred], fn)
+	v.OnCommit(func(cs *ChangeSet) {
+		if pred == "" {
+			cs.Each(fn)
+		} else if p := cs.changes(pred); p != nil {
+			ins, del := p.split()
+			fn(pred, ins, del)
+		}
+	})
 }
 
 // OnCommit subscribes fn to every committed maintenance batch: fn
@@ -962,7 +940,7 @@ func (v *Views) OnChange(pred string, fn func(pred string, inserted, deleted []R
 func (v *Views) OnCommit(fn func(cs *ChangeSet)) {
 	v.handlersMu.Lock()
 	defer v.handlersMu.Unlock()
-	v.commitHandlers = append(v.commitHandlers, fn)
+	v.handlers = append(v.handlers, fn)
 }
 
 // CommitRecord is one committed maintenance pass — the version it
@@ -1006,40 +984,15 @@ type ApplyTrace struct {
 	Published        time.Time           `json:"published"`
 }
 
-// notify fires the OnChange and OnCommit handlers for a change set.
-// Called on the maintainer goroutine after publish, with no Views lock
-// held; handler slices are snapshotted under handlersMu so
-// registrations are race-free.
+// notify hands a change set to the OnCommit handlers (OnChange's among
+// them). Called on the maintainer goroutine after publish, with no Views
+// lock held; the handler list is read under handlersMu so registrations
+// are race-free.
 func (v *Views) notify(cs *ChangeSet) {
-	type firing struct {
-		pred     string
-		ins, del []Row
-		fns      []func(string, []Row, []Row)
-	}
-	var firings []firing
 	v.handlersMu.Lock()
-	commit := v.commitHandlers
-	if len(v.handlers) > 0 {
-		idx := cs.index()
-		for i := range idx {
-			p := &idx[i]
-			var fns []func(string, []Row, []Row)
-			fns = append(fns, v.handlers[p.pred]...)
-			fns = append(fns, v.handlers[""]...)
-			if len(fns) == 0 {
-				continue // an unobserved predicate is never sorted
-			}
-			ins, del := p.split()
-			firings = append(firings, firing{p.pred, ins, del, fns})
-		}
-	}
+	handlers := v.handlers
 	v.handlersMu.Unlock()
-	for _, f := range firings {
-		for _, fn := range f.fns {
-			fn(f.pred, f.ins, f.del)
-		}
-	}
-	for _, fn := range commit {
+	for _, fn := range handlers {
 		fn(cs)
 	}
 }
@@ -1047,8 +1000,11 @@ func (v *Views) notify(cs *ChangeSet) {
 // ApplyScript parses a delta script (`+link(a,b). -link(b,c).`) and
 // applies it.
 func (v *Views) ApplyScript(src string) (*ChangeSet, error) {
-	cs, _, err := v.ApplyScriptIdempotent("", src)
-	return cs, err
+	u, err := ParseUpdate(src)
+	if err != nil {
+		return nil, err
+	}
+	return v.Apply(u)
 }
 
 // setHidden installs the hidden-predicate set of freshly built views,
@@ -1094,30 +1050,4 @@ func (v *Views) Metrics() MetricsSnapshot {
 	v.reg.Gauge("relation_version_rows_linked").Set(linked)
 	v.reg.Gauge("relation_version_rows_copied").Set(copied)
 	return v.reg.Snapshot()
-}
-
-// Save writes the views' full state — every stored relation, base and
-// derived, with its counts, the program text and the hidden-predicate set
-// — as a snapshot file at path. The write is atomic and durable (temp file
-// fsync + rename + directory fsync).
-func (v *Views) Save(path string) error {
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	st := v.state(v.cur.Load())
-	st.Version = 0 // LoadViews starts at version 1
-	return storage.SaveFile(path, st)
-}
-
-// LoadViews restores views saved by Views.Save, at version 1. Under the
-// strategy and semantics they were saved under the stored counts load as
-// they are, with no rule evaluated; under others the views are
-// rematerialized over the saved base relations. The hidden-predicate set
-// (the auxiliary predicates of SQL-defined views) is restored with them,
-// so change sets stay filtered exactly as before the save.
-func LoadViews(path string, opts ...Option) (*Views, error) {
-	st, err := storage.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return viewsFromState(st, opts)
 }

@@ -6,7 +6,6 @@ package ivm_test
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,26 +288,13 @@ func TestStatsAccessorsRaceDuringApply(t *testing.T) {
 }
 
 func TestSQLSnapshotRoundTripKeepsHiddenPreds(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "views.gob")
-
-	db := ivm.NewDatabase()
-	v, err := db.MaterializeSQL(`
+	v2 := reopenedStore(t, func() (*ivm.Views, error) {
+		return ivm.NewDatabase().MaterializeSQL(`
 		CREATE TABLE link(s, d);
 		INSERT INTO link VALUES ('a','b');
 		CREATE VIEW deg(s, n) AS SELECT s, COUNT(*) AS n FROM link GROUP BY s;
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	v2, err := ivm.LoadViews(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	ch, err := v2.Apply(ivm.NewUpdate().Insert("link", "a", "c"))
 	if err != nil {
 		t.Fatal(err)

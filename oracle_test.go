@@ -59,7 +59,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -1803,17 +1802,28 @@ func (r *oracleRun) foreign(state ivm.ReplicaState) {
 			}
 		}
 	}
-	// Another configuration's: the state loaded under other options.
-	saved := filepath.Join(r.t.TempDir(), "state")
+	// Another configuration's: the state checkpointed, then reopened
+	// under other options.
 	for _, other := range []struct {
 		s   ivm.Strategy
 		sem ivm.Semantics
 	}{{ivm.Recompute, ivm.DuplicateSemantics}, {ivm.Recompute, ivm.SetSemantics}, {ivm.DRed, ivm.SetSemantics}} {
-		if other.s == r.strategy && other.sem == r.sem || r.w.Save(saved) != nil {
+		if other.s == r.strategy && other.sem == r.sem {
 			continue
 		}
-		v, err := ivm.LoadViews(saved, append(r.extra(), ivm.WithStrategy(other.s), ivm.WithSemantics(other.sem))...)
-		if rec, ok := cut(v, err, 1); ok {
+		dir := r.t.TempDir()
+		v, _, err := ivm.OpenStore(dir, func() (*ivm.Views, error) { return ivm.ViewsFromReplicaState(state, r.extra()...) })
+		if err == nil {
+			err = v.Close()
+		}
+		if err == nil {
+			v, _, err = ivm.OpenStore(dir, nil, append(r.extra(), ivm.WithStrategy(other.s), ivm.WithSemantics(other.sem))...)
+		}
+		rec, ok := cut(v, err, 1)
+		if err == nil {
+			v.Close()
+		}
+		if ok {
 			records["another configuration's"] = rec
 			break
 		}

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"ivm/internal/datalog"
-	"ivm/internal/parser"
 	"ivm/internal/relation"
 	"ivm/internal/value"
 )
@@ -30,17 +29,7 @@ type QueryResult struct {
 // The goal is matched against the current published version: lock-free,
 // never blocked by Apply. For several consistent queries, pin one
 // version with Snapshot.
-func (v *Views) Query(goal string) ([]QueryResult, error) {
-	a, err := parser.ParseGoal(goal)
-	if err != nil {
-		return nil, err
-	}
-	rel := v.cur.Load().reader(a.Pred)
-	if rel == nil {
-		return nil, nil
-	}
-	return matchGoal(a, rel), nil
-}
+func (v *Views) Query(goal string) ([]QueryResult, error) { return v.Snapshot().Query(goal) }
 
 // matchGoal enumerates rel rows matching the atom pattern.
 func matchGoal(a datalog.Atom, rel relation.Reader) []QueryResult {

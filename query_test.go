@@ -53,6 +53,27 @@ func TestQueryBasics(t *testing.T) {
 	}
 }
 
+// The Views' reads are the current version's Snapshot reads, and the
+// Snapshot they go through stays on the stack: a read allocates what the
+// pinned read does and no more.
+func TestViewsReadsAllocateLikeSnapshotReads(t *testing.T) {
+	v := mustViews(t, `link(a,b). link(b,c).`, `hop(X,Y) :- link(X,Z), link(Z,Y).`)
+	s := v.Snapshot()
+	for _, read := range []struct {
+		name        string
+		views, snap func()
+	}{
+		{"Count", func() { v.Count("hop", "a", "c") }, func() { s.Count("hop", "a", "c") }},
+		{"Has", func() { v.Has("hop", "a", "c") }, func() { s.Has("hop", "a", "c") }},
+		{"Rows", func() { v.Rows("hop") }, func() { s.Rows("hop") }},
+		{"Query", func() { v.Query("hop(a, X)") }, func() { s.Query("hop(a, X)") }},
+	} {
+		if got, want := testing.AllocsPerRun(100, read.views), testing.AllocsPerRun(100, read.snap); got != want {
+			t.Errorf("Views.%s allocates %.0f objects, Snapshot.%s %.0f", read.name, got, read.name, want)
+		}
+	}
+}
+
 func TestQueryErrorsAndMisses(t *testing.T) {
 	v := mustViews(t, `p(a).`, `q(X) :- p(X).`)
 	if _, err := v.Query(`broken(`); err == nil {

@@ -350,9 +350,10 @@ func TestSnapshotBaseVersionAccessor(t *testing.T) {
 
 // A restore under the configuration its state was stored under loads the
 // stored counts and evaluates no rule — a follower's bootstrap, a
-// checkpoint reopen with the WAL records folded onto it, LoadViews — and
-// brings back every relation, an emptied one at the arity a rule edit gave
-// it; the restored views then maintain like the ones they came from.
+// checkpoint reopen with the WAL records folded onto it, a checkpoint
+// reopen alone — and brings back every relation, an emptied one at the
+// arity a rule edit gave it; the restored views then maintain like the
+// ones they came from.
 func TestRestoresEvaluateNothing(t *testing.T) {
 	dir := t.TempDir()
 	v, _, err := OpenStore(dir, func() (*Views, error) {
@@ -375,20 +376,11 @@ func TestRestoresEvaluateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := v.Snapshot()
-	saved := filepath.Join(t.TempDir(), "views.snap")
-	if err := v.Save(saved); err != nil {
-		t.Fatal(err)
-	}
 	follower, err := ViewsFromReplicaState(want.ReplicaState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadViews(saved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded.SeedVersion(want.Version()) // Save keeps no version
-	if err := v.Close(); err != nil {  // no checkpoint: the reopen folds the WAL
+	if err := v.Close(); err != nil { // no checkpoint: the reopen folds the WAL
 		t.Fatal(err)
 	}
 	reopened, info, err := OpenStore(dir, nil)
@@ -399,7 +391,9 @@ func TestRestoresEvaluateNothing(t *testing.T) {
 	if info.Replayed != 4 {
 		t.Fatalf("the reopen replayed %d records, want 4", info.Replayed)
 	}
-	for name, r := range map[string]*Views{"follower": follower, "checkpoint": reopened, "LoadViews": loaded} {
+	loaded := reopenCheckpoint(t, want)
+	defer loaded.Close()
+	for name, r := range map[string]*Views{"follower": follower, "checkpoint+WAL": reopened, "checkpoint": loaded} {
 		m := r.Metrics()
 		for _, c := range []string{"eval_join_probes_total", "dred_rule_firings_total", "counting_delta_rules_total"} {
 			if n := m.Counter(c); n != 0 {
@@ -413,6 +407,24 @@ func TestRestoresEvaluateNothing(t *testing.T) {
 	}
 	assertViewsIdentical(t, follower.Snapshot(), loaded.Snapshot())
 	assertViewsIdentical(t, follower.Snapshot(), reopened.Snapshot())
+}
+
+// reopenCheckpoint checkpoints s's state as a new store, closes it and
+// reopens it under opts: a restore of the checkpoint alone.
+func reopenCheckpoint(t *testing.T, s *Snapshot, opts ...Option) *Views {
+	t.Helper()
+	dir := t.TempDir()
+	v, _, err := OpenStore(dir, func() (*Views, error) { return ViewsFromReplicaState(s.ReplicaState()) })
+	if err == nil {
+		err = v.Close()
+	}
+	if err == nil {
+		v, _, err = OpenStore(dir, nil, opts...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // TestRecomputeRestoreEvaluatesNothing: Recompute is an algorithm of the
@@ -433,24 +445,17 @@ func TestRecomputeRestoreEvaluatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := v.Snapshot()
-	saved := filepath.Join(t.TempDir(), "views.snap")
-	if err := v.Save(saved); err != nil {
-		t.Fatal(err)
-	}
 	built := relation.IndexesBuilt()
 	follower, err := ViewsFromReplicaState(want.ReplicaState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadViews(saved, WithStrategy(Recompute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reopenCheckpoint(t, want, WithStrategy(Recompute))
+	defer loaded.Close()
 	if n := relation.IndexesBuilt() - built; n != 0 {
 		t.Errorf("the restores built %d indexes", n)
 	}
-	loaded.SeedVersion(want.Version()) // Save keeps no version
-	for name, r := range map[string]*Views{"follower": follower, "LoadViews": loaded} {
+	for name, r := range map[string]*Views{"follower": follower, "checkpoint": loaded} {
 		if n := r.Metrics().Counter("eval_join_probes_total"); n != 0 || r.Strategy() != Recompute {
 			t.Errorf("%s: eval_join_probes_total = %d after the restore, strategy %v", name, n, r.Strategy())
 		}

@@ -120,11 +120,10 @@ func TestSQLDistinctRequiresSetSemantics(t *testing.T) {
 }
 
 func TestSQLSaveLoadRoundTrip(t *testing.T) {
-	// The translated Datalog must survive a snapshot round trip (the
-	// snapshot stores the rendered program).
-	dir := t.TempDir()
-	db := ivm.NewDatabase()
-	v, err := db.MaterializeSQL(`
+	// The translated Datalog must survive a checkpoint round trip (the
+	// checkpoint stores the rendered program).
+	v2 := reopenedStore(t, func() (*ivm.Views, error) {
+		return ivm.NewDatabase().MaterializeSQL(`
 		CREATE TABLE link(s, d);
 		INSERT INTO link VALUES ('a','b'), ('b','c');
 		CREATE VIEW hop(s, d) AS
@@ -132,17 +131,7 @@ func TestSQLSaveLoadRoundTrip(t *testing.T) {
 		CREATE VIEW hops(s, n) AS
 		  SELECT s, COUNT(*) AS n FROM hop GROUP BY s;
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := dir + "/sql.gob"
-	if err := v.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ivm.LoadViews(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if !v2.Has("hops", "a", 1) {
 		t.Fatalf("hops after load: %v", v2.Rows("hops"))
 	}
@@ -152,6 +141,25 @@ func TestSQLSaveLoadRoundTrip(t *testing.T) {
 	if !v2.Has("hop", "b", "d") {
 		t.Fatal("maintenance after load")
 	}
+}
+
+// reopenedStore checkpoints the views init builds as a new store, closes
+// it and returns the views reopened from the checkpoint.
+func reopenedStore(t *testing.T, init func() (*ivm.Views, error)) *ivm.Views {
+	t.Helper()
+	dir := t.TempDir()
+	v, _, err := ivm.OpenStore(dir, init)
+	if err == nil {
+		err = v.Close()
+	}
+	if err == nil {
+		v, _, err = ivm.OpenStore(dir, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { v.Close() })
+	return v
 }
 
 func TestSQLErrorsSurface(t *testing.T) {

@@ -377,7 +377,7 @@ func TestOpenStoreFailedFsyncRefusesUntilReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	restore := walSyncsFail(t, dir)
-	_, _, err = v.ApplyScriptIdempotent("k1", "+link(x,y).")
+	_, _, err = v.ApplyIdempotent("k1", scriptUpdate(t, "+link(x,y)."))
 	restore()
 	if err == nil || !strings.Contains(err.Error(), "not durably logged") {
 		t.Fatalf("apply over a failing fsync: %v, want a durability error", err)
@@ -396,7 +396,7 @@ func TestOpenStoreFailedFsyncRefusesUntilReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	if _, deduped, err := v2.ApplyScriptIdempotent("k1", "+link(x,y)."); err != nil || deduped {
+	if _, deduped, err := v2.ApplyIdempotent("k1", scriptUpdate(t, "+link(x,y).")); err != nil || deduped {
 		t.Fatalf("keyed retry after reopen: deduped=%v err=%v", deduped, err)
 	}
 	if got := v2.Count("link", "x", "y"); got != 1 {
@@ -455,7 +455,7 @@ func TestOpenStoreApplyAfterCloseFailsLoudly(t *testing.T) {
 	}
 
 	// Rule edits pass the same admission: refused before the engine is
-	// touched, so neither the engine nor a later Save holds a rule the
+	// touched, so neither the engine nor its state record holds a rule the
 	// caller was told failed.
 	dv, _, err := ivm.OpenStore(t.TempDir(), func() (*ivm.Views, error) {
 		db := ivm.NewDatabase()
@@ -483,18 +483,24 @@ func TestOpenStoreApplyAfterCloseFailsLoudly(t *testing.T) {
 		if n := ivm.EngineRules(dv); n != 2 {
 			t.Fatalf("%s after Close left the engine with %d rules, want 2", row.name, n)
 		}
-		path := filepath.Join(t.TempDir(), "saved")
-		if err := dv.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		lv, err := ivm.LoadViews(path, ivm.WithStrategy(ivm.DRed))
+		lv, err := ivm.ViewsFromReplicaState(dv.Snapshot().ReplicaState())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n := len(lv.Program().Rules); n != 2 || !lv.Has("reach", "b", "c") || lv.Has("reach", "b", "a") {
-			t.Fatalf("%s after Close: Save persisted %d rules, reach = %v", row.name, n, lv.Rows("reach"))
+			t.Fatalf("%s after Close: the state record holds %d rules, reach = %v", row.name, n, lv.Rows("reach"))
 		}
 	}
+}
+
+// scriptUpdate parses a delta script the test knows to be well formed.
+func scriptUpdate(t *testing.T, src string) *ivm.Update {
+	t.Helper()
+	u, err := ivm.ParseUpdate(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
 }
 
 func TestOpenStoreRejectsNonFiniteFloats(t *testing.T) {
@@ -574,10 +580,10 @@ func TestOpenStoreWALRepairOptIn(t *testing.T) {
 	requireSameState(t, v2, groundTruth(t, storeTestScripts[:1]))
 }
 
-// Regression: Views.Save writes a checksum footer, and every load path
-// must check it. A snapshot of a two-fact database with one body byte
-// changed still decodes as gob — link(cccc,b) just becomes link(dccc,b) —
-// so without the check LoadViews returned err == nil and the wrong row.
+// Regression: a checkpoint carries a checksum footer, and loading one must
+// check it. A snapshot of a two-fact database with one body byte changed
+// still decodes — link(cccc,b) just becomes link(dccc,b) — so without the
+// check a load returned err == nil and the wrong row.
 func TestLoadPathsVerifySnapshotChecksum(t *testing.T) {
 	build := func() (*ivm.Views, error) {
 		db := ivm.NewDatabase()
@@ -598,19 +604,6 @@ func TestLoadPathsVerifySnapshotChecksum(t *testing.T) {
 		if err := os.WriteFile(path, bytes.Replace(data, []byte("cccc"), []byte("dccc"), 1), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	v, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "views.gob")
-	if err := v.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	flip(path)
-	if got, err := ivm.LoadViews(path); err == nil {
-		t.Fatalf("LoadViews accepted a corrupted snapshot: link = %v", got.Rows("link"))
 	}
 
 	dir := t.TempDir()
@@ -642,7 +635,7 @@ func TestOpenStoreReplaysScriptRecordsBesideDeltaRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, _, err := v.ApplyScriptIdempotent("k-delta", storeTestScripts[0])
+	cs, _, err := v.ApplyIdempotent("k-delta", scriptUpdate(t, storeTestScripts[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +670,7 @@ func TestOpenStoreReplaysScriptRecordsBesideDeltaRecords(t *testing.T) {
 		t.Fatalf("commit_replay_seconds observed %d records, want only the delta record", got)
 	}
 	for key, want := range map[string]uint64{"k-delta": cs.Version(), "k-script-0": cs.Version() + 1, "k-script-1": cs.Version() + 2} {
-		got, deduped, err := v2.ApplyScriptIdempotent(key, "+link(x,y).")
+		got, deduped, err := v2.ApplyIdempotent(key, scriptUpdate(t, "+link(x,y)."))
 		if err != nil || !deduped || got.Version() != want {
 			t.Fatalf("retry of %s: version %d deduped %v err %v, want a dedup at %d", key, got.Version(), deduped, err, want)
 		}
