@@ -71,10 +71,11 @@ metrics:
 	done
 	@echo "wrote metrics.txt"
 
-# Fault-injection matrix: recovery after simulated crashes must match a
-# full recomputation in every case. The -v log is the matrix report.
+# The oracle's fault schedule, one store seed per fault: every recovery
+# must report what its fault left and hold the reference interpreter's
+# state, then take more applies. The -v log is the matrix report.
 crash:
-	$(GO) test -count=1 -run TestCrashMatrix -v ./internal/storage/crashtest > crash-matrix.txt; s=$$?; cat crash-matrix.txt; exit $$s
+	$(GO) test -count=1 -run TestCrashMatrix -v . > crash-matrix.txt; s=$$?; cat crash-matrix.txt; exit $$s
 
 # The exactly-once chaos gauntlet under -race (faultnet proxy, >=20%
 # fault rate, kill-and-restart mid-run), plus the quantitative

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"ivm"
+	"ivm/cmd/internal/cli"
 )
 
 func main() {
@@ -59,11 +60,14 @@ func run() error {
 	}
 	opts := []ivm.Option{ivm.WithStrategy(strategy), ivm.WithSemantics(semantics)}
 
-	views, err := openViews(*storeDir, *programPath, *dataPath, opts)
+	views, info, err := cli.OpenViews(*storeDir, *programPath, *dataPath, opts)
 	if err != nil {
 		return err
 	}
 	defer views.Close()
+	if *storeDir != "" {
+		fmt.Printf("store %s: %s\n", *storeDir, info)
+	}
 
 	out := io.Writer(os.Stdout)
 	fmt.Fprintf(out, "ivm: strategy=%v semantics=%v, %d rules\n",
@@ -119,43 +123,6 @@ func run() error {
 		fmt.Printf("checkpointed store %s\n", storeBound)
 	}
 	return nil
-}
-
-// openViews materializes -program over -data, or, with a -store, opens
-// the store, which they seed only while it is empty: once the store holds
-// a checkpoint it is the single source of truth and they are ignored.
-func openViews(storeDir, programPath, dataPath string, opts []ivm.Option) (*ivm.Views, error) {
-	if storeDir == "" {
-		return buildViews(programPath, dataPath, opts)
-	}
-	views, info, err := ivm.OpenStore(storeDir, func() (*ivm.Views, error) {
-		return buildViews(programPath, dataPath, opts)
-	}, opts...)
-	if err == nil {
-		fmt.Printf("store %s: %s\n", storeDir, info)
-	}
-	return views, err
-}
-
-func buildViews(programPath, dataPath string, opts []ivm.Option) (*ivm.Views, error) {
-	if programPath == "" {
-		return nil, fmt.Errorf("-program is required (or a -store that holds a checkpoint)")
-	}
-	programSrc, err := os.ReadFile(programPath)
-	if err != nil {
-		return nil, err
-	}
-	db := ivm.NewDatabase()
-	if dataPath != "" {
-		data, err := os.ReadFile(dataPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.Load(string(data)); err != nil {
-			return nil, err
-		}
-	}
-	return db.Materialize(string(programSrc), opts...)
 }
 
 func runREPL(views *ivm.Views, apply func(string) error, in io.Reader, out io.Writer) error {

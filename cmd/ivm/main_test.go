@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ivm"
+	"ivm/cmd/internal/cli"
 )
 
 // TestMain runs the command itself when the test binary is started as
@@ -161,7 +162,7 @@ func TestOpenStoreSeedsFromProgramThenIgnoresIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := filepath.Join(dir, "state.store")
-	v, err := openViews(store, programPath, dataPath, nil)
+	v, _, err := cli.OpenViews(store, programPath, dataPath, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestOpenStoreSeedsFromProgramThenIgnoresIt(t *testing.T) {
 	}
 	// The store is now the source of truth: the second open replays its
 	// WAL and never reads -program/-data again.
-	v, err = openViews(store, filepath.Join(dir, "gone.dl"), "", nil)
+	v, _, err = cli.OpenViews(store, filepath.Join(dir, "gone.dl"), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

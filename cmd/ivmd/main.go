@@ -43,6 +43,7 @@ import (
 
 	"ivm"
 	"ivm/client"
+	"ivm/cmd/internal/cli"
 	"ivm/internal/metrics"
 	"ivm/internal/replica"
 	"ivm/internal/server"
@@ -147,12 +148,8 @@ func run() error {
 			return epoch, err
 		}
 		srvOpts.ExtraMetrics = []*metrics.Registry{rep.Registry()}
-	case *storeDir != "":
-		views, info, err = ivm.OpenStore(*storeDir, func() (*ivm.Views, error) {
-			return buildViews(*programPath, *dataPath, opts)
-		}, opts...)
 	default:
-		views, err = buildViews(*programPath, *dataPath, opts)
+		views, info, err = cli.OpenViews(*storeDir, *programPath, *dataPath, opts)
 	}
 	if err != nil {
 		return err
@@ -220,25 +217,4 @@ func promote(base string) error {
 		fmt.Printf("%s already role=%s epoch=%d\n", base, res.Role, res.Epoch)
 	}
 	return nil
-}
-
-func buildViews(programPath, dataPath string, opts []ivm.Option) (*ivm.Views, error) {
-	if programPath == "" {
-		return nil, fmt.Errorf("-program is required for an empty store")
-	}
-	programSrc, err := os.ReadFile(programPath)
-	if err != nil {
-		return nil, err
-	}
-	db := ivm.NewDatabase()
-	if dataPath != "" {
-		data, err := os.ReadFile(dataPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.Load(string(data)); err != nil {
-			return nil, err
-		}
-	}
-	return db.Materialize(string(programSrc), opts...)
 }

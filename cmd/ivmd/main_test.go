@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ivm"
+	"ivm/cmd/internal/cli"
 )
 
 func TestBuildViews(t *testing.T) {
@@ -19,7 +20,7 @@ func TestBuildViews(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	v, err := buildViews(program, data, nil)
+	v, _, err := cli.OpenViews("", program, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestBuildViews(t *testing.T) {
 	}
 
 	// Program only, no data file.
-	v2, err := buildViews(program, "", []ivm.Option{ivm.WithStrategy(ivm.Counting)})
+	v2, _, err := cli.OpenViews("", program, "", []ivm.Option{ivm.WithStrategy(ivm.Counting)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,23 +38,23 @@ func TestBuildViews(t *testing.T) {
 	}
 
 	// Error paths: missing program flag, missing files, bad rules.
-	if _, err := buildViews("", "", nil); err == nil {
+	if _, _, err := cli.OpenViews("", "", "", nil); err == nil {
 		t.Fatal("empty -program must fail")
 	}
-	if _, err := buildViews(filepath.Join(dir, "nope.dl"), "", nil); err == nil {
+	if _, _, err := cli.OpenViews("", filepath.Join(dir, "nope.dl"), "", nil); err == nil {
 		t.Fatal("missing program file must fail")
 	}
-	if _, err := buildViews(program, filepath.Join(dir, "nope.dl"), nil); err == nil {
+	if _, _, err := cli.OpenViews("", program, filepath.Join(dir, "nope.dl"), nil); err == nil {
 		t.Fatal("missing data file must fail")
 	}
 	badProgram := filepath.Join(dir, "bad.dl")
 	os.WriteFile(badProgram, []byte("hop(X,Y) :-"), 0o644)
-	if _, err := buildViews(badProgram, "", nil); err == nil {
+	if _, _, err := cli.OpenViews("", badProgram, "", nil); err == nil {
 		t.Fatal("malformed rules must fail")
 	}
 	badData := filepath.Join(dir, "badfacts.dl")
 	os.WriteFile(badData, []byte("link(a,"), 0o644)
-	if _, err := buildViews(program, badData, nil); err == nil {
+	if _, _, err := cli.OpenViews("", program, badData, nil); err == nil {
 		t.Fatal("malformed facts must fail")
 	}
 }

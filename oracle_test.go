@@ -6,7 +6,10 @@ package ivm_test
 // window, a leg — memory, fold, rederive, store or follower — and a stream
 // of applies, concurrent bursts, retries, rule edits and operations the
 // views must refuse; every eighth seed ends it with one large apply and
-// 32 small ones (tiers). After every operation the views must hold the rows
+// 32 small ones (tiers). A store is reopened over the file faults of a
+// crash in turn — a torn record, a flipped WAL or snapshot byte, a
+// checkpoint cut short at each step — and its recovery report must say
+// what each left. After every operation the views must hold the rows
 // and counts the reference interpreter (reference_test.go, which shares no
 // engine code) evaluates over the model's base and rules, and each
 // ChangeSet and commit record must be the diff of consecutive evaluations,
@@ -20,7 +23,7 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these twenty-three bugs each fail the default budget (first
+// runs), these twenty-five bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
@@ -45,11 +48,13 @@ package ivm_test
 // its Δ's negative sign part in step 3 as in step 1 [1]; a stored
 // relation's settle taking a net row whose count differs from its base
 // row's out of the net [10]; a built row's key copied into its block one
-// byte short [2].
+// byte short [2]; recovery replaying a stale epoch's WAL records [23];
+// recovery leaving a torn tail in the WAL it appends to [8].
 
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	goparser "go/parser"
@@ -59,6 +64,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -172,7 +178,8 @@ var oracleAxes = strings.Fields(`family:join family:negation family:arithmetic f
 	empty-key refused-key edits>10 edit:emptied edit:arity-reset rejected:absent rejected:arity rejected:string
 	rejected:long-key rejected:non-finite rejected:unsafe-rule rejected:rule-arity rejected:edit-seed
 	rejected:edit-propagate rejected:add-rule rejected:arity-clash rejected:wal tiers traces-joined
-	extremum:deleted`)
+	retry:reopened extremum:deleted fault:torn-header fault:torn-payload fault:wal-bit-flip fault:partial-rename
+	fault:checkpoint-truncate-window fault:lost-snapshot-rename fault:snapshot-bit-flip`)
 
 func TestOracle(t *testing.T) {
 	cov := make(map[string]int)
@@ -380,6 +387,20 @@ func TestIdempotencyWindowSurvivesRecovery(t *testing.T) {
 	runOracleCase(t, 1, on("store"), "reopened")
 }
 
+// TestCrashMatrix runs, for each file fault, a store seed whose reopens
+// start the fault schedule at it; then a store seed that commits keyed
+// updates, reopens, and retries every remembered key, which must dedup.
+func TestCrashMatrix(t *testing.T) {
+	for i, fault := range oracleFaults {
+		t.Run(fault, func(t *testing.T) {
+			runOracleCase(t, 2, func(c oracleConfig) bool { return c.leg == "store" && c.fault == i }, "fault:"+fault)
+		})
+	}
+	t.Run("idempotent-retry-after-crash", func(t *testing.T) {
+		runOracleCase(t, 2, on("store"), "retry:reopened")
+	})
+}
+
 func TestReopenUnderOtherOptions(t *testing.T) {
 	runOracleCase(t, 2, func(c oracleConfig) bool { return on("store")(c) && c.strategy != ivm.Recompute }, "reopened-elsewhere")
 }
@@ -463,11 +484,14 @@ func (op *oracleOp) run(v *ivm.Views) (cs *ivm.ChangeSet, deduped bool, err erro
 	return cs, false, err
 }
 
-// oracleCommit is a logged commit as a history holds it: its version and
-// the keys its record carries.
+// oracleCommit is a logged commit as a history holds it — its version and
+// the keys its record carries — and the model it leaves, which a recovery
+// that cuts the later records off rolls back to.
 type oracleCommit struct {
-	ver  uint64
-	keys []string
+	ver   uint64
+	keys  []string
+	st    *oracleState
+	arity map[string]int
 }
 
 // oracleRun is one seed's run: the draw, the views under test and the
@@ -503,11 +527,13 @@ type oracleRun struct {
 	st                 *oracleState
 	memo               map[string]oracleMemo // recompute's states, by base and rules
 	version            uint64
-	log                []oracleCommit // every logged commit since open, in version order
+	log                []oracleCommit // the logged commits since open, or since a store's checkpoint, in version order
 	acked              map[string][]oracleChange
 	dedupLo, dedupHi   int64 // sched_idem_dedup_total lies between
 	failKey            string
-	added              []int // rule indexes of the extras added
+	fault, stale       int          // the next fault of the schedule; the WAL's records of older epochs
+	epoch              uint64       // the store's checkpoint epoch
+	walBase            oracleCommit // the model at the epoch's checkpoint
 }
 
 func (r *oracleRun) hit(axis string) {
@@ -527,13 +553,15 @@ type oracleConfig struct {
 	leg      string
 	sem      ivm.Semantics
 	window   int
+	fault    int // where the store's reopens start the fault schedule
 }
 
 func oracleDraw(seed int64) (oracleConfig, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	n, k := int64(len(oracleFamilies)), int64(len(oracleStrategies))
 	c := oracleConfig{fam: &oracleFamilies[(seed%n+n)%n], strategy: oracleStrategies[((seed+seed/n)%k+k)%k],
-		leg: []string{"memory", "fold", "rederive", "store"}[rng.Intn(4)], sem: ivm.SetSemantics, window: ivm.DefaultHistory}
+		leg: []string{"memory", "fold", "rederive", "store"}[rng.Intn(4)], sem: ivm.SetSemantics, window: ivm.DefaultHistory,
+		fault: int(seed % int64(len(oracleFaults)))}
 	if rng.Intn(12) == 0 {
 		c.leg = "follower"
 	}
@@ -554,7 +582,7 @@ func runOracle(t *testing.T, seed int64, cov map[string]int) {
 		refolded: make(map[uint64]string), acked: make(map[string][]oracleChange)}
 	defer r.crash()
 	strategy := c.strategy
-	r.fam, r.leg, r.sem, r.window = c.fam, c.leg, c.sem, c.window
+	r.fam, r.leg, r.sem, r.window, r.fault = c.fam, c.leg, c.sem, c.window, c.fault
 	r.hit("strategy:" + strategy.String())
 	if r.window == 2 {
 		r.hit("window:2")
@@ -685,6 +713,7 @@ func (r *oracleRun) open(base map[string]map[string]ivm.Row, strategy ivm.Strate
 		r.fatal("the recomputation refuses the initial state: %v", err)
 	}
 	r.learn(r.st)
+	r.epoch, r.stale, r.walBase = 1, 0, oracleCommit{ver: r.version, st: r.st, arity: maps.Clone(r.arity)}
 	r.watch(v)
 	r.check("materialized", v)
 	switch r.leg {
@@ -1155,7 +1184,7 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	if src, ok := ev.Program(); ok != edit || edit && len(ev.Payload) > 16+len(src)+size {
 		r.fatal("a record of %d bytes carries a program: %v, a %d-byte Δ", len(ev.Payload), ok, size)
 	}
-	r.log = append(r.log, oracleCommit{ver, ev.Keys})
+	r.log = append(r.log, oracleCommit{ver, ev.Keys, next, maps.Clone(r.arity)})
 	if r.node == nil {
 		return
 	}
@@ -1601,14 +1630,9 @@ func (r *oracleRun) reject() {
 // it is empty, it takes the rule's arity.
 func (r *oracleRun) badEdit() {
 	i := slices.IndexFunc(r.st.prog.Rules, func(rule datalog.Rule) bool { return rule.Head.Pred == r.fam.drain })
-	switch before := r.version; {
+	switch {
 	case i >= 0:
 		r.do(false, &oracleOp{what: "edit-propagate", edit: true, remove: i})
-		for j := range r.added {
-			if r.version > before && r.added[j] > i {
-				r.added[j]--
-			}
-		}
 	case r.strategy != ivm.DRed:
 		// The smallest relation no rule reads, else the smallest.
 		pred := slices.MinFunc(r.basePred, func(a, b string) int {
@@ -1637,6 +1661,20 @@ func (r *oracleRun) badEdit() {
 	}
 }
 
+// added is the rule index of each extra the rules hold: edit adds them in
+// order and takes them back last first.
+func (r *oracleRun) added() []int {
+	var at []int
+	for _, extra := range r.fam.extras {
+		i := slices.Index(r.st.rules, extra)
+		if i < 0 {
+			break
+		}
+		at = append(at, i)
+	}
+	return at
+}
+
 // edit adds the family's extras one by one, then takes them back last
 // first, and so on.
 func (r *oracleRun) edit() {
@@ -1645,22 +1683,15 @@ func (r *oracleRun) edit() {
 		return
 	}
 	before := r.version
-	if r.growing = len(r.added) == 0 || r.growing && len(r.added) < len(r.fam.extras); r.growing {
-		i := len(r.st.rules)
-		r.do(false, &oracleOp{what: "add-rule", edit: true, add: r.fam.extras[len(r.added)]})
-		if r.version > before {
-			r.added = append(r.added, i)
-		}
+	added := r.added()
+	if r.growing = len(added) == 0 || r.growing && len(added) < len(r.fam.extras); r.growing {
+		r.do(false, &oracleOp{what: "add-rule", edit: true, add: r.fam.extras[len(added)]})
 	} else {
-		i := r.added[len(r.added)-1]
+		i := added[len(added)-1]
 		head := r.st.prog.Rules[i].Head.Pred
 		holds := len(r.st.want[head]) > 0 && len(r.st.prog.RulesFor(head)) == 1
-		r.do(false, &oracleOp{what: "remove-rule", edit: true, remove: i})
-		if r.version > before {
-			r.added = r.added[:len(r.added)-1]
-			if holds {
-				r.hit("edit:emptied")
-			}
+		if r.do(false, &oracleOp{what: "remove-rule", edit: true, remove: i}); r.version > before && holds {
+			r.hit("edit:emptied")
 		}
 	}
 	if r.version > before {
@@ -1694,9 +1725,10 @@ func (r *oracleRun) burst(sameKey bool) {
 // remembered models a history's key index: the keys of the newest
 // r.window logged commits, each at its commit's version. A writer's, a
 // node's that folded every record, a follower's and a recovered store's
-// agree: each committed every logged commit since open — recovery
-// replays the WAL, which a run never checkpoints — and a history starts
-// no later than the first commit that carries a key.
+// agree: each committed every commit r.log holds — every logged commit
+// since open, or on a store since the checkpoint its recovery started
+// from, as recovery replays only the WAL — and a history starts no later
+// than the first commit that carries a key.
 func (r *oracleRun) remembered() map[string]uint64 {
 	held := make(map[string]uint64)
 	for _, c := range r.log[max(len(r.log)-r.window, 0):] {
@@ -1711,6 +1743,9 @@ func (r *oracleRun) remembered() map[string]uint64 {
 // as a dedup at its acked version.
 func (r *oracleRun) requireDedups(what string, v *ivm.Views) {
 	held := r.remembered()
+	if what == "reopened" && len(held) > 0 {
+		r.hit("retry:reopened")
+	}
 	for _, k := range oracleKeys(held) {
 		cs, deduped, err := v.ApplyIdempotent(k, oracleUpdate(r.acked[k]))
 		if err != nil || !deduped || cs.Version() != held[k] {
@@ -1733,22 +1768,137 @@ func (r *oracleRun) takeOver(what string, v *ivm.Views) {
 	r.checkAll(what)
 }
 
-// reopen kills the store-bound writer without a checkpoint and recovers
-// it from the WAL.
+// oracleFaults are what a crash at an ill-timed moment leaves in a store's
+// directory. A seed's reopens take them in turn from the one its
+// configuration names; a fault stays due while the WAL is too short for it.
+var oracleFaults = []string{"torn-header", "torn-payload", "wal-bit-flip", "partial-rename",
+	"checkpoint-truncate-window", "lost-snapshot-rename", "snapshot-bit-flip"}
+
+// reopen kills the store-bound writer, leaves the schedule's next fault in
+// its directory and recovers it: the recovery report must be what the
+// fault leaves, and the views the model's, rolled back to the records
+// before a flipped one.
 func (r *oracleRun) reopen() {
+	fault := oracleFaults[r.fault%len(oracleFaults)]
+	walPath := filepath.Join(r.dir, "wal.log")
+	wal, err := os.ReadFile(walPath) // as the checkpoint finds it
+	if err != nil {
+		r.fatal("wal: %v", err)
+	}
+	if strings.Contains(fault, "snapshot") || strings.Contains(fault, "checkpoint") {
+		if err := r.w.Sync(); err != nil {
+			r.fatal("sync: %v", err)
+		}
+	}
 	if err := r.w.Close(); err != nil {
 		r.fatal("close: %v", err)
 	}
-	v, info, err := ivm.OpenStore(r.dir, nil, r.options(r.strategy)...)
-	if err != nil {
-		r.fatal("reopen: %v", err)
+	// Unless the fault says otherwise, recovery replays the epoch's records
+	// onto its checkpoint and skips the older ones.
+	want := storage.RecoveryInfo{Epoch: r.epoch, HasSnapshot: true, Replayed: len(r.log), SkippedStale: r.stale}
+	snap := filepath.Join(r.dir, fmt.Sprintf("snapshot-%d.gob", r.epoch+1))
+	opts := r.options(r.strategy)
+	var torn []byte
+	switch fault {
+	case "torn-header":
+		torn = []byte{7, 7, 7}
+	case "torn-payload": // a 24-byte header that promises 64 bytes, then 5
+		torn = make([]byte, 24)
+		binary.BigEndian.PutUint64(torn, r.epoch)
+		binary.BigEndian.PutUint32(torn[16:], 64)
+		torn = append(torn, "xyzzy"...)
+	case "wal-bit-flip":
+		if len(r.log) < 2 { // no record has one behind it
+			fault = ""
+			break
+		}
+		// The last byte of a record with records behind it: the default
+		// open must refuse, a repairing one cut the WAL there.
+		var at []int // where each record starts
+		for off := 0; off+24 <= len(wal); off += 24 + int(binary.BigEndian.Uint32(wal[off+16:])) {
+			at = append(at, off)
+		}
+		if len(at) != r.stale+len(r.log) {
+			r.fatal("the WAL holds %d records, the model %d", len(at), r.stale+len(r.log))
+		}
+		i := r.rng.Intn(len(r.log) - 1)
+		wal[at[r.stale+i+1]-1] ^= 0x40
+		r.write(walPath, wal)
+		var corrupt *storage.CorruptWALError
+		if _, _, err := ivm.OpenStore(r.dir, nil, opts...); !errors.As(err, &corrupt) {
+			r.fatal("wal-bit-flip: the default open answers %v", err)
+		}
+		opts = append(opts, ivm.WithWALRepair())
+		want.Replayed, want.CorruptRecords, want.DiscardedBytes = i, 1, int64(len(wal)-at[r.stale+i])
+		r.rollback(i)
+	case "partial-rename":
+		r.write(snap+".tmp", []byte("half a snapshot"))
+	case "checkpoint-truncate-window": // the truncate never reached the disk
+		r.epoch++
+		r.write(walPath, wal)
+		want = storage.RecoveryInfo{Epoch: r.epoch, HasSnapshot: true, SkippedStale: r.stale + len(r.log)}
+		r.stale += len(r.log)
+		r.walBase, r.log = oracleCommit{ver: r.version, st: r.st, arity: maps.Clone(r.arity)}, nil
+	case "lost-snapshot-rename": // neither the rename nor the truncate did
+		if err := os.Remove(snap); err != nil {
+			r.fatal("%s: %v", fault, err)
+		}
+		r.write(walPath, wal)
+	case "snapshot-bit-flip":
+		data, err := os.ReadFile(snap)
+		if err != nil {
+			r.fatal("%s: %v", fault, err)
+		}
+		data[len(data)/2] ^= 0x40
+		r.write(snap, data)
+		r.write(walPath, wal)
+		want.BadSnapshots = 1
 	}
-	if info.Epoch != 1 || info.Replayed >= int(r.version) {
-		r.fatal("reopen replayed %d records in epoch %d", info.Replayed, info.Epoch)
+	if torn != nil {
+		r.write(walPath, append(wal, torn...))
+		want.TornTail, want.DiscardedBytes = true, int64(len(torn))
+	}
+	v, info, err := ivm.OpenStore(r.dir, nil, opts...)
+	if err != nil {
+		r.fatal("reopen after %s: %v", fault, err)
+	}
+	if info.RecoveryInfo != want {
+		r.fatal("reopen after %s: recovery reports %+v, want %+v", fault, info, want)
+	}
+	if fault == "partial-rename" {
+		if _, err := os.Stat(snap + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			r.fatal("recovery leaves the half-written snapshot: %v", err)
+		}
+	}
+	if fault != "" {
+		r.hit("fault:" + fault)
+		r.fault++
 	}
 	r.takeOver("reopened", v)
 	r.requireDedups("reopened", v)
 	r.checkAll("reopened")
+}
+
+// write puts data in the store's file at path, as a crash left it.
+func (r *oracleRun) write(path string, data []byte) {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		r.fatal("%v", err)
+	}
+}
+
+// rollback moves the model back to the epoch's first n records: recovery
+// cut the others off, and their keys are forgotten.
+func (r *oracleRun) rollback(n int) {
+	to := r.walBase
+	if n > 0 {
+		to = r.log[n-1]
+	}
+	for _, c := range r.log[n:] {
+		for _, k := range c.keys {
+			delete(r.acked, k)
+		}
+	}
+	r.log, r.version, r.st, r.arity = r.log[:n], to.ver, to.st, maps.Clone(to.arity)
 }
 
 // startNode builds the node that folds the writer's records.
@@ -1866,18 +2016,23 @@ func (r *oracleRun) startFollower() {
 }
 
 // finish ends the leg: the follower catches up and is compared, and the
-// store is recovered once more, then refuses a record stamped behind it.
+// store is recovered once more and takes one more apply, then refuses a
+// record stamped behind it.
 func (r *oracleRun) finish() {
-	for _, check := range r.unread {
-		check()
-	}
 	if r.leg == "follower" {
 		r.finishFollower()
 	}
-	if !r.storeLeg() || r.walLost {
+	stored := r.storeLeg() && !r.walLost
+	if stored {
+		r.reopen()
+		r.apply() // the next recovery reads what this one left
+	}
+	for _, check := range r.unread {
+		check()
+	}
+	if !stored {
 		return
 	}
-	r.reopen()
 	last := r.version
 	if err := r.w.Close(); err != nil {
 		r.fatal("close: %v", err)
@@ -1912,7 +2067,7 @@ func (r *oracleRun) reopenElsewhere() {
 	}
 	v, _, err := ivm.OpenStore(r.dir, nil, r.options(other)...)
 	var div *ivm.DivergenceError
-	if logged := r.version > 1; logged != errors.As(err, &div) || logged && div.Engine == div.Have {
+	if logged := len(r.log) > 0; logged != errors.As(err, &div) || logged && div.Engine == div.Have {
 		r.fatal("opening records cut by %v views under %v: %v", r.strategy, other, err)
 	}
 	if err == nil {

@@ -36,6 +36,8 @@ mutations=(
 	"the follower stamps its own clock as the primary's publish|internal/replica/replica.go|published = time.Unix(0, rec.UnixNano)|published = time.Now()"
 	"settle unnets a row whose count differs from its base row's|internal/relation/stored.go|c.vals == b.vals && c.count == b.count {|c.vals == b.vals {"
 	"a built row's key is copied one byte short|internal/relation/relation.go|copy(unsafe.Slice(kp, len(kb)), kb)|copy(unsafe.Slice(kp, len(kb)), kb[:len(kb)-1])"
+	"recovery replays stale-epoch WAL records|internal/storage/store.go|case epoch == s.epoch:|case epoch <= s.epoch:"
+	"recovery leaves the torn tail in the WAL|internal/storage/store.go|if err := wal.Truncate(end); err != nil {|if err := wal.Truncate(size); err != nil {"
 )
 
 work="$(mktemp -d)"
