@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"ivm/internal/datalog"
@@ -29,25 +30,47 @@ type parser struct {
 	// one-token pushback
 	peeked  *token
 	deltaOK bool // allow +fact / -fact clauses
+	// fact takes each fact as it is read, its tuple reused for the next.
+	fact  func(Fact)
+	tuple value.Tuple
 }
 
 // Parse parses a program text containing rules and facts.
 func Parse(src string) (*Result, error) {
-	return parse(src, false)
+	res := &Result{}
+	if err := parse(src, false, res, res.collect); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// collect appends f, its tuple copied, to the facts.
+func (res *Result) collect(f Fact) {
+	f.Tuple = slices.Clone(f.Tuple)
+	res.Facts = append(res.Facts, f)
 }
 
 // ParseDelta parses a delta script: fact clauses optionally prefixed with
 // '+' (insert, default) or '-' (delete), with optional '* n' multiplicity.
 // Rules are not allowed in delta scripts.
 func ParseDelta(src string) ([]Fact, error) {
-	res, err := parse(src, true)
-	if err != nil {
+	res := &Result{}
+	if err := EachDelta(src, res.collect); err != nil {
 		return nil, err
 	}
-	if len(res.Program.Rules) > 0 {
-		return nil, fmt.Errorf("parse error: rules are not allowed in a delta script (got %q)", res.Program.Rules[0].String())
-	}
 	return res.Facts, nil
+}
+
+// EachDelta parses a delta script as ParseDelta does, handing each fact to
+// add as it is read: the fact's tuple is reused for the next one, so add
+// keeps a copy if it keeps anything.
+func EachDelta(src string, add func(Fact)) error {
+	res := &Result{}
+	err := parse(src, true, res, add)
+	if err == nil && len(res.Program.Rules) > 0 {
+		err = fmt.Errorf("parse error: rules are not allowed in a delta script (got %q)", res.Program.Rules[0].String())
+	}
+	return err
 }
 
 // ParseRules parses a text expected to contain only rules.
@@ -63,18 +86,19 @@ func ParseRules(src string) (*datalog.Program, error) {
 	return res.Program, nil
 }
 
-func parse(src string, deltaOK bool) (*Result, error) {
-	p := &parser{lex: newLexer(src), deltaOK: deltaOK}
+// parse parses src into res.Program, handing its facts to fact.
+func parse(src string, deltaOK bool, res *Result, fact func(Fact)) error {
+	p := &parser{lex: newLexer(src), deltaOK: deltaOK, fact: fact}
+	res.Program = &datalog.Program{}
 	if err := p.advance(); err != nil {
-		return nil, err
+		return err
 	}
-	res := &Result{Program: &datalog.Program{}}
 	for p.tok.kind != tokEOF {
-		if err := p.clause(res); err != nil {
-			return nil, err
+		if err := p.clause(res.Program); err != nil {
+			return err
 		}
 	}
-	return res, nil
+	return nil
 }
 
 func (p *parser) advance() error {
@@ -115,7 +139,7 @@ func (p *parser) expect(k tokenKind) (token, error) {
 }
 
 // clause parses one fact or rule ending in '.'.
-func (p *parser) clause(res *Result) error {
+func (p *parser) clause(prog *datalog.Program) error {
 	sign := int64(1)
 	signed := false
 	if p.deltaOK && (p.tok.kind == tokPlus || p.tok.kind == tokMinus) {
@@ -163,11 +187,15 @@ func (p *parser) clause(res *Result) error {
 		if _, err := p.expect(tokDot); err != nil {
 			return err
 		}
-		tuple, err := groundTuple(head)
-		if err != nil {
-			return p.errf("%v", err)
+		p.tuple = p.tuple[:0]
+		for _, arg := range head.Args {
+			c, ok := arg.(datalog.Const)
+			if !ok {
+				return p.errf("fact %s has non-constant argument %s", head.Pred, arg)
+			}
+			p.tuple = append(p.tuple, c.Value)
 		}
-		res.Facts = append(res.Facts, Fact{Pred: head.Pred, Tuple: tuple, Count: sign * mult})
+		p.fact(Fact{Pred: head.Pred, Tuple: p.tuple, Count: sign * mult})
 		return nil
 	case tokImplies:
 		if signed {
@@ -183,23 +211,11 @@ func (p *parser) clause(res *Result) error {
 		if _, err := p.expect(tokDot); err != nil {
 			return err
 		}
-		res.Program.Rules = append(res.Program.Rules, datalog.Rule{Head: head, Body: body})
+		prog.Rules = append(prog.Rules, datalog.Rule{Head: head, Body: body})
 		return nil
 	default:
 		return p.errf("expected '.' or ':-' after %s, got %s %q", head.Pred, p.tok.kind, p.tok.text)
 	}
-}
-
-func groundTuple(a datalog.Atom) (value.Tuple, error) {
-	t := make(value.Tuple, len(a.Args))
-	for i, arg := range a.Args {
-		c, ok := arg.(datalog.Const)
-		if !ok {
-			return nil, fmt.Errorf("fact %s has non-constant argument %s", a.Pred, arg)
-		}
-		t[i] = c.Value
-	}
-	return t, nil
 }
 
 // body parses a conjunction of literals separated by ',' or '&'.

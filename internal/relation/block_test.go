@@ -13,7 +13,8 @@ import (
 var sinkRow Row
 
 // A row the relation package builds is one allocation, its values and key
-// in one block, up to arity 4 and 64 key bytes; past either it is two.
+// in one block, whatever its arity and key length: past arity 4 or 64 key
+// bytes, of a type built for its shape.
 func TestBuiltRowIsOneAllocation(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -23,8 +24,8 @@ func TestBuiltRowIsOneAllocation(t *testing.T) {
 	}{
 		{"arity 2", value.T(100, "ab"), 11, 1},
 		{"arity 4, 64-byte key", value.T(100, "b", "c", strings.Repeat("d", 44)), 64, 1},
-		{"arity 5", value.T(100, 2, 3, 4, 5), 17, 2},
-		{"65-byte key", value.T(100, strings.Repeat("x", 55)), 65, 2},
+		{"arity 5", value.T(100, 2, 3, 4, 5), 17, 1},
+		{"65-byte key", value.T(100, strings.Repeat("x", 55)), 65, 1},
 	} {
 		kb := c.tuple.AppendKey(nil)
 		if len(kb) != c.keyLen {
@@ -46,12 +47,16 @@ func TestBuiltRowIsOneAllocation(t *testing.T) {
 				t.Errorf("%s: a new row through %s allocates %.0f objects, want %.0f", c.name, via, allocs, c.want)
 			}
 		}
-		// Each way gives a row whose key is its tuple's and whose tuple has
-		// no room past its values: an append copies, never writes the key.
+		// Each way gives a row whose key is its tuple's, right behind its
+		// values, and whose tuple has no room past its values: an append
+		// copies, never writes the key. A row keyed apart from its values,
+		// which no relation makes, is stored as a copy in one block.
 		row, err := RowFromKey(kb, len(c.tuple))
-		for via, row := range map[string]Row{"AddDerived": r.At(0), "RowFromKey": row, "KeyedRow": KeyedRow(c.tuple, 1)} {
-			if err != nil || row.key != row.Tuple.Key() || cap(row.Tuple) != len(c.tuple) {
-				t.Fatalf("%s via %s: row %v keyed %q, capacity %d (%v)", c.name, via, row.Tuple, row.key, cap(row.Tuple), err)
+		apart := New(len(c.tuple))
+		apart.AddRow(Row{Tuple: c.tuple, Count: 1, key: string(kb)})
+		for via, row := range map[string]Row{"AddDerived": r.At(0), "RowFromKey": row, "KeyedRow": KeyedRow(c.tuple, 1), "AddRow of a row keyed apart": apart.At(0)} {
+			if err != nil || row.key != row.Tuple.Key() || cap(row.Tuple) != len(c.tuple) || unsafe.StringData(row.key) != behind(unsafe.SliceData(row.Tuple), len(c.tuple)) {
+				t.Fatalf("%s via %s: row %v keyed %q, capacity %d, not one block (%v)", c.name, via, row.Tuple, row.key, cap(row.Tuple), err)
 			}
 			key := strings.Clone(row.key)
 			_ = append(row.Tuple, value.NewInt(-1))

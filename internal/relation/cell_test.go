@@ -5,22 +5,24 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"ivm/internal/value"
 )
 
-// A stored row is a cell: the key (pointer, length and hash), pointer to
-// the tuple's backing array and count — the tuple's length is the
-// relation's arity and is not stored — and a relation is a dense array of
-// them in insertion order beside an open-addressing array of positions.
+// A stored row is a cell: the pointer to its block — the tuple's values,
+// then its key's bytes — its count, and its key's length and hash; the
+// tuple's length is the relation's arity and is not stored, nor is where
+// the key is. A relation is a dense array of them in insertion order
+// beside an open-addressing array of positions.
 // An index slot is a run of positions and a hash. These tests hold that
 // layout and those tables to their contract.
 
 func TestCellIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(cell{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(cell{}) = %d, want 32 (the table is an array of them)", got)
+	if got := unsafe.Sizeof(cell{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(cell{}) = %d, want 24 (the table is an array of them)", got)
 	}
 	if got := unsafe.Sizeof(slot{}); got != 32 {
 		t.Fatalf("unsafe.Sizeof(slot{}) = %d, want 32 (a key table is an array of them)", got)
@@ -28,8 +30,8 @@ func TestCellIs32Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}.run[0]); got != 4 {
 		t.Fatalf("a run entry is %d bytes, want the 4 of a position", got)
 	}
-	if got := unsafe.Sizeof(entry{}); got != 32+4*slotsPer {
-		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want a cell and %d slots of 4 bytes", got, slotsPer)
+	if got := unsafe.Sizeof(entry{}); got != 32 || slotsPer != 2 {
+		t.Fatalf("unsafe.Sizeof(entry{}) = %d, want 32: a cell and %d slots of 4 bytes", got, slotsPer)
 	}
 }
 
@@ -69,7 +71,7 @@ func (m model) clone() model {
 func modelTuple(rng *rand.Rand, arity int) value.Tuple {
 	slab := make(value.Tuple, arity+rng.Intn(2)*3)
 	for i := range slab {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			slab[i] = value.NewInt(int64(rng.Intn(3)))
 		case 1:
@@ -78,6 +80,8 @@ func modelTuple(rng *rand.Rand, arity int) value.Tuple {
 			slab[i] = value.NewFloat([]float64{0.5, math.Copysign(0, -1), math.NaN(), math.Inf(1)}[rng.Intn(4)])
 		case 3:
 			slab[i] = value.NewString("")
+		case 4:
+			slab[i] = value.NewString(strings.Repeat("long|", 13+45*rng.Intn(2)))
 		default:
 			slab[i] = value.NewString(fmt.Sprintf("s|%d:", rng.Intn(3)))
 		}
@@ -155,10 +159,18 @@ func sameAsModel(t *testing.T, where string, r *Relation, m model, arity int) {
 // checkRuns holds every index r has built to a scan of r: each run lists,
 // ascending, exactly the positions of the rows that project to its key,
 // under that key's hash, and the key table finds it; and the row table's
-// slots point at every cell once, each from its probe path.
+// slots point at every cell once, each from its probe path. Every cell is
+// one block: its key, the encoding of its values, is the kl bytes at
+// vals + arity × 32.
 func checkRuns(t *testing.T, where string, r *Relation) {
 	t.Helper()
 	cells := r.rows.cells
+	for p, c := range cells {
+		kp := unsafe.Add(unsafe.Pointer(c.vals), int(r.arity)*32)
+		if key := unsafe.String((*byte)(kp), c.kl); key != value.Tuple(unsafe.Slice(c.vals, r.arity)).Key() || c.h != hashString(key) {
+			t.Fatalf("%s: the cell at position %d holds %q behind its values %v", where, p, key, unsafe.Slice(c.vals, r.arity))
+		}
+	}
 	if n := r.rows.nslots(); n != 0 {
 		seen := make([]bool, len(cells))
 		for i := 0; i < n; i++ {
@@ -170,7 +182,7 @@ func checkRuns(t *testing.T, where string, r *Relation) {
 				t.Fatalf("%s: row slot %d holds position %d of %d, or twice", where, i, p-1, len(cells))
 			}
 			seen[p-1] = true
-			if find(&r.rows, cells[p-1].h, cells[p-1].key()) != int(p-1) {
+			if find(r, cells[p-1].h, cells[p-1].key(r.arity)) != int(p-1) {
 				t.Fatalf("%s: the row at position %d is not found from its home", where, p-1)
 			}
 		}
@@ -213,8 +225,10 @@ func checkRuns(t *testing.T, where string, r *Relation) {
 
 // The model test of the cell layout: seeded random Add / AddRow / Set /
 // Delete / MergeDelta / Clone / cloneIndexed / Negate / ToSet / SetDiff /
-// Reset streams over arities 0–4, relations created with their arity and
-// with -1, and int, float and string values, against a plain map. CI runs
+// Reset streams over arities 0–6, relations created with their arity and
+// with -1, and int, float and string values, some strings long enough
+// for keys of 65–300 bytes, against a plain map: the rows past arity 4 or
+// 64 key bytes are of the block types built per shape. CI runs
 // it in the -race leg too, and -race enables checkptr: there a cell read
 // back with an arity larger than its tuple's backing array — the one
 // mistake the unsafe.Slice in row can make — is a fatal "unsafe.Slice
@@ -222,8 +236,8 @@ func checkRuns(t *testing.T, where string, r *Relation) {
 // key checks of sameAsModel in any leg.
 func TestCellsAgainstPlainModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
-	for trial := 0; trial < 120; trial++ {
-		arity := trial % 5
+	for trial := 0; trial < 140; trial++ {
+		arity := trial % 7
 		made := arity
 		if trial%2 == 1 {
 			made = -1

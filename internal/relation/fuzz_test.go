@@ -32,7 +32,9 @@ func churn() []byte {
 // FuzzTableOps drives a relation with a stream of two-byte operations —
 // the low nibble of the first byte picks Add, AddRow, Delete, Set, a copy,
 // Reset, an add to a delta beside the relation or a rebase, its high
-// nibble the count, the second byte the tuple — beside a plain
+// nibble the count, the second byte the tuple, whose string is 0 to 300
+// bytes; a stream of odd length ends in a byte that makes the tuples of
+// arity 0, 5 or 6 where they are otherwise 2 — beside a plain
 // map[string]int64, and a published Stored fed every change the relation
 // takes, as a one-row delta, which a rebase op folds into a new base. A
 // copy is a Clone for an even count, else the successor of the frozen
@@ -52,7 +54,17 @@ func FuzzTableOps(f *testing.F) {
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
 	f.Add([]byte{0x80, 13, 0x80, 14, 0x80, 15, 0x81, 0x1d, 0x86, 13, 0x76, 14, 0x96, 0x2f, 0x76, 15, 0x66, 0x1e, 0x02, 13})
+	for arity := range byte(3) {
+		f.Add(append(churn()[:200], 0x80, 0xfe, 0x04, 0x3f, 0x07, 0, 0x72, 0xfe, 0x86, 0x3f, arity))
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		arity, cols := 2, [][]int{{0}, {1}, {0, 1}}
+		if len(ops)%2 == 1 {
+			arity = []int{0, 5, 6}[ops[len(ops)-1]%3]
+		}
+		if arity == 0 {
+			cols = nil
+		}
 		r, m := New(-1), map[string]int64{}
 		tuples := map[string]value.Tuple{}
 		delta := New(-1)
@@ -68,7 +80,7 @@ func FuzzTableOps(f *testing.F) {
 				rd   Reader
 				flat *Relation
 			}{{ov, Materialize(ov)}, {Overlay(ov, delta.Negate()), r}} {
-				for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+				for _, cols := range cols {
 					for _, tu := range probes {
 						kv, got, want := tu.Project(cols), map[string]int64{}, map[string]int64{}
 						run := LookupInto(c.rd, cols, kv, &buf)
@@ -91,7 +103,7 @@ func FuzzTableOps(f *testing.F) {
 			for k, c := range m {
 				model = append(model, Row{Tuple: tuples[k], Count: c, key: k})
 			}
-			for _, cols := range [][]int{{0}, {1}, {0, 1}} {
+			for _, cols := range cols {
 				for _, tu := range probes {
 					kv, got, want := tu.Project(cols), map[string]int64{}, map[string]int64{}
 					run := r.Lookup(cols, kv)
@@ -132,8 +144,8 @@ func FuzzTableOps(f *testing.F) {
 		}
 		first := []value.Value{13: value.NewFloat(0), 14: value.NewFloat(math.Copysign(0, -1)), 15: value.NewFloat(math.NaN())}
 		for i := 0; i+1 < len(ops); i += 2 {
-			tu := value.T(int64(ops[i+1]%16), strings.Repeat("k", int(ops[i+1]/16)))
-			if v := ops[i+1] % 16; v >= 13 {
+			tu := value.T(int64(ops[i+1]%16), strings.Repeat("k", 20*int(ops[i+1]/16)), 2, 0.5, "p", -4)[:arity]
+			if v := ops[i+1] % 16; v >= 13 && arity > 0 {
 				tu[0] = first[v]
 			}
 			k, c := tu.Key(), int64(ops[i]>>4)-7
@@ -179,7 +191,7 @@ func FuzzTableOps(f *testing.F) {
 				pl.seat(st)
 			}
 			if moved := r.Count(tu) - was; moved != 0 {
-				d := New(2)
+				d := New(arity)
 				d.Add(tu, moved)
 				pl.merge(st, d)
 			}
@@ -193,7 +205,7 @@ func FuzzTableOps(f *testing.F) {
 			lookups(where, r, m, tu)
 			checkRuns(t, where, r)
 			overlays(where, tu)
-			samePlaces(t, where, st, pl, r, [][]int{{0}, {1}, {0, 1}}, tu)
+			samePlaces(t, where, st, pl, r, cols, tu)
 		}
 		same("at the end", r, m)
 		var probes []value.Tuple
@@ -201,6 +213,6 @@ func FuzzTableOps(f *testing.F) {
 			probes = append(probes, tu)
 		}
 		overlays("at the end", probes...)
-		samePlaces(t, "at the end", st, pl, r, [][]int{{0}, {1}, {0, 1}}, probes...)
+		samePlaces(t, "at the end", st, pl, r, cols, probes...)
 	})
 }

@@ -11,6 +11,8 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -55,33 +57,63 @@ func KeyedRow(t value.Tuple, count int64) Row {
 }
 
 // alloc returns the zero-count row keyed kb of a copy of vals, or of zeros,
-// len == cap == arity. Its tuple and key are one block of blocks[arity-1]
-// [w-1], w the key's words, where that shape is: the values first, so that
-// the collector scans their strings, then the key's bytes.
-func alloc(kb []byte, arity int, vals value.Tuple) (row Row) {
-	if w := (len(kb) + 7) / 8; arity >= 1 && arity <= len(blocks) && w >= 1 && w <= len(blocks[0]) {
-		vp, kp := blocks[arity-1][w-1]()
-		copy(unsafe.Slice(kp, len(kb)), kb)
-		row = Row{Tuple: unsafe.Slice(vp, arity), key: unsafe.String(kp, len(kb))}
-	} else {
-		row = Row{Tuple: make(value.Tuple, arity), key: string(kb)}
-	}
+// len == cap == arity, as one block (newBlock): the values first, so that
+// the collector scans their strings, then the key's bytes (behind).
+func alloc[K string | []byte](kb K, arity int, vals value.Tuple) Row {
+	b := newBlock(arity, (len(kb)+7)/8)
+	kp := behind((*value.Value)(b), arity)
+	copy(unsafe.Slice(kp, len(kb)), kb)
+	row := Row{Tuple: unsafe.Slice((*value.Value)(b), arity), key: unsafe.String(kp, len(kb))}
 	copy(row.Tuple, vals)
 	return row
 }
 
-var blocks = [...][8]func() (*value.Value, *byte){words[[1]value.Value](), words[[2]value.Value](), words[[3]value.Value](), words[[4]value.Value]()}
-
-func words[V any]() [8]func() (*value.Value, *byte) {
-	return [...]func() (*value.Value, *byte){block[V, [1]uint64], block[V, [2]uint64], block[V, [3]uint64], block[V, [4]uint64], block[V, [5]uint64], block[V, [6]uint64], block[V, [7]uint64], block[V, [8]uint64]}
+// behind is where the key of a block whose arity values start at vals is.
+func behind(vals *value.Value, arity int) *byte {
+	return (*byte)(unsafe.Add(unsafe.Pointer(vals), arity*int(unsafe.Sizeof(value.Value{}))))
 }
 
-func block[V, K any]() (*value.Value, *byte) {
-	b := new(struct {
+var blocks = [...][8]func() unsafe.Pointer{words[[1]value.Value](), words[[2]value.Value](), words[[3]value.Value](), words[[4]value.Value]()}
+
+func words[V any]() [8]func() unsafe.Pointer {
+	return [...]func() unsafe.Pointer{block[V, [1]uint64], block[V, [2]uint64], block[V, [3]uint64], block[V, [4]uint64], block[V, [5]uint64], block[V, [6]uint64], block[V, [7]uint64], block[V, [8]uint64]}
+}
+
+func block[V, K any]() unsafe.Pointer {
+	return unsafe.Pointer(new(struct {
 		vals V
 		key  K
-	})
-	return (*value.Value)(unsafe.Pointer(&b.vals)), (*byte)(unsafe.Pointer(&b.key))
+	}))
+}
+
+// shapes holds the block types newBlock has built, by arity and words.
+var shapes = struct {
+	sync.RWMutex
+	m map[[2]int]reflect.Type
+}{m: map[[2]int]reflect.Type{}}
+
+// newBlock allocates a block of arity values and at least w key words: of
+// blocks[arity-1][w-1] where that shape is, else of the type {[arity]
+// value.Value; [w']uint64}, w' the power of two at or above w (0 if w is:
+// the shift overflows), which it builds once per shape.
+func newBlock(arity, w int) unsafe.Pointer {
+	if arity >= 1 && arity <= len(blocks) && w >= 1 && w <= len(blocks[0]) {
+		return blocks[arity-1][w-1]()
+	}
+	w = 1 << bits.Len(uint(w-1))
+	shapes.RLock()
+	t, ok := shapes.m[[2]int{arity, w}]
+	shapes.RUnlock()
+	if !ok {
+		t = reflect.StructOf([]reflect.StructField{
+			{Name: "V", Type: reflect.ArrayOf(arity, reflect.TypeFor[value.Value]())},
+			{Name: "K", Type: reflect.ArrayOf(w, reflect.TypeFor[uint64]())},
+		})
+		shapes.Lock()
+		shapes.m[[2]int{arity, w}] = t
+		shapes.Unlock()
+	}
+	return reflect.New(t).UnsafePointer()
 }
 
 // WithCount returns the row with its count replaced, keeping the cached
@@ -129,27 +161,33 @@ type Relation struct {
 // tuple in r.rows has exactly r.arity values (insert checks it, and arity
 // is fixed by the first insert), so a tuple is kept as the pointer to its
 // backing array — which keeps the array alive — and read back by row with
-// len == cap == arity: an append to a read-back tuple always copies. The
-// key string is kept the same way, as the pointer to its bytes and a
-// 32-bit length, which leaves room for the key's hash (see table) in the
-// 32 bytes of a cell; a Row is 48. With the key at hand a row read back,
-// and every later merge of it, is never encoded again.
+// len == cap == arity: an append to a read-back tuple always copies. Every
+// stored row is one block, its values and then its key's bytes (alloc), so
+// the key is kept as its 32-bit length alone, read behind the values; that
+// leaves room for the key's hash (see table) in the 24 bytes of a cell; a
+// Row is 48. With the key at hand a row read back, and every later merge
+// of it, is never encoded again.
 type cell struct {
-	kp    *byte
 	vals  *value.Value
 	count int64
 	kl, h uint32
 }
 
-// key is the string newCell packed; kp keeps its immutable bytes alive.
-func (c *cell) key() string { return unsafe.String(c.kp, c.kl) }
+// key is the kl bytes behind the cell's arity values, in their block.
+func (c *cell) key(arity int32) string { return unsafe.String(behind(c.vals, int(arity)), c.kl) }
 
-// newCell packs a keyed row; h is the hash of row.key.
+// newCell packs a keyed row; h is the hash of row.key. It keeps every
+// stored row one block: a row whose key is not behind its values is
+// copied into one first.
 func newCell(row Row, h uint32) cell {
 	if uint64(len(row.key)) > math.MaxUint32 {
 		panic("relation: tuple key longer than 4 GiB")
 	}
-	return cell{kp: unsafe.StringData(row.key), kl: uint32(len(row.key)), h: h, vals: unsafe.SliceData(row.Tuple), count: row.Count}
+	vals := unsafe.SliceData(row.Tuple)
+	if row.key != "" && unsafe.StringData(row.key) != behind(vals, len(row.Tuple)) {
+		vals = unsafe.SliceData(alloc(row.key, len(row.Tuple), row.Tuple).Tuple)
+	}
+	return cell{kl: uint32(len(row.key)), h: h, vals: vals, count: row.Count}
 }
 
 // At returns the row stored at position p, 0 ≤ p < Len(): the relation
@@ -158,7 +196,7 @@ func (r *Relation) At(p int) Row { return r.row(r.rows.cells[p].cell) }
 
 // row rebuilds the Row of a cell stored in r.
 func (r *Relation) row(c cell) Row {
-	return Row{Tuple: unsafe.Slice(c.vals, r.arity), Count: c.count, key: c.key()}
+	return Row{Tuple: unsafe.Slice(c.vals, r.arity), Count: c.count, key: c.key(r.arity)}
 }
 
 // New returns an empty relation with the given arity. Arity -1 means
@@ -211,7 +249,7 @@ func (r *Relation) Count(t value.Tuple) int64 {
 
 // countAt is the count stored under key k, whose hash is h (0 if absent).
 func countAt[K string | []byte](r *Relation, h uint32, k K) int64 {
-	if i := find(&r.rows, h, k); i >= 0 {
+	if i := find(r, h, k); i >= 0 {
 		return r.rows.cells[i].count
 	}
 	return 0
@@ -224,7 +262,7 @@ func (r *Relation) Stored(kb []byte) (Row, bool) { return held(r, hashBytes(kb),
 // held returns the row stored under key k, hashed to h (none in a nil r).
 func held[K string | []byte](r *Relation, h uint32, k K) (Row, bool) {
 	if r != nil {
-		if i := find(&r.rows, h, k); i >= 0 {
+		if i := find(r, h, k); i >= 0 {
 			return r.At(i), true
 		}
 	}
@@ -255,21 +293,8 @@ func (r *Relation) mutable() {
 
 // Add merges (t, count) into the relation, removing the tuple if the
 // resulting count is zero. Adding with count 0 is a no-op. The relation
-// keeps t when it stores a new row; a key string is built only then.
-func (r *Relation) Add(t value.Tuple, count int64) {
-	if count == 0 {
-		return
-	}
-	r.mutable()
-	var buf [value.KeyScratch]byte
-	kb := t.AppendKey(buf[:0])
-	h := hashBytes(kb)
-	if i := find(&r.rows, h, kb); i >= 0 {
-		r.bump(i, count)
-		return
-	}
-	r.insert(Row{Tuple: t, Count: count, key: string(kb)}, h)
-}
+// keeps nothing of t: a new row is a copy, built or borrowed (AddDerived).
+func (r *Relation) Add(t value.Tuple, count int64) { r.AddDerived(t, count) }
 
 // Origin says where AddDerived found a derived tuple's row: r held it
 // (counts added), a lender did, or it was built, tuple and key.
@@ -290,9 +315,8 @@ func (r *Relation) BorrowFrom(stored *Stored, pending *Relation) {
 	r.lendStored, r.lendNet = stored, pending
 }
 
-// AddDerived is Add for a tuple in scratch storage, of which r keeps
-// nothing: a tuple and a key are built only for a row neither r nor a
-// lender holds. The stored lender lends, after its state and the pending
+// AddDerived is Add, saying where it found the row: a tuple and a key
+// are built only for a row neither r nor a lender holds. The stored lender lends, after its state and the pending
 // net, the base's row the state has deleted: a row that comes back is
 // base's own again, and settles at its base place. A borrowed cell carries
 // count, never the lender's.
@@ -304,7 +328,7 @@ func (r *Relation) AddDerived(t value.Tuple, count int64) Origin {
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
 	h := hashBytes(kb)
-	if i := find(&r.rows, h, kb); i >= 0 {
+	if i := find(r, h, kb); i >= 0 {
 		r.bump(i, count)
 		return Merged
 	}
@@ -339,7 +363,7 @@ func (r *Relation) addHashed(in Row, h uint32) {
 		return
 	}
 	r.mutable()
-	if i := find(&r.rows, h, in.key); i >= 0 {
+	if i := find(r, h, in.key); i >= 0 {
 		r.bump(i, in.Count)
 		return
 	}
@@ -382,7 +406,7 @@ func (r *Relation) Delete(t value.Tuple) {
 	r.mutable()
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
-	if i := find(&r.rows, hashBytes(kb), kb); i >= 0 {
+	if i := find(r, hashBytes(kb), kb); i >= 0 {
 		r.bump(i, -r.rows.cells[i].count)
 	}
 }
@@ -489,7 +513,7 @@ func (r *Relation) drain() {
 // c's row enters them at p.
 func (r *Relation) replace(p int, c cell) {
 	old := &r.rows.cells[p].cell
-	if old.h == c.h && old.key() == c.key() {
+	if old.h == c.h && old.key(r.arity) == c.key(r.arity) {
 		old.count = c.count
 		return
 	}
@@ -569,13 +593,13 @@ func SetDiff(a, b *Relation) *Relation {
 		panic(fmt.Sprintf("relation: SetDiff of arity-%d and arity-%d relations", a.arity, b.arity))
 	}
 	for _, c := range a.rows.cells {
-		if c.count > 0 && countAt(b, c.h, c.key()) <= 0 {
+		if c.count > 0 && countAt(b, c.h, c.key(a.arity)) <= 0 {
 			c.count = 1
 			out.rows.insert(c.cell)
 		}
 	}
 	for _, c := range b.rows.cells {
-		if c.count > 0 && countAt(a, c.h, c.key()) <= 0 {
+		if c.count > 0 && countAt(a, c.h, c.key(b.arity)) <= 0 {
 			c.count = -1
 			out.rows.insert(c.cell)
 		}
@@ -590,7 +614,7 @@ func Equal(a, b *Relation) bool {
 		return false
 	}
 	for _, c := range a.rows.cells {
-		if countAt(b, c.h, c.key()) != c.count {
+		if countAt(b, c.h, c.key(a.arity)) != c.count {
 			return false
 		}
 	}
@@ -600,12 +624,12 @@ func Equal(a, b *Relation) bool {
 // EqualAsSets reports whether a and b have the same positive-count tuples.
 func EqualAsSets(a, b *Relation) bool {
 	for _, c := range a.rows.cells {
-		if c.count > 0 && countAt(b, c.h, c.key()) <= 0 {
+		if c.count > 0 && countAt(b, c.h, c.key(a.arity)) <= 0 {
 			return false
 		}
 	}
 	for _, c := range b.rows.cells {
-		if c.count > 0 && countAt(a, c.h, c.key()) <= 0 {
+		if c.count > 0 && countAt(a, c.h, c.key(b.arity)) <= 0 {
 			return false
 		}
 	}

@@ -143,11 +143,11 @@ func (s *Stored) setAt(p int, v int32) {
 // or -1; and q, base's place for k, or -1. Base's row q is the state's
 // when kept(q), and then the net lacks k.
 func locate[K string | []byte](s *Stored, h uint32, k K) (i, q int) {
-	if q = find(&s.base.rows, h, k); q >= 0 && s.kept(int32(q)) {
+	if q = find(s.base, h, k); q >= 0 && s.kept(int32(q)) {
 		return -1, q
 	}
 	if s.net.Len() > 0 {
-		return find(&s.net.rows, h, k), q
+		return find(s.net, h, k), q
 	}
 	return -1, q
 }
@@ -194,19 +194,19 @@ func (s *Stored) Count(t value.Tuple) int64 {
 func (s *Stored) Counts(d *Relation, dst []int64) []int64 {
 	rowProbes.Add(int64(d.Len()))
 	for _, c := range d.rows.cells {
-		row, _ := storedRow(s, c.h, c.key())
+		row, _ := storedRow(s, c.h, c.key(d.arity))
 		dst = append(dst, row.Count)
 	}
 	return dst
 }
 
 // Lend gives each row that d, a Δ for s not yet indexed, inserts and s's
-// base holds the base's tuple and key: a row that comes back settles (add).
+// base holds the base's block, tuple and key: a row that comes back settles.
 func (s *Stored) Lend(d *Relation) {
 	for i := 0; i < d.Len() && !s.private(); i++ {
 		if c := &d.rows.cells[i].cell; c.count > 0 {
-			if q := find(&s.base.rows, c.h, c.key()); q >= 0 {
-				c.kp, c.vals = s.base.rows.cells[q].kp, s.base.rows.cells[q].vals
+			if q := find(s.base, c.h, c.key(d.arity)); q >= 0 {
+				c.vals = s.base.rows.cells[q].vals
 			}
 			rowProbes.Add(1)
 		}

@@ -224,7 +224,10 @@ func tableStored(t *testing.T, rng *rand.Rand) {
 // A rebase that shrinks its relation copies the base once, at the new
 // size: it allocates one table of the state's rows and, for the index it
 // carries, a key table and the runs it writes — no table at the old size,
-// and no second copy to trim one.
+// and no second copy to trim one. Measured 113 272 bytes from 4 000 rows to
+// 3 001 against a bound of 134 188; 137 848 against 158 196 when a table
+// entry was 40 bytes, its cell holding a pointer to the key behind the
+// row's values.
 func TestRebaseCopiesItsBaseOnce(t *testing.T) {
 	base := New(2)
 	for i := range 4000 {

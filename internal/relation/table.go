@@ -57,13 +57,14 @@ func hashString(k string) uint32 { return uint32(maphash.String(seed, k)) }
 // homeOf is the home of hash h in an array of n entries.
 func homeOf(h uint32, n int) int { return int(uint64(h) * uint64(n) >> 32) }
 
-// find returns the position of the cell that holds key k, whose hash is h,
-// or -1. It allocates nothing for either kind of key.
-func find[K string | []byte](t *table, h uint32, k K) int {
+// find returns the position of the cell of r that holds key k, whose hash
+// is h, or -1. It allocates nothing for either kind of key.
+func find[K string | []byte](r *Relation, h uint32, k K) int {
+	t := &r.rows
 	n := t.nslots()
 	if n == 0 {
 		for i := range t.cells {
-			if c := &t.cells[i]; c.h == h && c.key() == string(k) {
+			if c := &t.cells[i]; c.h == h && c.key(r.arity) == string(k) {
 				return i
 			}
 		}
@@ -74,7 +75,7 @@ func find[K string | []byte](t *table, h uint32, k K) int {
 		if p == 0 {
 			return -1
 		}
-		if c := &t.cells[p-1]; c.h == h && c.key() == string(k) {
+		if c := &t.cells[p-1]; c.h == h && c.key(r.arity) == string(k) {
 			return int(p - 1)
 		}
 		if j++; j == n {

@@ -23,7 +23,7 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these twenty-five bugs each fail the default budget (first
+// runs), these twenty-six bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
@@ -48,8 +48,9 @@ package ivm_test
 // its Δ's negative sign part in step 3 as in step 1 [1]; a stored
 // relation's settle taking a net row whose count differs from its base
 // row's out of the net [10]; a built row's key copied into its block one
-// byte short [2]; recovery replaying a stale epoch's WAL records [23];
-// recovery leaving a torn tail in the WAL it appends to [8].
+// byte short [2]; a cell's key read one value early in its block [2];
+// recovery replaying a stale epoch's WAL records [23]; recovery leaving a
+// torn tail in the WAL it appends to [8].
 
 import (
 	"cmp"
@@ -531,7 +532,7 @@ type oracleRun struct {
 	acked              map[string][]oracleChange
 	dedupLo, dedupHi   int64 // sched_idem_dedup_total lies between
 	failKey            string
-	fault, stale       int          // the next fault of the schedule; the WAL's records of older epochs
+	fault              int          // the next fault of the schedule
 	epoch              uint64       // the store's checkpoint epoch
 	walBase            oracleCommit // the model at the epoch's checkpoint
 }
@@ -713,7 +714,7 @@ func (r *oracleRun) open(base map[string]map[string]ivm.Row, strategy ivm.Strate
 		r.fatal("the recomputation refuses the initial state: %v", err)
 	}
 	r.learn(r.st)
-	r.epoch, r.stale, r.walBase = 1, 0, oracleCommit{ver: r.version, st: r.st, arity: maps.Clone(r.arity)}
+	r.epoch, r.walBase = 1, oracleCommit{ver: r.version, st: r.st, arity: maps.Clone(r.arity)}
 	r.watch(v)
 	r.check("materialized", v)
 	switch r.leg {
@@ -1794,8 +1795,8 @@ func (r *oracleRun) reopen() {
 		r.fatal("close: %v", err)
 	}
 	// Unless the fault says otherwise, recovery replays the epoch's records
-	// onto its checkpoint and skips the older ones.
-	want := storage.RecoveryInfo{Epoch: r.epoch, HasSnapshot: true, Replayed: len(r.log), SkippedStale: r.stale}
+	// onto its checkpoint.
+	want := storage.RecoveryInfo{Epoch: r.epoch, HasSnapshot: true, Replayed: len(r.log)}
 	snap := filepath.Join(r.dir, fmt.Sprintf("snapshot-%d.gob", r.epoch+1))
 	opts := r.options(r.strategy)
 	var torn []byte
@@ -1818,26 +1819,26 @@ func (r *oracleRun) reopen() {
 		for off := 0; off+24 <= len(wal); off += 24 + int(binary.BigEndian.Uint32(wal[off+16:])) {
 			at = append(at, off)
 		}
-		if len(at) != r.stale+len(r.log) {
-			r.fatal("the WAL holds %d records, the model %d", len(at), r.stale+len(r.log))
+		if len(at) != len(r.log) {
+			r.fatal("the WAL holds %d records, the model %d", len(at), len(r.log))
 		}
 		i := r.rng.Intn(len(r.log) - 1)
-		wal[at[r.stale+i+1]-1] ^= 0x40
+		wal[at[i+1]-1] ^= 0x40
 		r.write(walPath, wal)
 		var corrupt *storage.CorruptWALError
 		if _, _, err := ivm.OpenStore(r.dir, nil, opts...); !errors.As(err, &corrupt) {
 			r.fatal("wal-bit-flip: the default open answers %v", err)
 		}
 		opts = append(opts, ivm.WithWALRepair())
-		want.Replayed, want.CorruptRecords, want.DiscardedBytes = i, 1, int64(len(wal)-at[r.stale+i])
+		want.Replayed, want.CorruptRecords, want.DiscardedBytes = i, 1, int64(len(wal)-at[i])
 		r.rollback(i)
 	case "partial-rename":
 		r.write(snap+".tmp", []byte("half a snapshot"))
 	case "checkpoint-truncate-window": // the truncate never reached the disk
 		r.epoch++
 		r.write(walPath, wal)
-		want = storage.RecoveryInfo{Epoch: r.epoch, HasSnapshot: true, SkippedStale: r.stale + len(r.log)}
-		r.stale += len(r.log)
+		want = storage.RecoveryInfo{Epoch: r.epoch, HasSnapshot: true, SkippedStale: len(r.log)}
+		r.epoch++ // recovery checkpoints the stale records away
 		r.walBase, r.log = oracleCommit{ver: r.version, st: r.st, arity: maps.Clone(r.arity)}, nil
 	case "lost-snapshot-rename": // neither the rename nor the truncate did
 		if err := os.Remove(snap); err != nil {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # The unsafe allow-list: outside tests, only internal/relation/relation.go
-# may import "unsafe" (the stored cell's tuple pointer, DESIGN.md §4).
+# may import "unsafe" (the stored cell's tuple pointer and the key behind
+# it, DESIGN.md §4).
 set -eu
 cd "$(dirname "$0")/.."
 bad="$(grep -rl '"unsafe"' --include='*.go' . | grep -v -e '_test\.go$' -e '^\./internal/relation/relation\.go$' || true)"

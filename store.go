@@ -120,9 +120,12 @@ func (v *Views) bindStoreLocked(st *storage.Store, initialized bool) (err error)
 			v.store = nil
 		}
 	}()
-	if initialized {
+	if initialized || st.Recovery().SkippedStale > 0 {
 		// Checkpoint immediately so a snapshot always exists: from here
 		// on every WAL record has an epoch-stamped snapshot beneath it.
+		// Stale records a crash left between a checkpoint and its WAL
+		// truncate go the same way, or every later open would read and
+		// report them again.
 		if err := v.checkpointLocked(); err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +211,64 @@ func TestOpenStoreStaleEpochRecords(t *testing.T) {
 		t.Fatalf("stale records must be skipped, not double-applied: %+v", info)
 	}
 	requireSameState(t, v2, groundTruth(t, storeTestScripts))
+}
+
+// A crash between a checkpoint and its WAL truncate leaves the old
+// epoch's records in the WAL. The open that skips them checkpoints them
+// away: the next open neither reads nor reports them, and the WAL holds
+// only frames of the epoch that open finds.
+func TestOpenStoreCheckpointsAwayStaleRecords(t *testing.T) {
+	dir := t.TempDir()
+	v, _, err := ivm.OpenStore(dir, storeInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range storeTestScripts {
+		if _, err := v.ApplyScript(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walPath := filepath.Join(dir, "wal.log")
+	walBytes, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	v.Close()
+	if err := os.WriteFile(walPath, walBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	v2, info, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.SkippedStale != len(storeTestScripts) {
+		t.Fatalf("the first open after the crash: %+v, want %d stale records skipped", info, len(storeTestScripts))
+	}
+	if _, err := v2.ApplyScript("+link(z,a)."); err != nil {
+		t.Fatal(err)
+	}
+	v2.Close()
+	v3, info, err := ivm.OpenStore(dir, noInit(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v3.Close()
+	if info.SkippedStale != 0 || info.Replayed != 1 {
+		t.Fatalf("the second open: %+v, want no stale record and the one apply replayed", info)
+	}
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(wal); off += 24 + int(binary.BigEndian.Uint32(wal[off+16:])) {
+		if epoch := binary.BigEndian.Uint64(wal[off:]); epoch != info.Epoch {
+			t.Fatalf("the WAL holds a frame of epoch %d at byte %d, the store is at epoch %d", epoch, off, info.Epoch)
+		}
+	}
+	requireSameState(t, v3, groundTruth(t, append(slices.Clone(storeTestScripts), "+link(z,a).")))
 }
 
 func TestOpenStoreGroupCommitConcurrentAppliers(t *testing.T) {

@@ -36,13 +36,9 @@ func (u *Update) Err() error { return u.err }
 //
 // Unsigned facts insert; '* n' sets the multiplicity (n may be negative).
 func ParseUpdate(src string) (*Update, error) {
-	facts, err := parser.ParseDelta(src)
-	if err != nil {
-		return nil, err
-	}
 	u := NewUpdate()
-	for _, f := range facts {
-		u.add(f.Pred, f.Tuple, f.Count)
+	if err := parser.EachDelta(src, func(f parser.Fact) { u.add(f.Pred, f.Tuple, f.Count) }); err != nil {
+		return nil, err
 	}
 	return u, nil
 }
