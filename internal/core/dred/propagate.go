@@ -301,14 +301,14 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	// Every source of step 1 is old state and deltaT reads lower strata
 	// only, so nothing reads an in-stratum net before the fixpoint ends.
 	foldDel := func(pred string, derived *relation.Relation) {
-		stored, n := e.db.Ensure(pred, -1), o.cascade[pred]
-		derived.Each(func(row relation.Row) {
-			if row.Count > 0 && stored.Has(row.Tuple) && (n == nil || n.Count(row.Tuple) == 0) {
+		stored, n, fr := e.db.Ensure(pred, -1), o.cascade[pred], o.fr[o.turn].of(pred)
+		for p := range derived.Len() {
+			if row := derived.At(p); row.Count > 0 && stored.Has(row.Tuple) && (n == nil || n.Count(row.Tuple) == 0) {
 				n = e.netOf(o, pred)
 				n.AddRow(row.WithCount(-1))
-				o.fr[o.turn][pred] = append(o.fr[o.turn][pred], row.WithCount(1))
+				fr.Append(derived, p)
 			}
-		})
+		}
 	}
 	if err := e.sweep(o, rules, inStratum, true, foldDel); err != nil {
 		return err
@@ -335,14 +335,14 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	// with the candidate's −1 multiplied into its count, the arithmetic-head
 	// path with a positive one: the fold takes either.
 	foldReadd := func(pred string, derived *relation.Relation) {
-		n := o.cascade[pred]
-		derived.Each(func(row relation.Row) {
-			if n.Count(row.Tuple) < 0 {
+		n, fr := o.cascade[pred], o.fr[o.turn].of(pred)
+		for p := range derived.Len() {
+			if row := derived.At(p); n.Count(row.Tuple) < 0 {
 				n.AddRow(row.WithCount(1))
-				o.fr[o.turn][pred] = append(o.fr[o.turn][pred], row.WithCount(1))
+				fr.Append(derived, p)
 				e.last.Rederived++
 			}
-		})
+		}
 	}
 	readd := func(ri, li int, d relation.Reader) (*relation.Relation, error) {
 		head := e.prog.Rules[ri].Head
@@ -376,14 +376,14 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 
 	// ---- Step 3: propagate insertions. ----
 	foldAdd := func(pred string, derived *relation.Relation) {
-		nr := e.newR(o, pred)
-		derived.Each(func(row relation.Row) {
-			if row.Count > 0 && !nr.Has(row.Tuple) {
+		nr, fr := e.newR(o, pred), o.fr[o.turn].of(pred)
+		for p := range derived.Len() {
+			if row := derived.At(p); row.Count > 0 && !nr.Has(row.Tuple) {
 				e.netOf(o, pred).AddRow(row.WithCount(1))
-				o.fr[o.turn][pred] = append(o.fr[o.turn][pred], row.WithCount(1))
+				fr.Append(derived, p)
 				e.last.Inserted++
 			}
-		})
+		}
 	}
 	if err := e.sweep(o, rules, inStratum, false, foldAdd); err != nil {
 		return err
@@ -458,7 +458,7 @@ func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, step func
 					continue
 				}
 				d := cur[lit.Atom.Pred]
-				if len(d) == 0 {
+				if d == nil || d.Len() == 0 {
 					continue
 				}
 				out, err := step(ri, li, d)
@@ -492,13 +492,13 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 	m.tracer = nil
 	o := m.newOp()
 	fold := func(pred string, derived *relation.Relation) {
-		r := m.db[pred].Relation()
-		derived.Each(func(row relation.Row) {
-			if row.Count > 0 && !r.Has(row.Tuple) {
+		r, fr := m.db[pred].Relation(), o.fr[o.turn].of(pred)
+		for p := range derived.Len() {
+			if row := derived.At(p); row.Count > 0 && !r.Has(row.Tuple) {
 				r.AddRow(row.WithCount(1))
-				o.fr[o.turn][pred] = append(o.fr[o.turn][pred], row.WithCount(1))
+				fr.Append(derived, p)
 			}
-		})
+		}
 	}
 	step := func(ri, li int, d relation.Reader) (*relation.Relation, error) {
 		return m.evalStep(o, ri, li, d, eval.PlanEval)
@@ -631,13 +631,21 @@ func (o *op) next() frontier {
 }
 
 // frontier is the Δ of one fixpoint round: per predicate, the rows the
-// round's folds let through.
-type frontier map[string]relation.RowSlice
+// round's folds let through, held by reference to the fold's input.
+type frontier map[string]*relation.Refs
+
+// of returns pred's rows, made empty on first use.
+func (f frontier) of(pred string) *relation.Refs {
+	if f[pred] == nil {
+		f[pred] = new(relation.Refs)
+	}
+	return f[pred]
+}
 
 // empty reports whether the round let no row through.
 func (f frontier) empty() bool {
 	for _, rows := range f {
-		if len(rows) > 0 {
+		if rows.Len() > 0 {
 			return false
 		}
 	}
@@ -645,10 +653,9 @@ func (f frontier) empty() bool {
 }
 
 // reset empties f for the next round, keeping each predicate's array
-// and clearing the rows out of it.
+// and clearing the references out of it.
 func (f frontier) reset() {
-	for pred, rows := range f {
-		clear(rows)
-		f[pred] = rows[:0]
+	for _, rows := range f {
+		rows.Reset()
 	}
 }

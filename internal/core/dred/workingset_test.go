@@ -3,6 +3,7 @@ package dred
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ivm/internal/eval"
@@ -151,7 +152,8 @@ func flipEngine(tb testing.TB, reg *metrics.Registry) (*Engine, *rand.Rand) {
 }
 
 // flipAllocCeiling is ~10 % above the objects a delete of 4 links and
-// their re-insertion allocate (measured 265, 273 under -race; 368 with a
+// their re-insertion allocate (measured 253, 261 under -race; 265 with
+// each round's frontier a slice of row copies; 368 with a
 // built head's tuple and key two allocations; 366 before; 434 with
 // step 1's overestimate kept twice, as δ⁻ and as its negated copy in the
 // net, and tc's net split into sign parts nothing reads; 909 with a map
@@ -161,7 +163,15 @@ func flipEngine(tb testing.TB, reg *metrics.Registry) (*Engine, *rand.Rand) {
 // index that makes objects per key, a working set kept twice, or a walk
 // or a fixpoint round that allocates its scratch again fails here, not
 // only in the layered benchmark's allocs_per_apply.
-const flipAllocCeiling = 292
+const flipAllocCeiling = 278
+
+// flipByteCeiling is ~10 % above the bytes a delete of 4 links and their
+// re-insertion allocate (MemStats.TotalAlloc over the same runs; measured
+// 113 697; 139 091 when each round's frontier copied every row its folds
+// admitted, 48 bytes a row, where a reference is 16): a frontier that
+// copies rows again, or a fold that keeps what it admitted twice, fails
+// here, not only in the layered benchmark's alloc_kb_per_apply.
+const flipByteCeiling = 125000
 
 // flipWork is the work of TestFlipAllocCeiling's 21 delete-and-reinsert
 // pairs (AllocsPerRun's warm-up and 20 runs). The scans and heads are
@@ -187,6 +197,9 @@ func TestFlipAllocCeiling(t *testing.T) {
 	del := workload.SampleDeletes(rng, e.Relation("link"), 4)
 	ins := del.Negate()
 	before := reg.Snapshot()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	bytes0 := ms.TotalAlloc
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, d := range []*relation.Relation{del, ins} {
 			if _, err := e.Apply(map[string]*relation.Relation{"link": d}); err != nil {
@@ -194,9 +207,14 @@ func TestFlipAllocCeiling(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("deleting 4 links and re-inserting them allocates %.0f objects (ceiling %d)", allocs, flipAllocCeiling)
+	runtime.ReadMemStats(&ms)
+	bytes := (ms.TotalAlloc - bytes0) / 21 // AllocsPerRun's warm-up and its 20 runs
+	t.Logf("deleting 4 links and re-inserting them allocates %.0f objects (ceiling %d) and %d bytes (ceiling %d)", allocs, flipAllocCeiling, bytes, flipByteCeiling)
 	if allocs > flipAllocCeiling {
 		t.Fatalf("deleting 4 links and re-inserting them allocates %.0f objects, ceiling %d: does every output of propagate still name its lenders (lend)?", allocs, flipAllocCeiling)
+	}
+	if bytes > flipByteCeiling {
+		t.Fatalf("deleting 4 links and re-inserting them allocates %d bytes, ceiling %d: does a round's frontier still refer to the rows its folds admitted rather than copy them?", bytes, flipByteCeiling)
 	}
 	after := reg.Snapshot()
 	for name, want := range flipWork {

@@ -43,8 +43,9 @@ func Explain(rule datalog.Rule, srcs []Source, head value.Tuple) ([][]GroundSubg
 	walked, walkedSrcs, off := rule, srcs, 0
 	if simple {
 		walked.Body = append([]datalog.Literal{{Kind: datalog.LitPositive, Atom: rule.Head}}, rule.Body...)
-		walkedSrcs = append([]Source{{Rel: relation.RowSlice{{Tuple: head, Count: 1}}}}, srcs...)
-		off = 1
+		one := relation.New(len(head))
+		one.Add(head, 1)
+		walkedSrcs, off = append([]Source{{Rel: one}}, srcs...), 1
 	}
 	plan, err := PlanRule(walked, walkedSrcs, off-1)
 	if err != nil {

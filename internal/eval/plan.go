@@ -662,9 +662,9 @@ func (w *ruleWalk) walk(k int, count int64) error {
 				}
 			}
 			return nil
-		case relation.RowSlice:
-			for _, row := range r {
-				if err := w.emit(st, k, row, count); err != nil || w.cut(k) {
+		case *relation.Refs:
+			for i := range r.Len() {
+				if err := w.emit(st, k, r.At(i), count); err != nil || w.cut(k) {
 					return err
 				}
 			}

@@ -464,7 +464,10 @@ func TestRederivePlanIgnoresCandidateSize(t *testing.T) {
 	prog, _ := parseProgram(t, `tc(X,Y) :- tc(X,Y), tc(X,Z), link(Z,Y).`)
 	rule := prog.Rules[0]
 	link, tc := fillSeq(2, 200, 50), fillSeq(2, 2000, 200)
-	d := relation.RowSlice(fillSeq(2, 5, 5).SortedRows())
+	d, five := new(relation.Refs), fillSeq(2, 5, 5)
+	for p := range five.Len() {
+		d.Append(five, p)
+	}
 	reg := metrics.NewRegistry()
 	p := NewPlanner(reg)
 	for delta, want := range map[int]string{

@@ -10,9 +10,10 @@ import (
 // Reader is the read-only access interface rule evaluation uses. Besides
 // *Relation itself, cheap composable views implement it: Overlay presents
 // "base ⊎ delta" without materializing it (so maintenance can see the new
-// state of a relation while the stored state is still old), and SetView
+// state of a relation while the stored state is still old), SetView
 // presents the set image (all counts 1) used when deriving higher strata
-// under set semantics (paper Section 5.1).
+// under set semantics (paper Section 5.1), and Refs holds the rows one
+// DRed round admitted by reference to where relations stored them.
 type Reader interface {
 	// Arity returns the relation arity (-1 if unknown).
 	Arity() int
@@ -31,53 +32,73 @@ var (
 	_ Reader = (*Relation)(nil)
 	_ Reader = (*overlay)(nil)
 	_ Reader = (*setView)(nil)
-	_ Reader = RowSlice(nil)
+	_ Reader = (*Refs)(nil)
 )
 
-// RowSlice is a Reader over distinct rows held in a slice: the Δ image of
-// one semi-naive round, which its join pins first and only scans, so
-// Count, Has and Lookup answer by scanning too. The empty RowSlice has
-// arity -1.
-type RowSlice []Row
+// Refs is a Reader over distinct rows of one arity, at count 1, held by
+// reference to the blocks relations stored them in (16 bytes a row; a Row
+// is 48): the Δ image of one semi-naive round, which its join pins first
+// and only scans, so Count, Has and lookups scan too. Empty, arity is -1.
+type Refs struct {
+	arity int32
+	refs  []ref
+}
 
-func (s RowSlice) Arity() int {
-	if len(s) == 0 {
+// Append refers s to r's row at position p, which s must not hold yet.
+func (s *Refs) Append(r *Relation, p int) {
+	c := &r.rows.cells[p]
+	s.arity, s.refs = r.arity, append(s.refs, ref{c.vals, c.kl})
+}
+
+// Reset empties s, keeping its array and clearing the references out of it.
+func (s *Refs) Reset() {
+	clear(s.refs)
+	s.refs = s.refs[:0]
+}
+
+func (s *Refs) Arity() int {
+	if len(s.refs) == 0 {
 		return -1
 	}
-	return len(s[0].Tuple)
+	return int(s.arity)
 }
 
-func (s RowSlice) Len() int { return len(s) }
+func (s *Refs) Len() int { return len(s.refs) }
 
-func (s RowSlice) Each(f func(Row)) {
-	for _, row := range s {
-		f(row)
+// At returns the i-th row, 0 ≤ i < Len(), in the order they were appended.
+func (s *Refs) At(i int) Row { return s.refs[i].row(s.arity) }
+
+func (s *Refs) Each(f func(Row)) {
+	for i := range s.refs {
+		f(s.At(i))
 	}
 }
 
-func (s RowSlice) Count(t value.Tuple) int64 {
+func (s *Refs) Count(t value.Tuple) int64 {
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
-	for _, row := range s {
-		if row.Key() == string(kb) {
-			return row.Count
+	for i := range s.refs {
+		if s.At(i).key == string(kb) {
+			return 1
 		}
 	}
 	return 0
 }
 
-func (s RowSlice) Has(t value.Tuple) bool { return s.Count(t) > 0 }
+func (s *Refs) Has(t value.Tuple) bool { return s.Count(t) > 0 }
 
-func (s RowSlice) Lookup(cols []int, keyVals value.Tuple) []Row {
+// lookup is LookupRun for s: a scan, whose rows it writes into *buf.
+func (s *Refs) lookup(cols []int, keyVals value.Tuple, buf *[]Row) Run {
 	var kbuf, pbuf [value.KeyScratch]byte
 	kb := keyVals.AppendKey(kbuf[:0])
-	var out []Row
-	for _, row := range s {
-		if bytes.Equal(row.Tuple.AppendProjKey(pbuf[:0], cols), kb) {
+	out := (*buf)[:0]
+	for i := range s.refs {
+		if row := s.At(i); bytes.Equal(row.Tuple.AppendProjKey(pbuf[:0], cols), kb) {
 			out = append(out, row)
 		}
 	}
-	return out
+	*buf = out
+	return Run{rows: out}
 }
 
 // overlay is the non-materialized base ⊎ delta view.
@@ -235,7 +256,7 @@ func lookupRun(r Reader, cols []int, keyVals value.Tuple, h uint32, buf *[]Row) 
 	case *setView:
 		return x.lookup(cols, keyVals, h, buf)
 	}
-	return Run{rows: r.(RowSlice).Lookup(cols, keyVals)} // the last Reader: a scan
+	return r.(*Refs).lookup(cols, keyVals, buf) // the last Reader: a scan
 }
 
 // LookupInto is LookupRun for a caller that wants the rows in a slice:

@@ -220,22 +220,37 @@ func readersAgree(t *testing.T, rng *rand.Rand, keys int, got Reader, want *Rela
 	}
 }
 
+// TestRowSliceAgreesWithRelation holds Refs, the reference slice that
+// replaced the row slice, to the relation of its rows at count 1. The rows
+// it refers to outlive the relations that stored them: those are reset
+// before it is read.
 func TestRowSliceAgreesWithRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
+	var rows Refs
 	for trial := 0; trial < 50; trial++ {
 		const keys = 12
-		want := randomDelta(rng, keys, 1+rng.Intn(40))
-		if want.Empty() {
+		src := randomDelta(rng, keys, 1+rng.Intn(40))
+		if src.Empty() {
 			continue
 		}
-		rows := RowSlice(want.Rows())
+		want := src.Pick(func(int, int64) int64 { return 1 })
+		rows.Reset()
+		for p := range src.Len() {
+			rows.Append(src, p)
+		}
+		src.Reset()
 		if rows.Len() != want.Len() {
 			t.Fatalf("Len %d, want %d", rows.Len(), want.Len())
 		}
-		readersAgree(t, rng, keys, rows, want, "whole")
+		for i := range rows.Len() {
+			if got := rows.At(i); got.Key() != want.At(i).Key() || got.Count != 1 {
+				t.Fatalf("row %d is %v %d, want %v 1", i, got.Tuple, got.Count, want.At(i).Tuple)
+			}
+		}
+		readersAgree(t, rng, keys, &rows, want, "whole")
 	}
-	if empty := RowSlice(nil); empty.Arity() != -1 || empty.Len() != 0 || empty.Has(value.T(1, "p0")) ||
-		len(empty.Lookup([]int{0}, value.T(1))) != 0 {
-		t.Fatal("the empty RowSlice has unknown arity and no rows")
+	if rows.Reset(); rows.Arity() != -1 || rows.Len() != 0 || rows.Has(value.T(1, "p0")) ||
+		len(LookupInto(&rows, []int{0}, value.T(1), new([]Row))) != 0 {
+		t.Fatal("emptied Refs have unknown arity and no rows")
 	}
 }

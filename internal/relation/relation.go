@@ -176,6 +176,17 @@ type cell struct {
 // key is the kl bytes behind the cell's arity values, in their block.
 func (c *cell) key(arity int32) string { return unsafe.String(behind(c.vals, int(arity)), c.kl) }
 
+// ref is a cell without its count or hash: 16 bytes, which Refs holds.
+type ref struct {
+	vals *value.Value
+	kl   uint32
+}
+
+// row reads back the row of arity values that x refers to, at count 1.
+func (x *ref) row(arity int32) Row {
+	return Row{Tuple: unsafe.Slice(x.vals, arity), Count: 1, key: unsafe.String(behind(x.vals, int(arity)), x.kl)}
+}
+
 // newCell packs a keyed row; h is the hash of row.key. It keeps every
 // stored row one block: a row whose key is not behind its values is
 // copied into one first.

@@ -23,7 +23,7 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these twenty-six bugs each fail the default budget (first
+// runs), these twenty-seven bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
@@ -48,8 +48,9 @@ package ivm_test
 // its Δ's negative sign part in step 3 as in step 1 [1]; a stored
 // relation's settle taking a net row whose count differs from its base
 // row's out of the net [10]; a built row's key copied into its block one
-// byte short [2]; a cell's key read one value early in its block [2];
-// recovery replaying a stale epoch's WAL records [23]; recovery leaving a
+// byte short [2]; a cell's key read one value early in its block [2]; a
+// round's frontier referring to the row before the one its fold admitted
+// [4]; recovery replaying a stale epoch's WAL records [23]; recovery leaving a
 // torn tail in the WAL it appends to [8].
 
 import (

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -37,6 +37,7 @@ mutations=(
 	"settle unnets a row whose count differs from its base row's|internal/relation/stored.go|c.vals == b.vals && c.count == b.count {|c.vals == b.vals {"
 	"a built row's key is copied one byte short|internal/relation/relation.go|copy(unsafe.Slice(kp, len(kb)), kb)|copy(unsafe.Slice(kp, len(kb)), kb[:max(len(kb), 1)-1])"
 	"a cell's key is read one value early in its block|internal/relation/relation.go|unsafe.String(behind(c.vals, int(arity)), c.kl)|unsafe.String(behind(c.vals, int(arity)-1), c.kl)"
+	"a round's frontier refers to the previous position's row|internal/relation/reader.go|c := &r.rows.cells[p]|c := &r.rows.cells[max(p, 1)-1]"
 	"recovery replays stale-epoch WAL records|internal/storage/store.go|case epoch == s.epoch:|case epoch <= s.epoch:"
 	"recovery leaves the torn tail in the WAL|internal/storage/store.go|if err := wal.Truncate(end); err != nil {|if err := wal.Truncate(size); err != nil {"
 )
