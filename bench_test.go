@@ -17,7 +17,7 @@ import (
 	"ivm/internal/parser"
 	"ivm/internal/relation"
 	"ivm/internal/storage"
-	"ivm/internal/workload"
+	"ivm/internal/value"
 )
 
 // BenchmarkPlannerSkew — the cost-based planner on skewed cardinalities:
@@ -45,7 +45,7 @@ const (
 )
 
 func skewViews(tb testing.TB) *ivm.Views {
-	hot, wide := workload.SkewedJoin(skewHotKeys, skewFanout, skewWideRows, skewOverlap)
+	hot, wide := skewedJoin(skewHotKeys, skewFanout, skewWideRows, skewOverlap)
 	db := ivm.NewDatabase()
 	for _, row := range hot.SortedRows() {
 		db.InsertTuple("hot", row.Tuple, 1)
@@ -64,7 +64,7 @@ func skewViews(tb testing.TB) *ivm.Views {
 // delete (odd i) a key that hits hot's fan-out and misses wide.
 func skewMissToggle(i int) *ivm.Update {
 	u := ivm.NewUpdate()
-	key := workload.SkewedReqKey(skewHotKeys, skewOverlap+(i/2)%(skewHotKeys-skewOverlap)).String()
+	key := skewedReqKey(skewHotKeys, skewOverlap+(i/2)%(skewHotKeys-skewOverlap)).String()
 	if i%2 == 0 {
 		u.Insert("req", key)
 	} else {
@@ -215,3 +215,39 @@ func BenchmarkEncodeCommitRecord(b *testing.B) {
 		b.SetBytes(int64(len(rec.Payload)))
 	}
 }
+
+// skewedJoin builds the adversarial cardinality shape for the join
+// planner benchmark, for the program
+//
+//	out(Y,Z) :- req(X), hot(X,Y), wide(X,Z).
+//
+// hot is small but fans out hugely: hotKeys distinct X values with
+// fanout Y rows each. wide is large but selective: wideRows rows whose X
+// values are unique, with only the first overlap rows reusing hot's
+// keys. A syntactic order (smaller relation first on a bound-count tie)
+// joins hot before wide and enumerates fanout rows per Δreq key; a
+// cardinality-aware order probes wide first and exits after ≤ overlap
+// matches.
+func skewedJoin(hotKeys, fanout, wideRows, overlap int) (hot, wide *relation.Relation) {
+	hot = relation.New(2)
+	for k := 0; k < hotKeys; k++ {
+		for f := 0; f < fanout; f++ {
+			hot.Add(value.Tuple{hotKey(k), value.NewString(fmt.Sprintf("y%d_%d", k, f))}, 1)
+		}
+	}
+	wide = relation.New(2)
+	for i := 0; i < wideRows; i++ {
+		x := value.NewString(fmt.Sprintf("w%d", i))
+		if i < overlap {
+			x = hotKey(i % hotKeys)
+		}
+		wide.Add(value.Tuple{x, value.NewString(fmt.Sprintf("z%d", i))}, 1)
+	}
+	return hot, wide
+}
+
+func hotKey(k int) value.Value { return value.NewString(fmt.Sprintf("h%d", k)) }
+
+// skewedReqKey returns the i-th Δreq key for skewedJoin data: a hot key,
+// so every delta drives the full hot fan-out under a syntactic order.
+func skewedReqKey(hotKeys, i int) value.Value { return hotKey(i % hotKeys) }

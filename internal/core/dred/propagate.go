@@ -7,6 +7,7 @@ import (
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
 	"ivm/internal/relation"
+	"ivm/internal/value"
 )
 
 // op is one maintenance operation's working state, which every stratum it
@@ -202,12 +203,11 @@ func (e *Engine) source(o *op, lit datalog.Literal, key eval.RuleLit, useNew boo
 }
 
 // scratchOut returns the operation's one output relation of head's arity,
-// emptied: evaluations write into it in turn, each fold consuming it
-// before the next evaluation starts. It dies with the operation (see
-// Relation.Reset), so a big one leaves nothing behind. Its lenders are
-// head's stored relation and net: δ⁺(p) ⊆ δ⁻(p) ⊆ p (§7) stores every head
-// of steps 1 and 2, step 3's may be in the net. Storage is written at
-// commit, the net between evaluations.
+// emptied: step 3's and materialize's evaluations write into it in turn,
+// each fold consuming it before the next evaluation starts. It dies with
+// the operation (see Relation.Reset), so a big one leaves nothing behind.
+// Its lenders are head's stored relation and net, where a head of step 3
+// may be. Storage is written at commit, the net between evaluations.
 func (e *Engine) scratchOut(o *op, head datalog.Atom) *relation.Relation {
 	out := o.scratch[len(head.Args)]
 	if out == nil {
@@ -227,29 +227,31 @@ func (e *Engine) sources(n int) []eval.Source {
 	return e.srcs[:n]
 }
 
-// evalStep evaluates one δ-rule of a DRed stratum or materialize into the
-// scratch output and returns it: literal li (none if < 0) reads img, every
-// other literal the old state (a PlanDeltaOld plan: step 1) or the new one.
+// evalStep evaluates one δ-rule of step 3 or materialize into the scratch
+// output and returns it: literal li (none if < 0) reads img, every other
+// literal the new state.
 func (e *Engine) evalStep(o *op, ri, li int, img relation.Reader, kind eval.PlanKind) (*relation.Relation, error) {
 	rule := e.prog.Rules[ri]
-	newBelow := len(rule.Body)
-	if kind == eval.PlanDeltaOld {
-		newBelow = 0
-	}
 	out := e.scratchOut(o, rule.Head)
-	if err := e.evalInto(o, ri, li, img, kind, newBelow, out); err != nil {
+	if err := e.evalInto(o, ri, li, img, kind, len(rule.Body), out); err != nil {
 		return nil, err
 	}
+	e.evaluated(rule.Head.Pred, out.Len())
+	return out, nil
+}
+
+// evaluated counts a δ-rule evaluation of a DRed stratum or materialize
+// that produced n tuples of pred, and tells the tracer.
+func (e *Engine) evaluated(pred string, n int) {
 	e.last.RuleFirings++
 	if e.tracer != nil {
-		e.tracer.RuleEvaluated(rule.Head.Pred, out.Len())
+		e.tracer.RuleEvaluated(pred, n)
 	}
-	return out, nil
 }
 
 // evalInto evaluates rule ri into out over the sources fill gives it, in
 // the engine's source list.
-func (e *Engine) evalInto(o *op, ri, li int, img relation.Reader, kind eval.PlanKind, newBelow int, out *relation.Relation) error {
+func (e *Engine) evalInto(o *op, ri, li int, img relation.Reader, kind eval.PlanKind, newBelow int, out eval.Output) error {
 	rule := e.prog.Rules[ri]
 	srcs := e.sources(len(rule.Body))
 	defer clear(srcs)
@@ -294,28 +296,42 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	for _, ri := range rules {
 		inStratum[e.prog.Rules[ri].Head.Pred] = true
 	}
+	defer e.unmark(inStratum)
 	// ---- Step 1: overestimate deletions. ----
-	// δ⁻(p) is the −1 rows of net[p], which no lower stratum wrote: step 1
-	// folds the overestimate into it, and step 2's +1 for a rederived tuple
-	// cancels its row, so from then on it holds exactly the true deletions.
-	// Every source of step 1 is old state and deltaT reads lower strata
-	// only, so nothing reads an in-stratum net before the fixpoint ends.
-	foldDel := func(pred string, derived *relation.Relation) {
-		stored, n, fr := e.db.Ensure(pred, -1), o.cascade[pred], o.fr[o.turn].of(pred)
-		for p := range derived.Len() {
-			if row := derived.At(p); row.Count > 0 && stored.Has(row.Tuple) && (n == nil || n.Count(row.Tuple) == 0) {
-				n = e.netOf(o, pred)
-				n.AddRow(row.WithCount(-1))
-				fr.Append(derived, p)
-			}
-		}
+	// δ⁻(p) ⊆ p: step 1 marks the places of the stored rows it
+	// overestimates (e.mark) as its walks derive them — every source of
+	// step 1 is old state, and deltaT reads lower strata only — and the
+	// fixpoint's places become the −1 rows of net[p], which no lower
+	// stratum wrote. Step 2's +1 for a rederived tuple cancels its row, so
+	// from then on the net holds exactly the true deletions.
+	m := &e.mark
+	into := func(pred string) int {
+		m.stored, m.add, m.places, m.fr = e.db.Ensure(pred, -1), true, e.over[pred], o.fr[o.turn].of(pred)
+		return len(m.places)
 	}
-	if err := e.sweep(o, rules, inStratum, true, foldDel); err != nil {
+	overestimate := func(ri, li int, img relation.Reader) error {
+		pred := e.prog.Rules[ri].Head.Pred
+		n := into(pred)
+		err := e.evalInto(o, ri, li, img, eval.PlanDeltaOld, 0, m)
+		if e.over[pred] = m.places; err == nil {
+			e.evaluated(pred, len(m.places)-n)
+		}
+		return err
+	}
+	seed := func(pred string, rows *relation.Relation) {
+		into(pred)
+		for p := range rows.Len() {
+			m.AddDerived(rows.At(p).Tuple, 1)
+		}
+		e.over[pred] = m.places
+	}
+	if err := e.sweep(o, rules, inStratum, true, overestimate, seed); err != nil {
 		return err
 	}
 	for pred := range inStratum {
-		if n := o.cascade[pred]; n != nil {
-			e.last.Overestimated += n.Len()
+		if ps := e.over[pred]; len(ps) > 0 {
+			o.cascade[pred] = e.db[pred].Gather(ps, -1)
+			e.last.Overestimated += len(ps)
 		}
 	}
 	var step2Start time.Time
@@ -331,41 +347,33 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	// rounds — work stays proportional to the overestimate, not rounds ×
 	// candidates. The candidates of δ⁺(p) :- δ⁻(p) & … are net[p] itself: a
 	// rederived tuple's +1 cancels its −1 row, so later rules and rounds see
-	// only what is still unexplained. A rederivation walk derives a head
-	// with the candidate's −1 multiplied into its count, the arithmetic-head
-	// path with a positive one: the fold takes either.
-	foldReadd := func(pred string, derived *relation.Relation) {
-		n, fr := o.cascade[pred], o.fr[o.turn].of(pred)
-		for p := range derived.Len() {
-			if row := derived.At(p); n.Count(row.Tuple) < 0 {
-				n.AddRow(row.WithCount(1))
-				fr.Append(derived, p)
-				e.last.Rederived++
-			}
-		}
-	}
-	readd := func(ri, li int, d relation.Reader) (*relation.Relation, error) {
-		head := e.prog.Rules[ri].Head
-		cand := o.cascade[head.Pred]
+	// only what is still unexplained. The walk reads that net, so its output
+	// unmarks what it rederives and refers the frontier to it, and the fold
+	// after the walk cancels the rows.
+	readd := func(ri, li int, d relation.Reader) error {
+		pred := e.prog.Rules[ri].Head.Pred
+		cand := o.cascade[pred]
 		if cand == nil || cand.Empty() {
-			return nil, nil
+			return nil
 		}
-		out := e.scratchOut(o, head)
-		return out, e.rederiveRule(o, ri, li, d, cand, out)
+		m.stored, m.add, m.fr = e.db[pred], false, o.fr[o.turn].of(pred)
+		from := m.fr.Len()
+		err := e.rederiveRule(o, ri, li, d, cand, m)
+		for i := from; i < m.fr.Len() && err == nil; i++ {
+			cand.AddRow(m.fr.At(i)) // at count 1: cancels its −1 row
+			e.last.Rederived++
+		}
+		return err
 	}
 	// First pass: full candidate check over the new state; then the rounds,
 	// in which newly readded tuples re-enable candidates whose derivations
 	// pass through them.
 	for _, ri := range rules {
-		out, err := readd(ri, -1, nil)
-		if err != nil {
+		if err := readd(ri, -1, nil); err != nil {
 			return err
 		}
-		if out != nil {
-			foldReadd(e.prog.Rules[ri].Head.Pred, out)
-		}
 	}
-	if err := e.rounds(o, rules, inStratum, readd, foldReadd); err != nil {
+	if err := e.rounds(o, rules, inStratum, readd); err != nil {
 		return err
 	}
 	var step3Start time.Time
@@ -385,7 +393,14 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 			}
 		}
 	}
-	if err := e.sweep(o, rules, inStratum, false, foldAdd); err != nil {
+	insert := func(ri, li int, img relation.Reader) error {
+		out, err := e.evalStep(o, ri, li, img, eval.PlanDeltaNew)
+		if err == nil {
+			foldAdd(e.prog.Rules[ri].Head.Pred, out)
+		}
+		return err
+	}
+	if err := e.sweep(o, rules, inStratum, false, insert, foldAdd); err != nil {
 		return err
 	}
 	if o.timing {
@@ -406,21 +421,58 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	return nil
 }
 
+// placer is steps 1 and 2's output. Given a head the state holds, step 1's
+// (add) admits it if its place is not yet marked, marking the place and
+// noting it in places; step 2's admits it if its place is marked — a
+// candidate the walk rederived — and clears the mark, so the walk takes it
+// once. Either refers the round's frontier, which the walk does not read,
+// to the state's row.
+type placer struct {
+	stored *relation.Stored
+	add    bool
+	places []int32
+	fr     *relation.Refs
+	heads  int // heads given since the engine was made
+}
+
+func (m *placer) AddDerived(t value.Tuple, _ int64) relation.Origin {
+	m.heads++
+	p := m.stored.Place(t)
+	if p < 0 || m.stored.Mark(p, m.add) == m.add {
+		return relation.Merged
+	}
+	if m.add {
+		m.places = append(m.places, int32(p))
+	}
+	m.fr.AppendPlace(m.stored, p)
+	return relation.Borrowed
+}
+
+// unmark clears every mark step 1 set on the stratum's relations, at its
+// end or failure, and empties their overestimates, each kept while within
+// keptCounts rows, and the outputs.
+func (e *Engine) unmark(inStratum map[string]bool) {
+	e.mark = placer{heads: e.mark.heads}
+	for pred := range inStratum {
+		ps := e.over[pred]
+		for _, p := range ps {
+			e.db[pred].Mark(int(p), false)
+		}
+		if cap(ps) > keptCounts {
+			ps = nil
+		}
+		e.over[pred] = ps[:0]
+	}
+}
+
 // sweep runs step 1 (del: deletions, over the old state) or step 3
 // (insertions, over the new state) of a DRed stratum: every δ-rule a lower
 // stratum's change drives, then the edit's seed, then the semi-naive
-// rounds; fold admits what each evaluation derives into the next round.
-func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, fold func(string, *relation.Relation)) error {
-	kind := eval.PlanDeltaNew
-	if del {
-		kind = eval.PlanDeltaOld
-	}
-	step := func(ri, li int, img relation.Reader) (*relation.Relation, error) {
-		return e.evalStep(o, ri, li, img, kind)
-	}
+// rounds. step evaluates a δ-rule and admits what it derives into the next
+// round, seed admits a seed's rows.
+func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, step func(ri, li int, img relation.Reader) error, seed func(string, *relation.Relation)) error {
 	for _, ri := range rules {
-		rule := e.prog.Rules[ri]
-		for li := range rule.Body {
+		for li := range e.prog.Rules[ri].Body {
 			img, err := e.image(o, ri, li, inStratum, del)
 			if err != nil {
 				return err
@@ -428,45 +480,36 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 			if img == nil || img.Empty() {
 				continue
 			}
-			out, err := step(ri, li, img)
-			if err != nil {
+			if err := step(ri, li, img); err != nil {
 				return err
 			}
-			fold(rule.Head.Pred, out)
 		}
 	}
-	for pred, seed := range o.seeds {
+	for pred, rows := range o.seeds {
 		if inStratum[pred] {
-			fold(pred, signPart(seed, del))
+			seed(pred, signPart(rows, del))
 		}
 	}
-	return e.rounds(o, rules, inStratum, step, fold)
+	return e.rounds(o, rules, inStratum, step)
 }
 
 // rounds runs semi-naive rounds from the frontier o's folds have filled:
 // in each, step evaluates every rule with an in-stratum literal bound to
-// the previous round's rows, and fold takes what it derived (a nil result
-// is no evaluation), until a round lets no row through.
-func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, step func(ri, li int, d relation.Reader) (*relation.Relation, error), fold func(string, *relation.Relation)) error {
+// the previous round's rows and admits what it derived, until a round lets
+// no row through.
+func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, step func(ri, li int, d relation.Reader) error) error {
 	for {
 		e.last.FixpointRounds++
 		cur := o.next()
 		for _, ri := range rules {
-			rule := e.prog.Rules[ri]
-			for li, lit := range rule.Body {
+			for li, lit := range e.prog.Rules[ri].Body {
 				if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
 					continue
 				}
-				d := cur[lit.Atom.Pred]
-				if d == nil || d.Len() == 0 {
-					continue
-				}
-				out, err := step(ri, li, d)
-				if err != nil {
-					return err
-				}
-				if out != nil {
-					fold(rule.Head.Pred, out)
+				if d := cur[lit.Atom.Pred]; d != nil && d.Len() > 0 {
+					if err := step(ri, li, d); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -500,8 +543,12 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 			}
 		}
 	}
-	step := func(ri, li int, d relation.Reader) (*relation.Relation, error) {
-		return m.evalStep(o, ri, li, d, eval.PlanEval)
+	step := func(ri, li int, d relation.Reader) error {
+		out, err := m.evalStep(o, ri, li, d, eval.PlanEval)
+		if err == nil {
+			fold(m.prog.Rules[ri].Head.Pred, out)
+		}
+		return err
 	}
 	var strata []StratumTrace
 	for s, rules := range m.strat.RulesByStratum(m.prog) {
@@ -526,11 +573,9 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 			switch {
 			case reads(ri): // derives nothing until the rounds
 			case loops:
-				out, err := step(ri, -1, nil)
-				if err != nil {
+				if err := step(ri, -1, nil); err != nil {
 					return nil, err
 				}
-				fold(rule.Head.Pred, out)
 			default:
 				out := m.db[rule.Head.Pred].Relation()
 				for j, lit := range rule.Body {
@@ -550,7 +595,7 @@ func (e *Engine) materialize() ([]StratumTrace, error) {
 			}
 		}
 		if loops {
-			if err := m.rounds(o, rules, inStratum, step, fold); err != nil {
+			if err := m.rounds(o, rules, inStratum, step); err != nil {
 				return nil, err
 			}
 		}
@@ -595,7 +640,7 @@ func (e *Engine) image(o *op, ri, li int, inStratum map[string]bool, neg bool) (
 // round, so non-candidate heads are cut early. A head with expressions has
 // no aux rule: the rule is evaluated whole, its output intersected with
 // cand by the fold.
-func (e *Engine) rederiveRule(o *op, ri, li int, d relation.Reader, cand *relation.Relation, out *relation.Relation) error {
+func (e *Engine) rederiveRule(o *op, ri, li int, d relation.Reader, cand *relation.Relation, out eval.Output) error {
 	rule := e.prog.Rules[ri]
 	srcs := e.sources(len(rule.Body) + 1)
 	defer clear(srcs)

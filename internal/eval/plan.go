@@ -498,9 +498,15 @@ func EvalRule(rule datalog.Rule, srcs []Source, firstLit int, out *relation.Rela
 	return EvalPlan(rule, srcs, plan, out, in)
 }
 
+// Output takes the heads a walk derives, each with its derivation's count,
+// and says where it found the head's row. A *relation.Relation is one.
+type Output interface {
+	AddDerived(t value.Tuple, count int64) relation.Origin
+}
+
 // EvalPlan is EvalRule following an already built (typically cached)
-// plan for the same rule shape.
-func EvalPlan(rule datalog.Rule, srcs []Source, plan *Plan, out *relation.Relation, in *Instruments) error {
+// plan for the same rule shape, into any Output.
+func EvalPlan(rule datalog.Rule, srcs []Source, plan *Plan, out Output, in *Instruments) error {
 	if len(srcs) != len(rule.Body) {
 		return fmt.Errorf("eval: rule has %d literals but %d sources given", len(rule.Body), len(srcs))
 	}
@@ -524,7 +530,7 @@ func EvalPlan(rule datalog.Rule, srcs []Source, plan *Plan, out *relation.Relati
 type ruleWalk struct {
 	plan *Plan
 	srcs []Source
-	out  *relation.Relation
+	out  Output
 	// leaf, when set, takes each derivation in out's place (Explain).
 	leaf  func() error
 	slots []value.Value

@@ -348,7 +348,7 @@ func e9(s scale) []cell {
 		{"dred", views(dred.DRed, eval.Set, tcProgram), dredWork},
 		{"pf-per-relation", pfEngine(false), pfWork},
 		{"pf-per-tuple", pfEngine(true), pfWork},
-	}, []batch{{"", workload.ClusteredDeletes(link, 16)}})
+	}, []batch{{"", clusteredDeletes(link, 16)}})
 }
 
 // e10 — Section 7's rule insertion and deletion. Claim: DRed maintains
@@ -573,4 +573,20 @@ func weightedMixed(r *rand.Rand, link *relation.Relation, nodes, k int) *relatio
 		}
 	})
 	return d
+}
+
+// clusteredDeletes deletes k consecutive tuples (in sorted order) from
+// the middle of rel: overlapping effect regions, the worst case for
+// per-change fragmented propagation (the PF baseline).
+func clusteredDeletes(rel *relation.Relation, k int) *relation.Relation {
+	rows := rel.SortedRows()
+	if k > len(rows) {
+		k = len(rows)
+	}
+	start := (len(rows) - k) / 2
+	out := relation.New(rel.Arity())
+	for _, row := range rows[start : start+k] {
+		out.Add(row.Tuple, -1)
+	}
+	return out
 }

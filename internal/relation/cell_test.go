@@ -224,7 +224,7 @@ func checkRuns(t *testing.T, where string, r *Relation) {
 }
 
 // The model test of the cell layout: seeded random Add / AddRow / Set /
-// Delete / MergeDelta / Clone / cloneIndexed / Negate / ToSet / SetDiff /
+// Delete / MergeDelta / Clone / cloneIndexed / Negate / ToSet / setDiff /
 // Reset streams over arities 0–6, relations created with their arity and
 // with -1, and int, float and string values, some strings long enough
 // for keys of 65–300 bytes, against a plain map: the rows past arity 4 or
@@ -327,7 +327,7 @@ func TestCellsAgainstPlainModel(t *testing.T) {
 						next[row.Key()] = modelRow{row.Tuple, -1}
 					}
 				})
-				r, m = SetDiff(r, b), next
+				r, m = setDiff(r, b), next
 			case 14:
 				op = "Reset"
 				r.Reset()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 
@@ -42,15 +41,20 @@ func churn() []byte {
 // to the delta with count 0 cancels the tuple's count in base ⊎ delta. A
 // tuple's first value is an int, or +0.0, -0.0 or NaN, which key identity
 // tells apart and matches as themselves. After every operation it checks
-// the tuple touched, and Lookup on {0}, {1} and {0,1} for its projections
-// (so every later operation maintains those indexes), of the relation and
-// of Overlay(relation, delta) through one reused buffer, and every built
+// the tuple touched: its count in the relation, the Stored and the
+// overlay, and Lookup on {0}, {1} and {0,1} for its projections (so every
+// later operation maintains those indexes); and that the cell after the
+// last row, which a delete empties, is empty. Every wholeEvery operations
+// and at the end it checks what costs a pass over every row: every built
 // index's runs against a scan (checkRuns), so a swap-remove that loses the
-// row it moves fails at once; at the end and at every copy, the whole
-// content and every projection (the relation a copy leaves behind must
-// keep what it had). The Stored must read as the relation does, in the
-// order the place model gives, after every operation (samePlaces).
+// row it moves fails within wholeEvery operations; Lookup of the tuples
+// touched since the last such check on Overlay(relation, delta) through
+// one reused buffer; and that the Stored reads as the relation does, in
+// the order the place model gives (samePlaces). At the end and at every
+// copy, the whole content and every projection (the relation a copy
+// leaves behind must keep what it had).
 func FuzzTableOps(f *testing.F) {
+	const wholeEvery = 7 // odd: a stream that alternates two operations is checked after each
 	f.Add(churn())
 	f.Add([]byte{0x80, 1, 0x81, 1, 0x93, 2, 0x04, 0, 0x62, 1, 0x05, 0, 0x80, 3})
 	f.Add([]byte{0x80, 13, 0x80, 14, 0x80, 15, 0x81, 0x1d, 0x86, 13, 0x76, 14, 0x96, 0x2f, 0x76, 15, 0x66, 0x1e, 0x02, 13})
@@ -104,16 +108,20 @@ func FuzzTableOps(f *testing.F) {
 				model = append(model, Row{Tuple: tuples[k], Count: c, key: k})
 			}
 			for _, cols := range cols {
+				wants := make(map[string]map[string]int64, len(probes)) // by projection: one pass over the model
 				for _, tu := range probes {
-					kv, got, want := tu.Project(cols), map[string]int64{}, map[string]int64{}
-					run := r.Lookup(cols, kv)
+					wants[tu.Project(cols).Key()] = map[string]int64{}
+				}
+				for _, row := range model {
+					if want, ok := wants[row.Tuple.Project(cols).Key()]; ok {
+						want[row.key] = row.Count
+					}
+				}
+				for _, tu := range probes {
+					kv, got := tu.Project(cols), map[string]int64{}
+					run, want := r.Lookup(cols, kv), wants[kv.Key()]
 					for _, row := range run {
 						got[row.Key()] = row.Count
-					}
-					for _, row := range model {
-						if slices.IndexFunc(cols, func(c int) bool { return row.Tuple[c] != tu[c] }) < 0 {
-							want[row.key] = row.Count
-						}
 					}
 					if len(run) != len(got) || !maps.Equal(got, want) {
 						t.Fatalf("%s: Lookup(%v, %v) = %v, model %v", where, cols, kv, run, want)
@@ -142,6 +150,7 @@ func FuzzTableOps(f *testing.F) {
 			}
 			lookups(where, r, m, probes...)
 		}
+		var touched []value.Tuple // since the last whole check
 		first := []value.Value{13: value.NewFloat(0), 14: value.NewFloat(math.Copysign(0, -1)), 15: value.NewFloat(math.NaN())}
 		for i := 0; i+1 < len(ops); i += 2 {
 			tu := value.T(int64(ops[i+1]%16), strings.Repeat("k", 20*int(ops[i+1]/16)), 2, 0.5, "p", -4)[:arity]
@@ -201,12 +210,25 @@ func FuzzTableOps(f *testing.F) {
 			if got := r.Count(tu); got != m[k] {
 				t.Fatalf("op %d (%#x %d): Count(%v) = %d, model %d", i/2, ops[i], ops[i+1], tu, got, m[k])
 			}
+			if got := st.Count(tu); got != m[k] {
+				t.Fatalf("op %d (%#x %d): the Stored's Count(%v) = %d, model %d", i/2, ops[i], ops[i+1], tu, got, m[k])
+			}
+			if got, want := Overlay(r, delta).Count(tu), m[k]+delta.Count(tu); got != want {
+				t.Fatalf("op %d (%#x %d): the overlay's Count(%v) = %d, want %d", i/2, ops[i], ops[i+1], tu, got, want)
+			}
 			where := fmt.Sprintf("op %d (%#x %d)", i/2, ops[i], ops[i+1])
 			lookups(where, r, m, tu)
-			checkRuns(t, where, r)
-			overlays(where, tu)
-			samePlaces(t, where, st, pl, r, cols, tu)
+			if n := r.Len(); n < cap(r.rows.cells) && r.rows.cells[:n+1][n].cell != (cell{}) {
+				t.Fatalf("%s: the cell after the last row, which a delete empties, holds %+v", where, r.rows.cells[:n+1][n].cell)
+			}
+			if touched = append(touched, tu); i/2%wholeEvery == wholeEvery-1 {
+				checkRuns(t, where, r)
+				overlays(where, touched...)
+				samePlaces(t, where, st, pl, r, cols, touched...)
+				touched = touched[:0]
+			}
 		}
+		checkRuns(t, "at the end", r)
 		same("at the end", r, m)
 		var probes []value.Tuple
 		for _, tu := range tuples {

@@ -50,6 +50,12 @@ func (s *Refs) Append(r *Relation, p int) {
 	s.arity, s.refs = r.arity, append(s.refs, ref{c.vals, c.kl})
 }
 
+// AppendPlace refers s to the row at place p of st, which s must not hold yet.
+func (s *Refs) AppendPlace(st *Stored, p int) {
+	c := st.cellAt(p)
+	s.arity, s.refs = int32(st.Arity()), append(s.refs, ref{c.vals, c.kl})
+}
+
 // Reset empties s, keeping its array and clearing the references out of it.
 func (s *Refs) Reset() {
 	clear(s.refs)

@@ -595,29 +595,6 @@ func Diff(old, new Reader) *Relation {
 	return out
 }
 
-// SetDiff returns set(a) − set(b) as a signed delta: tuples in a but not b
-// get +1, tuples in b but not a get −1. This implements statement (2) of
-// Algorithm 4.1 (the cascade delta under set semantics).
-func SetDiff(a, b *Relation) *Relation {
-	out := New(pickArity(a, b))
-	if b.Len() > 0 && b.arity != out.arity { // out takes cells of both
-		panic(fmt.Sprintf("relation: SetDiff of arity-%d and arity-%d relations", a.arity, b.arity))
-	}
-	for _, c := range a.rows.cells {
-		if c.count > 0 && countAt(b, c.h, c.key(a.arity)) <= 0 {
-			c.count = 1
-			out.rows.insert(c.cell)
-		}
-	}
-	for _, c := range b.rows.cells {
-		if c.count > 0 && countAt(a, c.h, c.key(b.arity)) <= 0 {
-			c.count = -1
-			out.rows.insert(c.cell)
-		}
-	}
-	return out
-}
-
 // Equal reports whether two relations contain exactly the same tuples with
 // the same counts.
 func Equal(a, b *Relation) bool {
@@ -645,13 +622,6 @@ func EqualAsSets(a, b *Relation) bool {
 		}
 	}
 	return true
-}
-
-func pickArity(a, b *Relation) int {
-	if a.arity >= 0 {
-		return a.Arity()
-	}
-	return b.Arity()
 }
 
 // String renders the relation like the paper: {ab 2, mn -1} with tuples in

@@ -90,9 +90,9 @@ func TestToSetAndSetDiff(t *testing.T) {
 	}
 	a := rel(row(2, "x"), row(1, "y"))
 	b := rel(row(1, "y"), row(4, "z"))
-	d := SetDiff(a, b)
+	d := setDiff(a, b)
 	if d.Count(value.T("x")) != 1 || d.Count(value.T("z")) != -1 || d.Count(value.T("y")) != 0 {
-		t.Errorf("SetDiff: %v", d)
+		t.Errorf("setDiff: %v", d)
 	}
 }
 
@@ -378,4 +378,30 @@ func FromRows(arity int, rows []Row) *Relation {
 		r.AddRow(row)
 	}
 	return r
+}
+
+// setDiff returns set(a) − set(b) as a signed delta: tuples in a but not b
+// get +1, tuples in b but not a get −1. This implements statement (2) of
+// Algorithm 4.1 (the cascade delta under set semantics).
+func setDiff(a, b *Relation) *Relation {
+	out := New(int(a.arity))
+	if a.arity < 0 {
+		out.arity = b.arity
+	}
+	if b.Len() > 0 && b.arity != out.arity { // out takes cells of both
+		panic(fmt.Sprintf("relation: setDiff of arity-%d and arity-%d relations", a.arity, b.arity))
+	}
+	for _, c := range a.rows.cells {
+		if c.count > 0 && countAt(b, c.h, c.key(a.arity)) <= 0 {
+			c.count = 1
+			out.rows.insert(c.cell)
+		}
+	}
+	for _, c := range b.rows.cells {
+		if c.count > 0 && countAt(a, c.h, c.key(b.arity)) <= 0 {
+			c.count = -1
+			out.rows.insert(c.cell)
+		}
+	}
+	return out
 }

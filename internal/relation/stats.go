@@ -255,8 +255,13 @@ func IndexesBuilt() int64 { return indexesBuilt.Load() }
 var rowsLinked, rowsCopied atomic.Int64
 
 // rowProbes counts the Δ rows a Stored has been probed for by the key
-// their cells carry: each row of Counts, MergeDelta and Lend.
+// their cells carry, each row of Counts, MergeDelta and Lend, and the
+// tuples Place located.
 var rowProbes atomic.Int64
+
+// RowProbes returns how many Δ rows and tuples the process's Stored
+// relations have been probed for by key (rowProbes).
+func RowProbes() int64 { return rowProbes.Load() }
 
 // VersionRows returns the cumulative rows linked by Push and rows copied
 // by compaction, rebasing or flattening, across all versions in the process.

@@ -37,6 +37,7 @@ type Stored struct {
 	cols   [][]int     // the column sets the writer has probed, oldest first
 	order  []int32     // lookup scratch: a run's net rows in place order
 	copied int         // rows rebases copied since the last Publish
+	marks  []uint64    // a bit per place, the writer's (Mark)
 }
 
 var _ Reader = (*Stored)(nil)
@@ -219,6 +220,63 @@ func (s *Stored) Has(t value.Tuple) bool { return s.Count(t) > 0 }
 // Stored returns the row stored under the canonical key kb, or base's row
 // at count 0 where the state has deleted it: a fold borrows its tuple.
 func (s *Stored) Stored(kb []byte) (Row, bool) { return storedRow(s, hashBytes(kb), kb) }
+
+// Place returns the place of t's row if the state holds it at a positive
+// count, else -1: one encode, one hash and one probe of the state, counted
+// with the Δ rows' probes (RowProbes).
+func (s *Stored) Place(t value.Tuple) int {
+	rowProbes.Add(1)
+	var buf [value.KeyScratch]byte
+	kb := t.AppendKey(buf[:0])
+	h, p := hashBytes(kb), -1
+	if s.private() {
+		p = find(s.base, h, kb)
+	} else if i, q := locate(s, h, kb); i >= 0 {
+		p = int(s.pos[i])
+	} else if q >= 0 && s.kept(int32(q)) {
+		p = q
+	}
+	if p < 0 || s.cellAt(p).count <= 0 {
+		return -1
+	}
+	return p
+}
+
+// Mark sets the mark of place p < Len() to on and reports whether it was
+// set. The marks are the writer's, one bit per place: a DRed stratum marks
+// the rows it overestimates and clears each before the state changes.
+func (s *Stored) Mark(p int, on bool) bool {
+	if p/64 >= len(s.marks) {
+		s.marks = append(s.marks, make([]uint64, (s.Len()+63)/64-len(s.marks))...)
+	}
+	w, b := &s.marks[p/64], uint64(1)<<(p%64)
+	was := *w&b != 0
+	if *w &^= b; on {
+		*w |= b
+	}
+	return was
+}
+
+// Gather returns the rows at the given distinct places, in that order, at
+// count, in a table made to size: the state's cells, so no tuple is
+// encoded and no key hashed.
+func (s *Stored) Gather(places []int32, count int64) *Relation {
+	out := NewSized(s.Arity(), len(places))
+	for _, p := range places {
+		c := *s.cellAt(int(p))
+		c.count = count
+		out.rows.insert(c)
+	}
+	return out
+}
+
+// cellAt returns the cell of the row at place p < Len().
+func (s *Stored) cellAt(p int) *cell {
+	if i := s.atp(p); i != 0 {
+		return &s.net.rows.cells[i-1].cell
+	}
+	return &s.base.rows.cells[p].cell
+}
 
 // rowAt returns the row at place p < n.
 func (s *Stored) rowAt(p int) Row {

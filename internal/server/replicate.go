@@ -109,17 +109,24 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	h := s.v.History()
+	// frame is the stream's one record buffer, reused once w.Write has
+	// returned, and dropped when a record (an 'S' state) leaves it larger
+	// than storage.MaxScratch.
+	var frame []byte
 	send := func(rec storage.ReplRecord) bool {
 		// Every record carries the node's current fencing epoch: the
 		// follower's split-brain guard rides the stream itself.
 		rec.Epoch = s.v.FenceEpoch()
-		buf, err := storage.AppendReplRecord(nil, rec)
+		buf, err := storage.AppendReplRecord(frame[:0], rec)
 		if err != nil {
 			s.Info("ivmd: replicate: encoding record", slog.Uint64("record", rec.Version), slog.Any("err", err))
 			return false
 		}
 		if _, err := w.Write(buf); err != nil {
 			return false
+		}
+		if frame = buf; cap(buf) > storage.MaxScratch {
+			frame = nil
 		}
 		flusher.Flush()
 		return true

@@ -114,11 +114,13 @@ func appendHeader(dst []byte, format byte, version uint64, keys []string) ([]byt
 }
 
 // recordScratch holds the buffers records are rendered in before being
-// copied out at their exact size — up to maxScratch: a bulk commit's
+// copied out at their exact size — up to MaxScratch: a bulk commit's
 // buffer, pooled, would stay live while small commits reuse it.
 var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxScratch = 64 << 10
+// MaxScratch is the largest buffer a record is rendered in that is kept
+// for the next record.
+const MaxScratch = 64 << 10
 
 // appendSection renders one predicate's section of a delta section (or of
 // a state record): its name, arity and row count, then each row as its
@@ -154,7 +156,7 @@ func EncodeCommitRecord(version uint64, keys []string, program *string, engine b
 	scratch := recordScratch.Get().(*[]byte)
 	buf, err := appendHeader((*scratch)[:0], formatDeltas, version, keys)
 	defer func() {
-		if cap(buf) <= maxScratch {
+		if cap(buf) <= MaxScratch {
 			*scratch = buf
 			recordScratch.Put(scratch)
 		}

@@ -970,15 +970,15 @@ func sansPayload(recs []CommitRecord) []CommitRecord {
 // commits that reuse pooled buffers would otherwise keep it live.
 func TestRecordScratchDropsBulkBuffers(t *testing.T) {
 	bulk := relation.New(1)
-	for i := int64(0); bulk.Len() < maxScratch/4; i++ {
+	for i := int64(0); bulk.Len() < MaxScratch/4; i++ {
 		bulk.Add(value.T(i), 1)
 	}
 	if _, err := EncodeCommitRecord(2, nil, nil, 0, map[string]*relation.Relation{"p": bulk}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if b := recordScratch.Get().(*[]byte); cap(*b) > maxScratch {
-			t.Fatalf("the pool holds a %d-byte buffer (cap %d)", cap(*b), maxScratch)
+		if b := recordScratch.Get().(*[]byte); cap(*b) > MaxScratch {
+			t.Fatalf("the pool holds a %d-byte buffer (cap %d)", cap(*b), MaxScratch)
 		}
 	}
 }

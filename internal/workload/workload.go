@@ -118,58 +118,6 @@ func LayeredDAG(rng *rand.Rand, layers, width, fanout int) *relation.Relation {
 	return rel
 }
 
-// SkewedJoin builds the adversarial cardinality shape for the join
-// planner benchmark, for the program
-//
-//	out(Y,Z) :- req(X), hot(X,Y), wide(X,Z).
-//
-// hot is small but fans out hugely: hotKeys distinct X values with
-// fanout Y rows each. wide is large but selective: wideRows rows whose X
-// values are unique, with only the first overlap rows reusing hot's
-// keys. A syntactic order (smaller relation first on a bound-count tie)
-// joins hot before wide and enumerates fanout rows per Δreq key; a
-// cardinality-aware order probes wide first and exits after ≤ overlap
-// matches.
-func SkewedJoin(hotKeys, fanout, wideRows, overlap int) (hot, wide *relation.Relation) {
-	hot = relation.New(2)
-	for k := 0; k < hotKeys; k++ {
-		for f := 0; f < fanout; f++ {
-			hot.Add(value.Tuple{hotKey(k), value.NewString(fmt.Sprintf("y%d_%d", k, f))}, 1)
-		}
-	}
-	wide = relation.New(2)
-	for i := 0; i < wideRows; i++ {
-		x := value.NewString(fmt.Sprintf("w%d", i))
-		if i < overlap {
-			x = hotKey(i % hotKeys)
-		}
-		wide.Add(value.Tuple{x, value.NewString(fmt.Sprintf("z%d", i))}, 1)
-	}
-	return hot, wide
-}
-
-func hotKey(k int) value.Value { return value.NewString(fmt.Sprintf("h%d", k)) }
-
-// SkewedReqKey returns the i-th Δreq key for SkewedJoin data: a hot key,
-// so every delta drives the full hot fan-out under a syntactic order.
-func SkewedReqKey(hotKeys, i int) value.Value { return hotKey(i % hotKeys) }
-
-// ClusteredDeletes deletes k consecutive tuples (in sorted order) from
-// the middle of rel: overlapping effect regions, the worst case for
-// per-change fragmented propagation (the PF baseline).
-func ClusteredDeletes(rel *relation.Relation, k int) *relation.Relation {
-	rows := rel.SortedRows()
-	if k > len(rows) {
-		k = len(rows)
-	}
-	start := (len(rows) - k) / 2
-	out := relation.New(rel.Arity())
-	for _, row := range rows[start : start+k] {
-		out.Add(row.Tuple, -1)
-	}
-	return out
-}
-
 // SampleDeletes picks k distinct stored tuples of rel uniformly and
 // returns them as a deletion delta (count −1 each).
 func SampleDeletes(rng *rand.Rand, rel *relation.Relation, k int) *relation.Relation {

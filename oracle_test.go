@@ -23,7 +23,7 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these twenty-seven bugs each fail the default budget (first
+// runs), these twenty-eight bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
@@ -51,7 +51,9 @@ package ivm_test
 // byte short [2]; a cell's key read one value early in its block [2]; a
 // round's frontier referring to the row before the one its fold admitted
 // [4]; recovery replaying a stale epoch's WAL records [23]; recovery leaving a
-// torn tail in the WAL it appends to [8].
+// torn tail in the WAL it appends to [8]; a DRed stratum's end leaving the
+// places its step 1 marked marked, and its overestimate's list of them
+// full [6].
 
 import (
 	"cmp"

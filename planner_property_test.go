@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ivm"
-	"ivm/internal/workload"
 )
 
 // TestPlannerCacheSteadyState drives many same-shaped update batches and
@@ -74,7 +73,7 @@ func TestPlannerSkewProbeCount(t *testing.T) {
 	// Then the keys wide does cover, so the view is not empty.
 	u := ivm.NewUpdate()
 	for k := 0; k < skewOverlap; k++ {
-		u.Insert("req", workload.SkewedReqKey(skewHotKeys, k).String())
+		u.Insert("req", skewedReqKey(skewHotKeys, k).String())
 	}
 	if _, err := v.Apply(u); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59, E60) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -24,7 +24,7 @@ mutations=(
 	"a SUM stays a Float once it held one (PR 31)|internal/agg/agg.go|	if s.floats += mult; s.floats == 0 {|	if s.floats += max(mult, 0); s.floats == 0 {"
 	"SUM's Result is one too many|internal/agg/agg.go|	return value.NewInt(s.i), true|	return value.NewInt(s.i + 1), true"
 	"CmpLt evaluates as <=|internal/datalog/ast.go|		return c < 0|		return c <= 0"
-	"materialize skips the semi-naive rounds after the seed pass|internal/core/dred/propagate.go|m.rounds(o, rules, inStratum, step, fold)|error(nil)"
+	"materialize skips the semi-naive rounds after the seed pass|internal/core/dred/propagate.go|m.rounds(o, rules, inStratum, step)|error(nil)"
 	"a DRed image takes Δ's negative part in both steps|internal/core/dred/propagate.go|return signPart(d, neg), nil|return signPart(d, true), nil"
 	"counting commits its working Δ(head) uncopied and unfrozen|internal/core/dred/counting.go|		dp.Freeze()|		dp = w"
 	"the trace is stamped with the predecessor's version|snapshot.go|&ApplyTrace{Version: id, Strategy: v.strategy|&ApplyTrace{Version: id - 1, Strategy: v.strategy"
@@ -40,6 +40,7 @@ mutations=(
 	"a round's frontier refers to the previous position's row|internal/relation/reader.go|c := &r.rows.cells[p]|c := &r.rows.cells[max(p, 1)-1]"
 	"recovery replays stale-epoch WAL records|internal/storage/store.go|case epoch == s.epoch:|case epoch <= s.epoch:"
 	"recovery leaves the torn tail in the WAL|internal/storage/store.go|if err := wal.Truncate(end); err != nil {|if err := wal.Truncate(size); err != nil {"
+	"a DRed stratum's end leaves the places its step 1 marked marked|internal/core/dred/propagate.go|	defer e.unmark(inStratum)|	_ = e.unmark"
 )
 
 work="$(mktemp -d)"
