@@ -94,20 +94,21 @@ cover:
 	awk -v t="$$total" -v b="$$baseline" 'BEGIN { exit !(t+0 >= b+0) }' || { \
 		echo "coverage $${total}% fell below the $${baseline}% baseline" >&2; exit 1; }
 
-# 30s of native fuzzing per target (the same twelve as CI).
+# 30s of native fuzzing per target (the same twelve as CI), minimizing
+# each new input for at most 1s so that the budget is spent executing.
 fuzz-smoke:
-	$(GO) test -fuzz FuzzParseUpdate -fuzztime 30s -run '^$$' .
-	$(GO) test -fuzz FuzzScanWAL -fuzztime 30s -run '^$$' ./internal/storage
-	$(GO) test -fuzz FuzzReplRecord -fuzztime 30s -run '^$$' ./internal/storage
-	$(GO) test -fuzz FuzzSQLParse -fuzztime 30s -run '^$$' ./internal/sqlview
-	$(GO) test -fuzz FuzzTableOps -fuzztime 30s -run '^$$' ./internal/relation
-	$(GO) test -fuzz FuzzGroupTable -fuzztime 30s -run '^$$' ./internal/eval
-	$(GO) test -fuzz FuzzCompare -fuzztime 30s -run '^$$' ./internal/value
-	$(GO) test -fuzz FuzzOracle -fuzztime 30s -run '^$$' .
-	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s -run '^$$' ./internal/parser
-	$(GO) test -fuzz FuzzParseDelta -fuzztime 30s -run '^$$' ./internal/parser
-	$(GO) test -fuzz FuzzParseGoal -fuzztime 30s -run '^$$' ./internal/parser
-	$(GO) test -fuzz FuzzTupleFromKey -fuzztime 30s -run '^$$' ./internal/value
+	$(GO) test -fuzz FuzzParseUpdate -fuzztime 30s -fuzzminimizetime 1s -run '^$$' .
+	$(GO) test -fuzz FuzzScanWAL -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/storage
+	$(GO) test -fuzz FuzzReplRecord -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/storage
+	$(GO) test -fuzz FuzzSQLParse -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/sqlview
+	$(GO) test -fuzz FuzzTableOps -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/relation
+	$(GO) test -fuzz FuzzGroupTable -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/eval
+	$(GO) test -fuzz FuzzCompare -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/value
+	$(GO) test -fuzz FuzzOracle -fuzztime 30s -fuzzminimizetime 1s -run '^$$' .
+	$(GO) test -fuzz 'FuzzParse$$' -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/parser
+	$(GO) test -fuzz FuzzParseDelta -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/parser
+	$(GO) test -fuzz FuzzParseGoal -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/parser
+	$(GO) test -fuzz FuzzTupleFromKey -fuzztime 30s -fuzzminimizetime 1s -run '^$$' ./internal/value
 
 # Each one-line bug of scripts/oracle_mutations.sh, put back in a copy of
 # the tree, must make TestOracle fail (EXPERIMENTS.md E34, E40).

@@ -71,7 +71,7 @@ func TestPFMatchesDRedResults(t *testing.T) {
 		if _, err := d.Apply(dm); err != nil {
 			t.Fatalf("dred round %d: %v", round, err)
 		}
-		if !relation.EqualAsSets(p.Relation("tc"), d.Relation("tc")) {
+		if !relation.Equal(p.Relation("tc").ToSet(), d.Relation("tc").ToSet()) {
 			t.Fatalf("round %d: tc diverges\npf:   %v\ndred: %v", round, p.Relation("tc"), d.Relation("tc"))
 		}
 	}

@@ -323,7 +323,7 @@ func TestRandomizedAgainstRecompute(t *testing.T) {
 					if !relation.Equal(a, b) {
 						t.Fatalf("%v round %d: %s counts diverge:\ncounting:  %v\nrecompute: %v", sem, round, pred, a, b)
 					}
-				} else if !relation.EqualAsSets(a, b) {
+				} else if !relation.Equal(a.ToSet(), b.ToSet()) {
 					t.Fatalf("%v round %d: %s sets diverge:\ncounting:  %v\nrecompute: %v", sem, round, pred, a, b)
 				}
 				// Theorem 4.1 / Lemma 4.1: no negative stored counts, ever.
@@ -399,7 +399,7 @@ func TestAblationNoSetOptStillCorrect(t *testing.T) {
 			t.Fatalf("round %d: %d cascades stopped without statement (2)", round, st.CascadeStopped)
 		}
 		for _, pred := range []string{"hop", "tri_hop"} {
-			if !relation.EqualAsSets(opt.Relation(pred), noOpt.Relation(pred)) {
+			if !relation.Equal(opt.Relation(pred).ToSet(), noOpt.Relation(pred).ToSet()) {
 				t.Fatalf("round %d: %s diverges under ablation", round, pred)
 			}
 		}

@@ -179,10 +179,10 @@ type Engine struct {
 	work map[string]*relation.Relation
 	// olds is counts' slice, kept while within keptCounts rows.
 	olds []int64
-	// over holds, per predicate of a DRed stratum, the places its step 1
-	// marked, in admission order, emptied when the stratum ends; mark is
-	// steps 1 and 2's output (propagate.go).
-	over map[string][]int32
+	// over holds, per predicate of a DRed stratum, its place list: the
+	// places its steps 1 and 2 admitted, emptied when the stratum ends;
+	// mark is their output (propagate.go).
+	over map[string]*placeList
 	mark placer
 
 	// planner caches cost-based δ-rule plans. Rule edits Reset it: rule
@@ -317,7 +317,7 @@ func Load(prog *datalog.Program, db *eval.DB, cfg Config) (*Engine, error) {
 	e := &Engine{
 		alg: cfg.Algorithm, sem: cfg.Semantics, db: storeOf(db),
 		tracer: cfg.Tracer, reg: cfg.Metrics, instr: eval.NewInstruments(cfg.Metrics),
-		planner: eval.NewPlanner(cfg.Metrics), work: make(map[string]*relation.Relation), over: make(map[string][]int32),
+		planner: eval.NewPlanner(cfg.Metrics), work: make(map[string]*relation.Relation), over: make(map[string]*placeList),
 	}
 	if _, err := e.Install(prog); err != nil {
 		return nil, err

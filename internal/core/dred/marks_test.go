@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"ivm/internal/eval"
+	"ivm/internal/metrics"
 	"ivm/internal/relation"
 	"ivm/internal/workload"
 )
@@ -23,8 +25,8 @@ func unmarked(t *testing.T, e *Engine, where string) {
 				t.Fatalf("%s: %s's place %d is still marked", where, pred, p)
 			}
 		}
-		if len(e.over[pred]) != 0 {
-			t.Fatalf("%s: %s's overestimate holds %d places", where, pred, len(e.over[pred]))
+		if pl := e.over[pred]; pl != nil && (len(pl.ps) != 0 || pl.end != 0 || pl.stored != nil) {
+			t.Fatalf("%s: %s's place list holds %d places, its window ends at %d", where, pred, len(pl.ps), pl.end)
 		}
 	}
 }
@@ -35,12 +37,18 @@ func unmarked(t *testing.T, e *Engine, where string) {
 // its place, step 2's by clearing the mark, neither copies it into a table
 // first — on top of the probes the apply makes of its base Δ rows (Counts,
 // and Lend for the ones it inserts) and the commit's merge of every row it
-// commits. After every apply no place is marked.
+// commits. When the stratum ends, tc's place list holds the |O| places
+// step 1 overestimated and then the |R| step 2 rederived, which its rounds
+// read as windows of it; after every apply the list is empty and no place
+// is marked.
 func TestStepsOneAndTwoLocateEachHeadOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	base := eval.NewDB()
 	base.Put("link", flipBase(rng, 5, 8, 2, 10))
-	e, err := NewWithConfig(rules(t, tcProgram), base, Config{})
+	var e *Engine
+	listed := -1
+	atEnd := &metrics.FuncTracer{OnStratumDone: func(int, time.Duration) { listed = len(e.over["tc"].ps) }}
+	e, err := NewWithConfig(rules(t, tcProgram), base, Config{Tracer: atEnd})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +56,17 @@ func TestStepsOneAndTwoLocateEachHeadOnce(t *testing.T) {
 		e.Stored(pred).Publish(nil, nil)
 	}
 	heads := func() int { return e.mark.heads }
-	var overestimated int
+	var overestimated, rederived int
 	for i := range 24 {
 		d := workload.SampleDeletes(rng, e.Relation("link"), 3)
 		for _, d := range []*relation.Relation{d, d.Negate()} {
 			probes, heads0 := relation.RowProbes(), heads()
+			listed = -1
 			if _, err := e.Apply(map[string]*relation.Relation{"link": d}); err != nil {
 				t.Fatal(err)
+			}
+			if st := e.Stats(); listed != st.Overestimated+st.Rederived {
+				t.Fatalf("apply %d: tc's place list held %d places when its stratum ended, want |O| %d + |R| %d", i, listed, st.Overestimated, st.Rederived)
 			}
 			want := int64(d.Len() + heads() - heads0) // Counts, and Place
 			for _, c := range e.CommittedDeltas() {
@@ -68,12 +80,12 @@ func TestStepsOneAndTwoLocateEachHeadOnce(t *testing.T) {
 			if got := relation.RowProbes() - probes; got != want {
 				t.Fatalf("apply %d: %d probes of the stored state by key, want %d: one a base Δ row and a committed row, one a head of steps 1–2 (%d)", i, got, want, heads()-heads0)
 			}
-			overestimated += e.Stats().Overestimated
+			overestimated, rederived = overestimated+e.Stats().Overestimated, rederived+e.Stats().Rederived
 			unmarked(t, e, "after a committed apply")
 		}
 	}
-	if heads() == 0 || overestimated == 0 {
-		t.Fatalf("steps 1 and 2 took %d heads and overestimated %d: the stream deletes nothing that matters", heads(), overestimated)
+	if heads() == 0 || overestimated == 0 || rederived == 0 {
+		t.Fatalf("steps 1 and 2 took %d heads, overestimated %d and rederived %d: the stream deletes nothing that matters", heads(), overestimated, rederived)
 	}
 }
 
@@ -98,7 +110,7 @@ func TestMarksClearWhenAStratumFailsOrAnEditSeedsIt(t *testing.T) {
 		unmarked(t, e, where)
 		re := recomputed(t, e.Program(), e, eval.Set)
 		for _, pred := range []string{"r", "tc"} {
-			if !relation.EqualAsSets(e.Relation(pred), re.Relation(pred)) {
+			if !relation.Equal(e.Relation(pred).ToSet(), re.Relation(pred).ToSet()) {
 				t.Fatalf("%s: %s = %v, recomputed %v", where, pred, e.Relation(pred), re.Relation(pred))
 			}
 		}

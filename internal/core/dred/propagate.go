@@ -37,7 +37,7 @@ type op struct {
 	// The working set, which goes with the operation (DESIGN.md §4):
 	// newRs caches stored ⊎ net per predicate, lost and gained a lower
 	// stratum's sign parts, scratch one DRed output per head arity, and fr
-	// the frontiers of DRed's running fixpoint — fr[turn] the one folded.
+	// the frontiers of step 3's or materialize's fixpoint, fr[turn] folded.
 	newRs        map[string]overlaid
 	lost, gained map[string]*relation.Relation
 	scratch      map[int]*relation.Relation
@@ -294,7 +294,11 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	}
 	inStratum := make(map[string]bool)
 	for _, ri := range rules {
-		inStratum[e.prog.Rules[ri].Head.Pred] = true
+		pred := e.prog.Rules[ri].Head.Pred
+		if inStratum[pred] = true; e.over[pred] == nil {
+			e.over[pred] = new(placeList)
+		}
+		e.over[pred].stored = e.db.Ensure(pred, -1)
 	}
 	defer e.unmark(inStratum)
 	// ---- Step 1: overestimate deletions. ----
@@ -305,33 +309,29 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	// stratum wrote. Step 2's +1 for a rederived tuple cancels its row, so
 	// from then on the net holds exactly the true deletions.
 	m := &e.mark
-	into := func(pred string) int {
-		m.stored, m.add, m.places, m.fr = e.db.Ensure(pred, -1), true, e.over[pred], o.fr[o.turn].of(pred)
-		return len(m.places)
-	}
 	overestimate := func(ri, li int, img relation.Reader) error {
 		pred := e.prog.Rules[ri].Head.Pred
-		n := into(pred)
+		m.add, m.list = true, e.over[pred]
+		n := len(m.list.ps)
 		err := e.evalInto(o, ri, li, img, eval.PlanDeltaOld, 0, m)
-		if e.over[pred] = m.places; err == nil {
-			e.evaluated(pred, len(m.places)-n)
+		if err == nil {
+			e.evaluated(pred, len(m.list.ps)-n)
 		}
 		return err
 	}
 	seed := func(pred string, rows *relation.Relation) {
-		into(pred)
+		m.add, m.list = true, e.over[pred]
 		for p := range rows.Len() {
 			m.AddDerived(rows.At(p).Tuple, 1)
 		}
-		e.over[pred] = m.places
 	}
 	if err := e.sweep(o, rules, inStratum, true, overestimate, seed); err != nil {
 		return err
 	}
 	for pred := range inStratum {
-		if ps := e.over[pred]; len(ps) > 0 {
-			o.cascade[pred] = e.db[pred].Gather(ps, -1)
-			e.last.Overestimated += len(ps)
+		if pl := e.over[pred]; len(pl.ps) > 0 {
+			o.cascade[pred] = pl.stored.Gather(pl.ps, -1)
+			e.last.Overestimated += len(pl.ps)
 		}
 	}
 	var step2Start time.Time
@@ -348,19 +348,19 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 	// candidates. The candidates of δ⁺(p) :- δ⁻(p) & … are net[p] itself: a
 	// rederived tuple's +1 cancels its −1 row, so later rules and rounds see
 	// only what is still unexplained. The walk reads that net, so its output
-	// unmarks what it rederives and refers the frontier to it, and the fold
-	// after the walk cancels the rows.
+	// unmarks what it rederives and lists its place after the |O|
+	// overestimated ones, and the fold after the walk cancels the rows.
 	readd := func(ri, li int, d relation.Reader) error {
 		pred := e.prog.Rules[ri].Head.Pred
 		cand := o.cascade[pred]
 		if cand == nil || cand.Empty() {
 			return nil
 		}
-		m.stored, m.add, m.fr = e.db[pred], false, o.fr[o.turn].of(pred)
-		from := m.fr.Len()
+		m.add, m.list = false, e.over[pred]
+		from := len(m.list.ps)
 		err := e.rederiveRule(o, ri, li, d, cand, m)
-		for i := from; i < m.fr.Len() && err == nil; i++ {
-			cand.AddRow(m.fr.At(i)) // at count 1: cancels its −1 row
+		for rows, i := m.list.stored.Places(m.list.ps[from:]), 0; i < rows.Len() && err == nil; i++ {
+			cand.AddRow(rows.At(i)) // at count 1: cancels its −1 row
 			e.last.Rederived++
 		}
 		return err
@@ -422,46 +422,52 @@ func (e *Engine) rederive(o *op, s int, rules []int) error {
 }
 
 // placer is steps 1 and 2's output. Given a head the state holds, step 1's
-// (add) admits it if its place is not yet marked, marking the place and
-// noting it in places; step 2's admits it if its place is marked — a
-// candidate the walk rederived — and clears the mark, so the walk takes it
-// once. Either refers the round's frontier, which the walk does not read,
-// to the state's row.
+// (add) admits it if its place is not yet marked, marking the place; step
+// 2's admits it if its place is marked — a candidate the walk rederived —
+// and clears the mark, so the walk takes it once. Either appends the place
+// to the predicate's list, which the walk does not read.
 type placer struct {
-	stored *relation.Stored
-	add    bool
-	places []int32
-	fr     *relation.Refs
-	heads  int // heads given since the engine was made
+	add   bool
+	list  *placeList
+	heads int // heads given since the engine was made
 }
 
 func (m *placer) AddDerived(t value.Tuple, _ int64) relation.Origin {
 	m.heads++
-	p := m.stored.Place(t)
-	if p < 0 || m.stored.Mark(p, m.add) == m.add {
+	p := m.list.stored.Place(t)
+	if p < 0 || m.list.stored.Mark(p, m.add) == m.add {
 		return relation.Merged
 	}
-	if m.add {
-		m.places = append(m.places, int32(p))
-	}
-	m.fr.AppendPlace(m.stored, p)
+	m.list.ps = append(m.list.ps, int32(p))
 	return relation.Borrowed
 }
 
+// placeList is a predicate's places in its DRed stratum: those of stored
+// step 1 marked, in admission order, then those step 2 rederived. Steps 1
+// and 2's frontier is its window: a round reads (win) the stretch the one
+// before appended, up to end, where stored keeps those rows unchanged.
+type placeList struct {
+	stored *relation.Stored
+	ps     []int32
+	end    int
+	win    relation.Places
+}
+
 // unmark clears every mark step 1 set on the stratum's relations, at its
-// end or failure, and empties their overestimates, each kept while within
-// keptCounts rows, and the outputs.
+// end or failure, and empties their place lists, each kept while within
+// keptCounts rows, and the output.
 func (e *Engine) unmark(inStratum map[string]bool) {
 	e.mark = placer{heads: e.mark.heads}
 	for pred := range inStratum {
-		ps := e.over[pred]
-		for _, p := range ps {
-			e.db[pred].Mark(int(p), false)
+		pl := e.over[pred]
+		for _, p := range pl.ps {
+			pl.stored.Mark(int(p), false)
 		}
+		ps := pl.ps[:0]
 		if cap(ps) > keptCounts {
 			ps = nil
 		}
-		e.over[pred] = ps[:0]
+		*pl = placeList{ps: ps}
 	}
 }
 
@@ -493,30 +499,27 @@ func (e *Engine) sweep(o *op, rules []int, inStratum map[string]bool, del bool, 
 	return e.rounds(o, rules, inStratum, step)
 }
 
-// rounds runs semi-naive rounds from the frontier o's folds have filled:
-// in each, step evaluates every rule with an in-stratum literal bound to
-// the previous round's rows and admits what it derived, until a round lets
-// no row through.
+// rounds runs semi-naive rounds from the rows the sweep admitted: in
+// each, step evaluates every rule with an in-stratum literal bound to the
+// previous round's rows and admits what it derived, until a round lets no
+// row through.
 func (e *Engine) rounds(o *op, rules []int, inStratum map[string]bool, step func(ri, li int, d relation.Reader) error) error {
-	for {
+	for first := true; e.next(o) || first; first = false {
 		e.last.FixpointRounds++
-		cur := o.next()
 		for _, ri := range rules {
 			for li, lit := range e.prog.Rules[ri].Body {
 				if lit.Kind != datalog.LitPositive || !inStratum[lit.Atom.Pred] {
 					continue
 				}
-				if d := cur[lit.Atom.Pred]; d != nil && d.Len() > 0 {
+				if d := e.previous(o, lit.Atom.Pred); d != nil {
 					if err := step(ri, li, d); err != nil {
 						return err
 					}
 				}
 			}
 		}
-		if o.fr[o.turn].empty() {
-			return nil
-		}
 	}
+	return nil
 }
 
 // materialize evaluates the installed program from ∅ into the stored
@@ -667,16 +670,38 @@ func (e *Engine) rederiveRule(o *op, ri, li int, d relation.Reader, cand *relati
 	return eval.EvalPlan(rule, srcs[1:], plan, out, e.instr)
 }
 
-// next starts a fixpoint round: it returns the frontier the last round
-// folded and folds into the other, emptied.
-func (o *op) next() frontier {
+// next starts a fixpoint round and reports whether the last one admitted
+// a row: to a place list of steps 1 and 2, whose window moves on to the
+// rows, or to the frontier step 3's folds fill, which then fill the other.
+func (e *Engine) next(o *op) (more bool) {
 	o.turn ^= 1
-	o.fr[o.turn].reset()
-	return o.fr[o.turn^1]
+	for _, rows := range o.fr[o.turn] {
+		rows.Reset()
+	}
+	for _, rows := range o.fr[o.turn^1] {
+		more = more || rows.Len() > 0
+	}
+	for _, pl := range e.over {
+		pl.win = pl.stored.Places(pl.ps[pl.end:])
+		more, pl.end = more || pl.end < len(pl.ps), len(pl.ps)
+	}
+	return more
 }
 
-// frontier is the Δ of one fixpoint round: per predicate, the rows the
-// round's folds let through, held by reference to the fold's input.
+// previous returns pred's rows the last round admitted, nil if none: its
+// place list's window or its frontier rows, of which one at most has any.
+func (e *Engine) previous(o *op, pred string) relation.Reader {
+	if pl := e.over[pred]; pl != nil && pl.win.Len() > 0 {
+		return &pl.win
+	}
+	if rows := o.fr[o.turn^1][pred]; rows != nil && rows.Len() > 0 {
+		return rows
+	}
+	return nil
+}
+
+// frontier is the Δ of one round of step 3 or materialize: per predicate,
+// the rows its folds let through, by reference to the fold's input.
 type frontier map[string]*relation.Refs
 
 // of returns pred's rows, made empty on first use.
@@ -685,22 +710,4 @@ func (f frontier) of(pred string) *relation.Refs {
 		f[pred] = new(relation.Refs)
 	}
 	return f[pred]
-}
-
-// empty reports whether the round let no row through.
-func (f frontier) empty() bool {
-	for _, rows := range f {
-		if rows.Len() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// reset empties f for the next round, keeping each predicate's array
-// and clearing the references out of it.
-func (f frontier) reset() {
-	for _, rows := range f {
-		rows.Reset()
-	}
 }

@@ -668,8 +668,8 @@ func (w *ruleWalk) walk(k int, count int64) error {
 				}
 			}
 			return nil
-		case *relation.Refs:
-			for i := range r.Len() {
+		case interface{ At(int) relation.Row }: // Refs, Places
+			for i := range rel.Len() {
 				if err := w.emit(st, k, r.At(i), count); err != nil || w.cut(k) {
 					return err
 				}

@@ -12,8 +12,8 @@ import (
 // "base ⊎ delta" without materializing it (so maintenance can see the new
 // state of a relation while the stored state is still old), SetView
 // presents the set image (all counts 1) used when deriving higher strata
-// under set semantics (paper Section 5.1), and Refs holds the rows one
-// DRed round admitted by reference to where relations stored them.
+// under set semantics (paper Section 5.1), and Refs and Places hold the
+// rows one DRed round admitted, by reference or by place.
 type Reader interface {
 	// Arity returns the relation arity (-1 if unknown).
 	Arity() int
@@ -33,6 +33,7 @@ var (
 	_ Reader = (*overlay)(nil)
 	_ Reader = (*setView)(nil)
 	_ Reader = (*Refs)(nil)
+	_ Reader = (*Places)(nil)
 )
 
 // Refs is a Reader over distinct rows of one arity, at count 1, held by
@@ -48,12 +49,6 @@ type Refs struct {
 func (s *Refs) Append(r *Relation, p int) {
 	c := &r.rows.cells[p]
 	s.arity, s.refs = r.arity, append(s.refs, ref{c.vals, c.kl})
-}
-
-// AppendPlace refers s to the row at place p of st, which s must not hold yet.
-func (s *Refs) AppendPlace(st *Stored, p int) {
-	c := st.cellAt(p)
-	s.arity, s.refs = int32(st.Arity()), append(s.refs, ref{c.vals, c.kl})
 }
 
 // Reset empties s, keeping its array and clearing the references out of it.
@@ -74,16 +69,57 @@ func (s *Refs) Len() int { return len(s.refs) }
 // At returns the i-th row, 0 ≤ i < Len(), in the order they were appended.
 func (s *Refs) At(i int) Row { return s.refs[i].row(s.arity) }
 
-func (s *Refs) Each(f func(Row)) {
-	for i := range s.refs {
+func (s *Refs) Each(f func(Row))          { scanEach(s, f) }
+func (s *Refs) Count(t value.Tuple) int64 { return scanCount(s, t) }
+func (s *Refs) Has(t value.Tuple) bool    { return scanCount(s, t) > 0 }
+
+// Places is a Reader over the rows at distinct places of a stored
+// relation, at count 1, in the order listed, read where the state keeps
+// them while it does not change: one round of DRed's steps 1 and 2. Like
+// Refs it is only scanned. Empty, arity is -1.
+type Places struct {
+	s  *Stored
+	ps []int32
+}
+
+// Places returns the Reader over the rows at places ps of s.
+func (s *Stored) Places(ps []int32) Places { return Places{s, ps} }
+
+func (w *Places) Arity() int {
+	if len(w.ps) == 0 {
+		return -1
+	}
+	return w.s.Arity()
+}
+
+func (w *Places) Len() int { return len(w.ps) }
+
+// At returns the row at the i-th place listed, 0 ≤ i < Len().
+func (w *Places) At(i int) Row {
+	c := w.s.cellAt(int(w.ps[i]))
+	return (&ref{c.vals, c.kl}).row(int32(w.s.Arity()))
+}
+
+func (w *Places) Each(f func(Row))          { scanEach(w, f) }
+func (w *Places) Count(t value.Tuple) int64 { return scanCount(w, t) }
+func (w *Places) Has(t value.Tuple) bool    { return scanCount(w, t) > 0 }
+
+// rowList is Refs or Places, which count and look up by scanning.
+type rowList interface {
+	Len() int
+	At(i int) Row
+}
+
+func scanEach(s rowList, f func(Row)) {
+	for i := range s.Len() {
 		f(s.At(i))
 	}
 }
 
-func (s *Refs) Count(t value.Tuple) int64 {
+func scanCount(s rowList, t value.Tuple) int64 {
 	var buf [value.KeyScratch]byte
 	kb := t.AppendKey(buf[:0])
-	for i := range s.refs {
+	for i := range s.Len() {
 		if s.At(i).key == string(kb) {
 			return 1
 		}
@@ -91,14 +127,12 @@ func (s *Refs) Count(t value.Tuple) int64 {
 	return 0
 }
 
-func (s *Refs) Has(t value.Tuple) bool { return s.Count(t) > 0 }
-
-// lookup is LookupRun for s: a scan, whose rows it writes into *buf.
-func (s *Refs) lookup(cols []int, keyVals value.Tuple, buf *[]Row) Run {
+// scanLookup is LookupRun for s: a scan, whose rows it writes into *buf.
+func scanLookup(s rowList, cols []int, keyVals value.Tuple, buf *[]Row) Run {
 	var kbuf, pbuf [value.KeyScratch]byte
 	kb := keyVals.AppendKey(kbuf[:0])
 	out := (*buf)[:0]
-	for i := range s.refs {
+	for i := range s.Len() {
 		if row := s.At(i); bytes.Equal(row.Tuple.AppendProjKey(pbuf[:0], cols), kb) {
 			out = append(out, row)
 		}
@@ -262,7 +296,7 @@ func lookupRun(r Reader, cols []int, keyVals value.Tuple, h uint32, buf *[]Row) 
 	case *setView:
 		return x.lookup(cols, keyVals, h, buf)
 	}
-	return r.(*Refs).lookup(cols, keyVals, buf) // the last Reader: a scan
+	return scanLookup(r.(rowList), cols, keyVals, buf) // the last Readers, Refs and Places: a scan
 }
 
 // LookupInto is LookupRun for a caller that wants the rows in a slice:

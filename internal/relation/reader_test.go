@@ -254,3 +254,52 @@ func TestRowSliceAgreesWithRelation(t *testing.T) {
 		t.Fatal("emptied Refs have unknown arity and no rows")
 	}
 }
+
+// TestPlacesAgreeWithRefs holds Places, the window of a stored relation's
+// places a round of DRed's steps 1 and 2 reads, to Refs over the same rows
+// and to their relation at count 1: Len, At, Each, Count, Has and lookups
+// on every column set, over a published state whose places hold base and
+// net rows alike, and empty.
+func TestPlacesAgreeWithRefs(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const keys = 12
+	for trial := 0; trial < 40; trial++ {
+		s := Store(randomDelta(rng, keys, 40).Pick(func(int, int64) int64 { return 1 }))
+		s.Publish(nil, nil)
+		d, seen := New(2), map[string]bool{}
+		for range 8 { // deletes move the last row into the hole, inserts take new places: net rows
+			if tup := value.T(rng.Intn(keys), fmt.Sprintf("p%d", rng.Intn(3))); !seen[tup.Key()] {
+				seen[tup.Key()] = true
+				d.Add(tup, map[bool]int64{true: -1, false: 1}[s.Has(tup)])
+			}
+		}
+		s.MergeDelta(d)
+		var ps []int32
+		for _, p := range rng.Perm(s.Len())[:rng.Intn(s.Len()+1)] {
+			ps = append(ps, int32(p))
+		}
+		w, want := s.Places(ps), s.Gather(ps, 1)
+		var refs Refs
+		for i := range want.Len() {
+			refs.Append(want, i)
+		}
+		if w.Len() != len(ps) || refs.Len() != len(ps) {
+			t.Fatalf("Len: places %d, refs %d, want %d", w.Len(), refs.Len(), len(ps))
+		}
+		for i := range w.Len() {
+			if got := w.At(i); got.Key() != refs.At(i).Key() || got.Key() != s.rowAt(int(ps[i])).Key() || got.Count != 1 {
+				t.Fatalf("At(%d) = %v %d, refs %v, place %d holds %v", i, got.Tuple, got.Count, refs.At(i).Tuple, ps[i], s.rowAt(int(ps[i])).Tuple)
+			}
+		}
+		if len(ps) == 0 {
+			for _, r := range []Reader{&w, &refs} {
+				if r.Arity() != -1 || r.Len() != 0 || r.Has(value.T(1, "p0")) || len(LookupInto(r, []int{0}, value.T(1), new([]Row))) != 0 {
+					t.Fatalf("empty %T: arity %d, %d rows", r, r.Arity(), r.Len())
+				}
+			}
+			continue
+		}
+		readersAgree(t, rng, keys, &w, want, "places")
+		readersAgree(t, rng, keys, &refs, want, "refs")
+	}
+}

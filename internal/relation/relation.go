@@ -609,21 +609,6 @@ func Equal(a, b *Relation) bool {
 	return true
 }
 
-// EqualAsSets reports whether a and b have the same positive-count tuples.
-func EqualAsSets(a, b *Relation) bool {
-	for _, c := range a.rows.cells {
-		if c.count > 0 && countAt(b, c.h, c.key(a.arity)) <= 0 {
-			return false
-		}
-	}
-	for _, c := range b.rows.cells {
-		if c.count > 0 && countAt(a, c.h, c.key(b.arity)) <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the relation like the paper: {ab 2, mn -1} with tuples in
 // sorted order.
 func (r *Relation) String() string {

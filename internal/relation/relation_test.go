@@ -121,8 +121,8 @@ func TestEqualAndEqualAsSets(t *testing.T) {
 	if Equal(a, b) {
 		t.Error("counts differ")
 	}
-	if !EqualAsSets(a, b) {
-		t.Error("same sets")
+	if c := rel(row(1, "a"), row(1, "b"), row(-1, "c")); !Equal(a.ToSet(), b.ToSet()) || !Equal(a.ToSet(), c.ToSet()) {
+		t.Error("same sets: positive counts as 1, the rest absent")
 	}
 	if !Equal(a, a.Clone()) {
 		t.Error("clone equal")

@@ -96,7 +96,7 @@ func (s *Stored) Publish(prev *Versioned, delta *Relation) *Versioned {
 		}
 	}
 	v := NewVersioned(s.base)
-	v.copied, s.copied = s.copied, 0
+	v.copied, v.rebased, s.copied = s.copied, true, 0
 	return v
 }
 

@@ -20,11 +20,12 @@ import "sync/atomic"
 // writer last made (Stored.Publish), which starts the next chain over it:
 // a version never copies its base.
 type Versioned struct {
-	rd     Reader      // base itself, or the overlay chain base ⊎ deltas...
-	base   *Relation   // the frozen flat relation at the bottom of the chain
-	deltas []*Relation // frozen links above base, oldest first (never written after Push)
-	pend   int         // delta rows accumulated above base
-	copied int         // rows the publish that made this version copied
+	rd      Reader      // base itself, or the overlay chain base ⊎ deltas...
+	base    *Relation   // the frozen flat relation at the bottom of the chain
+	deltas  []*Relation // frozen links above base, oldest first (never written after Push)
+	pend    int         // delta rows accumulated above base
+	copied  int         // rows the publish that made this version copied
+	rebased bool        // whether it made a new base (Stored.Publish), not a link
 
 	// flat caches the fully materialized (frozen) form, built lazily by
 	// Flat. Concurrent builders may race to store it; every candidate has
@@ -151,9 +152,10 @@ func (v *Versioned) Flat() *Relation {
 	return f
 }
 
-// Copied reports the rows the publish that made v copied: to compact its
-// chain, or to rebase its writer's state into v's base (0 if neither).
-func (v *Versioned) Copied() int { return v.copied }
+// Copied reports the rows the publish that made v copied (0 if none), and
+// whether v is over another base than the version before it: whether they
+// rebased its writer's state into v's base rather than compacted its chain.
+func (v *Versioned) Copied() (int, bool) { return v.copied, v.rebased }
 
 // Depth reports the current overlay-chain depth (0 when flat) — an
 // observability hook for tests and metrics.

@@ -237,7 +237,8 @@ type Views struct {
 	cfg        config
 	strategy   Strategy      // what maintains the program (regime); wmu, versions carry a copy
 	programSrc string        // authoritative copy (wmu); versions carry a race-free copy
-	copied     int           // rows the pushes since the last version was made compacted (wmu)
+	copied     int           // rows the pushes since the last version was made compacted or rebased (wmu)
+	rebased    int           // the part of copied that rebases copied (wmu)
 	folded     time.Duration // the fold of the record since the last version was made (wmu)
 	// hidden marks internal auxiliary predicates (e.g. the GROUP BY join
 	// helpers the SQL front end generates) that are filtered out of
@@ -878,12 +879,16 @@ func (v *Views) changeSetLocked(per map[string]*relation.Relation) *ChangeSet {
 // pushDeltasLocked folds a commit's deltas — already merged into the
 // engine's storage — onto the in-progress version map: each links onto
 // its predicate's version, unless the engine has a new base for it. The
-// rows a link's compaction copied go on the next version's trace.
+// rows a link's compaction or a rebase copied go on the next version's
+// trace.
 func (v *Views) pushDeltasLocked(next map[string]*relation.Versioned, deltas map[string]*relation.Relation) {
 	for pred, d := range deltas {
 		if st := v.eng.Stored(pred); st != nil {
 			next[pred] = st.Publish(next[pred], d)
-			v.copied += next[pred].Copied()
+			n, rebased := next[pred].Copied()
+			if v.copied += n; rebased {
+				v.rebased += n
+			}
 		}
 	}
 }
@@ -979,6 +984,7 @@ type ApplyTrace struct {
 	Fold             time.Duration       `json:"fold_ns"`
 	PrimaryPublished time.Time           `json:"primary_published"`
 	RowsCopied       int                 `json:"rows_copied"`
+	RowsRebased      int                 `json:"rows_rebased"`
 	WALAppend        time.Duration       `json:"wal_append_ns"`
 	FsyncWait        time.Duration       `json:"fsync_wait_ns"`
 	Published        time.Time           `json:"published"`

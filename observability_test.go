@@ -355,8 +355,8 @@ func TestHiddenOnlyChangesYieldEmptyChangeSet(t *testing.T) {
 // TestTraceNamesTheCommitThatRebased: a commit whose merge takes a
 // relation's net to its bound (a quarter of its 2 000-row base) rebases
 // it, and its trace carries the base rows that copy wrote, on the primary
-// and on a follower folding its record; a one-link commit before it
-// neither rebases nor compacts and carries 0.
+// and on a follower folding its record, as rows copied and rebased alike;
+// a one-link commit before it neither rebases nor compacts and carries 0.
 func TestTraceNamesTheCommitThatRebased(t *testing.T) {
 	db := ivm.NewDatabase()
 	for i := 0; i < 2000; i++ {
@@ -393,6 +393,9 @@ func TestTraceNamesTheCommitThatRebased(t *testing.T) {
 		if n > 1 && (p < 2000 || f < 2000) {
 			t.Fatalf("a %d-link commit: the primary's trace copied %d rows and the follower's %d, want at least link's 2000 base rows", n, p, f)
 		}
+		if pr, fr := primary.Trace().RowsRebased, follower.Trace().RowsRebased; pr != p || fr != f {
+			t.Fatalf("a %d-link commit: the primary's trace rebased %d of its %d rows copied and the follower's %d of %d, want all", n, pr, p, fr, f)
+		}
 	}
 }
 
@@ -400,7 +403,8 @@ func TestTraceNamesTheCommitThatRebased(t *testing.T) {
 // its publish copied to compact version chains, on the primary and on a
 // follower folding its records. Over a base too large to rebase, 32
 // one-link applies that derive nothing deepen link's chain by one link
-// each: the 32nd commit alone compacts, folding the 32 one-row links.
+// each: the 32nd commit alone compacts, folding the 32 one-row links, and
+// none of those rows is a rebase's.
 func TestTraceNamesTheCommitThatCompacted(t *testing.T) {
 	db := ivm.NewDatabase()
 	for i := 0; i < 2000; i++ {
@@ -432,6 +436,9 @@ func TestTraceNamesTheCommitThatCompacted(t *testing.T) {
 		}
 		if p, f := primary.Trace().RowsCopied, follower.Trace().RowsCopied; p != want || f != want {
 			t.Fatalf("apply %d: the primary's trace copied %d rows and the follower's %d, want %d", i, p, f, want)
+		}
+		if p, f := primary.Trace().RowsRebased, follower.Trace().RowsRebased; p != 0 || f != 0 {
+			t.Fatalf("apply %d: the primary's trace rebased %d rows and the follower's %d, want 0: compaction copied them", i, p, f)
 		}
 	}
 }

@@ -23,7 +23,7 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these twenty-eight bugs each fail the default budget (first
+// runs), these twenty-nine bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
@@ -53,7 +53,9 @@ package ivm_test
 // [4]; recovery replaying a stale epoch's WAL records [23]; recovery leaving a
 // torn tail in the WAL it appends to [8]; a DRed stratum's end leaving the
 // places its step 1 marked marked, and its overestimate's list of them
-// full [6].
+// full [6]; a DRed round's window of the place list starting one place
+// late, so each round drops the first place the round before admitted
+// [4].
 
 import (
 	"cmp"
@@ -562,10 +564,10 @@ type oracleConfig struct {
 
 func oracleDraw(seed int64) (oracleConfig, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
-	n, k := int64(len(oracleFamilies)), int64(len(oracleStrategies))
+	n, k, f := int64(len(oracleFamilies)), int64(len(oracleStrategies)), int64(len(oracleFaults))
 	c := oracleConfig{fam: &oracleFamilies[(seed%n+n)%n], strategy: oracleStrategies[((seed+seed/n)%k+k)%k],
 		leg: []string{"memory", "fold", "rederive", "store"}[rng.Intn(4)], sem: ivm.SetSemantics, window: ivm.DefaultHistory,
-		fault: int(seed % int64(len(oracleFaults)))}
+		fault: int((seed%f + f) % f)}
 	if rng.Intn(12) == 0 {
 		c.leg = "follower"
 	}

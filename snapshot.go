@@ -229,14 +229,14 @@ func (s *Snapshot) ExplainPlan(pred string) ([]RulePlan, error) {
 // before the WAL append so the durable record and the published
 // version carry the same number; ids must advance in publish order.
 func (v *Views) versionLocked(rels map[string]*relation.Versioned, id uint64) *version {
-	copied, folded := v.copied, v.folded
-	v.copied, v.folded = 0, 0
+	copied, rebased, folded := v.copied, v.rebased, v.folded
+	v.copied, v.rebased, v.folded = 0, 0, 0
 	return &version{
 		id:         id,
 		rels:       rels,
 		prog:       v.eng.Program(),
 		programSrc: v.programSrc,
-		trace:      &ApplyTrace{Version: id, Strategy: v.strategy, Stats: v.eng.Stats(), Strata: v.eng.Strata(), Fold: folded, RowsCopied: copied},
+		trace:      &ApplyTrace{Version: id, Strategy: v.strategy, Stats: v.eng.Stats(), Strata: v.eng.Strata(), Fold: folded, RowsCopied: copied, RowsRebased: rebased},
 	}
 }
 
