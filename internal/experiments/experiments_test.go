@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"ivm/internal/baseline/pf"
 	"ivm/internal/core/dred"
 	"ivm/internal/datalog"
 	"ivm/internal/eval"
@@ -134,20 +133,6 @@ func mustEngine(prog *datalog.Program, db *eval.DB, alg dred.Algorithm, sem eval
 		panic(err)
 	}
 	return e
-}
-
-// pfEngine builds transitive closure's PF engine, propagating per base
-// relation or per tuple.
-func pfEngine(perTuple bool) func(*eval.DB) engine {
-	prog := rules(tcProgram)
-	return func(db *eval.DB) engine {
-		e, err := pf.New(prog, db)
-		if err != nil {
-			panic(err)
-		}
-		e.FragmentTuples = perTuple
-		return e
-	}
 }
 
 // versus is the counting and recompute engines of the sweeps that pit
@@ -340,14 +325,18 @@ func narrowestEdge(link *relation.Relation) *relation.Relation {
 // clustered, so their effect cones overlap.
 func e9(s scale) []cell {
 	link := workload.RandomGraph(rng(91), s.nodes, 3*s.nodes/2)
+	prog := rules(tcProgram)
+	pf := func(perTuple bool) func(*eval.DB) engine {
+		return func(db *eval.DB) engine { return mustPF(prog, db, perTuple) }
+	}
 	pfWork := func(e engine) map[string]int {
-		st := e.(*pf.Engine).Stats().(pf.Stats)
+		st := e.(*pfEngine).last
 		return map[string]int{"rederived/op": st.Rederived, "rule-firings/op": st.RuleFirings}
 	}
 	return grid(linkDB(link), []builder{
 		{"dred", views(dred.DRed, eval.Set, tcProgram), dredWork},
-		{"pf-per-relation", pfEngine(false), pfWork},
-		{"pf-per-tuple", pfEngine(true), pfWork},
+		{"pf-per-relation", pf(false), pfWork},
+		{"pf-per-tuple", pf(true), pfWork},
 	}, []batch{{"", clusteredDeletes(link, 16)}})
 }
 

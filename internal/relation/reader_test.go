@@ -25,7 +25,8 @@ func TestOverlayBasics(t *testing.T) {
 	}
 
 	got := Materialize(o)
-	want := UnionPlus(base, delta)
+	want := base.Clone()
+	want.MergeDelta(delta)
 	if !Equal(got, want) {
 		t.Fatalf("Each mismatch: %v vs %v", got, want)
 	}
@@ -152,7 +153,7 @@ func TestSetImageOverOverlay(t *testing.T) {
 	}
 }
 
-// TestOverlayQuick checks Overlay ≡ UnionPlus on random inputs for Count,
+// TestOverlayQuick checks Overlay ≡ base ⊎ delta on random inputs for Count,
 // Has, Each and Lookup.
 func TestOverlayQuick(t *testing.T) {
 	f := func(a, b []struct {
@@ -167,7 +168,8 @@ func TestOverlayQuick(t *testing.T) {
 			delta.Add(value.T(int64(x.K%10)), int64(x.C))
 		}
 		o := Overlay(base, delta)
-		want := UnionPlus(base, delta)
+		want := base.Clone()
+		want.MergeDelta(delta)
 		if !Equal(Materialize(o), want) {
 			return false
 		}

@@ -4,7 +4,7 @@
 //
 // Positive counts are numbers of alternative derivations (or multiset
 // multiplicities); in delta relations, negative counts denote deleted
-// derivations. The ⊎ operator (UnionPlus / MergeDelta) adds counts and drops
+// derivations. The ⊎ operator (MergeDelta) adds counts and drops
 // tuples whose counts cancel to zero. Joins multiply counts.
 package relation
 
@@ -551,13 +551,6 @@ func (r *Relation) MergeDelta(delta *Relation) {
 	for _, c := range delta.rows.cells {
 		r.addHashed(delta.row(c.cell), c.h)
 	}
-}
-
-// UnionPlus returns a ⊎ b as a fresh relation, leaving both inputs intact.
-func UnionPlus(a, b *Relation) *Relation {
-	out := a.Clone()
-	out.MergeDelta(b)
-	return out
 }
 
 // Negate returns a copy of r with all counts sign-flipped (the deletion

@@ -1,6 +1,6 @@
 // Package workload generates the synthetic relations and change batches
 // that the paper's experiments (the benchmarks of internal/experiments)
-// and the layered benchmark's streams run on: random/chain/grid link graphs
+// and the layered benchmark's streams run on: random/grid/layered link graphs
 // (matching the paper's running hop/tri_hop/transitive-closure examples)
 // and controllable insert/delete/update mixes.
 package workload
@@ -62,15 +62,6 @@ func RandomWeightedGraph(rng *rand.Rand, n, m, maxCost int) *relation.Relation {
 		}
 		seen[k] = true
 		rel.Add(value.Tuple{node(a), node(b), value.NewInt(int64(1 + rng.Intn(maxCost)))}, 1)
-	}
-	return rel
-}
-
-// ChainGraph returns the path 0→1→…→n-1.
-func ChainGraph(n int) *relation.Relation {
-	rel := relation.New(2)
-	for i := 0; i+1 < n; i++ {
-		rel.Add(value.Tuple{node(i), node(i + 1)}, 1)
 	}
 	return rel
 }

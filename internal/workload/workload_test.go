@@ -161,6 +161,15 @@ func ScaleFree(rng *rand.Rand, n, k int) *relation.Relation {
 	return rel
 }
 
+// ChainGraph returns the path 0→1→…→n-1.
+func ChainGraph(n int) *relation.Relation {
+	rel := relation.New(2)
+	for i := 0; i+1 < n; i++ {
+		rel.Add(value.Tuple{node(i), node(i + 1)}, 1)
+	}
+	return rel
+}
+
 // CycleGraph returns the directed cycle over n nodes.
 func CycleGraph(n int) *relation.Relation {
 	rel := ChainGraph(n)

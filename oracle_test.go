@@ -262,7 +262,7 @@ func TestEvaluateMatchesNaiveOracle(t *testing.T) {
 // past the budget to catch a fixed bug (EXPERIMENTS.md E34): the PF
 // baseline leaving a refused apply's earlier passes applied (the baseline
 // is no longer a strategy; TestPFRefusedApplyRollsBackEarlierPasses in
-// internal/baseline/pf guards it now), a re-derived record deduped against
+// internal/experiments guards it now), a re-derived record deduped against
 // its own key, and an update giving a base relation another arity than
 // the rules read it at.
 func FuzzOracle(f *testing.F) {

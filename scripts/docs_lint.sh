@@ -12,7 +12,9 @@
 # backticked `…_total`/`…_seconds` series that non-test Go still defines,
 # reads or registers; docs/SERVING.md's metric table must name exactly
 # the series non-test Go registers, and DESIGN.md §8's trace table exactly
-# the exported fields of ivm.ApplyTrace.
+# the exported fields of ivm.ApplyTrace; a ./package given to `go run` or
+# `go test` in those docs, and a package README's Architecture tree names,
+# must exist.
 set -eu
 
 README_BUDGET="${README_BUDGET:-250}"
@@ -181,7 +183,27 @@ for route in $routes; do
         FAILED=1
     fi
 done
+# A package the docs hand to `go run` or `go test` as a ./path must exist
+# (a trailing /... and punctuation are no part of it), and so must each
+# package named on a ── branch of README's Architecture tree.
+for f in README.md DESIGN.md docs/*.md; do
+    for pkg in $(sed -e ':a' -e '/\\$/N; s/\\\n//; ta' "$f" |
+        grep -oE 'go (run|test)( +[^ `|#]+)+' | tr ' ' '\n' | grep '^\./' |
+        sed 's#/\.\.\.$##; s/[.,;:)]*$//' | sort -u); do
+        if [ -n "$pkg" ] && [ ! -d "$pkg" ]; then
+            echo "$f: names go run/test $pkg, which does not exist" >&2
+            FAILED=1
+        fi
+    done
+done
+for pkg in $(awk '/^## Architecture/ { a = 1 } a && /^```/ { if (b) exit; b = 1; next } b' README.md |
+    sed -n 's/.*── \([^ ,]*\(, [^ ,]*\)*\).*/\1/p' | tr ',' ' '); do
+    if [ ! -d "$pkg" ]; then
+        echo "README.md's Architecture tree names $pkg, which does not exist" >&2
+        FAILED=1
+    fi
+done
 if [ "$FAILED" -ne 0 ]; then
     exit 1
 fi
-echo "docs lint OK (links resolve; flags, make targets, routes, options, variables and series exist; the metric table names every registered series, the trace table every ApplyTrace field)"
+echo "docs lint OK (links resolve; packages, flags, make targets, routes, options, variables and series exist; the metric table names every registered series, the trace table every ApplyTrace field)"
