@@ -11,7 +11,7 @@ import (
 // ChangeSet maps derived predicates to the signed count deltas an update
 // produced (positive counts inserted derivations, negative deleted).
 //
-// A ChangeSet is shared: every caller of a coalesced batch, every
+// A ChangeSet is shared: the Apply caller it answers, every
 // OnChange/OnCommit handler and the serving layer's encoder read the
 // same one, possibly concurrently. Its read side is therefore built at
 // most once per predicate — one sort that also splits inserted from

@@ -66,11 +66,11 @@ func (v *Views) historyLocked() *sched.Window[CommitEvent] {
 	return h
 }
 
-// remember appends a fully committed group to the history and indexes its
-// keys. Only the maintainer touches the index.
-func (v *Views) remember(h *sched.Window[CommitEvent], g *applyGroup) {
-	ev := CommitEvent{CommitRecord: g.rec, Trace: g.ver.trace, Changes: g.cs}
-	if g.reqs[0].recovered {
+// remember appends a fully committed request to the history and indexes
+// its keys. Only the maintainer touches the index.
+func (v *Views) remember(h *sched.Window[CommitEvent], r *applyReq) {
+	ev := CommitEvent{CommitRecord: r.commit, Trace: r.ver.trace, Changes: r.cs}
+	if r.recovered {
 		ev = shedCommit(ev)
 	}
 	v.mHistBytes.Set(int64(h.Append(ev.Version, ev)))

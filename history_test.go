@@ -42,7 +42,8 @@ func links(tag string, n int) *Update {
 
 // The history's key index: a key dedups while its commit is among the
 // newest n, keyed or not; a hit commits nothing and does not refresh it;
-// a coalesced commit counts once, however many keys it carries.
+// two keyed applies of one scheduler batch are two commits, each of
+// whose keys ages out on its own.
 func TestIdemWindowLRU(t *testing.T) {
 	v := historyViews(t, 3)
 	k0, _ := keyed(t, v, "k0", links("k0", 1))
@@ -67,20 +68,20 @@ func TestIdemWindowLRU(t *testing.T) {
 			t.Fatalf("%s in the index: %v, want %v", key, ok, want)
 		}
 	}
-	// A batch of two keyed applies commits once: two commits later both
-	// keys dedup, the third ages them out.
+	// A batch of two keyed applies commits twice, a at v and b at v+1: a
+	// ages out with the third commit after v, b one commit later.
 	reqs := []*applyReq{{u: links("a", 1), keys: []string{"a"}}, {u: links("b", 1), keys: []string{"b"}}}
 	for _, r := range reqs {
 		r.enq, r.done = time.Now(), make(chan struct{})
 	}
 	v.processBatch(reqs)
-	if reqs[0].err != nil || reqs[1].err != nil || reqs[0].cs.Version() != reqs[1].cs.Version() {
-		t.Fatalf("the batch did not coalesce: %v %v", reqs[0].cs, reqs[1].cs)
+	if reqs[0].err != nil || reqs[1].err != nil || reqs[1].cs.Version() != reqs[0].cs.Version()+1 {
+		t.Fatalf("the batch's applies committed as %v and %v, want consecutive versions", reqs[0].cs, reqs[1].cs)
 	}
 	for i := 0; i <= 3; i++ {
-		for _, key := range []string{"a", "b"} {
-			if _, deduped := keyed(t, v, key, links(key, 1)); deduped != (i < 3) {
-				t.Fatalf("%d commits after the batch: retry of %s deduped %v", i, key, deduped)
+		for j, key := range []string{"a", "b"} {
+			if ver, ok := v.keys[key]; ok != (i < 2+j) || ok && ver != reqs[j].cs.Version() {
+				t.Fatalf("%d commits after the batch: %s in the index at version %d: %v", i+1-j, key, ver, ok)
 			}
 		}
 		if _, err := v.Apply(links(fmt.Sprint("after", i), 1)); err != nil {

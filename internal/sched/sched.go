@@ -1,15 +1,15 @@
-// Package sched implements the coalescing update scheduler behind
+// Package sched implements the batching update scheduler behind
 // ivm.Views.Apply: a leader-based combiner in the style of flat
 // combining / group commit.
 //
 // Concurrent callers enqueue requests; the first caller to find no
 // leader active becomes the maintainer and drains the queue in batches,
 // so every batch the processor sees is exactly the set of requests that
-// arrived while the previous batch was being maintained. Under a bursty
-// write load this coalesces many logical updates into one maintenance
-// pass (one delta propagation, one WAL fsync, one snapshot
-// publication); with a single caller every batch has size one and the
-// behavior is indistinguishable from direct application.
+// arrived while the previous batch was being maintained. The views
+// commit each request of a batch on its own, in arrival order, and share
+// what a batch can: one WAL fsync covers all of its records. With a
+// single caller every batch has size one and the behavior is
+// indistinguishable from direct application.
 //
 // Using the caller's goroutine as the maintainer (instead of a
 // dedicated background goroutine) means an idle Views costs nothing and

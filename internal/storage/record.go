@@ -24,8 +24,9 @@ import (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CommitRecord is one committed maintenance pass: the snapshot version
-// it published, the idempotency keys of the Apply calls it covers (a
-// coalesced batch carries every caller's key), and what reproduces it —
+// it published, the idempotency keys of the Apply it commits (a record
+// an older build merged from several applies carries every caller's),
+// and what reproduces it —
 // the signed per-predicate deltas the engine committed (format 2; format
 // 3, a rule edit's, also carries the edited program) or, in a record from
 // before those were shipped, the delta script to re-derive them from

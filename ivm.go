@@ -228,11 +228,11 @@ func (d *Database) Rows(pred string) []Row {
 // Query, Explain, Snapshot, Trace) pin the current
 // published version with one atomic load and never take a lock — they
 // neither block on nor are blocked by maintenance. Writes (Apply,
-// AddRule, RemoveRule) are serialized through a coalescing scheduler:
-// concurrent Apply callers enqueue, a single maintainer merges each
-// queue drain into one ⊎-net update, runs one maintenance pass, appends
-// the batch's WAL record and waits for its one fsync, and only then
-// publishes the successor version atomically.
+// AddRule, RemoveRule) are serialized through a batching scheduler:
+// concurrent callers enqueue, and a single maintainer takes each queue
+// drain in arrival order, maintaining every request as its own commit on
+// its predecessor's state, appends their WAL records and waits for one
+// fsync, and only then publishes each version atomically.
 type Views struct {
 	cfg        config
 	strategy   Strategy      // what maintains the program (regime); wmu, versions carry a copy
@@ -254,7 +254,7 @@ type Views struct {
 	// MaterializeProgram returns.
 	cur atomic.Pointer[version]
 
-	// comb is the coalescing update scheduler: the first Apply caller to
+	// comb is the batching update scheduler: the first Apply caller to
 	// find no maintainer active becomes the maintainer and drains the
 	// queue in batches (processBatch).
 	comb *sched.Combiner[*applyReq]
@@ -419,7 +419,8 @@ func (v *Views) Count(pred string, vals ...any) int64 { return v.Snapshot().Coun
 // the current published version. Lock-free.
 func (v *Views) Has(pred string, vals ...any) bool { return v.Snapshot().Has(pred, vals...) }
 
-// applyReq is one enqueued Apply call, completed by the maintainer.
+// applyReq is one enqueued Apply call, completed by the maintainer: one
+// request, one commit.
 type applyReq struct {
 	u *Update
 	// rec, instead of u, is a commit record to fold (ApplyCommitRecord):
@@ -437,63 +438,47 @@ type applyReq struct {
 	keys []string
 	// replay marks a replicated script (ApplyScriptReplicated): it is
 	// applied whatever the history holds, and its keys only enter it.
-	replay  bool
-	enq     time.Time // when it was enqueued
+	replay bool
+	enq    time.Time // when it was enqueued
+	// commit is the request's commit record, cut when maintenance
+	// succeeds: the version it publishes, its idempotency keys, and —
+	// encoded only when the WAL or the history will hold it — the deltas
+	// the engine committed. A folded request's is the record it was
+	// handed. The WAL logs it and replication ships it, so the durable
+	// order and the published order agree.
+	commit CommitRecord
+	// ver is the version the request publishes: the relation map, program
+	// and trace as of its maintenance — a later request of the batch may
+	// edit the program.
+	ver     *version
+	seq     uint64 // the WAL sequence number of commit, once appended
 	cs      *ChangeSet
 	deduped bool
 	err     error
 	done    chan struct{}
 }
 
-// applyGroup is the unit of maintenance within a batch: the requests it
-// covers plus the single engine pass / WAL record / published version
-// they share. A merged batch is one group covering every admitted
-// request; the sequential fallback produces one group per request, each
-// with its own version.
-type applyGroup struct {
-	reqs []*applyReq
-	cs   *ChangeSet
-	// rec is the group's commit record, cut when maintenance succeeds:
-	// the version it publishes, every covered request's idempotency keys,
-	// and — encoded only when the WAL or the history will hold it — the
-	// deltas the engine committed. A folded group's record is the one it
-	// was handed. The WAL logs it and replication ships it, so the
-	// durable order and the published order agree.
-	rec CommitRecord
-	// ver is the version the group publishes: the relation map, program
-	// and trace as of its maintenance pass — a later group of the batch
-	// may edit the program.
-	ver *version
-	seq uint64 // the WAL sequence number of rec, once appended
-	err error
-}
-
 // Apply maintains every view under the update and returns the per-view
 // changes. The update's deletions must refer to stored tuples.
 //
-// Concurrent Apply calls coalesce: callers enqueue on the update
-// scheduler and one of them becomes the maintainer, merging the queued
-// updates into their ⊎-net effect and running a single maintenance pass
-// for the batch. Every caller in a coalesced batch receives the batch's
-// shared ChangeSet (the net changes of the whole batch; per-caller
-// attribution is not defined once deltas merge) stamped with the
-// version the batch published — ChangeSet.Version. If the merged update
-// fails validation (e.g. a deletion of an absent tuple that another
-// update in the batch does not cancel), the batch falls back to
-// applying each update individually, in arrival order, so each caller
-// gets exactly its own result or error.
+// Every Apply is its own commit. Concurrent callers enqueue on the update
+// scheduler and one of them becomes the maintainer, which takes the queued
+// requests in arrival order: each is vetted and maintained on the state
+// its predecessor left, and publishes its own version — ChangeSet.Version
+// — with exactly the changes its update made there, or fails with its
+// own error.
 //
-// For store-bound views (OpenStore), the batch is durably logged to the
-// WAL: Apply returns only after the record is fsynced — one fsync per
-// batch, however many concurrent callers it coalesced — and the new
-// version is published only after the fsync, so a snapshot never shows
-// state the log has not made durable. Updates containing NaN or ±Inf
-// floats are rejected up front (they have no replayable literal syntax),
-// and after Close the error wraps ErrStoreClosed. A logging failure is
-// returned as an error even though the in-memory views already applied
-// the update. A failed fsync is sticky: every later update is refused
-// before the views move, until the store is closed and reopened (which
-// recovers what the WAL holds).
+// For store-bound views (OpenStore), each apply is durably logged to the
+// WAL as one record: Apply returns only after the record is fsynced — one
+// fsync for the scheduler's batch, however many records it appended —
+// and the new version is published only after the fsync, so a snapshot
+// never shows state the log has not made durable. Updates containing NaN
+// or ±Inf floats are rejected up front (they have no replayable literal
+// syntax), and after Close the error wraps ErrStoreClosed. A logging
+// failure is returned as an error even though the in-memory views already
+// applied the update. A failed fsync is sticky: every later update is
+// refused before the views move, until the store is closed and reopened
+// (which recovers what the WAL holds).
 func (v *Views) Apply(u *Update) (*ChangeSet, error) {
 	cs, _, err := v.submit(&applyReq{u: u})
 	return cs, err
@@ -544,8 +529,9 @@ func (v *Views) submit(r *applyReq) (*ChangeSet, bool, error) {
 
 // processBatch is the maintainer: it runs on the scheduler leader's
 // goroutine, one batch at a time, and drives it through the commit
-// pipeline (DESIGN.md §17): dedupe → admit → maintain → log → publish →
-// notify → release — updates, records to fold and rule edits alike.
+// pipeline (DESIGN.md §17): dedupe → maintain → log → publish → notify →
+// release — updates, records to fold and rule edits alike, each request
+// its own commit.
 func (v *Views) processBatch(batch []*applyReq) {
 	v.wmu.Lock()
 	taken := time.Now()
@@ -554,20 +540,14 @@ func (v *Views) processBatch(batch []*applyReq) {
 		h = v.historyLocked()
 	}
 	fresh, leaders, followers := v.dedupeLocked(batch)
-	admitted := fresh[:0]
-	for _, r := range fresh {
-		if r.err = v.admitLocked(r.u); r.err == nil {
-			admitted = append(admitted, r)
-		}
-	}
-	// A group's record is encoded only when something will hold it: the
+	// A request's record is encoded only when something will hold it: the
 	// WAL, or the history.
-	groups := v.maintainBatchLocked(admitted, v.store != nil || h != nil)
-	v.logLocked(groups)
-	v.publishLocked(groups, taken)
+	committed := v.maintainLocked(fresh, v.store != nil || h != nil)
+	v.logLocked(committed)
+	v.publishLocked(committed, taken)
 	v.wmu.Unlock()
-	v.notifyGroups(groups, h)
-	v.release(batch, groups, leaders, followers)
+	v.notifyCommits(committed, h)
+	v.release(batch, leaders, followers)
 }
 
 // dedupeLocked answers keyed requests before admission: a key in the
@@ -599,131 +579,122 @@ func (v *Views) dedupeLocked(batch []*applyReq) (fresh []*applyReq, leaders map[
 	return fresh, leaders, followers
 }
 
-// maintainBatchLocked runs the engine over the admitted requests: as one
-// group on their ⊎-merged net update when they merge and the merge
-// validates, otherwise one group per request in arrival order. Each
-// maintained group leaves with its change set, its commit record cut and
-// the version it will publish.
-func (v *Views) maintainBatchLocked(admitted []*applyReq, cut bool) []*applyGroup {
-	v.mBatches.Inc()
-	v.mBatchUpdates.Add(int64(len(admitted)))
-	if len(admitted) == 0 {
-		return nil
-	}
-	// next is the maintainer's copy of the current relation map: the
-	// entries a group's deltas are not pushed onto keep sharing the
-	// predecessor's versioned relations.
+// maintainLocked is the maintain stage. It takes the fresh requests in
+// arrival order, and each is admitted and then maintained — an update by
+// the engine, a record folded, a rule edit run — on a copy of the
+// relation map its predecessor left: the entries its deltas are not
+// pushed onto keep sharing the predecessor's versioned relations. A
+// maintained request leaves with its change set, its commit record cut
+// and the version it will publish, one above its predecessor's; the
+// maintained requests are returned in commit order. A failed pass leaves
+// the engine as it was and the request with its error.
+func (v *Views) maintainLocked(fresh []*applyReq, cut bool) []*applyReq {
 	cur := v.cur.Load()
-	next, base := maps.Clone(cur.rels), cur.id
-	if len(admitted) > 1 && mergeable(admitted) {
-		merged := NewUpdate()
-		for _, r := range admitted {
-			merged.Merge(r.u)
+	rels, id := cur.rels, cur.id
+	committed, admitted := fresh[:0], 0
+	for _, r := range fresh {
+		if r.err = v.admitLocked(r.u); r.err != nil {
+			continue
 		}
-		if g := v.maintainGroupLocked(admitted, merged, next, base+1, cut); g.cs != nil {
-			g.ver = v.versionLocked(next, g.rec.Version)
-			return []*applyGroup{g}
+		admitted++
+		next := maps.Clone(rels)
+		if r.rec != nil {
+			v.foldLocked(r, next, id+1)
+		} else {
+			v.maintainOneLocked(r, next, id+1, cut)
 		}
-		// The merged net update did not validate as a whole; fall back to
-		// applying each caller's update individually so each gets exactly
-		// its own result or error.
+		if r.cs == nil {
+			continue
+		}
+		rels, id = next, id+1
+		r.ver = v.versionLocked(next, id)
+		committed = append(committed, r)
 	}
-	return v.runSequentialLocked(admitted, next, base, cut)
+	v.mBatches.Inc()
+	v.mBatchUpdates.Add(int64(admitted))
+	return committed
 }
 
-// logLocked is the durability stage: each maintained group's commit record
-// is appended to the WAL in commit order — so log order, apply order and
-// publish order agree, and every published version has exactly one record
-// (an empty net update logs too: replaying a no-op is a no-op, and a
-// gapless sequence is what recovery and replication backfill align on) —
-// and then the stage waits for them to be durable, so a published version
-// never shows state the log has not made durable. The first wait fsyncs
-// through the last record and covers the rest: one fsync per batch, even
-// one that fell back to a group per request. A rule edit's
-// record is one more record: it carries the program it leaves. A failure
-// marks its group and does not stop the pipeline: the engine state
-// already advanced and later groups build on it.
-func (v *Views) logLocked(groups []*applyGroup) {
+// logLocked is the durability stage: each maintained request's commit
+// record is appended to the WAL in commit order — so log order, apply
+// order and publish order agree, and every published version has exactly
+// one record (an empty update logs too: replaying a no-op is a no-op,
+// and a gapless sequence is what recovery and replication backfill align
+// on) — and then the stage waits for them to be durable, so a published
+// version never shows state the log has not made durable. The first wait
+// fsyncs through the last record and covers the rest: one fsync per
+// batch. A rule edit's record carries the program it leaves. A failure
+// marks its request and does not stop the pipeline: the engine state
+// already advanced and later requests build on it.
+func (v *Views) logLocked(committed []*applyReq) {
 	if v.store == nil {
 		return
 	}
 	notLogged := func(err error) error {
 		return fmt.Errorf("ivm: update applied in memory but not durably logged: %w", err)
 	}
-	for _, g := range groups {
-		if g.err != nil { // not maintained, or its record could not be cut
+	for _, r := range committed {
+		if r.err != nil { // its record could not be cut
 			continue
 		}
 		start := time.Now()
 		var err error
-		if g.seq, err = v.store.AppendRecord(g.rec); err != nil {
-			g.err = notLogged(err)
+		if r.seq, err = v.store.AppendRecord(r.commit); err != nil {
+			r.err = notLogged(err)
 		}
-		g.ver.trace.WALAppend = time.Since(start)
+		r.ver.trace.WALAppend = time.Since(start)
 	}
-	for _, g := range groups {
-		if g.seq == 0 {
+	for _, r := range committed {
+		if r.seq == 0 {
 			continue
 		}
 		start := time.Now()
-		if err := v.store.WaitDurable(g.seq); err != nil {
-			g.err = notLogged(err)
+		if err := v.store.WaitDurable(r.seq); err != nil {
+			r.err = notLogged(err)
 		}
-		g.ver.trace.FsyncWait = time.Since(start)
+		r.ver.trace.FsyncWait = time.Since(start)
 	}
 }
 
-// publishLocked publishes each maintained group's version, in commit
-// order. Every group whose maintenance succeeded publishes — including one
-// whose log stage failed, because the engine state already advanced and
-// later groups build on it — so published versions and WAL records
-// correspond 1:1 and replication can align on the version number alone.
-// A trace takes its group's keys, its earliest enqueue and the wait
+// publishLocked publishes each maintained request's version, in commit
+// order — including one whose log stage failed, because the engine state
+// already advanced and later requests build on it — so published versions
+// and WAL records correspond 1:1 and replication can align on the version
+// number alone. A trace takes its request's keys, enqueue and the wait
 // since, and a folded record's publish time on the node that shipped it.
-func (v *Views) publishLocked(groups []*applyGroup, taken time.Time) {
-	for _, g := range groups {
-		if g.cs == nil {
-			continue
-		}
-		t := g.ver.trace
-		t.Enqueued = slices.MinFunc(g.reqs, func(a, b *applyReq) int { return a.enq.Compare(b.enq) }).enq
-		t.Keys, t.Wait, t.PrimaryPublished = g.rec.Keys, taken.Sub(t.Enqueued), g.reqs[0].published
-		v.installLocked(g.ver)
+func (v *Views) publishLocked(committed []*applyReq, taken time.Time) {
+	for _, r := range committed {
+		t := r.ver.trace
+		t.Keys, t.Enqueued, t.Wait, t.PrimaryPublished = r.commit.Keys, r.enq, taken.Sub(r.enq), r.published
+		v.installLocked(r.ver)
 	}
 }
 
-// notifyGroups hands every fully committed group to the history h, if
+// notifyCommits hands every fully committed request to the history h, if
 // any, and then to the subscriptions, on the maintainer goroutine after
 // publish (handlers see the new state) and outside wmu (a slow handler
 // never extends a rule edit, Sync, or Close stall), but before the batch's
-// requests complete. A group whose log failed enters neither: a dedup
+// requests complete. A request whose log failed enters neither: a dedup
 // answer to the retry of an applied-but-unlogged update would be exactly
 // the double apply the history exists to prevent.
-func (v *Views) notifyGroups(groups []*applyGroup, h *sched.Window[CommitEvent]) {
-	for _, g := range groups {
-		if g.err != nil {
+func (v *Views) notifyCommits(committed []*applyReq, h *sched.Window[CommitEvent]) {
+	for _, r := range committed {
+		if r.err != nil {
 			continue
 		}
 		if h != nil {
-			v.remember(h, g)
+			v.remember(h, r)
 		}
-		v.notify(g.cs)
+		v.notify(r.cs)
 	}
 }
 
-// release hands every request its outcome and wakes its caller. An
-// in-batch duplicate takes its leader's: the leader's version marks the
-// follower deduped (like a window hit, it learns where its write landed,
-// not the rows), the leader's error propagates as-is (the follower's own
-// retry would have failed the same way).
-func (v *Views) release(batch []*applyReq, groups []*applyGroup, leaders map[string]*applyReq, followers []*applyReq) {
-	for _, g := range groups {
-		for _, r := range g.reqs {
-			if r.err = g.err; r.err == nil {
-				r.cs = g.cs
-			}
-		}
-	}
+// release wakes every request's caller. An in-batch duplicate takes its
+// leader's outcome: the leader's version marks the follower deduped (like
+// a window hit, it learns where its write landed, not the rows), the
+// leader's error propagates as-is (the follower's own retry would have
+// failed the same way).
+func (v *Views) release(batch []*applyReq, leaders map[string]*applyReq, followers []*applyReq) {
 	for _, f := range followers {
 		leader := leaders[f.keys[0]]
 		if f.err = leader.err; f.err == nil {
@@ -770,70 +741,17 @@ func (v *Views) admitLocked(u *Update) error {
 	return nil
 }
 
-// mergeable reports whether the admitted updates can be ⊎-merged: every
-// predicate must be used with one arity across the whole batch (an
-// Update.Merge of conflicting arities would panic in the relation
-// layer).
-func mergeable(reqs []*applyReq) bool {
-	arity := make(map[string]int)
-	for _, r := range reqs {
-		if r.u == nil {
-			return false // a record or a rule edit commits alone, at its own version
-		}
-		for pred, rel := range r.u.per {
-			a := rel.Arity()
-			if a < 0 {
-				continue
-			}
-			if prev, ok := arity[pred]; ok && prev != a {
-				return false
-			}
-			arity[pred] = a
-		}
-	}
-	return true
-}
-
-// runSequentialLocked applies each request's update individually, in
-// arrival order, producing one group per request. WAL records are
-// appended in the same order and versions are assigned in the same
-// order (base+1, base+2, ... for the successful groups), so log order
-// equals application order equals publish order.
-func (v *Views) runSequentialLocked(admitted []*applyReq, next map[string]*relation.Versioned, base uint64, cut bool) []*applyGroup {
-	groups := make([]*applyGroup, 0, len(admitted))
-	ver := base
-	for _, r := range admitted {
-		var g *applyGroup
-		if r.rec != nil {
-			g = v.foldGroupLocked(r, next, ver+1)
-		} else {
-			g = v.maintainGroupLocked([]*applyReq{r}, r.u, next, ver+1, cut)
-		}
-		if g.cs != nil {
-			ver++
-			// Snapshot the relation map as of this group so its version
-			// publishes exactly this group's state; later groups keep
-			// evolving next.
-			g.ver = v.versionLocked(maps.Clone(next), ver)
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
-// maintainGroupLocked runs one engine pass for reqs — u's, or the rule
-// edit of its one request — pushes the committed deltas onto next and cuts
-// the group's commit record at version: the one place a record is cut (a
-// rule edit's also carries the program it leaves). A failed pass leaves
-// engine and next as they were and returns a group with no change set
-// (g.cs == nil) and the engine's error; the caller owns g.ver.
-func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string]*relation.Versioned, version uint64, cut bool) *applyGroup {
-	g := &applyGroup{reqs: reqs}
+// maintainOneLocked runs one engine pass for r — its update, or its rule
+// edit — pushes the committed deltas onto next and cuts r's commit record
+// at version: the one place a record is cut (a rule edit's also carries
+// the program it leaves). A failed pass leaves engine and next as they
+// were and r with no change set and the engine's error.
+func (v *Views) maintainOneLocked(r *applyReq, next map[string]*relation.Versioned, version uint64, cut bool) {
 	var per map[string]*relation.Relation
 	var program *string
-	if edit := reqs[0].edit; edit == nil {
-		per, g.err = v.eng.Apply(u.deltas())
-	} else if per, g.err = edit(v.eng); g.err == nil {
+	if r.edit == nil {
+		per, r.err = v.eng.Apply(r.u.deltas())
+	} else if per, r.err = r.edit(v.eng); r.err == nil {
 		// Regenerated from the edited rules, the text the record, Save and
 		// checkpoints carry is the views as they now are (fact clauses
 		// dropped lose nothing: base facts live in the database). The
@@ -843,28 +761,18 @@ func (v *Views) maintainGroupLocked(reqs []*applyReq, u *Update, next map[string
 		v.strategy = regime(v.eng)
 		v.refreshEmptiesLocked(next)
 	}
-	if g.err != nil {
-		return g
+	if r.err != nil {
+		return
 	}
 	v.pushDeltasLocked(next, v.eng.CommittedDeltas())
-	g.cs = v.changeSetLocked(per)
-	g.cs.version = version
-	g.rec.Version = version
-	// A coalesced batch is one record, so it carries every caller's
-	// idempotency key; recovery and followers re-seed all of them.
-	g.rec.Keys = reqs[0].keys
-	if len(reqs) > 1 {
-		g.rec.Keys = nil
-		for _, r := range reqs {
-			g.rec.Keys = append(g.rec.Keys, r.keys...)
-		}
-	}
+	r.cs = v.changeSetLocked(per)
+	r.cs.version = version
+	r.commit = CommitRecord{Version: version, Keys: r.keys}
 	if cut {
-		if g.rec, g.err = storage.EncodeCommitRecord(version, g.rec.Keys, program, v.cfg.stamp(v.strategy), v.eng.CommittedDeltas()); g.err != nil {
-			g.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", g.err)
+		if r.commit, r.err = storage.EncodeCommitRecord(version, r.keys, program, v.cfg.stamp(v.strategy), v.eng.CommittedDeltas()); r.err != nil {
+			r.err = fmt.Errorf("ivm: update applied in memory but its commit record could not be cut: %w", r.err)
 		}
 	}
-	return g
 }
 
 // changeSetLocked wraps the visible deltas an engine operation returned,
@@ -908,10 +816,10 @@ func (v *Views) refreshEmptiesLocked(next map[string]*relation.Versioned) {
 // derived predicate) — the paper's active-database application (Section
 // 1: "a rule may fire when a particular tuple is inserted into a view").
 // fn runs on the maintainer goroutine after each successful
-// Apply/AddRule/RemoveRule batch that changed pred, with the inserted
+// Apply/AddRule/RemoveRule commit that changed pred, with the inserted
 // and deleted rows (deleted counts reported positive), each in tuple
 // order. The two slices are the ChangeSet's own — sorted once and shared
-// with every other handler, the batch's callers and the serving layer —
+// with every other handler, the commit's caller and the serving layer —
 // so a handler must not modify them (copy first to reorder). Handlers fire
 // after the new version is published and outside every Views lock, so a
 // slow handler never delays readers or snapshots — but before the
@@ -933,10 +841,10 @@ func (v *Views) OnChange(pred string, fn func(pred string, inserted, deleted []R
 	})
 }
 
-// OnCommit subscribes fn to every committed maintenance batch: fn
-// receives the batch's whole ChangeSet, stamped with the version it
+// OnCommit subscribes fn to every commit: fn receives the commit's whole
+// ChangeSet — the one its caller gets — stamped with the version it
 // published (ChangeSet.Version), including change sets with no visible
-// deltas (a batch always publishes). Like OnChange handlers, commit
+// deltas (a commit always publishes). Like OnChange handlers, commit
 // handlers run on the maintainer goroutine after publish and outside
 // every Views lock, in commit order — under an Apply-only workload the
 // versions fn observes are nondecreasing — and must not Apply or edit

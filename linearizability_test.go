@@ -87,8 +87,8 @@ func replayPrefix(t *testing.T, cfg linTrialConfig, log []struct {
 	t.Helper()
 	db := ivm.NewDatabase()
 	db.MustLoad(cfg.facts)
-	// Net counts: commutative inserts/deletes within and across batches
-	// collapse to their sum, exactly like ⊎-merged maintenance.
+	// Net counts: commutative inserts/deletes across commits collapse to
+	// their sum, x ⊎ Δ₁ ⊎ … ⊎ Δₙ.
 	type key struct {
 		pred string
 		k    string

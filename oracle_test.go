@@ -23,11 +23,14 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these twenty-nine bugs each fail the default budget (first
+// runs), these thirty bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
-// skipping a group whose log stage failed [18]; the engine's edit not
+// skipping a request whose log stage failed [18]; a request of a
+// scheduler batch maintained on a copy of the batch's starting relation
+// map, not of its predecessor's, so its version lacks the predecessor's Δ
+// [1]; the engine's edit not
 // reinstalling the old program on error [7]; match's colCheck comparing
 // floats by numeric == [28]; a MIN group counting a numeric tie as a copy
 // of one of its values [19]; MIN counting a CompareNumeric tie as a copy
@@ -1103,10 +1106,11 @@ func (r *oracleRun) mayRefuse(op *oracleOp) error {
 }
 
 // commit moves the model to version ver and state next, holding the
-// change sets the version's callers got and the record it cut to the
-// diff of the recomputations. logged is false when the record's WAL
-// write failed: then no record is announced and no key recorded.
-func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, keys, scripts []string, edit, logged bool) {
+// change set the version's one caller got (nil: not read) and the record
+// it cut to the diff of the recomputations. logged is false when the
+// record's WAL write failed: then no record is announced and no key
+// recorded.
+func (r *oracleRun) commit(ver uint64, next *oracleState, cs *ivm.ChangeSet, keys []string, script string, edit, logged bool) {
 	if ver != r.version+1 {
 		r.fatal("a commit published version %d", ver)
 	}
@@ -1128,25 +1132,22 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	// edit stops deriving drains in the record only.
 	visible := func(pred string) bool { return next.derived[pred] && !slices.Contains(r.hidden, pred) }
 	want := diff(prev.want, next.want, visible, r.sem == ivm.SetSemantics)
-	for _, cs := range css {
-		if cs.Version() != ver {
-			r.fatal("a caller of version %d was told %d", ver, cs.Version())
-		}
+	if cs != nil && cs.Version() != ver {
+		r.fatal("the caller of version %d was told %d", ver, cs.Version())
 	}
 	// A change set is read only once the next operation has applied: what
 	// a caller was given must not move with the engine's later work.
 	r.unread = append(r.unread, func() {
-		var bad []oracleMismatch
-		for _, cs := range css {
-			got := make(oracleDelta)
-			for _, pred := range cs.Preds() {
-				for _, row := range cs.Delta(pred) {
-					got.add(pred, row.Tuple.Key(), row.Count)
-				}
-			}
-			bad = append(bad, got.compare("change set", want)...)
+		if cs == nil {
+			return
 		}
-		r.fail(fmt.Sprintf("commit of version %d, read after the next", ver), bad)
+		got := make(oracleDelta)
+		for _, pred := range cs.Preds() {
+			for _, row := range cs.Delta(pred) {
+				got.add(pred, row.Tuple.Key(), row.Count)
+			}
+		}
+		r.fail(fmt.Sprintf("commit of version %d, read after the next", ver), got.compare("change set", want))
 	})
 	r.takeEvents()
 	ev, ok := r.pending[ver]
@@ -1162,8 +1163,8 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	r.mu.Lock()
 	handed := r.changes[ver]
 	r.mu.Unlock()
-	if ev.Changes != handed {
-		r.fatal("the history holds version %d's ChangeSet as %v, its handlers were handed %v", ver, ev.Changes, handed)
+	if ev.Changes != handed || cs != nil && cs != handed {
+		r.fatal("version %d's ChangeSet: the history holds %v, its handlers were handed %v, its caller %v", ver, ev.Changes, handed, cs)
 	}
 	// The writer maintained the commit: its trace is the record's, with
 	// a record of each stratum of the program it leaves.
@@ -1181,10 +1182,8 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 	}
 	got, size := r.recordDelta(ev.CommitRecord)
 	r.fail("commit", got.compare("record", diff(prev.want, next.want, func(string) bool { return true }, false)))
-	evKeys := slices.Clone(ev.Keys)
-	slices.Sort(evKeys)
-	if slices.Sort(keys); !slices.Equal(evKeys, keys) {
-		r.fatal("the record carries keys %q, the callers %q", ev.Keys, keys)
+	if !slices.Equal(ev.Keys, keys) {
+		r.fatal("the record carries keys %q, the caller %q", ev.Keys, keys)
 	}
 	// An edit's record is its header, program and Δ, never the database.
 	if src, ok := ev.Program(); ok != edit || edit && len(ev.Payload) > 16+len(src)+size {
@@ -1195,23 +1194,23 @@ func (r *oracleRun) commit(ver uint64, next *oracleState, css []*ivm.ChangeSet, 
 		return
 	}
 	// The folding node lands where the writer did and reports what it did.
-	var cs *ivm.ChangeSet
+	var folded *ivm.ChangeSet
 	var err error
 	if r.leg == "rederive" && !edit {
-		cs, err = r.node.ApplyScriptReplicated(strings.Join(scripts, ""), ev.Keys)
+		folded, err = r.node.ApplyScriptReplicated(script, ev.Keys)
 	} else {
-		cs, err = r.node.ApplyCommitRecord(ev.CommitRecord, ev.Trace.Published)
+		folded, err = r.node.ApplyCommitRecord(ev.CommitRecord, ev.Trace.Published)
 		r.folds, r.foldRows = r.folds+1, r.foldRows+int64(len(got))
 	}
-	if err != nil || cs.Version() != ver {
-		r.fatal("the node folds version %d: err %v, change set %v", ver, err, cs)
+	if err != nil || folded.Version() != ver {
+		r.fatal("the node folds version %d: err %v, change set %v", ver, err, folded)
 	}
 	r.unread = append(r.unread, func() {
 		r.mu.Lock()
 		reported := renderChanges(r.changes[ver])
 		r.mu.Unlock()
-		if renderChanges(cs) != reported {
-			r.fatal("the node folded version %d: change set\n%v\nthe writer's\n%s", ver, cs, reported)
+		if renderChanges(folded) != reported {
+			r.fatal("the node folded version %d: change set\n%v\nthe writer's\n%s", ver, folded, reported)
 		}
 	})
 }
@@ -1255,10 +1254,11 @@ func (r *oracleRun) takeEvents() {
 }
 
 // do runs ops on the writer — one after another, or concurrently, when
-// the scheduler may coalesce them into shared versions — and holds each
-// outcome to the model. Concurrent ops commute (they insert fresh tuples,
-// or are one keyed update retried), so a version is the union of the
-// updates it acked.
+// the scheduler may take several into one batch — and holds each outcome
+// to the model. Every acked op is its own commit: a version acks exactly
+// one call. Concurrent ops commute (they insert fresh tuples, or are one
+// keyed update retried), so the versions of a burst may land in any order,
+// each the model's state after its predecessor plus its own update.
 func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	type call struct {
 		op             *oracleOp
@@ -1290,6 +1290,7 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	}
 	late := r.unread
 	r.unread = nil
+	before := r.w.Metrics()
 	var wg sync.WaitGroup
 	for _, c := range calls {
 		run := func() {
@@ -1313,7 +1314,13 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 	for _, check := range late { // queued before these operations applied
 		check()
 	}
-	byVersion := make(map[uint64][]*call)
+	// Two calls of a burst shared a scheduler batch when the batches took
+	// more updates than there were batches.
+	after := r.w.Metrics()
+	if batched := func(name string) int64 { return after.Counter(name) - before.Counter(name) }; concurrent && batched("sched_batch_updates_total") > batched("sched_batches_total") {
+		r.hit("coalesced")
+	}
+	byVersion := make(map[uint64]*call)
 	applied := make(map[*oracleOp]*call)
 	for _, c := range calls {
 		if c.err != nil && c.refused == nil && !c.dedup {
@@ -1352,7 +1359,7 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 			}
 			r.hit("rejected:wal")
 			r.walLost = true
-			r.commit(r.version+1, c.next, nil, nil, nil, false, false)
+			r.commit(r.version+1, c.next, nil, nil, "", false, false)
 			var bad []oracleMismatch
 			for pred := range r.st.want {
 				if engine := ivm.EngineRows(r.w, pred); !sameRows(engine, r.w.Rows(pred), true) {
@@ -1367,33 +1374,26 @@ func (r *oracleRun) do(concurrent bool, ops ...*oracleOp) {
 			r.fatal("%s: err %v, deduped %v %v; the recomputation accepts it", op.what, c.err, c.deduped, c.cs)
 		case c.deduped:
 			r.dedupHi++
+		case byVersion[c.cs.Version()] != nil:
+			r.fatal("%s: version %d acks two calls, %q and %q", op.what, c.cs.Version(), oracleUpdate(byVersion[c.cs.Version()].op.ch), oracleUpdate(op.ch))
 		default:
-			byVersion[c.cs.Version()] = append(byVersion[c.cs.Version()], c)
+			byVersion[c.cs.Version()] = c
 		}
 	}
 	for _, ver := range oracleKeys(byVersion) {
-		var ch []oracleChange
-		var css []*ivm.ChangeSet
-		var keys, scripts []string
-		next := byVersion[ver][0].next
-		for _, c := range byVersion[ver] {
-			ch, css = append(ch, c.op.ch...), append(css, c.cs)
-			scripts = append(scripts, oracleUpdate(c.op.ch).String())
-			if c.op.keyed && c.op.key != "" {
-				keys = append(keys, c.op.key)
-				r.acked[c.op.key] = c.op.ch
-			}
-		}
-		if len(css) > 1 {
-			r.hit("coalesced")
+		c := byVersion[ver]
+		next, keys := c.next, []string(nil)
+		if c.op.keyed && c.op.key != "" {
+			keys = []string{c.op.key}
+			r.acked[c.op.key] = c.op.ch
 		}
 		if concurrent {
 			var err error
-			if next, err = r.next(&oracleOp{ch: ch}); err != nil {
+			if next, err = r.next(&oracleOp{ch: c.op.ch}); err != nil {
 				r.fatal("the recomputation refuses version %d: %v", ver, err)
 			}
 		}
-		r.commit(ver, next, css, keys, scripts, c0.op.edit, true)
+		r.commit(ver, next, c.cs, keys, oracleUpdate(c.op.ch).String(), c0.op.edit, true)
 	}
 	if r.takeEvents(); len(r.pending) > 0 {
 		r.fatal("%s: a record no commit was acked for", c0.op.what)

@@ -10,29 +10,27 @@ import (
 	"ivm/internal/relation"
 )
 
-// foldGroupLocked replays a delta-carrying record as a group of its own:
+// foldLocked replays a delta-carrying record as a commit of its own:
 // fold it (foldRecordLocked), push its deltas onto the version map, and
 // hand the record on as it was received — to the log stage, to
 // commit-record subscribers — with the change set the primary's
 // subscribers saw.
-func (v *Views) foldGroupLocked(r *applyReq, next map[string]*relation.Versioned, version uint64) *applyGroup {
-	g := &applyGroup{reqs: []*applyReq{r}}
+func (v *Views) foldLocked(r *applyReq, next map[string]*relation.Versioned, version uint64) {
 	if r.rec.Version != version {
-		g.err = &DivergenceError{Version: r.rec.Version, At: version - 1}
-		return g
+		r.err = &DivergenceError{Version: r.rec.Version, At: version - 1}
+		return
 	}
 	deltas, cs, err := v.foldRecordLocked(*r.rec)
 	if err != nil {
-		g.err = err
-		return g
+		r.err = err
+		return
 	}
 	if _, edit := r.rec.Program(); edit {
 		v.refreshEmptiesLocked(next)
 	}
 	v.pushDeltasLocked(next, deltas)
 	cs.version = version
-	g.cs, g.rec = cs, *r.rec
-	return g
+	r.cs, r.commit = cs, *r.rec
 }
 
 // foldRecordLocked is the fold step of both replay sites. It reads the

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59, E60, E61) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59, E60, E61, E63) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -15,7 +15,8 @@ cd "$(dirname "$0")/.."
 mutations=(
 	"GroupTable.Rollback keeps the aborted state|internal/eval/group.go|fold(f.e, f.v, -f.count) != nil|f.e == nil"
 	"GroupTable.Rollback keeps a Scalar's aborted state|internal/eval/group.go|ue.e.state = ue.state|_ = ue.state"
-	"publishLocked skips a group whose log stage failed|ivm.go|		if g.cs == nil {|		if g.cs == nil || g.err != nil {"
+	"publishLocked skips a request whose log stage failed|ivm.go|		v.installLocked(r.ver)|		if r.err == nil { v.installLocked(r.ver) }"
+	"a request is maintained on a copy of the batch's starting relation map, not of its predecessor's|ivm.go|		rels, id = next, id+1|		id++"
 	"the engine's edit does not undo a refused edit|internal/core/dred/dred.go|		undo()|		_ = undo"
 	"colCheck matches floats by numeric ==|internal/eval/slots.go|			if t[i] != slots[op.slot] {|			if t[i] != slots[op.slot] && !(t[i].IsNumeric() && slots[op.slot].IsNumeric() && t[i].Float() == slots[op.slot].Float()) {"
 	"extremum.Add counts a numeric tie as a copy|internal/agg/agg.go|return b.Compare(a)|if a.IsNumeric() && b.IsNumeric() && a.Float() == b.Float() { return 0 }; return b.Compare(a)"
@@ -29,7 +30,7 @@ mutations=(
 	"counting commits its working Δ(head) uncopied and unfrozen|internal/core/dred/counting.go|		dp.Freeze()|		dp = w"
 	"the trace is stamped with the predecessor's version|snapshot.go|&ApplyTrace{Version: id, Strategy: v.strategy|&ApplyTrace{Version: id - 1, Strategy: v.strategy"
 	"the history's index keeps a key after its commit leaves|history.go|			delete(v.keys, k)|			_ = k"
-	"the history holds a hollow ChangeSet for an unshed commit|history.go|Trace: g.ver.trace, Changes: g.cs}|Trace: g.ver.trace, Changes: &ChangeSet{version: g.cs.version}}"
+	"the history holds a hollow ChangeSet for an unshed commit|history.go|Trace: r.ver.trace, Changes: r.cs}|Trace: r.ver.trace, Changes: &ChangeSet{version: r.cs.version}}"
 	"counting cascades Δ(head) itself where a row flips by ±1 but moves by ±2|internal/core/dred/counting.go|olds[i] == row.Count|olds[i]*row.Count > 0"
 	"the follower shares Δ where a row flips but moves by ±2|replicate.go|f == count|f != 0"
 	"compact leaves a kept run out of the rebuilt overlay|internal/relation/version.go|deltas: v.deltas[:k:k]|deltas: v.deltas[:0:0]"

@@ -293,9 +293,8 @@ func TestOpenStoreGroupCommitConcurrentAppliers(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// A scheduler batch appends its records and then waits on them, which
-	// costs one fsync whether it committed one group or fell back to one
-	// per request.
+	// A scheduler batch appends one record per apply and then waits on
+	// them, which costs one fsync however many it appended.
 	snap := v.Metrics()
 	if fsyncs, batches := snap.Counter("storage_wal_fsyncs_total"), snap.Counter("sched_batches_total"); fsyncs < 1 || fsyncs > batches {
 		t.Fatalf("%d WAL fsyncs over %d scheduler batches, want between 1 and one per batch", fsyncs, batches)
@@ -307,11 +306,9 @@ func TestOpenStoreGroupCommitConcurrentAppliers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	// Coalescing merges concurrent updates into one WAL record per
-	// batch, so the record count is between 1 (everything coalesced)
-	// and writers*perWriter (no coalescing at all).
-	if info.Replayed < 1 || info.Replayed > writers*perWriter {
-		t.Fatalf("replayed %d records, want between 1 and %d", info.Replayed, writers*perWriter)
+	// Every apply is its own commit, and so its own WAL record.
+	if info.Replayed != writers*perWriter {
+		t.Fatalf("replayed %d records, want one per apply: %d", info.Replayed, writers*perWriter)
 	}
 	// Insert-only scripts commute, so order differences cannot matter.
 	var all []string
