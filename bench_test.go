@@ -1,6 +1,6 @@
 package ivm_test
 
-// Benchmarks of the public API's planner and replication paths. The
+// Benchmarks of the public API's planner, replication and read paths. The
 // paper's experiments E1–E10 and E12 are benchmarks of their own in
 // internal/experiments; E11 is the TestProperty* seed selections of the
 // oracle in oracle_test.go.
@@ -8,6 +8,9 @@ package ivm_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,3 +254,99 @@ func hotKey(k int) value.Value { return value.NewString(fmt.Sprintf("h%d", k)) }
 // skewedReqKey returns the i-th Δreq key for skewedJoin data: a hot key,
 // so every delta drives the full hot fan-out under a syntactic order.
 func skewedReqKey(hotKeys, i int) value.Value { return hotKey(i % hotKeys) }
+
+// BenchmarkReadersUnderApplies — point reads beside sustained applies:
+// four writers each insert eight two-link paths and then delete them (one
+// op is such a pair of applies) over two strata of joins on 150 nodes and
+// 1 200 links, while four readers each take a Count and a Has every
+// millisecond. "snapshot" reads the published version; "rwmutex" emulates
+// a reader-writer lock held across each Apply, the discipline snapshots
+// replaced. A read's latency runs from its scheduled time, so a reader
+// stalled behind a writer is charged for the stall (no coordinated
+// omission). GOMAXPROCS is -cpu's.
+func BenchmarkReadersUnderApplies(b *testing.B) {
+	const nodes, links, writers, readers, batch = 150, 1200, 4, 4, 8
+	for _, mode := range []string{"snapshot", "rwmutex"} {
+		b.Run(mode, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			db := ivm.NewDatabase()
+			for i := 0; i < links; i++ {
+				db.Insert("link", fmt.Sprintf("n%d", rng.Intn(nodes)), fmt.Sprintf("n%d", rng.Intn(nodes)))
+			}
+			v, err := db.Materialize(`
+				hop(X,Y) :- link(X,Z), link(Z,Y).
+				tri(X,Y) :- hop(X,Z), link(Z,Y).
+			`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var rw sync.RWMutex
+			lock, unlock, rlock, runlock := rw.Lock, rw.Unlock, rw.RLock, rw.RUnlock
+			if mode == "snapshot" {
+				lock, unlock, rlock, runlock = func() {}, func() {}, func() {}, func() {}
+			}
+			m0 := v.Metrics()
+			b.ResetTimer()
+
+			var ops atomic.Int64
+			var stop atomic.Bool
+			var wg, rg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(1000 + w)))
+					for op := ops.Add(1); op <= int64(b.N); op = ops.Add(1) {
+						ins, del := ivm.NewUpdate(), ivm.NewUpdate()
+						for i := 0; i < batch; i++ {
+							src, mid, dst := fmt.Sprintf("n%d", rng.Intn(nodes)), fmt.Sprintf("w%d_%d_%d", w, op, i), fmt.Sprintf("n%d", rng.Intn(nodes))
+							ins.Insert("link", src, mid).Insert("link", mid, dst)
+							del.Delete("link", src, mid).Delete("link", mid, dst)
+						}
+						for _, u := range []*ivm.Update{ins, del} {
+							lock()
+							_, err := v.Apply(u)
+							unlock()
+							if err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			lats := make([][]time.Duration, readers)
+			for r := 0; r < readers; r++ {
+				rg.Add(1)
+				go func(r int) {
+					defer rg.Done()
+					rng := rand.New(rand.NewSource(int64(2000 + r)))
+					start := time.Now()
+					for i := 0; i == 0 || !stop.Load(); i++ {
+						at := start.Add(time.Duration(i) * time.Millisecond)
+						time.Sleep(time.Until(at))
+						x, y := fmt.Sprintf("n%d", rng.Intn(nodes)), fmt.Sprintf("n%d", rng.Intn(nodes))
+						rlock()
+						v.Count("hop", x, y)
+						v.Has("link", x, y)
+						runlock()
+						lats[r] = append(lats[r], time.Since(at))
+					}
+				}(r)
+			}
+			wg.Wait()
+			stop.Store(true)
+			rg.Wait()
+			b.StopTimer()
+
+			all := slices.Concat(lats...)
+			slices.Sort(all)
+			b.ReportMetric(float64(all[len(all)/2].Nanoseconds()), "read-p50-ns")
+			b.ReportMetric(float64(all[(len(all)-1)*99/100].Nanoseconds()), "read-p99-ns")
+			m := v.Metrics()
+			if n := m.Counter("sched_batches_total") - m0.Counter("sched_batches_total"); n > 0 {
+				b.ReportMetric(float64(m.Counter("sched_batch_updates_total")-m0.Counter("sched_batch_updates_total"))/float64(n), "updates/batch")
+			}
+		})
+	}
+}

@@ -20,16 +20,16 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// A misspelt -scale exits 2 before any benchmark runs, and so does a run
-// that names no benchmark.
+// A misspelt -scale exits 2 before any load runs, and so does a run that
+// names no -server.
 func TestUsageErrorsExitTwoBeforeAnyWork(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.json")
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-readers", out, "-scale", "smoek"}, `unknown scale "smoek"`},
-		{nil, "Usage of"},
+		{[]string{"-server", "http://127.0.0.1:1", "-server-out", out, "-scale", "smoek"}, `unknown scale "smoek"`},
+		{[]string{"-server-out", out}, "Usage of"},
 	} {
 		msg, err := exec.Command(os.Args[0], append([]string{"ivmbench"}, tc.args...)...).CombinedOutput()
 		var exit *exec.ExitError
@@ -41,6 +41,6 @@ func TestUsageErrorsExitTwoBeforeAnyWork(t *testing.T) {
 		}
 	}
 	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a run refused for its scale wrote %s: %v", out, err)
+		t.Fatalf("a refused run wrote %s: %v", out, err)
 	}
 }

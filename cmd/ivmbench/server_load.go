@@ -1,12 +1,8 @@
 package main
 
-// The served-load benchmark behind `ivmbench -server`: drives an ivmd
-// HTTP endpoint with closed-loop appliers, open-loop readers, and a
-// streaming subscriber, and reports end-to-end latencies as
-// BENCH_server.json. With `-server self` it boots an in-process server
-// (memory-only views) so CI can exercise the full network path without
-// managing a daemon; with `-server http://host:port` it load-tests a
-// running ivmd.
+// The served-load benchmark: drives an ivmd HTTP endpoint with
+// closed-loop appliers, open-loop readers, and a streaming subscriber,
+// and reports end-to-end latencies as BENCH_server.json.
 
 import (
 	"context"
@@ -19,13 +15,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ivm"
 	"ivm/client"
-	"ivm/internal/server"
 )
 
 type serverLoadReport struct {
-	Target     string `json:"target"` // "self" or the URL load-tested
+	Target     string `json:"target"` // the URL load-tested
 	Appliers   int    `json:"appliers"`
 	Readers    int    `json:"readers"`
 	Duration   string `json:"duration"`
@@ -56,7 +50,7 @@ func pctNanos(xs []int64, p float64) int64 {
 // runServerLoad drives target for d. Appliers are closed-loop (next
 // request issued when the ack returns — server latency is the pacing);
 // readers are open-loop on a fixed interval, measuring from scheduled
-// arrival to avoid coordinated omission, same discipline as -readers.
+// arrival to avoid coordinated omission.
 func runServerLoad(target string, appliers, readers int, d time.Duration) (*serverLoadReport, error) {
 	c := client.New(target, nil)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,39 +182,18 @@ func runServerLoad(target string, appliers, readers int, d time.Duration) (*serv
 	return rep, nil
 }
 
-// writeServerLoadReport runs the served-load benchmark and writes the
-// JSON report. target "self" boots an in-process memory-only server.
+// writeServerLoadReport runs the served-load benchmark against the ivmd
+// at target and writes the JSON report.
 func writeServerLoadReport(path, target, scale string) error {
 	appliers, readers, dur := 8, 4, 2*time.Second
 	if scale == "smoke" {
 		appliers, readers, dur = 4, 2, 500*time.Millisecond
 	}
 
-	label := target
-	if target == "self" {
-		db := ivm.NewDatabase()
-		db.MustLoad(`link(a,b). link(b,c).`)
-		v, err := db.Materialize(`hop(X,Y) :- link(X,Z), link(Z,Y).`)
-		if err != nil {
-			return err
-		}
-		srv := server.New(v, server.Options{OwnViews: true, SubscriberBuffer: 8192})
-		if err := srv.Start(); err != nil {
-			return err
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}()
-		target = srv.URL()
-	}
-
 	rep, err := runServerLoad(target, appliers, readers, dur)
 	if err != nil {
 		return err
 	}
-	rep.Target = label
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -231,7 +204,7 @@ func writeServerLoadReport(path, target, scale string) error {
 		return err
 	}
 	fmt.Printf("served load against %s (%d closed-loop appliers, %d open-loop readers, %s):\n",
-		label, rep.Appliers, rep.Readers, rep.Duration)
+		target, rep.Appliers, rep.Readers, rep.Duration)
 	fmt.Printf("  apply: p50 %8dns  p99 %8dns  (%d acks, %.0f/s)\n",
 		rep.ApplyP50Nanos, rep.ApplyP99Nanos, rep.Applies, rep.ApplyPerSec)
 	fmt.Printf("  read:  p50 %8dns  p99 %8dns  (%d reads)\n",

@@ -1,6 +1,8 @@
 package ivm
 
 import (
+	"sync"
+
 	"ivm/internal/relation"
 )
 
@@ -86,4 +88,11 @@ func EngineCommittedDeltas(v *Views) map[string]*relation.Relation {
 	v.wmu.Lock()
 	defer v.wmu.Unlock()
 	return v.eng.CommittedDeltas()
+}
+
+// HoldWriter takes the write mutex every commit takes, as a maintainer
+// does for its whole pass, until release is called (once or more).
+func HoldWriter(v *Views) (release func()) {
+	v.wmu.Lock()
+	return sync.OnceFunc(v.wmu.Unlock)
 }

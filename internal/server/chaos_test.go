@@ -234,7 +234,8 @@ func TestChaosGauntletExactlyOnce(t *testing.T) {
 	if cst.Deduped == 0 && serverDedups == 0 {
 		t.Logf("warning: no retry was deduped (faults may have all hit pre-commit); proxy=%+v client=%+v", pst, cst)
 	}
-	t.Logf("chaos: proxy=%+v client=%+v server_dedups=%d replayed=%d", pst, cst, serverDedups, info.Replayed)
+	t.Logf("chaos: proxy=%+v client=%+v server_dedups=%d replayed=%d retries_per_apply=%.3f observed_fault_rate=%.3f",
+		pst, cst, serverDedups, info.Replayed, float64(cst.Retries)/float64(acked.Load()), float64(pst.Faulted)/float64(pst.Conns))
 
 	// 5. A final clean reopen retains everything.
 	if err := srv2.Shutdown(context.Background()); err != nil {

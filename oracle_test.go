@@ -23,7 +23,7 @@ package ivm_test
 // them, with the seed, leg, version and that stratum's rules.
 //
 // Put back as one-line mutations (scripts/oracle_mutations.sh, which CI
-// runs), these thirty bugs each fail the default budget (first
+// runs), these thirty-one bugs each fail the default budget (first
 // failing seed in brackets): GroupTable.Rollback not taking back the
 // folds a MIN/MAX group's journal holds [19]; GroupTable.Rollback keeping
 // a SUM, COUNT, AVG or VARIANCE group's aborted state [19]; publishLocked
@@ -58,7 +58,8 @@ package ivm_test
 // places its step 1 marked marked, and its overestimate's list of them
 // full [6]; a DRed round's window of the place list starting one place
 // late, so each round drops the first place the round before admitted
-// [4].
+// [4]; and the scheduler handing each request of a batch to the
+// maintainer alone, so that no seed reaches the required coalesced axis.
 
 import (
 	"cmp"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Puts back, one at a time, the one-line bugs the oracle must catch
-# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59, E60, E61, E63) and requires `go test -run '^TestOracle$' .`
+# (EXPERIMENTS.md E34, E40, E41, E43, E44, E46, E47, E49, E50, E51, E52, E53, E54, E57, E58, E59, E60, E61, E63, E64) and requires `go test -run '^TestOracle$' .`
 # to FAIL on each. Every mutation runs in its own copy of the tree, made
 # in a temporary directory, so the checkout is never touched. A pattern
 # must occur exactly once in its file: a stale one fails the script
@@ -43,6 +43,7 @@ mutations=(
 	"recovery leaves the torn tail in the WAL|internal/storage/store.go|if err := wal.Truncate(end); err != nil {|if err := wal.Truncate(size); err != nil {"
 	"a DRed stratum's end leaves the places its step 1 marked marked|internal/core/dred/propagate.go|	defer e.unmark(inStratum)|	_ = e.unmark"
 	"a DRed round's window starts one place late, dropping the first place the round before admitted|internal/core/dred/propagate.go|pl.stored.Places(pl.ps[pl.end:])|pl.stored.Places(pl.ps[min(pl.end+1, len(pl.ps)):])"
+	"the scheduler hands each request of a batch to the maintainer alone, so no two calls share a batch|internal/sched/sched.go|		c.process(batch)|		for _, r := range batch { c.process([]R{r}) }"
 )
 
 work="$(mktemp -d)"
@@ -70,7 +71,7 @@ for m in "${mutations[@]}"; do
 		failed=1
 		continue
 	fi
-	first="$(printf '%s\n' "$out" | grep -m1 -E 'seed [0-9]+ leg' | sed 's/^[[:space:]]*//' | cut -c1-240 || true)"
+	first="$(printf '%s\n' "$out" | grep -m1 -E 'seed [0-9]+ leg|no seed of the' | sed 's/^[[:space:]]*//' | cut -c1-240 || true)"
 	echo "caught $name: ${first:-$(printf '%s\n' "$out" | grep -m1 FAIL)}"
 done
 exit "$failed"
